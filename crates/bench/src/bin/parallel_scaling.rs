@@ -137,56 +137,4 @@ fn main() {
             skew_serial.as_secs_f64() / t.as_secs_f64()
         );
     }
-
-    // ---- ordered-scan merge cascade ---------------------------------------
-    // Raw ordered scan (no aggregate) over a fleet whose per-series
-    // timestamps interleave irregularly: series i contributes ts = j*7+(i%5),
-    // so neither the identity fast path (one series) nor the grid/transpose
-    // fast path (aligned scrape grid) applies and the gather falls through
-    // to the bottom-up two-way merge cascade. The partition sweep also sets
-    // the cascade's worker count; every setting must stay row-identical to
-    // the stable-sort gather (`merge_gather: false`).
-    let mut db = Tsdb::new();
-    for s in 0..fleet {
-        let key = SeriesKey::new("disk").with_tag("host", format!("host-{s}"));
-        for t in 0..points {
-            db.insert(&key, t as i64 * 7 + (s % 5) as i64, (s * points + t) as f64 * 0.25);
-        }
-    }
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
-    let scan_query = parse_query(
-        "SELECT timestamp, value FROM tsdb WHERE metric_name = 'disk' ORDER BY timestamp ASC",
-    )
-    .expect("parse scan");
-    println!(
-        "\nordered-scan merge cascade: {fleet} interleaved series x {points} points \
-         ({} rows)",
-        fleet * points
-    );
-    let sort_opts = ExecOptions { partitions: 1, merge_gather: false, ..ExecOptions::default() };
-    let sorted_out = catalog.execute_query_with(&scan_query, sort_opts).expect("sort");
-    let sort_t = best_of(3, || {
-        catalog.execute_query_with(&scan_query, sort_opts).expect("sort");
-    });
-    println!("{:<26} {:>12.3?}   (stable-sort baseline)", "sort gather", sort_t);
-    for parts in [1usize, 2, 4, 8, 0] {
-        let opts = ExecOptions { partitions: parts, merge_gather: true, ..ExecOptions::default() };
-        let out = catalog.execute_query_with(&scan_query, opts).expect("merge");
-        assert_eq!(
-            out.rows(),
-            sorted_out.rows(),
-            "merge cascade (partitions={parts}) diverged from stable sort"
-        );
-        let t = best_of(3, || {
-            catalog.execute_query_with(&scan_query, opts).expect("merge");
-        });
-        let label = if parts == 0 { "auto".to_string() } else { parts.to_string() };
-        println!(
-            "{:<26} {:>12.3?}   {:.2}x vs sort gather",
-            format!("merge workers={label}"),
-            t,
-            sort_t.as_secs_f64() / t.as_secs_f64()
-        );
-    }
 }

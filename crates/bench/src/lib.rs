@@ -109,8 +109,8 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 /// host scraping at 100x the fleet interval) while the remaining
 /// `fleet - 1` series carry 8 points each. Series-count morsels would
 /// hand ~everything to a single worker; the executor's point-balanced
-/// split cuts the hot series itself, so the skewed partition sweeps in
-/// `scan_agg_report` / `parallel_scaling` genuinely engage >1 worker.
+/// split cuts the hot series itself, so the skewed partition sweep in
+/// `parallel_scaling` genuinely engages >1 worker.
 pub fn build_skewed_db(fleet: usize, points: usize) -> explainit_tsdb::Tsdb {
     use explainit_tsdb::{SeriesKey, Tsdb};
     let mut db = Tsdb::new();

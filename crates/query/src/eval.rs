@@ -140,60 +140,97 @@ pub fn eval_with_rows(
 /// Evaluates an expression over a group of rows, computing aggregates over
 /// the whole group and everything else on the group's first row.
 pub fn eval_group(expr: &Expr, schema: &Schema, group: &[&Vec<Value>]) -> Result<Value> {
-    match expr {
-        Expr::Function { name, args } if is_aggregate(name) => {
-            let mut per_row = Vec::with_capacity(group.len());
-            for row in group {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(eval_row(a, schema, row)?);
-                }
-                per_row.push(vals);
+    let first = group.first().ok_or_else(|| QueryError::Plan("empty group".into()))?;
+    eval_in_group(expr, schema, first, &|name, args| {
+        let mut per_row = Vec::with_capacity(group.len());
+        for row in group {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval_row(a, schema, row)?);
             }
-            eval_aggregate(name, &per_row)
+            per_row.push(vals);
         }
+        eval_aggregate(name, &per_row)
+    })
+}
+
+/// Group-context evaluation with the aggregates supplied by the caller:
+/// every aggregate call `name(args)` resolves through `agg` (row replay in
+/// [`eval_group`], finished accumulators in the executor), operators,
+/// scalar calls, indexing and CASE recurse (both AND/OR operands always
+/// evaluate), and everything else resolves against the group's `first` row.
+pub(crate) fn eval_in_group(
+    expr: &Expr,
+    schema: &Schema,
+    first: &[Value],
+    agg: &dyn Fn(&str, &[Expr]) -> Result<Value>,
+) -> Result<Value> {
+    let rec = |e: &Expr| eval_in_group(e, schema, first, agg);
+    match expr {
+        Expr::Function { name, args } if is_aggregate(name) => agg(name, args),
         Expr::Binary { op, left, right } => {
-            let l = eval_group(left, schema, group)?;
-            let r = eval_group(right, schema, group)?;
+            let l = rec(left)?;
+            let r = rec(right)?;
             match op {
                 BinaryOp::And => eval_and(l, r),
                 BinaryOp::Or => eval_or(l, r),
                 _ => eval_binary(*op, l, r),
             }
         }
-        Expr::Unary { op, operand } => {
-            let v = eval_group(operand, schema, group)?;
-            eval_unary(*op, v)
-        }
+        Expr::Unary { op, operand } => eval_unary(*op, rec(operand)?),
         Expr::Function { name, args } if !is_window(name) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_group(a, schema, group)?);
-            }
+            let vals = args.iter().map(rec).collect::<Result<Vec<_>>>()?;
             eval_scalar(name, &vals)
         }
         Expr::Index { container, index } => {
-            let c = eval_group(container, schema, group)?;
-            let i = eval_group(index, schema, group)?;
+            let c = rec(container)?;
+            let i = rec(index)?;
             eval_index(c, i)
         }
         Expr::Case { when_then, else_expr } => {
             for (cond, result) in when_then {
-                if eval_group(cond, schema, group)?.is_true() {
-                    return eval_group(result, schema, group);
+                if rec(cond)?.is_true() {
+                    return rec(result);
                 }
             }
             match else_expr {
-                Some(e) => eval_group(e, schema, group),
+                Some(e) => rec(e),
                 None => Ok(Value::Null),
             }
         }
         // Everything else (columns, literals, IN, BETWEEN, IS NULL) resolves
         // against the representative first row of the group.
-        _ => {
-            let first = group.first().ok_or_else(|| QueryError::Plan("empty group".into()))?;
-            eval_row(expr, schema, first)
+        _ => eval_row(expr, schema, first),
+    }
+}
+
+/// Appends every aggregate call [`eval_in_group`] can reach in `expr`
+/// (the same arms, so the two stay in step), duplicates included.
+pub(crate) fn grouped_aggregates<'e>(expr: &'e Expr, out: &mut Vec<(&'e str, &'e [Expr])>) {
+    match expr {
+        Expr::Function { name, args } if is_aggregate(name) => out.push((name, args)),
+        Expr::Binary { left, right, .. } => {
+            grouped_aggregates(left, out);
+            grouped_aggregates(right, out);
         }
+        Expr::Unary { operand, .. } => grouped_aggregates(operand, out),
+        Expr::Function { name, args } if !is_window(name) => {
+            args.iter().for_each(|a| grouped_aggregates(a, out));
+        }
+        Expr::Index { container, index } => {
+            grouped_aggregates(container, out);
+            grouped_aggregates(index, out);
+        }
+        Expr::Case { when_then, else_expr } => {
+            for (cond, result) in when_then {
+                grouped_aggregates(cond, out);
+                grouped_aggregates(result, out);
+            }
+            if let Some(e) = else_expr {
+                grouped_aggregates(e, out);
+            }
+        }
+        _ => {}
     }
 }
 

@@ -8,17 +8,19 @@
 //! functions, CASE and scalar function calls — mirroring the retained
 //! row-at-a-time oracle in [`crate::reference`].
 //!
-//! **Partition parallelism.** Pipelines the optimizer marked with
-//! [`LogicalPlan::Exchange`] run morsel-parallel on a scoped worker pool
-//! (the hypothesis-scoring idiom from `explainit-core`): the source table
-//! is cut into contiguous row morsels, each worker applies the nested
-//! `Filter`s and either projects or builds *partial aggregate states*
-//! ([`AggAcc`]) for its morsel, and a final exchange step merges partials
-//! in morsel order. Merging is exactly fold-equivalent (error-free float
-//! sums, integer counts, per-class MIN/MAX candidates, PERCENTILE value
-//! gathering), so a parallel run is bit-identical to the serial one — the
-//! differential suite asserts serial == parallel == reference. Partition
-//! count comes from [`ExecOptions`]; `0` means one per available core.
+//! **Partition parallelism.** Operators split their input by its size
+//! ([`ExecOptions::partitions`]) on a scoped worker pool (the
+//! hypothesis-scoring idiom from `explainit-core`), and serial execution is
+//! the one-morsel case of the same code: the table aggregate builds
+//! *partial aggregate states* ([`AggAcc`]) per row morsel — applying the
+//! `Filter`s peeled off a [`LogicalPlan::Exchange`]-marked pipeline per
+//! morsel too — and one shared step merges partials in morsel order,
+//! finishes them and assembles the output; the scan-level aggregate hands
+//! its per-series-span partials to that same step. Merging is exactly
+//! fold-equivalent (error-free float sums, integer counts, per-class
+//! MIN/MAX candidates, PERCENTILE value gathering), so an answer is
+//! bit-identical at every partition count — the differential suite asserts
+//! partitions 1 and 3 both equal the reference.
 //!
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
@@ -42,9 +44,9 @@ static EXEC_RESULTS: LockClass = LockClass::new("query.exec.results", 90);
 use crate::ast::{Expr, JoinKind, Query};
 use crate::catalog::{Catalog, TsdbBinding};
 use crate::column::Column;
-use crate::eval::{eval_group, eval_row, eval_with_rows};
+use crate::eval::{eval_in_group, eval_row, eval_with_rows, grouped_aggregates};
 use crate::functions::{is_aggregate, AggAcc};
-use crate::optimize::{map_columns, optimize_with, OptimizeOptions};
+use crate::optimize::{map_columns, optimize, peel_filter_chain};
 use crate::plan::{build, equi_join_keys, LogicalPlan, TSDB_COLUMNS};
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -52,47 +54,23 @@ use crate::veval;
 use crate::{QueryError, Result};
 
 /// Execution options for the columnar pipeline.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
-    /// Partition count for [`LogicalPlan::Exchange`] pipelines, the
-    /// parallel scan gather and the scan-aggregate operator.
+    /// Morsel count for the table aggregate, [`LogicalPlan::Exchange`]
+    /// projections, the scan gather and the scan-aggregate operator.
     ///
-    /// * `0` — auto: one partition per available core, capped so each
-    ///   morsel keeps at least [`MIN_PARTITION_ROWS`] rows;
+    /// * `0` — auto (the default): one partition per available core,
+    ///   capped so each morsel keeps at least [`MIN_PARTITION_ROWS`] rows;
     /// * `1` — serial execution (single morsel);
     /// * `k` — exactly `min(k, rows)` morsels, regardless of core count
     ///   (lets tests exercise partial-state merging deterministically).
-    ///
-    /// The default is `0` (auto).
     pub partitions: usize,
-    /// Apply the optimizer's scan-level aggregate pushdown
-    /// ([`LogicalPlan::ScanAggregate`]). On by default; the differential
-    /// harness turns it off to compare the pushdown against the ordinary
-    /// pipeline on identical queries.
-    pub scan_aggregate: bool,
-    /// Order the TSDB scan gather with a k-way merge over the per-series
-    /// sorted point vectors instead of a global stable sort over all rows.
-    /// On by default; `false` retains the stable-sort reference path the
-    /// differential harness (and the `scan_gather` bench) compares
-    /// against — both produce bit-identical row orders.
-    pub merge_gather: bool,
-    /// Run the optimizer invariant verifier ([`crate::verify`]) after each
-    /// rewrite rule. Off by default in release builds (debug builds always
-    /// verify); the release-mode CI differential job forces it on via the
-    /// `EXPLAINIT_VERIFY_PLANS` environment variable.
-    pub verify: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { partitions: 0, scan_aggregate: true, merge_gather: true, verify: false }
-    }
 }
 
 impl ExecOptions {
-    /// Options with an explicit partition count and defaults elsewhere.
+    /// Options with an explicit partition count.
     pub fn with_partitions(partitions: usize) -> ExecOptions {
-        ExecOptions { partitions, ..ExecOptions::default() }
+        ExecOptions { partitions }
     }
 }
 
@@ -150,11 +128,7 @@ pub fn execute_with(catalog: &Catalog, query: &Query, opts: ExecOptions) -> Resu
     // rewrite or scan runs. Plan-building errors (unknown tables/columns,
     // scoping) keep their precedence — `build` already ran.
     crate::types::check_query(catalog, query)?;
-    let plan = optimize_with(
-        plan,
-        catalog,
-        &OptimizeOptions { scan_aggregate: opts.scan_aggregate, verify: opts.verify },
-    )?;
+    let plan = optimize(plan, catalog)?;
     if query.explain {
         let text = crate::plan::render_with(&plan, Some(catalog));
         let lines: Vec<Vec<Value>> = text.lines().map(|l| vec![Value::str(l)]).collect();
@@ -207,7 +181,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             // cost-ordered residuals) fuse into one selection vector over
             // the source columns, innermost first — no intermediate Table
             // or column materialization per node.
-            let (filters, source) = peel_filters(plan);
+            let (filters, source) = peel_filter_chain(plan);
             if filters.iter().all(|p| veval::supported(p)) {
                 let t = run_plan(ctx, source, opts)?;
                 if t.is_empty() {
@@ -248,7 +222,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
 
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
             let t = run_plan(ctx, input, opts)?;
-            run_aggregate(&t, group_by, items, hidden)
+            run_aggregate(&t, &[], group_by, items, hidden, opts)
         }
 
         LogicalPlan::Join { left, right, kind, on, stats } => {
@@ -353,32 +327,18 @@ fn run_tsdb_scan(
 
     // Inclusive plan bounds map straight onto the store's inclusive scan
     // range — no half-open conversion, so `timestamp == i64::MAX` points
-    // survive an unbounded (or saturated) upper bound.
-    let lo = start.unwrap_or(i64::MIN);
-    let hi = end.unwrap_or(i64::MAX);
-    if lo > hi {
-        let empty: Vec<Column> = wanted
-            .iter()
-            .map(|&i| match i {
-                0 => Column::Int(Vec::new()),
-                1 => Column::dict(dicts.names.clone(), Vec::new()),
-                3 => Column::Float(Vec::new()),
-                _ => Column::dict(dicts.tags.clone(), Vec::new()),
-            })
-            .collect();
-        return Ok(Table::from_columnar_parts(schema, empty, 0));
-    }
-
+    // survive an unbounded (or saturated) upper bound. An inverted range
+    // scans nothing. Hits come in canonical-key (rank) order: the tiebreak
+    // order of the observation view — rows sort by timestamp with ties in
+    // canonical key order.
+    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
     let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    // Canonical-key (rank) order: the tiebreak order of the observation
-    // view — rows sort by timestamp with ties in canonical key order.
-    let hits = db.scan_parts_ordered_between(&filter, lo, hi);
+    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
 
     let total: usize = hits.iter().map(|p| p.timestamps.len()).sum();
-    // Side vectors over the concatenation, each built only when something
-    // reads it: the timestamp concat feeds the retained sort path and the
-    // timestamp output column; the hit map feeds the dictionary columns.
-    let ts_concat: Option<Vec<i64>> = (!opts.merge_gather || wanted.contains(&0)).then(|| {
+    // Side vectors over the concatenation, each built only when an output
+    // column reads it.
+    let ts_concat: Option<Vec<i64>> = wanted.contains(&0).then(|| {
         let mut v = Vec::with_capacity(total);
         for part in &hits {
             v.extend_from_slice(part.timestamps);
@@ -394,24 +354,18 @@ fn run_tsdb_scan(
     });
     // Row order over the concatenation. Each series' slice is already
     // timestamp-sorted, so a k-way merge keyed on `(timestamp, rank)`
-    // produces exactly what the retained global stable sort produces
-    // (within one series timestamps are strictly increasing, so the pair
-    // is a total order) in O(N log K) instead of O(N log N).
-    let order: Vec<u32> = if opts.merge_gather {
-        // Worker budget for big cascade levels: the explicit partition
-        // count, or every core in auto mode (`partitions: 1` forces the
-        // serial cascade — output is identical either way).
-        let workers = match opts.partitions {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            p => p,
-        };
-        merge_gather_order(&hits, total, workers)
-    } else {
-        let ts = ts_concat.as_ref().expect("concatenated for the sort path"); // invariant: concatenated above whenever the sort path runs
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        order.sort_by_key(|&i| ts[i as usize]); // stable: ties stay key-ordered
-        order
+    // produces exactly the `(timestamp, canonical key)` order of the
+    // materialized view behind `Catalog::get` (within one series
+    // timestamps are strictly increasing, so the pair is a total order) in
+    // O(N log K) instead of a global O(N log N) sort. Worker budget for
+    // big cascade levels: the explicit partition count, or every core in
+    // auto mode (`partitions: 1` forces the serial cascade — output is
+    // identical either way).
+    let workers = match opts.partitions {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        p => p,
     };
+    let order = merge_gather_order(&hits, total, workers);
 
     // Decode per-hit dictionary codes and concatenate values once; the
     // gather below then reads pure native vectors.
@@ -488,10 +442,9 @@ fn run_tsdb_scan(
 /// Sort-free row ordering for the scan gather: a k-way merge over the
 /// per-series sorted timestamp slices, returning indices into their
 /// concatenation in `(timestamp, series rank)` order — bit-identical to a
-/// global stable sort by timestamp over the rank-ordered concatenation
-/// (the retained `merge_gather: false` reference path), because within one
-/// series timestamps are strictly increasing, making the pair a total
-/// order over all rows.
+/// global stable sort by timestamp over the rank-ordered concatenation,
+/// because within one series timestamps are strictly increasing, making
+/// the pair a total order over all rows.
 ///
 /// Two structure fast paths make the dominant monitoring shapes O(N) with
 /// no comparisons at all:
@@ -508,8 +461,7 @@ fn run_tsdb_scan(
 /// order and every merge takes the left run on timestamp ties, so each
 /// intermediate run is `(timestamp, rank)`-sorted without ever storing or
 /// comparing ranks. That keeps the k-way bound of N log K sequential
-/// comparisons with the timestamp key carried inline, where the retained
-/// sort pays a key-extraction indirection per comparison. Within one
+/// comparisons with the timestamp key carried inline. Within one
 /// level every pair's output range is known up front (run lengths are
 /// input-determined), so big levels fan the pair merges out across
 /// `workers` scoped threads into disjoint slices of the double buffer —
@@ -691,189 +643,8 @@ fn run_project(t: &Table, items: &[(Expr, String)], hidden: &[Expr]) -> Result<T
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation
+// Morsels: partitioning by input size
 // ---------------------------------------------------------------------------
-
-/// A single aggregate argument viewed as a typed minicolumn: a raw
-/// `f64`/`i64` slice plus an optional validity bitmap, ready for the
-/// [`AggAcc::fold_f64s`]/[`AggAcc::fold_i64s`] kernels. `Float`/`Int`
-/// columns borrow in place; homogeneous `Values` columns (numeric with
-/// NULL runs) extract once per operator.
-enum FastArg<'a> {
-    F64(std::borrow::Cow<'a, [f64]>, Option<Vec<u64>>),
-    I64(std::borrow::Cow<'a, [i64]>, Option<Vec<u64>>),
-}
-
-fn fast_arg(col: &Column) -> Option<FastArg<'_>> {
-    use std::borrow::Cow;
-    match col {
-        Column::Float(vs) => Some(FastArg::F64(Cow::Borrowed(vs), None)),
-        Column::Int(vs) => Some(FastArg::I64(Cow::Borrowed(vs), None)),
-        Column::Values(vs) => match crate::kernel::mini_from_values(vs)? {
-            crate::kernel::Mini::F64(v, validity) => Some(FastArg::F64(Cow::Owned(v), validity)),
-            crate::kernel::Mini::I64(v, validity) => Some(FastArg::I64(Cow::Owned(v), validity)),
-        },
-        _ => None,
-    }
-}
-
-fn run_aggregate(
-    t: &Table,
-    group_by: &[Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-) -> Result<Table> {
-    let len = t.len();
-    if len == 0 {
-        // Per-row semantics: no rows, no groups, no expression evaluation.
-        let cols = vec![Column::empty(); items.len() + hidden.len()];
-        return Ok(Table::from_columnar_parts(project_names(items, hidden.len()), cols, 0));
-    }
-
-    // Group keys, vectorized where possible.
-    let mut key_cols: Vec<Column> = Vec::with_capacity(group_by.len());
-    for g in group_by {
-        let col = if veval::supported(g) {
-            veval::eval(g, t.schema(), t.columns(), len)?.into_column(len)
-        } else {
-            let rows = t.rows();
-            let mut vals = Vec::with_capacity(len);
-            for row in rows {
-                vals.push(eval_row(g, t.schema(), row)?);
-            }
-            Column::from_values(vals)
-        };
-        key_cols.push(col);
-    }
-
-    // Bucket row indices by key, preserving first-seen order. When every
-    // key column is dictionary-encoded, rows group directly on dictionary
-    // codes (no key-string rendering at all — the scan's `metric_name` /
-    // `tag` / `tag['k']` keys all hit this path); otherwise rows bucket by
-    // rendered key strings, which both slower engines share.
-    let row_groups: Vec<Vec<usize>> = if group_by.is_empty() {
-        // One global group over all rows (len > 0 was checked above).
-        vec![(0..len).collect()]
-    } else if let Some(groups) = veval::dict_group_rows(&key_cols, len) {
-        groups
-    } else {
-        let keys = veval::group_key_strings(&key_cols, len);
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (row, key) in keys.into_iter().enumerate() {
-            match index.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(groups.len());
-                    groups.push(vec![row]);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(row),
-            }
-        }
-        groups
-    };
-
-    let exprs: Vec<&Expr> = items.iter().map(|(e, _)| e).chain(hidden.iter()).collect();
-    let mut out_cols: Vec<Column> = Vec::with_capacity(exprs.len());
-    // Lazily materialized row shim for the general fallback.
-    let mut fallback_rows: Option<&[Vec<Value>]> = None;
-
-    for e in exprs {
-        // Fast path (a): the expression IS one of the group keys.
-        if let Some(k) = group_by.iter().position(|g| g == e) {
-            let vals: Vec<Value> = row_groups.iter().map(|rows| key_cols[k].get(rows[0])).collect();
-            out_cols.push(Column::from_values(vals));
-            continue;
-        }
-        // Fast path (b): a plain aggregate call over vectorizable args —
-        // feed the group's rows straight into a mergeable accumulator, no
-        // per-group row-replay materialization.
-        if let Expr::Function { name, args } = e {
-            if is_aggregate(name) && args.iter().all(veval::supported) {
-                let arg_cols: Vec<Column> = args
-                    .iter()
-                    .map(|a| {
-                        veval::eval(a, t.schema(), t.columns(), len).map(|v| v.into_column(len))
-                    })
-                    .collect::<Result<_>>()?;
-                // Typed fold: a single Float/Int-shaped argument folds each
-                // group straight over its (slice, row-selection, validity)
-                // triple — no per-row `Value` boxing (push-equivalent, and
-                // single-argument pushes cannot error).
-                if let [arg] = arg_cols.as_slice() {
-                    if let Some(fast) = fast_arg(arg) {
-                        let mut vals = Vec::with_capacity(row_groups.len());
-                        for rows in &row_groups {
-                            let mut acc = AggAcc::new(name).ok_or_else(|| {
-                                QueryError::BadFunction(format!("unknown aggregate {name}"))
-                            })?;
-                            match &fast {
-                                FastArg::F64(vs, validity) => {
-                                    acc.fold_f64s(vs, rows.iter().copied(), validity.as_deref())
-                                }
-                                FastArg::I64(vs, validity) => {
-                                    acc.fold_i64s(vs, rows.iter().copied(), validity.as_deref())
-                                }
-                            }
-                            vals.push(acc.finish()?);
-                        }
-                        out_cols.push(Column::from_values(vals));
-                        continue;
-                    }
-                }
-                let mut vals = Vec::with_capacity(row_groups.len());
-                let mut scratch: Vec<Value> = Vec::with_capacity(arg_cols.len());
-                for rows in &row_groups {
-                    let mut acc = AggAcc::new(name).ok_or_else(|| {
-                        QueryError::BadFunction(format!("unknown aggregate {name}"))
-                    })?;
-                    for &r in rows {
-                        scratch.clear();
-                        scratch.extend(arg_cols.iter().map(|c| c.get(r)));
-                        acc.push(&scratch)?;
-                    }
-                    vals.push(acc.finish()?);
-                }
-                out_cols.push(Column::from_values(vals));
-                continue;
-            }
-        }
-        // General fallback: evaluate over the group's rows.
-        let rows = match fallback_rows {
-            Some(r) => r,
-            None => {
-                fallback_rows = Some(t.rows());
-                fallback_rows.expect("just set") // invariant: assigned on the previous line
-            }
-        };
-        let mut vals = Vec::with_capacity(row_groups.len());
-        for group_rows in &row_groups {
-            let group: Vec<&Vec<Value>> = group_rows.iter().map(|&r| &rows[r]).collect();
-            vals.push(eval_group(e, t.schema(), &group)?);
-        }
-        out_cols.push(Column::from_values(vals));
-    }
-
-    Ok(Table::from_columnar_parts(project_names(items, hidden.len()), out_cols, row_groups.len()))
-}
-
-// ---------------------------------------------------------------------------
-// Exchange: partition-parallel pipelines
-// ---------------------------------------------------------------------------
-
-/// Splits a Filter chain off a plan: returns the predicates (outermost
-/// first) and the underlying source node.
-fn peel_filters(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
-    let mut filters = Vec::new();
-    loop {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                filters.push(predicate);
-                plan = input;
-            }
-            other => return (filters, other),
-        }
-    }
-}
 
 /// Applies a peeled filter chain (innermost first) to morsel columns: one
 /// selection vector flows through every predicate (each refined in place by
@@ -897,6 +668,24 @@ fn apply_filters(
     }
     let gathered: Vec<Column> = cols.iter().map(|c| c.gather_u32(&sel)).collect();
     Ok((gathered, sel.len()))
+}
+
+/// One morsel's input columns: rows `[a, b)` of `src` through the peeled
+/// filter chain. The whole-table, filter-free morsel (every serially run
+/// plain `Aggregate`) borrows the source columns as they are.
+fn morsel_columns<'t>(
+    src: &'t Table,
+    filters: &[&Expr],
+    a: usize,
+    b: usize,
+) -> Result<(std::borrow::Cow<'t, [Column]>, usize)> {
+    use std::borrow::Cow;
+    if filters.is_empty() && a == 0 && b == src.len() {
+        return Ok((Cow::Borrowed(src.columns()), b));
+    }
+    let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
+    let (cols, len) = apply_filters(filters, src.schema(), cols, b - a)?;
+    Ok((Cow::Owned(cols), len))
 }
 
 /// Resolves the morsel count for `len` rows under the options.
@@ -994,12 +783,12 @@ fn run_partitioned<T: Send>(
 fn run_exchange(ctx: &ExecCtx, input: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
     match input {
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let (filters, source) = peel_filters(input);
+            let (filters, source) = peel_filter_chain(input);
             let src = run_plan(ctx, source, opts)?;
-            run_parallel_aggregate(&src, &filters, group_by, items, hidden, opts)
+            run_aggregate(&src, &filters, group_by, items, hidden, opts)
         }
         LogicalPlan::Project { input, items, hidden } => {
-            let (filters, source) = peel_filters(input);
+            let (filters, source) = peel_filter_chain(input);
             let src = run_plan(ctx, source, opts)?;
             run_parallel_project(&src, &filters, items, hidden, opts)
         }
@@ -1019,15 +808,11 @@ fn run_parallel_project(
     let len = src.len();
     let out_schema = project_names(items, hidden.len());
     let width = items.len() + hidden.len();
-    if len == 0 {
-        return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0));
-    }
     let exprs: Vec<&Expr> = items.iter().map(|(e, _)| e).chain(hidden.iter()).collect();
     let ranges = morsel_ranges(len, effective_partitions(opts, len));
     let parts = run_partitioned(ranges.len(), |m| -> Result<(Vec<Column>, usize)> {
         let (a, b) = ranges[m];
-        let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
-        let (cols, mlen) = apply_filters(filters, src.schema(), cols, b - a)?;
+        let (cols, mlen) = morsel_columns(src, filters, a, b)?;
         if mlen == 0 {
             return Ok((Vec::new(), 0));
         }
@@ -1053,31 +838,105 @@ fn run_parallel_project(
     Ok(Table::from_columnar_parts(out_schema, cols, total))
 }
 
-/// How one output expression of a parallel aggregate is produced.
-enum AggSlot {
+// ---------------------------------------------------------------------------
+// Aggregation
+// ---------------------------------------------------------------------------
+
+/// A single aggregate argument viewed as a typed minicolumn: a raw
+/// `f64`/`i64` slice plus an optional validity bitmap, ready for the
+/// [`AggAcc::fold_f64s`]/[`AggAcc::fold_i64s`] kernels. `Float`/`Int`
+/// columns borrow in place; homogeneous `Values` columns (numeric with
+/// NULL runs) extract once per operator.
+enum FastArg<'a> {
+    F64(std::borrow::Cow<'a, [f64]>, Option<Vec<u64>>),
+    I64(std::borrow::Cow<'a, [i64]>, Option<Vec<u64>>),
+}
+
+fn fast_arg(col: &Column) -> Option<FastArg<'_>> {
+    use std::borrow::Cow;
+    match col {
+        Column::Float(vs) => Some(FastArg::F64(Cow::Borrowed(vs), None)),
+        Column::Int(vs) => Some(FastArg::I64(Cow::Borrowed(vs), None)),
+        Column::Values(vs) => match crate::kernel::mini_from_values(vs)? {
+            crate::kernel::Mini::F64(v, validity) => Some(FastArg::F64(Cow::Owned(v), validity)),
+            crate::kernel::Mini::I64(v, validity) => Some(FastArg::I64(Cow::Owned(v), validity)),
+        },
+        _ => None,
+    }
+}
+
+/// How one output expression of an aggregate is produced.
+enum AggSlot<'p> {
     /// Index into the GROUP BY key list.
     Key(usize),
     /// Index into the aggregate-spec list.
     Agg(usize),
+    /// Anything else (`SUM(v) / COUNT(v)`, `CASE WHEN MAX(v) > …`, a
+    /// non-key column): a post-aggregate expression over the group's
+    /// finished accumulators and its first row.
+    Post(&'p Expr),
+}
+
+/// One distinct aggregate call, `name(args)`.
+type AggSpec<'p> = (&'p str, &'p [Expr]);
+
+/// Decomposes an aggregate's outputs (visible items, then hidden ORDER BY
+/// keys) into slots over the group keys and the distinct aggregate calls
+/// they reach — identical calls share one accumulator.
+fn agg_slots<'p>(
+    group_by: &[Expr],
+    items: &'p [(Expr, String)],
+    hidden: &'p [Expr],
+) -> (Vec<AggSlot<'p>>, Vec<AggSpec<'p>>) {
+    let mut specs: Vec<AggSpec<'p>> = Vec::new();
+    let mut spec_of = |call: AggSpec<'p>| {
+        specs.iter().position(|s| *s == call).unwrap_or_else(|| {
+            specs.push(call);
+            specs.len() - 1
+        })
+    };
+    let mut slots = Vec::with_capacity(items.len() + hidden.len());
+    for e in items.iter().map(|(e, _)| e).chain(hidden.iter()) {
+        slots.push(if let Some(k) = group_by.iter().position(|g| g == e) {
+            AggSlot::Key(k)
+        } else {
+            let mut calls = Vec::new();
+            grouped_aggregates(e, &mut calls);
+            let ids: Vec<usize> = calls.into_iter().map(&mut spec_of).collect();
+            match e {
+                Expr::Function { name, .. } if is_aggregate(name) => AggSlot::Agg(ids[0]),
+                _ => AggSlot::Post(e),
+            }
+        });
+    }
+    (slots, specs)
+}
+
+fn new_acc(name: &str) -> Result<AggAcc> {
+    AggAcc::new(name).ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))
 }
 
 /// One group's partial state within a morsel (or after merging).
 struct GroupPartial {
-    /// Group-key values at the group's first row (output for key slots).
+    /// Serial position of the group's earliest contribution — `(input row,
+    /// 0)` for table morsels, `(timestamp, series rank)` for scan spans.
+    /// Groups come out in this order: the serial first-seen order.
+    order: (i64, u32),
+    /// Group-key values as of `order` (output for key slots).
     keys: Vec<Value>,
+    /// The input row at `order`; kept only when a `Post` slot reads it.
+    first_row: Vec<Value>,
     /// One accumulator per aggregate spec.
     accs: Vec<AggAcc>,
 }
 
-/// One morsel's partial aggregation result.
-struct AggPartial {
-    /// First-seen key order within the morsel.
-    order: Vec<String>,
-    /// Partial state per key.
-    groups: HashMap<String, GroupPartial>,
-}
-
-fn run_parallel_aggregate(
+/// The one table aggregate. The source is cut into row morsels by size
+/// (serial execution is the one-morsel case); each morsel runs the peeled
+/// filter chain, buckets its rows by key and folds every spec per group
+/// into [`AggAcc`] partials, which [`finish_groups`] merges in morsel
+/// order. Every aggregate call in the select list is computed for every
+/// group, also one a `CASE` branch would skip.
+fn run_aggregate(
     src: &Table,
     filters: &[&Expr],
     group_by: &[Expr],
@@ -1085,148 +944,178 @@ fn run_parallel_aggregate(
     hidden: &[Expr],
     opts: &ExecOptions,
 ) -> Result<Table> {
+    let (slots, specs) = agg_slots(group_by, items, hidden);
+    let keep_first = slots.iter().any(|s| matches!(s, AggSlot::Post(_)));
     let len = src.len();
-    let out_schema = project_names(items, hidden.len());
-    let width = items.len() + hidden.len();
-    if len == 0 {
-        return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0));
-    }
-
-    // Decompose outputs into key references and aggregate specs (the
-    // optimizer only marks pipelines where this decomposition is total).
-    let mut slots: Vec<AggSlot> = Vec::with_capacity(width);
-    let mut specs: Vec<(&str, &[Expr])> = Vec::new();
-    for e in items.iter().map(|(e, _)| e).chain(hidden.iter()) {
-        if let Some(k) = group_by.iter().position(|g| g == e) {
-            slots.push(AggSlot::Key(k));
-        } else if let Expr::Function { name, args } = e {
-            debug_assert!(is_aggregate(name));
-            slots.push(AggSlot::Agg(specs.len()));
-            specs.push((name.as_str(), args.as_slice()));
-        } else {
-            return Err(QueryError::Plan(
-                "exchange aggregate with non-mergeable output (optimizer bug)".into(),
-            ));
-        }
-    }
-
-    // Phase 1: per-morsel partial aggregation.
+    // No rows, no morsels: nothing is evaluated over an empty input.
     let ranges = morsel_ranges(len, effective_partitions(opts, len));
-    let partials = run_partitioned(ranges.len(), |m| -> Result<AggPartial> {
+    let partials = run_partitioned(ranges.len(), |m| {
         let (a, b) = ranges[m];
-        let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
-        let (cols, mlen) = apply_filters(filters, src.schema(), cols, b - a)?;
-        let mut partial = AggPartial { order: Vec::new(), groups: HashMap::new() };
-        if mlen == 0 {
-            return Ok(partial);
+        let (cols, mlen) = morsel_columns(src, filters, a, b)?;
+        aggregate_morsel(src.schema(), &cols, mlen, a, group_by, &specs, keep_first)
+    })?;
+    finish_groups(partials, &slots, &specs, src.schema(), project_names(items, hidden.len()))
+}
+
+/// Partial aggregation of one morsel's `len` filtered rows (`base` is the
+/// morsel's first source row): groups keyed for the cross-morsel merge by
+/// their rendered key string, in first-seen order.
+fn aggregate_morsel(
+    schema: &Schema,
+    cols: &[Column],
+    len: usize,
+    base: usize,
+    group_by: &[Expr],
+    specs: &[AggSpec],
+    keep_first: bool,
+) -> Result<Vec<(String, GroupPartial)>> {
+    if len == 0 {
+        return Ok(Vec::new());
+    }
+    // Vectorized where possible; CASE, scalar calls and window functions
+    // evaluate per row over a lazily built row shim of the morsel.
+    let mut shim: Option<Vec<Vec<Value>>> = None;
+    let mut eval_col = |e: &Expr| -> Result<Column> {
+        if veval::supported(e) {
+            return Ok(veval::eval(e, schema, cols, len)?.into_column(len));
         }
-        let key_cols: Vec<Column> = group_by
-            .iter()
-            .map(|g| veval::eval(g, src.schema(), &cols, mlen).map(|v| v.into_column(mlen)))
-            .collect::<Result<_>>()?;
-        let keys = if group_by.is_empty() {
-            vec![String::new(); mlen]
-        } else {
-            veval::group_key_strings(&key_cols, mlen)
-        };
-        let arg_cols: Vec<Vec<Column>> = specs
-            .iter()
-            .map(|(_, args)| {
-                args.iter()
-                    .map(|a| veval::eval(a, src.schema(), &cols, mlen).map(|v| v.into_column(mlen)))
-                    .collect::<Result<_>>()
-            })
-            .collect::<Result<_>>()?;
-        // Single Float/Int-column specs push the raw element per row —
-        // push-equivalent to boxing it, minus the `Value` round trip.
-        enum ParPush<'a> {
-            F64(&'a [f64]),
-            I64(&'a [i64]),
-            General,
+        let rows = shim.get_or_insert_with(|| {
+            (0..len).map(|r| cols.iter().map(|c| c.get(r)).collect()).collect()
+        });
+        let vals: Result<Vec<Value>> = rows.iter().map(|row| eval_row(e, schema, row)).collect();
+        Ok(Column::from_values(vals?))
+    };
+    let key_cols: Vec<Column> = group_by.iter().map(&mut eval_col).collect::<Result<_>>()?;
+    let key_refs: Vec<&Column> = key_cols.iter().collect();
+
+    // Bucket row indices by key, preserving first-seen order. When every
+    // key column is dictionary-encoded, rows group directly on dictionary
+    // codes (no per-row key-string rendering — the scan's `metric_name` /
+    // `tag` / `tag['k']` keys all hit this path); otherwise rows bucket by
+    // rendered key strings, like the reference.
+    let row_groups: Vec<Vec<usize>> = if group_by.is_empty() {
+        vec![(0..len).collect()] // one global group
+    } else if let Some(groups) = veval::dict_group_rows(&key_cols, len) {
+        groups
+    } else {
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (row, key) in veval::group_key_strings(&key_cols, len).into_iter().enumerate() {
+            let slot = *index.entry(key).or_insert(groups.len());
+            if slot == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[slot].push(row);
         }
-        let push_plans: Vec<ParPush> = arg_cols
-            .iter()
-            .map(|cols| match cols.as_slice() {
-                [Column::Float(vs)] => ParPush::F64(vs),
-                [Column::Int(vs)] => ParPush::I64(vs),
-                _ => ParPush::General,
-            })
-            .collect();
-        let mut scratch: Vec<Value> = Vec::new();
-        for (row, key) in keys.into_iter().enumerate() {
-            let group = match partial.groups.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    partial.order.push(e.key().clone());
-                    let accs = specs
-                        .iter()
-                        .map(|(name, _)| {
-                            AggAcc::new(name).ok_or_else(|| {
-                                QueryError::BadFunction(format!("unknown aggregate {name}"))
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    e.insert(GroupPartial {
-                        keys: key_cols.iter().map(|c| c.get(row)).collect(),
-                        accs,
-                    })
-                }
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+        groups
+    };
+
+    // Each group's first row names it: its rendered key is the merge key.
+    let mut groups: Vec<(String, GroupPartial)> = row_groups
+        .iter()
+        .map(|rows| {
+            let first = rows[0];
+            let partial = GroupPartial {
+                order: ((base + first) as i64, 0),
+                keys: key_cols.iter().map(|c| c.get(first)).collect(),
+                first_row: if keep_first {
+                    cols.iter().map(|c| c.get(first)).collect()
+                } else {
+                    Vec::new()
+                },
+                accs: Vec::with_capacity(specs.len()),
             };
-            for ((acc, cols), plan) in
-                group.accs.iter_mut().zip(arg_cols.iter()).zip(push_plans.iter())
-            {
-                match plan {
-                    ParPush::F64(vs) => acc.push_f64(vs[row]),
-                    ParPush::I64(vs) => acc.push_i64(vs[row]),
-                    ParPush::General => {
+            (join_key_at(&key_refs, first).1, partial)
+        })
+        .collect();
+    let mut scratch: Vec<Value> = Vec::new();
+    for (name, args) in specs {
+        let arg_cols: Vec<Column> = args.iter().map(&mut eval_col).collect::<Result<_>>()?;
+        // Typed fold: a single Float/Int-shaped argument folds each group
+        // straight over its (slice, row-selection, validity) triple — no
+        // per-row `Value` boxing (push-equivalent, and single-argument
+        // pushes cannot error). Multi-argument specs push boxed rows.
+        let fast = match arg_cols.as_slice() {
+            [arg] => fast_arg(arg),
+            _ => None,
+        };
+        for ((_, group), rows) in groups.iter_mut().zip(&row_groups) {
+            let mut acc = new_acc(name)?;
+            match &fast {
+                Some(FastArg::F64(vs, validity)) => {
+                    acc.fold_f64s(vs, rows.iter().copied(), validity.as_deref())
+                }
+                Some(FastArg::I64(vs, validity)) => {
+                    acc.fold_i64s(vs, rows.iter().copied(), validity.as_deref())
+                }
+                None => {
+                    for &r in rows {
                         scratch.clear();
-                        scratch.extend(cols.iter().map(|c| c.get(row)));
+                        scratch.extend(arg_cols.iter().map(|c| c.get(r)));
                         acc.push(&scratch)?;
                     }
                 }
             }
+            group.accs.push(acc);
         }
-        Ok(partial)
-    })?;
+    }
+    Ok(groups)
+}
 
-    // Phase 2: exchange — merge partials in morsel order, which preserves
-    // the serial first-seen group order and makes every accumulator fold
-    // identical to the single-pass fold.
-    let mut order: Vec<String> = Vec::new();
-    let mut merged: HashMap<String, GroupPartial> = HashMap::new();
-    for mut partial in partials {
-        for key in partial.order {
-            let gp = partial.groups.remove(&key).expect("partial group exists"); // invariant: keys iterate the same map they were stored in
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(gp);
+/// The exchange step every aggregate shares: merges per-morsel partials in
+/// morsel order (exactly fold-equivalent to one pass over all rows), puts
+/// the groups in serial first-seen order, finishes their accumulators and
+/// assembles the output columns slot by slot.
+fn finish_groups<K: std::hash::Hash + Eq>(
+    partials: Vec<Vec<(K, GroupPartial)>>,
+    slots: &[AggSlot],
+    specs: &[AggSpec],
+    in_schema: &Schema,
+    out_schema: Schema,
+) -> Result<Table> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<GroupPartial> = Vec::new();
+    for (key, part) in partials.into_iter().flatten() {
+        match index.entry(key) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(groups.len());
+                groups.push(part);
+            }
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let cur = &mut groups[*e.get()];
+                for (acc, other) in cur.accs.iter_mut().zip(part.accs) {
+                    acc.merge(other)?;
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (acc, part) in e.get_mut().accs.iter_mut().zip(gp.accs) {
-                        acc.merge(part)?;
-                    }
+                if part.order < cur.order {
+                    cur.order = part.order;
+                    cur.keys = part.keys;
+                    cur.first_row = part.first_row;
                 }
             }
         }
     }
+    // Table morsels arrive in row order, so this only moves scan-span
+    // groups (series-major partials, timestamp-major output).
+    groups.sort_by_key(|g| g.order);
 
-    // Finish accumulators and assemble output columns.
     let mut out_vals: Vec<Vec<Value>> =
-        (0..width).map(|_| Vec::with_capacity(order.len())).collect();
-    for key in &order {
-        let gp = merged.remove(key).expect("merged group exists"); // invariant: keys iterate the same map they were stored in
-        let finished: Vec<Value> =
-            gp.accs.into_iter().map(AggAcc::finish).collect::<Result<_>>()?;
+        slots.iter().map(|_| Vec::with_capacity(groups.len())).collect();
+    let rows = groups.len();
+    for g in groups {
+        let finished: Vec<Value> = g.accs.into_iter().map(AggAcc::finish).collect::<Result<_>>()?;
         for (slot, out) in slots.iter().zip(out_vals.iter_mut()) {
-            match slot {
-                AggSlot::Key(k) => out.push(gp.keys[*k].clone()),
-                AggSlot::Agg(i) => out.push(finished[*i].clone()),
-            }
+            out.push(match slot {
+                AggSlot::Key(k) => g.keys[*k].clone(),
+                AggSlot::Agg(i) => finished[*i].clone(),
+                AggSlot::Post(e) => eval_in_group(e, in_schema, &g.first_row, &|name, args| {
+                    let i = specs.iter().position(|s| *s == (name, args));
+                    Ok(finished[i.expect("spec collected")].clone()) // invariant: agg_slots collected every call eval_in_group reaches
+                })?,
+            });
         }
     }
     let out_cols: Vec<Column> = out_vals.into_iter().map(Column::from_values).collect();
-    Ok(Table::from_columnar_parts(out_schema, out_cols, order.len()))
+    Ok(Table::from_columnar_parts(out_schema, out_cols, rows))
 }
 
 // ---------------------------------------------------------------------------
@@ -1239,8 +1128,9 @@ fn run_parallel_aggregate(
 // from `Tsdb::scan_parts_ordered`; a morsel of series is pre-aggregated by
 // one worker into mergeable `AggAcc` states keyed by `(series tuple,
 // timestamp)` composite keys (integer hashing, no per-row key-string
-// rendering); and partials merge in deterministic morsel order. The
-// result is value-identical to the serial pipeline: accumulators are
+// rendering); and the partials go to the table aggregate's own
+// `finish_groups` (merge in deterministic morsel order, finish, assemble).
+// The result is value-identical to the table pipeline: accumulators are
 // order-independent by construction (error-free sums, gathered
 // percentiles, totally-ordered MIN/MAX inputs — the optimizer's
 // eligibility analysis guarantees the last), and the serial first-seen
@@ -1295,26 +1185,6 @@ enum KeyKind {
     Class(usize),
 }
 
-/// One group's partial state within a scan-aggregate morsel.
-struct SaGroup {
-    /// Morsel-local series-tuple id (resolved to its fragment at hand-off).
-    tuple: u32,
-    /// Group timestamp bits (`(ts as f64).to_bits()`; 0 when the group is
-    /// not keyed by timestamp). Part of the merge identity.
-    ts_bits: u64,
-    /// The earliest `(timestamp, series rank)` contribution — the serial
-    /// engine's first-seen position of this group.
-    order: (i64, u32),
-    /// The group's timestamp value as of `order` (output for Ts key slots;
-    /// `group_key` folds i64 timestamps through f64, so distinct i64 values
-    /// can share a group — the serially-first one names it).
-    ts_val: i64,
-    /// Class-key values as of `order`.
-    class_vals: Vec<Value>,
-    /// One accumulator per aggregate spec.
-    accs: Vec<AggAcc>,
-}
-
 /// Replaces references to the per-series-constant observation columns
 /// (`metric_name`, `tag`) with literals from the series key, leaving
 /// `timestamp`/`value` references (and unresolvable names) untouched.
@@ -1362,20 +1232,6 @@ fn run_scan_aggregate(
 ) -> Result<Table> {
     let binding = ctx.binding(table).ok_or_else(|| QueryError::UnknownTable(table.to_string()))?;
     let db = binding.db();
-    let out_schema = project_names(items, hidden.len());
-    let width = items.len() + hidden.len();
-    let empty = |out_schema: Schema| {
-        Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0)
-    };
-
-    // Inclusive plan bounds map straight onto the store's inclusive scan
-    // range (points at `timestamp == i64::MAX` stay reachable).
-    let lo = start.unwrap_or(i64::MIN);
-    let hi = end.unwrap_or(i64::MAX);
-    if lo > hi {
-        return Ok(empty(out_schema));
-    }
-
     let obs = Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
     let mini_schema = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
     let empty_schema = Schema::default();
@@ -1395,31 +1251,19 @@ fn run_scan_aggregate(
     }
     let has_ts_key = key_kinds.iter().any(|k| matches!(k, KeyKind::Ts));
 
-    // Decompose outputs into key references and aggregate specs.
-    let mut slots: Vec<AggSlot> = Vec::with_capacity(width);
-    let mut specs: Vec<(&str, Vec<ArgSrc>)> = Vec::new();
-    for e in items.iter().map(|(e, _)| e).chain(hidden.iter()) {
-        if let Some(k) = group_by.iter().position(|g| g == e) {
-            slots.push(AggSlot::Key(k));
-        } else if let Expr::Function { name, args } = e {
-            debug_assert!(is_aggregate(name));
-            slots.push(AggSlot::Agg(specs.len()));
-            specs.push((name.as_str(), args.iter().map(|a| classify_arg(a, &obs)).collect()));
-        } else {
-            return Err(QueryError::Plan(
-                "scan aggregate with non-mergeable output (optimizer bug)".into(),
-            ));
-        }
+    // Decompose outputs into key references and aggregate specs (the
+    // optimizer only pushes down aggregates where that is all there is).
+    let (slots, calls) = agg_slots(group_by, items, hidden);
+    if slots.iter().any(|s| matches!(s, AggSlot::Post(_))) {
+        return Err(QueryError::Plan(
+            "scan aggregate with non-mergeable output (optimizer bug)".into(),
+        ));
     }
-    let new_accs = |specs: &[(&str, Vec<ArgSrc>)]| -> Result<Vec<AggAcc>> {
-        specs
-            .iter()
-            .map(|(name, _)| {
-                AggAcc::new(name)
-                    .ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))
-            })
-            .collect()
-    };
+    let specs: Vec<(&str, Vec<ArgSrc>)> = calls
+        .iter()
+        .map(|(name, args)| (*name, args.iter().map(|a| classify_arg(a, &obs)).collect()))
+        .collect();
+    let new_accs = || specs.iter().map(|(name, _)| new_acc(name)).collect::<Result<Vec<_>>>();
     // Residual filters, innermost first (the order the serial pipeline
     // applies them in), with a flag for predicates that need the per-point
     // columns at all.
@@ -1436,11 +1280,12 @@ fn run_scan_aggregate(
     let any_point_args =
         specs.iter().any(|(_, args)| args.iter().any(|a| matches!(a, ArgSrc::Point(_))));
 
+    // Inclusive plan bounds map straight onto the store's inclusive scan
+    // range (points at `timestamp == i64::MAX` stay reachable); an inverted
+    // range, like a filter nothing matches, leaves no spans and no groups.
+    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
     let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    let hits = db.scan_parts_ordered_between(&filter, lo, hi);
-    if hits.is_empty() {
-        return Ok(empty(out_schema));
-    }
+    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
 
     // Morsels cut the rank-ordered *point* sequence — not the series list —
     // into contiguous equal-point spans, splitting a series across workers
@@ -1455,12 +1300,12 @@ fn run_scan_aggregate(
     let morsels = point_balanced_spans(&counts, partitions);
 
     // Phase 1: per-morsel, per-series-span pre-aggregation.
-    type Partial = Vec<((String, u64), SaGroup)>;
+    type Partial = Vec<((String, u64), GroupPartial)>;
     let partials = run_partitioned(morsels.len(), |m| -> Result<Partial> {
         let mut tuple_ids: HashMap<String, u32> = HashMap::new();
         let mut tuple_frags: Vec<String> = Vec::new();
         let mut index: HashMap<(u32, u64), usize> = HashMap::new();
-        let mut groups: Vec<SaGroup> = Vec::new();
+        let mut groups: Vec<GroupPartial> = Vec::new();
         let mut scratch: Vec<Value> = Vec::new();
 
         for &(h, p_lo, p_hi) in &morsels[m] {
@@ -1596,24 +1441,32 @@ fn run_scan_aggregate(
                 .collect();
 
             // Accumulate the kept points. With a timestamp key each point
-            // lands in its `(tuple, ts)` group; otherwise the whole series
-            // feeds one `(tuple,)` group.
+            // lands in its `(tuple, ts)` group (`ts_bits` is the i64's own
+            // bits: exact, like `group_key`); otherwise the whole series
+            // feeds one `(tuple, 0)` group.
+            let keys_at = |ts: i64| -> Vec<Value> {
+                key_kinds
+                    .iter()
+                    .map(|k| match k {
+                        KeyKind::Ts => Value::Int(ts),
+                        KeyKind::Class(j) => class_vals[*j].clone(),
+                    })
+                    .collect()
+            };
             let slot_of = |ts: i64,
                            ts_bits: u64,
                            order: (i64, u32),
-                           groups: &mut Vec<SaGroup>,
+                           groups: &mut Vec<GroupPartial>,
                            index: &mut HashMap<(u32, u64), usize>|
              -> Result<usize> {
                 match index.entry((tuple, ts_bits)) {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         let slot = groups.len();
-                        groups.push(SaGroup {
-                            tuple,
-                            ts_bits,
+                        groups.push(GroupPartial {
                             order,
-                            ts_val: ts,
-                            class_vals: class_vals.clone(),
-                            accs: new_accs(&specs)?,
+                            keys: keys_at(ts),
+                            first_row: Vec::new(),
+                            accs: new_accs()?,
                         });
                         e.insert(slot);
                         Ok(slot)
@@ -1623,8 +1476,7 @@ fn run_scan_aggregate(
                         let g = &mut groups[slot];
                         if order < g.order {
                             g.order = order;
-                            g.ts_val = ts;
-                            g.class_vals = class_vals.clone();
+                            g.keys = keys_at(ts);
                         }
                         Ok(slot)
                     }
@@ -1634,8 +1486,7 @@ fn run_scan_aggregate(
                 for (j, &pi) in kept.iter().enumerate() {
                     let pi = pi as usize;
                     let ts = span_ts[pi];
-                    let slot =
-                        slot_of(ts, (ts as f64).to_bits(), (ts, rank), &mut groups, &mut index)?;
+                    let slot = slot_of(ts, ts as u64, (ts, rank), &mut groups, &mut index)?;
                     let g = &mut groups[slot];
                     for ((pa, plan), acc) in
                         prepared.iter().zip(push_plans.iter()).zip(g.accs.iter_mut())
@@ -1703,58 +1554,17 @@ fn run_scan_aggregate(
         }
         // Hand groups off in creation order, keyed for the cross-morsel
         // merge by (class fragment, timestamp bits).
-        Ok(groups
+        let mut ids = vec![(0u32, 0u64); groups.len()];
+        for (id, slot) in index {
+            ids[slot] = id;
+        }
+        Ok(ids
             .into_iter()
-            .map(|g| ((tuple_frags[g.tuple as usize].clone(), g.ts_bits), g))
+            .zip(groups)
+            .map(|((tuple, ts_bits), g)| ((tuple_frags[tuple as usize].clone(), ts_bits), g))
             .collect())
     })?;
-
-    // Phase 2: merge morsel partials. Accumulator merges are exactly
-    // fold-equivalent, and each group keeps its earliest (timestamp, rank)
-    // contribution, which reconstructs the serial first-seen order below.
-    let mut merged: HashMap<(String, u64), usize> = HashMap::new();
-    let mut final_groups: Vec<SaGroup> = Vec::new();
-    for partial in partials {
-        for (key, gp) in partial {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(final_groups.len());
-                    final_groups.push(gp);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let cur = &mut final_groups[*e.get()];
-                    for (acc, part) in cur.accs.iter_mut().zip(gp.accs) {
-                        acc.merge(part)?;
-                    }
-                    if gp.order < cur.order {
-                        cur.order = gp.order;
-                        cur.ts_val = gp.ts_val;
-                        cur.class_vals = gp.class_vals;
-                    }
-                }
-            }
-        }
-    }
-    final_groups.sort_by_key(|g| g.order);
-
-    // Finish accumulators and assemble output columns.
-    let mut out_vals: Vec<Vec<Value>> =
-        (0..width).map(|_| Vec::with_capacity(final_groups.len())).collect();
-    let rows = final_groups.len();
-    for g in final_groups {
-        let finished: Vec<Value> = g.accs.into_iter().map(AggAcc::finish).collect::<Result<_>>()?;
-        for (slot, out) in slots.iter().zip(out_vals.iter_mut()) {
-            match slot {
-                AggSlot::Key(k) => out.push(match key_kinds[*k] {
-                    KeyKind::Ts => Value::Int(g.ts_val),
-                    KeyKind::Class(j) => g.class_vals[j].clone(),
-                }),
-                AggSlot::Agg(i) => out.push(finished[*i].clone()),
-            }
-        }
-    }
-    let out_cols: Vec<Column> = out_vals.into_iter().map(Column::from_values).collect();
-    Ok(Table::from_columnar_parts(out_schema, out_cols, rows))
+    finish_groups(partials, &slots, &calls, &obs, project_names(items, hidden.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -2323,7 +2133,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_gather_matches_stable_sort_reference() {
+    fn merge_gather_matches_the_sorted_catalog_view() {
+        // `Catalog::get` materializes the binding by sorting every point on
+        // `(timestamp, canonical key)`: an ordering oracle that shares no
+        // code with the k-way merge. The reference interpreter scans it.
         let c = tsdb_catalog();
         for sql in [
             "SELECT * FROM tsdb",
@@ -2332,14 +2145,12 @@ mod tests {
             "SELECT timestamp FROM tsdb WHERE metric_name = 'nope'",
         ] {
             let q = parse_query(sql).unwrap();
-            let merged =
-                execute_with(&c, &q, ExecOptions { merge_gather: true, ..ExecOptions::default() })
-                    .unwrap();
-            let sorted =
-                execute_with(&c, &q, ExecOptions { merge_gather: false, ..ExecOptions::default() })
-                    .unwrap();
-            assert_eq!(merged.schema(), sorted.schema(), "{sql}");
-            assert_eq!(merged.rows(), sorted.rows(), "{sql}");
+            let sorted = crate::reference::execute_naive(&c, &q).unwrap();
+            for parts in [1, 3] {
+                let merged = execute_with(&c, &q, ExecOptions::with_partitions(parts)).unwrap();
+                assert_eq!(merged.schema(), sorted.schema(), "{sql}");
+                assert_eq!(merged.rows(), sorted.rows(), "{sql} partitions={parts}");
+            }
         }
     }
 

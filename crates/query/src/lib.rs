@@ -18,9 +18,9 @@
 //!    out-of-range `PERCENTILE` p — is rejected here with the source byte
 //!    position of the offending expression, and unknown columns suggest
 //!    near-miss names. In debug builds (and whenever
-//!    `EXPLAINIT_VERIFY_PLANS` is set, or `OptimizeOptions::verify` is
-//!    on) a plan verifier ([`verify`]) additionally re-checks structural
-//!    invariants after every optimizer rule.
+//!    `EXPLAINIT_VERIFY_PLANS` is set) a plan verifier ([`verify`])
+//!    additionally re-checks structural invariants after every optimizer
+//!    rule.
 //! 2. **Optimize** ([`optimize`]) — rule-based rewrites: constant folding,
 //!    predicate pushdown (through projections and aliases, into the
 //!    matching side of joins, and through aggregate group keys), and —
@@ -39,22 +39,26 @@
 //!    scans emit *dictionary-encoded* `metric_name`/`tag` columns
 //!    ([`Column::Dict`]: one shared `Arc` dictionary per binding plus a
 //!    `u32` code per row), and predicates over them evaluate once per
-//!    distinct entry. Pipelines the optimizer marked with
-//!    `LogicalPlan::Exchange` run **partition-parallel**: the source is
-//!    cut into row morsels, workers apply filters and build mergeable
-//!    partial aggregate states, and a final exchange merges partials in
-//!    morsel order — bit-identical to serial execution by construction
-//!    (error-free float summation), with the partition count controlled
-//!    via [`ExecOptions`] / [`Catalog::execute_query_with`]. The hottest
+//!    distinct entry. Operators split their input into morsels by its
+//!    size — the partition count is the only execution option
+//!    ([`ExecOptions`] / [`Catalog::execute_query_with`]) — and serial
+//!    execution is the one-morsel case of the same code: the one table
+//!    aggregate builds mergeable partial states per morsel (filters peeled
+//!    from a `LogicalPlan::Exchange`-marked pipeline run per morsel too),
+//!    merges them in morsel order, and finishes outputs that are not a
+//!    bare key or aggregate call (`SUM(v) / COUNT(v)`) as post-aggregate
+//!    expressions — bit-identical at every partition count by construction
+//!    (error-free float summation). The hottest
 //!    shape of all — an aggregate whose group keys are `timestamp` and/or
 //!    the dictionary-encoded scan columns, sitting directly on a TSDB
 //!    scan — collapses further into a single `LogicalPlan::ScanAggregate`
 //!    node: the executor pre-aggregates each series' sorted point vectors
 //!    straight off the store (no row materialization, grouping on
-//!    `(dict class, timestamp)` integer composite keys) and merges
-//!    per-series partials deterministically. `ExecOptions::scan_aggregate`
-//!    turns the rewrite off; the four-way differential suite runs every
-//!    generated query both ways against the reference interpreter.
+//!    `(dict class, timestamp)` integer composite keys) and hands the
+//!    per-series partials to the table aggregate's merge/finish step. The
+//!    differential suite runs every generated query at partitions 1 and 3,
+//!    over the TSDB binding and over the same observations registered as a
+//!    plain table, against the reference interpreter.
 //!
 //! ## Reading `EXPLAIN` output
 //!

@@ -20,10 +20,10 @@
 //! 5. **Parallelization** — an `Aggregate` whose outputs are group keys and
 //!    plain (mergeable) aggregate calls, or a TSDB-scan-rooted `Project`,
 //!    with any directly nested vectorizable `Filter`s, is wrapped in a
-//!    [`LogicalPlan::Exchange`] marker: the executor runs the pipeline
-//!    per-partition (two-phase aggregation with accumulator merges) when
-//!    partitions are available. The wrapped plan stays a valid serial
-//!    plan, so the marker never changes results.
+//!    [`LogicalPlan::Exchange`] marker: the executor peels the nested
+//!    filters and runs them per morsel inside the operator (which splits
+//!    its input by size, marked or not). The wrapped plan stays a valid
+//!    plan on its own, so the marker never changes results.
 //! 6. **Scan-level aggregate pushdown** — an `Aggregate` (with or without
 //!    its `Exchange` marker, above vectorizable pushed-down `Filter`s)
 //!    sitting directly on a `TsdbScan` collapses into a single
@@ -34,9 +34,8 @@
 //!    executor then pre-aggregates per series straight off the store's
 //!    sorted point vectors — no row materialization at all. Joins, UNION
 //!    branches, non-dict group keys and non-mergeable outputs fall back
-//!    to the ordinary pipeline. Disable with
-//!    [`OptimizeOptions::scan_aggregate`] (the differential harness runs
-//!    both ways).
+//!    to the ordinary pipeline (which the differential harness reaches
+//!    by registering the same observations as a plain table).
 //! 7. **Join-side statistics** — every `Join` is annotated with per-side
 //!    row estimates from [`crate::plan::estimate_rows`] (tag-index set
 //!    sizes and point-count arithmetic for TSDB scans, exact lengths for
@@ -66,39 +65,11 @@ use crate::value::Value;
 use crate::veval;
 use crate::Result;
 
-/// Optimizer toggles (all rewrites that change plan *shape* but never
-/// results; tests and the differential harness switch them off to compare
-/// engines).
-#[derive(Debug, Clone, Copy)]
-pub struct OptimizeOptions {
-    /// Apply rule 6 (collapse eligible aggregates into
-    /// [`LogicalPlan::ScanAggregate`]). Default: on.
-    pub scan_aggregate: bool,
-    /// Run the [`crate::verify`] invariant checks after every rule.
-    /// Default: off — but debug builds always verify, and setting the
-    /// `EXPLAINIT_VERIFY_PLANS` environment variable (to anything but `0`)
-    /// forces verification in release builds too.
-    pub verify: bool,
-}
-
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        OptimizeOptions { scan_aggregate: true, verify: false }
-    }
-}
-
-/// Applies all rewrite rules with default options.
+/// Applies all rewrite rules. The [`crate::verify`] invariant checks run
+/// after every rule in debug builds, and in release builds when the
+/// `EXPLAINIT_VERIFY_PLANS` environment variable is set.
 pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
-    optimize_with(plan, catalog, &OptimizeOptions::default())
-}
-
-/// Applies all rewrite rules.
-pub fn optimize_with(
-    plan: LogicalPlan,
-    catalog: &Catalog,
-    opts: &OptimizeOptions,
-) -> Result<LogicalPlan> {
-    let verify = opts.verify || cfg!(debug_assertions) || crate::verify::env_forced();
+    let verify = cfg!(debug_assertions) || crate::verify::env_forced();
     let planned = if verify { plan.schema(catalog).ok() } else { None };
     let check = |rule: &'static str, plan: &LogicalPlan| -> Result<()> {
         if verify {
@@ -119,7 +90,7 @@ pub fn optimize_with(
     check("annotate_join_stats", &plan)?;
     let plan = parallelize(plan);
     check("parallelize", &plan)?;
-    let plan = if opts.scan_aggregate { push_aggregates_into_scans(plan) } else { plan };
+    let plan = push_aggregates_into_scans(plan);
     check("scan_aggregate", &plan)?;
     Ok(plan)
 }
@@ -1211,8 +1182,9 @@ fn tsdb_schema() -> Schema {
     Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect())
 }
 
-/// Splits a `Filter` chain off a plan without the vectorizability check.
-fn peel_filter_chain(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
+/// Splits a `Filter` chain off a plan (no vectorizability check): the
+/// predicates, outermost first, and the underlying source node.
+pub(crate) fn peel_filter_chain(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
     let mut filters = Vec::new();
     loop {
         match plan {
@@ -1373,18 +1345,6 @@ mod tests {
     fn optimized(c: &Catalog, sql: &str) -> LogicalPlan {
         let q = parse_query(sql).unwrap();
         optimize(build(c, &q).unwrap(), c).unwrap()
-    }
-
-    /// Optimizes with rule 6 (scan-aggregate pushdown) disabled, so the
-    /// rule-1..5 shape assertions stay focused.
-    fn optimized_no_sa(c: &Catalog, sql: &str) -> LogicalPlan {
-        let q = parse_query(sql).unwrap();
-        optimize_with(
-            build(c, &q).unwrap(),
-            c,
-            &OptimizeOptions { scan_aggregate: false, ..OptimizeOptions::default() },
-        )
-        .unwrap()
     }
 
     /// Strips an `Exchange` parallelization marker (rule 5, tested on its
@@ -1597,14 +1557,12 @@ mod tests {
     #[test]
     fn parallelize_marks_mergeable_aggregates() {
         let c = tsdb_catalog();
-        let p = optimized_no_sa(
-            &c,
-            "SELECT timestamp, AVG(value) AS m, COUNT(*) AS n FROM tsdb \
-             WHERE metric_name = 'cpu' GROUP BY timestamp",
-        );
+        // A non-dictionary group key keeps rule 6 off this pipeline.
+        let p =
+            optimized(&c, "SELECT value, AVG(value) AS m, COUNT(*) AS n FROM tsdb GROUP BY value");
         let LogicalPlan::Exchange { input } = p else { panic!("expected exchange, got {p:?}") };
         assert!(matches!(*input, LogicalPlan::Aggregate { .. }));
-        // With rule 6 on, the same pipeline collapses into the scan.
+        // An eligible pipeline collapses into the scan, marker and all.
         let p = optimized(
             &c,
             "SELECT timestamp, AVG(value) AS m, COUNT(*) AS n FROM tsdb \

@@ -504,8 +504,8 @@ fn infer(expr: &Expr, scope: &TypedSchema, ctx: Ctx<'_>) -> Result<ColInfo> {
         }
         // IN / BETWEEN / IS NULL compare via sql_cmp (never a type error),
         // but their operands evaluate row-at-a-time even inside a grouped
-        // projection (the executor's eval_group falls back to the group's
-        // first row), so aggregates beneath them are rejected.
+        // projection (group-context evaluation resolves them on the
+        // group's first row), so aggregates beneath them are rejected.
         Expr::InList { expr, list, .. } => {
             infer(expr, scope, Ctx::Row)?;
             for item in list {

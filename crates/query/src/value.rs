@@ -170,13 +170,20 @@ impl Value {
         }
     }
 
-    /// Key form for GROUP BY hashing (string-rendered; numeric values are
-    /// canonicalised so `1` and `1.0` group together).
+    /// Key form for GROUP BY and hash-join hashing (string-rendered). Two
+    /// numeric values share a key exactly when [`Value::sql_cmp`] calls
+    /// them equal: an Int renders as its decimal integer, and so does an
+    /// integral Float inside the `i64` range (`1` and `1.0` group together,
+    /// `-0.0` groups with `0`, and 2^53 + 1 never meets 2^53).
     pub fn group_key(&self) -> String {
+        const TWO63: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::Null => "\u{0}null".into(),
             Value::Bool(b) => format!("\u{0}b{b}"),
-            Value::Int(i) => format!("\u{0}n{}", *i as f64),
+            Value::Int(i) => format!("\u{0}n{i}"),
+            Value::Float(f) if f.fract() == 0.0 && (-TWO63..TWO63).contains(f) => {
+                format!("\u{0}n{}", *f as i64) // exact: integral and in range
+            }
             Value::Float(f) => format!("\u{0}n{f}"),
             Value::Str(s) => format!("\u{0}s{s}"),
             Value::List(items) => {
@@ -334,6 +341,16 @@ mod tests {
         assert_eq!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
         assert_ne!(Value::Int(1).group_key(), Value::str("1").group_key());
         assert_ne!(Value::Null.group_key(), Value::str("null").group_key());
+        // Keys agree with `sql_cmp` equality, also where f64 runs out of
+        // integers and at signed zero.
+        let p53 = 1i64 << 53;
+        assert_ne!(Value::Int(p53 + 1).group_key(), Value::Int(p53).group_key());
+        assert_eq!(Value::Int(p53).group_key(), Value::Float(p53 as f64).group_key());
+        assert_ne!(Value::Int(i64::MAX).group_key(), Value::Float(i64::MAX as f64).group_key());
+        assert_eq!(Value::Int(i64::MIN).group_key(), Value::Float(i64::MIN as f64).group_key());
+        assert_eq!(Value::Float(-0.0).group_key(), Value::Int(0).group_key());
+        assert_eq!(Value::Float(-0.0).group_key(), Value::Float(0.0).group_key());
+        assert_ne!(Value::Float(0.5).group_key(), Value::Int(0).group_key());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!
 //! * always under `debug_assertions` (so `cargo test` exercises it across
 //!   the whole differential and plan-shape corpus),
-//! * in release builds when [`crate::optimize::OptimizeOptions::verify`]
-//!   is set or the `EXPLAINIT_VERIFY_PLANS` environment variable is
-//!   non-`0` (the CI release-mode differential job sets it).
+//! * in release builds when the `EXPLAINIT_VERIFY_PLANS` environment
+//!   variable is non-`0` (the CI release-mode differential job sets it).
 //!
 //! Checks, in tree order:
 //!

@@ -3,21 +3,22 @@
 //! (`explainit_query::reference`) on randomly generated queries and data —
 //! same schema, same rows, same row order.
 //!
-//! Every query runs **four** ways: the pipeline serially (one partition,
-//! scan-aggregate pushdown off), the pipeline partition-parallel (a forced
-//! multi-morsel split with pushdown off, so partial-aggregate merging is
-//! exercised even on small inputs and single-core machines), the pipeline
-//! with the **scan-aggregate pushdown** enabled (forced multi-morsel, so
-//! the per-series pre-aggregation and its deterministic merge are
-//! exercised too), and the reference interpreter. All four must agree
-//! bit-for-bit — the accumulators are built to be exactly fold-equivalent
-//! (error-free sums, per-class MIN/MAX, gathered PERCENTILE) and the
-//! scan-aggregate operator reconstructs the serial first-seen group order
-//! from each group's earliest (timestamp, series rank) contribution, so
-//! this is an equality check, not an epsilon one.
+//! The harness is *oracle × partitions × backend*: every query runs at
+//! partition counts 1 (one morsel — serial execution) and 3 (a forced
+//! multi-morsel split, so partial-aggregate merging is exercised even on
+//! small inputs and single-core machines), and every query over the store
+//! runs against two backends — the live TSDB binding (pushdown scan,
+//! merge gather, **scan-aggregate** operator) and the same observations
+//! registered as a plain table (the ordinary filter/aggregate pipeline on
+//! observation-shaped data). All of them must agree with the reference
+//! interpreter bit-for-bit — the accumulators are built to be exactly
+//! fold-equivalent (error-free sums, per-class MIN/MAX, gathered
+//! PERCENTILE) and the scan-aggregate operator reconstructs the serial
+//! first-seen group order from each group's earliest (timestamp, series
+//! rank) contribution, so this is an equality check, not an epsilon one.
 
 use explainit_query::reference::execute_naive;
-use explainit_query::{parse_query, Catalog, ExecOptions, Table, Value};
+use explainit_query::{parse_query, Catalog, ExecOptions, Query, Table, Value};
 use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
 
@@ -42,11 +43,8 @@ fn tsdb_points() -> impl Strategy<Value = Vec<(usize, usize, i64, f64)>> {
     )
 }
 
-fn build_catalog(
-    t: &[(i64, usize, f64)],
-    u: &[(i64, f64)],
-    points: &[(usize, usize, i64, f64)],
-) -> Catalog {
+/// A catalog over the plain tables `t` and `u` (one backend: no store).
+fn table_catalog(t: &[(i64, usize, f64)], u: &[(i64, f64)]) -> [Catalog; 1] {
     let mut catalog = Catalog::new();
     catalog.register(
         "t",
@@ -64,6 +62,22 @@ fn build_catalog(
             u.iter().map(|&(ts, w)| vec![Value::Int(ts), Value::Float(w)]).collect(),
         ),
     );
+    [catalog]
+}
+
+/// The two backends of one store under the name `tsdb`: the live binding,
+/// and the sort-built observation table behind its `Catalog::get`
+/// registered as a plain table — identical rows in identical order,
+/// reached without any pushdown.
+fn backends_of(db: &Tsdb) -> [Catalog; 2] {
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", db);
+    let mut plain = Catalog::new();
+    plain.register("tsdb", bound.get("tsdb").expect("bound above").as_ref().clone());
+    [bound, plain]
+}
+
+fn tsdb_backends(points: &[(usize, usize, i64, f64)]) -> [Catalog; 2] {
     let mut db = Tsdb::new();
     for &(m, h, ts, v) in points {
         let key = SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]);
@@ -71,79 +85,75 @@ fn build_catalog(
     }
     // One tag-free series so `tag['host'] IS NULL` has hits.
     db.insert(&SeriesKey::new("untagged"), 0, 1.0);
-    catalog.register_tsdb("tsdb", &db);
-    catalog
+    backends_of(&db)
 }
 
-/// Runs `sql` serially, partition-parallel, with the scan-aggregate
-/// pushdown, and through the reference interpreter, asserting all four
-/// agree (or all four reject).
-fn assert_same(catalog: &Catalog, sql: &str) -> Result<(), TestCaseError> {
+/// Runs `sql` through the reference interpreter and, on every backend, at
+/// partition counts 1 and 3, asserting all agree (or all reject).
+fn assert_same(backends: &[Catalog], sql: &str) -> Result<(), TestCaseError> {
+    assert_same_at(backends, sql, &[1, 3])
+}
+
+fn assert_same_at(
+    backends: &[Catalog],
+    sql: &str,
+    partitions: &[usize],
+) -> Result<(), TestCaseError> {
     let query = match parse_query(sql) {
         Ok(q) => q,
         Err(e) => panic!("generated query must parse: {sql}: {e}"),
     };
-    let serial = catalog.execute_query_with(
-        &query,
-        ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-    );
-    let engines = [
-        (
-            "parallel",
-            ExecOptions { partitions: 3, scan_aggregate: false, ..ExecOptions::default() },
-        ),
-        (
-            "scan-aggregate serial",
-            ExecOptions { partitions: 1, scan_aggregate: true, ..ExecOptions::default() },
-        ),
-        (
-            "scan-aggregate parallel",
-            ExecOptions { partitions: 3, scan_aggregate: true, ..ExecOptions::default() },
-        ),
-    ];
-    for (label, opts) in engines {
-        let other = catalog.execute_query_with(&query, opts);
-        match (&serial, &other) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(
-                    a.schema().columns(),
-                    b.schema().columns(),
-                    "serial/{} schema mismatch for {}",
-                    label,
-                    sql
-                );
-                prop_assert_eq!(a.rows(), b.rows(), "serial/{} row mismatch for {}", label, sql);
+    for (backend, catalog) in backends.iter().enumerate() {
+        let naive = execute_naive(catalog, &query);
+        for &parts in partitions {
+            let fast = catalog.execute_query_with(&query, ExecOptions::with_partitions(parts));
+            match (&fast, &naive) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(
+                        a.schema().columns(),
+                        b.schema().columns(),
+                        "schema mismatch on backend {} at partitions={} for {}",
+                        backend,
+                        parts,
+                        sql
+                    );
+                    prop_assert_eq!(
+                        a.rows(),
+                        b.rows(),
+                        "row mismatch on backend {} at partitions={} for {}",
+                        backend,
+                        parts,
+                        sql
+                    );
+                }
+                // Both reject: fine (same class not enforced, message may differ).
+                (Err(_), Err(_)) => {}
+                _ => panic!(
+                    "divergent outcome on backend {backend} at partitions={parts} for {sql}:\n  \
+                     pipeline: {:?}\n  reference: {:?}",
+                    fast.as_ref().map(Table::len),
+                    naive.as_ref().map(Table::len)
+                ),
             }
-            (Err(_), Err(_)) => {}
-            _ => panic!(
-                "serial/{label} divergence for {sql}:\n  serial: {:?}\n  {label}: {:?}",
-                serial.as_ref().map(Table::len),
-                other.as_ref().map(Table::len)
-            ),
         }
-    }
-    let naive = execute_naive(catalog, &query);
-    match (serial, naive) {
-        (Ok(a), Ok(b)) => {
-            prop_assert_eq!(
-                a.schema().columns(),
-                b.schema().columns(),
-                "schema mismatch for {}",
-                sql
-            );
-            prop_assert_eq!(a.rows(), b.rows(), "row mismatch for {}", sql);
-        }
-        (Err(a), Err(b)) => {
-            // Both reject: fine (same class not enforced, message may differ).
-            let _ = (a, b);
-        }
-        (fast, naive) => panic!(
-            "divergent outcome for {sql}:\n  pipeline: {:?}\n  reference: {:?}",
-            fast.map(|t| t.len()),
-            naive.map(|t| t.len())
-        ),
     }
     Ok(())
+}
+
+/// Pinned cases: `query` must return exactly `expect` (compared as
+/// rendered, so NaN cells compare too) on every backend at every
+/// partition count.
+fn assert_pinned(backends: &[Catalog], query: &Query, partitions: &[usize], expect: &Table) {
+    let rendered = |t: &Table| format!("{:?}", t.rows());
+    for (backend, catalog) in backends.iter().enumerate() {
+        for &parts in partitions {
+            let out = catalog
+                .execute_query_with(query, ExecOptions::with_partitions(parts))
+                .expect("pinned query runs");
+            assert_eq!(out.schema(), expect.schema(), "backend {backend} partitions={parts}");
+            assert_eq!(rendered(&out), rendered(expect), "backend {backend} partitions={parts}");
+        }
+    }
 }
 
 const PREDICATES: [&str; 8] = [
@@ -203,8 +213,61 @@ const SA_FILTERS: [&str; 7] = [
     " WHERE tag['host'] IS NULL",
 ];
 
+/// Outputs that are neither a bare group key nor a bare aggregate call —
+/// the table aggregate finishes them as post-aggregate expressions over
+/// the group's accumulators and its first row. `{v}` is the value column
+/// and `{c}` a non-key column of the table under test.
+const POST_ITEMS: [&str; 6] = [
+    "SUM({v}) / COUNT({v}) AS mean",
+    "MAX({v}) - MIN({v}) AS spread, COUNT(*) AS n",
+    "AVG({v}) + 1 AS a1, AVG({v}) AS a",
+    "CASE WHEN COUNT(*) > 1 THEN MAX({v}) ELSE -1.0 END AS top",
+    "{c} AS first_c, COUNT(*) AS n",
+    "CASE WHEN MIN({v}) < 0 THEN COUNT({v}) ELSE 0 END AS negs, STDDEV({v}) * 2 AS sd2, {c}",
+];
+
+/// `(group key, non-key column)` pairs for [`POST_ITEMS`] over `t` …
+const POST_T_KEYS: [(&str, &str); 2] = [("ts", "host"), ("host", "ts")];
+
+/// … and over `tsdb`.
+const POST_TSDB_KEYS: [(&str, &str); 3] =
+    [("timestamp", "metric_name"), ("metric_name", "timestamp"), ("tag['host']", "value")];
+
+const POST_ORDERS: [&str; 3] = ["", " ORDER BY {key}", " ORDER BY SUM({v}) / COUNT({v}) DESC"];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn post_aggregate_outputs_agree(
+        t in t_rows(),
+        points in tsdb_points(),
+        items in 0usize..POST_ITEMS.len(),
+        k in 0usize..6,
+        p in 0usize..PREDICATES.len(),
+        f in 0usize..SA_FILTERS.len(),
+        filtered in any::<bool>(),
+        order in 0usize..POST_ORDERS.len(),
+    ) {
+        let fill = |text: &str, key: &str, c: &str, v: &str| {
+            text.replace("{key}", key).replace("{c}", c).replace("{v}", v)
+        };
+        let (key, c) = POST_T_KEYS[k % POST_T_KEYS.len()];
+        let filter = if filtered { format!(" WHERE {}", PREDICATES[p]) } else { String::new() };
+        let sql = fill(
+            &format!("SELECT {key}, {} FROM t{filter} GROUP BY {key}{}", POST_ITEMS[items], POST_ORDERS[order]),
+            key, c, "v",
+        );
+        assert_same_at(&table_catalog(&t, &[]), &sql, &[1, 2, 3])?;
+
+        let (key, c) = POST_TSDB_KEYS[k % POST_TSDB_KEYS.len()];
+        let filter = if filtered { SA_FILTERS[f].replace("{lo}", "40").replace("{hi}", "300") } else { String::new() };
+        let sql = fill(
+            &format!("SELECT {key}, {} FROM tsdb{filter} GROUP BY {key}{}", POST_ITEMS[items], POST_ORDERS[order]),
+            key, c, "value",
+        );
+        assert_same_at(&tsdb_backends(&points), &sql, &[1, 2, 3])?;
+    }
 
     #[test]
     fn plain_selects_agree(
@@ -217,7 +280,7 @@ proptest! {
         limit in 0usize..8,
         use_limit in any::<bool>(),
     ) {
-        let catalog = build_catalog(&t, &u, &[]);
+        let catalog = table_catalog(&t, &u);
         let glue = if conj { "AND" } else { "OR" };
         let mut sql = format!(
             "SELECT {} FROM t WHERE {} {glue} {}{}",
@@ -236,7 +299,7 @@ proptest! {
         key_is_host in any::<bool>(),
         order_by_key in any::<bool>(),
     ) {
-        let catalog = build_catalog(&t, &u, &[]);
+        let catalog = table_catalog(&t, &u);
         let key = if key_is_host { "host" } else { "ts" };
         let order = if order_by_key { format!(" ORDER BY {key}") } else { String::new() };
         let sql = format!(
@@ -260,7 +323,7 @@ proptest! {
         order_by_key in any::<bool>(),
         global in any::<bool>(),
     ) {
-        let catalog = build_catalog(&t, &u, &[]);
+        let catalog = table_catalog(&t, &u);
         let agg = AGG_ITEMS[items];
         let filter = if filtered { format!(" WHERE {}", PREDICATES[p]) } else { String::new() };
         let sql = if global {
@@ -280,7 +343,7 @@ proptest! {
         p in 0usize..PREDICATES.len(),
         filtered in any::<bool>(),
     ) {
-        let catalog = build_catalog(&t, &u, &[]);
+        let catalog = table_catalog(&t, &u);
         let join = ["JOIN", "LEFT JOIN", "FULL OUTER JOIN"][kind];
         let mut sql = format!("SELECT t.ts, v, w FROM t {join} u ON t.ts = u.ts");
         if filtered {
@@ -298,7 +361,7 @@ proptest! {
         k in 0i64..5,
         thresh in -20.0f64..20.0,
     ) {
-        let catalog = build_catalog(&t, &u, &[]);
+        let catalog = table_catalog(&t, &u);
         // Same-typed union partition (coercion-free so both engines agree).
         let sql = format!(
             "SELECT v FROM t WHERE ts > {k} UNION ALL SELECT v FROM t WHERE NOT (ts > {k})"
@@ -330,7 +393,7 @@ proptest! {
         span in 1i64..200,
         variant in 0usize..6,
     ) {
-        let catalog = build_catalog(&[], &[], &points);
+        let catalog = tsdb_backends(&points);
         let metric = METRICS[m];
         let host = HOSTS[h];
         let hi = lo + span;
@@ -369,7 +432,7 @@ proptest! {
         // the scan — the glob-prefix name-index range scan and
         // TagFilter::Glob — while the reference evaluates the operator per
         // materialized row. Agreement proves the pushdown is lossless.
-        let catalog = build_catalog(&[], &[], &points);
+        let catalog = tsdb_backends(&points);
         let sql = match variant {
             0 => "SELECT timestamp, value FROM tsdb WHERE metric_name GLOB 'disk*' \
                   ORDER BY timestamp, value"
@@ -405,7 +468,7 @@ proptest! {
         // timestamp / dictionary-encoded tag keys / metric_name, mixed
         // mergeable aggregates over value/timestamp (Int typing included),
         // residual value filters, tag globs and absent-tag predicates.
-        let catalog = build_catalog(&[], &[], &points);
+        let catalog = tsdb_backends(&points);
         let filter = SA_FILTERS[filter]
             .replace("{lo}", &lo.to_string())
             .replace("{hi}", &(lo + span).to_string());
@@ -423,7 +486,7 @@ proptest! {
     }
 
     #[test]
-    fn merge_gather_agrees_with_stable_sort_and_reference(
+    fn merge_gather_agrees_with_the_sorted_view_and_reference(
         points in tsdb_points(),
         dup_ts in proptest::collection::vec((0usize..HOSTS.len(), 0i64..6), 0..12),
         with_extremes in any::<bool>(),
@@ -432,8 +495,10 @@ proptest! {
         span in 1i64..200,
         variant in 0usize..5,
     ) {
-        // The k-way merge gather must be bit-identical to the retained
-        // global stable sort across the shapes that stress its tiebreaks:
+        // The k-way merge gather must be bit-identical to the sort-built
+        // observation view (`Catalog::get`, which the reference scans and
+        // the plain backend registers) across the shapes that stress its
+        // tiebreaks:
         // duplicate timestamps across series (heap ties resolved by rank),
         // series left empty by the time range, a single surviving series,
         // and points at the i64 extremes.
@@ -454,8 +519,7 @@ proptest! {
             db.insert(&SeriesKey::new("cpu").with_tag("host", "off-range"), 900_000, 0.0);
         }
         db.insert(&SeriesKey::new("solo"), 3, 7.0);
-        let mut catalog = Catalog::new();
-        catalog.register_tsdb("tsdb", &db);
+        let backends = backends_of(&db);
 
         let hi = lo + span;
         let sql = match variant {
@@ -467,19 +531,16 @@ proptest! {
                 .to_string(),
         };
         let query = parse_query(&sql).expect("generated query parses");
-        let merged = catalog
-            .execute_query_with(&query, ExecOptions { merge_gather: true, ..ExecOptions::default() })
-            .expect("merge gather runs");
-        let sorted = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { merge_gather: false, ..ExecOptions::default() },
-            )
-            .expect("stable sort runs");
-        prop_assert_eq!(merged.schema(), sorted.schema(), "schema mismatch for {}", &sql);
-        prop_assert_eq!(merged.rows(), sorted.rows(), "row mismatch for {}", &sql);
-        let naive = execute_naive(&catalog, &query).expect("reference runs");
-        prop_assert_eq!(merged.rows(), naive.rows(), "reference mismatch for {}", &sql);
+        let naive = execute_naive(&backends[0], &query).expect("reference runs");
+        for catalog in &backends {
+            for parts in [0usize, 1, 3] {
+                let merged = catalog
+                    .execute_query_with(&query, ExecOptions::with_partitions(parts))
+                    .expect("merge gather runs");
+                prop_assert_eq!(merged.schema(), naive.schema(), "schema mismatch for {}", &sql);
+                prop_assert_eq!(merged.rows(), naive.rows(), "row mismatch for {}", &sql);
+            }
+        }
     }
 
     #[test]
@@ -503,8 +564,8 @@ proptest! {
     }
 }
 
-/// Pins the corrected aggregate semantics with exact expected values, in
-/// all three engines.
+/// Pins the corrected aggregate semantics with exact expected values, at
+/// every partition count and in the reference.
 #[test]
 fn corrected_aggregate_semantics_pinned() {
     // t(ts, host, v) with v = [2, 4, 4, 4, 5, 5, 7, 9] in one group:
@@ -536,11 +597,63 @@ fn corrected_aggregate_semantics_pinned() {
     assert_eq!(naive.rows()[0], expect, "reference");
 }
 
-/// All four engines on one eligible family query, pinned (no generators):
-/// the scan-aggregate result must be value-identical to serial, parallel
-/// and reference execution, including group order without an ORDER BY.
+/// First-seen group order and first-row reads survive the morsel split:
+/// with three morsels of three rows, `b` first appears in morsel 1 and `c`
+/// in morsel 2 while `a` spans all three.
 #[test]
-fn scan_aggregate_pinned_four_way() {
+fn post_aggregate_outputs_keep_first_seen_order_across_morsels() {
+    let rows = [
+        (0, "a", 1.0),
+        (1, "a", 2.0),
+        (2, "a", 3.0),
+        (3, "b", 10.0),
+        (4, "a", 4.0),
+        (5, "b", 20.0),
+        (6, "c", 100.0),
+        (7, "a", 5.0),
+        (8, "b", 30.0),
+    ];
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "t",
+        Table::from_rows(
+            &["ts", "host", "v"],
+            rows.iter()
+                .map(|&(ts, h, v)| vec![Value::Int(ts), Value::str(h), Value::Float(v)])
+                .collect(),
+        ),
+    );
+    let query = parse_query(
+        "SELECT host, ts AS first_ts, SUM(v) / COUNT(v) AS mean, MAX(v) - MIN(v) AS spread, \
+         CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END AS size FROM t GROUP BY host",
+    )
+    .unwrap();
+    let row = |h: &str, ts: i64, mean: f64, spread: f64, size: &str| {
+        vec![
+            Value::str(h),
+            Value::Int(ts),
+            Value::Float(mean),
+            Value::Float(spread),
+            Value::str(size),
+        ]
+    };
+    let expect = Table::from_rows(
+        &["host", "first_ts", "mean", "spread", "size"],
+        vec![
+            row("a", 0, 3.0, 4.0, "many"),
+            row("b", 3, 20.0, 20.0, "many"),
+            row("c", 6, 100.0, 0.0, "one"),
+        ],
+    );
+    assert_pinned(&[catalog], &query, &[1, 2, 3, 9], &expect);
+}
+
+/// One eligible family query, pinned (no generators): the scan-aggregate
+/// result must be value-identical to the plain-table pipeline and the
+/// reference at every partition count, including group order without an
+/// ORDER BY.
+#[test]
+fn scan_aggregate_pinned_on_both_backends() {
     let mut db = Tsdb::new();
     for (host, base) in [("web-1", 1.0), ("web-2", 2.0), ("db-1", 10.0)] {
         let key = SeriesKey::new("cpu").with_tag("host", host);
@@ -549,33 +662,48 @@ fn scan_aggregate_pinned_four_way() {
         }
     }
     db.insert(&SeriesKey::new("untagged"), 0, 5.0);
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
+    let backends = backends_of(&db);
     let query = parse_query(
         "SELECT timestamp, tag['host'] AS h, AVG(value) AS m, SUM(value) AS s, \
          COUNT(*) AS n, STDDEV(value) AS sd, PERCENTILE(value, 0.5) AS med \
          FROM tsdb WHERE metric_name = 'cpu' GROUP BY timestamp, tag['host']",
     )
     .unwrap();
-    let baseline = catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-        )
-        .unwrap();
-    assert_eq!(baseline.len(), 21);
-    for partitions in [1usize, 2, 3, 8] {
-        let out = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { partitions, scan_aggregate: true, ..ExecOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(out.schema(), baseline.schema());
-        assert_eq!(out.rows(), baseline.rows(), "pushdown partitions={partitions}");
+    let naive = execute_naive(&backends[0], &query).unwrap();
+    assert_eq!(naive.len(), 21);
+    assert_pinned(&backends, &query, &[1, 2, 3, 8], &naive);
+}
+
+/// The skewed fleet the deleted pushdown report swept: one hot series
+/// holds ~all the points, so point-balanced scan-aggregate morsels split
+/// it across workers — and must stay row-identical at every count.
+#[test]
+fn skewed_hot_series_fleet_agrees_at_every_partition_count() {
+    let mut db = Tsdb::new();
+    let hot = SeriesKey::new("disk").with_tag("host", "host-hot").with_tag("grp", "g0");
+    for t in 0..2000i64 {
+        db.insert(&hot, t, (t % 997) as f64 * 0.1);
     }
-    let naive = execute_naive(&catalog, &query).unwrap();
-    assert_eq!(naive.rows(), baseline.rows(), "reference");
+    for s in 0..7 {
+        let key = SeriesKey::new("disk")
+            .with_tag("host", format!("host-{s}"))
+            .with_tag("grp", format!("g{}", s % 3));
+        for t in 0..8i64 {
+            db.insert(&key, t * 60, t as f64);
+        }
+    }
+    let backends = backends_of(&db);
+    for sql in [
+        "SELECT timestamp, tag['grp'], AVG(value) AS mean_v, STDDEV(value) AS sd FROM tsdb \
+         WHERE metric_name = 'disk' GROUP BY timestamp, tag['grp']",
+        "SELECT tag['grp'] AS g, COUNT(*) AS n, SUM(value) AS s, PERCENTILE(value, 0.9) AS p \
+         FROM tsdb WHERE value >= 0.5 GROUP BY tag['grp']",
+    ] {
+        let query = parse_query(sql).unwrap();
+        let naive = execute_naive(&backends[0], &query).unwrap();
+        assert!(!naive.is_empty());
+        assert_pinned(&backends, &query, &[1, 2, 4, 8], &naive);
+    }
 }
 
 /// SUM over the Int timestamp column keeps Int typing in the scan
@@ -589,17 +717,10 @@ fn scan_aggregate_int_typing_and_overflow_promotion() {
     for t in [1i64, 2, 3] {
         db.insert(&key, t, 1.0);
     }
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
     let query = parse_query("SELECT SUM(timestamp) AS s FROM tsdb").unwrap();
-    for scan_aggregate in [false, true] {
-        let out = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { partitions: 2, scan_aggregate, ..ExecOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(out.rows()[0][0], Value::Int(6), "pushdown={scan_aggregate}");
+    for (backend, catalog) in backends_of(&db).iter().enumerate() {
+        let out = catalog.execute_query_with(&query, ExecOptions::with_partitions(2)).unwrap();
+        assert_eq!(out.rows()[0][0], Value::Int(6), "backend {backend}");
     }
 
     // Near-i64::MAX timestamps: the i128-exact sum overflows i64 and
@@ -608,62 +729,114 @@ fn scan_aggregate_int_typing_and_overflow_promotion() {
     let big = i64::MAX - 10;
     db.insert(&SeriesKey::new("m").with_tag("host", "a"), big, 1.0);
     db.insert(&SeriesKey::new("m").with_tag("host", "b"), big - 1, 2.0);
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
-    let naive = execute_naive(&catalog, &query).unwrap();
-    let expect = naive.rows()[0][0].clone();
+    let backends = backends_of(&db);
+    let naive = execute_naive(&backends[0], &query).unwrap();
+    let expect = &naive.rows()[0][0];
     assert!(matches!(expect, Value::Float(_)), "overflow must promote, got {expect:?}");
-    for scan_aggregate in [false, true] {
-        for partitions in [1usize, 2] {
-            let out = catalog
-                .execute_query_with(
-                    &query,
-                    ExecOptions { partitions, scan_aggregate, ..ExecOptions::default() },
-                )
-                .unwrap();
-            assert_eq!(
-                out.rows()[0][0],
-                expect,
-                "pushdown={scan_aggregate} partitions={partitions}"
-            );
-        }
-    }
+    assert_pinned(&backends, &query, &[1, 2], &naive);
 }
 
-/// `group_key` folds Int keys through f64, so timestamps beyond 2^53 that
-/// collapse to the same double must land in the same group — in the scan
-/// aggregate exactly as in the string-keyed engines.
-#[test]
-fn scan_aggregate_folds_giant_timestamps_like_group_key() {
-    let mut db = Tsdb::new();
-    let t0 = 1i64 << 53;
-    db.insert(&SeriesKey::new("m").with_tag("host", "a"), t0, 1.0);
-    db.insert(&SeriesKey::new("m").with_tag("host", "b"), t0 + 1, 2.0); // same f64 as t0
-    db.insert(&SeriesKey::new("m").with_tag("host", "c"), t0 + 2, 4.0); // distinct f64
+/// Pins `sql` over one-column tables to exact rows at partitions 1 and 3.
+/// For the key-exactness cases below: group and join keys agree with `=`
+/// (Int keys above 2^53 stay apart, an integral Float meets the Int it
+/// equals and only that one, signed zeros are one key), and the reference
+/// shares `group_key`, so it cannot be their oracle.
+fn pin_exact(
+    tables: &[(&str, &str, Vec<Value>)],
+    sql: &str,
+    names: &[&str],
+    rows: Vec<Vec<Value>>,
+) {
     let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
+    for (table, column, cells) in tables {
+        let rows = cells.iter().map(|v| vec![v.clone()]).collect();
+        catalog.register(table, Table::from_rows(&[column], rows));
+    }
+    let expect = Table::from_rows(names, rows);
+    assert_pinned(&[catalog], &parse_query(sql).unwrap(), &[1, 3], &expect);
+}
+
+const P53: i64 = 1 << 53;
+
+#[test]
+fn group_keys_are_exact_beyond_2_pow_53() {
+    let int = Value::Int;
+    let xs =
+        [P53 + 1, P53, P53 + 1, -P53 - 1, -P53, i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1];
+    pin_exact(
+        &[("k", "x", xs.iter().map(|&x| int(x)).collect())],
+        "SELECT x, COUNT(*) AS n FROM k GROUP BY x",
+        &["x", "n"],
+        vec![
+            vec![int(P53 + 1), int(2)],
+            vec![int(P53), int(1)],
+            vec![int(-P53 - 1), int(1)],
+            vec![int(-P53), int(1)],
+            vec![int(i64::MAX), int(1)],
+            vec![int(i64::MAX - 1), int(1)],
+            vec![int(i64::MIN), int(1)],
+            vec![int(i64::MIN + 1), int(1)],
+        ],
+    );
+}
+
+#[test]
+fn signed_zeros_and_integral_floats_share_the_int_group() {
+    let cells = vec![Value::Float(0.0), Value::Float(-0.0), Value::Int(0), Value::Int(1)];
+    pin_exact(
+        &[("z", "f", cells)],
+        "SELECT f, COUNT(*) AS n FROM z GROUP BY f",
+        &["f", "n"],
+        vec![vec![Value::Float(0.0), Value::Int(3)], vec![Value::Int(1), Value::Int(1)]],
+    );
+}
+
+#[test]
+fn equi_join_keys_match_exactly_what_equals_matches() {
+    let int = Value::Int;
+    let a = vec![int(P53 + 1), int(i64::MAX), Value::Float(-0.0), int(P53)];
+    let b = vec![
+        int(P53),
+        Value::Float(P53 as f64),
+        Value::Float(i64::MAX as f64), // 2^63: above every i64
+        int(i64::MAX),
+        int(0),
+    ];
+    pin_exact(
+        &[("a", "x", a), ("b", "y", b)],
+        "SELECT a.x, b.y FROM a INNER JOIN b ON a.x = b.y",
+        &["x", "y"],
+        vec![
+            vec![int(i64::MAX), int(i64::MAX)],
+            vec![Value::Float(-0.0), int(0)],
+            vec![int(P53), int(P53)],
+            vec![int(P53), Value::Float(P53 as f64)],
+        ],
+    );
+}
+
+/// `GROUP BY timestamp` on a TSDB binding is exact over the whole i64
+/// range the store round-trips: neighbours above 2^53 and at both extremes
+/// are separate groups, in the scan aggregate as in the table pipeline.
+#[test]
+fn group_by_timestamp_is_exact_at_the_i64_extremes() {
+    let stamps = [i64::MIN, i64::MIN + 1, -P53 - 1, -P53, P53, P53 + 1, i64::MAX - 1, i64::MAX];
+    let mut db = Tsdb::new();
+    for (i, &ts) in stamps.iter().enumerate() {
+        // Neighbouring timestamps sit in different series, and every
+        // timestamp is hit twice, so groups merge across series.
+        db.insert(&SeriesKey::new("m").with_tag("host", ["a", "b"][i % 2]), ts, 1.0);
+        db.insert(&SeriesKey::new("m").with_tag("host", "c"), ts, 2.0);
+    }
     let query = parse_query(
         "SELECT timestamp, SUM(value) AS s, COUNT(*) AS n FROM tsdb GROUP BY timestamp",
     )
     .unwrap();
-    let baseline = catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-        )
-        .unwrap();
-    assert_eq!(baseline.len(), 2, "t0 and t0+1 fold into one group");
-    for partitions in [1usize, 2, 3] {
-        let out = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { partitions, scan_aggregate: true, ..ExecOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(out.rows(), baseline.rows(), "partitions={partitions}");
-    }
-    let naive = execute_naive(&catalog, &query).unwrap();
-    assert_eq!(naive.rows(), baseline.rows());
+    let expect = Table::from_rows(
+        &["timestamp", "s", "n"],
+        stamps.iter().map(|&ts| vec![Value::Int(ts), Value::Float(3.0), Value::Int(2)]).collect(),
+    );
+    assert_pinned(&backends_of(&db), &query, &[1, 3], &expect);
 }
 
 /// MIN/MAX over streams containing NaN are *order-dependent* folds (NaN
@@ -681,13 +854,7 @@ fn minmax_with_nan_agrees_across_engines() {
     // order sees first.
     db.insert(&SeriesKey::new("m").with_tag("host", "a"), 100, 5.0);
     db.insert(&SeriesKey::new("m").with_tag("host", "b"), 0, f64::NAN);
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &db);
-
-    // NaN != NaN under `PartialEq`, so identical results would still fail
-    // a row comparison; compare the debug rendering instead (NaN renders
-    // stably).
-    let rendered = |t: &Table| format!("{:?}", t.rows());
+    let backends = backends_of(&db);
     for sql in [
         "SELECT MIN(value) AS lo FROM tsdb",
         "SELECT MAX(value) AS hi FROM tsdb",
@@ -695,23 +862,8 @@ fn minmax_with_nan_agrees_across_engines() {
         "SELECT timestamp, MIN(value) AS lo FROM tsdb GROUP BY timestamp",
     ] {
         let query = parse_query(sql).unwrap();
-        let baseline = catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-            )
-            .unwrap();
-        for partitions in [1usize, 2] {
-            let out = catalog
-                .execute_query_with(
-                    &query,
-                    ExecOptions { partitions, scan_aggregate: true, ..ExecOptions::default() },
-                )
-                .unwrap();
-            assert_eq!(rendered(&out), rendered(&baseline), "{sql} partitions={partitions}");
-        }
-        let naive = execute_naive(&catalog, &query).unwrap();
-        assert_eq!(rendered(&naive), rendered(&baseline), "{sql} reference");
+        let naive = execute_naive(&backends[0], &query).unwrap();
+        assert_pinned(&backends, &query, &[1, 2], &naive);
     }
 }
 
@@ -732,15 +884,11 @@ fn mixed_int_float_comparisons_pinned_exact() {
     ];
     let mut catalog = Catalog::new();
     catalog.register("b", Table::from_rows(&["x", "v"], rows));
+    let catalog = [catalog];
 
     let serial = |sql: &str| {
         let query = parse_query(sql).unwrap();
-        catalog
-            .execute_query_with(
-                &query,
-                ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-            )
-            .unwrap()
+        catalog[0].execute_query_with(&query, ExecOptions::with_partitions(1)).unwrap()
     };
     let x_of = |t: &Table| -> Vec<Value> { t.rows().iter().map(|r| r[0].clone()).collect() };
 
@@ -770,8 +918,8 @@ fn mixed_int_float_comparisons_pinned_exact() {
     let out = serial("SELECT x FROM b WHERE v < 1e308");
     assert_eq!(x_of(&out), vec![Value::Int(p53), Value::Int(i64::MAX), Value::Int(-3)]);
 
-    // And all engines (serial/parallel/scan-agg x2/reference) agree on
-    // every shape, including BETWEEN over the huge-Int boundary.
+    // And every partition count agrees with the reference on every
+    // shape, including BETWEEN over the huge-Int boundary.
     for sql in [
         "SELECT x FROM b WHERE x > 9007199254740992.0",
         "SELECT x FROM b WHERE x = 9007199254740992.0",
@@ -799,14 +947,10 @@ fn int_arithmetic_overflow_promotes_in_all_engines() {
     ];
     let mut catalog = Catalog::new();
     catalog.register("b", Table::from_rows(&["x", "k"], rows));
+    let catalog = [catalog];
 
     let query = parse_query("SELECT x + 1 AS a, x * k AS m, x - 1 AS s FROM b").unwrap();
-    let serial = catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() },
-        )
-        .unwrap();
+    let serial = catalog[0].execute_query_with(&query, ExecOptions::with_partitions(1)).unwrap();
     // i64::MAX + 1 promotes; (2^53) + 1 stays exact Int.
     assert_eq!(serial.rows()[0][0], Value::Float((i128::from(i64::MAX) + 1) as f64));
     assert_eq!(serial.rows()[1][0], Value::Int(i64::MIN + 1));

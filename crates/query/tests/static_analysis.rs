@@ -6,7 +6,8 @@
 //!   each with a byte-position-bearing diagnostic;
 //! * a property test for the checker's sound direction: on a pool mixing
 //!   well- and ill-typed fragments, every statement the checker accepts
-//!   runs on all three engines without a `Type`/`BadFunction` error;
+//!   runs at partitions 1 and 3 and on the reference interpreter without
+//!   a `Type`/`BadFunction` error;
 //! * the `EXPLAIN` refinement annotations (`refine=dict|kernel|general`)
 //!   derived from the inferred column types.
 //!
@@ -207,14 +208,11 @@ fn assert_accepted_runs_clean(c: &Catalog, sql: &str) -> Result<(), TestCaseErro
         // property under test is the sound direction only.
         return Ok(());
     }
-    for (label, opts) in [
-        ("serial", ExecOptions { partitions: 1, scan_aggregate: false, ..ExecOptions::default() }),
-        ("scan-aggregate", ExecOptions { partitions: 2, ..ExecOptions::default() }),
-    ] {
-        if let Err(e) = c.execute_query_with(&query, opts) {
+    for partitions in [1, 3] {
+        if let Err(e) = c.execute_query_with(&query, ExecOptions::with_partitions(partitions)) {
             prop_assert!(
                 !matches!(e, QueryError::Type(_) | QueryError::BadFunction(_)),
-                "checker accepted {sql} but {label} raised {e}"
+                "checker accepted {sql} but partitions={partitions} raised {e}"
             );
         }
     }

@@ -1,5 +1,7 @@
-//! Query execution over a *reopened* durable store: the four-way
-//! differential family query must be bit-identical to the in-memory run
+//! Query execution over a *reopened* durable store: the differential
+//! family query (partitions 1 and 3, over the TSDB binding and over the
+//! same observations as a plain table, plus the reference interpreter)
+//! must be bit-identical to the in-memory run
 //! (including after a torn WAL tail), and a time-filtered ScanAggregate
 //! must decode only the chunks its range overlaps.
 
@@ -33,31 +35,27 @@ fn fleet_points() -> Vec<(SeriesKey, i64, f64)> {
     points
 }
 
-/// Runs the family query serially, partition-parallel, with the
-/// scan-aggregate pushdown, and through the reference interpreter,
-/// asserting every engine over `db` matches the `baseline` rows exactly.
-fn assert_four_way_matches(db: &Tsdb, baseline: &Table) {
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", db);
+/// Runs the family query at partitions 1 and 3 over both backends of
+/// `db` — the TSDB binding (scan aggregate) and the sort-built table behind
+/// its `Catalog::get` registered as a plain table (table aggregate) — and
+/// through the reference interpreter, asserting all match `baseline`.
+fn assert_all_engines_match(db: &Tsdb, baseline: &Table) {
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", db);
+    let mut plain = Catalog::new();
+    plain.register("tsdb", bound.get("tsdb").expect("bound above").as_ref().clone());
     let query = parse_query(FAMILY_SQL).expect("family query parses");
-    let engines = [
-        ("serial", ExecOptions { partitions: 1, scan_aggregate: false, ..Default::default() }),
-        ("parallel", ExecOptions { partitions: 3, scan_aggregate: false, ..Default::default() }),
-        (
-            "scan-aggregate serial",
-            ExecOptions { partitions: 1, scan_aggregate: true, ..Default::default() },
-        ),
-        (
-            "scan-aggregate parallel",
-            ExecOptions { partitions: 3, scan_aggregate: true, ..Default::default() },
-        ),
-    ];
-    for (label, opts) in engines {
-        let out = catalog.execute_query_with(&query, opts).expect("family query runs");
-        assert_eq!(out.schema(), baseline.schema(), "{label} schema");
-        assert_eq!(out.rows(), baseline.rows(), "{label} rows vs in-memory baseline");
+    for (backend, catalog) in [("tsdb binding", &bound), ("plain table", &plain)] {
+        for partitions in [1, 3] {
+            let out = catalog
+                .execute_query_with(&query, ExecOptions::with_partitions(partitions))
+                .expect("family query runs");
+            let label = format!("{backend} partitions={partitions}");
+            assert_eq!(out.schema(), baseline.schema(), "{label} schema");
+            assert_eq!(out.rows(), baseline.rows(), "{label} rows vs in-memory baseline");
+        }
     }
-    let naive = execute_naive(&catalog, &query).expect("reference runs");
+    let naive = execute_naive(&bound, &query).expect("reference runs");
     assert_eq!(naive.rows(), baseline.rows(), "reference rows vs in-memory baseline");
 }
 
@@ -65,12 +63,7 @@ fn in_memory_baseline(db: &Tsdb) -> Table {
     let mut catalog = Catalog::new();
     catalog.register_tsdb("tsdb", db);
     let query = parse_query(FAMILY_SQL).expect("family query parses");
-    catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 1, scan_aggregate: false, ..Default::default() },
-        )
-        .expect("baseline runs")
+    catalog.execute_query_with(&query, ExecOptions::with_partitions(1)).expect("baseline runs")
 }
 
 #[test]
@@ -88,7 +81,7 @@ fn family_query_bit_identical_after_reopen() {
     let reopened = Tsdb::open(&dir).expect("reopen");
     let baseline = in_memory_baseline(&memory);
     assert!(!baseline.rows().is_empty(), "family query returns rows");
-    assert_four_way_matches(&reopened, &baseline);
+    assert_all_engines_match(&reopened, &baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -126,7 +119,7 @@ fn family_query_bit_identical_after_torn_wal_tail() {
 
     let reopened = Tsdb::open(&dir).expect("reopen over the torn tail");
     let baseline = in_memory_baseline(&memory);
-    assert_four_way_matches(&reopened, &baseline);
+    assert_all_engines_match(&reopened, &baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -165,12 +158,7 @@ fn time_filtered_scan_aggregate_decodes_only_overlapping_chunks() {
          GROUP BY tag['host']",
     )
     .expect("parses");
-    let out = catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 2, scan_aggregate: true, ..Default::default() },
-        )
-        .expect("runs");
+    let out = catalog.execute_query_with(&query, ExecOptions::with_partitions(2)).expect("runs");
     assert_eq!(out.len(), 3, "one group per host");
     assert_eq!(
         db.decode_count(),

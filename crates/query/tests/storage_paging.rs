@@ -1,4 +1,4 @@
-//! The four-way differential family query over a *demand-paged* store:
+//! The differential family query over a *demand-paged* store:
 //! whatever the page budget — zero, about one chunk, or unbounded — every
 //! engine must produce rows bit-identical to the fully-resident run,
 //! while the paging counters prove the tight budgets actually faulted
@@ -38,28 +38,26 @@ fn build_store(dir: &std::path::Path) -> Tsdb {
     db
 }
 
-fn run_four_ways(db: &Tsdb, baseline: &Table, label: &str) {
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", db);
+/// Partitions 1 and 3 over the TSDB binding (scan aggregate) and over the
+/// sort-built table behind its `Catalog::get` registered as a plain table
+/// (table aggregate), plus the reference interpreter.
+fn run_all_engines(db: &Tsdb, baseline: &Table, label: &str) {
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", db);
+    let mut plain = Catalog::new();
+    plain.register("tsdb", bound.get("tsdb").expect("bound above").as_ref().clone());
     let query = parse_query(FAMILY_SQL).expect("family query parses");
-    let engines = [
-        ("serial", ExecOptions { partitions: 1, scan_aggregate: false, ..Default::default() }),
-        ("parallel", ExecOptions { partitions: 3, scan_aggregate: false, ..Default::default() }),
-        (
-            "scan-aggregate serial",
-            ExecOptions { partitions: 1, scan_aggregate: true, ..Default::default() },
-        ),
-        (
-            "scan-aggregate parallel",
-            ExecOptions { partitions: 3, scan_aggregate: true, ..Default::default() },
-        ),
-    ];
-    for (engine, opts) in engines {
-        let out = catalog.execute_query_with(&query, opts).expect("family query runs");
-        assert_eq!(out.schema(), baseline.schema(), "{label}/{engine} schema");
-        assert_eq!(out.rows(), baseline.rows(), "{label}/{engine} rows vs resident baseline");
+    for (backend, catalog) in [("tsdb binding", &bound), ("plain table", &plain)] {
+        for partitions in [1, 3] {
+            let out = catalog
+                .execute_query_with(&query, ExecOptions::with_partitions(partitions))
+                .expect("family query runs");
+            let engine = format!("{backend} partitions={partitions}");
+            assert_eq!(out.schema(), baseline.schema(), "{label}/{engine} schema");
+            assert_eq!(out.rows(), baseline.rows(), "{label}/{engine} rows vs resident baseline");
+        }
     }
-    let naive = execute_naive(&catalog, &query).expect("reference runs");
+    let naive = execute_naive(&bound, &query).expect("reference runs");
     assert_eq!(naive.rows(), baseline.rows(), "{label}/reference rows vs resident baseline");
 }
 
@@ -68,7 +66,7 @@ fn family_query_bit_identical_under_every_page_budget() {
     let dir = tmp_dir("budgets");
     drop(build_store(&dir));
 
-    // Fully-resident baseline: unbounded reopen, plain serial engine.
+    // Fully-resident baseline: unbounded reopen, one partition.
     let resident = Tsdb::open(&dir).expect("unbounded reopen");
     let stats = resident.storage_stats().expect("stats");
     assert!(stats.chunks >= 12, "several chunks per series on disk");
@@ -76,14 +74,10 @@ fn family_query_bit_identical_under_every_page_budget() {
     let mut catalog = Catalog::new();
     catalog.register_tsdb("tsdb", &resident);
     let query = parse_query(FAMILY_SQL).expect("family query parses");
-    let baseline = catalog
-        .execute_query_with(
-            &query,
-            ExecOptions { partitions: 1, scan_aggregate: false, ..Default::default() },
-        )
-        .expect("baseline runs");
+    let baseline =
+        catalog.execute_query_with(&query, ExecOptions::with_partitions(1)).expect("baseline runs");
     assert!(!baseline.rows().is_empty(), "family query returns rows");
-    run_four_ways(&resident, &baseline, "unbounded");
+    run_all_engines(&resident, &baseline, "unbounded");
     drop(resident);
 
     for (label, budget) in [("budget-zero", 0), ("budget-one-chunk", one_chunk)] {
@@ -92,7 +86,7 @@ fn family_query_bit_identical_under_every_page_budget() {
         let db = Tsdb::open_read_only_with(&dir, options).expect("paged reopen");
         let before = db.storage_stats().expect("stats");
         assert_eq!(before.resident_chunk_bytes, 0, "{label}: cold open keeps nothing resident");
-        run_four_ways(&db, &baseline, label);
+        run_all_engines(&db, &baseline, label);
         let after = db.storage_stats().expect("stats");
         assert!(after.page_faults > 0, "{label}: the query faulted chunks in");
         assert!(after.evictions > 0, "{label}: budget pressure forced evictions");

@@ -60,8 +60,8 @@ fn print_usage() {
         "ExplainIt! — declarative root-cause analysis for time series\n\n\
          USAGE:\n  explainit simulate --out FILE | --data-dir DIR [--fault KIND] [--minutes N] [--seed N] [--retention N]\n\
          \x20 explainit sql FILE|--data-dir DIR \"STMT; STMT; ...\" | explainit sql FILE -f SCRIPT.sql\n\
-         \x20     [--partitions N] [--no-scan-agg] [--page-budget BYTES]\n\
-         \x20     (executor tuning; defaults: auto, pushdown on. --data-dir opens read-only,\n\
+         \x20     [--partitions N] [--page-budget BYTES]\n\
+         \x20     (executor tuning; default: one partition per core. --data-dir opens read-only,\n\
          \x20      demand-paged under --page-budget — 0 or unset means unbounded)\n\
          \x20 explainit rank FILE [--target FAMILY] [--condition A,B] [--scorer NAME] [--top K]\n\
          \x20 explainit explain FILE --candidate FAMILY [--target FAMILY] [--condition A,B]\n\
@@ -248,10 +248,6 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
                 let n = args.get(consumed + 1).ok_or("--partitions requires a count")?;
                 opts.partitions = n.parse().map_err(|e| format!("--partitions: {e}"))?;
                 consumed += 2;
-            }
-            "--no-scan-agg" => {
-                opts.scan_aggregate = false;
-                consumed += 1;
             }
             // Consumed by the open above (flag() scans the whole argv);
             // recognized here so it doesn't trip the trailing-args check.

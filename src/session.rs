@@ -256,10 +256,10 @@ impl Session {
         self.engine.add_family(family);
     }
 
-    /// Sets the executor options (partition count, scan-aggregate
-    /// pushdown) used by every subsequent statement's queries — the CLI's
-    /// `sql --partitions N` / `--no-scan-agg` flags land here, and the
-    /// partition-sweep end-to-end test drives it directly.
+    /// Sets the executor options (the partition count) used by every
+    /// subsequent statement's queries — the CLI's `sql --partitions N`
+    /// flag lands here, and the partition-sweep end-to-end test drives it
+    /// directly.
     pub fn set_exec_options(&mut self, opts: ExecOptions) {
         self.exec_options = opts;
     }

@@ -1,9 +1,8 @@
 //! End-to-end scenario test: the multi-fault workload driven through the
 //! CLI's `sql -f` script path — simulate → CREATE FAMILY → EXPLAIN FOR →
 //! SELECT over `ranking` — asserting the top-k ranking is *identical* at
-//! every partition count, with the scan-aggregate pushdown on and off.
-//! The stage-one family query runs through the executor, so any
-//! partition- or pushdown-dependence in aggregation would change the
+//! every partition count. The stage-one family query runs through the
+//! executor, so any partition-dependence in aggregation would change the
 //! frames, the scores, and therefore this byte-compared output.
 
 use std::process::Command;
@@ -74,22 +73,14 @@ fn multi_fault_top_k_is_stable_across_partition_counts() {
             .join("\n")
     };
 
-    let baseline = run(&["--partitions", "1", "--no-scan-agg"]);
+    let baseline = run(&["--partitions", "1"]);
     assert!(baseline.contains("(8 rows)"), "TOP 8 ranking rendered:\n{baseline}");
     assert!(baseline.contains("pipeline_runtime"), "target named:\n{baseline}");
 
-    // Partition sweep × pushdown toggle: identical bytes, not just
-    // identical top entries.
+    // Partition sweep: identical bytes, not just identical top entries.
     for partitions in ["1", "2", "4"] {
-        for pushdown_flags in [&[][..], &["--no-scan-agg"][..]] {
-            let mut extra = vec!["--partitions", partitions];
-            extra.extend_from_slice(pushdown_flags);
-            let got = run(&extra);
-            assert_eq!(
-                got, baseline,
-                "ranking diverged at partitions={partitions} flags={pushdown_flags:?}"
-            );
-        }
+        let got = run(&["--partitions", partitions]);
+        assert_eq!(got, baseline, "ranking diverged at partitions={partitions}");
     }
 
     let _ = std::fs::remove_file(&script_file);
@@ -126,7 +117,7 @@ fn sql_rejects_bad_executor_flags() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected trailing argument"));
 
-    // The tuning flags themselves are accepted.
+    // The tuning flag itself is accepted.
     let out = bin()
         .args([
             "sql",
@@ -134,7 +125,6 @@ fn sql_rejects_bad_executor_flags() {
             "SELECT COUNT(*) AS n FROM tsdb",
             "--partitions",
             "2",
-            "--no-scan-agg",
         ])
         .output()
         .expect("binary runs");
