@@ -4,9 +4,11 @@
 //! 1. **No `as f64` in the exactness-critical kernels** — the typed kernel
 //!    and vectorized-evaluator paths compare `i64` values exactly; casting
 //!    through `f64` silently rounds values above 2^53. Flagged in
-//!    `crates/query/src/kernel.rs` and `crates/query/src/veval.rs` unless
-//!    the line carries a `lint: allow as f64` marker explaining why the
-//!    cast is exact (or deliberately widening).
+//!    `crates/query/src/kernel.rs` and `crates/query/src/veval.rs` (the
+//!    typed loops, and the one copy of the Int/Float/big-Int comparison
+//!    ladder that feeds them) unless the line carries a
+//!    `lint: allow as f64` marker explaining why the cast is exact (or
+//!    deliberately widening).
 //! 2. **No `unwrap()`/`expect()` in query library code or anywhere in
 //!    the store** — outside `#[cfg(test)]` modules, every potential panic
 //!    site in `crates/query/src` and `crates/tsdb/src` (all of it, the
@@ -22,6 +24,13 @@
 //!    `LockClass` rank and lockdep order checking; naming the std types
 //!    anywhere else needs a `lint: allow raw lock` marker explaining why
 //!    the lock must stay untracked.
+//! 5. **No row shim under the executor** — in `crates/query/src`, outside
+//!    `eval.rs` (the row walker), `reference.rs` (the oracle built on it)
+//!    and `#[cfg(test)]` modules, nothing calls `eval_row`,
+//!    `eval_with_rows`, `Table::rows` or `into_rows`: every operator
+//!    evaluates expressions through the column evaluator (`veval.rs`), so
+//!    the row-at-a-time fallback cannot creep back. A `lint: allow row
+//!    shim` marker on the line is the escape hatch.
 //!
 //! The binary prints one `file:line: message` per finding and exits
 //! non-zero when any rule fires. It reads sources directly and uses only
@@ -41,6 +50,7 @@ fn main() -> ExitCode {
     lint_panics(&root, &mut findings);
     lint_forbid_unsafe(&root, &mut findings);
     lint_raw_locks(&root, &mut findings);
+    lint_row_shim(&root, &mut findings);
 
     if findings.is_empty() {
         println!("lint: all checks passed");
@@ -215,6 +225,40 @@ fn lint_raw_locks(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// The row-walker entry point a stripped code line calls, if any
+/// (definitions of the `Table` methods themselves are not calls).
+fn row_shim_call(code: &str) -> Option<&'static str> {
+    if code.contains("fn rows(") || code.contains("fn into_rows(") {
+        return None;
+    }
+    ["eval_row", "eval_with_rows", "into_rows"]
+        .into_iter()
+        .find(|name| has_word(code, name))
+        .or_else(|| code.contains(".rows()").then_some("Table::rows"))
+}
+
+/// Rule 5: the executor layers never reach the row walker.
+fn lint_row_shim(root: &Path, findings: &mut Vec<String>) {
+    for path in rust_files_under(&root.join("crates/query/src")) {
+        if path.file_name().is_some_and(|n| n == "eval.rs" || n == "reference.rs") {
+            continue;
+        }
+        let source = read(&path);
+        let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+        for (lineno, raw, code) in library_code_lines(&source) {
+            if raw.contains("lint: allow row shim") {
+                continue;
+            }
+            if let Some(name) = row_shim_call(&code) {
+                findings.push(format!(
+                    "{rel}:{lineno}: `{name}` outside the row walker and its oracle \
+                     (evaluate through veval, or mark `lint: allow row shim`)"
+                ));
+            }
+        }
+    }
+}
+
 /// Yields `(line number, raw line, comment-and-string-stripped line)` for
 /// the library region of a source file — everything before the first
 /// `#[cfg(test)]` line (test modules sit at the end of every file in this
@@ -325,6 +369,16 @@ mod tests {
     }
 
     #[test]
+    fn row_shim_calls_are_recognised() {
+        assert_eq!(row_shim_call("let v = eval_row(e, schema, row)?;"), Some("eval_row"));
+        assert_eq!(row_shim_call("use crate::eval::{eval_with_rows};"), Some("eval_with_rows"));
+        assert_eq!(row_shim_call("for row in t.rows() {"), Some("Table::rows"));
+        assert_eq!(row_shim_call("let rows = part.into_rows();"), Some("into_rows"));
+        assert_eq!(row_shim_call("pub fn rows(&self) -> &[Vec<Value>] {"), None);
+        assert_eq!(row_shim_call("let narrows = eval_rows(x);"), None);
+    }
+
+    #[test]
     fn whole_tree_is_clean() {
         let root = repo_root();
         let mut findings = Vec::new();
@@ -332,6 +386,7 @@ mod tests {
         lint_panics(&root, &mut findings);
         lint_forbid_unsafe(&root, &mut findings);
         lint_raw_locks(&root, &mut findings);
+        lint_row_shim(&root, &mut findings);
         assert!(findings.is_empty(), "lint findings:\n{}", findings.join("\n"));
     }
 }

@@ -340,32 +340,69 @@ impl Expr {
         Expr::Literal(v.into())
     }
 
-    /// True if any node in this expression is an aggregate function call.
-    pub fn contains_aggregate(&self) -> bool {
+    /// Calls `f` on this expression and every sub-expression, parents first.
+    pub(crate) fn walk<'e>(&'e self, f: &mut impl FnMut(&'e Expr)) {
+        f(self);
         match self {
-            Expr::Function { name, args } => {
-                crate::functions::is_aggregate(name) || args.iter().any(Expr::contains_aggregate)
-            }
+            Expr::Literal(_) | Expr::Column(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
+                left.walk(f);
+                right.walk(f);
             }
-            Expr::Unary { operand, .. } => operand.contains_aggregate(),
+            Expr::Unary { operand, .. } => operand.walk(f),
+            Expr::Function { args, .. } => args.iter().for_each(|a| a.walk(f)),
             Expr::Index { container, index } => {
-                container.contains_aggregate() || index.contains_aggregate()
+                container.walk(f);
+                index.walk(f);
             }
             Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
+                expr.walk(f);
+                list.iter().for_each(|e| e.walk(f));
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate()
+                expr.walk(f);
+                low.walk(f);
+                high.walk(f);
             }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
+            Expr::IsNull { expr, .. } => expr.walk(f),
             Expr::Case { when_then, else_expr } => {
-                when_then.iter().any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr.as_ref().is_some_and(|e| e.contains_aggregate())
+                for (c, v) in when_then {
+                    c.walk(f);
+                    v.walk(f);
+                }
+                if let Some(e) = else_expr {
+                    e.walk(f);
+                }
             }
-            Expr::Literal(_) | Expr::Column(_) => false,
         }
+    }
+
+    /// True if any node is a call to a function `pred` accepts.
+    fn calls(&self, pred: fn(&str) -> bool) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| found |= matches!(e, Expr::Function { name, .. } if pred(name)));
+        found
+    }
+
+    /// True if any node in this expression is an aggregate function call.
+    pub fn contains_aggregate(&self) -> bool {
+        self.calls(crate::functions::is_aggregate)
+    }
+
+    /// True if any node in this expression is a window call (`LAG`/`LEAD`).
+    pub fn contains_window(&self) -> bool {
+        self.calls(crate::functions::is_window)
+    }
+
+    /// The column names this expression references, in source order.
+    pub(crate) fn columns(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        self.walk(&mut |e| {
+            if let Expr::Column(c) = e {
+                out.push(c.as_str());
+            }
+        });
+        out
     }
 
     /// A display name for unaliased projections (mirrors common SQL engines:

@@ -1,14 +1,25 @@
-//! Expression evaluation.
+//! Expression semantics, one value at a time. This module has two jobs:
 //!
-//! Two contexts exist:
-//! * **row context** — scalar evaluation against one row (WHERE, ON, GROUP
-//!   BY keys), where aggregate and window calls are errors;
-//! * **projection context** — evaluation with access to all input rows and
-//!   the current row index, which makes `LAG`/`LEAD` work (§3.5's lagged
-//!   features);
-//! * **group context** — evaluation over a group of rows where aggregate
-//!   calls consume the whole group and everything else is evaluated on the
-//!   group's first row.
+//! 1. **The scalar semantics every layer calls** — `eval_unary`,
+//!    `eval_binary`, `eval_and`/`eval_or`, `eval_index`,
+//!    `sql_like`: what an operator means on already-evaluated values.
+//!    The column evaluator ([`crate::veval`]) decides over which rows
+//!    these run; it never re-implements them.
+//! 2. **The row walker, which is the oracle.** [`eval_with_rows`] (and its
+//!    one-row form [`eval_row`], and [`eval_group`] over a group) walks an
+//!    expression for one row at a time. [`crate::reference`] is built on
+//!    it and the tests compare the executor against it; the executor
+//!    itself only reaches it through `eval_in_group`, once per *group*,
+//!    to finish a post-aggregate output.
+//!
+//! The walker's contexts:
+//! * **row context** — one row (WHERE, ON, GROUP BY keys, aggregate
+//!   arguments): aggregate calls are errors and a window call sees only
+//!   its own row;
+//! * **projection context** — all input rows plus the current row index,
+//!   which makes `LAG`/`LEAD` work (§3.5's lagged features);
+//! * **group context** — aggregate calls consume the whole group and
+//!   everything else is evaluated on the group's first row.
 
 use std::cmp::Ordering;
 
@@ -250,15 +261,17 @@ fn eval_window(
             .ok_or_else(|| QueryError::Type(format!("{name} offset must be integer")))?,
         None => 1,
     };
-    let target = if name == "LAG" { idx as i64 - offset } else { idx as i64 + offset };
-    if target < 0 || target as usize >= rows.len() {
+    // Checked: an offset near the i64 extremes is simply out of range.
+    let idx_i = idx as i64;
+    let target = if name == "LAG" { idx_i.checked_sub(offset) } else { idx_i.checked_add(offset) };
+    match target.filter(|t| (0..rows.len() as i64).contains(t)) {
+        Some(target) => eval_with_rows(&args[0], schema, rows, target as usize),
         // Default value argument, else NULL.
-        return match args.get(2) {
+        None => match args.get(2) {
             Some(e) => eval_with_rows(e, schema, rows, idx),
             None => Ok(Value::Null),
-        };
+        },
     }
-    eval_with_rows(&args[0], schema, rows, target as usize)
 }
 
 pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
@@ -268,7 +281,9 @@ pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
                 return Ok(Value::Null);
             }
             match v {
-                Value::Int(i) => Ok(Value::Int(-i)),
+                // `0 - i`: `-i64::MIN` promotes to the exact Float like
+                // every other Int overflow.
+                Value::Int(i) => eval_binary(BinaryOp::Sub, Value::Int(0), Value::Int(i)),
                 Value::Float(f) => Ok(Value::Float(-f)),
                 other => Err(QueryError::Type(format!("cannot negate {other}"))),
             }

@@ -2,25 +2,28 @@
 //!
 //! [`execute`] runs the three-stage pipeline: lower the AST to a logical
 //! plan ([`crate::plan::build`]), rewrite it ([`crate::optimize::optimize`])
-//! and interpret the optimized tree over typed [`Column`] vectors. The
-//! operators are vectorized where [`crate::veval`] supports the expression
-//! and fall back to the row-compat shim (`Table::rows`) for window
-//! functions, CASE and scalar function calls — mirroring the retained
-//! row-at-a-time oracle in [`crate::reference`].
+//! and interpret the optimized tree. This module's single job is the
+//! *operators* — scan gather, filter, projection, aggregation, join, sort,
+//! union — over typed [`Column`] vectors: which rows flow where, in what
+//! order, on how many workers. Every expression they meet goes to the one
+//! column evaluator ([`crate::veval`]); no operator builds a row or calls
+//! the row walker (`explainit-lint` enforces that), which stays the oracle
+//! behind [`crate::reference`].
 //!
 //! **Partition parallelism.** Operators split their input by its size
 //! ([`ExecOptions::partitions`]) on a scoped worker pool (the
 //! hypothesis-scoring idiom from `explainit-core`), and serial execution is
-//! the one-morsel case of the same code: the table aggregate builds
-//! *partial aggregate states* ([`AggAcc`]) per row morsel — applying the
-//! `Filter`s peeled off a [`LogicalPlan::Exchange`]-marked pipeline per
-//! morsel too — and one shared step merges partials in morsel order,
-//! finishes them and assembles the output; the scan-level aggregate hands
-//! its per-series-span partials to that same step. Merging is exactly
-//! fold-equivalent (error-free float sums, integer counts, per-class
-//! MIN/MAX candidates, PERCENTILE value gathering), so an answer is
-//! bit-identical at every partition count — the differential suite asserts
-//! partitions 1 and 3 both equal the reference.
+//! the one-morsel case of the same code. The projection and the table
+//! aggregate peel the `Filter` chain under them and run it per row morsel;
+//! the projection concatenates morsel outputs in order (a window call reads
+//! across rows, so it forces one morsel), the aggregate builds *partial
+//! aggregate states* ([`AggAcc`]) per morsel and one shared step merges
+//! partials in morsel order, finishes them and assembles the output; the
+//! scan-level aggregate hands its per-series-span partials to that same
+//! step. Merging is exactly fold-equivalent (error-free float sums, integer
+//! counts, per-class MIN/MAX candidates, PERCENTILE value gathering), so an
+//! answer is bit-identical at every partition count — the differential
+//! suite asserts partitions 1 and 3 both equal the reference.
 //!
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
@@ -44,20 +47,20 @@ static EXEC_RESULTS: LockClass = LockClass::new("query.exec.results", 90);
 use crate::ast::{Expr, JoinKind, Query};
 use crate::catalog::{Catalog, TsdbBinding};
 use crate::column::Column;
-use crate::eval::{eval_in_group, eval_row, eval_with_rows, grouped_aggregates};
+use crate::eval::{eval_in_group, grouped_aggregates};
 use crate::functions::{is_aggregate, AggAcc};
-use crate::optimize::{map_columns, optimize, peel_filter_chain};
+use crate::optimize::{fold_expr, map_columns, optimize, peel_filter_chain};
 use crate::plan::{build, equi_join_keys, LogicalPlan, TSDB_COLUMNS};
 use crate::table::{Schema, Table};
 use crate::value::Value;
-use crate::veval;
+use crate::veval::{self, ColView};
 use crate::{QueryError, Result};
 
 /// Execution options for the columnar pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
-    /// Morsel count for the table aggregate, [`LogicalPlan::Exchange`]
-    /// projections, the scan gather and the scan-aggregate operator.
+    /// Morsel count for the projection, the table aggregate, the scan
+    /// gather and the scan-aggregate operator.
     ///
     /// * `0` — auto (the default): one partition per available core,
     ///   capped so each morsel keeps at least [`MIN_PARTITION_ROWS`] rows;
@@ -176,53 +179,32 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             Ok(t.with_schema(schema))
         }
 
-        LogicalPlan::Filter { input, predicate } => {
-            // Fully vectorizable Filter chains (the optimizer's
-            // cost-ordered residuals) fuse into one selection vector over
-            // the source columns, innermost first — no intermediate Table
-            // or column materialization per node.
+        LogicalPlan::Filter { .. } => {
+            // The whole chain (the optimizer's cost-ordered residuals)
+            // fuses into one selection vector over the source columns,
+            // innermost first; the survivors gather once at the end.
             let (filters, source) = peel_filter_chain(plan);
-            if filters.iter().all(|p| veval::supported(p)) {
-                let t = run_plan(ctx, source, opts)?;
-                if t.is_empty() {
-                    return Ok(t);
-                }
-                let (schema, cols, len) = t.into_columnar_parts();
-                let (cols, len) = apply_filters(&filters, &schema, cols, len)?;
-                return Ok(Table::from_columnar_parts(schema, cols, len));
-            }
-            let t = run_plan(ctx, input, opts)?;
-            if t.is_empty() {
-                // Per-row semantics: an empty input never evaluates the
-                // predicate (so e.g. ambiguous references cannot error),
-                // matching the reference interpreter.
-                return Ok(t);
-            }
-            if veval::supported(predicate) {
-                // Supported predicate above an unsupported inner chain.
-                let (schema, cols, len) = t.into_columnar_parts();
-                let (cols, len) = apply_filters(&[predicate], &schema, cols, len)?;
-                return Ok(Table::from_columnar_parts(schema, cols, len));
-            }
-            // Row fallback (window functions, CASE, scalar calls).
-            let mut mask = Vec::with_capacity(t.len());
-            for row in t.rows() {
-                mask.push(eval_row(predicate, t.schema(), row)?.is_true());
-            }
-            let kept = mask.iter().filter(|&&m| m).count();
-            let (schema, cols, _) = t.into_columnar_parts();
-            let filtered: Vec<Column> = cols.iter().map(|c| c.filter(&mask)).collect();
-            Ok(Table::from_columnar_parts(schema, filtered, kept))
+            let t = run_plan(ctx, source, opts)?;
+            let kept = match morsel_columns(&t, &filters, 0, t.len())? {
+                (std::borrow::Cow::Owned(cols), len) => Some((cols, len)),
+                _ => None, // nothing dropped
+            };
+            Ok(match kept {
+                Some((cols, len)) => Table::from_columnar_parts(t.schema().clone(), cols, len),
+                None => t,
+            })
         }
 
         LogicalPlan::Project { input, items, hidden } => {
-            let t = run_plan(ctx, input, opts)?;
-            run_project(&t, items, hidden)
+            let (filters, source) = peel_filter_chain(input);
+            let src = run_plan(ctx, source, opts)?;
+            run_project(&src, &filters, items, hidden, opts)
         }
 
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let t = run_plan(ctx, input, opts)?;
-            run_aggregate(&t, &[], group_by, items, hidden, opts)
+            let (filters, source) = peel_filter_chain(input);
+            let src = run_plan(ctx, source, opts)?;
+            run_aggregate(&src, &filters, group_by, items, hidden, opts)
         }
 
         LogicalPlan::Join { left, right, kind, on, stats } => {
@@ -230,8 +212,6 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             let r = run_plan(ctx, right, opts)?;
             run_join(l, r, *kind, on, stats.is_some_and(|s| s.build_left))
         }
-
-        LogicalPlan::Exchange { input } => run_exchange(ctx, input, opts),
 
         LogicalPlan::Sort { input, keys, output_width } => {
             let t = run_plan(ctx, input, opts)?;
@@ -416,7 +396,7 @@ fn run_tsdb_scan(
     };
 
     // Per-row column materialization runs morsel-parallel on the worker
-    // pool (the serial term of the exchange pipelines' Amdahl ceiling);
+    // pool (the serial term of every pipeline above it);
     // chunks concatenate in order, so the output is identical to the
     // single-threaded gather.
     let ranges = morsel_ranges(total, effective_partitions(opts, total));
@@ -616,63 +596,63 @@ fn project_names(items: &[(Expr, String)], hidden_count: usize) -> Schema {
     Schema::new(names)
 }
 
-fn run_project(t: &Table, items: &[(Expr, String)], hidden: &[Expr]) -> Result<Table> {
-    let len = t.len();
-    if len == 0 {
-        // Per-row semantics: nothing is evaluated over an empty input.
-        let cols = vec![Column::empty(); items.len() + hidden.len()];
-        return Ok(Table::from_columnar_parts(project_names(items, hidden.len()), cols, 0));
-    }
+/// The one projection. The source is cut into row morsels by size (serial
+/// execution is the one-morsel case); each morsel runs the peeled filter
+/// chain and evaluates every output expression over its survivors, and the
+/// outputs concatenate in morsel order. A window call reads its neighbours
+/// across the whole filtered input, so it forces one morsel.
+fn run_project(
+    src: &Table,
+    filters: &[&Expr],
+    items: &[(Expr, String)],
+    hidden: &[Expr],
+    opts: &ExecOptions,
+) -> Result<Table> {
+    let len = src.len();
+    let out_schema = project_names(items, hidden.len());
     let exprs: Vec<&Expr> = items.iter().map(|(e, _)| e).chain(hidden.iter()).collect();
-    let mut out_cols: Vec<Column> = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let col = if veval::supported(e) {
-            veval::eval(e, t.schema(), t.columns(), len)?.into_column(len)
-        } else {
-            // Row fallback: window functions see the full input rows.
-            let rows = t.rows();
-            let mut vals = Vec::with_capacity(len);
-            for idx in 0..len {
-                vals.push(eval_with_rows(e, t.schema(), rows, idx)?);
-            }
-            Column::from_values(vals)
-        };
-        out_cols.push(col);
+    let windowed = exprs.iter().any(|e| e.contains_window());
+    let partitions = if windowed { 1 } else { effective_partitions(opts, len) };
+    // No rows, no morsels: nothing is evaluated over an empty input.
+    let ranges = morsel_ranges(len, partitions);
+    let parts = run_partitioned(ranges.len(), |m| -> Result<(Vec<Column>, usize)> {
+        let (a, b) = ranges[m];
+        let (cols, mlen) = morsel_columns(src, filters, a, b)?;
+        if mlen == 0 {
+            return Ok((Vec::new(), 0));
+        }
+        let mut out = Vec::with_capacity(exprs.len());
+        for e in &exprs {
+            out.push(veval::eval_projection(e, src.schema(), &cols, mlen)?.into_column(mlen));
+        }
+        Ok((out, mlen))
+    })?;
+
+    // Order-preserving concatenation of morsel outputs.
+    let mut parts = parts.into_iter().filter(|(_, l)| *l > 0);
+    let Some((mut cols, mut total)) = parts.next() else {
+        return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); exprs.len()], 0));
+    };
+    for (pcols, plen) in parts {
+        total += plen;
+        for (acc, pc) in cols.iter_mut().zip(pcols) {
+            acc.append_preserving(pc);
+        }
     }
-    Ok(Table::from_columnar_parts(project_names(items, hidden.len()), out_cols, len))
+    Ok(Table::from_columnar_parts(out_schema, cols, total))
 }
 
 // ---------------------------------------------------------------------------
 // Morsels: partitioning by input size
 // ---------------------------------------------------------------------------
 
-/// Applies a peeled filter chain (innermost first) to morsel columns: one
-/// selection vector flows through every predicate (each refined in place by
-/// the typed kernels) and the surviving rows gather **once** at the end —
-/// no intermediate column materialization per predicate.
-fn apply_filters(
-    filters: &[&Expr],
-    schema: &Schema,
-    cols: Vec<Column>,
-    len: usize,
-) -> Result<(Vec<Column>, usize)> {
-    let mut sel: Vec<u32> = (0..len as u32).collect();
-    for pred in filters.iter().rev() {
-        if sel.is_empty() {
-            break; // per-row semantics: empty inputs never evaluate
-        }
-        veval::refine(pred, schema, &cols, &mut sel)?;
-    }
-    if sel.len() == len {
-        return Ok((cols, len)); // nothing dropped: reuse the columns as-is
-    }
-    let gathered: Vec<Column> = cols.iter().map(|c| c.gather_u32(&sel)).collect();
-    Ok((gathered, sel.len()))
-}
-
 /// One morsel's input columns: rows `[a, b)` of `src` through the peeled
-/// filter chain. The whole-table, filter-free morsel (every serially run
-/// plain `Aggregate`) borrows the source columns as they are.
+/// filter chain (outermost first, so applied in reverse). One selection
+/// vector of source row ids flows through every predicate — each refines
+/// it in place over the source columns — and the surviving rows gather
+/// **once** at the end: no intermediate column per predicate. The
+/// whole-table morsel nothing was dropped from borrows the source columns
+/// as they are.
 fn morsel_columns<'t>(
     src: &'t Table,
     filters: &[&Expr],
@@ -680,12 +660,19 @@ fn morsel_columns<'t>(
     b: usize,
 ) -> Result<(std::borrow::Cow<'t, [Column]>, usize)> {
     use std::borrow::Cow;
-    if filters.is_empty() && a == 0 && b == src.len() {
-        return Ok((Cow::Borrowed(src.columns()), b));
+    let views: Vec<ColView> = src.columns().iter().map(ColView::from).collect();
+    let mut sel: Vec<u32> = (a as u32..b as u32).collect();
+    for pred in filters.iter().rev() {
+        // Per-row semantics: once nothing survives, nothing is evaluated.
+        veval::refine(pred, src.schema(), &views, src.len(), &mut sel)?;
     }
-    let cols: Vec<Column> = src.columns().iter().map(|c| c.slice(a, b)).collect();
-    let (cols, len) = apply_filters(filters, src.schema(), cols, b - a)?;
-    Ok((Cow::Owned(cols), len))
+    Ok(if sel.len() < b - a {
+        (Cow::Owned(views.iter().map(|c| c.gather(&sel)).collect()), sel.len())
+    } else if a == 0 && b == src.len() {
+        (Cow::Borrowed(src.columns()), b)
+    } else {
+        (Cow::Owned(src.columns().iter().map(|c| c.slice(a, b)).collect()), b - a)
+    })
 }
 
 /// Resolves the morsel count for `len` rows under the options.
@@ -777,65 +764,6 @@ fn run_partitioned<T: Send>(
     let mut collected = results.into_inner();
     collected.sort_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Executes an [`LogicalPlan::Exchange`]-marked pipeline morsel-parallel.
-fn run_exchange(ctx: &ExecCtx, input: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
-    match input {
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let (filters, source) = peel_filter_chain(input);
-            let src = run_plan(ctx, source, opts)?;
-            run_aggregate(&src, &filters, group_by, items, hidden, opts)
-        }
-        LogicalPlan::Project { input, items, hidden } => {
-            let (filters, source) = peel_filter_chain(input);
-            let src = run_plan(ctx, source, opts)?;
-            run_parallel_project(&src, &filters, items, hidden, opts)
-        }
-        // The optimizer only marks Aggregate/Project pipelines; anything
-        // else runs serially.
-        other => run_plan(ctx, other, opts),
-    }
-}
-
-fn run_parallel_project(
-    src: &Table,
-    filters: &[&Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-    opts: &ExecOptions,
-) -> Result<Table> {
-    let len = src.len();
-    let out_schema = project_names(items, hidden.len());
-    let width = items.len() + hidden.len();
-    let exprs: Vec<&Expr> = items.iter().map(|(e, _)| e).chain(hidden.iter()).collect();
-    let ranges = morsel_ranges(len, effective_partitions(opts, len));
-    let parts = run_partitioned(ranges.len(), |m| -> Result<(Vec<Column>, usize)> {
-        let (a, b) = ranges[m];
-        let (cols, mlen) = morsel_columns(src, filters, a, b)?;
-        if mlen == 0 {
-            return Ok((Vec::new(), 0));
-        }
-        let mut out = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            out.push(veval::eval(e, src.schema(), &cols, mlen)?.into_column(mlen));
-        }
-        Ok((out, mlen))
-    })?;
-
-    // Order-preserving concatenation of morsel outputs.
-    let mut parts = parts.into_iter().filter(|(_, l)| *l > 0);
-    let (mut cols, mut total) = match parts.next() {
-        Some(first) => first,
-        None => return Ok(Table::from_columnar_parts(out_schema, vec![Column::empty(); width], 0)),
-    };
-    for (pcols, plen) in parts {
-        total += plen;
-        for (acc, pc) in cols.iter_mut().zip(pcols) {
-            acc.append_preserving(pc);
-        }
-    }
-    Ok(Table::from_columnar_parts(out_schema, cols, total))
 }
 
 // ---------------------------------------------------------------------------
@@ -972,21 +900,10 @@ fn aggregate_morsel(
     if len == 0 {
         return Ok(Vec::new());
     }
-    // Vectorized where possible; CASE, scalar calls and window functions
-    // evaluate per row over a lazily built row shim of the morsel.
-    let mut shim: Option<Vec<Vec<Value>>> = None;
-    let mut eval_col = |e: &Expr| -> Result<Column> {
-        if veval::supported(e) {
-            return Ok(veval::eval(e, schema, cols, len)?.into_column(len));
-        }
-        let rows = shim.get_or_insert_with(|| {
-            (0..len).map(|r| cols.iter().map(|c| c.get(r)).collect()).collect()
-        });
-        let vals: Result<Vec<Value>> = rows.iter().map(|row| eval_row(e, schema, row)).collect();
-        Ok(Column::from_values(vals?))
-    };
-    let key_cols: Vec<Column> = group_by.iter().map(&mut eval_col).collect::<Result<_>>()?;
-    let key_refs: Vec<&Column> = key_cols.iter().collect();
+    // Keys and arguments are row context: a window call sees its own row.
+    let eval_col =
+        |e: &Expr| -> Result<Column> { Ok(veval::eval(e, schema, cols, len)?.into_column(len)) };
+    let key_cols: Vec<Column> = group_by.iter().map(eval_col).collect::<Result<_>>()?;
 
     // Bucket row indices by key, preserving first-seen order. When every
     // key column is dictionary-encoded, rows group directly on dictionary
@@ -1000,7 +917,8 @@ fn aggregate_morsel(
     } else {
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (row, key) in veval::group_key_strings(&key_cols, len).into_iter().enumerate() {
+        let key_refs: Vec<&Column> = key_cols.iter().collect();
+        for (row, key) in veval::group_key_strings(&key_refs, len).into_iter().enumerate() {
             let slot = *index.entry(key).or_insert(groups.len());
             if slot == groups.len() {
                 groups.push(Vec::new());
@@ -1011,13 +929,17 @@ fn aggregate_morsel(
     };
 
     // Each group's first row names it: its rendered key is the merge key.
-    let mut groups: Vec<(String, GroupPartial)> = row_groups
-        .iter()
-        .map(|rows| {
-            let first = rows[0];
+    let firsts: Vec<usize> = row_groups.iter().map(|rows| rows[0]).collect();
+    let first_keys: Vec<Column> = key_cols.iter().map(|c| c.gather(&firsts)).collect();
+    let merge_keys = veval::group_key_strings(&first_keys.iter().collect::<Vec<_>>(), firsts.len());
+    let mut groups: Vec<(String, GroupPartial)> = merge_keys
+        .into_iter()
+        .zip(&firsts)
+        .enumerate()
+        .map(|(g, (key, &first))| {
             let partial = GroupPartial {
                 order: ((base + first) as i64, 0),
-                keys: key_cols.iter().map(|c| c.get(first)).collect(),
+                keys: first_keys.iter().map(|c| c.get(g)).collect(),
                 first_row: if keep_first {
                     cols.iter().map(|c| c.get(first)).collect()
                 } else {
@@ -1025,12 +947,12 @@ fn aggregate_morsel(
                 },
                 accs: Vec::with_capacity(specs.len()),
             };
-            (join_key_at(&key_refs, first).1, partial)
+            (key, partial)
         })
         .collect();
     let mut scratch: Vec<Value> = Vec::new();
     for (name, args) in specs {
-        let arg_cols: Vec<Column> = args.iter().map(&mut eval_col).collect::<Result<_>>()?;
+        let arg_cols: Vec<Column> = args.iter().map(eval_col).collect::<Result<_>>()?;
         // Typed fold: a single Float/Int-shaped argument folds each group
         // straight over its (slice, row-selection, validity) triple — no
         // per-row `Value` boxing (push-equivalent, and single-argument
@@ -1062,7 +984,7 @@ fn aggregate_morsel(
     Ok(groups)
 }
 
-/// The exchange step every aggregate shares: merges per-morsel partials in
+/// The merge step every aggregate shares: merges per-morsel partials in
 /// morsel order (exactly fold-equivalent to one pass over all rows), puts
 /// the groups in serial first-seen order, finishes their accumulators and
 /// assembles the output columns slot by slot.
@@ -1187,13 +1109,14 @@ enum KeyKind {
 
 /// Replaces references to the per-series-constant observation columns
 /// (`metric_name`, `tag`) with literals from the series key, leaving
-/// `timestamp`/`value` references (and unresolvable names) untouched.
+/// `timestamp`/`value` references (and unresolvable names) untouched, and
+/// folds what became constant.
 fn substitute_series_consts(e: &Expr, schema: &Schema, key: &SeriesKey) -> Expr {
-    map_columns(e.clone(), &|name| match schema.resolve(&name) {
+    fold_expr(map_columns(e.clone(), &|name| match schema.resolve(&name) {
         Ok(1) => Expr::Literal(Value::Str(key.name.clone())),
         Ok(2) => Expr::Literal(Value::Map(key.tags.clone())),
         _ => Expr::Column(name),
-    })
+    }))
 }
 
 fn classify_arg<'p>(a: &'p Expr, schema: &Schema) -> ArgSrc<'p> {
@@ -1207,9 +1130,7 @@ fn classify_arg<'p>(a: &'p Expr, schema: &Schema) -> ArgSrc<'p> {
             _ => {}
         }
     }
-    let mut cols = Vec::new();
-    crate::optimize::collect_columns(a, &mut cols);
-    if cols.iter().all(|c| schema.resolve(c).is_ok_and(|i| i == 1 || i == 2)) {
+    if a.columns().iter().all(|c| schema.resolve(c).is_ok_and(|i| i == 1 || i == 2)) {
         ArgSrc::Class(a)
     } else {
         ArgSrc::Point(a)
@@ -1234,7 +1155,6 @@ fn run_scan_aggregate(
     let db = binding.db();
     let obs = Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
     let mini_schema = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
-    let empty_schema = Schema::default();
 
     // Decompose group keys: the timestamp key (at most one, by
     // eligibility) and per-series "class" keys over the dict columns.
@@ -1265,18 +1185,11 @@ fn run_scan_aggregate(
         .collect();
     let new_accs = || specs.iter().map(|(name, _)| new_acc(name)).collect::<Result<Vec<_>>>();
     // Residual filters, innermost first (the order the serial pipeline
-    // applies them in), with a flag for predicates that need the per-point
-    // columns at all.
-    let filter_chain: Vec<(&Expr, bool)> = filters
-        .iter()
-        .rev()
-        .map(|p| {
-            let mut cols = Vec::new();
-            crate::optimize::collect_columns(p, &mut cols);
-            let uses_points = cols.iter().any(|c| obs.resolve(c).is_ok_and(|i| i == 0 || i == 3));
-            (p, uses_points)
-        })
-        .collect();
+    // applies them in), with a flag for predicates that read a
+    // per-series-constant column and so need it substituted per series.
+    let is_class = |c: &&str| obs.resolve(c).is_ok_and(|i| i == 1 || i == 2);
+    let filter_chain: Vec<(&Expr, bool)> =
+        filters.iter().rev().map(|p| (p, p.columns().iter().any(is_class))).collect();
     let any_point_args =
         specs.iter().any(|(_, args)| args.iter().any(|a| matches!(a, ArgSrc::Point(_))));
 
@@ -1320,45 +1233,21 @@ fn run_scan_aggregate(
                 continue;
             }
 
-            // Residual filter chain over this series' points. Class-only
-            // predicates evaluate as constants (no column build);
-            // kernel-refinable point predicates refine the kept-selection
-            // straight off the raw point slices (no intermediate column
-            // materialization); anything else falls back to gathering the
-            // survivors once for the vectorized mask path.
+            // Residual filter chain over this series' points: one
+            // selection refined in place straight off the raw point slices
+            // (no column is built). A predicate over the series' constants
+            // alone folds to a literal that keeps or drops the whole span.
+            let points = [ColView::Int(span_ts), ColView::Float(span_vals)];
             let mut kept: Vec<u32> = (0..n as u32).collect();
-            for (pred, uses_points) in &filter_chain {
-                if kept.is_empty() {
-                    break;
-                }
-                if !*uses_points {
-                    // Constant per series: one evaluation decides the span.
-                    let sub = substitute_series_consts(pred, &obs, part.key);
-                    let keep = match veval::eval(&sub, &mini_schema, &[], 1)? {
-                        veval::VOut::Const(v) => v.is_true(),
-                        veval::VOut::Col(c) => c.get(0).is_true(),
-                    };
-                    if !keep {
-                        kept.clear();
-                    }
-                    continue;
-                }
-                if veval::span_refinable(pred, &obs) {
-                    veval::refine_span(pred, &obs, span_ts, span_vals, &mut kept);
-                    continue;
-                }
-                let sub = substitute_series_consts(pred, &obs, part.key);
-                let cols = vec![
-                    Column::Int(kept.iter().map(|&i| span_ts[i as usize]).collect()),
-                    Column::Float(kept.iter().map(|&i| span_vals[i as usize]).collect()),
-                ];
-                let mask = veval::eval_mask(&sub, &mini_schema, &cols, kept.len())?;
-                kept = kept
-                    .iter()
-                    .zip(mask.iter())
-                    .filter(|(_, &keep)| keep)
-                    .map(|(&i, _)| i)
-                    .collect();
+            for &(pred, has_class) in &filter_chain {
+                let sub;
+                let pred = if has_class {
+                    sub = substitute_series_consts(pred, &obs, part.key);
+                    &sub
+                } else {
+                    pred
+                };
+                veval::refine(pred, &mini_schema, &points, n, &mut kept)?;
             }
             if kept.is_empty() {
                 continue;
@@ -1370,7 +1259,7 @@ fn run_scan_aggregate(
             let mut class_vals: Vec<Value> = Vec::with_capacity(class_keys.len());
             for ck in &class_keys {
                 let sub = substitute_series_consts(ck, &obs, part.key);
-                class_vals.push(eval_row(&sub, &empty_schema, &[])?);
+                class_vals.push(veval::eval_const(&sub)?);
             }
             let mut frag = String::new();
             for v in &class_vals {
@@ -1388,11 +1277,8 @@ fn run_scan_aggregate(
             };
 
             // Prepare this series span's aggregate arguments.
-            let kept_cols = if any_point_args {
-                vec![
-                    Column::Int(kept.iter().map(|&i| span_ts[i as usize]).collect()),
-                    Column::Float(kept.iter().map(|&i| span_vals[i as usize]).collect()),
-                ]
+            let kept_cols: Vec<Column> = if any_point_args {
+                points.iter().map(|c| c.gather(&kept)).collect()
             } else {
                 Vec::new()
             };
@@ -1407,7 +1293,7 @@ fn run_scan_aggregate(
                                 ArgSrc::Const(v) => PreparedArg::Const(v.clone()),
                                 ArgSrc::Class(e) => {
                                     let sub = substitute_series_consts(e, &obs, part.key);
-                                    PreparedArg::Const(eval_row(&sub, &empty_schema, &[])?)
+                                    PreparedArg::Const(veval::eval_const(&sub)?)
                                 }
                                 ArgSrc::Point(e) => {
                                     let sub = substitute_series_consts(e, &obs, part.key);
@@ -1571,18 +1457,14 @@ fn run_scan_aggregate(
 // Joins
 // ---------------------------------------------------------------------------
 
-fn join_key_at(cols: &[&Column], row: usize) -> (bool, String) {
-    let mut key = String::new();
-    let mut has_null = false;
-    for c in cols {
-        let v = c.get(row);
-        if v.is_null() {
-            has_null = true;
-        }
-        key.push_str(&v.group_key());
-        key.push('\u{1}');
-    }
-    (has_null, key)
+/// One side's equi-join keys, rendered by the GROUP BY keying code
+/// (dictionary entries once each); `None` where a key is NULL, which never
+/// matches.
+fn join_keys(t: &Table, key_cols: &[usize]) -> Vec<Option<String>> {
+    let cols: Vec<&Column> = key_cols.iter().map(|&c| t.column_at(c)).collect();
+    let nulls = veval::null_rows(&cols, t.len());
+    let keys = veval::group_key_strings(&cols, t.len());
+    keys.into_iter().zip(nulls).map(|(k, null)| (!null).then_some(k)).collect()
 }
 
 fn run_join(
@@ -1596,144 +1478,81 @@ fn run_join(
     columns.extend(right.schema().columns().iter().cloned());
     let combined = Schema::new(columns);
 
+    // Both algorithms produce the matches of each left row as ascending
+    // right rows; the emission below is shared.
+    let mut matches_of_left: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
     if let Some((lk, rk)) = equi_join_keys(on, left.schema(), right.schema()) {
-        // Hash join over columnar keys: build pair lists, then gather. The
-        // hash index goes over whichever side the optimizer's statistics
-        // picked (`build_left`; the legacy default is the right side) —
-        // both branches emit exactly the same `(left row, right row)`
-        // pairs in exactly the same order: all matches sorted by
-        // `(left row, right row)`, LEFT/FULL null-extensions in left-row
-        // position, FULL OUTER's unmatched right rows appended in right
-        // order. Statistics only ever change which side pays the memory.
-        let right_key_cols: Vec<&Column> = rk.iter().map(|&c| right.column_at(c)).collect();
-        let left_key_cols: Vec<&Column> = lk.iter().map(|&c| left.column_at(c)).collect();
-
-        let mut left_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_matched = vec![false; right.len()];
-        if build_left {
-            // Build on the (estimated-smaller) left side, probe with the
-            // right rows, and bucket matches per left row so the emission
-            // loop below can still walk in left-major order.
-            let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-            for li in 0..left.len() {
-                let (has_null, key) = join_key_at(&left_key_cols, li);
-                if has_null {
-                    continue; // NULL keys never match
-                }
-                index.entry(key).or_default().push(li);
-            }
-            let mut matches_of_left: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
-            for (ri, matched) in right_matched.iter_mut().enumerate() {
-                let (has_null, key) = join_key_at(&right_key_cols, ri);
-                if has_null {
-                    continue;
-                }
-                if let Some(lis) = index.get(&key) {
-                    *matched = true;
-                    for &li in lis {
-                        // Probed in ascending `ri`, so each left row's
-                        // match list stays right-row-ordered.
-                        matches_of_left[li].push(ri as u32);
-                    }
-                }
-            }
-            for (li, ris) in matches_of_left.iter().enumerate() {
-                if ris.is_empty() {
-                    if kind != JoinKind::Inner {
-                        left_idx.push(Some(li));
-                        right_idx.push(None);
-                    }
-                } else {
-                    for &ri in ris {
-                        left_idx.push(Some(li));
-                        right_idx.push(Some(ri as usize));
-                    }
-                }
-            }
-        } else {
-            let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-            for ri in 0..right.len() {
-                let (has_null, key) = join_key_at(&right_key_cols, ri);
-                if has_null {
-                    continue; // NULL keys never match
-                }
-                index.entry(key).or_default().push(ri);
-            }
-            for li in 0..left.len() {
-                let (has_null, key) = join_key_at(&left_key_cols, li);
-                let matches = if has_null { None } else { index.get(&key) };
-                match matches {
-                    Some(ris) if !ris.is_empty() => {
-                        for &ri in ris {
-                            right_matched[ri] = true;
-                            left_idx.push(Some(li));
-                            right_idx.push(Some(ri));
-                        }
-                    }
-                    _ => {
-                        if kind != JoinKind::Inner {
-                            left_idx.push(Some(li));
-                            right_idx.push(None);
-                        }
-                    }
-                }
+        // Hash join over columnar keys. The hash index goes over whichever
+        // side the optimizer's statistics picked (`build_left`; the
+        // default is the right side) — both branches find exactly the
+        // same pairs, so statistics only ever change which side pays the
+        // memory.
+        let (left_keys, right_keys) = (join_keys(&left, &lk), join_keys(&right, &rk));
+        let mut index: HashMap<&str, Vec<u32>> = HashMap::new();
+        let (build, probe) =
+            if build_left { (&left_keys, &right_keys) } else { (&right_keys, &left_keys) };
+        for (row, key) in build.iter().enumerate() {
+            if let Some(key) = key {
+                index.entry(key).or_default().push(row as u32);
             }
         }
-        if kind == JoinKind::FullOuter {
-            for (ri, matched) in right_matched.iter().enumerate() {
-                if !matched {
-                    left_idx.push(None);
-                    right_idx.push(Some(ri));
-                }
+        // Probed (or indexed) in ascending right row, so each left row's
+        // match list stays right-row-ordered either way.
+        for (row, key) in probe.iter().enumerate() {
+            let Some(hits) = key.as_deref().and_then(|k| index.get(k)) else { continue };
+            if build_left {
+                hits.iter().for_each(|&li| matches_of_left[li as usize].push(row as u32));
+            } else {
+                matches_of_left[row].clone_from(hits);
             }
         }
-
-        let mut out: Vec<Column> = Vec::with_capacity(combined.len());
-        for c in left.columns() {
-            out.push(c.gather_opt(&left_idx));
+    } else {
+        // Nested loop, one left row at a time: its values go into the ON
+        // predicate as literals, which then refines the right table's row
+        // selection like any WHERE (typed loops for `t.ts < u.ts`).
+        let left_width = left.schema().len();
+        let views: Vec<ColView> =
+            left.columns().iter().chain(right.columns()).map(ColView::from).collect();
+        for (li, matches) in matches_of_left.iter_mut().enumerate() {
+            let on = map_columns(on.clone(), &|name| match combined.resolve(&name) {
+                Ok(i) if i < left_width => Expr::Literal(left.column_at(i).get(li)),
+                _ => Expr::Column(name),
+            });
+            *matches = (0..right.len() as u32).collect();
+            veval::refine(&on, &combined, &views, right.len(), matches)?;
         }
-        for c in right.columns() {
-            out.push(c.gather_opt(&right_idx));
-        }
-        let len = left_idx.len();
-        return Ok(Table::from_columnar_parts(combined, out, len));
     }
 
-    // General nested loop with full ON evaluation (row shim).
-    let left_rows = left.rows();
-    let right_rows = right.rows();
-    let right_width = right.schema().len();
-    let left_width = left.schema().len();
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let mut right_matched = vec![false; right_rows.len()];
-    for lrow in left_rows {
-        let mut matched = false;
-        for (ri, rrow) in right_rows.iter().enumerate() {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            if eval_row(on, &combined, &row)?.is_true() {
-                matched = true;
-                right_matched[ri] = true;
-                out.push(row);
-            }
+    // All matches in `(left row, right row)` order, LEFT/FULL
+    // null-extensions in left-row position, FULL OUTER's unmatched right
+    // rows appended in right order.
+    let mut left_idx: Vec<Option<usize>> = Vec::new();
+    let mut right_idx: Vec<Option<usize>> = Vec::new();
+    let mut right_matched = vec![false; right.len()];
+    for (li, ris) in matches_of_left.iter().enumerate() {
+        if ris.is_empty() && kind != JoinKind::Inner {
+            left_idx.push(Some(li));
+            right_idx.push(None);
         }
-        if !matched && kind != JoinKind::Inner {
-            let mut row = lrow.clone();
-            row.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(row);
+        for &ri in ris {
+            right_matched[ri as usize] = true;
+            left_idx.push(Some(li));
+            right_idx.push(Some(ri as usize));
         }
     }
     if kind == JoinKind::FullOuter {
-        for (ri, rrow) in right_rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut row: Vec<Value> = std::iter::repeat_n(Value::Null, left_width).collect();
-                row.extend(rrow.iter().cloned());
-                out.push(row);
+        for (ri, matched) in right_matched.iter().enumerate() {
+            if !matched {
+                left_idx.push(None);
+                right_idx.push(Some(ri));
             }
         }
     }
-    Ok(Table::from_parts(combined, out))
+    let mut out: Vec<Column> = Vec::with_capacity(combined.len());
+    out.extend(left.columns().iter().map(|c| c.gather_opt(&left_idx)));
+    out.extend(right.columns().iter().map(|c| c.gather_opt(&right_idx)));
+    let len = left_idx.len();
+    Ok(Table::from_columnar_parts(combined, out, len))
 }
 
 #[cfg(test)]

@@ -1,5 +1,8 @@
 //! Typed minicolumn kernels: the branch-free inner loops of the columnar
-//! engine.
+//! engine. This module's single job is the loop over a raw slice — it
+//! knows no expression, schema or column representation; the evaluator
+//! ([`crate::veval`]) decides which kernel a predicate or operator lowers
+//! to and hands it slices.
 //!
 //! A *minicolumn* is a typed slice (`&[i64]` / `&[f64]`) plus an optional
 //! **validity bitmap** (one bit per row, set = non-NULL). A *selection
@@ -183,6 +186,23 @@ pub enum I64Test {
     Ne(i64),
 }
 
+impl I64Test {
+    /// Whether `x` passes.
+    #[inline(always)]
+    pub fn matches(self, x: i64) -> bool {
+        match self {
+            I64Test::Never => false,
+            I64Test::Always => true,
+            I64Test::Lt(t) => x < t,
+            I64Test::Le(t) => x <= t,
+            I64Test::Gt(t) => x > t,
+            I64Test::Ge(t) => x >= t,
+            I64Test::Eq(t) => x == t,
+            I64Test::Ne(t) => x != t,
+        }
+    }
+}
+
 /// Compiles `x <op> k` (Int column vs Int constant) to a threshold test.
 pub fn compile_i64_cmp_int(op: CmpOp, k: i64) -> I64Test {
     match op {
@@ -289,17 +309,7 @@ pub fn refine_i64_between(
         sel.clear(); // NaN bound: comparison unknown for every row
         return;
     };
-    let check = |t: I64Test, x: i64| match t {
-        I64Test::Never => false,
-        I64Test::Always => true,
-        I64Test::Lt(v) => x < v,
-        I64Test::Le(v) => x <= v,
-        I64Test::Gt(v) => x > v,
-        I64Test::Ge(v) => x >= v,
-        I64Test::Eq(v) => x == v,
-        I64Test::Ne(v) => x != v,
-    };
-    refine_by(sel, validity, |i| (check(ge_lo, vals[i]) && check(le_hi, vals[i])) != negated);
+    refine_by(sel, validity, |i| (ge_lo.matches(vals[i]) && le_hi.matches(vals[i])) != negated);
 }
 
 /// `vals[i] BETWEEN lo AND hi` (optionally negated) over `f64`. A NaN

@@ -30,27 +30,44 @@
 //!    inverted-tag-index scan ([`explainit_tsdb::Tsdb::scan`]) instead of a
 //!    full-store materialization. Projection pruning then drops unused
 //!    observation columns (skipping per-row tag-map clones entirely when
-//!    `tag` is never read).
-//! 3. **Execute** ([`exec`], internal) — physical operators over typed
-//!    column vectors ([`Table`] is columnar with a row-compat shim):
-//!    vectorized WHERE masks, hash joins and grouped aggregation gather
-//!    column indices instead of materializing row vectors; window
-//!    functions, CASE and scalar calls fall back to the row shim. TSDB
-//!    scans emit *dictionary-encoded* `metric_name`/`tag` columns
+//!    `tag` is never read), and a projection that only restates its input
+//!    is dropped (`SELECT timestamp, metric_name, tag, value FROM tsdb`
+//!    plans as a bare `TsdbScan`).
+//! 3. **Execute** — four layers, one job each:
+//!    * `exec` (internal) is the **operators** over typed column vectors
+//!      ([`Table`] is columnar; its `rows()` view serves callers and the
+//!      oracle, never an operator): scan gather, fused filter chains over
+//!      one selection vector, projection, hash and nested-loop joins,
+//!      grouped aggregation, sort, union. Operators decide which rows flow
+//!      where and on how many workers; they evaluate nothing themselves.
+//!    * [`veval`] is the **one expression evaluator** under them: every
+//!      non-aggregate expression over columns — operators, scalar calls,
+//!      `CASE`, `LAG`/`LEAD` — with the row walker's results and its Ok/Err
+//!      outcome. Anything over a single dictionary column runs once per
+//!      distinct entry.
+//!    * [`kernel`] is the **typed inner loops** `veval` lowers to:
+//!      branch-free selection refinement and chunked arithmetic over raw
+//!      `i64`/`f64` slices.
+//!    * [`eval`] is the **scalar semantics** all of them call (what `+`,
+//!      `LIKE`, `tag['k']` mean on two values) and the **row walker** that
+//!      [`mod@reference`] and the tests use as the oracle.
+//!
+//!    TSDB scans emit *dictionary-encoded* `metric_name`/`tag` columns
 //!    ([`Column::Dict`]: one shared `Arc` dictionary per binding plus a
-//!    `u32` code per row), and predicates over them evaluate once per
-//!    distinct entry. Operators split their input into morsels by its
+//!    `u32` code per row). Operators split their input into morsels by its
 //!    size — the partition count is the only execution option
 //!    ([`ExecOptions`] / [`Catalog::execute_query_with`]) — and serial
-//!    execution is the one-morsel case of the same code: the one table
-//!    aggregate builds mergeable partial states per morsel (filters peeled
-//!    from a `LogicalPlan::Exchange`-marked pipeline run per morsel too),
-//!    merges them in morsel order, and finishes outputs that are not a
-//!    bare key or aggregate call (`SUM(v) / COUNT(v)`) as post-aggregate
-//!    expressions — bit-identical at every partition count by construction
-//!    (error-free float summation). The hottest
-//!    shape of all — an aggregate whose group keys are `timestamp` and/or
-//!    the dictionary-encoded scan columns, sitting directly on a TSDB
+//!    execution is the one-morsel case of the same code: the projection and
+//!    the table aggregate run the filter chain under them per morsel; the
+//!    projection concatenates morsel outputs in order (a window call forces
+//!    one morsel); the aggregate builds mergeable partial states per
+//!    morsel, merges them in morsel order, and finishes outputs that are
+//!    not a bare key or aggregate call (`SUM(v) / COUNT(v)`) as
+//!    post-aggregate expressions — bit-identical at every partition count
+//!    by construction (error-free float summation). The hottest shape of
+//!    all — an aggregate whose group keys are `timestamp` and/or
+//!    expressions over the dictionary-encoded scan columns, sitting
+//!    directly on a TSDB
 //!    scan — collapses further into a single `LogicalPlan::ScanAggregate`
 //!    node: the executor pre-aggregates each series' sorted point vectors
 //!    straight off the store (no row materialization, grouping on
@@ -87,8 +104,8 @@
 //!    `IS NULL` and literal `IN` lists over `timestamp`/`value`, which
 //!    refine the selection vector in place with typed branch-free
 //!    loops ([`kernel`]);
-//! 3. everything else last — general expressions that need the row
-//!    gather + vectorized evaluator fallback.
+//! 3. everything else last — general expressions (arithmetic, scalar
+//!    calls, `CASE`, `OR`) evaluated over the gathered survivors.
 //!
 //! When residual predicates appear as explicit `Filter` nodes instead
 //! (any non-`ScanAggregate` plan), each filter line over a scan carries
@@ -100,14 +117,15 @@
 //! referenced column is dense and numeric — the precondition for the
 //! typed selection-vector loops.
 //!
-//! If you expected the pushdown and see an
-//! `Exchange`/`Aggregate` over a `TsdbScan` instead, the pipeline was not
-//! eligible: a group key that is not `timestamp` or a dictionary column
-//! (`metric_name`, `tag`, `tag['k']`), an output that is not a plain
-//! aggregate call, a join/UNION context, `MIN`/`MAX` over the raw `tag`
-//! map, or — without a `timestamp` group key — `MIN`/`MAX` over a float
-//! stream (NaN is incomparable, so that fold is accumulation-order
-//! dependent) all fall back to the ordinary engines.
+//! If you expected the pushdown and see an `Aggregate` over a `TsdbScan`
+//! instead, the pipeline was not eligible: a group key that is not
+//! `timestamp` or an expression over the dictionary columns
+//! (`metric_name`, `tag['k']`, `CONCAT(tag['a'], tag['b'])`), an output
+//! that is not a plain aggregate call, a window call anywhere, a
+//! join/UNION context, `MIN`/`MAX` over the raw `tag` map, or — without a
+//! `timestamp` group key — `MIN`/`MAX` over a float stream or a scalar
+//! call (NaN and mixed classes are incomparable, so that fold is
+//! accumulation-order dependent) all fall back to the table aggregate.
 //!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
 //! [`reference`] as a differential-testing oracle (see
@@ -127,8 +145,9 @@
 //!   (promoting to Float on i64 overflow), `STDDEV`/`VARIANCE` are the
 //!   *sample* (n−1) statistics, and `PERCENTILE` requires `p` to be
 //!   constant within each group;
-//! * the window function `LAG(expr, k)` over the current row order (§3.5
-//!   footnote: lagged features for time series);
+//! * the window functions `LAG`/`LEAD(expr [, k [, default]])` over the
+//!   current row order in the select list (§3.5 footnote: lagged features
+//!   for time series); anywhere else a window call sees only its own row;
 //! * `UNION ALL` of compatible queries (stage-one family queries are
 //!   unioned, Figure 4) with Int/Float column coercion;
 //! * `INNER` / `LEFT` / `FULL OUTER JOIN ... ON` equality conditions (the
@@ -183,7 +202,7 @@ mod ast;
 mod catalog;
 mod column;
 mod error;
-mod eval;
+pub mod eval;
 mod exec;
 mod functions;
 pub mod kernel;
@@ -197,7 +216,7 @@ mod table;
 pub mod types;
 mod value;
 pub mod verify;
-mod veval;
+pub mod veval;
 
 pub use ast::{
     BinaryOp, CreateFamily, ExplainFor, Expr, JoinKind, OrderKey, Query, SelectItem, SelectStmt,

@@ -1,55 +1,58 @@
 //! Rule-based plan optimizer.
 //!
-//! Four rewrites run in order:
+//! The rewrites, in the order [`optimize`] runs them (the plan verifier
+//! checks the tree after each, by name):
 //!
-//! 1. **Constant folding** — literal-only subexpressions are evaluated at
-//!    plan time (`1 + 2` → `3`), plus boolean shortcuts (`TRUE AND x` → `x`,
-//!    `FALSE AND x` → `FALSE`).
-//! 2. **TSDB scan conversion** — a [`LogicalPlan::Scan`] of a table bound
-//!    via [`Catalog::register_tsdb`] becomes a [`LogicalPlan::TsdbScan`].
-//! 3. **Predicate pushdown** — WHERE conjuncts sink through Alias and
-//!    Project nodes (with alias substitution), into the matching side of a
-//!    Join, through Aggregate group keys, and finally *into* the TSDB scan:
-//!    `metric_name = '…'` becomes an inverted-index name lookup,
+//! 1. **Constant folding** (`fold_constants`) — literal-only
+//!    subexpressions are evaluated at plan time (`1 + 2` → `3`), plus
+//!    boolean shortcuts (`TRUE AND x` → `x`, `FALSE AND x` → `FALSE`).
+//! 2. **TSDB scan conversion** (`convert_tsdb_scans`) — a
+//!    [`LogicalPlan::Scan`] of a table bound via
+//!    [`Catalog::register_tsdb`] becomes a [`LogicalPlan::TsdbScan`].
+//! 3. **Predicate pushdown** (`pushdown`) — WHERE conjuncts sink through
+//!    Alias and Project nodes (with alias substitution), into the matching
+//!    side of a Join, through Aggregate group keys, and finally *into* the
+//!    TSDB scan: `metric_name = '…'` becomes an inverted-index name lookup,
 //!    `tag['k'] = 'v'` / `tag['k'] IS [NOT] NULL` become tag-index
 //!    predicates, and `timestamp` comparisons become the scan's time range —
-//!    so the store is never materialized wholesale.
-//! 4. **Projection pruning** — TSDB scans only materialize the observation
-//!    columns the rest of the plan references (skipping per-row tag-map
-//!    clones when `tag` is never read).
-//! 5. **Parallelization** — an `Aggregate` whose outputs are group keys and
-//!    plain (mergeable) aggregate calls, or a TSDB-scan-rooted `Project`,
-//!    with any directly nested vectorizable `Filter`s, is wrapped in a
-//!    [`LogicalPlan::Exchange`] marker: the executor peels the nested
-//!    filters and runs them per morsel inside the operator (which splits
-//!    its input by size, marked or not). The wrapped plan stays a valid
-//!    plan on its own, so the marker never changes results.
-//! 6. **Scan-level aggregate pushdown** — an `Aggregate` (with or without
-//!    its `Exchange` marker, above vectorizable pushed-down `Filter`s)
-//!    sitting directly on a `TsdbScan` collapses into a single
-//!    [`LogicalPlan::ScanAggregate`] node when every group key is the
-//!    `timestamp` column or an expression over the dictionary-encoded
-//!    scan columns (`metric_name`, `tag`) and every output is a group key
-//!    or a plain mergeable aggregate over observation columns. The
-//!    executor then pre-aggregates per series straight off the store's
-//!    sorted point vectors — no row materialization at all. Joins, UNION
-//!    branches, non-dict group keys and non-mergeable outputs fall back
-//!    to the ordinary pipeline (which the differential harness reaches
-//!    by registering the same observations as a plain table).
-//! 7. **Join-side statistics** — every `Join` is annotated with per-side
-//!    row estimates from [`crate::plan::estimate_rows`] (tag-index set
-//!    sizes and point-count arithmetic for TSDB scans, exact lengths for
-//!    registered tables) and the hash-join build side they imply: the
-//!    executor builds its hash index over the estimated-smaller input
-//!    while emitting rows in exactly the order the legacy build-on-right
-//!    algorithm produced, so statistics can only change memory and speed,
-//!    never results. `EXPLAIN` shows the estimates and the chosen side on
-//!    the `Join` line. Rule 3 additionally orders the residual conjuncts
-//!    it leaves above a `TsdbScan` so per-series-constant predicates
-//!    (references to the dictionary-encoded `metric_name`/`tag` columns
-//!    only) apply innermost: the scan-aggregate operator evaluates those
-//!    once per series — often discarding the whole series for the cost of
-//!    one comparison — before any per-point work runs.
+//!    so the store is never materialized wholesale. Nothing sinks below a
+//!    projection that holds a window call (it would shrink the window).
+//!    The residual conjuncts left above a `TsdbScan` are ordered by
+//!    [`FilterClass`], cheapest innermost: per-series-constant predicates
+//!    (over the dictionary-encoded `metric_name`/`tag` columns only) drop
+//!    a whole series for the cost of one evaluation before any per-point
+//!    work runs, then kernel-refinable point predicates, then the rest.
+//! 4. **Projection pruning** (`prune`) — TSDB scans only materialize the
+//!    observation columns the rest of the plan references (skipping
+//!    per-row tag-map clones when `tag` is never read).
+//! 5. **Identity projection elision** (`elide_identity_projects`) — a
+//!    `Project` with no hidden keys whose items are exactly its input's
+//!    columns, in order, under the same names, is dropped: `SELECT
+//!    timestamp, metric_name, tag, value FROM tsdb` is a bare `TsdbScan`.
+//! 6. **Join-side statistics** (`annotate_join_stats`) — every `Join` is
+//!    annotated with per-side row estimates from
+//!    [`crate::plan::estimate_rows`] (tag-index set sizes and point-count
+//!    arithmetic for TSDB scans, exact lengths for registered tables) and
+//!    the hash-join build side they imply: the executor builds its hash
+//!    index over the estimated-smaller input while emitting rows in
+//!    exactly the order the build-on-right algorithm produces, so
+//!    statistics can only change memory and speed, never results.
+//!    `EXPLAIN` shows the estimates and the chosen side on the `Join` line.
+//! 7. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
+//!    `Aggregate` (above pushed-down `Filter`s) sitting directly on a
+//!    `TsdbScan` collapses into a single [`LogicalPlan::ScanAggregate`]
+//!    node when every group key is the `timestamp` column or an expression
+//!    over the dictionary-encoded scan columns (`metric_name`, `tag`) and
+//!    every output is a group key or a plain mergeable aggregate over
+//!    observation columns. The executor then pre-aggregates per series
+//!    straight off the store's sorted point vectors — no row
+//!    materialization at all. Joins, UNION branches, non-dict group keys,
+//!    non-mergeable outputs and window calls fall back to the ordinary
+//!    pipeline (which the differential harness reaches by registering the
+//!    same observations as a plain table).
+//!
+//! There is no parallelization rule: every operator splits its input into
+//! morsels by size at run time.
 
 use std::collections::HashSet;
 
@@ -57,12 +60,11 @@ use explainit_tsdb::TagFilter;
 
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::catalog::Catalog;
-use crate::eval::eval_row;
 use crate::functions::{is_aggregate, is_window};
 use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::value::Value;
-use crate::veval;
+use crate::veval::{self, FilterClass};
 use crate::Result;
 
 /// Applies all rewrite rules. The [`crate::verify`] invariant checks run
@@ -86,10 +88,10 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
     check("pushdown", &plan)?;
     let plan = prune(plan, None);
     check("prune", &plan)?;
+    let plan = elide_identity_projects(plan, catalog);
+    check("elide_identity_projects", &plan)?;
     let plan = annotate_join_stats(plan, catalog);
     check("annotate_join_stats", &plan)?;
-    let plan = parallelize(plan);
-    check("parallelize", &plan)?;
     let plan = push_aggregates_into_scans(plan);
     check("scan_aggregate", &plan)?;
     Ok(plan)
@@ -139,10 +141,7 @@ fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_exprs(p, f)).collect() }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(map_exprs(*input, f)) }
-        }
-        // `ScanAggregate` is produced by rule 6, which runs last; the
+        // `ScanAggregate` is produced by rule 7, which runs last; the
         // earlier passes never see it, so a leaf treatment is safe.
         leaf @ (LogicalPlan::Scan { .. }
         | LogicalPlan::TsdbScan { .. }
@@ -243,8 +242,7 @@ pub fn fold_expr(expr: Expr) -> Expr {
     if matches!(expr, Expr::Literal(_)) || !is_const(&expr) {
         return expr;
     }
-    let empty = Schema::default();
-    match eval_row(&expr, &empty, &[]) {
+    match veval::eval_const(&expr) {
         Ok(v) => Expr::Literal(v),
         Err(_) => expr, // leave runtime errors to the runtime
     }
@@ -299,9 +297,6 @@ fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> Logic
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_plan(p, f)).collect() }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(map_plan(*input, f)) }
-        }
         leaf => leaf,
     };
     f(rebuilt)
@@ -348,64 +343,6 @@ fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
             inputs: inputs.into_iter().map(|p| pushdown(p, catalog)).collect::<Result<_>>()?,
         }),
         leaf => Ok(leaf),
-    }
-}
-
-/// Collects every column name referenced by an expression.
-pub(crate) fn collect_columns(expr: &Expr, out: &mut Vec<String>) {
-    match expr {
-        Expr::Column(c) => out.push(c.clone()),
-        Expr::Literal(_) => {}
-        Expr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        Expr::Unary { operand, .. } => collect_columns(operand, out),
-        Expr::Function { args, .. } => args.iter().for_each(|a| collect_columns(a, out)),
-        Expr::Index { container, index } => {
-            collect_columns(container, out);
-            collect_columns(index, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_columns(expr, out);
-            list.iter().for_each(|e| collect_columns(e, out));
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_columns(expr, out);
-            collect_columns(low, out);
-            collect_columns(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_columns(expr, out),
-        Expr::Case { when_then, else_expr } => {
-            for (c, v) in when_then {
-                collect_columns(c, out);
-                collect_columns(v, out);
-            }
-            if let Some(e) = else_expr {
-                collect_columns(e, out);
-            }
-        }
-    }
-}
-
-fn contains_window(expr: &Expr) -> bool {
-    match expr {
-        Expr::Function { name, args } => is_window(name) || args.iter().any(contains_window),
-        Expr::Binary { left, right, .. } => contains_window(left) || contains_window(right),
-        Expr::Unary { operand, .. } => contains_window(operand),
-        Expr::Index { container, index } => contains_window(container) || contains_window(index),
-        Expr::InList { expr, list, .. } => {
-            contains_window(expr) || list.iter().any(contains_window)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            contains_window(expr) || contains_window(low) || contains_window(high)
-        }
-        Expr::IsNull { expr, .. } => contains_window(expr),
-        Expr::Case { when_then, else_expr } => {
-            when_then.iter().any(|(c, v)| contains_window(c) || contains_window(v))
-                || else_expr.as_ref().is_some_and(|e| contains_window(e))
-        }
-        Expr::Literal(_) | Expr::Column(_) => false,
     }
 }
 
@@ -505,12 +442,11 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             let mut to_right = Vec::new();
             let mut keep = Vec::new();
             for c in conjuncts {
-                if c.contains_aggregate() || contains_window(&c) {
+                if c.contains_aggregate() || c.contains_window() {
                     keep.push(c);
                     continue;
                 }
-                let mut cols = Vec::new();
-                collect_columns(&c, &mut cols);
+                let cols = c.columns();
                 // Unresolvable or ambiguous references stay above the join
                 // so the runtime error surface is unchanged.
                 if cols.iter().any(|n| combined.resolve(n).is_err()) {
@@ -552,7 +488,8 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             // A window function anywhere in the projection reads the whole
             // input row set; filtering below it would shrink that window
             // and change its results, so nothing may sink through.
-            let has_window = items.iter().map(|(e, _)| e).chain(hidden.iter()).any(contains_window);
+            let has_window =
+                items.iter().map(|(e, _)| e).chain(hidden.iter()).any(Expr::contains_window);
             if has_window {
                 return Ok(LogicalPlan::Filter {
                     input: Box::new(LogicalPlan::Project { input, items, hidden }),
@@ -563,11 +500,10 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             let mut push = Vec::new();
             let mut keep = Vec::new();
             for c in conjuncts {
-                let mut cols = Vec::new();
-                collect_columns(&c, &mut cols);
+                let cols = c.columns();
                 let substitutable =
                     !cols.is_empty() && cols.iter().all(|n| out_names.resolve(n).is_ok());
-                if substitutable && !c.contains_aggregate() && !contains_window(&c) {
+                if substitutable && !c.contains_aggregate() && !c.contains_window() {
                     let rewritten = map_columns(c, &|name| {
                         let i = out_names.resolve(&name).expect("checked resolvable"); // invariant: the substitutable filter above resolved every column
                         items[i].0.clone()
@@ -594,15 +530,14 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             let mut push = Vec::new();
             let mut keep = Vec::new();
             for c in conjuncts {
-                let mut cols = Vec::new();
-                collect_columns(&c, &mut cols);
+                let cols = c.columns();
                 let key_backed = !cols.is_empty()
                     && cols.iter().all(|n| {
                         out_names
                             .resolve(n)
                             .is_ok_and(|i| group_by.iter().any(|g| *g == items[i].0))
                     });
-                if key_backed && !c.contains_aggregate() && !contains_window(&c) {
+                if key_backed && !c.contains_aggregate() && !c.contains_window() {
                     let rewritten = map_columns(c, &|name| {
                         let i = out_names.resolve(&name).expect("checked resolvable"); // invariant: the key_backed filter above resolved every column
                         items[i].0.clone()
@@ -625,34 +560,17 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
 
         // The payoff: absorb conjuncts into the TSDB scan's index lookup.
         LogicalPlan::TsdbScan { table, mut name, mut tags, mut start, mut end, columns } => {
-            let schema =
-                Schema::new(crate::plan::TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
+            let schema = tsdb_schema();
             let mut residual = Vec::new();
             for c in conjuncts {
                 if !absorb_tsdb_conjunct(&c, &schema, &mut name, &mut tags, &mut start, &mut end) {
                     residual.push(c);
                 }
             }
-            // Cost-ordered residual chain (rule 7's filter half), three
-            // classes innermost-out: (0) conjuncts over the per-series-
-            // constant dictionary columns — the scan-aggregate operator
-            // evaluates those once per series and can drop a whole series
-            // before any per-point work; (1) kernel-refinable point
-            // predicates — comparisons/BETWEEN/IS NULL/IN of `timestamp`/
-            // `value` against literals, which refine the selection vector
-            // branch-free straight off the raw point slices; (2) general
-            // expressions, which pay a gather + vectorized mask. The sort
-            // is stable, so equal-cost conjuncts keep their source order,
-            // and conjunction commutes, so the kept row set is unchanged.
-            residual.sort_by_key(|c| {
-                if refs_within(c, &schema, &[1, 2]) {
-                    0usize
-                } else if crate::veval::span_refinable(c, &schema) {
-                    1
-                } else {
-                    2
-                }
-            });
+            // Cheapest class innermost (see [`FilterClass`]). The sort is
+            // stable, so equal-cost conjuncts keep their source order, and
+            // conjunction commutes, so the kept row set is unchanged.
+            residual.sort_by_key(tsdb_filter_class);
             let mut plan = LogicalPlan::TsdbScan { table, name, tags, start, end, columns };
             // Wrap innermost-first: the first residual becomes the deepest
             // Filter, which every executor path applies first.
@@ -805,17 +723,7 @@ fn absorb_tsdb_conjunct(
             let _ = col;
             let Some(n) = lit_int(lit) else { return false };
             // Normalize to "timestamp OP n".
-            let op = if col_first {
-                *op
-            } else {
-                match op {
-                    BinaryOp::Lt => BinaryOp::Gt,
-                    BinaryOp::LtEq => BinaryOp::GtEq,
-                    BinaryOp::Gt => BinaryOp::Lt,
-                    BinaryOp::GtEq => BinaryOp::LtEq,
-                    _ => unreachable!(),
-                }
-            };
+            let op = if col_first { *op } else { veval::flipped(*op) };
             match op {
                 BinaryOp::GtEq => tighten_start(start, n),
                 // `timestamp > i64::MAX` / `< i64::MIN` are unsatisfiable;
@@ -860,30 +768,22 @@ fn absorb_tsdb_conjunct(
 // Rule 4: projection pruning (TSDB scans)
 // ---------------------------------------------------------------------------
 
+/// Every column name the expressions reference.
+fn names_in<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> HashSet<String> {
+    exprs.into_iter().flat_map(Expr::columns).map(str::to_string).collect()
+}
+
 /// Pushes the set of referenced column names down to TSDB scans, which then
 /// materialize only those observation columns. `None` = everything.
 fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
     match plan {
         LogicalPlan::Project { input, items, hidden } => {
-            let mut cols = Vec::new();
-            for (e, _) in &items {
-                collect_columns(e, &mut cols);
-            }
-            for e in &hidden {
-                collect_columns(e, &mut cols);
-            }
-            let needs = Some(cols.into_iter().collect());
+            let needs = Some(names_in(items.iter().map(|(e, _)| e).chain(&hidden)));
             LogicalPlan::Project { input: Box::new(prune(*input, needs)), items, hidden }
         }
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let mut cols = Vec::new();
-            for e in group_by.iter().chain(hidden.iter()) {
-                collect_columns(e, &mut cols);
-            }
-            for (e, _) in &items {
-                collect_columns(e, &mut cols);
-            }
-            let needs = Some(cols.into_iter().collect());
+            let needs =
+                Some(names_in(items.iter().map(|(e, _)| e).chain(&group_by).chain(&hidden)));
             LogicalPlan::Aggregate {
                 input: Box::new(prune(*input, needs)),
                 group_by,
@@ -893,9 +793,7 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
         }
         LogicalPlan::Filter { input, predicate } => {
             let needs = needs.map(|mut n| {
-                let mut cols = Vec::new();
-                collect_columns(&predicate, &mut cols);
-                n.extend(cols);
+                n.extend(names_in([&predicate]));
                 n
             });
             LogicalPlan::Filter { input: Box::new(prune(*input, needs)), predicate }
@@ -913,9 +811,7 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
         }
         LogicalPlan::Join { left, right, kind, on, stats } => {
             let needs = needs.map(|mut n| {
-                let mut cols = Vec::new();
-                collect_columns(&on, &mut cols);
-                n.extend(cols);
+                n.extend(names_in([&on]));
                 n
             });
             LogicalPlan::Join {
@@ -932,9 +828,6 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
         LogicalPlan::Limit { input, n } => {
             LogicalPlan::Limit { input: Box::new(prune(*input, needs)), n }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(prune(*input, needs)) }
-        }
         LogicalPlan::Union { inputs } => LogicalPlan::Union {
             // Positional name mapping across branches is fragile; keep all.
             inputs: inputs.into_iter().map(|p| prune(p, None)).collect(),
@@ -943,14 +836,12 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
             let columns = match needs {
                 None => columns,
                 Some(needs) => {
-                    let schema = Schema::new(
-                        crate::plan::TSDB_COLUMNS.iter().map(|s| s.to_string()).collect(),
-                    );
+                    let schema = tsdb_schema();
                     let mut keep: Vec<usize> =
                         needs.iter().filter_map(|n| schema.resolve(n).ok()).collect();
                     keep.sort_unstable();
                     keep.dedup();
-                    if keep.len() == crate::plan::TSDB_COLUMNS.len() {
+                    if keep.len() == TSDB_COLUMNS.len() {
                         None
                     } else if keep.is_empty() {
                         // COUNT(*)-style plans still need the row count;
@@ -970,7 +861,33 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: join-side statistics
+// Rule 5: identity projection elision
+// ---------------------------------------------------------------------------
+
+/// Drops every `Project` that only restates its input: no hidden keys, and
+/// the items are exactly the input's columns, in order, under the same
+/// names. (A join-scope `Alias` input renames its columns, so a projection
+/// over it is never an identity.) Runs after pruning, so a scan's output
+/// is already down to the columns the projection lists.
+fn elide_identity_projects(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
+    map_plan(plan, &|node| match node {
+        LogicalPlan::Project { input, items, hidden }
+            if hidden.is_empty()
+                && input.schema(catalog).is_ok_and(|schema| {
+                    schema.len() == items.len()
+                        && schema.columns().iter().zip(&items).all(|(c, (e, name))| {
+                            c == name && matches!(e, Expr::Column(col) if col == c)
+                        })
+                }) =>
+        {
+            *input
+        }
+        other => other,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: join-side statistics
 // ---------------------------------------------------------------------------
 
 /// Attaches per-side row estimates (and the hash build side they imply) to
@@ -996,102 +913,11 @@ fn annotate_join_stats(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: parallelization markers
-// ---------------------------------------------------------------------------
-
-/// Wraps partition-parallelizable pipelines in [`LogicalPlan::Exchange`].
-fn parallelize(plan: LogicalPlan) -> LogicalPlan {
-    map_plan(plan, &|node| {
-        let eligible = match &node {
-            LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                aggregate_exchange_eligible(input, group_by, items, hidden)
-            }
-            LogicalPlan::Project { input, items, hidden } => {
-                project_exchange_eligible(input, items, hidden)
-            }
-            _ => false,
-        };
-        if eligible {
-            LogicalPlan::Exchange { input: Box::new(node) }
-        } else {
-            node
-        }
-    })
-}
-
-/// Walks a chain of `Filter` nodes, requiring every predicate to be
-/// vectorizable (the executor evaluates them per morsel); returns the
-/// first non-Filter node.
-fn peel_supported_filters(mut plan: &LogicalPlan) -> Option<&LogicalPlan> {
-    loop {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                if !veval::supported(predicate) {
-                    return None;
-                }
-                plan = input;
-            }
-            other => return Some(other),
-        }
-    }
-}
-
-/// An aggregate pipeline parallelizes when the executor can run it
-/// two-phase: vectorizable group keys, every output either a group key or a
-/// plain aggregate call (whose partial states merge), and only
-/// vectorizable filters between the aggregate and its source.
-pub(crate) fn aggregate_exchange_eligible(
-    input: &LogicalPlan,
-    group_by: &[Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-) -> bool {
-    if peel_supported_filters(input).is_none() {
-        return false;
-    }
-    if !group_by.iter().all(veval::supported) {
-        return false;
-    }
-    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(|e| {
-        if group_by.iter().any(|g| g == e) {
-            return true;
-        }
-        match e {
-            Expr::Function { name, args } => {
-                is_aggregate(name) && args.iter().all(veval::supported)
-            }
-            _ => false,
-        }
-    })
-}
-
-/// A projection pipeline parallelizes when it is TSDB-scan-rooted (the
-/// partitioned source of §4's data-parallel loop) and fully vectorizable —
-/// window functions (which read the whole input) never qualify because
-/// [`veval::supported`] rejects function calls.
-pub(crate) fn project_exchange_eligible(
-    input: &LogicalPlan,
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-) -> bool {
-    let Some(mut source) = peel_supported_filters(input) else {
-        return false;
-    };
-    while let LogicalPlan::Alias { input, .. } = source {
-        source = input;
-    }
-    if !matches!(source, LogicalPlan::TsdbScan { .. }) {
-        return false;
-    }
-    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(veval::supported)
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: scan-level aggregate pushdown
+// Rule 7: scan-level aggregate pushdown
 // ---------------------------------------------------------------------------
 
 /// Walks the straight-line spine of the plan converting eligible
-/// `(Exchange)? → Aggregate → Filter* → TsdbScan` chains into
+/// `Aggregate → Filter* → TsdbScan` chains into
 /// [`LogicalPlan::ScanAggregate`]. The rewrite deliberately does *not*
 /// descend into `Join` sides or `Union` branches: those contexts fall back
 /// to the ordinary pipeline (asserted by the plan-shape tests).
@@ -1125,52 +951,27 @@ fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Limit { input, n } => {
             LogicalPlan::Limit { input: Box::new(push_aggregates_into_scans(*input)), n }
         }
-        LogicalPlan::Exchange { input } => {
-            LogicalPlan::Exchange { input: Box::new(push_aggregates_into_scans(*input)) }
-        }
         other => other,
     }
 }
 
 /// True when the node is an eligible aggregate-over-scan pipeline.
 fn scan_aggregate_candidate(node: &LogicalPlan) -> bool {
-    match node {
-        LogicalPlan::Exchange { input } => match input.as_ref() {
-            LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                scan_aggregate_eligible(input, group_by, items, hidden)
-            }
-            _ => false,
-        },
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            scan_aggregate_eligible(input, group_by, items, hidden)
-        }
-        _ => false,
-    }
+    matches!(node, LogicalPlan::Aggregate { input, group_by, items, hidden }
+        if scan_aggregate_eligible(input, group_by, items, hidden))
 }
 
 /// Collapses a node [`scan_aggregate_candidate`] accepted.
 fn convert_scan_aggregate(node: LogicalPlan) -> LogicalPlan {
-    let agg = match node {
-        LogicalPlan::Exchange { input } => *input,
-        other => other,
-    };
-    let LogicalPlan::Aggregate { input, group_by, items, hidden } = agg else {
+    let LogicalPlan::Aggregate { input, group_by, items, hidden } = node else {
         unreachable!("eligibility matched an aggregate");
     };
-    // Peel the (vectorizable) filter chain, outermost first.
+    // Peel the filter chain, outermost first.
     let mut filters = Vec::new();
     let mut cur = *input;
-    loop {
-        match cur {
-            LogicalPlan::Filter { input, predicate } => {
-                filters.push(predicate);
-                cur = *input;
-            }
-            other => {
-                cur = other;
-                break;
-            }
-        }
+    while let LogicalPlan::Filter { input, predicate } = cur {
+        filters.push(predicate);
+        cur = *input;
     }
     let LogicalPlan::TsdbScan { table, name, tags, start, end, .. } = cur else {
         unreachable!("eligibility checked the source");
@@ -1182,8 +983,18 @@ fn tsdb_schema() -> Schema {
     Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect())
 }
 
-/// Splits a `Filter` chain off a plan (no vectorizability check): the
-/// predicates, outermost first, and the underlying source node.
+/// The [`FilterClass`] of a residual predicate over a TSDB scan:
+/// `metric_name`/`tag` are the dictionary columns (constant per series),
+/// `timestamp`/`value` the typed point columns.
+pub(crate) fn tsdb_filter_class(predicate: &Expr) -> FilterClass {
+    let schema = tsdb_schema();
+    let column_in =
+        |name: &str, allowed: [usize; 2]| schema.resolve(name).is_ok_and(|i| allowed.contains(&i));
+    veval::classify(predicate, &|c| column_in(c, [1, 2]), &|c| column_in(c, [0, 3]))
+}
+
+/// Splits a `Filter` chain off a plan: the predicates, outermost first,
+/// and the underlying source node.
 pub(crate) fn peel_filter_chain(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
     let mut filters = Vec::new();
     loop {
@@ -1200,14 +1011,7 @@ pub(crate) fn peel_filter_chain(mut plan: &LogicalPlan) -> (Vec<&Expr>, &Logical
 /// True when every column reference of `expr` resolves in the observation
 /// schema to one of the `allowed` indices.
 fn refs_within(expr: &Expr, schema: &Schema, allowed: &[usize]) -> bool {
-    let mut cols = Vec::new();
-    collect_columns(expr, &mut cols);
-    cols.iter().all(|c| schema.resolve(c).is_ok_and(|i| allowed.contains(&i)))
-}
-
-/// True when `expr` is a bare reference to observation column `want`.
-fn is_obs_column(expr: &Expr, schema: &Schema, want: usize) -> bool {
-    matches!(expr, Expr::Column(c) if schema.resolve(c).is_ok_and(|i| i == want))
+    expr.columns().iter().all(|c| schema.resolve(c).is_ok_and(|i| allowed.contains(&i)))
 }
 
 /// True when every reference to the raw `tag` map column sits under an
@@ -1244,12 +1048,12 @@ fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
     }
 }
 
-/// The eligibility analysis for rule 6: the pipeline must reach a
-/// `TsdbScan` through vectorizable filters over observation columns, every
-/// group key must be the `timestamp` column (at most once) or an
-/// expression over the dictionary-encoded columns, and every output must
-/// be a group key or a plain mergeable aggregate call whose arguments are
-/// vectorizable expressions over observation columns.
+/// The eligibility analysis for rule 7: the pipeline must reach a
+/// `TsdbScan` through filters over observation columns, every group key
+/// must be the `timestamp` column (at most once) or an expression over the
+/// dictionary-encoded columns, every output must be a group key or a plain
+/// mergeable aggregate call over observation columns, and nothing may
+/// hold a window call.
 pub(crate) fn scan_aggregate_eligible(
     input: &LogicalPlan,
     group_by: &[Expr],
@@ -1262,21 +1066,23 @@ pub(crate) fn scan_aggregate_eligible(
     }
     let schema = tsdb_schema();
     let all_cols = [0usize, 1, 2, 3];
-    if !filters.iter().all(|p| veval::supported(p) && refs_within(p, &schema, &all_cols)) {
+    let pushable =
+        |e: &Expr, allowed: &[usize]| refs_within(e, &schema, allowed) && !e.contains_window();
+    if !filters.iter().all(|p| pushable(p, &all_cols)) {
         return false;
     }
     let mut saw_ts = false;
     for g in group_by {
-        if is_obs_column(g, &schema, 0) {
+        if is_tsdb_col(g, &schema, 0) {
             if saw_ts {
                 return false; // a duplicated timestamp key stays on the row engine
             }
             saw_ts = true;
             continue;
         }
-        // Dictionary-encoded group key: vectorizable, referencing only
-        // metric_name / tag (column-free constants also qualify).
-        if !(veval::supported(g) && refs_within(g, &schema, &[1, 2])) {
+        // Dictionary-encoded group key: references only metric_name /
+        // tag (column-free constants also qualify).
+        if !pushable(g, &[1, 2]) {
             return false;
         }
     }
@@ -1286,11 +1092,7 @@ pub(crate) fn scan_aggregate_eligible(
         }
         match e {
             Expr::Function { name, args } => {
-                if !is_aggregate(name)
-                    || !args
-                        .iter()
-                        .all(|a| veval::supported(a) && refs_within(a, &schema, &all_cols))
-                {
+                if !is_aggregate(name) || !args.iter().all(|a| pushable(a, &all_cols)) {
                     return false;
                 }
                 if matches!(name.as_str(), "MIN" | "MAX") {
@@ -1306,13 +1108,19 @@ pub(crate) fn scan_aggregate_eligible(
                     // series-rank order); without one, only streams with
                     // a guaranteed total order stay eligible — the Int
                     // timestamp column or per-series-constant dictionary
-                    // expressions (Str/Bool/NULL, never NaN). A bare
-                    // `value` (or computed float) stream falls back.
-                    if !saw_ts
-                        && !args.iter().all(|a| {
-                            is_obs_column(a, &schema, 0) || refs_within(a, &schema, &[1, 2])
-                        })
-                    {
+                    // expressions built from operators alone (Str/Bool/
+                    // NULL, never NaN; a scalar call or CASE may mix
+                    // classes). A bare `value` (or computed float) stream
+                    // falls back.
+                    let one_class = |a: &Expr| {
+                        let mut operators_only = true;
+                        a.walk(&mut |e| {
+                            operators_only &=
+                                !matches!(e, Expr::Function { .. } | Expr::Case { .. });
+                        });
+                        operators_only && refs_within(a, &schema, &[1, 2])
+                    };
+                    if !saw_ts && !args.iter().all(|a| is_tsdb_col(a, &schema, 0) || one_class(a)) {
                         return false;
                     }
                 }
@@ -1345,15 +1153,6 @@ mod tests {
     fn optimized(c: &Catalog, sql: &str) -> LogicalPlan {
         let q = parse_query(sql).unwrap();
         optimize(build(c, &q).unwrap(), c).unwrap()
-    }
-
-    /// Strips an `Exchange` parallelization marker (rule 5, tested on its
-    /// own) so the rule-1..4 shape assertions stay focused.
-    fn unwrap_exchange(p: LogicalPlan) -> LogicalPlan {
-        match p {
-            LogicalPlan::Exchange { input } => *input,
-            other => other,
-        }
     }
 
     #[test]
@@ -1392,11 +1191,9 @@ mod tests {
             "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND tag['host'] = 'web-1' \
              AND timestamp BETWEEN 0 AND 100",
         );
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::TsdbScan { name, tags, start, end, .. } = *input else {
-            panic!("expected tsdb scan, got {input:?}")
+        // Pruned to `value`, the scan is all the projection asks for.
+        let LogicalPlan::TsdbScan { name, tags, start, end, .. } = p else {
+            panic!("expected a bare tsdb scan, got {p:?}")
         };
         assert_eq!(name.as_deref(), Some("cpu"));
         assert_eq!(tags, vec![TagFilter::Equals("host".into(), "web-1".into())]);
@@ -1407,28 +1204,20 @@ mod tests {
     fn tsdb_residual_keeps_unpushable_conjuncts() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT value FROM tsdb WHERE metric_name = 'cpu' AND value > 1.5");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::Filter { input, predicate } = *input else {
-            panic!("expected residual filter, got {input:?}")
+        let LogicalPlan::Filter { input, predicate } = p else {
+            panic!("expected residual filter, got {p:?}")
         };
         assert!(
             matches!(*input, LogicalPlan::TsdbScan { ref name, .. } if name.as_deref() == Some("cpu"))
         );
-        let mut cols = Vec::new();
-        collect_columns(&predicate, &mut cols);
-        assert_eq!(cols, vec!["value".to_string()]);
+        assert_eq!(predicate.columns(), ["value"]);
     }
 
     #[test]
     fn tag_null_checks_become_index_predicates() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] IS NOT NULL");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::TsdbScan { tags, .. } = *input else { panic!("expected scan") };
+        let LogicalPlan::TsdbScan { tags, .. } = p else { panic!("expected scan, got {p:?}") };
         assert_eq!(tags, vec![TagFilter::HasKey("host".into())]);
     }
 
@@ -1439,10 +1228,9 @@ mod tests {
             &c,
             "SELECT value FROM tsdb WHERE timestamp >= 10 AND timestamp < 50 AND 20 <= timestamp",
         );
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
+        let LogicalPlan::TsdbScan { start, end, .. } = p else {
+            panic!("expected scan, got {p:?}")
         };
-        let LogicalPlan::TsdbScan { start, end, .. } = *input else { panic!("expected scan") };
         assert_eq!((start, end), (Some(20), Some(49)));
     }
 
@@ -1450,10 +1238,7 @@ mod tests {
     fn pruning_drops_unreferenced_scan_columns() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::TsdbScan { columns, .. } = *input else { panic!("expected scan") };
+        let LogicalPlan::TsdbScan { columns, .. } = p else { panic!("expected scan, got {p:?}") };
         // metric_name was absorbed into the scan filter, so only
         // timestamp + value survive; the tag maps are never cloned.
         assert_eq!(columns, Some(vec![0, 3]));
@@ -1494,16 +1279,14 @@ mod tests {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT y FROM (SELECT x AS y FROM plain) s WHERE y > 0");
         // The filter must sit below the subquery's Project, directly on the
-        // scan, rewritten in terms of x.
-        let LogicalPlan::Project { input: outer, .. } = p else { panic!("expected project") };
-        let LogicalPlan::Project { input, .. } = *outer else { panic!("expected inner project") };
+        // scan, rewritten in terms of x (the outer `SELECT y` restates the
+        // subquery's output and is elided).
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project") };
         let LogicalPlan::Filter { predicate, input } = *input else {
             panic!("expected pushed filter, got {input:?}")
         };
         assert!(matches!(*input, LogicalPlan::Scan { .. }));
-        let mut cols = Vec::new();
-        collect_columns(&predicate, &mut cols);
-        assert_eq!(cols, vec!["x".to_string()]);
+        assert_eq!(predicate.columns(), ["x"]);
     }
 
     #[test]
@@ -1529,40 +1312,28 @@ mod tests {
         // metric_name GLOB with a literal prefix becomes the scan's name
         // pattern (served by a name-index range scan in the store).
         let p = optimized(&c, "SELECT value FROM tsdb WHERE metric_name GLOB 'c*'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::TsdbScan { name, .. } = *input else {
-            panic!("expected scan, got {input:?}")
-        };
+        let LogicalPlan::TsdbScan { name, .. } = p else { panic!("expected scan, got {p:?}") };
         assert_eq!(name.as_deref(), Some("c*"));
 
         // tag['k'] LIKE translates %/_ to */? and lands in the tag filters.
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] LIKE 'web-%'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
-        let LogicalPlan::TsdbScan { tags, .. } = *input else { panic!("expected scan") };
+        let LogicalPlan::TsdbScan { tags, .. } = p else { panic!("expected scan, got {p:?}") };
         assert_eq!(tags, vec![TagFilter::Glob("host".into(), "web-*".into())]);
 
         // A LIKE pattern containing literal glob metacharacters must stay
         // a residual filter (translation would change its meaning).
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] LIKE 'w*b%'");
-        let LogicalPlan::Project { input, .. } = unwrap_exchange(p) else {
-            panic!("expected project")
-        };
+        let LogicalPlan::Project { input, .. } = p else { panic!("expected project, got {p:?}") };
         assert!(matches!(*input, LogicalPlan::Filter { .. }), "expected residual, got {input:?}");
     }
 
     #[test]
-    fn parallelize_marks_mergeable_aggregates() {
+    fn eligible_aggregates_collapse_into_the_scan() {
         let c = tsdb_catalog();
-        // A non-dictionary group key keeps rule 6 off this pipeline.
+        // A non-dictionary group key keeps rule 7 off this pipeline.
         let p =
             optimized(&c, "SELECT value, AVG(value) AS m, COUNT(*) AS n FROM tsdb GROUP BY value");
-        let LogicalPlan::Exchange { input } = p else { panic!("expected exchange, got {p:?}") };
-        assert!(matches!(*input, LogicalPlan::Aggregate { .. }));
-        // An eligible pipeline collapses into the scan, marker and all.
+        assert!(matches!(p, LogicalPlan::Aggregate { .. }), "got {p:?}");
         let p = optimized(
             &c,
             "SELECT timestamp, AVG(value) AS m, COUNT(*) AS n FROM tsdb \
@@ -1607,15 +1378,27 @@ mod tests {
     }
 
     #[test]
-    fn parallelize_skips_non_mergeable_aggregate_outputs() {
+    fn identity_projections_are_elided() {
         let c = tsdb_catalog();
-        // AVG(x) * 2 is not a plain aggregate call: its partial states
-        // cannot merge, so the pipeline stays serial.
-        let p = optimized(&c, "SELECT AVG(x) * 2 AS m FROM plain GROUP BY x");
-        assert!(matches!(p, LogicalPlan::Aggregate { .. }), "got {p:?}");
-        // Window projections stay serial too (they read the whole input).
-        let p = optimized(&c, "SELECT LAG(value) AS prev FROM tsdb");
-        assert!(matches!(p, LogicalPlan::Project { .. }), "got {p:?}");
+        for sql in ["SELECT * FROM tsdb", "SELECT timestamp, metric_name, tag, value FROM tsdb"] {
+            let p = optimized(&c, sql);
+            assert!(matches!(p, LogicalPlan::TsdbScan { columns: None, .. }), "{sql}: {p:?}");
+        }
+        assert!(matches!(optimized(&c, "SELECT x FROM plain"), LogicalPlan::Scan { .. }));
+        // A rename, a reorder, a subset the scan was not pruned to, a
+        // hidden ORDER BY key and a join-scope alias all keep theirs.
+        for sql in [
+            "SELECT value AS v FROM tsdb",
+            "SELECT value, timestamp FROM tsdb",
+            "SELECT timestamp FROM tsdb WHERE value > 1.5",
+            "SELECT a.x FROM plain a JOIN plain b ON a.x = b.x",
+        ] {
+            let p = optimized(&c, sql);
+            assert!(matches!(p, LogicalPlan::Project { .. }), "{sql}: {p:?}");
+        }
+        let p = optimized(&c, "SELECT value FROM tsdb ORDER BY timestamp");
+        let LogicalPlan::Sort { input, .. } = p else { panic!("expected sort, got {p:?}") };
+        assert!(matches!(*input, LogicalPlan::Project { .. }), "got {input:?}");
     }
 
     #[test]
@@ -1628,12 +1411,8 @@ mod tests {
         // k = 1 (a group key) sinks below the aggregate; m > 0 stays above.
         let LogicalPlan::Project { input: outer, .. } = p else { panic!("expected project") };
         let LogicalPlan::Filter { predicate, input } = *outer else { panic!("expected filter") };
-        let mut cols = Vec::new();
-        collect_columns(&predicate, &mut cols);
-        assert_eq!(cols, vec!["m".to_string()]);
-        let LogicalPlan::Aggregate { input, .. } = unwrap_exchange(*input) else {
-            panic!("expected aggregate")
-        };
+        assert_eq!(predicate.columns(), ["m"]);
+        let LogicalPlan::Aggregate { input, .. } = *input else { panic!("expected aggregate") };
         assert!(matches!(*input, LogicalPlan::Filter { .. }), "group-key conjunct pushed below");
     }
 }

@@ -23,6 +23,7 @@ use explainit_tsdb::TagFilter;
 use crate::ast::{BinaryOp, Expr, JoinKind, Query, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
 use crate::table::Schema;
+use crate::veval::FilterClass;
 use crate::{QueryError, Result};
 
 /// A relational operator tree.
@@ -127,20 +128,9 @@ pub enum LogicalPlan {
         /// Unioned plans, in order; the first defines the output names.
         inputs: Vec<LogicalPlan>,
     },
-    /// Partition-parallel execution marker, inserted by the optimizer
-    /// around a pipeline the executor may run morsel-parallel: an
-    /// `Aggregate` (two-phase: per-partition partial accumulators, then an
-    /// order-preserving merge exchange) or a `Project`, in both cases with
-    /// any directly nested `Filter`s evaluated per partition. The wrapped
-    /// plan is also a valid serial plan; partition count is an execution
-    /// option, so `Exchange` never changes results, only scheduling.
-    Exchange {
-        /// The pipeline to parallelize.
-        input: Box<LogicalPlan>,
-    },
     /// Aggregation pushed *into* the scan: produced by the optimizer when
-    /// an `Aggregate` (optionally under `Exchange`, above pushed-down
-    /// vectorizable `Filter`s) sits directly on a [`LogicalPlan::TsdbScan`]
+    /// an `Aggregate` (above pushed-down `Filter`s) sits directly on a
+    /// [`LogicalPlan::TsdbScan`]
     /// and every group key is the `timestamp` column or an expression over
     /// the dictionary-encoded scan columns (`metric_name`, `tag`). The
     /// executor pre-aggregates each series' sorted point vectors straight
@@ -219,8 +209,7 @@ pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> Option<u64> {
         LogicalPlan::Unit => Some(1),
         LogicalPlan::Alias { input, .. }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Exchange { input } => estimate_rows(input, catalog),
-        LogicalPlan::Project { input, .. } => estimate_rows(input, catalog),
+        | LogicalPlan::Project { input, .. } => estimate_rows(input, catalog),
         LogicalPlan::Filter { input, .. } => {
             // Default selectivity heuristic: a WHERE clause keeps ~1/3 of
             // its input (non-zero inputs stay non-zero so join sides with
@@ -308,9 +297,7 @@ impl LogicalPlan {
                 cols.extend(right.schema(catalog)?.columns().iter().cloned());
                 Ok(Schema::new(cols))
             }
-            LogicalPlan::Sort { input, .. } | LogicalPlan::Exchange { input } => {
-                input.schema(catalog)
-            }
+            LogicalPlan::Sort { input, .. } => input.schema(catalog),
             LogicalPlan::Union { inputs } => inputs
                 .first()
                 .ok_or_else(|| QueryError::Plan("empty UNION".into()))?
@@ -528,19 +515,19 @@ pub fn render(plan: &LogicalPlan) -> String {
 }
 
 /// [`render`] with an optional catalog for static refinement annotations:
-/// each `Filter` node in a scan-rooted chain is tagged with how the
-/// executor will evaluate it, as decided *statically* from the inferred
-/// column types ([`crate::types`]) and the vectorizer's analysis:
+/// each `Filter` node in a scan-rooted chain is tagged with the
+/// [`FilterClass`] the executor will evaluate it as, decided *statically*
+/// by the evaluator's own classifier ([`crate::veval::classify`]):
 ///
 /// * `refine=dict` — references only the dictionary-encoded
 ///   `metric_name`/`tag` columns; evaluated once per distinct series.
-/// * `refine=kernel` — refines the selection vector with typed
+/// * `refine=kernel` — a column compared against literals (comparison,
+///   `BETWEEN`, `IS NULL`, `IN`), refining the selection vector with typed
 ///   branch-free loops ([`crate::kernel`]) straight off the column
-///   slices: span-refinable point predicates on a TSDB scan, or (on a
-///   registered table, when the catalog is supplied) a vectorizable
-///   comparison whose columns all inferred to non-null `Int`/`Float`.
-/// * `refine=general` — needs the row gather + vectorized evaluator
-///   fallback.
+///   slices: `timestamp`/`value` on a TSDB scan, or (on a registered
+///   table) columns that all inferred to non-null `Int`/`Float`
+///   ([`crate::types`]).
+/// * `refine=general` — evaluated over the gathered surviving rows.
 pub fn render_with(plan: &LogicalPlan, catalog: Option<&Catalog>) -> String {
     let mut out = String::new();
     render_into(plan, 0, catalog, &mut out);
@@ -549,29 +536,14 @@ pub fn render_with(plan: &LogicalPlan, catalog: Option<&Catalog>) -> String {
 
 /// The `refine=` class of one filter predicate, or `None` when the chain
 /// source is not a scan (derived columns — no static story to tell).
-fn refine_class(predicate: &Expr, source: &LogicalPlan, catalog: &Catalog) -> Option<&'static str> {
+fn refine_class(predicate: &Expr, source: &LogicalPlan, catalog: &Catalog) -> Option<FilterClass> {
     match source {
-        LogicalPlan::TsdbScan { .. } => {
-            let obs = Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
-            let mut cols = Vec::new();
-            crate::optimize::collect_columns(predicate, &mut cols);
-            if cols.iter().all(|c| obs.resolve(c).is_ok_and(|i| i == 1 || i == 2)) {
-                Some("dict")
-            } else if crate::veval::span_refinable(predicate, &obs) {
-                Some("kernel")
-            } else {
-                Some("general")
-            }
-        }
+        LogicalPlan::TsdbScan { .. } => Some(crate::optimize::tsdb_filter_class(predicate)),
         LogicalPlan::Scan { table } => {
             let types = crate::types::base_table_types(catalog, table).ok()?;
-            let mut cols = Vec::new();
-            crate::optimize::collect_columns(predicate, &mut cols);
-            let numeric = crate::veval::supported(predicate)
-                && cols.iter().all(|c| {
-                    types.resolve(c).is_ok_and(|info| !info.nullable && info.ty.is_numeric())
-                });
-            Some(if numeric { "kernel" } else { "general" })
+            let numeric =
+                |c: &str| types.resolve(c).is_ok_and(|info| !info.nullable && info.ty.is_numeric());
+            Some(crate::veval::classify(predicate, &|_| false, &numeric))
         }
         _ => None,
     }
@@ -703,7 +675,7 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             if let Some(class) =
                 catalog.and_then(|c| refine_class(predicate, chain_source(input), c))
             {
-                line.push_str(&format!(" refine={class}"));
+                line.push_str(&format!(" refine={}", class.name()));
             }
             push_line(out, depth, &line);
             render_into(input, depth + 1, catalog, out);
@@ -768,10 +740,6 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             for i in inputs {
                 render_into(i, depth + 1, catalog, out);
             }
-        }
-        LogicalPlan::Exchange { input } => {
-            push_line(out, depth, "Exchange partitions=auto");
-            render_into(input, depth + 1, catalog, out);
         }
         LogicalPlan::ScanAggregate {
             table,

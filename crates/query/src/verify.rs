@@ -22,24 +22,21 @@
 //!    be resolved (unit tests optimize plans over detached catalogs).
 //! 2. **ScanAggregate re-eligibility** — every [`LogicalPlan::ScanAggregate`]
 //!    is expanded back into the `Aggregate → Filter* → TsdbScan` chain it
-//!    came from and re-run through the rule-6 eligibility analysis
+//!    came from and re-run through the rule-7 eligibility analysis
 //!    ([`crate::optimize::scan_aggregate_eligible`]): mergeable aggregates
 //!    only, dictionary/timestamp group keys, the NaN `MIN`/`MAX` ordering
-//!    rule, vectorizable filters.
-//! 3. **Exchange mergeability** — an [`LogicalPlan::Exchange`] may only
-//!    wrap a two-phase-mergeable `Aggregate` or a TSDB-rooted vectorizable
-//!    `Project` (rule 5's eligibility, re-checked).
-//! 4. **Residual filter chains** — a `Filter` chain left directly above a
+//!    rule, no window calls.
+//! 3. **Residual filter chains** — a `Filter` chain left directly above a
 //!    `TsdbScan` must reference only columns the (possibly pruned) scan
-//!    still produces, and must keep rule 3's cost classes sorted:
+//!    still produces, and must keep rule 3's [`FilterClass`] order:
 //!    per-series dictionary predicates innermost, kernel-refinable point
 //!    predicates next, general expressions outermost. (Only enforced once
 //!    `pushdown` has run — the planner's raw WHERE chain predates the
 //!    ordering.)
-//! 5. **Sort key bounds** — every sort key indexes a real column of the
+//! 4. **Sort key bounds** — every sort key indexes a real column of the
 //!    extended (visible + hidden) child output, and the visible width
 //!    never exceeds the extended width.
-//! 6. **Union shape** — a `Union` node keeps at least one branch.
+//! 5. **Union shape** — a `Union` node keeps at least one branch.
 //!
 //! Violations surface as [`QueryError::Plan`] with the message prefix
 //! `optimizer invariant violated after <rule>:`.
@@ -49,13 +46,10 @@ use explainit_sync::{LockClass, OnceLock};
 use crate::ast::Expr;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::optimize::{
-    aggregate_exchange_eligible, collect_columns, project_exchange_eligible,
-    scan_aggregate_eligible,
-};
-use crate::plan::{LogicalPlan, TSDB_COLUMNS};
+use crate::optimize::{peel_filter_chain, scan_aggregate_eligible, tsdb_filter_class};
+use crate::plan::LogicalPlan;
 use crate::table::Schema;
-use crate::veval;
+use crate::veval::FilterClass;
 use crate::Result;
 
 /// True when `EXPLAINIT_VERIFY_PLANS` forces verification on (cached — the
@@ -122,7 +116,7 @@ fn walk(
             items,
             hidden,
         } => {
-            // Expand the node back into the chain rule 6 collapsed and
+            // Expand the node back into the chain rule 7 collapsed and
             // re-run the eligibility analysis it must have passed.
             let mut synth = LogicalPlan::TsdbScan {
                 table: table.clone(),
@@ -139,50 +133,21 @@ fn walk(
             if !scan_aggregate_eligible(&synth, group_by, items, hidden) {
                 return violation(
                     rule,
-                    format!("ScanAggregate over {table} fails re-run of rule-6 eligibility"),
+                    format!("ScanAggregate over {table} fails re-run of rule-7 eligibility"),
                 );
             }
             check_filter_classes(filters.iter().collect(), rule, ordered)
         }
-        LogicalPlan::Exchange { input } => {
-            match input.as_ref() {
-                LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-                    if !aggregate_exchange_eligible(input, group_by, items, hidden) {
-                        return violation(
-                            rule,
-                            "Exchange wraps an aggregate whose partials do not merge".to_string(),
-                        );
-                    }
-                }
-                LogicalPlan::Project { input, items, hidden } => {
-                    if !project_exchange_eligible(input, items, hidden) {
-                        return violation(
-                            rule,
-                            "Exchange wraps a non-vectorizable projection".to_string(),
-                        );
-                    }
-                }
-                other => {
-                    return violation(
-                        rule,
-                        format!("Exchange wraps a non-pipeline node ({})", node_name(other)),
-                    );
-                }
-            }
-            walk(input, rule, ordered, false, catalog)
-        }
         LogicalPlan::Filter { .. } => {
             // Check each maximal chain once, from its outermost node.
-            let (filters, source) = peel(plan);
+            let (filters, source) = peel_filter_chain(plan);
             if !under_filter && matches!(source, LogicalPlan::TsdbScan { .. }) {
                 let Ok(scan_schema) = source.schema(catalog) else {
                     return Ok(());
                 };
                 for predicate in &filters {
-                    let mut cols = Vec::new();
-                    collect_columns(predicate, &mut cols);
-                    for col in cols {
-                        if scan_schema.resolve(&col).is_err() {
+                    for col in predicate.columns() {
+                        if scan_schema.resolve(col).is_err() {
                             return violation(
                                 rule,
                                 format!("residual predicate references `{col}`, which the pruned scan no longer produces"),
@@ -196,12 +161,7 @@ fn walk(
             walk(input, rule, ordered, true, catalog)
         }
         LogicalPlan::Sort { input, keys, output_width } => {
-            // Peel a parallelization marker: Sort reads the pipeline output.
-            let mut child = input.as_ref();
-            if let LogicalPlan::Exchange { input } = child {
-                child = input;
-            }
-            let extended = match child {
+            let extended = match input.as_ref() {
                 LogicalPlan::Project { items, hidden, .. }
                 | LogicalPlan::Aggregate { items, hidden, .. }
                 | LogicalPlan::ScanAggregate { items, hidden, .. } => {
@@ -246,45 +206,13 @@ fn walk(
     }
 }
 
-/// Splits a `Filter` chain (outermost first) off a plan.
-fn peel(mut plan: &LogicalPlan) -> (Vec<&Expr>, &LogicalPlan) {
-    let mut filters = Vec::new();
-    loop {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                filters.push(predicate);
-                plan = input;
-            }
-            other => return (filters, other),
-        }
-    }
-}
-
-/// Rule 3's cost class of one residual conjunct: 0 = per-series dictionary
-/// predicate, 1 = kernel-refinable point predicate, 2 = general expression.
-fn filter_class(predicate: &Expr, schema: &Schema) -> usize {
-    let dict_only = {
-        let mut cols = Vec::new();
-        collect_columns(predicate, &mut cols);
-        cols.iter().all(|c| schema.resolve(c).is_ok_and(|i| i == 1 || i == 2))
-    };
-    if dict_only {
-        0
-    } else if veval::span_refinable(predicate, schema) {
-        1
-    } else {
-        2
-    }
-}
-
 /// Checks a residual chain (outermost first) keeps rule 3's non-increasing
 /// cost-class order — equivalently: cheapest class innermost.
 fn check_filter_classes(filters: Vec<&Expr>, rule: &str, ordered: bool) -> Result<()> {
     if !ordered || filters.len() < 2 {
         return Ok(());
     }
-    let schema = Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
-    let classes: Vec<usize> = filters.iter().map(|p| filter_class(p, &schema)).collect();
+    let classes: Vec<FilterClass> = filters.iter().map(|p| tsdb_filter_class(p)).collect();
     if classes.windows(2).any(|w| w[0] < w[1]) {
         return violation(
             rule,
@@ -294,24 +222,6 @@ fn check_filter_classes(filters: Vec<&Expr>, rule: &str, ordered: bool) -> Resul
         );
     }
     Ok(())
-}
-
-fn node_name(plan: &LogicalPlan) -> &'static str {
-    match plan {
-        LogicalPlan::Scan { .. } => "Scan",
-        LogicalPlan::TsdbScan { .. } => "TsdbScan",
-        LogicalPlan::Unit => "Unit",
-        LogicalPlan::Alias { .. } => "Alias",
-        LogicalPlan::Filter { .. } => "Filter",
-        LogicalPlan::Project { .. } => "Project",
-        LogicalPlan::Aggregate { .. } => "Aggregate",
-        LogicalPlan::Join { .. } => "Join",
-        LogicalPlan::Sort { .. } => "Sort",
-        LogicalPlan::Limit { .. } => "Limit",
-        LogicalPlan::Union { .. } => "Union",
-        LogicalPlan::Exchange { .. } => "Exchange",
-        LogicalPlan::ScanAggregate { .. } => "ScanAggregate",
-    }
 }
 
 #[cfg(test)]
@@ -398,29 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_over_scan_is_flagged() {
-        let catalog = Catalog::new();
-        let plan = LogicalPlan::Exchange { input: Box::new(scan()) };
-        let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("non-pipeline")), "{err}");
-    }
-
-    #[test]
-    fn exchange_over_window_projection_is_flagged() {
-        let catalog = Catalog::new();
-        let lag = Expr::Function { name: "LAG".to_string(), args: vec![col("value"), lit(1)] };
-        let plan = LogicalPlan::Exchange {
-            input: Box::new(LogicalPlan::Project {
-                input: Box::new(scan()),
-                items: vec![(lag, "l".to_string())],
-                hidden: Vec::new(),
-            }),
-        };
-        let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("non-vectorizable")), "{err}");
-    }
-
-    #[test]
     fn ineligible_scan_aggregate_is_flagged() {
         let catalog = Catalog::new();
         // MIN over the float value stream with no timestamp key: the NaN
@@ -438,7 +325,7 @@ mod tests {
             hidden: Vec::new(),
         };
         let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("rule-6")), "{err}");
+        assert!(matches!(&err, QueryError::Plan(m) if m.contains("rule-7")), "{err}");
     }
 
     #[test]

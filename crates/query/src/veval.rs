@@ -1,17 +1,33 @@
-//! Vectorized expression evaluation over columns.
+//! The expression evaluator under the executor: every non-aggregate
+//! expression, over columns.
 //!
-//! The columnar executor evaluates WHERE predicates, projection items,
-//! group keys and join keys directly against [`Column`]s — no intermediate
-//! `Vec<Vec<Value>>` rows. Dense fast paths cover the hot comparisons
-//! (typed column vs. literal) and boolean combinators; dictionary columns
-//! ([`Column::Dict`]) evaluate predicates, map accesses and NULL checks
-//! *once per distinct dictionary entry* and expand by code — so
-//! `metric_name = 'cpu'` over a million-row scan does one string compare
-//! per distinct metric, not per row. Everything else in the supported
-//! subset falls back to per-entry [`Value`] evaluation, which still avoids
-//! row materialization. Expressions outside the subset (scalar/window/
-//! aggregate function calls, CASE) are reported by [`supported`] so the
-//! executor can use the row shim instead.
+//! This module's single job is to evaluate an [`Expr`] against typed
+//! [`Column`]s — WHERE predicates, projection items, group and join keys,
+//! aggregate arguments — with exactly the results *and the Ok/Err
+//! outcome* of the row walker in [`crate::eval`], which stays the oracle.
+//! It is total: operators, `IN`/`BETWEEN`/`IS NULL`, scalar calls, `CASE`
+//! and `LAG`/`LEAD` all evaluate here, so no operator needs a row view.
+//!
+//! * **Scalar semantics are not re-implemented.** Per-value work calls the
+//!   functions of [`crate::eval`] / [`crate::functions`]; this module only
+//!   decides *over which rows* and *how often* they run.
+//! * **Dictionary columns evaluate once per referenced entry.** Any
+//!   expression whose column references all trace to one [`Column::Dict`]
+//!   (`tag['host']`, `UPPER(metric_name) LIKE 'P%'`, `CONCAT(tag['a'],
+//!   tag['b'])`) is evaluated over the entries rows actually use and
+//!   expanded by code — a million-row scan does one string compare per
+//!   distinct metric, and the result stays dictionary-encoded for GROUP BY.
+//! * **Short-circuits evaluate over the rows that reach them.** The right
+//!   operand of `AND`/`OR`, a `CASE` arm and a later `IN` item run only
+//!   over the rows the oracle would evaluate them for, so a row that never
+//!   reaches a sub-expression cannot raise its error.
+//! * **Window calls have two contexts.** [`eval_projection`] shifts
+//!   `LAG`/`LEAD` over the whole input; everywhere else ([`eval`],
+//!   [`refine`]) a window call sees only its own row, as in the oracle's
+//!   row context. Aggregate calls are an error in both.
+//! * **Typed fast paths** lower comparisons against a literal, `+ - *` and
+//!   `BETWEEN` to the branch-free loops of [`crate::kernel`]; [`refine`]
+//!   applies a predicate to a selection vector without building a mask.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -19,9 +35,11 @@ use std::sync::Arc;
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::column::Column;
 use crate::eval::{eval_and, eval_binary, eval_index, eval_or, eval_unary, sql_like};
+use crate::functions::{eval_scalar, is_aggregate, is_window};
+use crate::kernel::{self, ArithOp, CmpOp, I64Test, IntArith};
 use crate::table::Schema;
-use crate::value::Value;
-use crate::Result;
+use crate::value::{cmp_i64_f64, Value};
+use crate::{QueryError, Result};
 
 /// A vectorized evaluation result: a full column or an unexpanded constant.
 pub enum VOut {
@@ -47,181 +65,433 @@ impl VOut {
             VOut::Const(v) => Column::from_values(vec![v; len]),
         }
     }
-}
 
-/// True when [`eval`] can handle the expression. Function calls (scalar,
-/// aggregate, window) and CASE go through the row-oriented fallback.
-pub fn supported(expr: &Expr) -> bool {
-    match expr {
-        Expr::Literal(_) | Expr::Column(_) => true,
-        Expr::Binary { left, right, .. } => supported(left) && supported(right),
-        Expr::Unary { operand, .. } => supported(operand),
-        Expr::Function { .. } | Expr::Case { .. } => false,
-        Expr::Index { container, index } => supported(container) && supported(index),
-        Expr::InList { expr, list, .. } => supported(expr) && list.iter().all(supported),
-        Expr::Between { expr, low, high, .. } => {
-            supported(expr) && supported(low) && supported(high)
+    /// The keep-mask of a predicate result (`is_true`: NULL and false drop).
+    fn into_mask(self, len: usize) -> Vec<bool> {
+        match self {
+            VOut::Const(v) => vec![v.is_true(); len],
+            VOut::Col(Column::Bool(mask)) => mask,
+            VOut::Col(Column::Dict { values, codes }) => {
+                let per: Vec<bool> = values.iter().map(Value::is_true).collect();
+                codes.iter().map(|&c| per[c as usize]).collect()
+            }
+            VOut::Col(col) => col.iter_values().map(|v| v.is_true()).collect(),
         }
-        Expr::IsNull { expr, .. } => supported(expr),
     }
 }
 
-/// Evaluates a supported expression against the columns of `(schema, cols)`
-/// with `len` rows.
+/// A borrowed column, which is what the evaluator reads. Dense numeric
+/// data is a raw slice, so an owned [`Column`] and a scan-aggregate span's
+/// point vectors go through the same code without a copy.
+#[derive(Clone, Copy)]
+pub enum ColView<'a> {
+    /// NULL-free integers.
+    Int(&'a [i64]),
+    /// NULL-free floats.
+    Float(&'a [f64]),
+    /// Every other representation.
+    Other(&'a Column),
+}
+
+impl<'a> From<&'a Column> for ColView<'a> {
+    fn from(col: &'a Column) -> Self {
+        match col {
+            Column::Int(v) => ColView::Int(v),
+            Column::Float(v) => ColView::Float(v),
+            other => ColView::Other(other),
+        }
+    }
+}
+
+impl ColView<'_> {
+    fn get(self, i: usize) -> Value {
+        match self {
+            ColView::Int(v) => Value::Int(v[i]),
+            ColView::Float(v) => Value::Float(v[i]),
+            ColView::Other(c) => c.get(i),
+        }
+    }
+
+    /// The rows `sel` as an owned column.
+    pub(crate) fn gather(self, sel: &[u32]) -> Column {
+        match self {
+            ColView::Int(v) => Column::Int(sel.iter().map(|&i| v[i as usize]).collect()),
+            ColView::Float(v) => Column::Float(sel.iter().map(|&i| v[i as usize]).collect()),
+            ColView::Other(c) => c.gather_u32(sel),
+        }
+    }
+
+    fn to_column(self) -> Column {
+        match self {
+            ColView::Int(v) => Column::Int(v.to_vec()),
+            ColView::Float(v) => Column::Float(v.to_vec()),
+            ColView::Other(c) => c.clone(),
+        }
+    }
+}
+
+/// Evaluates an expression against the columns of `(schema, cols)` with
+/// `len` rows. A window call sees only its own row; use
+/// [`eval_projection`] where it should see the whole input.
 pub fn eval(expr: &Expr, schema: &Schema, cols: &[Column], len: usize) -> Result<VOut> {
-    match expr {
-        Expr::Literal(v) => Ok(VOut::Const(v.clone())),
-        Expr::Column(name) => {
-            let i = schema.resolve(name)?;
-            Ok(VOut::Col(cols[i].clone()))
+    let views: Vec<ColView> = cols.iter().map(ColView::from).collect();
+    Scope { schema, cols: &views, len, shift: false }.eval(expr)
+}
+
+/// [`eval`] in projection context: `LAG`/`LEAD` read the row `offset`
+/// positions away among all `len` rows.
+pub fn eval_projection(expr: &Expr, schema: &Schema, cols: &[Column], len: usize) -> Result<VOut> {
+    let views: Vec<ColView> = cols.iter().map(ColView::from).collect();
+    Scope { schema, cols: &views, len, shift: true }.eval(expr)
+}
+
+/// Evaluates a column-free expression to its value (constant folding, and
+/// expressions with a series' constants substituted in).
+pub(crate) fn eval_const(expr: &Expr) -> Result<Value> {
+    Ok(eval(expr, &Schema::default(), &[], 1)?.get(0))
+}
+
+/// The rows an expression is evaluated over.
+struct Scope<'a> {
+    schema: &'a Schema,
+    cols: &'a [ColView<'a>],
+    len: usize,
+    /// Projection context: a window call's window is all `len` rows.
+    /// Otherwise it is the row itself.
+    shift: bool,
+}
+
+impl Scope<'_> {
+    fn eval(&self, expr: &Expr) -> Result<VOut> {
+        if let Some(out) = self.eval_per_entry(expr)? {
+            return Ok(out);
         }
-        Expr::Unary { op, operand } => {
-            let v = eval(operand, schema, cols, len)?;
-            match v {
-                VOut::Const(c) => Ok(VOut::Const(eval_unary(*op, c)?)),
-                VOut::Col(col) => {
-                    // Dense negation fast paths.
-                    match (op, &col) {
-                        (UnaryOp::Neg, Column::Int(v)) => {
-                            Ok(VOut::Col(Column::Int(v.iter().map(|&x| -x).collect())))
-                        }
-                        (UnaryOp::Neg, Column::Float(v)) => {
-                            Ok(VOut::Col(Column::Float(v.iter().map(|&x| -x).collect())))
-                        }
-                        (UnaryOp::Not, Column::Bool(v)) => {
-                            Ok(VOut::Col(Column::Bool(v.iter().map(|&b| !b).collect())))
-                        }
-                        _ => {
-                            let mut out = Vec::with_capacity(len);
-                            for i in 0..len {
-                                out.push(eval_unary(*op, col.get(i))?);
-                            }
-                            Ok(VOut::Col(Column::from_values(out)))
-                        }
-                    }
+        match expr {
+            Expr::Literal(v) => Ok(VOut::Const(v.clone())),
+            Expr::Column(name) => Ok(VOut::Col(self.cols[self.schema.resolve(name)?].to_column())),
+            Expr::Unary { op, operand } => Ok(match (op, self.eval(operand)?) {
+                (_, VOut::Const(c)) => VOut::Const(eval_unary(*op, c)?),
+                // `0 - x` through the checked kernel: `-i64::MIN` promotes
+                // to the exact Float like every other Int overflow.
+                (UnaryOp::Neg, VOut::Col(Column::Int(v))) => {
+                    int_out(kernel::i64_arith_const(ArithOp::Sub, &v, 0, true))
                 }
+                (UnaryOp::Neg, VOut::Col(Column::Float(v))) => {
+                    VOut::Col(Column::Float(v.iter().map(|&x| -x).collect()))
+                }
+                (UnaryOp::Not, VOut::Col(Column::Bool(v))) => {
+                    VOut::Col(Column::Bool(v.iter().map(|&b| !b).collect()))
+                }
+                (_, VOut::Col(col)) => self.per_row(|i| eval_unary(*op, col.get(i)))?,
+            }),
+            Expr::Binary { op: op @ (BinaryOp::And | BinaryOp::Or), left, right } => {
+                self.eval_logic(*op, left, right)
             }
-        }
-        Expr::Binary { op, left, right } => {
-            let l = eval(left, schema, cols, len)?;
-            let r = eval(right, schema, cols, len)?;
-            eval_binary_vec(*op, l, r, len)
-        }
-        Expr::Index { container, index } => {
-            let c = eval(container, schema, cols, len)?;
-            let i = eval(index, schema, cols, len)?;
-            match (c, i) {
-                (VOut::Const(c), VOut::Const(i)) => Ok(VOut::Const(eval_index(c, i)?)),
-                // Dictionary container, constant key: one lookup per
-                // distinct entry — this is the `tag['host']` hot path.
-                (VOut::Col(Column::Dict { values, codes }), VOut::Const(k)) => {
-                    map_dict(&values, &codes, |v| eval_index(v.clone(), k.clone())).map(VOut::Col)
-                }
-                (c, i) => {
-                    let mut out = Vec::with_capacity(len);
-                    for row in 0..len {
-                        out.push(eval_index(c.get(row), i.get(row))?);
-                    }
-                    Ok(VOut::Col(Column::from_values(out)))
-                }
+            Expr::Binary { op, left, right } => {
+                eval_binary_vec(*op, self.eval(left)?, self.eval(right)?, self.len)
             }
-        }
-        Expr::InList { expr, list, negated } => {
-            let v = eval(expr, schema, cols, len)?;
-            let items: Vec<VOut> =
-                list.iter().map(|e| eval(e, schema, cols, len)).collect::<Result<_>>()?;
-            let mut out = Vec::with_capacity(len);
-            for row in 0..len {
-                let x = v.get(row);
-                if x.is_null() {
-                    out.push(Value::Null);
-                    continue;
+            Expr::Function { name, args } => {
+                if is_aggregate(name) {
+                    return Err(QueryError::Plan(format!(
+                        "aggregate {name} used outside GROUP BY context"
+                    )));
                 }
-                let mut saw_null = false;
-                let mut hit = false;
-                for item in &items {
-                    let iv = item.get(row);
-                    if iv.is_null() {
-                        saw_null = true;
-                        continue;
-                    }
-                    if x.sql_cmp(&iv) == Some(Ordering::Equal) {
-                        hit = true;
-                        break;
-                    }
+                if is_window(name) {
+                    return self.eval_window(name, args);
                 }
-                out.push(if hit {
-                    Value::Bool(!negated)
-                } else if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(*negated)
-                });
-            }
-            Ok(VOut::Col(Column::from_values(out)))
-        }
-        Expr::Between { expr, low, high, negated } => {
-            let v = eval(expr, schema, cols, len)?;
-            let lo = eval(low, schema, cols, len)?;
-            let hi = eval(high, schema, cols, len)?;
-            // Dense fast path: Int column between constant ints.
-            if let (
-                VOut::Col(Column::Int(vs)),
-                VOut::Const(Value::Int(a)),
-                VOut::Const(Value::Int(b)),
-            ) = (&v, &lo, &hi)
-            {
-                let (a, b) = (*a, *b);
-                return Ok(VOut::Col(Column::Bool(
-                    vs.iter().map(|&x| (x >= a && x <= b) != *negated).collect(),
-                )));
-            }
-            let mut out = Vec::with_capacity(len);
-            for row in 0..len {
-                let x = v.get(row);
-                let res = match (x.sql_cmp(&lo.get(row)), x.sql_cmp(&hi.get(row))) {
-                    (Some(a), Some(b)) => {
-                        let inside = a != Ordering::Less && b != Ordering::Greater;
-                        Value::Bool(inside != *negated)
-                    }
-                    _ => Value::Null,
+                let vals: Vec<VOut> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
+                let mut row: Vec<Value> = Vec::with_capacity(vals.len());
+                let mut call = |i: usize| {
+                    row.clear();
+                    row.extend(vals.iter().map(|v| v.get(i)));
+                    eval_scalar(name, &row)
                 };
-                out.push(res);
-            }
-            Ok(VOut::Col(Column::from_values(out)))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, cols, len)?;
-            match v {
-                VOut::Const(c) => Ok(VOut::Const(Value::Bool(c.is_null() != *negated))),
-                VOut::Col(Column::Values(vs)) => Ok(VOut::Col(Column::Bool(
-                    vs.iter().map(|x| x.is_null() != *negated).collect(),
-                ))),
-                // Dictionary entries may be NULL (e.g. a missing tag key
-                // after indexing): one null-check per entry.
-                VOut::Col(Column::Dict { values, codes }) => {
-                    let per: Vec<bool> = values.iter().map(|x| x.is_null() != *negated).collect();
-                    Ok(VOut::Col(Column::Bool(codes.iter().map(|&c| per[c as usize]).collect())))
+                if vals.iter().all(|v| matches!(v, VOut::Const(_))) {
+                    return Ok(VOut::Const(call(0)?));
                 }
-                // Other typed columns never contain NULLs.
-                VOut::Col(_) => Ok(VOut::Const(Value::Bool(*negated))),
+                self.per_row(call)
+            }
+            Expr::Index { container, index } => match (self.eval(container)?, self.eval(index)?) {
+                (VOut::Const(c), VOut::Const(i)) => Ok(VOut::Const(eval_index(c, i)?)),
+                (c, i) => self.per_row(|row| eval_index(c.get(row), i.get(row))),
+            },
+            Expr::InList { expr, list, negated } => self.eval_in_list(expr, list, *negated),
+            Expr::Between { expr, low, high, negated } => {
+                let v = self.eval(expr)?;
+                let lo = self.eval(low)?;
+                let hi = self.eval(high)?;
+                // Dense fast path: Int column between constant ints.
+                if let (
+                    VOut::Col(Column::Int(vs)),
+                    VOut::Const(Value::Int(a)),
+                    VOut::Const(Value::Int(b)),
+                ) = (&v, &lo, &hi)
+                {
+                    let (a, b) = (*a, *b);
+                    return Ok(VOut::Col(Column::Bool(
+                        vs.iter().map(|&x| (x >= a && x <= b) != *negated).collect(),
+                    )));
+                }
+                self.per_row(|row| {
+                    let x = v.get(row);
+                    Ok(match (x.sql_cmp(&lo.get(row)), x.sql_cmp(&hi.get(row))) {
+                        (Some(a), Some(b)) => {
+                            let inside = a != Ordering::Less && b != Ordering::Greater;
+                            Value::Bool(inside != *negated)
+                        }
+                        _ => Value::Null,
+                    })
+                })
+            }
+            Expr::IsNull { expr, negated } => Ok(match self.eval(expr)? {
+                VOut::Const(c) => VOut::Const(Value::Bool(c.is_null() != *negated)),
+                VOut::Col(c @ (Column::Values(_) | Column::Dict { .. })) => VOut::Col(
+                    Column::Bool(c.iter_values().map(|x| x.is_null() != *negated).collect()),
+                ),
+                // The dense typed columns never contain NULLs.
+                VOut::Col(_) => VOut::Const(Value::Bool(*negated)),
+            }),
+            Expr::Case { when_then, else_expr } => self.eval_case(when_then, else_expr.as_deref()),
+        }
+    }
+
+    /// One boxed value per row.
+    fn per_row(&self, f: impl FnMut(usize) -> Result<Value>) -> Result<VOut> {
+        let out: Vec<Value> = (0..self.len).map(f).collect::<Result<_>>()?;
+        Ok(VOut::Col(Column::from_values(out)))
+    }
+
+    /// Evaluates `expr` over the rows `sel` only (ascending, distinct);
+    /// position `j` of the result is row `sel[j]`. No other row is
+    /// evaluated, so none can raise an error: this is how every
+    /// short-circuit keeps the oracle's Ok/Err outcome.
+    fn eval_at(&self, expr: &Expr, sel: &[u32]) -> Result<VOut> {
+        if sel.is_empty() {
+            return Ok(VOut::Const(Value::Null)); // no row reads it
+        }
+        if sel.len() == self.len {
+            return self.eval(expr);
+        }
+        if self.shift && expr.contains_window() {
+            // A shift reads its neighbours by position: evaluate in place
+            // (over every row), then pick.
+            return Ok(match self.eval(expr)? {
+                VOut::Col(c) => VOut::Col(c.gather_u32(sel)),
+                constant => constant,
+            });
+        }
+        let mut gathered = vec![Column::empty(); self.cols.len()];
+        for name in expr.columns() {
+            if let Ok(i) = self.schema.resolve(name) {
+                if gathered[i].is_empty() {
+                    gathered[i] = self.cols[i].gather(sel);
+                }
             }
         }
-        Expr::Function { .. } | Expr::Case { .. } => Err(crate::QueryError::Plan(
-            "vectorized evaluation does not support this expression (executor bug)".into(),
-        )),
+        let views: Vec<ColView> = gathered.iter().map(ColView::from).collect();
+        Scope { cols: &views, len: sel.len(), ..*self }.eval(expr)
+    }
+
+    /// The dictionary rule: an expression whose column references all
+    /// trace to one [`Column::Dict`] is evaluated once per entry a row
+    /// references (in first-reference order, so errors surface as in a
+    /// per-row scan) and expanded by code into a new dictionary column.
+    fn eval_per_entry(&self, expr: &Expr) -> Result<Option<VOut>> {
+        if matches!(expr, Expr::Literal(_) | Expr::Column(_)) {
+            return Ok(None);
+        }
+        let mut source = None;
+        for name in expr.columns() {
+            match (self.schema.resolve(name), source) {
+                (Ok(i), None) => source = Some(i),
+                (Ok(i), Some(j)) if i == j => {}
+                _ => return Ok(None),
+            }
+        }
+        let Some(source) = source else { return Ok(None) };
+        let ColView::Other(Column::Dict { values, codes }) = self.cols[source] else {
+            return Ok(None);
+        };
+        if expr.contains_window() {
+            return Ok(None); // reads a row position, not only this row's entry
+        }
+        const UNSEEN: u32 = u32::MAX;
+        let mut slot = vec![UNSEEN; values.len()];
+        let mut referenced: Vec<u32> = Vec::new();
+        let codes: Vec<u32> = codes
+            .iter()
+            .map(|&c| {
+                let s = &mut slot[c as usize];
+                if *s == UNSEEN {
+                    *s = referenced.len() as u32;
+                    referenced.push(c);
+                }
+                *s
+            })
+            .collect();
+        let entries =
+            Column::from_values(referenced.iter().map(|&c| values[c as usize].clone()).collect());
+        let unused = Column::empty();
+        let mut views = vec![ColView::Other(&unused); self.cols.len()];
+        views[source] = ColView::from(&entries);
+        let per = Scope { cols: &views, len: referenced.len(), ..*self }.eval(expr)?;
+        Ok(Some(match per {
+            VOut::Col(c) => VOut::Col(Column::dict(Arc::new(c.iter_values().collect()), codes)),
+            constant => constant,
+        }))
+    }
+
+    /// Three-valued `AND`/`OR`. The right operand runs only over the rows
+    /// the left one leaves undecided (`FALSE AND _` and `TRUE OR _` are
+    /// decided) — the oracle's short-circuit.
+    fn eval_logic(&self, op: BinaryOp, left: &Expr, right: &Expr) -> Result<VOut> {
+        let decided = Value::Bool(op == BinaryOp::Or);
+        let combine = |l, r| if op == BinaryOp::And { eval_and(l, r) } else { eval_or(l, r) };
+        let l = match self.eval(left)? {
+            VOut::Const(l) if l == decided => return Ok(VOut::Const(l)),
+            VOut::Const(l) => {
+                return match self.eval(right)? {
+                    VOut::Const(r) => Ok(VOut::Const(combine(l, r)?)),
+                    VOut::Col(r) => self.per_row(|i| combine(l.clone(), r.get(i))),
+                }
+            }
+            VOut::Col(l) => l,
+        };
+        let reach: Vec<u32> =
+            (0..self.len as u32).filter(|&i| l.get(i as usize) != decided).collect();
+        let r = self.eval_at(right, &reach)?;
+        // Dense: a Bool left operand is `!decided` on exactly the reaching
+        // rows, where the result is the right operand's own value.
+        if let (Column::Bool(lb), VOut::Col(Column::Bool(rb))) = (&l, &r) {
+            let mut out = lb.clone();
+            for (&i, &b) in reach.iter().zip(rb) {
+                out[i as usize] = b;
+            }
+            return Ok(VOut::Col(Column::Bool(out)));
+        }
+        // Decided rows already hold their result.
+        let mut out: Vec<Value> = l.iter_values().collect();
+        for (j, &i) in reach.iter().enumerate() {
+            let l = std::mem::replace(&mut out[i as usize], Value::Null);
+            out[i as usize] = combine(l, r.get(j))?;
+        }
+        Ok(VOut::Col(Column::from_values(out)))
+    }
+
+    /// `CASE`: each condition runs over the rows no earlier arm took, and
+    /// each result over the rows its condition took.
+    fn eval_case(&self, when_then: &[(Expr, Expr)], else_expr: Option<&Expr>) -> Result<VOut> {
+        let mut out = vec![Value::Null; self.len];
+        let place = |out: &mut Vec<Value>, rows: &[u32], vals: VOut| {
+            for (j, &i) in rows.iter().enumerate() {
+                out[i as usize] = vals.get(j);
+            }
+        };
+        let mut pending: Vec<u32> = (0..self.len as u32).collect();
+        for (cond, result) in when_then {
+            let mask = self.eval_at(cond, &pending)?.into_mask(pending.len());
+            let (mut hit, mut miss) = (Vec::new(), Vec::new());
+            for (&i, took) in pending.iter().zip(mask) {
+                if took { &mut hit } else { &mut miss }.push(i);
+            }
+            place(&mut out, &hit, self.eval_at(result, &hit)?);
+            pending = miss;
+        }
+        if let Some(e) = else_expr {
+            place(&mut out, &pending, self.eval_at(e, &pending)?);
+        }
+        Ok(VOut::Col(Column::from_values(out)))
+    }
+
+    /// `expr [NOT] IN (items)`: a NULL operand is NULL, a hit decides, a
+    /// miss is NULL if any item compared was NULL. Item `k` runs over the
+    /// rows items `< k` left undecided.
+    fn eval_in_list(&self, expr: &Expr, list: &[Expr], negated: bool) -> Result<VOut> {
+        let xs: Vec<Value> = self.eval(expr)?.into_column(self.len).iter_values().collect();
+        let mut out = vec![Value::Null; self.len];
+        let mut saw_null = vec![false; self.len];
+        let mut pending: Vec<u32> =
+            (0..self.len as u32).filter(|&i| !xs[i as usize].is_null()).collect();
+        for item in list {
+            let ys = self.eval_at(item, &pending)?;
+            let mut j = 0;
+            pending.retain(|&i| {
+                let y = ys.get(j);
+                j += 1;
+                if y.is_null() {
+                    saw_null[i as usize] = true;
+                } else if xs[i as usize].sql_cmp(&y) == Some(Ordering::Equal) {
+                    out[i as usize] = Value::Bool(!negated);
+                    return false;
+                }
+                true
+            });
+        }
+        for i in pending {
+            if !saw_null[i as usize] {
+                out[i as usize] = Value::Bool(negated);
+            }
+        }
+        Ok(VOut::Col(Column::from_values(out)))
+    }
+
+    /// `LAG`/`LEAD(value [, offset [, default]])`: row `i` reads `value` at
+    /// row `i ∓ offset` of its window — all rows in projection context, the
+    /// row itself elsewhere — or the default (else NULL) outside it.
+    fn eval_window(&self, name: &str, args: &[Expr]) -> Result<VOut> {
+        if args.is_empty() || args.len() > 3 {
+            return Err(QueryError::BadFunction(format!("{name} expects 1-3 arguments")));
+        }
+        let offsets = match args.get(1) {
+            Some(e) => self.eval(e)?,
+            None => VOut::Const(Value::Int(1)),
+        };
+        let mut targets: Vec<Option<u32>> = Vec::with_capacity(self.len);
+        for i in 0..self.len as i64 {
+            let offset = offsets
+                .get(i as usize)
+                .as_i64()
+                .ok_or_else(|| QueryError::Type(format!("{name} offset must be integer")))?;
+            let target = if name == "LAG" { i.checked_sub(offset) } else { i.checked_add(offset) };
+            let window = if self.shift { 0..self.len as i64 } else { i..i + 1 };
+            targets.push(target.filter(|t| window.contains(t)).map(|t| t as u32));
+        }
+        let mut read: Vec<u32> = targets.iter().flatten().copied().collect();
+        read.sort_unstable();
+        read.dedup();
+        let outside: Vec<u32> =
+            (0..self.len as u32).filter(|&i| targets[i as usize].is_none()).collect();
+        let values = self.eval_at(&args[0], &read)?;
+        let defaults = match args.get(2) {
+            Some(e) => self.eval_at(e, &outside)?,
+            None => VOut::Const(Value::Null),
+        };
+        let mut position = vec![0usize; self.len];
+        for (j, &t) in read.iter().enumerate() {
+            position[t as usize] = j;
+        }
+        let mut next_default = 0;
+        self.per_row(|i| {
+            Ok(match targets[i] {
+                Some(t) => values.get(position[t as usize]),
+                None => {
+                    next_default += 1;
+                    defaults.get(next_default - 1)
+                }
+            })
+        })
     }
 }
 
 /// The kernel-level comparison op for a comparison `BinaryOp`.
-pub(crate) fn cmp_op_of(op: BinaryOp) -> crate::kernel::CmpOp {
+fn cmp_op_of(op: BinaryOp) -> CmpOp {
     match op {
-        BinaryOp::Eq => crate::kernel::CmpOp::Eq,
-        BinaryOp::NotEq => crate::kernel::CmpOp::Ne,
-        BinaryOp::Lt => crate::kernel::CmpOp::Lt,
-        BinaryOp::LtEq => crate::kernel::CmpOp::Le,
-        BinaryOp::Gt => crate::kernel::CmpOp::Gt,
-        BinaryOp::GtEq => crate::kernel::CmpOp::Ge,
+        BinaryOp::Eq => CmpOp::Eq,
+        BinaryOp::NotEq => CmpOp::Ne,
+        BinaryOp::Lt => CmpOp::Lt,
+        BinaryOp::LtEq => CmpOp::Le,
+        BinaryOp::Gt => CmpOp::Gt,
+        BinaryOp::GtEq => CmpOp::Ge,
         _ => unreachable!("comparison operator"),
     }
 }
@@ -238,184 +508,136 @@ fn cmp_matches(op: BinaryOp, ord: Ordering) -> bool {
     }
 }
 
-/// Applies a scalar binary op (with AND/OR routed to the three-valued
-/// helpers, matching the row evaluator exactly).
-fn scalar_binary(op: BinaryOp, a: Value, b: Value) -> Result<Value> {
+fn is_comparison(op: BinaryOp) -> bool {
+    use BinaryOp::*;
+    matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq)
+}
+
+/// `k <op> x` as `x <flipped op> k`.
+pub(crate) fn flipped(op: BinaryOp) -> BinaryOp {
     match op {
-        BinaryOp::And => eval_and(a, b),
-        BinaryOp::Or => eval_or(a, b),
-        _ => eval_binary(op, a, b),
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        other => other,
     }
 }
 
-/// Evaluates `f` once per dictionary entry *referenced by a row* (lazily,
-/// in first-reference order, so the error surface matches a per-row scan)
-/// and expands the results by code into a new dictionary column.
-fn map_dict(
-    values: &[Value],
-    codes: &[u32],
-    f: impl Fn(&Value) -> Result<Value>,
-) -> Result<Column> {
-    let mut per: Vec<Option<Value>> = vec![None; values.len()];
-    for &c in codes {
-        let slot = &mut per[c as usize];
-        if slot.is_none() {
-            *slot = Some(f(&values[c as usize])?);
+fn int_out(res: IntArith) -> VOut {
+    match res {
+        IntArith::Ints(v) => VOut::Col(Column::Int(v)),
+        IntArith::Mixed(v) => VOut::Col(Column::from_values(v)),
+    }
+}
+
+/// How `column <op> constant` is decided: the one copy of the
+/// Int/Float/big-Int exactness ladder. [`refine`] keeps the rows where the
+/// comparison holds; the evaluator also needs the rows where it is unknown.
+enum Cmp<'a> {
+    /// A NULL or NaN constant: unknown for every row.
+    Unknown,
+    /// Int column: the constant compiled once into an exact integer test
+    /// (never by rounding the column through `f64`). Never unknown.
+    Int(&'a [i64], I64Test),
+    /// Float column against a constant `f64` holds exactly; unknown where
+    /// the element is NaN.
+    Float(&'a [f64], f64),
+    /// Float column against an Int constant that does not round-trip
+    /// through `f64` (above 2^53): exact per-row comparison.
+    FloatBigInt(&'a [f64], i64),
+    /// Dense strings against a string.
+    Str(&'a [String], &'a str),
+    /// Everything else: per-row [`Value::sql_cmp`].
+    Generic,
+}
+
+fn cmp_plan<'a>(col: ColView<'a>, op: BinaryOp, k: &'a Value) -> Cmp<'a> {
+    match (col, k) {
+        (_, Value::Null) => Cmp::Unknown,
+        (ColView::Int(vs), Value::Int(k)) => {
+            Cmp::Int(vs, kernel::compile_i64_cmp_int(cmp_op_of(op), *k))
         }
+        (ColView::Int(_), Value::Float(k)) if k.is_nan() => Cmp::Unknown,
+        (ColView::Int(vs), Value::Float(k)) => {
+            Cmp::Int(vs, kernel::compile_i64_cmp(cmp_op_of(op), *k))
+        }
+        (ColView::Float(vs), Value::Int(ki)) => {
+            let kf = *ki as f64; // lint: allow as f64 — exactness re-checked by the round-trip test below
+            if kf as i128 == i128::from(*ki) {
+                Cmp::Float(vs, kf)
+            } else {
+                Cmp::FloatBigInt(vs, *ki)
+            }
+        }
+        (ColView::Float(vs), k) => match k.as_f64() {
+            Some(kf) if kf.is_nan() => Cmp::Unknown,
+            Some(kf) => Cmp::Float(vs, kf),
+            None => Cmp::Generic,
+        },
+        (ColView::Other(Column::Str(vs)), Value::Str(k)) => Cmp::Str(vs, k),
+        _ => Cmp::Generic,
     }
-    let dict: Vec<Value> = per.into_iter().map(|v| v.unwrap_or(Value::Null)).collect();
-    Ok(Column::dict(Arc::new(dict), codes.to_vec()))
 }
 
+/// A non-logical binary operator over evaluated operands.
 fn eval_binary_vec(op: BinaryOp, l: VOut, r: VOut, len: usize) -> Result<VOut> {
-    // Constant-constant folds to a constant.
-    if let (VOut::Const(a), VOut::Const(b)) = (&l, &r) {
-        let v = match op {
-            BinaryOp::And => eval_and(a.clone(), b.clone())?,
-            BinaryOp::Or => eval_or(a.clone(), b.clone())?,
-            _ => eval_binary(op, a.clone(), b.clone())?,
-        };
-        return Ok(VOut::Const(v));
-    }
-
-    // Dictionary column against a constant (either side): evaluate the
-    // scalar op once per distinct entry, expand by code. Covers
-    // comparisons, LIKE/GLOB and arithmetic in one rule.
-    if let (VOut::Col(Column::Dict { values, codes }), VOut::Const(k)) = (&l, &r) {
-        return map_dict(values, codes, |v| scalar_binary(op, v.clone(), k.clone())).map(VOut::Col);
-    }
-    if let (VOut::Const(k), VOut::Col(Column::Dict { values, codes })) = (&l, &r) {
-        return map_dict(values, codes, |v| scalar_binary(op, k.clone(), v.clone())).map(VOut::Col);
-    }
-
-    // Dense comparison fast paths: typed column vs. constant.
-    if matches!(
-        op,
-        BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq
-    ) {
-        // Normalize to column-on-the-left by flipping the comparison.
-        let (col, konst, op) = match (&l, &r) {
-            (VOut::Col(c), VOut::Const(k)) => (Some(c), k.clone(), op),
-            (VOut::Const(k), VOut::Col(c)) => (
-                Some(c),
-                k.clone(),
-                match op {
-                    BinaryOp::Lt => BinaryOp::Gt,
-                    BinaryOp::LtEq => BinaryOp::GtEq,
-                    BinaryOp::Gt => BinaryOp::Lt,
-                    BinaryOp::GtEq => BinaryOp::LtEq,
-                    other => other,
-                },
-            ),
-            _ => (None, Value::Null, op),
-        };
-        if let Some(col) = col {
-            match (col, &konst) {
-                (Column::Int(vs), Value::Int(k)) => {
-                    let k = *k;
+    match (&l, &r) {
+        (VOut::Const(a), VOut::Const(b)) => {
+            return Ok(VOut::Const(eval_binary(op, a.clone(), b.clone())?));
+        }
+        // Typed column against a constant, either side (the comparison
+        // flips to column-on-the-left).
+        (VOut::Col(c), VOut::Const(k)) | (VOut::Const(k), VOut::Col(c)) if is_comparison(op) => {
+            let op = if matches!(l, VOut::Const(_)) { flipped(op) } else { op };
+            let three_valued = |ord: Option<Ordering>| match ord {
+                Some(ord) => Value::Bool(cmp_matches(op, ord)),
+                None => Value::Null,
+            };
+            match cmp_plan(ColView::from(c), op, k) {
+                Cmp::Unknown => return Ok(VOut::Const(Value::Null)),
+                Cmp::Int(vs, test) => {
                     return Ok(VOut::Col(Column::Bool(
-                        vs.iter().map(|&x| cmp_matches(op, x.cmp(&k))).collect(),
+                        vs.iter().map(|&x| test.matches(x)).collect(),
                     )));
                 }
-                (Column::Int(vs), Value::Float(k)) => {
-                    // NaN constant: unknown for every row (the only way a
-                    // non-null Int vs Float comparison goes NULL).
-                    if k.is_nan() {
-                        return Ok(VOut::Col(Column::from_values(vec![Value::Null; vs.len()])));
-                    }
-                    // Exact: compile the float into an integer threshold
-                    // test instead of rounding the column through `as f64`
-                    // (lossy above 2^53) — matches scalar sql_cmp exactly.
-                    let test = crate::kernel::compile_i64_cmp(cmp_op_of(op), *k);
-                    let out: Vec<bool> = match test {
-                        crate::kernel::I64Test::Never => vec![false; vs.len()],
-                        crate::kernel::I64Test::Always => vec![true; vs.len()],
-                        crate::kernel::I64Test::Lt(t) => vs.iter().map(|&x| x < t).collect(),
-                        crate::kernel::I64Test::Le(t) => vs.iter().map(|&x| x <= t).collect(),
-                        crate::kernel::I64Test::Gt(t) => vs.iter().map(|&x| x > t).collect(),
-                        crate::kernel::I64Test::Ge(t) => vs.iter().map(|&x| x >= t).collect(),
-                        crate::kernel::I64Test::Eq(t) => vs.iter().map(|&x| x == t).collect(),
-                        crate::kernel::I64Test::Ne(t) => vs.iter().map(|&x| x != t).collect(),
-                    };
-                    return Ok(VOut::Col(Column::Bool(out)));
+                Cmp::Float(vs, k) => {
+                    return Ok(VOut::Col(Column::from_values(
+                        vs.iter().map(|x| three_valued(x.partial_cmp(&k))).collect(),
+                    )));
                 }
-                (Column::Float(vs), k) if k.as_f64().is_some() => {
-                    // An Int constant that does not round-trip through f64
-                    // (above 2^53) must compare exactly, not via `as f64`.
-                    if let Value::Int(ki) = k {
-                        let kf = *ki as f64; // lint: allow as f64 — exactness re-checked by the round-trip test below
-                        if kf as i128 != i128::from(*ki) {
-                            let ki = *ki;
-                            return Ok(VOut::Col(Column::from_values(
-                                vs.iter()
-                                    .map(|&x| {
-                                        match crate::value::cmp_i64_f64(ki, x)
-                                            .map(Ordering::reverse)
-                                        {
-                                            Some(ord) => Value::Bool(cmp_matches(op, ord)),
-                                            None => Value::Null,
-                                        }
-                                    })
-                                    .collect(),
-                            )));
-                        }
-                    }
-                    let k = k.as_f64().expect("checked"); // invariant: literal class checked by the support analysis
+                Cmp::FloatBigInt(vs, ki) => {
                     return Ok(VOut::Col(Column::from_values(
                         vs.iter()
-                            .map(|&x| match x.partial_cmp(&k) {
-                                Some(ord) => Value::Bool(cmp_matches(op, ord)),
-                                None => Value::Null,
-                            })
+                            .map(|&x| three_valued(cmp_i64_f64(ki, x).map(Ordering::reverse)))
                             .collect(),
                     )));
                 }
-                (Column::Str(vs), Value::Str(k)) => {
+                Cmp::Str(vs, k) => {
                     return Ok(VOut::Col(Column::Bool(
-                        vs.iter().map(|x| cmp_matches(op, x.as_str().cmp(k.as_str()))).collect(),
+                        vs.iter().map(|x| cmp_matches(op, x.as_str().cmp(k))).collect(),
                     )));
                 }
-                _ => {}
+                Cmp::Generic => {}
             }
         }
-    }
-
-    // LIKE/GLOB with a constant pattern over a dense string column.
-    if matches!(op, BinaryOp::Like | BinaryOp::Glob) {
-        if let (VOut::Col(Column::Str(vs)), VOut::Const(Value::Str(pat))) = (&l, &r) {
+        // LIKE/GLOB with a constant pattern over a dense string column.
+        (VOut::Col(Column::Str(vs)), VOut::Const(Value::Str(pat)))
+            if matches!(op, BinaryOp::Like | BinaryOp::Glob) =>
+        {
             let matcher: fn(&str, &str) -> bool =
                 if op == BinaryOp::Like { sql_like } else { explainit_tsdb::glob_match };
             return Ok(VOut::Col(Column::Bool(vs.iter().map(|s| matcher(pat, s)).collect())));
         }
-    }
-
-    // Boolean combinators over dense masks.
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        if let (VOut::Col(Column::Bool(a)), VOut::Col(Column::Bool(b))) = (&l, &r) {
-            let out: Vec<bool> = match op {
-                BinaryOp::And => a.iter().zip(b.iter()).map(|(&x, &y)| x && y).collect(),
-                _ => a.iter().zip(b.iter()).map(|(&x, &y)| x || y).collect(),
-            };
-            return Ok(VOut::Col(Column::Bool(out)));
-        }
+        _ => {}
     }
 
     // Dense arithmetic fast paths, lowered to the typed chunked kernels.
     if matches!(op, BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul) {
-        use crate::kernel::{self, ArithOp, IntArith};
         let kop = match op {
             BinaryOp::Add => ArithOp::Add,
             BinaryOp::Sub => ArithOp::Sub,
             _ => ArithOp::Mul,
-        };
-        let int_out = |res: IntArith| match res {
-            IntArith::Ints(v) => VOut::Col(Column::Int(v)),
-            IntArith::Mixed(v) => VOut::Col(Column::from_values(v)),
         };
         match (&l, &r) {
             // Float column × Float-viewed constant (Int constants above
@@ -429,7 +651,7 @@ fn eval_binary_vec(op: BinaryOp, l: VOut, r: VOut, len: usize) -> Result<VOut> {
                 }) =>
             {
                 let swapped = matches!(&l, VOut::Const(_));
-                let k = k.as_f64().expect("checked"); // invariant: literal class checked by the support analysis
+                let k = k.as_f64().expect("checked"); // invariant: the match guard saw a numeric constant
                 return Ok(VOut::Col(Column::Float(kernel::f64_arith_const(kop, a, k, swapped))));
             }
             (VOut::Col(Column::Float(a)), VOut::Col(Column::Float(b))) => {
@@ -450,20 +672,230 @@ fn eval_binary_vec(op: BinaryOp, l: VOut, r: VOut, len: usize) -> Result<VOut> {
         }
     }
 
-    // Generic per-entry path (short-circuiting AND/OR semantics preserved
-    // by the scalar helpers).
-    let mut out = Vec::with_capacity(len);
-    for i in 0..len {
-        let a = l.get(i);
-        let b = r.get(i);
-        let v = match op {
-            BinaryOp::And => eval_and(a, b)?,
-            BinaryOp::Or => eval_or(a, b)?,
-            _ => eval_binary(op, a, b)?,
-        };
-        out.push(v);
-    }
+    // Generic per-row path.
+    let out: Vec<Value> =
+        (0..len).map(|i| eval_binary(op, l.get(i), r.get(i))).collect::<Result<_>>()?;
     Ok(VOut::Col(Column::from_values(out)))
+}
+
+// ---------------------------------------------------------------------------
+// Selection-vector refinement
+// ---------------------------------------------------------------------------
+
+/// A predicate as [`refine`] sees it: one of the shapes it decides straight
+/// off a column, or `General`. Comparisons are normalized to
+/// column-on-the-left.
+enum Shape<'e> {
+    Const(&'e Value),
+    And(&'e Expr, &'e Expr),
+    Cmp { col: &'e str, op: BinaryOp, lit: &'e Value },
+    Between { col: &'e str, lo: &'e Value, hi: &'e Value, negated: bool },
+    IsNull { col: &'e str, negated: bool },
+    In { col: &'e str, items: Vec<&'e Value>, negated: bool },
+    General,
+}
+
+fn shape(expr: &Expr) -> Shape<'_> {
+    fn literal(e: &Expr) -> Option<&Value> {
+        match e {
+            Expr::Literal(v) => Some(v),
+            _ => None,
+        }
+    }
+    match expr {
+        Expr::Literal(v) => Shape::Const(v),
+        Expr::Binary { op: BinaryOp::And, left, right } => Shape::And(left, right),
+        Expr::Binary { op, left, right } if is_comparison(*op) => match (&**left, &**right) {
+            (Expr::Column(col), Expr::Literal(lit)) => Shape::Cmp { col, op: *op, lit },
+            (Expr::Literal(lit), Expr::Column(col)) => Shape::Cmp { col, op: flipped(*op), lit },
+            _ => Shape::General,
+        },
+        Expr::Between { expr, low, high, negated } => match (&**expr, &**low, &**high) {
+            (Expr::Column(col), Expr::Literal(lo), Expr::Literal(hi)) => {
+                Shape::Between { col, lo, hi, negated: *negated }
+            }
+            _ => Shape::General,
+        },
+        Expr::IsNull { expr, negated } => match &**expr {
+            Expr::Column(col) => Shape::IsNull { col, negated: *negated },
+            _ => Shape::General,
+        },
+        Expr::InList { expr, list, negated } => {
+            match (&**expr, list.iter().map(literal).collect::<Option<Vec<_>>>()) {
+                (Expr::Column(col), Some(items)) => Shape::In { col, items, negated: *negated },
+                _ => Shape::General,
+            }
+        }
+        _ => Shape::General,
+    }
+}
+
+/// How the executor evaluates one residual predicate, cheapest first: the
+/// order the optimizer sorts a filter chain into, what `EXPLAIN` prints as
+/// `refine=`, and what the plan verifier re-checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum FilterClass {
+    /// References dictionary columns only: once per distinct entry.
+    Dict,
+    /// A shape [`refine`] decides with the typed loops, straight off
+    /// NULL-free numeric columns.
+    Kernel,
+    /// Everything else: gather the surviving rows, evaluate, mask.
+    General,
+}
+
+impl FilterClass {
+    /// The `refine=` label.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            FilterClass::Dict => "dict",
+            FilterClass::Kernel => "kernel",
+            FilterClass::General => "general",
+        }
+    }
+}
+
+/// Classifies a predicate given which columns are dictionary-encoded
+/// (`dict`) and which are NULL-free numeric (`typed`).
+pub(crate) fn classify(
+    predicate: &Expr,
+    dict: &dyn Fn(&str) -> bool,
+    typed: &dyn Fn(&str) -> bool,
+) -> FilterClass {
+    fn direct(e: &Expr, typed: &dyn Fn(&str) -> bool) -> bool {
+        match shape(e) {
+            Shape::Const(_) => true,
+            Shape::And(l, r) => direct(l, typed) && direct(r, typed),
+            Shape::Cmp { col, .. }
+            | Shape::Between { col, .. }
+            | Shape::IsNull { col, .. }
+            | Shape::In { col, .. } => typed(col),
+            Shape::General => false,
+        }
+    }
+    if predicate.columns().into_iter().all(dict) {
+        FilterClass::Dict
+    } else if direct(predicate, typed) {
+        FilterClass::Kernel
+    } else {
+        FilterClass::General
+    }
+}
+
+/// Refines a selection vector in place by a predicate over the `len` rows
+/// of `cols`: `sel` keeps exactly the row ids where the predicate
+/// `is_true` (NULL and false drop — the WHERE rule). A column compared
+/// against literals lowers to the branch-free [`crate::kernel`] loops with
+/// no intermediate mask or column, `AND` refines left then right over the
+/// survivors only, and anything else is evaluated over just the surviving
+/// rows — so predicate *i* of a chain only ever sees the survivors of
+/// predicates *< i*, and only they can raise its errors.
+pub(crate) fn refine(
+    expr: &Expr,
+    schema: &Schema,
+    cols: &[ColView],
+    len: usize,
+    sel: &mut Vec<u32>,
+) -> Result<()> {
+    if sel.is_empty() {
+        return Ok(());
+    }
+    let holds = |op: BinaryOp, ord: Option<Ordering>| ord.is_some_and(|o| cmp_matches(op, o));
+    match shape(expr) {
+        Shape::Const(v) => {
+            if !v.is_true() {
+                sel.clear();
+            }
+        }
+        // Fused conjunction: the right side only ever sees left-survivors.
+        Shape::And(left, right) => {
+            refine(left, schema, cols, len, sel)?;
+            refine(right, schema, cols, len, sel)?;
+        }
+        // Comparisons never error, so every representation refines directly.
+        Shape::Cmp { col, op, lit } => {
+            let col = cols[schema.resolve(col)?];
+            match cmp_plan(col, op, lit) {
+                Cmp::Unknown => sel.clear(),
+                Cmp::Int(vs, test) => kernel::refine_i64_test(test, vs, None, sel),
+                Cmp::Float(vs, k) => kernel::refine_f64_cmp(cmp_op_of(op), vs, None, k, sel),
+                Cmp::FloatBigInt(vs, ki) => sel
+                    .retain(|&i| holds(op, cmp_i64_f64(ki, vs[i as usize]).map(Ordering::reverse))),
+                Cmp::Str(vs, k) => sel.retain(|&i| cmp_matches(op, vs[i as usize].as_str().cmp(k))),
+                Cmp::Generic => match col {
+                    // One comparison per dictionary entry a selected row
+                    // references, memoized.
+                    ColView::Other(Column::Dict { values, codes }) => {
+                        let mut per: Vec<Option<bool>> = vec![None; values.len()];
+                        sel.retain(|&i| {
+                            let c = codes[i as usize] as usize;
+                            *per[c].get_or_insert_with(|| holds(op, values[c].sql_cmp(lit)))
+                        });
+                    }
+                    _ => sel.retain(|&i| holds(op, col.get(i as usize).sql_cmp(lit))),
+                },
+            }
+        }
+        Shape::Between { col, lo, hi, negated } => match (cols[schema.resolve(col)?], lo, hi) {
+            (
+                ColView::Int(vs),
+                Value::Int(_) | Value::Float(_),
+                Value::Int(_) | Value::Float(_),
+            ) => {
+                kernel::refine_i64_between(vs, None, lo, hi, negated, sel);
+            }
+            (ColView::Float(vs), Value::Float(lo), Value::Float(hi)) => {
+                kernel::refine_f64_between(vs, None, *lo, *hi, negated, sel);
+            }
+            // Exact generic BETWEEN (unknown drops, negated or not).
+            (col, _, _) => sel.retain(|&i| {
+                let x = col.get(i as usize);
+                match (x.sql_cmp(lo), x.sql_cmp(hi)) {
+                    (Some(a), Some(b)) => {
+                        (a != Ordering::Less && b != Ordering::Greater) != negated
+                    }
+                    _ => false,
+                }
+            }),
+        },
+        Shape::IsNull { col, negated } => match cols[schema.resolve(col)?] {
+            ColView::Other(Column::Values(vs)) => {
+                sel.retain(|&i| vs[i as usize].is_null() != negated);
+            }
+            ColView::Other(Column::Dict { values, codes }) => {
+                let per: Vec<bool> = values.iter().map(|x| x.is_null() != negated).collect();
+                sel.retain(|&i| per[codes[i as usize] as usize]);
+            }
+            // The dense typed columns never contain NULLs.
+            _ => kernel::refine_is_null(None, negated, sel),
+        },
+        // The evaluator's three-valued IN: a hit keeps (unless negated); a
+        // NULL anywhere makes a miss unknown, and unknown drops either way.
+        Shape::In { col, items, negated } => {
+            let col = cols[schema.resolve(col)?];
+            let null_item = items.iter().any(|item| item.is_null());
+            sel.retain(|&i| {
+                let x = col.get(i as usize);
+                if items.iter().any(|item| x.sql_cmp(item) == Some(Ordering::Equal)) {
+                    !negated
+                } else {
+                    negated && !null_item && !x.is_null()
+                }
+            });
+        }
+        Shape::General => match (Scope { schema, cols, len, shift: false }).eval_at(expr, sel)? {
+            VOut::Const(v) => {
+                if !v.is_true() {
+                    sel.clear();
+                }
+            }
+            out => {
+                let mask = out.into_mask(sel.len());
+                *sel = sel.iter().zip(mask).filter(|(_, keep)| *keep).map(|(&i, _)| i).collect();
+            }
+        },
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -475,14 +907,14 @@ fn eval_binary_vec(op: BinaryOp, l: VOut, r: VOut, len: usize) -> Result<VOut> {
 /// handful of codes over a store-wide dictionary) and splice by code;
 /// other columns render per row. Byte-identical to the naive
 /// `get(row).group_key()` loop, so every engine buckets rows the same way.
-pub(crate) fn group_key_strings(key_cols: &[Column], len: usize) -> Vec<String> {
+pub(crate) fn group_key_strings(key_cols: &[&Column], len: usize) -> Vec<String> {
     enum Part<'c> {
         Dict { per: Vec<String>, codes: &'c [u32] },
         Plain(&'c Column),
     }
     let parts: Vec<Part> = key_cols
         .iter()
-        .map(|c| match c {
+        .map(|&c| match c {
             Column::Dict { values, codes } => {
                 let mut per: Vec<String> = vec![String::new(); values.len()];
                 let mut done = vec![false; values.len()];
@@ -511,6 +943,25 @@ pub(crate) fn group_key_strings(key_cols: &[Column], len: usize) -> Vec<String> 
         keys.push(key);
     }
     keys
+}
+
+/// True for the rows where any key column is NULL (such a join key never
+/// matches). Only boxed and dictionary columns can hold one.
+pub(crate) fn null_rows(key_cols: &[&Column], len: usize) -> Vec<bool> {
+    let mut nulls = vec![false; len];
+    for c in key_cols {
+        match c {
+            Column::Values(vs) => {
+                nulls.iter_mut().zip(vs).for_each(|(n, v)| *n |= v.is_null());
+            }
+            Column::Dict { values, codes } => {
+                let per: Vec<bool> = values.iter().map(Value::is_null).collect();
+                nulls.iter_mut().zip(codes).for_each(|(n, &c)| *n |= per[c as usize]);
+            }
+            _ => {}
+        }
+    }
+    nulls
 }
 
 /// Groups rows **directly on dictionary codes** when every key column is
@@ -647,529 +1098,19 @@ pub(crate) fn dict_group_rows(key_cols: &[Column], len: usize) -> Option<Vec<Vec
     Some(final_groups)
 }
 
-/// Evaluates a predicate to a keep-mask (`is_true` semantics: NULL and
-/// false drop the row).
-pub fn eval_mask(expr: &Expr, schema: &Schema, cols: &[Column], len: usize) -> Result<Vec<bool>> {
-    match eval(expr, schema, cols, len)? {
-        VOut::Const(v) => Ok(vec![v.is_true(); len]),
-        VOut::Col(Column::Bool(mask)) => Ok(mask),
-        VOut::Col(Column::Dict { values, codes }) => {
-            let per: Vec<bool> = values.iter().map(Value::is_true).collect();
-            Ok(codes.iter().map(|&c| per[c as usize]).collect())
-        }
-        VOut::Col(col) => Ok((0..len).map(|i| col.get(i).is_true()).collect()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Selection-vector refinement
-// ---------------------------------------------------------------------------
-
-/// Refines a selection vector in place by a predicate: `sel` keeps exactly
-/// the row ids where the predicate `is_true` (NULL and false drop — the
-/// WHERE rule). This is the fused-filter-conjunction engine: typed columns
-/// against literals lower to the branch-free [`crate::kernel`] loops with
-/// **no intermediate mask or column materialization**, `AND` refines left
-/// then right over the survivors only, and anything else gathers just the
-/// surviving rows and reuses [`eval_mask`] — so the per-predicate work (and
-/// the error surface) matches the old filter-then-rematerialize chain,
-/// which also only ever evaluated predicate *i* over the survivors of
-/// predicates *< i*.
-pub(crate) fn refine(
-    expr: &Expr,
-    schema: &Schema,
-    cols: &[Column],
-    sel: &mut Vec<u32>,
-) -> Result<()> {
-    use crate::kernel;
-    if sel.is_empty() {
-        return Ok(());
-    }
-    match expr {
-        Expr::Literal(v) => {
-            if !v.is_true() {
-                sel.clear();
-            }
-            return Ok(());
-        }
-        // Fused conjunction: the right side only ever sees left-survivors.
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            refine(left, schema, cols, sel)?;
-            return refine(right, schema, cols, sel);
-        }
-        Expr::Binary { op, left, right }
-            if matches!(
-                op,
-                BinaryOp::Eq
-                    | BinaryOp::NotEq
-                    | BinaryOp::Lt
-                    | BinaryOp::LtEq
-                    | BinaryOp::Gt
-                    | BinaryOp::GtEq
-            ) =>
-        {
-            // Comparison of a direct column against a literal (either
-            // orientation, flipping the operator): comparisons never
-            // error, so every column representation refines directly.
-            let (col_expr, lit, op) = match (&**left, &**right) {
-                (Expr::Column(name), Expr::Literal(k)) => (Some(name), k, *op),
-                (Expr::Literal(k), Expr::Column(name)) => (
-                    Some(name),
-                    k,
-                    match op {
-                        BinaryOp::Lt => BinaryOp::Gt,
-                        BinaryOp::LtEq => BinaryOp::GtEq,
-                        BinaryOp::Gt => BinaryOp::Lt,
-                        BinaryOp::GtEq => BinaryOp::LtEq,
-                        other => *other,
-                    },
-                ),
-                _ => (None, &Value::Null, *op),
-            };
-            if let Some(name) = col_expr {
-                let col = &cols[schema.resolve(name)?];
-                if lit.is_null() {
-                    sel.clear(); // unknown for every row
-                    return Ok(());
-                }
-                match (col, lit) {
-                    (Column::Int(vs), Value::Int(k)) => {
-                        let test = kernel::compile_i64_cmp_int(cmp_op_of(op), *k);
-                        kernel::refine_i64_test(test, vs, None, sel);
-                        return Ok(());
-                    }
-                    (Column::Int(vs), Value::Float(k)) => {
-                        let test = kernel::compile_i64_cmp(cmp_op_of(op), *k);
-                        kernel::refine_i64_test(test, vs, None, sel);
-                        return Ok(());
-                    }
-                    (Column::Float(vs), k) if k.as_f64().is_some() => {
-                        // Exactly like the dense eval path: an Int constant
-                        // that does not round-trip compares exactly per row.
-                        if let Value::Int(ki) = k {
-                            let kf = *ki as f64; // lint: allow as f64 — exactness re-checked by the round-trip test below
-                            if kf as i128 != i128::from(*ki) {
-                                let ki = *ki;
-                                let mut n = 0usize;
-                                for j in 0..sel.len() {
-                                    let i = sel[j];
-                                    sel[n] = i;
-                                    let keep = crate::value::cmp_i64_f64(ki, vs[i as usize])
-                                        .map(Ordering::reverse)
-                                        .is_some_and(|ord| cmp_matches(op, ord));
-                                    n += usize::from(keep);
-                                }
-                                sel.truncate(n);
-                                return Ok(());
-                            }
-                        }
-                        let k = k.as_f64().expect("checked"); // invariant: literal class checked by the support analysis
-                        kernel::refine_f64_cmp(cmp_op_of(op), vs, None, k, sel);
-                        return Ok(());
-                    }
-                    (Column::Dict { values, codes }, k) => {
-                        // One sql_cmp per referenced dictionary entry,
-                        // memoized; entries are only visited for selected
-                        // rows (comparisons cannot error).
-                        let mut per: Vec<Option<bool>> = vec![None; values.len()];
-                        let mut n = 0usize;
-                        for j in 0..sel.len() {
-                            let i = sel[j];
-                            sel[n] = i;
-                            let c = codes[i as usize] as usize;
-                            let keep = *per[c].get_or_insert_with(|| {
-                                values[c].sql_cmp(k).is_some_and(|ord| cmp_matches(op, ord))
-                            });
-                            n += usize::from(keep);
-                        }
-                        sel.truncate(n);
-                        return Ok(());
-                    }
-                    _ => {
-                        // Str/Bool/Values columns (or type mismatches that
-                        // compare unknown): per-row sql_cmp, still no
-                        // materialization and never an error.
-                        let mut n = 0usize;
-                        for j in 0..sel.len() {
-                            let i = sel[j];
-                            sel[n] = i;
-                            let keep = col
-                                .get(i as usize)
-                                .sql_cmp(lit)
-                                .is_some_and(|ord| cmp_matches(op, ord));
-                            n += usize::from(keep);
-                        }
-                        sel.truncate(n);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        Expr::Between { expr: e, low, high, negated } => {
-            if let (Expr::Column(name), Expr::Literal(lo), Expr::Literal(hi)) =
-                (&**e, &**low, &**high)
-            {
-                let col = &cols[schema.resolve(name)?];
-                match col {
-                    Column::Int(vs)
-                        if matches!(lo, Value::Int(_) | Value::Float(_))
-                            && matches!(hi, Value::Int(_) | Value::Float(_)) =>
-                    {
-                        kernel::refine_i64_between(vs, None, lo, hi, *negated, sel);
-                        return Ok(());
-                    }
-                    Column::Float(vs)
-                        if matches!(lo, Value::Float(_)) && matches!(hi, Value::Float(_)) =>
-                    {
-                        let (Value::Float(lo), Value::Float(hi)) = (lo, hi) else { unreachable!() };
-                        kernel::refine_f64_between(vs, None, *lo, *hi, *negated, sel);
-                        return Ok(());
-                    }
-                    _ => {
-                        // Exact generic BETWEEN over the selection (sql_cmp
-                        // never errors; unknown drops negated or not).
-                        let mut n = 0usize;
-                        for j in 0..sel.len() {
-                            let i = sel[j];
-                            sel[n] = i;
-                            let x = col.get(i as usize);
-                            let keep = match (x.sql_cmp(lo), x.sql_cmp(hi)) {
-                                (Some(a), Some(b)) => {
-                                    (a != Ordering::Less && b != Ordering::Greater) != *negated
-                                }
-                                _ => false,
-                            };
-                            n += usize::from(keep);
-                        }
-                        sel.truncate(n);
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        Expr::IsNull { expr: e, negated } => {
-            if let Expr::Column(name) = &**e {
-                let col = &cols[schema.resolve(name)?];
-                match col {
-                    Column::Values(vs) => {
-                        let mut n = 0usize;
-                        for j in 0..sel.len() {
-                            let i = sel[j];
-                            sel[n] = i;
-                            n += usize::from(vs[i as usize].is_null() != *negated);
-                        }
-                        sel.truncate(n);
-                    }
-                    Column::Dict { values, codes } => {
-                        let per: Vec<bool> =
-                            values.iter().map(|x| x.is_null() != *negated).collect();
-                        let mut n = 0usize;
-                        for j in 0..sel.len() {
-                            let i = sel[j];
-                            sel[n] = i;
-                            n += usize::from(per[codes[i as usize] as usize]);
-                        }
-                        sel.truncate(n);
-                    }
-                    // Other typed columns never contain NULLs.
-                    _ => kernel::refine_is_null(None, *negated, sel),
-                }
-                return Ok(());
-            }
-        }
-        Expr::InList { expr: e, list, negated } => {
-            if let Expr::Column(name) = &**e {
-                if list.iter().all(|item| matches!(item, Expr::Literal(_))) {
-                    let col = &cols[schema.resolve(name)?];
-                    let items: Vec<&Value> = list
-                        .iter()
-                        .map(|item| match item {
-                            Expr::Literal(v) => v,
-                            _ => unreachable!("checked literal"),
-                        })
-                        .collect();
-                    let mut n = 0usize;
-                    for j in 0..sel.len() {
-                        let i = sel[j];
-                        sel[n] = i;
-                        let x = col.get(i as usize);
-                        // Same three-valued IN as the dense evaluator: a
-                        // hit keeps (unless negated); NULLs anywhere make
-                        // a miss unknown, and unknown drops either way.
-                        let keep = if x.is_null() {
-                            false
-                        } else {
-                            let hit = items.iter().any(|iv| x.sql_cmp(iv) == Some(Ordering::Equal));
-                            if hit {
-                                !*negated
-                            } else if items.iter().any(|iv| iv.is_null()) {
-                                false
-                            } else {
-                                *negated
-                            }
-                        };
-                        n += usize::from(keep);
-                    }
-                    sel.truncate(n);
-                    return Ok(());
-                }
-            }
-        }
-        _ => {}
-    }
-    // Fallback: gather the surviving rows once and reuse the vectorized
-    // mask evaluator over just those rows (same cost and error surface as
-    // the old filter-then-rematerialize step for this predicate).
-    let gathered: Vec<Column> = cols.iter().map(|c| c.gather_u32(sel)).collect();
-    let mask = eval_mask(expr, schema, &gathered, sel.len())?;
-    let mut n = 0usize;
-    for j in 0..sel.len() {
-        let i = sel[j];
-        sel[n] = i;
-        n += usize::from(mask[j]);
-    }
-    sel.truncate(n);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Scan-aggregate span refinement
-// ---------------------------------------------------------------------------
-
-/// One of the two raw point columns a scan-aggregate span exposes: the
-/// series' sorted timestamps or its values. Never contains NULLs.
-#[derive(Clone, Copy)]
-enum SpanCol<'a> {
-    I64(&'a [i64]),
-    F64(&'a [f64]),
-}
-
-impl SpanCol<'_> {
-    fn get(self, i: usize) -> Value {
-        match self {
-            SpanCol::I64(vs) => Value::Int(vs[i]),
-            SpanCol::F64(vs) => Value::Float(vs[i]),
-        }
-    }
-}
-
-fn is_span_col(e: &Expr, obs: &Schema) -> bool {
-    matches!(e, Expr::Column(name) if obs.resolve(name).is_ok_and(|i| i == 0 || i == 3))
-}
-
-fn span_col<'a>(e: &Expr, obs: &Schema, ts: &'a [i64], vals: &'a [f64]) -> Option<SpanCol<'a>> {
-    if let Expr::Column(name) = e {
-        match obs.resolve(name) {
-            Ok(0) => return Some(SpanCol::I64(ts)),
-            Ok(3) => return Some(SpanCol::F64(vals)),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Returns true when [`refine_span`] can evaluate this residual predicate
-/// entirely from a scan-aggregate span's raw `(timestamp, value)` slices —
-/// conjunctions of comparisons / BETWEEN / IS NULL / IN of a point column
-/// against literals. The check is all-or-nothing so a partially-refined
-/// `AND` can never be double-applied by the caller's fallback.
-pub(crate) fn span_refinable(expr: &Expr, obs: &Schema) -> bool {
-    match expr {
-        Expr::Literal(_) => true,
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            span_refinable(left, obs) && span_refinable(right, obs)
-        }
-        Expr::Binary {
-            op:
-                BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq,
-            left,
-            right,
-        } => {
-            (is_span_col(left, obs) && matches!(&**right, Expr::Literal(_)))
-                || (matches!(&**left, Expr::Literal(_)) && is_span_col(right, obs))
-        }
-        Expr::Between { expr: e, low, high, .. } => {
-            is_span_col(e, obs)
-                && matches!(&**low, Expr::Literal(_))
-                && matches!(&**high, Expr::Literal(_))
-        }
-        Expr::IsNull { expr: e, .. } => is_span_col(e, obs),
-        Expr::InList { expr: e, list, .. } => {
-            is_span_col(e, obs) && list.iter().all(|item| matches!(item, Expr::Literal(_)))
-        }
-        _ => false,
-    }
-}
-
-/// Refines a scan-aggregate span selection in place, straight off the raw
-/// point slices — no intermediate `Column` is ever materialized. Semantics
-/// are exactly [`refine`] (and therefore [`eval_mask`]) over the
-/// equivalent `Int`/`Float` columns; the predicate must have passed
-/// [`span_refinable`]. Point columns are NULL-free, so nothing here can
-/// error.
-pub(crate) fn refine_span(expr: &Expr, obs: &Schema, ts: &[i64], vals: &[f64], sel: &mut Vec<u32>) {
-    use crate::kernel;
-    if sel.is_empty() {
-        return;
-    }
-    match expr {
-        Expr::Literal(v) => {
-            if !v.is_true() {
-                sel.clear();
-            }
-        }
-        Expr::Binary { op: BinaryOp::And, left, right } => {
-            refine_span(left, obs, ts, vals, sel);
-            refine_span(right, obs, ts, vals, sel);
-        }
-        Expr::Binary { op, left, right } => {
-            let (col, lit, op) = if let (Some(c), Expr::Literal(k)) =
-                (span_col(left, obs, ts, vals), &**right)
-            {
-                (c, k, *op)
-            } else if let (Expr::Literal(k), Some(c)) = (&**left, span_col(right, obs, ts, vals)) {
-                let op = match op {
-                    BinaryOp::Lt => BinaryOp::Gt,
-                    BinaryOp::LtEq => BinaryOp::GtEq,
-                    BinaryOp::Gt => BinaryOp::Lt,
-                    BinaryOp::GtEq => BinaryOp::LtEq,
-                    other => *other,
-                };
-                (c, k, op)
-            } else {
-                unreachable!("span_refinable checked the comparison shape")
-            };
-            if lit.is_null() {
-                sel.clear();
-                return;
-            }
-            match (col, lit) {
-                (SpanCol::I64(vs), Value::Int(k)) => {
-                    let test = kernel::compile_i64_cmp_int(cmp_op_of(op), *k);
-                    kernel::refine_i64_test(test, vs, None, sel);
-                }
-                (SpanCol::I64(vs), Value::Float(k)) => {
-                    let test = kernel::compile_i64_cmp(cmp_op_of(op), *k);
-                    kernel::refine_i64_test(test, vs, None, sel);
-                }
-                (SpanCol::F64(vs), k) if k.as_f64().is_some() => {
-                    // Same exactness rule as the dense path: a non-round-
-                    // trippable Int constant compares exactly per row.
-                    if let Value::Int(ki) = k {
-                        let kf = *ki as f64; // lint: allow as f64 — exactness re-checked by the round-trip test below
-                        if kf as i128 != i128::from(*ki) {
-                            let ki = *ki;
-                            let mut n = 0usize;
-                            for j in 0..sel.len() {
-                                let i = sel[j];
-                                sel[n] = i;
-                                let keep = crate::value::cmp_i64_f64(ki, vs[i as usize])
-                                    .map(Ordering::reverse)
-                                    .is_some_and(|ord| cmp_matches(op, ord));
-                                n += usize::from(keep);
-                            }
-                            sel.truncate(n);
-                            return;
-                        }
-                    }
-                    let k = k.as_f64().expect("checked"); // invariant: literal class checked by the support analysis
-                    kernel::refine_f64_cmp(cmp_op_of(op), vs, None, k, sel);
-                }
-                (col, lit) => {
-                    // Bool/Str/Map literal against a point column: exact
-                    // per-row sql_cmp (typically unknown → drop).
-                    let mut n = 0usize;
-                    for j in 0..sel.len() {
-                        let i = sel[j];
-                        sel[n] = i;
-                        let keep = col
-                            .get(i as usize)
-                            .sql_cmp(lit)
-                            .is_some_and(|ord| cmp_matches(op, ord));
-                        n += usize::from(keep);
-                    }
-                    sel.truncate(n);
-                }
-            }
-        }
-        Expr::Between { expr: e, low, high, negated } => {
-            let col = span_col(e, obs, ts, vals).expect("span_refinable checked"); // invariant: span_refinable admitted this expression
-            let (Expr::Literal(lo), Expr::Literal(hi)) = (&**low, &**high) else {
-                unreachable!("span_refinable checked")
-            };
-            match col {
-                SpanCol::I64(vs)
-                    if matches!(lo, Value::Int(_) | Value::Float(_))
-                        && matches!(hi, Value::Int(_) | Value::Float(_)) =>
-                {
-                    kernel::refine_i64_between(vs, None, lo, hi, *negated, sel);
-                }
-                SpanCol::F64(vs)
-                    if matches!(lo, Value::Float(_)) && matches!(hi, Value::Float(_)) =>
-                {
-                    let (Value::Float(lo), Value::Float(hi)) = (lo, hi) else { unreachable!() };
-                    kernel::refine_f64_between(vs, None, *lo, *hi, *negated, sel);
-                }
-                _ => {
-                    let mut n = 0usize;
-                    for j in 0..sel.len() {
-                        let i = sel[j];
-                        sel[n] = i;
-                        let x = col.get(i as usize);
-                        let keep = match (x.sql_cmp(lo), x.sql_cmp(hi)) {
-                            (Some(a), Some(b)) => {
-                                (a != Ordering::Less && b != Ordering::Greater) != *negated
-                            }
-                            _ => false,
-                        };
-                        n += usize::from(keep);
-                    }
-                    sel.truncate(n);
-                }
-            }
-        }
-        // Point columns never hold NULLs.
-        Expr::IsNull { negated, .. } => kernel::refine_is_null(None, *negated, sel),
-        Expr::InList { expr: e, list, negated } => {
-            let col = span_col(e, obs, ts, vals).expect("span_refinable checked"); // invariant: span_refinable admitted this expression
-            let items: Vec<&Value> = list
-                .iter()
-                .map(|item| match item {
-                    Expr::Literal(v) => v,
-                    _ => unreachable!("span_refinable checked"),
-                })
-                .collect();
-            let any_null_item = items.iter().any(|iv| iv.is_null());
-            let mut n = 0usize;
-            for j in 0..sel.len() {
-                let i = sel[j];
-                sel[n] = i;
-                let x = col.get(i as usize);
-                let hit = items.iter().any(|iv| x.sql_cmp(iv) == Some(Ordering::Equal));
-                let keep = if hit {
-                    !*negated
-                } else if any_null_item {
-                    false
-                } else {
-                    *negated
-                };
-                n += usize::from(keep);
-            }
-            sel.truncate(n);
-        }
-        _ => unreachable!("span_refinable checked the predicate shape"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Expr as E;
+    use crate::ast::{Expr as E, SelectItem};
+
+    /// Parses one expression.
+    fn expr(sql: &str) -> E {
+        let query = crate::parser::parse_query(&format!("SELECT {sql}")).unwrap();
+        match &query.selects[0].items[0] {
+            SelectItem::Expr { expr, .. } => expr.clone(),
+            SelectItem::Wildcard => panic!("not an expression: {sql}"),
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec!["ts".into(), "v".into(), "host".into()])
@@ -1184,7 +1125,7 @@ mod tests {
     }
 
     fn mask(e: &E) -> Vec<bool> {
-        eval_mask(e, &schema(), &cols(), 4).unwrap()
+        eval(e, &schema(), &cols(), 4).unwrap().into_mask(4)
     }
 
     #[test]
@@ -1253,15 +1194,135 @@ mod tests {
         assert_eq!(mask(&e), vec![true; 4]);
     }
 
+    fn values(e: &str) -> Result<Vec<Value>> {
+        Ok(eval(&expr(e), &schema(), &cols(), 4)?.into_column(4).iter_values().collect())
+    }
+
     #[test]
-    fn unsupported_expressions_are_reported() {
-        assert!(!supported(&E::Function { name: "AVG".into(), args: vec![] }));
-        assert!(!supported(&E::Case { when_then: vec![], else_expr: None }));
-        assert!(supported(&E::Binary {
-            op: BinaryOp::Add,
-            left: Box::new(E::col("v")),
-            right: Box::new(E::lit(1i64)),
-        }));
+    fn scalar_calls_and_case_evaluate_and_aggregates_are_rejected() {
+        let strs = |xs: &[&str]| xs.iter().map(|s| Value::str(*s)).collect::<Vec<_>>();
+        assert_eq!(values("UPPER(host)").unwrap(), strs(&["A", "B", "A", "C"]));
+        assert_eq!(values("CONCAT(host, ts)").unwrap(), strs(&["a0", "b1", "a2", "c3"]));
+        assert_eq!(
+            values("CASE WHEN ts < 2 THEN 'low' WHEN host = 'c' THEN host END").unwrap(),
+            vec![Value::str("low"), Value::str("low"), Value::Null, Value::str("c")]
+        );
+        assert_eq!(values("GREATEST(1, 2)").unwrap(), vec![Value::Float(2.0); 4]);
+        assert!(matches!(values("AVG(v)"), Err(QueryError::Plan(_))));
+    }
+
+    #[test]
+    fn short_circuits_evaluate_only_the_rows_that_reach_them() {
+        // `UPPER(ts)` is a type error on every row, so these are Ok only
+        // if it runs over no row at all.
+        for ok in [
+            "ts < 0 AND UPPER(ts) = 'X'",
+            "ts >= 0 OR UPPER(ts) = 'X'",
+            "CASE WHEN ts >= 0 THEN 'ok' ELSE UPPER(ts) END",
+            "CASE WHEN ts < 0 THEN UPPER(ts) END",
+            "ts IN (ts, UPPER(ts))",
+        ] {
+            assert!(values(ok).is_ok(), "{ok}");
+        }
+        // One reaching row is enough to raise it (row 3 only, here).
+        for err in [
+            "ts < 3 AND UPPER(ts) = 'X'",
+            "ts < 3 OR UPPER(ts) = 'X'",
+            "CASE WHEN ts < 3 THEN 'ok' ELSE UPPER(ts) END",
+            "ts IN (0, 1, 2, UPPER(ts))",
+        ] {
+            assert!(values(err).is_err(), "{err}");
+        }
+        // NULL does not decide AND/OR: the right operand still runs.
+        assert!(values("NULL AND UPPER(ts) = 'X'").is_err());
+        assert_eq!(
+            values("ts > 1 AND v < 4").unwrap(),
+            [false, false, true, false].map(Value::Bool)
+        );
+        assert_eq!(
+            values("(ts > 1 AND NULL) OR host = 'a'").unwrap(),
+            vec![Value::Bool(true), Value::Bool(false), Value::Bool(true), Value::Null]
+        );
+    }
+
+    #[test]
+    fn window_calls_shift_in_projection_context_and_see_one_row_elsewhere() {
+        let projected = |e: &str| -> Vec<Value> {
+            let out = eval_projection(&expr(e), &schema(), &cols(), 4).unwrap();
+            out.into_column(4).iter_values().collect()
+        };
+        let ints = |xs: [i64; 4]| xs.map(Value::Int).to_vec();
+        assert_eq!(
+            projected("LAG(ts)"),
+            vec![Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)]
+        );
+        assert_eq!(projected("LEAD(ts, 2, -1)"), ints([2, 3, -1, -1]));
+        assert_eq!(projected("LAG(ts, ts)"), ints([0, 0, 0, 0]));
+        assert_eq!(projected("LAG(LAG(ts, 1, 9), 1, 8)"), ints([8, 9, 0, 1]));
+        // A shift under a short-circuit still reads by position.
+        assert_eq!(projected("CASE WHEN ts > 1 THEN LAG(ts) ELSE -1 END"), ints([-1, -1, 1, 2]));
+        // Offsets at the i64 extremes are out of range, not an overflow.
+        assert_eq!(projected("LAG(ts, -9223372036854775807 - 1, 7)"), ints([7; 4]));
+        assert_eq!(projected("LEAD(ts, 9223372036854775807)"), vec![Value::Null; 4]);
+        // Row context: the window is the row itself.
+        assert_eq!(values("LAG(ts)").unwrap(), vec![Value::Null; 4]);
+        assert_eq!(values("LAG(ts, 0)").unwrap(), ints([0, 1, 2, 3]));
+        assert_eq!(values("LEAD(ts, 1, v)").unwrap(), [1.0, 2.0, 3.0, 4.0].map(Value::Float));
+        assert!(values("LAG(ts, 'x')").is_err());
+    }
+
+    #[test]
+    fn negating_i64_min_promotes_to_the_exact_float() {
+        let schema = Schema::new(vec!["x".into()]);
+        let cols = vec![Column::Int(vec![i64::MIN, 5])];
+        let out = eval(&expr("-x"), &schema, &cols, 2).unwrap().into_column(2);
+        assert_eq!(out.get(0), Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(out.get(1), Value::Int(-5));
+        assert_eq!(eval_unary(UnaryOp::Neg, Value::Int(i64::MIN)).unwrap(), out.get(0));
+    }
+
+    /// The predicates the scan-aggregate span loop refines (they were the
+    /// inputs of the separate span refiner), plus a general one.
+    const POINT_PREDICATES: [&str; 17] = [
+        "ts > 1",
+        "2 <= ts",
+        "ts != 1.5",
+        "ts < 9223372036854775808.0",
+        "v >= 2.5",
+        "v != v",
+        "v > 9007199254740993",
+        "v < NULL",
+        "ts = 'a'",
+        "ts BETWEEN 1 AND 2.5",
+        "v NOT BETWEEN 1.5 AND 3.5",
+        "v BETWEEN 1 AND 3",
+        "ts IS NULL",
+        "v IS NOT NULL",
+        "ts IN (0, 3, NULL)",
+        "v NOT IN (1.0, NULL)",
+        "TRUE AND ts > 0 AND ABS(v) < 1e300",
+    ];
+
+    #[test]
+    fn refine_agrees_over_owned_columns_borrowed_slices_and_the_evaluator() {
+        let schema = Schema::new(vec!["ts".into(), "v".into()]);
+        let ts = vec![0i64, 1, 2, 3, i64::MAX];
+        let vs = vec![1.0, f64::NAN, 3.0, 9007199254740994.0, f64::NEG_INFINITY];
+        let owned = vec![Column::Int(ts.clone()), Column::Float(vs.clone())];
+        let views: Vec<ColView> = owned.iter().map(ColView::from).collect();
+        let slices = [ColView::Int(&ts), ColView::Float(&vs)];
+        for sql in POINT_PREDICATES {
+            let e = expr(sql);
+            for start in [vec![0u32, 1, 2, 3, 4], vec![1, 3, 4], vec![]] {
+                let mask = eval(&e, &schema, &owned, 5).unwrap().into_mask(5);
+                let want: Vec<u32> = start.iter().copied().filter(|&i| mask[i as usize]).collect();
+                for cols in [&views[..], &slices[..]] {
+                    let mut sel = start.clone();
+                    refine(&e, &schema, cols, 5, &mut sel).unwrap();
+                    assert_eq!(sel, want, "{sql} from {start:?}");
+                }
+            }
+        }
     }
 
     fn dict_cols() -> Vec<Column> {
@@ -1288,7 +1349,7 @@ mod tests {
             left: Box::new(E::col("metric_name")),
             right: Box::new(E::lit("cpu")),
         };
-        let m = eval_mask(&e, &dict_schema(), &dict_cols(), 4).unwrap();
+        let m = eval(&e, &dict_schema(), &dict_cols(), 4).unwrap().into_mask(4);
         assert_eq!(m, vec![true, false, true, false]);
     }
 
@@ -1303,7 +1364,7 @@ mod tests {
                 left: Box::new(E::col("metric_name")),
                 right: Box::new(E::lit(pat)),
             };
-            assert_eq!(eval_mask(&e, &dict_schema(), &dict_cols(), 4).unwrap(), want);
+            assert_eq!(eval(&e, &dict_schema(), &dict_cols(), 4).unwrap().into_mask(4), want);
         }
     }
 
@@ -1318,7 +1379,7 @@ mod tests {
         assert_eq!(out.get(2), Value::Null);
         let isnull = E::IsNull { expr: Box::new(access), negated: false };
         assert_eq!(
-            eval_mask(&isnull, &dict_schema(), &dict_cols(), 4).unwrap(),
+            eval(&isnull, &dict_schema(), &dict_cols(), 4).unwrap().into_mask(4),
             vec![false, false, true, true]
         );
     }
@@ -1334,6 +1395,31 @@ mod tests {
         // Entry 0 ("cpu", unreferenced) would also error; entry 1 errors
         // first because rows reference it.
         assert!(eval(&e, &schema, &cols, 2).is_err());
+    }
+
+    #[test]
+    fn expressions_over_one_dict_column_run_once_per_referenced_entry() {
+        // `UPPER(7)` is a type error, but no row references that entry;
+        // the result stays dictionary-encoded over the two that are.
+        let names = Arc::new(vec![Value::str("cpu"), Value::Int(7), Value::str("disk")]);
+        let cols = vec![Column::dict(names, vec![2, 0, 2, 2])];
+        let schema = Schema::new(vec!["x".into()]);
+        for (sql, want) in [
+            ("CONCAT(UPPER(x), '!')", ["DISK!", "CPU!", "DISK!", "DISK!"].map(Value::str)),
+            (
+                "CASE WHEN x LIKE 'c%' THEN 'c' ELSE x END",
+                ["disk", "c", "disk", "disk"].map(Value::str),
+            ),
+        ] {
+            let out = eval(&expr(sql), &schema, &cols, 4).unwrap().into_column(4);
+            let Column::Dict { values, .. } = &out else { panic!("{sql}: {out:?}") };
+            assert_eq!(values.len(), 2, "{sql}");
+            assert_eq!(out.iter_values().collect::<Vec<_>>(), want, "{sql}");
+        }
+        // A window call reads a row position, so it is not per entry.
+        let lag = eval_projection(&expr("LAG(x)"), &schema, &cols, 4).unwrap().into_column(4);
+        assert_eq!(lag.get(0), Value::Null);
+        assert_eq!(lag.get(2), Value::str("cpu"));
     }
 
     #[test]

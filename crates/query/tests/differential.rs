@@ -16,6 +16,11 @@
 //! PERCENTILE) and the scan-aggregate operator reconstructs the serial
 //! first-seen group order from each group's earliest (timestamp, series
 //! rank) contribution, so this is an equality check, not an epsilon one.
+//!
+//! Every generator pool mixes plain operators with scalar calls, `CASE`
+//! and `LAG`/`LEAD` — in SELECT, WHERE, GROUP BY and aggregate arguments —
+//! so the column evaluator's scalar, short-circuit and window paths run
+//! under the morsel split too.
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{parse_query, Catalog, ExecOptions, Query, Table, Value};
@@ -156,7 +161,7 @@ fn assert_pinned(backends: &[Catalog], query: &Query, partitions: &[usize], expe
     }
 }
 
-const PREDICATES: [&str; 8] = [
+const PREDICATES: [&str; 14] = [
     "ts > 2",
     "v <= 10.0",
     "host LIKE 'web%'",
@@ -165,45 +170,86 @@ const PREDICATES: [&str; 8] = [
     "v * 2 > -20.0",
     "ts IN (0, 2, 4)",
     "host IS NOT NULL",
+    "UPPER(host) LIKE 'WEB%'",
+    "SPLIT(host, '-')[0] IN ('web', 'db')",
+    "CASE WHEN v > 0 THEN ts ELSE 0 END >= 1",
+    "ABS(v) < 20.0 OR LENGTH(host) = 4",
+    "LAG(ts, 0) > 1",
+    "COALESCE(LEAD(v), ts) > 1",
 ];
 
-const PROJECTIONS: [&str; 4] = ["*", "ts, v", "host, v * 2 AS dv", "ts + 1 AS t2, v"];
+const PROJECTIONS: [&str; 8] = [
+    "*",
+    "ts, v",
+    "host, v * 2 AS dv",
+    "ts + 1 AS t2, v",
+    "UPPER(host) AS uh, CASE WHEN v > 0 THEN 'pos' WHEN v < -25 THEN 'low' END AS sign",
+    "ts, LAG(v, 1) AS prev, LEAD(ts) AS nxt, LAG(host, 2, 'none') AS h2",
+    "CONCAT(host, '/', ts) AS k, GREATEST(v, 0) AS g, -ts AS neg",
+    "CASE WHEN ts > 1 THEN LAG(v) ELSE ROUND(v, 1) END AS c, v - LAG(v, 1, 0.0) AS dv",
+];
+
+/// GROUP BY keys over `t`: bare columns, scalar calls, `CASE`, and a
+/// window call (which, in a key, sees only its own row).
+const T_KEYS: [&str; 6] = [
+    "host",
+    "ts",
+    "UPPER(host)",
+    "SPLIT(host, '-')[0]",
+    "CASE WHEN ts < 2 THEN 'early' ELSE host END",
+    "LAG(ts, 0)",
+];
 
 const ORDERS: [&str; 4] = ["", " ORDER BY ts", " ORDER BY v DESC", " ORDER BY ts DESC, v"];
 
 /// Aggregate select lists for the aggregate-heavy generator — mixes the
 /// corrected semantics (sample STDDEV/VARIANCE, Int-preserving SUM,
 /// constant-p PERCENTILE) with the mergeable basics.
-const AGG_ITEMS: [&str; 6] = [
+const AGG_ITEMS: [&str; 9] = [
     "AVG(v) AS m, COUNT(*) AS n, MAX(v) AS mx",
     "SUM(v) AS s, MIN(v) AS lo, STDDEV(v) AS sd",
     "VARIANCE(v) AS var, PERCENTILE(v, 0.5) AS med",
     "SUM(ts) AS s_int, COUNT(v) AS n",
     "PERCENTILE(v, 0.9) AS p90, STDDEV(v) AS sd, SUM(v) AS s",
     "MIN(host) AS h0, MAX(host) AS h1, VARIANCE(ts) AS vt",
+    "AVG(GREATEST(v, 0)) AS g, SUM(CASE WHEN v > 0 THEN 1 ELSE 0 END) AS pos",
+    "MAX(LENGTH(host)) AS l, MIN(UPPER(host)) AS u, COUNT(NULLIF(ts, 2)) AS n2",
+    "COUNT(LAG(v)) AS c, SUM(LEAD(ts, 0)) AS s0, MAX(LAG(v, 1, 0.5)) AS d",
 ];
 
 /// Group-key lists for the scan-aggregate generator: the timestamp
 /// column, dictionary-encoded keys, and combinations of both.
-const SA_KEYS: [&str; 5] =
-    ["timestamp", "metric_name", "tag['host']", "timestamp, tag['host']", "metric_name, timestamp"];
+const SA_KEYS: [&str; 9] = [
+    "timestamp",
+    "metric_name",
+    "tag['host']",
+    "timestamp, tag['host']",
+    "metric_name, timestamp",
+    "timestamp, metric_name, CONCAT(tag['host'], metric_name)",
+    "UPPER(metric_name), timestamp",
+    "CASE WHEN tag['host'] IS NULL THEN 'none' ELSE SPLIT(tag['host'], '-')[0] END",
+    "timestamp, LAG(metric_name, 0)",
+];
 
 /// Aggregate lists for the scan-aggregate generator: mixed mergeable
 /// aggregates (SUM/AVG/STDDEV/PERCENTILE), Int-typed SUM over the
 /// timestamp column, per-class MIN/MAX over dictionary expressions, and a
 /// computed per-point argument.
-const SA_ITEMS: [&str; 6] = [
+const SA_ITEMS: [&str; 9] = [
     "AVG(value) AS m, COUNT(*) AS n, MAX(value) AS mx",
     "SUM(value) AS s, MIN(value) AS lo, STDDEV(value) AS sd",
     "VARIANCE(value) AS var, PERCENTILE(value, 0.5) AS med",
     "SUM(timestamp) AS s_int, COUNT(value) AS n",
     "PERCENTILE(value, 0.9) AS p90, MIN(tag['host']) AS h0",
     "MIN(metric_name) AS m0, MAX(tag['host']) AS h1, SUM(value * 2) AS s2",
+    "AVG(GREATEST(value, 0)) AS g, SUM(CASE WHEN value > 0 THEN 1 ELSE 0 END) AS pos",
+    "MIN(UPPER(metric_name)) AS mu, MAX(COALESCE(tag['host'], 'none')) AS h, SUM(ABS(value)) AS a",
+    "COUNT(LAG(value)) AS c, MAX(LEAD(value, 0)) AS l0",
 ];
 
 /// WHERE clauses for the scan-aggregate generator: fully pushable
 /// predicates, residual value filters, and mixes of both.
-const SA_FILTERS: [&str; 7] = [
+const SA_FILTERS: [&str; 12] = [
     "",
     " WHERE metric_name = 'cpu'",
     " WHERE timestamp BETWEEN {lo} AND {hi}",
@@ -211,6 +257,11 @@ const SA_FILTERS: [&str; 7] = [
     " WHERE tag['host'] GLOB 'web*'",
     " WHERE metric_name GLOB 'disk*' AND value > 0.0",
     " WHERE tag['host'] IS NULL",
+    " WHERE UPPER(metric_name) LIKE 'C%'",
+    " WHERE SPLIT(tag['host'], '-')[0] IN ('web', 'db') AND value > -8.0",
+    " WHERE CASE WHEN value > 0 THEN timestamp ELSE 0 END >= {lo}",
+    " WHERE ABS(value) < 5.0 OR LENGTH(metric_name) = 3",
+    " WHERE LAG(value, 0) > -8.0 AND CONCAT(metric_name, tag['host']) != 'cpuweb-1'",
 ];
 
 /// Outputs that are neither a bare group key nor a bare aggregate call —
@@ -296,11 +347,11 @@ proptest! {
     fn grouped_selects_agree(
         t in t_rows(), u in u_rows(),
         p in 0usize..PREDICATES.len(),
-        key_is_host in any::<bool>(),
+        key in 0usize..T_KEYS.len(),
         order_by_key in any::<bool>(),
     ) {
         let catalog = table_catalog(&t, &u);
-        let key = if key_is_host { "host" } else { "ts" };
+        let key = T_KEYS[key];
         let order = if order_by_key { format!(" ORDER BY {key}") } else { String::new() };
         let sql = format!(
             "SELECT {key}, AVG(v) AS m, COUNT(*) AS n, MAX(v) AS mx FROM t \
@@ -319,7 +370,7 @@ proptest! {
         items in 0usize..AGG_ITEMS.len(),
         p in 0usize..PREDICATES.len(),
         filtered in any::<bool>(),
-        key_is_host in any::<bool>(),
+        key in 0usize..T_KEYS.len(),
         order_by_key in any::<bool>(),
         global in any::<bool>(),
     ) {
@@ -329,7 +380,7 @@ proptest! {
         let sql = if global {
             format!("SELECT {agg} FROM t{filter}")
         } else {
-            let key = if key_is_host { "host" } else { "ts" };
+            let key = T_KEYS[key];
             let order = if order_by_key { format!(" ORDER BY {key}") } else { String::new() };
             format!("SELECT {key}, {agg} FROM t{filter} GROUP BY {key}{order}")
         };
@@ -350,8 +401,14 @@ proptest! {
             sql.push_str(&format!(" WHERE {}", PREDICATES[p]));
         }
         assert_same(&catalog, &sql)?;
-        // Non-equi condition exercises the nested-loop fallback in both.
+        // Non-equi conditions take the nested loop in both: a bare
+        // comparison, and one with a scalar call, a CASE and a disjunction.
         let sql = format!("SELECT t.ts, u.ts FROM t {join} u ON t.ts < u.ts");
+        assert_same(&catalog, &sql)?;
+        let sql = format!(
+            "SELECT host, v, w FROM t {join} u ON ABS(v - w) < 25.0 \
+             AND (CASE WHEN t.ts > 2 THEN u.ts ELSE 0 END = 0 OR UPPER(host) = 'DB-1')"
+        );
         assert_same(&catalog, &sql)?;
     }
 
@@ -373,7 +430,8 @@ proptest! {
             "SELECT m FROM (SELECT ts, AVG(v) AS m FROM t GROUP BY ts) s WHERE m > {thresh}"
         );
         assert_same(&catalog, &sql)?;
-        // LAG across a filtered projection (row-shim fallback path).
+        // LAG across a filtered projection: the shift runs over the
+        // filter's survivors, in one morsel.
         let sql = "SELECT ts, v, LAG(v, 1) AS prev FROM t WHERE host LIKE 'web%' ORDER BY ts, v";
         assert_same(&catalog, sql)?;
         // Outer filter over a window subquery: the filter must NOT sink
@@ -473,7 +531,7 @@ proptest! {
             .replace("{lo}", &lo.to_string())
             .replace("{hi}", &(lo + span).to_string());
         let key = SA_KEYS[keys];
-        let order = if order_by_first_key {
+        let order = if order_by_first_key && !key.contains('(') {
             format!(" ORDER BY {}", key.split(',').next().expect("non-empty key list"))
         } else {
             String::new()
@@ -837,6 +895,45 @@ fn group_by_timestamp_is_exact_at_the_i64_extremes() {
         stamps.iter().map(|&ts| vec![Value::Int(ts), Value::Float(3.0), Value::Int(2)]).collect(),
     );
     assert_pinned(&backends_of(&db), &query, &[1, 3], &expect);
+}
+
+fn i64_extremes() -> Vec<Value> {
+    vec![Value::Int(i64::MIN), Value::Int(5), Value::Int(-7), Value::Int(i64::MAX)]
+}
+
+/// Unary minus promotes at `i64::MIN` like every other Int overflow: the
+/// folded constant, the scalar path and the dense column path.
+#[test]
+fn negation_promotes_at_i64_min() {
+    let two63 = Value::Float(9_223_372_036_854_775_808.0);
+    pin_exact(
+        &[],
+        "SELECT -x AS y, -(-9223372036854775807 - 1) AS z \
+         FROM (SELECT -9223372036854775807 - 1 AS x) q",
+        &["y", "z"],
+        vec![vec![two63.clone(), two63.clone()]],
+    );
+    pin_exact(
+        &[("k", "x", i64_extremes())],
+        "SELECT -x AS y FROM k WHERE -x > 0",
+        &["y"],
+        vec![vec![two63], vec![Value::Int(7)]],
+    );
+}
+
+/// A window offset at the i64 extremes is out of range, not an overflow.
+#[test]
+fn window_offsets_at_the_i64_extremes_are_out_of_range() {
+    pin_exact(
+        &[("k", "x", i64_extremes())],
+        "SELECT LAG(x, -9223372036854775807 - 1) AS a, LEAD(x, 9223372036854775807) AS b, \
+         LAG(x, -9223372036854775807 - 1, 0) AS c, LEAD(x, 9223372036854775807, x) AS d FROM k",
+        &["a", "b", "c", "d"],
+        i64_extremes()
+            .into_iter()
+            .map(|x| vec![Value::Null, Value::Null, Value::Int(0), x])
+            .collect(),
+    );
 }
 
 /// MIN/MAX over streams containing NaN are *order-dependent* folds (NaN

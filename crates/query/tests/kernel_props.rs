@@ -419,3 +419,159 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The column evaluator against the row walker
+// ---------------------------------------------------------------------------
+
+/// Expressions over the generated table `(i, f, n, m, d, s)`: dense Int
+/// and Float, an Int column with NULL runs, a mixed Int/Float/NULL column,
+/// a dictionary column (string entries plus one NULL and one Int entry, so
+/// string functions fail on the rows that reference it) and dense strings.
+/// Several raise a type error on some rows only, or only on rows a
+/// short-circuit lets through.
+const EXPRS: [&str; 58] = [
+    "i + 1",
+    "i * 2 - n",
+    "-i",
+    "-m",
+    "f * 2 - i",
+    "n + m",
+    "m / n",
+    "i % 3",
+    "i > f",
+    "m >= 1.5",
+    "n = 2",
+    "f != f",
+    "9007199254740993 < f",
+    "i <= 9223372036854775807.0",
+    "s < d",
+    "NULL = i",
+    "i > 0 AND f < 1",
+    "n > 0 OR m < 0",
+    "NOT (n > 1)",
+    "n AND m",
+    "n IS NULL OR UPPER(i) = 'X'",
+    "n IS NOT NULL AND d LIKE 'a%'",
+    "i < 0 AND (f > 0 OR UPPER(n) = 'X')",
+    "UPPER(s)",
+    "UPPER(d)",
+    "d LIKE 'a%'",
+    "s GLOB 'a*'",
+    "CONCAT(d, '-', i)",
+    "CONCAT(UPPER(d), LENGTH(d))",
+    "SPLIT(s, '-')[0]",
+    "SPLIT(d, 'a')[n]",
+    "LENGTH(d)",
+    "COALESCE(n, m, 0)",
+    "GREATEST(i, f)",
+    "ABS(m)",
+    "NULLIF(s, d)",
+    "IF(n > 1, s, d)",
+    "d IS NULL",
+    "n IS NOT NULL",
+    "d IN ('a', s)",
+    "s IN (d, 'b', NULL)",
+    "i NOT IN (n, m, 3)",
+    "n IN (1, UPPER(n))",
+    "i BETWEEN n AND 5",
+    "f BETWEEN 0 AND 1.5",
+    "m NOT BETWEEN 1 AND 2",
+    "CASE WHEN n IS NULL THEN 'null' WHEN m > 0 THEN UPPER(s) ELSE d END",
+    "CASE WHEN i > 0 THEN UPPER(i) END",
+    "CASE WHEN d = 'a' THEN 1 WHEN d LIKE 'b%' THEN 2 ELSE LENGTH(d) END",
+    "LAG(i)",
+    "LEAD(f, 2, -1.0)",
+    "LAG(d, n)",
+    "LAG(s, i % 3, d)",
+    "LAG(LAG(i), 1, 7)",
+    "LEAD(i, 9223372036854775807)",
+    "CASE WHEN i > 0 THEN LAG(m) ELSE 0 END",
+    "LAG(n, 0) + LEAD(i, 0)",
+    "AVG(i)",
+];
+
+fn parsed(sql: &str) -> explainit_query::Expr {
+    let query = explainit_query::parse_query(&format!("SELECT {sql}")).expect(sql);
+    match &query.selects[0].items[0] {
+        explainit_query::SelectItem::Expr { expr, .. } => expr.clone(),
+        explainit_query::SelectItem::Wildcard => panic!("not an expression: {sql}"),
+    }
+}
+
+type Cell = ((usize, i64), (usize, f64), (usize, usize), usize);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `veval::eval` (row context) and `veval::eval_projection` (window
+    /// context) agree with `eval_with_rows` value for value — and are `Err`
+    /// exactly when the walker is `Err` for at least one row.
+    #[test]
+    fn column_evaluator_matches_the_row_walker(
+        cells in proptest::collection::vec(
+            ((0usize..8, 0i64..4), (0usize..8, -3.0f64..3.0), (0usize..4, 0usize..6), 0usize..4),
+            1..14,
+        ),
+    ) {
+        use explainit_query::eval::eval_with_rows;
+        use explainit_query::{veval, Column, Schema};
+        let cells: Vec<Cell> = cells;
+        let dict = std::sync::Arc::new(vec![
+            Value::str("a"), Value::str("b-a"), Value::str("abc"), Value::Null, Value::Int(7),
+            Value::str("unreferenced unless a code says so"),
+        ]);
+        let strs = ["a", "b", "a-b", "web-1"];
+        let cols = vec![
+            Column::Int(cells.iter().map(|c| i64_case(c.0 .0, c.0 .1)).collect()),
+            Column::Float(cells.iter().map(|c| f64_case(c.1 .0, c.1 .1)).collect()),
+            Column::from_values(cells.iter().map(|c| match c.2 .0 {
+                0 => Value::Null,
+                slot => Value::Int(slot as i64 - 1),
+            }).collect()),
+            Column::from_values(cells.iter().map(|c| match (c.2 .0 + c.3) % 3 {
+                0 => Value::Null,
+                1 => Value::Int(c.0 .1),
+                _ => Value::Float(c.1 .1),
+            }).collect()),
+            Column::dict(dict, cells.iter().map(|c| c.2 .1 as u32).collect()),
+            Column::Str(cells.iter().map(|c| strs[c.3].to_string()).collect()),
+        ];
+        let schema = Schema::new(["i", "f", "n", "m", "d", "s"].map(String::from).to_vec());
+        let len = cells.len();
+        let rows: Vec<Vec<Value>> =
+            (0..len).map(|r| cols.iter().map(|c| c.get(r)).collect()).collect();
+        for sql in EXPRS {
+            let expr = parsed(sql);
+            // Projection context sees every row; row context one at a time.
+            let contexts = [
+                (veval::eval_projection(&expr, &schema, &cols, len), true),
+                (veval::eval(&expr, &schema, &cols, len), false),
+            ];
+            for (got, sees_all_rows) in contexts {
+                let want: Result<Vec<Value>, _> = (0..len)
+                    .map(|r| {
+                        if sees_all_rows {
+                            eval_with_rows(&expr, &schema, &rows, r)
+                        } else {
+                            eval_with_rows(&expr, &schema, &rows[r..r + 1], 0)
+                        }
+                    })
+                    .collect();
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        let got: Vec<Value> = got.into_column(len).iter_values().collect();
+                        // Rendered, so NaN cells compare too.
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", sql);
+                    }
+                    (Err(_), Err(_)) => {}
+                    (got, want) => panic!(
+                        "{sql} over {rows:?}: evaluator {:?}, walker {:?}",
+                        got.map(|c| c.into_column(len)),
+                        want
+                    ),
+                }
+            }
+        }
+    }
+}

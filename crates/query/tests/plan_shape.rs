@@ -46,7 +46,46 @@ fn fires_for_the_family_query() {
     assert!(plan.contains("name=cpu"), "plan:\n{plan}");
     assert!(plan.contains("time=[0, 600]"), "plan:\n{plan}");
     assert!(!plan.contains("TsdbScan"), "the scan is absorbed:\n{plan}");
-    assert!(!plan.contains("Exchange"), "the exchange marker is absorbed:\n{plan}");
+}
+
+#[test]
+fn fires_for_the_papers_scalar_call_shapes() {
+    let c = catalog();
+    // The quickstart's family query: a CONCAT over two tags as a key.
+    let plan = explain(
+        &c,
+        "SELECT timestamp, metric_name, CONCAT(tag['host'], tag['pipeline_name']) AS feature, \
+         AVG(value) AS v FROM tsdb WHERE timestamp BETWEEN 0 AND 600 \
+         GROUP BY timestamp, metric_name, CONCAT(tag['host'], tag['pipeline_name']) \
+         ORDER BY timestamp ASC",
+    );
+    assert!(plan.contains("ScanAggregate tsdb time=[0, 600]"), "plan:\n{plan}");
+    // Appendix C, listing 3: a SPLIT(..)[0] IN (..) residual, a computed
+    // dictionary key and AVG(GREATEST(..)).
+    let plan = explain(
+        &c,
+        "SELECT timestamp, SPLIT(tag['host'], '-')[0] AS grp, AVG(GREATEST(value, 0)) AS busy \
+         FROM tsdb WHERE metric_name = 'cpu' AND SPLIT(tag['host'], '-')[0] IN ('web', 'db') \
+         GROUP BY timestamp, SPLIT(tag['host'], '-')[0]",
+    );
+    assert!(plan.starts_with("ScanAggregate tsdb name=cpu where=["), "plan:\n{plan}");
+    // Neither plan keeps a separate scan, projection or marker node.
+    assert_eq!(plan.lines().count(), 1, "plan:\n{plan}");
+}
+
+#[test]
+fn identity_projection_over_the_scan_is_elided() {
+    let c = catalog();
+    assert_eq!(explain(&c, "SELECT timestamp, metric_name, tag, value FROM tsdb"), "TsdbScan tsdb");
+    assert_eq!(explain(&c, "SELECT * FROM tsdb"), "TsdbScan tsdb");
+    // Pruning first: the scan already yields exactly the listed columns.
+    assert_eq!(
+        explain(&c, "SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'"),
+        "TsdbScan tsdb name=cpu columns=[timestamp, value]"
+    );
+    // A rename or a reorder is a real projection.
+    assert!(explain(&c, "SELECT value AS v FROM tsdb").starts_with("Project"));
+    assert!(explain(&c, "SELECT value, timestamp FROM tsdb").starts_with("Project"));
 }
 
 #[test]
@@ -96,7 +135,7 @@ fn fires_below_a_having_style_filter_which_stays_above() {
 fn falls_back_for_non_dict_group_keys() {
     let c = catalog();
     // `value` is not dictionary-encoded; grouping on it stays on the
-    // ordinary (exchange) pipeline.
+    // table aggregate.
     let plan = explain(&c, "SELECT value, COUNT(*) AS n FROM tsdb GROUP BY value");
     assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
     assert!(plan.contains("Aggregate"), "plan:\n{plan}");
@@ -223,11 +262,17 @@ fn falls_back_for_plain_tables_and_window_filters() {
     let c = catalog();
     let plan = explain(&c, "SELECT ts, AVG(v) AS m FROM plain GROUP BY ts");
     assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
-    // A window function anywhere below keeps the whole pipeline serial.
-    let plan = explain(
-        &c,
+    // A window call anywhere — a projection below, a key, an argument or a
+    // residual filter — keeps the aggregate out of the scan.
+    for sql in [
         "SELECT t, COUNT(*) AS n FROM (SELECT timestamp AS t, LAG(value) AS prev FROM tsdb) s \
          GROUP BY t",
-    );
-    assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
+        "SELECT timestamp, AVG(LAG(value, 0)) AS m FROM tsdb GROUP BY timestamp",
+        "SELECT LEAD(metric_name, 0) AS k, COUNT(*) AS n FROM tsdb GROUP BY LEAD(metric_name, 0)",
+        "SELECT timestamp, COUNT(*) AS n FROM tsdb WHERE LAG(value, 0) > 1 GROUP BY timestamp",
+    ] {
+        let plan = explain(&c, sql);
+        assert!(!plan.contains("ScanAggregate"), "{sql}:\n{plan}");
+        assert!(plan.contains("Aggregate"), "{sql}:\n{plan}");
+    }
 }

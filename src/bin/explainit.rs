@@ -72,9 +72,15 @@ fn print_usage() {
          \x20 SHOW FAMILIES | SHOW TABLES | DROP FAMILY name\n\n\
          EXPLAIN OUTPUT: the optimized operator tree, one node per line. Scan nodes\n\
          \x20 show the predicates pushed into the store's tag index (name=.., tag[k]=..,\n\
-         \x20 time=[lo, hi]); Join nodes show tag-index cardinality estimates and the\n\
-         \x20 hash build side they picked, e.g. `Join Inner on .. rows=[l~6400, r~1]\n\
-         \x20 build=right` — the hash index is built over the estimated-smaller side.\n\n\
+         \x20 time=[lo, hi]); a GROUP BY over timestamp / metric_name / tag expressions\n\
+         \x20 (CONCAT(tag['a'], tag['b']) included) collapses into one `ScanAggregate`\n\
+         \x20 line, and a SELECT of exactly the scan's columns is the bare `TsdbScan`.\n\
+         \x20 Filter lines over a scan end in refine=dict|kernel|general: once per\n\
+         \x20 series, typed loop over the column, or evaluated over the surviving rows.\n\
+         \x20 Join nodes show tag-index cardinality estimates and the hash build side\n\
+         \x20 they picked, e.g. `Join Inner on .. rows=[l~6400, r~1] build=right` — the\n\
+         \x20 hash index is built over the estimated-smaller side. There is no\n\
+         \x20 parallelism node: every operator splits its input by size (--partitions).\n\n\
          FAULT KINDS: packet_drop, hypervisor, namenode, raid, disk, multi, none\n\
          SCORERS: auto, corrmean, corrmax, l2, l2p50, l2p500, lasso"
     );
