@@ -43,6 +43,9 @@ pub struct CreateFamily {
     pub options: Vec<(String, Value)>,
     /// The stage-one query producing the rows to pivot.
     pub query: Query,
+    /// True for `EXPLAIN CREATE FAMILY ...`: return the statement's
+    /// optimized plan (the pivot on top) and register nothing.
+    pub explain: bool,
 }
 
 /// `EXPLAIN FOR` payload: one Algorithm-1 ranking request.

@@ -43,9 +43,10 @@ static BINDING_CACHE: LockClass = LockClass::new("query.binding.cache", 30);
 /// A binding's scan dictionaries; init walks the snapshot like the view.
 static BINDING_DICTS: LockClass = LockClass::new("query.binding.dicts", 32);
 
-use crate::ast::Query;
+use crate::ast::{CreateFamily, Query};
 use crate::exec::{execute, execute_with, ExecOptions};
 use crate::parser::parse_query;
+use crate::pivot::FamilyFrame;
 use crate::plan::TSDB_COLUMNS;
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -285,6 +286,24 @@ impl Catalog {
     /// forced partition count for the parallel pipelines).
     pub fn execute_query_with(&self, query: &Query, opts: ExecOptions) -> Result<Table> {
         execute_with(self, query, opts)
+    }
+
+    /// Executes a `CREATE FAMILY` statement — stage one and the pivot, one
+    /// plan — to its family frames in registration order. A long pivot
+    /// straight over a TSDB scan runs on the scan-pivot operator (series
+    /// to matrices, no rows); every other shape executes its stage-one
+    /// query to a [`Table`] and pivots that. The plan's shape alone
+    /// decides; [`Catalog::explain_family`] shows which. Statement-level
+    /// failures (an unknown option or layout, no rows, too few columns)
+    /// are [`crate::QueryError::Statement`]s.
+    pub fn execute_family(&self, cf: &CreateFamily, opts: ExecOptions) -> Result<Vec<FamilyFrame>> {
+        crate::exec::execute_family(self, cf, opts)
+    }
+
+    /// `EXPLAIN CREATE FAMILY ...`: the statement's optimized plan as a
+    /// one-column table, the `Pivot` / `ScanPivot` line on top.
+    pub fn explain_family(&self, cf: &CreateFamily) -> Result<Table> {
+        crate::exec::explain_family(self, cf)
     }
 
     /// Executes a query and registers the result as a new table — the

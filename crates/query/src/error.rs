@@ -27,6 +27,10 @@ pub enum QueryError {
     /// Structural error: mismatched UNION schemas, aggregates mixed wrongly,
     /// a violated optimizer invariant (see [`crate::optimize`]), etc.
     Plan(String),
+    /// A `CREATE FAMILY` statement-level error (unknown option or layout, a
+    /// stage-one result with no rows or too few columns). Displays as the
+    /// bare message; the session layer reports it as its own statement error.
+    Statement(String),
 }
 
 impl QueryError {
@@ -43,6 +47,7 @@ impl QueryError {
             QueryError::BadFunction(m) => QueryError::BadFunction(tag(m)),
             QueryError::Type(m) => QueryError::Type(tag(m)),
             QueryError::Plan(m) => QueryError::Plan(tag(m)),
+            QueryError::Statement(m) => QueryError::Statement(tag(m)),
         }
     }
 }
@@ -59,6 +64,7 @@ impl fmt::Display for QueryError {
             QueryError::BadFunction(m) => write!(f, "bad function: {m}"),
             QueryError::Type(m) => write!(f, "type error: {m}"),
             QueryError::Plan(m) => write!(f, "plan error: {m}"),
+            QueryError::Statement(m) => write!(f, "{m}"),
         }
     }
 }

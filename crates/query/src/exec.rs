@@ -27,6 +27,15 @@
 //!
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
+//!
+//! **Stage two.** A `CREATE FAMILY` statement runs through
+//! [`execute_family`]: the same pipeline with a `Pivot` root on the plan.
+//! When the optimizer fused it with its scan the [`scan_pivot`] operator
+//! (one operator per file starts there) goes from series to family frames
+//! directly; otherwise the stage-one plan runs to a [`Table`] and the table
+//! pivot ([`crate::pivot`]) takes it from there.
+
+mod scan_pivot;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,13 +53,14 @@ static EXEC_PINNED: LockClass = LockClass::new("query.exec.pinned", 25);
 /// completes, so nothing ever nests inside it.
 static EXEC_RESULTS: LockClass = LockClass::new("query.exec.results", 90);
 
-use crate::ast::{Expr, JoinKind, Query};
+use crate::ast::{CreateFamily, Expr, JoinKind, Query};
 use crate::catalog::{Catalog, TsdbBinding};
 use crate::column::Column;
 use crate::eval::{eval_in_group, grouped_aggregates};
 use crate::functions::{is_aggregate, AggAcc};
 use crate::optimize::{fold_expr, map_columns, optimize, peel_filter_chain};
-use crate::plan::{build, equi_join_keys, LogicalPlan, TSDB_COLUMNS};
+use crate::pivot::FamilyFrame;
+use crate::plan::{build, build_family, equi_join_keys, LogicalPlan, TSDB_COLUMNS};
 use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::veval::{self, ColView};
@@ -133,11 +143,59 @@ pub fn execute_with(catalog: &Catalog, query: &Query, opts: ExecOptions) -> Resu
     crate::types::check_query(catalog, query)?;
     let plan = optimize(plan, catalog)?;
     if query.explain {
-        let text = crate::plan::render_with(&plan, Some(catalog));
-        let lines: Vec<Vec<Value>> = text.lines().map(|l| vec![Value::str(l)]).collect();
-        return Ok(Table::from_rows(&["plan"], lines));
+        return Ok(plan_table(&plan, catalog));
     }
     run_plan(&ExecCtx::new(catalog), &plan, &opts)
+}
+
+/// The `EXPLAIN` relation: the rendered plan, one node per row.
+fn plan_table(plan: &LogicalPlan, catalog: &Catalog) -> Table {
+    let text = crate::plan::render_with(plan, Some(catalog));
+    Table::from_rows(&["plan"], text.lines().map(|l| vec![Value::str(l)]).collect())
+}
+
+/// A `CREATE FAMILY` statement through plan → check → optimize: its
+/// stage-one query under a `Pivot` root, or the fused `ScanPivot`.
+fn plan_family(catalog: &Catalog, cf: &CreateFamily) -> Result<LogicalPlan> {
+    let plan = build_family(catalog, cf)?;
+    crate::types::check_query(catalog, &cf.query)?;
+    optimize(plan, catalog)
+}
+
+/// `EXPLAIN CREATE FAMILY ...`: the statement's optimized plan, the
+/// `Pivot` / `ScanPivot` line on top. Nothing runs.
+pub fn explain_family(catalog: &Catalog, cf: &CreateFamily) -> Result<Table> {
+    Ok(plan_table(&plan_family(catalog, cf)?, catalog))
+}
+
+/// Executes a `CREATE FAMILY` statement to its family frames, in
+/// registration order. Which of the two stage-two executions runs is
+/// decided by the plan's shape alone.
+pub fn execute_family(
+    catalog: &Catalog,
+    cf: &CreateFamily,
+    opts: ExecOptions,
+) -> Result<Vec<FamilyFrame>> {
+    let ctx = ExecCtx::new(catalog);
+    // Stage-one rows (or points) read, and the frames they pivot into.
+    let (rows, frames) = match plan_family(catalog, cf)? {
+        LogicalPlan::Pivot { input, spec } => {
+            let table = run_plan(&ctx, &input, &opts)?;
+            // An empty result reports as such before any role is resolved.
+            let frames = if table.is_empty() { Vec::new() } else { spec.frames(&table)? };
+            (table.len(), frames)
+        }
+        fused => scan_pivot::run(&ctx, &fused, &opts)?,
+    };
+    let fail =
+        |what: &str| Err(QueryError::Statement(format!("CREATE FAMILY {}: {what}", cf.name)));
+    if rows == 0 {
+        return fail("the stage-one query returned no rows");
+    }
+    if frames.is_empty() {
+        return fail("the pivot produced no families");
+    }
+    Ok(frames)
 }
 
 /// Runs an (optimized) plan.
@@ -172,6 +230,10 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
         ),
 
         LogicalPlan::Unit => Ok(Table::unit(1)),
+
+        LogicalPlan::Pivot { .. } | LogicalPlan::ScanPivot { .. } => Err(QueryError::Plan(
+            "a family pivot is the root of a CREATE FAMILY plan, not a relation".into(),
+        )),
 
         LogicalPlan::Alias { input, alias } => {
             let t = run_plan(ctx, input, opts)?;
@@ -478,9 +540,7 @@ fn merge_gather_order(
 
     // Grid-aligned fleets: every run shares one timestamp vector, so row
     // order is the transpose (all ranks at ts[0], then all at ts[1], ...).
-    // The check early-exits on the first differing slice.
-    let grid = run_meta[0].1;
-    if run_meta.iter().all(|&(_, ts)| std::ptr::eq(ts, grid) || ts == grid) {
+    if let Some(grid) = shared_grid(run_meta.iter().map(|&(_, ts)| ts)) {
         let mut order: Vec<u32> = Vec::with_capacity(total);
         for t in 0..grid.len() as u32 {
             order.extend(run_meta.iter().map(|&(off, _)| off + t));
@@ -547,6 +607,16 @@ fn merge_gather_order(
         runs = next_runs;
     }
     cur.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The grid-aligned test: the one timestamp vector every run carries, if
+/// they all carry the same one (early exit on the first that differs).
+/// The scan gather turns it into a transpose; the scan pivot into a
+/// family's timestamp grid taken as is.
+fn shared_grid<'a>(runs: impl IntoIterator<Item = &'a [i64]>) -> Option<&'a [i64]> {
+    let mut runs = runs.into_iter();
+    let grid = runs.next()?;
+    runs.all(|ts| std::ptr::eq(ts, grid) || ts == grid).then_some(grid)
 }
 
 /// Below this row count a cascade level merges serially: scoped-thread

@@ -76,6 +76,24 @@
 //!    differential suite runs every generated query at partitions 1 and 3,
 //!    over the TSDB binding and over the same observations registered as a
 //!    plain table, against the reference interpreter.
+//! 4. **Pivot** — stage two of the paper's pipeline (Figure 4) is a plan
+//!    node, not a caller's afterthought: a `CREATE FAMILY` statement plans
+//!    as its stage-one query under a `LogicalPlan::Pivot` root
+//!    ([`Catalog::execute_family`], configured by a [`PivotSpec`]) and
+//!    comes back as dense [`FamilyFrame`]s. A long pivot sitting straight
+//!    on a TSDB scan — timestamp and value the scan's own columns, family
+//!    and feature expressions over `metric_name` / `tag` — fuses with it
+//!    into `LogicalPlan::ScanPivot`, whose operator resolves both labels
+//!    once per *series* and writes each decoded chunk span straight into
+//!    its family's matrix: no row-per-point table is built only to be
+//!    transposed back. Every other shape (aggregates, joins, registered
+//!    tables, residual filters, the wide layout) runs stage one to a
+//!    [`Table`] and pivots that ([`pivot_long`] / [`pivot_wide`] /
+//!    [`pivot_one`], also callable directly). Both executions share one
+//!    id-keyed dense core and one set of ordering, last-write-wins and
+//!    gap-fill rules (module docs of `pivot.rs`); the differential suite
+//!    holds them equal cell for cell, the plan's shape alone picks between
+//!    them, and `EXPLAIN CREATE FAMILY ...` shows which.
 //!
 //! ## Reading `EXPLAIN` output
 //!
@@ -127,6 +145,19 @@
 //! call (NaN and mixed classes are incomparable, so that fold is
 //! accumulation-order dependent) all fall back to the table aggregate.
 //!
+//! `EXPLAIN CREATE FAMILY ...` puts the pivot on top: `Pivot layout=long
+//! ts=timestamp family=metric_name feature=feat value=v` over the stage-one
+//! plan (role columns as resolved, `?` where one does not resolve; a
+//! single-family wide pivot shows `into=<name>`), or the one line
+//! `ScanPivot tsdb name=cpu time=[0, 600] layout=long ts=timestamp
+//! family=metric_name feature=tag['host'] value=value` when the pivot fused
+//! with its scan. If you expected `ScanPivot` and see `Pivot` over a
+//! `Project`/`Filter`/`TsdbScan`, one of these holds: the layout is wide, a
+//! role does not resolve, ts or value is not the bare `timestamp` / `value`
+//! column, a label reads a per-point column or holds a window call, a
+//! residual `Filter` (anything the scan's indexes could not absorb), a
+//! `Sort`/`Limit`, or an extra stage-one column that is not a plain column.
+//!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
 //! [`reference`] as a differential-testing oracle (see
 //! `tests/differential.rs`) and as the baseline the `query_exec` bench
@@ -162,7 +193,8 @@
 //!
 //! * `CREATE FAMILY <name> [WITH (layout = 'wide'|'long', ts = ..,
 //!   family = .., feature = .., value = ..)] AS <query>` — stage one +
-//!   pivot into the Feature Family Table;
+//!   pivot into the Feature Family Table; prefixed with `EXPLAIN` it
+//!   returns its plan instead;
 //! * `EXPLAIN FOR <target> [GIVEN <fam>, ...] [USING SCORER <name>]
 //!   [TOP <k>]` — hypothesis ranking (distinct from the `EXPLAIN <query>`
 //!   plan dump via one token of lookahead);
@@ -170,9 +202,10 @@
 //!
 //! The statement keywords are recognised positionally, never reserved:
 //! `family`, `top`, `scorer`, `create`, ... all remain valid identifiers
-//! and aliases inside ordinary queries. This crate only *parses* the RCA
-//! statements (and executes plain queries); the stateful executor that
-//! pairs them with the ranking engine is the facade crate's `Session`.
+//! and aliases inside ordinary queries. This crate parses the RCA
+//! statements, executes plain queries and plans and runs `CREATE FAMILY` up
+//! to its frames ([`Catalog::execute_family`]); the stateful executor that
+//! registers them with the ranking engine is the facade crate's `Session`.
 //!
 //! The query entry point is [`Catalog`]: register tables (or bind a
 //! [`explainit_tsdb::Tsdb`] as the `tsdb` virtual table — or a
@@ -229,8 +262,8 @@ pub use exec::ExecOptions;
 pub use functions::AggAcc;
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_query, parse_script, parse_statement};
-pub use pivot::{pivot_long, pivot_one, pivot_wide, FamilyFrame};
-pub use plan::LogicalPlan;
+pub use pivot::{pivot_long, pivot_one, pivot_wide, FamilyFrame, Layout, PivotSpec};
+pub use plan::{LogicalPlan, FAMILY_COLUMNS};
 pub use table::{Schema, Table};
 pub use types::{check_query, infer_expr, ColInfo, ColType, TypedSchema};
 pub use value::Value;

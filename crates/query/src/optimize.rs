@@ -29,7 +29,16 @@
 //!    `Project` with no hidden keys whose items are exactly its input's
 //!    columns, in order, under the same names, is dropped: `SELECT
 //!    timestamp, metric_name, tag, value FROM tsdb` is a bare `TsdbScan`.
-//! 6. **Join-side statistics** (`annotate_join_stats`) — every `Join` is
+//! 6. **Scan pivot** (`scan_pivot`) — the root of a `CREATE FAMILY` plan is
+//!    a [`LogicalPlan::Pivot`]; over a bare `TsdbScan` (pushed name / tag /
+//!    time predicates are fine, a residual `Filter` is not; a `Project` of
+//!    plain columns and label expressions is looked through) whose roles
+//!    resolve to ts → `timestamp`, value → `value` and family / feature →
+//!    expressions over the per-series constants `metric_name` / `tag`, a
+//!    long pivot and its scan fuse into one [`LogicalPlan::ScanPivot`]: the
+//!    executor goes from series to family matrices without a row in
+//!    between. Every other shape keeps `Pivot` over its ordinary plan.
+//! 7. **Join-side statistics** (`annotate_join_stats`) — every `Join` is
 //!    annotated with per-side row estimates from
 //!    [`crate::plan::estimate_rows`] (tag-index set sizes and point-count
 //!    arithmetic for TSDB scans, exact lengths for registered tables) and
@@ -38,7 +47,7 @@
 //!    exactly the order the build-on-right algorithm produces, so
 //!    statistics can only change memory and speed, never results.
 //!    `EXPLAIN` shows the estimates and the chosen side on the `Join` line.
-//! 7. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
+//! 8. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
 //!    `Aggregate` (above pushed-down `Filter`s) sitting directly on a
 //!    `TsdbScan` collapses into a single [`LogicalPlan::ScanAggregate`]
 //!    node when every group key is the `timestamp` column or an expression
@@ -61,6 +70,7 @@ use explainit_tsdb::TagFilter;
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::catalog::Catalog;
 use crate::functions::{is_aggregate, is_window};
+use crate::pivot::PivotSpec;
 use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::value::Value;
@@ -72,7 +82,11 @@ use crate::Result;
 /// `EXPLAINIT_VERIFY_PLANS` environment variable is set.
 pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
     let verify = cfg!(debug_assertions) || crate::verify::env_forced();
-    let planned = if verify { plan.schema(catalog).ok() } else { None };
+    let planned = if verify {
+        crate::verify::stage_one(&plan).and_then(|p| p.schema(catalog).ok())
+    } else {
+        None
+    };
     let check = |rule: &'static str, plan: &LogicalPlan| -> Result<()> {
         if verify {
             crate::verify::check_after(rule, plan, planned.as_ref(), catalog)
@@ -90,6 +104,8 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
     check("prune", &plan)?;
     let plan = elide_identity_projects(plan, catalog);
     check("elide_identity_projects", &plan)?;
+    let plan = fuse_scan_pivot(plan);
+    check("scan_pivot", &plan)?;
     let plan = annotate_join_stats(plan, catalog);
     check("annotate_join_stats", &plan)?;
     let plan = push_aggregates_into_scans(plan);
@@ -141,11 +157,15 @@ fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_exprs(p, f)).collect() }
         }
-        // `ScanAggregate` is produced by rule 7, which runs last; the
-        // earlier passes never see it, so a leaf treatment is safe.
+        LogicalPlan::Pivot { input, spec } => {
+            LogicalPlan::Pivot { input: Box::new(map_exprs(*input, f)), spec }
+        }
+        // `ScanPivot` and `ScanAggregate` are produced by rules 6 and 8;
+        // the earlier passes never see them, so a leaf treatment is safe.
         leaf @ (LogicalPlan::Scan { .. }
         | LogicalPlan::TsdbScan { .. }
         | LogicalPlan::Unit
+        | LogicalPlan::ScanPivot { .. }
         | LogicalPlan::ScanAggregate { .. }) => leaf,
     }
 }
@@ -297,6 +317,9 @@ fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> Logic
         LogicalPlan::Union { inputs } => {
             LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_plan(p, f)).collect() }
         }
+        LogicalPlan::Pivot { input, spec } => {
+            LogicalPlan::Pivot { input: Box::new(map_plan(*input, f)), spec }
+        }
         leaf => leaf,
     };
     f(rebuilt)
@@ -342,6 +365,9 @@ fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
         LogicalPlan::Union { inputs } => Ok(LogicalPlan::Union {
             inputs: inputs.into_iter().map(|p| pushdown(p, catalog)).collect::<Result<_>>()?,
         }),
+        LogicalPlan::Pivot { input, spec } => {
+            Ok(LogicalPlan::Pivot { input: Box::new(pushdown(*input, catalog)?), spec })
+        }
         leaf => Ok(leaf),
     }
 }
@@ -854,8 +880,14 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
             };
             LogicalPlan::TsdbScan { table, name, tags, start, end, columns }
         }
+        // The pivot reads every column of its input; the stage-one
+        // projection under it names what the scan must produce.
+        LogicalPlan::Pivot { input, spec } => {
+            LogicalPlan::Pivot { input: Box::new(prune(*input, None)), spec }
+        }
         leaf @ (LogicalPlan::Scan { .. }
         | LogicalPlan::Unit
+        | LogicalPlan::ScanPivot { .. }
         | LogicalPlan::ScanAggregate { .. }) => leaf,
     }
 }
@@ -887,7 +919,68 @@ fn elide_identity_projects(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan 
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: join-side statistics
+// Rule 6: scan pivot
+// ---------------------------------------------------------------------------
+
+/// Fuses a root [`LogicalPlan::Pivot`] with the bare scan under it when
+/// [`scan_pivot_labels`] accepts the shape.
+fn fuse_scan_pivot(plan: LogicalPlan) -> LogicalPlan {
+    let LogicalPlan::Pivot { input, spec } = plan else { return plan };
+    let Some((family, feature)) = scan_pivot_labels(&input, &spec) else {
+        return LogicalPlan::Pivot { input, spec };
+    };
+    let scan = match *input {
+        LogicalPlan::Project { input, .. } => *input,
+        scan => scan,
+    };
+    let LogicalPlan::TsdbScan { table, name, tags, start, end, .. } = scan else {
+        unreachable!("eligibility checked the source");
+    };
+    LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature }
+}
+
+/// The eligibility analysis for rule 6, returning the family and feature
+/// label expressions of a fusable pivot. `input` must be a `TsdbScan`,
+/// bare or under one `Project` without hidden keys (so no `Filter`, `Sort`
+/// or `Limit` in between); the spec must be a long layout whose roles
+/// resolve against the stage-one columns to: ts → the `timestamp` column,
+/// value → the `value` column, family and feature → window-free
+/// expressions whose columns are all per-series constants (`metric_name`,
+/// `tag`). Any further stage-one column must be a plain column reference,
+/// so fusing skips nothing the table path could fail on.
+pub(crate) fn scan_pivot_labels(input: &LogicalPlan, spec: &PivotSpec) -> Option<(Expr, Expr)> {
+    let identity;
+    let (items, scan) = match input {
+        LogicalPlan::Project { input, items, hidden } if hidden.is_empty() => (items, &**input),
+        scan => {
+            let LogicalPlan::TsdbScan { columns, .. } = scan else { return None };
+            identity = crate::plan::tsdb_scan_columns(columns)
+                .into_iter()
+                .map(|c| (Expr::Column(c.clone()), c))
+                .collect();
+            (&identity, scan)
+        }
+    };
+    if !matches!(scan, LogicalPlan::TsdbScan { .. }) {
+        return None;
+    }
+    let roles = spec.roles(&Schema::new(items.iter().map(|(_, n)| n.clone()).collect())).ok()?;
+    let (family, (feature, value)) = (roles.family?, roles.long?);
+    let obs = tsdb_schema();
+    let label = |i: usize| refs_within(&items[i].0, &obs, &[1, 2]) && !items[i].0.contains_window();
+    let fusable = is_tsdb_col(&items[roles.ts].0, &obs, 0)
+        && is_tsdb_col(&items[value].0, &obs, 3)
+        && label(family)
+        && label(feature)
+        && items.iter().enumerate().all(|(i, (e, _))| {
+            [roles.ts, family, feature, value].contains(&i)
+                || matches!(e, Expr::Column(c) if obs.resolve(c).is_ok())
+        });
+    fusable.then(|| (items[family].0.clone(), items[feature].0.clone()))
+}
+
+// ---------------------------------------------------------------------------
+// Rule 7: join-side statistics
 // ---------------------------------------------------------------------------
 
 /// Attaches per-side row estimates (and the hash build side they imply) to
@@ -913,7 +1006,7 @@ fn annotate_join_stats(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: scan-level aggregate pushdown
+// Rule 8: scan-level aggregate pushdown
 // ---------------------------------------------------------------------------
 
 /// Walks the straight-line spine of the plan converting eligible
@@ -951,6 +1044,9 @@ fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Limit { input, n } => {
             LogicalPlan::Limit { input: Box::new(push_aggregates_into_scans(*input)), n }
         }
+        LogicalPlan::Pivot { input, spec } => {
+            LogicalPlan::Pivot { input: Box::new(push_aggregates_into_scans(*input)), spec }
+        }
         other => other,
     }
 }
@@ -979,7 +1075,7 @@ fn convert_scan_aggregate(node: LogicalPlan) -> LogicalPlan {
     LogicalPlan::ScanAggregate { table, name, tags, start, end, filters, group_by, items, hidden }
 }
 
-fn tsdb_schema() -> Schema {
+pub(crate) fn tsdb_schema() -> Schema {
     Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect())
 }
 
@@ -1048,7 +1144,7 @@ fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
     }
 }
 
-/// The eligibility analysis for rule 7: the pipeline must reach a
+/// The eligibility analysis for rule 8: the pipeline must reach a
 /// `TsdbScan` through filters over observation columns, every group key
 /// must be the `timestamp` column (at most once) or an expression over the
 /// dictionary-encoded columns, every output must be a group key or a plain
@@ -1330,7 +1426,7 @@ mod tests {
     #[test]
     fn eligible_aggregates_collapse_into_the_scan() {
         let c = tsdb_catalog();
-        // A non-dictionary group key keeps rule 7 off this pipeline.
+        // A non-dictionary group key keeps rule 8 off this pipeline.
         let p =
             optimized(&c, "SELECT value, AVG(value) AS m, COUNT(*) AS n FROM tsdb GROUP BY value");
         assert!(matches!(p, LogicalPlan::Aggregate { .. }), "got {p:?}");

@@ -195,9 +195,16 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Statement> {
-        if self.peek_kws("CREATE", "FAMILY") {
-            self.pos += 2;
-            return self.create_family();
+        // `EXPLAIN CREATE` can only open a family statement: a query
+        // starts with SELECT.
+        let explain_family = self.peek_kws("EXPLAIN", "CREATE");
+        if explain_family {
+            self.pos += 1;
+        }
+        if explain_family || self.peek_kws("CREATE", "FAMILY") {
+            self.expect_kw("CREATE")?;
+            self.expect_kw("FAMILY")?;
+            return self.create_family(explain_family);
         }
         if self.peek_kws("DROP", "FAMILY") {
             self.pos += 2;
@@ -224,7 +231,7 @@ impl Parser {
 
     /// `CREATE FAMILY <name> [WITH (k = v, ...)] AS <query>` (the leading
     /// keywords are already consumed).
-    fn create_family(&mut self) -> Result<Statement> {
+    fn create_family(&mut self, explain: bool) -> Result<Statement> {
         let name = self.object_name()?;
         let mut options = Vec::new();
         if self.eat_kw("WITH") {
@@ -251,7 +258,7 @@ impl Parser {
         }
         self.expect_kw("AS")?;
         let query = self.query()?;
-        Ok(Statement::CreateFamily(CreateFamily { name, options, query }))
+        Ok(Statement::CreateFamily(CreateFamily { name, options, query, explain }))
     }
 
     /// `EXPLAIN FOR <target> [GIVEN a, b] [USING SCORER s] [TOP k]` (the
@@ -901,6 +908,25 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse_statement("EXPLAIN FOR runtime TOP 0").is_err());
+    }
+
+    #[test]
+    fn explain_create_family_sets_the_statement_flag() {
+        let sql = "CREATE FAMILY m WITH (layout = 'long') AS SELECT timestamp, value FROM tsdb";
+        let plain = parse_statement(sql).unwrap();
+        assert!(matches!(&plain, Statement::CreateFamily(cf) if !cf.explain));
+        let explained = parse_statement(&format!("EXPLAIN {sql}")).unwrap();
+        match (plain, explained) {
+            (Statement::CreateFamily(a), Statement::CreateFamily(b)) => {
+                assert!(b.explain);
+                assert_eq!((a.name, a.options), (b.name, b.options));
+                assert_eq!(a.query.selects.len(), b.query.selects.len());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // `create` stays an identifier wherever a query can hold one.
+        assert!(parse_statement("EXPLAIN SELECT create FROM family").is_ok());
+        assert!(parse_statement("EXPLAIN CREATE TABLE t").is_err());
     }
 
     #[test]

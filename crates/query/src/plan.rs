@@ -17,11 +17,17 @@
 //! projection pruning, constant folding, TSDB scan extraction) and what the
 //! columnar executor in [`crate::exec`] runs. [`render`] pretty-prints a
 //! plan for `EXPLAIN`.
+//!
+//! A `CREATE FAMILY` statement plans as the same tree with stage two on
+//! top ([`build_family`]): a [`LogicalPlan::Pivot`] root over the stage-one
+//! query, which the optimizer fuses with a bare TSDB scan into
+//! [`LogicalPlan::ScanPivot`] when the shape allows.
 
 use explainit_tsdb::TagFilter;
 
-use crate::ast::{BinaryOp, Expr, JoinKind, Query, SelectItem, SelectStmt, TableRef};
+use crate::ast::{BinaryOp, CreateFamily, Expr, JoinKind, Query, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
+use crate::pivot::PivotSpec;
 use crate::table::Schema;
 use crate::veval::FilterClass;
 use crate::{QueryError, Result};
@@ -100,7 +106,7 @@ pub enum LogicalPlan {
         kind: JoinKind,
         /// The ON predicate.
         on: Expr,
-        /// Cardinality statistics attached by the optimizer (rule 7). The
+        /// Cardinality statistics attached by the optimizer (`annotate_join_stats`). The
         /// executor builds the hash side on the estimated-smaller input;
         /// `None` (un-optimized plans) keeps the legacy build-on-right.
         stats: Option<JoinStats>,
@@ -161,10 +167,56 @@ pub enum LogicalPlan {
         /// Hidden ORDER BY keys, same shape restrictions as `items`.
         hidden: Vec<Expr>,
     },
+    /// Stage two of the paper's pipeline: the root of a `CREATE FAMILY`
+    /// plan (never anywhere else). Executes its input to a table and
+    /// pivots it into family frames (the table pivot, `pivot.rs`)
+    /// — the path every stage-one shape can take.
+    Pivot {
+        /// The stage-one query.
+        input: Box<LogicalPlan>,
+        /// Layout and role columns.
+        spec: PivotSpec,
+    },
+    /// A long [`LogicalPlan::Pivot`] fused with the bare
+    /// [`LogicalPlan::TsdbScan`] under it: produced by the optimizer when
+    /// the timestamp and value roles are the scan's own columns and the
+    /// family and feature labels are expressions over its per-series
+    /// constants (`metric_name`, `tag`) with no residual filter in
+    /// between. The executor resolves both labels once per series and
+    /// writes each series' decoded spans straight into the family
+    /// matrices — no row is ever materialized.
+    ScanPivot {
+        /// Catalog name the TSDB is bound under.
+        table: String,
+        /// Pushed-down metric-name pattern (exact or glob).
+        name: Option<String>,
+        /// Pushed-down tag predicates (conjunctive).
+        tags: Vec<TagFilter>,
+        /// Inclusive lower timestamp bound.
+        start: Option<i64>,
+        /// Inclusive upper timestamp bound.
+        end: Option<i64>,
+        /// Family label, over `metric_name` / `tag` only.
+        family: Expr,
+        /// Feature label, over `metric_name` / `tag` only.
+        feature: Expr,
+    },
 }
 
 /// The observation schema of a TSDB-bound table.
 pub const TSDB_COLUMNS: [&str; 4] = ["timestamp", "metric_name", "tag", "value"];
+
+/// The output column names of a `TsdbScan` with the given pruning.
+pub(crate) fn tsdb_scan_columns(columns: &Option<Vec<usize>>) -> Vec<String> {
+    match columns {
+        None => TSDB_COLUMNS.iter().map(|s| s.to_string()).collect(),
+        Some(idx) => idx.iter().map(|&i| TSDB_COLUMNS[i].to_string()).collect(),
+    }
+}
+
+/// The relation a `CREATE FAMILY` statement answers with: one row per
+/// registered family (what [`LogicalPlan::schema`] reports for a pivot).
+pub const FAMILY_COLUMNS: [&str; 3] = ["family", "rows", "features"];
 
 /// Cardinality statistics the optimizer attaches to a [`LogicalPlan::Join`]:
 /// per-side row estimates (from [`estimate_rows`]) and the hash-join build
@@ -199,7 +251,8 @@ pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> Option<u64> {
                 Some(catalog.get(table)?.len() as u64)
             }
         }
-        LogicalPlan::TsdbScan { table, name, tags, start, end, .. } => {
+        LogicalPlan::TsdbScan { table, name, tags, start, end, .. }
+        | LogicalPlan::ScanPivot { table, name, tags, start, end, .. } => {
             let binding = catalog.tsdb_binding(table)?;
             let filter = explainit_tsdb::MetricFilter { name: name.clone(), tags: tags.clone() };
             let lo = start.unwrap_or(i64::MIN);
@@ -209,7 +262,8 @@ pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> Option<u64> {
         LogicalPlan::Unit => Some(1),
         LogicalPlan::Alias { input, .. }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Project { input, .. } => estimate_rows(input, catalog),
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Pivot { input, .. } => estimate_rows(input, catalog),
         LogicalPlan::Filter { input, .. } => {
             // Default selectivity heuristic: a WHERE clause keeps ~1/3 of
             // its input (non-zero inputs stay non-zero so join sides with
@@ -275,13 +329,7 @@ impl LogicalPlan {
             LogicalPlan::Scan { table } => {
                 catalog.schema_of(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))
             }
-            LogicalPlan::TsdbScan { columns, .. } => {
-                let names: Vec<String> = match columns {
-                    None => TSDB_COLUMNS.iter().map(|s| s.to_string()).collect(),
-                    Some(idx) => idx.iter().map(|&i| TSDB_COLUMNS[i].to_string()).collect(),
-                };
-                Ok(Schema::new(names))
-            }
+            LogicalPlan::TsdbScan { columns, .. } => Ok(Schema::new(tsdb_scan_columns(columns))),
             LogicalPlan::Unit => Ok(Schema::default()),
             LogicalPlan::Alias { input, alias } => Ok(input.schema(catalog)?.qualified(alias)),
             LogicalPlan::Filter { input, .. } | LogicalPlan::Limit { input, .. } => {
@@ -298,6 +346,9 @@ impl LogicalPlan {
                 Ok(Schema::new(cols))
             }
             LogicalPlan::Sort { input, .. } => input.schema(catalog),
+            LogicalPlan::Pivot { .. } | LogicalPlan::ScanPivot { .. } => {
+                Ok(Schema::new(FAMILY_COLUMNS.iter().map(|s| s.to_string()).collect()))
+            }
             LogicalPlan::Union { inputs } => inputs
                 .first()
                 .ok_or_else(|| QueryError::Plan("empty UNION".into()))?
@@ -317,6 +368,14 @@ pub fn build(catalog: &Catalog, query: &Query) -> Result<LogicalPlan> {
         1 => Ok(parts.pop().expect("one part")), // invariant: length checked by the match arm
         _ => Ok(LogicalPlan::Union { inputs: parts }),
     }
+}
+
+/// Lowers a `CREATE FAMILY` statement: its stage-one query under a
+/// [`LogicalPlan::Pivot`] root. The `WITH (...)` options are read here, so
+/// an unknown option or layout fails before anything runs.
+pub fn build_family(catalog: &Catalog, cf: &CreateFamily) -> Result<LogicalPlan> {
+    let spec = PivotSpec::parse(cf)?;
+    Ok(LogicalPlan::Pivot { input: Box::new(build(catalog, &cf.query)?), spec })
 }
 
 fn table_ref_plan(catalog: &Catalog, tref: &TableRef) -> Result<LogicalPlan> {
@@ -740,6 +799,21 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             for i in inputs {
                 render_into(i, depth + 1, catalog, out);
             }
+        }
+        LogicalPlan::Pivot { input, spec } => {
+            let schema = catalog.and_then(|c| input.schema(c).ok());
+            push_line(out, depth, &format!("Pivot {}", spec.describe(schema.as_ref())));
+            render_into(input, depth + 1, catalog, out);
+        }
+        LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature } => {
+            let mut line = format!("ScanPivot {table}");
+            push_scan_attrs(&mut line, name, tags, start, end);
+            line.push_str(&format!(
+                " layout=long ts=timestamp family={} feature={} value=value",
+                render_expr(family),
+                render_expr(feature)
+            ));
+            push_line(out, depth, &line);
         }
         LogicalPlan::ScanAggregate {
             table,

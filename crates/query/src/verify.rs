@@ -18,14 +18,24 @@
 //! Checks, in tree order:
 //!
 //! 1. **Schema preservation** — the optimized root must expose exactly the
-//!    column names the planned root did. Skipped when either schema cannot
-//!    be resolved (unit tests optimize plans over detached catalogs).
+//!    column names the planned root did; under a `CREATE FAMILY` plan's
+//!    [`LogicalPlan::Pivot`] root it is the stage-one relation that must
+//!    keep its names (the roles resolve against them). Skipped when either
+//!    schema cannot be resolved (unit tests optimize plans over detached
+//!    catalogs) and once the pivot has absorbed its input.
 //! 2. **ScanAggregate re-eligibility** — every [`LogicalPlan::ScanAggregate`]
 //!    is expanded back into the `Aggregate → Filter* → TsdbScan` chain it
-//!    came from and re-run through the rule-7 eligibility analysis
+//!    came from and re-run through the `scan_aggregate` eligibility analysis
 //!    ([`crate::optimize::scan_aggregate_eligible`]): mergeable aggregates
 //!    only, dictionary/timestamp group keys, the NaN `MIN`/`MAX` ordering
 //!    rule, no window calls.
+//!
+//!    **ScanPivot re-eligibility** — likewise every
+//!    [`LogicalPlan::ScanPivot`] is expanded back into a long `Pivot` over
+//!    `Project → TsdbScan` and re-run through the `scan_pivot` analysis
+//!    (`optimize::scan_pivot_labels`): every role resolvable, no
+//!    residual filter, both labels over per-series constants only. A
+//!    `Pivot` anywhere but the root is a violation.
 //! 3. **Residual filter chains** — a `Filter` chain left directly above a
 //!    `TsdbScan` must reference only columns the (possibly pruned) scan
 //!    still produces, and must keep rule 3's [`FilterClass`] order:
@@ -46,8 +56,11 @@ use explainit_sync::{LockClass, OnceLock};
 use crate::ast::Expr;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::optimize::{peel_filter_chain, scan_aggregate_eligible, tsdb_filter_class};
-use crate::plan::LogicalPlan;
+use crate::optimize::{
+    peel_filter_chain, scan_aggregate_eligible, scan_pivot_labels, tsdb_filter_class,
+};
+use crate::pivot::{Layout, PivotSpec};
+use crate::plan::{LogicalPlan, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::veval::FilterClass;
 use crate::Result;
@@ -76,7 +89,8 @@ pub(crate) fn check_after(
     planned: Option<&Schema>,
     catalog: &Catalog,
 ) -> Result<()> {
-    if let (Some(before), Ok(after)) = (planned, plan.schema(catalog)) {
+    let relation = stage_one(plan).map(|p| p.schema(catalog));
+    if let (Some(before), Some(Ok(after))) = (planned, relation) {
         if before.columns() != after.columns() {
             return violation(
                 rule,
@@ -90,7 +104,23 @@ pub(crate) fn check_after(
     }
     // The planner's raw WHERE chain predates rule 3's cost ordering.
     let ordered = !matches!(rule, "fold_constants" | "convert_tsdb_scans");
+    // Stage two sits on top of a family plan and nowhere else.
+    let plan = match plan {
+        LogicalPlan::Pivot { input, .. } => input,
+        other => other,
+    };
     walk(plan, rule, ordered, false, catalog)
+}
+
+/// The relational part of a plan — the whole plan, or the stage-one query
+/// under a family plan's `Pivot` root; `None` once a `ScanPivot` has
+/// absorbed it.
+pub(crate) fn stage_one(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Pivot { input, .. } => Some(input),
+        LogicalPlan::ScanPivot { .. } => None,
+        other => Some(other),
+    }
 }
 
 fn violation(rule: &str, message: String) -> Result<()> {
@@ -116,7 +146,7 @@ fn walk(
             items,
             hidden,
         } => {
-            // Expand the node back into the chain rule 7 collapsed and
+            // Expand the node back into the chain `scan_aggregate` collapsed and
             // re-run the eligibility analysis it must have passed.
             let mut synth = LogicalPlan::TsdbScan {
                 table: table.clone(),
@@ -133,7 +163,9 @@ fn walk(
             if !scan_aggregate_eligible(&synth, group_by, items, hidden) {
                 return violation(
                     rule,
-                    format!("ScanAggregate over {table} fails re-run of rule-7 eligibility"),
+                    format!(
+                        "ScanAggregate over {table} fails re-run of scan_aggregate eligibility"
+                    ),
                 );
             }
             check_filter_classes(filters.iter().collect(), rule, ordered)
@@ -201,6 +233,37 @@ fn walk(
         LogicalPlan::Join { left, right, .. } => {
             walk(left, rule, ordered, false, catalog)?;
             walk(right, rule, ordered, false, catalog)
+        }
+        LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature } => {
+            // Expand the node back into the long pivot over a projected
+            // scan that `scan_pivot` fused and re-run its analysis.
+            let col = |i: usize| Expr::Column(TSDB_COLUMNS[i].to_string());
+            let items = [col(0), family.clone(), feature.clone(), col(3)]
+                .into_iter()
+                .zip(["ts", "family", "feature", "value"].map(String::from))
+                .collect();
+            let synth = LogicalPlan::Project {
+                input: Box::new(LogicalPlan::TsdbScan {
+                    table: table.clone(),
+                    name: name.clone(),
+                    tags: tags.clone(),
+                    start: *start,
+                    end: *end,
+                    columns: None,
+                }),
+                items,
+                hidden: Vec::new(),
+            };
+            if scan_pivot_labels(&synth, &PivotSpec::positional("", Layout::Long)).is_none() {
+                return violation(
+                    rule,
+                    format!("ScanPivot over {table} fails re-run of scan_pivot eligibility"),
+                );
+            }
+            Ok(())
+        }
+        LogicalPlan::Pivot { .. } => {
+            violation(rule, "Pivot below the root of the plan".to_string())
         }
         LogicalPlan::Scan { .. } | LogicalPlan::TsdbScan { .. } | LogicalPlan::Unit => Ok(()),
     }
@@ -311,7 +374,7 @@ mod tests {
     fn ineligible_scan_aggregate_is_flagged() {
         let catalog = Catalog::new();
         // MIN over the float value stream with no timestamp key: the NaN
-        // ordering rule excludes it from rule 6.
+        // ordering rule excludes it from `scan_aggregate`.
         let min_v = Expr::Function { name: "MIN".to_string(), args: vec![col("value")] };
         let plan = LogicalPlan::ScanAggregate {
             table: "tsdb".to_string(),
@@ -325,7 +388,10 @@ mod tests {
             hidden: Vec::new(),
         };
         let err = verify_plan(&plan, &catalog).unwrap_err();
-        assert!(matches!(&err, QueryError::Plan(m) if m.contains("rule-7")), "{err}");
+        assert!(
+            matches!(&err, QueryError::Plan(m) if m.contains("scan_aggregate eligibility")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -351,6 +417,46 @@ mod tests {
             output_width: 2,
         };
         assert!(verify_plan(&plan, &catalog).is_ok());
+    }
+
+    #[test]
+    fn scan_pivot_labels_must_stay_per_series() {
+        let catalog = Catalog::new();
+        let scan_pivot = |family: Expr, feature: Expr| LogicalPlan::ScanPivot {
+            table: "tsdb".to_string(),
+            name: Some("cpu".to_string()),
+            tags: Vec::new(),
+            start: Some(0),
+            end: None,
+            family,
+            feature,
+        };
+        let concat = Expr::Function {
+            name: "CONCAT".to_string(),
+            args: vec![col("metric_name"), col("tag")],
+        };
+        assert!(verify_plan(&scan_pivot(col("metric_name"), concat), &catalog).is_ok());
+        // A label over a per-point column, or holding a window call, could
+        // not have passed the `scan_pivot` analysis.
+        let lag = Expr::Function { name: "LAG".to_string(), args: vec![col("tag")] };
+        for bad in [col("value"), cmp(col("timestamp"), lit(0)), lag] {
+            let err = verify_plan(&scan_pivot(col("metric_name"), bad), &catalog).unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Plan(m) if m.contains("scan_pivot eligibility")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn pivot_is_only_ever_the_root() {
+        let catalog = Catalog::new();
+        let spec = PivotSpec::positional("f", Layout::Long);
+        let pivot = LogicalPlan::Pivot { input: Box::new(scan()), spec };
+        assert!(verify_plan(&pivot, &catalog).is_ok());
+        let err = verify_plan(&LogicalPlan::Limit { input: Box::new(pivot), n: 1 }, &catalog)
+            .unwrap_err();
+        assert!(matches!(&err, QueryError::Plan(m) if m.contains("below the root")), "{err}");
     }
 
     #[test]

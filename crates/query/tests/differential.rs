@@ -17,13 +17,23 @@
 //! first-seen group order from each group's earliest (timestamp, series
 //! rank) contribution, so this is an equality check, not an epsilon one.
 //!
+//! `CREATE FAMILY` rides on the same generators: over the store, the
+//! statement entry point (`Catalog::execute_family` — the scan-pivot
+//! operator on the live binding, the table pivot on the plain-table
+//! backend) must equal `pivot_long` over the executed stage-one query frame
+//! for frame: names, family order, feature order, timestamps, every cell by
+//! its bits.
+//!
 //! Every generator pool mixes plain operators with scalar calls, `CASE`
 //! and `LAG`/`LEAD` — in SELECT, WHERE, GROUP BY and aggregate arguments —
 //! so the column evaluator's scalar, short-circuit and window paths run
 //! under the morsel split too.
 
 use explainit_query::reference::execute_naive;
-use explainit_query::{parse_query, Catalog, ExecOptions, Query, Table, Value};
+use explainit_query::{
+    parse_query, parse_statement, pivot_long, Catalog, ExecOptions, FamilyFrame, Query, QueryError,
+    Statement, Table, Value,
+};
 use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
 
@@ -286,8 +296,91 @@ const POST_TSDB_KEYS: [(&str, &str); 3] =
 
 const POST_ORDERS: [&str; 3] = ["", " ORDER BY {key}", " ORDER BY SUM({v}) / COUNT({v}) DESC"];
 
+/// Family / feature label expressions for the family-statement generator:
+/// the scan's dictionary columns, a tag, a two-column scalar call, and a
+/// tag no series carries (every label `"NULL"`). Several pairs put two
+/// series on one (family, feature) column.
+const FAMILY_LABELS: [&str; 5] =
+    ["metric_name", "tag", "tag['host']", "CONCAT(metric_name, tag['host'])", "tag['absent']"];
+
+/// Pushable WHERE clauses for the family-statement generator.
+const FAMILY_FILTERS: [&str; 4] = [
+    "",
+    " WHERE metric_name = 'cpu'",
+    " WHERE timestamp BETWEEN {lo} AND {hi}",
+    " WHERE metric_name GLOB '*e*' AND timestamp >= {lo}",
+];
+
+/// The long-layout family statement over `tsdb` with the given labels.
+fn family_statement(family: &str, feature: &str, filter: &str) -> String {
+    format!(
+        "CREATE FAMILY fams WITH (layout = 'long') AS \
+         SELECT timestamp, {family} AS fam, {feature} AS feat, value FROM tsdb{filter}"
+    )
+}
+
+/// Every cell's bits (`==` on frames would let `-0.0` pass for `0.0`).
+fn cell_bits(frames: &[FamilyFrame]) -> Vec<Vec<Vec<u64>>> {
+    let bits = |c: &Vec<f64>| c.iter().map(|v| v.to_bits()).collect();
+    frames.iter().map(|f| f.columns.iter().map(bits).collect()).collect()
+}
+
+/// `execute_family(sql)` on every backend at partitions 1 and 3 against
+/// the oracle: `pivot_long` over the stage-one query executed on the
+/// plain-table backend (no scan operator anywhere near it). The live
+/// binding must have planned the statement as a scan pivot.
+fn assert_family_same(backends: &[Catalog; 2], sql: &str) {
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(sql) else {
+        panic!("generated statement must parse: {sql}");
+    };
+    let plan = backends[0].explain_family(&cf).expect("plans");
+    assert!(plan.rows()[0][0].render().starts_with("ScanPivot tsdb"), "{sql}: {:?}", plan.rows());
+    let table = backends[1].execute_query(&cf.query).expect("stage one runs");
+    let expect = pivot_long(&table, "timestamp", "fam", "feat", "value").expect("pivots");
+    for (backend, catalog) in backends.iter().enumerate() {
+        for parts in [1, 3] {
+            let label = format!("backend {backend} at partitions={parts} for {sql}");
+            match catalog.execute_family(&cf, ExecOptions::with_partitions(parts)) {
+                Ok(frames) => {
+                    assert_eq!(frames, expect, "{label}");
+                    assert_eq!(cell_bits(&frames), cell_bits(&expect), "{label}");
+                }
+                Err(QueryError::Statement(m)) => {
+                    assert!(table.is_empty() && m.contains("returned no rows"), "{label}: {m}")
+                }
+                Err(e) => panic!("{label}: {e}"),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn family_statement_equals_the_table_pivot(
+        points in tsdb_points(),
+        family in 0usize..FAMILY_LABELS.len(),
+        feature in 0usize..FAMILY_LABELS.len(),
+        f in 0usize..FAMILY_FILTERS.len(),
+        lo in 0i64..400,
+        span in 0i64..400,
+    ) {
+        // Gaps the pivot must not write: the value domain's edges become
+        // NaN and the infinities.
+        let hostile = |v: f64| match v {
+            v if v > 9.0 => f64::NAN,
+            v if v < -9.5 => f64::NEG_INFINITY,
+            v if v.abs() < 0.2 => f64::INFINITY,
+            v => v,
+        };
+        let points: Vec<_> = points.iter().map(|&(m, h, ts, v)| (m, h, ts, hostile(v))).collect();
+        let filter = FAMILY_FILTERS[f]
+            .replace("{lo}", &lo.to_string())
+            .replace("{hi}", &(lo + span).to_string());
+        let sql = family_statement(FAMILY_LABELS[family], FAMILY_LABELS[feature], &filter);
+        assert_family_same(&tsdb_backends(&points), &sql);
+    }
 
     #[test]
     fn post_aggregate_outputs_agree(
@@ -620,6 +713,73 @@ proptest! {
             .collect();
         prop_assert_eq!(fast, brute, "pattern {}", pattern);
     }
+}
+
+/// The shapes the family generator reaches only by luck, pinned: a series
+/// that starts late (family order is first appearance in `(timestamp,
+/// rank)` order, not rank order), two series on one column (the later
+/// rank wins a shared timestamp, a non-finite value does not), grids that
+/// differ within a family, and timestamps at the `i64` extremes (the gap
+/// fill compares distances wider than `i64::MAX`).
+#[test]
+fn family_statement_hostile_shapes_pinned() {
+    let mut db = Tsdb::new();
+    let mut put = |name: &str, host: &str, points: &[(i64, f64)]| {
+        let key = SeriesKey::new(name).with_tag("host", host).with_tag("dc", "x");
+        for &(ts, v) in points {
+            db.insert(&key, ts, v);
+        }
+    };
+    // `aaa` ranks first but appears last; `zzz` the other way around.
+    put("aaa", "h1", &[(300, 1.0), (360, 2.0)]);
+    put("zzz", "h1", &[(0, 3.0), (60, 4.0), (300, 5.0)]);
+    // Unaligned grids within one family, NaN and the infinities as gaps.
+    put("mid", "h1", &[(0, 1.0), (120, f64::NAN), (240, 3.0)]);
+    put("mid", "h2", &[(60, f64::INFINITY), (120, 7.0), (180, f64::NEG_INFINITY)]);
+    put("mid", "h3", &[(500, 9.0)]);
+    // A grid spanning more than i64::MAX, with a gap in the middle.
+    put("wide", "h1", &[(i64::MIN, 1.0), (i64::MAX, 9.0)]);
+    put("wide", "h2", &[(0, 5.0), (-1, 6.0)]);
+    let backends = backends_of(&db);
+    for (family, feature) in [
+        ("metric_name", "tag"),
+        ("metric_name", "tag['host']"),
+        // Every series of a metric on one column: later ranks overwrite.
+        ("metric_name", "tag['dc']"),
+        ("tag['dc']", "tag['absent']"),
+        ("tag['host']", "metric_name"),
+        ("CONCAT(metric_name, '/', tag['dc'])", "CONCAT(tag['host'], tag['absent'])"),
+    ] {
+        for filter in ["", " WHERE timestamp >= 60", " WHERE timestamp BETWEEN -5 AND 300"] {
+            assert_family_same(&backends, &family_statement(family, feature, filter));
+        }
+    }
+    // Spot-check what the equalities above are about.
+    let Ok(Statement::CreateFamily(cf)) =
+        parse_statement(&family_statement("metric_name", "tag['dc']", ""))
+    else {
+        panic!("parses")
+    };
+    let frames = backends[0].execute_family(&cf, ExecOptions::default()).expect("runs");
+    let names: Vec<&str> = frames.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["wide", "mid", "zzz", "aaa"], "first appearance, not rank");
+    let mid = &frames[1];
+    assert_eq!(mid.timestamps, [0, 60, 120, 180, 240, 500]);
+    // h2's 7.0 lands on h1's NaN gap at 120; its infinities write nothing.
+    assert_eq!(mid.columns, [vec![1.0, 1.0, 7.0, 7.0, 3.0, 9.0]]);
+    let wide = &frames[0];
+    assert_eq!(wide.timestamps, [i64::MIN, -1, 0, i64::MAX]);
+    assert_eq!(wide.columns, [vec![1.0, 6.0, 5.0, 9.0]]);
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(&family_statement(
+        "metric_name",
+        "tag['host']",
+        " WHERE metric_name = 'wide'",
+    )) else {
+        panic!("parses")
+    };
+    let frames = backends[0].execute_family(&cf, ExecOptions::default()).expect("runs");
+    // h1 at -1 and 0: 2^63 - 1 from MIN against 2^63 and 2^63 - 1 from MAX.
+    assert_eq!(frames[0].columns[0], [1.0, 1.0, 9.0, 9.0]);
 }
 
 /// Pins the corrected aggregate semantics with exact expected values, at

@@ -1,9 +1,9 @@
-//! Plan-shape tests for the scan-aggregate pushdown: `EXPLAIN` snapshots
-//! asserting when `ScanAggregate` does and does not fire, so optimizer
-//! eligibility regressions surface as test failures rather than silent
-//! slowdowns (or silent wrong fast paths).
+//! Plan-shape tests for the scan-aggregate pushdown and the scan pivot:
+//! `EXPLAIN` snapshots asserting when `ScanAggregate` / `ScanPivot` do and
+//! do not fire, so optimizer eligibility regressions surface as test
+//! failures rather than silent slowdowns (or silent wrong fast paths).
 
-use explainit_query::{Catalog, Table, Value};
+use explainit_query::{parse_statement, Catalog, Statement, Table, Value};
 use explainit_tsdb::{SeriesKey, Tsdb};
 
 fn catalog() -> Catalog {
@@ -26,6 +26,16 @@ fn catalog() -> Catalog {
 
 fn explain(c: &Catalog, sql: &str) -> String {
     let t = c.execute(&format!("EXPLAIN {sql}")).expect("explain runs");
+    t.rows().iter().map(|r| r[0].render()).collect::<Vec<_>>().join("\n")
+}
+
+/// `EXPLAIN CREATE FAMILY ...` through the statement parser.
+fn explain_family(c: &Catalog, sql: &str) -> String {
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(&format!("EXPLAIN {sql}")) else {
+        panic!("family statement parses: {sql}")
+    };
+    assert!(cf.explain);
+    let t = c.explain_family(&cf).expect("explain runs");
     t.rows().iter().map(|r| r[0].render()).collect::<Vec<_>>().join("\n")
 }
 
@@ -275,4 +285,125 @@ fn falls_back_for_plain_tables_and_window_filters() {
         assert!(!plan.contains("ScanAggregate"), "{sql}:\n{plan}");
         assert!(plan.contains("Aggregate"), "{sql}:\n{plan}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// CREATE FAMILY: the scan pivot
+// ---------------------------------------------------------------------------
+
+#[test]
+fn family_statements_over_a_bare_scan_plan_as_the_scan_pivot() {
+    let c = catalog();
+    // The benchmark's `incident_cold` statement: the identity projection
+    // is elided, so the pivot sits straight on the scan and absorbs it.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+         SELECT timestamp, metric_name, tag, value FROM tsdb",
+    );
+    assert_eq!(
+        plan,
+        "ScanPivot tsdb layout=long ts=timestamp family=metric_name feature=tag value=value"
+    );
+    // A computed label over two per-series constants, renamed columns,
+    // explicit roles, and everything pushable in WHERE pushed.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY by_host WITH (layout = 'long', ts = 't', family = 'k', feature = 'f', \
+         value = 'v') AS SELECT value AS v, CONCAT(metric_name, '@', tag['host']) AS k, \
+         timestamp AS t, tag['grp'] AS f FROM tsdb \
+         WHERE metric_name = 'cpu' AND tag['host'] GLOB 'web*' AND timestamp BETWEEN 0 AND 600",
+    );
+    assert_eq!(
+        plan,
+        "ScanPivot tsdb name=cpu tag[host]~web* time=[0, 600] layout=long ts=timestamp \
+         family=CONCAT(metric_name, '@', tag['host']) feature=tag['grp'] value=value"
+    );
+}
+
+#[test]
+fn every_other_family_shape_keeps_pivot_over_its_ordinary_plan() {
+    let c = catalog();
+    let long = "CREATE FAMILY f WITH (layout = 'long') AS";
+    for (why, sql, below) in [
+        (
+            "a residual filter on value",
+            format!("{long} SELECT timestamp, metric_name, tag, value FROM tsdb WHERE value > 0"),
+            "  Filter (value > 0)",
+        ),
+        (
+            "a value that is not the scan's own column",
+            format!("{long} SELECT timestamp, metric_name, tag, value * 2 AS value FROM tsdb"),
+            "  Project [",
+        ),
+        (
+            "a label over a per-point column",
+            format!(
+                "{long} SELECT timestamp, metric_name, timestamp % 2 AS parity, value FROM tsdb"
+            ),
+            "  Project [",
+        ),
+        (
+            "a window call in a label",
+            format!("{long} SELECT timestamp, LAG(metric_name, 0) AS fam, tag, value FROM tsdb"),
+            "  Project [",
+        ),
+        (
+            "an ORDER BY between pivot and scan",
+            format!("{long} SELECT timestamp, metric_name, tag, value FROM tsdb ORDER BY value"),
+            "  Sort [",
+        ),
+        (
+            "a join",
+            format!(
+                "{long} SELECT tsdb.timestamp, tsdb.metric_name, tsdb.tag, plain.v FROM tsdb \
+                 JOIN plain ON tsdb.timestamp = plain.ts"
+            ),
+            "  Project [",
+        ),
+        (
+            "a registered table",
+            format!("{long} SELECT ts, 'fam', 'feat', v FROM plain"),
+            "  Project [",
+        ),
+        (
+            "the wide layout",
+            "CREATE FAMILY f WITH (family = 'metric_name') AS \
+             SELECT timestamp, metric_name, value FROM tsdb"
+                .to_string(),
+            "  TsdbScan tsdb columns=[timestamp, metric_name, value]",
+        ),
+    ] {
+        let plan = explain_family(&c, &sql);
+        assert!(plan.starts_with("Pivot layout="), "{why}:\n{plan}");
+        assert!(!plan.contains("ScanPivot"), "{why}:\n{plan}");
+        let second = plan.lines().nth(1).unwrap_or_default();
+        assert!(second.starts_with(below), "{why}:\n{plan}");
+    }
+    // The benchmark's `family_agg_paged` statement: a wide pivot over the
+    // scan-level aggregate, which still collapses under the pivot root.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY by_name WITH (family = 'metric_name') AS \
+         SELECT timestamp, metric_name, AVG(value) AS mean_v, MAX(value) AS max_v, \
+         STDDEV(value) AS sd_v FROM tsdb GROUP BY timestamp, metric_name",
+    );
+    let lines: Vec<&str> = plan.lines().collect();
+    assert_eq!(lines.len(), 2, "plan:\n{plan}");
+    assert_eq!(lines[0], "Pivot layout=wide ts=timestamp family=metric_name");
+    assert!(lines[1].starts_with("  ScanAggregate tsdb group=[timestamp, metric_name]"), "{plan}");
+    // Unresolvable roles plan (and explain) as the table pivot; running
+    // the statement is what reports them.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY f WITH (layout = 'long', family = 'nope') AS \
+         SELECT timestamp, metric_name, tag, value FROM tsdb",
+    );
+    assert!(plan.starts_with("Pivot layout=long ts=? family=? feature=? value=?"), "{plan}");
+    // A single-family wide pivot names the family it pivots into.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY target AS SELECT timestamp, AVG(value) AS v FROM tsdb GROUP BY timestamp",
+    );
+    assert!(plan.starts_with("Pivot layout=wide ts=timestamp into=target\n"), "{plan}");
 }

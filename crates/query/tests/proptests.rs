@@ -2,6 +2,7 @@
 //! invariants, and pivot correctness.
 
 use explainit_query::{parse_query, pivot_long, Catalog, Table, Value};
+use explainit_tsdb::{SeriesKey, Tsdb};
 use proptest::prelude::*;
 
 /// Arbitrary identifiers that are never reserved words.
@@ -212,14 +213,16 @@ proptest! {
     fn pivot_long_preserves_every_cell(
         cells in proptest::collection::vec((0i64..8, 0usize..3, -10.0f64..10.0), 1..40)
     ) {
-        // Deduplicate on (ts, feature): last write wins in the pivot.
-        let mut dedup: std::collections::BTreeMap<(i64, usize), f64> = Default::default();
+        // Last write wins on (ts, feature), in the generated order.
+        let mut last: std::collections::BTreeMap<(i64, usize), f64> = Default::default();
         for &(ts, feat, v) in &cells {
-            dedup.insert((ts, feat), v);
+            last.insert((ts, feat), v);
         }
-        let rows: Vec<Vec<Value>> = dedup
+        // String label columns, rows exactly as generated: unsorted
+        // timestamps, duplicate cells and all.
+        let rows: Vec<Vec<Value>> = cells
             .iter()
-            .map(|(&(ts, feat), &v)| {
+            .map(|&(ts, feat, v)| {
                 vec![
                     Value::Int(ts),
                     Value::str("fam"),
@@ -228,18 +231,36 @@ proptest! {
                 ]
             })
             .collect();
-        let table = Table::from_rows(&["ts", "family", "feature", "v"], rows);
-        let frames = pivot_long(&table, "ts", "family", "feature", "v").expect("pivot");
-        prop_assert_eq!(frames.len(), 1);
-        let frame = &frames[0];
-        for (&(ts, feat), &v) in &dedup {
-            let row = frame.timestamps.iter().position(|&t| t == ts).expect("ts present");
-            let col = frame
-                .feature_names
-                .iter()
-                .position(|n| n == &format!("f{feat}"))
-                .expect("feature present");
-            prop_assert!((frame.columns[col][row] - v).abs() < 1e-12);
+        let unsorted = Table::from_rows(&["ts", "family", "feature", "v"], rows);
+        // Dictionary-encoded label columns: the same cells out of a store
+        // scan (`metric_name` is a dictionary column, `tag['f']` one
+        // evaluated per entry; the store keeps the last write too).
+        let mut db = Tsdb::new();
+        for &(ts, feat, v) in &cells {
+            db.insert(&SeriesKey::new("fam").with_tag("f", format!("f{feat}")), ts, v);
+        }
+        let mut catalog = Catalog::new();
+        catalog.register_tsdb("tsdb", &db);
+        let dict = catalog
+            .execute(
+                "SELECT timestamp AS ts, metric_name AS family, tag['f'] AS feature, value AS v \
+                 FROM tsdb",
+            )
+            .expect("scan");
+        for table in [unsorted, dict] {
+            let frames = pivot_long(&table, "ts", "family", "feature", "v").expect("pivot");
+            prop_assert_eq!(frames.len(), 1);
+            let frame = &frames[0];
+            prop_assert!(frame.timestamps.windows(2).all(|w| w[0] < w[1]), "sorted, unique grid");
+            for (&(ts, feat), &v) in &last {
+                let row = frame.timestamps.iter().position(|&t| t == ts).expect("ts present");
+                let col = frame
+                    .feature_names
+                    .iter()
+                    .position(|n| n == &format!("f{feat}"))
+                    .expect("feature present");
+                prop_assert_eq!(frame.columns[col][row].to_bits(), v.to_bits());
+            }
         }
     }
 }

@@ -3,12 +3,17 @@
 //! same observations as a plain table, plus the reference interpreter)
 //! must be bit-identical to the in-memory run
 //! (including after a torn WAL tail), and a time-filtered ScanAggregate
-//! must decode only the chunks its range overlaps.
+//! must decode only the chunks its range overlaps. The `CREATE FAMILY`
+//! scan pivot is held to the same two: frames equal to the table pivot of
+//! the in-memory run, each overlapping chunk decoded once, pruned chunks
+//! never.
 
 use std::path::PathBuf;
 
 use explainit_query::reference::execute_naive;
-use explainit_query::{parse_query, Catalog, ExecOptions, Table};
+use explainit_query::{
+    parse_query, parse_statement, pivot_long, Catalog, ExecOptions, FamilyFrame, Statement, Table,
+};
 use explainit_tsdb::{SeriesKey, Tsdb};
 
 const FAMILY_SQL: &str = "SELECT timestamp, tag['host'] AS h, AVG(value) AS m, SUM(value) AS s, \
@@ -165,5 +170,72 @@ fn time_filtered_scan_aggregate_decodes_only_overlapping_chunks() {
         3,
         "only the window-2 chunk of each matched series was decompressed"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The long-layout family statement the scan pivot takes, `filter` pushed.
+fn family_frames(catalog: &Catalog, filter: &str, partitions: usize) -> Vec<FamilyFrame> {
+    let sql = format!(
+        "CREATE FAMILY f WITH (layout = 'long') AS \
+         SELECT timestamp, metric_name, tag['host'] AS host, value FROM tsdb{filter}"
+    );
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(&sql) else { panic!("parses") };
+    let plan = catalog.explain_family(&cf).expect("plans");
+    assert!(plan.rows()[0][0].render().starts_with("ScanPivot"), "{:?}", plan.rows());
+    catalog.execute_family(&cf, ExecOptions::with_partitions(partitions)).expect("runs")
+}
+
+#[test]
+fn scan_pivot_over_a_reopened_store_equals_the_table_pivot_and_decodes_each_chunk_once() {
+    let dir = tmp_dir("pivot");
+    let mut memory = Tsdb::new();
+    {
+        // Two disjoint time windows, flushed separately: two chunks per
+        // series on disk; one series misses the first window.
+        let mut durable = Tsdb::open(&dir).expect("open");
+        for (window, hosts) in
+            [(0i64, &["web-1", "web-2"][..]), (1000, &["web-1", "web-2", "db-1"])]
+        {
+            for (i, host) in hosts.iter().enumerate() {
+                let key = SeriesKey::new("cpu").with_tag("host", *host);
+                for t in window..window + 30 {
+                    let v = 10.0 * i as f64 + (t as f64 * 0.37).sin();
+                    memory.insert(&key, t * 60, v);
+                    durable.insert(&key, t * 60, v);
+                }
+            }
+            durable.flush().expect("flush window");
+        }
+    }
+    let db = Tsdb::open(&dir).expect("reopen");
+    assert_eq!(db.storage_stats().expect("stats").chunks, 5);
+    assert_eq!(db.decode_count(), 0, "recovery decodes nothing");
+
+    // The oracle never touches the reopened store: the table pivot over
+    // the in-memory twin's gathered rows.
+    let oracle = |filter: &str| {
+        let mut catalog = Catalog::new();
+        catalog.register_tsdb("tsdb", &memory);
+        let table = catalog
+            .execute(&format!(
+                "SELECT timestamp, metric_name, tag['host'] AS host, value FROM tsdb{filter}"
+            ))
+            .expect("stage one");
+        pivot_long(&table, "timestamp", "metric_name", "host", "value").expect("pivots")
+    };
+    // One binding for every run: its snapshot shares the store's chunk
+    // bytes and decode counter, and keeps what it decoded.
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", &db);
+    let window_2 = " WHERE timestamp BETWEEN 60000 AND 61740";
+    assert_eq!(family_frames(&bound, window_2, 2), oracle(window_2));
+    assert_eq!(db.decode_count(), 3, "only the window-2 chunk of each series was decompressed");
+    for partitions in [1, 3] {
+        let frames = family_frames(&bound, "", partitions);
+        assert_eq!(frames, oracle(""));
+        assert_eq!(frames[0].width(), 3);
+        assert_eq!(frames[0].len(), 60, "db-1 gap-filled over the first window");
+    }
+    assert_eq!(db.decode_count(), 5, "every chunk decoded exactly once across all three runs");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,12 +2,15 @@
 //! whatever the page budget — zero, about one chunk, or unbounded — every
 //! engine must produce rows bit-identical to the fully-resident run,
 //! while the paging counters prove the tight budgets actually faulted
-//! and evicted.
+//! and evicted. The `CREATE FAMILY` scan pivot reads the same paged chunks
+//! and must produce the resident run's frames.
 
 use std::path::PathBuf;
 
 use explainit_query::reference::execute_naive;
-use explainit_query::{parse_query, Catalog, ExecOptions, Table};
+use explainit_query::{
+    parse_query, parse_statement, Catalog, ExecOptions, FamilyFrame, Statement, Table,
+};
 use explainit_tsdb::{SeriesKey, StorageOptions, Tsdb};
 
 const FAMILY_SQL: &str = "SELECT timestamp, tag['host'] AS h, AVG(value) AS m, SUM(value) AS s, \
@@ -61,6 +64,26 @@ fn run_all_engines(db: &Tsdb, baseline: &Table, label: &str) {
     assert_eq!(naive.rows(), baseline.rows(), "{label}/reference rows vs resident baseline");
 }
 
+/// The long-layout family statement at partitions 1 and 3: the scan pivot
+/// on the binding, the table pivot on the plain-table backend.
+fn family_frames(db: &Tsdb) -> Vec<Vec<FamilyFrame>> {
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", db);
+    let mut plain = Catalog::new();
+    plain.register("tsdb", bound.get("tsdb").expect("bound above").as_ref().clone());
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(
+        "CREATE FAMILY f WITH (layout = 'long') AS \
+         SELECT timestamp, metric_name, tag, value FROM tsdb WHERE timestamp >= 600",
+    ) else {
+        panic!("parses")
+    };
+    let plan = bound.explain_family(&cf).expect("plans");
+    assert!(plan.rows()[0][0].render().starts_with("ScanPivot"), "{:?}", plan.rows());
+    let run =
+        |c: &Catalog, p| c.execute_family(&cf, ExecOptions::with_partitions(p)).expect("runs");
+    vec![run(&bound, 1), run(&bound, 3), run(&plain, 1)]
+}
+
 #[test]
 fn family_query_bit_identical_under_every_page_budget() {
     let dir = tmp_dir("budgets");
@@ -78,6 +101,9 @@ fn family_query_bit_identical_under_every_page_budget() {
         catalog.execute_query_with(&query, ExecOptions::with_partitions(1)).expect("baseline runs");
     assert!(!baseline.rows().is_empty(), "family query returns rows");
     run_all_engines(&resident, &baseline, "unbounded");
+    let frames = family_frames(&resident);
+    assert_eq!((frames[0].len(), frames[0][0].width(), frames[0][0].len()), (1, 3, 110));
+    assert!(frames.iter().all(|f| f == &frames[0]), "scan pivot = table pivot, resident");
     drop(resident);
 
     for (label, budget) in [("budget-zero", 0), ("budget-one-chunk", one_chunk)] {
@@ -87,6 +113,7 @@ fn family_query_bit_identical_under_every_page_budget() {
         let before = db.storage_stats().expect("stats");
         assert_eq!(before.resident_chunk_bytes, 0, "{label}: cold open keeps nothing resident");
         run_all_engines(&db, &baseline, label);
+        assert!(family_frames(&db).iter().all(|f| f == &frames[0]), "{label}: family frames");
         let after = db.storage_stats().expect("stats");
         assert!(after.page_faults > 0, "{label}: the query faulted chunks in");
         assert!(after.evictions > 0, "{label}: budget pressure forced evictions");

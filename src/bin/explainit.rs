@@ -67,7 +67,7 @@ fn print_usage() {
          \x20 explainit explain FILE --candidate FAMILY [--target FAMILY] [--condition A,B]\n\
          \x20 explainit case-study 5.1|5.2|5.3|5.4\n\n\
          SQL STATEMENTS: ordinary SELECT / EXPLAIN <query>, plus the RCA surface:\n\
-         \x20 CREATE FAMILY name [WITH (layout='wide'|'long', ts=.., family=.., feature=.., value=..)] AS SELECT ...\n\
+         \x20 [EXPLAIN] CREATE FAMILY name [WITH (layout='wide'|'long', ts=.., family=.., feature=.., value=..)] AS SELECT ...\n\
          \x20 EXPLAIN FOR target [GIVEN fam, ...] [USING SCORER name] [TOP k]   (result also registered as table 'ranking')\n\
          \x20 SHOW FAMILIES | SHOW TABLES | DROP FAMILY name\n\n\
          EXPLAIN OUTPUT: the optimized operator tree, one node per line. Scan nodes\n\
@@ -80,7 +80,16 @@ fn print_usage() {
          \x20 Join nodes show tag-index cardinality estimates and the hash build side\n\
          \x20 they picked, e.g. `Join Inner on .. rows=[l~6400, r~1] build=right` — the\n\
          \x20 hash index is built over the estimated-smaller side. There is no\n\
-         \x20 parallelism node: every operator splits its input by size (--partitions).\n\n\
+         \x20 parallelism node: every operator splits its input by size (--partitions).\n\
+         \x20 EXPLAIN CREATE FAMILY .. shows the family statement's plan and registers\n\
+         \x20 nothing: a `Pivot layout=.. ts=.. family=.. [feature=.. value=..]` line (the\n\
+         \x20 role columns as resolved; `into=name` for a single-family wide pivot) over\n\
+         \x20 the stage-one plan, which runs to a table first. A long pivot straight\n\
+         \x20 over the store — ts and value the scan's own columns, family and feature\n\
+         \x20 expressions over metric_name / tag, nothing but pushed name/tag/time\n\
+         \x20 predicates in WHERE — is the single line `ScanPivot tsdb [name=..] [tag[k]=..]\n\
+         \x20 [time=[lo, hi]] layout=long ..`: series go to family matrices with no row\n\
+         \x20 in between, the fast path for the paper's stage two.\n\n\
          FAULT KINDS: packet_drop, hypervisor, namenode, raid, disk, multi, none\n\
          SCORERS: auto, corrmean, corrmax, l2, l2p50, l2p500, lasso"
     );

@@ -17,10 +17,12 @@
 //! SELECT family, score FROM ranking WHERE score > 0.5;
 //! ```
 //!
-//! * `CREATE FAMILY` runs its query through the plan → optimize →
-//!   columnar-execute pipeline, pivots the rows into feature-family
-//!   frames ([`explainit_query::pivot_wide`] / [`pivot_long`] /
-//!   [`pivot_one`]) and registers them with the engine;
+//! * `CREATE FAMILY` is one plan in the query crate — the stage-one
+//!   query under a pivot root ([`Catalog::execute_family`]; a long pivot
+//!   straight over a TSDB scan goes from series to family matrices
+//!   without a row in between) — whose frames are registered with the
+//!   engine here; `EXPLAIN CREATE FAMILY ...` shows that plan and
+//!   registers nothing;
 //! * `EXPLAIN FOR` runs Algorithm 1 and returns the ranking as an
 //!   ordinary [`Table`], also registered in the catalog under
 //!   [`RANKING_TABLE`] so later `SELECT`s compose with it;
@@ -39,8 +41,8 @@ use explainit_core::{
     auto_select_scorer, CoreError, Engine, EngineConfig, FeatureFamily, Ranking, ScorerKind,
 };
 use explainit_query::{
-    parse_script, parse_statement, pivot_long, pivot_one, pivot_wide, Catalog, CreateFamily,
-    ExecOptions, ExplainFor, FamilyFrame, QueryError, Statement, Table, Value,
+    parse_script, parse_statement, Catalog, CreateFamily, ExecOptions, ExplainFor, QueryError,
+    Statement, Table, Value, FAMILY_COLUMNS,
 };
 use explainit_tsdb::{SharedTsdb, Tsdb};
 
@@ -83,7 +85,10 @@ impl std::error::Error for SessionError {}
 
 impl From<QueryError> for SessionError {
     fn from(e: QueryError) -> Self {
-        SessionError::Query(e)
+        match e {
+            QueryError::Statement(m) => SessionError::Statement(m),
+            other => SessionError::Query(other),
+        }
     }
 }
 
@@ -105,94 +110,6 @@ pub struct StatementOutcome {
     pub table: Table,
     /// Side-channel messages (auto-scorer choice, registrations, ...).
     pub notices: Vec<String>,
-}
-
-/// How `CREATE FAMILY` turns stage-one rows into family frames.
-struct PivotSpec {
-    layout: Layout,
-    ts: Option<String>,
-    family: Option<String>,
-    feature: Option<String>,
-    value: Option<String>,
-}
-
-enum Layout {
-    Wide,
-    Long,
-}
-
-impl PivotSpec {
-    fn parse(options: &[(String, Value)]) -> Result<PivotSpec> {
-        let mut spec =
-            PivotSpec { layout: Layout::Wide, ts: None, family: None, feature: None, value: None };
-        for (key, value) in options {
-            let text = match value {
-                Value::Str(s) => s.clone(),
-                other => other.render(),
-            };
-            match key.as_str() {
-                "layout" => {
-                    spec.layout = match text.to_ascii_lowercase().as_str() {
-                        "wide" => Layout::Wide,
-                        "long" => Layout::Long,
-                        other => {
-                            return Err(SessionError::Statement(format!(
-                                "unknown layout '{other}' (expected 'wide' or 'long')"
-                            )))
-                        }
-                    }
-                }
-                "ts" => spec.ts = Some(text),
-                "family" => spec.family = Some(text),
-                "feature" => spec.feature = Some(text),
-                "value" => spec.value = Some(text),
-                other => {
-                    return Err(SessionError::Statement(format!(
-                        "unknown CREATE FAMILY option '{other}' \
-                         (expected layout, ts, family, feature or value)"
-                    )))
-                }
-            }
-        }
-        Ok(spec)
-    }
-
-    /// The configured or positional-default column for slot `index` (the
-    /// pivot resolves names case-insensitively; explicit names are
-    /// validated here for a statement-level error).
-    fn column(&self, explicit: &Option<String>, table: &Table, index: usize) -> Result<String> {
-        if let Some(name) = explicit {
-            table.schema().resolve(name).map_err(SessionError::Query)?;
-            return Ok(name.clone());
-        }
-        table.schema().columns().get(index).cloned().ok_or_else(|| {
-            SessionError::Statement(format!(
-                "the stage-one query returns only {} columns, too few for this layout",
-                table.schema().len()
-            ))
-        })
-    }
-
-    fn frames(&self, name: &str, table: &Table) -> Result<Vec<FamilyFrame>> {
-        let ts = self.column(&self.ts, table, 0)?;
-        match self.layout {
-            Layout::Wide => match &self.family {
-                // A family label column: one frame per distinct label.
-                Some(_) => {
-                    let fam = self.column(&self.family, table, 1)?;
-                    Ok(pivot_wide(table, &ts, &fam)?)
-                }
-                // No label column: the whole result is one family.
-                None => Ok(vec![pivot_one(table, &ts, name)?]),
-            },
-            Layout::Long => {
-                let fam = self.column(&self.family, table, 1)?;
-                let feature = self.column(&self.feature, table, 2)?;
-                let value = self.column(&self.value, table, 3)?;
-                Ok(pivot_long(table, &ts, &fam, &feature, &value)?)
-            }
-        }
-    }
 }
 
 /// A stateful declarative session: a SQL catalog plus an embedded
@@ -310,23 +227,19 @@ impl Session {
         }
     }
 
-    /// `CREATE FAMILY`: stage-one query → pivot → engine registration.
+    /// `CREATE FAMILY`: stage-one query → pivot (one plan, in the query
+    /// crate) → engine registration. `EXPLAIN CREATE FAMILY` stops at the
+    /// plan.
     fn create_family(&mut self, cf: &CreateFamily) -> Result<StatementOutcome> {
-        let table = self.catalog.execute_query_with(&cf.query, self.exec_options)?;
-        if table.is_empty() {
-            return Err(SessionError::Statement(format!(
-                "CREATE FAMILY {}: the stage-one query returned no rows",
-                cf.name
-            )));
+        if cf.explain {
+            let table = self.catalog.explain_family(cf)?;
+            return Ok(StatementOutcome {
+                summary: "EXPLAIN".to_string(),
+                table,
+                notices: Vec::new(),
+            });
         }
-        let spec = PivotSpec::parse(&cf.options)?;
-        let frames = spec.frames(&cf.name, &table)?;
-        if frames.is_empty() {
-            return Err(SessionError::Statement(format!(
-                "CREATE FAMILY {}: the pivot produced no families",
-                cf.name
-            )));
-        }
+        let frames = self.catalog.execute_family(cf, self.exec_options)?;
         // Re-running a CREATE FAMILY replaces its previous group wholesale.
         if let Some(old) = self.groups.remove(&cf.name) {
             for family in old {
@@ -354,7 +267,7 @@ impl Session {
         self.groups.insert(cf.name.clone(), registered);
         Ok(StatementOutcome {
             summary,
-            table: Table::from_rows(&["family", "rows", "features"], rows),
+            table: Table::from_rows(&FAMILY_COLUMNS, rows),
             notices: Vec::new(),
         })
     }
@@ -675,6 +588,75 @@ mod tests {
             .execute("CREATE FAMILY f AS SELECT timestamp, value FROM tsdb WHERE metric_name = 'x'")
             .unwrap_err();
         assert!(err.to_string().contains("no rows"), "got: {err}");
+    }
+
+    #[test]
+    fn statement_errors_are_the_same_on_both_pivot_paths() {
+        let mut s = session();
+        // The scan pivot (a bare scan under a long pivot) and the table
+        // pivot (the same rows through a residual filter).
+        for source in ["FROM tsdb", "FROM tsdb WHERE value > -1000000"] {
+            let run = |s: &mut Session, with: &str, select: &str, filter: &str| {
+                s.execute(&format!("CREATE FAMILY f {with} AS SELECT {select} {source}{filter}"))
+            };
+            let glue = if source.contains("WHERE") { " AND" } else { " WHERE" };
+            let long = "WITH (layout = 'long')";
+            let all = "timestamp, metric_name, tag, value";
+            let err = run(&mut s, long, all, &format!("{glue} metric_name = 'x'")).unwrap_err();
+            assert_eq!(
+                err,
+                SessionError::Statement(
+                    "CREATE FAMILY f: the stage-one query returned no rows".into()
+                )
+            );
+            let err = run(&mut s, long, "timestamp, metric_name, value", "").unwrap_err();
+            assert_eq!(
+                err,
+                SessionError::Statement(
+                    "the stage-one query returns only 3 columns, too few for this layout".into()
+                )
+            );
+            let err = run(&mut s, "WITH (layout = 'long', feature = 'host')", all, "").unwrap_err();
+            assert!(
+                matches!(&err, SessionError::Query(QueryError::UnknownColumn(c)) if c == "host"),
+                "got: {err:?}"
+            );
+            let err = run(&mut s, "WITH (layout = 'tall')", all, "").unwrap_err();
+            assert_eq!(
+                err,
+                SessionError::Statement("unknown layout 'tall' (expected 'wide' or 'long')".into())
+            );
+            assert_eq!(s.engine().family_count(), 0, "a failed statement registers nothing");
+            // And the outcome relation: family, rows, features in
+            // registration order.
+            let outcome = run(&mut s, long, all, "").unwrap();
+            assert_eq!(outcome.summary, "CREATE FAMILY f: 3 families registered");
+            assert_eq!(outcome.table.schema().columns(), ["family", "rows", "features"]);
+            let row = |name: &str| vec![Value::str(name), Value::Int(64), Value::Int(1)];
+            assert_eq!(outcome.table.rows(), [row("cause"), row("noise"), row("runtime")]);
+            s.execute("DROP FAMILY f").unwrap();
+        }
+    }
+
+    #[test]
+    fn explain_create_family_shows_the_plan_and_registers_nothing() {
+        let mut s = session();
+        let outcome = s
+            .execute(
+                "EXPLAIN CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+                 SELECT timestamp, metric_name, tag, value FROM tsdb WHERE metric_name = 'cause'",
+            )
+            .unwrap();
+        assert_eq!(outcome.summary, "EXPLAIN");
+        assert_eq!(
+            outcome.table.rows(),
+            [vec![Value::str(
+                "ScanPivot tsdb name=cause layout=long ts=timestamp family=metric_name \
+                 feature=tag value=value"
+            )]]
+        );
+        assert_eq!(s.engine().family_count(), 0);
+        assert!(s.execute("DROP FAMILY metrics").is_err(), "no group either");
     }
 
     #[test]

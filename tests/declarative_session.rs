@@ -30,50 +30,73 @@ const STAGE_ONE: &str = "SELECT timestamp, metric_name, \
      FROM tsdb \
      GROUP BY timestamp, metric_name, CONCAT(tag['host'], tag['pipeline_name'])";
 
+/// The long-layout family statement straight over the store — the shape
+/// the planner runs as a scan pivot, with no stage-one table at all.
+const RAW_STAGE_ONE: &str = "SELECT timestamp, metric_name, tag AS feat, value AS v FROM tsdb";
+
 #[test]
 fn script_ranking_matches_programmatic_engine_path() {
     let sim = hypervisor_incident();
+    // Both stage-two executions: the table pivot (stage one aggregates)
+    // and the scan pivot (stage one is the bare scan).
+    for stage_one in [STAGE_ONE, RAW_STAGE_ONE] {
+        // --- programmatic path: catalog → pivot → Engine::rank -----------
+        let mut catalog = Catalog::new();
+        catalog.register_tsdb("tsdb", &sim.db);
+        let table = catalog.execute(stage_one).expect("stage-one query");
+        let frames = pivot_long(&table, "timestamp", "metric_name", "feat", "v").expect("pivot");
+        let mut engine = Engine::new(EngineConfig { top_k: 10, ..EngineConfig::default() });
+        engine.add_frames_owned(frames);
+        let programmatic = engine
+            .rank("pipeline_runtime", &["pipeline_input_rate"], ScorerKind::L2)
+            .expect("rank");
 
-    // --- programmatic path: catalog → pivot → Engine::rank ---------------
-    let mut catalog = Catalog::new();
-    catalog.register_tsdb("tsdb", &sim.db);
-    let table = catalog.execute(STAGE_ONE).expect("stage-one query");
-    let frames = pivot_long(&table, "timestamp", "metric_name", "feat", "v").expect("pivot");
-    let mut engine = Engine::new(EngineConfig { top_k: 10, ..EngineConfig::default() });
-    engine.add_frames_owned(frames);
-    let programmatic =
-        engine.rank("pipeline_runtime", &["pipeline_input_rate"], ScorerKind::L2).expect("rank");
+        // --- declarative path: the same case study as one SQL script -----
+        let mut session = Session::new();
+        session.bind_tsdb("tsdb", &sim.db);
+        let create = format!(
+            "CREATE FAMILY metrics WITH (layout = 'long', ts = 'timestamp', \
+                 family = 'metric_name', feature = 'feat', value = 'v') AS {stage_one}"
+        );
+        let plan = session.execute(&format!("EXPLAIN {create}")).expect("explain").table;
+        let root = plan.rows()[0][0].render();
+        let expected =
+            if stage_one == RAW_STAGE_ONE { "ScanPivot tsdb" } else { "Pivot layout=long" };
+        assert!(root.starts_with(expected), "{root}");
+        assert_eq!(session.engine().family_count(), 0, "EXPLAIN registers nothing");
+        let script = format!(
+            "{create};\n\
+             EXPLAIN FOR pipeline_runtime GIVEN pipeline_input_rate USING SCORER l2 TOP 10;"
+        );
+        let outcomes = session.execute_script(&script).expect("script");
+        assert_eq!(outcomes.len(), 2);
+        // Registration order is the pivot's family order.
+        let registered: Vec<String> =
+            outcomes[0].table.rows().iter().map(|r| r[0].render()).collect();
+        let engine_names: Vec<String> =
+            engine.family_names().iter().map(|n| n.to_string()).collect();
+        assert_eq!(registered, engine_names);
+        let ranking = &outcomes[1].table;
 
-    // --- declarative path: the same case study as one SQL script ---------
-    let mut session = Session::new();
-    session.bind_tsdb("tsdb", &sim.db);
-    let script = format!(
-        "CREATE FAMILY metrics WITH (layout = 'long', ts = 'timestamp', \
-             family = 'metric_name', feature = 'feat', value = 'v') AS {STAGE_ONE};\n\
-         EXPLAIN FOR pipeline_runtime GIVEN pipeline_input_rate USING SCORER l2 TOP 10;"
-    );
-    let outcomes = session.execute_script(&script).expect("script");
-    assert_eq!(outcomes.len(), 2);
-    let ranking = &outcomes[1].table;
-
-    // Top-K equality, entry by entry: same families, same order, and
-    // bit-identical scores/p-values — the statement surface adds no
-    // semantic drift over the library calls it replaces.
-    assert_eq!(ranking.len(), programmatic.entries.len());
-    assert_eq!(ranking.len(), 10);
-    for (row, entry) in ranking.rows().iter().zip(&programmatic.entries) {
-        assert_eq!(row[1], Value::Str(entry.family.clone()));
-        match (&row[2], &row[3]) {
-            (Value::Float(score), Value::Float(p)) => {
-                assert_eq!(score.to_bits(), entry.score.to_bits(), "family {}", entry.family);
-                assert_eq!(p.to_bits(), entry.p_value.to_bits(), "family {}", entry.family);
+        // Top-K equality, entry by entry: same families, same order, and
+        // bit-identical scores/p-values — the statement surface adds no
+        // semantic drift over the library calls it replaces.
+        assert_eq!(ranking.len(), programmatic.entries.len());
+        assert_eq!(ranking.len(), 10);
+        for (row, entry) in ranking.rows().iter().zip(&programmatic.entries) {
+            assert_eq!(row[1], Value::Str(entry.family.clone()));
+            match (&row[2], &row[3]) {
+                (Value::Float(score), Value::Float(p)) => {
+                    assert_eq!(score.to_bits(), entry.score.to_bits(), "family {}", entry.family);
+                    assert_eq!(p.to_bits(), entry.p_value.to_bits(), "family {}", entry.family);
+                }
+                other => panic!("unexpected score/p_value cells: {other:?}"),
             }
-            other => panic!("unexpected score/p_value cells: {other:?}"),
         }
+        // The conditioning clause really reached the engine.
+        assert_eq!(programmatic.conditioned_on, vec!["pipeline_input_rate"]);
+        assert!(ranking.rows().iter().all(|r| r[1] != Value::str("pipeline_input_rate")));
     }
-    // The conditioning clause really reached the engine.
-    assert_eq!(programmatic.conditioned_on, vec!["pipeline_input_rate"]);
-    assert!(ranking.rows().iter().all(|r| r[1] != Value::str("pipeline_input_rate")));
 }
 
 #[test]
