@@ -186,7 +186,7 @@ pub struct HoldStats {
 
 static RANKS: Mutex<Option<HashMap<usize, u32>>> = Mutex::new(None);
 
-/// Snapshot of per-class hold-time statistics accumulated while armed,
+/// A snapshot of per-class hold-time statistics accumulated while armed,
 /// sorted by rank. Feeds the hold-time analysis over the test corpus.
 pub fn hold_stats() -> Vec<HoldStats> {
     let ranks: HashMap<usize, u32> = RANKS
@@ -286,7 +286,7 @@ pub(crate) fn acquire(class: &'static LockClass, blocking: bool) -> Option<Token
         return None;
     }
     register(class);
-    // Snapshot outside the RefCell borrow so a violation panic unwinds
+    // Copy outside the RefCell borrow so a violation panic unwinds
     // with no active borrow (guard drops during unwind re-borrow HELD).
     let held = snapshot();
     let key = class_key(class);

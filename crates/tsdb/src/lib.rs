@@ -27,7 +27,8 @@
 //! immutable compressed segment files) and recovers whatever is there —
 //! including after a crash: torn WAL tails truncate to the last committed
 //! record, in-flight segment writes are discarded, and half-finished
-//! compactions roll forward.
+//! compactions roll forward. That directory is the store's only on-disk
+//! form: whatever reads a store back from disk goes through `Tsdb::open*`.
 //!
 //! * **Ingest** (`insert`, `try_insert_batch`, `insert_series`) appends
 //!   WAL records and updates the in-memory index. Records are buffered;
@@ -98,7 +99,6 @@ mod glob;
 pub mod logs;
 mod model;
 mod shared;
-mod snapshot;
 pub mod storage;
 mod store;
 
@@ -107,7 +107,6 @@ pub use glob::{glob_literal_prefix, glob_match, is_glob};
 pub use logs::{featurize_logs, template_of, LogRecord};
 pub use model::{DataPoint, Series, SeriesKey, TimeRange};
 pub use shared::{SharedTsdb, INITIAL_GENERATION};
-pub use snapshot::Snapshot;
 pub use storage::pager::PagerCounters;
 pub use storage::{StorageError, StorageOptions, StorageStats};
 pub use store::{MetricFilter, SeriesId, SeriesSlice, TagFilter, Tsdb};

@@ -489,7 +489,9 @@ impl Series {
     /// is non-empty. Ties prefer the earlier observation.
     ///
     /// This is the paper's missing-value policy ("interpolated to the
-    /// closest non-null observation", Appendix C).
+    /// closest non-null observation", Appendix C). Distances are compared
+    /// as `abs_diff`s, so a series spanning more than `i64::MAX` (the store
+    /// round-trips the full `i64` domain) cannot overflow.
     pub fn nearest_value(&self, ts: i64) -> Option<f64> {
         if self.is_empty() {
             return None;
@@ -502,8 +504,8 @@ impl Series {
         if i == tss.len() {
             return Some(vs[i - 1]);
         }
-        let before = ts - tss[i - 1];
-        let after = tss[i] - ts;
+        let before = ts.abs_diff(tss[i - 1]);
+        let after = tss[i].abs_diff(ts);
         Some(if before <= after { vs[i - 1] } else { vs[i] })
     }
 
@@ -641,6 +643,11 @@ mod tests {
         assert_eq!(s.nearest_value(51), Some(2.0)); // closer to 100
         assert_eq!(s.nearest_value(500), Some(2.0)); // clamp right
         assert_eq!(Series::new(SeriesKey::new("e")).nearest_value(0), None);
+        // A span wider than i64::MAX: both distances overflow an i64
+        // subtraction; 0 is one step closer to i64::MAX than to i64::MIN.
+        let s = Series::from_points(SeriesKey::new("m"), vec![i64::MIN, i64::MAX], vec![1.0, 2.0]);
+        assert_eq!(s.nearest_value(1), Some(2.0));
+        assert_eq!(s.nearest_value(-1), Some(1.0));
     }
 
     #[test]

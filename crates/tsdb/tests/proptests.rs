@@ -1,9 +1,8 @@
 //! Property tests for the TSDB: index consistency, alignment invariants,
-//! snapshot round trips, glob matching.
+//! glob matching.
 
 use explainit_tsdb::{
-    align_series, glob_match, FillPolicy, MetricFilter, Series, SeriesKey, Snapshot, TimeRange,
-    Tsdb,
+    align_series, glob_match, FillPolicy, MetricFilter, Series, SeriesKey, TimeRange, Tsdb,
 };
 use proptest::prelude::*;
 
@@ -93,27 +92,6 @@ proptest! {
         for &v in &sampled.columns[0] {
             prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "interpolation escaped envelope");
         }
-    }
-
-    #[test]
-    fn snapshot_binary_round_trip(keys in proptest::collection::vec(key_strategy(), 0..5)) {
-        let mut db = Tsdb::new();
-        for (i, key) in keys.iter().enumerate() {
-            for t in 0..(i + 1) {
-                db.insert(key, t as i64 * 60, t as f64 + i as f64);
-            }
-        }
-        let snap = Snapshot::capture(&db);
-        let bytes = snap.to_bytes();
-        let back = Snapshot::from_bytes(&bytes).expect("decode");
-        let restored = back.restore();
-        prop_assert_eq!(restored.series_count(), db.series_count());
-        prop_assert_eq!(restored.point_count(), db.point_count());
-    }
-
-    #[test]
-    fn snapshot_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Snapshot::from_bytes(&bytes);
     }
 
     #[test]

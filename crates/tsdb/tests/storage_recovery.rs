@@ -80,6 +80,50 @@ fn flush_reopen_round_trip_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The aligned fleet the paper's monitoring setting implies: every series
+/// samples the same 60-second grid, and values are integer-quantised
+/// gauges on a bounded xorshift random walk (queue depths, utilisation
+/// percentages). On that shape the delta-of-delta timestamp codec costs
+/// about a bit per point and the XOR value codec a handful.
+#[test]
+fn sealed_segments_beat_raw_points_fivefold_on_integer_gauges() {
+    const SERIES: usize = 16;
+    const POINTS: usize = 2_000;
+    let dir = tmp_dir("compression-floor");
+    let mut reference = Tsdb::new();
+    let mut db = Tsdb::open(&dir).expect("open");
+    for idx in 0..SERIES {
+        let key = SeriesKey::new("cpu")
+            .with_tag("host", format!("host-{:03}", idx / 4))
+            .with_tag("core", format!("{}", idx % 4));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ (idx as u64 + 1);
+        let mut level = 40 + (idx as i64 % 20);
+        let points: Vec<(i64, f64)> = (0..POINTS)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                level = (level + (x % 7) as i64 - 3).clamp(0, 100);
+                (i as i64 * 60, level as f64)
+            })
+            .collect();
+        db.try_insert_batch(&key, &points).expect("ingest batch");
+        reference.try_insert_batch(&key, &points).expect("in-memory batch");
+    }
+    db.flush().expect("flush to segments");
+    drop(db);
+    let reopened = Tsdb::open_read_only(&dir).expect("reopen");
+    assert_same_contents(&reopened, &reference);
+    let stats = reopened.storage_stats().expect("durable store has stats");
+    let raw_bytes = (SERIES * POINTS * 16) as u64;
+    assert!(
+        stats.segment_bytes * 5 <= raw_bytes,
+        "{} segment bytes for {raw_bytes} raw bytes: below the 5x floor",
+        stats.segment_bytes
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unsynced_inserts_do_not_survive_but_synced_ones_do() {
     let dir = tmp_dir("sync");

@@ -1,30 +1,31 @@
 //! The ExplainIt! command-line interface.
 //!
-//! Drives the full workflow of the paper from a terminal. Every
-//! RCA-facing command runs over the declarative [`Session`], so the CLI
-//! and the SQL surface share one code path:
+//! Drives the full workflow of the paper from a terminal. A data source
+//! is always a `--data-dir DIR` store (WAL + compressed segments):
+//! `simulate` writes one, and `sql`, `rank` and `explain` open it
+//! read-only — crash recovery, lazy chunk decode, demand paging under
+//! `--page-budget` — and run statements on the declarative [`Session`], so
+//! the CLI and the SQL surface share one code path:
 //!
 //! ```text
-//! explainit simulate --out incident.tsdb --fault packet_drop   # make data
-//! explainit simulate --data-dir ./fleet --fault packet_drop    # durable store
-//! explainit sql incident.tsdb "SELECT COUNT(*) FROM tsdb"      # explore it
-//! explainit sql --data-dir ./fleet "SELECT COUNT(*) FROM tsdb" # same, durable
-//! explainit sql incident.tsdb -f case_study.sql                # whole workflow
-//! explainit rank incident.tsdb --scorer auto                   # step 3
-//! explainit explain incident.tsdb --candidate tcp_retransmits  # fig 14/15
-//! explainit case-study 5.1                                     # the paper's §5
+//! explainit simulate --data-dir ./fleet --fault packet_drop       # make data
+//! explainit sql --data-dir ./fleet "SELECT COUNT(*) FROM tsdb"    # explore it
+//! explainit sql --data-dir ./fleet -f case_study.sql              # whole workflow
+//! explainit rank --data-dir ./fleet --scorer auto                 # step 3
+//! explainit explain --data-dir ./fleet --candidate tcp_retransmits # fig 14/15
+//! explainit case-study 5.1                                        # the paper's §5
 //! ```
 //!
-//! Snapshot files (`--out` / `FILE`) are one-shot whole-store images;
-//! `--data-dir` is the durable storage engine (WAL + compressed
-//! segments), opened with crash recovery and scanned lazily.
+//! `case-study` alone reads no store: it ranks an in-memory simulation it
+//! never persists, aligned on the grid the study needs (600 s for §5.4's
+//! month of data).
 
 use std::process::ExitCode;
 
 use explainit::core::report::explain;
 use explainit::core::EngineConfig;
 use explainit::query::Statement;
-use explainit::tsdb::{Snapshot, StorageOptions, Tsdb};
+use explainit::tsdb::{StorageOptions, Tsdb};
 use explainit::workloads::{case_studies, families_by_name, simulate, ClusterSpec, Fault};
 use explainit::{Session, StatementOutcome};
 
@@ -58,14 +59,19 @@ fn main() -> ExitCode {
 fn print_usage() {
     eprintln!(
         "ExplainIt! — declarative root-cause analysis for time series\n\n\
-         USAGE:\n  explainit simulate --out FILE | --data-dir DIR [--fault KIND] [--minutes N] [--seed N] [--retention N]\n\
-         \x20 explainit sql FILE|--data-dir DIR \"STMT; STMT; ...\" | explainit sql FILE -f SCRIPT.sql\n\
-         \x20     [--partitions N] [--page-budget BYTES]\n\
-         \x20     (executor tuning; default: one partition per core. --data-dir opens read-only,\n\
-         \x20      demand-paged under --page-budget — 0 or unset means unbounded)\n\
-         \x20 explainit rank FILE [--target FAMILY] [--condition A,B] [--scorer NAME] [--top K]\n\
-         \x20 explainit explain FILE --candidate FAMILY [--target FAMILY] [--condition A,B]\n\
+         USAGE:\n  explainit simulate --data-dir DIR [--fault KIND] [--minutes N] [--seed N] [--retention N]\n\
+         \x20 explainit sql --data-dir DIR \"STMT; STMT; ...\" | -f SCRIPT.sql [--partitions N]\n\
+         \x20     (executor tuning; default: one partition per core)\n\
+         \x20 explainit rank --data-dir DIR [--target FAMILY] [--condition A,B] [--scorer NAME] [--top K]\n\
+         \x20 explainit explain --data-dir DIR --candidate FAMILY [--target FAMILY] [--condition A,B]\n\
          \x20 explainit case-study 5.1|5.2|5.3|5.4\n\n\
+         DATA SOURCE: --data-dir DIR is a store directory (WAL + compressed segments).\n\
+         \x20 simulate writes it and refuses a non-empty one; sql, rank and explain open it\n\
+         \x20 read-only, so they run next to an ingester or each other, and take\n\
+         \x20 [--page-budget BYTES] to demand-page it (0 or unset means unbounded).\n\
+         \x20 rank and explain group the store by metric name with the statement\n\
+         \x20 CREATE FAMILY metrics WITH (layout='long', family='metric_name') AS\n\
+         \x20 SELECT timestamp, metric_name, tag, value FROM tsdb.\n\n\
          SQL STATEMENTS: ordinary SELECT / EXPLAIN <query>, plus the RCA surface:\n\
          \x20 [EXPLAIN] CREATE FAMILY name [WITH (layout='wide'|'long', ts=.., family=.., feature=.., value=..)] AS SELECT ...\n\
          \x20 EXPLAIN FOR target [GIVEN fam, ...] [USING SCORER name] [TOP k]   (result also registered as table 'ranking')\n\
@@ -99,18 +105,55 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn load_db(path: &str) -> Result<Tsdb, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let snap =
-        Snapshot::from_bytes(&bytes).ok_or_else(|| format!("{path} is not a valid snapshot"))?;
-    Ok(snap.restore())
+/// Opens the store a command reads: takes `--data-dir DIR` and
+/// `--page-budget BYTES` out of `args`, wherever they stand, and returns
+/// the store with the arguments that remain. The open is *read-only* (a
+/// session never takes the writer role, so it can run next to an ingester
+/// or another session) and demand-paged under the budget when one is given.
+fn open_store(args: &[String]) -> Result<(Tsdb, Vec<String>), String> {
+    let mut rest = args.to_vec();
+    let mut take = |name: &str| -> Result<Option<String>, String> {
+        let Some(i) = rest.iter().position(|a| a == name) else { return Ok(None) };
+        if i + 1 == rest.len() {
+            return Err(format!("{name} requires a value"));
+        }
+        rest.remove(i);
+        Ok(Some(rest.remove(i)))
+    };
+    let dir = take("--data-dir")?.ok_or(
+        "no data source: pass --data-dir DIR, the store `simulate --data-dir DIR` writes \
+         (a bare FILE argument is not one)",
+    )?;
+    let page_budget_bytes = match take("--page-budget")? {
+        Some(v) => {
+            let bytes: u64 = v.parse().map_err(|e| format!("--page-budget: {e}"))?;
+            (bytes > 0).then_some(bytes)
+        }
+        None => None,
+    };
+    // A read-only open requires an existing store; refusing a missing dir
+    // here gives a friendlier error than the engine's NotFound.
+    if !std::path::Path::new(&dir).is_dir() {
+        return Err(format!("{dir} is not a directory (simulate --data-dir creates one)"));
+    }
+    let options = StorageOptions { page_budget_bytes, ..StorageOptions::default() };
+    let db = Tsdb::open_read_only_with(&dir, options).map_err(|e| format!("opening {dir}: {e}"))?;
+    Ok((db, rest))
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out");
-    let data_dir = flag(args, "--data-dir");
-    if out.is_none() && data_dir.is_none() {
-        return Err("simulate requires --out FILE and/or --data-dir DIR".into());
+    let dir = flag(args, "--data-dir").ok_or("simulate requires --data-dir DIR")?;
+    // Refuse a non-empty store before simulating and before taking the
+    // writer role on it: a writer's open truncates a torn WAL tail and,
+    // with --retention, unlinks expired segments.
+    if std::path::Path::new(dir).exists() {
+        let held = Tsdb::open_read_only(dir).map_err(|e| format!("opening {dir}: {e}"))?;
+        if held.point_count() > 0 {
+            return Err(format!(
+                "{dir} already holds {} points; refusing to simulate into a non-empty store",
+                held.point_count()
+            ));
+        }
     }
     let minutes: usize = flag(args, "--minutes")
         .map_or(Ok(720), str::parse)
@@ -141,65 +184,46 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "none" => vec![],
         other => return Err(format!("unknown fault kind: {other}")),
     };
-    let sim = simulate(&ClusterSpec { minutes, seed, faults: fault, ..ClusterSpec::default() });
-    if let Some(out) = out {
-        let bytes = Snapshot::capture(&sim.db).to_bytes();
-        std::fs::write(out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
-        println!(
-            "wrote {out}: {} series, {} points, {} minutes ({} bytes)",
-            sim.db.series_count(),
-            sim.db.point_count(),
-            sim.minutes,
-            bytes.len()
-        );
-    }
     let retention: Option<i64> = match flag(args, "--retention") {
         Some(v) => Some(v.parse().map_err(|e| format!("--retention: {e}"))?),
         None => None,
     };
-    if let Some(dir) = data_dir {
-        let options = StorageOptions { retention, ..StorageOptions::default() };
-        let mut durable =
-            Tsdb::open_with(dir, options).map_err(|e| format!("opening {dir}: {e}"))?;
-        if durable.point_count() > 0 {
-            return Err(format!(
-                "{dir} already holds {} points; refusing to simulate into a non-empty store",
-                durable.point_count()
-            ));
-        }
-        for (_, series) in sim.db.iter() {
-            let points: Vec<(i64, f64)> = series.points().map(|p| (p.ts, p.value)).collect();
-            durable
-                .try_insert_batch(&series.key, &points)
-                .map_err(|e| format!("writing {dir}: {e}"))?;
-        }
-        durable.flush().map_err(|e| format!("flushing {dir}: {e}"))?;
-        let disk = durable.storage_stats().map_or(0, |s| s.segment_bytes);
-        println!(
-            "wrote {dir}: {} series, {} points, {} minutes ({} segment bytes, durable)",
-            durable.series_count(),
-            durable.point_count(),
-            sim.minutes,
-            disk
-        );
+    let sim = simulate(&ClusterSpec { minutes, seed, faults: fault, ..ClusterSpec::default() });
+    let options = StorageOptions { retention, ..StorageOptions::default() };
+    let mut durable = Tsdb::open_with(dir, options).map_err(|e| format!("opening {dir}: {e}"))?;
+    for (_, series) in sim.db.iter() {
+        let points: Vec<(i64, f64)> = series.points().map(|p| (p.ts, p.value)).collect();
+        durable
+            .try_insert_batch(&series.key, &points)
+            .map_err(|e| format!("writing {dir}: {e}"))?;
     }
+    durable.flush().map_err(|e| format!("flushing {dir}: {e}"))?;
+    let disk = durable.storage_stats().map_or(0, |s| s.segment_bytes);
+    println!(
+        "wrote {dir}: {} series, {} points, {} minutes ({} segment bytes, durable)",
+        durable.series_count(),
+        durable.point_count(),
+        sim.minutes,
+        disk
+    );
     if !sim.truth.cause_families.is_empty() {
         println!("injected causes: {:?}", sim.truth.cause_families);
     }
     Ok(())
 }
 
-/// Builds a session whose engine holds the snapshot grouped by metric
-/// name into feature families (the §5 default grouping). `rank`/`explain`
-/// never run SQL against the store, so it is *not* bound as a catalog
-/// table here — that would deep-clone the whole snapshot for nothing
-/// (`sql` binds its own).
-fn session_from_db(db: &Tsdb) -> Result<Session, String> {
-    let range = db.time_span().ok_or("snapshot holds no data")?;
-    let mut session = Session::with_config(EngineConfig::default());
-    for family in families_by_name(db, &range, 60) {
-        session.add_family(family);
-    }
+/// The §5 default grouping — one family per metric name, one feature per
+/// series — as the statement `rank` and `explain` run before they rank.
+const FAMILIES_BY_METRIC: &str =
+    "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+     SELECT timestamp, metric_name, tag, value FROM tsdb";
+
+/// Opens the store `args` name and runs [`FAMILIES_BY_METRIC`] over it.
+fn rca_session(args: &[String]) -> Result<Session, String> {
+    let (db, _) = open_store(args)?;
+    let mut session = Session::new();
+    session.bind_tsdb("tsdb", &db);
+    session.execute(FAMILIES_BY_METRIC).map_err(|e| e.to_string())?;
     Ok(session)
 }
 
@@ -214,43 +238,13 @@ fn print_outcome(outcome: &StatementOutcome) {
 }
 
 fn cmd_sql(args: &[String]) -> Result<(), String> {
-    // The data source is either a snapshot FILE or a durable store opened
-    // with `--data-dir DIR`: *read-only* (a sql session never takes the
-    // writer role, so it can run next to an ingester or another session)
-    // and demand-paged under `--page-budget` when one is given.
-    let (db, at) = if args.first().map(String::as_str) == Some("--data-dir") {
-        let dir = args.get(1).ok_or("--data-dir requires a DIR")?;
-        // A read-only open requires an existing store; refusing a missing
-        // dir here gives a friendlier error than the engine's NotFound.
-        if !std::path::Path::new(dir).is_dir() {
-            return Err(format!("{dir} is not a directory (simulate --data-dir creates one)"));
-        }
-        let page_budget_bytes = match flag(args, "--page-budget") {
-            Some(v) => {
-                let bytes: u64 = v.parse().map_err(|e| format!("--page-budget: {e}"))?;
-                (bytes > 0).then_some(bytes)
-            }
-            None => None,
-        };
-        let options = StorageOptions { page_budget_bytes, ..StorageOptions::default() };
-        (Tsdb::open_read_only_with(dir, options).map_err(|e| format!("opening {dir}: {e}"))?, 2)
-    } else {
-        let path = args.first().ok_or("sql requires a snapshot FILE or --data-dir DIR")?;
-        (load_db(path)?, 1)
-    };
-    // `--page-budget` may appear before or after the script; `flag()`
-    // already consumed its value, so just step over the pair here.
-    let mut at = at;
-    while args.get(at).map(String::as_str) == Some("--page-budget") {
-        args.get(at + 1).ok_or("--page-budget requires a byte count")?;
-        at += 2;
-    }
-    let (script, mut consumed) = match args.get(at).map(String::as_str) {
+    let (db, args) = open_store(args)?;
+    let (script, mut consumed) = match args.first().map(String::as_str) {
         Some("-f") => {
-            let file = args.get(at + 1).ok_or("-f requires a script FILE")?;
-            (std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?, at + 2)
+            let file = args.get(1).ok_or("-f requires a script FILE")?;
+            (std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?, 2)
         }
-        Some(inline) => (inline.to_string(), at + 1),
+        Some(inline) => (inline.to_string(), 1),
         None => return Err("sql requires a statement string or -f SCRIPT.sql".into()),
     };
     // Executor tuning flags after the script; anything else trailing is an
@@ -262,12 +256,6 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
             "--partitions" => {
                 let n = args.get(consumed + 1).ok_or("--partitions requires a count")?;
                 opts.partitions = n.parse().map_err(|e| format!("--partitions: {e}"))?;
-                consumed += 2;
-            }
-            // Consumed by the open above (flag() scans the whole argv);
-            // recognized here so it doesn't trip the trailing-args check.
-            "--page-budget" => {
-                args.get(consumed + 1).ok_or("--page-budget requires a byte count")?;
                 consumed += 2;
             }
             extra => return Err(format!("unexpected trailing argument: {extra}")),
@@ -293,9 +281,7 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_rank(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("rank requires a snapshot FILE")?;
-    let db = load_db(path)?;
-    let mut session = session_from_db(&db)?;
+    let mut session = rca_session(args)?;
     let statement = Statement::ExplainFor(explainit::query::ExplainFor {
         target: flag(args, "--target").unwrap_or("pipeline_runtime").to_string(),
         given: flag(args, "--condition")
@@ -313,13 +299,11 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("explain requires a snapshot FILE")?;
     let candidate = flag(args, "--candidate").ok_or("explain requires --candidate FAMILY")?;
     let target = flag(args, "--target").unwrap_or("pipeline_runtime");
     let condition: Vec<&str> =
         flag(args, "--condition").map(|s| s.split(',').collect()).unwrap_or_default();
-    let db = load_db(path)?;
-    let session = session_from_db(&db)?;
+    let session = rca_session(args)?;
     let overlay =
         explain(session.engine(), target, candidate, &condition, 1.0).map_err(|e| e.to_string())?;
     println!(

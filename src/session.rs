@@ -162,8 +162,9 @@ impl Session {
         &self.engine
     }
 
-    /// Mutable access to the engine (programmatic family registration —
-    /// the CLI's align-based grouping uses this).
+    /// Mutable access to the engine: its configuration (the benchmark
+    /// raises `top_k` to time every hypothesis) and programmatic family
+    /// registration.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -3,8 +3,9 @@
 
 use explainit::core::{Engine, EngineConfig, ScorerKind};
 use explainit::query::{pivot_long, Catalog};
-use explainit::tsdb::TimeRange;
+use explainit::tsdb::{TimeRange, Tsdb};
 use explainit::workloads::{families_by_name, simulate, ClusterSpec, Fault, Label};
+use explainit::Session;
 
 fn small_incident() -> explainit::workloads::SimOutput {
     simulate(&ClusterSpec {
@@ -101,18 +102,38 @@ fn conditioning_workflow_demotes_load_families() {
 }
 
 #[test]
-fn snapshot_round_trip_preserves_rankings() {
+fn durable_round_trip_preserves_rankings() {
     let sim = small_incident();
-    let snap = explainit::tsdb::Snapshot::capture(&sim.db);
-    let bytes = snap.to_bytes();
-    let restored = explainit::tsdb::Snapshot::from_bytes(&bytes).expect("decode").restore();
-    let fams_a = families_by_name(&sim.db, &sim.time_range(), 60);
-    let fams_b = families_by_name(&restored, &sim.time_range(), 60);
-    assert_eq!(fams_a.len(), fams_b.len());
-    for (a, b) in fams_a.iter().zip(fams_b.iter()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.data, b.data, "family {} differs after round trip", a.name);
+    let dir = std::env::temp_dir().join(format!("explainit-e2e-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = Tsdb::open(&dir).expect("open store");
+    for (_, series) in sim.db.iter() {
+        let points: Vec<(i64, f64)> = series.points().map(|p| (p.ts, p.value)).collect();
+        writer.try_insert_batch(&series.key, &points).expect("ingest");
     }
+    writer.flush().expect("flush");
+    drop(writer);
+    let reopened = Tsdb::open_read_only(&dir).expect("reopen");
+    // The CLI's path: the family statement over the bound store, then rank.
+    let rank = |db: &Tsdb| {
+        let mut session = Session::new();
+        session.bind_tsdb("tsdb", db);
+        session
+            .execute(
+                "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+                 SELECT timestamp, metric_name, tag, value FROM tsdb",
+            )
+            .expect("family statement");
+        session.engine().rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking")
+    };
+    let (memory, durable) = (rank(&sim.db), rank(&reopened));
+    assert_eq!(memory.entries.len(), durable.entries.len());
+    for (m, d) in memory.entries.iter().zip(&durable.entries) {
+        assert_eq!(m.family, d.family);
+        assert_eq!(m.score.to_bits(), d.score.to_bits(), "family {}", m.family);
+        assert_eq!(m.p_value.to_bits(), d.p_value.to_bits(), "family {}", m.family);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

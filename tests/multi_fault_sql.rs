@@ -19,12 +19,13 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn multi_fault_top_k_is_stable_across_partition_counts() {
-    let snapshot = tmp_path("incident.tsdb");
+    let store = tmp_path("incident");
+    let _ = std::fs::remove_dir_all(&store);
     let out = bin()
         .args([
             "simulate",
-            "--out",
-            snapshot.to_str().expect("utf8 path"),
+            "--data-dir",
+            store.to_str().expect("utf8 path"),
             "--fault",
             "multi",
             "--minutes",
@@ -52,7 +53,8 @@ fn multi_fault_top_k_is_stable_across_partition_counts() {
     let run = |extra: &[&str]| -> String {
         let mut args = vec![
             "sql",
-            snapshot.to_str().expect("utf8 path"),
+            "--data-dir",
+            store.to_str().expect("utf8 path"),
             "-f",
             script_file.to_str().expect("utf8 path"),
         ];
@@ -84,17 +86,18 @@ fn multi_fault_top_k_is_stable_across_partition_counts() {
     }
 
     let _ = std::fs::remove_file(&script_file);
-    let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn sql_rejects_bad_executor_flags() {
-    let snapshot = tmp_path("flags.tsdb");
+    let store = tmp_path("flags");
+    let _ = std::fs::remove_dir_all(&store);
     let out = bin()
         .args([
             "simulate",
-            "--out",
-            snapshot.to_str().expect("utf8 path"),
+            "--data-dir",
+            store.to_str().expect("utf8 path"),
             "--fault",
             "none",
             "--minutes",
@@ -106,12 +109,12 @@ fn sql_rejects_bad_executor_flags() {
 
     // --partitions needs a count; unknown flags stay errors.
     let out = bin()
-        .args(["sql", snapshot.to_str().expect("utf8 path"), "SELECT 1", "--partitions"])
+        .args(["sql", "--data-dir", store.to_str().expect("utf8 path"), "SELECT 1", "--partitions"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
     let out = bin()
-        .args(["sql", snapshot.to_str().expect("utf8 path"), "SELECT 1", "--frobnicate"])
+        .args(["sql", "--data-dir", store.to_str().expect("utf8 path"), "SELECT 1", "--frobnicate"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
@@ -121,7 +124,8 @@ fn sql_rejects_bad_executor_flags() {
     let out = bin()
         .args([
             "sql",
-            snapshot.to_str().expect("utf8 path"),
+            "--data-dir",
+            store.to_str().expect("utf8 path"),
             "SELECT COUNT(*) AS n FROM tsdb",
             "--partitions",
             "2",
@@ -131,5 +135,5 @@ fn sql_rejects_bad_executor_flags() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("(1 rows)"));
 
-    let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_dir_all(&store);
 }
