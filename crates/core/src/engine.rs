@@ -4,13 +4,17 @@
 //! target + conditioning set, scores them in parallel (the hypothesis is
 //! the unit of parallelism, §4), and returns the top-K ranking with
 //! per-hypothesis timing — the measurements Figure 10 plots.
+//!
+//! The *ranking* is the unit of preparation (§4.2 broadcasts Y and Z): one
+//! `rank` call aligns Y and Z on their shared timestamps and builds one
+//! `ScoringPlan` ([`Ranking::prepared`] is its cost); workers score each X
+//! against it, borrowing every family already on the shared grid. Nothing
+//! outlives the call, and the result does not depend on `workers`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use explainit_sync::{LockClass, Mutex};
-
-use explainit_linalg::Matrix;
 
 /// Per-ranking worker results: a leaf push after each hypothesis is
 /// scored, so nothing ever nests inside it.
@@ -18,7 +22,7 @@ static ENGINE_RESULTS: LockClass = LockClass::new("core.engine.results", 90);
 
 use crate::family::FeatureFamily;
 use crate::hypothesis::HypothesisSet;
-use crate::scorers::{score_hypothesis, ScoreConfig, ScoreDetail, ScorerKind};
+use crate::scorers::{ScoreConfig, ScoreDetail, ScorerKind, ScoringPlan};
 use crate::{CoreError, Result};
 
 /// Engine configuration.
@@ -39,10 +43,6 @@ impl Default for EngineConfig {
         EngineConfig { top_k: 20, workers: 0, score: ScoreConfig::default(), min_rows: 12 }
     }
 }
-
-/// Outcome of scoring one hypothesis: the detail plus its wall-clock cost,
-/// or the error message.
-pub type ScoreOutcome = std::result::Result<(ScoreDetail, Duration), String>;
 
 /// One ranked hypothesis in the output.
 #[derive(Debug, Clone)]
@@ -82,6 +82,9 @@ pub struct Ranking {
     pub conditioned_on: Vec<String>,
     /// End-to-end wall-clock time.
     pub elapsed: Duration,
+    /// The part of `elapsed` before the first hypothesis was scored:
+    /// alignment and the scoring plan. Per-hypothesis `duration`s exclude it.
+    pub prepared: Duration,
 }
 
 impl Ranking {
@@ -201,9 +204,35 @@ impl Engine {
                 needed: self.config.min_rows,
             });
         }
-        let tasks: Vec<usize> = set.xs.clone();
-        let results: Mutex<Vec<(usize, ScoreOutcome)>> =
-            Mutex::new(&ENGINE_RESULTS, Vec::with_capacity(tasks.len()));
+        // Y and Z aligned on `ts` once — borrowed where a family's grid
+        // already is `ts` — and everything the scorer can prepare without X.
+        let plan_on = |ts: &[i64]| -> Result<ScoringPlan> {
+            let y = self.families[set.y].rows_at(ts);
+            let z = FeatureFamily::hcat_rows_at(set.z.iter().map(|&zi| &self.families[zi]), ts)?;
+            ScoringPlan::new(scorer, &y, z.as_deref(), &self.config.score)
+        };
+        let plan = plan_on(&shared_ts)?;
+        let prepared = started.elapsed();
+        // A candidate whose grid misses some of the shared rows is scored on
+        // its intersection with them, by a plan of its own.
+        let score = |x_fam: &FeatureFamily| -> Result<ScoreDetail> {
+            if x_fam.timestamps == shared_ts {
+                return plan.score(&x_fam.data);
+            }
+            let ts = x_fam.shared_timestamps(&shared_ts);
+            if ts.len() < self.config.min_rows {
+                let needed = self.config.min_rows;
+                return Err(CoreError::InsufficientOverlap { rows: ts.len(), needed });
+            }
+            let x = x_fam.rows_at(&ts);
+            if ts.len() == shared_ts.len() {
+                plan.score(&x)
+            } else {
+                plan_on(&ts)?.score(&x)
+            }
+        };
+        let tasks = &set.xs;
+        let results = Mutex::new(&ENGINE_RESULTS, Vec::with_capacity(tasks.len()));
         let next = AtomicUsize::new(0);
         let workers = if self.config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -220,7 +249,9 @@ impl Engine {
                         break;
                     }
                     let xi = tasks[i];
-                    let outcome = self.score_one(xi, set.y, &set.z, &shared_ts, scorer);
+                    let started = Instant::now();
+                    let outcome =
+                        score(&self.families[xi]).map(|detail| (detail, started.elapsed()));
                     results.lock().push((xi, outcome));
                 });
             }
@@ -231,27 +262,25 @@ impl Engine {
             .into_iter()
             .map(|(xi, outcome)| {
                 let fam = &self.families[xi];
-                match outcome {
-                    Ok((detail, duration)) => RankedHypothesis {
-                        family: fam.name.clone(),
-                        score: detail.score,
-                        p_value: detail.p_value,
-                        best_lambda: detail.best_lambda,
-                        effective_predictors: detail.effective_predictors,
-                        family_width: fam.width(),
-                        duration,
-                        error: None,
-                    },
-                    Err(e) => RankedHypothesis {
-                        family: fam.name.clone(),
-                        score: 0.0,
-                        p_value: 1.0,
-                        best_lambda: None,
-                        effective_predictors: 0,
-                        family_width: fam.width(),
-                        duration: Duration::ZERO,
-                        error: Some(e),
-                    },
+                let failed = ScoreDetail {
+                    score: 0.0,
+                    best_lambda: None,
+                    p_value: 1.0,
+                    effective_predictors: 0,
+                };
+                let (detail, duration, error) = match outcome {
+                    Ok((detail, duration)) => (detail, duration, None),
+                    Err(e) => (failed, Duration::ZERO, Some(e.to_string())),
+                };
+                RankedHypothesis {
+                    family: fam.name.clone(),
+                    score: detail.score,
+                    p_value: detail.p_value,
+                    best_lambda: detail.best_lambda,
+                    effective_predictors: detail.effective_predictors,
+                    family_width: fam.width(),
+                    duration,
+                    error,
                 }
             })
             .collect();
@@ -274,47 +303,8 @@ impl Engine {
             target: target.to_string(),
             conditioned_on: condition.iter().map(|s| s.to_string()).collect(),
             elapsed: started.elapsed(),
+            prepared,
         })
-    }
-
-    /// Scores one hypothesis (used by both the parallel loop and the
-    /// benchmarks, which need isolated per-hypothesis timings).
-    pub fn score_one(
-        &self,
-        x_index: usize,
-        y_index: usize,
-        z_indices: &[usize],
-        shared_ts: &[i64],
-        scorer: ScorerKind,
-    ) -> ScoreOutcome {
-        let started = Instant::now();
-        let x_fam = &self.families[x_index];
-        let ts = x_fam.shared_timestamps(shared_ts);
-        if ts.len() < self.config.min_rows {
-            return Err(format!(
-                "only {} shared time steps with target (need {})",
-                ts.len(),
-                self.config.min_rows
-            ));
-        }
-        let x = x_fam.restrict_to(&ts).data;
-        let y = self.families[y_index].restrict_to(&ts).data;
-        let z: Option<Matrix> = if z_indices.is_empty() {
-            None
-        } else {
-            let mut acc: Option<Matrix> = None;
-            for &zi in z_indices {
-                let zm = self.families[zi].restrict_to(&ts).data;
-                acc = Some(match acc {
-                    None => zm,
-                    Some(prev) => prev.hcat(&zm).expect("same rows"),
-                });
-            }
-            acc
-        };
-        let detail = score_hypothesis(scorer, &x, &y, z.as_ref(), &self.config.score)
-            .map_err(|e| e.to_string())?;
-        Ok((detail, started.elapsed()))
     }
 }
 
@@ -440,5 +430,6 @@ mod tests {
         let r = e.rank("runtime", &[], ScorerKind::L2).unwrap();
         assert!(r.entries.iter().all(|x| x.error.is_some() || x.duration > Duration::ZERO));
         assert!(r.elapsed > Duration::ZERO);
+        assert!(r.prepared > Duration::ZERO && r.prepared <= r.elapsed);
     }
 }

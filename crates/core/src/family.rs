@@ -1,8 +1,12 @@
 //! Feature families: named groups of univariate metrics on a shared grid.
 
+use std::borrow::Cow;
+
 use explainit_linalg::Matrix;
 use explainit_query::FamilyFrame;
 use explainit_tsdb::AlignedFrame;
+
+use crate::{CoreError, Result};
 
 /// A feature family (§3.2): a human-relatable group of univariate metrics —
 /// all series of one metric name, one host, one service, etc. — observed on
@@ -119,6 +123,30 @@ impl FeatureFamily {
         }
     }
 
+    /// The observation rows at `ts` (sorted): borrowed when `ts` is this
+    /// family's own grid, gathered once otherwise.
+    pub(crate) fn rows_at(&self, ts: &[i64]) -> Cow<'_, Matrix> {
+        if self.timestamps == ts {
+            Cow::Borrowed(&self.data)
+        } else {
+            Cow::Owned(self.restrict_to(ts).data)
+        }
+    }
+
+    /// The rows at `ts` of several families side by side — a hypothesis's Z.
+    /// `None` without families; an error when their row counts disagree.
+    pub(crate) fn hcat_rows_at<'a>(
+        families: impl IntoIterator<Item = &'a FeatureFamily>,
+        ts: &[i64],
+    ) -> Result<Option<Cow<'a, Matrix>>> {
+        families.into_iter().try_fold(None, |acc: Option<Cow<'a, Matrix>>, family| {
+            let rows = family.rows_at(ts);
+            let Some(prev) = acc else { return Ok(Some(rows)) };
+            let both = prev.hcat(&rows).map_err(|e| CoreError::Model(e.to_string()))?;
+            Ok(Some(Cow::Owned(both)))
+        })
+    }
+
     /// Sorted intersection of this family's timestamps with `other`.
     pub fn shared_timestamps(&self, other: &[i64]) -> Vec<i64> {
         let mut out = Vec::new();
@@ -155,6 +183,7 @@ impl FeatureFamily {
             feature_names.push(format!("{}::{}", parts[0].name, f));
         }
         for p in &parts[1..] {
+            // invariant: identical grids were asserted above, so rows agree.
             data = data.hcat(&p.data).expect("same row count");
             for f in &p.feature_names {
                 feature_names.push(format!("{}::{}", p.name, f));

@@ -12,7 +12,11 @@
 //!   product with the broadcast-join fast path (§3.3, §4.2);
 //! * [`scorers`] — `CorrMean`, `CorrMax`, joint ridge (`L2`), random
 //!   projection variants (`L2-P50`, `L2-P500`), `Lasso`, and the
-//!   three-regression conditional procedure (§3.5, Appendix B);
+//!   three-regression conditional procedure (§3.5, Appendix B), behind a
+//!   `ScoringPlan`: per ranking, Z is factored, Y residualised and the
+//!   target's folds prepared once; per hypothesis only X-side work remains
+//!   (per fold a Gram, per λ a factor and a solve) — the same arithmetic in
+//!   the same order as scoring each hypothesis alone, bit for bit;
 //! * [`pseudocause`] — seasonal/trend pseudocauses to condition on (§3.4);
 //! * [`engine::Engine`] — the interactive loop of Algorithm 1: parallel
 //!   scoring over hypotheses (the paper's unit of parallelism, §4), ranking,

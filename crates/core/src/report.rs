@@ -6,10 +6,12 @@
 //! "explains the sawtooth". Terminal-friendly ASCII renderings stand in for
 //! the web UI.
 
-use explainit_linalg::Matrix;
+use std::borrow::Cow;
+
 use explainit_ml::RidgeModel;
 
 use crate::engine::{Engine, Ranking};
+use crate::family::FeatureFamily;
 use crate::scorers::residualize;
 use crate::{CoreError, Result};
 
@@ -65,22 +67,11 @@ pub fn explain(
     if ts.len() < 4 {
         return Err(CoreError::InsufficientOverlap { rows: ts.len(), needed: 4 });
     }
-    let x = x_fam.restrict_to(&ts).data;
-    let y_full = y_fam.restrict_to(&ts).data;
-    let y = y_full.select_columns(&[0]);
-    let (x_eff, y_eff, conditioned) = if z_fams.is_empty() {
-        (x, y, false)
-    } else {
-        let mut z: Option<Matrix> = None;
-        for zf in &z_fams {
-            let zm = zf.restrict_to(&ts).data;
-            z = Some(match z {
-                None => zm,
-                Some(prev) => prev.hcat(&zm).expect("same rows"),
-            });
-        }
-        let z = z.expect("non-empty condition");
-        (residualize(&x, &z)?, residualize(&y, &z)?, true)
+    let x = x_fam.rows_at(&ts);
+    let y = y_fam.rows_at(&ts).select_columns(&[0]);
+    let (x_eff, y_eff, conditioned) = match FeatureFamily::hcat_rows_at(z_fams, &ts)? {
+        None => (x, y, false),
+        Some(z) => (Cow::Owned(residualize(&x, &z)?), residualize(&y, &z)?, true),
     };
     let model =
         RidgeModel::fit(&x_eff, &y_eff, lambda).map_err(|e| CoreError::Model(e.to_string()))?;
@@ -108,8 +99,8 @@ pub fn render_ranking(ranking: &Ranking) -> String {
         }
     ));
     out.push_str(&format!(
-        "Scored {} hypotheses in {:.2?}\n",
-        ranking.hypotheses_scored, ranking.elapsed
+        "Scored {} hypotheses in {:.2?} ({:.2?} preparing the shared plan)\n",
+        ranking.hypotheses_scored, ranking.elapsed, ranking.prepared
     ));
     out.push_str(&format!(
         "{:<5} {:<42} {:>7} {:>10} {:>9} {:>8}\n",

@@ -13,11 +13,22 @@
 //! **Conditioning** (any scorer, Z non-empty): the three-regression
 //! residual procedure of §3.5/Appendix B — residualise Y and X on Z, then
 //! score the residuals.
+//!
+//! A ranking scores many X against one (Y, Z), so the work is split by what
+//! it depends on (`ScoringPlan`). Per ranking: Z standardised and factored,
+//! Y residualised on it, the target's folds (columns, for the correlation
+//! scorers) prepared — each once. Per hypothesis: X's residuals as one solve
+//! against Z's factor, then the X side of each fold and λ
+//! (`explainit_ml::cv`). Sharing is the same arithmetic in the same order as
+//! doing all of it per hypothesis, so scores, p-values and `best_lambda`
+//! match that bit for bit (`tests/plan_differential.rs` holds the oracle).
+
+use std::borrow::Cow;
 
 use explainit_linalg::Matrix;
 use explainit_ml::cv::PenaltyKind;
 use explainit_ml::projection::project_if_wide;
-use explainit_ml::{cross_validated_r2, CvConfig, RidgeModel};
+use explainit_ml::{CvConfig, CvTarget, FactoredRidge, MlError};
 use explainit_stats::{chebyshev_p_value, pearson};
 
 use crate::{CoreError, Result};
@@ -125,10 +136,124 @@ impl Default for ScoreConfig {
     }
 }
 
-/// Scores one hypothesis triple.
-///
-/// `x` is `T × nx`, `y` is `T × ny`, `z` (optional) is `T × nz`; rows must
-/// already be time-aligned. Returns the score detail.
+fn model_error(e: MlError) -> CoreError {
+    CoreError::Model(e.to_string())
+}
+
+/// Seed of projection sample `s` for X; Y's is this plus one.
+fn sample_seed(cfg: &ScoreConfig, s: usize) -> u64 {
+    cfg.seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(s as u64)
+}
+
+/// The broadcast side of a ranking (§4.2): what a scorer can compute from Y
+/// and Z alone.
+#[derive(Debug)]
+pub(crate) struct ScoringPlan {
+    kind: ScorerKind,
+    cfg: ScoreConfig,
+    /// Time steps and feature count of the target.
+    shape: (usize, usize),
+    /// Z standardised and factored once (§3.5): applied to Y in `new` and to
+    /// each X in `score` as one solve, never refitted.
+    conditioner: Option<FactoredRidge>,
+    /// The (residualised) target: its columns for the correlation scorers,
+    /// its folds for the joint ones — one per projection sample when `L2P`
+    /// projects a wide Y (that seed does not depend on X), otherwise one.
+    y_columns: Vec<Vec<f64>>,
+    targets: Vec<CvTarget>,
+}
+
+impl ScoringPlan {
+    /// Builds the plan for target `y` (`T × ny`) given `z` (`T × nz`), rows
+    /// time-aligned. A bad cross-validation setting is an error from here.
+    pub(crate) fn new(
+        kind: ScorerKind,
+        y: &Matrix,
+        z: Option<&Matrix>,
+        cfg: &ScoreConfig,
+    ) -> Result<Self> {
+        let shape = y.shape();
+        if shape.0 < 2 * cfg.cv.k_folds {
+            let needed = 2 * cfg.cv.k_folds;
+            return Err(CoreError::InsufficientOverlap { rows: shape.0, needed });
+        }
+        // Conditioning: residualise both sides on Z, then score the residuals
+        // with the requested scorer (§3.5's unified treatment).
+        let conditioner = z.filter(|z| z.ncols() > 0).map(conditioner).transpose()?;
+        let y = match &conditioner {
+            Some(c) => Cow::Owned(c.residuals(y).map_err(model_error)?),
+            None => Cow::Borrowed(y),
+        };
+        let ridge = CvConfig { penalty: PenaltyKind::Ridge, ..cfg.cv.clone() };
+        let prepare = |y: &Matrix, cv: &CvConfig| CvTarget::prepare(y, cv).map_err(model_error);
+        let mut y_columns = Vec::new();
+        let targets = match kind {
+            ScorerKind::CorrMean | ScorerKind::CorrMax => {
+                y_columns = (0..y.ncols()).map(|j| y.column(j)).collect();
+                Vec::new()
+            }
+            ScorerKind::Lasso => {
+                let lambda_grid = cfg.lasso_lambda_grid.clone();
+                vec![prepare(&y, &CvConfig { lambda_grid, penalty: PenaltyKind::Lasso, ..ridge })?]
+            }
+            ScorerKind::L2P { d: 0 } => {
+                return Err(CoreError::Model("projection dimension must be positive".into()));
+            }
+            ScorerKind::L2P { d } if y.ncols() > d => (0..cfg.projection_samples.max(1))
+                .map(|s| project_if_wide(&y, d, sample_seed(cfg, s).wrapping_add(1)))
+                .map(|yp| prepare(&yp, &ridge))
+                .collect::<Result<_>>()?,
+            ScorerKind::L2 | ScorerKind::L2P { .. } => vec![prepare(&y, &ridge)?],
+        };
+        Ok(ScoringPlan { kind, cfg: cfg.clone(), shape, conditioner, y_columns, targets })
+    }
+
+    /// Scores candidate `x` (`T × nx`, on the plan's rows) against the plan.
+    pub(crate) fn score(&self, x: &Matrix) -> Result<ScoreDetail> {
+        let (n, y_width) = self.shape;
+        if x.nrows() != n {
+            return Err(CoreError::Model("misaligned hypothesis matrices".into()));
+        }
+        let x = match &self.conditioner {
+            Some(c) => Cow::Owned(c.residuals(x).map_err(model_error)?),
+            None => Cow::Borrowed(x),
+        };
+        match self.kind {
+            ScorerKind::CorrMean => corr_score(&x, &self.y_columns, false),
+            ScorerKind::CorrMax => corr_score(&x, &self.y_columns, true),
+            ScorerKind::L2P { d } if x.ncols() > d || y_width > d => {
+                let samples = self.cfg.projection_samples.max(1);
+                let mut acc = 0.0;
+                let mut lambda = None;
+                let mut eff = 0usize;
+                for s in 0..samples {
+                    let xp = project_if_wide(&x, d, sample_seed(&self.cfg, s));
+                    let target = &self.targets[s % self.targets.len()];
+                    let detail = joint_score(&xp, target)?;
+                    acc += detail.score;
+                    lambda = detail.best_lambda;
+                    eff = detail.effective_predictors;
+                }
+                let score = acc / samples as f64;
+                Ok(ScoreDetail {
+                    score,
+                    best_lambda: lambda,
+                    p_value: chebyshev_p_value(score, n, eff.max(2)),
+                    effective_predictors: eff,
+                })
+            }
+            // `L2P` where no dimension exceeds d: the projection is the
+            // identity, so averaging over samples would just repeat one fit.
+            ScorerKind::L2 | ScorerKind::Lasso | ScorerKind::L2P { .. } => {
+                joint_score(&x, &self.targets[0])
+            }
+        }
+    }
+}
+
+/// Scores one hypothesis triple: builds a `ScoringPlan` for `(y, z)` and
+/// scores `x` against it. `x` is `T × nx`, `y` is `T × ny`, `z` (optional) is
+/// `T × nz`; rows must already be time-aligned.
 pub fn score_hypothesis(
     kind: ScorerKind,
     x: &Matrix,
@@ -136,84 +261,32 @@ pub fn score_hypothesis(
     z: Option<&Matrix>,
     cfg: &ScoreConfig,
 ) -> Result<ScoreDetail> {
-    let n = y.nrows();
-    if x.nrows() != n || z.is_some_and(|z| z.nrows() != n) {
-        return Err(CoreError::Model("misaligned hypothesis matrices".into()));
-    }
-    if n < 2 * cfg.cv.k_folds {
-        return Err(CoreError::InsufficientOverlap { rows: n, needed: 2 * cfg.cv.k_folds });
-    }
-    // Conditioning: residualise both sides on Z, then score the residuals
-    // with the requested scorer (§3.5's unified treatment).
-    let (x_eff, y_eff) = match z {
-        Some(z) if z.ncols() > 0 => {
-            let ry = residualize(y, z)?;
-            let rx = residualize(x, z)?;
-            (rx, ry)
-        }
-        _ => (x.clone(), y.clone()),
-    };
-    match kind {
-        ScorerKind::CorrMean => corr_score(&x_eff, &y_eff, n, false),
-        ScorerKind::CorrMax => corr_score(&x_eff, &y_eff, n, true),
-        ScorerKind::L2 => joint_score(&x_eff, &y_eff, &cfg.cv, PenaltyKind::Ridge),
-        ScorerKind::Lasso => {
-            let cv = CvConfig { lambda_grid: cfg.lasso_lambda_grid.clone(), ..cfg.cv.clone() };
-            joint_score(&x_eff, &y_eff, &cv, PenaltyKind::Lasso)
-        }
-        ScorerKind::L2P { d } => {
-            if d == 0 {
-                return Err(CoreError::Model("projection dimension must be positive".into()));
-            }
-            // No dimension exceeds d: the projection is the identity, so
-            // averaging over samples would just repeat the same fit.
-            if x_eff.ncols() <= d && y_eff.ncols() <= d {
-                return joint_score(&x_eff, &y_eff, &cfg.cv, PenaltyKind::Ridge);
-            }
-            let samples = cfg.projection_samples.max(1);
-            let mut acc = 0.0;
-            let mut lambda = None;
-            let mut eff = 0usize;
-            for s in 0..samples {
-                let seed = cfg.seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(s as u64);
-                let xp = project_if_wide(&x_eff, d, seed);
-                let yp = project_if_wide(&y_eff, d, seed.wrapping_add(1));
-                let detail = joint_score(&xp, &yp, &cfg.cv, PenaltyKind::Ridge)?;
-                acc += detail.score;
-                lambda = detail.best_lambda;
-                eff = detail.effective_predictors;
-            }
-            let score = acc / samples as f64;
-            Ok(ScoreDetail {
-                score,
-                best_lambda: lambda,
-                p_value: chebyshev_p_value(score, n, eff.max(2)),
-                effective_predictors: eff,
-            })
-        }
-    }
+    ScoringPlan::new(kind, y, z, cfg)?.score(x)
 }
 
-/// Residuals of a ridge regression `target ~ z` with a vanishing penalty —
-/// numerically OLS, which is what Appendix B's correctness proof assumes.
+/// Z standardised and factored with a vanishing penalty — numerically OLS,
+/// which is what Appendix B's correctness proof assumes.
+fn conditioner(z: &Matrix) -> Result<FactoredRidge> {
+    FactoredRidge::new(z, 1e-8).map_err(model_error)
+}
+
+/// Residuals of the regression `target ~ z`: builds the conditioner and
+/// applies it.
 pub fn residualize(target: &Matrix, z: &Matrix) -> Result<Matrix> {
-    let model = RidgeModel::fit(z, target, 1e-8).map_err(|e| CoreError::Model(e.to_string()))?;
-    Ok(model.residuals(z, target))
+    conditioner(z)?.residuals(target).map_err(model_error)
 }
 
-fn corr_score(x: &Matrix, y: &Matrix, n: usize, take_max: bool) -> Result<ScoreDetail> {
-    if x.ncols() == 0 || y.ncols() == 0 {
+fn corr_score(x: &Matrix, y_columns: &[Vec<f64>], take_max: bool) -> Result<ScoreDetail> {
+    if x.ncols() == 0 || y_columns.is_empty() {
         return Err(CoreError::Model("empty feature matrix".into()));
     }
     let mut acc = 0.0f64;
     let mut max = 0.0f64;
     let mut count = 0usize;
-    // Stream columns to avoid materialising both matrices twice.
     for i in 0..x.ncols() {
         let xi = x.column(i);
-        for j in 0..y.ncols() {
-            let yj = y.column(j);
-            let r = pearson(&xi, &yj).abs();
+        for yj in y_columns {
+            let r = pearson(&xi, yj).abs();
             acc += r;
             max = max.max(r);
             count += 1;
@@ -225,21 +298,20 @@ fn corr_score(x: &Matrix, y: &Matrix, n: usize, take_max: bool) -> Result<ScoreD
         best_lambda: None,
         // Pairwise correlation ≙ single-predictor regression (r² = ρ²);
         // bound with p = 2 predictors as the closest Chebyshev form.
-        p_value: chebyshev_p_value(score * score, n, 2),
+        p_value: chebyshev_p_value(score * score, x.nrows(), 2),
         effective_predictors: 1,
     })
 }
 
-fn joint_score(x: &Matrix, y: &Matrix, cv: &CvConfig, penalty: PenaltyKind) -> Result<ScoreDetail> {
-    let cv_cfg = CvConfig { penalty, ..cv.clone() };
-    let out = cross_validated_r2(x, y, &cv_cfg).map_err(|e| CoreError::Model(e.to_string()))?;
+fn joint_score(x: &Matrix, target: &CvTarget) -> Result<ScoreDetail> {
+    let out = target.score(x).map_err(model_error)?;
     // Percent variance explained on unseen data, clamped (§3.5: 0 = no
     // predictive power, 1 = perfect).
     let score = out.r2.clamp(0.0, 1.0);
     Ok(ScoreDetail {
         score,
         best_lambda: Some(out.best_lambda),
-        p_value: chebyshev_p_value(score, y.nrows(), x.ncols().max(2)),
+        p_value: chebyshev_p_value(score, x.nrows(), x.ncols().max(2)),
         effective_predictors: x.ncols(),
     })
 }

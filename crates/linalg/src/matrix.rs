@@ -366,6 +366,18 @@ impl Matrix {
         }
     }
 
+    /// The complement of [`Matrix::row_range`]: every row outside the
+    /// half-open range, order preserved (a cross-validation fold's training
+    /// block, copied as two contiguous runs).
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn without_row_range(&self, start: usize, end: usize) -> Matrix {
+        assert!(start <= end && end <= self.rows, "row range {start}..{end} out of bounds");
+        let kept = [&self.data[..start * self.cols], &self.data[end * self.cols..]].concat();
+        Matrix { rows: self.rows - (end - start), cols: self.cols, data: kept }
+    }
+
     /// Builds a matrix by stacking the selected rows (by index) in order.
     ///
     /// # Panics
@@ -648,6 +660,9 @@ mod tests {
         let mid = a.row_range(1, 3);
         assert_eq!(mid.shape(), (2, 2));
         assert!(approx(mid[(0, 0)], 3.0));
+        assert_eq!(a.without_row_range(1, 2), a.select_rows(&[0, 2]));
+        assert_eq!(a.without_row_range(0, 0), a);
+        assert_eq!(a.without_row_range(0, 3).shape(), (0, 2));
         let sel = a.select_rows(&[2, 0]);
         assert!(approx(sel[(0, 0)], 5.0) && approx(sel[(1, 1)], 2.0));
         let cols = a.select_columns(&[1]);

@@ -9,14 +9,17 @@
 //!    ladder that feeds them) unless the line carries a
 //!    `lint: allow as f64` marker explaining why the cast is exact (or
 //!    deliberately widening).
-//! 2. **No `unwrap()`/`expect()` in query library code or anywhere in
-//!    the store** — outside `#[cfg(test)]` modules, every potential panic
-//!    site in `crates/query/src` and `crates/tsdb/src` (all of it, the
-//!    WAL/segment I/O paths included) must either be converted to the
-//!    crate's error type (`QueryError` / `StorageError`) or justified
-//!    with an `// invariant:` comment on the same or a nearby preceding
-//!    line. A panic in the storage layer is worse than an error: it can
-//!    tear a WAL append or leave a half-written segment behind.
+//! 2. **No `unwrap()`/`expect()` in query, engine or model library code
+//!    or anywhere in the store** — outside `#[cfg(test)]` modules, every
+//!    potential panic site in `crates/query/src`, `crates/tsdb/src` (all
+//!    of it, the WAL/segment I/O paths included), `crates/core/src` and
+//!    `crates/mlkit/src` must either be converted to the crate's error
+//!    type (`QueryError` / `StorageError` / `CoreError` / `MlError`) or
+//!    justified with an `// invariant:` comment on the same or a nearby
+//!    preceding line. A panic in the storage layer is worse than an
+//!    error: it can tear a WAL append or leave a half-written segment
+//!    behind; one in a scoring worker is re-raised out of
+//!    `Engine::rank` and takes the whole ranking with it.
 //! 3. **`#![forbid(unsafe_code)]` everywhere** — every crate root
 //!    (`src/lib.rs`) in the workspace must carry the attribute.
 //! 4. **No raw `std::sync::{Mutex, RwLock}` outside `crates/sync`** —
@@ -115,10 +118,16 @@ fn rust_files_under(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Rule 2: unjustified `unwrap()`/`expect()` in query library code and
-/// anywhere in the store (the WAL/segment/pager I/O paths included).
+/// Rule 2: unjustified `unwrap()`/`expect()` in query, engine and model
+/// library code and anywhere in the store (the WAL/segment/pager I/O paths
+/// included).
 fn lint_panics(root: &Path, findings: &mut Vec<String>) {
-    for (dir, err_ty) in [("crates/query/src", "QueryError"), ("crates/tsdb/src", "StorageError")] {
+    for (dir, err_ty) in [
+        ("crates/query/src", "QueryError"),
+        ("crates/tsdb/src", "StorageError"),
+        ("crates/core/src", "CoreError"),
+        ("crates/mlkit/src", "MlError"),
+    ] {
         for path in rust_files_under(&root.join(dir)) {
             let source = read(&path);
             let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();

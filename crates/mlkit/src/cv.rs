@@ -9,16 +9,23 @@
 //! [`TimeSeriesSplit`] partitions the row range into `k` *contiguous* blocks
 //! — each validation fold is one block, training is the remaining rows — so
 //! validation timestamps never interleave with training timestamps.
-//! [`cross_validated_r2`] runs the full protocol: for every penalty in the
-//! grid, fit on each training fold, score out-of-sample r² on the held-out
-//! block (against the training-mean baseline), and report the best
-//! grid-point's mean.
+//! The protocol — for every penalty in the grid, fit on each training fold,
+//! score out-of-sample r² on the held-out block against the training-mean
+//! baseline, report the best grid point's mean — is split by what the work
+//! depends on. Per target ([`CvTarget::prepare`], once per ranking): each
+//! fold's held-out rows, training means (which *are* the baseline) and
+//! centred training rows. Per candidate and fold ([`CvTarget::score`]): the
+//! standardised training and validation blocks, the Gram and `XᵀY`. Per λ: a
+//! factorisation, a solve, a prediction and an r². Sharing never changes the
+//! arithmetic: every accumulator sees the same terms in the same order as an
+//! unshared (λ, fold) loop of plain fits, so scores match it bit for bit
+//! (`tests/proptests.rs` holds that oracle).
 
 use explainit_linalg::Matrix;
 
 use crate::lasso::LassoModel;
-use crate::ridge::{r2_columns_mean, RidgePrecomputed};
-use crate::{MlError, Result};
+use crate::ridge::{r2_columns_mean, RidgeDesign};
+use crate::{linear_predict, MlError, Result};
 
 /// Which penalised model the grid search fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,74 +116,118 @@ impl TimeSeriesSplit {
     }
 }
 
-/// Runs the paper's scoring protocol on `(X, Y)` and returns the best
-/// cross-validated r².
-///
-/// Fold-level failures (e.g. a singular fold with λ = 0) count as r² = 0 for
-/// that fold rather than aborting the whole hypothesis — one degenerate
-/// block of a long time range should not zero out the entire score.
-pub fn cross_validated_r2(x: &Matrix, y: &Matrix, cfg: &CvConfig) -> Result<CvScore> {
-    if x.nrows() != y.nrows() {
-        return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
-    }
-    if cfg.lambda_grid.is_empty() {
-        return Err(MlError::SolveFailed("empty lambda grid".into()));
-    }
-    let n = x.nrows();
-    if n < 2 * cfg.k_folds {
-        return Err(MlError::TooFewRows { rows: n, needed: 2 * cfg.k_folds });
-    }
-    if x.has_non_finite() || y.has_non_finite() {
-        return Err(MlError::NonFiniteInput);
-    }
-    let split = TimeSeriesSplit::new(n, cfg.k_folds);
+/// The target's half of the protocol: nothing in it depends on X.
+#[derive(Debug, Clone)]
+pub struct CvTarget {
+    cfg: CvConfig,
+    rows: usize,
+    folds: Vec<TargetFold>,
+}
 
-    // Pre-slice folds once; reuse across the lambda grid. For ridge, also
-    // precompute the λ-independent Gram statistics per fold — the grid then
-    // only pays one Cholesky per (fold, λ).
-    let mut folds = Vec::with_capacity(cfg.k_folds);
-    for f in 0..cfg.k_folds {
-        let (vs, ve) = split.validation_range(f);
-        let train_idx = split.training_indices(f);
-        let x_train = x.select_rows(&train_idx);
-        let y_train = y.select_rows(&train_idx);
-        let x_val = x.row_range(vs, ve);
-        let y_val = y.row_range(vs, ve);
-        let pre = match cfg.penalty {
-            PenaltyKind::Ridge => Some(RidgePrecomputed::new(&x_train, &y_train)?),
-            PenaltyKind::Lasso => None,
-        };
-        folds.push((x_train, y_train, x_val, y_val, pre));
+#[derive(Debug, Clone)]
+struct TargetFold {
+    /// Half-open validation row range, and the target's rows in it.
+    val: (usize, usize),
+    y_val: Matrix,
+    /// Training-row target means: the ridge intercept *and* the baseline
+    /// model the held-out r² is measured against.
+    y_means: Vec<f64>,
+    /// Training-row targets — centred for ridge (the solve's right-hand
+    /// side), raw for lasso (whose fit centres internally).
+    y_train: Matrix,
+}
+
+impl CvTarget {
+    /// Checks `cfg` (settable values end in an error, not a panic inside a
+    /// scoring worker) and `y`, then slices, averages and centres its folds.
+    pub fn prepare(y: &Matrix, cfg: &CvConfig) -> Result<Self> {
+        let bad_lambda = |l: &f64| !(*l >= 0.0 && l.is_finite());
+        if cfg.k_folds < 2 || cfg.lambda_grid.is_empty() || cfg.lambda_grid.iter().any(bad_lambda) {
+            let what = format!("need k_folds >= 2 and a grid of finite lambdas >= 0, got {cfg:?}");
+            return Err(MlError::InvalidConfig { what });
+        }
+        let rows = y.nrows();
+        if rows < 2 * cfg.k_folds {
+            return Err(MlError::TooFewRows { rows, needed: 2 * cfg.k_folds });
+        }
+        if y.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        let split = TimeSeriesSplit::new(rows, cfg.k_folds);
+        let folds = (0..cfg.k_folds)
+            .map(|f| {
+                let val = split.validation_range(f);
+                let mut y_train = y.without_row_range(val.0, val.1);
+                let y_means = y_train.column_means();
+                if cfg.penalty == PenaltyKind::Ridge {
+                    y_train.center_columns_in_place(&y_means);
+                }
+                TargetFold { val, y_val: y.row_range(val.0, val.1), y_means, y_train }
+            })
+            .collect();
+        Ok(CvTarget { cfg: cfg.clone(), rows, folds })
     }
 
-    let mut best: Option<CvScore> = None;
-    for &lambda in &cfg.lambda_grid {
-        let mut acc = 0.0;
-        for (x_train, y_train, x_val, y_val, pre) in &folds {
-            let baseline = y_train.column_means();
-            let fold_r2 = match cfg.penalty {
-                PenaltyKind::Ridge => pre
-                    .as_ref()
-                    .expect("precomputed for ridge")
-                    .fit(lambda)
-                    .map(|m| r2_columns_mean(y_val, &m.predict(x_val), &baseline)),
-                PenaltyKind::Lasso => LassoModel::fit(x_train, y_train, lambda, 200, 1e-7)
-                    .map(|m| r2_columns_mean(y_val, &m.predict(x_val), &baseline)),
-            }
-            .unwrap_or(0.0);
+    /// The best grid point's mean out-of-sample r² for design `x`. A fold
+    /// whose fit fails (e.g. singular with λ = 0) counts as r² = 0 rather than
+    /// aborting the hypothesis — one degenerate block of a long time range
+    /// should not zero out the entire score.
+    pub fn score(&self, x: &Matrix) -> Result<CvScore> {
+        if x.nrows() != self.rows {
+            return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: self.rows });
+        }
+        if x.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        let grid = &self.cfg.lambda_grid;
+        // Fold-outer, λ-inner; each λ's sum still adds its folds in order.
+        let mut sums = vec![0.0; grid.len()];
+        for fold in &self.folds {
+            let x_train = x.without_row_range(fold.val.0, fold.val.1);
+            let mut x_val = x.row_range(fold.val.0, fold.val.1);
             // The paper's score lives in [0, 1] ("percent variance
             // explained"); clamp per fold so one catastrophic
             // extrapolation fold (negative r² of large magnitude, e.g.
             // collinear features whose cancellation breaks out of fold)
             // reads as "no evidence" rather than vetoing the other folds.
-            acc += fold_r2.clamp(0.0, 1.0);
+            let add = |sum: &mut f64, pred: Result<Matrix>| {
+                let r2 = pred.map(|p| r2_columns_mean(&fold.y_val, &p, &fold.y_means));
+                *sum += r2.unwrap_or(0.0).clamp(0.0, 1.0);
+            };
+            match self.cfg.penalty {
+                PenaltyKind::Ridge => {
+                    let design = RidgeDesign::new(x_train);
+                    design.x_standardizer.transform_in_place(&mut x_val);
+                    let rhs = design.rhs(&fold.y_train)?;
+                    for (sum, &l) in sums.iter_mut().zip(grid) {
+                        let beta = design.factor(l).and_then(|c| design.coefficients(&c, &rhs));
+                        add(sum, beta.map(|b| linear_predict(&x_val, &b, &fold.y_means)));
+                    }
+                }
+                PenaltyKind::Lasso => {
+                    for (sum, &l) in sums.iter_mut().zip(grid) {
+                        let model = LassoModel::fit(&x_train, &fold.y_train, l, 200, 1e-7);
+                        add(sum, model.map(|m| m.predict(&x_val)));
+                    }
+                }
+            }
         }
-        let mean = acc / cfg.k_folds as f64;
-        if best.is_none_or(|b| mean > b.r2) {
-            best = Some(CvScore { r2: mean, best_lambda: lambda });
+        let mut best: Option<CvScore> = None;
+        for (&lambda, sum) in grid.iter().zip(sums) {
+            let mean = sum / self.cfg.k_folds as f64;
+            if best.is_none_or(|b| mean > b.r2) {
+                best = Some(CvScore { r2: mean, best_lambda: lambda });
+            }
         }
+        // invariant: `prepare` rejected an empty grid, so the loop ran.
+        Ok(best.expect("non-empty grid produces a score"))
     }
-    Ok(best.expect("non-empty grid produces a score"))
+}
+
+/// Runs the paper's scoring protocol on `(X, Y)` and returns the best
+/// cross-validated r²: prepares the target from `y`, scores `x` against it.
+pub fn cross_validated_r2(x: &Matrix, y: &Matrix, cfg: &CvConfig) -> Result<CvScore> {
+    CvTarget::prepare(y, cfg)?.score(x)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use explainit_linalg::Matrix;
 
 use crate::standardize::Standardizer;
-use crate::{MlError, Result};
+use crate::{linear_predict, MlError, Result};
 
 /// A fitted multi-target lasso model.
 #[derive(Debug, Clone)]
@@ -120,15 +120,7 @@ impl LassoModel {
     /// # Panics
     /// Panics if the column count differs from the training design.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        let xs = self.x_standardizer.transform(x);
-        let mut out = xs.matmul(&self.beta_std).expect("shape checked");
-        for i in 0..out.nrows() {
-            let row = out.row_mut(i);
-            for (v, &m) in row.iter_mut().zip(self.y_means.iter()) {
-                *v += m;
-            }
-        }
-        out
+        linear_predict(&self.x_standardizer.transform(x), &self.beta_std, &self.y_means)
     }
 }
 

@@ -14,6 +14,9 @@
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // indexed loops read naturally in these math kernels
+
+use explainit_linalg::Matrix;
+
 pub mod cv;
 pub mod lasso;
 pub mod ols;
@@ -21,11 +24,11 @@ pub mod projection;
 pub mod ridge;
 pub mod standardize;
 
-pub use cv::{cross_validated_r2, CvConfig, TimeSeriesSplit};
+pub use cv::{cross_validated_r2, CvConfig, CvTarget, TimeSeriesSplit};
 pub use lasso::LassoModel;
 pub use ols::OlsModel;
 pub use projection::GaussianProjection;
-pub use ridge::RidgeModel;
+pub use ridge::{FactoredRidge, RidgeModel};
 pub use standardize::Standardizer;
 
 /// Errors surfaced by model fitting.
@@ -49,6 +52,12 @@ pub enum MlError {
     NonFiniteInput,
     /// An inner linear solve failed (singular / not positive definite).
     SolveFailed(String),
+    /// A penalty or fold count no fit can run with (a user-settable value,
+    /// so an error rather than a panic).
+    InvalidConfig {
+        /// What was wrong, naming the field and the value.
+        what: String,
+    },
 }
 
 impl std::fmt::Display for MlError {
@@ -62,6 +71,7 @@ impl std::fmt::Display for MlError {
             }
             MlError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
             MlError::SolveFailed(msg) => write!(f, "linear solve failed: {msg}"),
+            MlError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
         }
     }
 }
@@ -70,3 +80,16 @@ impl std::error::Error for MlError {}
 
 /// Result alias for model fitting.
 pub type Result<T> = std::result::Result<T, MlError>;
+
+/// `x · β + intercept`, the prediction step of every linear model here
+/// (for ridge and lasso, `x` is already standardised by the fitted design).
+pub(crate) fn linear_predict(x: &Matrix, beta: &Matrix, intercept: &[f64]) -> Matrix {
+    // invariant: the documented panic of every `predict` (design width).
+    let mut out = x.matmul(beta).expect("design width matches coefficients");
+    for i in 0..out.nrows() {
+        for (v, &b) in out.row_mut(i).iter_mut().zip(intercept.iter()) {
+            *v += b;
+        }
+    }
+    out
+}

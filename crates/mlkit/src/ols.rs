@@ -7,7 +7,7 @@
 
 use explainit_linalg::{Matrix, QrDecomposition};
 
-use crate::{MlError, Result};
+use crate::{linear_predict, MlError, Result};
 
 /// A fitted multi-target OLS model.
 #[derive(Debug, Clone)]
@@ -68,19 +68,13 @@ impl OlsModel {
     /// Panics if `x` has a different column count than the training design.
     pub fn predict(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.ncols(), self.x_means.len(), "predict column mismatch");
-        let mut out = x.matmul(&self.beta).expect("shape checked");
-        for i in 0..out.nrows() {
-            let row = out.row_mut(i);
-            for (v, &b) in row.iter_mut().zip(self.intercept.iter()) {
-                *v += b;
-            }
-        }
-        out
+        linear_predict(x, &self.beta, &self.intercept)
     }
 
-    /// Residuals `Y - Ŷ` on the given data.
+    /// Residuals `Y - Ŷ` (panics unless `y` has the prediction's shape).
     pub fn residuals(&self, x: &Matrix, y: &Matrix) -> Matrix {
         let pred = self.predict(x);
+        // invariant: the documented panic, nothing else can fail.
         y.sub(&pred).expect("prediction shape matches target")
     }
 

@@ -61,6 +61,7 @@ impl GaussianProjection {
     /// Panics if `x.ncols() != in_dim`.
     pub fn project(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.ncols(), self.in_dim(), "projection input width mismatch");
+        // invariant: the assert above is matmul's only shape requirement.
         x.matmul(&self.matrix).expect("shape checked")
     }
 }

@@ -12,10 +12,114 @@
 //! penalty treats features symmetrically, matching scikit-learn's
 //! `Ridge(normalize=...)`-era behaviour the paper relied on.
 
-use explainit_linalg::{Cholesky, Matrix};
+use explainit_linalg::{Cholesky, LinalgError, Matrix};
 
 use crate::standardize::Standardizer;
-use crate::{MlError, Result};
+use crate::{linear_predict, MlError, Result};
+
+fn solve_failed(e: LinalgError) -> MlError {
+    MlError::SolveFailed(e.to_string())
+}
+
+/// The half of a ridge fit that depends on neither λ nor the target: the
+/// standardised training rows and their Gram matrix (`X^T X`, or `X X^T` on
+/// the dual path). One design serves every penalty of §3.5's grid (one
+/// factorisation each) and every target regressed on it (one solve each).
+#[derive(Debug, Clone)]
+pub(crate) struct RidgeDesign {
+    xs: Matrix,
+    /// The training rows' standardisation, to apply to held-out rows.
+    pub(crate) x_standardizer: Standardizer,
+    gram: Matrix,
+    primal: bool,
+}
+
+impl RidgeDesign {
+    /// Standardises the (finite) training rows `x` and forms their Gram.
+    pub(crate) fn new(mut x: Matrix) -> Self {
+        let x_standardizer = Standardizer::fit(&x);
+        x_standardizer.transform_in_place(&mut x);
+        let primal = x.ncols() <= x.nrows();
+        let gram = if primal { x.xtx() } else { x.xxt() };
+        RidgeDesign { xs: x, x_standardizer, gram, primal }
+    }
+
+    /// The target's side of the normal equations for centred targets `yc`:
+    /// `X^T Y` (primal) or `Y` itself (dual).
+    pub(crate) fn rhs(&self, yc: &Matrix) -> Result<Matrix> {
+        if self.primal {
+            self.xs.xt_mul(yc).map_err(solve_failed)
+        } else {
+            Ok(yc.clone())
+        }
+    }
+
+    /// Factors `gram + λI`.
+    pub(crate) fn factor(&self, lambda: f64) -> Result<Cholesky> {
+        let mut g = self.gram.clone();
+        g.add_diagonal(if self.primal { lambda.max(0.0) } else { lambda.max(1e-12) });
+        Cholesky::factor(&g).map_err(solve_failed)
+    }
+
+    /// Coefficients in standardised design space (`p × m`) from one factor
+    /// and one [`RidgeDesign::rhs`].
+    pub(crate) fn coefficients(&self, chol: &Cholesky, rhs: &Matrix) -> Result<Matrix> {
+        let solved = chol.solve(rhs).map_err(solve_failed)?;
+        if self.primal {
+            Ok(solved)
+        } else {
+            self.xs.xt_mul(&solved).map_err(solve_failed)
+        }
+    }
+}
+
+/// A [`RidgeDesign`] factored at one penalty: regresses any number of
+/// targets on the same rows — one `xt_mul`, one solve and one product each,
+/// no refit. §3.5's conditioner (one Z under Y and every X) is one.
+#[derive(Debug, Clone)]
+pub struct FactoredRidge {
+    design: RidgeDesign,
+    chol: Cholesky,
+}
+
+impl FactoredRidge {
+    /// Standardises `x` and factors its Gram at `lambda`: finite and
+    /// non-negative, or this panics; `0` may fail with
+    /// [`MlError::SolveFailed`] on a singular design.
+    pub fn new(x: &Matrix, lambda: f64) -> Result<Self> {
+        if x.nrows() < 2 {
+            return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
+        }
+        if x.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
+        let design = RidgeDesign::new(x.clone());
+        let chol = design.factor(lambda)?;
+        Ok(FactoredRidge { design, chol })
+    }
+
+    /// Coefficients and target means for `y` on the factored rows.
+    fn solve(&self, y: &Matrix) -> Result<(Matrix, Vec<f64>)> {
+        if self.design.xs.nrows() != y.nrows() {
+            return Err(MlError::RowMismatch { x_rows: self.design.xs.nrows(), y_rows: y.nrows() });
+        }
+        if y.has_non_finite() {
+            return Err(MlError::NonFiniteInput);
+        }
+        let y_means = y.column_means();
+        let mut yc = y.clone();
+        yc.center_columns_in_place(&y_means);
+        let beta_std = self.design.coefficients(&self.chol, &self.design.rhs(&yc)?)?;
+        Ok((beta_std, y_means))
+    }
+
+    /// Residuals `Y − Ŷ` of `y` on the factored rows themselves.
+    pub fn residuals(&self, y: &Matrix) -> Result<Matrix> {
+        let (beta_std, y_means) = self.solve(y)?;
+        y.sub(&linear_predict(&self.design.xs, &beta_std, &y_means)).map_err(solve_failed)
+    }
+}
 
 /// A fitted multi-target ridge model.
 #[derive(Debug, Clone)]
@@ -30,44 +134,12 @@ pub struct RidgeModel {
 }
 
 impl RidgeModel {
-    /// Fits ridge regression with penalty `lambda >= 0`.
-    ///
-    /// `lambda = 0` is permitted but may fail with
-    /// [`MlError::SolveFailed`] on singular designs; scoring always uses
-    /// positive penalties.
+    /// Fits ridge regression with penalty `lambda >= 0`: a
+    /// [`FactoredRidge`] (which see) solved for its one target.
     pub fn fit(x: &Matrix, y: &Matrix, lambda: f64) -> Result<Self> {
-        if x.nrows() != y.nrows() {
-            return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
-        }
-        if x.nrows() < 2 {
-            return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
-        }
-        if x.has_non_finite() || y.has_non_finite() {
-            return Err(MlError::NonFiniteInput);
-        }
-        assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
-        let (x_standardizer, xs) = Standardizer::fit_transform(x);
-        let y_means = y.column_means();
-        let mut yc = y.clone();
-        yc.center_columns_in_place(&y_means);
-
-        let (n, p) = xs.shape();
-        let beta_std = if p <= n {
-            // Primal: (X^T X + λI) β = X^T Y.
-            let mut gram = xs.xtx();
-            gram.add_diagonal(lambda.max(0.0));
-            let chol = Cholesky::factor(&gram).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            let xty = xs.xt_mul(&yc).expect("shapes checked");
-            chol.solve(&xty).map_err(|e| MlError::SolveFailed(e.to_string()))?
-        } else {
-            // Dual: β = X^T (X X^T + λI)^{-1} Y.
-            let mut k = xs.xxt();
-            k.add_diagonal(lambda.max(1e-12));
-            let chol = Cholesky::factor(&k).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            let alpha = chol.solve(&yc).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            xs.xt_mul(&alpha).expect("shapes checked")
-        };
-        Ok(RidgeModel { beta_std, x_standardizer, y_means, lambda })
+        let factored = FactoredRidge::new(x, lambda)?;
+        let (beta_std, y_means) = factored.solve(y)?;
+        Ok(RidgeModel { beta_std, x_standardizer: factored.design.x_standardizer, y_means, lambda })
     }
 
     /// The penalty this model was fitted with.
@@ -92,19 +164,12 @@ impl RidgeModel {
     /// # Panics
     /// Panics if the column count differs from the training design.
     pub fn predict(&self, x: &Matrix) -> Matrix {
-        let xs = self.x_standardizer.transform(x);
-        let mut out = xs.matmul(&self.beta_std).expect("shape checked");
-        for i in 0..out.nrows() {
-            let row = out.row_mut(i);
-            for (v, &m) in row.iter_mut().zip(self.y_means.iter()) {
-                *v += m;
-            }
-        }
-        out
+        linear_predict(&self.x_standardizer.transform(x), &self.beta_std, &self.y_means)
     }
 
-    /// Residuals `Y - Ŷ`.
+    /// Residuals `Y - Ŷ` (panics unless `y` has the prediction's shape).
     pub fn residuals(&self, x: &Matrix, y: &Matrix) -> Matrix {
+        // invariant: the documented panic, nothing else can fail.
         y.sub(&self.predict(x)).expect("prediction shape matches target")
     }
 
@@ -116,71 +181,6 @@ impl RidgeModel {
     pub fn r2_out_of_sample(&self, x: &Matrix, y: &Matrix, baseline_means: &[f64]) -> f64 {
         let pred = self.predict(x);
         r2_columns_mean(y, &pred, baseline_means)
-    }
-}
-
-/// Precomputed sufficient statistics for fitting ridge models at many
-/// penalties on the same training data.
-///
-/// The grid search of §3.5 fits `L` penalties per fold; the Gram matrix
-/// (`X^T X` or `X X^T`) and `X^T Y` do not depend on λ, so computing them
-/// once per fold and re-factorising per λ removes the dominant cost of the
-/// grid (the paper's "optimisations deferred to the runtime system", §4.2).
-#[derive(Debug, Clone)]
-pub struct RidgePrecomputed {
-    xs: Matrix,
-    x_standardizer: Standardizer,
-    y_means: Vec<f64>,
-    /// Primal path: `X^T X` and `X^T Y`; dual path: `X X^T` and centred Y.
-    gram: Matrix,
-    rhs: Matrix,
-    primal: bool,
-}
-
-impl RidgePrecomputed {
-    /// Builds the λ-independent statistics.
-    pub fn new(x: &Matrix, y: &Matrix) -> Result<Self> {
-        if x.nrows() != y.nrows() {
-            return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
-        }
-        if x.nrows() < 2 {
-            return Err(MlError::TooFewRows { rows: x.nrows(), needed: 2 });
-        }
-        if x.has_non_finite() || y.has_non_finite() {
-            return Err(MlError::NonFiniteInput);
-        }
-        let (x_standardizer, xs) = Standardizer::fit_transform(x);
-        let y_means = y.column_means();
-        let mut yc = y.clone();
-        yc.center_columns_in_place(&y_means);
-        let (n, p) = xs.shape();
-        let primal = p <= n;
-        let (gram, rhs) = if primal {
-            (xs.xtx(), xs.xt_mul(&yc).expect("shapes checked"))
-        } else {
-            (xs.xxt(), yc)
-        };
-        Ok(RidgePrecomputed { xs, x_standardizer, y_means, gram, rhs, primal })
-    }
-
-    /// Fits a model at the given penalty, reusing the precomputed Gram.
-    pub fn fit(&self, lambda: f64) -> Result<RidgeModel> {
-        assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
-        let mut g = self.gram.clone();
-        g.add_diagonal(if self.primal { lambda.max(0.0) } else { lambda.max(1e-12) });
-        let chol = Cholesky::factor(&g).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-        let beta_std = if self.primal {
-            chol.solve(&self.rhs).map_err(|e| MlError::SolveFailed(e.to_string()))?
-        } else {
-            let alpha = chol.solve(&self.rhs).map_err(|e| MlError::SolveFailed(e.to_string()))?;
-            self.xs.xt_mul(&alpha).expect("shapes checked")
-        };
-        Ok(RidgeModel {
-            beta_std,
-            x_standardizer: self.x_standardizer.clone(),
-            y_means: self.y_means.clone(),
-            lambda,
-        })
     }
 }
 
@@ -342,11 +342,20 @@ mod tests {
     #[test]
     fn precomputed_fit_matches_direct_fit() {
         let (x, y) = linear_data(80);
-        let pre = RidgePrecomputed::new(&x, &y).unwrap();
+        let pre = |x: &Matrix, l: f64| {
+            let y_means = y.column_means();
+            let mut yc = y.clone();
+            yc.center_columns_in_place(&y_means);
+            let design = RidgeDesign::new(x.clone());
+            let mut xs = x.clone();
+            design.x_standardizer.transform_in_place(&mut xs);
+            let rhs = design.rhs(&yc).unwrap();
+            let beta = design.coefficients(&design.factor(l).unwrap(), &rhs).unwrap();
+            linear_predict(&xs, &beta, &y_means)
+        };
         for &l in &[0.01, 1.0, 100.0] {
-            let a = pre.fit(l).unwrap();
+            let pa = pre(&x, l);
             let b = RidgeModel::fit(&x, &y, l).unwrap();
-            let pa = a.predict(&x);
             let pb = b.predict(&x);
             for i in 0..x.nrows() {
                 assert!((pa[(i, 0)] - pb[(i, 0)]).abs() < 1e-10, "λ={l} row {i}");
@@ -354,10 +363,8 @@ mod tests {
         }
         // Dual path equivalence too.
         let x_wide = x.hcat(&Matrix::zeros(80, 100)).unwrap();
-        let pre = RidgePrecomputed::new(&x_wide, &y).unwrap();
-        let a = pre.fit(0.5).unwrap();
+        let pa = pre(&x_wide, 0.5);
         let b = RidgeModel::fit(&x_wide, &y, 0.5).unwrap();
-        let pa = a.predict(&x_wide);
         let pb = b.predict(&x_wide);
         for i in 0..80 {
             assert!((pa[(i, 0)] - pb[(i, 0)]).abs() < 1e-9);

@@ -308,11 +308,12 @@ impl Session {
         self.catalog.register(RANKING_TABLE, table.clone());
         notices.push(format!("ranking registered as table '{RANKING_TABLE}'"));
         let summary = format!(
-            "EXPLAIN FOR {}: {} hypotheses scored with {} in {:.1?}",
+            "EXPLAIN FOR {}: {} hypotheses scored with {} in {:.1?} ({:.1?} preparing the shared plan)",
             ranking.target,
             ranking.hypotheses_scored,
             ranking.scorer.name(),
-            ranking.elapsed
+            ranking.elapsed,
+            ranking.prepared
         );
         Ok(StatementOutcome { summary, table, notices })
     }

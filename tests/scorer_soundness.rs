@@ -170,3 +170,68 @@ fn univariate_and_joint_scorers_agree_on_independence() {
         assert!(s.score < 0.06, "{kind:?} on independent data: {}", s.score);
     }
 }
+
+/// Exathlon's stability criterion for an explanation: it must not change
+/// with how the work was scheduled or what ran before it. On the
+/// simulator's fleet the full ranking — families, score and p-value bits —
+/// is the same for every worker count, when the same statement runs twice on
+/// one session (nothing leaks from one `rank` call into the next), and after
+/// an unchanged family is registered again.
+#[test]
+fn ranking_is_stable_across_workers_repeats_and_reregistration() {
+    use explainit::query::Value;
+    use explainit::workloads::{simulate, ClusterSpec, Fault};
+    use explainit::Session;
+
+    let sim = simulate(&ClusterSpec {
+        minutes: 120,
+        seed: 5,
+        faults: vec![Fault::PacketDrop { start_min: 60, end_min: 80, rate: 0.1 }],
+        ..ClusterSpec::default()
+    });
+    let mut session = Session::new();
+    session.bind_tsdb("tsdb", &sim.db);
+    session
+        .execute(
+            "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+             SELECT timestamp, metric_name, tag, value FROM tsdb",
+        )
+        .expect("create family");
+    let families = session.engine().family_count();
+    assert!(families > 100, "the default fleet has 138 metric names, got {families}");
+
+    // (family, score bits, p-value bits) of every ranked hypothesis.
+    let rank = |session: &mut Session, sql: &str| -> Vec<(String, u64, u64)> {
+        let table = session.execute(sql).expect("explain for").table;
+        let rows = table.rows().iter().map(|row| match (&row[1], &row[2], &row[3]) {
+            (Value::Str(family), Value::Float(score), Value::Float(p)) => {
+                (family.clone(), score.to_bits(), p.to_bits())
+            }
+            other => panic!("unexpected ranking cells: {other:?}"),
+        });
+        rows.collect()
+    };
+    let statements = [
+        "EXPLAIN FOR pipeline_runtime GIVEN pipeline_input_rate USING SCORER l2 TOP 200",
+        "EXPLAIN FOR pipeline_runtime GIVEN pipeline_input_rate, tcp_retransmits \
+         USING SCORER corrmean TOP 200",
+        "EXPLAIN FOR pipeline_latency USING SCORER l2p50 TOP 200",
+    ];
+    for sql in statements {
+        session.engine_mut().config_mut().workers = 1;
+        let reference = rank(&mut session, sql);
+        assert!(reference.len() >= families - 3, "every candidate is ranked");
+        assert_eq!(rank(&mut session, sql), reference, "the same statement, run again");
+        for workers in [2, 5] {
+            session.engine_mut().config_mut().workers = workers;
+            assert_eq!(rank(&mut session, sql), reference, "{workers} workers");
+        }
+        // Re-register the target, a conditioning family and a candidate,
+        // unchanged: same ranking.
+        for name in ["pipeline_runtime", "pipeline_input_rate", "disk_util"] {
+            let again = session.engine().family(name).cloned();
+            session.add_family(again.unwrap_or_else(|| panic!("no family {name}")));
+        }
+        assert_eq!(rank(&mut session, sql), reference, "after add_family");
+    }
+}
