@@ -1,14 +1,17 @@
 //! Custom source lints for contracts `rustc`/`clippy` cannot express,
 //! run as a CI gate (`cargo run -p explainit-lint`):
 //!
-//! 1. **No `as f64` in the exactness-critical kernels** — the typed kernel
-//!    and vectorized-evaluator paths compare `i64` values exactly; casting
-//!    through `f64` silently rounds values above 2^53. Flagged in
-//!    `crates/query/src/kernel.rs` and `crates/query/src/veval.rs` (the
-//!    typed loops, and the one copy of the Int/Float/big-Int comparison
-//!    ladder that feeds them) unless the line carries a
-//!    `lint: allow as f64` marker explaining why the cast is exact (or
-//!    deliberately widening).
+//! 1. **No `as f64` in the exactness-critical kernels and operators** —
+//!    the typed kernel and vectorized-evaluator paths compare `i64` values
+//!    exactly; casting through `f64` silently rounds values above 2^53.
+//!    Flagged in `crates/query/src/kernel.rs` and `crates/query/src/veval.rs`
+//!    (the typed loops, and the one copy of the Int/Float/big-Int comparison
+//!    ladder that feeds them) and in the operators — `crates/query/src/exec.rs`
+//!    and every file under `crates/query/src/exec/`, where the scan
+//!    operators hold raw `i64` timestamps next to `f64` values and a typed
+//!    output builder taking the shortcut would round `SUM(timestamp)` —
+//!    unless the line carries a `lint: allow as f64` marker explaining why
+//!    the cast is exact (or deliberately widening).
 //! 2. **No `unwrap()`/`expect()` in query, engine or model library code
 //!    or anywhere in the store** — outside `#[cfg(test)]` modules, every
 //!    potential panic site in `crates/query/src`, `crates/tsdb/src` (all
@@ -83,16 +86,22 @@ fn read(path: &Path) -> String {
     }
 }
 
-/// Rule 1: `as f64` in the exactness-critical files.
+/// Rule 1: `as f64` in the exactness-critical files — the kernels, the
+/// column evaluator and the operators.
 fn lint_as_f64(root: &Path, findings: &mut Vec<String>) {
-    for file in ["crates/query/src/kernel.rs", "crates/query/src/veval.rs"] {
-        let path = root.join(file);
+    let query = root.join("crates/query/src");
+    let mut files: Vec<PathBuf> =
+        ["kernel.rs", "veval.rs", "exec.rs"].iter().map(|f| query.join(f)).collect();
+    files.extend(rust_files_under(&query.join("exec")));
+    for path in files {
         let source = read(&path);
+        let file = path.strip_prefix(root).unwrap_or(&path).display().to_string();
         for (lineno, raw, code) in library_code_lines(&source) {
             if code.contains(" as f64") && !raw.contains("lint: allow as f64") {
                 findings.push(format!(
-                    "{file}:{lineno}: `as f64` in an exactness-critical kernel \
-                     (values above 2^53 round; compare exactly or mark `lint: allow as f64`)"
+                    "{file}:{lineno}: `as f64` in an exactness-critical kernel or operator \
+                     (values above 2^53 round; stay in the value's own type, compare exactly, \
+                     or mark `lint: allow as f64`)"
                 ));
             }
         }

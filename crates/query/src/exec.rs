@@ -17,13 +17,15 @@
 //! aggregate peel the `Filter` chain under them and run it per row morsel;
 //! the projection concatenates morsel outputs in order (a window call reads
 //! across rows, so it forces one morsel), the aggregate builds *partial
-//! aggregate states* ([`AggAcc`]) per morsel and one shared step merges
-//! partials in morsel order, finishes them and assembles the output; the
-//! scan-level aggregate hands its per-series-span partials to that same
-//! step. Merging is exactly fold-equivalent (error-free float sums, integer
-//! counts, per-class MIN/MAX candidates, PERCENTILE value gathering), so an
-//! answer is bit-identical at every partition count — the differential
-//! suite asserts partitions 1 and 3 both equal the reference.
+//! aggregate states* ([`AggAcc`]) per morsel, merges partials in morsel
+//! order, finishes them and assembles the output; the scan-level aggregate
+//! ([`scan_aggregate`]) folds point-balanced morsels of series spans into
+//! accumulators addressed by grid slot and merges those slot by slot, in
+//! morsel order too. Merging is exactly fold-equivalent (error-free float
+//! sums, integer counts, per-class MIN/MAX candidates, PERCENTILE value
+//! gathering), so an answer is bit-identical at every partition count —
+//! the differential suite asserts partitions 1 and 3 both equal the
+//! reference.
 //!
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
@@ -35,6 +37,7 @@
 //! directly; otherwise the stage-one plan runs to a [`Table`] and the table
 //! pivot ([`crate::pivot`]) takes it from there.
 
+mod scan_aggregate;
 mod scan_pivot;
 
 use std::collections::HashMap;
@@ -215,19 +218,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             run_tsdb_scan(ctx, table, name, tags, *start, *end, columns, opts)
         }
 
-        LogicalPlan::ScanAggregate {
-            table,
-            name,
-            tags,
-            start,
-            end,
-            filters,
-            group_by,
-            items,
-            hidden,
-        } => run_scan_aggregate(
-            ctx, table, name, tags, *start, *end, filters, group_by, items, hidden, opts,
-        ),
+        LogicalPlan::ScanAggregate { .. } => scan_aggregate::run(ctx, plan, opts),
 
         LogicalPlan::Unit => Ok(Table::unit(1)),
 
@@ -916,13 +907,9 @@ fn new_acc(name: &str) -> Result<AggAcc> {
 
 /// One group's partial state within a morsel (or after merging).
 struct GroupPartial {
-    /// Serial position of the group's earliest contribution — `(input row,
-    /// 0)` for table morsels, `(timestamp, series rank)` for scan spans.
-    /// Groups come out in this order: the serial first-seen order.
-    order: (i64, u32),
-    /// Group-key values as of `order` (output for key slots).
+    /// Group-key values of the group's first row (output for key slots).
     keys: Vec<Value>,
-    /// The input row at `order`; kept only when a `Post` slot reads it.
+    /// The group's first input row; kept only when a `Post` slot reads it.
     first_row: Vec<Value>,
     /// One accumulator per aggregate spec.
     accs: Vec<AggAcc>,
@@ -950,19 +937,18 @@ fn run_aggregate(
     let partials = run_partitioned(ranges.len(), |m| {
         let (a, b) = ranges[m];
         let (cols, mlen) = morsel_columns(src, filters, a, b)?;
-        aggregate_morsel(src.schema(), &cols, mlen, a, group_by, &specs, keep_first)
+        aggregate_morsel(src.schema(), &cols, mlen, group_by, &specs, keep_first)
     })?;
     finish_groups(partials, &slots, &specs, src.schema(), project_names(items, hidden.len()))
 }
 
-/// Partial aggregation of one morsel's `len` filtered rows (`base` is the
-/// morsel's first source row): groups keyed for the cross-morsel merge by
-/// their rendered key string, in first-seen order.
+/// Partial aggregation of one morsel's `len` filtered rows: groups keyed
+/// for the cross-morsel merge by their rendered key string, in first-seen
+/// order.
 fn aggregate_morsel(
     schema: &Schema,
     cols: &[Column],
     len: usize,
-    base: usize,
     group_by: &[Expr],
     specs: &[AggSpec],
     keep_first: bool,
@@ -1008,7 +994,6 @@ fn aggregate_morsel(
         .enumerate()
         .map(|(g, (key, &first))| {
             let partial = GroupPartial {
-                order: ((base + first) as i64, 0),
                 keys: first_keys.iter().map(|c| c.get(g)).collect(),
                 first_row: if keep_first {
                     cols.iter().map(|c| c.get(first)).collect()
@@ -1054,18 +1039,20 @@ fn aggregate_morsel(
     Ok(groups)
 }
 
-/// The merge step every aggregate shares: merges per-morsel partials in
-/// morsel order (exactly fold-equivalent to one pass over all rows), puts
-/// the groups in serial first-seen order, finishes their accumulators and
-/// assembles the output columns slot by slot.
-fn finish_groups<K: std::hash::Hash + Eq>(
-    partials: Vec<Vec<(K, GroupPartial)>>,
+/// The table aggregate's merge step: merges per-morsel partials in morsel
+/// order (exactly fold-equivalent to one pass over all rows), finishes the
+/// groups' accumulators and assembles the output columns slot by slot.
+/// Morsels arrive in row order, each with its groups in first-seen order,
+/// so a group's first partial carries its first row and groups come out in
+/// serial first-seen order as they are met.
+fn finish_groups(
+    partials: Vec<Vec<(String, GroupPartial)>>,
     slots: &[AggSlot],
     specs: &[AggSpec],
     in_schema: &Schema,
     out_schema: Schema,
 ) -> Result<Table> {
-    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
     let mut groups: Vec<GroupPartial> = Vec::new();
     for (key, part) in partials.into_iter().flatten() {
         match index.entry(key) {
@@ -1074,21 +1061,12 @@ fn finish_groups<K: std::hash::Hash + Eq>(
                 groups.push(part);
             }
             std::collections::hash_map::Entry::Occupied(e) => {
-                let cur = &mut groups[*e.get()];
-                for (acc, other) in cur.accs.iter_mut().zip(part.accs) {
+                for (acc, other) in groups[*e.get()].accs.iter_mut().zip(part.accs) {
                     acc.merge(other)?;
-                }
-                if part.order < cur.order {
-                    cur.order = part.order;
-                    cur.keys = part.keys;
-                    cur.first_row = part.first_row;
                 }
             }
         }
     }
-    // Table morsels arrive in row order, so this only moves scan-span
-    // groups (series-major partials, timestamp-major output).
-    groups.sort_by_key(|g| g.order);
 
     let mut out_vals: Vec<Vec<Value>> =
         slots.iter().map(|_| Vec::with_capacity(groups.len())).collect();
@@ -1111,71 +1089,15 @@ fn finish_groups<K: std::hash::Hash + Eq>(
 }
 
 // ---------------------------------------------------------------------------
-// Scan-level aggregation
+// Scan-level operators
 // ---------------------------------------------------------------------------
 //
-// The `ScanAggregate` operator runs the paper's hottest query shape — the
-// stage-one `GROUP BY timestamp` family query — without materializing a
-// single observation row. Each series' sorted point vectors come straight
-// from `Tsdb::scan_parts_ordered`; a morsel of series is pre-aggregated by
-// one worker into mergeable `AggAcc` states keyed by `(series tuple,
-// timestamp)` composite keys (integer hashing, no per-row key-string
-// rendering); and the partials go to the table aggregate's own
-// `finish_groups` (merge in deterministic morsel order, finish, assemble).
-// The result is value-identical to the table pipeline: accumulators are
-// order-independent by construction (error-free sums, gathered
-// percentiles, totally-ordered MIN/MAX inputs — the optimizer's
-// eligibility analysis guarantees the last), and the serial first-seen
-// group order is reconstructed from each group's earliest `(timestamp,
-// series rank)` contribution.
-
-/// How one aggregate argument (or group key) is produced, classified once
-/// per operator against the observation schema.
-enum ArgSrc<'p> {
-    /// The raw `value` column: read the point's f64 directly.
-    Val,
-    /// The raw `timestamp` column: read the point's i64 directly.
-    Ts,
-    /// A literal, constant for the whole query (e.g. COUNT(*)'s `1`).
-    Const(Value),
-    /// References only the per-series-constant columns
-    /// (`metric_name`/`tag`): evaluated once per series.
-    Class(&'p Expr),
-    /// General expression: substituted per series, vectorized per point.
-    Point(&'p Expr),
-}
-
-/// One aggregate argument prepared for a specific series.
-enum PreparedArg {
-    Val,
-    Ts,
-    Const(Value),
-    /// Evaluated column over the series' *kept* points (index = position
-    /// in the kept list, not the raw point index).
-    Col(Column),
-}
-
-/// How a spec's arguments feed its accumulator for one series span.
-/// Single-column and all-constant shapes skip the per-point `Vec<Value>`
-/// scratch entirely (`AggAcc::push_f64`/`push_i64` are push-equivalent).
-enum SpecPush {
-    /// `AGG(value)`: push the raw f64 point.
-    Val,
-    /// `AGG(timestamp)`: push the raw i64 timestamp.
-    Ts,
-    /// Every argument is per-series constant: one pre-built arg row.
-    Consts(Vec<Value>),
-    /// General shape: build the arg row per point.
-    General,
-}
-
-/// What a group-key slot outputs.
-enum KeyKind {
-    /// The timestamp key: output the group's (first-seen) timestamp.
-    Ts,
-    /// Index into the per-series class-key value list.
-    Class(usize),
-}
+// The `ScanAggregate` operator (`exec/scan_aggregate.rs`) and the `ScanPivot`
+// operator (`exec/scan_pivot.rs`) read series straight off
+// `Tsdb::scan_parts_ordered_between` and never materialize an observation
+// row: what the table pipeline derives per row from `metric_name` / `tag`
+// they resolve once per series, by substituting the series' constants into
+// the expression.
 
 /// Replaces references to the per-series-constant observation columns
 /// (`metric_name`, `tag`) with literals from the series key, leaving
@@ -1187,340 +1109,6 @@ fn substitute_series_consts(e: &Expr, schema: &Schema, key: &SeriesKey) -> Expr 
         Ok(2) => Expr::Literal(Value::Map(key.tags.clone())),
         _ => Expr::Column(name),
     }))
-}
-
-fn classify_arg<'p>(a: &'p Expr, schema: &Schema) -> ArgSrc<'p> {
-    if let Expr::Literal(v) = a {
-        return ArgSrc::Const(v.clone());
-    }
-    if let Expr::Column(c) = a {
-        match schema.resolve(c) {
-            Ok(0) => return ArgSrc::Ts,
-            Ok(3) => return ArgSrc::Val,
-            _ => {}
-        }
-    }
-    if a.columns().iter().all(|c| schema.resolve(c).is_ok_and(|i| i == 1 || i == 2)) {
-        ArgSrc::Class(a)
-    } else {
-        ArgSrc::Point(a)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scan_aggregate(
-    ctx: &ExecCtx,
-    table: &str,
-    name: &Option<String>,
-    tags: &[explainit_tsdb::TagFilter],
-    start: Option<i64>,
-    end: Option<i64>,
-    filters: &[Expr],
-    group_by: &[Expr],
-    items: &[(Expr, String)],
-    hidden: &[Expr],
-    opts: &ExecOptions,
-) -> Result<Table> {
-    let binding = ctx.binding(table).ok_or_else(|| QueryError::UnknownTable(table.to_string()))?;
-    let db = binding.db();
-    let obs = Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect());
-    let mini_schema = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
-
-    // Decompose group keys: the timestamp key (at most one, by
-    // eligibility) and per-series "class" keys over the dict columns.
-    let mut key_kinds: Vec<KeyKind> = Vec::with_capacity(group_by.len());
-    let mut class_keys: Vec<&Expr> = Vec::new();
-    for g in group_by {
-        let is_ts = matches!(g, Expr::Column(c) if obs.resolve(c).is_ok_and(|i| i == 0));
-        if is_ts {
-            key_kinds.push(KeyKind::Ts);
-        } else {
-            key_kinds.push(KeyKind::Class(class_keys.len()));
-            class_keys.push(g);
-        }
-    }
-    let has_ts_key = key_kinds.iter().any(|k| matches!(k, KeyKind::Ts));
-
-    // Decompose outputs into key references and aggregate specs (the
-    // optimizer only pushes down aggregates where that is all there is).
-    let (slots, calls) = agg_slots(group_by, items, hidden);
-    if slots.iter().any(|s| matches!(s, AggSlot::Post(_))) {
-        return Err(QueryError::Plan(
-            "scan aggregate with non-mergeable output (optimizer bug)".into(),
-        ));
-    }
-    let specs: Vec<(&str, Vec<ArgSrc>)> = calls
-        .iter()
-        .map(|(name, args)| (*name, args.iter().map(|a| classify_arg(a, &obs)).collect()))
-        .collect();
-    let new_accs = || specs.iter().map(|(name, _)| new_acc(name)).collect::<Result<Vec<_>>>();
-    // Residual filters, innermost first (the order the serial pipeline
-    // applies them in), with a flag for predicates that read a
-    // per-series-constant column and so need it substituted per series.
-    let is_class = |c: &&str| obs.resolve(c).is_ok_and(|i| i == 1 || i == 2);
-    let filter_chain: Vec<(&Expr, bool)> =
-        filters.iter().rev().map(|p| (p, p.columns().iter().any(is_class))).collect();
-    let any_point_args =
-        specs.iter().any(|(_, args)| args.iter().any(|a| matches!(a, ArgSrc::Point(_))));
-
-    // Inclusive plan bounds map straight onto the store's inclusive scan
-    // range (points at `timestamp == i64::MAX` stay reachable); an inverted
-    // range, like a filter nothing matches, leaves no spans and no groups.
-    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
-    let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
-
-    // Morsels cut the rank-ordered *point* sequence — not the series list —
-    // into contiguous equal-point spans, splitting a series across workers
-    // when it dominates the store (the skewed-fleet case where one hot
-    // series would otherwise serialize the whole operator). Splitting is
-    // sound because partials merge in morsel (= point) order, which keeps
-    // every accumulator fold identical to the unsplit one. Auto mode keeps
-    // at least MIN_PARTITION_ROWS points per morsel.
-    let counts: Vec<usize> = hits.iter().map(|p| p.timestamps.len()).collect();
-    let total_points: usize = counts.iter().sum();
-    let partitions = effective_partitions(opts, total_points);
-    let morsels = point_balanced_spans(&counts, partitions);
-
-    // Phase 1: per-morsel, per-series-span pre-aggregation.
-    type Partial = Vec<((String, u64), GroupPartial)>;
-    let partials = run_partitioned(morsels.len(), |m| -> Result<Partial> {
-        let mut tuple_ids: HashMap<String, u32> = HashMap::new();
-        let mut tuple_frags: Vec<String> = Vec::new();
-        let mut index: HashMap<(u32, u64), usize> = HashMap::new();
-        let mut groups: Vec<GroupPartial> = Vec::new();
-        let mut scratch: Vec<Value> = Vec::new();
-
-        for &(h, p_lo, p_hi) in &morsels[m] {
-            let part = &hits[h];
-            let rank = h as u32;
-            // This morsel's contiguous span of the series' sorted points
-            // (the whole series unless a hot series was split).
-            let span_ts = &part.timestamps[p_lo..p_hi];
-            let span_vals = &part.values[p_lo..p_hi];
-            let n = span_ts.len();
-            if n == 0 {
-                continue;
-            }
-
-            // Residual filter chain over this series' points: one
-            // selection refined in place straight off the raw point slices
-            // (no column is built). A predicate over the series' constants
-            // alone folds to a literal that keeps or drops the whole span.
-            let points = [ColView::Int(span_ts), ColView::Float(span_vals)];
-            let mut kept: Vec<u32> = (0..n as u32).collect();
-            for &(pred, has_class) in &filter_chain {
-                let sub;
-                let pred = if has_class {
-                    sub = substitute_series_consts(pred, &obs, part.key);
-                    &sub
-                } else {
-                    pred
-                };
-                veval::refine(pred, &mini_schema, &points, n, &mut kept)?;
-            }
-            if kept.is_empty() {
-                continue;
-            }
-
-            // Class keys: evaluated once per series, then interned into a
-            // morsel-local tuple id via the rendered key fragment (once
-            // per series — the per-point loop below only hashes ints).
-            let mut class_vals: Vec<Value> = Vec::with_capacity(class_keys.len());
-            for ck in &class_keys {
-                let sub = substitute_series_consts(ck, &obs, part.key);
-                class_vals.push(veval::eval_const(&sub)?);
-            }
-            let mut frag = String::new();
-            for v in &class_vals {
-                frag.push_str(&v.group_key());
-                frag.push('\u{1}');
-            }
-            let tuple = match tuple_ids.entry(frag) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let id = tuple_frags.len() as u32;
-                    tuple_frags.push(e.key().clone());
-                    e.insert(id);
-                    id
-                }
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            };
-
-            // Prepare this series span's aggregate arguments.
-            let kept_cols: Vec<Column> = if any_point_args {
-                points.iter().map(|c| c.gather(&kept)).collect()
-            } else {
-                Vec::new()
-            };
-            let prepared: Vec<Vec<PreparedArg>> = specs
-                .iter()
-                .map(|(_, args)| {
-                    args.iter()
-                        .map(|arg| {
-                            Ok(match arg {
-                                ArgSrc::Val => PreparedArg::Val,
-                                ArgSrc::Ts => PreparedArg::Ts,
-                                ArgSrc::Const(v) => PreparedArg::Const(v.clone()),
-                                ArgSrc::Class(e) => {
-                                    let sub = substitute_series_consts(e, &obs, part.key);
-                                    PreparedArg::Const(veval::eval_const(&sub)?)
-                                }
-                                ArgSrc::Point(e) => {
-                                    let sub = substitute_series_consts(e, &obs, part.key);
-                                    let col =
-                                        veval::eval(&sub, &mini_schema, &kept_cols, kept.len())?
-                                            .into_column(kept.len());
-                                    PreparedArg::Col(col)
-                                }
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let push_plans: Vec<SpecPush> = prepared
-                .iter()
-                .map(|pa| match pa.as_slice() {
-                    [PreparedArg::Val] => SpecPush::Val,
-                    [PreparedArg::Ts] => SpecPush::Ts,
-                    pa if pa.iter().all(|a| matches!(a, PreparedArg::Const(_))) => {
-                        SpecPush::Consts(
-                            pa.iter()
-                                .map(|a| match a {
-                                    PreparedArg::Const(v) => v.clone(),
-                                    _ => unreachable!(),
-                                })
-                                .collect(),
-                        )
-                    }
-                    _ => SpecPush::General,
-                })
-                .collect();
-
-            // Accumulate the kept points. With a timestamp key each point
-            // lands in its `(tuple, ts)` group (`ts_bits` is the i64's own
-            // bits: exact, like `group_key`); otherwise the whole series
-            // feeds one `(tuple, 0)` group.
-            let keys_at = |ts: i64| -> Vec<Value> {
-                key_kinds
-                    .iter()
-                    .map(|k| match k {
-                        KeyKind::Ts => Value::Int(ts),
-                        KeyKind::Class(j) => class_vals[*j].clone(),
-                    })
-                    .collect()
-            };
-            let slot_of = |ts: i64,
-                           ts_bits: u64,
-                           order: (i64, u32),
-                           groups: &mut Vec<GroupPartial>,
-                           index: &mut HashMap<(u32, u64), usize>|
-             -> Result<usize> {
-                match index.entry((tuple, ts_bits)) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let slot = groups.len();
-                        groups.push(GroupPartial {
-                            order,
-                            keys: keys_at(ts),
-                            first_row: Vec::new(),
-                            accs: new_accs()?,
-                        });
-                        e.insert(slot);
-                        Ok(slot)
-                    }
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let slot = *e.get();
-                        let g = &mut groups[slot];
-                        if order < g.order {
-                            g.order = order;
-                            g.keys = keys_at(ts);
-                        }
-                        Ok(slot)
-                    }
-                }
-            };
-            if has_ts_key {
-                for (j, &pi) in kept.iter().enumerate() {
-                    let pi = pi as usize;
-                    let ts = span_ts[pi];
-                    let slot = slot_of(ts, ts as u64, (ts, rank), &mut groups, &mut index)?;
-                    let g = &mut groups[slot];
-                    for ((pa, plan), acc) in
-                        prepared.iter().zip(push_plans.iter()).zip(g.accs.iter_mut())
-                    {
-                        match plan {
-                            SpecPush::Val => acc.push_f64(span_vals[pi]),
-                            SpecPush::Ts => acc.push_i64(ts),
-                            SpecPush::Consts(row) => acc.push(row)?,
-                            SpecPush::General => {
-                                scratch.clear();
-                                for arg in pa {
-                                    scratch.push(match arg {
-                                        PreparedArg::Val => Value::Float(span_vals[pi]),
-                                        PreparedArg::Ts => Value::Int(ts),
-                                        PreparedArg::Const(v) => v.clone(),
-                                        PreparedArg::Col(c) => c.get(j),
-                                    });
-                                }
-                                acc.push(&scratch)?;
-                            }
-                        }
-                    }
-                }
-            } else {
-                // One group takes the whole span: single-column specs fold
-                // the raw point slices through the kept-selection directly
-                // (accumulators are independent, so folding spec-major is
-                // observation-identical to the per-point push loop).
-                let first_ts = span_ts[kept[0] as usize];
-                let slot = slot_of(first_ts, 0, (first_ts, rank), &mut groups, &mut index)?;
-                let g = &mut groups[slot];
-                for ((pa, plan), acc) in
-                    prepared.iter().zip(push_plans.iter()).zip(g.accs.iter_mut())
-                {
-                    match plan {
-                        SpecPush::Val => {
-                            acc.fold_f64s(span_vals, kept.iter().map(|&i| i as usize), None)
-                        }
-                        SpecPush::Ts => {
-                            acc.fold_i64s(span_ts, kept.iter().map(|&i| i as usize), None)
-                        }
-                        SpecPush::Consts(row) => {
-                            for _ in &kept {
-                                acc.push(row)?;
-                            }
-                        }
-                        SpecPush::General => {
-                            for (j, &pi) in kept.iter().enumerate() {
-                                let pi = pi as usize;
-                                scratch.clear();
-                                for arg in pa {
-                                    scratch.push(match arg {
-                                        PreparedArg::Val => Value::Float(span_vals[pi]),
-                                        PreparedArg::Ts => Value::Int(span_ts[pi]),
-                                        PreparedArg::Const(v) => v.clone(),
-                                        PreparedArg::Col(c) => c.get(j),
-                                    });
-                                }
-                                acc.push(&scratch)?;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Hand groups off in creation order, keyed for the cross-morsel
-        // merge by (class fragment, timestamp bits).
-        let mut ids = vec![(0u32, 0u64); groups.len()];
-        for (id, slot) in index {
-            ids[slot] = id;
-        }
-        Ok(ids
-            .into_iter()
-            .zip(groups)
-            .map(|((tuple, ts_bits), g)| ((tuple_frags[tuple as usize].clone(), ts_bits), g))
-            .collect())
-    })?;
-    finish_groups(partials, &slots, &calls, &obs, project_names(items, hidden.len()))
 }
 
 // ---------------------------------------------------------------------------

@@ -69,10 +69,13 @@
 //!    expressions over the dictionary-encoded scan columns, sitting
 //!    directly on a TSDB
 //!    scan — collapses further into a single `LogicalPlan::ScanAggregate`
-//!    node: the executor pre-aggregates each series' sorted point vectors
-//!    straight off the store (no row materialization, grouping on
-//!    `(dict class, timestamp)` integer composite keys) and hands the
-//!    per-series partials to the table aggregate's merge/finish step. The
+//!    node: the executor folds each series' sorted point vectors straight
+//!    off the store into accumulators addressed `class × grid slot` (no row
+//!    materialization; the class — the series' key values — resolved once
+//!    per series, the slot read off the class's sorted timestamp grid, so
+//!    nothing is hashed per point), merges the morsels' blocks slot by slot
+//!    and hands the next operator typed key columns (`Column::Int`
+//!    timestamps, `Column::Dict` class keys). The
 //!    differential suite runs every generated query at partitions 1 and 3,
 //!    over the TSDB binding and over the same observations registered as a
 //!    plain table, against the reference interpreter.

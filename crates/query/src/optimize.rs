@@ -614,7 +614,7 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
 }
 
 /// True when `expr` is a reference to the named observation column.
-fn is_tsdb_col(expr: &Expr, schema: &Schema, want: usize) -> bool {
+pub(crate) fn is_tsdb_col(expr: &Expr, schema: &Schema, want: usize) -> bool {
     matches!(expr, Expr::Column(c) if schema.resolve(c).is_ok_and(|i| i == want))
 }
 

@@ -357,7 +357,7 @@ impl FrameBuilder {
 
 /// The index of `ts` in the strictly ascending `grid`, given the index the
 /// previous lookup returned.
-fn seek(grid: &[i64], cursor: usize, ts: i64) -> usize {
+pub(crate) fn seek(grid: &[i64], cursor: usize, ts: i64) -> usize {
     match grid[cursor].cmp(&ts) {
         std::cmp::Ordering::Equal => cursor,
         std::cmp::Ordering::Less if grid.get(cursor + 1) == Some(&ts) => cursor + 1,

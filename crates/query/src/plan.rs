@@ -139,12 +139,14 @@ pub enum LogicalPlan {
     /// [`LogicalPlan::TsdbScan`]
     /// and every group key is the `timestamp` column or an expression over
     /// the dictionary-encoded scan columns (`metric_name`, `tag`). The
-    /// executor pre-aggregates each series' sorted point vectors straight
-    /// off [`explainit_tsdb::Tsdb::scan_parts_ordered`] into mergeable
-    /// accumulators, grouping on `(dict class, timestamp)` composite keys —
-    /// no row materialization and no per-row key-string rendering — and
-    /// merges per-series partials deterministically, so results stay
-    /// bit-exact with the serial and reference engines.
+    /// executor folds each series' sorted point vectors straight off
+    /// [`explainit_tsdb::Tsdb::scan_parts_ordered`] into mergeable
+    /// accumulators addressed `class × grid slot` — a class being the series
+    /// whose key values share a group key (resolved once per series), a slot
+    /// a timestamp of the class's sorted grid: no row materialization, no
+    /// key rendered or probed per point — and merges the morsels' blocks
+    /// slot by slot in morsel order, so results stay bit-exact with the
+    /// serial and reference engines (`exec/scan_aggregate.rs`).
     ScanAggregate {
         /// Catalog name the TSDB is bound under.
         table: String,

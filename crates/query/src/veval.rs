@@ -51,7 +51,7 @@ pub enum VOut {
 
 impl VOut {
     /// The value at row `i`.
-    fn get(&self, i: usize) -> Value {
+    pub(crate) fn get(&self, i: usize) -> Value {
         match self {
             VOut::Col(c) => c.get(i),
             VOut::Const(v) => v.clone(),

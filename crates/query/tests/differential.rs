@@ -93,10 +93,25 @@ fn backends_of(db: &Tsdb) -> [Catalog; 2] {
 }
 
 fn tsdb_backends(points: &[(usize, usize, i64, f64)]) -> [Catalog; 2] {
+    aligned_tsdb_backends(points, 0)
+}
+
+/// [`tsdb_backends`] with the series whose bit (`metric × hosts + host`) is
+/// set in `aligned` snapped onto one shared 8-slot grid, every slot present.
+/// A scan-aggregate class made of snapped series only takes their vector as
+/// its grid and each point's index as its slot; one that mixes in an
+/// unsnapped series takes the merged union and seeks.
+fn aligned_tsdb_backends(points: &[(usize, usize, i64, f64)], aligned: u32) -> [Catalog; 2] {
+    let key = |m: usize, h: usize| SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]);
+    let snapped = |m: usize, h: usize| aligned >> (m * HOSTS.len() + h) & 1 == 1;
     let mut db = Tsdb::new();
+    for (m, h) in (0..METRICS.len()).flat_map(|m| (0..HOSTS.len()).map(move |h| (m, h))) {
+        for slot in (0..8).filter(|_| snapped(m, h)) {
+            db.insert(&key(m, h), slot * 50, (m + h) as f64 - slot as f64);
+        }
+    }
     for &(m, h, ts, v) in points {
-        let key = SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]);
-        db.insert(&key, ts, v);
+        db.insert(&key(m, h), if snapped(m, h) { ts / 50 * 50 } else { ts }, v);
     }
     // One tag-free series so `tag['host'] IS NULL` has hits.
     db.insert(&SeriesKey::new("untagged"), 0, 1.0);
@@ -613,13 +628,15 @@ proptest! {
         lo in 0i64..200,
         span in 1i64..200,
         order_by_first_key in any::<bool>(),
+        aligned in 0u32..1 << (METRICS.len() * HOSTS.len()),
     ) {
         // The scan-aggregate generator: every query here is eligible (or
         // nearly eligible) for the ScanAggregate rewrite — GROUP BY
         // timestamp / dictionary-encoded tag keys / metric_name, mixed
         // mergeable aggregates over value/timestamp (Int typing included),
-        // residual value filters, tag globs and absent-tag predicates.
-        let catalog = tsdb_backends(&points);
+        // residual value filters, tag globs and absent-tag predicates — over
+        // classes on a shared grid, on a union grid, and mixing both.
+        let catalog = aligned_tsdb_backends(&points, aligned);
         let filter = SA_FILTERS[filter]
             .replace("{lo}", &lo.to_string())
             .replace("{hi}", &(lo + span).to_string());
@@ -892,6 +909,109 @@ fn scan_aggregate_pinned_on_both_backends() {
     assert_pinned(&backends, &query, &[1, 2, 3, 8], &naive);
 }
 
+/// `sql` plans as a scan aggregate on the live binding, and equals the
+/// reference on both backends at every partition count. Returns the rows.
+fn assert_scan_aggregate_pinned(db: &Tsdb, sql: &str) -> Table {
+    let backends = backends_of(db);
+    let plan = backends[0].execute(&format!("EXPLAIN {sql}")).expect("explains");
+    assert!(
+        format!("{:?}", plan.rows()).contains("ScanAggregate tsdb"),
+        "{sql}: {:?}",
+        plan.rows()
+    );
+    let query = parse_query(sql).unwrap();
+    let naive = execute_naive(&backends[0], &query).expect("reference runs");
+    assert_pinned(&backends, &query, &[1, 2, 3, 8], &naive);
+    naive
+}
+
+/// The error-laziness rule: a class key that raises for one series'
+/// constants (`SPLIT` by that series' empty `sep` tag) fails the statement
+/// only when one of the series' points survives the filters — the row
+/// engines never evaluate a dropped row's key.
+#[test]
+fn scan_aggregate_class_key_errors_stay_lazy() {
+    let mut db = Tsdb::new();
+    for t in 0..6 {
+        db.insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64);
+        db.insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64);
+    }
+    let sql = |above: f64| {
+        format!(
+            "SELECT timestamp, SPLIT(metric_name, tag['sep'])[0] AS stem, SUM(value) AS s \
+             FROM tsdb WHERE value > {above:?} GROUP BY timestamp, SPLIT(metric_name, tag['sep'])[0]"
+        )
+    };
+    // Every point of the raising series (0.0 ..= 5.0) is dropped.
+    let rows = assert_scan_aggregate_pinned(&db, &sql(5.5));
+    assert_eq!(rows.len(), 6);
+    // One survives: an error from every engine.
+    let query = parse_query(&sql(4.5)).unwrap();
+    for (backend, catalog) in backends_of(&db).iter().enumerate() {
+        assert!(execute_naive(catalog, &query).is_err(), "reference on backend {backend}");
+        for parts in [1, 2, 3] {
+            let out = catalog.execute_query_with(&query, ExecOptions::with_partitions(parts));
+            assert!(out.is_err(), "backend {backend} partitions={parts}: {out:?}");
+        }
+    }
+}
+
+/// Shapes of the dense scan aggregate the generator reaches only by luck.
+#[test]
+fn scan_aggregate_dense_shapes_pinned() {
+    let put = |db: &mut Tsdb, name: &str, host: &str, points: &[(i64, f64)]| {
+        let key = SeriesKey::new(name).with_tag("host", host);
+        points.iter().for_each(|&(ts, v)| db.insert(&key, ts, v));
+    };
+    let on_grid = |vs: [f64; 5]| -> Vec<(i64, f64)> { (0..).step_by(60).zip(vs).collect() };
+
+    // A residual filter empties slots 0, 1 and 3 of a grid-aligned class:
+    // they are absent rows, not NULL rows, and the rest keep their order.
+    let mut db = Tsdb::new();
+    put(&mut db, "cpu", "web-1", &on_grid([1.0, 2.0, 3.0, 0.0, 5.0]));
+    put(&mut db, "cpu", "web-2", &on_grid([0.0, 1.0, 9.0, 1.0, 0.0]));
+    put(&mut db, "disk", "web-1", &on_grid([7.0, 0.0, 0.0, 0.0, 0.0]));
+    let rows = assert_scan_aggregate_pinned(
+        &db,
+        "SELECT timestamp, metric_name, COUNT(*) AS n, SUM(value) AS s, MAX(value) AS hi \
+         FROM tsdb WHERE value > 2.5 GROUP BY timestamp, metric_name",
+    );
+    let row = |ts: i64, name: &str, n: i64, s: f64, hi: f64| {
+        vec![Value::Int(ts), Value::str(name), Value::Int(n), Value::Float(s), Value::Float(hi)]
+    };
+    let expect =
+        [row(0, "disk", 1, 7.0, 7.0), row(120, "cpu", 2, 12.0, 9.0), row(240, "cpu", 1, 5.0, 5.0)];
+    assert_eq!(rows.rows(), expect);
+
+    // Key values that share a group key but differ in type are one class;
+    // each group shows its first contributor's. web-1 ranks first where
+    // both series have a point, web-2 is alone at 300.
+    put(&mut db, "cpu", "web-2", &[(300, 4.0)]);
+    let rows = assert_scan_aggregate_pinned(
+        &db,
+        "SELECT timestamp, CASE WHEN tag['host'] = 'web-1' THEN 1 ELSE 1.0 END AS one, \
+         COUNT(*) AS n FROM tsdb WHERE metric_name = 'cpu' \
+         GROUP BY timestamp, CASE WHEN tag['host'] = 'web-1' THEN 1 ELSE 1.0 END",
+    );
+    let ones: Vec<Value> = rows.rows().iter().map(|r| r[1].clone()).collect();
+    assert_eq!(format!("{ones:?}"), "[Int(1), Int(1), Int(1), Int(1), Int(1), Float(1.0)]");
+
+    // A class whose series have pairwise disjoint timestamps: the union
+    // grid has a slot per point.
+    let mut db = Tsdb::new();
+    for (host, offset) in [("a", 0), ("b", 1), ("c", 2)] {
+        let points: Vec<(i64, f64)> =
+            (0..4).map(|k| (k * 3 + offset, (k + offset) as f64)).collect();
+        put(&mut db, "cpu", host, &points);
+    }
+    let rows = assert_scan_aggregate_pinned(
+        &db,
+        "SELECT timestamp, metric_name, AVG(value) AS m, MIN(value) AS lo FROM tsdb \
+         WHERE value < 4.5 GROUP BY timestamp, metric_name",
+    );
+    assert_eq!(rows.len(), 11, "twelve slots, one emptied by the filter");
+}
+
 /// The skewed fleet the deleted pushdown report swept: one hot series
 /// holds ~all the points, so point-balanced scan-aggregate morsels split
 /// it across workers — and must stay row-identical at every count.
@@ -920,7 +1040,8 @@ fn skewed_hot_series_fleet_agrees_at_every_partition_count() {
         let query = parse_query(sql).unwrap();
         let naive = execute_naive(&backends[0], &query).unwrap();
         assert!(!naive.is_empty());
-        assert_pinned(&backends, &query, &[1, 2, 4, 8], &naive);
+        // ... the last count being a morsel per point.
+        assert_pinned(&backends, &query, &[1, 2, 4, 8, 1_000_000], &naive);
     }
 }
 

@@ -3,7 +3,7 @@
 //! do not fire, so optimizer eligibility regressions surface as test
 //! failures rather than silent slowdowns (or silent wrong fast paths).
 
-use explainit_query::{parse_statement, Catalog, Statement, Table, Value};
+use explainit_query::{parse_statement, Catalog, Column, Statement, Table, Value};
 use explainit_tsdb::{SeriesKey, Tsdb};
 
 fn catalog() -> Catalog {
@@ -382,16 +382,23 @@ fn every_other_family_shape_keeps_pivot_over_its_ordinary_plan() {
     }
     // The benchmark's `family_agg_paged` statement: a wide pivot over the
     // scan-level aggregate, which still collapses under the pivot root.
-    let plan = explain_family(
-        &c,
-        "CREATE FAMILY by_name WITH (family = 'metric_name') AS \
+    let by_name = "CREATE FAMILY by_name WITH (family = 'metric_name') AS \
          SELECT timestamp, metric_name, AVG(value) AS mean_v, MAX(value) AS max_v, \
-         STDDEV(value) AS sd_v FROM tsdb GROUP BY timestamp, metric_name",
-    );
+         STDDEV(value) AS sd_v FROM tsdb GROUP BY timestamp, metric_name";
+    let plan = explain_family(&c, by_name);
     let lines: Vec<&str> = plan.lines().collect();
     assert_eq!(lines.len(), 2, "plan:\n{plan}");
     assert_eq!(lines[0], "Pivot layout=wide ts=timestamp family=metric_name");
     assert!(lines[1].starts_with("  ScanAggregate tsdb group=[timestamp, metric_name]"), "{plan}");
+    // ... and hands the wide pivot typed key columns: the timestamps as they
+    // stand on the grids, the class key by dictionary code — no `String` per
+    // group for the pivot to intern again.
+    let Ok(Statement::CreateFamily(cf)) = parse_statement(by_name) else { panic!("parses") };
+    let stage_one = c.execute_query(&cf.query).expect("stage one runs");
+    assert_eq!(stage_one.len(), 6, "five cpu timestamps and disk's one");
+    assert!(matches!(stage_one.column_at(0), Column::Int(_)), "{:?}", stage_one.column_at(0));
+    assert!(matches!(stage_one.column_at(1), Column::Dict { .. }), "{:?}", stage_one.column_at(1));
+    assert!(matches!(stage_one.column_at(2), Column::Float(_)), "{:?}", stage_one.column_at(2));
     // Unresolvable roles plan (and explain) as the table pivot; running
     // the statement is what reports them.
     let plan = explain_family(

@@ -60,8 +60,8 @@ fn print_usage() {
     eprintln!(
         "ExplainIt! — declarative root-cause analysis for time series\n\n\
          USAGE:\n  explainit simulate --data-dir DIR [--fault KIND] [--minutes N] [--seed N] [--retention N]\n\
-         \x20 explainit sql --data-dir DIR \"STMT; STMT; ...\" | -f SCRIPT.sql [--partitions N]\n\
-         \x20     (executor tuning; default: one partition per core)\n\
+         \x20 explainit sql --data-dir DIR [--partitions N] \"STMT; STMT; ...\" | -f SCRIPT.sql\n\
+         \x20     (executor tuning, before or after the statement; default: one partition per core)\n\
          \x20 explainit rank --data-dir DIR [--target FAMILY] [--condition A,B] [--scorer NAME] [--top K]\n\
          \x20 explainit explain --data-dir DIR --candidate FAMILY [--target FAMILY] [--condition A,B]\n\
          \x20 explainit case-study 5.1|5.2|5.3|5.4\n\n\
@@ -105,6 +105,16 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// Takes `name VALUE` out of `args`, wherever it stands.
+fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    if i + 1 == args.len() {
+        return Err(format!("{name} requires a value"));
+    }
+    args.remove(i);
+    Ok(Some(args.remove(i)))
+}
+
 /// Opens the store a command reads: takes `--data-dir DIR` and
 /// `--page-budget BYTES` out of `args`, wherever they stand, and returns
 /// the store with the arguments that remain. The open is *read-only* (a
@@ -112,19 +122,11 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// or another session) and demand-paged under the budget when one is given.
 fn open_store(args: &[String]) -> Result<(Tsdb, Vec<String>), String> {
     let mut rest = args.to_vec();
-    let mut take = |name: &str| -> Result<Option<String>, String> {
-        let Some(i) = rest.iter().position(|a| a == name) else { return Ok(None) };
-        if i + 1 == rest.len() {
-            return Err(format!("{name} requires a value"));
-        }
-        rest.remove(i);
-        Ok(Some(rest.remove(i)))
-    };
-    let dir = take("--data-dir")?.ok_or(
+    let dir = take_flag(&mut rest, "--data-dir")?.ok_or(
         "no data source: pass --data-dir DIR, the store `simulate --data-dir DIR` writes \
          (a bare FILE argument is not one)",
     )?;
-    let page_budget_bytes = match take("--page-budget")? {
+    let page_budget_bytes = match take_flag(&mut rest, "--page-budget")? {
         Some(v) => {
             let bytes: u64 = v.parse().map_err(|e| format!("--page-budget: {e}"))?;
             (bytes > 0).then_some(bytes)
@@ -238,8 +240,13 @@ fn print_outcome(outcome: &StatementOutcome) {
 }
 
 fn cmd_sql(args: &[String]) -> Result<(), String> {
-    let (db, args) = open_store(args)?;
-    let (script, mut consumed) = match args.first().map(String::as_str) {
+    let (db, mut args) = open_store(args)?;
+    // The executor tuning flag may stand on either side of the statement.
+    let mut opts = explainit::query::ExecOptions::default();
+    if let Some(n) = take_flag(&mut args, "--partitions")? {
+        opts.partitions = n.parse().map_err(|e| format!("--partitions: {e}"))?;
+    }
+    let (script, consumed) = match args.first().map(String::as_str) {
         Some("-f") => {
             let file = args.get(1).ok_or("-f requires a script FILE")?;
             (std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?, 2)
@@ -247,19 +254,11 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
         Some(inline) => (inline.to_string(), 1),
         None => return Err("sql requires a statement string or -f SCRIPT.sql".into()),
     };
-    // Executor tuning flags after the script; anything else trailing is an
-    // error, not silently dropped: a shell-quoting slip would otherwise
-    // run a *prefix* of what the user wrote.
-    let mut opts = explainit::query::ExecOptions::default();
-    while let Some(arg) = args.get(consumed) {
-        match arg.as_str() {
-            "--partitions" => {
-                let n = args.get(consumed + 1).ok_or("--partitions requires a count")?;
-                opts.partitions = n.parse().map_err(|e| format!("--partitions: {e}"))?;
-                consumed += 2;
-            }
-            extra => return Err(format!("unexpected trailing argument: {extra}")),
-        }
+    // Anything else trailing is an error, not silently dropped: a
+    // shell-quoting slip would otherwise run a *prefix* of what the user
+    // wrote.
+    if let Some(extra) = args.get(consumed) {
+        return Err(format!("unexpected trailing argument: {extra}"));
     }
     let mut session = Session::new();
     session.set_exec_options(opts);
