@@ -33,10 +33,12 @@
 //! 5. **No row shim under the executor** — in `crates/query/src`, outside
 //!    `eval.rs` (the row walker), `reference.rs` (the oracle built on it)
 //!    and `#[cfg(test)]` modules, nothing calls `eval_row`,
-//!    `eval_with_rows`, `Table::rows` or `into_rows`: every operator
-//!    evaluates expressions through the column evaluator (`veval.rs`), so
-//!    the row-at-a-time fallback cannot creep back. A `lint: allow row
-//!    shim` marker on the line is the escape hatch.
+//!    `eval_with_rows`, `eval_group`, `Table::rows` or `into_rows`: every
+//!    operator evaluates expressions through the column evaluator
+//!    (`veval.rs`) — a grouped output too, over its operator's finished
+//!    columns — so neither the row-at-a-time fallback nor group context can
+//!    creep back. A `lint: allow row shim` marker on the line is the escape
+//!    hatch.
 //!
 //! The binary prints one `file:line: message` per finding and exits
 //! non-zero when any rule fires. It reads sources directly and uses only
@@ -249,7 +251,7 @@ fn row_shim_call(code: &str) -> Option<&'static str> {
     if code.contains("fn rows(") || code.contains("fn into_rows(") {
         return None;
     }
-    ["eval_row", "eval_with_rows", "into_rows"]
+    ["eval_row", "eval_with_rows", "eval_group", "into_rows"]
         .into_iter()
         .find(|name| has_word(code, name))
         .or_else(|| code.contains(".rows()").then_some("Table::rows"))
@@ -270,7 +272,8 @@ fn lint_row_shim(root: &Path, findings: &mut Vec<String>) {
             if let Some(name) = row_shim_call(&code) {
                 findings.push(format!(
                     "{rel}:{lineno}: `{name}` outside the row walker and its oracle \
-                     (evaluate through veval, or mark `lint: allow row shim`)"
+                     (evaluate through veval — grouped outputs over the operator's \
+                     finished columns — or mark `lint: allow row shim`)"
                 ));
             }
         }
@@ -346,6 +349,8 @@ fn strip_comments_and_strings(source: &str) -> Vec<String> {
                 }
             }
             State::Str => match c {
+                // An escaped newline continues the string on the next line.
+                '\\' if chars.peek() == Some(&'\n') => line.push(' '),
                 '\\' => {
                     chars.next();
                     line.push_str("  ");
@@ -376,6 +381,10 @@ mod tests {
         assert!(!stripped[0].contains("real comment"));
         assert!(stripped[0].contains("let x = "));
         assert_eq!(stripped[1], "as f64");
+        // A string continued over a line break keeps later lines aligned.
+        let stripped = strip_comments_and_strings("f(\"a \\\n   b\");\nx.unwrap();\n");
+        assert_eq!(stripped.len(), 3);
+        assert_eq!(stripped[2], "x.unwrap();");
     }
 
     #[test]
@@ -392,6 +401,8 @@ mod tests {
         assert_eq!(row_shim_call("use crate::eval::{eval_with_rows};"), Some("eval_with_rows"));
         assert_eq!(row_shim_call("for row in t.rows() {"), Some("Table::rows"));
         assert_eq!(row_shim_call("let rows = part.into_rows();"), Some("into_rows"));
+        assert_eq!(row_shim_call("out.push(eval_group(e, schema, &g)?);"), Some("eval_group"));
+        assert_eq!(row_shim_call("let e = map_grouped(e, &mut sub)?;"), None);
         assert_eq!(row_shim_call("pub fn rows(&self) -> &[Vec<Value>] {"), None);
         assert_eq!(row_shim_call("let narrows = eval_rows(x);"), None);
     }

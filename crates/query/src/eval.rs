@@ -9,17 +9,19 @@
 //!    one-row form [`eval_row`], and [`eval_group`] over a group) walks an
 //!    expression for one row at a time. [`crate::reference`] is built on
 //!    it and the tests compare the executor against it; the executor
-//!    itself only reaches it through `eval_in_group`, once per *group*,
-//!    to finish a post-aggregate output.
+//!    itself never calls it (`explainit-lint` rule 5).
 //!
 //! The walker's contexts:
 //! * **row context** — one row (WHERE, ON, GROUP BY keys, aggregate
 //!   arguments): aggregate calls are errors and a window call sees only
 //!   its own row;
 //! * **projection context** — all input rows plus the current row index,
-//!   which makes `LAG`/`LEAD` work (§3.5's lagged features);
-//! * **group context** — aggregate calls consume the whole group and
-//!   everything else is evaluated on the group's first row.
+//!   which makes `LAG`/`LEAD` work (§3.5's lagged features).
+//!
+//! There is no third walker for groups: a grouped expression is its
+//! aggregate calls substituted ([`map_grouped`] says which it reaches),
+//! then a row — here over the group's first row, in the executor over the
+//! operators' finished columns.
 
 use std::cmp::Ordering;
 
@@ -148,101 +150,66 @@ pub fn eval_with_rows(
     }
 }
 
-/// Evaluates an expression over a group of rows, computing aggregates over
-/// the whole group and everything else on the group's first row.
+/// Evaluates an expression over a group of rows: every aggregate call it
+/// reaches is computed over the whole group (also one a `CASE` arm would
+/// skip) and substituted as a literal, and what is left is a row expression
+/// over the group's first row.
 pub fn eval_group(expr: &Expr, schema: &Schema, group: &[&Vec<Value>]) -> Result<Value> {
     let first = group.first().ok_or_else(|| QueryError::Plan("empty group".into()))?;
-    eval_in_group(expr, schema, first, &|name, args| {
-        let mut per_row = Vec::with_capacity(group.len());
-        for row in group {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_row(a, schema, row)?);
+    let row = map_grouped(expr, &mut |e| match e {
+        Expr::Function { name, args } if is_aggregate(name) => {
+            let mut per_row = Vec::with_capacity(group.len());
+            for row in group {
+                per_row.push(args.iter().map(|a| eval_row(a, schema, row)).collect::<Result<_>>()?);
             }
-            per_row.push(vals);
+            Ok(Some(Expr::Literal(eval_aggregate(name, &per_row)?)))
         }
-        eval_aggregate(name, &per_row)
+        _ => Ok(None),
+    })?;
+    eval_row(&row, schema, first)
+}
+
+/// Group context, as a rewrite. `sub` sees, parents first, every
+/// sub-expression a grouped expression evaluates per group — through
+/// operators, scalar calls, indexing and `CASE` — and may replace it: an
+/// aggregate call by its value or column, a group key by its column. What
+/// it declines, and everything under `IN` / `BETWEEN` / `IS NULL` / a
+/// window call, stays as written, which is row context: an aggregate call
+/// left there is the row error. This is the one definition of which
+/// aggregate calls a grouped expression reaches.
+pub(crate) fn map_grouped<'e>(
+    expr: &'e Expr,
+    sub: &mut dyn FnMut(&'e Expr) -> Result<Option<Expr>>,
+) -> Result<Expr> {
+    if let Some(replaced) = sub(expr)? {
+        return Ok(replaced);
+    }
+    Ok(match expr {
+        Expr::Binary { op, left, right } => Expr::Binary {
+            op: *op,
+            left: Box::new(map_grouped(left, sub)?),
+            right: Box::new(map_grouped(right, sub)?),
+        },
+        Expr::Unary { op, operand } => {
+            Expr::Unary { op: *op, operand: Box::new(map_grouped(operand, sub)?) }
+        }
+        Expr::Function { name, args } if !is_window(name) => Expr::Function {
+            name: name.clone(),
+            args: args.iter().map(|a| map_grouped(a, sub)).collect::<Result<_>>()?,
+        },
+        Expr::Index { container, index } => Expr::Index {
+            container: Box::new(map_grouped(container, sub)?),
+            index: Box::new(map_grouped(index, sub)?),
+        },
+        Expr::Case { when_then, else_expr } => Expr::Case {
+            when_then: (when_then.iter())
+                .map(|(c, v)| Ok((map_grouped(c, sub)?, map_grouped(v, sub)?)))
+                .collect::<Result<_>>()?,
+            else_expr: (else_expr.as_deref().map(|e| map_grouped(e, sub).map(Box::new)))
+                .transpose()?,
+        },
+        _ => expr.clone(),
     })
-}
-
-/// Group-context evaluation with the aggregates supplied by the caller:
-/// every aggregate call `name(args)` resolves through `agg` (row replay in
-/// [`eval_group`], finished accumulators in the executor), operators,
-/// scalar calls, indexing and CASE recurse (both AND/OR operands always
-/// evaluate), and everything else resolves against the group's `first` row.
-pub(crate) fn eval_in_group(
-    expr: &Expr,
-    schema: &Schema,
-    first: &[Value],
-    agg: &dyn Fn(&str, &[Expr]) -> Result<Value>,
-) -> Result<Value> {
-    let rec = |e: &Expr| eval_in_group(e, schema, first, agg);
-    match expr {
-        Expr::Function { name, args } if is_aggregate(name) => agg(name, args),
-        Expr::Binary { op, left, right } => {
-            let l = rec(left)?;
-            let r = rec(right)?;
-            match op {
-                BinaryOp::And => eval_and(l, r),
-                BinaryOp::Or => eval_or(l, r),
-                _ => eval_binary(*op, l, r),
-            }
-        }
-        Expr::Unary { op, operand } => eval_unary(*op, rec(operand)?),
-        Expr::Function { name, args } if !is_window(name) => {
-            let vals = args.iter().map(rec).collect::<Result<Vec<_>>>()?;
-            eval_scalar(name, &vals)
-        }
-        Expr::Index { container, index } => {
-            let c = rec(container)?;
-            let i = rec(index)?;
-            eval_index(c, i)
-        }
-        Expr::Case { when_then, else_expr } => {
-            for (cond, result) in when_then {
-                if rec(cond)?.is_true() {
-                    return rec(result);
-                }
-            }
-            match else_expr {
-                Some(e) => rec(e),
-                None => Ok(Value::Null),
-            }
-        }
-        // Everything else (columns, literals, IN, BETWEEN, IS NULL) resolves
-        // against the representative first row of the group.
-        _ => eval_row(expr, schema, first),
-    }
-}
-
-/// Appends every aggregate call [`eval_in_group`] can reach in `expr`
-/// (the same arms, so the two stay in step), duplicates included.
-pub(crate) fn grouped_aggregates<'e>(expr: &'e Expr, out: &mut Vec<(&'e str, &'e [Expr])>) {
-    match expr {
-        Expr::Function { name, args } if is_aggregate(name) => out.push((name, args)),
-        Expr::Binary { left, right, .. } => {
-            grouped_aggregates(left, out);
-            grouped_aggregates(right, out);
-        }
-        Expr::Unary { operand, .. } => grouped_aggregates(operand, out),
-        Expr::Function { name, args } if !is_window(name) => {
-            args.iter().for_each(|a| grouped_aggregates(a, out));
-        }
-        Expr::Index { container, index } => {
-            grouped_aggregates(container, out);
-            grouped_aggregates(index, out);
-        }
-        Expr::Case { when_then, else_expr } => {
-            for (cond, result) in when_then {
-                grouped_aggregates(cond, out);
-                grouped_aggregates(result, out);
-            }
-            if let Some(e) = else_expr {
-                grouped_aggregates(e, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn eval_window(

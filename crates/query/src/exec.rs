@@ -17,11 +17,13 @@
 //! aggregate peel the `Filter` chain under them and run it per row morsel;
 //! the projection concatenates morsel outputs in order (a window call reads
 //! across rows, so it forces one morsel), the aggregate builds *partial
-//! aggregate states* ([`AggAcc`]) per morsel, merges partials in morsel
-//! order, finishes them and assembles the output; the scan-level aggregate
-//! ([`scan_aggregate`]) folds point-balanced morsels of series spans into
-//! accumulators addressed by grid slot and merges those slot by slot, in
-//! morsel order too. Merging is exactly fold-equivalent (error-free float
+//! aggregate states* ([`AggAcc`]) per morsel and merges partials in morsel
+//! order; the scan-level aggregate ([`scan_aggregate`]) folds point-balanced
+//! morsels of series spans into accumulators addressed by grid slot and
+//! merges those slot by slot, in morsel order too. Both end in one finishing
+//! step over their key and finished-aggregate columns, where an output such
+//! as `SUM(v) / COUNT(v)` is the column evaluator's result like any other
+//! expression. Merging is exactly fold-equivalent (error-free float
 //! sums, integer counts, per-class MIN/MAX candidates, PERCENTILE value
 //! gathering), so an answer is bit-identical at every partition count —
 //! the differential suite asserts partitions 1 and 3 both equal the
@@ -59,7 +61,7 @@ static EXEC_RESULTS: LockClass = LockClass::new("query.exec.results", 90);
 use crate::ast::{CreateFamily, Expr, JoinKind, Query};
 use crate::catalog::{Catalog, TsdbBinding};
 use crate::column::Column;
-use crate::eval::{eval_in_group, grouped_aggregates};
+use crate::eval::map_grouped;
 use crate::functions::{is_aggregate, AggAcc};
 use crate::optimize::{fold_expr, map_columns, optimize, peel_filter_chain};
 use crate::pivot::FamilyFrame;
@@ -368,7 +370,7 @@ fn run_tsdb_scan(
     let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
     let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
 
-    let total: usize = hits.iter().map(|p| p.timestamps.len()).sum();
+    let total = gather_rows(hits.iter().map(|p| p.timestamps.len()))?;
     // Side vectors over the concatenation, each built only when an output
     // column reads it.
     let ts_concat: Option<Vec<i64>> = wanted.contains(&0).then(|| {
@@ -470,6 +472,16 @@ fn run_tsdb_scan(
         acc
     };
     Ok(Table::from_columnar_parts(schema, out_cols, total))
+}
+
+/// The row count of a gather over spans of these lengths. Row positions are
+/// `u32` (the merge order and its run offsets), so a scan of more rows is a
+/// typed error here, before anything is allocated, instead of a wrap.
+fn gather_rows(span_lens: impl Iterator<Item = usize>) -> Result<usize> {
+    let total: u128 = span_lens.map(|n| n as u128).sum();
+    u32::try_from(total).map(|rows| rows as usize).map_err(|_| {
+        QueryError::Plan(format!("one scan gathers at most {} rows: narrow it", u32::MAX))
+    })
 }
 
 /// Sort-free row ordering for the scan gather: a k-way merge over the
@@ -854,51 +866,78 @@ fn fast_arg(col: &Column) -> Option<FastArg<'_>> {
     }
 }
 
-/// How one output expression of an aggregate is produced.
-enum AggSlot<'p> {
-    /// Index into the GROUP BY key list.
-    Key(usize),
-    /// Index into the aggregate-spec list.
-    Agg(usize),
-    /// Anything else (`SUM(v) / COUNT(v)`, `CASE WHEN MAX(v) > …`, a
-    /// non-key column): a post-aggregate expression over the group's
-    /// finished accumulators and its first row.
-    Post(&'p Expr),
-}
-
 /// One distinct aggregate call, `name(args)`.
 type AggSpec<'p> = (&'p str, &'p [Expr]);
 
 /// Decomposes an aggregate's outputs (visible items, then hidden ORDER BY
-/// keys) into slots over the group keys and the distinct aggregate calls
-/// they reach — identical calls share one accumulator.
+/// keys) over the columns its operator finishes: one per group key, `#k0`…,
+/// then one per distinct aggregate call the outputs reach, `#a0`… (`#`
+/// starts no SQL identifier). Returns each output rewritten once — a
+/// sub-expression equal to a group key or an aggregate call it reaches is a
+/// reference to that column — the calls, and the column names. A name an
+/// output still holds (`{c} AS first_c`) reads the group's first row.
 fn agg_slots<'p>(
     group_by: &[Expr],
     items: &'p [(Expr, String)],
     hidden: &'p [Expr],
-) -> (Vec<AggSlot<'p>>, Vec<AggSpec<'p>>) {
+) -> Result<(Vec<Expr>, Vec<AggSpec<'p>>, Vec<String>)> {
+    let column = |kind: char, i: usize| format!("#{kind}{i}");
     let mut specs: Vec<AggSpec<'p>> = Vec::new();
-    let mut spec_of = |call: AggSpec<'p>| {
-        specs.iter().position(|s| *s == call).unwrap_or_else(|| {
+    let mut column_of = |sub: &'p Expr| {
+        if let Some(k) = group_by.iter().position(|g| g == sub) {
+            return Ok(Some(Expr::Column(column('k', k))));
+        }
+        let call: AggSpec<'p> = match sub {
+            Expr::Function { name, args } if is_aggregate(name) => (name, args),
+            _ => return Ok(None),
+        };
+        let spec = specs.iter().position(|s| *s == call).unwrap_or_else(|| {
             specs.push(call);
             specs.len() - 1
-        })
+        });
+        Ok(Some(Expr::Column(column('a', spec))))
     };
-    let mut slots = Vec::with_capacity(items.len() + hidden.len());
-    for e in items.iter().map(|(e, _)| e).chain(hidden.iter()) {
-        slots.push(if let Some(k) = group_by.iter().position(|g| g == e) {
-            AggSlot::Key(k)
-        } else {
-            let mut calls = Vec::new();
-            grouped_aggregates(e, &mut calls);
-            let ids: Vec<usize> = calls.into_iter().map(&mut spec_of).collect();
-            match e {
-                Expr::Function { name, .. } if is_aggregate(name) => AggSlot::Agg(ids[0]),
-                _ => AggSlot::Post(e),
-            }
+    let outputs = items.iter().map(|(e, _)| e).chain(hidden);
+    let outputs = outputs.map(|e| map_grouped(e, &mut column_of)).collect::<Result<_>>()?;
+    let keys = (0..group_by.len()).map(|k| column('k', k));
+    let names = keys.chain((0..specs.len()).map(|i| column('a', i))).collect();
+    Ok((outputs, specs, names))
+}
+
+/// The one finishing step of both aggregate operators: `cols` are the
+/// operator's finished columns under `schema`, and an output is a column
+/// over them — the column evaluator's result in row context (a window call
+/// sees its own row; `AND` / `OR` / `CASE` / `IN` short-circuit per group as
+/// they do per row), or, for a bare reference, the column as it is: moved,
+/// so typed keys stay typed and nothing is copied or boxed. No groups,
+/// nothing evaluated.
+fn finish_outputs(
+    outputs: &[Expr],
+    schema: &Schema,
+    mut cols: Vec<Column>,
+    rows: usize,
+    names: Schema,
+) -> Result<Table> {
+    let bare = |e: &Expr| match e {
+        Expr::Column(c) => schema.resolve(c).ok(),
+        _ => None,
+    };
+    let mut out = Vec::with_capacity(outputs.len());
+    for e in outputs {
+        out.push(match bare(e) {
+            None if rows > 0 => veval::eval(e, schema, &cols, rows)?.into_column(rows),
+            _ => Column::empty(),
         });
     }
-    (slots, specs)
+    // Last mention first: it takes the column, an earlier one copies that.
+    for (at, c) in outputs.iter().map(bare).enumerate().rev() {
+        let Some(c) = c else { continue };
+        out[at] = match outputs[at + 1..].iter().position(|later| bare(later) == Some(c)) {
+            Some(later) => out[at + 1 + later].clone(),
+            None => std::mem::replace(&mut cols[c], Column::empty()),
+        };
+    }
+    Ok(Table::from_columnar_parts(names, out, rows))
 }
 
 fn new_acc(name: &str) -> Result<AggAcc> {
@@ -909,7 +948,7 @@ fn new_acc(name: &str) -> Result<AggAcc> {
 struct GroupPartial {
     /// Group-key values of the group's first row (output for key slots).
     keys: Vec<Value>,
-    /// The group's first input row; kept only when a `Post` slot reads it.
+    /// The group's first input row; kept only when an output reads it.
     first_row: Vec<Value>,
     /// One accumulator per aggregate spec.
     accs: Vec<AggAcc>,
@@ -929,8 +968,13 @@ fn run_aggregate(
     hidden: &[Expr],
     opts: &ExecOptions,
 ) -> Result<Table> {
-    let (slots, specs) = agg_slots(group_by, items, hidden);
-    let keep_first = slots.iter().any(|s| matches!(s, AggSlot::Post(_)));
+    let (outputs, specs, mut names) = agg_slots(group_by, items, hidden)?;
+    // A name that is none of the finished columns reads the groups' first rows.
+    let finished = |c: &&str| names.iter().any(|n| n == c);
+    let keep_first = !outputs.iter().all(|e| e.columns().iter().all(finished));
+    if keep_first {
+        names.extend_from_slice(src.schema().columns());
+    }
     let len = src.len();
     // No rows, no morsels: nothing is evaluated over an empty input.
     let ranges = morsel_ranges(len, effective_partitions(opts, len));
@@ -939,7 +983,7 @@ fn run_aggregate(
         let (cols, mlen) = morsel_columns(src, filters, a, b)?;
         aggregate_morsel(src.schema(), &cols, mlen, group_by, &specs, keep_first)
     })?;
-    finish_groups(partials, &slots, &specs, src.schema(), project_names(items, hidden.len()))
+    finish_groups(partials, &outputs, &Schema::new(names), project_names(items, hidden.len()))
 }
 
 /// Partial aggregation of one morsel's `len` filtered rows: groups keyed
@@ -1041,15 +1085,15 @@ fn aggregate_morsel(
 
 /// The table aggregate's merge step: merges per-morsel partials in morsel
 /// order (exactly fold-equivalent to one pass over all rows), finishes the
-/// groups' accumulators and assembles the output columns slot by slot.
-/// Morsels arrive in row order, each with its groups in first-seen order,
-/// so a group's first partial carries its first row and groups come out in
-/// serial first-seen order as they are met.
+/// groups' accumulators and transposes keys, finished values and first rows
+/// into the columns of `schema` for [`finish_outputs`]. Morsels arrive in
+/// row order, each with its groups in first-seen order, so a group's first
+/// partial carries its first row and groups come out in serial first-seen
+/// order as they are met.
 fn finish_groups(
     partials: Vec<Vec<(String, GroupPartial)>>,
-    slots: &[AggSlot],
-    specs: &[AggSpec],
-    in_schema: &Schema,
+    outputs: &[Expr],
+    schema: &Schema,
     out_schema: Schema,
 ) -> Result<Table> {
     let mut index: HashMap<String, usize> = HashMap::new();
@@ -1068,24 +1112,18 @@ fn finish_groups(
         }
     }
 
-    let mut out_vals: Vec<Vec<Value>> =
-        slots.iter().map(|_| Vec::with_capacity(groups.len())).collect();
     let rows = groups.len();
+    let mut vals: Vec<Vec<Value>> = (0..schema.len()).map(|_| Vec::with_capacity(rows)).collect();
     for g in groups {
-        let finished: Vec<Value> = g.accs.into_iter().map(AggAcc::finish).collect::<Result<_>>()?;
-        for (slot, out) in slots.iter().zip(out_vals.iter_mut()) {
-            out.push(match slot {
-                AggSlot::Key(k) => g.keys[*k].clone(),
-                AggSlot::Agg(i) => finished[*i].clone(),
-                AggSlot::Post(e) => eval_in_group(e, in_schema, &g.first_row, &|name, args| {
-                    let i = specs.iter().position(|s| *s == (name, args));
-                    Ok(finished[i.expect("spec collected")].clone()) // invariant: agg_slots collected every call eval_in_group reaches
-                })?,
-            });
+        let finished = g.accs.into_iter().map(AggAcc::finish);
+        let values =
+            g.keys.into_iter().map(Ok).chain(finished).chain(g.first_row.into_iter().map(Ok));
+        for (col, v) in vals.iter_mut().zip(values) {
+            col.push(v?);
         }
     }
-    let out_cols: Vec<Column> = out_vals.into_iter().map(Column::from_values).collect();
-    Ok(Table::from_columnar_parts(out_schema, out_cols, rows))
+    let cols = vals.into_iter().map(Column::from_values).collect();
+    finish_outputs(outputs, schema, cols, rows, out_schema)
 }
 
 // ---------------------------------------------------------------------------
@@ -1557,6 +1595,16 @@ mod tests {
         // Ditto under forced partitions.
         let t = run_parallel("SELECT COUNT(*) AS n FROM t WHERE ts > 100", 3);
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn a_gather_past_u32_positions_is_a_typed_error() {
+        assert_eq!(gather_rows([3usize, 0, 4].into_iter()).unwrap(), 7);
+        assert_eq!(gather_rows([u32::MAX as usize].into_iter()).unwrap(), u32::MAX as usize);
+        for lens in [vec![u32::MAX as usize, 1], vec![1 << 31, 1 << 31], vec![usize::MAX, 2]] {
+            let err = gather_rows(lens.into_iter()).unwrap_err();
+            assert!(matches!(&err, QueryError::Plan(m) if m.contains("4294967295")), "{err}");
+        }
     }
 
     #[test]

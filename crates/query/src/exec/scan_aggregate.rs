@@ -30,7 +30,8 @@
 //! the worker pool; the coordinator only orders the groups and gathers
 //! typed columns — the timestamp key a [`Column::Int`], each class key a
 //! [`Column::Dict`] with an entry per series, aggregates through
-//! [`Column::from_values`].
+//! [`Column::from_values`] — over which the aggregates' shared finishing
+//! step evaluates whatever output is not one of them as it is.
 //!
 //! The rules (`tests/differential.rs` holds the operator to the reference
 //! interpreter and the table aggregate row for row at every partition count):
@@ -61,8 +62,8 @@ use explainit_sync::{LockClass, Mutex};
 use explainit_tsdb::{MetricFilter, SeriesSlice};
 
 use super::{agg_slots, effective_partitions, morsel_ranges, new_acc, point_balanced_spans};
-use super::{project_names, run_partitioned, shared_grid, substitute_series_consts};
-use super::{AggSlot, ExecCtx, ExecOptions};
+use super::{finish_outputs, project_names, run_partitioned, shared_grid};
+use super::{substitute_series_consts, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
 use crate::functions::AggAcc;
@@ -348,14 +349,11 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     };
 
     // Group keys: the timestamp (at most once, by eligibility) and the
-    // per-series class keys. Outputs: key references and aggregate calls
-    // (the optimizer only pushes down aggregates where that is all there is).
+    // per-series class keys. Outputs: expressions over the key columns and
+    // the finished aggregate calls.
     let class_keys: Vec<&Expr> = group_by.iter().filter(|g| !is_column(g, 0)).collect();
     let has_ts = class_keys.len() < group_by.len();
-    let (slots, calls) = agg_slots(group_by, items, hidden);
-    if slots.iter().any(|s| matches!(s, AggSlot::Post(_))) {
-        return Err(QueryError::Plan("scan aggregate with non-mergeable output".into()));
-    }
+    let (outputs, calls, columns) = agg_slots(group_by, items, hidden)?;
     let fresh: Vec<AggAcc> = calls.iter().map(|(name, _)| new_acc(name)).collect::<Result<_>>()?;
     // What every series substitutes its constants into: the residual
     // filters, innermost first (the order the serial pipeline applies them
@@ -461,30 +459,24 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         })
         .collect();
     order.sort();
+    // The finished columns: every group key typed, then every call.
     let specs = fold.fresh.len();
-    let columns = (slots.iter())
-        .map(|slot| match *slot {
-            AggSlot::Key(k) if is_column(&group_by[k], 0) => {
-                Column::Int(order.iter().map(|&((ts, _), ..)| ts).collect())
-            }
-            AggSlot::Key(k) => {
-                // Each group shows its first contributor's key values.
-                let key = group_by[..k].iter().filter(|g| !is_column(g, 0)).count();
-                let entries =
-                    fold.series.iter().map(|s| s.keys.get(key).cloned().unwrap_or(Value::Null));
-                let codes =
-                    order.iter().map(|&((_, rank), ..)| fold.series_of[rank as usize] as u32);
-                Column::dict(Arc::new(entries.collect()), codes.collect())
-            }
-            AggSlot::Agg(spec) => {
-                let values =
-                    order.iter().map(|&(_, class, g)| finished[class].1[g * specs + spec].clone());
-                Column::from_values(values.collect())
-            }
-            AggSlot::Post(_) => unreachable!("rejected above"),
-        })
-        .collect();
-    Ok(Table::from_columnar_parts(project_names(items, hidden.len()), columns, order.len()))
+    let keys = group_by.iter().enumerate().map(|(k, g)| {
+        if is_column(g, 0) {
+            return Column::Int(order.iter().map(|&((ts, _), ..)| ts).collect());
+        }
+        // Each group shows its first contributor's key values.
+        let key = group_by[..k].iter().filter(|g| !is_column(g, 0)).count();
+        let entries = fold.series.iter().map(|s| s.keys.get(key).cloned().unwrap_or(Value::Null));
+        let codes = order.iter().map(|&((_, rank), ..)| fold.series_of[rank as usize] as u32);
+        Column::dict(Arc::new(entries.collect()), codes.collect())
+    });
+    let aggs = (0..specs).map(|spec| {
+        let values = order.iter().map(|&(_, class, g)| finished[class].1[g * specs + spec].clone());
+        Column::from_values(values.collect())
+    });
+    let names = project_names(items, hidden.len());
+    finish_outputs(&outputs, &Schema::new(columns), keys.chain(aggs).collect(), order.len(), names)
 }
 
 #[cfg(test)]

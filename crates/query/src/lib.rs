@@ -61,10 +61,11 @@
 //!    the table aggregate run the filter chain under them per morsel; the
 //!    projection concatenates morsel outputs in order (a window call forces
 //!    one morsel); the aggregate builds mergeable partial states per
-//!    morsel, merges them in morsel order, and finishes outputs that are
-//!    not a bare key or aggregate call (`SUM(v) / COUNT(v)`) as
-//!    post-aggregate expressions — bit-identical at every partition count
-//!    by construction (error-free float summation). The hottest shape of
+//!    morsel and merges them in morsel order — bit-identical at every
+//!    partition count by construction (error-free float summation) — and
+//!    an output that is not a bare key or aggregate call (`SUM(v) /
+//!    COUNT(v)`) is the column evaluator's result over the operator's key
+//!    and finished-aggregate columns. The hottest shape of
 //!    all — an aggregate whose group keys are `timestamp` and/or
 //!    expressions over the dictionary-encoded scan columns, sitting
 //!    directly on a TSDB
@@ -142,11 +143,13 @@
 //! instead, the pipeline was not eligible: a group key that is not
 //! `timestamp` or an expression over the dictionary columns
 //! (`metric_name`, `tag['k']`, `CONCAT(tag['a'], tag['b'])`), an output
-//! that is not a plain aggregate call, a window call anywhere, a
-//! join/UNION context, `MIN`/`MAX` over the raw `tag` map, or — without a
-//! `timestamp` group key — `MIN`/`MAX` over a float stream or a scalar
-//! call (NaN and mixed classes are incomparable, so that fold is
-//! accumulation-order dependent) all fall back to the table aggregate.
+//! that reads a non-key column (the group's first row, which only the table
+//! aggregate keeps; so does a key under `IN` / `BETWEEN` / `IS NULL`), a
+//! window call anywhere, a join/UNION context, `MIN`/`MAX` over the raw
+//! `tag` map, or — without a `timestamp` group key — `MIN`/`MAX` over a
+//! float stream or a scalar call (NaN and mixed classes are incomparable,
+//! so that fold is accumulation-order dependent) all fall back to the table
+//! aggregate.
 //!
 //! `EXPLAIN CREATE FAMILY ...` puts the pivot on top: `Pivot layout=long
 //! ts=timestamp family=metric_name feature=feat value=v` over the stage-one
@@ -163,8 +166,7 @@
 //!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
 //! [`reference`] as a differential-testing oracle (see
-//! `tests/differential.rs`) and as the baseline the `query_exec` bench
-//! measures the pipeline against.
+//! `tests/differential.rs`).
 //!
 //! Supported SQL surface:
 //!

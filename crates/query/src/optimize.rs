@@ -52,13 +52,13 @@
 //!    `TsdbScan` collapses into a single [`LogicalPlan::ScanAggregate`]
 //!    node when every group key is the `timestamp` column or an expression
 //!    over the dictionary-encoded scan columns (`metric_name`, `tag`) and
-//!    every output is a group key or a plain mergeable aggregate over
-//!    observation columns. The executor then pre-aggregates per series
-//!    straight off the store's sorted point vectors — no row
+//!    every output is an expression over group keys and mergeable
+//!    aggregates of observation columns. The executor then pre-aggregates
+//!    per series straight off the store's sorted point vectors — no row
 //!    materialization at all. Joins, UNION branches, non-dict group keys,
-//!    non-mergeable outputs and window calls fall back to the ordinary
-//!    pipeline (which the differential harness reaches by registering the
-//!    same observations as a plain table).
+//!    outputs that read a non-key column and window calls fall back to the
+//!    ordinary pipeline (which the differential harness reaches by
+//!    registering the same observations as a plain table).
 //!
 //! There is no parallelization rule: every operator splits its input into
 //! morsels by size at run time.
@@ -69,6 +69,7 @@ use explainit_tsdb::TagFilter;
 
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::catalog::Catalog;
+use crate::eval::map_grouped;
 use crate::functions::{is_aggregate, is_window};
 use crate::pivot::PivotSpec;
 use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, TSDB_COLUMNS};
@@ -1147,9 +1148,10 @@ fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
 /// The eligibility analysis for rule 8: the pipeline must reach a
 /// `TsdbScan` through filters over observation columns, every group key
 /// must be the `timestamp` column (at most once) or an expression over the
-/// dictionary-encoded columns, every output must be a group key or a plain
-/// mergeable aggregate call over observation columns, and nothing may
-/// hold a window call.
+/// dictionary-encoded columns, every aggregate call an output reaches
+/// ([`map_grouped`]) must be mergeable over observation columns, any other
+/// column an output reads must sit inside a group key (a bare one is the
+/// group's first row, the table aggregate's), and nothing may hold a window call.
 pub(crate) fn scan_aggregate_eligible(
     input: &LogicalPlan,
     group_by: &[Expr],
@@ -1182,48 +1184,47 @@ pub(crate) fn scan_aggregate_eligible(
             return false;
         }
     }
-    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(|e| {
-        if group_by.iter().any(|g| g == e) {
+    let mergeable = |name: &str, args: &[Expr]| {
+        if !args.iter().all(|a| pushable(a, &all_cols)) {
+            return false;
+        }
+        if !matches!(name, "MIN" | "MAX") {
             return true;
         }
-        match e {
-            Expr::Function { name, args } => {
-                if !is_aggregate(name) || !args.iter().all(|a| pushable(a, &all_cols)) {
-                    return false;
+        // MIN/MAX folds are order-dependent when the input stream is not
+        // totally ordered (NaN values, mixed classes): the serial engines
+        // accumulate in row order, the scan aggregate series-major. With a
+        // timestamp group key the two orders coincide (each group's rows
+        // share one timestamp and arrive in series-rank order); without
+        // one, only streams with a guaranteed total order stay eligible —
+        // the Int timestamp column or per-series-constant dictionary
+        // expressions built from operators alone (Str/Bool/NULL, never
+        // NaN; a scalar call or CASE may mix classes). A bare `value` (or
+        // computed float) stream falls back.
+        let one_class = |a: &Expr| {
+            let mut operators_only = true;
+            a.walk(&mut |e| {
+                operators_only &= !matches!(e, Expr::Function { .. } | Expr::Case { .. });
+            });
+            operators_only && refs_within(a, &schema, &[1, 2])
+        };
+        args.iter().all(|a| bare_tag_free(a, &schema))
+            && (saw_ts || args.iter().all(|a| is_tsdb_col(a, &schema, 0) || one_class(a)))
+    };
+    items.iter().map(|(e, _)| e).chain(hidden.iter()).all(|e| {
+        // What is left of the output once its keys and calls are columns.
+        let mut calls_merge = true;
+        let rest = map_grouped(e, &mut |sub| {
+            Ok(match sub {
+                _ if group_by.contains(sub) => Some(Expr::Literal(Value::Null)),
+                Expr::Function { name, args } if is_aggregate(name) => {
+                    calls_merge &= mergeable(name, args);
+                    Some(Expr::Literal(Value::Null))
                 }
-                if matches!(name.as_str(), "MIN" | "MAX") {
-                    if !args.iter().all(|a| bare_tag_free(a, &schema)) {
-                        return false;
-                    }
-                    // MIN/MAX folds are order-dependent when the input
-                    // stream is not totally ordered (NaN values, mixed
-                    // classes): the serial engines accumulate in row
-                    // order, the scan aggregate series-major. With a
-                    // timestamp group key the two orders coincide (each
-                    // group's rows share one timestamp and arrive in
-                    // series-rank order); without one, only streams with
-                    // a guaranteed total order stay eligible — the Int
-                    // timestamp column or per-series-constant dictionary
-                    // expressions built from operators alone (Str/Bool/
-                    // NULL, never NaN; a scalar call or CASE may mix
-                    // classes). A bare `value` (or computed float) stream
-                    // falls back.
-                    let one_class = |a: &Expr| {
-                        let mut operators_only = true;
-                        a.walk(&mut |e| {
-                            operators_only &=
-                                !matches!(e, Expr::Function { .. } | Expr::Case { .. });
-                        });
-                        operators_only && refs_within(a, &schema, &[1, 2])
-                    };
-                    if !saw_ts && !args.iter().all(|a| is_tsdb_col(a, &schema, 0) || one_class(a)) {
-                        return false;
-                    }
-                }
-                true
-            }
-            _ => false,
-        }
+                _ => None,
+            })
+        });
+        calls_merge && rest.is_ok_and(|rest| rest.columns().is_empty() && !rest.contains_window())
     })
 }
 
@@ -1462,9 +1463,15 @@ mod tests {
         // A `value` group key is not dictionary-encoded.
         let p = optimized(&c, "SELECT value, COUNT(*) AS n FROM tsdb GROUP BY value");
         assert!(!matches!(p, LogicalPlan::ScanAggregate { .. }), "got {p:?}");
-        // Non-mergeable output expressions stay on the row engines.
-        let p = optimized(&c, "SELECT AVG(value) * 2 AS m FROM tsdb GROUP BY timestamp");
-        assert!(!matches!(p, LogicalPlan::ScanAggregate { .. }), "got {p:?}");
+        // An output over keys and calls alone fuses; one that reads a
+        // non-key column (the group's first row), holds a window call or
+        // reaches an ineligible call stays on the table aggregate.
+        let p = optimized(&c, "SELECT AVG(value) * 2 + timestamp FROM tsdb GROUP BY timestamp");
+        assert!(matches!(p, LogicalPlan::ScanAggregate { .. }), "got {p:?}");
+        for item in ["AVG(value) * value", "LAG(timestamp, 1)", "MIN(tag) + 1", "tag IS NULL"] {
+            let p = optimized(&c, &format!("SELECT {item} AS x FROM tsdb GROUP BY timestamp"));
+            assert!(!matches!(p, LogicalPlan::ScanAggregate { .. }), "{item}: {p:?}");
+        }
         // MIN over the raw tag map would be accumulation-order dependent.
         let p = optimized(&c, "SELECT MIN(tag) AS t FROM tsdb GROUP BY timestamp");
         assert!(!matches!(p, LogicalPlan::ScanAggregate { .. }), "got {p:?}");

@@ -140,7 +140,7 @@ pub enum LogicalPlan {
     /// and every group key is the `timestamp` column or an expression over
     /// the dictionary-encoded scan columns (`metric_name`, `tag`). The
     /// executor folds each series' sorted point vectors straight off
-    /// [`explainit_tsdb::Tsdb::scan_parts_ordered`] into mergeable
+    /// [`explainit_tsdb::Tsdb::scan_parts_ordered_between`] into mergeable
     /// accumulators addressed `class × grid slot` — a class being the series
     /// whose key values share a group key (resolved once per series), a slot
     /// a timestamp of the class's sorted grid: no row materialization, no

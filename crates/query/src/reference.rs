@@ -23,9 +23,8 @@
 //! * `UNION` does not coerce Int/Float column mismatches here (the coercion
 //!   is an optimizer-era policy);
 //! * TSDB-bound tables are materialized wholesale through
-//!   [`Catalog::get`] — this is exactly the full-store materialization the
-//!   pushdown path exists to avoid, which is what the `query_exec` bench
-//!   measures.
+//!   [`Catalog::get`] — exactly the full-store materialization the
+//!   pushdown path exists to avoid.
 
 use std::collections::HashMap;
 

@@ -290,9 +290,10 @@ const SA_FILTERS: [&str; 12] = [
 ];
 
 /// Outputs that are neither a bare group key nor a bare aggregate call —
-/// the table aggregate finishes them as post-aggregate expressions over
-/// the group's accumulators and its first row. `{v}` is the value column
-/// and `{c}` a non-key column of the table under test.
+/// both aggregate operators finish them with the column evaluator over
+/// their key and finished-aggregate columns; one that reads `{c}` reads the
+/// group's first row, which only the table aggregate keeps. `{v}` is the
+/// value column and `{c}` a non-key column of the table under test.
 const POST_ITEMS: [&str; 6] = [
     "SUM({v}) / COUNT({v}) AS mean",
     "MAX({v}) - MIN({v}) AS spread, COUNT(*) AS n",
@@ -425,7 +426,18 @@ proptest! {
             &format!("SELECT {key}, {} FROM tsdb{filter} GROUP BY {key}{}", POST_ITEMS[items], POST_ORDERS[order]),
             key, c, "value",
         );
-        assert_same_at(&tsdb_backends(&points), &sql, &[1, 2, 3])?;
+        let backends = tsdb_backends(&points);
+        assert_same_at(&backends, &sql, &[1, 2, 3])?;
+        // The live binding finishes these in the scan wherever the rule
+        // allows: no output reads a non-key column, `MIN`/`MAX(value)` only
+        // under a timestamp key, no window call in the filter.
+        let plan = backends[0].execute(&format!("EXPLAIN {sql}")).expect("explains");
+        let plan = format!("{:?}", plan.rows());
+        let fused = !POST_ITEMS[items].contains("{c}")
+            && (key == "timestamp" || !POST_ITEMS[items].contains("MAX("))
+            && !filter.contains("LAG(");
+        prop_assert_eq!(plan.contains("ScanAggregate tsdb"), fused, "{}: {}", sql, plan);
+        prop_assert_eq!(plan.contains("TsdbScan tsdb"), !fused, "{}: {}", sql, plan);
     }
 
     #[test]
@@ -954,6 +966,53 @@ fn scan_aggregate_class_key_errors_stay_lazy() {
             assert!(out.is_err(), "backend {backend} partitions={parts}: {out:?}");
         }
     }
+}
+
+/// The one AND/OR rule: a grouped `OR` / `CASE` short-circuits per group
+/// as it does per row, on every engine — an operand that would raise only
+/// at run time (`SPLIT` by the group's empty `MIN(tag['sep'])`) is never
+/// evaluated for a group the left operand decides, and fails the statement
+/// on every engine once one group reaches it. A window call in a grouped
+/// item still sees only its own (first) row.
+#[test]
+fn grouped_outputs_short_circuit_per_group_on_every_engine() {
+    let mut db = Tsdb::new();
+    for t in 0..6 {
+        db.insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64);
+        db.insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64);
+    }
+    let stem = "SPLIT(metric_name, MIN(tag['sep']))[0]";
+    let sql = |n: usize| {
+        format!(
+            "SELECT metric_name, COUNT(*) > {n} OR {stem} = 'cpu' AS ok, \
+             CASE WHEN COUNT(*) > {n} THEN 'full' ELSE {stem} END AS stem \
+             FROM tsdb GROUP BY metric_name"
+        )
+    };
+    // Six points a group: `COUNT(*) > 5` decides both, and nothing raises.
+    let rows = assert_scan_aggregate_pinned(&db, &sql(5));
+    let full = |name: &str| vec![Value::str(name), Value::Bool(true), Value::str("full")];
+    assert_eq!(rows.rows(), [full("cpu.sys"), full("cpu.user")]);
+    // Its twin reaches the operand for `cpu.sys`: an error from every engine.
+    let query = parse_query(&sql(6)).unwrap();
+    for (backend, catalog) in backends_of(&db).iter().enumerate() {
+        assert!(execute_naive(catalog, &query).is_err(), "reference on backend {backend}");
+        for parts in [1, 3] {
+            let out = catalog.execute_query_with(&query, ExecOptions::with_partitions(parts));
+            assert!(out.is_err(), "backend {backend} partitions={parts}: {out:?}");
+        }
+    }
+    // `LAG(<key>, 1)` in a grouped item: no neighbour, on any engine.
+    let query = parse_query(
+        "SELECT metric_name, LAG(metric_name, 1) AS prev, LAG(metric_name, 0) AS own, \
+         COUNT(*) AS n FROM tsdb GROUP BY metric_name",
+    )
+    .unwrap();
+    let backends = backends_of(&db);
+    let naive = execute_naive(&backends[0], &query).expect("reference runs");
+    let own = |name: &str| vec![Value::str(name), Value::Null, Value::str(name), Value::Int(6)];
+    assert_eq!(naive.rows(), [own("cpu.sys"), own("cpu.user")]);
+    assert_pinned(&backends, &query, &[1, 3], &naive);
 }
 
 /// Shapes of the dense scan aggregate the generator reaches only by luck.

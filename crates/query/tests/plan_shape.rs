@@ -108,6 +108,31 @@ fn fires_for_dict_keys_and_global_aggregates() {
 }
 
 #[test]
+fn post_aggregate_outputs_finish_in_the_scan_with_typed_columns() {
+    let c = catalog();
+    let sql = "SELECT timestamp, tag['host'], SUM(value) / COUNT(value) AS mean FROM tsdb \
+               GROUP BY timestamp, tag['host'] ORDER BY MAX(value) - MIN(value) DESC";
+    assert_eq!(
+        explain(&c, sql),
+        "Sort [#3 DESC]\n  ScanAggregate tsdb group=[timestamp, tag['host']] \
+         items=[timestamp AS timestamp, tag['host'] AS expr, (SUM(value) / COUNT(value)) AS mean] \
+         hidden=[(MAX(value) - MIN(value))]"
+    );
+    // The ratio is a float column over the operator's typed key columns,
+    // which come through as they are; the hidden key is consumed by the sort.
+    let out = c.execute(sql).expect("runs");
+    assert_eq!(out.schema().columns(), ["timestamp", "expr", "mean"]);
+    assert!(matches!(out.column_at(0), Column::Int(_)), "{:?}", out.column_at(0));
+    assert!(matches!(out.column_at(1), Column::Dict { .. }), "{:?}", out.column_at(1));
+    assert!(matches!(out.column_at(2), Column::Float(_)), "{:?}", out.column_at(2));
+    // `disk` shares web-1's first group (values 0 and 1: the one non-zero
+    // spread, so it sorts first); the stable sort keeps the rest in scan order.
+    assert_eq!(out.len(), 10);
+    assert_eq!(out.rows()[0], [Value::Int(0), Value::str("web-1"), Value::Float(0.5)]);
+    assert_eq!(out.rows()[1], [Value::Int(0), Value::str("web-2"), Value::Float(0.0)]);
+}
+
+#[test]
 fn fires_with_residual_value_filter_shown_on_the_node() {
     let c = catalog();
     let plan = explain(
@@ -156,13 +181,20 @@ fn falls_back_for_non_dict_group_keys() {
 }
 
 #[test]
-fn falls_back_for_non_mergeable_outputs() {
+fn falls_back_for_outputs_the_scan_cannot_finish() {
     let c = catalog();
-    let plan = explain(&c, "SELECT AVG(value) * 2 AS m FROM tsdb GROUP BY timestamp");
-    assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
-    // MIN over the raw tag map is accumulation-order dependent.
-    let plan = explain(&c, "SELECT MIN(tag) AS t FROM tsdb GROUP BY timestamp");
-    assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
+    // MIN over the raw tag map is accumulation-order dependent, bare or
+    // under an expression.
+    for item in ["MIN(tag)", "CONCAT(MIN(tag), 'x')"] {
+        let plan = explain(&c, &format!("SELECT {item} AS t FROM tsdb GROUP BY timestamp"));
+        assert!(!plan.contains("ScanAggregate"), "plan:\n{plan}");
+    }
+    // A non-key column is the group's first row, which the scan never has;
+    // a window call is kept off the operator like everywhere else.
+    for item in ["value AS first_v", "AVG(value) - value AS d", "LAG(timestamp, 1) AS prev"] {
+        let plan = explain(&c, &format!("SELECT timestamp, {item} FROM tsdb GROUP BY timestamp"));
+        assert!(plan.starts_with("Aggregate") && plan.contains("TsdbScan"), "plan:\n{plan}");
+    }
 }
 
 #[test]

@@ -38,29 +38,6 @@ const MAGIC: &[u8; 8] = b"EXPLSEG1";
 /// allocations before the CRC check would have caught it.
 const MAX_COUNT: u32 = 1 << 24;
 
-/// One series' directory entry parsed from a segment.
-#[derive(Debug, Clone)]
-pub struct SegmentSeries {
-    /// The series identity.
-    pub key: SeriesKey,
-    /// Its chunks, ascending `min_ts`, with payload bytes sliced out of
-    /// the file.
-    pub chunks: Vec<EncodedChunk>,
-}
-
-/// A fully parsed segment file.
-#[derive(Debug)]
-pub struct ParsedSegment {
-    /// The segment id from the header (must match the file name).
-    pub id: u64,
-    /// Ids of segments this one replaced (compaction output).
-    pub supersedes: Vec<u64>,
-    /// The per-series chunk directory.
-    pub series: Vec<SegmentSeries>,
-    /// Total compressed chunk payload bytes.
-    pub data_bytes: u64,
-}
-
 /// One chunk's directory entry with its payload location resolved to an
 /// absolute file offset — everything a cold chunk keeps resident.
 #[derive(Debug, Clone, Copy)]
@@ -277,32 +254,6 @@ fn parse_body(bytes: &[u8], path: &Path) -> Result<RawSegment, StorageError> {
     Ok(RawSegment { id, supersedes, raw, data_start, data_len })
 }
 
-/// Reads and fully validates one segment file, materialising every chunk
-/// payload (recovery uses this only where it must merge; tests use it for
-/// byte-level assertions — the open path maps instead).
-pub fn read_segment(path: &Path) -> Result<ParsedSegment, StorageError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| StorageError::io(format!("reading {}", path.display()), e))?;
-    let parsed = parse_body(&bytes, path)?;
-    let body = &bytes[..bytes.len() - 4];
-    let mut series = Vec::with_capacity(parsed.raw.len());
-    for (key, chunks) in parsed.raw {
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let start = parsed.data_start + c.offset as usize;
-            let payload = &body[start..start + c.len as usize];
-            out.push(EncodedChunk { meta: c.meta, bytes: Arc::new(payload.to_vec()) });
-        }
-        series.push(SegmentSeries { key, chunks: out });
-    }
-    Ok(ParsedSegment {
-        id: parsed.id,
-        supersedes: parsed.supersedes,
-        series,
-        data_bytes: parsed.data_len,
-    })
-}
-
 /// Reads a segment once to validate its whole-file checksum, then keeps
 /// only the chunk directory (with offsets resolved to absolute file
 /// positions) and an open read handle — the resident footprint of a fully
@@ -375,12 +326,24 @@ fn read_str(bytes: &[u8], at: &mut usize) -> Option<String> {
 mod tests {
     use super::*;
     use crate::storage::chunk::encode_run;
+    use crate::storage::pager::ColdRef;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("explainit-seg-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
+    }
+
+    /// A mapped chunk's payload, read the way `open` pages it in.
+    fn payload(segment: &MappedSegment, chunk: &MappedChunk) -> Vec<u8> {
+        let cold = ColdRef {
+            file: segment.file.clone(),
+            segment_id: segment.id,
+            offset: chunk.offset,
+            len: chunk.len,
+        };
+        cold.read().expect("positioned read")
     }
 
     fn sample_series() -> Vec<(SeriesKey, Vec<EncodedChunk>)> {
@@ -398,18 +361,16 @@ mod tests {
         let handle = write_segment(&dir, 7, &[3, 5], &sample_series()).expect("write");
         assert_eq!(handle.id, 7);
         assert!(handle.path.ends_with("seg-00000007.seg"));
-        let parsed = read_segment(&handle.path).expect("read");
+        let parsed = map_segment(&handle.path).expect("map");
         assert_eq!(parsed.id, 7);
         assert_eq!(parsed.supersedes, vec![3, 5]);
         assert_eq!(parsed.series.len(), 2);
         assert_eq!(parsed.data_bytes, handle.data_bytes);
         let disk = &parsed.series[0];
         assert_eq!(disk.key.tag("host"), Some("h1"));
-        let (ts, vs) = crate::storage::chunk::decode(
-            &disk.chunks[0].bytes,
-            disk.chunks[0].meta.count as usize,
-        )
-        .expect("decode");
+        let bytes = payload(&parsed, &disk.chunks[0]);
+        let (ts, vs) = crate::storage::chunk::decode(&bytes, disk.chunks[0].meta.count as usize)
+            .expect("decode");
         assert_eq!(ts, vec![0, 60, 120]);
         assert!(vs[1].is_nan() && vs[2].to_bits() == (-0.0f64).to_bits());
         let mem = &parsed.series[1];
@@ -427,12 +388,12 @@ mod tests {
             let mut bytes = clean.clone();
             bytes[hit] ^= 0x01;
             std::fs::write(&handle.path, &bytes).expect("write");
-            let err = read_segment(&handle.path).expect_err("must fail");
+            let err = map_segment(&handle.path).expect_err("must fail");
             assert!(matches!(err, StorageError::Corrupt { .. }), "hit={hit}: {err}");
         }
         // Truncation fails too.
         std::fs::write(&handle.path, &clean[..clean.len() - 1]).expect("write");
-        assert!(read_segment(&handle.path).is_err());
+        assert!(map_segment(&handle.path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -453,21 +414,19 @@ mod tests {
         let dir = tmp_dir("map");
         let handle = write_segment(&dir, 3, &[1], &sample_series()).expect("write");
         assert_eq!(handle.max_ts, Some(i64::MAX), "handle carries the segment max_ts");
-        let parsed = read_segment(&handle.path).expect("read");
         let mapped = map_segment(&handle.path).expect("map");
         assert_eq!(mapped.id, 3);
         assert_eq!(mapped.supersedes, vec![1]);
-        assert_eq!(mapped.data_bytes, parsed.data_bytes);
+        assert_eq!(mapped.data_bytes, handle.data_bytes);
         assert_eq!(mapped.max_ts, Some(i64::MAX));
         // Every mapped chunk's positioned read must reproduce the payload
-        // read_segment sliced out of the same file.
-        let raw = std::fs::read(&handle.path).expect("raw bytes");
-        for (ps, ms) in parsed.series.iter().zip(&mapped.series) {
-            assert_eq!(ps.key, ms.key);
-            for (pc, mc) in ps.chunks.iter().zip(&ms.chunks) {
-                assert_eq!(pc.meta, mc.meta);
-                let at = mc.offset as usize;
-                assert_eq!(&raw[at..at + mc.len as usize], &pc.bytes[..]);
+        // that was written for it.
+        let written = sample_series();
+        for ((key, chunks), ms) in written.iter().zip(&mapped.series) {
+            assert_eq!(*key, ms.key);
+            for (wc, mc) in chunks.iter().zip(&ms.chunks) {
+                assert_eq!(wc.meta, mc.meta);
+                assert_eq!(payload(&mapped, mc), wc.bytes[..]);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -477,7 +436,7 @@ mod tests {
     fn empty_segment_round_trips() {
         let dir = tmp_dir("empty");
         let handle = write_segment(&dir, 0, &[], &[]).expect("write");
-        let parsed = read_segment(&handle.path).expect("read");
+        let parsed = map_segment(&handle.path).expect("map");
         assert_eq!(parsed.id, 0);
         assert!(parsed.series.is_empty());
         assert_eq!(parsed.data_bytes, 0);

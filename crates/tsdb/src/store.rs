@@ -811,25 +811,13 @@ impl Tsdb {
         }
     }
 
-    /// [`Tsdb::scan_parts`] in canonical series-key order.
+    /// [`Tsdb::scan_parts_between`] in canonical series-key order.
     ///
     /// The position of each slice in the returned vector is the series'
     /// *rank*: the tiebreak order of the relational observation view
     /// (rows sorted by timestamp, ties in canonical key order). Both the
     /// materializing scan and the scan-level aggregate operator consume
     /// this order, so their notion of "first-seen row" agrees exactly.
-    pub fn scan_parts_ordered(
-        &self,
-        filter: &MetricFilter,
-        range: &TimeRange,
-    ) -> Vec<SeriesSlice<'_>> {
-        let mut parts = self.scan_parts(filter, range);
-        parts.sort_by_cached_key(|part| part.key.canonical());
-        parts
-    }
-
-    /// [`Tsdb::scan_parts_between`] in canonical series-key (rank) order —
-    /// see [`Tsdb::scan_parts_ordered`] for the rank contract.
     pub fn scan_parts_ordered_between(
         &self,
         filter: &MetricFilter,
@@ -1034,7 +1022,7 @@ mod tests {
     #[test]
     fn scan_parts_ordered_ranks_by_canonical_key() {
         let db = sample_db();
-        let parts = db.scan_parts_ordered(&MetricFilter::all(), &TimeRange::new(0, 600));
+        let parts = db.scan_parts_ordered_between(&MetricFilter::all(), 0, 599);
         assert_eq!(parts.len(), 4);
         let canon: Vec<String> = parts.iter().map(|p| p.key.canonical()).collect();
         let mut sorted = canon.clone();

@@ -80,7 +80,9 @@ fn print_usage() {
          \x20 show the predicates pushed into the store's tag index (name=.., tag[k]=..,\n\
          \x20 time=[lo, hi]); a GROUP BY over timestamp / metric_name / tag expressions\n\
          \x20 (CONCAT(tag['a'], tag['b']) included) collapses into one `ScanAggregate`\n\
-         \x20 line, and a SELECT of exactly the scan's columns is the bare `TsdbScan`.\n\
+         \x20 line, outputs over its keys and aggregates (SUM(value) / COUNT(value))\n\
+         \x20 with it — one that reads a non-key column keeps `Aggregate` over `TsdbScan`\n\
+         \x20 — and a SELECT of exactly the scan's columns is the bare `TsdbScan`.\n\
          \x20 Filter lines over a scan end in refine=dict|kernel|general: once per\n\
          \x20 series, typed loop over the column, or evaluated over the surviving rows.\n\
          \x20 Join nodes show tag-index cardinality estimates and the hash build side\n\

@@ -39,11 +39,12 @@ fn multi_fault_top_k_is_stable_across_partition_counts() {
     let sim_stdout = String::from_utf8_lossy(&out.stdout);
     assert!(sim_stdout.contains("injected causes"), "multi-fault causes listed:\n{sim_stdout}");
 
-    // The paper's whole workflow as a script, twice: both stage-one queries
-    // are eligible scan-aggregate shapes (GROUP BY timestamp + the
+    // The paper's whole workflow as a script, three times: every stage-one
+    // query is an eligible scan-aggregate shape (GROUP BY timestamp + the
     // dictionary columns). The first feeds the long pivot a group per
     // series; the second is the benchmark's `family_agg_paged` statement —
-    // a class per metric name into the *wide* pivot.
+    // a class per metric name into the *wide* pivot; the third has the
+    // scan aggregate finish a ratio and a spread over its own columns.
     let scripts = [
         "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
            SELECT timestamp, metric_name, tag, AVG(value) AS value FROM tsdb \
@@ -53,6 +54,11 @@ fn multi_fault_top_k_is_stable_across_partition_counts() {
         "CREATE FAMILY by_name WITH (family='metric_name') AS \
            SELECT timestamp, metric_name, AVG(value) AS mean_v, MAX(value) AS max_v, \
            STDDEV(value) AS sd_v FROM tsdb GROUP BY timestamp, metric_name; \
+         EXPLAIN FOR pipeline_runtime USING SCORER corrmax TOP 8; \
+         SELECT rank, family, score FROM ranking ORDER BY rank",
+        "CREATE FAMILY by_ratio WITH (family='metric_name') AS \
+           SELECT timestamp, metric_name, SUM(value) / COUNT(value) AS mean_v, \
+           MAX(value) - MIN(value) AS spread_v FROM tsdb GROUP BY timestamp, metric_name; \
          EXPLAIN FOR pipeline_runtime USING SCORER corrmax TOP 8; \
          SELECT rank, family, score FROM ranking ORDER BY rank",
     ];
