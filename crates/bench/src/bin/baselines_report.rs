@@ -12,7 +12,7 @@ use explainit_causal::{pc_skeleton, PcConfig};
 use explainit_core::baselines::vanishing_correlation_rank;
 use explainit_core::{Engine, EngineConfig, ScorerKind};
 use explainit_linalg::Matrix;
-use explainit_workloads::{families_by_name, simulate, ClusterSpec, Fault};
+use explainit_workloads::{simulate, ClusterSpec, Fault};
 
 fn main() {
     let sim = simulate(&ClusterSpec {
@@ -26,7 +26,7 @@ fn main() {
         faults: vec![Fault::PacketDrop { start_min: 240, end_min: 360, rate: 0.1 }],
         ..ClusterSpec::default()
     });
-    let families = families_by_name(&sim.db, &sim.time_range(), sim.step);
+    let families = sim.families();
 
     // ---- 1. PC vs targeted hypotheses ---------------------------------------
     println!("=== Baseline 1: PC structure learning vs targeted hypotheses (§3.3/§7) ===\n");

@@ -9,7 +9,7 @@
 
 use explainit_core::{report, Engine, EngineConfig, ScorerKind};
 use explainit_eval::Relevance;
-use explainit_workloads::{case_studies, families_by_name};
+use explainit_workloads::case_studies;
 
 fn main() {
     println!("=== Table 5 / Figures 8-9: weekly RAID consistency check (§5.4) ===\n");
@@ -17,7 +17,9 @@ fn main() {
 
     // Month-long range at 10-minute resolution (the paper: "when we looked
     // at time ranges of over a month, we noticed a regularity").
-    let families = families_by_name(&sim.db, &sim.time_range(), 600);
+    let range = sim.time_range();
+    let grid: Vec<i64> = (range.start..range.end).step_by(600).collect();
+    let families: Vec<_> = sim.families().into_iter().map(|f| f.restrict_to(&grid)).collect();
     let runtime = families.iter().find(|f| f.name == "pipeline_runtime").expect("runtime family");
     println!("Figure 8 — pipeline runtime across four weeks (one spike per week):");
     println!("  {}\n", report::sparkline(&runtime.data.column(0), 112));

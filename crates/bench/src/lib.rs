@@ -25,7 +25,9 @@ use explainit_core::{Engine, EngineConfig, Ranking, ScorerKind};
 use explainit_eval::{evaluate_ranking, RankingEval, Relevance};
 use explainit_workloads::{Label, SimOutput};
 
-/// Builds an engine loaded with a simulation's by-name families.
+/// Builds an engine loaded with a simulation's by-name families — the
+/// family statement (`explainit_workloads::FAMILIES_BY_METRIC`) over the
+/// whole simulated range, at the data's own timestamps.
 pub fn engine_for(sim: &SimOutput, config: EngineConfig) -> Engine {
     let mut engine = Engine::new(config);
     for f in sim.families() {
@@ -36,14 +38,17 @@ pub fn engine_for(sim: &SimOutput, config: EngineConfig) -> Engine {
 
 /// Builds an engine over a restricted analysis window (`(lo, hi)` in
 /// minutes from simulation start) — the paper's Figure-2 "total time
-/// range" selection the operator makes around the incident.
+/// range" selection the operator makes around the incident, as the family
+/// statement's `timestamp BETWEEN` bound.
 pub fn engine_for_window(sim: &SimOutput, window: (usize, usize), config: EngineConfig) -> Engine {
     let range = explainit_tsdb::TimeRange::new(
         sim.start_ts + window.0 as i64 * sim.step,
         sim.start_ts + window.1 as i64 * sim.step,
     );
     let mut engine = Engine::new(config);
-    for f in explainit_workloads::families_by_name(&sim.db, &range, sim.step) {
+    let families = explainit_workloads::families_by_name(&sim.db, &range)
+        .expect("the window holds simulated points");
+    for f in families {
         engine.add_family(f);
     }
     engine

@@ -113,12 +113,6 @@ impl LinearGaussianSem {
         }
         data
     }
-
-    /// Samples and returns one named column per node.
-    pub fn sample_named(&self, t_steps: usize, seed: u64) -> Vec<(String, Vec<f64>)> {
-        let m = self.sample(t_steps, seed);
-        (0..self.dag.len()).map(|i| (self.dag.name(NodeId(i)).to_string(), m.column(i))).collect()
-    }
 }
 
 /// Box–Muller standard normal (local copy to avoid a dependency edge back to
@@ -228,16 +222,5 @@ mod tests {
         let mut specs = HashMap::new();
         specs.insert("ZZZ".into(), NodeSpec::default());
         LinearGaussianSem::new(dag, specs);
-    }
-
-    #[test]
-    fn sample_named_aligns_columns() {
-        let sem = chain_sem();
-        let named = sem.sample_named(20, 9);
-        let raw = sem.sample(20, 9);
-        for (name, col) in &named {
-            let id = sem.dag().node(name).unwrap();
-            assert_eq!(*col, raw.column(id.0));
-        }
     }
 }

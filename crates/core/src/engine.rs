@@ -133,14 +133,7 @@ impl Engine {
         &mut self.config
     }
 
-    /// Adds every frame from a query pivot.
-    pub fn add_frames(&mut self, frames: &[explainit_query::FamilyFrame]) {
-        for f in frames {
-            self.add_family(FeatureFamily::from_frame(f));
-        }
-    }
-
-    /// Owned variant of [`Engine::add_frames`]: consumes pivot output
+    /// Adds every frame from a query pivot, consuming the pivot output
     /// without cloning timestamps or feature names.
     pub fn add_frames_owned(&mut self, frames: Vec<explainit_query::FamilyFrame>) {
         for f in frames {

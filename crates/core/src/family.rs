@@ -4,7 +4,6 @@ use std::borrow::Cow;
 
 use explainit_linalg::Matrix;
 use explainit_query::FamilyFrame;
-use explainit_tsdb::AlignedFrame;
 
 use crate::{CoreError, Result};
 
@@ -54,29 +53,12 @@ impl FeatureFamily {
         FeatureFamily::new(name.clone(), timestamps, vec![name], data)
     }
 
-    /// Converts a query-layer [`FamilyFrame`] (pivot output).
-    pub fn from_frame(frame: &FamilyFrame) -> Self {
-        let data = Matrix::from_columns(&frame.columns);
-        FeatureFamily::new(
-            frame.name.clone(),
-            frame.timestamps.clone(),
-            frame.feature_names.clone(),
-            data,
-        )
-    }
-
-    /// Owned variant of [`FeatureFamily::from_frame`]: consumes the frame's
-    /// columns directly, so the pivot-output → family handoff copies only
-    /// the dense matrix data (no timestamp / name vector clones).
+    /// Converts a query-layer [`FamilyFrame`] (pivot output), consuming it:
+    /// the handoff copies only the dense matrix data (no timestamp / name
+    /// vector clones).
     pub fn from_frame_owned(frame: FamilyFrame) -> Self {
         let data = Matrix::from_columns(&frame.columns);
         FeatureFamily::new(frame.name, frame.timestamps, frame.feature_names, data)
-    }
-
-    /// Converts a TSDB [`AlignedFrame`] into a family with the given name.
-    pub fn from_aligned(name: impl Into<String>, frame: &AlignedFrame) -> Self {
-        let data = Matrix::from_columns(&frame.columns);
-        FeatureFamily::new(name, frame.timestamps.clone(), frame.names.clone(), data)
     }
 
     /// Number of time steps.
@@ -258,7 +240,7 @@ mod tests {
             feature_names: vec!["h1".into(), "h2".into()],
             columns: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
         };
-        let fam = FeatureFamily::from_frame(&frame);
+        let fam = FeatureFamily::from_frame_owned(frame);
         assert_eq!(fam.width(), 2);
         assert_eq!(fam.data[(1, 0)], 2.0);
         assert_eq!(fam.data[(0, 1)], 3.0);

@@ -7,7 +7,10 @@
 //! return the top-K ranked candidates.
 //!
 //! * [`family::FeatureFamily`] — a named group of univariate metrics on a
-//!   shared time grid (§3.2);
+//!   shared time grid (§3.2), built from a family statement's pivot output
+//!   (`FeatureFamily::from_frame_owned`; the store is reached only through
+//!   `explainit-query`). Lagged copies of a feature (§3.5 fn. 1) are SQL
+//!   `LAG` in that statement, not an engine transform;
 //! * [`hypothesis`] — hypothesis enumeration: all-families-vs-target cross
 //!   product with the broadcast-join fast path (§3.3, §4.2);
 //! * [`scorers`] — `CorrMean`, `CorrMax`, joint ridge (`L2`), random
@@ -51,7 +54,6 @@ pub mod baselines;
 pub mod engine;
 pub mod family;
 pub mod hypothesis;
-pub mod lagged;
 pub mod pseudocause;
 pub mod report;
 pub mod scorers;
@@ -60,7 +62,6 @@ pub use autoselect::{auto_select_scorer, ScorerChoice};
 pub use engine::{Engine, EngineConfig, RankedHypothesis, Ranking};
 pub use family::FeatureFamily;
 pub use hypothesis::{Hypothesis, HypothesisSet};
-pub use lagged::with_lags;
 pub use pseudocause::derive_pseudocause;
 pub use scorers::{score_hypothesis, ScoreDetail, ScorerKind};
 

@@ -13,13 +13,10 @@
 //! This crate computes those metrics from an engine
 //! [`explainit_core::Ranking`] plus a labelling function, keeping it
 //! decoupled from how ground truth is produced (simulator labels here,
-//! human labels in the paper).
+//! human labels in the paper). One ranking in, one evaluation out: fusing
+//! several rankings (§8, future work in the paper) is not implemented.
 
 #![forbid(unsafe_code)]
-
-pub mod fusion;
-
-pub use fusion::{fuse_rankings, fused_rank_of, FusedEntry, FusionRule};
 
 use explainit_core::Ranking;
 

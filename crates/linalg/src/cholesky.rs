@@ -117,11 +117,6 @@ impl Cholesky {
         Ok(out)
     }
 
-    /// Log-determinant of `A` (twice the log-determinant of `L`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.nrows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
     /// Inverse of `A` computed column by column. Prefer [`Cholesky::solve`]
     /// when only products with the inverse are needed.
     pub fn inverse(&self) -> Result<Matrix> {
@@ -187,13 +182,6 @@ mod tests {
     fn rejects_non_square_and_empty() {
         assert!(Cholesky::factor(&Matrix::zeros(2, 3)).is_err());
         assert!(matches!(Cholesky::factor(&Matrix::zeros(0, 0)), Err(LinalgError::Empty)));
-    }
-
-    #[test]
-    fn log_det_known() {
-        let a = Matrix::from_rows(&[[4.0, 0.0], [0.0, 9.0]]);
-        let c = Cholesky::factor(&a).unwrap();
-        assert!((c.log_det() - (36.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl OlsModel {
         &self.beta
     }
 
-    /// Intercepts per target column.
-    pub fn intercepts(&self) -> &[f64] {
-        &self.intercept
-    }
-
     /// Predicts targets for new rows.
     ///
     /// # Panics
@@ -119,7 +114,7 @@ mod tests {
         let m = OlsModel::fit(&x, &y).unwrap();
         assert!((m.coefficients()[(0, 0)] - 2.0).abs() < 1e-10);
         assert!((m.coefficients()[(1, 0)] + 3.0).abs() < 1e-10);
-        assert!((m.intercepts()[0] - 5.0).abs() < 1e-10);
+        assert!((m.intercept[0] - 5.0).abs() < 1e-10);
         assert!((m.r2_in_sample(&x, &y) - 1.0).abs() < 1e-12);
     }
 
@@ -141,7 +136,7 @@ mod tests {
         let m = OlsModel::fit(&x, &y).unwrap();
         assert!((m.coefficients()[(0, 0)] - 2.0).abs() < 1e-10);
         assert!((m.coefficients()[(0, 1)] + 1.0).abs() < 1e-10);
-        assert!((m.intercepts()[1] - 1.0).abs() < 1e-10);
+        assert!((m.intercept[1] - 1.0).abs() < 1e-10);
     }
 
     #[test]

@@ -345,38 +345,6 @@ impl Column {
         }
     }
 
-    /// Numeric view: each entry as `f64`, non-numeric entries as NaN
-    /// (mirrors the row-era `Table::numeric_column` semantics).
-    pub fn to_f64_lossy(&self) -> Vec<f64> {
-        match self {
-            Column::Int(v) => v.iter().map(|&i| i as f64).collect(),
-            Column::Float(v) => v.clone(),
-            Column::Bool(v) => v.iter().map(|&b| f64::from(b)).collect(),
-            Column::Str(v) => vec![f64::NAN; v.len()],
-            Column::Dict { values, codes } => {
-                let per: Vec<f64> = values.iter().map(|v| v.as_f64().unwrap_or(f64::NAN)).collect();
-                codes.iter().map(|&c| per[c as usize]).collect()
-            }
-            Column::Values(v) => v.iter().map(|x| x.as_f64().unwrap_or(f64::NAN)).collect(),
-        }
-    }
-
-    /// Borrow as native i64 slice when the column is dense `Int`.
-    pub fn as_int(&self) -> Option<&[i64]> {
-        match self {
-            Column::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrow as native f64 slice when the column is dense `Float`.
-    pub fn as_float(&self) -> Option<&[f64]> {
-        match self {
-            Column::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Iterates entries as [`Value`]s.
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
@@ -479,14 +447,6 @@ mod tests {
         assert_eq!(c, Column::Int(vec![1, 2]));
     }
 
-    #[test]
-    fn lossy_numeric_view() {
-        let c = Column::Values(vec![Value::Int(1), Value::str("x"), Value::Null]);
-        let f = c.to_f64_lossy();
-        assert_eq!(f[0], 1.0);
-        assert!(f[1].is_nan() && f[2].is_nan());
-    }
-
     fn sample_dict() -> Column {
         let values = Arc::new(vec![Value::str("cpu"), Value::str("disk"), Value::str("net")]);
         Column::dict(values, vec![0, 1, 0, 2, 1])
@@ -534,15 +494,5 @@ mod tests {
         assert_eq!(c.len(), 6);
         assert_eq!(c.get(0), Value::str("cpu"));
         assert_eq!(c.get(5), Value::str("new"));
-    }
-
-    #[test]
-    fn dict_numeric_view_decodes_per_entry() {
-        let values = Arc::new(vec![Value::Int(7), Value::str("x")]);
-        let c = Column::dict(values, vec![0, 1, 0]);
-        let f = c.to_f64_lossy();
-        assert_eq!(f[0], 7.0);
-        assert!(f[1].is_nan());
-        assert_eq!(f[2], 7.0);
     }
 }

@@ -339,13 +339,6 @@ impl Table {
         Ok(self.columns[i].iter_values().collect())
     }
 
-    /// Extracts a column as f64s; non-numeric / NULL entries become NaN.
-    /// Dense `Float`/`Int` columns convert without touching [`Value`]s.
-    pub fn numeric_column(&self, name: &str) -> Result<Vec<f64>> {
-        let i = self.schema.resolve(name)?;
-        Ok(self.columns[i].to_f64_lossy())
-    }
-
     /// Renders the table as an aligned-text report (first `max_rows` rows).
     pub fn render(&self, max_rows: usize) -> String {
         let mut widths: Vec<usize> = self.schema.columns().iter().map(String::len).collect();
@@ -431,7 +424,6 @@ mod tests {
         );
         assert_eq!(t.len(), 2);
         assert_eq!(t.column("v").unwrap(), vec![Value::Float(1.0), Value::Float(2.0)]);
-        assert_eq!(t.numeric_column("ts").unwrap(), vec![0.0, 1.0]);
     }
 
     #[test]
@@ -466,13 +458,6 @@ mod tests {
         t.push_row(vec![Value::Int(2)]);
         assert_eq!(t.rows().len(), 2);
         assert_eq!(t.rows()[1][0], Value::Int(2));
-    }
-
-    #[test]
-    fn numeric_column_nan_for_strings() {
-        let t = Table::from_rows(&["x"], vec![vec![Value::str("abc")], vec![Value::Null]]);
-        let v = t.numeric_column("x").unwrap();
-        assert!(v[0].is_nan() && v[1].is_nan());
     }
 
     #[test]

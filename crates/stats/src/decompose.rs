@@ -93,10 +93,9 @@ fn moving_average_trend(series: &[f64], period: usize) -> Vec<f64> {
     }
     // Clamp the undefined edges to the nearest defined value (or the series
     // mean when the series is so short no interior point exists).
-    let first_defined = trend.iter().position(|v| !v.is_nan());
-    match first_defined {
-        Some(first) => {
-            let last = trend.iter().rposition(|v| !v.is_nan()).unwrap();
+    let defined = |v: &f64| !v.is_nan();
+    match (trend.iter().position(defined), trend.iter().rposition(defined)) {
+        (Some(first), Some(last)) => {
             let (f, l) = (trend[first], trend[last]);
             for v in trend[..first].iter_mut() {
                 *v = f;
@@ -105,7 +104,7 @@ fn moving_average_trend(series: &[f64], period: usize) -> Vec<f64> {
                 *v = l;
             }
         }
-        None => {
+        _ => {
             let m = series.iter().sum::<f64>() / n.max(1) as f64;
             trend.fill(m);
         }

@@ -9,7 +9,6 @@
 //! * probability distributions — Normal, Beta, Chi-squared ([`dist`]);
 //! * the r² machinery of Appendix A — adjusted r², the Beta null
 //!   distribution of OLS r², Chebyshev p-value bounds ([`rsquared`]);
-//! * multiple-testing control — Bonferroni and Benjamini–Hochberg ([`fp`]);
 //! * classical seasonal-trend decomposition used for pseudocauses (§3.4)
 //!   ([`decompose`]);
 //! * fixed-width histograms used by the figure reports ([`histogram`]).
@@ -18,7 +17,6 @@
 #![allow(clippy::needless_range_loop)] // indexed loops read naturally in these math kernels
 pub mod decompose;
 pub mod dist;
-pub mod fp;
 pub mod histogram;
 pub mod moments;
 pub mod rsquared;
@@ -26,7 +24,6 @@ pub mod special;
 
 pub use decompose::{seasonal_decompose, Decomposition};
 pub use dist::{Beta, ChiSquared, Normal};
-pub use fp::{benjamini_hochberg, bonferroni};
 pub use histogram::Histogram;
-pub use moments::{autocorrelation, covariance, mean, pearson, std_dev, variance, zscore_in_place};
-pub use rsquared::{adjusted_r2, chebyshev_p_value, r2_null_distribution, RSquared};
+pub use moments::{autocorrelation, covariance, mean, pearson, std_dev, variance};
+pub use rsquared::{adjusted_r2, chebyshev_p_value, r2_null_distribution};

@@ -82,22 +82,6 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
     numer / denom
 }
 
-/// Standardises a slice to zero mean / unit population variance in place.
-/// Constant slices are centred only. Returns `(mean, std)`.
-pub fn zscore_in_place(xs: &mut [f64]) -> (f64, f64) {
-    let m = mean(xs);
-    for v in xs.iter_mut() {
-        *v -= m;
-    }
-    let sd = std_dev(xs);
-    if sd > 0.0 {
-        for v in xs.iter_mut() {
-            *v /= sd;
-        }
-    }
-    (m, sd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,15 +146,5 @@ mod tests {
     #[test]
     fn autocorrelation_short_series_zero() {
         assert_eq!(autocorrelation(&[1.0, 2.0], 3), 0.0);
-    }
-
-    #[test]
-    fn zscore_standardises() {
-        let mut xs = vec![10.0, 20.0, 30.0];
-        let (m, s) = zscore_in_place(&mut xs);
-        assert!((m - 20.0).abs() < 1e-12);
-        assert!(s > 0.0);
-        assert!(mean(&xs).abs() < 1e-12);
-        assert!((variance(&xs) - 1.0).abs() < 1e-12);
     }
 }

@@ -1,76 +1,8 @@
-//! The r² machinery of Appendix A: plain and adjusted r², the Beta null
+//! The r² machinery of Appendix A: adjusted r², the Beta null
 //! distribution, and the Chebyshev p-value bound that ExplainIt! uses to
 //! control false positives over many simultaneous hypotheses.
 
 use crate::dist::Beta;
-
-/// A computed coefficient of determination together with the problem size it
-/// came from, so p-values and adjustment can be derived later.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RSquared {
-    /// Plain (unadjusted) r².
-    pub r2: f64,
-    /// Number of observations.
-    pub n: usize,
-    /// Number of predictors.
-    pub p: usize,
-}
-
-impl RSquared {
-    /// Computes r² = 1 - RSS/TSS from observed and predicted values.
-    ///
-    /// TSS is taken around `baseline_mean` (the *training* mean, per §3.5's
-    /// cross-validation protocol where the validation fold is scored against
-    /// the model "predict the training mean"). Degenerate targets (TSS = 0)
-    /// yield r² = 0.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn from_predictions(
-        observed: &[f64],
-        predicted: &[f64],
-        baseline_mean: f64,
-        p: usize,
-    ) -> Self {
-        assert_eq!(observed.len(), predicted.len(), "r² length mismatch");
-        let n = observed.len();
-        let mut rss = 0.0;
-        let mut tss = 0.0;
-        for (&y, &yh) in observed.iter().zip(predicted.iter()) {
-            let e = y - yh;
-            rss += e * e;
-            let d = y - baseline_mean;
-            tss += d * d;
-        }
-        let r2 = if tss > 0.0 { 1.0 - rss / tss } else { 0.0 };
-        RSquared { r2, n, p }
-    }
-
-    /// Wherry's adjusted r² (Appendix A):
-    /// `r²_adj = 1 - (1 - r²)(n - 1)/(n - p)`.
-    ///
-    /// Returns `None` when `n <= p` (the adjustment is undefined; the ridge
-    /// path with its effective-dof argument applies there instead).
-    pub fn adjusted(&self) -> Option<f64> {
-        adjusted_r2(self.r2, self.n, self.p)
-    }
-
-    /// Exact p-value of this r² under the OLS null (no dependency), using
-    /// the `Beta((p-1)/2, (n-p)/2)` distribution from Appendix A.1.
-    ///
-    /// Returns `None` when the Beta shape parameters would be non-positive
-    /// (p < 2 or n <= p).
-    pub fn null_p_value(&self) -> Option<f64> {
-        let d = r2_null_distribution(self.n, self.p)?;
-        Some(d.sf(self.r2.clamp(0.0, 1.0)))
-    }
-
-    /// Chebyshev upper bound on the p-value of the *adjusted* score `s`,
-    /// Appendix A.2: `P(r²_adj >= s) <= 2(p-1) / ((n-p)(n-1) s²)`.
-    pub fn chebyshev_p_value(&self, s: f64) -> f64 {
-        chebyshev_p_value(s, self.n, self.p)
-    }
-}
 
 /// Wherry's adjusted r²; `None` when `n <= p`.
 pub fn adjusted_r2(r2: f64, n: usize, p: usize) -> Option<f64> {
@@ -106,60 +38,9 @@ pub fn chebyshev_p_value(s: f64, n: usize, p: usize) -> f64 {
     (var / (s * s)).min(1.0)
 }
 
-/// Effective degrees of freedom of ridge regression at penalty `lambda`,
-/// given the eigenvalues `d²_j` of `X^T X` (Appendix A.2):
-///
-/// `df = Σ_j [ 2 d²_j/(d²_j+λ) − 1/n − (d²_j/(d²_j+λ))² ]`, clamped at 0.
-///
-/// Monotonically decreasing in λ; `λ → 0` recovers ≈ `p − p/n ≈ p − 1` and
-/// `λ → ∞` drives it to 0.
-pub fn ridge_effective_dof(eigenvalues: &[f64], lambda: f64, n: usize) -> f64 {
-    let n = n as f64;
-    let mut df = 0.0;
-    for &d2 in eigenvalues {
-        if d2 <= 0.0 {
-            continue;
-        }
-        let h = d2 / (d2 + lambda);
-        df += 2.0 * h - 1.0 / n - h * h;
-    }
-    df.max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_prediction_r2_is_one() {
-        let y = [1.0, 2.0, 3.0, 4.0];
-        let r = RSquared::from_predictions(&y, &y, 2.5, 1);
-        assert!((r.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_prediction_r2_is_zero() {
-        let y = [1.0, 2.0, 3.0, 4.0];
-        let yh = [2.5; 4];
-        let r = RSquared::from_predictions(&y, &yh, 2.5, 1);
-        assert!(r.r2.abs() < 1e-12);
-    }
-
-    #[test]
-    fn worse_than_mean_gives_negative_r2() {
-        let y = [1.0, 2.0, 3.0, 4.0];
-        let yh = [4.0, 3.0, 2.0, 1.0];
-        let r = RSquared::from_predictions(&y, &yh, 2.5, 1);
-        assert!(r.r2 < 0.0);
-    }
-
-    #[test]
-    fn constant_target_gives_zero() {
-        let y = [5.0; 4];
-        let yh = [5.0; 4];
-        let r = RSquared::from_predictions(&y, &yh, 5.0, 1);
-        assert_eq!(r.r2, 0.0);
-    }
 
     #[test]
     fn adjusted_r2_known_value() {
@@ -212,38 +93,5 @@ mod tests {
         assert_eq!(chebyshev_p_value(0.0, 1000, 50), 1.0);
         assert_eq!(chebyshev_p_value(-1.0, 1000, 50), 1.0);
         assert_eq!(chebyshev_p_value(0.5, 10, 50), 1.0);
-    }
-
-    #[test]
-    fn ridge_dof_monotone_in_lambda() {
-        let eig: Vec<f64> = (1..=20).map(|i| i as f64).collect();
-        let mut prev = f64::INFINITY;
-        for &l in &[0.0, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6] {
-            let df = ridge_effective_dof(&eig, l, 100);
-            assert!(df <= prev + 1e-12, "df must decrease with lambda");
-            prev = df;
-        }
-        // λ→∞ drives df to ~0.
-        assert!(ridge_effective_dof(&eig, 1e12, 100) < 1e-6);
-    }
-
-    #[test]
-    fn ridge_dof_ols_limit() {
-        // λ = 0: df = Σ (2 - 1/n - 1) = p (1 - 1/n) ≈ p - p/n.
-        let p = 8;
-        let eig = vec![3.0; p];
-        let df = ridge_effective_dof(&eig, 0.0, 100);
-        assert!((df - (p as f64) * (1.0 - 1.0 / 100.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn null_p_value_sane() {
-        let r = RSquared { r2: 0.9, n: 1000, p: 50 };
-        // An r² of 0.9 with n≫p is astronomically unlikely under the null.
-        assert!(r.null_p_value().unwrap() < 1e-12);
-        let r = RSquared { r2: 0.05, n: 1000, p: 50 };
-        // Near the null mean (49/999 ≈ 0.049): p-value near 0.5.
-        let p = r.null_p_value().unwrap();
-        assert!(p > 0.2 && p < 0.8, "got {p}");
     }
 }

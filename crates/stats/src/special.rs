@@ -76,11 +76,6 @@ pub fn erf(x: f64) -> f64 {
     e.clamp(-1.0, 1.0)
 }
 
-/// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Regularised incomplete beta function `I_x(a, b)` via the Lentz continued
 /// fraction (Numerical Recipes §6.4). Defined for `a, b > 0`, `x ∈ [0, 1]`.
 pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {

@@ -1,9 +1,7 @@
 //! Property tests for the statistics crate: distribution laws, correlation
-//! invariants, decomposition identities, multiple-testing monotonicity.
+//! invariants, decomposition identities.
 
-use explainit_stats::{
-    benjamini_hochberg, bonferroni, pearson, seasonal_decompose, Beta, ChiSquared, Normal,
-};
+use explainit_stats::{pearson, seasonal_decompose, Beta, ChiSquared, Normal};
 use proptest::prelude::*;
 
 proptest! {
@@ -109,31 +107,5 @@ proptest! {
         let whole = (base.len() / period) * period;
         let mean: f64 = d.seasonal[..whole].iter().sum::<f64>() / whole as f64;
         prop_assert!(mean.abs() < 1e-6);
-    }
-
-    #[test]
-    fn bonferroni_dominates_bh(
-        ps in proptest::collection::vec(0.0f64..1.0, 1..30),
-    ) {
-        let bf = bonferroni(&ps);
-        let bh = benjamini_hochberg(&ps);
-        for ((&raw, &b), &h) in ps.iter().zip(bf.iter()).zip(bh.iter()) {
-            prop_assert!(b >= raw - 1e-12, "bonferroni never decreases p");
-            prop_assert!(h <= b + 1e-12, "BH is no more conservative than Bonferroni");
-            prop_assert!((0.0..=1.0).contains(&h));
-        }
-    }
-
-    #[test]
-    fn bh_is_permutation_equivariant(
-        ps in proptest::collection::vec(0.0f64..1.0, 2..20),
-    ) {
-        let q = benjamini_hochberg(&ps);
-        let mut reversed = ps.clone();
-        reversed.reverse();
-        let q_rev = benjamini_hochberg(&reversed);
-        for (a, b) in q.iter().zip(q_rev.iter().rev()) {
-            prop_assert!((a - b).abs() < 1e-12);
-        }
     }
 }

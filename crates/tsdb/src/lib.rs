@@ -5,9 +5,11 @@
 //! model is the paper's: an observation has a timestamp (epoch minutes in
 //! practice), a metric *name*, a set of key-value *tags*, and a numeric
 //! value. A [`Series`] is one `(name, tags)` combination; a [`Tsdb`] holds
-//! many series behind an inverted tag index and answers filtered scans,
-//! range queries and grid alignment (with the paper's "interpolate to the
-//! closest non-null observation" policy).
+//! many series behind an inverted tag index and answers filtered scans
+//! and range queries. Putting series side by side on one timestamp grid
+//! (with the paper's "interpolate to the closest non-null observation"
+//! policy) is not done here: it is the family statement's pivot, in
+//! `explainit-query`.
 //!
 //! ```
 //! use explainit_tsdb::{SeriesKey, Tsdb, MetricFilter};
@@ -94,17 +96,13 @@
 
 #![forbid(unsafe_code)]
 
-mod align;
 mod glob;
-pub mod logs;
 mod model;
 mod shared;
 pub mod storage;
 mod store;
 
-pub use align::{align_series, AlignedFrame, FillPolicy};
 pub use glob::{glob_literal_prefix, glob_match, is_glob};
-pub use logs::{featurize_logs, template_of, LogRecord};
 pub use model::{DataPoint, Series, SeriesKey, TimeRange};
 pub use shared::{SharedTsdb, INITIAL_GENERATION};
 pub use storage::pager::PagerCounters;

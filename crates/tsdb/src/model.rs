@@ -46,23 +46,6 @@ impl TimeRange {
     pub fn duration(&self) -> i64 {
         self.end - self.start
     }
-
-    /// Intersection of two ranges, if non-empty.
-    pub fn intersect(&self, other: &TimeRange) -> Option<TimeRange> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(TimeRange { start, end })
-        } else {
-            None
-        }
-    }
-
-    /// Number of grid points with the given step that fall in the range.
-    pub fn grid_len(&self, step: i64) -> usize {
-        assert!(step > 0, "grid step must be positive");
-        ((self.end - self.start + step - 1) / step).max(0) as usize
-    }
 }
 
 /// A single timestamped observation.
@@ -485,30 +468,6 @@ impl Series {
         (&ts[a..b], &vs[a..b])
     }
 
-    /// The value at the observation closest in time to `ts`, if the series
-    /// is non-empty. Ties prefer the earlier observation.
-    ///
-    /// This is the paper's missing-value policy ("interpolated to the
-    /// closest non-null observation", Appendix C). Distances are compared
-    /// as `abs_diff`s, so a series spanning more than `i64::MAX` (the store
-    /// round-trips the full `i64` domain) cannot overflow.
-    pub fn nearest_value(&self, ts: i64) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        let (tss, vs) = self.full();
-        let i = tss.partition_point(|&t| t < ts);
-        if i == 0 {
-            return Some(vs[0]);
-        }
-        if i == tss.len() {
-            return Some(vs[i - 1]);
-        }
-        let before = ts.abs_diff(tss[i - 1]);
-        let after = tss[i].abs_diff(ts);
-        Some(if before <= after { vs[i - 1] } else { vs[i] })
-    }
-
     /// First and last timestamp, if non-empty (metadata only — sealed
     /// chunk spans and head bounds, no decode).
     ///
@@ -535,22 +494,6 @@ mod tests {
         assert!(r.contains(10) && r.contains(19));
         assert!(!r.contains(20) && !r.contains(9));
         assert_eq!(r.duration(), 10);
-    }
-
-    #[test]
-    fn time_range_intersection() {
-        let a = TimeRange::new(0, 10);
-        let b = TimeRange::new(5, 15);
-        assert_eq!(a.intersect(&b), Some(TimeRange::new(5, 10)));
-        let c = TimeRange::new(10, 20);
-        assert_eq!(a.intersect(&c), None);
-    }
-
-    #[test]
-    fn grid_len_rounding() {
-        assert_eq!(TimeRange::new(0, 10).grid_len(5), 2);
-        assert_eq!(TimeRange::new(0, 11).grid_len(5), 3);
-        assert_eq!(TimeRange::new(0, 0).grid_len(5), 0);
     }
 
     #[test]
@@ -632,22 +575,6 @@ mod tests {
         s.push(0, 1.0);
         s.push(i64::MAX, 2.0);
         assert_eq!(s.time_span(), Some(TimeRange::new(0, i64::MAX)));
-    }
-
-    #[test]
-    fn nearest_value_policy() {
-        let s = Series::from_points(SeriesKey::new("m"), vec![0, 100], vec![1.0, 2.0]);
-        assert_eq!(s.nearest_value(-5), Some(1.0)); // clamp left
-        assert_eq!(s.nearest_value(49), Some(1.0)); // closer to 0
-        assert_eq!(s.nearest_value(50), Some(1.0)); // tie prefers earlier
-        assert_eq!(s.nearest_value(51), Some(2.0)); // closer to 100
-        assert_eq!(s.nearest_value(500), Some(2.0)); // clamp right
-        assert_eq!(Series::new(SeriesKey::new("e")).nearest_value(0), None);
-        // A span wider than i64::MAX: both distances overflow an i64
-        // subtraction; 0 is one step closer to i64::MAX than to i64::MIN.
-        let s = Series::from_points(SeriesKey::new("m"), vec![i64::MIN, i64::MAX], vec![1.0, 2.0]);
-        assert_eq!(s.nearest_value(1), Some(2.0));
-        assert_eq!(s.nearest_value(-1), Some(1.0));
     }
 
     #[test]

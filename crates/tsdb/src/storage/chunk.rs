@@ -185,20 +185,10 @@ impl SealedChunk {
         self.decoded.get().is_some()
     }
 
-    /// Whether the compressed bytes are currently in memory.
-    pub fn is_resident(&self) -> bool {
-        !self.slot.is_empty()
-    }
-
     /// The segment id a Cold-capable chunk pages from, if any (pinned
     /// chunks have none — their bytes never came from a segment file).
     pub fn segment_id(&self) -> Option<u64> {
         self.slot.segment_id()
-    }
-
-    /// The compressed payload length in bytes.
-    pub fn encoded_len(&self) -> u64 {
-        self.slot.len()
     }
 
     /// The chunk in segment-writer form, paging the bytes in if cold.

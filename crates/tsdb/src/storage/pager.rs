@@ -110,11 +110,6 @@ pub struct PageSlot {
 }
 
 impl PageSlot {
-    /// The compressed payload length this slot accounts for.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
     /// True when the slot holds no bytes (it never does for pinned slots).
     pub fn is_empty(&self) -> bool {
         self.bytes.lock().is_none()

@@ -668,15 +668,6 @@ impl Tsdb {
         self.name_index.keys().map(String::as_str).collect()
     }
 
-    /// All distinct values of a tag key, sorted.
-    pub fn tag_values(&self, key: &str) -> Vec<&str> {
-        self.tag_index
-            .range((key.to_string(), String::new())..)
-            .take_while(|((k, _), _)| k == key)
-            .map(|((_, v), _)| v.as_str())
-            .collect()
-    }
-
     /// Finds series ids matching the filter, using the indexes where the
     /// filter is exact, a `name_index` range scan for glob names with a
     /// literal prefix, and a full scan only for prefix-free globs with no
@@ -1122,11 +1113,9 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_and_tag_values() {
+    fn metric_names_are_sorted_and_distinct() {
         let db = sample_db();
         assert_eq!(db.metric_names(), vec!["disk", "runtime"]);
-        assert_eq!(db.tag_values("host"), vec!["datanode-1", "datanode-2", "namenode-1"]);
-        assert!(db.tag_values("nothere").is_empty());
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Property tests for the TSDB: index consistency, alignment invariants,
-//! glob matching.
+//! Property tests for the TSDB: index consistency, glob matching.
 
-use explainit_tsdb::{
-    align_series, glob_match, FillPolicy, MetricFilter, Series, SeriesKey, TimeRange, Tsdb,
-};
+use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
 
 fn key_strategy() -> impl Strategy<Value = SeriesKey> {
@@ -61,37 +58,6 @@ proptest! {
         pts.dedup_by_key(|p| p.0);
         let s = db.get(&key).expect("series");
         prop_assert!(s.timestamps().windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn nearest_alignment_uses_existing_values(pts in points_strategy()) {
-        if pts.len() < 2 {
-            return Ok(());
-        }
-        let (ts, vs): (Vec<i64>, Vec<f64>) = pts.iter().copied().unzip();
-        let series = Series::from_points(SeriesKey::new("m"), ts.clone(), vs.clone());
-        let range = TimeRange::new(0, 10_000);
-        let sampled = align_series(&[&series], &range, 500, FillPolicy::Nearest);
-        // Every sampled value must be one of the original values.
-        for &v in &sampled.columns[0] {
-            prop_assert!(vs.contains(&v), "sampled {v} not in source");
-        }
-    }
-
-    #[test]
-    fn linear_alignment_stays_in_value_envelope(pts in points_strategy()) {
-        if pts.len() < 2 {
-            return Ok(());
-        }
-        let (ts, vs): (Vec<i64>, Vec<f64>) = pts.iter().copied().unzip();
-        let lo = vs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = vs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let series = Series::from_points(SeriesKey::new("m"), ts, vs);
-        let range = TimeRange::new(0, 10_000);
-        let sampled = align_series(&[&series], &range, 250, FillPolicy::Linear);
-        for &v in &sampled.columns[0] {
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "interpolation escaped envelope");
-        }
     }
 
     #[test]

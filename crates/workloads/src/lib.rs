@@ -20,6 +20,14 @@
 //! Because the simulator knows the true causal graph, every emitted metric
 //! family is labelled *cause*, *effect* or *irrelevant* for the injected
 //! fault — the labels Table 6's ranking-accuracy metrics need.
+//!
+//! A store becomes feature families one way: [`families_by_name`] executes
+//! the family statement [`FAMILIES_BY_METRIC`] — the §5 default grouping the
+//! CLI's `rank` / `explain` run — under a `timestamp BETWEEN` bound through
+//! `Catalog::execute_family`, so the simulator's families are the session's
+//! families. There is no resampling onto a foreign grid: families sit on
+//! the data's own timestamps, and a coarser view (§5.4's month at ten
+//! minutes) is `FeatureFamily::restrict_to` on an explicit grid.
 
 #![forbid(unsafe_code)]
 
@@ -32,4 +40,4 @@ pub mod sim;
 pub use cluster::ClusterSpec;
 pub use faults::Fault;
 pub use scenarios::{scenario, scenario_specs, ScenarioSpec};
-pub use sim::{families_by_name, simulate, GroundTruth, Label, SimOutput};
+pub use sim::{families_by_name, simulate, GroundTruth, Label, SimOutput, FAMILIES_BY_METRIC};

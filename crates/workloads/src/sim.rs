@@ -23,6 +23,7 @@
 use std::collections::BTreeSet;
 
 use explainit_core::FeatureFamily;
+use explainit_query::{parse_statement, Catalog, ExecOptions, Statement};
 use explainit_tsdb::{Series, SeriesKey, TimeRange, Tsdb};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -90,29 +91,45 @@ impl SimOutput {
     }
 
     /// Groups every metric by name into feature families (the paper's
-    /// default grouping for all §5 case studies).
+    /// default grouping for all §5 case studies): [`families_by_name`]
+    /// over the whole simulated range.
+    ///
+    /// # Panics
+    /// Panics if the simulation holds no points (`minutes == 0`).
     pub fn families(&self) -> Vec<FeatureFamily> {
-        families_by_name(&self.db, &self.time_range(), self.step)
+        families_by_name(&self.db, &self.time_range()).expect("a simulation holds points")
     }
 }
 
-/// Groups all series in `db` by metric name and aligns each group on the
-/// regular grid, producing one [`FeatureFamily`] per metric name.
-pub fn families_by_name(db: &Tsdb, range: &TimeRange, step: i64) -> Vec<FeatureFamily> {
-    let mut names: Vec<String> = db.metric_names().iter().map(|s| s.to_string()).collect();
-    names.sort();
-    let mut out = Vec::with_capacity(names.len());
-    for name in names {
-        let ids = db.find(&explainit_tsdb::MetricFilter::name(name.clone()));
-        let series: Vec<&Series> = ids.iter().map(|&id| db.series(id)).collect();
-        let frame =
-            explainit_tsdb::align_series(&series, range, step, explainit_tsdb::FillPolicy::Nearest);
-        if frame.is_empty() {
-            continue;
-        }
-        out.push(FeatureFamily::from_aligned(name, &frame));
-    }
-    out
+/// The §5 default grouping — one family per metric name, one feature per
+/// series — as the statement the CLI's `rank` / `explain` run before they
+/// rank and [`families_by_name`] runs under a time bound.
+pub const FAMILIES_BY_METRIC: &str =
+    "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
+     SELECT timestamp, metric_name, tag, value FROM tsdb";
+
+/// One [`FeatureFamily`] per metric name of `db` over `range`:
+/// [`FAMILIES_BY_METRIC`] bounded by `timestamp BETWEEN`, executed the way
+/// a session executes it (a `ScanPivot` plan). Families sit on the data's
+/// own timestamps; a caller that wants a coarser grid says so with
+/// [`FeatureFamily::restrict_to`]. A range that holds no point is the
+/// statement's "returned no rows" error.
+pub fn families_by_name(
+    db: &Tsdb,
+    range: &TimeRange,
+) -> explainit_query::Result<Vec<FeatureFamily>> {
+    let sql = format!(
+        "{FAMILIES_BY_METRIC} WHERE timestamp BETWEEN {} AND {}",
+        range.start,
+        range.end - 1
+    );
+    let Statement::CreateFamily(cf) = parse_statement(&sql)? else {
+        unreachable!("FAMILIES_BY_METRIC is a CREATE FAMILY statement")
+    };
+    let mut catalog = Catalog::new();
+    catalog.register_tsdb("tsdb", db);
+    let frames = catalog.execute_family(&cf, ExecOptions::default())?;
+    Ok(frames.into_iter().map(FeatureFamily::from_frame_owned).collect())
 }
 
 /// Runs the simulator.
@@ -441,13 +458,41 @@ mod tests {
     }
 
     #[test]
+    fn families_by_name_is_the_bounded_family_statement() {
+        let out = simulate(&quick_spec(vec![]));
+        // The statement plans as the scan pivot: series to matrices, no rows.
+        let Ok(Statement::CreateFamily(cf)) = parse_statement(FAMILIES_BY_METRIC) else {
+            panic!("the family statement parses");
+        };
+        let mut catalog = Catalog::new();
+        catalog.register_tsdb("tsdb", &out.db);
+        let plan = catalog.explain_family(&cf).expect("plans");
+        assert_eq!(
+            plan.column("plan").expect("plan column")[0].render(),
+            "ScanPivot tsdb layout=long ts=timestamp family=metric_name feature=tag value=value"
+        );
+        assert_eq!(plan.len(), 1);
+        // The range is half-open and families sit on the data's own minutes.
+        let window = TimeRange::new(out.start_ts + 10 * 60, out.start_ts + 20 * 60);
+        let fams = families_by_name(&out.db, &window).expect("ten minutes of points");
+        assert_eq!(fams.len(), out.db.metric_names().len());
+        let minutes: Vec<i64> = (10..20).map(|m| out.start_ts + m * 60).collect();
+        assert!(fams.iter().all(|f| f.timestamps == minutes));
+        // A range without a point is the statement's error, not an empty list.
+        let before = TimeRange::new(0, out.start_ts);
+        let err = families_by_name(&out.db, &before).expect_err("no points");
+        assert!(err.to_string().contains("returned no rows"), "{err}");
+    }
+
+    #[test]
     fn packet_drop_raises_retransmits_and_runtime() {
         let spec = quick_spec(vec![Fault::PacketDrop { start_min: 100, end_min: 160, rate: 0.10 }]);
         let out = simulate(&spec);
         let fams = out.families();
         let retrans = fams.iter().find(|f| f.name == "tcp_retransmits").unwrap();
         let runtime = fams.iter().find(|f| f.name == "pipeline_runtime").unwrap();
-        let r0 = retrans.data.column(0);
+        // Features come out in label order: pick a datanode's column by name.
+        let r0 = retrans.feature("{host=datanode-1}").expect("a datanode feature");
         let rt = runtime.data.column(0);
         let inside = mean(&r0[100..160]);
         let outside = mean(&r0[0..100]);
@@ -521,10 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn time_range_matches_grid() {
+    fn time_range_spans_the_horizon() {
         let out = simulate(&quick_spec(vec![]));
         let r = out.time_range();
         assert_eq!(r.duration(), 360 * 60);
-        assert_eq!(r.grid_len(60), 360);
     }
 }

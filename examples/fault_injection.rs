@@ -31,7 +31,7 @@ fn main() {
         sim.start_ts + (w1 as i64 + 180) * 60,
     );
     let mut engine = Engine::new(EngineConfig::default());
-    for f in families_by_name(&sim.db, &focus, 60) {
+    for f in families_by_name(&sim.db, &focus).expect("the window holds points") {
         engine.add_family(f);
     }
     // Score with both a univariate and the joint scorer, as an operator

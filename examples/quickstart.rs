@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use explainit::core::{report, Engine, EngineConfig, FeatureFamily, ScorerKind};
+use explainit::core::{report, Engine, EngineConfig, ScorerKind};
 use explainit::query::{pivot_long, Catalog};
 use explainit::workloads::{simulate, ClusterSpec, Fault};
 
@@ -63,9 +63,7 @@ fn main() {
 
     // ---- Step 3: rank hypotheses --------------------------------------------
     let mut engine = Engine::new(EngineConfig::default());
-    for frame in &frames {
-        engine.add_family(FeatureFamily::from_frame(frame));
-    }
+    engine.add_frames_owned(frames);
     let ranking = engine.rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking");
     println!("Step 3 — candidate causes, ranked:\n");
     println!("{}", report::render_ranking(&ranking));

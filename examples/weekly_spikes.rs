@@ -13,14 +13,16 @@ fn main() {
 
     // A short (2-day) window hides the weekly structure...
     let two_days = explainit::tsdb::TimeRange::new(sim.start_ts, sim.start_ts + 2 * 1440 * 60);
-    let short_fams = families_by_name(&sim.db, &two_days, 60);
+    let short_fams = families_by_name(&sim.db, &two_days).expect("two days of points");
     let short_rt =
         short_fams.iter().find(|f| f.name == "pipeline_runtime").expect("runtime").data.column(0);
     println!("Two-day view (the spike looks like a one-off):");
     println!("  {}\n", report::sparkline(&short_rt, 96));
 
     // ...the month view reveals the period (Figure 8).
-    let month_fams = families_by_name(&sim.db, &sim.time_range(), 600);
+    let month = sim.time_range();
+    let grid: Vec<i64> = (month.start..month.end).step_by(600).collect();
+    let month_fams: Vec<_> = sim.families().into_iter().map(|f| f.restrict_to(&grid)).collect();
     let month_rt =
         month_fams.iter().find(|f| f.name == "pipeline_runtime").expect("runtime").data.column(0);
     println!("Month view at 10-minute resolution (Figure 8 — weekly spikes):");

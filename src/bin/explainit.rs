@@ -16,17 +16,23 @@
 //! explainit case-study 5.1                                        # the paper's §5
 //! ```
 //!
-//! `case-study` alone reads no store: it ranks an in-memory simulation it
-//! never persists, aligned on the grid the study needs (600 s for §5.4's
-//! month of data).
+//! `case-study` alone opens no directory: it simulates the study in memory
+//! and gets its families from the same family statement `rank` and
+//! `explain` run ([`FAMILIES_BY_METRIC`], through
+//! `workloads::families_by_name`), bounded to the range the study analyses
+//! — the focused window around the fault for §5.1 — at the data's own
+//! timestamps; §5.4's month is then read every ten minutes
+//! (`FeatureFamily::restrict_to`).
 
 use std::process::ExitCode;
 
 use explainit::core::report::explain;
 use explainit::core::EngineConfig;
 use explainit::query::Statement;
-use explainit::tsdb::{StorageOptions, Tsdb};
-use explainit::workloads::{case_studies, families_by_name, simulate, ClusterSpec, Fault};
+use explainit::tsdb::{StorageOptions, TimeRange, Tsdb};
+use explainit::workloads::{
+    case_studies, families_by_name, simulate, ClusterSpec, Fault, FAMILIES_BY_METRIC,
+};
 use explainit::{Session, StatementOutcome};
 
 fn main() -> ExitCode {
@@ -216,12 +222,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The §5 default grouping — one family per metric name, one feature per
-/// series — as the statement `rank` and `explain` run before they rank.
-const FAMILIES_BY_METRIC: &str =
-    "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
-     SELECT timestamp, metric_name, tag, value FROM tsdb";
-
 /// Opens the store `args` name and runs [`FAMILIES_BY_METRIC`] over it.
 fn rca_session(args: &[String]) -> Result<Session, String> {
     let (db, _) = open_store(args)?;
@@ -319,34 +319,51 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 
 fn cmd_case_study(args: &[String]) -> Result<(), String> {
     let which = args.first().ok_or("case-study requires 5.1|5.2|5.3|5.4")?;
-    let (sim, window, story) = match which.as_str() {
+    if let Some(extra) = args.get(1) {
+        return Err(format!("unexpected trailing argument: {extra}"));
+    }
+    let (sim, story) = match which.as_str() {
         "5.1" => (
             case_studies::packet_drop(),
-            Some(case_studies::packet_drop_window()),
             "controlled packet-drop injection (expect TCP retransmits in the top ranks)",
         ),
         "5.2" => (
             case_studies::hypervisor().0,
-            None,
-            "hypervisor drops confounded with load (try --condition pipeline_input_rate)",
+            "hypervisor drops confounded with load (ranked GIVEN pipeline_input_rate)",
         ),
         "5.3" => (
             case_studies::namenode_periodic().0,
-            None,
             "15-minute periodic Namenode scans (expect namenode metrics in the top ranks)",
         ),
         "5.4" => (
             case_studies::weekly_raid(),
-            None,
             "weekly RAID consistency check (expect disk/load metrics in the top ranks)",
         ),
         other => return Err(format!("unknown case study: {other} (use 5.1..5.4)")),
     };
     println!("case study {which}: {story}\n");
-    let range = sim.time_range();
-    let step = if sim.minutes > 5000 { 600 } else { 60 };
+    // Figure 2's workflow: §5.1 zooms to the incident before ranking, the
+    // fault window with three hours either side.
+    let minute = |m: usize| sim.start_ts + m as i64 * sim.step;
+    let range = if which == "5.1" {
+        let (w0, w1) = case_studies::packet_drop_window();
+        println!(
+            "fault window: minutes {w0}..{w1}; analysed range: minutes {}..{}",
+            w0 - 180,
+            w1 + 180
+        );
+        TimeRange::new(minute(w0 - 180), minute(w1 + 180))
+    } else {
+        sim.time_range()
+    };
+    let mut families = families_by_name(&sim.db, &range).map_err(|e| e.to_string())?;
+    if which == "5.4" {
+        // A month of minutes is read every ten.
+        let grid: Vec<i64> = (range.start..range.end).step_by(600).collect();
+        families = families.into_iter().map(|f| f.restrict_to(&grid)).collect();
+    }
     let mut session = Session::with_config(EngineConfig::default());
-    for family in families_by_name(&sim.db, &range, step) {
+    for family in families {
         session.add_family(family);
     }
     let statement = Statement::ExplainFor(explainit::query::ExplainFor {
@@ -358,9 +375,6 @@ fn cmd_case_study(args: &[String]) -> Result<(), String> {
     let outcome = session.execute_statement(&statement).map_err(|e| e.to_string())?;
     println!("-- {}", outcome.summary);
     print_outcome(&outcome);
-    if let Some((w0, w1)) = window {
-        println!("fault window: minutes {w0}..{w1}");
-    }
     println!("ground-truth causes: {:?}", sim.truth.cause_families);
     Ok(())
 }

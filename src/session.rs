@@ -152,11 +152,6 @@ impl Session {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (register auxiliary tables).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// The embedded ranking engine.
     pub fn engine(&self) -> &Engine {
         &self.engine

@@ -62,8 +62,8 @@ fn assert_clean_error(out: &Output, what: &str) {
     assert!(!err.contains("panicked"), "{what}: {err}");
 }
 
-const FAMILIES: &str = "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
-                        SELECT timestamp, metric_name, tag, value FROM tsdb";
+/// The statement `rank` / `explain` / `case-study` get their families from.
+const FAMILIES: &str = explainit::workloads::FAMILIES_BY_METRIC;
 
 #[test]
 fn simulate_rank_explain_round_trip() {
@@ -150,6 +150,37 @@ fn sql_script_runs_the_declarative_workflow() {
 
     let _ = std::fs::remove_file(&script_file);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 1-based position of `family` in the ranking `stdout` prints.
+fn rank_in(stdout: &str, family: &str) -> Option<usize> {
+    ranking_rows(stdout)
+        .iter()
+        .position(|r| r.split_whitespace().nth(1) == Some(family))
+        .map(|i| i + 1)
+}
+
+#[test]
+fn case_studies_rank_their_injected_causes() {
+    // §5.1 zooms to the incident (Figure 2) and finds the paper's Table 3
+    // evidence; §5.4 reads its month every ten minutes.
+    for (study, cause, within) in [("5.1", "tcp_retransmits", 5), ("5.4", "disk_util", 10)] {
+        let out = run(&["case-study", study]);
+        assert!(out.status.success(), "case-study {study} failed: {}", stderr(&out));
+        let text = stdout(&out);
+        let rank = rank_in(&text, cause);
+        assert!(rank.is_some_and(|r| r <= within), "{study}: {cause} at {rank:?}\n{text}");
+        let truth = text.lines().find(|l| l.starts_with("ground-truth causes:"));
+        assert!(truth.is_some_and(|l| l.contains(cause)), "{study}:\n{text}");
+        if study == "5.1" {
+            assert!(text.contains("analysed range: minutes 480..960"), "{text}");
+        }
+    }
+    // A trailing argument is refused, not ignored.
+    let out = run(&["case-study", "5.2", "--condition", "foo"]);
+    assert_clean_error(&out, "case-study with a trailing argument");
+    assert!(stderr(&out).contains("unexpected trailing argument: --condition"));
+    assert_clean_error(&run(&["case-study", "5.9"]), "unknown case study");
 }
 
 #[test]

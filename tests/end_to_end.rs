@@ -4,7 +4,9 @@
 use explainit::core::{Engine, EngineConfig, ScorerKind};
 use explainit::query::{pivot_long, Catalog};
 use explainit::tsdb::{TimeRange, Tsdb};
-use explainit::workloads::{families_by_name, simulate, ClusterSpec, Fault, Label};
+use explainit::workloads::{
+    families_by_name, simulate, ClusterSpec, Fault, Label, FAMILIES_BY_METRIC,
+};
 use explainit::Session;
 
 fn small_incident() -> explainit::workloads::SimOutput {
@@ -51,10 +53,14 @@ fn sql_pipeline_to_ranking_finds_cause() {
     );
 }
 
+/// `ScanPivot` ≡ `ScanAggregate` + `pivot_long`: the family statement and
+/// the quickstart's grouped query build the same families, cell for cell
+/// by bits. The feature labels differ (the tag map against `CONCAT` of two
+/// tags), so a family's columns are compared as sorted multisets.
 #[test]
 fn direct_family_grouping_matches_sql_grouping() {
     let sim = small_incident();
-    let direct = families_by_name(&sim.db, &sim.time_range(), 60);
+    let direct = families_by_name(&sim.db, &sim.time_range()).expect("family statement");
     let mut catalog = Catalog::new();
     catalog.register_tsdb("tsdb", &sim.db);
     let table = catalog
@@ -65,15 +71,18 @@ fn direct_family_grouping_matches_sql_grouping() {
         )
         .expect("query");
     let via_sql = pivot_long(&table, "timestamp", "metric_name", "feat", "v").expect("pivot");
-    assert_eq!(direct.len(), via_sql.len(), "same family count via both paths");
-    // The runtime family must hold identical data via both paths.
-    let d = direct.iter().find(|f| f.name == "pipeline_runtime").expect("direct runtime");
-    let s = via_sql.iter().find(|f| f.name == "pipeline_runtime").expect("sql runtime");
-    assert_eq!(d.len(), s.len());
-    assert_eq!(d.width(), s.width());
-    let d_sum: f64 = d.data.as_slice().iter().sum();
-    let s_sum: f64 = s.columns.iter().flatten().sum();
-    assert!((d_sum - s_sum).abs() < 1e-6 * d_sum.abs().max(1.0));
+    let direct_names: Vec<&str> = direct.iter().map(|f| f.name.as_str()).collect();
+    let sql_names: Vec<&str> = via_sql.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(direct_names, sql_names, "same families in the same order via both paths");
+    for (d, s) in direct.iter().zip(&via_sql) {
+        assert_eq!(d.timestamps, s.timestamps, "family {}", d.name);
+        let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut d_cols: Vec<Vec<u64>> = (0..d.width()).map(|j| bits(&d.data.column(j))).collect();
+        let mut s_cols: Vec<Vec<u64>> = s.columns.iter().map(|c| bits(c)).collect();
+        d_cols.sort();
+        s_cols.sort();
+        assert_eq!(d_cols, s_cols, "family {}", d.name);
+    }
 }
 
 #[test]
@@ -118,12 +127,7 @@ fn durable_round_trip_preserves_rankings() {
     let rank = |db: &Tsdb| {
         let mut session = Session::new();
         session.bind_tsdb("tsdb", db);
-        session
-            .execute(
-                "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS \
-                 SELECT timestamp, metric_name, tag, value FROM tsdb",
-            )
-            .expect("family statement");
+        session.execute(FAMILIES_BY_METRIC).expect("family statement");
         session.engine().rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking")
     };
     let (memory, durable) = (rank(&sim.db), rank(&reopened));
@@ -157,7 +161,7 @@ fn restricted_time_range_scoring() {
     // Large top_k so the low-scoring cause entry stays visible to the test.
     let mut engine =
         Engine::new(EngineConfig { workers: 2, top_k: 500, ..EngineConfig::default() });
-    for f in families_by_name(&sim.db, &quiet, 60) {
+    for f in families_by_name(&sim.db, &quiet).expect("the window holds points") {
         engine.add_family(f);
     }
     let ranking = engine.rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking");
