@@ -13,19 +13,23 @@
 //!    unless the line carries a `lint: allow as f64` marker explaining why
 //!    the cast is exact (or deliberately widening).
 //! 2. **No `unwrap()`/`expect()` in query, engine, model or numerical
-//!    library code or anywhere in the store** — outside `#[cfg(test)]`
-//!    modules, every potential panic site in `crates/query/src`,
-//!    `crates/tsdb/src` (all of it, the WAL/segment I/O paths included),
-//!    `crates/core/src`, `crates/mlkit/src`, `crates/linalg/src` and
-//!    `crates/stats/src` (where the factorizations and the p-values live)
-//!    must either be converted to an error (`QueryError` / `StorageError`
-//!    / `CoreError` / `MlError` / `LinalgError`; `explainit-stats` has no
+//!    library code, anywhere in the store, or on the statement surface** —
+//!    outside `#[cfg(test)]` modules, every potential panic site in
+//!    `crates/query/src`, `crates/tsdb/src` (all of it, the WAL/segment
+//!    I/O paths included), `crates/core/src`, `crates/mlkit/src`,
+//!    `crates/linalg/src` and `crates/stats/src` (where the factorizations
+//!    and the p-values live), and — since PR 23 — in `src/` (`session.rs`
+//!    and `bin/explainit.rs`, where a statement arrives),
+//!    `crates/workloads/src` and `crates/sync/src` must either be
+//!    converted to an error (`QueryError` / `StorageError` / `CoreError` /
+//!    `MlError` / `LinalgError` / `SessionError`; `explainit-stats` has no
 //!    error type, so there it is an `Option` or a total function) or
 //!    justified with an `// invariant:` comment on the same or a nearby
 //!    preceding line. A panic in the storage layer is worse than an
 //!    error: it can tear a WAL append or leave a half-written segment
 //!    behind; one in a scoring worker is re-raised out of
-//!    `Engine::rank` and takes the whole ranking with it.
+//!    `Engine::rank` and takes the whole ranking with it; one in the
+//!    session ends the CLI mid-script.
 //! 3. **`#![forbid(unsafe_code)]` everywhere** — every crate root
 //!    (`src/lib.rs`) in the workspace must carry the attribute.
 //! 4. **No raw `std::sync::{Mutex, RwLock}` outside `crates/sync`** —
@@ -134,7 +138,10 @@ fn rust_files_under(dir: &Path) -> Vec<PathBuf> {
 
 /// The library trees rule 2 covers, each with what a panic site should
 /// become instead.
-const PANIC_FREE_DIRS: [(&str, &str); 6] = [
+const PANIC_FREE_DIRS: [(&str, &str); 9] = [
+    ("src", "a SessionError"),
+    ("crates/workloads/src", "an error"),
+    ("crates/sync/src", "an error"),
     ("crates/query/src", "a QueryError"),
     ("crates/tsdb/src", "a StorageError"),
     ("crates/core/src", "a CoreError"),
@@ -144,8 +151,8 @@ const PANIC_FREE_DIRS: [(&str, &str); 6] = [
 ];
 
 /// Rule 2: unjustified `unwrap()`/`expect()` in query, engine, model and
-/// numerical library code and anywhere in the store (the WAL/segment/pager
-/// I/O paths included).
+/// numerical library code, anywhere in the store (the WAL/segment/pager
+/// I/O paths included) and on the statement surface.
 fn lint_panics(root: &Path, findings: &mut Vec<String>) {
     for (dir, instead) in PANIC_FREE_DIRS {
         for path in rust_files_under(&root.join(dir)) {
@@ -427,7 +434,8 @@ mod tests {
         lint_row_shim(&root, &mut findings);
         assert!(findings.is_empty(), "lint findings:\n{}", findings.join("\n"));
         // Clean because it was looked at: every tree rule 2 names — the
-        // numerical crates included since PR 21 — is there to be read.
+        // numerical crates since PR 21; `src/`, workloads and sync since
+        // PR 23 — is there to be read.
         for (dir, _) in PANIC_FREE_DIRS {
             assert!(!rust_files_under(&root.join(dir)).is_empty(), "{dir} holds no sources");
         }

@@ -252,24 +252,6 @@ impl Column {
         )
     }
 
-    /// Keeps only entries whose mask bit is set.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        debug_assert_eq!(mask.len(), self.len());
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter().zip(mask.iter()).filter(|(_, &m)| m).map(|(x, _)| x.clone()).collect()
-        }
-        match self {
-            Column::Int(v) => Column::Int(keep(v, mask)),
-            Column::Float(v) => Column::Float(keep(v, mask)),
-            Column::Str(v) => Column::Str(keep(v, mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
-            Column::Dict { values, codes } => {
-                Column::Dict { values: Arc::clone(values), codes: keep(codes, mask) }
-            }
-            Column::Values(v) => Column::Values(keep(v, mask)),
-        }
-    }
-
     /// Copies the `[start, end)` subrange into a new column — the morsel
     /// cut of the partition-parallel executor. Cheap for dense numeric and
     /// dictionary columns (a memcpy of natives / codes).
@@ -376,10 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_filter() {
+    fn gather_picks_rows_in_index_order() {
         let c = Column::Int(vec![10, 20, 30, 40]);
         assert_eq!(c.gather(&[3, 0]), Column::Int(vec![40, 10]));
-        assert_eq!(c.filter(&[true, false, false, true]), Column::Int(vec![10, 40]));
     }
 
     #[test]
@@ -459,9 +440,6 @@ mod tests {
         assert_eq!(c.get(0), Value::str("cpu"));
         assert_eq!(c.get(3), Value::str("net"));
         assert_eq!(c.gather(&[4, 0]).get(0), Value::str("disk"));
-        let filtered = c.filter(&[false, true, false, false, true]);
-        assert_eq!(filtered.len(), 2);
-        assert_eq!(filtered.get(0), Value::str("disk"));
         let sliced = c.slice(1, 4);
         assert_eq!(sliced.len(), 3);
         assert_eq!(sliced.get(0), Value::str("disk"));

@@ -121,15 +121,6 @@ impl<'a> ExecCtx<'a> {
         self.pinned.lock().entry(key).or_insert(binding.clone());
         Some(binding)
     }
-
-    /// A table by name, routing TSDB bindings through the pinned snapshot.
-    fn table(&self, name: &str) -> Option<Arc<Table>> {
-        if self.catalog.is_tsdb(name) {
-            Some(self.binding(name)?.table())
-        } else {
-            self.catalog.get(name)
-        }
-    }
 }
 
 /// Executes a parsed query against a catalog through the
@@ -211,8 +202,11 @@ pub fn execute_family(
 /// Sort exists.
 fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
     match plan {
+        // Always a registered table: rule 2 turns every `Scan` of a TSDB
+        // binding into `TsdbScan`.
         LogicalPlan::Scan { table } => {
-            let t = ctx.table(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
+            let t =
+                ctx.catalog.get(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
             Ok(t.as_ref().clone())
         }
 
@@ -262,10 +256,10 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             run_aggregate(&src, &filters, group_by, items, hidden, opts)
         }
 
-        LogicalPlan::Join { left, right, kind, on, stats } => {
+        LogicalPlan::Join { left, right, kind, on } => {
             let l = run_plan(ctx, left, opts)?;
             let r = run_plan(ctx, right, opts)?;
-            run_join(l, r, *kind, on, stats.is_some_and(|s| s.build_left))
+            run_join(l, r, *kind, on)
         }
 
         LogicalPlan::Sort { input, keys, output_width } => {
@@ -1163,13 +1157,7 @@ fn join_keys(t: &Table, key_cols: &[usize]) -> Vec<Option<String>> {
     keys.into_iter().zip(nulls).map(|(k, null)| (!null).then_some(k)).collect()
 }
 
-fn run_join(
-    left: Table,
-    right: Table,
-    kind: JoinKind,
-    on: &Expr,
-    build_left: bool,
-) -> Result<Table> {
+fn run_join(left: Table, right: Table, kind: JoinKind, on: &Expr) -> Result<Table> {
     let mut columns = left.schema().columns().to_vec();
     columns.extend(right.schema().columns().iter().cloned());
     let combined = Schema::new(columns);
@@ -1179,11 +1167,11 @@ fn run_join(
     let mut matches_of_left: Vec<Vec<u32>> = vec![Vec::new(); left.len()];
     if let Some((lk, rk)) = equi_join_keys(on, left.schema(), right.schema()) {
         // Hash join over columnar keys. The hash index goes over whichever
-        // side the optimizer's statistics picked (`build_left`; the
-        // default is the right side) — both branches find exactly the
-        // same pairs, so statistics only ever change which side pays the
-        // memory.
+        // input is shorter — both are materialised, so this is read, not
+        // guessed — and both branches find exactly the same pairs: the
+        // side only ever decides who pays the memory.
         let (left_keys, right_keys) = (join_keys(&left, &lk), join_keys(&right, &rk));
+        let build_left = left.len() < right.len();
         let mut index: HashMap<&str, Vec<u32>> = HashMap::new();
         let (build, probe) =
             if build_left { (&left_keys, &right_keys) } else { (&right_keys, &left_keys) };
@@ -1702,29 +1690,30 @@ mod tests {
         // saturating back onto the extreme point.
         let sql = format!("SELECT value FROM tsdb WHERE timestamp > {}", i64::MAX);
         assert_eq!(c.execute(&sql).unwrap().len(), 0);
-        // i64::MIN has no direct literal (the lexer sees `-` as unary
-        // minus); the constant folder reduces the subtraction to it.
-        let sql = format!("SELECT value FROM tsdb WHERE timestamp < {} - 1", i64::MIN + 1);
+        // `i64::MIN` is a literal (its magnitude directly under the minus),
+        // equal to what the constant folder reduces the subtraction to.
+        let sql = format!("SELECT value FROM tsdb WHERE timestamp < {}", i64::MIN);
         assert_eq!(c.execute(&sql).unwrap().len(), 0);
+        let all = c.execute("SELECT value FROM tsdb").unwrap().len();
+        let sql = "SELECT value FROM tsdb WHERE timestamp >= -9223372036854775808";
+        assert_eq!(c.execute(sql).unwrap().len(), all);
+        let t = c.execute("SELECT -9223372036854775808 = -9223372036854775807 - 1").unwrap();
+        assert_eq!(t.rows()[0][0], Value::Bool(true));
     }
 
     #[test]
     fn hash_join_output_is_identical_across_build_sides() {
-        let c = catalog();
-        let left = c.get("t").unwrap().as_ref().clone();
-        let right = c.get("u").unwrap().as_ref().clone();
-        let on = crate::ast::Expr::Binary {
-            op: crate::ast::BinaryOp::Eq,
-            left: Box::new(crate::ast::Expr::col("t.ts")),
-            right: Box::new(crate::ast::Expr::col("u.ts")),
-        };
-        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::FullOuter] {
-            let ql = left.clone().with_schema(left.schema().qualified("t"));
-            let qr = right.clone().with_schema(right.schema().qualified("u"));
-            let a = run_join(ql.clone(), qr.clone(), kind, &on, false).unwrap();
-            let b = run_join(ql, qr, kind, &on, true).unwrap();
-            assert_eq!(a.schema(), b.schema(), "{kind:?}");
-            assert_eq!(a.rows(), b.rows(), "build side must not change output ({kind:?})");
+        // `t` (5 rows) ⋈ `u` (3 rows) indexes the right input, `u` ⋈ `t`
+        // the left one; each must emit exactly what the nested loop does
+        // (`+ 0` keeps the same predicate off the hash path).
+        for join in ["JOIN", "LEFT JOIN", "FULL OUTER JOIN"] {
+            for (l, r) in [("t", "u"), ("u", "t")] {
+                let hashed = run(&format!("SELECT * FROM {l} {join} {r} ON t.ts = u.ts"));
+                let looped = run(&format!("SELECT * FROM {l} {join} {r} ON t.ts + 0 = u.ts"));
+                assert_eq!(hashed.schema(), looped.schema(), "{l} {join} {r}");
+                assert_eq!(hashed.rows(), looped.rows(), "build side must not change output");
+                assert!(!hashed.is_empty());
+            }
         }
     }
 

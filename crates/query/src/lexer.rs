@@ -228,10 +228,18 @@ pub fn tokenize_spanned(input: &str) -> Result<Vec<(Token, usize)>> {
                     })?;
                     Token::FloatLit(v)
                 } else {
-                    let v = text.parse::<i64>().map_err(|e| QueryError::Lex {
-                        position: start,
-                        message: format!("bad int literal {text}: {e}"),
-                    })?;
+                    let v = match text.parse::<i64>() {
+                        Ok(v) => v,
+                        // The magnitude of `i64::MIN`: the parser accepts
+                        // it directly under a unary minus and nowhere else.
+                        Err(_) if text.parse::<u64>() == Ok(i64::MIN.unsigned_abs()) => i64::MIN,
+                        Err(e) => {
+                            return Err(QueryError::Lex {
+                                position: start,
+                                message: format!("bad int literal {text}: {e}"),
+                            })
+                        }
+                    };
                     Token::IntLit(v)
                 }
             }

@@ -27,7 +27,7 @@
 //!    crucially — pushdown *into storage*: on a table bound with
 //!    [`Catalog::register_tsdb`], `metric_name = '…'`, `tag['k'] = 'v'`,
 //!    `tag['k'] IS [NOT] NULL` and `timestamp` range conjuncts become an
-//!    inverted-tag-index scan ([`explainit_tsdb::Tsdb::scan`]) instead of a
+//!    inverted-tag-index scan ([`explainit_tsdb::Tsdb::scan_parts`]) instead of a
 //!    full-store materialization. Projection pruning then drops unused
 //!    observation columns (skipping per-row tag-map clones entirely when
 //!    `tag` is never read), and a projection that only restates its input
@@ -150,6 +150,10 @@
 //! float stream or a scalar call (NaN and mixed classes are incomparable,
 //! so that fold is accumulation-order dependent) all fall back to the table
 //! aggregate.
+//!
+//! A join is the line `Join Inner|Left|FullOuter on <expr>` and nothing
+//! else. The plan is a shape — it carries no row estimates — and the hash
+//! join indexes whichever materialised input turns out shorter.
 //!
 //! `EXPLAIN CREATE FAMILY ...` puts the pivot on top: `Pivot layout=long
 //! ts=timestamp family=metric_name feature=feat value=v` over the stage-one

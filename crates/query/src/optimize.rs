@@ -38,16 +38,7 @@
 //!    long pivot and its scan fuse into one [`LogicalPlan::ScanPivot`]: the
 //!    executor goes from series to family matrices without a row in
 //!    between. Every other shape keeps `Pivot` over its ordinary plan.
-//! 7. **Join-side statistics** (`annotate_join_stats`) — every `Join` is
-//!    annotated with per-side row estimates from
-//!    [`crate::plan::estimate_rows`] (tag-index set sizes and point-count
-//!    arithmetic for TSDB scans, exact lengths for registered tables) and
-//!    the hash-join build side they imply: the executor builds its hash
-//!    index over the estimated-smaller input while emitting rows in
-//!    exactly the order the build-on-right algorithm produces, so
-//!    statistics can only change memory and speed, never results.
-//!    `EXPLAIN` shows the estimates and the chosen side on the `Join` line.
-//! 8. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
+//! 7. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
 //!    `Aggregate` (above pushed-down `Filter`s) sitting directly on a
 //!    `TsdbScan` collapses into a single [`LogicalPlan::ScanAggregate`]
 //!    node when every group key is the `timestamp` column or an expression
@@ -60,8 +51,9 @@
 //!    ordinary pipeline (which the differential harness reaches by
 //!    registering the same observations as a plain table).
 //!
-//! There is no parallelization rule: every operator splits its input into
-//! morsels by size at run time.
+//! There is no parallelization rule and no cardinality estimate: every
+//! operator splits its input into morsels by size at run time, and the
+//! hash join builds over whichever materialised input is shorter.
 
 use std::collections::HashSet;
 
@@ -107,8 +99,6 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
     check("elide_identity_projects", &plan)?;
     let plan = fuse_scan_pivot(plan);
     check("scan_pivot", &plan)?;
-    let plan = annotate_join_stats(plan, catalog);
-    check("annotate_join_stats", &plan)?;
     let plan = push_aggregates_into_scans(plan);
     check("scan_aggregate", &plan)?;
     Ok(plan)
@@ -139,12 +129,11 @@ fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
             items: items.into_iter().map(|(e, n)| (f(e), n)).collect(),
             hidden: hidden.into_iter().map(f).collect(),
         },
-        LogicalPlan::Join { left, right, kind, on, stats } => LogicalPlan::Join {
+        LogicalPlan::Join { left, right, kind, on } => LogicalPlan::Join {
             left: Box::new(map_exprs(*left, f)),
             right: Box::new(map_exprs(*right, f)),
             kind,
             on: f(on),
-            stats,
         },
         LogicalPlan::Alias { input, alias } => {
             LogicalPlan::Alias { input: Box::new(map_exprs(*input, f)), alias }
@@ -299,12 +288,11 @@ fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> Logic
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
             LogicalPlan::Aggregate { input: Box::new(map_plan(*input, f)), group_by, items, hidden }
         }
-        LogicalPlan::Join { left, right, kind, on, stats } => LogicalPlan::Join {
+        LogicalPlan::Join { left, right, kind, on } => LogicalPlan::Join {
             left: Box::new(map_plan(*left, f)),
             right: Box::new(map_plan(*right, f)),
             kind,
             on,
-            stats,
         },
         LogicalPlan::Alias { input, alias } => {
             LogicalPlan::Alias { input: Box::new(map_plan(*input, f)), alias }
@@ -345,12 +333,11 @@ fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
             items,
             hidden,
         }),
-        LogicalPlan::Join { left, right, kind, on, stats } => Ok(LogicalPlan::Join {
+        LogicalPlan::Join { left, right, kind, on } => Ok(LogicalPlan::Join {
             left: Box::new(pushdown(*left, catalog)?),
             right: Box::new(pushdown(*right, catalog)?),
             kind,
             on,
-            stats,
         }),
         LogicalPlan::Alias { input, alias } => {
             Ok(LogicalPlan::Alias { input: Box::new(pushdown(*input, catalog)?), alias })
@@ -458,7 +445,7 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
         }
 
         // Joins: route side-pure conjuncts to their side.
-        LogicalPlan::Join { left, right, kind, on, stats } => {
+        LogicalPlan::Join { left, right, kind, on } => {
             let left_schema = left.schema(catalog)?;
             let right_schema = right.schema(catalog)?;
             let mut combined_cols = left_schema.columns().to_vec();
@@ -503,7 +490,7 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
                 right = sink_filter(p, right, catalog)?;
             }
             let joined =
-                LogicalPlan::Join { left: Box::new(left), right: Box::new(right), kind, on, stats };
+                LogicalPlan::Join { left: Box::new(left), right: Box::new(right), kind, on };
             Ok(match conjoin(keep) {
                 Some(p) => LogicalPlan::Filter { input: Box::new(joined), predicate: p },
                 None => joined,
@@ -836,7 +823,7 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
             });
             LogicalPlan::Alias { input: Box::new(prune(*input, needs)), alias }
         }
-        LogicalPlan::Join { left, right, kind, on, stats } => {
+        LogicalPlan::Join { left, right, kind, on } => {
             let needs = needs.map(|mut n| {
                 n.extend(names_in([&on]));
                 n
@@ -846,7 +833,6 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
                 right: Box::new(prune(*right, needs)),
                 kind,
                 on,
-                stats,
             }
         }
         LogicalPlan::Sort { input, keys, output_width } => {
@@ -981,33 +967,7 @@ pub(crate) fn scan_pivot_labels(input: &LogicalPlan, spec: &PivotSpec) -> Option
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: join-side statistics
-// ---------------------------------------------------------------------------
-
-/// Attaches per-side row estimates (and the hash build side they imply) to
-/// every `Join` node. Runs after pushdown/pruning so the estimates see the
-/// final scan predicates. Purely advisory: the executor's output is
-/// bit-identical whichever side it builds on.
-fn annotate_join_stats(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
-    map_plan(plan, &|node| match node {
-        LogicalPlan::Join { left, right, kind, on, .. } => {
-            let stats = match (
-                crate::plan::estimate_rows(&left, catalog),
-                crate::plan::estimate_rows(&right, catalog),
-            ) {
-                (Some(l), Some(r)) => {
-                    Some(crate::plan::JoinStats { left_rows: l, right_rows: r, build_left: l < r })
-                }
-                _ => None,
-            };
-            LogicalPlan::Join { left, right, kind, on, stats }
-        }
-        other => other,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Rule 8: scan-level aggregate pushdown
+// Rule 7: scan-level aggregate pushdown
 // ---------------------------------------------------------------------------
 
 /// Walks the straight-line spine of the plan converting eligible
@@ -1145,7 +1105,7 @@ fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
     }
 }
 
-/// The eligibility analysis for rule 8: the pipeline must reach a
+/// The eligibility analysis for rule 7: the pipeline must reach a
 /// `TsdbScan` through filters over observation columns, every group key
 /// must be the `timestamp` column (at most once) or an expression over the
 /// dictionary-encoded columns, every aggregate call an output reaches
@@ -1427,7 +1387,7 @@ mod tests {
     #[test]
     fn eligible_aggregates_collapse_into_the_scan() {
         let c = tsdb_catalog();
-        // A non-dictionary group key keeps rule 8 off this pipeline.
+        // A non-dictionary group key keeps rule 7 off this pipeline.
         let p =
             optimized(&c, "SELECT value, AVG(value) AS m, COUNT(*) AS n FROM tsdb GROUP BY value");
         assert!(matches!(p, LogicalPlan::Aggregate { .. }), "got {p:?}");

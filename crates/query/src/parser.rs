@@ -16,6 +16,16 @@ const RESERVED: &[&str] = &[
     "EXPLAIN",
 ];
 
+/// Bound on the height of a parsed expression tree, and on how deep the
+/// recursive descent nests to build one (parentheses add depth without
+/// adding height; a left-deep `1 + 1 + …` chain adds height without adding
+/// depth). Everything downstream — the folder, the type checker, both
+/// evaluators, `Clone` and `Drop` — recurses over the tree, so the bound is
+/// what keeps hostile SQL a parse error instead of a stack overflow. Sized
+/// so the deepest accepted expression runs end to end on a 2 MiB thread
+/// stack in a debug build (`static_analysis.rs` executes one at the bound).
+pub(crate) const MAX_EXPR_HEIGHT: usize = 64;
+
 /// Parses a SQL string into a [`Query`]. A leading `EXPLAIN` keyword marks
 /// the query for plan rendering instead of execution.
 pub fn parse_query(sql: &str) -> Result<Query> {
@@ -91,18 +101,59 @@ struct Parser {
     /// Byte offset of each token in the source text (parallel to `tokens`).
     spans: Vec<usize>,
     pos: usize,
+    /// Open nesting levels of the descent (see [`MAX_EXPR_HEIGHT`]).
+    depth: usize,
+    /// Height of the expression tree the last expression rule returned.
+    height: usize,
 }
 
 impl Parser {
     fn new(sql: &str) -> Result<Parser> {
         let (tokens, spans) = tokenize_spanned(sql)?.into_iter().unzip();
-        Ok(Parser { tokens, spans, pos: 0 })
+        Ok(Parser { tokens, spans, pos: 0, depth: 0, height: 0 })
     }
 
     /// Byte offset of the token about to be consumed (end of input falls
     /// back to the last token's offset).
     fn here(&self) -> usize {
         self.spans.get(self.pos).copied().unwrap_or_else(|| self.spans.last().copied().unwrap_or(0))
+    }
+
+    fn too_deep(&self) -> QueryError {
+        QueryError::Parse(format!("expression nests deeper than {MAX_EXPR_HEIGHT} levels"))
+            .at_byte(self.here())
+    }
+
+    /// Runs `rule` one nesting level down.
+    fn nested<T>(&mut self, rule: fn(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_EXPR_HEIGHT {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = rule(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Records a node built over children of height `below` at most.
+    fn grow(&mut self, below: usize) -> Result<()> {
+        if below >= MAX_EXPR_HEIGHT {
+            return Err(self.too_deep());
+        }
+        self.height = below + 1;
+        Ok(())
+    }
+
+    /// `left op right`, right after `right` was parsed.
+    fn binary(
+        &mut self,
+        op: BinaryOp,
+        left: Expr,
+        left_height: usize,
+        right: Expr,
+    ) -> Result<Expr> {
+        self.grow(left_height.max(self.height))?;
+        Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) })
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -239,6 +290,7 @@ impl Parser {
             loop {
                 let key = self.ident()?.to_lowercase();
                 self.expect_token(&Token::Eq)?;
+                self.int_in_range()?;
                 let value = match self.advance() {
                     Some(Token::StringLit(s)) | Some(Token::Ident(s)) => Value::Str(s),
                     Some(Token::IntLit(n)) => Value::Int(n),
@@ -279,6 +331,7 @@ impl Parser {
             None
         };
         let top = if self.eat_kw("TOP") {
+            self.int_in_range()?;
             match self.advance() {
                 Some(Token::IntLit(n)) if n > 0 => Some(n as usize),
                 other => {
@@ -380,6 +433,7 @@ impl Parser {
             }
         }
         let limit = if self.eat_kw("LIMIT") {
+            self.int_in_range()?;
             match self.advance() {
                 Some(Token::IntLit(n)) if n >= 0 => Some(n as usize),
                 other => {
@@ -415,7 +469,7 @@ impl Parser {
 
     fn table_ref(&mut self) -> Result<TableRef> {
         if self.eat_token(&Token::LParen) {
-            let query = self.query()?;
+            let query = self.nested(Parser::query)?;
             self.expect_token(&Token::RParen)?;
             let alias = self.optional_alias()?;
             return Ok(TableRef::Subquery { query: Box::new(query), alias });
@@ -440,14 +494,15 @@ impl Parser {
     // ---- expressions, precedence climbing --------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Parser::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
+            let left_height = self.height;
             let right = self.and_expr()?;
-            left = Expr::Binary { op: BinaryOp::Or, left: Box::new(left), right: Box::new(right) };
+            left = self.binary(BinaryOp::Or, left, left_height, right)?;
         }
         Ok(left)
     }
@@ -455,15 +510,17 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr> {
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
+            let left_height = self.height;
             let right = self.not_expr()?;
-            left = Expr::Binary { op: BinaryOp::And, left: Box::new(left), right: Box::new(right) };
+            left = self.binary(BinaryOp::And, left, left_height, right)?;
         }
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            let operand = self.not_expr()?;
+            let operand = self.nested(Parser::not_expr)?;
+            self.grow(self.height)?;
             return Ok(Expr::Unary { op: UnaryOp::Not, operand: Box::new(operand) });
         }
         self.comparison()
@@ -471,6 +528,7 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr> {
         let left = self.additive()?;
+        let left_height = self.height;
         // NOT IN / NOT BETWEEN / NOT LIKE / NOT GLOB.
         let negated = if self.peek().is_some_and(|t| t.is_kw("NOT"))
             && self.peek2().is_some_and(|t| {
@@ -484,16 +542,21 @@ impl Parser {
         if self.eat_kw("IN") {
             self.expect_token(&Token::LParen)?;
             let mut list = vec![self.expr()?];
+            let mut below = left_height.max(self.height);
             while self.eat_token(&Token::Comma) {
                 list.push(self.expr()?);
+                below = below.max(self.height);
             }
             self.expect_token(&Token::RParen)?;
+            self.grow(below)?;
             return Ok(Expr::InList { expr: Box::new(left), list, negated });
         }
         if self.eat_kw("BETWEEN") {
             let low = self.additive()?;
+            let below = left_height.max(self.height);
             self.expect_kw("AND")?;
             let high = self.additive()?;
+            self.grow(below.max(self.height))?;
             return Ok(Expr::Between {
                 expr: Box::new(left),
                 low: Box::new(low),
@@ -504,8 +567,9 @@ impl Parser {
         for (kw, op) in [("LIKE", BinaryOp::Like), ("GLOB", BinaryOp::Glob)] {
             if self.eat_kw(kw) {
                 let right = self.additive()?;
-                let matched = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
+                let matched = self.binary(op, left, left_height, right)?;
                 return Ok(if negated {
+                    self.grow(self.height)?;
                     Expr::Unary { op: UnaryOp::Not, operand: Box::new(matched) }
                 } else {
                     matched
@@ -518,6 +582,7 @@ impl Parser {
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
             self.expect_kw("NULL")?;
+            self.grow(left_height)?;
             return Ok(Expr::IsNull { expr: Box::new(left), negated });
         }
         let op = match self.peek() {
@@ -532,7 +597,7 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let right = self.additive()?;
-            return Ok(Expr::Binary { op, left: Box::new(left), right: Box::new(right) });
+            return self.binary(op, left, left_height, right);
         }
         Ok(left)
     }
@@ -546,8 +611,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let left_height = self.height;
             let right = self.multiplicative()?;
-            left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
+            left = self.binary(op, left, left_height, right)?;
         }
         Ok(left)
     }
@@ -562,34 +628,58 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let left_height = self.height;
             let right = self.unary()?;
-            left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
+            left = self.binary(op, left, left_height, right)?;
         }
         Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat_token(&Token::Minus) {
-            let operand = self.unary()?;
+            // `i64::MIN` has no positive twin to negate: its magnitude is a
+            // literal only here, directly under the minus.
+            if self.eat_token(&Token::IntLit(i64::MIN)) {
+                self.height = 1;
+                return Ok(Expr::Literal(Value::Int(i64::MIN)));
+            }
+            let operand = self.nested(Parser::unary)?;
+            self.grow(self.height)?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, operand: Box::new(operand) });
         }
         if self.eat_token(&Token::Plus) {
-            return self.unary();
+            return self.nested(Parser::unary);
         }
         self.postfix()
+    }
+
+    /// The lexer hands over the magnitude of `i64::MIN` as
+    /// `IntLit(i64::MIN)` so that `unary` can accept it under a minus; every
+    /// other place that reads an integer literal calls this first.
+    fn int_in_range(&self) -> Result<()> {
+        if self.peek() == Some(&Token::IntLit(i64::MIN)) {
+            let magnitude = i64::MIN.unsigned_abs();
+            return Err(QueryError::Parse(format!("integer literal {magnitude} is out of range"))
+                .at_byte(self.here()));
+        }
+        Ok(())
     }
 
     fn postfix(&mut self) -> Result<Expr> {
         let mut e = self.primary()?;
         while self.eat_token(&Token::LBracket) {
+            let container_height = self.height;
             let index = self.expr()?;
             self.expect_token(&Token::RBracket)?;
+            self.grow(container_height.max(self.height))?;
             e = Expr::Index { container: Box::new(e), index: Box::new(index) };
         }
         Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr> {
+        self.height = 1; // a leaf, unless an arm below builds over operands
+        self.int_in_range()?;
         match self.peek().cloned() {
             Some(Token::IntLit(n)) => {
                 self.pos += 1;
@@ -630,21 +720,25 @@ impl Parser {
                 if self.peek2() == Some(&Token::LParen) {
                     self.pos += 2;
                     let mut args = Vec::new();
+                    let mut below = 0;
                     if !self.eat_token(&Token::RParen) {
                         loop {
                             // COUNT(*).
                             if self.peek() == Some(&Token::Star) {
                                 self.pos += 1;
+                                self.height = 1;
                                 args.push(Expr::Literal(Value::Int(1)));
                             } else {
                                 args.push(self.expr()?);
                             }
+                            below = below.max(self.height);
                             if !self.eat_token(&Token::Comma) {
                                 break;
                             }
                         }
                         self.expect_token(&Token::RParen)?;
                     }
+                    self.grow(below)?;
                     return Ok(Expr::Function { name: name.to_uppercase(), args });
                 }
                 // Qualified column t.c?
@@ -661,10 +755,13 @@ impl Parser {
 
     fn case_expr(&mut self) -> Result<Expr> {
         let mut when_then = Vec::new();
+        let mut below = 0;
         while self.eat_kw("WHEN") {
             let cond = self.expr()?;
+            below = below.max(self.height);
             self.expect_kw("THEN")?;
             let result = self.expr()?;
+            below = below.max(self.height);
             when_then.push((cond, result));
         }
         if when_then.is_empty() {
@@ -672,6 +769,7 @@ impl Parser {
         }
         let else_expr = if self.eat_kw("ELSE") { Some(Box::new(self.expr()?)) } else { None };
         self.expect_kw("END")?;
+        self.grow(if else_expr.is_some() { below.max(self.height) } else { below })?;
         Ok(Expr::Case { when_then, else_expr })
     }
 }
@@ -774,6 +872,31 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn i64_min_is_a_literal_only_under_a_unary_minus() {
+        let item = |sql: &str| match parse_query(sql).unwrap().selects.remove(0).items.remove(0) {
+            SelectItem::Expr { expr, .. } => expr,
+            other => panic!("unexpected {other:?}"),
+        };
+        let min = Expr::Literal(Value::Int(i64::MIN));
+        assert_eq!(item("SELECT -9223372036854775808"), min);
+        assert!(matches!(
+            item("SELECT 5 - -9223372036854775808"),
+            Expr::Binary { op: BinaryOp::Sub, right, .. } if *right == min
+        ));
+        for sql in [
+            "SELECT 9223372036854775808",
+            "SELECT 5 - 9223372036854775808",
+            "SELECT 1 LIMIT 9223372036854775808",
+            "EXPLAIN FOR t TOP 9223372036854775808",
+            "CREATE FAMILY f WITH (k = 9223372036854775808) AS SELECT 1",
+        ] {
+            let err = parse_statement(sql).unwrap_err().to_string();
+            assert!(err.contains("out of range (at byte "), "{sql}: {err}");
+        }
+        assert!(matches!(parse_query("SELECT 9223372036854775809"), Err(QueryError::Lex { .. })));
     }
 
     #[test]

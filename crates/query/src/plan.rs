@@ -104,12 +104,10 @@ pub enum LogicalPlan {
         right: Box<LogicalPlan>,
         /// INNER / LEFT / FULL OUTER.
         kind: JoinKind,
-        /// The ON predicate.
+        /// The ON predicate. The plan says nothing about sizes: the
+        /// executor builds its hash index over whichever materialised
+        /// input is shorter.
         on: Expr,
-        /// Cardinality statistics attached by the optimizer (`annotate_join_stats`). The
-        /// executor builds the hash side on the estimated-smaller input;
-        /// `None` (un-optimized plans) keeps the legacy build-on-right.
-        stats: Option<JoinStats>,
     },
     /// Sorts by key columns of the (extended) child output.
     Sort {
@@ -220,110 +218,6 @@ pub(crate) fn tsdb_scan_columns(columns: &Option<Vec<usize>>) -> Vec<String> {
 /// registered family (what [`LogicalPlan::schema`] reports for a pivot).
 pub const FAMILY_COLUMNS: [&str; 3] = ["family", "rows", "features"];
 
-/// Cardinality statistics the optimizer attaches to a [`LogicalPlan::Join`]:
-/// per-side row estimates (from [`estimate_rows`]) and the hash-join build
-/// side they imply. Statistics never change results — the executor emits
-/// the same rows in the same order whichever side it builds on — so a
-/// wrong estimate costs memory, not correctness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Estimated left-input rows.
-    pub left_rows: u64,
-    /// Estimated right-input rows.
-    pub right_rows: u64,
-    /// True when the hash index should be built over the *left* input
-    /// (the estimated-smaller side); false keeps the legacy build-on-right.
-    pub build_left: bool,
-}
-
-/// Estimated output row count of a plan, from catalog metadata only —
-/// exact lengths for registered in-memory tables, tag-index set sizes and
-/// point-count/time-span arithmetic for TSDB scans
-/// ([`explainit_tsdb::Tsdb::estimate_points`]), and documented heuristics
-/// for the relational operators above them (filters keep ~1/3 of their
-/// input, aggregates produce ~sqrt(input) groups). Returns `None` when a
-/// referenced table is unknown. Nothing is ever scanned or materialized.
-pub fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> Option<u64> {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            if catalog.is_tsdb(table) {
-                let binding = catalog.tsdb_binding(table)?;
-                Some(binding.db().point_count() as u64)
-            } else {
-                Some(catalog.get(table)?.len() as u64)
-            }
-        }
-        LogicalPlan::TsdbScan { table, name, tags, start, end, .. }
-        | LogicalPlan::ScanPivot { table, name, tags, start, end, .. } => {
-            let binding = catalog.tsdb_binding(table)?;
-            let filter = explainit_tsdb::MetricFilter { name: name.clone(), tags: tags.clone() };
-            let lo = start.unwrap_or(i64::MIN);
-            let hi = end.unwrap_or(i64::MAX);
-            Some(binding.db().estimate_points(&filter, lo, hi))
-        }
-        LogicalPlan::Unit => Some(1),
-        LogicalPlan::Alias { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Pivot { input, .. } => estimate_rows(input, catalog),
-        LogicalPlan::Filter { input, .. } => {
-            // Default selectivity heuristic: a WHERE clause keeps ~1/3 of
-            // its input (non-zero inputs stay non-zero so join sides with
-            // any data never look free). A chain of Filter nodes is one
-            // clause the optimizer split per conjunct — charge the
-            // selectivity once for the whole chain, not once per node, so
-            // how a predicate happens to be split never skews the
-            // estimate.
-            let mut source = input;
-            while let LogicalPlan::Filter { input, .. } = source.as_ref() {
-                source = input;
-            }
-            let input = estimate_rows(source, catalog)?;
-            Some(if input == 0 { 0 } else { (input / 3).max(1) })
-        }
-        LogicalPlan::Aggregate { input, group_by, .. } => {
-            let input = estimate_rows(input, catalog)?;
-            Some(group_estimate(input, group_by.is_empty()))
-        }
-        LogicalPlan::ScanAggregate { table, name, tags, start, end, group_by, .. } => {
-            let binding = catalog.tsdb_binding(table)?;
-            let filter = explainit_tsdb::MetricFilter { name: name.clone(), tags: tags.clone() };
-            let lo = start.unwrap_or(i64::MIN);
-            let hi = end.unwrap_or(i64::MAX);
-            let input = binding.db().estimate_points(&filter, lo, hi);
-            Some(group_estimate(input, group_by.is_empty()))
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            // Without key-distinctness statistics, assume the larger side
-            // dominates (the classic |L ⋈ R| ~ max(|L|, |R|) bound for
-            // foreign-key-shaped joins).
-            let l = estimate_rows(left, catalog)?;
-            let r = estimate_rows(right, catalog)?;
-            Some(l.max(r))
-        }
-        LogicalPlan::Limit { input, n } => Some(estimate_rows(input, catalog)?.min(*n as u64)),
-        LogicalPlan::Union { inputs } => {
-            let mut total = 0u64;
-            for p in inputs {
-                total = total.saturating_add(estimate_rows(p, catalog)?);
-            }
-            Some(total)
-        }
-    }
-}
-
-/// Distinct-group estimate for an aggregation over `input` rows: one
-/// global group without keys, ~sqrt(input) groups with them.
-fn group_estimate(input: u64, global: bool) -> u64 {
-    if global {
-        1
-    } else if input == 0 {
-        0
-    } else {
-        ((input as f64).sqrt().ceil() as u64).max(1)
-    }
-}
-
 impl LogicalPlan {
     /// The visible output schema of this plan.
     pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
@@ -417,7 +311,6 @@ fn build_select(catalog: &Catalog, select: &SelectStmt) -> Result<LogicalPlan> {
             }),
             kind: join.kind,
             on: join.on.clone(),
-            stats: None,
         };
     }
 
@@ -765,22 +658,13 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             push_line(out, depth, &line);
             render_into(input, depth + 1, catalog, out);
         }
-        LogicalPlan::Join { left, right, kind, on, stats } => {
+        LogicalPlan::Join { left, right, kind, on } => {
             let kind = match kind {
                 JoinKind::Inner => "Inner",
                 JoinKind::Left => "Left",
                 JoinKind::FullOuter => "FullOuter",
             };
-            let mut line = format!("Join {kind} on {}", render_expr(on));
-            if let Some(s) = stats {
-                line.push_str(&format!(
-                    " rows=[l~{}, r~{}] build={}",
-                    s.left_rows,
-                    s.right_rows,
-                    if s.build_left { "left" } else { "right" }
-                ));
-            }
-            push_line(out, depth, &line);
+            push_line(out, depth, &format!("Join {kind} on {}", render_expr(on)));
             render_into(left, depth + 1, catalog, out);
             render_into(right, depth + 1, catalog, out);
         }

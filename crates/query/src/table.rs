@@ -222,18 +222,6 @@ impl Table {
         Table { schema, columns, len, row_cache }
     }
 
-    /// Creates a table directly from columns (the columnar fast path).
-    ///
-    /// # Panics
-    /// Panics if column lengths disagree or the count differs from the
-    /// schema width.
-    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Self {
-        assert_eq!(schema.len(), columns.len(), "schema/column count mismatch");
-        let len = columns.first().map_or(0, Column::len);
-        assert!(columns.iter().all(|c| c.len() == len), "column length mismatch");
-        Table { schema, columns, len, row_cache: OnceLock::new(&TABLE_ROWS) }
-    }
-
     /// Creates a zero-column table with `len` (empty) rows — the input of a
     /// constant `SELECT` without FROM.
     pub fn unit(len: usize) -> Self {
@@ -442,9 +430,10 @@ mod tests {
 
     #[test]
     fn columnar_construction_and_row_shim() {
-        let t = Table::from_columns(
+        let t = Table::from_columnar_parts(
             Schema::new(vec!["ts".into(), "v".into()]),
             vec![Column::Int(vec![0, 1]), Column::Float(vec![1.0, 2.0])],
+            2,
         );
         assert_eq!(t.len(), 2);
         assert_eq!(t.rows()[1], vec![Value::Int(1), Value::Float(2.0)]);

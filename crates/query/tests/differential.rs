@@ -1104,6 +1104,42 @@ fn skewed_hot_series_fleet_agrees_at_every_partition_count() {
     }
 }
 
+/// The hypothesis-table shape: a grouped subquery of G groups joined to a
+/// filtered scan of n ≪ G rows on `timestamp`, either side first. Nothing
+/// in the plan says which input is smaller; the join reads it off the two
+/// materialised tables, and the rows are the reference's either way.
+#[test]
+fn lopsided_joins_agree_whichever_side_is_smaller() {
+    let mut db = Tsdb::new();
+    for host in 0..40 {
+        let key = SeriesKey::new("cpu").with_tag("host", format!("h{host}"));
+        for t in 0..12i64 {
+            db.insert(&key, t * 60, (host * 12) as f64 + t as f64 * 0.25);
+        }
+    }
+    for t in 0..12i64 {
+        db.insert(&SeriesKey::new("pipeline_runtime"), t * 60, 100.0 - t as f64);
+    }
+    let backends = backends_of(&db);
+    let grouped = "(SELECT timestamp AS t, tag['host'] AS h, AVG(value) AS mean FROM tsdb \
+                   WHERE metric_name = 'cpu' GROUP BY timestamp, tag['host']) g";
+    // Four timestamps the groups have, one (720) they do not.
+    let filtered = "(SELECT timestamp, value FROM tsdb WHERE metric_name = 'pipeline_runtime' \
+                    AND timestamp >= 480 UNION ALL SELECT 720, 0.0) r";
+    for join in ["JOIN", "LEFT JOIN", "FULL OUTER JOIN"] {
+        for (left, right) in [(grouped, filtered), (filtered, grouped)] {
+            let sql = format!(
+                "SELECT g.t, g.h, g.mean, r.timestamp, r.value FROM {left} {join} {right} \
+                 ON g.t = r.timestamp"
+            );
+            let query = parse_query(&sql).unwrap();
+            let naive = execute_naive(&backends[0], &query).unwrap();
+            assert!(naive.len() >= 4 * 40, "{join}: {} rows", naive.len());
+            assert_pinned(&backends, &query, &[1, 3], &naive);
+        }
+    }
+}
+
 /// SUM over the Int timestamp column keeps Int typing in the scan
 /// aggregate, and promotes to the exact float sum on i64 overflow —
 /// identically to the row engines.

@@ -4,6 +4,10 @@
 //!   ([`explainit_query::check_query`], run inside `execute` between
 //!   planning and optimization) must reject *before* any data is touched,
 //!   each with a byte-position-bearing diagnostic;
+//! * the **hostile shapes** — nesting and operator chains deep enough to
+//!   overflow any recursive walker — which the parser must refuse with a
+//!   byte position, and one expression at its bound that every engine
+//!   still runs;
 //! * a property test for the checker's sound direction: on a pool mixing
 //!   well- and ill-typed fragments, every statement the checker accepts
 //!   runs at partitions 1 and 3 and on the reference interpreter without
@@ -102,6 +106,62 @@ fn negative_corpus_rejected_at_plan_time_with_positions() {
         // cannot run is not worth printing.
         let explained = c.execute(&format!("EXPLAIN {sql}"));
         assert!(explained.is_err(), "EXPLAIN bypassed the checker for {sql}");
+    }
+}
+
+/// Statements that used to end the process (`thread 'main' has overflowed
+/// its stack`): the parser bounds expression height — nesting depth and
+/// the height of a left-deep operator chain alike — so each is an ordinary
+/// parse error with a position, under `EXPLAIN` too.
+#[test]
+fn hostile_shapes_are_parse_errors_not_stack_overflows() {
+    let c = catalog();
+    let hostile = [
+        format!("SELECT {}1{}", "(".repeat(5_000), ")".repeat(5_000)),
+        format!("SELECT 1{}", " + 1".repeat(200_000)),
+        format!("SELECT {}v{} FROM t", "ABS(".repeat(20_000), ")".repeat(20_000)),
+        format!("SELECT {}v FROM t", "- ".repeat(20_000)),
+        format!("SELECT v FROM t WHERE v > 0{}", " AND v > 0".repeat(100_000)),
+    ];
+    for sql in &hostile {
+        for sql in [sql.clone(), format!("EXPLAIN {sql}")] {
+            let shown = &sql[..40];
+            match c.execute(&sql) {
+                Err(QueryError::Parse(m)) => {
+                    assert!(m.contains("nests deeper") && m.contains("(at byte "), "{shown}: {m}")
+                }
+                other => panic!("{shown}…: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The deepest expressions the parser accepts — 64 levels of nesting, a
+/// 64-high operator chain, a 64-high conjunction — run on every engine, on
+/// worker threads (partitions 3) included; one level more is refused.
+#[test]
+fn expressions_at_the_height_bound_run_on_every_engine() {
+    let c = catalog();
+    let statement = |levels: usize, v: &str, table: &str| {
+        format!(
+            "SELECT {}{v}{} AS nested, {v}{} AS chained FROM {table} WHERE {v} IS NOT NULL{}",
+            "ABS(".repeat(levels - 1),
+            ")".repeat(levels - 1),
+            " + 1".repeat(levels - 1),
+            format!(" AND {v} IS NOT NULL").repeat(levels - 2),
+        )
+    };
+    for (v, table, rows) in [("v", "t", 12), ("value", "tsdb", 30)] {
+        let query = parse_query(&statement(64, v, table)).expect("at the bound");
+        let reference = explainit_query::reference::execute_naive(&c, &query).expect("reference");
+        assert_eq!(reference.len(), rows);
+        for partitions in [1, 3] {
+            let got = c
+                .execute_query_with(&query, ExecOptions::with_partitions(partitions))
+                .expect("executes");
+            assert_eq!(got.rows(), reference.rows(), "{table} partitions={partitions}");
+        }
+        assert!(matches!(parse_query(&statement(65, v, table)), Err(QueryError::Parse(_))));
     }
 }
 

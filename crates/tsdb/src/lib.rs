@@ -53,8 +53,10 @@
 //! chunk's compressed bytes live **Cold** on disk until a scan touches
 //! them; the first touch faults them in with one positioned read
 //! (**Paged**, counted as a page fault), and decoding on top of that
-//! yields the **Decoded** per-chunk cache plus, for materializing reads,
-//! an assembled whole-series view.
+//! yields the **Decoded** per-chunk cache. Those three states are all
+//! there is: a whole-series read ([`Series::points`]) walks the same
+//! per-chunk caches a scan hands out, and one object — the pager — counts
+//! the faults, the evictions and the decodes.
 //!
 //! [`StorageOptions::page_budget_bytes`] bounds this: a clock (second
 //! chance) sweep evicts paged compressed bytes back to Cold whenever a
@@ -74,8 +76,8 @@
 //! # Locking discipline
 //!
 //! Every lock in this crate is an [`explainit_sync`] wrapper carrying a
-//! static `LockClass` rank (`tsdb.shared` 10 → series/chunk caches
-//! 40–55 → pager clock 60 → pager slots 70), checked at runtime by the
+//! static `LockClass` rank (`tsdb.shared` 10 → chunk decode caches 50 →
+//! crc table 55 → pager clock 60 → pager slots 70), checked at runtime by the
 //! lockdep machinery rather than documented as prose: in debug builds
 //! (or under `EXPLAINIT_LOCKDEP=1`) any acquisition that inverts the
 //! rank order, nests a class inside itself, or closes a cycle in the

@@ -4,17 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use explainit_sync::{LockClass, OnceLock};
-
-use crate::storage::chunk::{encode_run, DecodedBlock, DecodedPoints, EncodedChunk, SealedChunk};
+use crate::storage::chunk::{encode_run, EncodedChunk, SealedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::{ChunkData, RecoveredChunk};
-use crate::storage::DecodeCounter;
-
-/// The per-series assembled view (all chunks + head merged). Init decodes
-/// every chunk, so this nests *outside* `tsdb.chunk.decoded` and, through
-/// it, the pager — all higher ranks.
-static SERIES_ASSEMBLED: LockClass = LockClass::new("tsdb.series.assembled", 40);
 
 /// A half-open time range `[start, end)` in the same units the database is
 /// fed with (the workloads use epoch seconds at minute granularity).
@@ -123,10 +115,11 @@ impl fmt::Display for SeriesKey {
 ///   sealed timestamp.
 ///
 /// All read accessors present the *logical* series — the sealed tier is a
-/// representation detail. Whole-series accessors ([`Series::timestamps`],
-/// [`Series::range`], …) hydrate sealed chunks into an assembled cache on
-/// first use; the lazy per-chunk path is `Tsdb::scan_parts*`, which never
-/// materializes more than the chunks a query's time range overlaps.
+/// representation detail. There is one read path: [`Series::points`] walks
+/// the sealed chunks through their per-chunk decode caches and then the
+/// head, exactly what `Tsdb::scan_parts*` hands out slice by slice (and
+/// prunes by time range), so a whole-series read is charged to the pager
+/// and shed by `Tsdb::evict_to_budget` like any scan.
 ///
 /// # Insert contract (out-of-order and duplicate timestamps)
 ///
@@ -153,16 +146,6 @@ pub struct Series {
     timestamps: Vec<i64>,
     /// Head values, parallel to `timestamps`.
     values: Vec<f64>,
-    /// Write-once cache of the fully hydrated series (sealed + head),
-    /// reset by any mutation. Gives whole-series accessors a stable
-    /// address to borrow from behind `&self`. Its footprint is accounted
-    /// against the store's page budget (via [`DecodedBlock`]) and shed by
-    /// `Tsdb::evict_to_budget` — without that it would pin a decoded copy
-    /// of the whole series for the store's lifetime.
-    assembled: OnceLock<DecodedPoints>,
-    /// The store's pager, for accounting the assembled cache. `None` for
-    /// a standalone series never adopted by a `Tsdb`.
-    pager: Option<Arc<Pager>>,
 }
 
 /// Logical equality: two series are equal when their keys and *contents*
@@ -170,28 +153,18 @@ pub struct Series {
 /// head (a reopened store compares equal to the store that wrote it).
 impl PartialEq for Series {
     fn eq(&self, other: &Self) -> bool {
-        if self.key != other.key {
-            return false;
-        }
-        let (ats, avs) = self.full();
-        let (bts, bvs) = other.full();
-        ats == bts
-            && avs.len() == bvs.len()
-            && avs.iter().zip(bvs).all(|(a, b)| a == b || (a.is_nan() && b.is_nan()))
+        self.key == other.key
+            && self.len() == other.len()
+            && self.points().zip(other.points()).all(|(a, b)| {
+                a.ts == b.ts && (a.value == b.value || (a.value.is_nan() && b.value.is_nan()))
+            })
     }
 }
 
 impl Series {
     /// Creates an empty series.
     pub fn new(key: SeriesKey) -> Self {
-        Series {
-            key,
-            sealed: Vec::new(),
-            timestamps: Vec::new(),
-            values: Vec::new(),
-            assembled: OnceLock::new(&SERIES_ASSEMBLED),
-            pager: None,
-        }
+        Series { key, sealed: Vec::new(), timestamps: Vec::new(), values: Vec::new() }
     }
 
     /// Creates a series from parallel timestamp/value vectors.
@@ -204,22 +177,7 @@ impl Series {
             timestamps.windows(2).all(|w| w[0] < w[1]),
             "timestamps must be strictly increasing"
         );
-        Series {
-            key,
-            sealed: Vec::new(),
-            timestamps,
-            values,
-            assembled: OnceLock::new(&SERIES_ASSEMBLED),
-            pager: None,
-        }
-    }
-
-    /// Attaches the store's pager so the assembled cache is accounted
-    /// against its budget. Called when a `Tsdb` adopts the series; safe
-    /// only while the caches are empty (adoption points guarantee that).
-    pub(crate) fn set_pager(&mut self, pager: Arc<Pager>) {
-        debug_assert!(self.assembled.get().is_none());
-        self.pager = Some(pager);
+        Series { key, sealed: Vec::new(), timestamps, values }
     }
 
     /// Rebuilds a series from recovered segment chunks (ascending,
@@ -228,31 +186,19 @@ impl Series {
     pub(crate) fn from_storage(
         key: SeriesKey,
         chunks: Vec<RecoveredChunk>,
-        counter: DecodeCounter,
-        pager: Arc<Pager>,
+        pager: &Arc<Pager>,
     ) -> Self {
         debug_assert!(chunks.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
         let sealed = chunks
             .into_iter()
             .map(|c| match c.data {
-                ChunkData::Resident(bytes) => SealedChunk::new(
-                    EncodedChunk { meta: c.meta, bytes },
-                    counter.clone(),
-                    Arc::clone(&pager),
-                ),
-                ChunkData::Cold(cold) => {
-                    SealedChunk::cold(c.meta, cold, counter.clone(), Arc::clone(&pager))
+                ChunkData::Resident(bytes) => {
+                    SealedChunk::new(EncodedChunk { meta: c.meta, bytes }, Arc::clone(pager))
                 }
+                ChunkData::Cold(cold) => SealedChunk::cold(c.meta, cold, Arc::clone(pager)),
             })
             .collect();
-        Series {
-            key,
-            sealed,
-            timestamps: Vec::new(),
-            values: Vec::new(),
-            assembled: OnceLock::new(&SERIES_ASSEMBLED),
-            pager: Some(pager),
-        }
+        Series { key, sealed, timestamps: Vec::new(), values: Vec::new() }
     }
 
     /// Appends or overwrites the observation at `ts` — see the insert
@@ -263,7 +209,6 @@ impl Series {
         if self.sealed.last().is_some_and(|c| ts <= c.meta.max_ts) {
             self.unseal();
         }
-        self.assembled = OnceLock::new(&SERIES_ASSEMBLED);
         match self.timestamps.last() {
             Some(&last) if last < ts => {
                 self.timestamps.push(ts);
@@ -291,14 +236,8 @@ impl Series {
     /// Hydrates the sealed tier into the head and empties it, so the
     /// series is mutable anywhere in its range again.
     fn unseal(&mut self) {
-        let (ts, vs) = {
-            let (ts, vs) = self.full();
-            (ts.to_vec(), vs.to_vec())
-        };
+        (self.timestamps, self.values) = self.points().map(|p| (p.ts, p.value)).unzip();
         self.sealed.clear();
-        self.timestamps = ts;
-        self.values = vs;
-        self.assembled = OnceLock::new(&SERIES_ASSEMBLED);
     }
 
     /// Encodes the head into chunks, moves them onto the sealed tier, and
@@ -306,47 +245,31 @@ impl Series {
     /// is empty. Decode caches are *not* pre-populated: sealing trades the
     /// raw head vectors for compressed bytes, and later scans re-decode
     /// lazily only what they touch.
-    pub(crate) fn seal_head(
-        &mut self,
-        counter: DecodeCounter,
-        pager: &Arc<Pager>,
-    ) -> Option<Vec<EncodedChunk>> {
+    pub(crate) fn seal_head(&mut self, pager: &Arc<Pager>) -> Option<Vec<EncodedChunk>> {
         if self.timestamps.is_empty() {
             return None;
         }
         let chunks = encode_run(&self.timestamps, &self.values);
         for chunk in &chunks {
-            self.sealed.push(SealedChunk::new(chunk.clone(), counter.clone(), Arc::clone(pager)));
+            self.sealed.push(SealedChunk::new(chunk.clone(), Arc::clone(pager)));
         }
         self.timestamps = Vec::new();
         self.values = Vec::new();
-        self.assembled = OnceLock::new(&SERIES_ASSEMBLED);
         Some(chunks)
     }
 
-    /// Drops this series' decoded caches (the assembled whole-series view
-    /// and every chunk decode cache), returning how many caches were
+    /// Drops this series' chunk decode caches, returning how many were
     /// populated. Chunk *bytes* are untouched — the pager's clock governs
     /// those — so the next read simply re-decodes.
     pub(crate) fn shed_caches(&mut self) -> u64 {
-        let mut dropped = 0;
-        if self.assembled.get().is_some() {
-            self.assembled = OnceLock::new(&SERIES_ASSEMBLED);
-            dropped += 1;
-        }
-        for chunk in &mut self.sealed {
-            if chunk.clear_decoded() {
-                dropped += 1;
-            }
-        }
-        dropped
+        self.sealed.iter_mut().map(|chunk| u64::from(chunk.clear_decoded())).sum()
     }
 
     /// Drops sealed chunks belonging to retention-expired segments:
     /// demand-paged chunks match by segment id, chunks sealed by this
     /// process (pinned, no segment id yet) match by their directory
-    /// metadata read from the expiring file. Invalidates the assembled
-    /// cache when anything went; returns how many chunks were dropped.
+    /// metadata read from the expiring file. Returns how many chunks were
+    /// dropped.
     pub(crate) fn drop_expired_chunks(
         &mut self,
         segment_ids: &[u64],
@@ -357,21 +280,12 @@ impl Series {
             Some(id) => !segment_ids.contains(&id),
             None => !metas.contains(&c.meta),
         });
-        let dropped = before - self.sealed.len();
-        if dropped > 0 {
-            self.assembled = OnceLock::new(&SERIES_ASSEMBLED);
-        }
-        dropped
+        before - self.sealed.len()
     }
 
     /// The sealed chunks (ascending, disjoint) — the lazy scan path.
     pub(crate) fn sealed_chunks(&self) -> &[SealedChunk] {
         &self.sealed
-    }
-
-    /// True when any history is sealed (compressed).
-    pub(crate) fn has_sealed(&self) -> bool {
-        !self.sealed.is_empty()
     }
 
     /// Head observations in the inclusive `[lo, hi]` range, as slices.
@@ -384,29 +298,6 @@ impl Series {
         (&self.timestamps[a..b], &self.values[a..b])
     }
 
-    /// The full logical contents: the head alone when nothing is sealed,
-    /// otherwise the assembled cache (hydrated once per mutation epoch).
-    fn full(&self) -> (&[i64], &[f64]) {
-        if self.sealed.is_empty() {
-            return (&self.timestamps, &self.values);
-        }
-        let assembled = self.assembled.get_or_init(|| {
-            let n = self.len();
-            let mut ts = Vec::with_capacity(n);
-            let mut vs = Vec::with_capacity(n);
-            for chunk in &self.sealed {
-                let decoded = chunk.decoded();
-                ts.extend_from_slice(&decoded.0);
-                vs.extend_from_slice(&decoded.1);
-            }
-            ts.extend_from_slice(&self.timestamps);
-            vs.extend_from_slice(&self.values);
-            DecodedBlock::new((ts, vs), self.pager.clone())
-        });
-        let points = assembled.points();
-        (&points.0, &points.1)
-    }
-
     /// Number of observations (metadata only — no decode).
     pub fn len(&self) -> usize {
         self.sealed.iter().map(|c| c.meta.count as usize).sum::<usize>() + self.timestamps.len()
@@ -417,55 +308,26 @@ impl Series {
         self.sealed.is_empty() && self.timestamps.is_empty()
     }
 
-    /// Borrow the sorted timestamps (hydrates sealed history).
-    pub fn timestamps(&self) -> &[i64] {
-        self.full().0
+    /// The sorted timestamps, collected from [`Series::points`].
+    pub fn timestamps(&self) -> Vec<i64> {
+        self.points().map(|p| p.ts).collect()
     }
 
-    /// Borrow the values, parallel to [`Series::timestamps`] (hydrates
-    /// sealed history).
-    pub fn values(&self) -> &[f64] {
-        self.full().1
+    /// The values, parallel to [`Series::timestamps`].
+    pub fn values(&self) -> Vec<f64> {
+        self.points().map(|p| p.value).collect()
     }
 
-    /// Iterates observations as [`DataPoint`]s.
+    /// Iterates observations as [`DataPoint`]s: every sealed chunk in
+    /// order, read through its decode cache, then the head.
     pub fn points(&self) -> impl Iterator<Item = DataPoint> + '_ {
-        let (ts, vs) = self.full();
-        ts.iter().zip(vs.iter()).map(|(&ts, &value)| DataPoint { ts, value })
-    }
-
-    /// The value exactly at `ts`, if present.
-    pub fn value_at(&self, ts: i64) -> Option<f64> {
-        let (tss, vs) = self.full();
-        tss.binary_search(&ts).ok().map(|i| vs[i])
-    }
-
-    /// Observations within the half-open `range`, as slices.
-    pub fn range(&self, range: &TimeRange) -> (&[i64], &[f64]) {
-        // `>=` (not `==`): an inverted range ending at i64::MIN must not
-        // reach the `end - 1` below (overflow). TimeRange::new rejects
-        // inverted ranges, but literal construction does not.
-        if range.start >= range.end {
-            return (&[], &[]);
-        }
-        self.range_between(range.start, range.end - 1)
-    }
-
-    /// Observations within the *inclusive* `[lo, hi]` range, as slices.
-    ///
-    /// Unlike the half-open [`Series::range`], this can express a range
-    /// reaching all the way to `i64::MAX` — an unbounded-above scan has no
-    /// representable exclusive end, so the query layer's inclusive bounds
-    /// come through here without the off-by-one at the saturated edge.
-    /// An inverted range (`lo > hi`) is empty.
-    pub fn range_between(&self, lo: i64, hi: i64) -> (&[i64], &[f64]) {
-        if lo > hi {
-            return (&[], &[]);
-        }
-        let (ts, vs) = self.full();
-        let a = ts.partition_point(|&t| t < lo);
-        let b = ts.partition_point(|&t| t <= hi);
-        (&ts[a..b], &vs[a..b])
+        let sealed = self.sealed.iter().flat_map(|chunk| {
+            let (ts, vs) = chunk.decoded();
+            ts.iter().zip(vs)
+        });
+        sealed
+            .chain(self.timestamps.iter().zip(&self.values))
+            .map(|(&ts, &value)| DataPoint { ts, value })
     }
 
     /// First and last timestamp, if non-empty (metadata only — sealed
@@ -520,53 +382,7 @@ mod tests {
         s.push(10, 1.0);
         s.push(10, 9.0);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.value_at(10), Some(9.0));
-    }
-
-    #[test]
-    fn series_range_query() {
-        let s = Series::from_points(
-            SeriesKey::new("m"),
-            vec![0, 10, 20, 30, 40],
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-        );
-        let (ts, vs) = s.range(&TimeRange::new(10, 31));
-        assert_eq!(ts, &[10, 20, 30]);
-        assert_eq!(vs, &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn range_between_is_inclusive_both_ends() {
-        let s = Series::from_points(
-            SeriesKey::new("m"),
-            vec![0, 10, 20, 30, 40],
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-        );
-        let (ts, vs) = s.range_between(10, 30);
-        assert_eq!(ts, &[10, 20, 30]);
-        assert_eq!(vs, &[1.0, 2.0, 3.0]);
-        // Inverted ranges are empty, equal bounds are a point lookup.
-        assert_eq!(s.range_between(30, 10).0, &[] as &[i64]);
-        assert_eq!(s.range_between(20, 20).0, &[20]);
-    }
-
-    #[test]
-    fn range_between_reaches_i64_extremes() {
-        // A point at i64::MAX has no representable half-open upper bound;
-        // the inclusive API must still return it (and i64::MIN symmetrically).
-        let s = Series::from_points(
-            SeriesKey::new("m"),
-            vec![i64::MIN, 0, i64::MAX],
-            vec![-1.0, 0.0, 1.0],
-        );
-        let (ts, _) = s.range_between(i64::MIN, i64::MAX);
-        assert_eq!(ts, &[i64::MIN, 0, i64::MAX]);
-        let (ts, vs) = s.range_between(1, i64::MAX);
-        assert_eq!(ts, &[i64::MAX]);
-        assert_eq!(vs, &[1.0]);
-        // The half-open API keeps its exclusive contract below the edge.
-        let (ts, _) = s.range(&TimeRange::new(0, i64::MAX));
-        assert_eq!(ts, &[0], "half-open end stays exclusive of i64::MAX");
+        assert_eq!(s.values(), &[9.0]);
     }
 
     #[test]

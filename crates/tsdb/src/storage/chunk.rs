@@ -17,12 +17,12 @@
 //! * values are encoded by their IEEE-754 bit pattern — NaN payloads,
 //!   `-0.0` and the infinities all round-trip bit-identically.
 //!
-//! Every decode increments a shared counter (the store surfaces it as
+//! A reader decodes a chunk at exactly one site, [`SealedChunk::decoded`],
+//! and every decode is counted on the store's pager (surfaced as
 //! `Tsdb::decode_count`), which is how tests *prove* scans are lazy: a
 //! time-filtered query must only ever decode chunks whose `[min_ts,
 //! max_ts]` spans overlap the query range.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use explainit_sync::{LockClass, OnceLock};
@@ -32,8 +32,7 @@ use super::StorageError;
 
 /// The per-chunk decode cache. Init legitimately waits on a page fault
 /// (the closure calls `PageSlot::bytes`), so the rank sits below
-/// [`explainit_sync::IO_LOCK_RANK_THRESHOLD`] and above the per-series
-/// assembled cache that nests around it.
+/// [`explainit_sync::IO_LOCK_RANK_THRESHOLD`].
 static CHUNK_DECODED: LockClass = LockClass::new("tsdb.chunk.decoded", 50);
 
 /// Hard cap on points per chunk: bounds the decode unit (and therefore the
@@ -62,26 +61,24 @@ pub struct EncodedChunk {
     pub bytes: Arc<Vec<u8>>,
 }
 
-/// A decoded point block (per-chunk decode cache or per-series assembled
-/// view) whose memory is accounted against the store's page budget for as
-/// long as any `Arc` keeps it alive. Clones of a series share one block;
-/// the accounting releases exactly once, when the last reference drops.
+/// A chunk's decoded points, whose memory is accounted against the store's
+/// page budget for as long as any `Arc` keeps it alive. Clones of a series
+/// share one block; the accounting releases exactly once, when the last
+/// reference drops.
 #[derive(Debug)]
 pub struct DecodedBlock {
     points: (Vec<i64>, Vec<f64>),
-    pager: Option<Arc<Pager>>,
+    pager: Arc<Pager>,
     cost: u64,
 }
 
 impl DecodedBlock {
-    /// Wraps decoded points, charging their footprint to `pager` (when
-    /// given) until the last reference drops.
-    pub(crate) fn new(points: (Vec<i64>, Vec<f64>), pager: Option<Arc<Pager>>) -> Arc<Self> {
+    /// Wraps decoded points, charging their footprint to `pager` until the
+    /// last reference drops.
+    fn new(points: (Vec<i64>, Vec<f64>), pager: Arc<Pager>) -> Arc<Self> {
         // 16 bytes per point: one i64 timestamp + one f64 value.
         let cost = points.0.len() as u64 * 16;
-        if let Some(p) = &pager {
-            p.cache_added(cost);
-        }
+        pager.cache_added(cost);
         Arc::new(DecodedBlock { points, pager, cost })
     }
 
@@ -93,15 +90,9 @@ impl DecodedBlock {
 
 impl Drop for DecodedBlock {
     fn drop(&mut self) {
-        if let Some(p) = &self.pager {
-            p.cache_removed(self.cost);
-        }
+        self.pager.cache_removed(self.cost);
     }
 }
-
-/// The decoded form of a chunk behind an `Arc` so series clones share one
-/// decode (and its budget accounting).
-pub type DecodedPoints = Arc<DecodedBlock>;
 
 /// A compressed chunk held by a sealed series, with a write-once decode
 /// cache. The cache gives decoded slices a stable address behind `&self`,
@@ -118,8 +109,9 @@ pub struct SealedChunk {
     /// invariant without touching the payload).
     pub meta: ChunkMeta,
     slot: Arc<PageSlot>,
-    decoded: OnceLock<DecodedPoints>,
-    counter: Arc<AtomicU64>,
+    /// Behind an `Arc` so series clones share one decode (and its budget
+    /// accounting).
+    decoded: OnceLock<Arc<DecodedBlock>>,
     pager: Arc<Pager>,
 }
 
@@ -127,29 +119,22 @@ impl SealedChunk {
     /// Wraps a freshly encoded chunk whose bytes have no on-disk home yet:
     /// the slot is pinned resident until the chunk reaches a segment file
     /// and the store reopens.
-    pub fn new(chunk: EncodedChunk, counter: Arc<AtomicU64>, pager: Arc<Pager>) -> Self {
+    pub fn new(chunk: EncodedChunk, pager: Arc<Pager>) -> Self {
         SealedChunk {
             meta: chunk.meta,
             slot: pager.slot_resident(chunk.bytes),
             decoded: OnceLock::new(&CHUNK_DECODED),
-            counter,
             pager,
         }
     }
 
     /// A chunk recovered from a segment file, starting Cold: only `meta`
     /// is resident; the compressed bytes fault in on first touch.
-    pub fn cold(
-        meta: ChunkMeta,
-        cold: ColdRef,
-        counter: Arc<AtomicU64>,
-        pager: Arc<Pager>,
-    ) -> Self {
+    pub fn cold(meta: ChunkMeta, cold: ColdRef, pager: Arc<Pager>) -> Self {
         SealedChunk {
             meta,
             slot: pager.slot_cold(cold),
             decoded: OnceLock::new(&CHUNK_DECODED),
-            counter,
             pager,
         }
     }
@@ -169,20 +154,15 @@ impl SealedChunk {
     pub fn decoded(&self) -> &(Vec<i64>, Vec<f64>) {
         self.decoded
             .get_or_init(|| {
-                self.counter.fetch_add(1, Ordering::Relaxed);
+                self.pager.note_decode();
                 let points = self
                     .slot
                     .bytes()
                     .and_then(|bytes| decode(&bytes, self.meta.count as usize))
                     .unwrap_or_default();
-                DecodedBlock::new(points, Some(Arc::clone(&self.pager)))
+                DecodedBlock::new(points, Arc::clone(&self.pager))
             })
             .points()
-    }
-
-    /// Whether the decode cache is populated (test/report introspection).
-    pub fn is_decoded(&self) -> bool {
-        self.decoded.get().is_some()
     }
 
     /// The segment id a Cold-capable chunk pages from, if any (pinned
@@ -532,13 +512,11 @@ mod tests {
 
     #[test]
     fn decode_counter_counts_once_per_chunk() {
-        let counter = Arc::new(AtomicU64::new(0));
+        let pager = Pager::unbounded();
         let chunks = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
-        let sealed = SealedChunk::new(chunks[0].clone(), counter.clone(), Pager::unbounded());
-        assert!(!sealed.is_decoded());
+        let sealed = SealedChunk::new(chunks[0].clone(), Arc::clone(&pager));
         assert_eq!(sealed.decoded().0, vec![0, 60, 120]);
         assert_eq!(sealed.decoded().1, vec![1.0, 2.0, 3.0]);
-        assert_eq!(counter.load(Ordering::Relaxed), 1, "second access hits the cache");
-        assert!(sealed.is_decoded());
+        assert_eq!(pager.decode_count(), 1, "second access hits the cache");
     }
 }

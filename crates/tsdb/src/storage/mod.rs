@@ -31,8 +31,6 @@ pub mod segment;
 pub mod wal;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 pub use chunk::{ChunkMeta, SealedChunk, CHUNK_MAX_POINTS};
 pub use pager::{Pager, PagerCounters};
@@ -134,7 +132,7 @@ pub struct StorageStats {
     /// across crashes).
     pub freelist: Vec<u64>,
     /// All accounted resident bytes: compressed chunk bytes plus decoded
-    /// caches (per-chunk decode caches and assembled whole-series views).
+    /// caches (the per-chunk decode caches).
     pub resident_bytes: u64,
     /// Compressed chunk bytes currently resident (pinned + paged-in).
     pub resident_chunk_bytes: u64,
@@ -266,9 +264,6 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), StorageError> {
         Err(e) => Err(StorageError::io(format!("opening {} for sync", dir.display()), e)),
     }
 }
-
-/// Shared decode-counter type (one per store, shared by every clone).
-pub type DecodeCounter = Arc<AtomicU64>;
 
 #[cfg(test)]
 mod tests {

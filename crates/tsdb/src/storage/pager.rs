@@ -1,6 +1,6 @@
 //! The chunk pager: a memory budget over compressed chunk bytes with a
 //! clock (second-chance) eviction policy, plus the accounting for decode
-//! and whole-series caches.
+//! caches and the count of decodes — the store's one accounting object.
 //!
 //! Every sealed chunk owns a [`PageSlot`]. A slot is either **pinned**
 //! (its compressed bytes were produced in this process — sealed from the
@@ -21,11 +21,10 @@
 //! The pager tracks two gauges. `chunk_resident` counts compressed chunk
 //! bytes currently in memory (pinned + paged) — this is what the clock
 //! enforces the budget over, online, behind `&self`. `cache_resident`
-//! counts decoded-points caches (per-chunk decode caches and per-series
-//! assembled views); those hand out borrows with stable addresses, so
-//! they cannot be dropped mid-scan — [`crate::Tsdb::evict_to_budget`]
-//! sheds them at mutation points instead. `resident_bytes` in
-//! [`super::StorageStats`] is the sum of both.
+//! counts the per-chunk decode caches; those hand out borrows with stable
+//! addresses, so they cannot be dropped mid-scan —
+//! [`crate::Tsdb::evict_to_budget`] sheds them at mutation points instead.
+//! `resident_bytes` in [`super::StorageStats`] is the sum of both.
 
 use std::fs::File;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -198,9 +197,8 @@ pub struct PagerCounters {
     pub evictions: u64,
 }
 
-/// The per-store pager, shared (like the decode counter) by the durable
-/// handle and every clone, so faults from snapshot views count against
-/// one budget.
+/// The per-store pager, shared by the durable handle and every clone, so
+/// faults and decodes from snapshot views count against one budget.
 #[derive(Debug)]
 pub struct Pager {
     /// Budget in bytes over compressed chunk residency; `u64::MAX` means
@@ -211,6 +209,7 @@ pub struct Pager {
     cache_resident: AtomicU64,
     faults: AtomicU64,
     evictions: AtomicU64,
+    decodes: AtomicU64,
     clock: Mutex<Clock>,
 }
 
@@ -231,6 +230,7 @@ impl Pager {
             cache_resident: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            decodes: AtomicU64::new(0),
             clock: Mutex::new(&PAGER_CLOCK, Clock { ring: Vec::new(), hand: 0 }),
         })
     }
@@ -287,8 +287,17 @@ impl Pager {
         self.add_resident(n);
     }
 
-    /// Accounts a decoded cache (per-chunk decode or per-series assembled
-    /// view) coming into existence.
+    /// Counts one chunk decode.
+    pub fn note_decode(&self) {
+        self.decodes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Chunk decodes since the pager was created.
+    pub fn decode_count(&self) -> u64 {
+        self.decodes.load(Ordering::Relaxed)
+    }
+
+    /// Accounts a chunk's decode cache coming into existence.
     pub fn cache_added(&self, n: u64) {
         self.cache_resident.fetch_add(n, Ordering::Relaxed);
     }

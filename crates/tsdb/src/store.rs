@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
@@ -13,7 +12,7 @@ use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
 use crate::storage::{
-    compact, recover, segment, DecodeCounter, Storage, StorageError, StorageOptions, StorageStats,
+    compact, recover, segment, Storage, StorageError, StorageOptions, StorageStats,
     AUTO_COMPACT_SEGMENTS,
 };
 
@@ -149,12 +148,10 @@ pub struct Tsdb {
     tag_index: BTreeMap<(String, String), BTreeSet<SeriesId>>,
     /// The durable engine, present only on the handle `Tsdb::open` built.
     storage: Option<Storage>,
-    /// Chunk-decode counter shared by this store and all its clones — the
-    /// observable that proves scans decode lazily.
-    decode_counter: DecodeCounter,
-    /// The pager owning residency accounting and the eviction clock,
-    /// shared (like the decode counter) by this store and all its clones.
-    /// Unbounded unless the store was opened with a budget.
+    /// The pager owning residency accounting, the eviction clock and the
+    /// chunk-decode count (the observable that proves scans decode
+    /// lazily), shared by this store and all its clones. Unbounded unless
+    /// the store was opened with a budget.
     pager: Arc<Pager>,
 }
 
@@ -166,15 +163,14 @@ impl Default for Tsdb {
             name_index: BTreeMap::new(),
             tag_index: BTreeMap::new(),
             storage: None,
-            decode_counter: DecodeCounter::default(),
             pager: Pager::unbounded(),
         }
     }
 }
 
 /// Clones detach from the store directory: the clone is an in-memory
-/// snapshot view sharing the sealed chunk payloads (`Arc` page slots) and
-/// the decode counter, never the WAL or segment files. This is what the
+/// snapshot view sharing the sealed chunk payloads (`Arc` page slots),
+/// never the WAL or segment files. This is what the
 /// catalog's snapshot-at-bind contract consumes. The pager is shared too:
 /// a clone scanning cold chunks faults through (and is budgeted by) the
 /// same clock, and its `ColdRef`s hold open file handles, so paging keeps
@@ -187,7 +183,6 @@ impl Clone for Tsdb {
             name_index: self.name_index.clone(),
             tag_index: self.tag_index.clone(),
             storage: None,
-            decode_counter: Arc::clone(&self.decode_counter),
             pager: Arc::clone(&self.pager),
         }
     }
@@ -249,12 +244,7 @@ impl Tsdb {
         db.pager = Pager::with_budget(options.page_budget_bytes);
         for (key, chunks) in recovered.series {
             let id = db.series_id(&key);
-            db.series[id.index()] = Series::from_storage(
-                key,
-                chunks,
-                Arc::clone(&db.decode_counter),
-                Arc::clone(&db.pager),
-            );
+            db.series[id.index()] = Series::from_storage(key, chunks, &db.pager);
         }
         // A Replace record in the WAL means the crash hit before the
         // replacement was flushed: stale chunks for that key are still in
@@ -310,7 +300,7 @@ impl Tsdb {
     /// tests assert on deltas of this to prove time-filtered scans leave
     /// out-of-range chunks compressed.
     pub fn decode_count(&self) -> u64 {
-        self.decode_counter.load(Ordering::Relaxed)
+        self.pager.decode_count()
     }
 
     /// Storage counters, when durable. The paging counters come from the
@@ -382,8 +372,7 @@ impl Tsdb {
         let mut new_chunks: Vec<(SeriesKey, Vec<EncodedChunk>)> =
             std::mem::take(&mut storage.pending);
         for &i in &order {
-            let counter = Arc::clone(&self.decode_counter);
-            if let Some(chunks) = self.series[i].seal_head(counter, &self.pager) {
+            if let Some(chunks) = self.series[i].seal_head(&self.pager) {
                 new_chunks.push((self.series[i].key.clone(), chunks));
             }
         }
@@ -483,10 +472,9 @@ impl Tsdb {
         Ok(())
     }
 
-    /// Sheds decoded caches (per-chunk decode caches and assembled
-    /// whole-series views) when total resident bytes exceed the page
-    /// budget, then lets the pager's clock evict compressed chunk bytes
-    /// down to the budget. Returns the number of caches dropped. Runs
+    /// Sheds the per-chunk decode caches when total resident bytes exceed
+    /// the page budget, then lets the pager's clock evict compressed chunk
+    /// bytes down to the budget. Returns the number of caches dropped. Runs
     /// automatically at the end of every flush; exposed so long-running
     /// read paths can bound memory between flushes too. A no-op on an
     /// unbounded store.
@@ -534,9 +522,7 @@ impl Tsdb {
         // invariant: series ids are u32 by on-disk format; 4 billion
         // distinct keys exhaust memory long before this converts lossily.
         let id = SeriesId(u32::try_from(self.series.len()).expect("series id overflow"));
-        let mut series = Series::new(key.clone());
-        series.set_pager(Arc::clone(&self.pager));
-        self.series.push(series);
+        self.series.push(Series::new(key.clone()));
         self.by_key.insert(key.clone(), id);
         self.name_index.entry(key.name.clone()).or_default().insert(id);
         for (k, v) in &key.tags {
@@ -617,12 +603,7 @@ impl Tsdb {
         if let Some(storage) = self.storage.as_mut() {
             match storage.wal.as_mut() {
                 Some(wal) => {
-                    let points: Vec<(i64, f64)> = series
-                        .timestamps()
-                        .iter()
-                        .copied()
-                        .zip(series.values().iter().copied())
-                        .collect();
+                    let points = series.points().map(|p| (p.ts, p.value)).collect();
                     let record = WalRecord::Replace { key: series.key.clone(), points };
                     let result = wal.append(&record);
                     storage.needs_rewrite = true;
@@ -636,11 +617,7 @@ impl Tsdb {
         self.replace_series_in_memory(series);
     }
 
-    fn replace_series_in_memory(&mut self, mut series: Series) {
-        // The caller-built series carries no pager; shed any caches it
-        // accumulated unaccounted, then adopt it under this store's pager.
-        series.shed_caches();
-        series.set_pager(Arc::clone(&self.pager));
+    fn replace_series_in_memory(&mut self, series: Series) {
         let id = self.series_id(&series.key);
         self.series[id.index()] = series;
     }
@@ -714,30 +691,11 @@ impl Tsdb {
         candidates.into_iter().filter(|id| filter.matches(&self.series[id.index()].key)).collect()
     }
 
-    /// Finds series and restricts them to a time range, returning one
-    /// `(key, timestamps, values)` triple per matched series with only
-    /// in-range points. This is the *materializing* API: a sealed series
-    /// hydrates its full contents to hand out one contiguous slice. Query
-    /// execution uses [`Tsdb::scan_parts`], which stays lazy.
-    pub fn scan(
-        &self,
-        filter: &MetricFilter,
-        range: &TimeRange,
-    ) -> Vec<(&SeriesKey, &[i64], &[f64])> {
-        self.find(filter)
-            .into_iter()
-            .map(|id| {
-                let s = &self.series[id.index()];
-                let (ts, vs) = s.range(range);
-                (&s.key, ts, vs)
-            })
-            .collect()
-    }
-
-    /// Like [`Tsdb::scan`], but returns *partition handles* carrying the
-    /// [`SeriesId`] — the unit the partition-parallel query executor
-    /// distributes across workers and the key into any per-series side
-    /// tables (dictionary codes, pre-aggregates).
+    /// Finds series and restricts them to a time range, returning
+    /// *partition handles* carrying the [`SeriesId`] — the unit the
+    /// partition-parallel query executor distributes across workers and the
+    /// key into any per-series side tables (dictionary codes,
+    /// pre-aggregates).
     ///
     /// A purely in-memory series yields exactly one slice (possibly
     /// empty). A series with sealed compressed history yields one slice
@@ -748,8 +706,9 @@ impl Tsdb {
     /// that tiebreak equal timestamps by slice rank see the same order a
     /// single contiguous slice would give them.
     pub fn scan_parts(&self, filter: &MetricFilter, range: &TimeRange) -> Vec<SeriesSlice<'_>> {
-        // Mirror `Series::range`: an empty/inverted half-open range keeps
-        // the one-empty-slice-per-matched-series shape via `lo > hi`.
+        // An empty/inverted half-open range keeps the one-empty-slice-per-
+        // matched-series shape via `lo > hi`; `>=` so a range ending at
+        // i64::MIN never reaches the `end - 1` below.
         let (lo, hi) =
             if range.start >= range.end { (0, -1) } else { (range.start, range.end - 1) };
         self.scan_parts_between(filter, lo, hi)
@@ -765,8 +724,12 @@ impl Tsdb {
         lo: i64,
         hi: i64,
     ) -> Vec<SeriesSlice<'_>> {
+        self.slices_of(self.find(filter), lo, hi)
+    }
+
+    fn slices_of(&self, ids: Vec<SeriesId>, lo: i64, hi: i64) -> Vec<SeriesSlice<'_>> {
         let mut parts = Vec::new();
-        for id in self.find(filter) {
+        for id in ids {
             self.push_slices(&mut parts, id, lo, hi);
         }
         parts
@@ -776,11 +739,6 @@ impl Tsdb {
     /// hi]` — the lazy-decode core of the scan surface.
     fn push_slices<'a>(&'a self, out: &mut Vec<SeriesSlice<'a>>, id: SeriesId, lo: i64, hi: i64) {
         let s = &self.series[id.index()];
-        if !s.has_sealed() {
-            let (ts, vs) = s.range_between(lo, hi);
-            out.push(SeriesSlice { id, key: &s.key, timestamps: ts, values: vs });
-            return;
-        }
         let before = out.len();
         for chunk in s.sealed_chunks() {
             if lo > hi || !chunk.overlaps(lo, hi) {
@@ -815,87 +773,9 @@ impl Tsdb {
         lo: i64,
         hi: i64,
     ) -> Vec<SeriesSlice<'_>> {
-        let mut parts = self.scan_parts_between(filter, lo, hi);
-        parts.sort_by_cached_key(|part| part.key.canonical());
-        parts
-    }
-
-    /// Estimated number of series matching the filter, from the inverted
-    /// indexes alone — no per-key predicate evaluation, so this stays O(log
-    /// n + index-entry count) however large the store is. The estimate is
-    /// an upper bound: it takes the tightest applicable index set (exact
-    /// name, glob-prefix name range, exact tag value, tag-key presence) and
-    /// ignores predicates the indexes cannot bound (tag globs, absences).
-    pub fn estimate_series(&self, filter: &MetricFilter) -> usize {
-        let mut est = self.series.len();
-        if let Some(name) = &filter.name {
-            if !is_glob(name) {
-                est = est.min(self.name_index.get(name).map_or(0, BTreeSet::len));
-            } else {
-                let prefix = glob_literal_prefix(name);
-                if !prefix.is_empty() {
-                    let in_prefix: usize = self
-                        .name_index
-                        .range(prefix.to_string()..)
-                        .take_while(|(indexed, _)| indexed.starts_with(prefix))
-                        .map(|(_, set)| set.len())
-                        .sum();
-                    est = est.min(in_prefix);
-                }
-            }
-        }
-        for t in &filter.tags {
-            match t {
-                TagFilter::Equals(k, v) => {
-                    let bound =
-                        self.tag_index.get(&(k.clone(), v.clone())).map_or(0, BTreeSet::len);
-                    est = est.min(bound);
-                }
-                TagFilter::HasKey(k) | TagFilter::Glob(k, _) => {
-                    let with_key: usize = self
-                        .tag_index
-                        .range((k.clone(), String::new())..)
-                        .take_while(|((key, _), _)| key == k)
-                        .map(|(_, set)| set.len())
-                        .sum();
-                    est = est.min(with_key);
-                }
-                TagFilter::Absent(_) => {} // no index bound
-            }
-        }
-        est
-    }
-
-    /// Estimated number of observations a scan of `filter` restricted to
-    /// the inclusive `[lo, hi]` time range would return: the series
-    /// estimate times the store's mean points-per-series, scaled by the
-    /// fraction of the store's total time span the range covers. Pure
-    /// index/metadata arithmetic — nothing is scanned — so the optimizer
-    /// can call this per query to pick hash-join build sides and order
-    /// residual filters.
-    pub fn estimate_points(&self, filter: &MetricFilter, lo: i64, hi: i64) -> u64 {
-        if lo > hi || self.series.is_empty() {
-            return 0;
-        }
-        let matched = self.estimate_series(filter) as u64;
-        if matched == 0 {
-            return 0;
-        }
-        let mean_points = (self.point_count() as u64).div_ceil(self.series.len() as u64);
-        let mut est = matched.saturating_mul(mean_points);
-        // Scale by time-range overlap when the store's span is known and
-        // the requested range only covers part of it (f64 math: the spans
-        // may be as wide as the whole i64 domain).
-        if let Some(span) = self.time_span() {
-            let span_len = (span.end as f64) - (span.start as f64);
-            let ov_lo = (lo.max(span.start)) as f64;
-            let ov_hi = (hi as f64 + 1.0).min(span.end as f64);
-            if span_len > 0.0 {
-                let frac = ((ov_hi - ov_lo) / span_len).clamp(0.0, 1.0);
-                est = ((est as f64 * frac).ceil() as u64).min(est);
-            }
-        }
-        est.max(1)
+        let mut ids = self.find(filter);
+        ids.sort_by_cached_key(|id| self.series[id.index()].key.canonical());
+        self.slices_of(ids, lo, hi)
     }
 
     /// The union time span of all series, if any data exists.
@@ -925,7 +805,7 @@ fn sealed_view(
     let mut view = Vec::new();
     for &i in order {
         let s = &series[i];
-        if !s.has_sealed() {
+        if s.sealed_chunks().is_empty() {
             continue;
         }
         let mut chunks = Vec::with_capacity(s.sealed_chunks().len());
@@ -1038,39 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_series_uses_index_set_sizes() {
-        let db = sample_db();
-        assert_eq!(db.estimate_series(&MetricFilter::name("disk")), 3);
-        assert_eq!(db.estimate_series(&MetricFilter::name("nope")), 0);
-        assert_eq!(db.estimate_series(&MetricFilter::all()), 4);
-        assert_eq!(db.estimate_series(&MetricFilter::all().with_tag("host", "datanode-1")), 1);
-        // Glob with a literal prefix bounds via the name-index range.
-        assert_eq!(db.estimate_series(&MetricFilter::name("disk*")), 3);
-        // HasKey-style predicates bound by the tag-key entry count.
-        let f = MetricFilter { name: None, tags: vec![TagFilter::HasKey("component".into())] };
-        assert_eq!(db.estimate_series(&f), 1);
-        // The estimate is an upper bound: unindexable predicates are ignored.
-        let f = MetricFilter { name: None, tags: vec![TagFilter::Absent("host".into())] };
-        assert_eq!(db.estimate_series(&f), 4);
-    }
-
-    #[test]
-    fn estimate_points_scales_with_series_and_range() {
-        let db = sample_db(); // 4 series x 10 points over [0, 541)
-        let full = db.estimate_points(&MetricFilter::all(), i64::MIN, i64::MAX);
-        assert_eq!(full, 40);
-        let disk = db.estimate_points(&MetricFilter::name("disk"), i64::MIN, i64::MAX);
-        assert_eq!(disk, 30);
-        // A half-width window scales the estimate down.
-        let half = db.estimate_points(&MetricFilter::name("disk"), 0, 270);
-        assert!(half < disk, "time scaling engaged: {half} < {disk}");
-        assert!(half >= disk / 4, "not absurdly low: {half}");
-        // No matching series -> zero; inverted range -> zero.
-        assert_eq!(db.estimate_points(&MetricFilter::name("nope"), 0, 100), 0);
-        assert_eq!(db.estimate_points(&MetricFilter::all(), 100, 0), 0);
-    }
-
-    #[test]
     fn tag_filters() {
         let db = sample_db();
         let f = MetricFilter::all().with_tag("host", "datanode-1");
@@ -1090,16 +937,6 @@ mod tests {
         let hits = db.find(&f);
         assert_eq!(hits.len(), 1);
         assert_eq!(db.series(hits[0]).key.tag("host"), Some("namenode-1"));
-    }
-
-    #[test]
-    fn scan_restricts_range() {
-        let db = sample_db();
-        let rows = db.scan(&MetricFilter::name("runtime"), &TimeRange::new(120, 300));
-        assert_eq!(rows.len(), 1);
-        let (_, ts, vs) = &rows[0];
-        assert_eq!(*ts, &[120, 180, 240]);
-        assert_eq!(*vs, &[102.0, 103.0, 104.0]);
     }
 
     #[test]

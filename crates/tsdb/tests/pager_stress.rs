@@ -30,7 +30,7 @@ fn build_store(dir: &std::path::Path) -> f64 {
         db.flush().expect("flush");
     }
     let range = db.time_span().expect("non-empty");
-    db.scan(&MetricFilter::all(), &range).iter().flat_map(|(_, _, vs)| vs.iter()).sum()
+    db.scan_parts(&MetricFilter::all(), &range).iter().flat_map(|p| p.values).sum()
 }
 
 #[test]
@@ -55,9 +55,9 @@ fn readers_fault_under_budget_while_writer_flushes() {
                 while !stop.load(Ordering::Relaxed) || passes < 3 {
                     let sum: f64 = shared.with(|db| {
                         let range = db.time_span().expect("non-empty store");
-                        db.scan(&MetricFilter::all(), &range)
+                        db.scan_parts(&MetricFilter::all(), &range)
                             .iter()
-                            .flat_map(|(_, _, vs)| vs.iter())
+                            .flat_map(|p| p.values)
                             .sum()
                     });
                     assert!(

@@ -42,7 +42,7 @@ proptest! {
         let key = SeriesKey::new("m");
         db.insert(&key, ts, a);
         db.insert(&key, ts, b);
-        prop_assert_eq!(db.get(&key).expect("series").value_at(ts), Some(b));
+        prop_assert_eq!(db.get(&key).expect("series").values(), vec![b]);
         prop_assert_eq!(db.point_count(), 1);
     }
 
@@ -75,7 +75,7 @@ proptest! {
     }
 
     #[test]
-    fn range_between_matches_brute_force_incl_extremes(
+    fn ranged_scan_matches_brute_force_incl_extremes(
         pts in points_strategy(),
         with_min in any::<bool>(),
         with_max in any::<bool>(),
@@ -103,15 +103,14 @@ proptest! {
             (i64::MAX, i64::MAX),
             (5_000, 0), // inverted -> empty
         ][bounds];
-        let (got_ts, got_vs) = series.range_between(lo, hi);
-        let expect: Vec<i64> =
-            series.timestamps().iter().copied().filter(|&t| t >= lo && t <= hi).collect();
-        prop_assert_eq!(got_ts, expect.as_slice());
-        prop_assert_eq!(got_ts.len(), got_vs.len());
-        // The store-level scan agrees with the per-series slices.
+        let expect: Vec<(i64, f64)> =
+            series.points().filter(|p| p.ts >= lo && p.ts <= hi).map(|p| (p.ts, p.value)).collect();
         let parts = db.scan_parts_ordered_between(&MetricFilter::all(), lo, hi);
-        let scanned: usize = parts.iter().map(|p| p.timestamps.len()).sum();
-        prop_assert_eq!(scanned, expect.len());
+        let got: Vec<(i64, f64)> = parts
+            .iter()
+            .flat_map(|p| p.timestamps.iter().copied().zip(p.values.iter().copied()))
+            .collect();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   delete loop leaves the input files on disk and recovery must drop
 //!   them, not re-count them.
 
+use std::collections::BTreeMap;
+
 use explainit_tsdb::storage::failpoint::{arm, disarm, Point};
 use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 
@@ -27,13 +29,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 /// observable for comparing a store against its expected state.
 fn contents(db: &Tsdb) -> Vec<(String, Vec<i64>, Vec<f64>)> {
     let Some(range) = db.time_span() else { return Vec::new() };
-    let mut rows: Vec<(String, Vec<i64>, Vec<f64>)> = db
-        .scan(&MetricFilter::all(), &range)
-        .into_iter()
-        .map(|(k, ts, vs)| (k.canonical(), ts.to_vec(), vs.to_vec()))
-        .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
+    let mut rows: BTreeMap<String, (Vec<i64>, Vec<f64>)> = BTreeMap::new();
+    for part in db.scan_parts(&MetricFilter::all(), &range) {
+        let row = rows.entry(part.key.canonical()).or_default();
+        row.0.extend_from_slice(part.timestamps);
+        row.1.extend_from_slice(part.values);
+    }
+    rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect()
 }
 
 fn fleet() -> Vec<(SeriesKey, i64, f64)> {

@@ -1,8 +1,11 @@
 //! Out-of-core behaviour of a reopened store: demand paging, the memory
-//! budget with eviction, the (previously leaking) assembled-cache
-//! accounting, read-only opens, and retention.
+//! budget with eviction, decode-cache accounting, read-only opens, and
+//! retention.
+
+use std::collections::BTreeMap;
 
 use explainit_tsdb::{MetricFilter, SeriesKey, StorageError, StorageOptions, Tsdb};
+use proptest::prelude::*;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("explainit-paging-{tag}-{}", std::process::id()));
@@ -12,13 +15,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 fn contents(db: &Tsdb) -> Vec<(String, Vec<i64>, Vec<f64>)> {
     let Some(range) = db.time_span() else { return Vec::new() };
-    let mut rows: Vec<(String, Vec<i64>, Vec<f64>)> = db
-        .scan(&MetricFilter::all(), &range)
-        .into_iter()
-        .map(|(k, ts, vs)| (k.canonical(), ts.to_vec(), vs.to_vec()))
-        .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
+    let mut rows: BTreeMap<String, (Vec<i64>, Vec<f64>)> = BTreeMap::new();
+    for part in db.scan_parts(&MetricFilter::all(), &range) {
+        let row = rows.entry(part.key.canonical()).or_default();
+        row.0.extend_from_slice(part.timestamps);
+        row.1.extend_from_slice(part.values);
+    }
+    rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect()
 }
 
 /// Builds a flushed multi-chunk store and returns its expected contents.
@@ -88,27 +91,30 @@ fn scans_under_any_budget_are_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: the assembled whole-series cache used to pin a decoded
-/// copy of every scanned series forever, invisible to any accounting. It
-/// is now charged to the pager and shed by `evict_to_budget`.
+/// Whole-series reads go through the per-chunk decode caches — the tier
+/// that is charged to the pager and shed by `evict_to_budget`. (A second,
+/// unaccounted whole-series copy used to leak here.)
 #[test]
-fn assembled_cache_is_accounted_and_evictable() {
-    let dir = tmp_dir("assembled");
+fn decode_caches_are_accounted_and_evictable() {
+    let dir = tmp_dir("decode-caches");
     build_store(&dir);
     let budget = 1024u64;
     let options = StorageOptions { page_budget_bytes: Some(budget), ..StorageOptions::default() };
     let mut db = Tsdb::open_with(&dir, options).expect("reopen");
 
-    // A materializing whole-series scan hydrates assembled caches way past
-    // the budget — and the accounting must *see* that.
+    // A whole-store scan decodes way past the budget — and the accounting
+    // must *see* that.
     let range = db.time_span().expect("data");
-    let total: usize =
-        db.scan(&MetricFilter::all(), &range).iter().map(|(_, ts, _)| ts.len()).sum();
+    let scanned = |db: &Tsdb| -> usize {
+        db.scan_parts(&MetricFilter::all(), &range).iter().map(|p| p.timestamps.len()).sum()
+    };
+    let total = scanned(&db);
     assert_eq!(total, 360);
+    assert_eq!(db.iter().map(|(_, s)| s.points().count()).sum::<usize>(), total);
     let stats = db.storage_stats().expect("stats");
     assert!(
         stats.resident_bytes > budget,
-        "assembled caches count: {} resident vs {budget} budget",
+        "decode caches count: {} resident vs {budget} budget",
         stats.resident_bytes
     );
 
@@ -124,10 +130,67 @@ fn assembled_cache_is_accounted_and_evictable() {
 
     // The store still serves the same data afterwards (re-faulting and
     // re-decoding as needed).
-    let total_again: usize =
-        db.scan(&MetricFilter::all(), &range).iter().map(|(_, ts, _)| ts.len()).sum();
-    assert_eq!(total_again, total);
+    assert_eq!(scanned(&db), total);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One read path: on a reopened store, at any budget, `Series::points`
+    /// ≡ the series' ordered scan slices end to end ≡ what was inserted
+    /// (sealed chunks from several flushes plus a WAL-replayed head).
+    #[test]
+    fn points_equal_ordered_scan_slices_equal_inserted(
+        fleet in proptest::collection::vec(
+            proptest::collection::btree_map(any::<i64>(), any::<u64>(), 1..60),
+            1..4,
+        ),
+        flush_every in 1usize..40,
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = tmp_dir(&format!("one-read-path-{case}"));
+        let key = |i: usize| SeriesKey::new("m").with_tag("host", i.to_string());
+        let one_chunk = {
+            let mut db = Tsdb::open(&dir).expect("open");
+            let mut inserted = 0usize;
+            for (i, points) in fleet.iter().enumerate() {
+                for (&ts, &bits) in points {
+                    db.try_insert(&key(i), ts, f64::from_bits(bits)).expect("insert");
+                    inserted += 1;
+                    if inserted.is_multiple_of(flush_every) {
+                        db.flush().expect("flush");
+                    }
+                }
+            }
+            db.sync().expect("sync");
+            let stats = db.storage_stats().expect("stats");
+            stats.segment_bytes.div_ceil(stats.chunks.max(1) as u64)
+        };
+        for budget in [Some(0), Some(one_chunk), None] {
+            let options = StorageOptions { page_budget_bytes: budget, ..StorageOptions::default() };
+            let db = Tsdb::open_read_only_with(&dir, options).expect("reopen");
+            for (i, points) in fleet.iter().enumerate() {
+                let inserted: Vec<(i64, u64)> = points.iter().map(|(&ts, &bits)| (ts, bits)).collect();
+                let walked: Vec<(i64, u64)> = db
+                    .get(&key(i))
+                    .expect("series")
+                    .points()
+                    .map(|p| (p.ts, p.value.to_bits()))
+                    .collect();
+                let filter = MetricFilter::all().with_tag("host", i.to_string());
+                let scanned: Vec<(i64, u64)> = db
+                    .scan_parts_ordered_between(&filter, i64::MIN, i64::MAX)
+                    .iter()
+                    .flat_map(|p| p.timestamps.iter().copied().zip(p.values.iter().map(|v| v.to_bits())))
+                    .collect();
+                prop_assert_eq!(&walked, &inserted, "budget {:?}: points()", budget);
+                prop_assert_eq!(&scanned, &inserted, "budget {:?}: scan slices", budget);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

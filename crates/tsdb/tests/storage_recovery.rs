@@ -368,7 +368,7 @@ fn scans_decode_only_overlapping_chunks() {
 }
 
 #[test]
-fn multi_slice_parts_agree_with_materializing_scan() {
+fn multi_slice_parts_concatenate_to_the_series() {
     let dir = tmp_dir("parts");
     let key = SeriesKey::new("m");
     {
@@ -390,13 +390,12 @@ fn multi_slice_parts_agree_with_materializing_scan() {
     let range = TimeRange::new(0, i64::MAX);
     let parts = db.scan_parts(&MetricFilter::name("m"), &range);
     assert!(parts.len() >= 2, "sealed series scans as one slice per chunk");
-    // Concatenated in order, the slices are the materializing scan.
+    // Concatenated in order, the slices are the whole series.
     let flat_ts: Vec<i64> = parts.iter().flat_map(|p| p.timestamps.iter().copied()).collect();
     let flat_vs: Vec<f64> = parts.iter().flat_map(|p| p.values.iter().copied()).collect();
-    let rows = db.scan(&MetricFilter::name("m"), &range);
-    assert_eq!(rows.len(), 1);
-    assert_eq!(flat_ts, rows[0].1);
-    assert_eq!(flat_vs, rows[0].2);
+    let series = db.get(&key).expect("series");
+    assert_eq!(flat_ts, series.timestamps());
+    assert_eq!(flat_vs, series.values());
     assert_eq!(flat_ts.len(), 18);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -97,6 +97,8 @@ impl SimOutput {
     /// # Panics
     /// Panics if the simulation holds no points (`minutes == 0`).
     pub fn families(&self) -> Vec<FeatureFamily> {
+        // invariant: the documented panic — a caller that simulated zero
+        // minutes has no families to ask for.
         families_by_name(&self.db, &self.time_range()).expect("a simulation holds points")
     }
 }

@@ -81,7 +81,10 @@ fn print_usage() {
          SQL STATEMENTS: ordinary SELECT / EXPLAIN <query>, plus the RCA surface:\n\
          \x20 [EXPLAIN] CREATE FAMILY name [WITH (layout='wide'|'long', ts=.., family=.., feature=.., value=..)] AS SELECT ...\n\
          \x20 EXPLAIN FOR target [GIVEN fam, ...] [USING SCORER name] [TOP k]   (result also registered as table 'ranking')\n\
-         \x20 SHOW FAMILIES | SHOW TABLES | DROP FAMILY name\n\n\
+         \x20 SHOW FAMILIES | SHOW TABLES | DROP FAMILY name\n\
+         \x20 An expression may be at most 64 levels high: nesting and flat chains both\n\
+         \x20 count, so a WHERE of more than 64 AND-ed conjuncts (or a 65-term sum) is\n\
+         \x20 a parse error — group with parentheses to stay under it.\n\n\
          EXPLAIN OUTPUT: the optimized operator tree, one node per line. Scan nodes\n\
          \x20 show the predicates pushed into the store's tag index (name=.., tag[k]=..,\n\
          \x20 time=[lo, hi]); a GROUP BY over timestamp / metric_name / tag expressions\n\
@@ -91,10 +94,10 @@ fn print_usage() {
          \x20 — and a SELECT of exactly the scan's columns is the bare `TsdbScan`.\n\
          \x20 Filter lines over a scan end in refine=dict|kernel|general: once per\n\
          \x20 series, typed loop over the column, or evaluated over the surviving rows.\n\
-         \x20 Join nodes show tag-index cardinality estimates and the hash build side\n\
-         \x20 they picked, e.g. `Join Inner on .. rows=[l~6400, r~1] build=right` — the\n\
-         \x20 hash index is built over the estimated-smaller side. There is no\n\
-         \x20 parallelism node: every operator splits its input by size (--partitions).\n\
+         \x20 A join is `Join Inner|Left|FullOuter on <expr>` and nothing else: the plan\n\
+         \x20 holds no estimates, the hash index goes over whichever input turns out\n\
+         \x20 shorter. There is no parallelism node either: every operator splits its\n\
+         \x20 input by size (--partitions).\n\
          \x20 EXPLAIN CREATE FAMILY .. shows the family statement's plan and registers\n\
          \x20 nothing: a `Pivot layout=.. ts=.. family=.. [feature=.. value=..]` line (the\n\
          \x20 role columns as resolved; `into=name` for a single-family wide pivot) over\n\

@@ -317,17 +317,16 @@ impl Session {
     fn show_families(&self) -> StatementOutcome {
         let rows: Vec<Vec<Value>> = self
             .engine
-            .family_names()
+            .families()
             .iter()
-            .map(|name| {
-                let family = self.engine.family(name).expect("listed family exists");
+            .map(|family| {
                 let group = self
                     .groups
                     .iter()
-                    .find(|(_, members)| members.iter().any(|m| m == name))
+                    .find(|(_, members)| members.contains(&family.name))
                     .map_or(Value::Null, |(g, _)| Value::Str(g.clone()));
                 vec![
-                    Value::Str((*name).to_string()),
+                    Value::Str(family.name.clone()),
                     group,
                     Value::Int(family.len() as i64),
                     Value::Int(family.width() as i64),

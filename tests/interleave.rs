@@ -92,9 +92,9 @@ fn concurrent_fault_and_evict_is_deterministic_per_schedule() {
             Box::new(move || {
                 let range = db.time_span().expect("non-empty");
                 let sum: f64 = db
-                    .scan(&MetricFilter::all().with_tag("host", host), &range)
+                    .scan_parts(&MetricFilter::all().with_tag("host", host), &range)
                     .iter()
-                    .flat_map(|(_, _, vs)| vs.iter())
+                    .flat_map(|p| p.values)
                     .sum();
                 log(&journal, format!("t{thread}s{step} {host}={sum}"));
             }) as Box<dyn FnOnce() + Send + '_>
