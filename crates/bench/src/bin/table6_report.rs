@@ -30,7 +30,7 @@ fn main() {
         .map(|s| s.split(',').filter_map(|p| p.parse().ok()).collect());
 
     println!("=== Table 6: scoring methods across the 11 incident scenarios ===");
-    println!("(scale: {scale:?}; see EXPERIMENTS.md for the scale note)\n");
+    println!("(scale: {scale:?}; Reduced is about 1/8 of the paper's feature counts, Paper the published ones)\n");
 
     let scorers = ScorerKind::table6_set();
     let specs = scenario_specs(scale);

@@ -380,6 +380,43 @@ impl Expr {
         }
     }
 
+    /// Rebuilds this node with `f` applied to each direct child, in the
+    /// order [`Expr::walk`] visits them: with `walk`, the one statement of
+    /// which variant has which children. A rewrite is its own logic plus a
+    /// call (`fold_expr`, `map_columns`); one that descends only part of the
+    /// way (`eval::map_grouped`) says so by not calling this.
+    pub(crate) fn map_children(self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+        let mut boxed = |e: Box<Expr>| Box::new(f(*e));
+        match self {
+            leaf @ (Expr::Literal(_) | Expr::Column(_)) => leaf,
+            Expr::Binary { op, left, right } => {
+                let left = boxed(left);
+                Expr::Binary { op, left, right: boxed(right) }
+            }
+            Expr::Unary { op, operand } => Expr::Unary { op, operand: boxed(operand) },
+            Expr::Function { name, args } => {
+                Expr::Function { name, args: args.into_iter().map(f).collect() }
+            }
+            Expr::Index { container, index } => {
+                let container = boxed(container);
+                Expr::Index { container, index: boxed(index) }
+            }
+            Expr::InList { expr, list, negated } => {
+                let expr = boxed(expr);
+                Expr::InList { expr, list: list.into_iter().map(f).collect(), negated }
+            }
+            Expr::Between { expr, low, high, negated } => {
+                let (expr, low) = (boxed(expr), boxed(low));
+                Expr::Between { expr, low, high: boxed(high), negated }
+            }
+            Expr::IsNull { expr, negated } => Expr::IsNull { expr: boxed(expr), negated },
+            Expr::Case { when_then, else_expr } => {
+                let when_then = when_then.into_iter().map(|(c, v)| (f(c), f(v))).collect();
+                Expr::Case { when_then, else_expr: else_expr.map(|e| Box::new(f(*e))) }
+            }
+        }
+    }
+
     /// True if any node is a call to a function `pred` accepts.
     fn calls(&self, pred: fn(&str) -> bool) -> bool {
         let mut found = false;

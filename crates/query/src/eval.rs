@@ -421,28 +421,10 @@ pub(crate) fn eval_index(container: Value, index: Value) -> Result<Value> {
     }
 }
 
-/// SQL LIKE matching: `%` = any run, `_` = one char.
+/// SQL LIKE matching: `%` = any run, `_` = one char — the store's wildcard
+/// matcher over LIKE's alphabet.
 pub(crate) fn sql_like(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    p[pi..].iter().all(|&c| c == '%')
+    explainit_tsdb::wildcard_match(pattern, text, '%', '_')
 }
 
 #[cfg(test)]
@@ -617,6 +599,12 @@ mod tests {
         assert!(!sql_like("w_b", "wxyb"));
         assert!(sql_like("%", ""));
         assert!(!sql_like("a%", "b"));
+        // `adversarial_backtracking_terminates`' twin (`tsdb/src/glob.rs`).
+        let text = "a".repeat(60);
+        assert!(!sql_like("%a%a%a%a%a%a%a%b", &text));
+        assert!(sql_like("%a%a%a%a%a%a%a%a", &text));
+        // The other alphabet's metacharacters are literals here.
+        assert!(sql_like("c*u?", "c*u?") && !sql_like("c*u?", "cpux"));
     }
 
     #[test]

@@ -32,6 +32,13 @@
 //! `EXPLAIN <query>` short-circuits after optimization and returns the
 //! rendered plan as a one-column table.
 //!
+//! **One scan front.** The plain scan gather here and the two fused scan
+//! operators ([`scan_aggregate`], [`scan_pivot`]) all start from
+//! `scan_hits`: a [`ScanSpec`] resolved to the store's rank-ordered hits —
+//! the single place this crate reads the store. The two fused operators
+//! also share `span_grid` (the shared-vector-else-merged-union timestamp
+//! grid) and `series_const` (an expression over one series' constants).
+//!
 //! **Stage two.** A `CREATE FAMILY` statement runs through
 //! [`execute_family`]: the same pipeline with a `Pivot` root on the plan.
 //! When the optimizer fused it with its scan the [`scan_pivot`] operator
@@ -42,13 +49,14 @@
 mod scan_aggregate;
 mod scan_pivot;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use explainit_sync::{LockClass, Mutex};
 
-use explainit_tsdb::{MetricFilter, SeriesKey};
+use explainit_tsdb::{MetricFilter, SeriesKey, SeriesSlice, Tsdb};
 
 /// Per-execution pin map: held only to clone or insert an `Arc`; the
 /// catalog's binding lock is always taken *before* (never under) it.
@@ -64,8 +72,9 @@ use crate::column::Column;
 use crate::eval::map_grouped;
 use crate::functions::{is_aggregate, AggAcc};
 use crate::optimize::{fold_expr, map_columns, optimize, peel_filter_chain};
-use crate::pivot::FamilyFrame;
-use crate::plan::{build, build_family, equi_join_keys, LogicalPlan, TSDB_COLUMNS};
+use crate::pivot::{into_grid, FamilyFrame};
+use crate::plan::TSDB_COLUMNS;
+use crate::plan::{build, build_family, equi_join_keys, tsdb_scan_columns, LogicalPlan, ScanSpec};
 use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::veval::{self, ColView};
@@ -112,14 +121,15 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// The pinned binding for a TSDB table (resolved once per execution).
-    fn binding(&self, name: &str) -> Option<Arc<TsdbBinding>> {
+    fn binding(&self, name: &str) -> Result<Arc<TsdbBinding>> {
         let key = name.to_lowercase();
         if let Some(b) = self.pinned.lock().get(&key) {
-            return Some(b.clone());
+            return Ok(b.clone());
         }
-        let binding = self.catalog.tsdb_binding(name)?;
+        let unknown = || QueryError::UnknownTable(name.to_string());
+        let binding = self.catalog.tsdb_binding(name).ok_or_else(unknown)?;
         self.pinned.lock().entry(key).or_insert(binding.clone());
-        Some(binding)
+        Ok(binding)
     }
 }
 
@@ -210,9 +220,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             Ok(t.as_ref().clone())
         }
 
-        LogicalPlan::TsdbScan { table, name, tags, start, end, columns } => {
-            run_tsdb_scan(ctx, table, name, tags, *start, *end, columns, opts)
-        }
+        LogicalPlan::TsdbScan { scan, columns } => run_tsdb_scan(ctx, scan, columns, opts),
 
         LogicalPlan::ScanAggregate { .. } => scan_aggregate::run(ctx, plan, opts),
 
@@ -235,7 +243,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             let (filters, source) = peel_filter_chain(plan);
             let t = run_plan(ctx, source, opts)?;
             let kept = match morsel_columns(&t, &filters, 0, t.len())? {
-                (std::borrow::Cow::Owned(cols), len) => Some((cols, len)),
+                (Cow::Owned(cols), len) => Some((cols, len)),
                 _ => None, // nothing dropped
             };
             Ok(match kept {
@@ -331,19 +339,15 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
 // TSDB scan
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
+/// The plain scan: the spec's hits gathered into the (pruned) observation
+/// columns, one row per point, in `(timestamp, canonical key)` order.
 fn run_tsdb_scan(
     ctx: &ExecCtx,
-    table: &str,
-    name: &Option<String>,
-    tags: &[explainit_tsdb::TagFilter],
-    start: Option<i64>,
-    end: Option<i64>,
+    scan: &ScanSpec,
     columns: &Option<Vec<usize>>,
     opts: &ExecOptions,
 ) -> Result<Table> {
-    let binding = ctx.binding(table).ok_or_else(|| QueryError::UnknownTable(table.to_string()))?;
-    let db = binding.db();
+    let binding = ctx.binding(&scan.table)?;
     // Per-snapshot dictionaries, built once: metric_name and tag columns are
     // emitted as code vectors over shared Arc dictionaries instead of
     // cloning a String / tag map per row.
@@ -352,17 +356,11 @@ fn run_tsdb_scan(
         Some(c) => c.clone(),
         None => (0..TSDB_COLUMNS.len()).collect(),
     };
-    let schema = Schema::new(wanted.iter().map(|&i| TSDB_COLUMNS[i].to_string()).collect());
+    let schema = Schema::new(tsdb_scan_columns(columns));
 
-    // Inclusive plan bounds map straight onto the store's inclusive scan
-    // range — no half-open conversion, so `timestamp == i64::MAX` points
-    // survive an unbounded (or saturated) upper bound. An inverted range
-    // scans nothing. Hits come in canonical-key (rank) order: the tiebreak
-    // order of the observation view — rows sort by timestamp with ties in
-    // canonical key order.
-    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
-    let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
+    // Rank order is the tiebreak order of the observation view: rows sort
+    // by timestamp with ties in canonical key order.
+    let hits = scan_hits(binding.db(), scan);
 
     let total = gather_rows(hits.iter().map(|p| p.timestamps.len()))?;
     // Side vectors over the concatenation, each built only when an output
@@ -505,11 +503,7 @@ fn gather_rows(span_lens: impl Iterator<Item = usize>) -> Result<usize> {
 /// input-determined), so big levels fan the pair merges out across
 /// `workers` scoped threads into disjoint slices of the double buffer —
 /// the merged bytes are identical to the serial cascade by construction.
-fn merge_gather_order(
-    hits: &[explainit_tsdb::SeriesSlice<'_>],
-    total: usize,
-    workers: usize,
-) -> Vec<u32> {
+fn merge_gather_order(hits: &[SeriesSlice<'_>], total: usize, workers: usize) -> Vec<u32> {
     // Non-empty runs in rank order: (concat offset, timestamps).
     let mut run_meta: Vec<(u32, &[i64])> = Vec::with_capacity(hits.len());
     let mut offset = 0u32;
@@ -725,8 +719,7 @@ fn morsel_columns<'t>(
     filters: &[&Expr],
     a: usize,
     b: usize,
-) -> Result<(std::borrow::Cow<'t, [Column]>, usize)> {
-    use std::borrow::Cow;
+) -> Result<(Cow<'t, [Column]>, usize)> {
     let views: Vec<ColView> = src.columns().iter().map(ColView::from).collect();
     let mut sel: Vec<u32> = (a as u32..b as u32).collect();
     for pred in filters.iter().rev() {
@@ -843,12 +836,11 @@ fn run_partitioned<T: Send>(
 /// columns borrow in place; homogeneous `Values` columns (numeric with
 /// NULL runs) extract once per operator.
 enum FastArg<'a> {
-    F64(std::borrow::Cow<'a, [f64]>, Option<Vec<u64>>),
-    I64(std::borrow::Cow<'a, [i64]>, Option<Vec<u64>>),
+    F64(Cow<'a, [f64]>, Option<Vec<u64>>),
+    I64(Cow<'a, [i64]>, Option<Vec<u64>>),
 }
 
 fn fast_arg(col: &Column) -> Option<FastArg<'_>> {
-    use std::borrow::Cow;
     match col {
         Column::Float(vs) => Some(FastArg::F64(Cow::Borrowed(vs), None)),
         Column::Int(vs) => Some(FastArg::I64(Cow::Borrowed(vs), None)),
@@ -1124,12 +1116,37 @@ fn finish_groups(
 // Scan-level operators
 // ---------------------------------------------------------------------------
 //
-// The `ScanAggregate` operator (`exec/scan_aggregate.rs`) and the `ScanPivot`
-// operator (`exec/scan_pivot.rs`) read series straight off
-// `Tsdb::scan_parts_ordered_between` and never materialize an observation
-// row: what the table pipeline derives per row from `metric_name` / `tag`
-// they resolve once per series, by substituting the series' constants into
-// the expression.
+// What `exec/scan_aggregate.rs` and `exec/scan_pivot.rs` share with each
+// other and, for the first function, with the plain scan. Neither ever
+// materializes an observation row: what the table pipeline derives per row
+// from `metric_name` / `tag` they resolve once per series, by substituting
+// the series' constants into the expression.
+
+/// The scan front: a [`ScanSpec`] resolved against the store to its hits —
+/// one slice per decoded chunk span overlapping the range, series in
+/// canonical-key (rank) order. The plan's inclusive bounds map straight onto
+/// the store's inclusive scan range — no half-open conversion, so a point at
+/// `timestamp == i64::MAX` survives an unbounded (or saturated) upper bound —
+/// and an inverted range scans nothing. The one place the executor reads the
+/// store: a fallible or worker-side scan changes this signature and no other.
+fn scan_hits<'a>(db: &'a Tsdb, scan: &ScanSpec) -> Vec<SeriesSlice<'a>> {
+    let (lo, hi) = (scan.start.unwrap_or(i64::MIN), scan.end.unwrap_or(i64::MAX));
+    if lo > hi {
+        return Vec::new();
+    }
+    let filter = MetricFilter { name: scan.name.clone(), tags: scan.tags.clone() };
+    db.scan_parts_ordered_between(&filter, lo, hi)
+}
+
+/// The sorted timestamp grid of a set of spans: the shared vector, as it
+/// is, when every span carries the same one ([`shared_grid`]), their merged
+/// union otherwise.
+fn span_grid<'a>(runs: impl Iterator<Item = &'a [i64]> + Clone) -> Cow<'a, [i64]> {
+    match shared_grid(runs.clone()) {
+        Some(grid) => Cow::Borrowed(grid),
+        None => Cow::Owned(into_grid(runs.flatten().copied().collect())),
+    }
+}
 
 /// Replaces references to the per-series-constant observation columns
 /// (`metric_name`, `tag`) with literals from the series key, leaving
@@ -1141,6 +1158,11 @@ fn substitute_series_consts(e: &Expr, schema: &Schema, key: &SeriesKey) -> Expr 
         Ok(2) => Expr::Literal(Value::Map(key.tags.clone())),
         _ => Expr::Column(name),
     }))
+}
+
+/// The value, for one series, of an expression over per-series constants.
+fn series_const(e: &Expr, schema: &Schema, key: &SeriesKey) -> Result<Value> {
+    veval::eval_const(&substitute_series_consts(e, schema, key))
 }
 
 // ---------------------------------------------------------------------------

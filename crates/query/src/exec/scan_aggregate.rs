@@ -8,14 +8,16 @@
 //! values share one group key — and the result a dense class × time array.
 //! What is computed, and how often:
 //!
-//! * **per series** (the serial series pass, however many chunk spans or
-//!   morsels the series is cut into): the class-key values, the class they
-//!   select, and the residual filters and aggregate arguments with the
-//!   series' constants substituted in;
-//! * **per class**: one sorted timestamp grid — the shared vector when every
-//!   span of the class carries the same one (`shared_grid`, the scan
-//!   gather's and the scan pivot's test), their merged union otherwise, a
-//!   single slot when `timestamp` is not a key;
+//! * **per series** (the serial series pass over `super::scan_hits`, the
+//!   front all three scan operators share — however many chunk spans or
+//!   morsels the series is cut into): the class-key values
+//!   (`super::series_const`), the class they select, and the residual
+//!   filters and aggregate arguments with the series' constants substituted
+//!   in;
+//! * **per class**: one sorted timestamp grid — `super::span_grid`, the scan
+//!   pivot's per-family grid too: the shared vector when every span of the
+//!   class carries the same one, their merged union otherwise — or a single
+//!   slot when `timestamp` is not a key;
 //! * **per morsel** (point-balanced spans, so a hot series is split): for
 //!   each class its spans touch one [`Block`] of accumulators addressed
 //!   `slot × spec`, into which the worker folds each span's kept points —
@@ -59,16 +61,16 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use explainit_sync::{LockClass, Mutex};
-use explainit_tsdb::{MetricFilter, SeriesSlice};
+use explainit_tsdb::SeriesSlice;
 
 use super::{agg_slots, effective_partitions, morsel_ranges, new_acc, point_balanced_spans};
-use super::{finish_outputs, project_names, run_partitioned, shared_grid};
-use super::{substitute_series_consts, ExecCtx, ExecOptions};
+use super::{finish_outputs, project_names, run_partitioned, scan_hits, series_const};
+use super::{span_grid, substitute_series_consts, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
 use crate::functions::AggAcc;
 use crate::optimize::{is_tsdb_col, tsdb_schema};
-use crate::pivot::{into_grid, seek, Interner};
+use crate::pivot::{seek, Interner};
 use crate::plan::LogicalPlan;
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -326,22 +328,10 @@ impl Fold<'_, '_> {
 
 /// Runs a [`LogicalPlan::ScanAggregate`].
 pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
-    let LogicalPlan::ScanAggregate {
-        table,
-        name,
-        tags,
-        start,
-        end,
-        filters,
-        group_by,
-        items,
-        hidden,
-    } = plan
-    else {
+    let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = plan else {
         return Err(QueryError::Plan("not a scan aggregate".into()));
     };
-    let binding = ctx.binding(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
-    let db = binding.db();
+    let binding = ctx.binding(&scan.table)?;
     let obs = tsdb_schema();
     let is_column = |e: &Expr, i: usize| is_tsdb_col(e, &obs, i);
     let reads = |e: &Expr, among: [usize; 2]| {
@@ -373,12 +363,9 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     let templates: Vec<(&Expr, bool)> =
         templates.into_iter().map(|e| (e, reads(e, [1, 2]))).collect();
 
-    // Inclusive plan bounds map straight onto the store's inclusive scan
-    // range (points at `timestamp == i64::MAX` stay reachable); an inverted
-    // range, like a filter nothing matches, leaves no spans and no groups.
-    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
-    let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
+    // An inverted range, like a filter nothing matches, leaves no spans and
+    // no groups.
+    let hits = scan_hits(binding.db(), scan);
 
     // Series pass. Spans of one series are adjacent.
     let mut classes = Interner::default();
@@ -389,16 +376,15 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     for (h, hit) in hits.iter().enumerate() {
         if previous != Some(hit.id) {
             previous = Some(hit.id);
-            let substituted = |e: &Expr| substitute_series_consts(e, &obs, hit.key);
             let keys: Result<Vec<Value>> =
-                class_keys.iter().map(|k| veval::eval_const(&substituted(k))).collect();
+                class_keys.iter().map(|k| series_const(k, &obs, hit.key)).collect();
             let class = keys.as_ref().map_err(QueryError::clone).map(|keys| {
                 let fragment = keys.iter().flat_map(|v| [v.group_key(), "\u{1}".into()]);
                 classes.intern(Cow::Owned(fragment.collect())) as usize
             });
             let exprs = (templates.iter())
                 .map(|&(e, per_series)| match per_series {
-                    true => Cow::Owned(substituted(e)),
+                    true => Cow::Owned(substitute_series_consts(e, &obs, hit.key)),
                     false => Cow::Borrowed(e),
                 })
                 .collect();
@@ -411,13 +397,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         }
     }
     let grids = has_ts.then(|| {
-        let grid = |of_class: &Vec<usize>| {
-            let runs = || of_class.iter().map(|&h| hits[h].timestamps);
-            match shared_grid(runs()) {
-                Some(grid) => Cow::Borrowed(grid),
-                None => Cow::Owned(into_grid(runs().flatten().copied().collect())),
-            }
-        };
+        let grid = |of_class: &Vec<usize>| span_grid(of_class.iter().map(|&h| hits[h].timestamps));
         hits_of.iter().map(grid).collect()
     });
     let points = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
@@ -482,7 +462,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explainit_tsdb::{SeriesKey, Tsdb};
+    use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 
     /// Two series of one class, `a` on the whole six-slot union grid and `b`
     /// on its odd slots, under `SUM(value)`.

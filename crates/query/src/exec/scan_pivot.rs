@@ -8,18 +8,20 @@
 //! transpose; everything it derives per row is known per *series*, so this
 //! operator
 //!
-//! 1. takes the scan's hits in rank order (one per decoded chunk span, so
-//!    pruned chunks are never decoded and overlapping ones decode once),
+//! 1. takes the scan's hits in rank order (`super::scan_hits`, the front all
+//!    three scan operators share: one per decoded chunk span, so pruned
+//!    chunks are never decoded and overlapping ones decode once),
 //! 2. evaluates the family and the feature label once per series —
-//!    per-series constants substituted into the expression, as the scan
-//!    aggregate does for its class keys,
+//!    `super::series_const`: per-series constants substituted into the
+//!    expression, as the scan aggregate does for its class keys,
 //! 3. orders families, and each family's features, by their earliest
 //!    `(first timestamp in range, rank)` — their first appearance in the
 //!    row order the table path would have produced, and therefore the
 //!    engine's registration order and every matrix's column order,
 //! 4. and, one family per morsel, builds the family's timestamp grid (the
 //!    shared vector when every series of the family carries the same one —
-//!    the scan gather's grid-aligned test — their merged union otherwise)
+//!    the scan gather's grid-aligned test — their merged union otherwise:
+//!    `super::span_grid`, the scan aggregate's per-class grid too)
 //!    and writes each series' spans into its column in rank order on the
 //!    pivot's dense core, which also gap-fills.
 //!
@@ -30,15 +32,15 @@
 
 use std::borrow::Cow;
 
-use explainit_tsdb::{MetricFilter, SeriesSlice};
+use explainit_tsdb::SeriesSlice;
 
-use super::{effective_partitions, morsel_ranges, run_partitioned, shared_grid};
-use super::{substitute_series_consts, ExecCtx, ExecOptions};
+use super::{effective_partitions, morsel_ranges, run_partitioned};
+use super::{scan_hits, series_const, span_grid, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::optimize::tsdb_schema;
-use crate::pivot::{into_grid, render_family, FamilyFrame, FrameBuilder, Interner};
+use crate::pivot::{render_family, FamilyFrame, FrameBuilder, Interner};
 use crate::plan::LogicalPlan;
-use crate::{veval, QueryError, Result};
+use crate::{QueryError, Result};
 
 /// First appearance in `(timestamp, rank)` row order.
 type First = (i64, u32);
@@ -61,23 +63,17 @@ pub(super) fn run(
     plan: &LogicalPlan,
     opts: &ExecOptions,
 ) -> Result<(usize, Vec<FamilyFrame>)> {
-    let LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature } = plan else {
+    let LogicalPlan::ScanPivot { scan, family, feature } = plan else {
         return Err(QueryError::Plan("a family plan has a pivot root".into()));
     };
-    let binding = ctx.binding(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
-    let db = binding.db();
-    // Inclusive plan bounds map straight onto the store's inclusive scan
-    // range; an inverted range scans nothing.
-    let (lo, hi) = (start.unwrap_or(i64::MIN), end.unwrap_or(i64::MAX));
-    let filter = MetricFilter { name: name.clone(), tags: tags.to_vec() };
-    let hits = if lo > hi { Vec::new() } else { db.scan_parts_ordered_between(&filter, lo, hi) };
+    let binding = ctx.binding(&scan.table)?;
+    let hits = scan_hits(binding.db(), scan);
 
     // Series pass: labels, columns and first appearances. Spans of one
     // series are adjacent and ascending in time.
     let obs = tsdb_schema();
     let label = |e: &Expr, hit: &SeriesSlice| -> Result<String> {
-        let constant = veval::eval_const(&substitute_series_consts(e, &obs, hit.key))?;
-        Ok(render_family(&constant))
+        Ok(render_family(&series_const(e, &obs, hit.key)?))
     };
     let mut names = Interner::default();
     let mut families: Vec<Family> = Vec::new();
@@ -134,11 +130,7 @@ pub(super) fn run(
 /// One family's frame: grid, columns in first-appearance order, spans
 /// written in rank order, gaps filled.
 fn frame(name: &str, family: &Family, hits: &[SeriesSlice]) -> FamilyFrame {
-    let runs = || family.runs.iter().map(|&(h, _)| hits[h].timestamps);
-    let grid = match shared_grid(runs()) {
-        Some(grid) => grid.to_vec(),
-        None => into_grid(runs().flatten().copied().collect()),
-    };
+    let grid = span_grid(family.runs.iter().map(|&(h, _)| hits[h].timestamps)).into_owned();
     // Column of the series pass → column of the frame.
     let mut by_first: Vec<usize> = (0..family.feature_first.len()).collect();
     by_first.sort_by_key(|&c| family.feature_first[c]);

@@ -25,10 +25,17 @@
 //!    predicate pushdown (through projections and aliases, into the
 //!    matching side of joins, and through aggregate group keys), and —
 //!    crucially — pushdown *into storage*: on a table bound with
-//!    [`Catalog::register_tsdb`], `metric_name = '…'`, `tag['k'] = 'v'`,
-//!    `tag['k'] IS [NOT] NULL` and `timestamp` range conjuncts become an
-//!    inverted-tag-index scan ([`explainit_tsdb::Tsdb::scan_parts`]) instead of a
-//!    full-store materialization. Projection pruning then drops unused
+//!    [`Catalog::register_tsdb`], `metric_name = '…'` / `GLOB` / `LIKE`,
+//!    `tag['k'] = 'v'`, `tag['k'] IS [NOT] NULL` and `timestamp` range
+//!    conjuncts are absorbed into the scan's [`ScanSpec`] — a name
+//!    *pattern*, tag predicates, an inclusive time range: the one
+//!    description of a pushed-down scan, held by `TsdbScan`,
+//!    `ScanAggregate` and `ScanPivot` alike, printed the same on all three
+//!    `EXPLAIN` lines and resolved against the inverted indexes by one
+//!    executor function — instead of a full-store materialization. (A name
+//!    literal holding `*` / `?` is not a pattern and stays a row filter:
+//!    `metric_name = 'cpu*'` matches the series named `cpu*`.) Projection
+//!    pruning then drops unused
 //!    observation columns (skipping per-row tag-map clones entirely when
 //!    `tag` is never read), and a projection that only restates its input
 //!    is dropped (`SELECT timestamp, metric_name, tag, value FROM tsdb`
@@ -272,7 +279,7 @@ pub use functions::AggAcc;
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_query, parse_script, parse_statement};
 pub use pivot::{pivot_long, pivot_one, pivot_wide, FamilyFrame, Layout, PivotSpec};
-pub use plan::{LogicalPlan, FAMILY_COLUMNS};
+pub use plan::{LogicalPlan, ScanSpec, FAMILY_COLUMNS};
 pub use table::{Schema, Table};
 pub use types::{check_query, infer_expr, ColInfo, ColType, TypedSchema};
 pub use value::Value;

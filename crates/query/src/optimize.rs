@@ -8,15 +8,21 @@
 //!    boolean shortcuts (`TRUE AND x` → `x`, `FALSE AND x` → `FALSE`).
 //! 2. **TSDB scan conversion** (`convert_tsdb_scans`) — a
 //!    [`LogicalPlan::Scan`] of a table bound via
-//!    [`Catalog::register_tsdb`] becomes a [`LogicalPlan::TsdbScan`].
+//!    [`Catalog::register_tsdb`] becomes a [`LogicalPlan::TsdbScan`] over
+//!    [`ScanSpec::all`] of it.
 //! 3. **Predicate pushdown** (`pushdown`) — WHERE conjuncts sink through
 //!    Alias and Project nodes (with alias substitution), into the matching
 //!    side of a Join, through Aggregate group keys, and finally *into* the
-//!    TSDB scan: `metric_name = '…'` becomes an inverted-index name lookup,
-//!    `tag['k'] = 'v'` / `tag['k'] IS [NOT] NULL` become tag-index
-//!    predicates, and `timestamp` comparisons become the scan's time range —
-//!    so the store is never materialized wholesale. Nothing sinks below a
-//!    projection that holds a window call (it would shrink the window).
+//!    scan's [`ScanSpec`]: `metric_name = '…'` / `GLOB` / `LIKE` become its
+//!    name pattern (an inverted-index lookup, or a range scan of the name
+//!    index over the pattern's literal prefix), `tag['k'] = 'v'` /
+//!    `tag['k'] IS [NOT] NULL` become tag-index predicates, and `timestamp`
+//!    comparisons become its time range — so the store is never
+//!    materialized wholesale. The name slot is a *pattern*: an equality
+//!    whose literal holds `*` / `?` would change meaning there and stays a
+//!    residual filter, as a `LIKE` pattern holding them does. Nothing sinks
+//!    below a projection that holds a window call (it would shrink the
+//!    window).
 //!    The residual conjuncts left above a `TsdbScan` are ordered by
 //!    [`FilterClass`], cheapest innermost: per-series-constant predicates
 //!    (over the dictionary-encoded `metric_name`/`tag` columns only) drop
@@ -35,13 +41,14 @@
 //!    plain columns and label expressions is looked through) whose roles
 //!    resolve to ts → `timestamp`, value → `value` and family / feature →
 //!    expressions over the per-series constants `metric_name` / `tag`, a
-//!    long pivot and its scan fuse into one [`LogicalPlan::ScanPivot`]: the
-//!    executor goes from series to family matrices without a row in
-//!    between. Every other shape keeps `Pivot` over its ordinary plan.
+//!    long pivot and its scan fuse into one [`LogicalPlan::ScanPivot`], the
+//!    scan's `ScanSpec` moved into it: the executor goes from series to
+//!    family matrices without a row in between. Every other shape keeps
+//!    `Pivot` over its ordinary plan.
 //! 7. **Scan-level aggregate pushdown** (`scan_aggregate`) — an
 //!    `Aggregate` (above pushed-down `Filter`s) sitting directly on a
 //!    `TsdbScan` collapses into a single [`LogicalPlan::ScanAggregate`]
-//!    node when every group key is the `timestamp` column or an expression
+//!    node (holding the scan's `ScanSpec`) when every group key is the `timestamp` column or an expression
 //!    over the dictionary-encoded scan columns (`metric_name`, `tag`) and
 //!    every output is an expression over group keys and mergeable
 //!    aggregates of observation columns. The executor then pre-aggregates
@@ -54,17 +61,25 @@
 //! There is no parallelization rule and no cardinality estimate: every
 //! operator splits its input into morsels by size at run time, and the
 //! hash join builds over whichever materialised input is shorter.
+//!
+//! Which node has which inputs, and which expression which children, is
+//! stated once each — `LogicalPlan::map_inputs` (`try_map_inputs` where a
+//! rule can fail) and `Expr::map_children` / `Expr::walk` — and every
+//! recursion here is a rule's own logic plus one call of those; a rule with
+//! nothing to say about a node does not name it. Only
+//! `eval::map_grouped` descends part of the way on purpose: where it stops *is*
+//! the definition of group context.
 
 use std::collections::HashSet;
 
-use explainit_tsdb::TagFilter;
+use explainit_tsdb::{is_glob, TagFilter};
 
 use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::catalog::Catalog;
 use crate::eval::map_grouped;
 use crate::functions::{is_aggregate, is_window};
 use crate::pivot::PivotSpec;
-use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, TSDB_COLUMNS};
+use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, ScanSpec, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::value::Value;
 use crate::veval::{self, FilterClass};
@@ -87,7 +102,7 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
             Ok(())
         }
     };
-    let plan = fold_plan(plan);
+    let plan = map_exprs(plan, &fold_expr);
     check("fold_constants", &plan)?;
     let plan = convert_tsdb_scans(plan, catalog);
     check("convert_tsdb_scans", &plan)?;
@@ -108,146 +123,68 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
 // Rule 1: constant folding
 // ---------------------------------------------------------------------------
 
-/// Folds constants in every expression of the plan.
-fn fold_plan(plan: LogicalPlan) -> LogicalPlan {
-    map_exprs(plan, &fold_expr)
-}
-
+/// Applies `f` to every expression a node holds, at every node.
 fn map_exprs(plan: LogicalPlan, f: &impl Fn(Expr) -> Expr) -> LogicalPlan {
-    match plan {
+    let each = |exprs: Vec<Expr>| exprs.into_iter().map(f).collect();
+    let named = |items: Vec<(Expr, String)>| items.into_iter().map(|(e, n)| (f(e), n)).collect();
+    let plan = match plan {
         LogicalPlan::Filter { input, predicate } => {
-            LogicalPlan::Filter { input: Box::new(map_exprs(*input, f)), predicate: f(predicate) }
+            LogicalPlan::Filter { input, predicate: f(predicate) }
         }
-        LogicalPlan::Project { input, items, hidden } => LogicalPlan::Project {
-            input: Box::new(map_exprs(*input, f)),
-            items: items.into_iter().map(|(e, n)| (f(e), n)).collect(),
-            hidden: hidden.into_iter().map(f).collect(),
-        },
+        LogicalPlan::Project { input, items, hidden } => {
+            LogicalPlan::Project { input, items: named(items), hidden: each(hidden) }
+        }
         LogicalPlan::Aggregate { input, group_by, items, hidden } => LogicalPlan::Aggregate {
-            input: Box::new(map_exprs(*input, f)),
-            group_by: group_by.into_iter().map(f).collect(),
-            items: items.into_iter().map(|(e, n)| (f(e), n)).collect(),
-            hidden: hidden.into_iter().map(f).collect(),
+            input,
+            group_by: each(group_by),
+            items: named(items),
+            hidden: each(hidden),
         },
-        LogicalPlan::Join { left, right, kind, on } => LogicalPlan::Join {
-            left: Box::new(map_exprs(*left, f)),
-            right: Box::new(map_exprs(*right, f)),
-            kind,
-            on: f(on),
-        },
-        LogicalPlan::Alias { input, alias } => {
-            LogicalPlan::Alias { input: Box::new(map_exprs(*input, f)), alias }
+        LogicalPlan::Join { left, right, kind, on } => {
+            LogicalPlan::Join { left, right, kind, on: f(on) }
         }
-        LogicalPlan::Sort { input, keys, output_width } => {
-            LogicalPlan::Sort { input: Box::new(map_exprs(*input, f)), keys, output_width }
-        }
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(map_exprs(*input, f)), n }
-        }
-        LogicalPlan::Union { inputs } => {
-            LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_exprs(p, f)).collect() }
-        }
-        LogicalPlan::Pivot { input, spec } => {
-            LogicalPlan::Pivot { input: Box::new(map_exprs(*input, f)), spec }
-        }
-        // `ScanPivot` and `ScanAggregate` are produced by rules 6 and 8;
-        // the earlier passes never see them, so a leaf treatment is safe.
-        leaf @ (LogicalPlan::Scan { .. }
-        | LogicalPlan::TsdbScan { .. }
-        | LogicalPlan::Unit
-        | LogicalPlan::ScanPivot { .. }
-        | LogicalPlan::ScanAggregate { .. }) => leaf,
-    }
+        // The fused scan nodes come out of rules 6 and 7, after the one
+        // pass that maps expressions (rule 1).
+        other => other,
+    };
+    plan.map_inputs(&mut |input| map_exprs(input, f))
 }
 
 /// True when the whole subtree is literal (safe to evaluate at plan time).
 fn is_const(expr: &Expr) -> bool {
-    match expr {
-        Expr::Literal(_) => true,
-        Expr::Column(_) => false,
-        Expr::Binary { left, right, .. } => is_const(left) && is_const(right),
-        Expr::Unary { operand, .. } => is_const(operand),
-        Expr::Function { name, args } => {
-            !is_aggregate(name) && !is_window(name) && args.iter().all(is_const)
+    let mut constant = true;
+    expr.walk(&mut |e| {
+        constant &= match e {
+            Expr::Column(_) => false,
+            Expr::Function { name, .. } => !is_aggregate(name) && !is_window(name),
+            _ => true,
         }
-        Expr::Index { container, index } => is_const(container) && is_const(index),
-        Expr::InList { expr, list, .. } => is_const(expr) && list.iter().all(is_const),
-        Expr::Between { expr, low, high, .. } => is_const(expr) && is_const(low) && is_const(high),
-        Expr::IsNull { expr, .. } => is_const(expr),
-        Expr::Case { when_then, else_expr } => {
-            when_then.iter().all(|(c, v)| is_const(c) && is_const(v))
-                && else_expr.as_ref().is_none_or(|e| is_const(e))
-        }
-    }
+    });
+    constant
 }
 
 /// Folds constants bottom-up. Expressions that error at plan time (e.g.
 /// `'a' + 1`) are left intact so the runtime error surface is unchanged.
 pub fn fold_expr(expr: Expr) -> Expr {
-    // Fold children first.
-    let expr = match expr {
-        Expr::Binary { op, left, right } => {
-            let left = Box::new(fold_expr(*left));
-            let right = Box::new(fold_expr(*right));
-            // Boolean shortcuts (sound under three-valued logic).
-            match op {
-                BinaryOp::And => {
-                    if matches!(*left, Expr::Literal(Value::Bool(true))) {
-                        return *right;
-                    }
-                    if matches!(*right, Expr::Literal(Value::Bool(true))) {
-                        return *left;
-                    }
-                    if matches!(*left, Expr::Literal(Value::Bool(false)))
-                        || matches!(*right, Expr::Literal(Value::Bool(false)))
-                    {
-                        return Expr::Literal(Value::Bool(false));
-                    }
-                }
-                BinaryOp::Or => {
-                    if matches!(*left, Expr::Literal(Value::Bool(true)))
-                        || matches!(*right, Expr::Literal(Value::Bool(true)))
-                    {
-                        return Expr::Literal(Value::Bool(true));
-                    }
-                    if matches!(*left, Expr::Literal(Value::Bool(false))) {
-                        return *right;
-                    }
-                    if matches!(*right, Expr::Literal(Value::Bool(false))) {
-                        return *left;
-                    }
-                }
-                _ => {}
+    let expr = match expr.map_children(&mut fold_expr) {
+        // Boolean shortcuts (sound under three-valued logic): `unit` is the
+        // operand that leaves the other side standing (`TRUE AND x` → `x`),
+        // its negation the one that decides the result alone.
+        Expr::Binary { op: op @ (BinaryOp::And | BinaryOp::Or), left, right } => {
+            let unit = op == BinaryOp::And;
+            let is = |e: &Expr, b: bool| matches!(e, Expr::Literal(Value::Bool(v)) if *v == b);
+            if is(&left, unit) {
+                return *right;
+            }
+            if is(&right, unit) {
+                return *left;
+            }
+            if is(&left, !unit) || is(&right, !unit) {
+                return Expr::Literal(Value::Bool(!unit));
             }
             Expr::Binary { op, left, right }
         }
-        Expr::Unary { op, operand } => Expr::Unary { op, operand: Box::new(fold_expr(*operand)) },
-        Expr::Function { name, args } => {
-            Expr::Function { name, args: args.into_iter().map(fold_expr).collect() }
-        }
-        Expr::Index { container, index } => Expr::Index {
-            container: Box::new(fold_expr(*container)),
-            index: Box::new(fold_expr(*index)),
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(fold_expr(*expr)),
-            low: Box::new(fold_expr(*low)),
-            high: Box::new(fold_expr(*high)),
-            negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(fold_expr(*expr)), negated }
-        }
-        Expr::Case { when_then, else_expr } => Expr::Case {
-            when_then: when_then.into_iter().map(|(c, v)| (fold_expr(c), fold_expr(v))).collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
-        },
-        leaf => leaf,
+        other => other,
     };
     if matches!(expr, Expr::Literal(_)) || !is_const(&expr) {
         return expr;
@@ -264,54 +201,16 @@ pub fn fold_expr(expr: Expr) -> Expr {
 
 fn convert_tsdb_scans(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     map_plan(plan, &|node| match node {
-        LogicalPlan::Scan { table } if catalog.is_tsdb(&table) => LogicalPlan::TsdbScan {
-            table,
-            name: None,
-            tags: Vec::new(),
-            start: None,
-            end: None,
-            columns: None,
-        },
+        LogicalPlan::Scan { table } if catalog.is_tsdb(&table) => {
+            LogicalPlan::TsdbScan { scan: ScanSpec::all(table), columns: None }
+        }
         other => other,
     })
 }
 
 /// Bottom-up structural rewrite.
 fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            LogicalPlan::Filter { input: Box::new(map_plan(*input, f)), predicate }
-        }
-        LogicalPlan::Project { input, items, hidden } => {
-            LogicalPlan::Project { input: Box::new(map_plan(*input, f)), items, hidden }
-        }
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            LogicalPlan::Aggregate { input: Box::new(map_plan(*input, f)), group_by, items, hidden }
-        }
-        LogicalPlan::Join { left, right, kind, on } => LogicalPlan::Join {
-            left: Box::new(map_plan(*left, f)),
-            right: Box::new(map_plan(*right, f)),
-            kind,
-            on,
-        },
-        LogicalPlan::Alias { input, alias } => {
-            LogicalPlan::Alias { input: Box::new(map_plan(*input, f)), alias }
-        }
-        LogicalPlan::Sort { input, keys, output_width } => {
-            LogicalPlan::Sort { input: Box::new(map_plan(*input, f)), keys, output_width }
-        }
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(map_plan(*input, f)), n }
-        }
-        LogicalPlan::Union { inputs } => {
-            LogicalPlan::Union { inputs: inputs.into_iter().map(|p| map_plan(p, f)).collect() }
-        }
-        LogicalPlan::Pivot { input, spec } => {
-            LogicalPlan::Pivot { input: Box::new(map_plan(*input, f)), spec }
-        }
-        leaf => leaf,
-    };
-    f(rebuilt)
+    f(plan.map_inputs(&mut |input| map_plan(input, f)))
 }
 
 // ---------------------------------------------------------------------------
@@ -319,102 +218,27 @@ fn map_plan(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> Logic
 // ---------------------------------------------------------------------------
 
 fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = pushdown(*input, catalog)?;
-            sink_filter(predicate, input, catalog)
-        }
-        LogicalPlan::Project { input, items, hidden } => {
-            Ok(LogicalPlan::Project { input: Box::new(pushdown(*input, catalog)?), items, hidden })
-        }
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => Ok(LogicalPlan::Aggregate {
-            input: Box::new(pushdown(*input, catalog)?),
-            group_by,
-            items,
-            hidden,
-        }),
-        LogicalPlan::Join { left, right, kind, on } => Ok(LogicalPlan::Join {
-            left: Box::new(pushdown(*left, catalog)?),
-            right: Box::new(pushdown(*right, catalog)?),
-            kind,
-            on,
-        }),
-        LogicalPlan::Alias { input, alias } => {
-            Ok(LogicalPlan::Alias { input: Box::new(pushdown(*input, catalog)?), alias })
-        }
-        LogicalPlan::Sort { input, keys, output_width } => Ok(LogicalPlan::Sort {
-            input: Box::new(pushdown(*input, catalog)?),
-            keys,
-            output_width,
-        }),
-        LogicalPlan::Limit { input, n } => {
-            Ok(LogicalPlan::Limit { input: Box::new(pushdown(*input, catalog)?), n })
-        }
-        LogicalPlan::Union { inputs } => Ok(LogicalPlan::Union {
-            inputs: inputs.into_iter().map(|p| pushdown(p, catalog)).collect::<Result<_>>()?,
-        }),
-        LogicalPlan::Pivot { input, spec } => {
-            Ok(LogicalPlan::Pivot { input: Box::new(pushdown(*input, catalog)?), spec })
-        }
-        leaf => Ok(leaf),
+    match plan.try_map_inputs(&mut |input| pushdown(input, catalog))? {
+        LogicalPlan::Filter { input, predicate } => sink_filter(predicate, *input, catalog),
+        other => Ok(other),
     }
 }
 
-/// Rewrites column references via `f` (also used by the scan-aggregate
-/// operator to substitute per-series constants into expressions).
+/// Rewrites column references via `f` (also used by the scan operators to
+/// substitute per-series constants into expressions).
 pub(crate) fn map_columns(expr: Expr, f: &impl Fn(String) -> Expr) -> Expr {
     match expr {
         Expr::Column(c) => f(c),
-        Expr::Literal(_) => expr,
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op,
-            left: Box::new(map_columns(*left, f)),
-            right: Box::new(map_columns(*right, f)),
-        },
-        Expr::Unary { op, operand } => {
-            Expr::Unary { op, operand: Box::new(map_columns(*operand, f)) }
-        }
-        Expr::Function { name, args } => {
-            Expr::Function { name, args: args.into_iter().map(|a| map_columns(a, f)).collect() }
-        }
-        Expr::Index { container, index } => Expr::Index {
-            container: Box::new(map_columns(*container, f)),
-            index: Box::new(map_columns(*index, f)),
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(map_columns(*expr, f)),
-            list: list.into_iter().map(|e| map_columns(e, f)).collect(),
-            negated,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(map_columns(*expr, f)),
-            low: Box::new(map_columns(*low, f)),
-            high: Box::new(map_columns(*high, f)),
-            negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(map_columns(*expr, f)), negated }
-        }
-        Expr::Case { when_then, else_expr } => Expr::Case {
-            when_then: when_then
-                .into_iter()
-                .map(|(c, v)| (map_columns(c, f), map_columns(v, f)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(map_columns(*e, f))),
-        },
+        other => other.map_children(&mut |child| map_columns(child, f)),
     }
 }
 
-/// Strips a leading `alias.` qualifier from column references.
-fn strip_qualifier(expr: Expr, alias: &str) -> Expr {
-    map_columns(expr, &|name| {
-        if let Some((head, tail)) = name.split_once('.') {
-            if head.eq_ignore_ascii_case(alias) {
-                return Expr::Column(tail.to_string());
-            }
-        }
-        Expr::Column(name)
-    })
+/// A column name without its leading `alias.` qualifier, if it has that one.
+fn unqualified(name: String, alias: &str) -> String {
+    match name.split_once('.') {
+        Some((head, tail)) if head.eq_ignore_ascii_case(alias) => tail.to_string(),
+        _ => name,
+    }
 }
 
 /// Sinks a filter predicate as deep as semantics allow.
@@ -432,8 +256,8 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
 
         // Alias is a pure rename: strip the qualifier and continue below.
         LogicalPlan::Alias { input, alias } => {
-            let stripped: Vec<Expr> =
-                conjuncts.into_iter().map(|c| strip_qualifier(c, &alias)).collect();
+            let strip = |c| map_columns(c, &|name| Expr::Column(unqualified(name, &alias)));
+            let stripped: Vec<Expr> = conjuncts.into_iter().map(strip).collect();
             Ok(LogicalPlan::Alias {
                 input: Box::new(sink_filter(
                     conjoin(stripped).expect("non-empty"), // invariant: collect_conjuncts yields at least one conjunct
@@ -481,103 +305,36 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
                     keep.push(c);
                 }
             }
-            let mut left = *left;
-            if let Some(p) = conjoin(to_left) {
-                left = sink_filter(p, left, catalog)?;
-            }
-            let mut right = *right;
-            if let Some(p) = conjoin(to_right) {
-                right = sink_filter(p, right, catalog)?;
-            }
-            let joined =
-                LogicalPlan::Join { left: Box::new(left), right: Box::new(right), kind, on };
-            Ok(match conjoin(keep) {
-                Some(p) => LogicalPlan::Filter { input: Box::new(joined), predicate: p },
-                None => joined,
-            })
+            let left = Box::new(sink_all(to_left, *left, catalog)?);
+            let right = Box::new(sink_all(to_right, *right, catalog)?);
+            Ok(filter_above(LogicalPlan::Join { left, right, kind, on }, keep))
         }
 
-        // Projections: substitute aliases, then continue below.
+        // A window function anywhere in a projection reads the whole input
+        // row set; filtering below it would shrink that window and change
+        // its results, so nothing may sink through. Otherwise every output
+        // is an alias to substitute.
         LogicalPlan::Project { input, items, hidden } => {
-            // A window function anywhere in the projection reads the whole
-            // input row set; filtering below it would shrink that window
-            // and change its results, so nothing may sink through.
-            let has_window =
+            let windowed =
                 items.iter().map(|(e, _)| e).chain(hidden.iter()).any(Expr::contains_window);
-            if has_window {
-                return Ok(LogicalPlan::Filter {
-                    input: Box::new(LogicalPlan::Project { input, items, hidden }),
-                    predicate: conjoin(conjuncts).expect("non-empty"), // invariant: collect_conjuncts yields at least one conjunct
-                });
-            }
-            let out_names = Schema::new(items.iter().map(|(_, n)| n.clone()).collect());
-            let mut push = Vec::new();
-            let mut keep = Vec::new();
-            for c in conjuncts {
-                let cols = c.columns();
-                let substitutable =
-                    !cols.is_empty() && cols.iter().all(|n| out_names.resolve(n).is_ok());
-                if substitutable && !c.contains_aggregate() && !c.contains_window() {
-                    let rewritten = map_columns(c, &|name| {
-                        let i = out_names.resolve(&name).expect("checked resolvable"); // invariant: the substitutable filter above resolved every column
-                        items[i].0.clone()
-                    });
-                    push.push(rewritten);
-                } else {
-                    keep.push(c);
-                }
-            }
-            let mut inner = *input;
-            if let Some(p) = conjoin(push) {
-                inner = sink_filter(p, inner, catalog)?;
-            }
-            let projected = LogicalPlan::Project { input: Box::new(inner), items, hidden };
-            Ok(match conjoin(keep) {
-                Some(p) => LogicalPlan::Filter { input: Box::new(projected), predicate: p },
-                None => projected,
-            })
+            let sinkable = vec![!windowed; items.len()];
+            let (input, keep) = sink_through(conjuncts, &items, &sinkable, *input, catalog)?;
+            Ok(filter_above(LogicalPlan::Project { input, items, hidden }, keep))
         }
 
-        // Aggregates: only conjuncts over pure group keys sink below.
+        // Aggregates: only a pure group key is the same above and below.
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let out_names = Schema::new(items.iter().map(|(_, n)| n.clone()).collect());
-            let mut push = Vec::new();
-            let mut keep = Vec::new();
-            for c in conjuncts {
-                let cols = c.columns();
-                let key_backed = !cols.is_empty()
-                    && cols.iter().all(|n| {
-                        out_names
-                            .resolve(n)
-                            .is_ok_and(|i| group_by.iter().any(|g| *g == items[i].0))
-                    });
-                if key_backed && !c.contains_aggregate() && !c.contains_window() {
-                    let rewritten = map_columns(c, &|name| {
-                        let i = out_names.resolve(&name).expect("checked resolvable"); // invariant: the key_backed filter above resolved every column
-                        items[i].0.clone()
-                    });
-                    push.push(rewritten);
-                } else {
-                    keep.push(c);
-                }
-            }
-            let mut inner = *input;
-            if let Some(p) = conjoin(push) {
-                inner = sink_filter(p, inner, catalog)?;
-            }
-            let agg = LogicalPlan::Aggregate { input: Box::new(inner), group_by, items, hidden };
-            Ok(match conjoin(keep) {
-                Some(p) => LogicalPlan::Filter { input: Box::new(agg), predicate: p },
-                None => agg,
-            })
+            let sinkable: Vec<bool> = items.iter().map(|(e, _)| group_by.contains(e)).collect();
+            let (input, keep) = sink_through(conjuncts, &items, &sinkable, *input, catalog)?;
+            Ok(filter_above(LogicalPlan::Aggregate { input, group_by, items, hidden }, keep))
         }
 
         // The payoff: absorb conjuncts into the TSDB scan's index lookup.
-        LogicalPlan::TsdbScan { table, mut name, mut tags, mut start, mut end, columns } => {
+        LogicalPlan::TsdbScan { mut scan, columns } => {
             let schema = tsdb_schema();
             let mut residual = Vec::new();
             for c in conjuncts {
-                if !absorb_tsdb_conjunct(&c, &schema, &mut name, &mut tags, &mut start, &mut end) {
+                if !absorb_tsdb_conjunct(&mut scan, &c, &schema) {
                     residual.push(c);
                 }
             }
@@ -585,7 +342,7 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             // stable, so equal-cost conjuncts keep their source order, and
             // conjunction commutes, so the kept row set is unchanged.
             residual.sort_by_key(tsdb_filter_class);
-            let mut plan = LogicalPlan::TsdbScan { table, name, tags, start, end, columns };
+            let mut plan = LogicalPlan::TsdbScan { scan, columns };
             // Wrap innermost-first: the first residual becomes the deepest
             // Filter, which every executor path applies first.
             for predicate in residual {
@@ -599,6 +356,53 @@ fn sink_filter(pred: Expr, input: LogicalPlan, catalog: &Catalog) -> Result<Logi
             predicate: conjoin(conjuncts).expect("non-empty"), // invariant: collect_conjuncts yields at least one conjunct
         }),
     }
+}
+
+/// `input` with the conjuncts routed to it, if any, sunk into it.
+fn sink_all(conjuncts: Vec<Expr>, input: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
+    match conjoin(conjuncts) {
+        Some(p) => sink_filter(p, input, catalog),
+        None => Ok(input),
+    }
+}
+
+/// `node` under a `Filter` of the conjuncts that could not sink past it.
+fn filter_above(node: LogicalPlan, keep: Vec<Expr>) -> LogicalPlan {
+    match conjoin(keep) {
+        Some(predicate) => LogicalPlan::Filter { input: Box::new(node), predicate },
+        None => node,
+    }
+}
+
+/// The one way through a `Project` / `Aggregate`: a conjunct all of whose
+/// columns are outputs that may sink (`sinkable`, parallel to `items`) is
+/// rewritten over the node's input — each output name replaced by its
+/// expression — and sinks on below. Returns the new input and the conjuncts
+/// that stay above the node.
+fn sink_through(
+    conjuncts: Vec<Expr>,
+    items: &[(Expr, String)],
+    sinkable: &[bool],
+    input: LogicalPlan,
+    catalog: &Catalog,
+) -> Result<(Box<LogicalPlan>, Vec<Expr>)> {
+    let out_names = Schema::new(items.iter().map(|(_, n)| n.clone()).collect());
+    let output_of = |name: &str| out_names.resolve(name).ok().filter(|&i| sinkable[i]);
+    let mut push = Vec::new();
+    let mut keep = Vec::new();
+    for c in conjuncts {
+        let cols = c.columns();
+        let sinks = !cols.is_empty() && cols.iter().all(|n| output_of(n).is_some());
+        if sinks && !c.contains_aggregate() && !c.contains_window() {
+            push.push(map_columns(c, &|name| match output_of(&name) {
+                Some(i) => items[i].0.clone(),
+                None => Expr::Column(name),
+            }));
+        } else {
+            keep.push(c);
+        }
+    }
+    Ok((Box::new(sink_all(push, input, catalog)?), keep))
 }
 
 /// True when `expr` is a reference to the named observation column.
@@ -625,24 +429,16 @@ fn lit_int(expr: &Expr) -> Option<i64> {
     }
 }
 
-fn tighten_start(start: &mut Option<i64>, lo: i64) {
-    *start = Some(start.map_or(lo, |s| s.max(lo)));
-}
-
-fn tighten_end(end: &mut Option<i64>, hi: i64) {
-    *end = Some(end.map_or(hi, |e| e.min(hi)));
-}
-
 /// Tries to fold one conjunct into the scan's pushed-down predicates.
 /// Returns false when the conjunct must stay as a residual filter.
-fn absorb_tsdb_conjunct(
-    c: &Expr,
-    schema: &Schema,
-    name: &mut Option<String>,
-    tags: &mut Vec<TagFilter>,
-    start: &mut Option<i64>,
-    end: &mut Option<i64>,
-) -> bool {
+fn absorb_tsdb_conjunct(scan: &mut ScanSpec, c: &Expr, schema: &Schema) -> bool {
+    // The name slot holds one pattern; a second constraint stays residual.
+    let mut absorb_name = |pattern: &str| {
+        scan.name.is_none() && {
+            scan.name = Some(pattern.to_string());
+            true
+        }
+    };
     match c {
         Expr::Binary { op: BinaryOp::Eq, left, right } => {
             let (col_side, lit_side) = if matches!(right.as_ref(), Expr::Literal(_)) {
@@ -650,32 +446,26 @@ fn absorb_tsdb_conjunct(
             } else {
                 (right, left)
             };
-            // metric_name = 'x'
-            if is_tsdb_col(col_side, schema, 1) {
-                if let Expr::Literal(Value::Str(s)) = lit_side.as_ref() {
-                    if name.is_none() {
-                        *name = Some(s.clone());
-                        return true;
-                    }
-                    return false; // second name constraint stays residual
+            match lit_side.as_ref() {
+                // metric_name = 'x'. The slot is a pattern and the store
+                // reads `*` / `?` in it as one, so a literal holding either
+                // is not an equality the scan can take.
+                Expr::Literal(Value::Str(s)) if is_tsdb_col(col_side, schema, 1) => {
+                    !is_glob(s) && absorb_name(s)
                 }
-            }
-            // tag['k'] = 'v'
-            if let Some(k) = tag_access(col_side, schema) {
-                if let Expr::Literal(Value::Str(v)) = lit_side.as_ref() {
-                    tags.push(TagFilter::Equals(k.to_string(), v.clone()));
-                    return true;
+                // tag['k'] = 'v' (exact: `TagFilter::Equals`)
+                Expr::Literal(Value::Str(v)) => tag_access(col_side, schema).is_some_and(|k| {
+                    scan.tags.push(TagFilter::Equals(k.to_string(), v.clone()));
+                    true
+                }),
+                // timestamp = n
+                Expr::Literal(Value::Int(n)) if is_tsdb_col(col_side, schema, 0) => {
+                    scan.tighten_start(*n);
+                    scan.tighten_end(*n);
+                    true
                 }
+                _ => false,
             }
-            // timestamp = n
-            if is_tsdb_col(col_side, schema, 0) {
-                if let Some(n) = lit_int(lit_side) {
-                    tighten_start(start, n);
-                    tighten_end(end, n);
-                    return true;
-                }
-            }
-            false
         }
         // metric_name/tag['k'] GLOB 'pat' (and LIKE, translated to glob):
         // the store's find() range-scans the name index over the pattern's
@@ -686,94 +476,71 @@ fn absorb_tsdb_conjunct(
             };
             let glob_pat = match op {
                 BinaryOp::Glob => pat.clone(),
-                _ => {
-                    // LIKE: `%` ≙ `*`, `_` ≙ `?` (identical matchers).
-                    // Literal glob metacharacters in the pattern would
-                    // change meaning, so such patterns stay residual.
-                    if pat.contains('*') || pat.contains('?') {
-                        return false;
-                    }
-                    pat.replace('%', "*").replace('_', "?")
-                }
+                // LIKE: `%` ≙ `*`, `_` ≙ `?` (one matcher, two alphabets).
+                // Literal glob metacharacters in the pattern would change
+                // meaning, so such patterns stay residual.
+                _ if is_glob(pat) => return false,
+                _ => pat.replace('%', "*").replace('_', "?"),
             };
             if is_tsdb_col(left, schema, 1) {
-                if name.is_none() {
-                    *name = Some(glob_pat);
-                    return true;
-                }
-                return false;
+                return absorb_name(&glob_pat);
             }
-            if let Some(k) = tag_access(left, schema) {
-                // Row semantics match exactly: a missing tag key makes the
-                // row predicate NULL (dropped), and TagFilter::Glob
-                // requires the key to exist.
-                tags.push(TagFilter::Glob(k.to_string(), glob_pat));
-                return true;
-            }
-            false
+            // Row semantics match exactly: a missing tag key makes the row
+            // predicate NULL (dropped), and TagFilter::Glob requires the key
+            // to exist.
+            tag_access(left, schema).is_some_and(|k| {
+                scan.tags.push(TagFilter::Glob(k.to_string(), glob_pat));
+                true
+            })
         }
         // timestamp BETWEEN a AND b (inclusive)
-        Expr::Between { expr, low, high, negated: false } => {
-            if is_tsdb_col(expr, schema, 0) {
-                if let (Some(a), Some(b)) = (lit_int(low), lit_int(high)) {
-                    tighten_start(start, a);
-                    tighten_end(end, b);
-                    return true;
-                }
-            }
-            false
+        Expr::Between { expr, low, high, negated: false } if is_tsdb_col(expr, schema, 0) => {
+            let (Some(a), Some(b)) = (lit_int(low), lit_int(high)) else { return false };
+            scan.tighten_start(a);
+            scan.tighten_end(b);
+            true
         }
         // timestamp </<=/>/>= n, either operand order.
         Expr::Binary { op, left, right }
             if matches!(op, BinaryOp::Lt | BinaryOp::LtEq | BinaryOp::Gt | BinaryOp::GtEq) =>
         {
-            let (col_first, col, lit) = if is_tsdb_col(left, schema, 0) {
-                (true, left, right)
+            let (col_first, lit) = if is_tsdb_col(left, schema, 0) {
+                (true, right)
             } else if is_tsdb_col(right, schema, 0) {
-                (false, right, left)
+                (false, left)
             } else {
                 return false;
             };
-            let _ = col;
             let Some(n) = lit_int(lit) else { return false };
+            // `timestamp > i64::MAX` / `< i64::MIN` are unsatisfiable;
+            // saturating the strict bound would silently re-admit the
+            // extreme point, so force an inverted (empty) range instead.
+            let nothing = |scan: &mut ScanSpec| {
+                scan.tighten_start(i64::MAX);
+                scan.tighten_end(i64::MIN);
+            };
             // Normalize to "timestamp OP n".
-            let op = if col_first { *op } else { veval::flipped(*op) };
-            match op {
-                BinaryOp::GtEq => tighten_start(start, n),
-                // `timestamp > i64::MAX` / `< i64::MIN` are unsatisfiable;
-                // saturating the strict bound would silently re-admit the
-                // extreme point, so force an inverted (empty) range instead.
+            match if col_first { *op } else { veval::flipped(*op) } {
+                BinaryOp::GtEq => scan.tighten_start(n),
                 BinaryOp::Gt => match n.checked_add(1) {
-                    Some(lo) => tighten_start(start, lo),
-                    None => {
-                        tighten_start(start, i64::MAX);
-                        tighten_end(end, i64::MIN);
-                    }
+                    Some(lo) => scan.tighten_start(lo),
+                    None => nothing(scan),
                 },
-                BinaryOp::LtEq => tighten_end(end, n),
+                BinaryOp::LtEq => scan.tighten_end(n),
                 BinaryOp::Lt => match n.checked_sub(1) {
-                    Some(hi) => tighten_end(end, hi),
-                    None => {
-                        tighten_start(start, i64::MAX);
-                        tighten_end(end, i64::MIN);
-                    }
+                    Some(hi) => scan.tighten_end(hi),
+                    None => nothing(scan),
                 },
                 _ => unreachable!(),
             }
             true
         }
         // tag['k'] IS NULL / IS NOT NULL -> tag-key absence / presence.
-        Expr::IsNull { expr, negated } => {
-            if let Some(k) = tag_access(expr, schema) {
-                tags.push(if *negated {
-                    TagFilter::HasKey(k.to_string())
-                } else {
-                    TagFilter::Absent(k.to_string())
-                });
-                return true;
-            }
-            false
-        }
+        Expr::IsNull { expr, negated } => tag_access(expr, schema).is_some_and(|k| {
+            let key = k.to_string();
+            scan.tags.push(if *negated { TagFilter::HasKey(key) } else { TagFilter::Absent(key) });
+            true
+        }),
         _ => false,
     }
 }
@@ -790,62 +557,34 @@ fn names_in<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> HashSet<String> {
 /// Pushes the set of referenced column names down to TSDB scans, which then
 /// materialize only those observation columns. `None` = everything.
 fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
+    let with = |needs: Option<HashSet<String>>, e: &Expr| {
+        needs.map(|mut n| {
+            n.extend(names_in([e]));
+            n
+        })
+    };
+    // What this node's inputs must produce.
+    let needs = match &plan {
+        LogicalPlan::Project { items, hidden, .. } => {
+            Some(names_in(items.iter().map(|(e, _)| e).chain(hidden)))
+        }
+        LogicalPlan::Aggregate { group_by, items, hidden, .. } => {
+            Some(names_in(items.iter().map(|(e, _)| e).chain(group_by).chain(hidden)))
+        }
+        LogicalPlan::Filter { predicate, .. } => with(needs, predicate),
+        LogicalPlan::Join { on, .. } => with(needs, on),
+        LogicalPlan::Alias { alias, .. } => {
+            needs.map(|n| n.into_iter().map(|name| unqualified(name, alias)).collect())
+        }
+        // Positional name mapping across union branches is fragile: keep
+        // all. The pivot reads every column of its input; the stage-one
+        // projection under it names what the scan must produce.
+        LogicalPlan::Union { .. } | LogicalPlan::Pivot { .. } => None,
+        // Everything else hands its own needs on, or is a leaf.
+        _ => needs,
+    };
     match plan {
-        LogicalPlan::Project { input, items, hidden } => {
-            let needs = Some(names_in(items.iter().map(|(e, _)| e).chain(&hidden)));
-            LogicalPlan::Project { input: Box::new(prune(*input, needs)), items, hidden }
-        }
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let needs =
-                Some(names_in(items.iter().map(|(e, _)| e).chain(&group_by).chain(&hidden)));
-            LogicalPlan::Aggregate {
-                input: Box::new(prune(*input, needs)),
-                group_by,
-                items,
-                hidden,
-            }
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let needs = needs.map(|mut n| {
-                n.extend(names_in([&predicate]));
-                n
-            });
-            LogicalPlan::Filter { input: Box::new(prune(*input, needs)), predicate }
-        }
-        LogicalPlan::Alias { input, alias } => {
-            let needs = needs.map(|n| {
-                n.into_iter()
-                    .map(|name| match name.split_once('.') {
-                        Some((head, tail)) if head.eq_ignore_ascii_case(&alias) => tail.to_string(),
-                        _ => name,
-                    })
-                    .collect()
-            });
-            LogicalPlan::Alias { input: Box::new(prune(*input, needs)), alias }
-        }
-        LogicalPlan::Join { left, right, kind, on } => {
-            let needs = needs.map(|mut n| {
-                n.extend(names_in([&on]));
-                n
-            });
-            LogicalPlan::Join {
-                left: Box::new(prune(*left, needs.clone())),
-                right: Box::new(prune(*right, needs)),
-                kind,
-                on,
-            }
-        }
-        LogicalPlan::Sort { input, keys, output_width } => {
-            LogicalPlan::Sort { input: Box::new(prune(*input, needs)), keys, output_width }
-        }
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(prune(*input, needs)), n }
-        }
-        LogicalPlan::Union { inputs } => LogicalPlan::Union {
-            // Positional name mapping across branches is fragile; keep all.
-            inputs: inputs.into_iter().map(|p| prune(p, None)).collect(),
-        },
-        LogicalPlan::TsdbScan { table, name, tags, start, end, columns } => {
+        LogicalPlan::TsdbScan { scan, columns } => {
             let columns = match needs {
                 None => columns,
                 Some(needs) => {
@@ -865,17 +604,9 @@ fn prune(plan: LogicalPlan, needs: Option<HashSet<String>>) -> LogicalPlan {
                     }
                 }
             };
-            LogicalPlan::TsdbScan { table, name, tags, start, end, columns }
+            LogicalPlan::TsdbScan { scan, columns }
         }
-        // The pivot reads every column of its input; the stage-one
-        // projection under it names what the scan must produce.
-        LogicalPlan::Pivot { input, spec } => {
-            LogicalPlan::Pivot { input: Box::new(prune(*input, None)), spec }
-        }
-        leaf @ (LogicalPlan::Scan { .. }
-        | LogicalPlan::Unit
-        | LogicalPlan::ScanPivot { .. }
-        | LogicalPlan::ScanAggregate { .. }) => leaf,
+        other => other.map_inputs(&mut |input| prune(input, needs.clone())),
     }
 }
 
@@ -920,10 +651,10 @@ fn fuse_scan_pivot(plan: LogicalPlan) -> LogicalPlan {
         LogicalPlan::Project { input, .. } => *input,
         scan => scan,
     };
-    let LogicalPlan::TsdbScan { table, name, tags, start, end, .. } = scan else {
+    let LogicalPlan::TsdbScan { scan, .. } = scan else {
         unreachable!("eligibility checked the source");
     };
-    LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature }
+    LogicalPlan::ScanPivot { scan, family, feature }
 }
 
 /// The eligibility analysis for rule 6, returning the family and feature
@@ -976,64 +707,25 @@ pub(crate) fn scan_pivot_labels(input: &LogicalPlan, spec: &PivotSpec) -> Option
 /// descend into `Join` sides or `Union` branches: those contexts fall back
 /// to the ordinary pipeline (asserted by the plan-shape tests).
 fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
-    if scan_aggregate_candidate(&plan) {
-        return convert_scan_aggregate(plan);
-    }
     match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            LogicalPlan::Filter { input: Box::new(push_aggregates_into_scans(*input)), predicate }
+        LogicalPlan::Aggregate { input, group_by, items, hidden }
+            if scan_aggregate_eligible(&input, &group_by, &items, &hidden) =>
+        {
+            // Peel the filter chain, outermost first.
+            let mut filters = Vec::new();
+            let mut cur = *input;
+            while let LogicalPlan::Filter { input, predicate } = cur {
+                filters.push(predicate);
+                cur = *input;
+            }
+            let LogicalPlan::TsdbScan { scan, .. } = cur else {
+                unreachable!("eligibility checked the source");
+            };
+            LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden }
         }
-        LogicalPlan::Project { input, items, hidden } => LogicalPlan::Project {
-            input: Box::new(push_aggregates_into_scans(*input)),
-            items,
-            hidden,
-        },
-        LogicalPlan::Aggregate { input, group_by, items, hidden } => LogicalPlan::Aggregate {
-            input: Box::new(push_aggregates_into_scans(*input)),
-            group_by,
-            items,
-            hidden,
-        },
-        LogicalPlan::Alias { input, alias } => {
-            LogicalPlan::Alias { input: Box::new(push_aggregates_into_scans(*input)), alias }
-        }
-        LogicalPlan::Sort { input, keys, output_width } => LogicalPlan::Sort {
-            input: Box::new(push_aggregates_into_scans(*input)),
-            keys,
-            output_width,
-        },
-        LogicalPlan::Limit { input, n } => {
-            LogicalPlan::Limit { input: Box::new(push_aggregates_into_scans(*input)), n }
-        }
-        LogicalPlan::Pivot { input, spec } => {
-            LogicalPlan::Pivot { input: Box::new(push_aggregates_into_scans(*input)), spec }
-        }
-        other => other,
+        fallback @ (LogicalPlan::Join { .. } | LogicalPlan::Union { .. }) => fallback,
+        other => other.map_inputs(&mut push_aggregates_into_scans),
     }
-}
-
-/// True when the node is an eligible aggregate-over-scan pipeline.
-fn scan_aggregate_candidate(node: &LogicalPlan) -> bool {
-    matches!(node, LogicalPlan::Aggregate { input, group_by, items, hidden }
-        if scan_aggregate_eligible(input, group_by, items, hidden))
-}
-
-/// Collapses a node [`scan_aggregate_candidate`] accepted.
-fn convert_scan_aggregate(node: LogicalPlan) -> LogicalPlan {
-    let LogicalPlan::Aggregate { input, group_by, items, hidden } = node else {
-        unreachable!("eligibility matched an aggregate");
-    };
-    // Peel the filter chain, outermost first.
-    let mut filters = Vec::new();
-    let mut cur = *input;
-    while let LogicalPlan::Filter { input, predicate } = cur {
-        filters.push(predicate);
-        cur = *input;
-    }
-    let LogicalPlan::TsdbScan { table, name, tags, start, end, .. } = cur else {
-        unreachable!("eligibility checked the source");
-    };
-    LogicalPlan::ScanAggregate { table, name, tags, start, end, filters, group_by, items, hidden }
 }
 
 pub(crate) fn tsdb_schema() -> Schema {
@@ -1076,33 +768,13 @@ fn refs_within(expr: &Expr, schema: &Schema, allowed: &[usize]) -> bool {
 /// fold depend on accumulation order (maps are mutually incomparable under
 /// `sql_cmp`), which the series-major scan aggregate cannot reproduce.
 fn bare_tag_free(expr: &Expr, schema: &Schema) -> bool {
-    match expr {
-        Expr::Column(c) => !schema.resolve(c).is_ok_and(|i| i == 2),
-        Expr::Literal(_) => true,
-        Expr::Index { container, index } => {
-            let container_ok = match container.as_ref() {
-                Expr::Column(c) if schema.resolve(c).is_ok_and(|i| i == 2) => true,
-                other => bare_tag_free(other, schema),
-            };
-            container_ok && bare_tag_free(index, schema)
-        }
-        Expr::Binary { left, right, .. } => {
-            bare_tag_free(left, schema) && bare_tag_free(right, schema)
-        }
-        Expr::Unary { operand, .. } => bare_tag_free(operand, schema),
-        Expr::Function { args, .. } => args.iter().all(|a| bare_tag_free(a, schema)),
-        Expr::InList { expr, list, .. } => {
-            bare_tag_free(expr, schema) && list.iter().all(|e| bare_tag_free(e, schema))
-        }
-        Expr::Between { expr, low, high, .. } => {
-            bare_tag_free(expr, schema) && bare_tag_free(low, schema) && bare_tag_free(high, schema)
-        }
-        Expr::IsNull { expr, .. } => bare_tag_free(expr, schema),
-        Expr::Case { when_then, else_expr } => {
-            when_then.iter().all(|(c, v)| bare_tag_free(c, schema) && bare_tag_free(v, schema))
-                && else_expr.as_ref().is_none_or(|e| bare_tag_free(e, schema))
-        }
-    }
+    let is_tag = |e: &Expr| is_tsdb_col(e, schema, 2);
+    let (mut refs, mut indexed) = (0usize, 0usize);
+    expr.walk(&mut |e| {
+        refs += usize::from(is_tag(e));
+        indexed += usize::from(matches!(e, Expr::Index { container, .. } if is_tag(container)));
+    });
+    refs == indexed
 }
 
 /// The eligibility analysis for rule 7: the pipeline must reach a
@@ -1212,6 +884,102 @@ mod tests {
         optimize(build(c, &q).unwrap(), c).unwrap()
     }
 
+    /// Every statement of the two outside-in corpora, `tests/plan_shape.rs`
+    /// and `tests/static_analysis.rs` — each SQL string literal in them that
+    /// parses and plans over their tables — as planned and as optimized, with
+    /// a statement each for the two `Expr` variants and the two nodes they never use.
+    fn corpus_plans() -> Vec<LogicalPlan> {
+        let mut c = tsdb_catalog();
+        c.register("plain", Table::from_rows(&["ts", "v"], vec![]));
+        c.register("t", Table::from_rows(&["ts", "host", "v"], vec![]));
+        c.register("u", Table::from_rows(&["ts", "w"], vec![]));
+        let sources =
+            [include_str!("../tests/plan_shape.rs"), include_str!("../tests/static_analysis.rs")];
+        let mut sqls = vec![
+            "SELECT CASE WHEN v IS NULL THEN 0 ELSE v END AS c FROM plain".to_string(),
+            "SELECT 1 LIMIT 1".to_string(),
+        ];
+        for source in sources {
+            for (at, _) in
+                source.match_indices("\"SELECT ").chain(source.match_indices("\"CREATE "))
+            {
+                // The literal's text: up to the closing quote, `\`-newline
+                // continuations (and their indentation) dropped.
+                let mut sql = String::new();
+                let mut chars = source[at + 1..].chars();
+                while let Some(ch) = chars.next().filter(|&ch| ch != '"') {
+                    match ch {
+                        '\\' if chars.next() == Some('\n') => {
+                            chars = chars.as_str().trim_start().chars();
+                        }
+                        ch => sql.push(ch),
+                    }
+                }
+                sqls.push(sql);
+            }
+        }
+        let mut plans = Vec::new();
+        for sql in sqls {
+            let planned = match crate::parser::parse_statement(&sql) {
+                Ok(crate::Statement::Query(q)) => build(&c, &q),
+                Ok(crate::Statement::CreateFamily(cf)) => crate::plan::build_family(&c, &cf),
+                _ => continue, // a fragment, or a `format!` template
+            };
+            let Ok(planned) = planned else { continue };
+            plans.extend(optimize(planned.clone(), &c));
+            plans.push(planned);
+        }
+        assert!(plans.len() > 100, "the corpora went missing: {} plans", plans.len());
+        plans
+    }
+
+    #[test]
+    fn map_inputs_states_every_nodes_inputs() {
+        fn rebuild(plan: LogicalPlan, visited: &mut usize) -> LogicalPlan {
+            *visited += 1;
+            plan.map_inputs(&mut |input| rebuild(input, visited))
+        }
+        let mut variants = HashSet::new();
+        for plan in corpus_plans() {
+            // `render` prints a line per node: the hand count. A variant
+            // that forgets an input comes back short (and a node short).
+            let mut visited = 0;
+            assert_eq!(rebuild(plan.clone(), &mut visited), plan);
+            let rendered = crate::plan::render(&plan);
+            assert_eq!(visited, rendered.lines().count(), "{rendered}");
+            // Each line starts with its node's name.
+            let names = rendered.lines().filter_map(|l| l.split_whitespace().next());
+            variants.extend(names.map(str::to_string));
+        }
+        assert_eq!(variants.len(), 14, "the corpora hold every node: {variants:?}");
+    }
+
+    #[test]
+    fn map_children_states_every_variants_children() {
+        fn rebuild(expr: Expr, visited: &mut usize) -> Expr {
+            *visited += 1;
+            expr.map_children(&mut |child| rebuild(child, visited))
+        }
+        let exprs = std::cell::RefCell::new(Vec::new());
+        for plan in corpus_plans() {
+            map_exprs(plan, &|e| {
+                exprs.borrow_mut().push(e.clone());
+                e
+            });
+        }
+        let mut variants = HashSet::new();
+        for e in exprs.into_inner() {
+            let (mut visited, mut walked) = (0, 0);
+            assert_eq!(rebuild(e.clone(), &mut visited), e);
+            e.walk(&mut |sub| {
+                walked += 1;
+                variants.insert(std::mem::discriminant(sub));
+            });
+            assert_eq!(visited, walked, "{e:?}");
+        }
+        assert_eq!(variants.len(), 10, "the corpora exercise every `Expr` variant");
+    }
+
     #[test]
     fn constant_folding_collapses_literals() {
         assert_eq!(
@@ -1249,12 +1017,12 @@ mod tests {
              AND timestamp BETWEEN 0 AND 100",
         );
         // Pruned to `value`, the scan is all the projection asks for.
-        let LogicalPlan::TsdbScan { name, tags, start, end, .. } = p else {
+        let LogicalPlan::TsdbScan { scan, .. } = p else {
             panic!("expected a bare tsdb scan, got {p:?}")
         };
-        assert_eq!(name.as_deref(), Some("cpu"));
-        assert_eq!(tags, vec![TagFilter::Equals("host".into(), "web-1".into())]);
-        assert_eq!((start, end), (Some(0), Some(100)));
+        assert_eq!(scan.name.as_deref(), Some("cpu"));
+        assert_eq!(scan.tags, vec![TagFilter::Equals("host".into(), "web-1".into())]);
+        assert_eq!((scan.start, scan.end), (Some(0), Some(100)));
     }
 
     #[test]
@@ -1265,7 +1033,7 @@ mod tests {
             panic!("expected residual filter, got {p:?}")
         };
         assert!(
-            matches!(*input, LogicalPlan::TsdbScan { ref name, .. } if name.as_deref() == Some("cpu"))
+            matches!(*input, LogicalPlan::TsdbScan { ref scan, .. } if scan.name.as_deref() == Some("cpu"))
         );
         assert_eq!(predicate.columns(), ["value"]);
     }
@@ -1274,8 +1042,8 @@ mod tests {
     fn tag_null_checks_become_index_predicates() {
         let c = tsdb_catalog();
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] IS NOT NULL");
-        let LogicalPlan::TsdbScan { tags, .. } = p else { panic!("expected scan, got {p:?}") };
-        assert_eq!(tags, vec![TagFilter::HasKey("host".into())]);
+        let LogicalPlan::TsdbScan { scan, .. } = p else { panic!("expected scan, got {p:?}") };
+        assert_eq!(scan.tags, vec![TagFilter::HasKey("host".into())]);
     }
 
     #[test]
@@ -1285,10 +1053,8 @@ mod tests {
             &c,
             "SELECT value FROM tsdb WHERE timestamp >= 10 AND timestamp < 50 AND 20 <= timestamp",
         );
-        let LogicalPlan::TsdbScan { start, end, .. } = p else {
-            panic!("expected scan, got {p:?}")
-        };
-        assert_eq!((start, end), (Some(20), Some(49)));
+        let LogicalPlan::TsdbScan { scan, .. } = p else { panic!("expected scan, got {p:?}") };
+        assert_eq!((scan.start, scan.end), (Some(20), Some(49)));
     }
 
     #[test]
@@ -1369,13 +1135,13 @@ mod tests {
         // metric_name GLOB with a literal prefix becomes the scan's name
         // pattern (served by a name-index range scan in the store).
         let p = optimized(&c, "SELECT value FROM tsdb WHERE metric_name GLOB 'c*'");
-        let LogicalPlan::TsdbScan { name, .. } = p else { panic!("expected scan, got {p:?}") };
-        assert_eq!(name.as_deref(), Some("c*"));
+        let LogicalPlan::TsdbScan { scan, .. } = p else { panic!("expected scan, got {p:?}") };
+        assert_eq!(scan.name.as_deref(), Some("c*"));
 
         // tag['k'] LIKE translates %/_ to */? and lands in the tag filters.
         let p = optimized(&c, "SELECT value FROM tsdb WHERE tag['host'] LIKE 'web-%'");
-        let LogicalPlan::TsdbScan { tags, .. } = p else { panic!("expected scan, got {p:?}") };
-        assert_eq!(tags, vec![TagFilter::Glob("host".into(), "web-*".into())]);
+        let LogicalPlan::TsdbScan { scan, .. } = p else { panic!("expected scan, got {p:?}") };
+        assert_eq!(scan.tags, vec![TagFilter::Glob("host".into(), "web-*".into())]);
 
         // A LIKE pattern containing literal glob metacharacters must stay
         // a residual filter (translation would change its meaning).
@@ -1408,11 +1174,11 @@ mod tests {
              WHERE metric_name = 'cpu' AND timestamp BETWEEN 0 AND 100 AND value > 0.5 \
              GROUP BY timestamp, tag['host']",
         );
-        let LogicalPlan::ScanAggregate { name, start, end, filters, group_by, .. } = p else {
+        let LogicalPlan::ScanAggregate { scan, filters, group_by, .. } = p else {
             panic!("expected scan aggregate, got {p:?}")
         };
-        assert_eq!(name.as_deref(), Some("cpu"));
-        assert_eq!((start, end), (Some(0), Some(100)));
+        assert_eq!(scan.name.as_deref(), Some("cpu"));
+        assert_eq!((scan.start, scan.end), (Some(0), Some(100)));
         assert_eq!(filters.len(), 1, "the value conjunct stays residual");
         assert_eq!(group_by.len(), 2);
     }

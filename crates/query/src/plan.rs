@@ -16,7 +16,9 @@
 //! The tree is what [`crate::optimize`] rewrites (predicate pushdown,
 //! projection pruning, constant folding, TSDB scan extraction) and what the
 //! columnar executor in [`crate::exec`] runs. [`render`] pretty-prints a
-//! plan for `EXPLAIN`.
+//! plan for `EXPLAIN`. The three nodes that read the store — `TsdbScan`,
+//! `ScanAggregate`, `ScanPivot` — say what they read with one [`ScanSpec`],
+//! and `LogicalPlan::map_inputs` says once which node has which inputs.
 //!
 //! A `CREATE FAMILY` statement plans as the same tree with stage two on
 //! top ([`build_family`]): a [`LogicalPlan::Pivot`] root over the stage-one
@@ -27,10 +29,78 @@ use explainit_tsdb::TagFilter;
 
 use crate::ast::{BinaryOp, CreateFamily, Expr, JoinKind, Query, SelectItem, SelectStmt, TableRef};
 use crate::catalog::Catalog;
+use crate::optimize::peel_filter_chain;
 use crate::pivot::PivotSpec;
 use crate::table::Schema;
 use crate::veval::FilterClass;
 use crate::{QueryError, Result};
+
+/// The one description of a pushed-down store scan: which binding, and the
+/// metric-name pattern, tag predicates and inclusive time range narrowing it
+/// (§3.2's `disk{host=datanode*}` plus a range). [`LogicalPlan::TsdbScan`],
+/// [`LogicalPlan::ScanAggregate`] and [`LogicalPlan::ScanPivot`] each hold
+/// one: rule 3 absorbs `WHERE` conjuncts into it, the fusing rules move it
+/// from the scan node into theirs, `EXPLAIN` prints it (its `Display`), and
+/// the executor resolves it to the store's hits in one function.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanSpec {
+    /// Catalog name the TSDB is bound under.
+    pub table: String,
+    /// Metric-name **pattern** in the store's glob language (`*` any run,
+    /// `?` one character), of which a metacharacter-free string is the
+    /// exact case: `metric_name = 'cpu'` and `GLOB 'cpu*'` both land here,
+    /// `= 'cpu*'` — a literal the store would read as a pattern — never does.
+    pub name: Option<String>,
+    /// Pushed-down tag predicates (conjunctive).
+    pub tags: Vec<TagFilter>,
+    /// Inclusive lower timestamp bound.
+    pub start: Option<i64>,
+    /// Inclusive upper timestamp bound; below `start`, nothing is scanned.
+    pub end: Option<i64>,
+}
+
+impl ScanSpec {
+    /// The whole of `table`: nothing pushed down yet.
+    pub fn all(table: impl Into<String>) -> ScanSpec {
+        ScanSpec { table: table.into(), name: None, tags: Vec::new(), start: None, end: None }
+    }
+
+    /// Raises the lower bound to at least `lo`.
+    pub(crate) fn tighten_start(&mut self, lo: i64) {
+        self.start = Some(self.start.map_or(lo, |s| s.max(lo)));
+    }
+
+    /// Lowers the upper bound to at most `hi`.
+    pub(crate) fn tighten_end(&mut self, hi: i64) {
+        self.end = Some(self.end.map_or(hi, |e| e.min(hi)));
+    }
+}
+
+/// The `EXPLAIN` text of a scan: the table, then ` name=..`, ` tag[k]=..`
+/// and ` time=[lo, hi]` for whatever was pushed down — the same on all
+/// three scan lines.
+impl std::fmt::Display for ScanSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.table)?;
+        if let Some(name) = &self.name {
+            write!(f, " name={name}")?;
+        }
+        for t in &self.tags {
+            match t {
+                TagFilter::Equals(k, v) => write!(f, " tag[{k}]={v}")?,
+                TagFilter::Glob(k, p) => write!(f, " tag[{k}]~{p}")?,
+                TagFilter::HasKey(k) => write!(f, " tag[{k}] present")?,
+                TagFilter::Absent(k) => write!(f, " tag[{k}] absent")?,
+            }
+        }
+        if self.start.is_some() || self.end.is_some() {
+            let lo = self.start.map_or("-inf".to_string(), |v| v.to_string());
+            let hi = self.end.map_or("+inf".to_string(), |v| v.to_string());
+            write!(f, " time=[{lo}, {hi}]")?;
+        }
+        Ok(())
+    }
+}
 
 /// A relational operator tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,16 +114,8 @@ pub enum LogicalPlan {
     /// pushed-down predicates. Produced by the optimizer — the planner only
     /// emits [`LogicalPlan::Scan`].
     TsdbScan {
-        /// Catalog name the TSDB is bound under.
-        table: String,
-        /// Pushed-down exact metric-name equality.
-        name: Option<String>,
-        /// Pushed-down tag predicates (conjunctive).
-        tags: Vec<TagFilter>,
-        /// Inclusive lower timestamp bound.
-        start: Option<i64>,
-        /// Inclusive upper timestamp bound.
-        end: Option<i64>,
+        /// What is read: the binding and the predicates pushed into it.
+        scan: ScanSpec,
         /// Column pruning: indices into the observation schema
         /// `[timestamp, metric_name, tag, value]`; `None` keeps all.
         columns: Option<Vec<usize>>,
@@ -137,8 +199,8 @@ pub enum LogicalPlan {
     /// [`LogicalPlan::TsdbScan`]
     /// and every group key is the `timestamp` column or an expression over
     /// the dictionary-encoded scan columns (`metric_name`, `tag`). The
-    /// executor folds each series' sorted point vectors straight off
-    /// [`explainit_tsdb::Tsdb::scan_parts_ordered_between`] into mergeable
+    /// executor folds each series' sorted point vectors straight off the
+    /// store (the hits of its [`ScanSpec`], in rank order) into mergeable
     /// accumulators addressed `class × grid slot` — a class being the series
     /// whose key values share a group key (resolved once per series), a slot
     /// a timestamp of the class's sorted grid: no row materialization, no
@@ -146,16 +208,8 @@ pub enum LogicalPlan {
     /// slot by slot in morsel order, so results stay bit-exact with the
     /// serial and reference engines (`exec/scan_aggregate.rs`).
     ScanAggregate {
-        /// Catalog name the TSDB is bound under.
-        table: String,
-        /// Pushed-down metric-name pattern (exact or glob).
-        name: Option<String>,
-        /// Pushed-down tag predicates (conjunctive).
-        tags: Vec<TagFilter>,
-        /// Inclusive lower timestamp bound.
-        start: Option<i64>,
-        /// Inclusive upper timestamp bound.
-        end: Option<i64>,
+        /// What is read — moved here from the `TsdbScan` the rule absorbed.
+        scan: ScanSpec,
         /// Residual predicates (outermost first) the scan could not
         /// absorb; evaluated per series / per point before aggregation.
         filters: Vec<Expr>,
@@ -186,16 +240,8 @@ pub enum LogicalPlan {
     /// writes each series' decoded spans straight into the family
     /// matrices — no row is ever materialized.
     ScanPivot {
-        /// Catalog name the TSDB is bound under.
-        table: String,
-        /// Pushed-down metric-name pattern (exact or glob).
-        name: Option<String>,
-        /// Pushed-down tag predicates (conjunctive).
-        tags: Vec<TagFilter>,
-        /// Inclusive lower timestamp bound.
-        start: Option<i64>,
-        /// Inclusive upper timestamp bound.
-        end: Option<i64>,
+        /// What is read — moved here from the `TsdbScan` the rule absorbed.
+        scan: ScanSpec,
         /// Family label, over `metric_name` / `tag` only.
         family: Expr,
         /// Feature label, over `metric_name` / `tag` only.
@@ -219,6 +265,56 @@ pub(crate) fn tsdb_scan_columns(columns: &Option<Vec<usize>>) -> Vec<String> {
 pub const FAMILY_COLUMNS: [&str; 3] = ["family", "rows", "features"];
 
 impl LogicalPlan {
+    /// Rebuilds this node with `f` applied to each input plan, left to
+    /// right, stopping at the first error: the one statement of which node
+    /// has which inputs (`render_into`, `schema`, the verifier and the
+    /// executor read them with per-node logic of their own). A rule that has
+    /// nothing to say about a node — `Limit`, say — never names it.
+    pub(crate) fn try_map_inputs<E>(
+        self,
+        f: &mut impl FnMut(LogicalPlan) -> std::result::Result<LogicalPlan, E>,
+    ) -> std::result::Result<LogicalPlan, E> {
+        let mut boxed = |p: Box<LogicalPlan>| f(*p).map(Box::new);
+        Ok(match self {
+            LogicalPlan::Alias { input, alias } => {
+                LogicalPlan::Alias { input: boxed(input)?, alias }
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                LogicalPlan::Filter { input: boxed(input)?, predicate }
+            }
+            LogicalPlan::Project { input, items, hidden } => {
+                LogicalPlan::Project { input: boxed(input)?, items, hidden }
+            }
+            LogicalPlan::Aggregate { input, group_by, items, hidden } => {
+                LogicalPlan::Aggregate { input: boxed(input)?, group_by, items, hidden }
+            }
+            LogicalPlan::Join { left, right, kind, on } => {
+                let left = boxed(left)?;
+                LogicalPlan::Join { left, right: boxed(right)?, kind, on }
+            }
+            LogicalPlan::Sort { input, keys, output_width } => {
+                LogicalPlan::Sort { input: boxed(input)?, keys, output_width }
+            }
+            LogicalPlan::Limit { input, n } => LogicalPlan::Limit { input: boxed(input)?, n },
+            LogicalPlan::Union { inputs } => {
+                let inputs = inputs.into_iter().map(f).collect::<std::result::Result<_, E>>()?;
+                LogicalPlan::Union { inputs }
+            }
+            LogicalPlan::Pivot { input, spec } => LogicalPlan::Pivot { input: boxed(input)?, spec },
+            leaf @ (LogicalPlan::Scan { .. }
+            | LogicalPlan::TsdbScan { .. }
+            | LogicalPlan::Unit
+            | LogicalPlan::ScanAggregate { .. }
+            | LogicalPlan::ScanPivot { .. }) => leaf,
+        })
+    }
+
+    /// [`LogicalPlan::try_map_inputs`] for a rewrite that cannot fail.
+    pub(crate) fn map_inputs(self, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mapped = self.try_map_inputs(&mut |p| Ok::<_, std::convert::Infallible>(f(p)));
+        mapped.unwrap_or_else(|never| match never {})
+    }
+
     /// The visible output schema of this plan.
     pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
         match self {
@@ -503,14 +599,6 @@ fn refine_class(predicate: &Expr, source: &LogicalPlan, catalog: &Catalog) -> Op
     }
 }
 
-/// The first non-`Filter` node under a filter chain.
-fn chain_source(mut plan: &LogicalPlan) -> &LogicalPlan {
-    while let LogicalPlan::Filter { input, .. } = plan {
-        plan = input;
-    }
-    plan
-}
-
 fn push_line(out: &mut String, depth: usize, line: &str) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -550,17 +638,13 @@ fn render_expr(e: &Expr) -> String {
             crate::ast::UnaryOp::Neg => format!("(-{})", render_expr(operand)),
             crate::ast::UnaryOp::Not => format!("(NOT {})", render_expr(operand)),
         },
-        Expr::Function { name, args } => {
-            let args: Vec<String> = args.iter().map(render_expr).collect();
-            format!("{name}({})", args.join(", "))
-        }
+        Expr::Function { name, args } => format!("{name}({})", render_list(args)),
         Expr::Index { container, index } => {
             format!("{}[{}]", render_expr(container), render_expr(index))
         }
         Expr::InList { expr, list, negated } => {
-            let list: Vec<String> = list.iter().map(render_expr).collect();
             let not = if *negated { " NOT" } else { "" };
-            format!("({}{} IN ({}))", render_expr(expr), not, list.join(", "))
+            format!("({}{} IN ({}))", render_expr(expr), not, render_list(list))
         }
         Expr::Between { expr, low, high, negated } => {
             let not = if *negated { " NOT" } else { "" };
@@ -580,39 +664,27 @@ fn render_expr(e: &Expr) -> String {
     }
 }
 
-/// Renders the pushed-down scan predicates shared by `TsdbScan` and
-/// `ScanAggregate` lines.
-fn push_scan_attrs(
-    line: &mut String,
-    name: &Option<String>,
-    tags: &[TagFilter],
-    start: &Option<i64>,
-    end: &Option<i64>,
-) {
-    if let Some(name) = name {
-        line.push_str(&format!(" name={name}"));
-    }
-    for t in tags {
-        match t {
-            TagFilter::Equals(k, v) => line.push_str(&format!(" tag[{k}]={v}")),
-            TagFilter::Glob(k, p) => line.push_str(&format!(" tag[{k}]~{p}")),
-            TagFilter::HasKey(k) => line.push_str(&format!(" tag[{k}] present")),
-            TagFilter::Absent(k) => line.push_str(&format!(" tag[{k}] absent")),
-        }
-    }
-    if start.is_some() || end.is_some() {
-        let lo = start.map_or("-inf".to_string(), |v| v.to_string());
-        let hi = end.map_or("+inf".to_string(), |v| v.to_string());
-        line.push_str(&format!(" time=[{lo}, {hi}]"));
-    }
+fn render_list(exprs: &[Expr]) -> String {
+    exprs.iter().map(render_expr).collect::<Vec<_>>().join(", ")
+}
+
+/// How `Project`, `Aggregate` and `ScanAggregate` lines end: `[e AS name,
+/// ..]`, then ` hidden=[..]` when ORDER BY keys ride along.
+fn render_outputs(items: &[(Expr, String)], hidden: &[Expr]) -> String {
+    let cols: Vec<String> =
+        items.iter().map(|(e, n)| format!("{} AS {n}", render_expr(e))).collect();
+    let hidden = match hidden {
+        [] => String::new(),
+        keys => format!(" hidden=[{}]", render_list(keys)),
+    };
+    format!("[{}]{hidden}", cols.join(", "))
 }
 
 fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out: &mut String) {
     match plan {
         LogicalPlan::Scan { table } => push_line(out, depth, &format!("Scan {table}")),
-        LogicalPlan::TsdbScan { table, name, tags, start, end, columns } => {
-            let mut line = format!("TsdbScan {table}");
-            push_scan_attrs(&mut line, name, tags, start, end);
+        LogicalPlan::TsdbScan { scan, columns } => {
+            let mut line = format!("TsdbScan {scan}");
             if let Some(cols) = columns {
                 let names: Vec<&str> = cols.iter().map(|&i| TSDB_COLUMNS[i]).collect();
                 line.push_str(&format!(" columns=[{}]", names.join(", ")));
@@ -627,7 +699,7 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
         LogicalPlan::Filter { input, predicate } => {
             let mut line = format!("Filter {}", render_expr(predicate));
             if let Some(class) =
-                catalog.and_then(|c| refine_class(predicate, chain_source(input), c))
+                catalog.and_then(|c| refine_class(predicate, peel_filter_chain(input).1, c))
             {
                 line.push_str(&format!(" refine={}", class.name()));
             }
@@ -635,27 +707,12 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             render_into(input, depth + 1, catalog, out);
         }
         LogicalPlan::Project { input, items, hidden } => {
-            let cols: Vec<String> =
-                items.iter().map(|(e, n)| format!("{} AS {n}", render_expr(e))).collect();
-            let mut line = format!("Project [{}]", cols.join(", "));
-            if !hidden.is_empty() {
-                let h: Vec<String> = hidden.iter().map(render_expr).collect();
-                line.push_str(&format!(" hidden=[{}]", h.join(", ")));
-            }
-            push_line(out, depth, &line);
+            push_line(out, depth, &format!("Project {}", render_outputs(items, hidden)));
             render_into(input, depth + 1, catalog, out);
         }
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
-            let keys: Vec<String> = group_by.iter().map(render_expr).collect();
-            let cols: Vec<String> =
-                items.iter().map(|(e, n)| format!("{} AS {n}", render_expr(e))).collect();
-            let mut line =
-                format!("Aggregate group=[{}] items=[{}]", keys.join(", "), cols.join(", "));
-            if !hidden.is_empty() {
-                let h: Vec<String> = hidden.iter().map(render_expr).collect();
-                line.push_str(&format!(" hidden=[{}]", h.join(", ")));
-            }
-            push_line(out, depth, &line);
+            let (keys, outputs) = (render_list(group_by), render_outputs(items, hidden));
+            push_line(out, depth, &format!("Aggregate group=[{keys}] items={outputs}"));
             render_into(input, depth + 1, catalog, out);
         }
         LogicalPlan::Join { left, right, kind, on } => {
@@ -691,42 +748,18 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             push_line(out, depth, &format!("Pivot {}", spec.describe(schema.as_ref())));
             render_into(input, depth + 1, catalog, out);
         }
-        LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature } => {
-            let mut line = format!("ScanPivot {table}");
-            push_scan_attrs(&mut line, name, tags, start, end);
-            line.push_str(&format!(
-                " layout=long ts=timestamp family={} feature={} value=value",
-                render_expr(family),
-                render_expr(feature)
-            ));
-            push_line(out, depth, &line);
+        LogicalPlan::ScanPivot { scan, family, feature } => {
+            let (family, feature) = (render_expr(family), render_expr(feature));
+            let roles = format!("ts=timestamp family={family} feature={feature} value=value");
+            push_line(out, depth, &format!("ScanPivot {scan} layout=long {roles}"));
         }
-        LogicalPlan::ScanAggregate {
-            table,
-            name,
-            tags,
-            start,
-            end,
-            filters,
-            group_by,
-            items,
-            hidden,
-        } => {
-            let mut line = format!("ScanAggregate {table}");
-            push_scan_attrs(&mut line, name, tags, start, end);
+        LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } => {
+            let mut line = format!("ScanAggregate {scan}");
             if !filters.is_empty() {
-                let f: Vec<String> = filters.iter().map(render_expr).collect();
-                line.push_str(&format!(" where=[{}]", f.join(", ")));
+                line.push_str(&format!(" where=[{}]", render_list(filters)));
             }
-            let keys: Vec<String> = group_by.iter().map(render_expr).collect();
-            let cols: Vec<String> =
-                items.iter().map(|(e, n)| format!("{} AS {n}", render_expr(e))).collect();
-            line.push_str(&format!(" group=[{}] items=[{}]", keys.join(", "), cols.join(", ")));
-            if !hidden.is_empty() {
-                let h: Vec<String> = hidden.iter().map(render_expr).collect();
-                line.push_str(&format!(" hidden=[{}]", h.join(", ")));
-            }
-            push_line(out, depth, &line);
+            let (keys, outputs) = (render_list(group_by), render_outputs(items, hidden));
+            push_line(out, depth, &format!("{line} group=[{keys}] items={outputs}"));
         }
     }
 }

@@ -153,12 +153,6 @@ impl TypedSchema {
         TypedSchema { schema: Schema::default(), cols: Vec::new() }
     }
 
-    /// A schema with every column typed `Any` (lenient fallback).
-    pub fn opaque(schema: Schema) -> TypedSchema {
-        let cols = vec![ColInfo::any(); schema.len()];
-        TypedSchema { schema, cols }
-    }
-
     /// The column names.
     pub fn schema(&self) -> &Schema {
         &self.schema

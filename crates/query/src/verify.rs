@@ -135,27 +135,11 @@ fn walk(
     catalog: &Catalog,
 ) -> Result<()> {
     match plan {
-        LogicalPlan::ScanAggregate {
-            table,
-            name,
-            tags,
-            start,
-            end,
-            filters,
-            group_by,
-            items,
-            hidden,
-        } => {
+        LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } => {
             // Expand the node back into the chain `scan_aggregate` collapsed and
             // re-run the eligibility analysis it must have passed.
-            let mut synth = LogicalPlan::TsdbScan {
-                table: table.clone(),
-                name: name.clone(),
-                tags: tags.clone(),
-                start: *start,
-                end: *end,
-                columns: None,
-            };
+            let table = &scan.table;
+            let mut synth = LogicalPlan::TsdbScan { scan: scan.clone(), columns: None };
             for predicate in filters.iter().rev() {
                 synth =
                     LogicalPlan::Filter { input: Box::new(synth), predicate: predicate.clone() };
@@ -234,7 +218,7 @@ fn walk(
             walk(left, rule, ordered, false, catalog)?;
             walk(right, rule, ordered, false, catalog)
         }
-        LogicalPlan::ScanPivot { table, name, tags, start, end, family, feature } => {
+        LogicalPlan::ScanPivot { scan, family, feature } => {
             // Expand the node back into the long pivot over a projected
             // scan that `scan_pivot` fused and re-run its analysis.
             let col = |i: usize| Expr::Column(TSDB_COLUMNS[i].to_string());
@@ -242,19 +226,10 @@ fn walk(
                 .into_iter()
                 .zip(["ts", "family", "feature", "value"].map(String::from))
                 .collect();
-            let synth = LogicalPlan::Project {
-                input: Box::new(LogicalPlan::TsdbScan {
-                    table: table.clone(),
-                    name: name.clone(),
-                    tags: tags.clone(),
-                    start: *start,
-                    end: *end,
-                    columns: None,
-                }),
-                items,
-                hidden: Vec::new(),
-            };
+            let input = Box::new(LogicalPlan::TsdbScan { scan: scan.clone(), columns: None });
+            let synth = LogicalPlan::Project { input, items, hidden: Vec::new() };
             if scan_pivot_labels(&synth, &PivotSpec::positional("", Layout::Long)).is_none() {
+                let table = &scan.table;
                 return violation(
                     rule,
                     format!("ScanPivot over {table} fails re-run of scan_pivot eligibility"),
@@ -291,6 +266,7 @@ fn check_filter_classes(filters: Vec<&Expr>, rule: &str, ordered: bool) -> Resul
 mod tests {
     use super::*;
     use crate::ast::BinaryOp;
+    use crate::plan::ScanSpec;
     use crate::value::Value;
 
     fn lit(v: i64) -> Expr {
@@ -305,15 +281,22 @@ mod tests {
         Expr::Binary { op: BinaryOp::Gt, left: Box::new(left), right: Box::new(right) }
     }
 
-    fn scan() -> LogicalPlan {
-        LogicalPlan::TsdbScan {
-            table: "tsdb".to_string(),
-            name: None,
-            tags: Vec::new(),
-            start: None,
-            end: None,
-            columns: None,
+    /// A per-series (`refine=dict`) predicate.
+    fn name_is_cpu() -> Expr {
+        Expr::Binary {
+            op: BinaryOp::Eq,
+            left: Box::new(col("metric_name")),
+            right: Box::new(Expr::Literal(Value::str("cpu"))),
         }
+    }
+
+    /// A `refine=general` predicate.
+    fn abs_value() -> Expr {
+        Expr::Function { name: "ABS".to_string(), args: vec![col("value")] }
+    }
+
+    fn scan() -> LogicalPlan {
+        LogicalPlan::TsdbScan { scan: ScanSpec::all("tsdb"), columns: None }
     }
 
     fn filter(input: LogicalPlan, predicate: Expr) -> LogicalPlan {
@@ -324,17 +307,7 @@ mod tests {
     fn well_formed_chain_passes() {
         let catalog = Catalog::new();
         // general outermost, dict innermost: the order rule 3 produces.
-        let plan = filter(
-            filter(
-                scan(),
-                Expr::Binary {
-                    op: BinaryOp::Eq,
-                    left: Box::new(col("metric_name")),
-                    right: Box::new(Expr::Literal(Value::str("cpu"))),
-                },
-            ),
-            Expr::Function { name: "ABS".to_string(), args: vec![col("value")] },
-        );
+        let plan = filter(filter(scan(), name_is_cpu()), abs_value());
         assert!(verify_plan(&plan, &catalog).is_ok());
     }
 
@@ -342,14 +315,7 @@ mod tests {
     fn inverted_chain_is_flagged() {
         let catalog = Catalog::new();
         // dict predicate outermost, general innermost: inverted cost order.
-        let plan = filter(
-            filter(scan(), Expr::Function { name: "ABS".to_string(), args: vec![col("value")] }),
-            Expr::Binary {
-                op: BinaryOp::Eq,
-                left: Box::new(col("metric_name")),
-                right: Box::new(Expr::Literal(Value::str("cpu"))),
-            },
-        );
+        let plan = filter(filter(scan(), abs_value()), name_is_cpu());
         let err = verify_plan(&plan, &catalog).unwrap_err();
         assert!(matches!(&err, QueryError::Plan(m) if m.contains("cost order")), "{err}");
     }
@@ -357,14 +323,7 @@ mod tests {
     #[test]
     fn pruned_away_filter_column_is_flagged() {
         let catalog = Catalog::new();
-        let pruned = LogicalPlan::TsdbScan {
-            table: "tsdb".to_string(),
-            name: None,
-            tags: Vec::new(),
-            start: None,
-            end: None,
-            columns: Some(vec![0]),
-        };
+        let pruned = LogicalPlan::TsdbScan { scan: ScanSpec::all("tsdb"), columns: Some(vec![0]) };
         let plan = filter(pruned, cmp(col("value"), lit(1)));
         let err = verify_plan(&plan, &catalog).unwrap_err();
         assert!(matches!(&err, QueryError::Plan(m) if m.contains("no longer produces")), "{err}");
@@ -377,11 +336,7 @@ mod tests {
         // ordering rule excludes it from `scan_aggregate`.
         let min_v = Expr::Function { name: "MIN".to_string(), args: vec![col("value")] };
         let plan = LogicalPlan::ScanAggregate {
-            table: "tsdb".to_string(),
-            name: None,
-            tags: Vec::new(),
-            start: None,
-            end: None,
+            scan: ScanSpec::all("tsdb"),
             filters: Vec::new(),
             group_by: vec![col("metric_name")],
             items: vec![(col("metric_name"), "metric_name".to_string()), (min_v, "m".to_string())],
@@ -400,11 +355,7 @@ mod tests {
         let avg_v = Expr::Function { name: "AVG".to_string(), args: vec![col("value")] };
         let plan = LogicalPlan::Sort {
             input: Box::new(LogicalPlan::ScanAggregate {
-                table: "tsdb".to_string(),
-                name: Some("cpu".to_string()),
-                tags: Vec::new(),
-                start: None,
-                end: None,
+                scan: ScanSpec { name: Some("cpu".to_string()), ..ScanSpec::all("tsdb") },
                 filters: vec![cmp(col("value"), lit(0))],
                 group_by: vec![col("timestamp")],
                 items: vec![
@@ -422,12 +373,10 @@ mod tests {
     #[test]
     fn scan_pivot_labels_must_stay_per_series() {
         let catalog = Catalog::new();
+        let cpu =
+            ScanSpec { name: Some("cpu".to_string()), start: Some(0), ..ScanSpec::all("tsdb") };
         let scan_pivot = |family: Expr, feature: Expr| LogicalPlan::ScanPivot {
-            table: "tsdb".to_string(),
-            name: Some("cpu".to_string()),
-            tags: Vec::new(),
-            start: Some(0),
-            end: None,
+            scan: cpu.clone(),
             family,
             feature,
         };
@@ -501,14 +450,7 @@ mod tests {
         let catalog = Catalog::new();
         // Inverted order is fine right after constant folding — the chain
         // is still the planner's, not rule 3's.
-        let plan = filter(
-            filter(scan(), Expr::Function { name: "ABS".to_string(), args: vec![col("value")] }),
-            Expr::Binary {
-                op: BinaryOp::Eq,
-                left: Box::new(col("metric_name")),
-                right: Box::new(Expr::Literal(Value::str("cpu"))),
-            },
-        );
+        let plan = filter(filter(scan(), abs_value()), name_is_cpu());
         assert!(check_after("fold_constants", &plan, None, &catalog).is_ok());
         assert!(check_after("pushdown", &plan, None, &catalog).is_err());
     }

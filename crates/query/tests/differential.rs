@@ -31,8 +31,8 @@
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{
-    parse_query, parse_statement, pivot_long, Catalog, ExecOptions, FamilyFrame, Query, QueryError,
-    Statement, Table, Value,
+    parse_query, parse_statement, pivot_long, Catalog, CreateFamily, ExecOptions, FamilyFrame,
+    Query, QueryError, Statement, Table, Value,
 };
 use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
@@ -351,12 +351,18 @@ fn assert_family_same(backends: &[Catalog; 2], sql: &str) {
     };
     let plan = backends[0].explain_family(&cf).expect("plans");
     assert!(plan.rows()[0][0].render().starts_with("ScanPivot tsdb"), "{sql}: {:?}", plan.rows());
+    assert_frames_same(backends, &cf, sql);
+}
+
+/// The comparison of [`assert_family_same`], whichever way the live binding
+/// planned the statement.
+fn assert_frames_same(backends: &[Catalog; 2], cf: &CreateFamily, sql: &str) {
     let table = backends[1].execute_query(&cf.query).expect("stage one runs");
     let expect = pivot_long(&table, "timestamp", "fam", "feat", "value").expect("pivots");
     for (backend, catalog) in backends.iter().enumerate() {
         for parts in [1, 3] {
             let label = format!("backend {backend} at partitions={parts} for {sql}");
-            match catalog.execute_family(&cf, ExecOptions::with_partitions(parts)) {
+            match catalog.execute_family(cf, ExecOptions::with_partitions(parts)) {
                 Ok(frames) => {
                     assert_eq!(frames, expect, "{label}");
                     assert_eq!(cell_bits(&frames), cell_bits(&expect), "{label}");
@@ -809,6 +815,52 @@ fn family_statement_hostile_shapes_pinned() {
     let frames = backends[0].execute_family(&cf, ExecOptions::default()).expect("runs");
     // h1 at -1 and 0: 2^63 - 1 from MIN against 2^63 and 2^63 - 1 from MAX.
     assert_eq!(frames[0].columns[0], [1.0, 1.0, 9.0, 9.0]);
+}
+
+/// A `metric_name` equality is an equality. The scan's name slot holds a
+/// *pattern* in the store's glob language, so rule 3 may push a literal
+/// only when it has no `*` / `?` in it; `= 'cpu*'` used to reach the store
+/// as a glob and answer with every `cpu…` series. Over series literally
+/// named `cpu*` and `cpu?usage` beside the ones those would match as
+/// patterns: a plain scan, a `GROUP BY metric_name` and a family statement
+/// under each predicate equal the reference.
+#[test]
+fn metric_name_literals_are_never_read_as_patterns() {
+    let mut db = Tsdb::new();
+    for (name, base) in [("cpu*", 1.0), ("cpu?usage", 2.0), ("cpu_usage", 3.0), ("cpuXusage", 4.0)]
+    {
+        for (host, t0) in [("h1", 0), ("h2", 30)] {
+            let key = SeriesKey::new(name).with_tag("host", host);
+            (0..3).for_each(|t| db.insert(&key, t0 + t * 60, base + t as f64));
+        }
+    }
+    let backends = backends_of(&db);
+    let rows = |predicate: &str| {
+        let sql = format!("SELECT COUNT(*) AS n FROM tsdb WHERE {predicate}");
+        backends[0].execute(&sql).expect("runs").rows()[0][0].clone()
+    };
+    for (predicate, names) in [
+        ("metric_name = 'cpu*'", 1),
+        ("'cpu?usage' = metric_name", 1),
+        ("metric_name = 'cpu_usage'", 1),
+        ("metric_name != 'cpu*'", 3),
+        ("metric_name IN ('cpu*', 'cpu?usage')", 2),
+        ("metric_name LIKE 'cpu_usage'", 3),
+        ("metric_name GLOB 'cpu*'", 4),
+        ("metric_name = 'cpu*' AND metric_name GLOB 'cpu?*'", 1),
+    ] {
+        assert_eq!(rows(predicate), Value::Int(names * 6), "{predicate}");
+        let scan = format!("SELECT timestamp, metric_name, value FROM tsdb WHERE {predicate}");
+        assert_same(&backends, &scan).expect("agrees");
+        let grouped = format!(
+            "SELECT metric_name, COUNT(*) AS n, MAX(timestamp) AS t FROM tsdb \
+             WHERE {predicate} GROUP BY metric_name"
+        );
+        assert_same(&backends, &grouped).expect("agrees");
+        let sql = family_statement("metric_name", "tag['host']", &format!(" WHERE {predicate}"));
+        let Ok(Statement::CreateFamily(cf)) = parse_statement(&sql) else { panic!("parses") };
+        assert_frames_same(&backends, &cf, &sql);
+    }
 }
 
 /// Pins the corrected aggregate semantics with exact expected values, at

@@ -256,6 +256,56 @@ fn join_line_is_kind_and_predicate_only() {
 }
 
 #[test]
+fn one_scan_spec_prints_the_same_on_all_three_scan_lines() {
+    let c = catalog();
+    let filter = "WHERE metric_name LIKE 'pipe%' AND tag['host'] = 'datanode-1' \
+                  AND timestamp BETWEEN 1600000000 AND 1600000600";
+    let attrs = "tsdb name=pipe* tag[host]=datanode-1 time=[1600000000, 1600000600]";
+    assert_eq!(
+        explain(&c, &format!("SELECT timestamp, value FROM tsdb {filter}")),
+        format!("TsdbScan {attrs} columns=[timestamp, value]")
+    );
+    assert_eq!(
+        explain(&c, &format!("SELECT timestamp, AVG(value) AS m FROM tsdb {filter} GROUP BY timestamp")),
+        format!("ScanAggregate {attrs} group=[timestamp] items=[timestamp AS timestamp, AVG(value) AS m]")
+    );
+    let family = format!(
+        "CREATE FAMILY f WITH (layout = 'long') AS \
+         SELECT timestamp, metric_name, tag, value FROM tsdb {filter}"
+    );
+    assert_eq!(
+        explain_family(&c, &family),
+        format!(
+            "ScanPivot {attrs} layout=long ts=timestamp family=metric_name feature=tag value=value"
+        )
+    );
+}
+
+#[test]
+fn a_name_literal_with_a_metacharacter_stays_a_row_filter() {
+    let c = catalog();
+    // The scan's name slot is a pattern; only a literal without `*` / `?`
+    // means the same thing there as under `=`.
+    assert_eq!(
+        explain(&c, "SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'"),
+        "TsdbScan tsdb name=cpu columns=[timestamp, value]"
+    );
+    for literal in ["cpu*", "c?u"] {
+        assert_eq!(
+            explain(&c, &format!("SELECT timestamp FROM tsdb WHERE metric_name = '{literal}'")),
+            format!(
+                "Project [timestamp AS timestamp]\n  Filter (metric_name = '{literal}') refine=dict\n    \
+                 TsdbScan tsdb columns=[timestamp, metric_name]"
+            )
+        );
+        let count = format!("SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = '{literal}'");
+        let plan = explain(&c, &count);
+        assert!(plan.starts_with("ScanAggregate tsdb where=[(metric_name = '"), "plan:\n{plan}");
+        assert!(c.execute(&count).expect("runs").is_empty(), "no series has that name");
+    }
+}
+
+#[test]
 fn class_constant_residuals_order_innermost() {
     let c = catalog();
     // Two residual conjuncts the scan cannot absorb: one over the

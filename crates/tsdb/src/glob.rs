@@ -5,24 +5,27 @@
 //! including empty) and `?` (exactly one character); everything else matches
 //! literally.
 
-/// Returns true when `text` matches the glob `pattern`.
+/// The one wildcard matcher: `any` in `pattern` matches any run of
+/// characters (including none), `one` exactly one character, everything
+/// else itself. [`glob_match`] is it over `*` / `?`; SQL `LIKE` (the query
+/// crate's `sql_like`) over `%` / `_`.
 ///
 /// Iterative two-pointer algorithm with backtracking over the most recent
-/// `*` — linear in practice, worst case `O(len(text) * len(pattern))`.
-pub fn glob_match(pattern: &str, text: &str) -> bool {
+/// `any` — linear in practice, worst case `O(len(text) * len(pattern))`.
+pub fn wildcard_match(pattern: &str, text: &str, any: char, one: char) -> bool {
     let p: Vec<char> = pattern.chars().collect();
     let t: Vec<char> = text.chars().collect();
     let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after '*', text idx)
+    let mut star: Option<(usize, usize)> = None; // (pattern idx after `any`, text idx)
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
+        if pi < p.len() && (p[pi] == one || p[pi] == t[ti]) {
             pi += 1;
             ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
+        } else if pi < p.len() && p[pi] == any {
             star = Some((pi + 1, ti));
             pi += 1;
         } else if let Some((sp, st)) = star {
-            // Let the last '*' absorb one more character.
+            // Let the last `any` absorb one more character.
             pi = sp;
             ti = st + 1;
             star = Some((sp, st + 1));
@@ -30,8 +33,13 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
             return false;
         }
     }
-    // Remaining pattern must be all '*'.
-    p[pi..].iter().all(|&c| c == '*')
+    // Remaining pattern must be all `any`.
+    p[pi..].iter().all(|&c| c == any)
+}
+
+/// Returns true when `text` matches the glob `pattern`.
+pub fn glob_match(pattern: &str, text: &str) -> bool {
+    wildcard_match(pattern, text, '*', '?')
 }
 
 /// True when the pattern contains glob metacharacters. Exact-match filters

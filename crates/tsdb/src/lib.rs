@@ -104,7 +104,7 @@ mod shared;
 pub mod storage;
 mod store;
 
-pub use glob::{glob_literal_prefix, glob_match, is_glob};
+pub use glob::{glob_literal_prefix, glob_match, is_glob, wildcard_match};
 pub use model::{DataPoint, Series, SeriesKey, TimeRange};
 pub use shared::{SharedTsdb, INITIAL_GENERATION};
 pub use storage::pager::PagerCounters;

@@ -69,7 +69,12 @@ pub struct SeriesSlice<'a> {
 /// A metric selection filter: optional name pattern plus tag predicates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricFilter {
-    /// Metric name, exact or glob. `None` matches every name.
+    /// Metric name **pattern**: any `*` / `?` in it is a glob metacharacter
+    /// (there is no escape), and a string without them matches exactly.
+    /// `None` matches every name. A caller holding a *literal* must not pass
+    /// one with a metacharacter in it: the SQL layer keeps `metric_name =
+    /// 'cpu*'` a row filter and pushes only what is a pattern already
+    /// (`ScanSpec::name` in the query crate is this field).
     pub name: Option<String>,
     /// All predicates must hold (conjunction).
     pub tags: Vec<TagFilter>,
