@@ -77,7 +77,7 @@
 //!
 //! Every lock in this crate is an [`explainit_sync`] wrapper carrying a
 //! static `LockClass` rank (`tsdb.shared` 10 → chunk decode caches 50 →
-//! crc table 55 → pager clock 60 → pager slots 70), checked at runtime by the
+//! pager clock 60 → pager slots 70), checked at runtime by the
 //! lockdep machinery rather than documented as prose: in debug builds
 //! (or under `EXPLAINIT_LOCKDEP=1`) any acquisition that inverts the
 //! rank order, nests a class inside itself, or closes a cycle in the

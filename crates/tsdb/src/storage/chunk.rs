@@ -360,46 +360,56 @@ fn apply_dod(prev_delta: u64, dod: i128) -> u64 {
     (prev_delta as i128).wrapping_add(dod) as u64
 }
 
-/// MSB-first bit stream writer.
+/// Widest read or write done in one step: after a shift of up to 7 bits to
+/// the stream's bit offset, a 64-bit word still holds 57 whole bits.
+const WORD_BITS: usize = 56;
+
+/// MSB-first bit stream writer. Bits gather in a 64-bit accumulator and
+/// leave it as whole bytes; [`BitWriter::finish`] zero-pads the last
+/// partial byte.
 struct BitWriter {
     out: Vec<u8>,
-    /// Bits used in the final byte (0..8; 0 means the last byte is full).
-    used: usize,
+    /// Pending bits in the low `pending` bits (higher bits are already
+    /// emitted and ignored).
+    acc: u64,
+    /// Always below 8 between calls.
+    pending: usize,
 }
 
 impl BitWriter {
     fn new() -> Self {
-        BitWriter { out: Vec::new(), used: 0 }
+        BitWriter { out: Vec::new(), acc: 0, pending: 0 }
     }
 
     fn write_bits(&mut self, value: u64, n: usize) {
         debug_assert!(n <= 64);
         debug_assert!(n == 64 || value < (1u64 << n));
-        let mut left = n;
-        while left > 0 {
-            if self.used == 0 {
-                self.out.push(0);
-            }
-            let free = 8 - self.used;
-            let take = free.min(left);
-            let shifted = if left == 64 && take == 64 {
-                value // cannot happen with 8-bit bytes, but keep shifts safe
-            } else {
-                (value >> (left - take)) & ((1u64 << take) - 1)
-            };
-            let last = self.out.len() - 1;
-            self.out[last] |= (shifted as u8) << (free - take);
-            self.used = (self.used + take) % 8;
-            left -= take;
+        if n > WORD_BITS {
+            self.write_bits(value >> 32, n - 32);
+            self.write_bits(value & 0xFFFF_FFFF, 32);
+            return;
+        }
+        // pending < 8 and n <= 56: every pending bit survives the shift.
+        self.acc = (self.acc << n) | value;
+        self.pending += n;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.out.push((self.acc >> self.pending) as u8);
         }
     }
 
-    fn finish(self) -> Vec<u8> {
+    fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.out.push((self.acc << (8 - self.pending)) as u8);
+        }
         self.out
     }
 }
 
-/// MSB-first bit stream reader; `None` past the end.
+/// MSB-first bit stream reader. Each read is one big-endian 8-byte load
+/// at the byte holding the cursor (zero-padded past the end of the
+/// stream), shifted left by the cursor's bit offset, keeping the top `n`
+/// bits; a read wider than [`WORD_BITS`] takes two. `None` past the end.
 struct BitReader<'a> {
     bytes: &'a [u8],
     pos: usize, // bit position
@@ -415,18 +425,22 @@ impl<'a> BitReader<'a> {
         if self.pos + n > self.bytes.len() * 8 {
             return None;
         }
-        let mut value = 0u64;
-        let mut left = n;
-        while left > 0 {
-            let byte = self.bytes[self.pos / 8];
-            let off = self.pos % 8;
-            let avail = 8 - off;
-            let take = avail.min(left);
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            value = (value << take) | chunk as u64;
-            self.pos += take;
-            left -= take;
+        if n > WORD_BITS {
+            let hi = self.read_bits(n - 32)?;
+            return Some((hi << 32) | self.read_bits(32)?);
         }
+        let rest = &self.bytes[self.pos / 8..];
+        let word = match rest.first_chunk::<8>() {
+            Some(word) => u64::from_be_bytes(*word),
+            None => {
+                let mut word = [0u8; 8];
+                word[..rest.len()].copy_from_slice(rest);
+                u64::from_be_bytes(word)
+            }
+        };
+        // `checked_shr` is `None` only for n = 0, whose value is 0.
+        let value = (word << (self.pos % 8)).checked_shr(64 - n as u32).unwrap_or(0);
+        self.pos += n;
         Some(value)
     }
 }
@@ -506,8 +520,92 @@ mod tests {
         for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut], 100).is_err(), "cut={cut}");
         }
-        // Garbage that decodes as non-increasing timestamps is rejected.
-        assert!(decode(&[0xFF; 40], 10).is_err() || decode(&[0xFF; 40], 10).is_ok());
+        // All ones: first timestamp -1, then an escaped raw delta of
+        // 2^64 - 1, which overshoots i64::MAX.
+        match decode(&[0xFF; 40], 10) {
+            Err(StorageError::Corrupt { detail, .. }) => {
+                assert_eq!(detail, "non-increasing timestamp")
+            }
+            other => panic!("expected a corrupt chunk, got {other:?}"),
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Bits `[start, start + n)` of an MSB-first stream, one bit at a time.
+    fn reference_bits(bytes: &[u8], start: usize, n: usize) -> u64 {
+        (start..start + n).fold(0, |v, i| (v << 1) | u64::from((bytes[i / 8] >> (7 - i % 8)) & 1))
+    }
+
+    #[test]
+    fn random_width_writes_read_back() {
+        let mut s = 0x9E37_79B9_7F4A_7C15;
+        let writes: Vec<(u64, usize)> = (0..10_000)
+            .map(|_| {
+                let width = (xorshift(&mut s) % 65) as usize;
+                let value = xorshift(&mut s).checked_shr(64 - width as u32).unwrap_or(0);
+                (value, width)
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        for &(value, width) in &writes {
+            w.write_bits(value, width);
+        }
+        let bytes = w.finish();
+        let total: usize = writes.iter().map(|&(_, width)| width).sum();
+        assert_eq!(bytes.len(), total.div_ceil(8));
+        let mut r = BitReader::new(&bytes);
+        let mut at = 0;
+        for (i, &(value, width)) in writes.iter().enumerate() {
+            assert_eq!(reference_bits(&bytes, at, width), value, "write {i} on the wire");
+            assert_eq!(r.read_bits(width), Some(value), "read {i}, width {width}");
+            at += width;
+        }
+        assert_eq!(r.read_bits(bytes.len() * 8 - total), Some(0), "zero padding");
+        assert_eq!(r.read_bits(1), None);
+    }
+
+    #[test]
+    fn reads_end_on_the_last_bit_and_not_one_past_it() {
+        let mut s = 0x2545_F491_4F6C_DD1D;
+        for offset in 0..8usize {
+            for width in [1, 56, 57, 64] {
+                // Every stream length from one that cuts the read short to
+                // one that leaves a byte to spare.
+                for len in 0..=(offset + width).div_ceil(8) + 1 {
+                    let bytes: Vec<u8> = (0..len).map(|_| xorshift(&mut s) as u8).collect();
+                    let mut r = BitReader::new(&bytes);
+                    if offset > len * 8 {
+                        assert_eq!(r.read_bits(offset), None);
+                        continue;
+                    }
+                    assert_eq!(r.read_bits(offset), Some(reference_bits(&bytes, 0, offset)));
+                    let end = offset + width;
+                    let case = format!("offset {offset}, width {width}, {len} bytes");
+                    if end > len * 8 {
+                        assert_eq!(r.read_bits(width), None, "{case}");
+                        continue;
+                    }
+                    let value = reference_bits(&bytes, offset, width);
+                    assert_eq!(r.read_bits(width), Some(value), "{case}");
+                    // The rest of the stream (nothing when the read itself
+                    // ended on the last bit), then one bit past it.
+                    let rest = len * 8 - end;
+                    assert_eq!(
+                        r.read_bits(rest),
+                        Some(reference_bits(&bytes, end, rest)),
+                        "{case}"
+                    );
+                    assert_eq!(r.read_bits(1), None, "{case}: one bit past the end");
+                    assert_eq!(r.read_bits(0), Some(0), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

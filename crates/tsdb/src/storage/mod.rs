@@ -224,31 +224,62 @@ impl Storage {
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over a byte slice — the
 /// checksum both the WAL records and segment files carry.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight lookup
+/// tables at once, and a bytewise loop over table 0 finishes the last
+/// `len % 8` bytes. The value is the textbook one-byte-per-step CRC's, bit
+/// for bit; only the speed differs (≈ 4× on segment-sized inputs).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    // Table built on first use; 1 KiB, shared process-wide. Init runs
-    // under flush (tsdb.shared) or decode (tsdb.chunk.decoded) paths,
-    // hence a rank above both; it does no I/O and takes no locks.
-    static CRC32_TABLE: explainit_sync::LockClass =
-        explainit_sync::LockClass::new("tsdb.crc32.table", 55);
-    static TABLE: explainit_sync::OnceLock<[u32; 256]> =
-        explainit_sync::OnceLock::new(&CRC32_TABLE);
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
+    let t = &CRC32_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    for w in words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// The slicing-by-8 tables, built at compile time: `[0]` is the classic
+/// bytewise table, and `[k][b]` advances `[k - 1][b]` by one zero byte — the
+/// CRC contribution of byte `b` followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    const POLY: u32 = 0xEDB8_8320;
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Fsyncs a directory so a just-renamed file inside it survives a crash
@@ -275,6 +306,41 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// CRC-32 from its definition, a byte at a time and a bit at a time
+    /// within it — no tables: the reference the sliced kernel must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let mut s = 0x853C_49E6_748F_EA9Bu64;
+        let random: Vec<u8> = (0..(1 << 20))
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 32) as u8
+            })
+            .collect();
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // Every length across the word/tail split, from every alignment.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &random[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start={start} len={len}");
+            }
+        }
+        assert_eq!(crc32(&random), crc32_bytewise(&random), "1 MiB");
     }
 
     #[test]

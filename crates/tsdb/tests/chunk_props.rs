@@ -4,7 +4,17 @@
 //! pattern (NaN payloads, ±0, infinities, subnormals).
 
 use explainit_tsdb::storage::chunk::{decode, encode, encode_run, CHUNK_MAX_POINTS};
+use explainit_tsdb::storage::segment::write_segment;
+use explainit_tsdb::storage::wal::{Wal, WalRecord};
+use explainit_tsdb::storage::{crc32, StorageError};
+use explainit_tsdb::SeriesKey;
 use proptest::prelude::*;
+
+/// The only two ways a decode of hostile bytes may end (ROADMAP aim 3):
+/// points, or a typed `Corrupt` — never a panic, never another error.
+fn decodes_or_is_corrupt(bytes: &[u8], count: usize) -> bool {
+    matches!(decode(bytes, count), Ok(_) | Err(StorageError::Corrupt { .. }))
+}
 
 fn assert_round_trip(ts: &[i64], vals: &[f64]) -> Result<(), TestCaseError> {
     let bytes = encode(ts, vals);
@@ -57,6 +67,17 @@ proptest! {
             // Not enough bytes for the advertised count: typed error.
             prop_assert!(decode(&bytes[..cut], ts.len()).is_err());
         }
+    }
+
+    #[test]
+    fn a_flipped_bit_decodes_or_is_corrupt(pts in proptest::collection::btree_map(
+        any::<i64>(), any::<u64>(), 1..200usize), bit in any::<u64>()) {
+        let ts: Vec<i64> = pts.keys().copied().collect();
+        let vals: Vec<f64> = pts.values().map(|&b| f64::from_bits(b)).collect();
+        let mut bytes = encode(&ts, &vals);
+        let bit = (bit % (bytes.len() as u64 * 8)) as usize;
+        bytes[bit / 8] ^= 0x80 >> (bit % 8);
+        prop_assert!(decodes_or_is_corrupt(&bytes, ts.len()), "bit={}", bit);
     }
 
     #[test]
@@ -129,5 +150,130 @@ fn nan_payloads_and_signed_zero_are_bit_exact() {
     let (_, dvs) = decode(&bytes, vals.len()).expect("decode");
     for (a, b) in dvs.iter().zip(&vals) {
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+/// xorshift64: a fixed, dependency-free stream for the pinned corpora.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// `n` points of a seeded random walk whose timestamp deltas visit every
+/// delta-of-delta bucket (including the raw escape) and whose values mix
+/// repeats, small steps and fresh XOR windows.
+fn random_walk(n: usize, seed: u64) -> (Vec<i64>, Vec<f64>) {
+    let mut s = seed;
+    let (mut t, mut v) = (1_600_000_000i64, 100.0f64);
+    let mut ts = Vec::with_capacity(n);
+    let mut vals = Vec::with_capacity(n);
+    for _ in 0..n {
+        ts.push(t);
+        vals.push(v);
+        let r = xorshift(&mut s);
+        t += match r % 16 {
+            0 => 1 + (r >> 40) as i64,
+            1..=3 => 1 + ((r >> 8) % 3000) as i64,
+            _ => 60,
+        };
+        if !r.is_multiple_of(5) {
+            v += ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0;
+        }
+    }
+    (ts, vals)
+}
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("explainit-format-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// `(name, byte length, CRC-32)` of every pinned byte image.
+fn format_pins() -> Vec<(&'static str, usize, u32)> {
+    let pin = |name, bytes: &[u8]| (name, bytes.len(), crc32(bytes));
+    let grid_ts: Vec<i64> = (0..500).map(|i| 1_600_000_000 + i * 60).collect();
+    let grid_vals: Vec<f64> = (0..500).map(|i| (i % 7) as f64).collect();
+    let nan_vals = [
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff4_dead_beef_cafe),
+        f64::from_bits(0xfff8_0000_0000_0000),
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let extreme_ts = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let (walk_ts, walk_vals) = random_walk(CHUNK_MAX_POINTS, 0x9E37_79B9_7F4A_7C15);
+    let mut pins = vec![
+        pin("aligned grid", &encode(&grid_ts, &grid_vals)),
+        pin(
+            "irregular deltas",
+            &encode(
+                &[0, 1, 100, 101, 1_000_000, 1_000_060, i64::MAX / 2],
+                &[1.0, -1.0, 3.5e300, -3.5e-300, 0.1, 0.1, 7.0],
+            ),
+        ),
+        pin("i64 extremes", &encode(&extreme_ts, &[1.5; 7])),
+        pin("nan payloads and signed zero", &encode(&[0, 1, 2, 3, 4, 5, 6], &nan_vals)),
+        pin("random walk", &encode(&walk_ts, &walk_vals)),
+    ];
+
+    // The segment file over `segment.rs`'s `sample_series`.
+    let dir = tmp_dir("segment");
+    let series = vec![
+        (
+            SeriesKey::new("disk").with_tag("host", "h1"),
+            encode_run(&[0, 60, 120], &[1.0, f64::NAN, -0.0]),
+        ),
+        (SeriesKey::new("mem"), encode_run(&[i64::MIN, i64::MAX], &[f64::INFINITY, 2.0])),
+    ];
+    let handle = write_segment(&dir, 7, &[3, 5], &series).expect("write segment");
+    pins.push(pin("segment file", &std::fs::read(&handle.path).expect("read segment")));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // One WAL `Batch` frame.
+    let dir = tmp_dir("wal");
+    let mut wal = Wal::open(&dir, 0).expect("open wal");
+    let key = SeriesKey::new("disk").with_tag("host", "h1");
+    wal.append(&WalRecord::Batch { key, points: vec![(0, 1.0), (60, 2.5)] }).expect("append");
+    wal.sync().expect("sync");
+    pins.push(pin("wal batch frame", &std::fs::read(Wal::path_in(&dir)).expect("read wal")));
+    let _ = std::fs::remove_dir_all(&dir);
+    pins
+}
+
+/// The bytes the store writes, pinned at the commit before the word-at-a-
+/// time codec and CRC kernels: round-trip properties cannot see a format
+/// change (encoder and decoder would move together), this can.
+#[test]
+fn encoder_bytes_are_the_parent_format() {
+    const PARENT_FORMAT: [(&str, usize, u32); 7] = [
+        ("aligned grid", 1062, 0x892B_37B0),
+        ("irregular deltas", 83, 0x9060_D4DE),
+        ("i64 extremes", 52, 0xAF13_B800),
+        ("nan payloads and signed zero", 68, 0x6D9A_E2F0),
+        ("random walk", 16499, 0x900D_40DC),
+        ("segment file", 213, 0x2144_DF1C),
+        ("wal batch frame", 71, 0x1135_17E0),
+    ];
+    assert_eq!(format_pins(), PARENT_FORMAT);
+}
+
+#[test]
+fn every_bit_flip_and_truncation_of_a_chunk_decodes_or_is_corrupt() {
+    let (ts, vals) = random_walk(200, 7);
+    let bytes = encode(&ts, &vals);
+    for cut in 0..bytes.len() {
+        let err = decode(&bytes[..cut], ts.len()).expect_err("a cut stream is short");
+        assert!(matches!(err, StorageError::Corrupt { .. }), "cut={cut}: {err}");
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 0x80 >> (bit % 8);
+        assert!(decodes_or_is_corrupt(&flipped, ts.len()), "bit={bit}");
     }
 }
