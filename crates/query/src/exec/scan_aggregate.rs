@@ -19,21 +19,31 @@
 //!   class carries the same one, their merged union otherwise — or a single
 //!   slot when `timestamp` is not a key;
 //! * **per morsel** (point-balanced spans, so a hot series is split): for
-//!   each class its spans touch one [`Block`] of accumulators addressed
-//!   `slot × spec`, into which the worker folds each span's kept points —
-//!   slot = the point's own index when the span is as long as the grid,
-//!   `seek`'s moving cursor otherwise — noting per slot the first
-//!   contributor in `(timestamp, rank)` order;
-//! * **per group**: nothing but its accumulators. A slot's first
-//!   contributor is at once the group's existence flag, its place in the
-//!   output order and the pointer to its first-seen key values.
+//!   each class its spans touch one [`Block`]: a first-contributor column
+//!   and one accumulator column per aggregate call, over the slots the
+//!   spans reach. The worker finds each kept point's slot — the one slot
+//!   when `timestamp` is not a key, the point's own index when the span is
+//!   as long as the grid, `seek`'s moving cursor otherwise — notes the
+//!   slot's first contributor in `(timestamp, rank)` order and folds the
+//!   span into each column in turn. The plan's argument shape picks the
+//!   column: `AGG(value)` for `COUNT` / `SUM` / `AVG` / `VARIANCE` /
+//!   `STDDEV` / `MIN` / `MAX` is an [`AggColumn`] (counts, inline exact-sum
+//!   expansions, running bests: a handful of `Vec`s per block), anything
+//!   else an `AggAcc` per slot;
+//! * **per group**: one entry in each of its block's columns. A slot's
+//!   first contributor is at once the group's existence flag, its place in
+//!   the output order and the pointer to its first-seen key values; an
+//!   `AggColumn` slot that cannot stay dense (an expansion outgrowing the
+//!   inline partials, a NaN reaching `MIN` / `MAX`) carries on as the
+//!   `AggAcc` it stands for.
 //!
 //! A class's blocks merge slot by slot in morsel order and are finished on
-//! the worker pool; the coordinator only orders the groups and gathers
-//! typed columns — the timestamp key a [`Column::Int`], each class key a
-//! [`Column::Dict`] with an entry per series, aggregates through
-//! [`Column::from_values`] — over which the aggregates' shared finishing
-//! step evaluates whatever output is not one of them as it is.
+//! the worker pool, each call into the typed column [`Column::from_values`]
+//! would build from its values; the coordinator only orders the groups and
+//! gathers typed columns — the timestamp key a [`Column::Int`], each class
+//! key a [`Column::Dict`] with an entry per series, each aggregate its
+//! classes' columns in group order — over which the aggregates' shared
+//! finishing step evaluates whatever output is not one of them as it is.
 //!
 //! The rules (`tests/differential.rs` holds the operator to the reference
 //! interpreter and the table aggregate row for row at every partition count):
@@ -47,7 +57,8 @@
 //!   points in the `(timestamp, rank)` order of the observation table: a
 //!   `MIN`/`MAX` tie keeps the first seen, a group shows its earliest
 //!   contributor's key values (`1` and `1.0` are one group), and every
-//!   accumulator ends in the state the serial fold leaves.
+//!   accumulator — an `AggColumn` slot or an `AggAcc` — ends in the state
+//!   the serial fold leaves.
 //! * **Errors stay lazy.** A class key that raises for one series' constants
 //!   is held with the series and raised, like a raising argument, only when
 //!   one of its points survives the filters, lowest morsel first: a series
@@ -68,7 +79,7 @@ use super::{finish_outputs, project_names, run_partitioned, scan_hits, series_co
 use super::{span_grid, substitute_series_consts, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
-use crate::functions::AggAcc;
+use crate::functions::{AggAcc, AggColumn};
 use crate::optimize::{is_tsdb_col, tsdb_schema};
 use crate::pivot::{seek, Interner};
 use crate::plan::LogicalPlan;
@@ -87,10 +98,12 @@ type First = (i64, u32);
 /// The slot no kept point has reached.
 const NO_FIRST: First = (i64::MAX, u32::MAX);
 
-/// How one aggregate call reads its arguments.
+/// How one aggregate call reads its arguments — and so which kind of
+/// accumulator column it gets.
 enum Args {
-    /// `AGG(value)`: the raw f64 point.
-    Val,
+    /// `AGG(value)` for an aggregate with a column form: the raw f64 point,
+    /// into an [`AggColumn`] (this one over no slots).
+    Val(Box<AggColumn>),
     /// `AGG(timestamp)`: the raw i64 timestamp.
     Ts,
     /// Anything else: `len` of the series' substituted expressions, from `at`.
@@ -107,6 +120,14 @@ enum Push {
     Rows(Vec<VOut>),
 }
 
+/// One aggregate call's accumulators over a block's slots.
+enum Accs {
+    /// [`Args::Val`]: a struct-of-arrays column.
+    Dense(AggColumn),
+    /// Everything else: an `AggAcc` per slot.
+    Boxed(Vec<AggAcc>),
+}
+
 /// What the series pass resolves once per series.
 struct SeriesPlan<'p> {
     /// The class, or what evaluating a class key raised.
@@ -119,40 +140,49 @@ struct SeriesPlan<'p> {
 }
 
 /// One morsel's accumulators for the slots `lo..lo + first.len()` of one
-/// class's grid.
+/// class's grid: a column per aggregate call.
 struct Block {
     class: usize,
     lo: usize,
     first: Vec<First>,
-    /// `slot × spec`.
-    accs: Vec<AggAcc>,
+    specs: Vec<Accs>,
 }
 
 impl Block {
-    fn new(class: usize, lo: usize, end: usize, fresh: &[AggAcc]) -> Block {
-        let accs = (lo..end).flat_map(|_| fresh.iter().cloned()).collect();
-        Block { class, lo, first: vec![NO_FIRST; end - lo], accs }
+    fn new(class: usize, lo: usize, end: usize, fold: &Fold) -> Block {
+        let len = end - lo;
+        let specs = (fold.args.iter().zip(&fold.fresh))
+            .map(|(args, fresh)| match args {
+                Args::Val(column) => Accs::Dense(column.fresh(len)),
+                _ => Accs::Boxed(vec![fresh.clone(); len]),
+            })
+            .collect();
+        Block { class, lo, first: vec![NO_FIRST; len], specs }
     }
 
     /// Merges a later morsel's block in, slot by slot: equivalent to having
     /// folded its points after this block's.
-    fn absorb(&mut self, other: Block, specs: usize) -> Result<()> {
-        let mut accs = other.accs.into_iter();
-        for (slot, first) in (other.lo..).zip(other.first) {
-            let group = accs.by_ref().take(specs);
-            if first == NO_FIRST {
-                group.for_each(drop);
-                continue;
+    fn absorb(&mut self, other: Block) -> Result<()> {
+        let at = other.lo - self.lo;
+        let firsts = &mut self.first[at..][..other.first.len()];
+        for (mine, theirs) in self.specs.iter_mut().zip(other.specs) {
+            match (mine, theirs) {
+                (Accs::Dense(mine), Accs::Dense(theirs)) => mine.absorb(at, theirs)?,
+                (Accs::Boxed(mine), Accs::Boxed(theirs)) => {
+                    let slots =
+                        mine[at..].iter_mut().zip(theirs).zip(firsts.iter().zip(&other.first));
+                    for ((acc, theirs), (&my_first, &their_first)) in slots {
+                        match (my_first, their_first) {
+                            (_, NO_FIRST) => {}
+                            (NO_FIRST, _) => *acc = theirs,
+                            _ => acc.merge(theirs)?,
+                        }
+                    }
+                }
+                _ => unreachable!("a call has one kind of column in every block"),
             }
-            let at = slot - self.lo;
-            let mine = &mut self.accs[at * specs..][..specs];
-            if self.first[at] == NO_FIRST {
-                mine.iter_mut().zip(group).for_each(|(acc, other)| *acc = other);
-            } else {
-                mine.iter_mut().zip(group).try_for_each(|(acc, other)| acc.merge(other))?;
-            }
-            self.first[at] = self.first[at].min(first);
         }
+        firsts.iter_mut().zip(other.first).for_each(|(mine, theirs)| *mine = (*mine).min(theirs));
         Ok(())
     }
 }
@@ -171,7 +201,7 @@ struct Fold<'a, 'p> {
     args: Vec<Args>,
     /// Some argument expression reads `timestamp` or `value`.
     point_args: bool,
-    /// A fresh accumulator per spec.
+    /// A fresh accumulator per spec, for the boxed columns.
     fresh: Vec<AggAcc>,
     /// `(timestamp, value)`: what filters and arguments are evaluated over.
     points: Schema,
@@ -203,12 +233,12 @@ impl Fold<'_, '_> {
         let mut blocks: Vec<Block> = (reach.chunk_by(|a, b| a.0 == b.0))
             .map(|of_class| {
                 let end = of_class.iter().map(|r| r.2).max().unwrap_or(0);
-                Block::new(of_class[0].0, of_class[0].1, end, &self.fresh)
+                Block::new(of_class[0].0, of_class[0].1, end, self)
             })
             .collect();
 
-        let specs = self.fresh.len();
         let mut row: Vec<Value> = Vec::new();
+        let mut slots: Vec<usize> = Vec::new();
         for &(h, lo, hi) in spans {
             let hit = &self.hits[h];
             let (ts, vals) = (&hit.timestamps[lo..hi], &hit.values[lo..hi]);
@@ -232,7 +262,7 @@ impl Fold<'_, '_> {
             };
             let pushes: Vec<Push> = (self.args.iter())
                 .map(|args| match *args {
-                    Args::Val => Ok(Push::Val),
+                    Args::Val(_) => Ok(Push::Val),
                     Args::Ts => Ok(Push::Ts),
                     Args::Exprs { at, len } => {
                         let outs: Vec<VOut> = (plan.exprs[at..at + len].iter())
@@ -245,85 +275,121 @@ impl Fold<'_, '_> {
                     }
                 })
                 .collect::<Result<_>>()?;
-            // Feeds a spec the `j`-th kept point: `(t, v)`, or its argument row.
-            let mut push = |acc: &mut AggAcc, push: &Push, t: i64, v: f64, j: usize| match push {
-                Push::Val => {
-                    acc.push_f64(v);
-                    Ok(())
-                }
-                Push::Ts => {
-                    acc.push_i64(t);
-                    Ok(())
-                }
-                Push::Consts(consts) => acc.push(consts),
-                Push::Rows(outs) => {
-                    row.clear();
-                    row.extend(outs.iter().map(|o| o.get(j)));
-                    acc.push(&row)
-                }
-            };
 
             let at = blocks.binary_search_by_key(&class, |b| b.class);
             let block = &mut blocks[at.expect("planned above")]; // invariant: every span of a classed series went into `reach`
+
+            // Each kept point's slot in the block: the one slot when
+            // `timestamp` is not a key, the point's own index when the span
+            // is as long as the grid, `seek`'s moving cursor otherwise.
+            slots.clear();
+            match self.grids.as_ref().map(|grids| &grids[class]) {
+                None => slots.resize(kept.len(), 0),
+                Some(grid) if hit.timestamps.len() == grid.len() => {
+                    slots.extend(kept.iter().map(|&i| lo + i as usize - block.lo));
+                }
+                Some(grid) => {
+                    let mut cursor = block.lo;
+                    slots.extend(kept.iter().map(|&i| {
+                        cursor = seek(grid, cursor, ts[i as usize]);
+                        cursor - block.lo
+                    }));
+                }
+            }
             let rank = h as u32;
-            let Some(grid) = self.grids.as_ref().map(|grids| &grids[class]) else {
-                // One slot takes the whole span: the raw columns fold as
-                // slices (accumulators are independent, so spec-major is
-                // observation-identical to point-major).
-                block.first[0] = block.first[0].min((ts[kept[0] as usize], rank));
-                let sel = || kept.iter().map(|&i| i as usize);
-                for (acc, spec) in block.accs.iter_mut().zip(&pushes) {
-                    match spec {
-                        Push::Val => acc.fold_f64s(vals, sel(), None),
-                        Push::Ts => acc.fold_i64s(ts, sel(), None),
-                        _ => (0..kept.len()).try_for_each(|j| push(acc, spec, 0, 0.0, j))?,
+            for (&s, &i) in slots.iter().zip(&kept) {
+                block.first[s] = block.first[s].min((ts[i as usize], rank));
+            }
+            // Spec by spec: accumulators are independent, so this is
+            // observation-identical to feeding each point to every spec.
+            for (accs, push) in block.specs.iter_mut().zip(&pushes) {
+                let points = slots.iter().zip(&kept).map(|(&s, &i)| (s, i as usize));
+                let accs = match accs {
+                    Accs::Dense(column) => {
+                        column.fold(points.map(|(s, i)| (s, vals[i])));
+                        continue;
+                    }
+                    Accs::Boxed(accs) => accs,
+                };
+                for (j, (s, i)) in points.enumerate() {
+                    match push {
+                        Push::Val => accs[s].push_f64(vals[i]),
+                        Push::Ts => accs[s].push_i64(ts[i]),
+                        Push::Consts(consts) => accs[s].push(consts)?,
+                        Push::Rows(outs) => {
+                            row.clear();
+                            row.extend(outs.iter().map(|o| o.get(j)));
+                            accs[s].push(&row)?;
+                        }
                     }
                 }
-                continue;
-            };
-            let aligned = hit.timestamps.len() == grid.len();
-            let mut cursor = block.lo;
-            for (j, &i) in kept.iter().enumerate() {
-                let (i, t) = (i as usize, ts[i as usize]);
-                if !aligned {
-                    cursor = seek(grid, cursor, t);
-                }
-                let at = (if aligned { lo + i } else { cursor }) - block.lo;
-                block.first[at] = block.first[at].min((t, rank));
-                let accs = block.accs[at * specs..][..specs].iter_mut();
-                accs.zip(&pushes).try_for_each(|(acc, spec)| push(acc, spec, t, vals[i], j))?;
             }
         }
         Ok(blocks)
     }
 
     /// Merges one class's blocks in morsel order and finishes its groups:
-    /// each group's first contributor, and their values `group × spec`.
-    fn finish(&self, mut blocks: Vec<Block>) -> Result<(Vec<First>, Vec<Value>)> {
-        let specs = self.fresh.len();
+    /// each group's first contributor, and per spec the groups' values as
+    /// the column [`Column::from_values`] builds from them.
+    fn finish(&self, mut blocks: Vec<Block>) -> Result<(Vec<First>, Vec<Column>)> {
         let lo = blocks.iter().map(|b| b.lo).min().unwrap_or(0);
         let end = blocks.iter().map(|b| b.lo + b.first.len()).max().unwrap_or(0);
         let mut merged = match blocks.first() {
             Some(b) if b.lo == lo && b.first.len() == end - lo => blocks.remove(0),
-            Some(b) => Block::new(b.class, lo, end, &self.fresh),
-            None => return Ok((Vec::new(), Vec::new())),
+            Some(b) => Block::new(b.class, lo, end, self),
+            None => Block::new(0, 0, 0, self),
         };
-        blocks.into_iter().try_for_each(|b| merged.absorb(b, specs))?;
-        let (mut groups, mut values) = (Vec::new(), Vec::new());
-        let mut accs = merged.accs.into_iter();
-        for first in merged.first {
-            let group = accs.by_ref().take(specs);
-            if first == NO_FIRST {
-                group.for_each(drop);
-                continue;
-            }
-            groups.push(first);
-            for acc in group {
-                values.push(acc.finish()?);
-            }
-        }
-        Ok((groups, values))
+        blocks.into_iter().try_for_each(|b| merged.absorb(b))?;
+        let groups: Vec<usize> =
+            (0..merged.first.len()).filter(|&s| merged.first[s] != NO_FIRST).collect();
+        let columns = (merged.specs.into_iter())
+            .map(|accs| match accs {
+                Accs::Dense(column) => column.finish(groups.iter().copied()),
+                Accs::Boxed(accs) => {
+                    let reached =
+                        accs.into_iter().zip(&merged.first).filter(|(_, &f)| f != NO_FIRST);
+                    Ok(Column::from_values(
+                        reached.map(|(acc, _)| acc.finish()).collect::<Result<_>>()?,
+                    ))
+                }
+            })
+            .collect::<Result<_>>()?;
+        Ok((groups.iter().map(|&s| merged.first[s]).collect(), columns))
     }
+}
+
+/// One spec's output column: each group's finished value, groups in output
+/// order (`(first, class, group)`), from the classes' finished columns — the
+/// column [`Column::from_values`] builds from those values.
+fn gather(classes: &[&Column], order: &[(First, usize, usize)]) -> Column {
+    /// The values in order when every class's column is the typed one
+    /// `typed` reads (an empty column reads as any).
+    fn all<'c, T: Copy + 'c>(
+        classes: &[&'c Column],
+        order: &[(First, usize, usize)],
+        typed: impl Fn(&'c Column) -> Option<&'c [T]>,
+    ) -> Option<Vec<T>> {
+        let of_class: Vec<&[T]> = (classes.iter())
+            .map(|&c| if c.is_empty() { Some(&[][..]) } else { typed(c) })
+            .collect::<Option<_>>()?;
+        Some(order.iter().map(|&(_, class, g)| of_class[class][g]).collect())
+    }
+    if order.is_empty() {
+        return Column::empty();
+    }
+    if let Some(floats) = all(classes, order, |c| match c {
+        Column::Float(v) => Some(&v[..]),
+        _ => None,
+    }) {
+        return Column::Float(floats);
+    }
+    if let Some(ints) = all(classes, order, |c| match c {
+        Column::Int(v) => Some(&v[..]),
+        _ => None,
+    }) {
+        return Column::Int(ints);
+    }
+    Column::from_values(order.iter().map(|&(_, class, g)| classes[class].get(g)).collect())
 }
 
 /// Runs a [`LogicalPlan::ScanAggregate`].
@@ -350,9 +416,9 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     // in), then the arguments that are not a bare point column.
     let mut templates: Vec<&Expr> = filters.iter().rev().collect();
     let args: Vec<Args> = (calls.iter())
-        .map(|(_, args)| match args {
-            [a] if is_column(a, 3) => Args::Val,
-            [a] if is_column(a, 0) => Args::Ts,
+        .map(|&(name, args)| match (args, AggColumn::new(name, 0)) {
+            ([a], Some(column)) if is_column(a, 3) => Args::Val(Box::new(column)),
+            ([a], _) if is_column(a, 0) => Args::Ts,
             _ => {
                 templates.extend(args.iter());
                 Args::Exprs { at: templates.len() - args.len(), len: args.len() }
@@ -415,8 +481,9 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
 
     // Each class's blocks, in morsel order, are merged and finished on the
     // pool: as many jobs as the fold had, each a contiguous class range, so a
-    // job mostly frees what one fold worker allocated (freeing one worker's
-    // blocks from two threads at once was measured 3× slower).
+    // job mostly frees what one fold worker allocated. (On the benchmark's
+    // family statement, two cores, this takes 6.5 ms; on the coordinator
+    // alone, 12 ms.)
     let inputs: Vec<Mutex<Vec<Block>>> =
         hits_of.iter().map(|_| Mutex::new(&EXEC_HANDOFF, Vec::new())).collect();
     for block in folded.into_iter().flatten() {
@@ -428,7 +495,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         let blocks = of_job.map(|input| std::mem::take(&mut *input.lock()));
         blocks.map(|blocks| fold.finish(blocks)).collect()
     })?;
-    let finished: Vec<(Vec<First>, Vec<Value>)> = finished.into_iter().flatten().collect();
+    let finished: Vec<(Vec<First>, Vec<Column>)> = finished.into_iter().flatten().collect();
 
     // Serial first-seen group order: each group's earliest `(timestamp,
     // rank)`. A class's groups arrive in it already, so the stable sort
@@ -440,7 +507,6 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         .collect();
     order.sort();
     // The finished columns: every group key typed, then every call.
-    let specs = fold.fresh.len();
     let keys = group_by.iter().enumerate().map(|(k, g)| {
         if is_column(g, 0) {
             return Column::Int(order.iter().map(|&((ts, _), ..)| ts).collect());
@@ -451,9 +517,9 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         let codes = order.iter().map(|&((_, rank), ..)| fold.series_of[rank as usize] as u32);
         Column::dict(Arc::new(entries.collect()), codes.collect())
     });
-    let aggs = (0..specs).map(|spec| {
-        let values = order.iter().map(|&(_, class, g)| finished[class].1[g * specs + spec].clone());
-        Column::from_values(values.collect())
+    let aggs = (0..fold.args.len()).map(|spec| {
+        let classes: Vec<&Column> = finished.iter().map(|(_, columns)| &columns[spec]).collect();
+        gather(&classes, &order)
     });
     let names = project_names(items, hidden.len());
     finish_outputs(&outputs, &Schema::new(columns), keys.chain(aggs).collect(), order.len(), names)
@@ -465,7 +531,8 @@ mod tests {
     use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 
     /// Two series of one class, `a` on the whole six-slot union grid and `b`
-    /// on its odd slots, under `SUM(value)`.
+    /// on its odd slots, under `SUM(value)` (a dense column) and
+    /// `SUM(timestamp)` (an `AggAcc` per slot).
     fn with_fold<T>(test: impl FnOnce(&Fold) -> T) -> T {
         let mut db = Tsdb::new();
         for t in 0..6 {
@@ -482,9 +549,9 @@ mod tests {
             series: vec![plan(), plan()],
             grids: Some(vec![Cow::Owned((0..6).map(|t| t * 10).collect())]),
             filters: 0,
-            args: vec![Args::Val],
+            args: vec![Args::Val(Box::new(AggColumn::new("SUM", 0).unwrap())), Args::Ts],
             point_args: false,
-            fresh: vec![new_acc("SUM").unwrap()],
+            fresh: vec![new_acc("SUM").unwrap(), new_acc("SUM").unwrap()],
             points: Schema::new(vec!["timestamp".to_string(), "value".to_string()]),
         })
     }
@@ -493,16 +560,25 @@ mod tests {
     fn a_block_covers_what_its_morsel_reaches_not_the_grid() {
         with_fold(|fold| {
             let extent = |spans: &[(usize, usize, usize)]| {
-                let blocks = fold.morsel(spans).unwrap();
+                let mut blocks = fold.morsel(spans).unwrap();
                 assert_eq!(blocks.len(), 1, "one class");
-                (blocks[0].lo, blocks[0].first.len(), blocks[0].accs.len())
+                let block = blocks.remove(0);
+                let (lo, len) = (block.lo, block.first.len());
+                for accs in block.specs {
+                    let covered = match accs {
+                        Accs::Dense(column) => column.finish(0..len).unwrap().len(),
+                        Accs::Boxed(accs) => accs.len(),
+                    };
+                    assert_eq!(covered, len, "every column covers the block's slots");
+                }
+                (lo, len)
             };
             // One point is one slot, whichever way its slot is found.
-            assert_eq!(extent(&[(0, 4, 5)]), (4, 1, 1), "identity slot");
-            assert_eq!(extent(&[(1, 2, 3)]), (5, 1, 1), "sought slot");
+            assert_eq!(extent(&[(0, 4, 5)]), (4, 1), "identity slot");
+            assert_eq!(extent(&[(1, 2, 3)]), (5, 1), "sought slot");
             // A span reaches from its first point's slot to its last's.
-            assert_eq!(extent(&[(0, 1, 3), (1, 0, 2)]), (1, 3, 3));
-            assert_eq!(extent(&[(0, 0, 6), (1, 0, 3)]), (0, 6, 6), "the whole grid");
+            assert_eq!(extent(&[(0, 1, 3), (1, 0, 2)]), (1, 3));
+            assert_eq!(extent(&[(0, 0, 6), (1, 0, 3)]), (0, 6), "the whole grid");
         });
     }
 
@@ -510,20 +586,20 @@ mod tests {
     fn blocks_merge_by_slot_in_morsel_order_whatever_their_extents() {
         with_fold(|fold| {
             let whole = fold.morsel(&[(0, 0, 6), (1, 0, 3)]).unwrap();
-            let (firsts, sums) = fold.finish(whole).unwrap();
+            let (firsts, columns) = fold.finish(whole).unwrap();
             assert_eq!(firsts, [(0, 0), (10, 0), (20, 0), (30, 0), (40, 0), (50, 0)]);
-            let expect: Vec<Value> =
-                [1.0, 101.0, 1.0, 101.0, 1.0, 101.0].map(Value::Float).to_vec();
-            assert_eq!(sums, expect);
+            let sums = Column::Float(vec![1.0, 101.0, 1.0, 101.0, 1.0, 101.0]);
+            assert_eq!(columns, [sums, Column::Int(vec![0, 20, 20, 60, 40, 100])]);
             // Most of the same points, in five morsels: no block spans the
             // grid, and slots 0 and 2 are never reached.
             let spans = [(0, 1, 2), (0, 3, 6), (1, 0, 1), (1, 1, 2), (1, 2, 3)];
             let blocks: Vec<Block> =
                 spans.iter().flat_map(|&span| fold.morsel(&[span]).unwrap()).collect();
             assert_eq!(blocks.iter().map(|b| b.first.len()).sum::<usize>(), 7);
-            let (firsts, sums) = fold.finish(blocks).unwrap();
+            let (firsts, columns) = fold.finish(blocks).unwrap();
             assert_eq!(firsts, [(10, 0), (30, 0), (40, 0), (50, 0)]);
-            assert_eq!(sums, [101.0, 101.0, 1.0, 101.0].map(Value::Float).to_vec());
+            let sums = Column::Float(vec![101.0, 101.0, 1.0, 101.0]);
+            assert_eq!(columns, [sums, Column::Int(vec![20, 60, 40, 100])]);
         });
     }
 }

@@ -9,7 +9,13 @@
 //! rounding step), so a sum is the correctly rounded exact result and is
 //! therefore *independent of partitioning*: serial, parallel and reference
 //! results are bit-identical by construction, not by luck.
+//!
+//! The scan aggregate keeps `AGG(value)` for the seven numeric aggregates
+//! in [`AggColumn`]s instead: the same accumulator states, laid out a
+//! column per field over a run of groups. `AggAcc` stays their definition
+//! (a slot that cannot stay dense becomes one) and their oracle.
 
+use crate::column::Column;
 use crate::value::Value;
 use crate::{QueryError, Result};
 
@@ -209,29 +215,20 @@ pub struct ExactSum {
 }
 
 impl ExactSum {
+    /// An expansion from its parts, as [`ExactSum::add`] left them.
+    pub(crate) fn from_parts(partials: Vec<f64>, special: f64) -> ExactSum {
+        ExactSum { partials, special }
+    }
+
     /// Adds one value.
     pub fn add(&mut self, x: f64) {
         if !x.is_finite() {
             self.special += x;
             return;
         }
-        let mut x = x;
-        let mut kept = 0;
-        for j in 0..self.partials.len() {
-            let mut y = self.partials[j];
-            if x.abs() < y.abs() {
-                std::mem::swap(&mut x, &mut y);
-            }
-            let hi = x + y;
-            let lo = y - (hi - x);
-            if lo != 0.0 {
-                self.partials[kept] = lo;
-                kept += 1;
-            }
-            x = hi;
-        }
+        let (kept, top) = grow_expansion(&mut self.partials, x);
         self.partials.truncate(kept);
-        self.partials.push(x);
+        self.partials.push(top);
     }
 
     /// Stages the expansion into a stack array for a bulk fold. Returns
@@ -263,39 +260,65 @@ impl ExactSum {
 
     /// The correctly rounded sum (CPython `math.fsum` finalization).
     pub fn value(&self) -> f64 {
-        if self.special != 0.0 || self.special.is_nan() {
-            return self.special + self.partials.iter().sum::<f64>();
-        }
-        let mut n = self.partials.len();
-        if n == 0 {
-            return 0.0;
-        }
-        n -= 1;
-        let mut x = self.partials[n];
-        let mut lo = 0.0;
-        while n > 0 {
-            n -= 1;
-            let y = self.partials[n];
-            let hi = x + y;
-            lo = y - (hi - x);
-            x = hi;
-            if lo != 0.0 {
-                break;
-            }
-        }
-        // Round-half-even correction against the next lower partial.
-        if n > 0
-            && ((lo < 0.0 && self.partials[n - 1] < 0.0)
-                || (lo > 0.0 && self.partials[n - 1] > 0.0))
-        {
-            let y = lo * 2.0;
-            let z = x + y;
-            if y == z - x {
-                x = z;
-            }
-        }
-        x
+        expansion_value(&self.partials, self.special)
     }
+}
+
+/// [`ExactSum::add`]'s walk of a finite `x` up an expansion: two-sums it
+/// with each partial in ascending order, compacting the non-zero low parts
+/// to the front. Returns how many low parts were kept and the new top
+/// partial; the expansion is then `partials[..kept] ++ [top]`.
+#[inline]
+fn grow_expansion(partials: &mut [f64], mut x: f64) -> (usize, f64) {
+    let mut kept = 0;
+    for j in 0..partials.len() {
+        let mut y = partials[j];
+        if x.abs() < y.abs() {
+            std::mem::swap(&mut x, &mut y);
+        }
+        let hi = x + y;
+        let lo = y - (hi - x);
+        if lo != 0.0 {
+            partials[kept] = lo;
+            kept += 1;
+        }
+        x = hi;
+    }
+    (kept, x)
+}
+
+/// The correctly rounded value of an expansion and its non-finite sum
+/// ([`ExactSum::value`]).
+fn expansion_value(partials: &[f64], special: f64) -> f64 {
+    if special != 0.0 || special.is_nan() {
+        return special + partials.iter().sum::<f64>();
+    }
+    let mut n = partials.len();
+    if n == 0 {
+        return 0.0;
+    }
+    n -= 1;
+    let mut x = partials[n];
+    let mut lo = 0.0;
+    while n > 0 {
+        n -= 1;
+        let y = partials[n];
+        let hi = x + y;
+        lo = y - (hi - x);
+        x = hi;
+        if lo != 0.0 {
+            break;
+        }
+    }
+    // Round-half-even correction against the next lower partial.
+    if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0)) {
+        let y = lo * 2.0;
+        let z = x + y;
+        if y == z - x {
+            x = z;
+        }
+    }
+    x
 }
 
 /// Slots in a [`BulkSum`] stack array. A non-overlapping f64 expansion
@@ -913,27 +936,13 @@ impl AggAcc {
                     Ok(Value::Float(float.value()))
                 }
             }
-            AggAcc::Avg { sum, n } => {
-                if n == 0 {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Float(sum.value() / n as f64))
-                }
-            }
-            AggAcc::Var { sum, sumsq, n, stddev } => {
-                if n < 2 {
-                    return Ok(Value::Null);
-                }
-                let s = sum.value();
-                let ss = sumsq.value();
-                // Sample (n−1) variance from exact moments; the subtraction
-                // can go epsilon-negative, never meaningfully so.
-                let mut var = (ss - s * s / n as f64) / (n as f64 - 1.0);
-                if var < 0.0 {
-                    var = 0.0;
-                }
-                Ok(Value::Float(if stddev { var.sqrt() } else { var }))
-            }
+            AggAcc::Avg { sum, n } => Ok(finish_avg(&sum.partials, sum.special, n)),
+            AggAcc::Var { sum, sumsq, n, stddev } => Ok(finish_var(
+                (&sum.partials, sum.special),
+                (&sumsq.partials, sumsq.special),
+                n,
+                stddev,
+            )),
             AggAcc::MinMax { candidates, .. } => {
                 Ok(candidates.into_iter().next().unwrap_or(Value::Null))
             }
@@ -953,6 +962,353 @@ impl AggAcc {
                 Ok(Value::Float(vals[lo] * (1.0 - frac) + vals[hi] * frac))
             }
         }
+    }
+}
+
+/// `AVG` of `n` inputs summing to the expansion `(partials, special)`.
+fn finish_avg(partials: &[f64], special: f64, n: usize) -> Value {
+    match n {
+        0 => Value::Null,
+        n => Value::Float(expansion_value(partials, special) / n as f64),
+    }
+}
+
+/// `VARIANCE` / `STDDEV` of `n` inputs with the exact moments Σv and Σv².
+fn finish_var(sum: (&[f64], f64), sumsq: (&[f64], f64), n: usize, stddev: bool) -> Value {
+    if n < 2 {
+        return Value::Null;
+    }
+    let s = expansion_value(sum.0, sum.1);
+    let ss = expansion_value(sumsq.0, sumsq.1);
+    // Sample (n−1) variance from exact moments; the subtraction can go
+    // epsilon-negative, never meaningfully so.
+    let mut var = (ss - s * s / n as f64) / (n as f64 - 1.0);
+    if var < 0.0 {
+        var = 0.0;
+    }
+    Value::Float(if stddev { var.sqrt() } else { var })
+}
+
+/// Partials a slot's expansion holds inline. A full slot spills before its
+/// next finite add, which could need one more: on the benchmark's
+/// `AVG` / `MAX` / `STDDEV` family statement (≈ 600k expansions) that is
+/// ≈ 870 slots a run, where three inline would spill ≈ 107k.
+const INLINE_PARTIALS: usize = 4;
+
+/// The flag on [`AggColumn`]'s count of a spilled slot: the rest of the
+/// word is the slot's index among the spilled accumulators.
+const SPILLED: u64 = 1 << 63;
+
+/// The aggregates an [`AggColumn`] holds.
+#[derive(Debug, Clone, Copy)]
+enum Dense {
+    Count,
+    Sum,
+    Avg,
+    Var { stddev: bool },
+    MinMax { want_min: bool },
+}
+
+/// One [`ExactSum`] per slot, struct-of-arrays: up to
+/// [`INLINE_PARTIALS`] partials inline, and the non-finite sum.
+#[derive(Debug, Default)]
+struct Expansions {
+    parts: Vec<[f64; INLINE_PARTIALS]>,
+    len: Vec<u8>,
+    special: Vec<f64>,
+}
+
+impl Expansions {
+    fn new(slots: usize) -> Expansions {
+        let parts = vec![[0.0; INLINE_PARTIALS]; slots];
+        Expansions { parts, len: vec![0; slots], special: vec![0.0; slots] }
+    }
+
+    fn partials(&self, s: usize) -> &[f64] {
+        &self.parts[s][..usize::from(self.len[s])]
+    }
+
+    /// Whether slot `s` has room to add `x`: a finite add grows an
+    /// expansion by at most one partial.
+    fn fits(&self, s: usize, x: f64) -> bool {
+        !x.is_finite() || usize::from(self.len[s]) < INLINE_PARTIALS
+    }
+
+    /// [`ExactSum::add`] on slot `s`, which [`Expansions::fits`] `x`.
+    fn add(&mut self, s: usize, x: f64) {
+        if !x.is_finite() {
+            self.special[s] += x;
+            return;
+        }
+        let parts = &mut self.parts[s];
+        let (kept, top) = grow_expansion(&mut parts[..usize::from(self.len[s])], x);
+        parts[kept] = top;
+        self.len[s] = (kept + 1) as u8;
+    }
+
+    /// Whether merging `other`'s slot `o` into slot `s` stays inline.
+    fn merge_fits(&self, s: usize, other: &Expansions, o: usize) -> bool {
+        usize::from(self.len[s] + other.len[o]) <= INLINE_PARTIALS
+    }
+
+    /// [`ExactSum::merge`] of `other`'s slot `o` into slot `s`, which
+    /// [`Expansions::merge_fits`] it.
+    fn merge(&mut self, s: usize, other: &Expansions, o: usize) {
+        other.partials(o).iter().for_each(|&p| self.add(s, p));
+        self.special[s] += other.special[o];
+    }
+
+    fn copy(&mut self, s: usize, other: &Expansions, o: usize) {
+        self.parts[s] = other.parts[o];
+        self.len[s] = other.len[o];
+        self.special[s] = other.special[o];
+    }
+
+    fn exact(&self, s: usize) -> ExactSum {
+        ExactSum::from_parts(self.partials(s).to_vec(), self.special[s])
+    }
+}
+
+/// One aggregate's accumulators over a run of slots, one column per field
+/// instead of an [`AggAcc`] per slot: a count, inline [`ExactSum`]
+/// expansions for `SUM` / `AVG` / `VARIANCE` / `STDDEV`, a plain running
+/// best for `MIN` / `MAX` — the seven aggregates over non-null `f64`
+/// inputs, which is what the scan aggregate feeds `AGG(value)`.
+///
+/// Every slot is in exactly the state the `AggAcc` would be in after the
+/// same pushes and merges, so it finishes to the same value by its bits: the
+/// expansions run [`ExactSum::add`]'s own walk, MIN / MAX keep the first
+/// seen of equals. A slot that cannot stay dense — an expansion about to
+/// outgrow the inline capacity, a NaN reaching MIN / MAX (its own
+/// comparability class) — spills: it becomes that `AggAcc`, partials moved
+/// over, and continues there. The count carries the spill flag, so a dense
+/// slot pays nothing for it.
+#[derive(Debug)]
+pub struct AggColumn {
+    kind: Dense,
+    /// Inputs per slot (zero: untouched), or [`SPILLED`] and an index into
+    /// `spilled`.
+    n: Vec<u64>,
+    /// Σv (`SUM`, `AVG`, `VARIANCE`, `STDDEV`).
+    sum: Expansions,
+    /// Σv² (`VARIANCE`, `STDDEV`).
+    sumsq: Expansions,
+    /// The best input so far (`MIN`, `MAX`).
+    best: Vec<f64>,
+    spilled: Vec<AggAcc>,
+}
+
+impl AggColumn {
+    /// The (uppercase) aggregate over `slots` untouched slots; `None` for
+    /// an aggregate without a column form.
+    pub fn new(name: &str, slots: usize) -> Option<AggColumn> {
+        let kind = match name {
+            "COUNT" => Dense::Count,
+            "SUM" => Dense::Sum,
+            "AVG" => Dense::Avg,
+            "VARIANCE" => Dense::Var { stddev: false },
+            "STDDEV" => Dense::Var { stddev: true },
+            "MIN" => Dense::MinMax { want_min: true },
+            "MAX" => Dense::MinMax { want_min: false },
+            _ => return None,
+        };
+        Some(AggColumn::of(kind, slots))
+    }
+
+    fn of(kind: Dense, slots: usize) -> AggColumn {
+        let sized = |yes: bool| if yes { Expansions::new(slots) } else { Expansions::default() };
+        AggColumn {
+            kind,
+            n: vec![0; slots],
+            sum: sized(matches!(kind, Dense::Sum | Dense::Avg | Dense::Var { .. })),
+            sumsq: sized(matches!(kind, Dense::Var { .. })),
+            best: vec![0.0; if matches!(kind, Dense::MinMax { .. }) { slots } else { 0 }],
+            spilled: Vec::new(),
+        }
+    }
+
+    /// The same aggregate over `slots` untouched slots.
+    pub fn fresh(&self, slots: usize) -> AggColumn {
+        AggColumn::of(self.kind, slots)
+    }
+
+    /// Feeds each `(slot, value)` in turn: `AggAcc::push` of `Float(value)`
+    /// on the slot's accumulator.
+    pub fn fold(&mut self, points: impl IntoIterator<Item = (usize, f64)>) {
+        match self.kind {
+            Dense::Count => self.fold_by(points, |_, _, _, _| true),
+            Dense::Sum | Dense::Avg => self.fold_by(points, |c, s, _, v| {
+                c.sum.fits(s, v) && {
+                    c.sum.add(s, v);
+                    true
+                }
+            }),
+            Dense::Var { .. } => self.fold_by(points, |c, s, _, v| {
+                let q = v * v;
+                c.sum.fits(s, v) && c.sumsq.fits(s, q) && {
+                    c.sum.add(s, v);
+                    c.sumsq.add(s, q);
+                    true
+                }
+            }),
+            Dense::MinMax { want_min } => self.fold_by(points, |c, s, n, v| {
+                let best = &mut c.best[s];
+                // Strict: a tie keeps the first seen.
+                if !v.is_nan() && (n == 0 || (want_min && v < *best) || (!want_min && v > *best)) {
+                    *best = v;
+                }
+                !v.is_nan()
+            }),
+        }
+    }
+
+    /// The fold loop: `step` updates a dense slot holding `n` inputs with
+    /// `v`, or says the slot must spill first (before changing it).
+    fn fold_by(
+        &mut self,
+        points: impl IntoIterator<Item = (usize, f64)>,
+        step: impl Fn(&mut AggColumn, usize, u64, f64) -> bool,
+    ) {
+        for (s, v) in points {
+            let n = self.n[s];
+            if n & SPILLED == 0 && step(self, s, n, v) {
+                self.n[s] = n + 1;
+            } else {
+                let at = self.spill(s);
+                self.spilled[at].push_f64(v);
+            }
+        }
+    }
+
+    /// Slot `s` as an `AggAcc` from now on; returns its index in `spilled`.
+    fn spill(&mut self, s: usize) -> usize {
+        if self.n[s] & SPILLED != 0 {
+            return (self.n[s] & !SPILLED) as usize;
+        }
+        let acc = self.to_acc(s);
+        self.spilled.push(acc);
+        self.n[s] = SPILLED | (self.spilled.len() - 1) as u64;
+        self.spilled.len() - 1
+    }
+
+    /// The `AggAcc` dense slot `s` stands for.
+    fn to_acc(&self, s: usize) -> AggAcc {
+        let n = self.n[s] as usize;
+        match self.kind {
+            Dense::Count => AggAcc::Count { n: n as i64 },
+            Dense::Sum => AggAcc::Sum { int: 0, float: self.sum.exact(s), saw_float: n > 0, n },
+            Dense::Avg => AggAcc::Avg { sum: self.sum.exact(s), n },
+            Dense::Var { stddev } => {
+                AggAcc::Var { sum: self.sum.exact(s), sumsq: self.sumsq.exact(s), n, stddev }
+            }
+            Dense::MinMax { want_min } => {
+                let candidates = if n > 0 { vec![Value::Float(self.best[s])] } else { Vec::new() };
+                AggAcc::MinMax { candidates, want_min }
+            }
+        }
+    }
+
+    /// Slot `s`'s accumulator, taken out of a column that is being consumed.
+    fn take_acc(&mut self, s: usize) -> AggAcc {
+        match self.n[s] & SPILLED {
+            0 => self.to_acc(s),
+            _ => {
+                let at = (self.n[s] & !SPILLED) as usize;
+                std::mem::replace(&mut self.spilled[at], AggAcc::Count { n: 0 })
+            }
+        }
+    }
+
+    /// Merges a later block's column in, its slot `o` into slot `at + o`:
+    /// equivalent to having folded its points after this column's.
+    /// Into an untouched slot the accumulator moves as it is; into a
+    /// touched one it merges as [`AggAcc::merge`] would.
+    pub fn absorb(&mut self, at: usize, mut other: AggColumn) -> Result<()> {
+        for o in 0..other.n.len() {
+            let (s, theirs) = (at + o, other.n[o]);
+            let mine = self.n[s];
+            if theirs == 0 {
+                continue;
+            }
+            if (mine | theirs) & SPILLED == 0 && (mine == 0 || self.merge_fits(s, &other, o)) {
+                self.merge_dense(s, &other, o);
+                continue;
+            }
+            let acc = other.take_acc(o);
+            if mine == 0 {
+                self.spilled.push(acc);
+                self.n[s] = SPILLED | (self.spilled.len() - 1) as u64;
+            } else {
+                let at = self.spill(s);
+                self.spilled[at].merge(acc)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn merge_fits(&self, s: usize, other: &AggColumn, o: usize) -> bool {
+        match self.kind {
+            Dense::Sum | Dense::Avg => self.sum.merge_fits(s, &other.sum, o),
+            Dense::Var { .. } => {
+                self.sum.merge_fits(s, &other.sum, o) && self.sumsq.merge_fits(s, &other.sumsq, o)
+            }
+            Dense::Count | Dense::MinMax { .. } => true,
+        }
+    }
+
+    /// Dense slot `o` of `other` into dense slot `s`, which is untouched or
+    /// [`AggColumn::merge_fits`] it.
+    fn merge_dense(&mut self, s: usize, other: &AggColumn, o: usize) {
+        let fresh = self.n[s] == 0;
+        match self.kind {
+            Dense::Count => {}
+            Dense::Sum | Dense::Avg if fresh => self.sum.copy(s, &other.sum, o),
+            Dense::Sum | Dense::Avg => self.sum.merge(s, &other.sum, o),
+            Dense::Var { .. } if fresh => {
+                self.sum.copy(s, &other.sum, o);
+                self.sumsq.copy(s, &other.sumsq, o);
+            }
+            Dense::Var { .. } => {
+                self.sum.merge(s, &other.sum, o);
+                self.sumsq.merge(s, &other.sumsq, o);
+            }
+            Dense::MinMax { want_min } => {
+                let (best, v) = (&mut self.best[s], other.best[o]);
+                if fresh || (want_min && v < *best) || (!want_min && v > *best) {
+                    *best = v;
+                }
+            }
+        }
+        self.n[s] += other.n[o];
+    }
+
+    /// The finished values of `slots`, in order, as the column
+    /// [`Column::from_values`] builds from them.
+    pub fn finish(mut self, slots: impl IntoIterator<Item = usize>) -> Result<Column> {
+        let mut out = match self.kind {
+            Dense::Count => Column::Int(Vec::new()),
+            _ => Column::Float(Vec::new()),
+        };
+        for s in slots {
+            let n = self.n[s];
+            out.push(match self.kind {
+                _ if n & SPILLED != 0 => self.take_acc(s).finish()?,
+                Dense::Count => Value::Int(n as i64),
+                Dense::Sum | Dense::MinMax { .. } if n == 0 => Value::Null,
+                Dense::Sum => {
+                    Value::Float(expansion_value(self.sum.partials(s), self.sum.special[s]))
+                }
+                Dense::Avg => finish_avg(self.sum.partials(s), self.sum.special[s], n as usize),
+                Dense::Var { stddev } => finish_var(
+                    (self.sum.partials(s), self.sum.special[s]),
+                    (self.sumsq.partials(s), self.sumsq.special[s]),
+                    n as usize,
+                    stddev,
+                ),
+                Dense::MinMax { .. } => Value::Float(self.best[s]),
+            });
+        }
+        Ok(if out.is_empty() { Column::empty() } else { out })
     }
 }
 

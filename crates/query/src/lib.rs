@@ -275,7 +275,7 @@ pub use catalog::Catalog;
 pub use column::Column;
 pub use error::QueryError;
 pub use exec::ExecOptions;
-pub use functions::AggAcc;
+pub use functions::{AggAcc, AggColumn};
 pub use lexer::{tokenize, Token};
 pub use parser::{parse_query, parse_script, parse_statement};
 pub use pivot::{pivot_long, pivot_one, pivot_wide, FamilyFrame, Layout, PivotSpec};

@@ -1123,6 +1123,64 @@ fn scan_aggregate_dense_shapes_pinned() {
     assert_eq!(rows.len(), 11, "twelve slots, one emptied by the filter");
 }
 
+/// Where the scan aggregate's dense columns spill to an `AggAcc` or finish
+/// to NULL: a NaN first and a NaN later reaching MIN / MAX, a sum of seven
+/// magnitudes that share no bits (its expansion outgrows the inline
+/// partials in the fold, and in the merge when morsels split it), and
+/// one-point groups (a NULL `STDDEV`). For all seven aggregates with a
+/// column form, with and without a timestamp key: rows equal the
+/// reference's on both backends at every partition count, and every output
+/// column is the variant the table aggregate builds (`Float` and `Values`
+/// render alike, so rows alone cannot tell).
+#[test]
+fn scan_aggregate_spill_shapes_pinned() {
+    let mut db = Tsdb::new();
+    let mut put = |name: &str, host: &str, ts: i64, v: f64| {
+        db.insert(&SeriesKey::new(name).with_tag("host", host), ts, v);
+    };
+    for ts in [0, 60] {
+        // Hosts rank in name order: `a` first.
+        put("nan_first", "a", ts, f64::NAN);
+        put("nan_first", "b", ts, 2.0);
+        put("nan_first", "c", ts, -1.0);
+        put("nan_later", "a", ts, 2.0);
+        put("nan_later", "b", ts, f64::NAN);
+        put("nan_later", "c", ts, 5.0);
+        for k in 0..7 {
+            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+            put("ladder", &format!("h{k}"), ts, sign * 10f64.powi(300 - 100 * k));
+        }
+    }
+    for ts in [0, 60, 120] {
+        put("single", "a", ts, ts as f64 / 7.0);
+    }
+    put("lone", "a", 0, 0.1);
+
+    let backends = backends_of(&db);
+    for keys in ["timestamp, metric_name", "metric_name"] {
+        for kind in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"] {
+            let sql = format!("SELECT {keys}, {kind}(value) AS a FROM tsdb GROUP BY {keys}");
+            let query = parse_query(&sql).unwrap();
+            // MIN / MAX without a timestamp key stay on the table aggregate.
+            if keys.starts_with("timestamp") || !kind.starts_with('M') {
+                assert_scan_aggregate_pinned(&db, &sql);
+            } else {
+                let naive = execute_naive(&backends[0], &query).expect("reference runs");
+                assert_pinned(&backends, &query, &[1, 2, 3], &naive);
+            }
+            // The aggregate's column (a class key is a `Dict` on the scan
+            // aggregate by design).
+            let variant = |t: &Table| std::mem::discriminant(t.columns().last().unwrap());
+            for parts in [1, 2, 3] {
+                let [fast, table] = [&backends[0], &backends[1]].map(|catalog| {
+                    catalog.execute_query_with(&query, ExecOptions::with_partitions(parts)).unwrap()
+                });
+                assert_eq!(variant(&fast), variant(&table), "{sql} at partitions={parts}");
+            }
+        }
+    }
+}
+
 /// The skewed fleet the deleted pushdown report swept: one hot series
 /// holds ~all the points, so point-balanced scan-aggregate morsels split
 /// it across workers — and must stay row-identical at every count.

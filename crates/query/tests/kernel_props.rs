@@ -47,6 +47,19 @@ fn f64_case(code: usize, mag: f64) -> f64 {
     }
 }
 
+/// [`f64_case`] plus what an exact running sum must survive: subnormals,
+/// finite values whose sum overflows, and magnitudes far enough apart
+/// (1e300 … 1e-300) that no two share a partial.
+fn stream_case(code: usize, mag: f64) -> f64 {
+    match code {
+        8 => mag * 1e-310,
+        9 => f64::MAX,
+        10 => -f64::MAX,
+        11..=15 => mag * 10f64.powi(300 - 150 * (code as i32 - 11)),
+        _ => f64_case(code, mag),
+    }
+}
+
 /// Decodes a generated `(code, magnitude)` pair into an i64 covering the
 /// extremes and the 2^53 representability boundary.
 fn i64_case(code: usize, mag: i64) -> i64 {
@@ -92,7 +105,7 @@ fn build_f64(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // The default config: 96 cases, or `PROPTEST_CASES`.
 
     /// `refine_f64_cmp` == filtering the selection by scalar `sql_cmp`
     /// over boxed values, across NaN/±inf/-0.0 data, NULL runs, NaN and
@@ -363,6 +376,95 @@ proptest! {
                 format!("{:?}", pushed.finish()),
                 "int fold {}", name
             );
+        }
+    }
+
+    /// The scan aggregate's struct-of-arrays accumulator columns == one
+    /// `AggAcc` per slot, for the seven kinds that have them: a stream of
+    /// `(slot, value)` pushes — NaN first and later, ±inf, subnormals, sums
+    /// that overflow, and a magnitude ladder spliced in whole so the case
+    /// grows some expansion past the inline capacity; or, in half the cases,
+    /// only NaNs and signed zeros, so MIN / MAX ties decide the bits — is
+    /// cut into blocks, each over the slots its pushes reach (or all of
+    /// them), merged in order. The oracle does the same with `AggAcc`s,
+    /// moving a block's accumulator into an untouched slot and merging it
+    /// into a touched one. Every slot finishes to the same value by its bits,
+    /// and the column is the variant `Column::from_values` builds.
+    #[test]
+    fn agg_columns_match_agg_acc_blocks(
+        stream in proptest::collection::vec((0usize..8, 0usize..16, -1e3f64..1e3), 0..80),
+        slots in 1usize..6,
+        cuts in proptest::collection::vec(0usize..90, 0..6),
+        ladder in (0usize..8, 0usize..80, any::<bool>()),
+        whole_blocks in any::<bool>(),
+        zeros in any::<bool>(),
+    ) {
+        use explainit_query::{AggColumn, Column};
+        let (ladder_slot, ladder_at, negative) = ladder;
+        let mut pushes: Vec<(usize, f64)> =
+            stream.iter().map(|&(s, code, mag)| (s % slots, stream_case(code, mag))).collect();
+        let rung = |k: i32| if negative { -(10f64.powi(300 - 100 * k)) } else { 10f64.powi(300 - 100 * k) };
+        let at = ladder_at.min(pushes.len());
+        pushes.splice(at..at, (0..7).map(|k| (ladder_slot % slots, rung(k))));
+        if zeros {
+            for (_, v) in pushes.iter_mut().filter(|(_, v)| !v.is_nan()) {
+                *v = if v.is_sign_negative() { -0.0 } else { 0.0 };
+            }
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pushes.len())).collect();
+        cuts.extend([0, pushes.len()]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let blocks: Vec<&[(usize, f64)]> = cuts.windows(2).map(|w| &pushes[w[0]..w[1]]).collect();
+
+        for name in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"] {
+            let fresh = || AggAcc::new(name).expect("known aggregate");
+            let mut want: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
+            let mut merged = AggColumn::new(name, slots).expect("a dense aggregate");
+            for block in &blocks {
+                let (lo, hi) = match whole_blocks {
+                    true => (0, slots),
+                    false => {
+                        let reach = block.iter().map(|&(s, _)| s);
+                        (reach.clone().min().unwrap_or(0), reach.max().map_or(0, |s| s + 1))
+                    }
+                };
+                let mut column = merged.fresh(hi - lo);
+                column.fold(block.iter().map(|&(s, v)| (s - lo, v)));
+                merged.absorb(lo, column).expect("dense merges cannot fail");
+
+                let mut accs: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
+                for &(s, v) in block.iter() {
+                    accs[s].get_or_insert_with(fresh).push(&[Value::Float(v)]).expect("push");
+                }
+                for (mine, theirs) in want.iter_mut().zip(accs) {
+                    match (mine.as_mut(), theirs) {
+                        (_, None) => {}
+                        (None, theirs) => *mine = theirs,
+                        (Some(mine), Some(theirs)) => mine.merge(theirs).expect("merge"),
+                    }
+                }
+            }
+            let want: Vec<Value> = want
+                .into_iter()
+                .map(|acc| acc.unwrap_or_else(fresh).finish().expect("finish"))
+                .collect();
+            let got = merged.finish(0..slots).expect("finish");
+            let want = Column::from_values(want);
+            prop_assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(&want),
+                "{}: {:?} vs {:?}", name, got, want
+            );
+            let bits = |c: &Column| -> Vec<String> {
+                c.iter_values()
+                    .map(|v| match v {
+                        Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+                        v => format!("{v:?}"),
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want), "{} over {:?}", name, pushes);
         }
     }
 
