@@ -16,10 +16,11 @@
 //! the one-morsel case of the same code. The projection and the table
 //! aggregate peel the `Filter` chain under them and run it per row morsel;
 //! the projection concatenates morsel outputs in order (a window call reads
-//! across rows, so it forces one morsel), the aggregate builds *partial
-//! aggregate states* ([`AggAcc`]) per morsel and merges partials in morsel
+//! across rows, so it forces one morsel), the aggregate folds each morsel
+//! into *partial aggregate states* — an accumulator column ([`AggColumn`])
+//! per aggregate call over the morsel's groups — and merges them in morsel
 //! order; the scan-level aggregate ([`scan_aggregate`]) folds point-balanced
-//! morsels of series spans into accumulators addressed by grid slot and
+//! morsels of series spans into the same columns addressed by grid slot and
 //! merges those slot by slot, in morsel order too. Both end in one finishing
 //! step over their key and finished-aggregate columns, where an output such
 //! as `SUM(v) / COUNT(v)` is the column evaluator's result like any other
@@ -70,7 +71,8 @@ use crate::ast::{CreateFamily, Expr, JoinKind, Query};
 use crate::catalog::{Catalog, TsdbBinding};
 use crate::column::Column;
 use crate::eval::map_grouped;
-use crate::functions::{is_aggregate, AggAcc};
+use crate::functions::{is_aggregate, AggColumn};
+use crate::kernel;
 use crate::optimize::{fold_expr, map_columns, optimize, peel_filter_chain};
 use crate::pivot::{into_grid, FamilyFrame};
 use crate::plan::TSDB_COLUMNS;
@@ -831,10 +833,10 @@ fn run_partitioned<T: Send>(
 // ---------------------------------------------------------------------------
 
 /// A single aggregate argument viewed as a typed minicolumn: a raw
-/// `f64`/`i64` slice plus an optional validity bitmap, ready for the
-/// [`AggAcc::fold_f64s`]/[`AggAcc::fold_i64s`] kernels. `Float`/`Int`
-/// columns borrow in place; homogeneous `Values` columns (numeric with
-/// NULL runs) extract once per operator.
+/// `f64`/`i64` slice plus an optional validity bitmap. An `f64` one folds
+/// into an [`AggColumn`], dense where the aggregate has a column form; an
+/// `i64` one is pushed value by value, unboxed. `Float`/`Int` columns borrow in place; homogeneous `Values`
+/// columns (numeric with NULL runs) extract once per morsel.
 enum FastArg<'a> {
     F64(Cow<'a, [f64]>, Option<Vec<u64>>),
     I64(Cow<'a, [i64]>, Option<Vec<u64>>),
@@ -844,9 +846,9 @@ fn fast_arg(col: &Column) -> Option<FastArg<'_>> {
     match col {
         Column::Float(vs) => Some(FastArg::F64(Cow::Borrowed(vs), None)),
         Column::Int(vs) => Some(FastArg::I64(Cow::Borrowed(vs), None)),
-        Column::Values(vs) => match crate::kernel::mini_from_values(vs)? {
-            crate::kernel::Mini::F64(v, validity) => Some(FastArg::F64(Cow::Owned(v), validity)),
-            crate::kernel::Mini::I64(v, validity) => Some(FastArg::I64(Cow::Owned(v), validity)),
+        Column::Values(vs) => match kernel::mini_from_values(vs)? {
+            kernel::Mini::F64(v, validity) => Some(FastArg::F64(Cow::Owned(v), validity)),
+            kernel::Mini::I64(v, validity) => Some(FastArg::I64(Cow::Owned(v), validity)),
         },
         _ => None,
     }
@@ -926,24 +928,23 @@ fn finish_outputs(
     Ok(Table::from_columnar_parts(names, out, rows))
 }
 
-fn new_acc(name: &str) -> Result<AggAcc> {
-    AggAcc::new(name).ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))
-}
-
-/// One group's partial state within a morsel (or after merging).
-struct GroupPartial {
-    /// Group-key values of the group's first row (output for key slots).
-    keys: Vec<Value>,
-    /// The group's first input row; kept only when an output reads it.
-    first_row: Vec<Value>,
-    /// One accumulator per aggregate spec.
-    accs: Vec<AggAcc>,
+/// One morsel's groups, in first-seen order, as columns over them.
+#[derive(Default)]
+struct MorselGroups {
+    /// Each group's rendered key: what morsels merge on.
+    merge_keys: Vec<String>,
+    /// The group-key values of each group's first row.
+    keys: Vec<Column>,
+    /// Each group's first input row; kept only when an output reads it.
+    first_row: Vec<Column>,
+    /// One accumulator column per aggregate spec.
+    aggs: Vec<AggColumn>,
 }
 
 /// The one table aggregate. The source is cut into row morsels by size
 /// (serial execution is the one-morsel case); each morsel runs the peeled
-/// filter chain, buckets its rows by key and folds every spec per group
-/// into [`AggAcc`] partials, which [`finish_groups`] merges in morsel
+/// filter chain, buckets its rows by key and folds every spec into an
+/// [`AggColumn`] over its groups, which [`finish_groups`] merges in morsel
 /// order. Every aggregate call in the select list is computed for every
 /// group, also one a `CASE` branch would skip.
 fn run_aggregate(
@@ -982,9 +983,9 @@ fn aggregate_morsel(
     group_by: &[Expr],
     specs: &[AggSpec],
     keep_first: bool,
-) -> Result<Vec<(String, GroupPartial)>> {
+) -> Result<MorselGroups> {
     if len == 0 {
-        return Ok(Vec::new());
+        return Ok(MorselGroups::default());
     }
     // Keys and arguments are row context: a window call sees its own row.
     let eval_col =
@@ -1016,100 +1017,101 @@ fn aggregate_morsel(
 
     // Each group's first row names it: its rendered key is the merge key.
     let firsts: Vec<usize> = row_groups.iter().map(|rows| rows[0]).collect();
-    let first_keys: Vec<Column> = key_cols.iter().map(|c| c.gather(&firsts)).collect();
-    let merge_keys = veval::group_key_strings(&first_keys.iter().collect::<Vec<_>>(), firsts.len());
-    let mut groups: Vec<(String, GroupPartial)> = merge_keys
-        .into_iter()
-        .zip(&firsts)
-        .enumerate()
-        .map(|(g, (key, &first))| {
-            let partial = GroupPartial {
-                keys: first_keys.iter().map(|c| c.get(g)).collect(),
-                first_row: if keep_first {
-                    cols.iter().map(|c| c.get(first)).collect()
-                } else {
-                    Vec::new()
-                },
-                accs: Vec::with_capacity(specs.len()),
-            };
-            (key, partial)
-        })
-        .collect();
-    let mut scratch: Vec<Value> = Vec::new();
+    let keys: Vec<Column> = key_cols.iter().map(|c| c.gather(&firsts)).collect();
+    let merge_keys = veval::group_key_strings(&keys.iter().collect::<Vec<_>>(), firsts.len());
+    let first_row = match keep_first {
+        true => cols.iter().map(|c| c.gather(&firsts)).collect(),
+        false => Vec::new(),
+    };
+    // Every (group, row) pair, group by group.
+    let group_rows =
+        || row_groups.iter().enumerate().flat_map(|(g, rows)| rows.iter().map(move |&r| (g, r)));
+    let mut aggs = Vec::with_capacity(specs.len());
+    let mut row: Vec<Value> = Vec::new();
     for (name, args) in specs {
         let arg_cols: Vec<Column> = args.iter().map(eval_col).collect::<Result<_>>()?;
-        // Typed fold: a single Float/Int-shaped argument folds each group
-        // straight over its (slice, row-selection, validity) triple — no
-        // per-row `Value` boxing (push-equivalent, and single-argument
-        // pushes cannot error). Multi-argument specs push boxed rows.
+        // A single Float/Int-shaped argument feeds its values unboxed — a
+        // Float one into dense slots — and skips its NULLs, which change no
+        // accumulator (single-argument pushes cannot error). Anything else
+        // pushes boxed rows.
         let fast = match arg_cols.as_slice() {
             [arg] => fast_arg(arg),
             _ => None,
         };
-        for ((_, group), rows) in groups.iter_mut().zip(&row_groups) {
-            let mut acc = new_acc(name)?;
-            match &fast {
-                Some(FastArg::F64(vs, validity)) => {
-                    acc.fold_f64s(vs, rows.iter().copied(), validity.as_deref())
-                }
-                Some(FastArg::I64(vs, validity)) => {
-                    acc.fold_i64s(vs, rows.iter().copied(), validity.as_deref())
-                }
-                None => {
-                    for &r in rows {
-                        scratch.clear();
-                        scratch.extend(arg_cols.iter().map(|c| c.get(r)));
-                        acc.push(&scratch)?;
-                    }
+        let dense = matches!(fast, Some(FastArg::F64(..)));
+        let mut column = AggColumn::new(name, row_groups.len(), dense)?;
+        match &fast {
+            Some(FastArg::F64(vs, validity)) => {
+                let valid = group_rows().filter(|&(_, r)| kernel::is_valid(validity.as_deref(), r));
+                column.fold(valid.map(|(g, r)| (g, vs[r])));
+            }
+            Some(FastArg::I64(vs, validity)) => {
+                let valid = group_rows().filter(|&(_, r)| kernel::is_valid(validity.as_deref(), r));
+                valid.for_each(|(g, r)| column.push_i64(g, vs[r]));
+            }
+            None => {
+                for (g, r) in group_rows() {
+                    row.clear();
+                    row.extend(arg_cols.iter().map(|c| c.get(r)));
+                    column.push(g, &row)?;
                 }
             }
-            group.accs.push(acc);
         }
+        aggs.push(column);
     }
-    Ok(groups)
+    Ok(MorselGroups { merge_keys, keys, first_row, aggs })
 }
 
-/// The table aggregate's merge step: merges per-morsel partials in morsel
-/// order (exactly fold-equivalent to one pass over all rows), finishes the
-/// groups' accumulators and transposes keys, finished values and first rows
-/// into the columns of `schema` for [`finish_outputs`]. Morsels arrive in
-/// row order, each with its groups in first-seen order, so a group's first
-/// partial carries its first row and groups come out in serial first-seen
-/// order as they are met.
+/// The table aggregate's merge step. Groups are numbered as they are met:
+/// morsels arrive in row order, each with its groups in first-seen order,
+/// so that is the serial first-seen order and a group's first morsel holds
+/// its first row. Each spec's morsel columns merge into one over all groups
+/// through that numbering, in morsel order (exactly fold-equivalent to one
+/// pass over all rows); keys, finished values and first rows are the
+/// columns of `schema` for [`finish_outputs`].
 fn finish_groups(
-    partials: Vec<Vec<(String, GroupPartial)>>,
+    mut morsels: Vec<MorselGroups>,
     outputs: &[Expr],
     schema: &Schema,
     out_schema: Schema,
 ) -> Result<Table> {
+    morsels.retain(|m| !m.merge_keys.is_empty());
     let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<GroupPartial> = Vec::new();
-    for (key, part) in partials.into_iter().flatten() {
-        match index.entry(key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push(part);
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                for (acc, other) in groups[*e.get()].accs.iter_mut().zip(part.accs) {
-                    acc.merge(other)?;
-                }
-            }
+    // Each group's first morsel, and its place there.
+    let mut origin: Vec<(usize, usize)> = Vec::new();
+    let mut ids: Vec<Vec<usize>> = Vec::with_capacity(morsels.len());
+    for (m, morsel) in morsels.iter_mut().enumerate() {
+        let merge_keys = std::mem::take(&mut morsel.merge_keys).into_iter().enumerate();
+        ids.push(
+            merge_keys
+                .map(|(g, key)| {
+                    *index.entry(key).or_insert_with(|| {
+                        origin.push((m, g));
+                        origin.len() - 1
+                    })
+                })
+                .collect(),
+        );
+    }
+    let rows = origin.len();
+    let Some(first) = morsels.first() else {
+        return finish_outputs(outputs, schema, vec![Column::empty(); schema.len()], 0, out_schema);
+    };
+    let at_origin = |pick: fn(&MorselGroups) -> &[Column]| -> Vec<Column> {
+        let values = |c: usize| origin.iter().map(|&(m, g)| pick(&morsels[m])[c].get(g)).collect();
+        (0..pick(first).len()).map(|c| Column::from_values(values(c))).collect()
+    };
+    let keys = at_origin(|m| &m.keys);
+    let first_row = at_origin(|m| &m.first_row);
+    let mut aggs: Vec<AggColumn> = first.aggs.iter().map(|c| c.fresh(rows)).collect();
+    for (morsel, ids) in morsels.into_iter().zip(&ids) {
+        for (merged, column) in aggs.iter_mut().zip(morsel.aggs) {
+            merged.absorb(|g| ids[g], column)?;
         }
     }
-
-    let rows = groups.len();
-    let mut vals: Vec<Vec<Value>> = (0..schema.len()).map(|_| Vec::with_capacity(rows)).collect();
-    for g in groups {
-        let finished = g.accs.into_iter().map(AggAcc::finish);
-        let values =
-            g.keys.into_iter().map(Ok).chain(finished).chain(g.first_row.into_iter().map(Ok));
-        for (col, v) in vals.iter_mut().zip(values) {
-            col.push(v?);
-        }
-    }
-    let cols = vals.into_iter().map(Column::from_values).collect();
-    finish_outputs(outputs, schema, cols, rows, out_schema)
+    let aggs = aggs.into_iter().map(|c| c.finish(0..rows));
+    let cols = keys.into_iter().map(Ok).chain(aggs).chain(first_row.into_iter().map(Ok));
+    finish_outputs(outputs, schema, cols.collect::<Result<_>>()?, rows, out_schema)
 }
 
 // ---------------------------------------------------------------------------

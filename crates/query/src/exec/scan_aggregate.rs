@@ -25,11 +25,12 @@
 //!   when `timestamp` is not a key, the point's own index when the span is
 //!   as long as the grid, `seek`'s moving cursor otherwise — notes the
 //!   slot's first contributor in `(timestamp, rank)` order and folds the
-//!   span into each column in turn. The plan's argument shape picks the
-//!   column: `AGG(value)` for `COUNT` / `SUM` / `AVG` / `VARIANCE` /
-//!   `STDDEV` / `MIN` / `MAX` is an [`AggColumn`] (counts, inline exact-sum
+//!   span into each column in turn — an [`AggColumn`], the table
+//!   aggregate's accumulator column too. The plan's argument shape decides
+//!   how it holds its slots: `AGG(value)` for `COUNT` / `SUM` / `AVG` /
+//!   `VARIANCE` / `STDDEV` / `MIN` / `MAX` dense (counts, inline exact-sum
 //!   expansions, running bests: a handful of `Vec`s per block), anything
-//!   else an `AggAcc` per slot;
+//!   else boxed, an `AggAcc` per touched slot;
 //! * **per group**: one entry in each of its block's columns. A slot's
 //!   first contributor is at once the group's existence flag, its place in
 //!   the output order and the pointer to its first-seen key values; an
@@ -57,8 +58,8 @@
 //!   points in the `(timestamp, rank)` order of the observation table: a
 //!   `MIN`/`MAX` tie keeps the first seen, a group shows its earliest
 //!   contributor's key values (`1` and `1.0` are one group), and every
-//!   accumulator — an `AggColumn` slot or an `AggAcc` — ends in the state
-//!   the serial fold leaves.
+//!   accumulator slot, dense or boxed, ends in the state the serial fold
+//!   leaves.
 //! * **Errors stay lazy.** A class key that raises for one series' constants
 //!   is held with the series and raised, like a raising argument, only when
 //!   one of its points survives the filters, lowest morsel first: a series
@@ -74,12 +75,12 @@ use std::sync::Arc;
 use explainit_sync::{LockClass, Mutex};
 use explainit_tsdb::SeriesSlice;
 
-use super::{agg_slots, effective_partitions, morsel_ranges, new_acc, point_balanced_spans};
+use super::{agg_slots, effective_partitions, morsel_ranges, point_balanced_spans};
 use super::{finish_outputs, project_names, run_partitioned, scan_hits, series_const};
 use super::{span_grid, substitute_series_consts, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
-use crate::functions::{AggAcc, AggColumn};
+use crate::functions::AggColumn;
 use crate::optimize::{is_tsdb_col, tsdb_schema};
 use crate::pivot::{seek, Interner};
 use crate::plan::LogicalPlan;
@@ -98,12 +99,12 @@ type First = (i64, u32);
 /// The slot no kept point has reached.
 const NO_FIRST: First = (i64::MAX, u32::MAX);
 
-/// How one aggregate call reads its arguments — and so which kind of
-/// accumulator column it gets.
+/// How one aggregate call reads its arguments — and so whether its
+/// accumulator column is dense.
 enum Args {
-    /// `AGG(value)` for an aggregate with a column form: the raw f64 point,
-    /// into an [`AggColumn`] (this one over no slots).
-    Val(Box<AggColumn>),
+    /// `AGG(value)`: the raw f64 point, into dense slots where the aggregate
+    /// has a column form.
+    Val,
     /// `AGG(timestamp)`: the raw i64 timestamp.
     Ts,
     /// Anything else: `len` of the series' substituted expressions, from `at`.
@@ -118,14 +119,6 @@ enum Push {
     Consts(Vec<Value>),
     /// One argument row per kept point.
     Rows(Vec<VOut>),
-}
-
-/// One aggregate call's accumulators over a block's slots.
-enum Accs {
-    /// [`Args::Val`]: a struct-of-arrays column.
-    Dense(AggColumn),
-    /// Everything else: an `AggAcc` per slot.
-    Boxed(Vec<AggAcc>),
 }
 
 /// What the series pass resolves once per series.
@@ -145,18 +138,13 @@ struct Block {
     class: usize,
     lo: usize,
     first: Vec<First>,
-    specs: Vec<Accs>,
+    specs: Vec<AggColumn>,
 }
 
 impl Block {
     fn new(class: usize, lo: usize, end: usize, fold: &Fold) -> Block {
         let len = end - lo;
-        let specs = (fold.args.iter().zip(&fold.fresh))
-            .map(|(args, fresh)| match args {
-                Args::Val(column) => Accs::Dense(column.fresh(len)),
-                _ => Accs::Boxed(vec![fresh.clone(); len]),
-            })
-            .collect();
+        let specs = fold.accs.iter().map(|column| column.fresh(len)).collect();
         Block { class, lo, first: vec![NO_FIRST; len], specs }
     }
 
@@ -164,24 +152,10 @@ impl Block {
     /// folded its points after this block's.
     fn absorb(&mut self, other: Block) -> Result<()> {
         let at = other.lo - self.lo;
-        let firsts = &mut self.first[at..][..other.first.len()];
         for (mine, theirs) in self.specs.iter_mut().zip(other.specs) {
-            match (mine, theirs) {
-                (Accs::Dense(mine), Accs::Dense(theirs)) => mine.absorb(at, theirs)?,
-                (Accs::Boxed(mine), Accs::Boxed(theirs)) => {
-                    let slots =
-                        mine[at..].iter_mut().zip(theirs).zip(firsts.iter().zip(&other.first));
-                    for ((acc, theirs), (&my_first, &their_first)) in slots {
-                        match (my_first, their_first) {
-                            (_, NO_FIRST) => {}
-                            (NO_FIRST, _) => *acc = theirs,
-                            _ => acc.merge(theirs)?,
-                        }
-                    }
-                }
-                _ => unreachable!("a call has one kind of column in every block"),
-            }
+            mine.absorb(|o| at + o, theirs)?;
         }
+        let firsts = &mut self.first[at..][..other.first.len()];
         firsts.iter_mut().zip(other.first).for_each(|(mine, theirs)| *mine = (*mine).min(theirs));
         Ok(())
     }
@@ -201,8 +175,9 @@ struct Fold<'a, 'p> {
     args: Vec<Args>,
     /// Some argument expression reads `timestamp` or `value`.
     point_args: bool,
-    /// A fresh accumulator per spec, for the boxed columns.
-    fresh: Vec<AggAcc>,
+    /// Each call's accumulator column over no slots: a block's are fresh
+    /// copies.
+    accs: Vec<AggColumn>,
     /// `(timestamp, value)`: what filters and arguments are evaluated over.
     points: Schema,
 }
@@ -262,7 +237,7 @@ impl Fold<'_, '_> {
             };
             let pushes: Vec<Push> = (self.args.iter())
                 .map(|args| match *args {
-                    Args::Val(_) => Ok(Push::Val),
+                    Args::Val => Ok(Push::Val),
                     Args::Ts => Ok(Push::Ts),
                     Args::Exprs { at, len } => {
                         let outs: Vec<VOut> = (plan.exprs[at..at + len].iter())
@@ -302,24 +277,17 @@ impl Fold<'_, '_> {
             }
             // Spec by spec: accumulators are independent, so this is
             // observation-identical to feeding each point to every spec.
-            for (accs, push) in block.specs.iter_mut().zip(&pushes) {
-                let points = slots.iter().zip(&kept).map(|(&s, &i)| (s, i as usize));
-                let accs = match accs {
-                    Accs::Dense(column) => {
-                        column.fold(points.map(|(s, i)| (s, vals[i])));
-                        continue;
-                    }
-                    Accs::Boxed(accs) => accs,
-                };
-                for (j, (s, i)) in points.enumerate() {
-                    match push {
-                        Push::Val => accs[s].push_f64(vals[i]),
-                        Push::Ts => accs[s].push_i64(ts[i]),
-                        Push::Consts(consts) => accs[s].push(consts)?,
-                        Push::Rows(outs) => {
+            for (column, push) in block.specs.iter_mut().zip(&pushes) {
+                let mut points = slots.iter().zip(&kept).map(|(&s, &i)| (s, i as usize));
+                match push {
+                    Push::Val => column.fold(points.map(|(s, i)| (s, vals[i]))),
+                    Push::Ts => points.for_each(|(s, i)| column.push_i64(s, ts[i])),
+                    Push::Consts(consts) => points.try_for_each(|(s, _)| column.push(s, consts))?,
+                    Push::Rows(outs) => {
+                        for (j, (s, _)) in points.enumerate() {
                             row.clear();
                             row.extend(outs.iter().map(|o| o.get(j)));
-                            accs[s].push(&row)?;
+                            column.push(s, &row)?;
                         }
                     }
                 }
@@ -343,16 +311,7 @@ impl Fold<'_, '_> {
         let groups: Vec<usize> =
             (0..merged.first.len()).filter(|&s| merged.first[s] != NO_FIRST).collect();
         let columns = (merged.specs.into_iter())
-            .map(|accs| match accs {
-                Accs::Dense(column) => column.finish(groups.iter().copied()),
-                Accs::Boxed(accs) => {
-                    let reached =
-                        accs.into_iter().zip(&merged.first).filter(|(_, &f)| f != NO_FIRST);
-                    Ok(Column::from_values(
-                        reached.map(|(acc, _)| acc.finish()).collect::<Result<_>>()?,
-                    ))
-                }
-            })
+            .map(|column| column.finish(groups.iter().copied()))
             .collect::<Result<_>>()?;
         Ok((groups.iter().map(|&s| merged.first[s]).collect(), columns))
     }
@@ -410,21 +369,23 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     let class_keys: Vec<&Expr> = group_by.iter().filter(|g| !is_column(g, 0)).collect();
     let has_ts = class_keys.len() < group_by.len();
     let (outputs, calls, columns) = agg_slots(group_by, items, hidden)?;
-    let fresh: Vec<AggAcc> = calls.iter().map(|(name, _)| new_acc(name)).collect::<Result<_>>()?;
     // What every series substitutes its constants into: the residual
     // filters, innermost first (the order the serial pipeline applies them
     // in), then the arguments that are not a bare point column.
     let mut templates: Vec<&Expr> = filters.iter().rev().collect();
     let args: Vec<Args> = (calls.iter())
-        .map(|&(name, args)| match (args, AggColumn::new(name, 0)) {
-            ([a], Some(column)) if is_column(a, 3) => Args::Val(Box::new(column)),
-            ([a], _) if is_column(a, 0) => Args::Ts,
+        .map(|&(_, args)| match args {
+            [a] if is_column(a, 3) => Args::Val,
+            [a] if is_column(a, 0) => Args::Ts,
             _ => {
                 templates.extend(args.iter());
                 Args::Exprs { at: templates.len() - args.len(), len: args.len() }
             }
         })
         .collect();
+    let accs: Vec<AggColumn> = (calls.iter().zip(&args))
+        .map(|(&(name, _), args)| AggColumn::new(name, 0, matches!(args, Args::Val)))
+        .collect::<Result<_>>()?;
     let point_args = templates[filters.len()..].iter().any(|e| reads(e, [0, 3]));
     let templates: Vec<(&Expr, bool)> =
         templates.into_iter().map(|e| (e, reads(e, [1, 2]))).collect();
@@ -469,7 +430,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     let points = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
     let filters = filters.len();
     let fold =
-        Fold { hits: &hits, series_of, series, grids, filters, args, point_args, fresh, points };
+        Fold { hits: &hits, series_of, series, grids, filters, args, point_args, accs, points };
 
     // Morsels cut the rank-ordered *point* sequence — not the series list —
     // into contiguous equal-point spans, splitting a series across workers
@@ -532,7 +493,7 @@ mod tests {
 
     /// Two series of one class, `a` on the whole six-slot union grid and `b`
     /// on its odd slots, under `SUM(value)` (a dense column) and
-    /// `SUM(timestamp)` (an `AggAcc` per slot).
+    /// `SUM(timestamp)` (a boxed one).
     fn with_fold<T>(test: impl FnOnce(&Fold) -> T) -> T {
         let mut db = Tsdb::new();
         for t in 0..6 {
@@ -549,9 +510,12 @@ mod tests {
             series: vec![plan(), plan()],
             grids: Some(vec![Cow::Owned((0..6).map(|t| t * 10).collect())]),
             filters: 0,
-            args: vec![Args::Val(Box::new(AggColumn::new("SUM", 0).unwrap())), Args::Ts],
+            args: vec![Args::Val, Args::Ts],
             point_args: false,
-            fresh: vec![new_acc("SUM").unwrap(), new_acc("SUM").unwrap()],
+            accs: vec![
+                AggColumn::new("SUM", 0, true).unwrap(),
+                AggColumn::new("SUM", 0, false).unwrap(),
+            ],
             points: Schema::new(vec!["timestamp".to_string(), "value".to_string()]),
         })
     }
@@ -564,11 +528,8 @@ mod tests {
                 assert_eq!(blocks.len(), 1, "one class");
                 let block = blocks.remove(0);
                 let (lo, len) = (block.lo, block.first.len());
-                for accs in block.specs {
-                    let covered = match accs {
-                        Accs::Dense(column) => column.finish(0..len).unwrap().len(),
-                        Accs::Boxed(accs) => accs.len(),
-                    };
+                for column in block.specs {
+                    let covered = column.finish(0..len).unwrap().len();
                     assert_eq!(covered, len, "every column covers the block's slots");
                 }
                 (lo, len)

@@ -10,10 +10,12 @@
 //! therefore *independent of partitioning*: serial, parallel and reference
 //! results are bit-identical by construction, not by luck.
 //!
-//! The scan aggregate keeps `AGG(value)` for the seven numeric aggregates
-//! in [`AggColumn`]s instead: the same accumulator states, laid out a
-//! column per field over a run of groups. `AggAcc` stays their definition
-//! (a slot that cannot stay dense becomes one) and their oracle.
+//! Both aggregate operators hold their accumulators in [`AggColumn`]s, one
+//! per aggregate call over a run of groups: the same states laid out a
+//! column per field when the inputs are `f64`s and the aggregate is one of
+//! the seven with a column form, an `AggAcc` per group otherwise. `AggAcc`
+//! stays their definition (a slot that cannot stay dense becomes one) and
+//! their oracle.
 
 use crate::column::Column;
 use crate::value::Value;
@@ -231,25 +233,6 @@ impl ExactSum {
         self.partials.push(top);
     }
 
-    /// Stages the expansion into a stack array for a bulk fold. Returns
-    /// `None` if the expansion is too large to stage — impossible by the
-    /// non-overlap invariant (see [`BulkSum`]), but callers fall back to
-    /// per-element [`ExactSum::add`] defensively.
-    pub(crate) fn bulk(&mut self) -> Option<BulkSum<'_>> {
-        if self.partials.len() > BULK_SLOTS - 8 {
-            return None;
-        }
-        let mut lows = [0.0f64; BULK_SLOTS];
-        let (top, n_lows) = match self.partials.split_last() {
-            Some((&top, rest)) => {
-                lows[..rest.len()].copy_from_slice(rest);
-                (Some(top), rest.len())
-            }
-            None => (None, 0),
-        };
-        Some(BulkSum { lows, n_lows, top, special: self.special, target: self })
-    }
-
     /// Folds another expansion in (still exact).
     pub fn merge(&mut self, other: &ExactSum) {
         for &p in &other.partials {
@@ -319,116 +302,6 @@ fn expansion_value(partials: &[f64], special: f64) -> f64 {
         }
     }
     x
-}
-
-/// Slots in a [`BulkSum`] stack array. A non-overlapping f64 expansion
-/// has at most ≈40 terms (the ~2098-bit exponent span of finite doubles
-/// divided by 53 mantissa bits per partial), so 64 leaves ample margin.
-pub(crate) const BULK_SLOTS: usize = 64;
-
-/// Stack-staged continuation of an [`ExactSum`] expansion for bulk folds.
-///
-/// [`BulkSum::add`] runs the *identical* per-element algorithm as
-/// [`ExactSum::add`] — same compare/swap, same two-sum, same compaction
-/// order — so the expansion written back by [`BulkSum::finish`] is
-/// bit-for-bit the one serial `add` calls would have produced. Two things
-/// change *where the work happens*, not what it computes:
-///
-/// * the partials live in a fixed stack array instead of the `Vec`,
-///   keeping per-element capacity checks / `truncate` / `push` out of
-///   the hot loop;
-/// * the expansion is held as `lows ++ [top]` with the top (largest)
-///   partial in a register field. When every intermediate sum is exactly
-///   representable — the common case for telemetry-scale data — the
-///   expansion is a single partial, `n_lows` stays 0 and the whole add
-///   is register arithmetic with no store→load round-trip on the serial
-///   dependency chain.
-///
-/// Dropping a `BulkSum` without `finish` leaves the underlying sum
-/// untouched.
-pub(crate) struct BulkSum<'a> {
-    /// All partials below the top one, ascending in magnitude.
-    lows: [f64; BULK_SLOTS],
-    /// Occupied `lows` slots.
-    n_lows: usize,
-    /// The largest partial; `None` for an empty expansion.
-    top: Option<f64>,
-    special: f64,
-    target: &'a mut ExactSum,
-}
-
-impl BulkSum<'_> {
-    /// Adds one value — the [`ExactSum::add`] algorithm over
-    /// `lows ++ [top]`.
-    #[inline]
-    pub(crate) fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.special += x;
-            return;
-        }
-        let Some(top) = self.top else {
-            // Empty expansion: the walk is vacuous and `add` pushes x.
-            self.top = Some(x);
-            return;
-        };
-        let mut x = x;
-        let mut kept = 0;
-        // The walk over every partial but the last, in ascending order —
-        // skipped entirely while the expansion is a single partial.
-        for j in 0..self.n_lows {
-            let mut y = self.lows[j];
-            if x.abs() < y.abs() {
-                std::mem::swap(&mut x, &mut y);
-            }
-            let hi = x + y;
-            let lo = y - (hi - x);
-            if lo != 0.0 {
-                self.lows[kept] = lo;
-                kept += 1;
-            }
-            x = hi;
-        }
-        // The top partial: same step, with y in a register.
-        let mut y = top;
-        if x.abs() < y.abs() {
-            std::mem::swap(&mut x, &mut y);
-        }
-        let hi = x + y;
-        let lo = y - (hi - x);
-        if lo != 0.0 {
-            debug_assert!(kept < BULK_SLOTS, "expansion exceeded {BULK_SLOTS} terms");
-            self.lows[kept] = lo;
-            kept += 1;
-        }
-        self.n_lows = kept;
-        self.top = Some(hi);
-    }
-
-    /// Writes the staged expansion back to the underlying sum.
-    pub(crate) fn finish(self) {
-        self.target.partials.clear();
-        self.target.partials.extend_from_slice(&self.lows[..self.n_lows]);
-        if let Some(top) = self.top {
-            self.target.partials.push(top);
-        }
-        self.target.special = self.special;
-    }
-}
-
-/// Runs `f` over every selected valid row index, dispatching on the
-/// validity bitmap once instead of per element — the `None` (all-valid)
-/// loop is the raw selection with no bitmap check. The `Some` arm is
-/// [`crate::kernel::is_valid`]'s bit test.
-#[inline]
-fn for_each_valid(
-    sel: impl Iterator<Item = usize>,
-    validity: Option<&[u64]>,
-    f: impl FnMut(usize),
-) {
-    match validity {
-        None => sel.for_each(f),
-        Some(bits) => sel.filter(|&i| bits[i >> 6] >> (i & 63) & 1 == 1).for_each(f),
-    }
 }
 
 /// One aggregate's mergeable partial state.
@@ -590,7 +463,9 @@ impl AggAcc {
 
     /// Feeds one non-null Float argument; exactly `push(&[Value::Float(v)])`
     /// minus the boxing (single-argument pushes can never hit PERCENTILE's
-    /// p validation, so this is infallible).
+    /// p validation, so this is infallible). MIN / MAX compare directly
+    /// while the one candidate is a Float and neither value is NaN — what
+    /// [`fold_minmax`] does then, strict so a tie keeps the incumbent.
     pub fn push_f64(&mut self, v: f64) {
         match self {
             AggAcc::Count { n } => *n += 1,
@@ -608,15 +483,21 @@ impl AggAcc {
                 sumsq.add(v * v);
                 *n += 1;
             }
-            AggAcc::MinMax { candidates, want_min } => {
-                fold_minmax(candidates, Value::Float(v), *want_min);
-            }
+            AggAcc::MinMax { candidates, want_min } => match candidates.as_mut_slice() {
+                [Value::Float(best)] if !v.is_nan() && !best.is_nan() => {
+                    if (*want_min && v < *best) || (!*want_min && v > *best) {
+                        *best = v;
+                    }
+                }
+                _ => fold_minmax(candidates, Value::Float(v), *want_min),
+            },
             AggAcc::Percentile { vals, .. } => vals.push(v),
         }
     }
 
     /// Feeds one non-null Int argument; exactly `push(&[Value::Int(v)])`
-    /// minus the boxing.
+    /// minus the boxing. MIN / MAX compare directly while the one candidate
+    /// is an Int.
     pub fn push_i64(&mut self, v: i64) {
         match self {
             AggAcc::Count { n } => *n += 1,
@@ -635,241 +516,15 @@ impl AggAcc {
                 sumsq.add(f * f);
                 *n += 1;
             }
-            AggAcc::MinMax { candidates, want_min } => {
-                fold_minmax(candidates, Value::Int(v), *want_min);
-            }
+            AggAcc::MinMax { candidates, want_min } => match candidates.as_mut_slice() {
+                [Value::Int(best)] => {
+                    if (*want_min && v < *best) || (!*want_min && v > *best) {
+                        *best = v;
+                    }
+                }
+                _ => fold_minmax(candidates, Value::Int(v), *want_min),
+            },
             AggAcc::Percentile { vals, .. } => vals.push(v as f64),
-        }
-    }
-
-    /// Bulk fold over a Float minicolumn: equivalent to `push_f64` for
-    /// every selected valid row, with the per-variant dispatch hoisted out
-    /// of the loop. MIN/MAX runs a pure `f64` running best whenever the
-    /// numeric candidate class is Float-typed (strict compares keep the
-    /// incumbent on ties — including `-0.0` vs `0.0` — exactly like
-    /// [`fold_minmax`]'s first-seen-wins rule); NaN inputs append their own
-    /// incomparable candidate classes in encounter order.
-    ///
-    /// The sum-based arms dispatch on the validity bitmap once
-    /// ([`for_each_valid`]) so the all-valid loop carries no per-element
-    /// bitmap check.
-    pub fn fold_f64s(
-        &mut self,
-        vals: &[f64],
-        sel: impl Iterator<Item = usize>,
-        validity: Option<&[u64]>,
-    ) {
-        let valid = |i: usize| crate::kernel::is_valid(validity, i);
-        match self {
-            AggAcc::Count { n } => {
-                for i in sel {
-                    *n += i64::from(valid(i));
-                }
-            }
-            AggAcc::Sum { float, saw_float, n, .. } => {
-                let before = *n;
-                match float.bulk() {
-                    Some(mut bulk) => {
-                        for_each_valid(sel, validity, |i| {
-                            bulk.add(vals[i]);
-                            *n += 1;
-                        });
-                        bulk.finish();
-                    }
-                    None => for_each_valid(sel, validity, |i| {
-                        float.add(vals[i]);
-                        *n += 1;
-                    }),
-                }
-                *saw_float |= *n != before;
-            }
-            AggAcc::Avg { sum, n } => match sum.bulk() {
-                Some(mut bulk) => {
-                    for_each_valid(sel, validity, |i| {
-                        bulk.add(vals[i]);
-                        *n += 1;
-                    });
-                    bulk.finish();
-                }
-                None => for_each_valid(sel, validity, |i| {
-                    sum.add(vals[i]);
-                    *n += 1;
-                }),
-            },
-            AggAcc::Var { sum, sumsq, n, .. } => match (sum.bulk(), sumsq.bulk()) {
-                (Some(mut bs), Some(mut bq)) => {
-                    for_each_valid(sel, validity, |i| {
-                        let v = vals[i];
-                        bs.add(v);
-                        bq.add(v * v);
-                        *n += 1;
-                    });
-                    bs.finish();
-                    bq.finish();
-                }
-                _ => for_each_valid(sel, validity, |i| {
-                    let v = vals[i];
-                    sum.add(v);
-                    sumsq.add(v * v);
-                    *n += 1;
-                }),
-            },
-            AggAcc::MinMax { candidates, want_min } => {
-                let want_min = *want_min;
-                // The (single) candidate class a non-NaN number folds into:
-                // the first candidate that is numeric and not NaN — every
-                // earlier class is incomparable with a finite number, so
-                // skipping the scan per element is exact.
-                let mut num_pos =
-                    candidates.iter().position(|c| c.as_f64().is_some_and(|f| !f.is_nan()));
-                if num_pos.is_some_and(|p| !matches!(candidates[p], Value::Float(_))) {
-                    // Int/Bool incumbent: rare — per-element sql_cmp fold.
-                    for i in sel.filter(|&i| valid(i)) {
-                        fold_minmax(candidates, Value::Float(vals[i]), want_min);
-                    }
-                    return;
-                }
-                let mut best: Option<f64> = num_pos.map(|p| match candidates[p] {
-                    Value::Float(c) => c,
-                    _ => unreachable!("checked Float above"),
-                });
-                for i in sel.filter(|&i| valid(i)) {
-                    let v = vals[i];
-                    if v.is_nan() {
-                        // Incomparable: its own candidate class, in
-                        // encounter order.
-                        candidates.push(Value::Float(v));
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => {
-                            // First numeric: the class is created *here* so
-                            // it keeps its encounter position among NaNs.
-                            candidates.push(Value::Float(v));
-                            num_pos = Some(candidates.len() - 1);
-                            v
-                        }
-                        Some(c) if want_min => {
-                            if v < c {
-                                v
-                            } else {
-                                c
-                            }
-                        }
-                        Some(c) => {
-                            if v > c {
-                                v
-                            } else {
-                                c
-                            }
-                        }
-                    });
-                }
-                if let (Some(p), Some(b)) = (num_pos, best) {
-                    candidates[p] = Value::Float(b);
-                }
-            }
-            AggAcc::Percentile { vals: acc, .. } => {
-                acc.extend(sel.filter(|&i| valid(i)).map(|i| vals[i]));
-            }
-        }
-    }
-
-    /// Bulk fold over an Int minicolumn: `push_i64` for every selected
-    /// valid row with hoisted dispatch. MIN/MAX keeps exact i64 compares
-    /// while the numeric candidate class is Int-typed.
-    pub fn fold_i64s(
-        &mut self,
-        vals: &[i64],
-        sel: impl Iterator<Item = usize>,
-        validity: Option<&[u64]>,
-    ) {
-        let valid = |i: usize| crate::kernel::is_valid(validity, i);
-        match self {
-            AggAcc::Count { n } => {
-                for i in sel {
-                    *n += i64::from(valid(i));
-                }
-            }
-            AggAcc::Sum { int, float, n, .. } => match float.bulk() {
-                Some(mut bulk) => {
-                    for_each_valid(sel, validity, |i| {
-                        *int += i128::from(vals[i]);
-                        bulk.add(vals[i] as f64);
-                        *n += 1;
-                    });
-                    bulk.finish();
-                }
-                None => for_each_valid(sel, validity, |i| {
-                    *int += i128::from(vals[i]);
-                    float.add(vals[i] as f64);
-                    *n += 1;
-                }),
-            },
-            AggAcc::Avg { sum, n } => match sum.bulk() {
-                Some(mut bulk) => {
-                    for_each_valid(sel, validity, |i| {
-                        bulk.add(vals[i] as f64);
-                        *n += 1;
-                    });
-                    bulk.finish();
-                }
-                None => for_each_valid(sel, validity, |i| {
-                    sum.add(vals[i] as f64);
-                    *n += 1;
-                }),
-            },
-            AggAcc::Var { sum, sumsq, n, .. } => match (sum.bulk(), sumsq.bulk()) {
-                (Some(mut bs), Some(mut bq)) => {
-                    for_each_valid(sel, validity, |i| {
-                        let v = vals[i] as f64;
-                        bs.add(v);
-                        bq.add(v * v);
-                        *n += 1;
-                    });
-                    bs.finish();
-                    bq.finish();
-                }
-                _ => for_each_valid(sel, validity, |i| {
-                    let v = vals[i] as f64;
-                    sum.add(v);
-                    sumsq.add(v * v);
-                    *n += 1;
-                }),
-            },
-            AggAcc::MinMax { candidates, want_min } => {
-                let want_min = *want_min;
-                let mut num_pos =
-                    candidates.iter().position(|c| c.as_f64().is_some_and(|f| !f.is_nan()));
-                if num_pos.is_some_and(|p| !matches!(candidates[p], Value::Int(_))) {
-                    for i in sel.filter(|&i| valid(i)) {
-                        fold_minmax(candidates, Value::Int(vals[i]), want_min);
-                    }
-                    return;
-                }
-                let mut best: Option<i64> = num_pos.map(|p| match candidates[p] {
-                    Value::Int(c) => c,
-                    _ => unreachable!("checked Int above"),
-                });
-                for i in sel.filter(|&i| valid(i)) {
-                    let v = vals[i];
-                    best = Some(match best {
-                        None => {
-                            candidates.push(Value::Int(v));
-                            num_pos = Some(candidates.len() - 1);
-                            v
-                        }
-                        Some(c) if want_min => c.min(v),
-                        Some(c) => c.max(v),
-                    });
-                }
-                if let (Some(p), Some(b)) = (num_pos, best) {
-                    candidates[p] = Value::Int(b);
-                }
-            }
-            AggAcc::Percentile { vals: acc, .. } => {
-                acc.extend(sel.filter(|&i| valid(i)).map(|i| vals[i] as f64));
-            }
         }
     }
 
@@ -999,14 +654,21 @@ const INLINE_PARTIALS: usize = 4;
 /// word is the slot's index among the spilled accumulators.
 const SPILLED: u64 = 1 << 63;
 
-/// The aggregates an [`AggColumn`] holds.
-#[derive(Debug, Clone, Copy)]
-enum Dense {
+/// How an [`AggColumn`] holds its slots: one of the seven aggregates with a
+/// column form, dense, or boxed.
+#[derive(Debug, Clone)]
+enum Kind {
     Count,
     Sum,
     Avg,
-    Var { stddev: bool },
-    MinMax { want_min: bool },
+    Var {
+        stddev: bool,
+    },
+    MinMax {
+        want_min: bool,
+    },
+    /// Every slot an `AggAcc` from its first push on; this one is fresh.
+    Boxed(AggAcc),
 }
 
 /// One [`ExactSum`] per slot, struct-of-arrays: up to
@@ -1069,23 +731,26 @@ impl Expansions {
     }
 }
 
-/// One aggregate's accumulators over a run of slots, one column per field
-/// instead of an [`AggAcc`] per slot: a count, inline [`ExactSum`]
+/// One aggregate's accumulators over a run of slots — a table-aggregate
+/// morsel's groups, a scan-aggregate block's grid slots — one column per
+/// field instead of an [`AggAcc`] per slot: a count, inline [`ExactSum`]
 /// expansions for `SUM` / `AVG` / `VARIANCE` / `STDDEV`, a plain running
-/// best for `MIN` / `MAX` — the seven aggregates over non-null `f64`
-/// inputs, which is what the scan aggregate feeds `AGG(value)`.
+/// best for `MIN` / `MAX`, fed non-null `f64`s by [`AggColumn::fold`]. Any
+/// other aggregate, or a column asked to be boxed because its inputs are
+/// not `f64`s, keeps an `AggAcc` per touched slot instead.
 ///
 /// Every slot is in exactly the state the `AggAcc` would be in after the
 /// same pushes and merges, so it finishes to the same value by its bits: the
 /// expansions run [`ExactSum::add`]'s own walk, MIN / MAX keep the first
 /// seen of equals. A slot that cannot stay dense — an expansion about to
 /// outgrow the inline capacity, a NaN reaching MIN / MAX (its own
-/// comparability class) — spills: it becomes that `AggAcc`, partials moved
-/// over, and continues there. The count carries the spill flag, so a dense
-/// slot pays nothing for it.
+/// comparability class), an input that is not an `f64` — spills: it becomes
+/// that `AggAcc`, partials moved over, and continues there. A boxed column's
+/// slots spill at their first push. The count carries the spill flag, so a
+/// dense slot pays nothing for it.
 #[derive(Debug)]
 pub struct AggColumn {
-    kind: Dense,
+    kind: Kind,
     /// Inputs per slot (zero: untouched), or [`SPILLED`] and an index into
     /// `spilled`.
     n: Vec<u64>,
@@ -1099,51 +764,55 @@ pub struct AggColumn {
 }
 
 impl AggColumn {
-    /// The (uppercase) aggregate over `slots` untouched slots; `None` for
-    /// an aggregate without a column form.
-    pub fn new(name: &str, slots: usize) -> Option<AggColumn> {
+    /// The (uppercase) aggregate over `slots` untouched slots: dense when
+    /// `dense` is asked for and the aggregate has a column form, boxed
+    /// otherwise.
+    pub fn new(name: &str, slots: usize, dense: bool) -> Result<AggColumn> {
         let kind = match name {
-            "COUNT" => Dense::Count,
-            "SUM" => Dense::Sum,
-            "AVG" => Dense::Avg,
-            "VARIANCE" => Dense::Var { stddev: false },
-            "STDDEV" => Dense::Var { stddev: true },
-            "MIN" => Dense::MinMax { want_min: true },
-            "MAX" => Dense::MinMax { want_min: false },
-            _ => return None,
+            "COUNT" if dense => Kind::Count,
+            "SUM" if dense => Kind::Sum,
+            "AVG" if dense => Kind::Avg,
+            "VARIANCE" if dense => Kind::Var { stddev: false },
+            "STDDEV" if dense => Kind::Var { stddev: true },
+            "MIN" if dense => Kind::MinMax { want_min: true },
+            "MAX" if dense => Kind::MinMax { want_min: false },
+            _ => Kind::Boxed(
+                AggAcc::new(name)
+                    .ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))?,
+            ),
         };
-        Some(AggColumn::of(kind, slots))
+        Ok(AggColumn::of(kind, slots))
     }
 
-    fn of(kind: Dense, slots: usize) -> AggColumn {
+    fn of(kind: Kind, slots: usize) -> AggColumn {
         let sized = |yes: bool| if yes { Expansions::new(slots) } else { Expansions::default() };
         AggColumn {
-            kind,
             n: vec![0; slots],
-            sum: sized(matches!(kind, Dense::Sum | Dense::Avg | Dense::Var { .. })),
-            sumsq: sized(matches!(kind, Dense::Var { .. })),
-            best: vec![0.0; if matches!(kind, Dense::MinMax { .. }) { slots } else { 0 }],
+            sum: sized(matches!(kind, Kind::Sum | Kind::Avg | Kind::Var { .. })),
+            sumsq: sized(matches!(kind, Kind::Var { .. })),
+            best: vec![0.0; if matches!(kind, Kind::MinMax { .. }) { slots } else { 0 }],
             spilled: Vec::new(),
+            kind,
         }
     }
 
-    /// The same aggregate over `slots` untouched slots.
+    /// The same aggregate, held the same way, over `slots` untouched slots.
     pub fn fresh(&self, slots: usize) -> AggColumn {
-        AggColumn::of(self.kind, slots)
+        AggColumn::of(self.kind.clone(), slots)
     }
 
     /// Feeds each `(slot, value)` in turn: `AggAcc::push` of `Float(value)`
     /// on the slot's accumulator.
     pub fn fold(&mut self, points: impl IntoIterator<Item = (usize, f64)>) {
         match self.kind {
-            Dense::Count => self.fold_by(points, |_, _, _, _| true),
-            Dense::Sum | Dense::Avg => self.fold_by(points, |c, s, _, v| {
+            Kind::Count => self.fold_by(points, |_, _, _, _| true),
+            Kind::Sum | Kind::Avg => self.fold_by(points, |c, s, _, v| {
                 c.sum.fits(s, v) && {
                     c.sum.add(s, v);
                     true
                 }
             }),
-            Dense::Var { .. } => self.fold_by(points, |c, s, _, v| {
+            Kind::Var { .. } => self.fold_by(points, |c, s, _, v| {
                 let q = v * v;
                 c.sum.fits(s, v) && c.sumsq.fits(s, q) && {
                     c.sum.add(s, v);
@@ -1151,7 +820,7 @@ impl AggColumn {
                     true
                 }
             }),
-            Dense::MinMax { want_min } => self.fold_by(points, |c, s, n, v| {
+            Kind::MinMax { want_min } => self.fold_by(points, |c, s, n, v| {
                 let best = &mut c.best[s];
                 // Strict: a tie keeps the first seen.
                 if !v.is_nan() && (n == 0 || (want_min && v < *best) || (!want_min && v > *best)) {
@@ -1159,6 +828,7 @@ impl AggColumn {
                 }
                 !v.is_nan()
             }),
+            Kind::Boxed(_) => self.fold_by(points, |_, _, _, _| false),
         }
     }
 
@@ -1180,6 +850,18 @@ impl AggColumn {
         }
     }
 
+    /// `AggAcc::push` of `Int(v)` on slot `s`'s accumulator.
+    pub fn push_i64(&mut self, s: usize, v: i64) {
+        let at = self.spill(s);
+        self.spilled[at].push_i64(v);
+    }
+
+    /// `AggAcc::push` of one row's arguments on slot `s`'s accumulator.
+    pub fn push(&mut self, s: usize, args: &[Value]) -> Result<()> {
+        let at = self.spill(s);
+        self.spilled[at].push(args)
+    }
+
     /// Slot `s` as an `AggAcc` from now on; returns its index in `spilled`.
     fn spill(&mut self, s: usize) -> usize {
         if self.n[s] & SPILLED != 0 {
@@ -1191,20 +873,21 @@ impl AggColumn {
         self.spilled.len() - 1
     }
 
-    /// The `AggAcc` dense slot `s` stands for.
+    /// The `AggAcc` untouched or dense slot `s` stands for.
     fn to_acc(&self, s: usize) -> AggAcc {
         let n = self.n[s] as usize;
-        match self.kind {
-            Dense::Count => AggAcc::Count { n: n as i64 },
-            Dense::Sum => AggAcc::Sum { int: 0, float: self.sum.exact(s), saw_float: n > 0, n },
-            Dense::Avg => AggAcc::Avg { sum: self.sum.exact(s), n },
-            Dense::Var { stddev } => {
+        match &self.kind {
+            Kind::Count => AggAcc::Count { n: n as i64 },
+            Kind::Sum => AggAcc::Sum { int: 0, float: self.sum.exact(s), saw_float: n > 0, n },
+            Kind::Avg => AggAcc::Avg { sum: self.sum.exact(s), n },
+            &Kind::Var { stddev } => {
                 AggAcc::Var { sum: self.sum.exact(s), sumsq: self.sumsq.exact(s), n, stddev }
             }
-            Dense::MinMax { want_min } => {
+            &Kind::MinMax { want_min } => {
                 let candidates = if n > 0 { vec![Value::Float(self.best[s])] } else { Vec::new() };
                 AggAcc::MinMax { candidates, want_min }
             }
+            Kind::Boxed(fresh) => fresh.clone(),
         }
     }
 
@@ -1219,18 +902,20 @@ impl AggColumn {
         }
     }
 
-    /// Merges a later block's column in, its slot `o` into slot `at + o`:
-    /// equivalent to having folded its points after this column's.
-    /// Into an untouched slot the accumulator moves as it is; into a
-    /// touched one it merges as [`AggAcc::merge`] would.
-    pub fn absorb(&mut self, at: usize, mut other: AggColumn) -> Result<()> {
+    /// Merges a later column of the same aggregate in, its slot `o` into
+    /// slot `slot(o)`: equivalent to having fed its inputs after this
+    /// column's. Into an untouched slot the accumulator moves as it is; into
+    /// a touched one it merges as [`AggAcc::merge`] would. A slot that is
+    /// dense on one side only (the two columns may be held differently)
+    /// merges as the `AggAcc` it stands for.
+    pub fn absorb(&mut self, slot: impl Fn(usize) -> usize, mut other: AggColumn) -> Result<()> {
         for o in 0..other.n.len() {
-            let (s, theirs) = (at + o, other.n[o]);
+            let (s, theirs) = (slot(o), other.n[o]);
             let mine = self.n[s];
             if theirs == 0 {
                 continue;
             }
-            if (mine | theirs) & SPILLED == 0 && (mine == 0 || self.merge_fits(s, &other, o)) {
+            if (mine | theirs) & SPILLED == 0 && self.merge_fits(s, &other, o) {
                 self.merge_dense(s, &other, o);
                 continue;
             }
@@ -1246,13 +931,20 @@ impl AggColumn {
         Ok(())
     }
 
+    /// Whether dense slot `o` of `other` merges into the untouched or dense
+    /// slot `s` in place.
     fn merge_fits(&self, s: usize, other: &AggColumn, o: usize) -> bool {
+        let untouched = self.n[s] == 0;
         match self.kind {
-            Dense::Sum | Dense::Avg => self.sum.merge_fits(s, &other.sum, o),
-            Dense::Var { .. } => {
-                self.sum.merge_fits(s, &other.sum, o) && self.sumsq.merge_fits(s, &other.sumsq, o)
+            Kind::Sum | Kind::Avg => untouched || self.sum.merge_fits(s, &other.sum, o),
+            Kind::Var { .. } => {
+                untouched
+                    || (self.sum.merge_fits(s, &other.sum, o)
+                        && self.sumsq.merge_fits(s, &other.sumsq, o))
             }
-            Dense::Count | Dense::MinMax { .. } => true,
+            Kind::Count | Kind::MinMax { .. } => true,
+            // A boxed column's slot is an `AggAcc` once touched.
+            Kind::Boxed(_) => false,
         }
     }
 
@@ -1261,23 +953,24 @@ impl AggColumn {
     fn merge_dense(&mut self, s: usize, other: &AggColumn, o: usize) {
         let fresh = self.n[s] == 0;
         match self.kind {
-            Dense::Count => {}
-            Dense::Sum | Dense::Avg if fresh => self.sum.copy(s, &other.sum, o),
-            Dense::Sum | Dense::Avg => self.sum.merge(s, &other.sum, o),
-            Dense::Var { .. } if fresh => {
+            Kind::Count => {}
+            Kind::Sum | Kind::Avg if fresh => self.sum.copy(s, &other.sum, o),
+            Kind::Sum | Kind::Avg => self.sum.merge(s, &other.sum, o),
+            Kind::Var { .. } if fresh => {
                 self.sum.copy(s, &other.sum, o);
                 self.sumsq.copy(s, &other.sumsq, o);
             }
-            Dense::Var { .. } => {
+            Kind::Var { .. } => {
                 self.sum.merge(s, &other.sum, o);
                 self.sumsq.merge(s, &other.sumsq, o);
             }
-            Dense::MinMax { want_min } => {
+            Kind::MinMax { want_min } => {
                 let (best, v) = (&mut self.best[s], other.best[o]);
                 if fresh || (want_min && v < *best) || (!want_min && v > *best) {
                     *best = v;
                 }
             }
+            Kind::Boxed(_) => unreachable!("a boxed column has no dense slot"),
         }
         self.n[s] += other.n[o];
     }
@@ -1286,29 +979,40 @@ impl AggColumn {
     /// [`Column::from_values`] builds from them.
     pub fn finish(mut self, slots: impl IntoIterator<Item = usize>) -> Result<Column> {
         let mut out = match self.kind {
-            Dense::Count => Column::Int(Vec::new()),
+            Kind::Count => Column::Int(Vec::new()),
             _ => Column::Float(Vec::new()),
         };
         for s in slots {
-            let n = self.n[s];
-            out.push(match self.kind {
-                _ if n & SPILLED != 0 => self.take_acc(s).finish()?,
-                Dense::Count => Value::Int(n as i64),
-                Dense::Sum | Dense::MinMax { .. } if n == 0 => Value::Null,
-                Dense::Sum => {
-                    Value::Float(expansion_value(self.sum.partials(s), self.sum.special[s]))
-                }
-                Dense::Avg => finish_avg(self.sum.partials(s), self.sum.special[s], n as usize),
-                Dense::Var { stddev } => finish_var(
-                    (self.sum.partials(s), self.sum.special[s]),
-                    (self.sumsq.partials(s), self.sumsq.special[s]),
-                    n as usize,
-                    stddev,
-                ),
-                Dense::MinMax { .. } => Value::Float(self.best[s]),
+            out.push(match self.n[s] & SPILLED {
+                0 => self.value(s)?,
+                _ => self.take_acc(s).finish()?,
             });
         }
-        Ok(if out.is_empty() { Column::empty() } else { out })
+        // The typed guess held, or the values decide.
+        Ok(match out {
+            Column::Values(values) => Column::from_values(values),
+            empty if empty.is_empty() => Column::empty(),
+            typed => typed,
+        })
+    }
+
+    /// The finished value of untouched or dense slot `s`.
+    fn value(&self, s: usize) -> Result<Value> {
+        let n = self.n[s];
+        Ok(match &self.kind {
+            Kind::Count => Value::Int(n as i64),
+            Kind::Sum | Kind::MinMax { .. } if n == 0 => Value::Null,
+            Kind::Sum => Value::Float(expansion_value(self.sum.partials(s), self.sum.special[s])),
+            Kind::Avg => finish_avg(self.sum.partials(s), self.sum.special[s], n as usize),
+            &Kind::Var { stddev } => finish_var(
+                (self.sum.partials(s), self.sum.special[s]),
+                (self.sumsq.partials(s), self.sumsq.special[s]),
+                n as usize,
+                stddev,
+            ),
+            Kind::MinMax { .. } => Value::Float(self.best[s]),
+            Kind::Boxed(fresh) => return fresh.clone().finish(),
+        })
     }
 }
 
@@ -1386,86 +1090,37 @@ fn fold_numeric(name: &str, args: &[Value], f: impl Fn(f64, f64) -> f64) -> Resu
 mod tests {
     use super::*;
 
-    /// Every fold/push shortcut must agree with the boxed `push` loop.
-    fn fold_matches_push(name: &str, vals: &[f64], sel: &[usize], validity: Option<&[u64]>) {
-        let mut folded = AggAcc::new(name).unwrap();
-        folded.fold_f64s(vals, sel.iter().copied(), validity);
-        let mut pushed = AggAcc::new(name).unwrap();
-        for &i in sel {
-            if crate::kernel::is_valid(validity, i) {
-                pushed.push(&[Value::Float(vals[i])]).unwrap();
-            } else {
-                pushed.push(&[Value::Null]).unwrap();
-            }
-        }
-        assert_eq!(
-            format!("{:?}", folded.finish()),
-            format!("{:?}", pushed.finish()),
-            "{name} over {vals:?} sel {sel:?}"
-        );
+    /// Feeds `vals` through `push_f64` onto `acc`.
+    fn pushed_f64(mut acc: AggAcc, vals: &[f64]) -> Value {
+        vals.iter().for_each(|&v| acc.push_f64(v));
+        acc.finish().unwrap()
     }
 
     #[test]
-    fn typed_folds_match_boxed_pushes() {
-        let vals = [3.0, f64::NAN, -0.0, 0.0, f64::INFINITY, 1.5, f64::NAN, -2.0];
-        let all: Vec<usize> = (0..vals.len()).collect();
-        let validity = vec![0b10110101u64]; // rows 1, 3, 6 are NULL
-        for name in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"] {
-            fold_matches_push(name, &vals, &all, None);
-            fold_matches_push(name, &vals, &all, Some(&validity));
-            fold_matches_push(name, &vals, &[], None); // empty selection
-            fold_matches_push(name, &vals, &[4, 6, 1], None); // NaN/inf only-ish
-        }
-    }
-
-    #[test]
-    fn typed_i64_folds_match_boxed_pushes() {
-        let vals = [5i64, i64::MAX, -3, i64::MIN, 0, 7];
-        let all: Vec<usize> = (0..vals.len()).collect();
-        for name in ["COUNT", "SUM", "AVG", "MIN", "MAX"] {
-            let mut folded = AggAcc::new(name).unwrap();
-            folded.fold_i64s(&vals, all.iter().copied(), None);
-            let mut pushed = AggAcc::new(name).unwrap();
-            for &i in &all {
-                pushed.push(&[Value::Int(vals[i])]).unwrap();
-            }
-            assert_eq!(
-                format!("{:?}", folded.finish()),
-                format!("{:?}", pushed.finish()),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn fold_preserves_nan_class_head_order() {
+    fn push_f64_preserves_nan_class_head_order() {
         // A NaN seen before any number is the head class and wins finish().
-        let vals = [f64::NAN, 1.0, -5.0];
-        let mut folded = AggAcc::new("MIN").unwrap();
-        folded.fold_f64s(&vals, 0..3, None);
-        match folded.finish().unwrap() {
+        match pushed_f64(AggAcc::new("MIN").unwrap(), &[f64::NAN, 1.0, -5.0]) {
             Value::Float(f) => assert!(f.is_nan()),
             other => panic!("expected NaN head, got {other:?}"),
         }
         // Numbers first: the numeric class stays the head.
-        let vals = [1.0, f64::NAN, -5.0];
-        let mut folded = AggAcc::new("MIN").unwrap();
-        folded.fold_f64s(&vals, 0..3, None);
-        assert_eq!(folded.finish().unwrap(), Value::Float(-5.0));
+        let min = pushed_f64(AggAcc::new("MIN").unwrap(), &[1.0, f64::NAN, -5.0]);
+        assert_eq!(min, Value::Float(-5.0));
     }
 
     #[test]
-    fn fold_onto_int_incumbent_uses_exact_compare() {
-        // MIN over an Int incumbent folded with floats: exact mixed compare.
-        let mut acc = AggAcc::new("MIN").unwrap();
-        acc.push(&[Value::Int((1 << 53) + 1)]).unwrap();
-        acc.fold_f64s(&[(1i64 << 53) as f64], 0..1, None);
+    fn push_f64_onto_int_incumbent_uses_exact_compare() {
+        // MIN over an Int incumbent pushed floats: exact mixed compare.
+        let after_int = |name: &str| {
+            let mut acc = AggAcc::new(name).unwrap();
+            acc.push(&[Value::Int((1 << 53) + 1)]).unwrap();
+            acc
+        };
         // 2^53 < 2^53+1 exactly, so the float replaces the int.
-        assert_eq!(acc.finish().unwrap(), Value::Float((1i64 << 53) as f64));
-        let mut acc = AggAcc::new("MAX").unwrap();
-        acc.push(&[Value::Int((1 << 53) + 1)]).unwrap();
-        acc.fold_f64s(&[(1i64 << 53) as f64], 0..1, None);
-        assert_eq!(acc.finish().unwrap(), Value::Int((1 << 53) + 1));
+        let min = pushed_f64(after_int("MIN"), &[(1i64 << 53) as f64]);
+        assert_eq!(min, Value::Float((1i64 << 53) as f64));
+        let max = pushed_f64(after_int("MAX"), &[(1i64 << 53) as f64]);
+        assert_eq!(max, Value::Int((1 << 53) + 1));
     }
 
     #[test]

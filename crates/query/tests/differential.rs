@@ -31,8 +31,8 @@
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{
-    parse_query, parse_statement, pivot_long, Catalog, CreateFamily, ExecOptions, FamilyFrame,
-    Query, QueryError, Statement, Table, Value,
+    parse_query, parse_statement, pivot_long, Catalog, Column, CreateFamily, ExecOptions,
+    FamilyFrame, Query, QueryError, Statement, Table, Value,
 };
 use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
@@ -1176,6 +1176,53 @@ fn scan_aggregate_spill_shapes_pinned() {
                     catalog.execute_query_with(&query, ExecOptions::with_partitions(parts)).unwrap()
                 });
                 assert_eq!(variant(&fast), variant(&table), "{sql} at partitions={parts}");
+            }
+        }
+    }
+}
+
+/// The table aggregate over an argument that is `Int` in some morsels and
+/// `Float` in others: `x` is one `Values` column, Ints (2^53 ± 1, a NULL)
+/// in its first half and Floats (a NULL, NaN, the Float nearest 2^53 + 1,
+/// -0.0) in its second. A morsel of Ints pushes them unboxed into `AggAcc`s,
+/// one of Floats folds them into dense slots, one that straddles the halves
+/// pushes boxed rows — and the merge meets every pairing of the three. Rows
+/// equal the reference at every partition count, grouped by a `Str` key
+/// (groups `c` and `d` live in one half only) and globally, and every
+/// column is the variant `Column::from_values` builds from its values.
+#[test]
+fn table_aggregate_merges_int_and_float_morsels_pinned() {
+    let (int, float) = (Value::Int, Value::Float);
+    let rows = [
+        ("a", int(P53 + 1)),
+        ("b", int(-3)),
+        ("a", int(7)),
+        ("b", Value::Null),
+        ("a", int(-P53 - 1)),
+        ("d", int(P53)),
+        ("a", float((P53 + 1) as f64)),
+        ("b", Value::Null),
+        ("a", float(f64::NAN)),
+        ("b", float(1.5)),
+        ("a", float(-0.0)),
+        ("c", float(0.25)),
+    ];
+    let mut catalog = Catalog::new();
+    let rows = rows.into_iter().map(|(k, x)| vec![Value::str(k), x]).collect();
+    catalog.register("m", Table::from_rows(&["k", "x"], rows));
+    let aggs = "COUNT(x) AS c, SUM(x) AS s, AVG(x) AS a, VARIANCE(x) AS v, STDDEV(x) AS sd, \
+                MIN(x) AS lo, MAX(x) AS hi, PERCENTILE(x, 0.5) AS p, COUNT(*) AS n";
+    for sql in [format!("SELECT k, {aggs} FROM m GROUP BY k"), format!("SELECT {aggs} FROM m")] {
+        let query = parse_query(&sql).unwrap();
+        let naive = execute_naive(&catalog, &query).expect("reference runs");
+        let parts = [1, 2, 3, 5];
+        assert_pinned(std::slice::from_ref(&catalog), &query, &parts, &naive);
+        for parts in parts {
+            let out = catalog.execute_query_with(&query, ExecOptions::with_partitions(parts));
+            for column in out.unwrap().columns() {
+                let rebuilt = Column::from_values(column.iter_values().collect());
+                let variant = std::mem::discriminant;
+                assert_eq!(variant(column), variant(&rebuilt), "{sql} at partitions={parts}");
             }
         }
     }

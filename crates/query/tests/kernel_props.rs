@@ -1,10 +1,11 @@
 //! Property tests for the typed minicolumn kernels: every branch-free
 //! selection/arithmetic/fold loop in `explainit_query::kernel` (and the
-//! `AggAcc` typed folds) must agree with the scalar `Value` reference
-//! semantics — `sql_cmp` three-valued comparisons, exact Int/Float mixed
-//! ordering, per-element overflow promotion, push-equivalent folds — over
-//! generated columns with NULL runs, NaN/±infinity, signed zeros, i64
-//! extremes, empty selections and all-filtered inputs.
+//! `AggAcc` typed pushes, and the `AggColumn`s built on them) must agree
+//! with the scalar `Value` reference semantics — `sql_cmp` three-valued
+//! comparisons, exact Int/Float mixed ordering, per-element overflow
+//! promotion, push-equivalent folds — over generated columns with NULL
+//! runs, NaN/±infinity, signed zeros, i64 extremes, empty selections and
+//! all-filtered inputs.
 
 use explainit_query::kernel::{
     compile_i64_cmp, compile_i64_cmp_int, f64_arith_cols, f64_arith_const, i64_arith_cols,
@@ -336,57 +337,68 @@ proptest! {
         prop_assert_eq!(bits(&f64_arith_cols(op, &a, &b)), bits(&expected));
     }
 
-    /// The typed aggregate folds == pushing the boxed values one by one,
-    /// for every accumulator kind, across NaN/±inf/signed-zero data, NULL
-    /// runs, empty selections and all-filtered inputs (finish() results
-    /// compared by debug rendering so NaN outcomes stay comparable).
+    /// The typed pushes == pushing the boxed values one by one, for every
+    /// accumulator kind: a Float stream (NaN/±inf/signed zeros — in half the
+    /// cases nothing else, so MIN / MAX ties decide the bits; a NULL row
+    /// has no typed push, as the aggregate operators skip it), an Int stream
+    /// (±2^53±1, the i64 extremes) and the two interleaved, each behind a
+    /// head — none, an Int incumbent from the same ladder, or a NaN — so
+    /// MIN / MAX's direct compare meets every candidate list it must leave
+    /// to the class fold (finish() results compared by debug rendering so
+    /// NaN outcomes stay comparable).
     #[test]
-    fn agg_folds_match_boxed_pushes(
+    fn typed_pushes_match_boxed_pushes(
         rows in proptest::collection::vec((0usize..8, -1e3f64..1e3, any::<bool>()), 0..60),
-        sel_bits in proptest::collection::vec(any::<bool>(), 0..60),
         int_rows in proptest::collection::vec((0usize..8, -1_000_000i64..1_000_000), 0..60),
+        head in (0usize..3, 0usize..8, -1_000_000i64..1_000_000),
+        zeros in any::<bool>(),
     ) {
+        let float = |c: usize, m: f64| match f64_case(c, m) {
+            f if zeros && !f.is_nan() => if f.is_sign_negative() { -0.0 } else { 0.0 },
+            f => f,
+        };
+        let floats: Vec<Value> = rows
+            .iter()
+            .map(|&(c, m, null)| if null { Value::Null } else { Value::Float(float(c, m)) })
+            .collect();
+        let ints: Vec<Value> = int_rows.iter().map(|&(c, m)| Value::Int(i64_case(c, m))).collect();
+        let interleaved: Vec<Value> =
+            floats.iter().zip(&ints).flat_map(|(f, i)| [f.clone(), i.clone()]).collect();
+        let head = match head {
+            (0, ..) => None,
+            (1, c, m) => Some(Value::Int(i64_case(c, m))),
+            _ => Some(Value::Float(f64::NAN)),
+        };
         for name in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX", "PERCENTILE"] {
-            // Float folds with validity.
-            let (floats, validity, boxed, sel) = build_f64(&rows, &sel_bits);
-            let mut folded = AggAcc::new(name).expect("known aggregate");
-            folded.fold_f64s(&floats, sel.iter().map(|&i| i as usize), validity.as_deref());
-            let mut pushed = AggAcc::new(name).expect("known aggregate");
-            for &i in &sel {
-                pushed.push(std::slice::from_ref(&boxed[i as usize])).expect("single-arg push");
+            for stream in [&floats, &ints, &interleaved] {
+                let mut typed = AggAcc::new(name).expect("known aggregate");
+                let mut boxed = typed.clone();
+                for v in head.iter().chain(stream) {
+                    boxed.push(std::slice::from_ref(v)).expect("single-arg push");
+                    match *v {
+                        Value::Float(f) => typed.push_f64(f),
+                        Value::Int(i) => typed.push_i64(i),
+                        _ => {}
+                    }
+                }
+                prop_assert_eq!(
+                    format!("{:?}", typed.finish()),
+                    format!("{:?}", boxed.finish()),
+                    "{} over {:?} after {:?}", name, stream, head
+                );
             }
-            prop_assert_eq!(
-                format!("{:?}", folded.finish()),
-                format!("{:?}", pushed.finish()),
-                "float fold {}", name
-            );
-
-            // Int folds (validity-free path).
-            let ints: Vec<i64> = int_rows.iter().map(|&(c, m)| i64_case(c, m)).collect();
-            let isel: Vec<usize> =
-                (0..ints.len()).filter(|&i| sel_bits.get(i).copied().unwrap_or(true)).collect();
-            let mut folded = AggAcc::new(name).expect("known aggregate");
-            folded.fold_i64s(&ints, isel.iter().copied(), None);
-            let mut pushed = AggAcc::new(name).expect("known aggregate");
-            for &i in &isel {
-                pushed.push(&[Value::Int(ints[i])]).expect("single-arg push");
-            }
-            prop_assert_eq!(
-                format!("{:?}", folded.finish()),
-                format!("{:?}", pushed.finish()),
-                "int fold {}", name
-            );
         }
     }
 
-    /// The scan aggregate's struct-of-arrays accumulator columns == one
-    /// `AggAcc` per slot, for the seven kinds that have them: a stream of
-    /// `(slot, value)` pushes — NaN first and later, ±inf, subnormals, sums
-    /// that overflow, and a magnitude ladder spliced in whole so the case
-    /// grows some expansion past the inline capacity; or, in half the cases,
-    /// only NaNs and signed zeros, so MIN / MAX ties decide the bits — is
-    /// cut into blocks, each over the slots its pushes reach (or all of
-    /// them), merged in order. The oracle does the same with `AggAcc`s,
+    /// The struct-of-arrays accumulator columns both aggregate operators
+    /// fold into == one `AggAcc` per slot, for the seven kinds with a column
+    /// form: a stream of `(slot, value)` pushes — NaN first and later, ±inf,
+    /// subnormals, sums that overflow, and a magnitude ladder spliced in
+    /// whole so the case grows some expansion past the inline capacity; or,
+    /// in half the cases, only NaNs and signed zeros, so MIN / MAX ties
+    /// decide the bits — is cut into blocks, each over the slots its pushes
+    /// reach (or all of them) and each dense or boxed, merged in order into a
+    /// dense or a boxed column. The oracle does the same with `AggAcc`s,
     /// moving a block's accumulator into an untouched slot and merging it
     /// into a touched one. Every slot finishes to the same value by its bits,
     /// and the column is the variant `Column::from_values` builds.
@@ -398,6 +410,7 @@ proptest! {
         ladder in (0usize..8, 0usize..80, any::<bool>()),
         whole_blocks in any::<bool>(),
         zeros in any::<bool>(),
+        boxed in any::<u8>(),
     ) {
         use explainit_query::{AggColumn, Column};
         let (ladder_slot, ladder_at, negative) = ladder;
@@ -420,8 +433,10 @@ proptest! {
         for name in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"] {
             let fresh = || AggAcc::new(name).expect("known aggregate");
             let mut want: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
-            let mut merged = AggColumn::new(name, slots).expect("a dense aggregate");
-            for block in &blocks {
+            // Bit `b` boxes block `b` (at most seven), bit 7 the merged column.
+            let dense = |bit: usize| boxed >> bit & 1 == 0;
+            let mut merged = AggColumn::new(name, slots, dense(7)).expect("known aggregate");
+            for (b, block) in blocks.iter().enumerate() {
                 let (lo, hi) = match whole_blocks {
                     true => (0, slots),
                     false => {
@@ -429,9 +444,9 @@ proptest! {
                         (reach.clone().min().unwrap_or(0), reach.max().map_or(0, |s| s + 1))
                     }
                 };
-                let mut column = merged.fresh(hi - lo);
+                let mut column = AggColumn::new(name, hi - lo, dense(b)).expect("known aggregate");
                 column.fold(block.iter().map(|&(s, v)| (s - lo, v)));
-                merged.absorb(lo, column).expect("dense merges cannot fail");
+                merged.absorb(|o| lo + o, column).expect("merges of these aggregates cannot fail");
 
                 let mut accs: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
                 for &(s, v) in block.iter() {
