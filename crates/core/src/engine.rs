@@ -304,6 +304,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use explainit_linalg::Matrix;
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -377,6 +378,39 @@ mod tests {
         assert_eq!(entry.score, 0.0);
         // Errors sort last.
         assert_eq!(r.entries.last().unwrap().family, "other_cluster");
+    }
+
+    #[test]
+    fn overflowing_family_reports_error_entry() {
+        // Every entry finite, the second column's sum not.
+        let mut e = engine_with_signal();
+        let mut x = Matrix::zeros(200, 2);
+        for i in 0..200 {
+            x[(i, 0)] = (0.3 * i as f64).sin();
+            x[(i, 1)] = if i % 2 == 0 { 1.5e308 } else { 1.6e308 };
+        }
+        let names = vec!["overflow_sin".into(), "overflow_big".into()];
+        e.add_family(FeatureFamily::new("overflow", (0..200).collect(), names, x));
+        let scorers = [
+            ScorerKind::CorrMean,
+            ScorerKind::CorrMax,
+            ScorerKind::L2,
+            ScorerKind::L2_P50,
+            ScorerKind::Lasso,
+        ];
+        for scorer in scorers {
+            let r = e.rank("runtime", &[], scorer).unwrap();
+            // A NaN score would sort by its sign bit under `total_cmp`; an
+            // error entry sinks below every scored one.
+            let last = r.entries.last().unwrap();
+            assert_eq!(last.family, "overflow", "{scorer:?}");
+            assert_eq!(
+                last.error.as_deref(),
+                Some("model failure: input contains NaN or infinite values"),
+                "{scorer:?}"
+            );
+            assert!(r.entries.iter().all(|x| !x.score.is_nan()), "{scorer:?}");
+        }
     }
 
     #[test]

@@ -286,7 +286,14 @@ fn corr_score(x: &Matrix, y_columns: &[Vec<f64>], take_max: bool) -> Result<Scor
     for i in 0..x.ncols() {
         let xi = x.column(i);
         for yj in y_columns {
-            let r = pearson(&xi, yj).abs();
+            // NaN only from non-finite arithmetic: a NaN / ±inf entry, or a
+            // column whose mean or squared deviations overflow. `f64::max`
+            // would hide it and a mean would carry it into the ranking.
+            let r = pearson(&xi, yj);
+            if r.is_nan() {
+                return Err(model_error(MlError::NonFiniteInput));
+            }
+            let r = r.abs();
             acc += r;
             max = max.max(r);
             count += 1;
@@ -519,6 +526,39 @@ mod tests {
         assert_eq!(ScorerKind::L2_P50.name(), "L2-P50");
         assert_eq!(ScorerKind::L2_P500.name(), "L2-P500");
         assert_eq!(ScorerKind::table6_set().len(), 5);
+    }
+
+    /// `[sin(0.3 i), 1.5e308 / 1.6e308 alternating]`: every entry finite, the
+    /// second column's sum not.
+    fn overflowing_feature(n: usize) -> Matrix {
+        let mut x = Matrix::zeros(n, 2);
+        for i in 0..n {
+            x[(i, 0)] = (0.3 * i as f64).sin();
+            x[(i, 1)] = if i % 2 == 0 { 1.5e308 } else { 1.6e308 };
+        }
+        x
+    }
+
+    #[test]
+    fn overflowing_column_statistics_are_non_finite_input() {
+        let (x, y) = (overflowing_feature(120), noise(120, 1, 40));
+        let cfg = ScoreConfig::default();
+        let want = MlError::NonFiniteInput.to_string();
+        let kinds = [
+            ScorerKind::CorrMean,
+            ScorerKind::CorrMax,
+            ScorerKind::L2,
+            ScorerKind::L2_P50,
+            ScorerKind::L2P { d: 1 },
+            ScorerKind::Lasso,
+        ];
+        for kind in kinds {
+            let got = score_hypothesis(kind, &x, &y, None, &cfg);
+            assert!(matches!(&got, Err(CoreError::Model(m)) if *m == want), "{kind:?}: {got:?}");
+        }
+        // The same error `GIVEN` such a family gives.
+        let got = score_hypothesis(ScorerKind::L2, &y, &noise(120, 1, 41), Some(&x), &cfg);
+        assert!(matches!(&got, Err(CoreError::Model(m)) if *m == want), "GIVEN: {got:?}");
     }
 
     #[test]

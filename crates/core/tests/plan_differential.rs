@@ -85,7 +85,11 @@ fn reference_corr(x: &Matrix, y: &Matrix, take_max: bool) -> Scored {
     let (mut acc, mut max, mut count) = (0.0f64, 0.0f64, 0usize);
     for i in 0..x.ncols() {
         for j in 0..y.ncols() {
-            let r = pearson(&x.column(i), &y.column(j)).abs();
+            let r = pearson(&x.column(i), &y.column(j));
+            if r.is_nan() {
+                return Err(model(MlError::NonFiniteInput));
+            }
+            let r = r.abs();
             acc += r;
             max = max.max(r);
             count += 1;
@@ -332,8 +336,7 @@ fn rank_matches_the_unshared_reference_bit_for_bit() {
     }
     // The 25 `x_*` candidates plus whichever of `z_on` / `z_off` is not
     // conditioned on, × 5 scorers × 2 worker counts; the sparse and disjoint
-    // grids and (for the joint or conditioned scorers) the NaN feature are
-    // error entries on both sides.
+    // grids and the NaN feature are error entries on both sides.
     assert_eq!(compared, (27 + 26 + 25) * 5 * 2);
     assert!(errors >= 10 * 5 * 3 * 2, "only {errors} error entries compared");
 }

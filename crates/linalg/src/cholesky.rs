@@ -17,7 +17,7 @@ impl Cholesky {
     ///
     /// Only the lower triangle of `a` is read. Returns
     /// [`LinalgError::NotPositiveDefinite`] when a pivot drops below the
-    /// scaled tolerance, which callers treat as "add more ridge".
+    /// scaled tolerance or is NaN, which callers treat as "add more ridge".
     pub fn factor(a: &Matrix) -> Result<Self> {
         let (n, m) = a.shape();
         if n != m {
@@ -40,7 +40,9 @@ impl Cholesky {
                 let v = l[(j, k)];
                 d -= v * v;
             }
-            if d <= tol {
+            // `d <= tol` alone is false for a NaN pivot (and `max_abs`
+            // skips NaN, so `tol` is finite): reject it too.
+            if d.is_nan() || d <= tol {
                 return Err(LinalgError::NotPositiveDefinite { pivot: j });
             }
             let dj = d.sqrt();
@@ -176,6 +178,15 @@ mod tests {
     fn rejects_indefinite() {
         let a = Matrix::from_rows(&[[1.0, 2.0], [2.0, 1.0]]); // eigenvalues 3, -1
         assert!(matches!(Cholesky::factor(&a), Err(LinalgError::NotPositiveDefinite { .. })));
+    }
+
+    #[test]
+    fn rejects_nan_pivots() {
+        let a = Matrix::from_rows(&[[f64::NAN]]);
+        assert!(matches!(Cholesky::factor(&a), Err(LinalgError::NotPositiveDefinite { pivot: 0 })));
+        // A NaN below the diagonal reaches the second pivot through `l[1][0]`.
+        let a = Matrix::from_rows(&[[2.0, f64::NAN], [f64::NAN, 3.0]]);
+        assert!(matches!(Cholesky::factor(&a), Err(LinalgError::NotPositiveDefinite { pivot: 1 })));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! and solving symmetric positive definite systems (the ridge normal
 //! equations).  This crate implements exactly that set from scratch — no
 //! external BLAS — with row-major [`Matrix`] storage matching the paper's
-//! "dense arrays" optimisation (§4.2).
+//! "dense arrays" optimisation (§4.2). The scoring kernels (`xtx`, `xt_mul`,
+//! `matmul` and the column statistics) run operands at most 8 wide through
+//! fixed-width code with register accumulators, wider ones through plain
+//! loops; both give the same bits (`matrix.rs`, `by_width!`).
 //!
 //! # Example
 //!

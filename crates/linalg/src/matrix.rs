@@ -3,6 +3,66 @@ use std::ops::{Index, IndexMut};
 
 use crate::{LinalgError, Result};
 
+/// Evaluates `$fixed` with the constant `$w` bound to `$width` when that is
+/// 1..=8, and `$wide` otherwise.
+///
+/// This is the width split of the scoring kernels (`xtx`, `xt_mul`,
+/// `matmul`, `column_means`, `column_stds_about`,
+/// `standardize_columns_in_place`). Up to 8 wide, a kernel is const-generic
+/// over its accumulator block — a local array the compiler unrolls and keeps
+/// in registers, where the plain loops walk the accumulators through memory
+/// behind bounds checks. Feature families are mostly 1–8 columns wide and
+/// targets 4. Wider operands (a 14-wide family, a projection to 50 or 500,
+/// the dual path's `p > n`) keep the plain loops; a single zero-padded 8-wide
+/// tile for every width would do up to 36 products per row where a 1-wide
+/// Gram needs one. Both sides do the same arithmetic: every
+/// accumulator starts at `+0.0` and adds its terms in the same order (rows
+/// ascending, product then add, operands in the same order), so they agree
+/// by bits — up to the sign and payload of a NaN, which Rust leaves
+/// unspecified. Both keep the `== 0.0` skip, because dropping it is not
+/// exact: `0 × ±inf` and `0 × NaN` are NaN, not `0`. `tests/proptests.rs`
+/// holds the kernels to plain loops and to the output bits from before the
+/// split.
+macro_rules! by_width {
+    ($width:expr, $w:ident => $fixed:expr, _ => $wide:expr) => {
+        match $width {
+            1 => {
+                const $w: usize = 1;
+                $fixed
+            }
+            2 => {
+                const $w: usize = 2;
+                $fixed
+            }
+            3 => {
+                const $w: usize = 3;
+                $fixed
+            }
+            4 => {
+                const $w: usize = 4;
+                $fixed
+            }
+            5 => {
+                const $w: usize = 5;
+                $fixed
+            }
+            6 => {
+                const $w: usize = 6;
+                $fixed
+            }
+            7 => {
+                const $w: usize = 7;
+                $fixed
+            }
+            8 => {
+                const $w: usize = 8;
+                $fixed
+            }
+            _ => $wide,
+        }
+    };
+}
+
 /// A dense, row-major, `f64` matrix.
 ///
 /// Row-major layout mirrors the paper's "dense arrays" optimisation (§4.2):
@@ -190,8 +250,10 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Uses the cache-friendly i-k-j loop order so the inner loop streams both
-    /// the output row and the `rhs` row contiguously.
+    /// Uses the i-k-j loop order: output entry `(i, o)` adds
+    /// `self[(i, k)] * rhs[(k, o)]` for `k` ascending, skipping a zero
+    /// `self[(i, k)]`. An output row at most 8 wide is accumulated in
+    /// registers (see `by_width!`).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -201,41 +263,30 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = rhs.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ik * b;
-                }
-            }
-        }
+        let (a, k, b) = (&self.data, self.cols, &rhs.data);
+        by_width!(
+            rhs.cols,
+            M => matmul_rows::<M>(a, k, b, &mut out.data),
+            _ => matmul_rows_wide(a, k, b, rhs.cols, &mut out.data)
+        );
         Ok(out)
     }
 
     /// Gram matrix `X^T X` (symmetric, `cols × cols`).
     ///
     /// Computes only the upper triangle and mirrors it, halving the work of a
-    /// generic product. This is the hot kernel of ridge scoring when `T > F`.
+    /// generic product: entry `(j, k)`, `j <= k`, adds `x[i][j] * x[i][k]`
+    /// for rows `i` ascending, skipping a zero `x[i][j]`. This is the hot
+    /// kernel of ridge scoring when `T > F`; at most 8 columns wide its
+    /// accumulators stay in registers (see `by_width!`).
     pub fn xtx(&self) -> Matrix {
         let p = self.cols;
         let mut g = Matrix::zeros(p, p);
-        for row in self.rows_iter() {
-            for j in 0..p {
-                let xj = row[j];
-                if xj == 0.0 {
-                    continue;
-                }
-                let g_row = &mut g.data[j * p..(j + 1) * p];
-                for k in j..p {
-                    g_row[k] += xj * row[k];
-                }
-            }
-        }
+        by_width!(
+            p,
+            P => xtx_upper::<P>(&self.data, &mut g.data),
+            _ => xtx_upper_wide(&self.data, p, &mut g.data)
+        );
         for j in 0..p {
             for k in (j + 1)..p {
                 g[(k, j)] = g[(j, k)];
@@ -266,7 +317,10 @@ impl Matrix {
         g
     }
 
-    /// `X^T * rhs` without materialising the transpose.
+    /// `X^T * rhs` without materialising the transpose: entry `(j, o)` adds
+    /// `x[i][j] * rhs[i][o]` for rows `i` ascending, skipping a zero
+    /// `x[i][j]`. When both operands are at most 8 wide the `P × M`
+    /// accumulator block stays in registers (see `by_width!`).
     pub fn xt_mul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -276,19 +330,13 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let b_row = rhs.row(i);
-            for (j, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[j * rhs.cols..(j + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        let (x, y, out_data) = (&self.data, &rhs.data, &mut out.data);
+        let wide = |out: &mut [f64]| xt_mul_wide(x, self.cols, y, rhs.cols, out);
+        by_width!(
+            self.cols,
+            P => by_width!(rhs.cols, M => xt_mul_block::<P, M>(x, y, out_data), _ => wide(out_data)),
+            _ => wide(out_data)
+        );
         Ok(out)
     }
 
@@ -439,17 +487,18 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Per-column means (empty matrix yields an empty vector).
+    /// Per-column means: each column's sum over rows ascending, divided by
+    /// the row count (zeros when there are no rows).
     pub fn column_means(&self) -> Vec<f64> {
-        if self.rows == 0 {
-            return vec![0.0; self.cols];
-        }
         let mut means = vec![0.0; self.cols];
-        for row in self.rows_iter() {
-            for (m, &v) in means.iter_mut().zip(row.iter()) {
-                *m += v;
-            }
+        if self.rows == 0 {
+            return means;
         }
+        by_width!(
+            self.cols,
+            P => column_sums::<P>(&self.data, &mut means),
+            _ => column_sums_wide(&self.data, &mut means)
+        );
         let n = self.rows as f64;
         for m in &mut means {
             *m /= n;
@@ -459,19 +508,45 @@ impl Matrix {
 
     /// Per-column population standard deviations.
     pub fn column_stds(&self) -> Vec<f64> {
-        let means = self.column_means();
+        self.column_stds_about(&self.column_means())
+    }
+
+    /// Per-column population standard deviations around the column means
+    /// `means` (what [`Matrix::column_means`] returns, passed in so a caller
+    /// that needs both computes them once): squared deviations summed over
+    /// rows ascending, divided by the row count (at least 1), square-rooted.
+    ///
+    /// # Panics
+    /// Panics if `means.len() != ncols()`.
+    pub fn column_stds_about(&self, means: &[f64]) -> Vec<f64> {
+        assert_eq!(means.len(), self.cols, "means length mismatch");
         let mut vars = vec![0.0; self.cols];
-        for row in self.rows_iter() {
-            for ((v, &x), &m) in vars.iter_mut().zip(row.iter()).zip(means.iter()) {
-                let d = x - m;
-                *v += d * d;
-            }
-        }
+        by_width!(
+            self.cols,
+            P => squared_deviations::<P>(&self.data, means, &mut vars),
+            _ => squared_deviations_wide(&self.data, means, &mut vars)
+        );
         let n = (self.rows as f64).max(1.0);
         for v in &mut vars {
             *v = (*v / n).sqrt();
         }
         vars
+    }
+
+    /// Standardises every column in place: column `j` less `means[j]`, then
+    /// divided by `stds[j]` where that is positive (a constant column is
+    /// centred, not scaled).
+    ///
+    /// # Panics
+    /// Panics if `means` or `stds` is not `ncols()` long.
+    pub fn standardize_columns_in_place(&mut self, means: &[f64], stds: &[f64]) {
+        assert_eq!(means.len(), self.cols, "means length mismatch");
+        assert_eq!(stds.len(), self.cols, "stds length mismatch");
+        by_width!(
+            self.cols,
+            P => standardize_rows::<P>(&mut self.data, means, stds),
+            _ => standardize_rows_wide(&mut self.data, means, stds)
+        );
     }
 
     /// Subtracts `means[j]` from every element of column `j`, in place.
@@ -496,6 +571,171 @@ impl Matrix {
     /// Maximum absolute element (0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+    }
+}
+
+// The scoring kernels' two sides of the width split (`by_width!`): a
+// const-generic kernel over `P`- / `M`-wide rows, its accumulators a local
+// array, and the plain loop over rows of any width (`chunks_exact(w.max(1))`:
+// a zero-width matrix has no data, so it yields no rows). Each pair does the
+// same arithmetic in the same order.
+
+fn matmul_rows<const M: usize>(a: &[f64], k: usize, b: &[f64], out: &mut [f64]) {
+    let b_rows = b.as_chunks::<M>().0;
+    for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.as_chunks_mut::<M>().0) {
+        let mut acc = [0.0; M];
+        for (&a_ik, b_row) in a_row.iter().zip(b_rows) {
+            if a_ik == 0.0 {
+                continue;
+            }
+            for o in 0..M {
+                acc[o] += a_ik * b_row[o];
+            }
+        }
+        *out_row = acc;
+    }
+}
+
+fn matmul_rows_wide(a: &[f64], k: usize, b: &[f64], m: usize, out: &mut [f64]) {
+    for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.chunks_exact_mut(m.max(1))) {
+        for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(m.max(1))) {
+            if a_ik == 0.0 {
+                continue;
+            }
+            for (o, &b) in out_row.iter_mut().zip(b_row) {
+                *o += a_ik * b;
+            }
+        }
+    }
+}
+
+fn xtx_upper<const P: usize>(x: &[f64], g: &mut [f64]) {
+    let mut acc = [[0.0; P]; P];
+    for row in x.as_chunks::<P>().0 {
+        for j in 0..P {
+            let xj = row[j];
+            if xj == 0.0 {
+                continue;
+            }
+            for k in j..P {
+                acc[j][k] += xj * row[k];
+            }
+        }
+    }
+    for (g_row, acc_row) in g.as_chunks_mut::<P>().0.iter_mut().zip(&acc) {
+        *g_row = *acc_row;
+    }
+}
+
+fn xtx_upper_wide(x: &[f64], p: usize, g: &mut [f64]) {
+    for row in x.chunks_exact(p.max(1)) {
+        for j in 0..p {
+            let xj = row[j];
+            if xj == 0.0 {
+                continue;
+            }
+            let g_row = &mut g[j * p..(j + 1) * p];
+            for k in j..p {
+                g_row[k] += xj * row[k];
+            }
+        }
+    }
+}
+
+fn xt_mul_block<const P: usize, const M: usize>(x: &[f64], y: &[f64], out: &mut [f64]) {
+    let mut acc = [[0.0; M]; P];
+    for (a_row, b_row) in x.as_chunks::<P>().0.iter().zip(y.as_chunks::<M>().0) {
+        for j in 0..P {
+            let a = a_row[j];
+            if a == 0.0 {
+                continue;
+            }
+            for o in 0..M {
+                acc[j][o] += a * b_row[o];
+            }
+        }
+    }
+    for (out_row, acc_row) in out.as_chunks_mut::<M>().0.iter_mut().zip(&acc) {
+        *out_row = *acc_row;
+    }
+}
+
+fn xt_mul_wide(x: &[f64], p: usize, y: &[f64], m: usize, out: &mut [f64]) {
+    for (a_row, b_row) in x.chunks_exact(p.max(1)).zip(y.chunks_exact(m.max(1))) {
+        for (j, &a) in a_row.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[j * m..(j + 1) * m];
+            for (o, &b) in out_row.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+}
+
+fn column_sums<const P: usize>(x: &[f64], sums: &mut [f64]) {
+    let mut acc = [0.0; P];
+    for row in x.as_chunks::<P>().0 {
+        for j in 0..P {
+            acc[j] += row[j];
+        }
+    }
+    sums.copy_from_slice(&acc);
+}
+
+fn column_sums_wide(x: &[f64], sums: &mut [f64]) {
+    for row in x.chunks_exact(sums.len().max(1)) {
+        for (s, &v) in sums.iter_mut().zip(row) {
+            *s += v;
+        }
+    }
+}
+
+fn squared_deviations<const P: usize>(x: &[f64], means: &[f64], out: &mut [f64]) {
+    let mut mean = [0.0; P];
+    mean.copy_from_slice(means);
+    let mut acc = [0.0; P];
+    for row in x.as_chunks::<P>().0 {
+        for j in 0..P {
+            let d = row[j] - mean[j];
+            acc[j] += d * d;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+fn squared_deviations_wide(x: &[f64], means: &[f64], out: &mut [f64]) {
+    for row in x.chunks_exact(means.len().max(1)) {
+        for ((v, &x), &m) in out.iter_mut().zip(row).zip(means) {
+            let d = x - m;
+            *v += d * d;
+        }
+    }
+}
+
+fn standardize_rows<const P: usize>(x: &mut [f64], means: &[f64], stds: &[f64]) {
+    let (mut mean, mut std) = ([0.0; P], [0.0; P]);
+    mean.copy_from_slice(means);
+    std.copy_from_slice(stds);
+    for row in x.as_chunks_mut::<P>().0 {
+        for j in 0..P {
+            row[j] -= mean[j];
+            if std[j] > 0.0 {
+                row[j] /= std[j];
+            }
+        }
+    }
+}
+
+fn standardize_rows_wide(x: &mut [f64], means: &[f64], stds: &[f64]) {
+    for row in x.chunks_exact_mut(means.len().max(1)) {
+        for ((v, &m), &s) in row.iter_mut().zip(means).zip(stds) {
+            *v -= m;
+            if s > 0.0 {
+                *v /= s;
+            }
+        }
     }
 }
 

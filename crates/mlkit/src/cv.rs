@@ -139,7 +139,8 @@ struct TargetFold {
 
 impl CvTarget {
     /// Checks `cfg` (settable values end in an error, not a panic inside a
-    /// scoring worker) and `y`, then slices, averages and centres its folds.
+    /// scoring worker) and `y`, then slices, averages and centres its folds
+    /// (`NonFiniteInput` if a fold's mean overflows).
     pub fn prepare(y: &Matrix, cfg: &CvConfig) -> Result<Self> {
         let bad_lambda = |l: &f64| !(*l >= 0.0 && l.is_finite());
         if cfg.k_folds < 2 || cfg.lambda_grid.is_empty() || cfg.lambda_grid.iter().any(bad_lambda) {
@@ -159,19 +160,24 @@ impl CvTarget {
                 let val = split.validation_range(f);
                 let mut y_train = y.without_row_range(val.0, val.1);
                 let y_means = y_train.column_means();
+                if y_means.iter().any(|m| !m.is_finite()) {
+                    return Err(MlError::NonFiniteInput);
+                }
                 if cfg.penalty == PenaltyKind::Ridge {
                     y_train.center_columns_in_place(&y_means);
                 }
-                TargetFold { val, y_val: y.row_range(val.0, val.1), y_means, y_train }
+                Ok(TargetFold { val, y_val: y.row_range(val.0, val.1), y_means, y_train })
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Ok(CvTarget { cfg: cfg.clone(), rows, folds })
     }
 
     /// The best grid point's mean out-of-sample r² for design `x`. A fold
     /// whose fit fails (e.g. singular with λ = 0) counts as r² = 0 rather than
     /// aborting the hypothesis — one degenerate block of a long time range
-    /// should not zero out the entire score.
+    /// should not zero out the entire score. Input no fit can use is an
+    /// error instead: a non-finite entry, or a fold whose column means or
+    /// stds overflow (`NonFiniteInput`).
     pub fn score(&self, x: &Matrix) -> Result<CvScore> {
         if x.nrows() != self.rows {
             return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: self.rows });
@@ -196,7 +202,7 @@ impl CvTarget {
             };
             match self.cfg.penalty {
                 PenaltyKind::Ridge => {
-                    let design = RidgeDesign::new(x_train);
+                    let design = RidgeDesign::new(x_train)?;
                     design.x_standardizer.transform_in_place(&mut x_val);
                     let rhs = design.rhs(&fold.y_train)?;
                     for (sum, &l) in sums.iter_mut().zip(grid) {
@@ -205,9 +211,11 @@ impl CvTarget {
                     }
                 }
                 PenaltyKind::Lasso => {
+                    // On finite rows a lasso fit fails only on overflowing
+                    // column statistics: the hypothesis's error, not a 0.
                     for (sum, &l) in sums.iter_mut().zip(grid) {
-                        let model = LassoModel::fit(&x_train, &fold.y_train, l, 200, 1e-7);
-                        add(sum, model.map(|m| m.predict(&x_val)));
+                        let model = LassoModel::fit(&x_train, &fold.y_train, l, 200, 1e-7)?;
+                        add(sum, Ok(model.predict(&x_val)));
                     }
                 }
             }

@@ -27,7 +27,8 @@ pub struct LassoModel {
 impl LassoModel {
     /// Fits with penalty `lambda >= 0`, at most `max_iter` full coordinate
     /// sweeps per target, stopping when the largest coefficient update in a
-    /// sweep falls below `tol`.
+    /// sweep falls below `tol`. `NonFiniteInput` covers non-finite entries
+    /// and a column whose mean or std overflows.
     pub fn fit(x: &Matrix, y: &Matrix, lambda: f64, max_iter: usize, tol: f64) -> Result<Self> {
         if x.nrows() != y.nrows() {
             return Err(MlError::RowMismatch { x_rows: x.nrows(), y_rows: y.nrows() });
@@ -39,7 +40,8 @@ impl LassoModel {
             return Err(MlError::NonFiniteInput);
         }
         assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
-        let (x_standardizer, xs) = Standardizer::fit_transform(x);
+        let x_standardizer = Standardizer::fit_finite(x)?;
+        let xs = x_standardizer.transform(x);
         let y_means = y.column_means();
         let (n, p) = xs.shape();
         let nf = n as f64;

@@ -35,13 +35,14 @@ pub(crate) struct RidgeDesign {
 }
 
 impl RidgeDesign {
-    /// Standardises the (finite) training rows `x` and forms their Gram.
-    pub(crate) fn new(mut x: Matrix) -> Self {
-        let x_standardizer = Standardizer::fit(&x);
+    /// Standardises the (finite) training rows `x` and forms their Gram;
+    /// `NonFiniteInput` when a column's mean or std overflows.
+    pub(crate) fn new(mut x: Matrix) -> Result<Self> {
+        let x_standardizer = Standardizer::fit_finite(&x)?;
         x_standardizer.transform_in_place(&mut x);
         let primal = x.ncols() <= x.nrows();
         let gram = if primal { x.xtx() } else { x.xxt() };
-        RidgeDesign { xs: x, x_standardizer, gram, primal }
+        Ok(RidgeDesign { xs: x, x_standardizer, gram, primal })
     }
 
     /// The target's side of the normal equations for centred targets `yc`:
@@ -94,7 +95,7 @@ impl FactoredRidge {
             return Err(MlError::NonFiniteInput);
         }
         assert!(lambda >= 0.0 && lambda.is_finite(), "lambda must be non-negative");
-        let design = RidgeDesign::new(x.clone());
+        let design = RidgeDesign::new(x.clone())?;
         let chol = design.factor(lambda)?;
         Ok(FactoredRidge { design, chol })
     }
@@ -346,7 +347,7 @@ mod tests {
             let y_means = y.column_means();
             let mut yc = y.clone();
             yc.center_columns_in_place(&y_means);
-            let design = RidgeDesign::new(x.clone());
+            let design = RidgeDesign::new(x.clone()).unwrap();
             let mut xs = x.clone();
             design.x_standardizer.transform_in_place(&mut xs);
             let rhs = design.rhs(&yc).unwrap();

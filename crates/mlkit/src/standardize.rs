@@ -8,6 +8,8 @@
 
 use explainit_linalg::Matrix;
 
+use crate::{MlError, Result};
+
 /// Per-column centering/scaling parameters learned from a training matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
@@ -19,7 +21,22 @@ impl Standardizer {
     /// Learns means and (population) standard deviations per column.
     /// Constant columns get `std = 0` and are centred but not scaled.
     pub fn fit(x: &Matrix) -> Self {
-        Standardizer { means: x.column_means(), stds: x.column_stds() }
+        let means = x.column_means();
+        let stds = x.column_stds_about(&means);
+        Standardizer { means, stds }
+    }
+
+    /// [`Standardizer::fit`] for a model about to use it: `NonFiniteInput`
+    /// unless every fitted mean and std is finite. Finite values can still
+    /// overflow a column's sum or its squared deviations (entries near
+    /// `f64::MAX`), and such a column standardises to NaN or to zeros.
+    pub(crate) fn fit_finite(x: &Matrix) -> Result<Self> {
+        let s = Standardizer::fit(x);
+        if s.means.iter().chain(&s.stds).all(|v| v.is_finite()) {
+            Ok(s)
+        } else {
+            Err(MlError::NonFiniteInput)
+        }
     }
 
     /// Column means captured at fit time.
@@ -49,16 +66,7 @@ impl Standardizer {
     /// Panics if the column count differs from the fitted matrix.
     pub fn transform_in_place(&self, x: &mut Matrix) {
         assert_eq!(x.ncols(), self.means.len(), "standardizer column mismatch");
-        let cols = x.ncols();
-        for i in 0..x.nrows() {
-            let row = x.row_mut(i);
-            for j in 0..cols {
-                row[j] -= self.means[j];
-                if self.stds[j] > 0.0 {
-                    row[j] /= self.stds[j];
-                }
-            }
-        }
+        x.standardize_columns_in_place(&self.means, &self.stds);
     }
 
     /// Convenience: fit on `x` and return the transformed copy.

@@ -108,8 +108,31 @@ fn unusable_cv_settings_are_typed_errors() {
     assert!(cross_validated_r2(&x, &y, &zero).is_ok());
 }
 
+/// Finite entries whose column sum overflows (1.5e308 / 1.6e308
+/// alternating) are input no fit can use: `NonFiniteInput` from every model
+/// and from cross-validation with either penalty, not a NaN score.
+#[test]
+fn overflowing_column_statistics_are_non_finite_input() {
+    let x = Matrix::from_vec(
+        40,
+        2,
+        (0..40).flat_map(|i| [(i as f64 * 0.3).sin(), [1.5e308, 1.6e308][i % 2]]).collect(),
+    );
+    assert!(!x.has_non_finite());
+    let y = Matrix::from_vec(40, 1, (0..40).map(|i| (i as f64 * 0.7).cos()).collect());
+    let non_finite = |r: Result<(), MlError>| r == Err(MlError::NonFiniteInput);
+    assert!(non_finite(RidgeModel::fit(&x, &y, 1.0).map(drop)));
+    assert!(non_finite(LassoModel::fit(&x, &y, 0.1, 50, 1e-7).map(drop)));
+    let lasso = CvConfig { penalty: PenaltyKind::Lasso, ..CvConfig::default() };
+    for cfg in [CvConfig::default(), lasso] {
+        assert!(non_finite(cross_validated_r2(&x, &y, &cfg).map(drop)), "{cfg:?}");
+        // An overflowing target is the same error, from its folds' means.
+        assert!(non_finite(cross_validated_r2(&y, &x.select_columns(&[1]), &cfg).map(drop)));
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // The default config: 96 cases, or `PROPTEST_CASES`.
 
     #[test]
     fn cv_equals_the_unshared_lambda_fold_loop_bit_for_bit(
