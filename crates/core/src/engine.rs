@@ -59,7 +59,8 @@ pub struct RankedHypothesis {
     pub effective_predictors: usize,
     /// Raw feature count of the family.
     pub family_width: usize,
-    /// Wall-clock scoring time for this hypothesis.
+    /// Wall-clock scoring time for this hypothesis, including the time a
+    /// failed one took to fail.
     pub duration: Duration,
     /// Scoring error, if the hypothesis could not be scored (kept in the
     /// report so the user sees gaps rather than silent drops).
@@ -243,9 +244,8 @@ impl Engine {
                     }
                     let xi = tasks[i];
                     let started = Instant::now();
-                    let outcome =
-                        score(&self.families[xi]).map(|detail| (detail, started.elapsed()));
-                    results.lock().push((xi, outcome));
+                    let outcome = score(&self.families[xi]);
+                    results.lock().push((xi, outcome, started.elapsed()));
                 });
             }
         });
@@ -253,7 +253,7 @@ impl Engine {
         let mut entries: Vec<RankedHypothesis> = results
             .into_inner()
             .into_iter()
-            .map(|(xi, outcome)| {
+            .map(|(xi, outcome, duration)| {
                 let fam = &self.families[xi];
                 let failed = ScoreDetail {
                     score: 0.0,
@@ -261,9 +261,9 @@ impl Engine {
                     p_value: 1.0,
                     effective_predictors: 0,
                 };
-                let (detail, duration, error) = match outcome {
-                    Ok((detail, duration)) => (detail, duration, None),
-                    Err(e) => (failed, Duration::ZERO, Some(e.to_string())),
+                let (detail, error) = match outcome {
+                    Ok(detail) => (detail, None),
+                    Err(e) => (failed, Some(e.to_string())),
                 };
                 RankedHypothesis {
                     family: fam.name.clone(),
@@ -453,10 +453,51 @@ mod tests {
 
     #[test]
     fn durations_are_recorded() {
-        let e = engine_with_signal();
+        let mut e = engine_with_signal();
+        // An error entry: a family on a disjoint grid fails after its
+        // timestamps are intersected, and that time counts too.
+        e.add_family(FeatureFamily::univariate(
+            "other_cluster",
+            (1000..1040).collect(),
+            (0..40).map(|i| i as f64).collect(),
+        ));
         let r = e.rank("runtime", &[], ScorerKind::L2).unwrap();
-        assert!(r.entries.iter().all(|x| x.error.is_some() || x.duration > Duration::ZERO));
+        assert!(r.entries.iter().any(|x| x.error.is_some()));
+        assert!(r.entries.iter().all(|x| x.duration > Duration::ZERO), "{:?}", r.entries);
         assert!(r.elapsed > Duration::ZERO);
         assert!(r.prepared > Duration::ZERO && r.prepared <= r.elapsed);
+    }
+
+    #[test]
+    fn zero_width_families_are_errors_under_every_scorer() {
+        let mut e = engine_with_signal();
+        let empty =
+            FeatureFamily::new("empty", (0..200).collect(), Vec::new(), Matrix::zeros(200, 0));
+        e.add_family(empty);
+        let scorers = [
+            ScorerKind::CorrMean,
+            ScorerKind::CorrMax,
+            ScorerKind::L2,
+            ScorerKind::L2_P50,
+            ScorerKind::Lasso,
+        ];
+        for scorer in scorers {
+            // As a candidate: the same error entry from every scorer, never
+            // a silent score of 0.
+            let r = e.rank("runtime", &[], scorer).unwrap();
+            let last = r.entries.last().unwrap();
+            assert_eq!(last.family, "empty", "{scorer:?}");
+            assert_eq!(
+                last.error.as_deref(),
+                Some("model failure: empty feature matrix"),
+                "{scorer:?}"
+            );
+            // As the target: the ranking itself is an error.
+            let ranked = e.rank("empty", &[], scorer);
+            assert!(
+                matches!(&ranked, Err(CoreError::Model(m)) if m == "empty target matrix"),
+                "{scorer:?}: {ranked:?}"
+            );
+        }
     }
 }

@@ -16,10 +16,11 @@
 //!
 //! A ranking scores many X against one (Y, Z), so the work is split by what
 //! it depends on (`ScoringPlan`). Per ranking: Z standardised and factored,
-//! Y residualised on it, the target's folds (columns, for the correlation
-//! scorers) prepared — each once. Per hypothesis: X's residuals as one solve
-//! against Z's factor, then the X side of each fold and λ
-//! (`explainit_ml::cv`). Sharing is the same arithmetic in the same order as
+//! Y residualised on it, the target's folds (its centred columns, for the
+//! correlation scorers) prepared — each once. Per hypothesis: X's residuals
+//! as one solve against Z's factor, then the X side of each fold and λ
+//! (`explainit_ml::cv`), or each X column centred once and one pass per
+//! (X, Y) column pair. Sharing is the same arithmetic in the same order as
 //! doing all of it per hypothesis, so scores, p-values and `best_lambda`
 //! match that bit for bit (`tests/plan_differential.rs` holds the oracle).
 
@@ -29,7 +30,7 @@ use explainit_linalg::Matrix;
 use explainit_ml::cv::PenaltyKind;
 use explainit_ml::projection::project_if_wide;
 use explainit_ml::{CvConfig, CvTarget, FactoredRidge, MlError};
-use explainit_stats::{chebyshev_p_value, pearson};
+use explainit_stats::{chebyshev_p_value, CentredColumn};
 
 use crate::{CoreError, Result};
 
@@ -156,16 +157,18 @@ pub(crate) struct ScoringPlan {
     /// Z standardised and factored once (§3.5): applied to Y in `new` and to
     /// each X in `score` as one solve, never refitted.
     conditioner: Option<FactoredRidge>,
-    /// The (residualised) target: its columns for the correlation scorers,
-    /// its folds for the joint ones — one per projection sample when `L2P`
-    /// projects a wide Y (that seed does not depend on X), otherwise one.
-    y_columns: Vec<Vec<f64>>,
+    /// The (residualised) target: its columns centred, with their sums of
+    /// squares, for the correlation scorers; its folds for the joint ones —
+    /// one per projection sample when `L2P` projects a wide Y (that seed
+    /// does not depend on X), otherwise one.
+    y_columns: Vec<CentredColumn>,
     targets: Vec<CvTarget>,
 }
 
 impl ScoringPlan {
     /// Builds the plan for target `y` (`T × ny`) given `z` (`T × nz`), rows
-    /// time-aligned. A bad cross-validation setting is an error from here.
+    /// time-aligned. A bad cross-validation setting is an error from here,
+    /// and so is a target without columns, which no scorer can explain.
     pub(crate) fn new(
         kind: ScorerKind,
         y: &Matrix,
@@ -173,6 +176,9 @@ impl ScoringPlan {
         cfg: &ScoreConfig,
     ) -> Result<Self> {
         let shape = y.shape();
+        if shape.1 == 0 {
+            return Err(CoreError::Model("empty target matrix".into()));
+        }
         if shape.0 < 2 * cfg.cv.k_folds {
             let needed = 2 * cfg.cv.k_folds;
             return Err(CoreError::InsufficientOverlap { rows: shape.0, needed });
@@ -189,7 +195,7 @@ impl ScoringPlan {
         let mut y_columns = Vec::new();
         let targets = match kind {
             ScorerKind::CorrMean | ScorerKind::CorrMax => {
-                y_columns = (0..y.ncols()).map(|j| y.column(j)).collect();
+                y_columns = (0..y.ncols()).map(|j| CentredColumn::new(&y.column(j))).collect();
                 Vec::new()
             }
             ScorerKind::Lasso => {
@@ -209,10 +215,15 @@ impl ScoringPlan {
     }
 
     /// Scores candidate `x` (`T × nx`, on the plan's rows) against the plan.
+    /// A candidate without columns is the same error under every scorer:
+    /// there is nothing to correlate or regress on.
     pub(crate) fn score(&self, x: &Matrix) -> Result<ScoreDetail> {
         let (n, y_width) = self.shape;
         if x.nrows() != n {
             return Err(CoreError::Model("misaligned hypothesis matrices".into()));
+        }
+        if x.ncols() == 0 {
+            return Err(CoreError::Model("empty feature matrix".into()));
         }
         let x = match &self.conditioner {
             Some(c) => Cow::Owned(c.residuals(x).map_err(model_error)?),
@@ -276,20 +287,19 @@ pub fn residualize(target: &Matrix, z: &Matrix) -> Result<Matrix> {
     conditioner(z)?.residuals(target).map_err(model_error)
 }
 
-fn corr_score(x: &Matrix, y_columns: &[Vec<f64>], take_max: bool) -> Result<ScoreDetail> {
-    if x.ncols() == 0 || y_columns.is_empty() {
-        return Err(CoreError::Model("empty feature matrix".into()));
-    }
+/// Mean or max `|pearson(x_i, y_j)|` over every pair, X columns outer: each
+/// X column centred once, each pair one pass against a prepared Y column.
+fn corr_score(x: &Matrix, y_columns: &[CentredColumn], take_max: bool) -> Result<ScoreDetail> {
     let mut acc = 0.0f64;
     let mut max = 0.0f64;
     let mut count = 0usize;
     for i in 0..x.ncols() {
-        let xi = x.column(i);
+        let xi = CentredColumn::new(&x.column(i));
         for yj in y_columns {
             // NaN only from non-finite arithmetic: a NaN / ±inf entry, or a
             // column whose mean or squared deviations overflow. `f64::max`
             // would hide it and a mean would carry it into the ranking.
-            let r = pearson(&xi, yj);
+            let r = xi.pearson(yj);
             if r.is_nan() {
                 return Err(model_error(MlError::NonFiniteInput));
             }
@@ -559,6 +569,29 @@ mod tests {
         // The same error `GIVEN` such a family gives.
         let got = score_hypothesis(ScorerKind::L2, &y, &noise(120, 1, 41), Some(&x), &cfg);
         assert!(matches!(&got, Err(CoreError::Model(m)) if *m == want), "GIVEN: {got:?}");
+    }
+
+    #[test]
+    fn zero_width_candidate_or_target_is_an_error() {
+        let (x, y) = signal_pair(120);
+        let (empty, z) = (Matrix::zeros(120, 0), noise(120, 1, 42));
+        let cfg = ScoreConfig::default();
+        let kinds = [
+            ScorerKind::CorrMean,
+            ScorerKind::CorrMax,
+            ScorerKind::L2,
+            ScorerKind::L2_P50,
+            ScorerKind::Lasso,
+        ];
+        let model = |m: &str| Err(CoreError::Model(m.into()));
+        for kind in kinds {
+            for z in [None, Some(&z)] {
+                let got = score_hypothesis(kind, &empty, &y, z, &cfg);
+                assert_eq!(got, model("empty feature matrix"), "{kind:?} candidate, Z {z:?}");
+                let got = score_hypothesis(kind, &x, &empty, z, &cfg);
+                assert_eq!(got, model("empty target matrix"), "{kind:?} target, Z {z:?}");
+            }
+        }
     }
 
     #[test]

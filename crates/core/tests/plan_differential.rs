@@ -10,6 +10,11 @@
 //! fits. Sharing must be the same arithmetic in the same order, so the two
 //! are compared by the bits of `score`, `p_value` and `best_lambda`, by
 //! `effective_predictors` and by error text — never with a tolerance.
+//! The reference stores every prediction and scores it with
+//! `r2_columns_mean`, and calls `pearson` on column copies; the engine
+//! scores held-out rows in one pass and correlates prepared columns. A
+//! target, candidates and a conditioner wider than one 8-column kernel tile
+//! put the tiled kernels on both sides too.
 
 use std::collections::BTreeMap;
 
@@ -216,7 +221,7 @@ fn family(name: &str, ts: Vec<i64>, columns: Vec<Vec<f64>>) -> FeatureFamily {
     FeatureFamily::new(name, ts, names, Matrix::from_columns(&columns))
 }
 
-/// The five column shapes, as functions of the family's own timestamps: a
+/// The six column shapes, as functions of the family's own timestamps: a
 /// driver shared with the target plus per-family noise.
 fn columns(shape: &str, ts: &[i64], seed: u64) -> Vec<Vec<f64>> {
     let mut next = noise(seed);
@@ -234,6 +239,9 @@ fn columns(shape: &str, ts: &[i64], seed: u64) -> Vec<Vec<f64>> {
             vec![a, b, sum]
         }
         "nan" => vec![col(1.0), vec![f64::NAN; ts.len()]],
+        // Wider than one 8-column kernel tile, narrower than a fold's
+        // training rows: the primal solve on two tiles (8 + 6).
+        "fourteen" => (0..14).map(|j| col(1.0 / (j + 1) as f64)).collect(),
         // More features than a fold's 32 training rows: the dual solve.
         "wide" => (0..36).map(|j| col(if j == 0 { 1.0 } else { 0.0 })).collect(),
         other => panic!("unknown column shape {other}"),
@@ -264,14 +272,20 @@ fn engine(workers: usize) -> Engine {
         cols.push(columns("ordinary", &base, 2).remove(1));
         cols
     }));
+    // A second target, wider than a kernel tile: its folds, `XᵀY`, held-out
+    // pass and Pearson columns run on two tiles (8 + 6).
+    engine.add_family(family("y14", base.clone(), columns("fourteen", &base, 5)));
     // One conditioner on the target's grid, one on a grid of its own, so
-    // that conditioning on both shrinks the shared rows.
+    // that conditioning on both shrinks the shared rows, and one wider than
+    // a tile (8 + 2).
     engine.add_family(family("z_on", base.clone(), columns("ordinary", &base, 3)));
     let off = grid("partial");
     engine.add_family(family("z_off", off.clone(), columns("constant", &off, 4)));
+    let z_wide = columns("fourteen", &base, 6).into_iter().take(10).collect();
+    engine.add_family(family("z_wide", base.clone(), z_wide));
     let mut seed = 10;
     for grid_kind in ["identical", "superset", "partial", "sparse", "disjoint"] {
-        for shape in ["ordinary", "constant", "collinear", "nan", "wide"] {
+        for shape in ["ordinary", "constant", "collinear", "nan", "fourteen", "wide"] {
             let ts = grid(grid_kind);
             seed += 1;
             let cols = columns(shape, &ts, seed);
@@ -296,19 +310,35 @@ fn rank_matches_the_unshared_reference_bit_for_bit() {
         ScorerKind::L2P { d: 3 },
         ScorerKind::Lasso,
     ];
-    let conditions: [&[&str]; 3] = [&[], &["z_on"], &["z_on", "z_off"]];
+    // The 14-wide target skips Lasso: fourteen coordinate-descent targets
+    // per fit were most of a debug run, and Lasso's held-out pass is the
+    // one the ridge scorers take.
+    let (all, no_lasso) = (&scorers[..], &scorers[..4]);
+    let rankings: [(&str, &[&str], &[ScorerKind]); 6] = [
+        ("y", &[], all),
+        ("y", &["z_on"], all),
+        ("y", &["z_on", "z_off"], all),
+        ("y", &["z_wide"], all),
+        ("y14", &[], no_lasso),
+        ("y14", &["z_wide"], no_lasso),
+    ];
     let mut compared = 0usize;
     let mut errors = 0usize;
     for workers in [1, 3] {
         let engine = engine(workers);
-        for kind in scorers {
-            for condition in conditions {
-                let ranking = engine.rank("y", condition, kind).expect("rank");
-                let reference = reference_rank(&engine, "y", condition, kind);
+        for (target, condition, kinds) in rankings {
+            for &kind in kinds {
+                let ranking = engine.rank(target, condition, kind).expect("rank");
+                let reference = reference_rank(&engine, target, condition, kind);
+                // Every family but the target and the conditioners.
+                assert_eq!(reference.len(), engine.family_count() - 1 - condition.len());
                 assert_eq!(ranking.hypotheses_scored, reference.len());
                 assert_eq!(ranking.entries.len(), reference.len());
                 for entry in &ranking.entries {
-                    let at = format!("{kind:?} | {condition:?} | {} | {workers}w", entry.family);
+                    let at = format!(
+                        "{kind:?} | {target} | {condition:?} | {} | {workers}w",
+                        entry.family
+                    );
                     match &reference[&entry.family] {
                         Err(e) => {
                             assert_eq!(entry.error, Some(e.to_string()), "{at}");
@@ -334,11 +364,12 @@ fn rank_matches_the_unshared_reference_bit_for_bit() {
             }
         }
     }
-    // The 25 `x_*` candidates plus whichever of `z_on` / `z_off` is not
-    // conditioned on, × 5 scorers × 2 worker counts; the sparse and disjoint
+    // The 30 `x_*` candidates plus whichever of `y` / `y14` / `z_on` /
+    // `z_off` / `z_wide` is neither the target nor conditioned on, × 5
+    // scorers (4 for `y14`) × 2 worker counts; the sparse and disjoint
     // grids and the NaN feature are error entries on both sides.
-    assert_eq!(compared, (27 + 26 + 25) * 5 * 2);
-    assert!(errors >= 10 * 5 * 3 * 2, "only {errors} error entries compared");
+    assert_eq!(compared, ((34 + 33 + 32 + 33) * 5 + (34 + 33) * 4) * 2);
+    assert!(errors >= 12 * (4 * 5 + 2 * 4) * 2, "only {errors} error entries compared");
 }
 
 /// The grids really exercise the four alignment cases of the engine.
@@ -356,6 +387,11 @@ fn candidate_grids_cover_every_alignment_case() {
     assert_eq!(overlap("x_disjoint_ordinary"), 0);
     // The dual path: more features than any fold's training rows.
     assert!(engine.family("x_identical_wide").unwrap().width() > ROWS - ROWS / 5);
+    // Candidate, target and conditioner each wider than one 8-column
+    // kernel tile; the candidate on the primal path.
+    let width = |name: &str| engine.family(name).unwrap().width();
+    assert!((9..=ROWS - ROWS / 5).contains(&width("x_identical_fourteen")));
+    assert!(width("y14") > 8 && width("z_wide") > 8);
 }
 
 /// `score_hypothesis` is the same plan built for one X.
@@ -366,7 +402,7 @@ fn score_hypothesis_matches_the_reference() {
     let z = &engine.family("z_on").unwrap().data;
     let cfg = ScoreConfig::default();
     for kind in [ScorerKind::CorrMax, ScorerKind::L2, ScorerKind::L2P { d: 3 }, ScorerKind::Lasso] {
-        for shape in ["ordinary", "constant", "collinear", "nan", "wide"] {
+        for shape in ["ordinary", "constant", "collinear", "nan", "fourteen", "wide"] {
             let x = &engine.family(&format!("x_identical_{shape}")).unwrap().data;
             for z in [None, Some(z)] {
                 let got = score_hypothesis(kind, x, y, z, &cfg);

@@ -6,9 +6,10 @@
 //! equations).  This crate implements exactly that set from scratch — no
 //! external BLAS — with row-major [`Matrix`] storage matching the paper's
 //! "dense arrays" optimisation (§4.2). The scoring kernels (`xtx`, `xt_mul`,
-//! `matmul` and the column statistics) run operands at most 8 wide through
-//! fixed-width code with register accumulators, wider ones through plain
-//! loops; both give the same bits (`matrix.rs`, `by_width!`).
+//! `matmul`, the held-out pass `residual_sum_squares` and the column
+//! statistics) cut operands into column tiles at most 8 wide and run each
+//! through fixed-width code with register accumulators, with the same bits
+//! as plain loops at every width (`matrix.rs`, `by_width!`).
 //!
 //! # Example
 //!

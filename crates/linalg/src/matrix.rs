@@ -3,64 +3,77 @@ use std::ops::{Index, IndexMut};
 
 use crate::{LinalgError, Result};
 
-/// Evaluates `$fixed` with the constant `$w` bound to `$width` when that is
-/// 1..=8, and `$wide` otherwise.
+/// Evaluates `$tile` with the constant `$w` bound to `$width`, the width of
+/// one column tile (1..=8, what [`tiles`] yields).
 ///
-/// This is the width split of the scoring kernels (`xtx`, `xt_mul`,
-/// `matmul`, `column_means`, `column_stds_about`,
-/// `standardize_columns_in_place`). Up to 8 wide, a kernel is const-generic
-/// over its accumulator block — a local array the compiler unrolls and keeps
-/// in registers, where the plain loops walk the accumulators through memory
-/// behind bounds checks. Feature families are mostly 1–8 columns wide and
-/// targets 4. Wider operands (a 14-wide family, a projection to 50 or 500,
-/// the dual path's `p > n`) keep the plain loops; a single zero-padded 8-wide
+/// This is how the scoring kernels (`xtx`, `xt_mul`, `matmul`,
+/// `residual_sum_squares`, `column_means`, `column_stds_about`,
+/// `standardize_columns_in_place`) meet any width. An operand is cut into
+/// column tiles at most 8 wide — 14 is 8 + 6, 17 is 8 + 8 + 1 — and each
+/// tile runs a kernel const-generic over its accumulator block, a local
+/// array the compiler unrolls and keeps in registers, where a loop over a
+/// runtime width walks the accumulators through memory behind bounds checks.
+/// Every tile is exactly as wide as its columns: one zero-padded 8-wide
 /// tile for every width would do up to 36 products per row where a 1-wide
-/// Gram needs one. Both sides do the same arithmetic: every
-/// accumulator starts at `+0.0` and adds its terms in the same order (rows
-/// ascending, product then add, operands in the same order), so they agree
-/// by bits — up to the sign and payload of a NaN, which Rust leaves
-/// unspecified. Both keep the `== 0.0` skip, because dropping it is not
-/// exact: `0 × ±inf` and `0 × NaN` are NaN, not `0`. `tests/proptests.rs`
-/// holds the kernels to plain loops and to the output bits from before the
-/// split.
+/// Gram needs one. Tiling never changes the arithmetic: an accumulator
+/// belongs to one output entry, which lies in exactly one tile (one pair of
+/// tiles for a product), and there it starts at `+0.0` and adds its terms
+/// rows ascending (`k` ascending for `matmul`), product then add, operands
+/// in the order of the plain loops — so the kernels agree with those loops
+/// by bits, up to the sign and payload of a NaN, which Rust leaves
+/// unspecified. Every kernel keeps the `== 0.0` skip, because dropping it
+/// is not exact: `0 × ±inf` and `0 × NaN` are NaN, not `0`.
+/// `tests/proptests.rs` holds the kernels to plain loops and to the output
+/// bits recorded before the fixed-width kernels and before the tiles.
 macro_rules! by_width {
-    ($width:expr, $w:ident => $fixed:expr, _ => $wide:expr) => {
+    ($width:expr, $w:ident => $tile:expr) => {
         match $width {
             1 => {
                 const $w: usize = 1;
-                $fixed
+                $tile
             }
             2 => {
                 const $w: usize = 2;
-                $fixed
+                $tile
             }
             3 => {
                 const $w: usize = 3;
-                $fixed
+                $tile
             }
             4 => {
                 const $w: usize = 4;
-                $fixed
+                $tile
             }
             5 => {
                 const $w: usize = 5;
-                $fixed
+                $tile
             }
             6 => {
                 const $w: usize = 6;
-                $fixed
+                $tile
             }
             7 => {
                 const $w: usize = 7;
-                $fixed
+                $tile
             }
             8 => {
                 const $w: usize = 8;
-                $fixed
+                $tile
             }
-            _ => $wide,
+            w => unreachable!("a column tile is 1 to {TILE} wide, not {w}"),
         }
     };
+}
+
+/// The widest column tile: an 8 × 8 block of accumulators still fits the
+/// registers of the scoring kernels' hottest loops.
+const TILE: usize = 8;
+
+/// The column tiles of a `width`-wide operand, left to right: `(first
+/// column, tile width)`, every tile [`TILE`] wide but the last (none for
+/// width 0).
+fn tiles(width: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..width).step_by(TILE).map(move |c| (c, TILE.min(width - c)))
 }
 
 /// A dense, row-major, `f64` matrix.
@@ -252,8 +265,8 @@ impl Matrix {
     ///
     /// Uses the i-k-j loop order: output entry `(i, o)` adds
     /// `self[(i, k)] * rhs[(k, o)]` for `k` ascending, skipping a zero
-    /// `self[(i, k)]`. An output row at most 8 wide is accumulated in
-    /// registers (see `by_width!`).
+    /// `self[(i, k)]`. Each row is accumulated in registers, one column tile
+    /// of the output at a time (see `by_width!`).
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -262,14 +275,63 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let (a, k, b) = (&self.data, self.cols, &rhs.data);
-        by_width!(
-            rhs.cols,
-            M => matmul_rows::<M>(a, k, b, &mut out.data),
-            _ => matmul_rows_wide(a, k, b, rhs.cols, &mut out.data)
-        );
+        let m = rhs.cols;
+        let mut out = Matrix::zeros(self.rows, m);
+        for (o, w) in tiles(m) {
+            by_width!(w, M => {
+                let rows = product_rows::<M>(self, rhs, o);
+                for (out_row, acc) in out.data.chunks_exact_mut(m).zip(rows) {
+                    out_row[o..o + M].copy_from_slice(&acc);
+                }
+            });
+        }
         Ok(out)
+    }
+
+    /// Residual sums of squares of a linear prediction: entry `o` adds
+    /// `(y[i][o] − (pred + intercept[o]))²` over rows `i` ascending, where
+    /// `pred` is entry `(i, o)` of `self * coef` as [`Matrix::matmul`] forms
+    /// it. The same bits as forming `self * coef`, adding the intercept to
+    /// each row and summing the squared errors column by column, without
+    /// storing the prediction: each prediction row lives in registers, one
+    /// column tile at a time (see `by_width!`). Held-out scoring calls this
+    /// once per fold and penalty. The rows are `y`'s, so a design without
+    /// columns predicts the intercept on every row instead of on none.
+    ///
+    /// # Panics
+    /// Panics if `intercept.len() != y.ncols()`.
+    pub fn residual_sum_squares(
+        &self,
+        coef: &Matrix,
+        intercept: &[f64],
+        y: &Matrix,
+    ) -> Result<Vec<f64>> {
+        let op = "residual_sum_squares";
+        if self.cols != coef.rows {
+            return Err(LinalgError::ShapeMismatch { op, lhs: self.shape(), rhs: coef.shape() });
+        }
+        if (self.rows, coef.cols) != y.shape() {
+            let lhs = (self.rows, coef.cols);
+            return Err(LinalgError::ShapeMismatch { op, lhs, rhs: y.shape() });
+        }
+        assert_eq!(intercept.len(), y.cols, "intercept length mismatch");
+        let m = y.cols;
+        let mut rss = vec![0.0; m];
+        for (o, w) in tiles(m) {
+            by_width!(w, M => {
+                let mut sums = [0.0; M];
+                let b = &intercept[o..o + M];
+                for (y_row, pred) in y.data.chunks_exact(m).zip(product_rows::<M>(self, coef, o)) {
+                    let y_tile = &y_row[o..o + M];
+                    for t in 0..M {
+                        let e = y_tile[t] - (pred[t] + b[t]);
+                        sums[t] += e * e;
+                    }
+                }
+                rss[o..o + M].copy_from_slice(&sums);
+            });
+        }
+        Ok(rss)
     }
 
     /// Gram matrix `X^T X` (symmetric, `cols × cols`).
@@ -277,16 +339,19 @@ impl Matrix {
     /// Computes only the upper triangle and mirrors it, halving the work of a
     /// generic product: entry `(j, k)`, `j <= k`, adds `x[i][j] * x[i][k]`
     /// for rows `i` ascending, skipping a zero `x[i][j]`. This is the hot
-    /// kernel of ridge scoring when `T > F`; at most 8 columns wide its
-    /// accumulators stay in registers (see `by_width!`).
+    /// kernel of ridge scoring when `T > F`. Its accumulators stay in
+    /// registers one block at a time (see `by_width!`): the upper triangle
+    /// of each diagonal tile, and each tile pair above the diagonal.
     pub fn xtx(&self) -> Matrix {
         let p = self.cols;
         let mut g = Matrix::zeros(p, p);
-        by_width!(
-            p,
-            P => xtx_upper::<P>(&self.data, &mut g.data),
-            _ => xtx_upper_wide(&self.data, p, &mut g.data)
-        );
+        let (x, out) = (&self.data, &mut g.data);
+        for (t, (j, pj)) in tiles(p).enumerate() {
+            by_width!(pj, P => xtx_tile::<P>(x, p, j, out));
+            for (k, pk) in tiles(p).skip(t + 1) {
+                by_width!(pj, P => by_width!(pk, K => xt_mul_tile::<P, K>(x, p, j, x, p, k, out)));
+            }
+        }
         for j in 0..p {
             for k in (j + 1)..p {
                 g[(k, j)] = g[(j, k)];
@@ -319,8 +384,9 @@ impl Matrix {
 
     /// `X^T * rhs` without materialising the transpose: entry `(j, o)` adds
     /// `x[i][j] * rhs[i][o]` for rows `i` ascending, skipping a zero
-    /// `x[i][j]`. When both operands are at most 8 wide the `P × M`
-    /// accumulator block stays in registers (see `by_width!`).
+    /// `x[i][j]`. The accumulators stay in registers one block at a time,
+    /// for each pair of a column tile of `self` and one of `rhs` (see
+    /// `by_width!`).
     pub fn xt_mul(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -329,15 +395,15 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        let (x, y, out_data) = (&self.data, &rhs.data, &mut out.data);
-        let wide = |out: &mut [f64]| xt_mul_wide(x, self.cols, y, rhs.cols, out);
-        by_width!(
-            self.cols,
-            P => by_width!(rhs.cols, M => xt_mul_block::<P, M>(x, y, out_data), _ => wide(out_data)),
-            _ => wide(out_data)
-        );
-        Ok(out)
+        let (p, m) = (self.cols, rhs.cols);
+        let mut xty = Matrix::zeros(p, m);
+        let (x, y, out) = (&self.data, &rhs.data, &mut xty.data);
+        for (j, pj) in tiles(p) {
+            for (o, mo) in tiles(m) {
+                by_width!(pj, P => by_width!(mo, M => xt_mul_tile::<P, M>(x, p, j, y, m, o, out)));
+            }
+        }
+        Ok(xty)
     }
 
     /// Matrix-vector product `self * v`.
@@ -490,15 +556,14 @@ impl Matrix {
     /// Per-column means: each column's sum over rows ascending, divided by
     /// the row count (zeros when there are no rows).
     pub fn column_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.cols];
+        let (x, p) = (&self.data, self.cols);
+        let mut means = vec![0.0; p];
         if self.rows == 0 {
             return means;
         }
-        by_width!(
-            self.cols,
-            P => column_sums::<P>(&self.data, &mut means),
-            _ => column_sums_wide(&self.data, &mut means)
-        );
+        for (j, w) in tiles(p) {
+            by_width!(w, P => column_sums::<P>(x, p, j, &mut means[j..j + P]));
+        }
         let n = self.rows as f64;
         for m in &mut means {
             *m /= n;
@@ -513,24 +578,35 @@ impl Matrix {
 
     /// Per-column population standard deviations around the column means
     /// `means` (what [`Matrix::column_means`] returns, passed in so a caller
-    /// that needs both computes them once): squared deviations summed over
-    /// rows ascending, divided by the row count (at least 1), square-rooted.
+    /// that needs both computes them once): the
+    /// [`Matrix::column_squared_deviations`] from them divided by the row
+    /// count (at least 1), square-rooted.
     ///
     /// # Panics
     /// Panics if `means.len() != ncols()`.
     pub fn column_stds_about(&self, means: &[f64]) -> Vec<f64> {
-        assert_eq!(means.len(), self.cols, "means length mismatch");
-        let mut vars = vec![0.0; self.cols];
-        by_width!(
-            self.cols,
-            P => squared_deviations::<P>(&self.data, means, &mut vars),
-            _ => squared_deviations_wide(&self.data, means, &mut vars)
-        );
+        let mut vars = self.column_squared_deviations(means);
         let n = (self.rows as f64).max(1.0);
         for v in &mut vars {
             *v = (*v / n).sqrt();
         }
         vars
+    }
+
+    /// Per-column sums of squared deviations from `centres`: column `j`
+    /// adds `(x[i][j] − centres[j])²` over rows `i` ascending.
+    ///
+    /// # Panics
+    /// Panics if `centres.len() != ncols()`.
+    pub fn column_squared_deviations(&self, centres: &[f64]) -> Vec<f64> {
+        assert_eq!(centres.len(), self.cols, "centres length mismatch");
+        let (x, p) = (&self.data, self.cols);
+        let mut sums = vec![0.0; p];
+        for (j, w) in tiles(p) {
+            let (c, out) = (&centres[j..j + w], &mut sums[j..j + w]);
+            by_width!(w, P => squared_deviations::<P>(x, p, j, c, out));
+        }
+        sums
     }
 
     /// Standardises every column in place: column `j` less `means[j]`, then
@@ -542,11 +618,11 @@ impl Matrix {
     pub fn standardize_columns_in_place(&mut self, means: &[f64], stds: &[f64]) {
         assert_eq!(means.len(), self.cols, "means length mismatch");
         assert_eq!(stds.len(), self.cols, "stds length mismatch");
-        by_width!(
-            self.cols,
-            P => standardize_rows::<P>(&mut self.data, means, stds),
-            _ => standardize_rows_wide(&mut self.data, means, stds)
-        );
+        let p = self.cols;
+        for (j, w) in tiles(p) {
+            let (m, s) = (&means[j..j + w], &stds[j..j + w]);
+            by_width!(w, P => standardize_rows::<P>(&mut self.data, p, j, m, s));
+        }
     }
 
     /// Subtracts `means[j]` from every element of column `j`, in place.
@@ -574,166 +650,146 @@ impl Matrix {
     }
 }
 
-// The scoring kernels' two sides of the width split (`by_width!`): a
-// const-generic kernel over `P`- / `M`-wide rows, its accumulators a local
-// array, and the plain loop over rows of any width (`chunks_exact(w.max(1))`:
-// a zero-width matrix has no data, so it yields no rows). Each pair does the
-// same arithmetic in the same order.
+// The scoring kernels, one column tile each (`by_width!`): const-generic
+// over the tile's width, their accumulators a local array. A tile reads
+// columns `j..j + P` of rows `p` wide (`p >= 1`: a zero-width operand has no
+// tiles), so a kernel over the whole of an operand at most 8 wide is the
+// case `j = 0`, `P = p`.
 
-fn matmul_rows<const M: usize>(a: &[f64], k: usize, b: &[f64], out: &mut [f64]) {
-    let b_rows = b.as_chunks::<M>().0;
-    for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.as_chunks_mut::<M>().0) {
+/// The rows of `a * b` restricted to the `M` output columns from `o`, rows
+/// ascending: entry `t` of row `i` adds `a[i][k] * b[k][o + t]` for `k`
+/// ascending, skipping a zero `a[i][k]`. Rows are counted, not cut from `a`,
+/// so an `a` without columns still yields its rows (of zeros).
+fn product_rows<'a, const M: usize>(
+    a: &'a Matrix,
+    b: &Matrix,
+    o: usize,
+) -> impl Iterator<Item = [f64; M]> + 'a {
+    let k = a.cols;
+    // The tile's columns of `b`, copied once into `k` contiguous rows of
+    // `M`: read in place through `b`'s row stride instead, the held-out
+    // pass cost ≈ 9% of the interactive re-rank benchmark end to end.
+    let b_tile: Vec<[f64; M]> = b
+        .data
+        .chunks_exact(b.cols)
+        .map(|row| {
+            let mut t = [0.0; M];
+            t.copy_from_slice(&row[o..o + M]);
+            t
+        })
+        .collect();
+    (0..a.rows).map(move |i| {
         let mut acc = [0.0; M];
-        for (&a_ik, b_row) in a_row.iter().zip(b_rows) {
+        for (&a_ik, b_row) in a.data[i * k..(i + 1) * k].iter().zip(&b_tile) {
             if a_ik == 0.0 {
                 continue;
             }
-            for o in 0..M {
-                acc[o] += a_ik * b_row[o];
+            for t in 0..M {
+                acc[t] += a_ik * b_row[t];
             }
         }
-        *out_row = acc;
-    }
+        acc
+    })
 }
 
-fn matmul_rows_wide(a: &[f64], k: usize, b: &[f64], m: usize, out: &mut [f64]) {
-    for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.chunks_exact_mut(m.max(1))) {
-        for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(m.max(1))) {
-            if a_ik == 0.0 {
-                continue;
-            }
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += a_ik * b;
-            }
-        }
-    }
-}
-
-fn xtx_upper<const P: usize>(x: &[f64], g: &mut [f64]) {
+/// The upper triangle of the diagonal block of `XᵀX` over columns
+/// `j..j + P`, written to `g` (`p × p`).
+fn xtx_tile<const P: usize>(x: &[f64], p: usize, j: usize, g: &mut [f64]) {
     let mut acc = [[0.0; P]; P];
-    for row in x.as_chunks::<P>().0 {
-        for j in 0..P {
-            let xj = row[j];
-            if xj == 0.0 {
+    for row in x.chunks_exact(p) {
+        let a = &row[j..j + P];
+        for r in 0..P {
+            let a_r = a[r];
+            if a_r == 0.0 {
                 continue;
             }
-            for k in j..P {
-                acc[j][k] += xj * row[k];
+            for c in r..P {
+                acc[r][c] += a_r * a[c];
             }
         }
     }
-    for (g_row, acc_row) in g.as_chunks_mut::<P>().0.iter_mut().zip(&acc) {
-        *g_row = *acc_row;
+    for (r, acc_row) in acc.iter().enumerate() {
+        g[(j + r) * p + j..(j + r) * p + j + P].copy_from_slice(acc_row);
     }
 }
 
-fn xtx_upper_wide(x: &[f64], p: usize, g: &mut [f64]) {
-    for row in x.chunks_exact(p.max(1)) {
-        for j in 0..p {
-            let xj = row[j];
-            if xj == 0.0 {
-                continue;
-            }
-            let g_row = &mut g[j * p..(j + 1) * p];
-            for k in j..p {
-                g_row[k] += xj * row[k];
-            }
-        }
-    }
-}
-
-fn xt_mul_block<const P: usize, const M: usize>(x: &[f64], y: &[f64], out: &mut [f64]) {
+/// The block of `XᵀY` over columns `j..j + P` of `x` (rows `p` wide) and
+/// `o..o + M` of `y` (rows `m` wide), written to `out` (`· × m`). `xtx`
+/// runs its blocks above the diagonal through this with `y = x`.
+fn xt_mul_tile<const P: usize, const M: usize>(
+    x: &[f64],
+    p: usize,
+    j: usize,
+    y: &[f64],
+    m: usize,
+    o: usize,
+    out: &mut [f64],
+) {
     let mut acc = [[0.0; M]; P];
-    for (a_row, b_row) in x.as_chunks::<P>().0.iter().zip(y.as_chunks::<M>().0) {
-        for j in 0..P {
-            let a = a_row[j];
-            if a == 0.0 {
+    for (x_row, y_row) in x.chunks_exact(p).zip(y.chunks_exact(m)) {
+        let (a, b) = (&x_row[j..j + P], &y_row[o..o + M]);
+        for r in 0..P {
+            let a_r = a[r];
+            if a_r == 0.0 {
                 continue;
             }
-            for o in 0..M {
-                acc[j][o] += a * b_row[o];
+            for t in 0..M {
+                acc[r][t] += a_r * b[t];
             }
         }
     }
-    for (out_row, acc_row) in out.as_chunks_mut::<M>().0.iter_mut().zip(&acc) {
-        *out_row = *acc_row;
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(j + r) * m + o..(j + r) * m + o + M].copy_from_slice(acc_row);
     }
 }
 
-fn xt_mul_wide(x: &[f64], p: usize, y: &[f64], m: usize, out: &mut [f64]) {
-    for (a_row, b_row) in x.chunks_exact(p.max(1)).zip(y.chunks_exact(m.max(1))) {
-        for (j, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let out_row = &mut out[j * m..(j + 1) * m];
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += a * b;
-            }
-        }
-    }
-}
-
-fn column_sums<const P: usize>(x: &[f64], sums: &mut [f64]) {
+fn column_sums<const P: usize>(x: &[f64], p: usize, j: usize, sums: &mut [f64]) {
     let mut acc = [0.0; P];
-    for row in x.as_chunks::<P>().0 {
-        for j in 0..P {
-            acc[j] += row[j];
+    for row in x.chunks_exact(p) {
+        let a = &row[j..j + P];
+        for r in 0..P {
+            acc[r] += a[r];
         }
     }
     sums.copy_from_slice(&acc);
 }
 
-fn column_sums_wide(x: &[f64], sums: &mut [f64]) {
-    for row in x.chunks_exact(sums.len().max(1)) {
-        for (s, &v) in sums.iter_mut().zip(row) {
-            *s += v;
-        }
-    }
-}
-
-fn squared_deviations<const P: usize>(x: &[f64], means: &[f64], out: &mut [f64]) {
-    let mut mean = [0.0; P];
-    mean.copy_from_slice(means);
+fn squared_deviations<const P: usize>(
+    x: &[f64],
+    p: usize,
+    j: usize,
+    centres: &[f64],
+    out: &mut [f64],
+) {
+    let mut centre = [0.0; P];
+    centre.copy_from_slice(centres);
     let mut acc = [0.0; P];
-    for row in x.as_chunks::<P>().0 {
-        for j in 0..P {
-            let d = row[j] - mean[j];
-            acc[j] += d * d;
+    for row in x.chunks_exact(p) {
+        let a = &row[j..j + P];
+        for r in 0..P {
+            let d = a[r] - centre[r];
+            acc[r] += d * d;
         }
     }
     out.copy_from_slice(&acc);
 }
 
-fn squared_deviations_wide(x: &[f64], means: &[f64], out: &mut [f64]) {
-    for row in x.chunks_exact(means.len().max(1)) {
-        for ((v, &x), &m) in out.iter_mut().zip(row).zip(means) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-}
-
-fn standardize_rows<const P: usize>(x: &mut [f64], means: &[f64], stds: &[f64]) {
+fn standardize_rows<const P: usize>(
+    x: &mut [f64],
+    p: usize,
+    j: usize,
+    means: &[f64],
+    stds: &[f64],
+) {
     let (mut mean, mut std) = ([0.0; P], [0.0; P]);
     mean.copy_from_slice(means);
     std.copy_from_slice(stds);
-    for row in x.as_chunks_mut::<P>().0 {
-        for j in 0..P {
-            row[j] -= mean[j];
-            if std[j] > 0.0 {
-                row[j] /= std[j];
-            }
-        }
-    }
-}
-
-fn standardize_rows_wide(x: &mut [f64], means: &[f64], stds: &[f64]) {
-    for row in x.chunks_exact_mut(means.len().max(1)) {
-        for ((v, &m), &s) in row.iter_mut().zip(means).zip(stds) {
-            *v -= m;
-            if s > 0.0 {
-                *v /= s;
+    for row in x.chunks_exact_mut(p) {
+        let a = &mut row[j..j + P];
+        for r in 0..P {
+            a[r] -= mean[r];
+            if std[r] > 0.0 {
+                a[r] /= std[r];
             }
         }
     }

@@ -1,13 +1,16 @@
 //! Property-based tests for the linear algebra kernels.
 //!
-//! The scoring kernels (`xtx`, `xt_mul`, `matmul` and the standardisation
-//! behind `Standardizer`) are held two ways: by bits against the plain loops
-//! below, which spell out the term order every accumulator must see, and by
-//! a hash of their output over a fixed corpus, pinned at the commit before
-//! the fixed-width kernels — a change the reference loops and the kernels
-//! made together would pass the first and fail the second.
+//! The scoring kernels (`xtx`, `xt_mul`, `matmul`, the standardisation
+//! behind `Standardizer` and the held-out pass `residual_sum_squares`) are
+//! held two ways: by bits against the plain loops below, which spell out the
+//! term order every accumulator must see, and by a hash of their output over
+//! a fixed corpus, pinned at the commit before the fixed-width kernels (and,
+//! for left widths 17 and 24 and right-hand widths 14 and 17, before the
+//! column tiles) — a change the reference loops and the kernels made
+//! together would pass the first and fail the second.
 
 use explainit_linalg::{dot, Cholesky, Matrix, QrDecomposition};
+use explainit_ml::ridge::{r2_columns_mean, r2_held_out};
 use explainit_ml::Standardizer;
 use proptest::prelude::*;
 
@@ -146,12 +149,27 @@ fn kernel_matrix(rows: usize, cols: usize, special: usize) -> impl Strategy<Valu
     })
 }
 
-/// Shapes on both sides of the width-8 split, zero rows and zero columns
+/// Shapes from zero columns to two 8-wide tiles and a remainder, zero rows
 /// included, and their operands: `x` (n × p), `y` (n × m), `b` (p × m).
 fn kernel_operands() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
-    (0..=24usize, 0..=12usize, 0..=11usize, 0..3usize).prop_flat_map(|(n, p, m, s)| {
+    (0..=24usize, 0..=20usize, 0..=20usize, 0..3usize).prop_flat_map(|(n, p, m, s)| {
         let special = [0, 2, 12][s];
         (kernel_matrix(n, p, special), kernel_matrix(n, m, special), kernel_matrix(p, m, special))
+    })
+}
+
+/// The held-out pass's operands over the same shapes: `x` (n × p), `beta`
+/// (p × m), `y` (n × m) and an intercept `m` long.
+fn held_out_operands() -> impl Strategy<Value = (Matrix, Matrix, Matrix, Vec<f64>)> {
+    (0..=24usize, 0..=20usize, 0..=20usize, 0..3usize).prop_flat_map(|(n, p, m, s)| {
+        let special = [0, 2, 12][s];
+        let intercept = kernel_matrix(1, m, special).prop_map(|b| b.as_slice().to_vec());
+        (
+            kernel_matrix(n, p, special),
+            kernel_matrix(p, m, special),
+            kernel_matrix(n, m, special),
+            intercept,
+        )
     })
 }
 
@@ -212,13 +230,13 @@ fn fold(hash: &mut u64, shape: (usize, usize), values: &[f64]) {
     }
 }
 
-/// Per width `p` of the corpus: one hash each over `xtx`, `xt_mul`,
-/// `matmul` and `Standardizer::fit_transform` (means, stds and the
-/// standardised rows), across rows {0, 1, 7, 1152}, three variants and
-/// right-hand widths {1, 4, 8, 9}.
-fn kernel_pins() -> Vec<(usize, [u64; 4])> {
+/// Per width `p` in `lefts`: one hash each over `xtx`, `xt_mul`, `matmul`
+/// and `Standardizer::fit_transform` (means, stds and the standardised
+/// rows), across rows {0, 1, 7, 1152}, three variants and the right-hand
+/// widths `rights`.
+fn kernel_pins(lefts: &[usize], rights: &[usize]) -> Vec<(usize, [u64; 4])> {
     let mut pins = Vec::new();
-    for p in (1..=9).chain([14]) {
+    for &p in lefts {
         let mut h = [0xcbf2_9ce4_8422_2325u64; 4];
         for n in [0, 1, 7, 1152] {
             for variant in 0..3 {
@@ -226,7 +244,7 @@ fn kernel_pins() -> Vec<(usize, [u64; 4])> {
                     ((p * 100_000 + n * 10 + variant) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let x = corpus_matrix(n, p, seed, variant);
                 fold(&mut h[0], (p, p), x.xtx().as_slice());
-                for m in [1, 4, 8, 9] {
+                for &m in rights {
                     let y = corpus_matrix(n, m, seed ^ 0x5555, variant);
                     let b = corpus_matrix(p, m, seed ^ 0xaaaa, variant);
                     let xty = x.xt_mul(&y).expect("same rows");
@@ -244,8 +262,11 @@ fn kernel_pins() -> Vec<(usize, [u64; 4])> {
     pins
 }
 
-/// The scoring kernels' output bits, pinned at the commit before their
-/// fixed-width versions (`[xtx, xt_mul, matmul, fit_transform]` per width).
+/// The scoring kernels' output bits (`[xtx, xt_mul, matmul, fit_transform]`
+/// per width): `PARENT_BITS` pinned at the commit before their fixed-width
+/// versions, `TILED_BITS` (right-hand widths 14 and 17, left widths up to
+/// 24) at the commit before the column tiles. The two tables hash the same
+/// `xtx` and `fit_transform` for the widths they share.
 #[test]
 fn kernels_are_the_parent_bits() {
     const PARENT_BITS: [(usize, [u64; 4]); 10] = [
@@ -260,7 +281,24 @@ fn kernels_are_the_parent_bits() {
         (9, [0x09c899383dc08b05, 0x0905e73f9efa5daf, 0x3a48d6436a0b75ab, 0x6c3eabc185baf1ad]),
         (14, [0x9e5e342e8235e383, 0x7b2de3ae07a1db0f, 0x93f60005a9bd5558, 0xe3ae1bf7af345ecd]),
     ];
-    assert_eq!(kernel_pins(), PARENT_BITS);
+    const TILED_BITS: [(usize, [u64; 4]); 12] = [
+        (1, [0x111d7b25cdd65e80, 0xceee25ef9e22ed44, 0x6e97131b1546d7a8, 0xebe031657c703541]),
+        (2, [0xea6a5b243fdd6e27, 0x9ebd8a5cccfe73fe, 0xca1c733c92b042e8, 0x3ccaa0bf4d433d7b]),
+        (3, [0x9790304e1f2fa481, 0x99a3be1e3a460c4b, 0x90361922f6adbfbf, 0xa2ba02462ef983bf]),
+        (4, [0x7a364275aa89662d, 0xb9acfefb9daeeb3e, 0x3d77fb3e02676d24, 0x9f01840af2ca2206]),
+        (5, [0x927e7d55ede039f2, 0x4494565c814f8cf6, 0xa5d6ae383376d913, 0x15a35d116313d9cf]),
+        (6, [0x503b4acafe1eff4c, 0x179282c3a309b94c, 0x5dfa3d925a32cf1f, 0xe22f3d8693d064e9]),
+        (7, [0xa4db3e31dfe294a1, 0x267443eea72c8c6e, 0x01fdea4a044b2ed9, 0x86bed325dc98f552]),
+        (8, [0xdd3b0491d3432651, 0x64e127ed16e7f139, 0x502eeca5c8120107, 0xcf00b9c7bbbbc12e]),
+        (9, [0x09c899383dc08b05, 0x3bf6a4c225bf600f, 0xda03558808165f0a, 0x6c3eabc185baf1ad]),
+        (14, [0x9e5e342e8235e383, 0x9c9d7d04b40c3aeb, 0x7cd7408de65bb7fb, 0xe3ae1bf7af345ecd]),
+        (17, [0x477fdfa4aa80fc5a, 0x75bc8f9a7f96a44a, 0x9fac9816190f8dae, 0x77ba05ec917ea35b]),
+        (24, [0xaa464c020e76520f, 0x24fa33115feb5269, 0x5de02bf3319859a1, 0x3e5059832cadd963]),
+    ];
+    let lefts: Vec<usize> = (1..=9).chain([14]).collect();
+    assert_eq!(kernel_pins(&lefts, &[1, 4, 8, 9]), PARENT_BITS);
+    let lefts: Vec<usize> = (1..=9).chain([14, 17, 24]).collect();
+    assert_eq!(kernel_pins(&lefts, &[14, 17]), TILED_BITS);
 }
 
 /// Strategy: a small matrix with bounded entries.
@@ -283,8 +321,9 @@ fn tall_matrix_strategy() -> impl Strategy<Value = Matrix> {
 proptest! {
     // The default config: 96 cases, or `PROPTEST_CASES`.
 
-    /// Every scoring kernel ≡ its plain loop, by bits, on both sides of the
-    /// width-8 split, with zero rows or columns, NaN and ±inf entries.
+    /// Every scoring kernel ≡ its plain loop, by bits, from one tile to two
+    /// and a remainder on either operand, with zero rows or columns, NaN
+    /// and ±inf entries.
     #[test]
     fn kernels_equal_the_plain_loops((x, y, b) in kernel_operands()) {
         let same = |got: &Matrix, want: &Matrix| {
@@ -302,6 +341,33 @@ proptest! {
         prop_assert_eq!(bits(&x.column_means()), bits(&means));
         prop_assert_eq!(bits(&x.column_stds()), bits(&stds));
         prop_assert!(same(&t, &want), "standardised {:?}", x);
+    }
+
+    /// The held-out pass ≡ scoring the stored prediction by bits: each
+    /// column's residual sum of squares against a plain loop, and the r² of
+    /// `r2_held_out` against `r2_columns_mean(y, x · β + intercept,
+    /// intercept)` — the prediction `linear_predict` forms, its product the
+    /// plain loop above — from zero columns to three tiles on either side.
+    #[test]
+    fn held_out_pass_is_the_r2_of_the_stored_prediction((x, b, y, icpt) in held_out_operands()) {
+        let mut pred = reference_matmul(&x, &b);
+        for i in 0..pred.nrows() {
+            for (v, &c) in pred.row_mut(i).iter_mut().zip(&icpt) {
+                *v += c;
+            }
+        }
+        let mut rss = vec![0.0; y.ncols()];
+        for i in 0..y.nrows() {
+            for (o, r) in rss.iter_mut().enumerate() {
+                let e = y[(i, o)] - pred[(i, o)];
+                *r += e * e;
+            }
+        }
+        let got = x.residual_sum_squares(&b, &icpt, &y).expect("shapes agree");
+        prop_assert_eq!(bits(&got), bits(&rss), "residual sums of {:?}, {:?}, {:?}", x, b, y);
+        let tss = y.column_squared_deviations(&icpt);
+        let want = r2_columns_mean(&y, &pred, &icpt);
+        prop_assert_eq!(bits(&[r2_held_out(&x, &b, &icpt, &y, &tss)]), bits(&[want]));
     }
 
     #[test]

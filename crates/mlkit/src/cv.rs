@@ -13,10 +13,14 @@
 //! score out-of-sample r² on the held-out block against the training-mean
 //! baseline, report the best grid point's mean — is split by what the work
 //! depends on. Per target ([`CvTarget::prepare`], once per ranking): each
-//! fold's held-out rows, training means (which *are* the baseline) and
+//! fold's held-out rows, training means (which *are* the baseline), the
+//! held-out rows' squared deviations from them (the r²'s denominators) and
 //! centred training rows. Per candidate and fold ([`CvTarget::score`]): the
 //! standardised training and validation blocks, the Gram and `XᵀY`. Per λ: a
-//! factorisation, a solve, a prediction and an r². Sharing never changes the
+//! factorisation, a solve, and one pass over the held-out rows that forms
+//! each prediction row in registers and adds up its squared errors
+//! ([`crate::ridge::r2_held_out`], for ridge and lasso alike — the
+//! prediction is never stored). Sharing never changes the
 //! arithmetic: every accumulator sees the same terms in the same order as an
 //! unshared (λ, fold) loop of plain fits, so scores match it bit for bit
 //! (`tests/proptests.rs` holds that oracle).
@@ -24,8 +28,9 @@
 use explainit_linalg::Matrix;
 
 use crate::lasso::LassoModel;
-use crate::ridge::{r2_columns_mean, RidgeDesign};
-use crate::{linear_predict, MlError, Result};
+use crate::ridge::{r2_held_out, RidgeDesign};
+use crate::standardize::Standardizer;
+use crate::{MlError, Result};
 
 /// Which penalised model the grid search fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,9 +134,12 @@ struct TargetFold {
     /// Half-open validation row range, and the target's rows in it.
     val: (usize, usize),
     y_val: Matrix,
-    /// Training-row target means: the ridge intercept *and* the baseline
-    /// model the held-out r² is measured against.
+    /// Training-row target means: the intercept of ridge and lasso alike
+    /// *and* the baseline model the held-out r² is measured against.
     y_means: Vec<f64>,
+    /// The held-out rows' squared deviations from that baseline (the r²'s
+    /// denominators, the same for every candidate and λ).
+    tss: Vec<f64>,
     /// Training-row targets — centred for ridge (the solve's right-hand
     /// side), raw for lasso (whose fit centres internally).
     y_train: Matrix,
@@ -166,7 +174,9 @@ impl CvTarget {
                 if cfg.penalty == PenaltyKind::Ridge {
                     y_train.center_columns_in_place(&y_means);
                 }
-                Ok(TargetFold { val, y_val: y.row_range(val.0, val.1), y_means, y_train })
+                let y_val = y.row_range(val.0, val.1);
+                let tss = y_val.column_squared_deviations(&y_means);
+                Ok(TargetFold { val, y_val, y_means, tss, y_train })
             })
             .collect::<Result<_>>()?;
         Ok(CvTarget { cfg: cfg.clone(), rows, folds })
@@ -191,14 +201,18 @@ impl CvTarget {
         for fold in &self.folds {
             let x_train = x.without_row_range(fold.val.0, fold.val.1);
             let mut x_val = x.row_range(fold.val.0, fold.val.1);
-            // The paper's score lives in [0, 1] ("percent variance
-            // explained"); clamp per fold so one catastrophic
-            // extrapolation fold (negative r² of large magnitude, e.g.
-            // collinear features whose cancellation breaks out of fold)
-            // reads as "no evidence" rather than vetoing the other folds.
-            let add = |sum: &mut f64, pred: Result<Matrix>| {
-                let r2 = pred.map(|p| r2_columns_mean(&fold.y_val, &p, &fold.y_means));
-                *sum += r2.unwrap_or(0.0).clamp(0.0, 1.0);
+            // Both penalties predict standardised held-out rows from
+            // standardised coefficients plus the training means, and score
+            // that in one pass: `r2_columns_mean(y_val, x_val · β + y_means,
+            // y_means)` without storing the prediction. The paper's score
+            // lives in [0, 1] ("percent variance explained"); clamp per fold
+            // so one catastrophic extrapolation fold (negative r² of large
+            // magnitude, e.g. collinear features whose cancellation breaks
+            // out of fold) reads as "no evidence" rather than vetoing the
+            // other folds.
+            let add = |sum: &mut f64, x_val: &Matrix, beta: Option<&Matrix>| {
+                let r2 = |b| r2_held_out(x_val, b, &fold.y_means, &fold.y_val, &fold.tss);
+                *sum += beta.map_or(0.0, r2).clamp(0.0, 1.0);
             };
             match self.cfg.penalty {
                 PenaltyKind::Ridge => {
@@ -207,15 +221,19 @@ impl CvTarget {
                     let rhs = design.rhs(&fold.y_train)?;
                     for (sum, &l) in sums.iter_mut().zip(grid) {
                         let beta = design.factor(l).and_then(|c| design.coefficients(&c, &rhs));
-                        add(sum, beta.map(|b| linear_predict(&x_val, &b, &fold.y_means)));
+                        add(sum, &x_val, beta.as_ref().ok());
                     }
                 }
                 PenaltyKind::Lasso => {
-                    // On finite rows a lasso fit fails only on overflowing
-                    // column statistics: the hypothesis's error, not a 0.
+                    // Every λ's fit standardises the same training rows the
+                    // same way, so the held-out rows take that transform
+                    // once. On finite rows a lasso fit fails only on
+                    // overflowing column statistics: the hypothesis's
+                    // error, not a 0.
+                    Standardizer::fit_finite(&x_train)?.transform_in_place(&mut x_val);
                     for (sum, &l) in sums.iter_mut().zip(grid) {
                         let model = LassoModel::fit(&x_train, &fold.y_train, l, 200, 1e-7)?;
-                        add(sum, Ok(model.predict(&x_val)));
+                        add(sum, &x_val, Some(model.coefficients_std()));
                     }
                 }
             }

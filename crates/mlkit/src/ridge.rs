@@ -214,6 +214,35 @@ pub fn r2_columns_mean(y: &Matrix, pred: &Matrix, baseline_means: &[f64]) -> f64
     }
 }
 
+/// [`r2_columns_mean`] of the prediction `x · beta + intercept` against `y`
+/// with the baseline at `intercept`, given `tss`, the baseline's squared
+/// deviations (`y.column_squared_deviations(intercept)`, which do not
+/// depend on `beta`). The same bits without storing the prediction: one
+/// pass of [`Matrix::residual_sum_squares`] forms each row in registers and
+/// adds its squared errors.
+///
+/// # Panics
+/// Panics unless `x` is `n × p`, `beta` `p × m`, `y` `n × m`, and
+/// `intercept` and `tss` are `m` long.
+pub fn r2_held_out(x: &Matrix, beta: &Matrix, intercept: &[f64], y: &Matrix, tss: &[f64]) -> f64 {
+    // invariant: the documented panic, nothing else can fail.
+    let rss = x.residual_sum_squares(beta, intercept, y).expect("prediction shape matches target");
+    assert_eq!(tss.len(), rss.len(), "tss length mismatch");
+    let mut total = 0.0;
+    let mut counted = 0usize;
+    for (&rss, &tss) in rss.iter().zip(tss) {
+        if tss > 0.0 {
+            total += 1.0 - rss / tss;
+            counted += 1;
+        }
+    }
+    if counted == 0 {
+        0.0
+    } else {
+        total / counted as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,5 +25,5 @@ pub mod special;
 pub use decompose::{seasonal_decompose, Decomposition};
 pub use dist::{Beta, ChiSquared, Normal};
 pub use histogram::Histogram;
-pub use moments::{autocorrelation, covariance, mean, pearson, std_dev, variance};
+pub use moments::{autocorrelation, covariance, mean, pearson, std_dev, variance, CentredColumn};
 pub use rsquared::{adjusted_r2, chebyshev_p_value, r2_null_distribution};

@@ -67,6 +67,52 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     r.clamp(-1.0, 1.0)
 }
 
+/// One side of [`pearson`], prepared once for many pairs: the values less
+/// their [`mean`], and the sum of the squared deviations.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CentredColumn {
+    deviations: Vec<f64>,
+    sum_sq: f64,
+}
+
+impl CentredColumn {
+    /// Centres `xs` on its [`mean`] and sums the squared deviations, in
+    /// order — [`pearson`]'s own steps for one side.
+    pub fn new(xs: &[f64]) -> Self {
+        let m = mean(xs);
+        let deviations: Vec<f64> = xs.iter().map(|&x| x - m).collect();
+        let mut sum_sq = 0.0;
+        for &d in &deviations {
+            sum_sq += d * d;
+        }
+        CentredColumn { deviations, sum_sq }
+    }
+
+    /// `pearson(xs, ys)` for `self` prepared from `xs` and `ys` from `ys`,
+    /// to the bit: the cross sum adds `dx * dy` in order with no zero skip
+    /// (a `0 × inf` still reaches it), then the same guards and clamp.
+    /// Per pair this is one pass where [`pearson`] takes three.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn pearson(&self, ys: &CentredColumn) -> f64 {
+        assert_eq!(self.deviations.len(), ys.deviations.len(), "pearson length mismatch");
+        if self.deviations.len() < 2 {
+            return 0.0;
+        }
+        let mut sxy = 0.0;
+        for (&dx, &dy) in self.deviations.iter().zip(&ys.deviations) {
+            sxy += dx * dy;
+        }
+        let (sxx, syy) = (self.sum_sq, ys.sum_sq);
+        if sxx <= 0.0 || syy <= 0.0 {
+            return 0.0;
+        }
+        let r = sxy / (sxx.sqrt() * syy.sqrt());
+        r.clamp(-1.0, 1.0)
+    }
+}
+
 /// Sample autocorrelation at the given lag (lag 0 returns 1 for non-constant
 /// series). Series shorter than `lag + 2` return 0.0.
 pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {

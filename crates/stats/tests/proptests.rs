@@ -1,10 +1,52 @@
 //! Property tests for the statistics crate: distribution laws, correlation
 //! invariants, decomposition identities.
 
-use explainit_stats::{pearson, seasonal_decompose, Beta, ChiSquared, Normal};
+use explainit_stats::{pearson, seasonal_decompose, Beta, CentredColumn, ChiSquared, Normal};
 use proptest::prelude::*;
 
+/// A column entry: mostly plain values and exact zeros of both signs, now
+/// and then ±inf, a NaN, a magnitude whose square overflows, or a value
+/// from a short list so that constant columns occur.
+fn entry() -> impl Strategy<Value = f64> {
+    (0usize..128, -10.0f64..10.0).prop_map(|(code, mag)| match code {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => f64::NAN,
+        3 => mag * 1e300,
+        4..=23 => 0.0,
+        24..=35 => -0.0,
+        36..=55 => 2.5,
+        _ => mag,
+    })
+}
+
+/// Two equally long columns of [`entry`] values, sometimes all `-0.0` or
+/// all `2.5`, from 0 to 40 rows.
+fn column_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (0usize..=40, 0usize..4).prop_flat_map(|(n, fill)| {
+        let col = || proptest::collection::vec(entry(), n);
+        (col(), col()).prop_map(move |(xs, ys)| match fill {
+            0 => (vec![-0.0; xs.len()], ys),
+            1 => (xs, vec![2.5; ys.len()]),
+            _ => (xs, ys),
+        })
+    })
+}
+
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 proptest! {
+    /// Pearson from prepared columns is `pearson` by bits (every NaN as
+    /// one: Rust leaves a computed NaN's sign and payload unspecified).
+    #[test]
+    fn centred_columns_give_pearsons_bits((xs, ys) in column_pair()) {
+        let got = CentredColumn::new(&xs).pearson(&CentredColumn::new(&ys));
+        let want = pearson(&xs, &ys);
+        prop_assert!(same_bits(got, want), "{got} vs {want} for {xs:?} / {ys:?}");
+    }
+
     #[test]
     fn normal_cdf_monotone_and_symmetric(mu in -5.0f64..5.0, sigma in 0.1f64..4.0) {
         let d = Normal::new(mu, sigma);
