@@ -11,14 +11,9 @@
 //! against it, borrowing every family already on the shared grid. Nothing
 //! outlives the call, and the result does not depend on `workers`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use explainit_sync::{LockClass, Mutex};
-
-/// Per-ranking worker results: a leaf push after each hypothesis is
-/// scored, so nothing ever nests inside it.
-static ENGINE_RESULTS: LockClass = LockClass::new("core.engine.results", 90);
+use explainit_sync::pool;
 
 use crate::family::FeatureFamily;
 use crate::hypothesis::HypothesisSet;
@@ -225,35 +220,21 @@ impl Engine {
                 plan_on(&ts)?.score(&x)
             }
         };
-        let tasks = &set.xs;
-        let results = Mutex::new(&ENGINE_RESULTS, Vec::with_capacity(tasks.len()));
-        let next = AtomicUsize::new(0);
-        let workers = if self.config.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.config.workers
-        }
-        .min(tasks.len().max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
-                    }
-                    let xi = tasks[i];
-                    let started = Instant::now();
-                    let outcome = score(&self.families[xi]);
-                    results.lock().push((xi, outcome, started.elapsed()));
-                });
-            }
+        let workers = match self.config.workers {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            w => w,
+        };
+        let outcomes = pool::run_indexed(set.xs.len(), workers, |i| {
+            let started = Instant::now();
+            let outcome = score(&self.families[set.xs[i]]);
+            (outcome, started.elapsed())
         });
 
-        let mut entries: Vec<RankedHypothesis> = results
-            .into_inner()
-            .into_iter()
-            .map(|(xi, outcome, duration)| {
+        let mut entries: Vec<RankedHypothesis> = set
+            .xs
+            .iter()
+            .zip(outcomes)
+            .map(|(&xi, (outcome, duration))| {
                 let fam = &self.families[xi];
                 let failed = ScoreDetail {
                     score: 0.0,

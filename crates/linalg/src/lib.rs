@@ -28,15 +28,11 @@ mod cholesky;
 mod error;
 mod matrix;
 mod qr;
-mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
-pub use vector::{
-    axpy, dot, mean, norm2, scale_in_place, standardize_in_place, sub_in_place, sum, variance,
-};
 
 /// Result alias for fallible linear algebra operations.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -1,3 +1,8 @@
+//! The `Aggregate` operator (the table aggregate): per row morsel, the
+//! peeled filter chain, rows bucketed by group key and every aggregate call
+//! folded into an [`AggColumn`] over the morsel's groups; morsels merge in
+//! order through global group ids, and `super::finish_outputs` finishes.
+
 use std::borrow::Cow;
 use std::collections::HashMap;
 

@@ -1,3 +1,7 @@
+//! The `Join` operator: a hash join over rendered keys when `ON` is an
+//! equi-join (indexing whichever input is shorter), a nested loop that
+//! refines the right side's selection per left row otherwise.
+
 use std::collections::HashMap;
 
 use crate::ast::{Expr, JoinKind};

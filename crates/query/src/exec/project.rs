@@ -1,3 +1,6 @@
+//! The `Project` operator: per row morsel, the peeled filter chain and then
+//! every output expression on the column evaluator.
+
 use super::ExecOptions;
 use super::{effective_partitions, morsel_columns, morsel_ranges, project_names, run_partitioned};
 use crate::ast::Expr;

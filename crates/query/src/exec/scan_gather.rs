@@ -1,3 +1,10 @@
+//! The `TsdbScan` operator: a pushed-down scan's hits gathered into
+//! observation rows in `(timestamp, canonical key)` order. The order comes
+//! from a k-way merge over the per-series sorted slices (`merge_gather_order`:
+//! identity and transpose fast paths, then a stable two-way merge cascade
+//! whose big levels run on scoped threads), and the rows are gathered in
+//! morsels on the shared pool.
+
 use explainit_tsdb::SeriesSlice;
 
 use super::{effective_partitions, morsel_ranges, run_partitioned, scan_hits, shared_grid};

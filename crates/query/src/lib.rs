@@ -41,9 +41,10 @@
 //!    is dropped (`SELECT timestamp, metric_name, tag, value FROM tsdb`
 //!    plans as a bare `TsdbScan`).
 //! 3. **Execute** — four layers, one job each:
-//!    * `exec` (internal) is the **operators** over typed column vectors
-//!      ([`Table`] is columnar; its `rows()` view serves callers and the
-//!      oracle, never an operator): scan gather, fused filter chains over
+//!    * `exec` (internal, one file per operator) is the **operators** over
+//!      typed column vectors ([`Table`] is columnar; its `rows()`, built on
+//!      demand, serves callers and the oracle, never an operator): scan
+//!      gather, fused filter chains over
 //!      one selection vector, projection, hash and nested-loop joins,
 //!      grouped aggregation, sort, union. Operators decide which rows flow
 //!      where and on how many workers; they evaluate nothing themselves.

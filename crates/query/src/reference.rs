@@ -57,7 +57,7 @@ fn union(mut acc: Table, part: Table) -> Result<Table> {
             part.schema().len()
         )));
     }
-    for row in part.into_rows() {
+    for row in part.rows() {
         acc.push_row(row);
     }
     Ok(acc)
@@ -273,12 +273,11 @@ fn resolve_table_ref(catalog: &Catalog, tref: &TableRef) -> Result<(Schema, Vec<
     match tref {
         TableRef::Named { name, .. } => {
             let t = catalog.get(name).ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
-            Ok((t.schema().clone(), t.rows().to_vec()))
+            Ok((t.schema().clone(), t.rows()))
         }
         TableRef::Subquery { query, .. } => {
             let t = execute_naive(catalog, query)?;
-            let schema = t.schema().clone();
-            Ok((schema, t.into_rows()))
+            Ok((t.schema().clone(), t.rows()))
         }
     }
 }

@@ -1,20 +1,12 @@
-//! Tables: named, typed column vectors with a row-compatibility shim.
+//! Tables: named, typed column vectors.
 //!
-//! Physically a [`Table`] is columnar — one [`Column`] per schema entry —
-//! which is what the vectorized executor operates on. The row-oriented
-//! views (`rows()`, `into_rows()`) that the rest of the workspace and the
-//! retained naive reference executor use are served by a lazily
-//! materialized cache, so purely columnar pipelines never pay for row
-//! construction.
-
-use explainit_sync::{LockClass, OnceLock};
+//! A [`Table`] is columnar — one [`Column`] per schema entry — which is
+//! what the vectorized executor operates on. `rows()` builds owned rows on
+//! demand for the naive reference executor and for tests; no operator
+//! reads rows, and a table keeps no row-major copy of its values.
 
 use crate::column::Column;
 use crate::value::Value;
-
-/// The lazily materialized row-compat shim; init only walks this table's
-/// own columns, so nothing nests inside it.
-static TABLE_ROWS: LockClass = LockClass::new("query.table.rows", 34);
 use crate::{QueryError, Result};
 
 /// Column names of a table. Names may be qualified (`t.col`) after joins;
@@ -153,32 +145,13 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// An in-memory table: schema plus typed value columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     /// Explicit row count: a table can have rows but no columns
     /// (`SELECT 1`-style constant queries start from one empty row).
     len: usize,
-    /// Lazily materialized row view (the row-compat shim).
-    row_cache: OnceLock<Vec<Vec<Value>>>,
-}
-
-impl Default for Table {
-    fn default() -> Self {
-        Table {
-            schema: Schema::default(),
-            columns: Vec::new(),
-            len: 0,
-            row_cache: OnceLock::new(&TABLE_ROWS),
-        }
-    }
-}
-
-impl PartialEq for Table {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.len == other.len && self.columns == other.columns
-    }
 }
 
 impl Table {
@@ -188,7 +161,6 @@ impl Table {
             schema: Schema::new(columns.iter().map(|s| s.to_string()).collect()),
             columns: columns.iter().map(|_| Column::empty()).collect(),
             len: 0,
-            row_cache: OnceLock::new(&TABLE_ROWS),
         }
     }
 
@@ -210,27 +182,20 @@ impl Table {
         let width = schema.len();
         let len = rows.len();
         let mut per_column: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(len)).collect();
-        for row in &rows {
+        for row in rows {
             assert_eq!(row.len(), width, "row width mismatch");
-            for (acc, v) in per_column.iter_mut().zip(row.iter()) {
-                acc.push(v.clone());
+            for (acc, v) in per_column.iter_mut().zip(row) {
+                acc.push(v);
             }
         }
         let columns = per_column.into_iter().map(Column::from_values).collect();
-        let row_cache = OnceLock::new(&TABLE_ROWS);
-        let _ = row_cache.set(rows); // seed the shim: we already own the rows
-        Table { schema, columns, len, row_cache }
+        Table { schema, columns, len }
     }
 
     /// Creates a zero-column table with `len` (empty) rows — the input of a
     /// constant `SELECT` without FROM.
     pub fn unit(len: usize) -> Self {
-        Table {
-            schema: Schema::default(),
-            columns: Vec::new(),
-            len,
-            row_cache: OnceLock::new(&TABLE_ROWS),
-        }
+        Table { schema: Schema::default(), columns: Vec::new(), len }
     }
 
     /// The table's schema.
@@ -248,7 +213,7 @@ impl Table {
     pub(crate) fn from_columnar_parts(schema: Schema, columns: Vec<Column>, len: usize) -> Table {
         debug_assert_eq!(schema.len(), columns.len());
         debug_assert!(columns.iter().all(|c| c.len() == len));
-        Table { schema, columns, len, row_cache: OnceLock::new(&TABLE_ROWS) }
+        Table { schema, columns, len }
     }
 
     /// Replaces the schema (a pure rename — used by join-scope
@@ -271,7 +236,6 @@ impl Table {
             c.truncate(n);
         }
         self.len = n;
-        self.row_cache = OnceLock::new(&TABLE_ROWS);
         self
     }
 
@@ -285,17 +249,9 @@ impl Table {
         &self.columns[i]
     }
 
-    /// The rows (materialized on first use and cached).
-    pub fn rows(&self) -> &[Vec<Value>] {
-        self.row_cache.get_or_init(|| {
-            (0..self.len).map(|r| self.columns.iter().map(|c| c.get(r)).collect()).collect()
-        })
-    }
-
-    /// Consumes the table into its rows.
-    pub fn into_rows(mut self) -> Vec<Vec<Value>> {
-        self.rows(); // lint: allow row shim — this is the shim's own consuming form
-        self.row_cache.take().expect("cache was just filled") // invariant: filled by the get_or_init above
+    /// The rows, built on each call (a row per index, a value per column).
+    pub fn rows(&self) -> Vec<Vec<Value>> {
+        (0..self.len).map(|r| self.columns.iter().map(|c| c.get(r)).collect()).collect()
     }
 
     /// Number of rows.
@@ -318,7 +274,6 @@ impl Table {
             c.push(v);
         }
         self.len += 1;
-        self.row_cache = OnceLock::new(&TABLE_ROWS); // invalidate the shim
     }
 
     /// Extracts a column by name as a value vector.
@@ -429,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_construction_and_row_shim() {
+    fn columnar_construction_and_rows() {
         let t = Table::from_columnar_parts(
             Schema::new(vec!["ts".into(), "v".into()]),
             vec![Column::Int(vec![0, 1]), Column::Float(vec![1.0, 2.0])],
@@ -437,16 +392,19 @@ mod tests {
         );
         assert_eq!(t.len(), 2);
         assert_eq!(t.rows()[1], vec![Value::Int(1), Value::Float(2.0)]);
-        assert_eq!(t.into_rows().len(), 2);
+        assert_eq!(t.rows().len(), 2);
     }
 
     #[test]
-    fn push_row_invalidates_row_cache() {
+    fn rows_follow_push_row_and_truncated() {
         let mut t = Table::from_rows(&["x"], vec![vec![Value::Int(1)]]);
         assert_eq!(t.rows().len(), 1);
         t.push_row(vec![Value::Int(2)]);
-        assert_eq!(t.rows().len(), 2);
-        assert_eq!(t.rows()[1][0], Value::Int(2));
+        t.push_row(vec![Value::Int(3)]);
+        assert_eq!(t.rows(), [[Value::Int(1)], [Value::Int(2)], [Value::Int(3)]]);
+        let t = t.truncated(2);
+        assert_eq!(t.rows(), [[Value::Int(1)], [Value::Int(2)]]);
+        assert_eq!(t.truncated(0).rows(), Vec::<Vec<Value>>::new());
     }
 
     #[test]
@@ -461,7 +419,7 @@ mod tests {
         let t = Table::unit(1);
         assert_eq!(t.len(), 1);
         assert!(t.schema().is_empty());
-        assert_eq!(t.rows(), &[Vec::<Value>::new()]);
+        assert_eq!(t.rows(), [Vec::<Value>::new()]);
     }
 
     #[test]

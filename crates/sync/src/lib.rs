@@ -41,11 +41,13 @@
 //! `.lock().unwrap()` at every site, and no ad-hoc mix of `.expect`
 //! messages.
 //!
-//! The deterministic interleaving harness lives in [`sched`].
+//! The deterministic interleaving harness lives in [`sched`]; the scoped
+//! worker pool the executor and the ranking engine share, in [`pool`].
 
 #![forbid(unsafe_code)]
 
 mod lockdep;
+pub mod pool;
 pub mod sched;
 
 use std::fmt;

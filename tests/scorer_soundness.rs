@@ -203,7 +203,7 @@ fn ranking_is_stable_across_workers_repeats_and_reregistration() {
     // (family, score bits, p-value bits) of every ranked hypothesis.
     let rank = |session: &mut Session, sql: &str| -> Vec<(String, u64, u64)> {
         let table = session.execute(sql).expect("explain for").table;
-        let rows = table.rows().iter().map(|row| match (&row[1], &row[2], &row[3]) {
+        let rows = table.rows().into_iter().map(|row| match (&row[1], &row[2], &row[3]) {
             (Value::Str(family), Value::Float(score), Value::Float(p)) => {
                 (family.clone(), score.to_bits(), p.to_bits())
             }
