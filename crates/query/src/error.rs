@@ -31,6 +31,10 @@ pub enum QueryError {
     /// stage-one result with no rows or too few columns). Displays as the
     /// bare message; the session layer reports it as its own statement error.
     Statement(String),
+    /// The store could not be read while executing: a chunk's page failed
+    /// to load, failed its checksum or did not decode. Carries the storage
+    /// error's message; the statement returns no result.
+    Storage(String),
 }
 
 impl QueryError {
@@ -48,6 +52,7 @@ impl QueryError {
             QueryError::Type(m) => QueryError::Type(tag(m)),
             QueryError::Plan(m) => QueryError::Plan(tag(m)),
             QueryError::Statement(m) => QueryError::Statement(tag(m)),
+            QueryError::Storage(m) => QueryError::Storage(tag(m)),
         }
     }
 }
@@ -65,6 +70,7 @@ impl fmt::Display for QueryError {
             QueryError::Type(m) => write!(f, "type error: {m}"),
             QueryError::Plan(m) => write!(f, "plan error: {m}"),
             QueryError::Statement(m) => write!(f, "{m}"),
+            QueryError::Storage(m) => write!(f, "storage error: {m}"),
         }
     }
 }

@@ -563,14 +563,16 @@ fn finish_outputs(
 /// the store's inclusive scan range — no half-open conversion, so a point at
 /// `timestamp == i64::MAX` survives an unbounded (or saturated) upper bound —
 /// and an inverted range scans nothing. The one place the executor reads the
-/// store: a fallible or worker-side scan changes this signature and no other.
-fn scan_hits<'a>(db: &'a Tsdb, scan: &ScanSpec) -> Vec<SeriesSlice<'a>> {
+/// store, so the one place a chunk that cannot be read — an I/O error, a
+/// checksum mismatch — becomes the statement's [`QueryError::Storage`].
+fn scan_hits<'a>(db: &'a Tsdb, scan: &ScanSpec) -> Result<Vec<SeriesSlice<'a>>> {
     let (lo, hi) = (scan.start.unwrap_or(i64::MIN), scan.end.unwrap_or(i64::MAX));
     if lo > hi {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let filter = MetricFilter { name: scan.name.clone(), tags: scan.tags.clone() };
     db.scan_parts_ordered_between(&filter, lo, hi)
+        .map_err(|e| QueryError::Storage(format!("scanning {}: {e}", scan.table)))
 }
 
 /// The grid-aligned test: the one timestamp vector every run carries, if

@@ -392,7 +392,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
 
     // An inverted range, like a filter nothing matches, leaves no spans and
     // no groups.
-    let hits = scan_hits(binding.db(), scan);
+    let hits = scan_hits(binding.db(), scan)?;
 
     // Series pass. Spans of one series are adjacent.
     let mut classes = Interner::default();
@@ -502,7 +502,8 @@ mod tests {
         for t in [1, 3, 5] {
             db.insert(&SeriesKey::new("m").with_tag("host", "b"), t * 10, 100.0);
         }
-        let hits = db.scan_parts_ordered_between(&MetricFilter::all(), i64::MIN, i64::MAX);
+        let hits =
+            db.scan_parts_ordered_between(&MetricFilter::all(), i64::MIN, i64::MAX).expect("scan");
         let plan = || SeriesPlan { class: Ok(0), keys: Vec::new(), exprs: Vec::new() };
         test(&Fold {
             hits: &hits,

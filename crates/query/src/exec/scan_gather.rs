@@ -35,7 +35,7 @@ pub(super) fn run_tsdb_scan(
 
     // Rank order is the tiebreak order of the observation view: rows sort
     // by timestamp with ties in canonical key order.
-    let hits = scan_hits(binding.db(), scan);
+    let hits = scan_hits(binding.db(), scan)?;
 
     let total = gather_rows(hits.iter().map(|p| p.timestamps.len()))?;
     // Side vectors over the concatenation, each built only when an output

@@ -67,7 +67,7 @@ pub(super) fn run(
         return Err(QueryError::Plan("a family plan has a pivot root".into()));
     };
     let binding = ctx.binding(&scan.table)?;
-    let hits = scan_hits(binding.db(), scan);
+    let hits = scan_hits(binding.db(), scan)?;
 
     // Series pass: labels, columns and first appearances. Spans of one
     // series are adjacent and ascending in time.

@@ -22,15 +22,27 @@ pub fn run_indexed<T: Send>(jobs: usize, workers: usize, f: impl Fn(usize) -> T 
     let results = Mutex::new(&POOL_RESULTS, Vec::with_capacity(jobs));
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let r = f(i);
-                results.lock().push((i, r));
-            });
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
+                    }
+                    let r = f(i);
+                    results.lock().push((i, r));
+                })
+            })
+            .collect();
+        // Joined here, not left to the scope: the scope stops waiting when
+        // a thread's closure returns, a join when the thread has exited —
+        // and so has handed its malloc arena back for the next call's
+        // threads to reuse. Without it, back-to-back calls find the arenas
+        // still taken, make new ones, and the process grows.
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut collected = results.into_inner();
@@ -74,6 +86,32 @@ mod tests {
     fn more_workers_than_jobs() {
         assert_eq!(run_indexed(3, 64, |i| i + 1), vec![1, 2, 3]);
         assert_eq!(run_indexed(1, 64, |i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn worker_threads_have_exited_when_the_call_returns() {
+        // A worker's thread-locals are destroyed as its thread exits, after
+        // its closure has returned: seeing them all gone means the call
+        // waited for the exits, not just for the closures.
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        struct Live;
+        impl Drop for Live {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static MARK: std::cell::OnceCell<Live> = const { std::cell::OnceCell::new() });
+        for _ in 0..200 {
+            run_indexed(4, 2, |_| {
+                MARK.with(|m| {
+                    m.get_or_init(|| {
+                        LIVE.fetch_add(1, Ordering::SeqCst);
+                        Live
+                    });
+                })
+            });
+            assert_eq!(LIVE.load(Ordering::SeqCst), 0, "a worker outlived the call");
+        }
     }
 
     #[test]

@@ -49,11 +49,13 @@
 //! # Out-of-core residency: Cold → Paged → Decoded
 //!
 //! A reopened store keeps only the per-series *chunk directory* resident
-//! (min/max timestamp, point count, file offset, byte length). Each
-//! chunk's compressed bytes live **Cold** on disk until a scan touches
-//! them; the first touch faults them in with one positioned read
-//! (**Paged**, counted as a page fault), and decoding on top of that
-//! yields the **Decoded** per-chunk cache. Those three states are all
+//! (min/max timestamp, point count, file offset, byte length, CRC), and
+//! opening reads nothing else. Each chunk's compressed bytes live **Cold**
+//! on disk until a scan touches them; the first touch faults them in with
+//! one positioned read checked against the chunk's CRC (**Paged**, counted
+//! as a page fault), and decoding on top of that yields the **Decoded**
+//! per-chunk cache. A scan whose chunks are many faults and decodes them
+//! on the worker pool; one that cannot read a chunk fails. Those three states are all
 //! there is: a whole-series read ([`Series::points`]) walks the same
 //! per-chunk caches a scan hands out, and one object — the pager — counts
 //! the faults, the evictions and the decodes.
@@ -77,7 +79,8 @@
 //!
 //! Every lock in this crate is an [`explainit_sync`] wrapper carrying a
 //! static `LockClass` rank (`tsdb.shared` 10 → chunk decode caches 50 →
-//! pager clock 60 → pager slots 70), checked at runtime by the
+//! pager clock 60 → pager slots 70 → pooled decode handoff 75), checked
+//! at runtime by the
 //! lockdep machinery rather than documented as prose: in debug builds
 //! (or under `EXPLAINIT_LOCKDEP=1`) any acquisition that inverts the
 //! rank order, nests a class inside itself, or closes a cycle in the

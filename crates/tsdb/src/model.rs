@@ -7,6 +7,7 @@ use std::sync::Arc;
 use crate::storage::chunk::{encode_run, EncodedChunk, SealedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::{ChunkData, RecoveredChunk};
+use crate::storage::StorageError;
 
 /// A half-open time range `[start, end)` in the same units the database is
 /// fed with (the workloads use epoch seconds at minute granularity).
@@ -135,7 +136,10 @@ impl fmt::Display for SeriesKey {
 ///   timestamp lands at or before the last *sealed* timestamp, the series
 ///   first unseals: sealed chunks hydrate into the head and the sealed
 ///   tier empties, after which the same rules apply. A later flush re-seals
-///   and supersedes the stale on-disk chunks.
+///   and supersedes the stale on-disk chunks. A sealed chunk that cannot
+///   be read makes the push an error and leaves the series as it was: an
+///   unseal that skipped it would drop its points, and the next flush
+///   would make the loss durable.
 #[derive(Debug, Clone)]
 pub struct Series {
     /// Identity of the series.
@@ -205,10 +209,10 @@ impl Series {
     /// contract in the [`Series`] docs: O(1) in-order appends, sorted
     /// insertion for out-of-order arrivals, last-writer-wins duplicates,
     /// and automatic unsealing when a write lands in the sealed range.
-    pub fn push(&mut self, ts: i64, value: f64) {
-        if self.sealed.last().is_some_and(|c| ts <= c.meta.max_ts) {
-            self.unseal();
-        }
+    /// Only that unseal can fail, when a sealed chunk cannot be read; the
+    /// series is then unchanged.
+    pub fn push(&mut self, ts: i64, value: f64) -> Result<(), StorageError> {
+        self.unseal_for(ts)?;
         match self.timestamps.last() {
             Some(&last) if last < ts => {
                 self.timestamps.push(ts);
@@ -231,13 +235,30 @@ impl Series {
                 }
             },
         }
+        Ok(())
     }
 
-    /// Hydrates the sealed tier into the head and empties it, so the
-    /// series is mutable anywhere in its range again.
-    fn unseal(&mut self) {
-        (self.timestamps, self.values) = self.points().map(|p| (p.ts, p.value)).unzip();
+    /// Makes `ts` writable: when it lands at or before the last sealed
+    /// timestamp, hydrates the sealed tier into the head and empties it,
+    /// so the series is mutable anywhere in its range again. Every sealed
+    /// chunk is read before anything changes, so a chunk that cannot be
+    /// read is the error and the series stays as it was.
+    pub(crate) fn unseal_for(&mut self, ts: i64) -> Result<(), StorageError> {
+        if self.sealed.last().is_none_or(|c| ts > c.meta.max_ts) {
+            return Ok(());
+        }
+        let mut timestamps = Vec::with_capacity(self.len());
+        let mut values = Vec::with_capacity(self.len());
+        for chunk in &self.sealed {
+            let (ts, vs) = chunk.decoded()?;
+            timestamps.extend_from_slice(ts);
+            values.extend_from_slice(vs);
+        }
+        timestamps.extend_from_slice(&self.timestamps);
+        values.extend_from_slice(&self.values);
+        (self.timestamps, self.values) = (timestamps, values);
         self.sealed.clear();
+        Ok(())
     }
 
     /// Encodes the head into chunks, moves them onto the sealed tier, and
@@ -319,10 +340,13 @@ impl Series {
     }
 
     /// Iterates observations as [`DataPoint`]s: every sealed chunk in
-    /// order, read through its decode cache, then the head.
+    /// order, read through its decode cache, then the head. A sealed chunk
+    /// that cannot be read contributes no points here; the scans
+    /// (`Tsdb::scan_parts_between`) and the write path ([`Series::push`])
+    /// report it as an error.
     pub fn points(&self) -> impl Iterator<Item = DataPoint> + '_ {
         let sealed = self.sealed.iter().flat_map(|chunk| {
-            let (ts, vs) = chunk.decoded();
+            let (ts, vs) = chunk.decoded().map_or((&[][..], &[][..]), |(t, v)| (&t[..], &v[..]));
             ts.iter().zip(vs)
         });
         sealed
@@ -369,9 +393,9 @@ mod tests {
     #[test]
     fn series_push_in_order_and_out_of_order() {
         let mut s = Series::new(SeriesKey::new("m"));
-        s.push(10, 1.0);
-        s.push(30, 3.0);
-        s.push(20, 2.0); // out-of-order insert
+        s.push(10, 1.0).expect("push");
+        s.push(30, 3.0).expect("push");
+        s.push(20, 2.0).expect("push"); // out-of-order insert
         assert_eq!(s.timestamps(), &[10, 20, 30]);
         assert_eq!(s.values(), &[1.0, 2.0, 3.0]);
     }
@@ -379,8 +403,8 @@ mod tests {
     #[test]
     fn series_push_duplicate_overwrites() {
         let mut s = Series::new(SeriesKey::new("m"));
-        s.push(10, 1.0);
-        s.push(10, 9.0);
+        s.push(10, 1.0).expect("push");
+        s.push(10, 9.0).expect("push");
         assert_eq!(s.len(), 1);
         assert_eq!(s.values(), &[9.0]);
     }
@@ -388,8 +412,8 @@ mod tests {
     #[test]
     fn time_span_saturates_at_i64_max() {
         let mut s = Series::new(SeriesKey::new("m"));
-        s.push(0, 1.0);
-        s.push(i64::MAX, 2.0);
+        s.push(0, 1.0).expect("push");
+        s.push(i64::MAX, 2.0).expect("push");
         assert_eq!(s.time_span(), Some(TimeRange::new(0, i64::MAX)));
     }
 

@@ -17,23 +17,32 @@
 //! * values are encoded by their IEEE-754 bit pattern — NaN payloads,
 //!   `-0.0` and the infinities all round-trip bit-identically.
 //!
-//! A reader decodes a chunk at exactly one site, [`SealedChunk::decoded`],
-//! and every decode is counted on the store's pager (surfaced as
+//! A reader decodes a chunk at exactly one site, [`SealedChunk::decoded`]
+//! — or, for a scan with many undecoded chunks, [`decode_on_pool`], which
+//! runs the same fault, check and decode on the worker pool — and every
+//! decode is counted on the store's pager (surfaced as
 //! `Tsdb::decode_count`), which is how tests *prove* scans are lazy: a
 //! time-filtered query must only ever decode chunks whose `[min_ts,
-//! max_ts]` spans overlap the query range.
+//! max_ts]` spans overlap the query range. A chunk that fails to page in,
+//! fails its checksum or fails to decode is an error at that site, never
+//! fewer points.
 
 use std::sync::Arc;
 
-use explainit_sync::{LockClass, OnceLock};
+use explainit_sync::{pool, LockClass, Mutex, OnceLock};
 
-use super::pager::{ColdRef, PageSlot, Pager};
+use super::pager::{ColdRef, PageSlot, Pager, Reservation};
 use super::StorageError;
 
-/// The per-chunk decode cache. Init legitimately waits on a page fault
-/// (the closure calls `PageSlot::bytes`), so the rank sits below
-/// [`explainit_sync::IO_LOCK_RANK_THRESHOLD`].
+/// The per-chunk decode cache. Its init only wraps points decoded
+/// beforehand, so nothing waits on I/O inside it; the rank sits below
+/// [`explainit_sync::IO_LOCK_RANK_THRESHOLD`] all the same.
 static CHUNK_DECODED: LockClass = LockClass::new("tsdb.chunk.decoded", 50);
+
+/// One pooled decode job's buffers, taken out by the worker that runs it
+/// and let go at once (no lock is taken, and no I/O done, while it is
+/// held).
+static DECODE_HANDOFF: LockClass = LockClass::new("tsdb.chunk.handoff", 75);
 
 /// Hard cap on points per chunk: bounds the decode unit (and therefore the
 /// granularity of lazy scans) independently of how large a series grows
@@ -145,21 +154,32 @@ impl SealedChunk {
         self.meta.max_ts >= lo && self.meta.min_ts <= hi
     }
 
-    /// The decoded points, faulting in the compressed bytes and decoding
-    /// (and counting the decode) on first access. A chunk that fails to
-    /// page in or decode yields empty slices — segment checksums make
-    /// this unreachable for files the store itself wrote, and the
-    /// recovery path surfaces corruption as a typed error before any
-    /// chunk gets this far.
-    pub fn decoded(&self) -> &(Vec<i64>, Vec<f64>) {
+    /// The decoded points, faulting in (and verifying) the compressed
+    /// bytes and decoding — counting the decode — on first access. A chunk
+    /// that cannot be paged in, fails its checksum or does not decode is
+    /// an error, and stays undecoded.
+    pub fn decoded(&self) -> Result<&(Vec<i64>, Vec<f64>), StorageError> {
+        if let Some(block) = self.decoded.get() {
+            return Ok(block.points());
+        }
+        let bytes = self.slot.bytes()?;
+        let count = self.meta.count as usize;
+        let mut points = (Vec::with_capacity(count), Vec::with_capacity(count));
+        decode_into(&bytes, count, &mut points)?;
+        Ok(self.keep(points))
+    }
+
+    /// True once the decode cache holds the points.
+    pub fn is_decoded(&self) -> bool {
+        self.decoded.get().is_some()
+    }
+
+    /// Makes `points` the decode cache unless a racer's decode landed
+    /// first, counting the decode that lands.
+    fn keep(&self, points: (Vec<i64>, Vec<f64>)) -> &(Vec<i64>, Vec<f64>) {
         self.decoded
             .get_or_init(|| {
                 self.pager.note_decode();
-                let points = self
-                    .slot
-                    .bytes()
-                    .and_then(|bytes| decode(&bytes, self.meta.count as usize))
-                    .unwrap_or_default();
                 DecodedBlock::new(points, Arc::clone(&self.pager))
             })
             .points()
@@ -184,6 +204,117 @@ impl SealedChunk {
         self.decoded = OnceLock::new(&CHUNK_DECODED);
         had
     }
+}
+
+/// Where a pooled decode job's compressed bytes come from.
+enum Page {
+    /// Already resident (pinned, or paged in before the scan).
+    Resident(Arc<Vec<u8>>),
+    /// Cold: the buffer the worker reads the page into.
+    Cold(Vec<u8>),
+}
+
+/// One chunk's fault, check and decode on the pool. The caller allocates
+/// every buffer that outlives the job — the page the slot keeps and the
+/// vectors the decode cache keeps — and the worker only fills them:
+/// memory a worker thread allocates lands in its own allocator arena and
+/// would stay there, growing the process, after the job is gone.
+struct DecodeJob<'a> {
+    chunk: &'a SealedChunk,
+    page: Page,
+    points: (Vec<i64>, Vec<f64>),
+}
+
+impl<'a> DecodeJob<'a> {
+    /// A job over `resident`, the chunk's page if it was resident when the
+    /// wave began, or else over a buffer for the worker to read it into.
+    fn new(chunk: &'a SealedChunk, resident: Option<Arc<Vec<u8>>>) -> Self {
+        let page = match resident {
+            Some(bytes) => Page::Resident(bytes),
+            None => Page::Cold(vec![0; chunk.slot.page_len() as usize]),
+        };
+        let count = chunk.meta.count as usize;
+        DecodeJob { chunk, page, points: (Vec::with_capacity(count), Vec::with_capacity(count)) }
+    }
+
+    /// The worker's half: read and verify the page if cold, then decode.
+    fn run(mut self) -> Result<Self, StorageError> {
+        let DecodeJob { chunk, page, points } = &mut self;
+        let bytes = match page {
+            Page::Resident(bytes) => &bytes[..],
+            Page::Cold(buf) => {
+                let cold = chunk.slot.cold().ok_or_else(|| {
+                    StorageError::corrupt("chunk", "pinned chunk lost its resident bytes")
+                })?;
+                cold.read_into(buf)?;
+                &buf[..]
+            }
+        };
+        decode_into(bytes, chunk.meta.count as usize, points)?;
+        Ok(self)
+    }
+
+    /// The caller's half: the page leaves the wave's reservation and, if
+    /// it was read, becomes resident (a counted fault, with the clock
+    /// enforcing the budget); the points become the decode cache.
+    fn finish(self, held: &mut Reservation<'_>) {
+        held.release(self.chunk.slot.page_len());
+        if let Page::Cold(buf) = self.page {
+            self.chunk.slot.install(buf);
+        }
+        self.chunk.keep(self.points);
+    }
+}
+
+/// Faults, verifies and decodes `chunks` on `workers` threads of the
+/// worker pool, exactly as [`SealedChunk::decoded`] would one by one: the
+/// same bytes, the same counts, the first error in chunk order.
+///
+/// Chunks go in waves of at most one page budget of compressed bytes (one
+/// wave when unbounded; a chunk larger than the budget goes alone). A
+/// wave's pages are charged to the pager from before their buffers exist
+/// until each is installed, and the clock first evicts to make room for
+/// them, so resident pages and pages in flight together stay within the
+/// budget as on the serial path. Each wave's pages become resident in
+/// chunk order on the calling thread.
+pub(crate) fn decode_on_pool(
+    chunks: &[&SealedChunk],
+    workers: usize,
+    pager: &Pager,
+) -> Result<(), StorageError> {
+    let wave_bytes = pager.budget().unwrap_or(u64::MAX);
+    let mut rest = chunks;
+    while !rest.is_empty() {
+        let mut bytes = 0u64;
+        let n = rest
+            .iter()
+            .position(|c| {
+                bytes += c.slot.page_len();
+                bytes > wave_bytes
+            })
+            .unwrap_or(rest.len())
+            .max(1);
+        let (wave, tail) = rest.split_at(n);
+        // Take the resident pages before making room, so the room made
+        // cannot turn them cold; they are charged to the wave as well as
+        // to their slots, and may be evicted from the slots meanwhile.
+        let resident: Vec<_> = wave.iter().map(|c| c.slot.resident()).collect();
+        let mut held = pager.reserve(wave.iter().map(|c| c.slot.page_len()).sum());
+        let jobs: Vec<Mutex<Option<DecodeJob>>> = wave
+            .iter()
+            .zip(resident)
+            .map(|(c, page)| Mutex::new(&DECODE_HANDOFF, Some(DecodeJob::new(c, page))))
+            .collect();
+        let done = pool::run_indexed(jobs.len(), workers, |i| {
+            let job = jobs[i].lock().take();
+            job.ok_or_else(|| StorageError::corrupt("chunk", "decode job taken twice"))?.run()
+        });
+        for job in done {
+            job?.finish(&mut held);
+        }
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// Splits one sorted point run into encoded chunks of at most
@@ -292,14 +423,27 @@ pub fn encode(ts: &[i64], vals: &[f64]) -> Vec<u8> {
 
 /// Decodes a chunk bit stream holding `count` points.
 pub fn decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), StorageError> {
+    let mut points = (Vec::with_capacity(count), Vec::with_capacity(count));
+    decode_into(bytes, count, &mut points)?;
+    Ok(points)
+}
+
+/// [`decode`] into vectors the caller allocated: it pushes `count` points
+/// onto `points` (empty, with room for `count`) and allocates nothing
+/// itself — what lets a pool worker decode into caller-owned memory.
+fn decode_into(
+    bytes: &[u8],
+    count: usize,
+    (ts, vals): &mut (Vec<i64>, Vec<f64>),
+) -> Result<(), StorageError> {
     let corrupt = || StorageError::corrupt("chunk", "bit stream shorter than its point count");
     if count == 0 {
         return Err(StorageError::corrupt("chunk", "zero-point chunk"));
     }
+    debug_assert!(ts.is_empty() && vals.is_empty());
     let mut r = BitReader::new(bytes);
-    let mut ts = Vec::with_capacity(count);
-    let mut vals = Vec::with_capacity(count);
-    ts.push(r.read_bits(64).ok_or_else(corrupt)? as i64);
+    let mut prev = r.read_bits(64).ok_or_else(corrupt)? as i64;
+    ts.push(prev);
     let mut prev_delta: u64 = 0;
     for _ in 1..count {
         let delta = if r.read_bits(1).ok_or_else(corrupt)? == 0 {
@@ -313,12 +457,14 @@ pub fn decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), Storag
         } else {
             r.read_bits(64).ok_or_else(corrupt)?
         };
-        let prev = *ts.last().ok_or_else(corrupt)?; // invariant: first timestamp pushed above
         let next = (prev as i128)
             .checked_add(delta as i128)
             .filter(|&t| t > prev as i128 && t <= i64::MAX as i128);
         match next {
-            Some(t) => ts.push(t as i64),
+            Some(t) => {
+                prev = t as i64;
+                ts.push(prev);
+            }
             None => return Err(StorageError::corrupt("chunk", "non-increasing timestamp")),
         }
         prev_delta = delta;
@@ -351,7 +497,7 @@ pub fn decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), Storag
         vals.push(f64::from_bits(bits));
         prev_bits = bits;
     }
-    Ok((ts, vals))
+    Ok(())
 }
 
 fn apply_dod(prev_delta: u64, dod: i128) -> u64 {
@@ -608,13 +754,110 @@ mod tests {
         }
     }
 
+    /// `n` chunks of 100 points, written one after another to one file and
+    /// handed out cold on a pager whose budget holds `budget_chunks` of the
+    /// largest; returns the file's directory, the pager, the chunks, their
+    /// points and that largest payload.
+    #[allow(clippy::type_complexity)]
+    fn cold_chunks(
+        tag: &str,
+        n: i64,
+        budget_chunks: Option<u64>,
+    ) -> (std::path::PathBuf, Arc<Pager>, Vec<SealedChunk>, Vec<(Vec<i64>, Vec<f64>)>, u64) {
+        let dir =
+            std::env::temp_dir().join(format!("explainit-chunk-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (mut file, mut placed, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+        for c in 0..n {
+            let ts: Vec<i64> = (0..100).map(|t| (c * 100 + t) * 60).collect();
+            let vs: Vec<f64> = ts.iter().map(|&t| (t * 7919 % 1000) as f64 * 0.25).collect();
+            let chunk = encode_run(&ts, &vs).pop().expect("one chunk");
+            placed.push((chunk.meta, file.len() as u64, chunk.bytes.len() as u64));
+            file.extend_from_slice(&chunk.bytes);
+            expected.push((ts, vs));
+        }
+        let path = dir.join("payloads");
+        std::fs::write(&path, &file).expect("write");
+        let largest = placed.iter().map(|&(_, _, len)| len).max().unwrap_or(0);
+        let pager = Pager::with_budget(budget_chunks.map(|k| k * largest));
+        let handle = Arc::new(std::fs::File::open(&path).expect("open"));
+        let chunks = placed
+            .into_iter()
+            .map(|(meta, offset, len)| {
+                let crc = crate::storage::crc32(&file[offset as usize..(offset + len) as usize]);
+                let cold = ColdRef { file: Arc::clone(&handle), segment_id: 0, offset, len, crc };
+                SealedChunk::cold(meta, cold, Arc::clone(&pager))
+            })
+            .collect();
+        (dir, pager, chunks, expected, largest)
+    }
+
+    /// The pooled path on two workers whatever the machine's core count:
+    /// the scan's serial path only calls it on more than one core.
+    #[test]
+    fn pooled_decode_on_two_workers_is_the_serial_decode() {
+        for budget_chunks in [None, Some(4)] {
+            let (dir, pager, chunks, expected, largest) = cold_chunks("pooled", 24, budget_chunks);
+            let refs: Vec<&SealedChunk> = chunks.iter().collect();
+            decode_on_pool(&refs, 2, &pager).expect("decode");
+            for (chunk, points) in chunks.iter().zip(&expected) {
+                assert!(chunk.is_decoded(), "{budget_chunks:?}");
+                assert_eq!(chunk.decoded().expect("cached"), points, "{budget_chunks:?}");
+            }
+            let c = pager.counters();
+            assert_eq!(c.page_faults, 24, "{budget_chunks:?}: one fault per chunk");
+            assert_eq!(pager.decode_count(), 24, "{budget_chunks:?}: one decode per chunk");
+            if let Some(budget) = pager.budget() {
+                assert!(c.evictions > 0, "{c:?}");
+                // A wave is charged while in flight, after room was made
+                // for it: a full-budget wave beside a full budget of
+                // resident pages would show as twice the budget.
+                assert!(c.peak_resident_chunk_bytes <= budget + largest, "{c:?}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn pooled_decode_fails_on_the_first_damaged_chunk_in_order() {
+        for budget_chunks in [None, Some(4)] {
+            let (dir, pager, chunks, _, _) = cold_chunks("pooled-damage", 24, budget_chunks);
+            let path = dir.join("payloads");
+            let mut bytes = std::fs::read(&path).expect("read");
+            for damaged in [9, 5] {
+                let ColdRef { offset, .. } = chunks[damaged].slot.cold().expect("cold");
+                bytes[*offset as usize] ^= 0x10;
+            }
+            std::fs::write(&path, &bytes).expect("flip");
+            let refs: Vec<&SealedChunk> = chunks.iter().collect();
+            let err = decode_on_pool(&refs, 2, &pager).expect_err("a damaged chunk is an error");
+            let offset = chunks[5].slot.cold().expect("cold").offset;
+            assert_eq!(
+                err.to_string(),
+                format!("corrupt segment 0 chunk at offset {offset}: chunk checksum mismatch"),
+                "{budget_chunks:?}"
+            );
+            assert!(chunks[..5].iter().all(SealedChunk::is_decoded), "{budget_chunks:?}");
+            assert!(!chunks[5].is_decoded(), "{budget_chunks:?}");
+            assert_eq!(pager.counters().resident_chunk_bytes, pager_resident(&chunks));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The compressed bytes the chunks' slots hold: all a pager should
+    /// count once a failed wave has given its reservation back.
+    fn pager_resident(chunks: &[SealedChunk]) -> u64 {
+        chunks.iter().filter(|c| !c.slot.is_empty()).map(|c| c.slot.page_len()).sum()
+    }
+
     #[test]
     fn decode_counter_counts_once_per_chunk() {
         let pager = Pager::unbounded();
         let chunks = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
         let sealed = SealedChunk::new(chunks[0].clone(), Arc::clone(&pager));
-        assert_eq!(sealed.decoded().0, vec![0, 60, 120]);
-        assert_eq!(sealed.decoded().1, vec![1.0, 2.0, 3.0]);
+        assert_eq!(sealed.decoded().expect("decode").0, vec![0, 60, 120]);
+        assert_eq!(sealed.decoded().expect("cached").1, vec![1.0, 2.0, 3.0]);
         assert_eq!(pager.decode_count(), 1, "second access hits the cache");
     }
 }

@@ -8,14 +8,20 @@
 //!                           recovered on open)
 //! <dir>/seg-NNNNNNNN.seg    immutable time-partitioned segments holding
 //!                           per-series compressed chunks (delta-of-delta
-//!                           timestamps + XOR values), whole-file CRC
+//!                           timestamps + XOR values); `EXPLSEG2`: a
+//!                           directory with its own CRC and a CRC per
+//!                           chunk (`EXPLSEG1`, one whole-file CRC, is
+//!                           read but no longer written)
 //! <dir>/seg-NNNNNNNN.tmp    in-flight segment write (ignored + removed
 //!                           on open)
 //! ```
 //!
 //! Lifecycle: [`crate::Tsdb::open`] replays segments and the WAL into an
-//! in-memory index whose sealed point data stays *compressed* (chunks
-//! decode lazily, per scan, per time range); `try_insert` appends to the
+//! in-memory index whose sealed point data stays *compressed*: opening
+//! reads each segment's directory only, and chunks fault in, are checked
+//! against their CRC and decode lazily, per scan, per time range — on the
+//! worker pool when a scan has many of them. A chunk that cannot be read
+//! is an error of the scan that touched it. `try_insert` appends to the
 //! WAL and the in-memory head; [`crate::Tsdb::flush`] makes everything
 //! durable by sealing heads into a new segment and truncating the WAL
 //! (auto-compacting when small segments pile up). Crash recovery
@@ -180,9 +186,10 @@ pub struct Storage {
     pub next_segment_id: u64,
     /// Ids whose files were reclaimed (superseded by compaction).
     pub freelist: Vec<u64>,
-    /// First WAL-append failure since the last flush, surfaced by the
-    /// next `flush()` — the infallible `Tsdb::insert` signature cannot
-    /// return it at the call site.
+    /// First WAL-append failure, or unseal that could not read a sealed
+    /// chunk, since the last flush, surfaced by the next `flush()` — the
+    /// infallible `Tsdb::insert` signature cannot return it at the call
+    /// site.
     pub sticky_error: Option<StorageError>,
     /// Set when a series was wholesale-replaced (`Tsdb::insert_series` or
     /// a WAL `Replace` replay): stale chunks for that key may live in old
@@ -223,7 +230,7 @@ impl Storage {
 }
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over a byte slice — the
-/// checksum both the WAL records and segment files carry.
+/// checksum WAL records, segment directories and chunk payloads carry.
 ///
 /// Slicing-by-8: each step folds eight input bytes through eight lookup
 /// tables at once, and a bytewise loop over table 0 finishes the last

@@ -7,8 +7,8 @@
 //! head or re-encoded during recovery — and have no on-disk home to
 //! reload from, so they stay resident) or **pageable** (the bytes live in
 //! a segment file; the slot holds a [`ColdRef`] and loads them with a
-//! single positioned read on first touch — a *page fault* — after which
-//! the clock may evict them again).
+//! single positioned read on first touch — a *page fault*, checked against
+//! the chunk's CRC — after which the clock may evict them again).
 //!
 //! Residency states of a sealed chunk, as the lifecycle docs put it:
 //!
@@ -32,7 +32,7 @@ use std::sync::{Arc, Weak};
 
 use explainit_sync::{check_io, LockClass, Mutex};
 
-use super::StorageError;
+use super::{crc32, StorageError};
 
 /// The clock ring: taken by `enforce` before any per-slot lock. Rank
 /// `IO_LOCK_RANK_THRESHOLD` — never held across a fault read.
@@ -43,7 +43,8 @@ static PAGER_CLOCK: LockClass =
 /// One class for every slot — holding two slots at once is a bug.
 static PAGER_SLOT: LockClass = LockClass::new("tsdb.pager.slot", 70);
 
-/// Where a pageable chunk's compressed bytes live on disk.
+/// Where a pageable chunk's compressed bytes live on disk, and the CRC-32
+/// they must have.
 ///
 /// Holds the segment's open file handle (shared by every chunk of the
 /// segment), so a fault stays valid even after compaction or retention
@@ -59,31 +60,42 @@ pub struct ColdRef {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
+    /// CRC-32 of the payload: from the segment directory (`EXPLSEG2`), or
+    /// computed at open from the checksummed file (`EXPLSEG1`).
+    pub crc: u32,
 }
 
 impl ColdRef {
-    /// Reads the chunk payload with one positioned read.
+    /// Reads the chunk payload with one positioned read and verifies it.
     pub fn read(&self) -> Result<Vec<u8>, StorageError> {
-        check_io("faulting a cold chunk page");
         let mut buf = vec![0u8; self.len as usize];
-        read_exact_at(&self.file, &mut buf, self.offset).map_err(|e| {
-            StorageError::io(
-                format!("paging in segment {} chunk at offset {}", self.segment_id, self.offset),
-                e,
-            )
-        })?;
+        self.read_into(&mut buf)?;
         Ok(buf)
+    }
+
+    /// [`ColdRef::read`] into a buffer of exactly `len` bytes the caller
+    /// allocated: a short file is `Io`, bytes that fail the CRC `Corrupt`.
+    pub fn read_into(&self, buf: &mut [u8]) -> Result<(), StorageError> {
+        check_io("faulting a cold chunk page");
+        let at = || format!("segment {} chunk at offset {}", self.segment_id, self.offset);
+        read_exact_at(&self.file, buf, self.offset)
+            .map_err(|e| StorageError::io(format!("paging in {}", at()), e))?;
+        if crc32(buf) != self.crc {
+            return Err(StorageError::corrupt(at(), "chunk checksum mismatch"));
+        }
+        Ok(())
     }
 }
 
+/// Fills `buf` from `offset` of `file` with one positioned read.
 #[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+pub(super) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::os::unix::fs::FileExt;
     file.read_exact_at(buf, offset)
 }
 
 #[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+pub(super) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
     use std::io::{Read, Seek, SeekFrom};
     // No positioned-read primitive: clone the handle so the shared one
     // keeps no cursor state.
@@ -114,6 +126,11 @@ impl PageSlot {
         self.bytes.lock().is_none()
     }
 
+    /// Compressed payload length in bytes, resident or not.
+    pub fn page_len(&self) -> u64 {
+        self.len
+    }
+
     /// The segment id a pageable slot reads from, if any.
     pub fn segment_id(&self) -> Option<u64> {
         self.cold.as_ref().map(|c| c.segment_id)
@@ -121,37 +138,50 @@ impl PageSlot {
 
     /// The compressed bytes, faulting them in from disk when cold.
     pub fn bytes(self: &Arc<Self>) -> Result<Arc<Vec<u8>>, StorageError> {
-        self.referenced.store(true, Ordering::Relaxed);
-        if let Some(resident) = self.bytes.lock().as_ref() {
-            return Ok(Arc::clone(resident));
+        if let Some(resident) = self.resident() {
+            return Ok(resident);
         }
         // invariant: a slot with no resident bytes is always pageable —
         // pinned slots are constructed resident and never evicted.
-        let cold = self.cold.as_ref().ok_or_else(|| {
+        let cold = self.cold().ok_or_else(|| {
             StorageError::corrupt("chunk", "pinned chunk lost its resident bytes")
         })?;
         // Read outside the slot lock (the clock sweep takes clock -> slot,
         // per the `tsdb.pager.*` LockClass ranks, so a fault must never
         // hold slot while enrolling; `check_io` enforces the read side).
-        let loaded = Arc::new(cold.read()?);
-        let won = {
+        Ok(self.install(cold.read()?))
+    }
+
+    /// The resident bytes, if any, marking the slot referenced.
+    pub fn resident(&self) -> Option<Arc<Vec<u8>>> {
+        self.referenced.store(true, Ordering::Relaxed);
+        self.bytes.lock().as_ref().map(Arc::clone)
+    }
+
+    /// Where a pageable slot's bytes live on disk (`None` when pinned).
+    pub fn cold(&self) -> Option<&ColdRef> {
+        self.cold.as_ref()
+    }
+
+    /// Makes `loaded` — this slot's verified page, read by whoever faulted
+    /// it — the resident copy, counts the fault and lets the clock enforce
+    /// the budget. A racer that installed first wins and its copy is
+    /// returned instead.
+    pub fn install(self: &Arc<Self>, loaded: Vec<u8>) -> Arc<Vec<u8>> {
+        let loaded = Arc::new(loaded);
+        {
             let mut guard = self.bytes.lock();
-            match guard.as_ref() {
-                Some(racer) => return Ok(Arc::clone(racer)),
-                None => {
-                    *guard = Some(Arc::clone(&loaded));
-                    true
-                }
+            if let Some(racer) = guard.as_ref() {
+                return Arc::clone(racer);
             }
-        };
-        if won {
-            self.pager.note_fault(self.len);
-            if !self.enrolled.swap(true, Ordering::Relaxed) {
-                self.pager.clock.lock().ring.push(Arc::downgrade(self));
-            }
-            self.pager.enforce();
+            *guard = Some(Arc::clone(&loaded));
         }
-        Ok(loaded)
+        self.pager.note_fault(self.len);
+        if !self.enrolled.swap(true, Ordering::Relaxed) {
+            self.pager.clock.lock().ring.push(Arc::downgrade(self));
+        }
+        self.pager.enforce();
+        loaded
     }
 
     /// Drops the resident bytes of a pageable slot, returning the bytes
@@ -187,7 +217,8 @@ struct Clock {
 pub struct PagerCounters {
     /// All accounted resident bytes: compressed chunks + decoded caches.
     pub resident_bytes: u64,
-    /// Compressed chunk bytes currently resident (pinned + paged).
+    /// Compressed chunk bytes currently resident (pinned + paged, and the
+    /// pages a pooled decode holds in flight).
     pub resident_chunk_bytes: u64,
     /// High-water mark of `resident_chunk_bytes` since open.
     pub peak_resident_chunk_bytes: u64,
@@ -338,12 +369,29 @@ impl Pager {
     /// nothing evictable remains. Safe behind `&self` — compressed bytes
     /// are never borrowed out, only decoded caches are.
     pub fn enforce(&self) {
-        if self.budget == u64::MAX || self.chunk_resident.load(Ordering::Relaxed) <= self.budget {
+        self.evict_down_to(self.budget);
+    }
+
+    /// Charges `n` bytes of pages the caller is about to hold outside any
+    /// slot — a pooled decode's wave — after the clock has made room for
+    /// them under the budget, so those pages in flight and the resident
+    /// ones together stay within it. The charge lasts until the
+    /// [`Reservation`] gives it back.
+    pub(crate) fn reserve(&self, n: u64) -> Reservation<'_> {
+        self.evict_down_to(self.budget.saturating_sub(n));
+        self.add_resident(n);
+        Reservation { pager: self, bytes: n }
+    }
+
+    /// The clock sweep behind [`Pager::enforce`] and [`Pager::reserve`]:
+    /// evicts until compressed residency is at most `limit`.
+    fn evict_down_to(&self, limit: u64) {
+        if self.budget == u64::MAX || self.chunk_resident.load(Ordering::Relaxed) <= limit {
             return;
         }
         let mut clock = self.clock.lock();
         let mut without_progress = 0usize;
-        while self.chunk_resident.load(Ordering::Relaxed) > self.budget {
+        while self.chunk_resident.load(Ordering::Relaxed) > limit {
             if clock.ring.is_empty() || without_progress > 2 * clock.ring.len() {
                 break;
             }
@@ -373,6 +421,30 @@ impl Pager {
     }
 }
 
+/// Pages held outside any slot, charged to the pager's residency: taken
+/// by [`Pager::reserve`], given back page by page as each is installed or
+/// dropped, and the rest when the reservation drops.
+#[derive(Debug)]
+pub(crate) struct Reservation<'a> {
+    pager: &'a Pager,
+    bytes: u64,
+}
+
+impl Reservation<'_> {
+    /// Gives back `n` of the reserved bytes (at most what is left).
+    pub(crate) fn release(&mut self, n: u64) {
+        let n = n.min(self.bytes);
+        self.bytes -= n;
+        self.pager.release_resident(n);
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.pager.release_resident(self.bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +461,7 @@ mod tests {
             segment_id: 0,
             offset,
             len: payload.len() as u64,
+            crc: crc32(payload),
         }
     }
 
@@ -420,6 +493,23 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_verifies_the_payload_checksum() {
+        let dir = tmp_dir("crc");
+        let mut cold = cold_ref(&dir, "seg", b"hello chunk", 3);
+        cold.crc ^= 1;
+        match cold.read() {
+            Err(StorageError::Corrupt { what, detail }) => {
+                assert_eq!(what, "segment 0 chunk at offset 3");
+                assert_eq!(detail, "chunk checksum mismatch");
+            }
+            other => panic!("expected a corrupt chunk, got {other:?}"),
+        }
+        cold.len += 1;
+        assert!(matches!(cold.read(), Err(StorageError::Io { .. })), "short file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn clock_evicts_down_to_budget() {
         let dir = tmp_dir("evict");
         let pager = Pager::with_budget(Some(24));
@@ -438,6 +528,29 @@ mod tests {
             assert_eq!(&slot.bytes().expect("refault")[..], &[i as u8; 16]);
         }
         assert!(c.peak_resident_chunk_bytes <= 24 + 16, "peak bounded: {c:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reservation_makes_room_first_and_is_charged_until_released() {
+        let dir = tmp_dir("reserve");
+        let pager = Pager::with_budget(Some(32));
+        let slots: Vec<_> = (0..2)
+            .map(|i| pager.slot_cold(cold_ref(&dir, &format!("seg{i}"), &[i as u8; 16], 0)))
+            .collect();
+        for slot in &slots {
+            let _ = slot.bytes().expect("fault");
+        }
+        assert_eq!(pager.counters().resident_chunk_bytes, 32);
+        let mut held = pager.reserve(16);
+        let c = pager.counters();
+        assert_eq!(c.resident_chunk_bytes, 32, "one page evicted to make room: {c:?}");
+        assert_eq!(c.peak_resident_chunk_bytes, 32, "never over budget: {c:?}");
+        assert_eq!(slots.iter().filter(|s| s.is_empty()).count(), 1);
+        held.release(10);
+        assert_eq!(pager.counters().resident_chunk_bytes, 22);
+        drop(held);
+        assert_eq!(pager.counters().resident_chunk_bytes, 16);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -136,8 +136,8 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
     }
     seg_ids.sort_unstable();
 
-    // Pass 2: map segments ascending (whole-file CRC validated, then only
-    // the chunk directory stays resident) and collect supersession edges.
+    // Pass 2: map segments ascending (each directory verified; only it
+    // stays resident) and collect supersession edges.
     let mut mapped = Vec::with_capacity(seg_ids.len());
     let mut superseded: BTreeSet<u64> = BTreeSet::new();
     let mut max_id_seen: Option<u64> = None;
@@ -227,6 +227,7 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
                         segment_id: seg.id,
                         offset: c.offset,
                         len: c.len,
+                        crc: c.crc,
                     }),
                 }
             }));

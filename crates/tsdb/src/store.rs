@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
 use crate::model::{Series, SeriesKey, TimeRange};
-use crate::storage::chunk::{ChunkMeta, EncodedChunk};
+use crate::storage::chunk::{self, ChunkMeta, EncodedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
@@ -15,6 +15,16 @@ use crate::storage::{
     compact, recover, segment, Storage, StorageError, StorageOptions, StorageStats,
     AUTO_COMPACT_SEGMENTS,
 };
+
+/// Fewest points in a scan's overlapping, not yet decoded chunks for which
+/// their fault, check and decode run on the worker pool rather than one by
+/// one on the caller.
+///
+/// Measured as a cold full scan, serial against pooled, on a 2-core Xeon:
+/// with chunks of 240 or 480 points the pool wins from about 2^14 points
+/// (by 20–35% at 2^15), with 120-point chunks, whose per-chunk work on the
+/// caller weighs more, only from 2^16 (up to 12% slower in between).
+const PARALLEL_DECODE_MIN_POINTS: usize = 1 << 15;
 
 /// Opaque, dense identifier of a series inside one [`Tsdb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -139,8 +149,8 @@ impl MetricFilter {
 /// Chunks recovered from segment files start **Cold**: only their
 /// directory entry (min/max timestamp, count, offset, length) is
 /// resident. The first scan that touches one faults its compressed bytes
-/// in with a single positioned read (**Paged**), and decoding on top of
-/// that yields the **Decoded** cache. A [`StorageOptions::page_budget_bytes`]
+/// in with a single positioned read checked against the chunk's CRC
+/// (**Paged**), and decoding on top of that yields the **Decoded** cache. A [`StorageOptions::page_budget_bytes`]
 /// budget bounds the paged tier with clock eviction (see
 /// [`crate::storage::pager`]); decoded caches are accounted too and shed
 /// at mutation points via [`Tsdb::evict_to_budget`]. With no budget
@@ -261,7 +271,7 @@ impl Tsdb {
                 WalRecord::Batch { key, points } => {
                     let id = db.series_id(&key);
                     for (ts, value) in points {
-                        db.series[id.index()].push(ts, value);
+                        db.series[id.index()].push(ts, value)?;
                     }
                 }
                 WalRecord::Replace { key, points } => {
@@ -544,10 +554,16 @@ impl Tsdb {
     /// surfaced by the next `flush()`; callers that want the error at the
     /// call site use [`Tsdb::try_insert`].
     pub fn insert(&mut self, key: &SeriesKey, ts: i64, value: f64) {
+        // A write into a sealed chunk that cannot be read applies nowhere,
+        // neither in memory nor in the log, and fails the next flush.
+        if let Err(err) = self.make_writable(key, ts) {
+            self.record_sticky(err);
+            return;
+        }
         let wal_err = self.wal_append(key, &[(ts, value)]).err();
         let id = self.series_id(key);
-        self.series[id.index()].push(ts, value);
-        if let Some(err) = wal_err {
+        let push_err = self.series[id.index()].push(ts, value).err();
+        if let Some(err) = wal_err.or(push_err) {
             self.record_sticky(err);
         }
     }
@@ -562,21 +578,34 @@ impl Tsdb {
     /// Inserts a batch of observations for one series under a single WAL
     /// record (points replay in arrival order through the
     /// [`Series::push`] contract, so out-of-order and duplicate timestamps
-    /// behave exactly like individual inserts).
+    /// behave exactly like individual inserts). A batch that reaches into
+    /// a sealed chunk that cannot be read is an error before anything is
+    /// logged or applied.
     pub fn try_insert_batch(
         &mut self,
         key: &SeriesKey,
         points: &[(i64, f64)],
     ) -> Result<(), StorageError> {
-        if points.is_empty() {
+        let Some(first) = points.iter().map(|&(ts, _)| ts).min() else {
             return Ok(());
-        }
+        };
+        self.make_writable(key, first)?;
         self.wal_append(key, points)?;
         let id = self.series_id(key);
         for &(ts, value) in points {
-            self.series[id.index()].push(ts, value);
+            self.series[id.index()].push(ts, value)?;
         }
         Ok(())
+    }
+
+    /// Unseals `key`'s series when `ts` lands in its sealed range, so the
+    /// pushes that follow cannot fail. A sealed chunk that cannot be read
+    /// is the error, raised before the write reaches the log.
+    fn make_writable(&mut self, key: &SeriesKey, ts: i64) -> Result<(), StorageError> {
+        match self.by_key.get(key) {
+            Some(id) => self.series[id.index()].unseal_for(ts),
+            None => Ok(()),
+        }
     }
 
     fn wal_append(&mut self, key: &SeriesKey, points: &[(i64, f64)]) -> Result<(), StorageError> {
@@ -710,47 +739,79 @@ impl Tsdb {
     /// overlap in time and arrive in ascending time order, so consumers
     /// that tiebreak equal timestamps by slice rank see the same order a
     /// single contiguous slice would give them.
+    ///
+    /// A chunk that cannot be read — an I/O error, a checksum mismatch, a
+    /// bit stream that does not decode — fails the whole scan: this form
+    /// then returns no slices at all, never a partial scan, and
+    /// [`Tsdb::scan_parts_between`] returns the error.
     pub fn scan_parts(&self, filter: &MetricFilter, range: &TimeRange) -> Vec<SeriesSlice<'_>> {
         // An empty/inverted half-open range keeps the one-empty-slice-per-
         // matched-series shape via `lo > hi`; `>=` so a range ending at
         // i64::MIN never reaches the `end - 1` below.
         let (lo, hi) =
             if range.start >= range.end { (0, -1) } else { (range.start, range.end - 1) };
-        self.scan_parts_between(filter, lo, hi)
+        self.scan_parts_between(filter, lo, hi).unwrap_or_default()
     }
 
     /// [`Tsdb::scan_parts`] over the *inclusive* `[lo, hi]` time range —
     /// the form the query layer's inclusive plan bounds map onto without
     /// losing points at `timestamp == i64::MAX` (which no half-open range
-    /// can cover). An inverted range is empty.
+    /// can cover). An inverted range is empty. A chunk that cannot be read
+    /// is the scan's error.
     pub fn scan_parts_between(
         &self,
         filter: &MetricFilter,
         lo: i64,
         hi: i64,
-    ) -> Vec<SeriesSlice<'_>> {
+    ) -> Result<Vec<SeriesSlice<'_>>, StorageError> {
         self.slices_of(self.find(filter), lo, hi)
     }
 
-    fn slices_of(&self, ids: Vec<SeriesId>, lo: i64, hi: i64) -> Vec<SeriesSlice<'_>> {
+    /// The slices of `ids` over `[lo, hi]`. When the overlapping chunks
+    /// not yet decoded hold at least [`PARALLEL_DECODE_MIN_POINTS`], they
+    /// are faulted, verified and decoded on the worker pool first; the
+    /// slices are then cut from the decode caches either way.
+    fn slices_of(
+        &self,
+        ids: Vec<SeriesId>,
+        lo: i64,
+        hi: i64,
+    ) -> Result<Vec<SeriesSlice<'_>>, StorageError> {
+        let pending: Vec<_> = ids
+            .iter()
+            .flat_map(|id| self.series[id.index()].sealed_chunks())
+            .filter(|c| lo <= hi && c.overlaps(lo, hi) && !c.is_decoded())
+            .collect();
+        let points: usize = pending.iter().map(|c| c.meta.count as usize).sum();
+        if points >= PARALLEL_DECODE_MIN_POINTS {
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            if workers > 1 {
+                chunk::decode_on_pool(&pending, workers, &self.pager)?;
+            }
+        }
         let mut parts = Vec::new();
         for id in ids {
-            self.push_slices(&mut parts, id, lo, hi);
+            self.push_slices(&mut parts, id, lo, hi)?;
         }
-        parts
+        Ok(parts)
     }
 
     /// Appends the partition handles of one series restricted to `[lo,
     /// hi]` — the lazy-decode core of the scan surface.
-    fn push_slices<'a>(&'a self, out: &mut Vec<SeriesSlice<'a>>, id: SeriesId, lo: i64, hi: i64) {
+    fn push_slices<'a>(
+        &'a self,
+        out: &mut Vec<SeriesSlice<'a>>,
+        id: SeriesId,
+        lo: i64,
+        hi: i64,
+    ) -> Result<(), StorageError> {
         let s = &self.series[id.index()];
         let before = out.len();
         for chunk in s.sealed_chunks() {
             if lo > hi || !chunk.overlaps(lo, hi) {
                 continue;
             }
-            let decoded = chunk.decoded();
-            let (ts, vs) = (&decoded.0[..], &decoded.1[..]);
+            let (ts, vs) = chunk.decoded()?;
             let a = ts.partition_point(|&t| t < lo);
             let b = ts.partition_point(|&t| t <= hi);
             if a < b {
@@ -763,6 +824,7 @@ impl Tsdb {
             // series shape when nothing overlapped at all.
             out.push(SeriesSlice { id, key: &s.key, timestamps: ts, values: vs });
         }
+        Ok(())
     }
 
     /// [`Tsdb::scan_parts_between`] in canonical series-key order.
@@ -777,7 +839,7 @@ impl Tsdb {
         filter: &MetricFilter,
         lo: i64,
         hi: i64,
-    ) -> Vec<SeriesSlice<'_>> {
+    ) -> Result<Vec<SeriesSlice<'_>>, StorageError> {
         let mut ids = self.find(filter);
         ids.sort_by_cached_key(|id| self.series[id.index()].key.canonical());
         self.slices_of(ids, lo, hi)
@@ -898,7 +960,7 @@ mod tests {
     #[test]
     fn scan_parts_ordered_ranks_by_canonical_key() {
         let db = sample_db();
-        let parts = db.scan_parts_ordered_between(&MetricFilter::all(), 0, 599);
+        let parts = db.scan_parts_ordered_between(&MetricFilter::all(), 0, 599).expect("scan");
         assert_eq!(parts.len(), 4);
         let canon: Vec<String> = parts.iter().map(|p| p.key.canonical()).collect();
         let mut sorted = canon.clone();
@@ -912,13 +974,15 @@ mod tests {
         let key = SeriesKey::new("edge");
         db.insert(&key, 0, 1.0);
         db.insert(&key, i64::MAX, 2.0);
-        let parts = db.scan_parts_between(&MetricFilter::name("edge"), i64::MIN, i64::MAX);
+        let parts =
+            db.scan_parts_between(&MetricFilter::name("edge"), i64::MIN, i64::MAX).expect("scan");
         assert_eq!(parts[0].timestamps, &[0, i64::MAX]);
-        let parts = db.scan_parts_ordered_between(&MetricFilter::name("edge"), 1, i64::MAX);
+        let parts =
+            db.scan_parts_ordered_between(&MetricFilter::name("edge"), 1, i64::MAX).expect("scan");
         assert_eq!(parts[0].timestamps, &[i64::MAX]);
         assert_eq!(parts[0].values, &[2.0]);
         // Inverted bounds are an empty scan, not a panic.
-        let parts = db.scan_parts_between(&MetricFilter::name("edge"), 5, 4);
+        let parts = db.scan_parts_between(&MetricFilter::name("edge"), 5, 4).expect("scan");
         assert!(parts[0].timestamps.is_empty());
     }
 

@@ -3,11 +3,11 @@
 //! sorted runs — including i64-extreme timestamps and every f64 bit
 //! pattern (NaN payloads, ±0, infinities, subnormals).
 
-use explainit_tsdb::storage::chunk::{decode, encode, encode_run, CHUNK_MAX_POINTS};
+use explainit_tsdb::storage::chunk::{decode, encode, encode_run, EncodedChunk, CHUNK_MAX_POINTS};
 use explainit_tsdb::storage::segment::write_segment;
 use explainit_tsdb::storage::wal::{Wal, WalRecord};
 use explainit_tsdb::storage::{crc32, StorageError};
-use explainit_tsdb::SeriesKey;
+use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
 
 /// The only two ways a decode of hostile bytes may end (ROADMAP aim 3):
@@ -192,6 +192,22 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// `write_segment(dir, 7, &[3, 5], &sample_series())` as written by the
+/// last `EXPLSEG1` writer.
+const V1_SEGMENT: &[u8] = include_bytes!("fixtures/v1-seg-00000007.seg");
+
+/// `segment.rs`'s `sample_series`: two series, NaN / -0.0 / ±inf values
+/// and i64-extreme timestamps.
+fn sample_series() -> Vec<(SeriesKey, Vec<EncodedChunk>)> {
+    vec![
+        (
+            SeriesKey::new("disk").with_tag("host", "h1"),
+            encode_run(&[0, 60, 120], &[1.0, f64::NAN, -0.0]),
+        ),
+        (SeriesKey::new("mem"), encode_run(&[i64::MIN, i64::MAX], &[f64::INFINITY, 2.0])),
+    ]
+}
+
 /// `(name, byte length, CRC-32)` of every pinned byte image.
 fn format_pins() -> Vec<(&'static str, usize, u32)> {
     let pin = |name, bytes: &[u8]| (name, bytes.len(), crc32(bytes));
@@ -222,17 +238,14 @@ fn format_pins() -> Vec<(&'static str, usize, u32)> {
         pin("random walk", &encode(&walk_ts, &walk_vals)),
     ];
 
-    // The segment file over `segment.rs`'s `sample_series`.
+    // The segment file over `segment.rs`'s `sample_series`: the v1 bytes
+    // the format's last writer produced (a checked-in fixture, which
+    // `v1_fixture_reads_back_the_sample_points` reads), and what the writer
+    // emits now.
+    pins.push(pin("segment file", V1_SEGMENT));
     let dir = tmp_dir("segment");
-    let series = vec![
-        (
-            SeriesKey::new("disk").with_tag("host", "h1"),
-            encode_run(&[0, 60, 120], &[1.0, f64::NAN, -0.0]),
-        ),
-        (SeriesKey::new("mem"), encode_run(&[i64::MIN, i64::MAX], &[f64::INFINITY, 2.0])),
-    ];
-    let handle = write_segment(&dir, 7, &[3, 5], &series).expect("write segment");
-    pins.push(pin("segment file", &std::fs::read(&handle.path).expect("read segment")));
+    let handle = write_segment(&dir, 7, &[3, 5], &sample_series()).expect("write segment");
+    pins.push(pin("segment file v2", &std::fs::read(&handle.path).expect("read segment")));
     let _ = std::fs::remove_dir_all(&dir);
 
     // One WAL `Batch` frame.
@@ -251,13 +264,17 @@ fn format_pins() -> Vec<(&'static str, usize, u32)> {
 /// change (encoder and decoder would move together), this can.
 #[test]
 fn encoder_bytes_are_the_parent_format() {
-    const PARENT_FORMAT: [(&str, usize, u32); 7] = [
+    // Every row but "segment file v2" is the format of the commit before
+    // the word-at-a-time kernels; that row pins the `EXPLSEG2` writer from
+    // its first version on.
+    const PARENT_FORMAT: [(&str, usize, u32); 8] = [
         ("aligned grid", 1062, 0x892B_37B0),
         ("irregular deltas", 83, 0x9060_D4DE),
         ("i64 extremes", 52, 0xAF13_B800),
         ("nan payloads and signed zero", 68, 0x6D9A_E2F0),
         ("random walk", 16499, 0x900D_40DC),
         ("segment file", 213, 0x2144_DF1C),
+        ("segment file v2", 201, 0xAD3C_E901),
         ("wal batch frame", 71, 0x1135_17E0),
     ];
     assert_eq!(format_pins(), PARENT_FORMAT);
@@ -276,4 +293,103 @@ fn every_bit_flip_and_truncation_of_a_chunk_decodes_or_is_corrupt() {
         flipped[bit / 8] ^= 0x80 >> (bit % 8);
         assert!(decodes_or_is_corrupt(&flipped, ts.len()), "bit={bit}");
     }
+}
+
+/// Every point of the store in `dir`, opened read-only: `(series, ts,
+/// value bits)` in scan order.
+fn open_and_scan(dir: &std::path::Path) -> Result<Vec<(String, i64, u64)>, StorageError> {
+    let db = Tsdb::open_read_only(dir)?;
+    let parts = db.scan_parts_between(&MetricFilter::all(), i64::MIN, i64::MAX)?;
+    Ok(parts
+        .iter()
+        .flat_map(|p| {
+            let key = p.key.canonical();
+            p.timestamps.iter().zip(p.values).map(move |(&t, v)| (key.clone(), t, v.to_bits()))
+        })
+        .collect())
+}
+
+/// The sample series' points, as [`open_and_scan`] reports them.
+fn sample_points() -> Vec<(String, i64, u64)> {
+    sample_series()
+        .into_iter()
+        .flat_map(|(key, chunks)| {
+            let key = key.canonical();
+            chunks.into_iter().flat_map(move |c| {
+                let (ts, vs) = decode(&c.bytes, c.meta.count as usize).expect("decode");
+                let key = key.clone();
+                ts.into_iter().zip(vs).map(move |(t, v)| (key.clone(), t, v.to_bits()))
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn v1_fixture_reads_back_the_sample_points() {
+    let dir = tmp_dir("v1-fixture");
+    std::fs::write(dir.join("seg-00000007.seg"), V1_SEGMENT).expect("write fixture");
+    assert_eq!(open_and_scan(&dir).expect("a v1 store opens and scans"), sample_points());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every byte flip, every truncation and an appended byte of a whole
+/// segment file end in `Corrupt` or `Io` — at open, or at the first scan
+/// that reads the byte — never in a panic and never in other points.
+fn assert_every_mutation_is_an_error(tag: &str, clean: &[u8]) {
+    let dir = tmp_dir(tag);
+    let path = dir.join("seg-00000007.seg");
+    std::fs::write(&path, clean).expect("write");
+    assert_eq!(open_and_scan(&dir).expect("the clean file scans"), sample_points());
+    let assert_error = |what: &str| match open_and_scan(&dir) {
+        Err(StorageError::Corrupt { .. } | StorageError::Io { .. }) => {}
+        other => panic!("{tag}, {what}: expected Corrupt or Io, got {other:?}"),
+    };
+    for at in 0..clean.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut bytes = clean.to_vec();
+            bytes[at] ^= mask;
+            std::fs::write(&path, &bytes).expect("write");
+            assert_error(&format!("byte {at} ^ {mask:#04x}"));
+        }
+    }
+    for len in 0..clean.len() {
+        std::fs::write(&path, &clean[..len]).expect("write");
+        assert_error(&format!("cut to {len} bytes"));
+    }
+    std::fs::write(&path, [clean, &[0]].concat()).expect("write");
+    assert_error("one byte appended");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_byte_flip_and_truncation_of_a_segment_file_is_an_error() {
+    let dir = tmp_dir("v2-hostile");
+    let handle = write_segment(&dir, 7, &[3, 5], &sample_series()).expect("write segment");
+    let v2 = std::fs::read(&handle.path).expect("read segment");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_every_mutation_is_an_error("v2-hostile", &v2);
+    assert_every_mutation_is_an_error("v1-hostile", V1_SEGMENT);
+}
+
+#[test]
+fn compaction_rewrites_a_v1_store_as_v2() {
+    let dir = tmp_dir("v1-compact");
+    std::fs::write(dir.join("seg-00000007.seg"), V1_SEGMENT).expect("write fixture");
+    {
+        let mut db = Tsdb::open(&dir).expect("open a v1 store for writing");
+        db.insert(&SeriesKey::new("net"), 5, 0.5);
+        db.compact().expect("compact");
+    }
+    let segments: Vec<Vec<u8>> = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .map(|p| std::fs::read(p).expect("read"))
+        .collect();
+    assert_eq!(segments.len(), 1, "one compacted segment");
+    assert_eq!(&segments[0][..8], b"EXPLSEG2");
+    let mut expect = sample_points();
+    expect.push(("net".to_string(), 5, 0.5f64.to_bits()));
+    assert_eq!(open_and_scan(&dir).expect("scan"), expect);
+    let _ = std::fs::remove_dir_all(&dir);
 }

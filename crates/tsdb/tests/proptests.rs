@@ -105,7 +105,7 @@ proptest! {
         ][bounds];
         let expect: Vec<(i64, f64)> =
             series.points().filter(|p| p.ts >= lo && p.ts <= hi).map(|p| (p.ts, p.value)).collect();
-        let parts = db.scan_parts_ordered_between(&MetricFilter::all(), lo, hi);
+        let parts = db.scan_parts_ordered_between(&MetricFilter::all(), lo, hi).expect("scan");
         let got: Vec<(i64, f64)> = parts
             .iter()
             .flat_map(|p| p.timestamps.iter().copied().zip(p.values.iter().copied()))

@@ -91,6 +91,87 @@ fn scans_under_any_budget_are_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store whose full scan holds more undecoded points (48,000 in 192
+/// chunks) than the scan decodes one by one, so its chunks fault, verify
+/// and decode on the worker pool. Returns the expected contents.
+fn build_large_store(dir: &std::path::Path) -> Vec<(String, Vec<i64>, Vec<f64>)> {
+    let mut db = Tsdb::open(dir).expect("open");
+    for round in 0..4i64 {
+        for s in 0..48i64 {
+            let key = SeriesKey::new(format!("m{}", s % 5)).with_tag("host", s.to_string());
+            let points: Vec<(i64, f64)> = (0..250i64)
+                .map(|t| ((round * 250 + t) * 60, ((s * 7919 + t * 31) % 1000) as f64 * 0.25))
+                .collect();
+            db.try_insert_batch(&key, &points).expect("insert");
+        }
+        db.flush().expect("flush");
+    }
+    contents(&db)
+}
+
+#[test]
+fn pooled_decode_returns_the_points_with_one_fault_and_decode_per_chunk() {
+    let dir = tmp_dir("pooled");
+    let expected = build_large_store(&dir);
+    assert_eq!(expected.iter().map(|(_, ts, _)| ts.len()).sum::<usize>(), 48_000);
+    let unbounded = Tsdb::open_read_only(&dir).expect("reopen");
+    let stats = unbounded.storage_stats().expect("stats");
+    let (chunks, segment_bytes) = (stats.chunks as u64, stats.segment_bytes);
+    assert_eq!(chunks, 192);
+    drop(unbounded);
+    let chunk_bytes = segment_bytes.div_ceil(chunks);
+    for budget in [None, Some(segment_bytes / 8), Some(chunk_bytes)] {
+        let options = StorageOptions { page_budget_bytes: budget, ..StorageOptions::default() };
+        let db = Tsdb::open_read_only_with(&dir, options).expect("paged reopen");
+        assert_eq!(contents(&db), expected, "budget {budget:?}");
+        let stats = db.storage_stats().expect("stats");
+        assert_eq!(stats.page_faults, chunks, "budget {budget:?}: one fault per chunk");
+        assert_eq!(db.decode_count(), chunks, "budget {budget:?}: one decode per chunk");
+        if let Some(budget) = budget {
+            assert!(stats.evictions > 0, "budget {budget}: pressure forced evictions");
+            // A wave's pages are charged from before their buffers exist,
+            // after the clock made room for them: the peak overshoots by
+            // about one chunk, as on the serial path (twice the mean for
+            // uneven sizes). A wave of a full budget next to a full budget
+            // of resident pages would reach twice the 1/8 budget.
+            assert!(
+                stats.peak_resident_chunk_bytes <= budget + 2 * chunk_bytes,
+                "budget {budget}: peak {} ran away",
+                stats.peak_resident_chunk_bytes
+            );
+        }
+        // The caches hold: a second scan faults and decodes nothing more.
+        assert_eq!(contents(&db), expected);
+        assert_eq!(db.decode_count(), chunks, "budget {budget:?}: rescans hit the caches");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pooled_decode_fails_the_scan_on_a_damaged_chunk() {
+    let dir = tmp_dir("pooled-damage");
+    build_large_store(&dir);
+    let db = Tsdb::open_read_only(&dir).expect("reopen");
+    // The last byte of the newest segment: the payload of its last chunk.
+    let segment = (0..)
+        .map(|id| dir.join(format!("seg-{id:08}.seg")))
+        .take_while(|p| p.exists())
+        .last()
+        .expect("a segment");
+    let mut bytes = std::fs::read(&segment).expect("read");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&segment, &bytes).expect("flip");
+    let err = db
+        .scan_parts_between(&MetricFilter::all(), i64::MIN, i64::MAX)
+        .expect_err("a damaged chunk fails the scan");
+    assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
+    let range = db.time_span().expect("data");
+    assert!(db.scan_parts(&MetricFilter::all(), &range).is_empty(), "no partial scan");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Whole-series reads go through the per-chunk decode caches — the tier
 /// that is charged to the pager and shed by `evict_to_budget`. (A second,
 /// unaccounted whole-series copy used to leak here.)
@@ -182,6 +263,7 @@ proptest! {
                 let filter = MetricFilter::all().with_tag("host", i.to_string());
                 let scanned: Vec<(i64, u64)> = db
                     .scan_parts_ordered_between(&filter, i64::MIN, i64::MAX)
+                    .expect("scan")
                     .iter()
                     .flat_map(|p| p.timestamps.iter().copied().zip(p.values.iter().map(|v| v.to_bits())))
                     .collect();

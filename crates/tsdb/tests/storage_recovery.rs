@@ -243,6 +243,50 @@ fn out_of_order_write_into_sealed_range_survives_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A write into the sealed range unseals the series, which reads every
+/// sealed chunk. One that cannot be read must fail the write, not drop its
+/// points from memory for a flush or compaction to make the loss durable.
+#[test]
+fn a_write_into_an_unreadable_sealed_chunk_fails_and_loses_nothing() {
+    let dir = tmp_dir("unseal-damaged");
+    let key = SeriesKey::new("m");
+    let points: Vec<(i64, f64)> = (0..100i64).map(|t| (t * 60, t as f64 * 0.5)).collect();
+    {
+        let mut db = Tsdb::open(&dir).expect("open");
+        db.try_insert_batch(&key, &points).expect("insert");
+        db.flush().expect("flush");
+    }
+    let segment = dir.join("seg-00000000.seg");
+    let good = std::fs::read(&segment).expect("read");
+    let mut db = Tsdb::open(&dir).expect("writer reopen");
+    // The last byte is the one chunk's payload: a v2 open reads only the
+    // directory, so the damage shows at the first read of the chunk.
+    let mut bad = good.clone();
+    let last = bad.len() - 1;
+    bad[last] ^= 0x01;
+    std::fs::write(&segment, &bad).expect("flip");
+
+    let err = db.try_insert_batch(&key, &[(90, 9.0)]).expect_err("unseal reads the chunk");
+    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
+    db.insert(&key, 90, 9.0);
+    let err = db.compact().expect_err("the refused insert fails the next flush");
+    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
+    let err = db.compact().expect_err("compaction cannot copy the chunk either");
+    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
+    assert_eq!(db.point_count(), 100, "the sealed tier is intact");
+    drop(db);
+    assert_eq!(std::fs::read(&segment).expect("still on disk"), bad, "segment untouched");
+
+    // Repaired, the store holds what was flushed and none of the refused
+    // writes (neither reached the log).
+    std::fs::write(&segment, &good).expect("repair");
+    let db = Tsdb::open(&dir).expect("reopen");
+    let s = db.get(&key).expect("series");
+    assert_eq!(s.timestamps(), points.iter().map(|p| p.0).collect::<Vec<_>>());
+    assert_eq!(s.values(), points.iter().map(|p| p.1).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn insert_series_replacement_discards_stale_chunks_across_reopen() {
     let dir = tmp_dir("replace");
@@ -354,12 +398,13 @@ fn scans_decode_only_overlapping_chunks() {
 
     // A scan restricted to window 2 must decode exactly one chunk per
     // matched series.
-    let parts = db.scan_parts_between(&MetricFilter::name("cpu"), 100 * 60, 119 * 60);
+    let parts =
+        db.scan_parts_between(&MetricFilter::name("cpu"), 100 * 60, 119 * 60).expect("scan");
     assert_eq!(db.decode_count(), 3, "window-1 chunks stayed compressed");
     let total: usize = parts.iter().map(|p| p.timestamps.len()).sum();
     assert_eq!(total, 60);
     // Repeating the scan hits the decode caches.
-    let _ = db.scan_parts_between(&MetricFilter::name("cpu"), 100 * 60, 119 * 60);
+    db.scan_parts_between(&MetricFilter::name("cpu"), 100 * 60, 119 * 60).expect("rescan");
     assert_eq!(db.decode_count(), 3);
     // The full-range scan decodes the rest, once.
     let _ = db.scan_parts(&MetricFilter::name("cpu"), &TimeRange::new(i64::MIN, i64::MAX));

@@ -3,10 +3,10 @@
 //! script, asserted identical to the programmatic `Engine::rank` path.
 
 use explainit::core::{Engine, EngineConfig, ScorerKind};
-use explainit::query::{pivot_long, Catalog, Value};
-use explainit::tsdb::{SeriesKey, SharedTsdb};
+use explainit::query::{pivot_long, Catalog, QueryError, Value};
+use explainit::tsdb::{SeriesKey, SharedTsdb, Tsdb};
 use explainit::workloads::{simulate, ClusterSpec, Fault};
-use explainit::{Session, RANKING_TABLE};
+use explainit::{Session, SessionError, RANKING_TABLE};
 
 /// §5.2's shape: hypervisor drops confounded with load — the case study
 /// that needs conditioning on the pipeline input rate.
@@ -147,4 +147,58 @@ fn session_over_shared_store_reranks_after_ingest() {
     session.execute(&create).expect("re-create");
     assert_eq!(session.engine().family_count(), families_before + 1);
     assert!(session.engine().family("freshly_ingested").is_some());
+}
+
+/// A chunk that cannot be read after the store was opened fails the
+/// statement that reads it: `Err`, never a smaller family. A small store
+/// decodes its chunks one by one; a large one on the worker pool.
+#[test]
+fn an_unreadable_chunk_fails_create_family() {
+    const CREATE: &str = "CREATE FAMILY m WITH (layout = 'long', family = 'metric_name') \
+                          AS SELECT timestamp, metric_name, tag, value FROM tsdb";
+    for (size, series, minutes) in [("small", 3, 60), ("large", 40, 1200)] {
+        for damage in ["flip", "truncate"] {
+            let dir = std::env::temp_dir().join(format!(
+                "explainit-session-unreadable-{size}-{damage}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            {
+                let mut db = Tsdb::open(&dir).expect("open for writing");
+                for s in 0..series {
+                    let key = SeriesKey::new(format!("m{}", s % 4)).with_tag("host", s.to_string());
+                    let points: Vec<(i64, f64)> =
+                        (0..minutes).map(|t| (t * 60, (s * t) as f64)).collect();
+                    db.try_insert_batch(&key, &points).expect("insert");
+                }
+                db.flush().expect("flush");
+            }
+            let db = Tsdb::open_read_only(&dir).expect("open read-only");
+            let segment = std::fs::read_dir(&dir)
+                .expect("list")
+                .map(|e| e.expect("entry").path())
+                .find(|p| p.extension().is_some_and(|e| e == "seg"))
+                .expect("a segment");
+            // The last byte of a segment is in its last chunk's payload.
+            let mut bytes = std::fs::read(&segment).expect("read segment");
+            let last = bytes.len() - 1;
+            if damage == "flip" {
+                bytes[last] ^= 0x10;
+            } else {
+                bytes.truncate(last);
+            }
+            std::fs::write(&segment, &bytes).expect("damage segment");
+
+            let mut session = Session::new();
+            session.bind_tsdb("tsdb", &db);
+            let err = session.execute(CREATE).expect_err("an unreadable chunk is an error");
+            assert!(
+                matches!(&err, SessionError::Query(QueryError::Storage(_))),
+                "{size}, {damage}: {err:?}"
+            );
+            let expect = if damage == "flip" { "chunk checksum mismatch" } else { "paging in" };
+            assert!(err.to_string().contains(expect), "{size}, {damage}: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
