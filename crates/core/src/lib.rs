@@ -20,7 +20,6 @@
 //!   target's folds prepared once; per hypothesis only X-side work remains
 //!   (per fold a Gram, per λ a factor and a solve) — the same arithmetic in
 //!   the same order as scoring each hypothesis alone, bit for bit;
-//! * [`pseudocause`] — seasonal/trend pseudocauses to condition on (§3.4);
 //! * [`engine::Engine`] — the interactive loop of Algorithm 1: parallel
 //!   scoring over hypotheses (the paper's unit of parallelism, §4), ranking,
 //!   p-values and top-K reports;
@@ -54,7 +53,6 @@ pub mod baselines;
 pub mod engine;
 pub mod family;
 pub mod hypothesis;
-pub mod pseudocause;
 pub mod report;
 pub mod scorers;
 
@@ -62,7 +60,6 @@ pub use autoselect::{auto_select_scorer, ScorerChoice};
 pub use engine::{Engine, EngineConfig, RankedHypothesis, Ranking};
 pub use family::FeatureFamily;
 pub use hypothesis::{Hypothesis, HypothesisSet};
-pub use pseudocause::derive_pseudocause;
 pub use scorers::{score_hypothesis, ScoreDetail, ScorerKind};
 
 /// Errors surfaced by the engine.

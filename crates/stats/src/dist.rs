@@ -168,8 +168,8 @@ impl Beta {
             return 0.0;
         }
         if x == 0.0 || x == 1.0 {
-            // Density can be infinite at the boundary; report 0 for the
-            // interior-measure convention used by the histogram reports.
+            // Density can be infinite at the boundary; report 0 (the
+            // interior-measure convention).
             return 0.0;
         }
         let ln_b = ln_gamma(self.a + self.b) - ln_gamma(self.a) - ln_gamma(self.b);

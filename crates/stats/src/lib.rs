@@ -8,22 +8,15 @@
 //!   ([`special`]);
 //! * probability distributions — Normal, Beta, Chi-squared ([`dist`]);
 //! * the r² machinery of Appendix A — adjusted r², the Beta null
-//!   distribution of OLS r², Chebyshev p-value bounds ([`rsquared`]);
-//! * classical seasonal-trend decomposition used for pseudocauses (§3.4)
-//!   ([`decompose`]);
-//! * fixed-width histograms used by the figure reports ([`histogram`]).
+//!   distribution of OLS r², Chebyshev p-value bounds ([`rsquared`]).
 
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // indexed loops read naturally in these math kernels
-pub mod decompose;
 pub mod dist;
-pub mod histogram;
 pub mod moments;
 pub mod rsquared;
 pub mod special;
 
-pub use decompose::{seasonal_decompose, Decomposition};
 pub use dist::{Beta, ChiSquared, Normal};
-pub use histogram::Histogram;
 pub use moments::{autocorrelation, covariance, mean, pearson, std_dev, variance, CentredColumn};
 pub use rsquared::{adjusted_r2, chebyshev_p_value, r2_null_distribution};

@@ -1,7 +1,7 @@
 //! Property tests for the statistics crate: distribution laws, correlation
-//! invariants, decomposition identities.
+//! invariants.
 
-use explainit_stats::{pearson, seasonal_decompose, Beta, CentredColumn, ChiSquared, Normal};
+use explainit_stats::{pearson, Beta, CentredColumn, ChiSquared, Normal};
 use proptest::prelude::*;
 
 /// A column entry: mostly plain values and exact zeros of both signs, now
@@ -131,23 +131,5 @@ proptest! {
         let scaled: Vec<f64> = xs.iter().map(|&v| a * v + b).collect();
         let r2 = pearson(&scaled, &ys);
         prop_assert!((r1 - r2).abs() < 1e-8, "positive affine maps preserve correlation");
-    }
-
-    #[test]
-    fn decomposition_identity(
-        base in proptest::collection::vec(-5.0f64..5.0, 24..96),
-        period in 2usize..8,
-    ) {
-        let d = seasonal_decompose(&base, period);
-        for (i, &b) in base.iter().enumerate() {
-            let recon = d.trend[i] + d.seasonal[i] + d.residual[i];
-            prop_assert!((recon - b).abs() < 1e-9);
-        }
-        // The per-phase pattern is re-centred to zero mean; over whole
-        // periods the seasonal series therefore averages to zero (partial
-        // trailing periods can leave a remainder, so truncate).
-        let whole = (base.len() / period) * period;
-        let mean: f64 = d.seasonal[..whole].iter().sum::<f64>() / whole as f64;
-        prop_assert!(mean.abs() < 1e-6);
     }
 }

@@ -1,12 +1,90 @@
-//! Generators for the four §5 case studies.
+//! The four §5 case studies.
 //!
-//! Each returns the "before" (faulty) simulation and, where the paper shows
-//! a fix (Figures 6, 7, 9), the "after" counterpart so the figure reports
-//! can plot both.
+//! [`study`] is each study as it is analysed — the simulation, the range
+//! the operator ranks over, the families and the `GIVEN` set — and is what
+//! the CLI's `case-study` and the paper suite (`tests/paper.rs`) both run.
+//! The generators under it return the "before" (faulty) simulation and,
+//! where the paper shows a fix (Figures 6, 7, 9), the "after" counterpart.
+
+use explainit_core::{FeatureFamily, ScorerKind};
 
 use crate::cluster::ClusterSpec;
 use crate::faults::Fault;
-use crate::sim::{simulate, SimOutput};
+use crate::sim::{families_by_name, simulate, SimOutput};
+
+/// The family every §5 study explains.
+pub const TARGET: &str = "pipeline_runtime";
+
+/// The scorer every §5 study ranks with (Tables 3–5).
+pub const SCORER: ScorerKind = ScorerKind::L2;
+
+/// One §5 case study, ready to rank [`TARGET`] with [`SCORER`].
+#[derive(Debug)]
+pub struct Study {
+    /// What was injected and what the ranking should show.
+    pub story: &'static str,
+    /// The simulation (the "before" side where the paper shows a fix).
+    pub sim: SimOutput,
+    /// The injected fault's window in minutes, for a study that zooms to it.
+    pub fault_window: Option<(usize, usize)>,
+    /// The analysed range in minutes from the simulation's start.
+    pub analysed: (usize, usize),
+    /// [`crate::FAMILIES_BY_METRIC`] over the analysed range, at the data's
+    /// own timestamps; §5.4 reads its month every ten minutes.
+    pub families: Vec<FeatureFamily>,
+    /// The `GIVEN` set: §5.2 conditions on the input load.
+    pub given: Vec<&'static str>,
+}
+
+/// The §5 case study `id` (`"5.1"` … `"5.4"`); `None` for any other id.
+pub fn study(id: &str) -> Option<Study> {
+    // Each arm: the story, the simulation, the fault window the analysis
+    // zooms to (whole simulation if none), the grid step in seconds the
+    // families are read on (the data's own timestamps if none), `GIVEN`.
+    let (story, sim, fault_window, grid_step, given) = match id {
+        // Figure 2's workflow: zoom to the incident before ranking.
+        "5.1" => (
+            "controlled packet-drop injection (expect TCP retransmits in the top ranks)",
+            packet_drop(),
+            Some(packet_drop_window()),
+            None,
+            vec![],
+        ),
+        "5.2" => (
+            "hypervisor drops confounded with load (ranked GIVEN pipeline_input_rate)",
+            hypervisor().0,
+            None,
+            None,
+            vec!["pipeline_input_rate"],
+        ),
+        "5.3" => (
+            "15-minute periodic Namenode scans (expect namenode metrics in the top ranks)",
+            namenode_periodic().0,
+            None,
+            None,
+            vec![],
+        ),
+        // A month of minutes is read every ten.
+        "5.4" => (
+            "weekly RAID consistency check (expect disk/load metrics in the top ranks)",
+            weekly_raid(),
+            None,
+            Some(600),
+            vec![],
+        ),
+        _ => return None,
+    };
+    // A fault window is analysed with three hours either side.
+    let analysed = fault_window.map_or((0, sim.minutes), |(w0, w1)| (w0 - 180, w1 + 180));
+    let range = sim.range_of(analysed);
+    // invariant: every study simulates points all through its range.
+    let mut families = families_by_name(&sim.db, &range).expect("a study's range holds points");
+    if let Some(step) = grid_step {
+        let grid: Vec<i64> = (range.start..range.end).step_by(step).collect();
+        families = families.into_iter().map(|f| f.restrict_to(&grid)).collect();
+    }
+    Some(Study { story, sim, fault_window, analysed, families, given })
+}
 
 /// §5.1 — controlled fault injection: 10% packet drops at all datanodes
 /// for a two-hour window in a one-day trace.
@@ -162,6 +240,11 @@ mod tests {
     use super::*;
     use explainit_stats::mean;
 
+    /// The first column of `o`'s runtime family over the whole simulation.
+    fn runtime(o: &SimOutput) -> Vec<f64> {
+        o.families().into_iter().find(|f| f.name == TARGET).unwrap().data.column(0)
+    }
+
     #[test]
     fn packet_drop_case_study_shapes() {
         let out = packet_drop();
@@ -180,20 +263,7 @@ mod tests {
     #[test]
     fn hypervisor_fix_lowers_runtime() {
         let (before, after) = hypervisor();
-        let rt_before = before
-            .families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .unwrap()
-            .data
-            .column(0);
-        let rt_after = after
-            .families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .unwrap()
-            .data
-            .column(0);
+        let (rt_before, rt_after) = (runtime(&before), runtime(&after));
         // The paper observed ~10% improvement after the fix.
         let improvement = 1.0 - mean(&rt_after) / mean(&rt_before);
         assert!(improvement > 0.02, "fix should reduce runtimes, got {improvement}");
@@ -202,11 +272,8 @@ mod tests {
     #[test]
     fn namenode_fix_removes_periodicity() {
         let (before, after) = namenode_periodic();
-        let get_rt = |o: &SimOutput| {
-            o.families().into_iter().find(|f| f.name == "pipeline_runtime").unwrap().data.column(0)
-        };
-        let acf_before = explainit_stats::autocorrelation(&get_rt(&before), 15);
-        let acf_after = explainit_stats::autocorrelation(&get_rt(&after), 15);
+        let acf_before = explainit_stats::autocorrelation(&runtime(&before), 15);
+        let acf_after = explainit_stats::autocorrelation(&runtime(&after), 15);
         assert!(
             acf_before > acf_after + 0.1,
             "15-min autocorrelation should vanish after fix: {acf_before} vs {acf_after}"
@@ -216,13 +283,7 @@ mod tests {
     #[test]
     fn weekly_raid_has_weekly_spikes() {
         let out = weekly_raid();
-        let rt = out
-            .families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .unwrap()
-            .data
-            .column(0);
+        let rt = runtime(&out);
         // Runtime during the first check window exceeds quiet time.
         let check = mean(&rt[0..240]);
         let quiet = mean(&rt[2000..4000]);
@@ -248,13 +309,7 @@ mod tests {
             assert_eq!(out.truth.label(cause), crate::sim::Label::Cause);
         }
         // The runtime family reflects the overlapping fault windows.
-        let rt = out
-            .families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .unwrap()
-            .data
-            .column(0);
+        let rt = runtime(&out);
         let quiet = mean(&rt[10..110]);
         let faulty = mean(&rt[125..175]);
         assert!(faulty > quiet, "overlapping faults raise runtime: {faulty} vs {quiet}");
@@ -263,13 +318,7 @@ mod tests {
     #[test]
     fn raid_intervention_staircase() {
         let out = raid_intervention();
-        let rt = out
-            .families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .unwrap()
-            .data
-            .column(0);
+        let rt = runtime(&out);
         let at_default = mean(&rt[5..15]);
         let disabled = mean(&rt[16..20]);
         let capped = mean(&rt[30..40]);

@@ -17,6 +17,9 @@
 //! * [`faults::Fault::DiskSaturation`] — a rogue-process disk hog used by
 //!   extra scenarios.
 //!
+//! [`case_studies::study`] is each §5 study as it is analysed — the one the
+//! CLI's `case-study` prints and the paper suite (`tests/paper.rs`) pins.
+//!
 //! Because the simulator knows the true causal graph, every emitted metric
 //! family is labelled *cause*, *effect* or *irrelevant* for the injected
 //! fault — the labels Table 6's ranking-accuracy metrics need.
@@ -39,5 +42,5 @@ pub mod sim;
 
 pub use cluster::ClusterSpec;
 pub use faults::Fault;
-pub use scenarios::{scenario, scenario_specs, ScenarioSpec};
+pub use scenarios::{scenario_specs, ScenarioSpec};
 pub use sim::{families_by_name, simulate, GroundTruth, Label, SimOutput, FAMILIES_BY_METRIC};

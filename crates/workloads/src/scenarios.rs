@@ -4,27 +4,12 @@
 //! conditioning") spanning 436–2 337 feature families and 27 689–158 253
 //! features. We regenerate that population synthetically: each scenario is
 //! a cluster simulation with one injected fault, a distinct seed, and scale
-//! knobs chosen to reproduce the families/features spread.
-//!
-//! Two scales ship:
-//! * [`Scale::Reduced`] (default) — ≈1/8 the paper's feature counts so the
-//!   full 5-scorer sweep runs in minutes on a laptop;
-//! * [`Scale::Paper`] — the published family/feature counts (needs tens of
-//!   GB of RAM and hours of CPU, like the original testbed).
+//! knobs that spread the families/features like the paper's, at about 1/8
+//! of its feature counts so the five-scorer sweep runs in seconds.
 
 use crate::cluster::ClusterSpec;
 use crate::faults::Fault;
 use crate::sim::{simulate, SimOutput};
-
-/// Scenario scale factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scale {
-    /// ≈1/8 of the paper's feature counts (CI-friendly).
-    #[default]
-    Reduced,
-    /// The paper's published counts.
-    Paper,
-}
 
 /// One Table-6 scenario definition.
 #[derive(Debug, Clone)]
@@ -33,7 +18,7 @@ pub struct ScenarioSpec {
     pub id: usize,
     /// The injected fault.
     pub fault: Fault,
-    /// Cluster spec (scale applied).
+    /// Cluster spec.
     pub cluster: ClusterSpec,
 }
 
@@ -61,11 +46,12 @@ impl ScenarioSpec {
     }
 }
 
-/// Builds all 11 scenario specs at the given scale.
-pub fn scenario_specs(scale: Scale) -> Vec<ScenarioSpec> {
+/// Builds all 11 scenario specs.
+pub fn scenario_specs() -> Vec<ScenarioSpec> {
     // (noise_services, metrics_per_service, service_hosts, datanodes) per
     // scenario, chosen so family/feature counts spread like Table 6's
-    // 436–2337 families and 27k–158k features (at Paper scale).
+    // 436–2337 families and 27k–158k features; the services are then
+    // divided by 4 and the hosts by 2.
     let shape: [(usize, usize, usize, usize); 11] = [
         (100, 8, 18, 10), // 1:  816 families, ~130k features
         (290, 8, 8, 8),   // 2:  2337 families, ~158k features
@@ -99,10 +85,6 @@ pub fn scenario_specs(scale: Scale) -> Vec<ScenarioSpec> {
     // How tightly the derived effect families (latency/save time) track the
     // runtime: incidents where they decouple let causes reach rank 1.
     let effect_noise: [f64; 11] = [25.0, 1.0, 9.0, 1.0, 20.0, 1.0, 1.0, 30.0, 12.0, 1.0, 1.0];
-    let (div_services, div_hosts) = match scale {
-        Scale::Paper => (1, 1),
-        Scale::Reduced => (4, 2),
-    };
     shape
         .iter()
         .zip(faults)
@@ -110,10 +92,10 @@ pub fn scenario_specs(scale: Scale) -> Vec<ScenarioSpec> {
         .map(|(i, (&(svc, mps, hosts, dns), fault))| {
             let cluster = ClusterSpec {
                 minutes: 1440,
-                datanodes: (dns / div_hosts).max(2),
+                datanodes: (dns / 2).max(2),
                 pipelines: 4,
-                service_hosts: (hosts / div_hosts).max(3),
-                noise_services: (svc / div_services).max(8),
+                service_hosts: (hosts / 2).max(3),
+                noise_services: (svc / 4).max(8),
                 metrics_per_noise_service: mps,
                 cause_noise: cause_noise[i],
                 effect_noise: effect_noise[i],
@@ -126,16 +108,6 @@ pub fn scenario_specs(scale: Scale) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Convenience: build and run scenario `id` (1-based) at the given scale.
-///
-/// # Panics
-/// Panics if `id` is outside 1–11.
-pub fn scenario(id: usize, scale: Scale) -> SimOutput {
-    let specs = scenario_specs(scale);
-    assert!((1..=specs.len()).contains(&id), "scenario id {id} out of range");
-    specs[id - 1].run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +115,7 @@ mod tests {
 
     #[test]
     fn eleven_scenarios_defined() {
-        let specs = scenario_specs(Scale::Reduced);
+        let specs = scenario_specs();
         assert_eq!(specs.len(), 11);
         for (i, s) in specs.iter().enumerate() {
             assert_eq!(s.id, i + 1);
@@ -153,7 +125,7 @@ mod tests {
 
     #[test]
     fn seeds_and_faults_differ() {
-        let specs = scenario_specs(Scale::Reduced);
+        let specs = scenario_specs();
         for w in specs.windows(2) {
             assert_ne!(w[0].cluster.seed, w[1].cluster.seed);
         }
@@ -164,22 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_is_larger() {
-        let reduced = scenario_specs(Scale::Reduced);
-        let paper = scenario_specs(Scale::Paper);
-        for (r, p) in reduced.iter().zip(paper.iter()) {
-            assert!(p.cluster.approx_metric_count() > r.cluster.approx_metric_count());
-        }
-        // Paper scale hits the published feature ballpark for scenario 2.
-        let s2 = &paper[1];
-        let metrics = s2.cluster.approx_metric_count();
-        assert!(metrics > 15_000, "scenario 2 at paper scale: {metrics} metrics");
-    }
-
-    #[test]
     fn scenario_runs_and_labels_causes() {
         // Smallest scenario at reduced scale, truncated horizon for speed.
-        let mut spec = scenario_specs(Scale::Reduced)[5].clone();
+        let mut spec = scenario_specs()[5].clone();
         spec.cluster.minutes = 240;
         spec.cluster.noise_services = 4;
         let out = spec.run();

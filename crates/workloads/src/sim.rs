@@ -87,7 +87,13 @@ pub struct SimOutput {
 impl SimOutput {
     /// The full simulated time range.
     pub fn time_range(&self) -> TimeRange {
-        TimeRange::new(self.start_ts, self.start_ts + self.minutes as i64 * self.step)
+        self.range_of((0, self.minutes))
+    }
+
+    /// The time range of minutes `lo..hi` from the simulation's start.
+    pub fn range_of(&self, (lo, hi): (usize, usize)) -> TimeRange {
+        let at = |minute: usize| self.start_ts + minute as i64 * self.step;
+        TimeRange::new(at(lo), at(hi))
     }
 
     /// Groups every metric by name into feature families (the paper's

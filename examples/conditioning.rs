@@ -8,24 +8,24 @@
 //! Run with: `cargo run --release --example conditioning`
 
 use explainit::core::report::{explain, render_ranking};
-use explainit::core::{Engine, EngineConfig, ScorerKind};
+use explainit::core::{Engine, EngineConfig};
 use explainit::stats::mean;
-use explainit::workloads::case_studies;
+use explainit::workloads::case_studies::{self, SCORER, TARGET};
+use explainit::workloads::SimOutput;
 
 fn main() {
-    let (before, after) = case_studies::hypervisor();
+    let study = case_studies::study("5.2").expect("a §5 study");
     let mut engine = Engine::new(EngineConfig::default());
-    for f in before.families() {
+    for f in study.families {
         engine.add_family(f);
     }
 
     println!("Unconditioned global search (everything load-driven scores high):\n");
-    let global = engine.rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking");
+    let global = engine.rank(TARGET, &[], SCORER).expect("ranking");
     println!("{}", render_ranking(&global));
 
-    println!("Conditioned on pipeline_input_rate (§3.4):\n");
-    let conditioned =
-        engine.rank("pipeline_runtime", &["pipeline_input_rate"], ScorerKind::L2).expect("ranking");
+    println!("Conditioned on {} (§3.4):\n", study.given.join(", "));
+    let conditioned = engine.rank(TARGET, &study.given, SCORER).expect("ranking");
     println!("{}", render_ranking(&conditioned));
     println!(
         "tcp_retransmits: rank {:?} unconditioned -> {:?} conditioned\n",
@@ -35,21 +35,15 @@ fn main() {
 
     // Figures 14/15: overlay of the (residualised) target and E[Y | X, Z].
     println!("Figure 15 — residual runtime vs prediction from tcp_retransmits | input:");
-    let overlay =
-        explain(&engine, "pipeline_runtime", "tcp_retransmits", &["pipeline_input_rate"], 1.0)
-            .expect("overlay");
+    let overlay = explain(&engine, TARGET, "tcp_retransmits", &study.given, 1.0).expect("overlay");
     println!("{}", overlay.render_ascii(96));
 
     // Figure 6: effect of the fix.
-    let rt = |sim: &explainit::workloads::SimOutput| {
-        sim.families()
-            .into_iter()
-            .find(|f| f.name == "pipeline_runtime")
-            .expect("runtime")
-            .data
-            .column(0)
+    let rt = |sim: &SimOutput| {
+        sim.families().into_iter().find(|f| f.name == TARGET).expect("runtime").data.column(0)
     };
-    let b = rt(&before);
+    let (_, after) = case_studies::hypervisor();
+    let b = rt(&study.sim);
     let a = rt(&after);
     println!(
         "After the buffer fix: mean runtime {:.1}s -> {:.1}s ({:.1}% improvement; paper ~10%)",

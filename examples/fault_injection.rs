@@ -6,38 +6,33 @@
 
 use explainit::core::Engine;
 use explainit::core::{report, EngineConfig, ScorerKind};
-use explainit::tsdb::TimeRange;
-use explainit::workloads::{case_studies, families_by_name};
+use explainit::workloads::case_studies::{self, TARGET};
 
 fn main() {
-    let sim = case_studies::packet_drop();
-    let (w0, w1) = case_studies::packet_drop_window();
+    // The study zooms to the incident before ranking (the paper's Figure-2
+    // workflow): a 2-hour fault diluted across a whole quiet day starves
+    // every scorer of signal.
+    let study = case_studies::study("5.1").expect("a §5 study");
+    let (w0, w1) = study.fault_window.expect("§5.1 has a fault window");
+    let (a0, a1) = study.analysed;
     println!(
         "Simulated a day of cluster telemetry ({} series); injected 10% packet \
-         drops during minutes {w0}..{w1}.\n",
-        sim.db.series_count()
+         drops during minutes {w0}..{w1}; analysing minutes {a0}..{a1}.\n",
+        study.sim.db.series_count()
     );
 
-    let families = sim.families();
-    let runtime = families.iter().find(|f| f.name == "pipeline_runtime").expect("runtime family");
+    let runtime = study.families.iter().find(|f| f.name == TARGET).expect("runtime family");
     println!("pipeline runtime (Figure 5 — spike during the fault window):");
     println!("  {}\n", report::sparkline(&runtime.data.column(0), 96));
 
-    // The paper's Figure-2 workflow: zoom the analysis range onto a window
-    // around the incident before ranking (a 2-hour fault diluted across a
-    // whole quiet day starves every scorer of signal).
-    let focus = TimeRange::new(
-        sim.start_ts + (w0 as i64 - 180) * 60,
-        sim.start_ts + (w1 as i64 + 180) * 60,
-    );
     let mut engine = Engine::new(EngineConfig::default());
-    for f in families_by_name(&sim.db, &focus).expect("the window holds points") {
+    for f in study.families {
         engine.add_family(f);
     }
     // Score with both a univariate and the joint scorer, as an operator
     // comparing methods would.
     for scorer in [ScorerKind::CorrMax, ScorerKind::L2] {
-        let ranking = engine.rank("pipeline_runtime", &[], scorer).expect("ranking");
+        let ranking = engine.rank(TARGET, &study.given, scorer).expect("ranking");
         println!("--- scorer: {} ---", scorer.name());
         println!("{}", report::render_ranking(&ranking));
         println!(
@@ -64,8 +59,7 @@ fn main() {
         .into_iter()
         .filter(|n| !n.starts_with("pipeline_") && !n.starts_with("svc_"))
         .collect();
-    let ranking = engine
-        .rank_in_search_space("pipeline_runtime", &[], &infra, ScorerKind::L2)
-        .expect("ranking");
+    let ranking =
+        engine.rank_in_search_space(TARGET, &study.given, &infra, ScorerKind::L2).expect("ranking");
     println!("{}", report::render_ranking(&ranking));
 }

@@ -1,60 +1,43 @@
 //! §5.3 case study: periodic pipeline slowdowns traced to a service
 //! scanning the filesystem through the Namenode every 15 minutes
-//! (Table 4 / Figure 7), including the pseudocause variant of §3.4.
+//! (Table 4 / Figure 7).
 //!
 //! Run with: `cargo run --release --example periodic_slowdown`
 
-use explainit::core::{derive_pseudocause, report, Engine, EngineConfig, ScorerKind};
+use explainit::core::{report, Engine, EngineConfig};
 use explainit::stats::{autocorrelation, pearson};
-use explainit::workloads::case_studies;
+use explainit::workloads::case_studies::{self, SCORER, TARGET};
 
 fn main() {
-    let (before, after) = case_studies::namenode_periodic();
-    let families = before.families();
-    let runtime =
-        families.iter().find(|f| f.name == "pipeline_runtime").expect("runtime family").clone();
-
-    println!("Figure 7 — runtime with ~15-minute spikes (first 4 hours):");
-    println!("  {}\n", report::sparkline(&runtime.data.column(0)[..240], 96));
-    println!(
-        "runtime autocorrelation at lag 15 min: {:.2} (periodic signature)\n",
-        autocorrelation(&runtime.data.column(0), 15)
-    );
-
+    let study = case_studies::study("5.3").expect("a §5 study");
     let mut engine = Engine::new(EngineConfig::default());
-    for f in families.iter().cloned() {
+    for f in study.families {
         engine.add_family(f);
     }
-    let ranking = engine.rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking");
+    let rt = engine.family(TARGET).expect("runtime family").data.column(0);
+
+    println!("Figure 7 — runtime with ~15-minute spikes (first 4 hours):");
+    println!("  {}\n", report::sparkline(&rt[..240], 96));
+    println!(
+        "runtime autocorrelation at lag 15 min: {:.2} (periodic signature)\n",
+        autocorrelation(&rt, 15)
+    );
+
+    let ranking = engine.rank(TARGET, &study.given, SCORER).expect("ranking");
     println!("{}", report::render_ranking(&ranking));
 
     // The sign analysis that ruled out garbage collection.
-    let rt = runtime.data.column(0);
     let gc = engine.family("namenode_gc_time").expect("gc family").data.column(0);
     println!(
         "corr(runtime, namenode_gc_time) = {:+.2} -> negative, GC ruled out (§5.3)\n",
         pearson(&rt, &gc)
     );
 
-    // §3.4 pseudocause demo: derive the periodic component from the target
-    // itself and condition on it — the residual search should de-emphasise
-    // the namenode families and keep only unexplained variation.
-    let pseudo = derive_pseudocause(&runtime, 15).expect("pseudocause");
-    let pseudo_name = pseudo.name.clone();
-    engine.add_family(pseudo);
-    let residual_rank =
-        engine.rank("pipeline_runtime", &[&pseudo_name], ScorerKind::L2).expect("ranking");
-    println!(
-        "Conditioned on the derived pseudocause '{pseudo_name}', the namenode \
-         family's rank moves from {:?} to {:?} (its periodic signal is 'blocked').\n",
-        ranking.rank_of("namenode_rpc_latency"),
-        residual_rank.rank_of("namenode_rpc_latency")
-    );
-
+    let (_, after) = case_studies::namenode_periodic();
     let rt_after = after
         .families()
         .into_iter()
-        .find(|f| f.name == "pipeline_runtime")
+        .find(|f| f.name == TARGET)
         .expect("runtime family")
         .data
         .column(0);

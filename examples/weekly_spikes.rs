@@ -4,38 +4,36 @@
 //!
 //! Run with: `cargo run --release --example weekly_spikes`
 
-use explainit::core::{report, Engine, EngineConfig, ScorerKind};
+use explainit::core::{report, Engine, EngineConfig};
 use explainit::stats::{autocorrelation, mean};
-use explainit::workloads::{case_studies, families_by_name};
+use explainit::workloads::case_studies::{self, SCORER, TARGET};
+use explainit::workloads::families_by_name;
 
 fn main() {
-    let sim = case_studies::weekly_raid();
+    let study = case_studies::study("5.4").expect("a §5 study");
 
     // A short (2-day) window hides the weekly structure...
-    let two_days = explainit::tsdb::TimeRange::new(sim.start_ts, sim.start_ts + 2 * 1440 * 60);
-    let short_fams = families_by_name(&sim.db, &two_days).expect("two days of points");
-    let short_rt =
-        short_fams.iter().find(|f| f.name == "pipeline_runtime").expect("runtime").data.column(0);
+    let two_days = study.sim.range_of((0, 2 * 1440));
+    let short_fams = families_by_name(&study.sim.db, &two_days).expect("two days of points");
+    let short_rt = short_fams.iter().find(|f| f.name == TARGET).expect("runtime").data.column(0);
     println!("Two-day view (the spike looks like a one-off):");
     println!("  {}\n", report::sparkline(&short_rt, 96));
 
-    // ...the month view reveals the period (Figure 8).
-    let month = sim.time_range();
-    let grid: Vec<i64> = (month.start..month.end).step_by(600).collect();
-    let month_fams: Vec<_> = sim.families().into_iter().map(|f| f.restrict_to(&grid)).collect();
-    let month_rt =
-        month_fams.iter().find(|f| f.name == "pipeline_runtime").expect("runtime").data.column(0);
-    println!("Month view at 10-minute resolution (Figure 8 — weekly spikes):");
+    // ...the month view the study ranks reveals the period (Figure 8).
+    let month = study.families.iter().find(|f| f.name == TARGET).expect("runtime");
+    let month_rt = month.data.column(0);
+    let step = month.timestamps[1] - month.timestamps[0];
+    println!("Month view at {}-minute resolution (Figure 8 — weekly spikes):", step / 60);
     println!("  {}", report::sparkline(&month_rt, 112));
-    let weekly_lag = 7 * 1440 / 10; // one week in 10-minute samples
+    let weekly_lag = (7 * 86_400 / step) as usize; // one week in samples
     println!("  autocorrelation at a 1-week lag: {:.2}\n", autocorrelation(&month_rt, weekly_lag));
 
     // Rank over the month.
     let mut engine = Engine::new(EngineConfig::default());
-    for f in month_fams {
+    for f in study.families {
         engine.add_family(f);
     }
-    let ranking = engine.rank("pipeline_runtime", &[], ScorerKind::L2).expect("ranking");
+    let ranking = engine.rank(TARGET, &study.given, SCORER).expect("ranking");
     println!("{}", report::render_ranking(&ranking));
     println!(
         "disk_util rank {:?}, load_avg rank {:?}, raid_temperature rank {:?} \
@@ -50,7 +48,7 @@ fn main() {
     let rt = intervention
         .families()
         .into_iter()
-        .find(|f| f.name == "pipeline_runtime")
+        .find(|f| f.name == TARGET)
         .expect("runtime")
         .data
         .column(0);

@@ -16,24 +16,51 @@
 //! explainit case-study 5.1                                        # the paper's §5
 //! ```
 //!
-//! `case-study` alone opens no directory: it simulates the study in memory
-//! and gets its families from the same family statement `rank` and
-//! `explain` run ([`FAMILIES_BY_METRIC`], through
-//! `workloads::families_by_name`), bounded to the range the study analyses
-//! — the focused window around the fault for §5.1 — at the data's own
-//! timestamps; §5.4's month is then read every ten minutes
-//! (`FeatureFamily::restrict_to`).
+//! `case-study` alone opens no directory: it ranks the study
+//! `workloads::case_studies::study` defines — the one the paper suite
+//! (`tests/paper.rs`) pins — simulated in memory, its families from the
+//! same family statement `rank` and `explain` run ([`FAMILIES_BY_METRIC`]).
+//!
+//! Output goes through a fallible writer: a closed stdout (`| head -1`)
+//! ends the command quietly, any other write error is an `error:` line.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use explainit::core::report::explain;
 use explainit::core::EngineConfig;
 use explainit::query::Statement;
-use explainit::tsdb::{StorageOptions, TimeRange, Tsdb};
-use explainit::workloads::{
-    case_studies, families_by_name, simulate, ClusterSpec, Fault, FAMILIES_BY_METRIC,
-};
+use explainit::tsdb::{StorageOptions, Tsdb};
+use explainit::workloads::{case_studies, simulate, ClusterSpec, Fault, FAMILIES_BY_METRIC};
 use explainit::{Session, StatementOutcome};
+
+/// Why a command stopped early.
+enum Failure {
+    /// A message for the `error:` line.
+    Message(String),
+    /// Writing the output failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+type CmdResult = Result<(), Failure>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,21 +68,28 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::FAILURE;
     };
+    let mut out = io::stdout().lock();
     let result = match command.as_str() {
-        "simulate" => cmd_simulate(&args[1..]),
-        "rank" => cmd_rank(&args[1..]),
-        "sql" => cmd_sql(&args[1..]),
-        "explain" => cmd_explain(&args[1..]),
-        "case-study" => cmd_case_study(&args[1..]),
+        "simulate" => cmd_simulate(&mut out, &args[1..]),
+        "rank" => cmd_rank(&mut out, &args[1..]),
+        "sql" => cmd_sql(&mut out, &args[1..]),
+        "explain" => cmd_explain(&mut out, &args[1..]),
+        "case-study" => cmd_case_study(&mut out, &args[1..]),
         "--help" | "-h" | "help" => {
             print_usage();
             Ok(())
         }
-        other => Err(format!("unknown command: {other}")),
+        other => Err(format!("unknown command: {other}").into()),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader went away (`| head`): nothing is left to say.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -154,7 +188,7 @@ fn open_store(args: &[String]) -> Result<(Tsdb, Vec<String>), String> {
     Ok((db, rest))
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
+fn cmd_simulate(out: &mut impl Write, args: &[String]) -> CmdResult {
     let dir = flag(args, "--data-dir").ok_or("simulate requires --data-dir DIR")?;
     // Refuse a non-empty store before simulating and before taking the
     // writer role on it: a writer's open truncates a torn WAL tail and,
@@ -165,7 +199,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             return Err(format!(
                 "{dir} already holds {} points; refusing to simulate into a non-empty store",
                 held.point_count()
-            ));
+            )
+            .into());
         }
     }
     let minutes: usize = flag(args, "--minutes")
@@ -195,7 +230,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         // Namenode scan, concurrently (the multi-fault workload).
         "multi" => case_studies::multi_fault_spec(minutes).faults,
         "none" => vec![],
-        other => return Err(format!("unknown fault kind: {other}")),
+        other => return Err(format!("unknown fault kind: {other}").into()),
     };
     let retention: Option<i64> = match flag(args, "--retention") {
         Some(v) => Some(v.parse().map_err(|e| format!("--retention: {e}"))?),
@@ -212,15 +247,16 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     }
     durable.flush().map_err(|e| format!("flushing {dir}: {e}"))?;
     let disk = durable.storage_stats().map_or(0, |s| s.segment_bytes);
-    println!(
+    writeln!(
+        out,
         "wrote {dir}: {} series, {} points, {} minutes ({} segment bytes, durable)",
         durable.series_count(),
         durable.point_count(),
         sim.minutes,
         disk
-    );
+    )?;
     if !sim.truth.cause_families.is_empty() {
-        println!("injected causes: {:?}", sim.truth.cause_families);
+        writeln!(out, "injected causes: {:?}", sim.truth.cause_families)?;
     }
     Ok(())
 }
@@ -236,15 +272,15 @@ fn rca_session(args: &[String]) -> Result<Session, String> {
 
 /// Prints one statement outcome the way psql would: notices, the
 /// rendered relation, and an explicit row count (also for empty results).
-fn print_outcome(outcome: &StatementOutcome) {
+fn print_outcome(out: &mut impl Write, outcome: &StatementOutcome) -> io::Result<()> {
     for notice in &outcome.notices {
-        println!("-- {notice}");
+        writeln!(out, "-- {notice}")?;
     }
-    print!("{}", outcome.table.render(40));
-    println!("({} rows)", outcome.table.len());
+    write!(out, "{}", outcome.table.render(40))?;
+    writeln!(out, "({} rows)", outcome.table.len())
 }
 
-fn cmd_sql(args: &[String]) -> Result<(), String> {
+fn cmd_sql(out: &mut impl Write, args: &[String]) -> CmdResult {
     let (db, mut args) = open_store(args)?;
     // The executor tuning flag may stand on either side of the statement.
     let mut opts = explainit::query::ExecOptions::default();
@@ -263,7 +299,7 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
     // shell-quoting slip would otherwise run a *prefix* of what the user
     // wrote.
     if let Some(extra) = args.get(consumed) {
-        return Err(format!("unexpected trailing argument: {extra}"));
+        return Err(format!("unexpected trailing argument: {extra}").into());
     }
     let mut session = Session::new();
     session.set_exec_options(opts);
@@ -274,17 +310,17 @@ fn cmd_sql(args: &[String]) -> Result<(), String> {
     }
     for (i, outcome) in outcomes.iter().enumerate() {
         if outcomes.len() > 1 {
-            println!("-- [{}] {}", i + 1, outcome.summary);
+            writeln!(out, "-- [{}] {}", i + 1, outcome.summary)?;
         }
-        print_outcome(outcome);
+        print_outcome(out, outcome)?;
         if i + 1 < outcomes.len() {
-            println!();
+            writeln!(out)?;
         }
     }
     Ok(())
 }
 
-fn cmd_rank(args: &[String]) -> Result<(), String> {
+fn cmd_rank(out: &mut impl Write, args: &[String]) -> CmdResult {
     let mut session = rca_session(args)?;
     let statement = Statement::ExplainFor(explainit::query::ExplainFor {
         target: flag(args, "--target").unwrap_or("pipeline_runtime").to_string(),
@@ -297,12 +333,12 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
         ),
     });
     let outcome = session.execute_statement(&statement).map_err(|e| e.to_string())?;
-    println!("-- {}", outcome.summary);
-    print_outcome(&outcome);
+    writeln!(out, "-- {}", outcome.summary)?;
+    print_outcome(out, &outcome)?;
     Ok(())
 }
 
-fn cmd_explain(args: &[String]) -> Result<(), String> {
+fn cmd_explain(out: &mut impl Write, args: &[String]) -> CmdResult {
     let candidate = flag(args, "--candidate").ok_or("explain requires --candidate FAMILY")?;
     let target = flag(args, "--target").unwrap_or("pipeline_runtime");
     let condition: Vec<&str> =
@@ -310,74 +346,42 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let session = rca_session(args)?;
     let overlay =
         explain(session.engine(), target, candidate, &condition, 1.0).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "E[{target} | {candidate}{}] over {} samples{}:\n",
         if condition.is_empty() { String::new() } else { format!(", {}", condition.join(",")) },
         overlay.timestamps.len(),
         if overlay.conditioned { " (residualised)" } else { "" }
-    );
-    println!("{}", overlay.render_ascii(96));
+    )?;
+    writeln!(out, "{}", overlay.render_ascii(96))?;
     Ok(())
 }
 
-fn cmd_case_study(args: &[String]) -> Result<(), String> {
+fn cmd_case_study(out: &mut impl Write, args: &[String]) -> CmdResult {
     let which = args.first().ok_or("case-study requires 5.1|5.2|5.3|5.4")?;
     if let Some(extra) = args.get(1) {
-        return Err(format!("unexpected trailing argument: {extra}"));
+        return Err(format!("unexpected trailing argument: {extra}").into());
     }
-    let (sim, story) = match which.as_str() {
-        "5.1" => (
-            case_studies::packet_drop(),
-            "controlled packet-drop injection (expect TCP retransmits in the top ranks)",
-        ),
-        "5.2" => (
-            case_studies::hypervisor().0,
-            "hypervisor drops confounded with load (ranked GIVEN pipeline_input_rate)",
-        ),
-        "5.3" => (
-            case_studies::namenode_periodic().0,
-            "15-minute periodic Namenode scans (expect namenode metrics in the top ranks)",
-        ),
-        "5.4" => (
-            case_studies::weekly_raid(),
-            "weekly RAID consistency check (expect disk/load metrics in the top ranks)",
-        ),
-        other => return Err(format!("unknown case study: {other} (use 5.1..5.4)")),
-    };
-    println!("case study {which}: {story}\n");
-    // Figure 2's workflow: §5.1 zooms to the incident before ranking, the
-    // fault window with three hours either side.
-    let minute = |m: usize| sim.start_ts + m as i64 * sim.step;
-    let range = if which == "5.1" {
-        let (w0, w1) = case_studies::packet_drop_window();
-        println!(
-            "fault window: minutes {w0}..{w1}; analysed range: minutes {}..{}",
-            w0 - 180,
-            w1 + 180
-        );
-        TimeRange::new(minute(w0 - 180), minute(w1 + 180))
-    } else {
-        sim.time_range()
-    };
-    let mut families = families_by_name(&sim.db, &range).map_err(|e| e.to_string())?;
-    if which == "5.4" {
-        // A month of minutes is read every ten.
-        let grid: Vec<i64> = (range.start..range.end).step_by(600).collect();
-        families = families.into_iter().map(|f| f.restrict_to(&grid)).collect();
+    let study = case_studies::study(which)
+        .ok_or_else(|| format!("unknown case study: {which} (use 5.1..5.4)"))?;
+    writeln!(out, "case study {which}: {}\n", study.story)?;
+    if let Some((w0, w1)) = study.fault_window {
+        let (a0, a1) = study.analysed;
+        writeln!(out, "fault window: minutes {w0}..{w1}; analysed range: minutes {a0}..{a1}")?;
     }
     let mut session = Session::with_config(EngineConfig::default());
-    for family in families {
+    for family in study.families {
         session.add_family(family);
     }
     let statement = Statement::ExplainFor(explainit::query::ExplainFor {
-        target: "pipeline_runtime".to_string(),
-        given: if which == "5.2" { vec!["pipeline_input_rate".to_string()] } else { Vec::new() },
-        scorer: Some("l2".to_string()),
+        target: case_studies::TARGET.to_string(),
+        given: study.given.iter().map(|g| g.to_string()).collect(),
+        scorer: Some(case_studies::SCORER.name()),
         top: None,
     });
     let outcome = session.execute_statement(&statement).map_err(|e| e.to_string())?;
-    println!("-- {}", outcome.summary);
-    print_outcome(&outcome);
-    println!("ground-truth causes: {:?}", sim.truth.cause_families);
+    writeln!(out, "-- {}", outcome.summary)?;
+    print_outcome(out, &outcome)?;
+    writeln!(out, "ground-truth causes: {:?}", study.sim.truth.cause_families)?;
     Ok(())
 }

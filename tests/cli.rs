@@ -3,7 +3,7 @@
 //! every step a fresh process over a `--data-dir` store.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_explainit")).args(args).output().expect("binary runs")
@@ -162,25 +162,40 @@ fn rank_in(stdout: &str, family: &str) -> Option<usize> {
 
 #[test]
 fn case_studies_rank_their_injected_causes() {
-    // §5.1 zooms to the incident (Figure 2) and finds the paper's Table 3
-    // evidence; §5.4 reads its month every ten minutes.
-    for (study, cause, within) in [("5.1", "tcp_retransmits", 5), ("5.4", "disk_util", 10)] {
-        let out = run(&["case-study", study]);
-        assert!(out.status.success(), "case-study {study} failed: {}", stderr(&out));
-        let text = stdout(&out);
-        let rank = rank_in(&text, cause);
-        assert!(rank.is_some_and(|r| r <= within), "{study}: {cause} at {rank:?}\n{text}");
-        let truth = text.lines().find(|l| l.starts_with("ground-truth causes:"));
-        assert!(truth.is_some_and(|l| l.contains(cause)), "{study}:\n{text}");
-        if study == "5.1" {
-            assert!(text.contains("analysed range: minutes 480..960"), "{text}");
-        }
-    }
+    // §5.1 zooms to the incident (Figure 2). The rankings of all four
+    // studies are pinned in `tests/paper.rs`; this checks what the CLI
+    // adds: the range line, the study's ranking through the session, and
+    // the ground truth.
+    let out = run(&["case-study", "5.1"]);
+    assert!(out.status.success(), "case-study 5.1 failed: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("analysed range: minutes 480..960"), "{text}");
+    assert_eq!(rank_in(&text, "tcp_retransmits"), Some(4), "{text}");
+    let truth = text.lines().find(|l| l.starts_with("ground-truth causes:"));
+    assert!(truth.is_some_and(|l| l.contains("tcp_retransmits")), "{text}");
     // A trailing argument is refused, not ignored.
     let out = run(&["case-study", "5.2", "--condition", "foo"]);
     assert_clean_error(&out, "case-study with a trailing argument");
     assert!(stderr(&out).contains("unexpected trailing argument: --condition"));
     assert_clean_error(&run(&["case-study", "5.9"]), "unknown case study");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // `explainit case-study 5.3 | head -1`, with the reader gone before the
+    // first line: every write fails with a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_explainit"))
+        .args(["case-study", "5.3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("the command ends");
+    // Success and silence: no panic (101), no `error: writing stdout`.
+    let err = stderr(&out);
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+    assert!(err.is_empty(), "{err}");
 }
 
 #[test]
