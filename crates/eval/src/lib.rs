@@ -115,30 +115,6 @@ pub fn summarize(evals: &[RankingEval]) -> ScorerSummary {
     }
 }
 
-/// Full DCG (not just first-cause) with binary relevance and `1/log2(1+r)`
-/// discount — used by the extended ablation reports.
-pub fn dcg(labels: &[Relevance]) -> f64 {
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| {
-            let rel = if l == Relevance::Cause { 1.0 } else { 0.0 };
-            rel / ((i + 2) as f64).log2()
-        })
-        .sum()
-}
-
-/// Normalised DCG: [`dcg`] divided by the ideal ordering's DCG.
-pub fn ndcg(labels: &[Relevance]) -> f64 {
-    let actual = dcg(labels);
-    let causes = labels.iter().filter(|&&l| l == Relevance::Cause).count();
-    if causes == 0 {
-        return 0.0;
-    }
-    let ideal: f64 = (0..causes).map(|i| 1.0 / ((i + 2) as f64).log2()).sum();
-    actual / ideal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,17 +208,6 @@ mod tests {
         // Harmonic mean: 3 / (1/1 + 1/0.25 + 1/0.001) = 3/1005.
         assert!((s.harmonic_gain - 3.0 / 1005.0).abs() < 1e-9);
         assert!(s.stdev_gain > 0.0);
-    }
-
-    #[test]
-    fn dcg_and_ndcg() {
-        let perfect = vec![Relevance::Cause, Relevance::Irrelevant];
-        assert!((ndcg(&perfect) - 1.0).abs() < 1e-12);
-        let inverted = vec![Relevance::Irrelevant, Relevance::Cause];
-        assert!(ndcg(&inverted) < 1.0 && ndcg(&inverted) > 0.0);
-        assert_eq!(ndcg(&[Relevance::Irrelevant]), 0.0);
-        // DCG of cause at rank 1 is 1/log2(2) = 1.
-        assert!((dcg(&[Relevance::Cause]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

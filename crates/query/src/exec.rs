@@ -16,7 +16,7 @@
 //! | Plan node | Runs in |
 //! |---|---|
 //! | `TsdbScan` | `exec/scan_gather.rs` (the k-way merge gather) |
-//! | `ScanAggregate` | `exec/scan_aggregate.rs` |
+//! | `ScanAggregate`, `ScanAggregatePivot` | `exec/scan_aggregate.rs` |
 //! | `ScanPivot` | `exec/scan_pivot.rs` |
 //! | `Project` | `exec/project.rs` |
 //! | `Aggregate` | `exec/aggregate.rs` |
@@ -60,10 +60,11 @@
 //!
 //! **Stage two.** A `CREATE FAMILY` statement runs through
 //! [`execute_family`]: the same pipeline with a `Pivot` root on the plan.
-//! When the optimizer fused it with its scan the [`scan_pivot`] operator
-//! goes from series to family frames directly; otherwise the stage-one plan
-//! runs to a [`Table`] and the table pivot ([`crate::pivot`]) takes it from
-//! there.
+//! When the optimizer fused a long pivot with its scan the [`scan_pivot`]
+//! operator goes from series to family frames directly; when it fused a
+//! wide pivot with its scan aggregate, [`scan_aggregate`] builds the frames
+//! from its classes' finished columns; otherwise the stage-one plan runs to
+//! a [`Table`] and the table pivot ([`crate::pivot`]) takes it from there.
 
 mod aggregate;
 mod join;
@@ -182,7 +183,7 @@ fn plan_table(plan: &LogicalPlan, catalog: &Catalog) -> Table {
 }
 
 /// A `CREATE FAMILY` statement through plan → check → optimize: its
-/// stage-one query under a `Pivot` root, or the fused `ScanPivot`.
+/// stage-one query under a `Pivot` root, or a fused pivot node.
 fn plan_family(catalog: &Catalog, cf: &CreateFamily) -> Result<LogicalPlan> {
     let plan = build_family(catalog, cf)?;
     crate::types::check_query(catalog, &cf.query)?;
@@ -190,13 +191,13 @@ fn plan_family(catalog: &Catalog, cf: &CreateFamily) -> Result<LogicalPlan> {
 }
 
 /// `EXPLAIN CREATE FAMILY ...`: the statement's optimized plan, the
-/// `Pivot` / `ScanPivot` line on top. Nothing runs.
+/// `Pivot` / `ScanPivot` / `ScanAggregatePivot` line on top. Nothing runs.
 pub fn explain_family(catalog: &Catalog, cf: &CreateFamily) -> Result<Table> {
     Ok(plan_table(&plan_family(catalog, cf)?, catalog))
 }
 
 /// Executes a `CREATE FAMILY` statement to its family frames, in
-/// registration order. Which of the two stage-two executions runs is
+/// registration order. Which of the three stage-two executions runs is
 /// decided by the plan's shape alone.
 pub fn execute_family(
     catalog: &Catalog,
@@ -211,6 +212,9 @@ pub fn execute_family(
             // An empty result reports as such before any role is resolved.
             let frames = if table.is_empty() { Vec::new() } else { spec.frames(&table)? };
             (table.len(), frames)
+        }
+        LogicalPlan::ScanAggregatePivot { aggregate, spec } => {
+            scan_aggregate::frames(&ctx, &aggregate, &spec, &opts)?
         }
         fused => scan_pivot::run(&ctx, &fused, &opts)?,
     };
@@ -247,7 +251,9 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
 
         LogicalPlan::Unit => Ok(Table::unit(1)),
 
-        LogicalPlan::Pivot { .. } | LogicalPlan::ScanPivot { .. } => Err(QueryError::Plan(
+        LogicalPlan::Pivot { .. }
+        | LogicalPlan::ScanPivot { .. }
+        | LogicalPlan::ScanAggregatePivot { .. } => Err(QueryError::Plan(
             "a family pivot is the root of a CREATE FAMILY plan, not a relation".into(),
         )),
 
@@ -406,6 +412,19 @@ fn morsel_ranges(len: usize, partitions: usize) -> Vec<(usize, usize)> {
         .map(|i| (i * chunk, ((i + 1) * chunk).min(len)))
         .filter(|(a, b)| a < b)
         .collect()
+}
+
+/// The morsels of a fused pivot's `families`, built from `len` inputs:
+/// one morsel when the inputs make one, a forced count as forced, and in
+/// auto mode one per family — families differ in width, so the pool takes
+/// them one by one.
+fn family_morsels(opts: &ExecOptions, len: usize, families: usize) -> Vec<(usize, usize)> {
+    let morsels = match effective_partitions(opts, len) {
+        1 => 1,
+        _ if opts.partitions == 0 => families,
+        forced => forced,
+    };
+    morsel_ranges(families, morsels)
 }
 
 /// Point-balanced morsels over a rank-ordered series list: cuts the

@@ -40,14 +40,27 @@
 //!
 //! A class's blocks merge slot by slot in morsel order and are finished on
 //! the worker pool, each call into the typed column [`Column::from_values`]
-//! would build from its values; the coordinator only orders the groups and
-//! gathers typed columns — the timestamp key a [`Column::Int`], each class
-//! key a [`Column::Dict`] with an entry per series, each aggregate its
-//! classes' columns in group order — over which the aggregates' shared
-//! finishing step evaluates whatever output is not one of them as it is.
+//! would build from its values. That much — the series pass, the fold and
+//! the per-class finish — is the front both outputs share:
+//!
+//! * **rows** ([`LogicalPlan::ScanAggregate`]): the coordinator orders the
+//!   groups and gathers typed columns — the timestamp key a
+//!   [`Column::Int`], each class key a [`Column::Dict`] with an entry per
+//!   series, each aggregate its classes' columns in group order — over
+//!   which the aggregates' shared finishing step evaluates whatever output
+//!   is not one of them as it is;
+//! * **frames** ([`LogicalPlan::ScanAggregatePivot`], a wide pivot fused on
+//!   top by rule `scan_aggregate_pivot`): no group order, gather or row
+//!   table. Each group joins the family its first contributor's class key
+//!   renders to, and each family's frame — one per class unless two
+//!   classes render alike or one class renders two ways — takes its grid
+//!   from its groups' timestamps and its columns from the classes'
+//!   finished aggregate columns, through the pivot's dense core
+//!   (`crate::pivot`), one family per morsel.
 //!
 //! The rules (`tests/differential.rs` holds the operator to the reference
-//! interpreter and the table aggregate row for row at every partition count):
+//! interpreter and the table aggregate row for row at every partition
+//! count, and its frames to the table pivot of those rows cell for cell):
 //!
 //! * **One path.** Every shape runs this code: any mix of keys, irregular
 //!   series, residual filters, split series. The grid comes from the
@@ -75,15 +88,17 @@ use std::sync::Arc;
 use explainit_sync::{LockClass, Mutex};
 use explainit_tsdb::SeriesSlice;
 
-use super::{agg_slots, effective_partitions, morsel_ranges, point_balanced_spans};
+use super::point_balanced_spans;
+use super::{agg_slots, effective_partitions, family_morsels, morsel_ranges, AggSpec};
 use super::{finish_outputs, project_names, run_partitioned, scan_hits, series_const};
 use super::{span_grid, substitute_series_consts, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
 use crate::functions::AggColumn;
 use crate::optimize::{is_tsdb_col, tsdb_schema};
-use crate::pivot::{seek, Interner};
-use crate::plan::LogicalPlan;
+use crate::pivot::{into_grid, numbers, render_family, seek};
+use crate::pivot::{FamilyFrame, FrameBuilder, Interner, PivotSpec};
+use crate::plan::{LogicalPlan, ScanSpec};
 use crate::table::{Schema, Table};
 use crate::value::Value;
 use crate::veval::{self, ColView, VOut};
@@ -351,11 +366,28 @@ fn gather(classes: &[&Column], order: &[(First, usize, usize)]) -> Column {
     Column::from_values(order.iter().map(|&(_, class, g)| classes[class].get(g)).collect())
 }
 
-/// Runs a [`LogicalPlan::ScanAggregate`].
-pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
-    let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = plan else {
-        return Err(QueryError::Plan("not a scan aggregate".into()));
-    };
+/// What the series pass, the fold and the per-class finish leave: the
+/// front both outputs of the operator share.
+struct Groups {
+    /// Each series' class-key values (none for a series whose key raised:
+    /// no point of it was kept).
+    keys: Vec<Vec<Value>>,
+    /// Each hit's series.
+    series_of: Vec<usize>,
+    /// Per class: its groups' first contributors, in slot order, and per
+    /// call the groups' finished column.
+    classes: Vec<(Vec<First>, Vec<Column>)>,
+}
+
+/// The front: folds the scan's points into the groups of `calls`.
+fn front(
+    ctx: &ExecCtx,
+    scan: &ScanSpec,
+    filters: &[Expr],
+    group_by: &[Expr],
+    calls: &[AggSpec],
+    opts: &ExecOptions,
+) -> Result<Groups> {
     let binding = ctx.binding(&scan.table)?;
     let obs = tsdb_schema();
     let is_column = |e: &Expr, i: usize| is_tsdb_col(e, &obs, i);
@@ -364,11 +396,9 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
     };
 
     // Group keys: the timestamp (at most once, by eligibility) and the
-    // per-series class keys. Outputs: expressions over the key columns and
-    // the finished aggregate calls.
+    // per-series class keys.
     let class_keys: Vec<&Expr> = group_by.iter().filter(|g| !is_column(g, 0)).collect();
     let has_ts = class_keys.len() < group_by.len();
-    let (outputs, calls, columns) = agg_slots(group_by, items, hidden)?;
     // What every series substitutes its constants into: the residual
     // filters, innermost first (the order the serial pipeline applies them
     // in), then the arguments that are not a bare point column.
@@ -456,34 +486,135 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
         let blocks = of_job.map(|input| std::mem::take(&mut *input.lock()));
         blocks.map(|blocks| fold.finish(blocks)).collect()
     })?;
-    let finished: Vec<(Vec<First>, Vec<Column>)> = finished.into_iter().flatten().collect();
+    let Fold { series, series_of, .. } = fold;
+    Ok(Groups {
+        keys: series.into_iter().map(|s| s.keys).collect(),
+        series_of,
+        classes: finished.into_iter().flatten().collect(),
+    })
+}
+
+/// Runs a [`LogicalPlan::ScanAggregate`]: the groups as rows.
+pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
+    let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = plan else {
+        return Err(QueryError::Plan("not a scan aggregate".into()));
+    };
+    // Outputs: expressions over the key columns and the finished aggregate
+    // calls.
+    let (outputs, calls, columns) = agg_slots(group_by, items, hidden)?;
+    let Groups { keys, series_of, classes } = front(ctx, scan, filters, group_by, &calls, opts)?;
 
     // Serial first-seen group order: each group's earliest `(timestamp,
     // rank)`. A class's groups arrive in it already, so the stable sort
     // merges runs.
-    let mut order: Vec<(First, usize, usize)> = (finished.iter().enumerate())
+    let mut order: Vec<(First, usize, usize)> = (classes.iter().enumerate())
         .flat_map(|(class, (groups, _))| {
             groups.iter().enumerate().map(move |(g, &f)| (f, class, g))
         })
         .collect();
     order.sort();
     // The finished columns: every group key typed, then every call.
-    let keys = group_by.iter().enumerate().map(|(k, g)| {
-        if is_column(g, 0) {
+    let obs = tsdb_schema();
+    let is_ts = |g: &Expr| is_tsdb_col(g, &obs, 0);
+    let key_columns = group_by.iter().enumerate().map(|(k, g)| {
+        if is_ts(g) {
             return Column::Int(order.iter().map(|&((ts, _), ..)| ts).collect());
         }
         // Each group shows its first contributor's key values.
-        let key = group_by[..k].iter().filter(|g| !is_column(g, 0)).count();
-        let entries = fold.series.iter().map(|s| s.keys.get(key).cloned().unwrap_or(Value::Null));
-        let codes = order.iter().map(|&((_, rank), ..)| fold.series_of[rank as usize] as u32);
+        let key = group_by[..k].iter().filter(|g| !is_ts(g)).count();
+        let entries = keys.iter().map(|s| s.get(key).cloned().unwrap_or(Value::Null));
+        let codes = order.iter().map(|&((_, rank), ..)| series_of[rank as usize] as u32);
         Column::dict(Arc::new(entries.collect()), codes.collect())
     });
-    let aggs = (0..fold.args.len()).map(|spec| {
-        let classes: Vec<&Column> = finished.iter().map(|(_, columns)| &columns[spec]).collect();
-        gather(&classes, &order)
+    let aggs = (0..calls.len()).map(|call| {
+        let columns: Vec<&Column> = classes.iter().map(|(_, columns)| &columns[call]).collect();
+        gather(&columns, &order)
     });
     let names = project_names(items, hidden.len());
-    finish_outputs(&outputs, &Schema::new(columns), keys.chain(aggs).collect(), order.len(), names)
+    let cols = key_columns.chain(aggs).collect();
+    finish_outputs(&outputs, &Schema::new(columns), cols, order.len(), names)
+}
+
+/// Runs a [`LogicalPlan::ScanAggregatePivot`], `aggregate` under the wide
+/// pivot `spec`: the groups' count and their family frames, in
+/// first-appearance order — class by class, with no row order, no row
+/// table and no table pivot in between.
+pub(super) fn frames(
+    ctx: &ExecCtx,
+    aggregate: &LogicalPlan,
+    spec: &PivotSpec,
+    opts: &ExecOptions,
+) -> Result<(usize, Vec<FamilyFrame>)> {
+    let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = aggregate else {
+        return Err(QueryError::Plan("not a scan aggregate".into()));
+    };
+    let (_, calls, _) = agg_slots(group_by, items, hidden)?;
+    let roles = spec.roles(&Schema::new(items.iter().map(|(_, n)| n.clone()).collect()))?;
+    // Every output but the ts and family roles is a bare call (rule 8): a
+    // feature, named by its output, read from that call's column.
+    let mut feature_names = Vec::new();
+    let mut features = Vec::new();
+    for (i, (e, name)) in items.iter().enumerate() {
+        if i == roles.ts || Some(i) == roles.family {
+            continue;
+        }
+        let call = calls.iter().position(
+            |&(n, args)| matches!(e, Expr::Function { name, args: a } if name == n && a == args),
+        );
+        features.push(call.ok_or_else(|| QueryError::Plan(format!("{name} is not a call")))?);
+        feature_names.push(name.clone());
+    }
+    let Groups { keys, series_of, classes } = front(ctx, scan, filters, group_by, &calls, opts)?;
+
+    // Each group's family is its first contributor's rendered class key,
+    // as for the table pivot's label column (or the statement's one family
+    // without a family role); families order by their earliest group.
+    let mut names = Interner::default();
+    let mut family_of = vec![u32::MAX; keys.len()]; // per series, on first sight
+    if roles.family.is_none() {
+        names.intern(Cow::Borrowed(&spec.name));
+        family_of.fill(0);
+    }
+    let mut members: Vec<Vec<(First, u32, u32)>> = Vec::new();
+    for (class, (firsts, _)) in classes.iter().enumerate() {
+        for (g, &first) in firsts.iter().enumerate() {
+            let s = series_of[first.1 as usize];
+            if family_of[s] == u32::MAX {
+                let key = keys[s].first().unwrap_or(&Value::Null);
+                family_of[s] = names.intern(render_family(key).into());
+            }
+            let f = family_of[s] as usize;
+            members.resize_with(members.len().max(f + 1), Vec::new);
+            members[f].push((first, class as u32, g as u32));
+        }
+    }
+    // In `(first, class, group)` order, the table pivot's row order: a
+    // family of one class is in it already.
+    members.iter_mut().for_each(|m| m.sort_unstable());
+    let mut order: Vec<usize> = (0..members.len()).collect();
+    order.sort_by_key(|&f| members[f].first().map(|m| m.0));
+
+    // Each class's columns as the pivot reads them. A family's grid is its
+    // groups' timestamps; its cells are written in row order.
+    let cells: Vec<Vec<Cow<[f64]>>> =
+        classes.iter().map(|(_, columns)| columns.iter().map(numbers).collect()).collect();
+    let frame = |f: usize| {
+        let grid = into_grid(members[f].iter().map(|&((ts, _), ..)| ts).collect());
+        let mut frame = FrameBuilder::new(names.names[f].clone(), grid, feature_names.clone());
+        for &((ts, _), class, g) in &members[f] {
+            let slot = frame.slot(ts);
+            for (column, &call) in features.iter().enumerate() {
+                frame.set(column, slot, cells[class as usize][call][g as usize]);
+            }
+        }
+        frame.finish()
+    };
+    let rows = classes.iter().map(|(firsts, _)| firsts.len()).sum();
+    let ranges = family_morsels(opts, rows, order.len());
+    let frames = run_partitioned(ranges.len(), |m| {
+        Ok(order[ranges[m].0..ranges[m].1].iter().map(|&f| frame(f)).collect::<Vec<_>>())
+    })?;
+    Ok((rows, frames.into_iter().flatten().collect()))
 }
 
 #[cfg(test)]

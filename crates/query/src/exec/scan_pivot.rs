@@ -34,7 +34,7 @@ use std::borrow::Cow;
 
 use explainit_tsdb::SeriesSlice;
 
-use super::{effective_partitions, morsel_ranges, run_partitioned};
+use super::{family_morsels, run_partitioned};
 use super::{scan_hits, series_const, span_grid, ExecCtx, ExecOptions};
 use crate::ast::Expr;
 use crate::optimize::tsdb_schema;
@@ -110,16 +110,10 @@ pub(super) fn run(
         fam.runs.push((h, column));
     }
 
-    // Families in first-appearance order; they differ in width, so auto
-    // mode hands them to the worker pool one by one.
+    // Families in first-appearance order.
     let mut order: Vec<usize> = (0..families.len()).collect();
     order.sort_by_key(|&f| families[f].first);
-    let morsels = match effective_partitions(opts, points) {
-        1 => 1,
-        _ if opts.partitions == 0 => order.len(),
-        forced => forced,
-    };
-    let ranges = morsel_ranges(order.len(), morsels);
+    let ranges = family_morsels(opts, points, order.len());
     let frames = run_partitioned(ranges.len(), |m| {
         let (a, b) = ranges[m];
         Ok(order[a..b].iter().map(|&f| frame(&names.names[f], &families[f], &hits)).collect())

@@ -175,6 +175,13 @@
 //! column, a label reads a per-point column or holds a window call, a
 //! residual `Filter` (anything the scan's indexes could not absorb), a
 //! `Sort`/`Limit`, or an extra stage-one column that is not a plain column.
+//! A wide pivot over a `ScanAggregate` is the one line `ScanAggregatePivot
+//! tsdb layout=wide ts=timestamp family=metric_name group=[timestamp,
+//! metric_name] items=[…]` when ts is the bare `timestamp` key, the family
+//! the only class key (or, `into=<name>`, there is none) and every other
+//! output a bare aggregate call; a feature such as `SUM(value) /
+//! COUNT(value)`, a second class key, an `ORDER BY` or the long layout keep
+//! `Pivot` over `ScanAggregate`.
 //!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
 //! [`reference`] as a differential-testing oracle (see

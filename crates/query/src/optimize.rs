@@ -57,6 +57,15 @@
 //!    outputs that read a non-key column and window calls fall back to the
 //!    ordinary pipeline (which the differential harness reaches by
 //!    registering the same observations as a plain table).
+//! 8. **Scan aggregate pivot** (`scan_aggregate_pivot`) — a wide `Pivot`
+//!    root over a `ScanAggregate` whose roles resolve to ts → the bare
+//!    `timestamp` key and family → the only class key (or, for a
+//!    single-family `into=` pivot, no family role and no class key), with
+//!    every other output a bare aggregate call and no hidden key, fuses
+//!    into one [`LogicalPlan::ScanAggregatePivot`]: the executor writes
+//!    each class's finished aggregate columns into its family's frame,
+//!    with no group order, row table or table pivot in between. The
+//!    decision is the plan's shape alone; every other shape keeps `Pivot`.
 //!
 //! There is no parallelization rule and no cardinality estimate: every
 //! operator splits its input into morsels by size at run time, and the
@@ -78,7 +87,7 @@ use crate::ast::{BinaryOp, Expr, JoinKind};
 use crate::catalog::Catalog;
 use crate::eval::map_grouped;
 use crate::functions::{is_aggregate, is_window};
-use crate::pivot::PivotSpec;
+use crate::pivot::{Layout, PivotSpec};
 use crate::plan::{collect_conjuncts, conjoin, LogicalPlan, ScanSpec, TSDB_COLUMNS};
 use crate::table::Schema;
 use crate::value::Value;
@@ -116,6 +125,8 @@ pub fn optimize(plan: LogicalPlan, catalog: &Catalog) -> Result<LogicalPlan> {
     check("scan_pivot", &plan)?;
     let plan = push_aggregates_into_scans(plan);
     check("scan_aggregate", &plan)?;
+    let plan = fuse_scan_aggregate_pivot(plan);
+    check("scan_aggregate_pivot", &plan)?;
     Ok(plan)
 }
 
@@ -728,6 +739,51 @@ fn push_aggregates_into_scans(plan: LogicalPlan) -> LogicalPlan {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Rule 8: scan aggregate pivot
+// ---------------------------------------------------------------------------
+
+/// Fuses a root wide [`LogicalPlan::Pivot`] with the scan aggregate under
+/// it when [`aggregate_pivot_fuses`] accepts the shape.
+fn fuse_scan_aggregate_pivot(plan: LogicalPlan) -> LogicalPlan {
+    match plan {
+        LogicalPlan::Pivot { input, spec } if aggregate_pivot_fuses(&input, &spec) => {
+            LogicalPlan::ScanAggregatePivot { aggregate: input, spec }
+        }
+        other => other,
+    }
+}
+
+/// The eligibility analysis for rule 8: `input` is a `ScanAggregate` with
+/// no hidden key under a wide pivot whose roles resolve against its
+/// outputs to: ts → the bare `timestamp` group key; family → the only
+/// class key, or no family role and no class key; and every other output
+/// (at least one: a wide frame needs a feature) a bare aggregate call.
+pub(crate) fn aggregate_pivot_fuses(input: &LogicalPlan, spec: &PivotSpec) -> bool {
+    let LogicalPlan::ScanAggregate { group_by, items, hidden, .. } = input else { return false };
+    let Ok(roles) = spec.roles(&Schema::new(items.iter().map(|(_, n)| n.clone()).collect())) else {
+        return false;
+    };
+    let obs = tsdb_schema();
+    let (ts, class_keys): (Vec<&Expr>, Vec<&Expr>) =
+        group_by.iter().partition(|g| is_tsdb_col(g, &obs, 0));
+    let family = match roles.family {
+        Some(f) => class_keys == [&items[f].0],
+        None => class_keys.is_empty(),
+    };
+    let features: Vec<&Expr> = (items.iter().enumerate())
+        .filter(|&(i, _)| i != roles.ts && Some(i) != roles.family)
+        .map(|(_, (e, _))| e)
+        .collect();
+    let call = |e: &&Expr| matches!(e, Expr::Function { name, .. } if is_aggregate(name));
+    spec.layout == Layout::Wide
+        && hidden.is_empty()
+        && ts == [&items[roles.ts].0]
+        && family
+        && !features.is_empty()
+        && features.iter().all(call)
+}
+
 pub(crate) fn tsdb_schema() -> Schema {
     Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect())
 }
@@ -951,7 +1007,7 @@ mod tests {
             let names = rendered.lines().filter_map(|l| l.split_whitespace().next());
             variants.extend(names.map(str::to_string));
         }
-        assert_eq!(variants.len(), 14, "the corpora hold every node: {variants:?}");
+        assert_eq!(variants.len(), 15, "the corpora hold every node: {variants:?}");
     }
 
     #[test]

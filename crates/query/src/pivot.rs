@@ -17,35 +17,47 @@
 //! ## One core, keyed by ids
 //!
 //! Stage two is a plan node ([`crate::LogicalPlan::Pivot`], configured by a
-//! [`PivotSpec`]) with two executions, and both build their frames on the
-//! same dense core ([`FrameBuilder`]):
+//! [`PivotSpec`]) with three executions, and all three build their frames
+//! on the same dense core ([`FrameBuilder`]) and read a cell the same way
+//! (`numbers`: an `Int` widened to `f64`, anything that is not a number a
+//! gap):
 //!
-//! * the **table pivot** ([`pivot_long`] / [`pivot_wide`] / [`pivot_one`])
-//!   runs over any stage-one [`Table`]. Family and feature labels become
-//!   `u32` ids in first-appearance order — a [`Column::Dict`] label is
-//!   rendered once per dictionary entry, a [`Column::Str`] label is interned
-//!   by borrowed `&str` — so no row allocates or hashes a `String`;
+//! * the **table pivot** ([`pivot_long`] / [`pivot_wide`] / [`pivot_one`],
+//!   [`PivotSpec::frames`]) runs over any stage-one [`Table`]. Family and
+//!   feature labels become `u32` ids in first-appearance order — a
+//!   [`Column::Dict`] label is rendered once per dictionary entry, a
+//!   [`Column::Str`] label is interned by borrowed `&str` — so no row
+//!   allocates or hashes a `String`;
 //! * the **scan pivot** (`exec/scan_pivot.rs`) reads series straight off the
 //!   store when the plan is a long pivot over a bare TSDB scan, resolving
-//!   both labels once per *series*.
+//!   both labels once per *series*;
+//! * the **scan aggregate pivot** (`exec/scan_aggregate.rs`) takes a wide
+//!   pivot over a `GROUP BY timestamp[, <family key>]` scan aggregate from
+//!   the aggregate's per-class finished columns: a group's family label is
+//!   its first contributor's key, rendered once per series, and a class's
+//!   groups are already a family's rows in order.
 //!
 //! Either way each family gets one sorted timestamp grid, built once, and
 //! every cell is written straight into a NaN-initialised dense column —
 //! through a moving cursor when the input is timestamp-ordered, a binary
 //! search otherwise — before each column is gap-filled.
 //!
-//! The rules both executions obey (the differential suite holds the scan
-//! pivot to the table pivot frame for frame, cell for cell):
+//! The rules all three obey (the differential suite holds each fused
+//! execution to the table pivot frame for frame, cell for cell):
 //!
 //! * **Order.** Families come out in first-appearance order of the input
 //!   rows, and so do the features of each family. TSDB rows are ordered by
 //!   `(timestamp, series rank)`, so for the scan pivot that is the order of
-//!   each family's / feature's earliest `(first timestamp in range, rank)`.
+//!   each family's / feature's earliest `(first timestamp in range, rank)`,
+//!   and for the scan aggregate pivot that of each family's earliest group
+//!   (its first contributor's `(timestamp, rank)`).
 //!   It is the order the engine registers families in and the column order
 //!   of every matrix, so each downstream float sum keeps its operand order.
 //! * **Last write wins.** Two rows landing on one `(family, feature,
 //!   timestamp)` cell leave the later row's value (a later series rank, for
-//!   the scan pivot). A non-finite value never overwrites anything: it
+//!   the scan pivot; a later first contributor, for the scan aggregate
+//!   pivot, whose classes can share a label: `NULL` and `'NULL'` both
+//!   render `NULL`). A non-finite value never overwrites anything: it
 //!   leaves a gap, but its timestamp still joins the family's grid.
 //! * **Gap fill.** A gap takes the value of the feature's nearest finite
 //!   observation in time, the earlier one on a tie; a feature with none
@@ -226,7 +238,7 @@ impl PivotSpec {
     }
 
     /// The table pivot: the frames of an executed stage-one result.
-    pub(crate) fn frames(&self, table: &Table) -> Result<Vec<FamilyFrame>> {
+    pub fn frames(&self, table: &Table) -> Result<Vec<FamilyFrame>> {
         let roles = self.roles(table.schema())?;
         match (roles.family, roles.long) {
             (Some(family), Some((feature, value))) => {
@@ -440,12 +452,15 @@ impl<'t> TsRows<'t> {
     }
 }
 
-/// Numeric view of a cell: NaN marks a gap.
-fn num(col: &Column, i: usize) -> f64 {
+/// A column's cells as the pivot reads them: an `Int` widened to `f64`,
+/// NaN for a gap (a NULL, a string) — a `Float` column as it is.
+pub(crate) fn numbers(col: &Column) -> Cow<'_, [f64]> {
     match col {
-        Column::Float(v) => v[i],
-        Column::Int(v) => v[i] as f64,
-        other => other.get(i).as_f64().unwrap_or(f64::NAN),
+        Column::Float(v) => Cow::Borrowed(v),
+        Column::Int(v) => Cow::Owned(v.iter().map(|&i| i as f64).collect()),
+        other => Cow::Owned(
+            (0..other.len()).map(|i| other.get(i).as_f64().unwrap_or(f64::NAN)).collect(),
+        ),
     }
 }
 
@@ -520,11 +535,11 @@ fn long_frames(
         .zip(feature_names)
         .map(|((name, grid), features)| FrameBuilder::new(name, grid, features))
         .collect();
-    let values = table.column_at(value);
+    let values = numbers(table.column_at(value));
     for ((i, t), (&f, &c)) in rows.iter().zip(family_of.iter().zip(&column_of)) {
         let frame = &mut frames[f as usize];
         let slot = frame.slot(t);
-        frame.set(c as usize, slot, num(values, i));
+        frame.set(c as usize, slot, values[i]);
     }
     frames.into_iter().map(FrameBuilder::finish).collect()
 }
@@ -557,11 +572,12 @@ fn wide_frames(
         .zip(grids)
         .map(|(name, grid)| FrameBuilder::new(name, grid, feature_names.clone()))
         .collect();
+    let columns: Vec<Cow<[f64]>> = features.iter().map(|&i| numbers(table.column_at(i))).collect();
     for ((i, t), &f) in rows.iter().zip(&family_of) {
         let frame = &mut frames[f as usize];
         let slot = frame.slot(t);
-        for (c, &fi) in features.iter().enumerate() {
-            frame.set(c, slot, num(table.column_at(fi), i));
+        for (c, column) in columns.iter().enumerate() {
+            frame.set(c, slot, column[i]);
         }
     }
     Ok(frames.into_iter().map(FrameBuilder::finish).collect())

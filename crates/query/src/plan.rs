@@ -247,6 +247,19 @@ pub enum LogicalPlan {
         /// Feature label, over `metric_name` / `tag` only.
         feature: Expr,
     },
+    /// A wide [`LogicalPlan::Pivot`] fused with the
+    /// [`LogicalPlan::ScanAggregate`] under it: produced by the optimizer
+    /// when the ts role is the bare `timestamp` key, the family role the
+    /// only class key (or neither exists: a single-family pivot), every
+    /// other output a bare aggregate call and no key hidden. The executor
+    /// builds each family's frame from its classes' finished aggregate
+    /// columns — no group order, no row table, no table pivot.
+    ScanAggregatePivot {
+        /// The `ScanAggregate` the rule absorbed, as rule 7 left it.
+        aggregate: Box<LogicalPlan>,
+        /// Layout (wide) and role columns.
+        spec: PivotSpec,
+    },
 }
 
 /// The observation schema of a TSDB-bound table.
@@ -305,7 +318,8 @@ impl LogicalPlan {
             | LogicalPlan::TsdbScan { .. }
             | LogicalPlan::Unit
             | LogicalPlan::ScanAggregate { .. }
-            | LogicalPlan::ScanPivot { .. }) => leaf,
+            | LogicalPlan::ScanPivot { .. }
+            | LogicalPlan::ScanAggregatePivot { .. }) => leaf,
         })
     }
 
@@ -338,7 +352,9 @@ impl LogicalPlan {
                 Ok(Schema::new(cols))
             }
             LogicalPlan::Sort { input, .. } => input.schema(catalog),
-            LogicalPlan::Pivot { .. } | LogicalPlan::ScanPivot { .. } => {
+            LogicalPlan::Pivot { .. }
+            | LogicalPlan::ScanPivot { .. }
+            | LogicalPlan::ScanAggregatePivot { .. } => {
                 Ok(Schema::new(FAMILY_COLUMNS.iter().map(|s| s.to_string()).collect()))
             }
             LogicalPlan::Union { inputs } => inputs
@@ -753,15 +769,32 @@ fn render_into(plan: &LogicalPlan, depth: usize, catalog: Option<&Catalog>, out:
             let roles = format!("ts=timestamp family={family} feature={feature} value=value");
             push_line(out, depth, &format!("ScanPivot {scan} layout=long {roles}"));
         }
-        LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } => {
-            let mut line = format!("ScanAggregate {scan}");
-            if !filters.is_empty() {
-                line.push_str(&format!(" where=[{}]", render_list(filters)));
-            }
-            let (keys, outputs) = (render_list(group_by), render_outputs(items, hidden));
-            push_line(out, depth, &format!("{line} group=[{keys}] items={outputs}"));
+        LogicalPlan::ScanAggregate { .. } => {
+            push_line(out, depth, &format!("ScanAggregate {}", scan_aggregate_attrs(plan, None)));
+        }
+        LogicalPlan::ScanAggregatePivot { aggregate, spec } => {
+            let attrs = scan_aggregate_attrs(aggregate, Some(spec));
+            push_line(out, depth, &format!("ScanAggregatePivot {attrs}"));
         }
     }
+}
+
+/// A scan aggregate's line after its name: the scan, the residual filters,
+/// the pivot's roles when it fused with one, then keys and outputs.
+fn scan_aggregate_attrs(plan: &LogicalPlan, pivot: Option<&PivotSpec>) -> String {
+    let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = plan else {
+        return "?".to_string();
+    };
+    let mut line = scan.to_string();
+    if !filters.is_empty() {
+        line.push_str(&format!(" where=[{}]", render_list(filters)));
+    }
+    if let Some(spec) = pivot {
+        let schema = Schema::new(items.iter().map(|(_, n)| n.clone()).collect());
+        line.push_str(&format!(" {}", spec.describe(Some(&schema))));
+    }
+    let (keys, outputs) = (render_list(group_by), render_outputs(items, hidden));
+    format!("{line} group=[{keys}] items={outputs}")
 }
 
 #[cfg(test)]

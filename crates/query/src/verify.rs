@@ -36,6 +36,14 @@
 //!    (`optimize::scan_pivot_labels`): every role resolvable, no
 //!    residual filter, both labels over per-series constants only. A
 //!    `Pivot` anywhere but the root is a violation.
+//!
+//!    **ScanAggregatePivot re-eligibility** — every
+//!    [`LogicalPlan::ScanAggregatePivot`] is expanded back into the wide
+//!    `Pivot` over its `ScanAggregate` and re-run through the
+//!    `scan_aggregate_pivot` analysis
+//!    (`optimize::aggregate_pivot_fuses`), then its scan aggregate through
+//!    the checks above. Its stage-one relation (the aggregate's outputs)
+//!    keeps check 1.
 //! 3. **Residual filter chains** — a `Filter` chain left directly above a
 //!    `TsdbScan` must reference only columns the (possibly pruned) scan
 //!    still produces, and must keep rule 3's [`FilterClass`] order:
@@ -57,7 +65,8 @@ use crate::ast::Expr;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::optimize::{
-    peel_filter_chain, scan_aggregate_eligible, scan_pivot_labels, tsdb_filter_class,
+    aggregate_pivot_fuses, peel_filter_chain, scan_aggregate_eligible, scan_pivot_labels,
+    tsdb_filter_class,
 };
 use crate::pivot::{Layout, PivotSpec};
 use crate::plan::{LogicalPlan, TSDB_COLUMNS};
@@ -113,11 +122,12 @@ pub(crate) fn check_after(
 }
 
 /// The relational part of a plan — the whole plan, or the stage-one query
-/// under a family plan's `Pivot` root; `None` once a `ScanPivot` has
+/// under a family plan's pivot root; `None` once a `ScanPivot` has
 /// absorbed it.
 pub(crate) fn stage_one(plan: &LogicalPlan) -> Option<&LogicalPlan> {
     match plan {
-        LogicalPlan::Pivot { input, .. } => Some(input),
+        LogicalPlan::Pivot { input, .. }
+        | LogicalPlan::ScanAggregatePivot { aggregate: input, .. } => Some(input),
         LogicalPlan::ScanPivot { .. } => None,
         other => Some(other),
     }
@@ -236,6 +246,18 @@ fn walk(
                 );
             }
             Ok(())
+        }
+        LogicalPlan::ScanAggregatePivot { aggregate, spec } => {
+            // The node is the wide pivot and the scan aggregate that
+            // `scan_aggregate_pivot` fused: its analysis again, then the
+            // aggregate's own.
+            if !aggregate_pivot_fuses(aggregate, spec) {
+                return violation(
+                    rule,
+                    "ScanAggregatePivot fails re-run of scan_aggregate_pivot eligibility".into(),
+                );
+            }
+            walk(aggregate, rule, ordered, false, catalog)
         }
         LogicalPlan::Pivot { .. } => {
             violation(rule, "Pivot below the root of the plan".to_string())
@@ -395,6 +417,37 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn scan_aggregate_pivot_must_stay_fusable() {
+        let catalog = Catalog::new();
+        let avg = Expr::Function { name: "AVG".to_string(), args: vec![col("value")] };
+        let spec = PivotSpec {
+            family: Some("metric_name".to_string()),
+            ..PivotSpec::positional("f", Layout::Wide)
+        };
+        let fused = |feature: Expr| LogicalPlan::ScanAggregatePivot {
+            aggregate: Box::new(LogicalPlan::ScanAggregate {
+                scan: ScanSpec::all("tsdb"),
+                filters: Vec::new(),
+                group_by: vec![col("timestamp"), col("metric_name")],
+                items: vec![
+                    (col("timestamp"), "timestamp".to_string()),
+                    (col("metric_name"), "metric_name".to_string()),
+                    (feature, "m".to_string()),
+                ],
+                hidden: Vec::new(),
+            }),
+            spec: spec.clone(),
+        };
+        assert!(verify_plan(&fused(avg.clone()), &catalog).is_ok());
+        // A feature over a call, not the call, could not have fused.
+        let err = verify_plan(&fused(cmp(avg, lit(0))), &catalog).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Plan(m) if m.contains("scan_aggregate_pivot eligibility")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! rank) contribution, so this is an equality check, not an epsilon one.
 //!
 //! `CREATE FAMILY` rides on the same generators: over the store, the
-//! statement entry point (`Catalog::execute_family` — the scan-pivot
-//! operator on the live binding, the table pivot on the plain-table
-//! backend) must equal `pivot_long` over the executed stage-one query frame
-//! for frame: names, family order, feature order, timestamps, every cell by
-//! its bits.
+//! statement entry point (`Catalog::execute_family` — on the live binding
+//! the scan pivot for a long statement over a bare scan, the scan aggregate
+//! pivot for a wide one over a `GROUP BY`; the table pivot on the
+//! plain-table backend) must equal the table pivot (`PivotSpec::frames`)
+//! over the stage-one query executed on the plain-table backend, frame for
+//! frame: names, family order, feature order, timestamps, every cell by its
+//! bits.
 //!
 //! Every generator pool mixes plain operators with scalar calls, `CASE`
 //! and `LAG`/`LEAD` — in SELECT, WHERE, GROUP BY and aggregate arguments —
@@ -31,8 +33,8 @@
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{
-    parse_query, parse_statement, pivot_long, Catalog, Column, CreateFamily, ExecOptions,
-    FamilyFrame, Query, QueryError, Statement, Table, Value,
+    parse_query, parse_statement, Catalog, Column, CreateFamily, ExecOptions, FamilyFrame,
+    PivotSpec, Query, QueryError, Statement, Table, Value,
 };
 use explainit_tsdb::{glob_match, MetricFilter, SeriesKey, Tsdb};
 use proptest::prelude::*;
@@ -327,6 +329,55 @@ const FAMILY_FILTERS: [&str; 4] = [
     " WHERE metric_name GLOB '*e*' AND timestamp >= {lo}",
 ];
 
+/// Class keys for the wide family-statement generator: the dictionary
+/// columns, a tag some series lack, a two-column scalar call, a tag no
+/// series carries, and one class whose series render as `1` or `1.0`.
+const WIDE_FAMILIES: [&str; 5] = [
+    "metric_name",
+    "tag['host']",
+    "CONCAT(metric_name, tag['host'])",
+    "tag['absent']",
+    "CASE WHEN tag['host'] LIKE 'web%' THEN 1 ELSE 1.0 END",
+];
+
+/// Features for the wide generator: dense and boxed calls, `Int` columns
+/// (`COUNT`, `SUM(timestamp)`) and a NULL for a one-point `STDDEV`.
+const WIDE_FEATURES: [&str; 7] = [
+    "AVG(value)",
+    "MAX(value)",
+    "MIN(value)",
+    "STDDEV(value)",
+    "COUNT(value)",
+    "SUM(timestamp)",
+    "SUM(value * 2)",
+];
+
+/// WHERE clauses for the wide generator: pushed, residual (a class whose
+/// every point goes), and none.
+const WIDE_FILTERS: [&str; 4] = [
+    "",
+    " WHERE metric_name = 'cpu'",
+    " WHERE value > 0",
+    " WHERE timestamp BETWEEN {lo} AND {hi}",
+];
+
+/// The wide family statement over `tsdb`: grouped by `timestamp` and the
+/// class key `family` (the family role), or by `timestamp` alone into the
+/// one family `fams`.
+fn wide_family_statement(family: Option<&str>, features: &[String], filter: &str) -> String {
+    let features = features.join(", ");
+    match family {
+        Some(family) => format!(
+            "CREATE FAMILY fams WITH (family = 'fam') AS SELECT timestamp, {family} AS fam, \
+             {features} FROM tsdb{filter} GROUP BY timestamp, {family}"
+        ),
+        None => format!(
+            "CREATE FAMILY fams AS SELECT timestamp, {features} FROM tsdb{filter} \
+             GROUP BY timestamp"
+        ),
+    }
+}
+
 /// The long-layout family statement over `tsdb` with the given labels.
 fn family_statement(family: &str, feature: &str, filter: &str) -> String {
     format!(
@@ -342,15 +393,18 @@ fn cell_bits(frames: &[FamilyFrame]) -> Vec<Vec<Vec<u64>>> {
 }
 
 /// `execute_family(sql)` on every backend at partitions 1 and 3 against
-/// the oracle: `pivot_long` over the stage-one query executed on the
-/// plain-table backend (no scan operator anywhere near it). The live
-/// binding must have planned the statement as a scan pivot.
-fn assert_family_same(backends: &[Catalog; 2], sql: &str) {
+/// the oracle: the table pivot (`PivotSpec::frames`) over the stage-one
+/// query executed on the plain-table backend (no scan operator anywhere
+/// near it). The live binding must have planned the statement as `fused`,
+/// the first word of its one plan line.
+fn assert_family_same(backends: &[Catalog; 2], sql: &str, fused: &str) {
     let Ok(Statement::CreateFamily(cf)) = parse_statement(sql) else {
         panic!("generated statement must parse: {sql}");
     };
     let plan = backends[0].explain_family(&cf).expect("plans");
-    assert!(plan.rows()[0][0].render().starts_with("ScanPivot tsdb"), "{sql}: {:?}", plan.rows());
+    let line = plan.rows()[0][0].render();
+    assert!(line.starts_with(&format!("{fused} tsdb")), "{sql}: {:?}", plan.rows());
+    assert_eq!(plan.len(), 1, "{sql}: {:?}", plan.rows());
     assert_frames_same(backends, &cf, sql);
 }
 
@@ -358,7 +412,7 @@ fn assert_family_same(backends: &[Catalog; 2], sql: &str) {
 /// planned the statement.
 fn assert_frames_same(backends: &[Catalog; 2], cf: &CreateFamily, sql: &str) {
     let table = backends[1].execute_query(&cf.query).expect("stage one runs");
-    let expect = pivot_long(&table, "timestamp", "fam", "feat", "value").expect("pivots");
+    let expect = PivotSpec::parse(cf).and_then(|spec| spec.frames(&table)).expect("pivots");
     for (backend, catalog) in backends.iter().enumerate() {
         for parts in [1, 3] {
             let label = format!("backend {backend} at partitions={parts} for {sql}");
@@ -401,7 +455,32 @@ proptest! {
             .replace("{lo}", &lo.to_string())
             .replace("{hi}", &(lo + span).to_string());
         let sql = family_statement(FAMILY_LABELS[family], FAMILY_LABELS[feature], &filter);
-        assert_family_same(&tsdb_backends(&points), &sql);
+        assert_family_same(&tsdb_backends(&points), &sql, "ScanPivot");
+    }
+
+    #[test]
+    fn wide_family_statement_equals_the_table_pivot(
+        points in tsdb_points(),
+        family in 0usize..=WIDE_FAMILIES.len(),
+        features in proptest::collection::vec(0usize..WIDE_FEATURES.len(), 1..4),
+        f in 0usize..WIDE_FILTERS.len(),
+        lo in 0i64..400,
+        span in 0i64..400,
+    ) {
+        let hostile = |v: f64| match v {
+            v if v > 9.0 => f64::NAN,
+            v if v < -9.5 => f64::NEG_INFINITY,
+            v if v.abs() < 0.2 => f64::INFINITY,
+            v => v,
+        };
+        let points: Vec<_> = points.iter().map(|&(m, h, ts, v)| (m, h, ts, hostile(v))).collect();
+        let filter = WIDE_FILTERS[f]
+            .replace("{lo}", &lo.to_string())
+            .replace("{hi}", &(lo + span).to_string());
+        let features: Vec<String> =
+            features.iter().enumerate().map(|(i, &c)| format!("{} AS f{i}", WIDE_FEATURES[c])).collect();
+        let sql = wide_family_statement(WIDE_FAMILIES.get(family).copied(), &features, &filter);
+        assert_family_same(&tsdb_backends(&points), &sql, "ScanAggregatePivot");
     }
 
     #[test]
@@ -786,7 +865,8 @@ fn family_statement_hostile_shapes_pinned() {
         ("CONCAT(metric_name, '/', tag['dc'])", "CONCAT(tag['host'], tag['absent'])"),
     ] {
         for filter in ["", " WHERE timestamp >= 60", " WHERE timestamp BETWEEN -5 AND 300"] {
-            assert_family_same(&backends, &family_statement(family, feature, filter));
+            let sql = family_statement(family, feature, filter);
+            assert_family_same(&backends, &sql, "ScanPivot");
         }
     }
     // Spot-check what the equalities above are about.
@@ -815,6 +895,73 @@ fn family_statement_hostile_shapes_pinned() {
     let frames = backends[0].execute_family(&cf, ExecOptions::default()).expect("runs");
     // h1 at -1 and 0: 2^63 - 1 from MIN against 2^63 and 2^63 - 1 from MAX.
     assert_eq!(frames[0].columns[0], [1.0, 1.0, 9.0, 9.0]);
+}
+
+/// The wide family statement over a scan aggregate, on the shapes the
+/// generator reaches only by chance: two classes whose labels render alike
+/// (a missing tag's NULL and the string `'NULL'`, sharing a timestamp, so
+/// the later first contributor's cell wins), one class that renders as two
+/// families (`1` and `1.0`), a one-point `STDDEV` (a NULL cell), `COUNT`'s
+/// `Int` column, NaN and the infinities, a class the filter empties, and
+/// the single-family `into=` statement.
+#[test]
+fn wide_family_statement_hostile_shapes_pinned() {
+    let mut db = Tsdb::new();
+    let mut put = |name: &str, host: Option<&str>, points: &[(i64, f64)]| {
+        let mut key = SeriesKey::new(name);
+        if let Some(host) = host {
+            key = key.with_tag("host", host);
+        }
+        for &(ts, v) in points {
+            db.insert(&key, ts, v);
+        }
+    };
+    put("cpu", Some("web-1"), &[(0, 1.0), (60, 2.0), (120, f64::NAN)]);
+    put("cpu", Some("db-1"), &[(0, 5.0), (60, f64::INFINITY), (180, 7.0)]);
+    put("disk", Some("NULL"), &[(0, 3.0), (60, 4.0)]);
+    put("disk", None, &[(60, 8.0), (120, f64::NEG_INFINITY)]);
+    put("net", None, &[(0, 6.0)]);
+    put("swap", Some("web-2"), &[(0, -5.0), (60, -6.0)]);
+    put("zzz", None, &[(0, 10.0)]);
+    let backends = backends_of(&db);
+    let features =
+        ["AVG(value) AS a", "COUNT(value) AS n", "STDDEV(value) AS sd", "MAX(value) AS hi"]
+            .map(String::from);
+    let one_vs_float = "CASE WHEN tag['host'] = 'web-1' THEN 1 ELSE 1.0 END";
+    for family in [Some("metric_name"), Some("tag['host']"), Some(one_vs_float), None] {
+        for filter in ["", " WHERE value > 0", " WHERE metric_name = 'cpu'"] {
+            let sql = wide_family_statement(family, &features, filter);
+            assert_family_same(&backends, &sql, "ScanAggregatePivot");
+        }
+    }
+    // Spot-check what the equalities above are about.
+    let frames = |family: Option<&str>, filter: &str| {
+        let sql = wide_family_statement(family, &features, filter);
+        let Ok(Statement::CreateFamily(cf)) = parse_statement(&sql) else { panic!("parses") };
+        backends[0].execute_family(&cf, ExecOptions::default()).expect("runs")
+    };
+    let by_host = frames(Some("tag['host']"), "");
+    let names: Vec<&str> = by_host.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["db-1", "web-1", "NULL", "web-2"], "one family for NULL and 'NULL'");
+    let null = &by_host[2];
+    assert_eq!(null.timestamps, [0, 60, 120]);
+    // Both classes have a group at 0 and at 60. The missing tag's class
+    // comes first in rank order, but at 0 its group's first contributor,
+    // `net` (mean 8 with `zzz`, COUNT 2), follows `disk{host=NULL}`'s and
+    // wins; at 60 `disk{host=NULL}` (4.0, COUNT 1) follows `disk`'s and wins,
+    // its one-point STDDEV a NULL gap. At 120 the mean of -inf is a gap.
+    assert_eq!(null.columns[0], [8.0, 4.0, 4.0]);
+    assert_eq!(null.columns[1], [2.0, 1.0, 1.0]);
+    assert_eq!(null.columns[2], [8f64.sqrt(); 3]);
+    let by_number = frames(Some(one_vs_float), "");
+    let names: Vec<&str> = by_number.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["1.0", "1"], "one class, two renderings");
+    let none = frames(Some("metric_name"), " WHERE value > 0");
+    let names: Vec<&str> = none.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["cpu", "disk", "net", "zzz"], "`swap` has no point left");
+    let one = frames(None, " WHERE metric_name = 'cpu'");
+    assert_eq!((one.len(), one[0].name.as_str()), (1, "fams"));
+    assert_eq!(one[0].timestamps, [0, 60, 120, 180]);
 }
 
 /// A `metric_name` equality is an equality. The scan's name slot holds a

@@ -1,6 +1,6 @@
-//! Plan-shape tests for the scan-aggregate pushdown and the scan pivot:
-//! `EXPLAIN` snapshots asserting when `ScanAggregate` / `ScanPivot` do and
-//! do not fire, so optimizer eligibility regressions surface as test
+//! Plan-shape tests for the scan-aggregate pushdown and the two fused
+//! pivots: `EXPLAIN` snapshots asserting when `ScanAggregate` /
+//! `ScanPivot` / `ScanAggregatePivot` do and do not fire, so optimizer eligibility regressions surface as test
 //! failures rather than silent slowdowns (or silent wrong fast paths).
 
 use explainit_query::{parse_statement, Catalog, Column, Statement, Table, Value};
@@ -430,6 +430,44 @@ fn every_other_family_shape_keeps_pivot_over_its_ordinary_plan() {
                 .to_string(),
             "  TsdbScan tsdb columns=[timestamp, metric_name, value]",
         ),
+        // A scan aggregate under a pivot that `scan_aggregate_pivot` does
+        // not take.
+        (
+            "the long layout over a GROUP BY",
+            format!(
+                "{long} SELECT timestamp, metric_name, tag['host'] AS h, AVG(value) AS v \
+                 FROM tsdb GROUP BY timestamp, metric_name, tag['host']"
+            ),
+            "  ScanAggregate tsdb",
+        ),
+        (
+            "a feature that is not a bare aggregate call",
+            "CREATE FAMILY f WITH (family = 'metric_name') AS SELECT timestamp, metric_name, \
+             SUM(value) / COUNT(value) AS mean FROM tsdb GROUP BY timestamp, metric_name"
+                .to_string(),
+            "  ScanAggregate tsdb",
+        ),
+        (
+            "a family that is one of two class keys",
+            "CREATE FAMILY f WITH (family = 'metric_name') AS SELECT timestamp, metric_name, \
+             AVG(value) AS v FROM tsdb GROUP BY timestamp, metric_name, tag['host']"
+                .to_string(),
+            "  ScanAggregate tsdb",
+        ),
+        (
+            "no timestamp key",
+            "CREATE FAMILY f WITH (family = 'metric_name') AS SELECT MAX(timestamp) AS t, \
+             metric_name, AVG(value) AS v FROM tsdb GROUP BY metric_name"
+                .to_string(),
+            "  ScanAggregate tsdb",
+        ),
+        (
+            "an ORDER BY key",
+            "CREATE FAMILY f WITH (family = 'metric_name') AS SELECT timestamp, metric_name, \
+             AVG(value) AS v FROM tsdb GROUP BY timestamp, metric_name ORDER BY timestamp"
+                .to_string(),
+            "  Sort [",
+        ),
     ] {
         let plan = explain_family(&c, &sql);
         assert!(plan.starts_with("Pivot layout="), "{why}:\n{plan}");
@@ -438,18 +476,20 @@ fn every_other_family_shape_keeps_pivot_over_its_ordinary_plan() {
         assert!(second.starts_with(below), "{why}:\n{plan}");
     }
     // The benchmark's `family_agg_paged` statement: a wide pivot over the
-    // scan-level aggregate, which still collapses under the pivot root.
+    // scan-level aggregate, the two fused into one line.
     let by_name = "CREATE FAMILY by_name WITH (family = 'metric_name') AS \
          SELECT timestamp, metric_name, AVG(value) AS mean_v, MAX(value) AS max_v, \
          STDDEV(value) AS sd_v FROM tsdb GROUP BY timestamp, metric_name";
-    let plan = explain_family(&c, by_name);
-    let lines: Vec<&str> = plan.lines().collect();
-    assert_eq!(lines.len(), 2, "plan:\n{plan}");
-    assert_eq!(lines[0], "Pivot layout=wide ts=timestamp family=metric_name");
-    assert!(lines[1].starts_with("  ScanAggregate tsdb group=[timestamp, metric_name]"), "{plan}");
-    // ... and hands the wide pivot typed key columns: the timestamps as they
-    // stand on the grids, the class key by dictionary code — no `String` per
-    // group for the pivot to intern again.
+    assert_eq!(
+        explain_family(&c, by_name),
+        "ScanAggregatePivot tsdb layout=wide ts=timestamp family=metric_name \
+         group=[timestamp, metric_name] items=[timestamp AS timestamp, \
+         metric_name AS metric_name, AVG(value) AS mean_v, MAX(value) AS max_v, \
+         STDDEV(value) AS sd_v]"
+    );
+    // Its stage-one query alone is the row path, with typed key columns:
+    // the timestamps as they stand on the grids, the class key by
+    // dictionary code.
     let Ok(Statement::CreateFamily(cf)) = parse_statement(by_name) else { panic!("parses") };
     let stage_one = c.execute_query(&cf.query).expect("stage one runs");
     assert_eq!(stage_one.len(), 6, "five cpu timestamps and disk's one");
@@ -464,10 +504,20 @@ fn every_other_family_shape_keeps_pivot_over_its_ordinary_plan() {
          SELECT timestamp, metric_name, tag, value FROM tsdb",
     );
     assert!(plan.starts_with("Pivot layout=long ts=? family=? feature=? value=?"), "{plan}");
-    // A single-family wide pivot names the family it pivots into.
+    // A single-family wide pivot names the family it pivots into: over a
+    // plain scan as the table pivot, over a scan aggregate fused.
+    let plan = explain_family(
+        &c,
+        "CREATE FAMILY target AS SELECT timestamp, value AS v FROM tsdb WHERE value > 0",
+    );
+    assert!(plan.starts_with("Pivot layout=wide ts=timestamp into=target\n"), "{plan}");
     let plan = explain_family(
         &c,
         "CREATE FAMILY target AS SELECT timestamp, AVG(value) AS v FROM tsdb GROUP BY timestamp",
     );
-    assert!(plan.starts_with("Pivot layout=wide ts=timestamp into=target\n"), "{plan}");
+    assert_eq!(
+        plan,
+        "ScanAggregatePivot tsdb layout=wide ts=timestamp into=target group=[timestamp] \
+         items=[timestamp AS timestamp, AVG(value) AS v]"
+    );
 }

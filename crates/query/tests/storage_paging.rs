@@ -2,8 +2,9 @@
 //! whatever the page budget — zero, about one chunk, or unbounded — every
 //! engine must produce rows bit-identical to the fully-resident run,
 //! while the paging counters prove the tight budgets actually faulted
-//! and evicted. The `CREATE FAMILY` scan pivot reads the same paged chunks
-//! and must produce the resident run's frames.
+//! and evicted. The two fused `CREATE FAMILY` operators — the scan pivot
+//! and the scan aggregate pivot — read the same paged chunks and must
+//! produce the resident run's frames, bit for bit.
 
 use std::path::PathBuf;
 
@@ -64,24 +65,51 @@ fn run_all_engines(db: &Tsdb, baseline: &Table, label: &str) {
     assert_eq!(naive.rows(), baseline.rows(), "{label}/reference rows vs resident baseline");
 }
 
-/// The long-layout family statement at partitions 1 and 3: the scan pivot
-/// on the binding, the table pivot on the plain-table backend.
-fn family_frames(db: &Tsdb) -> Vec<Vec<FamilyFrame>> {
+/// The two fused family statements, each with the plan line the binding
+/// gives it: a long one over the bare scan, and the benchmark's wide one
+/// over the scan aggregate.
+const FAMILY_STATEMENTS: [(&str, &str); 2] = [
+    (
+        "CREATE FAMILY f WITH (layout = 'long') AS \
+         SELECT timestamp, metric_name, tag, value FROM tsdb WHERE timestamp >= 600",
+        "ScanPivot",
+    ),
+    (
+        "CREATE FAMILY by_name WITH (family = 'metric_name') AS SELECT timestamp, metric_name, \
+         AVG(value) AS mean_v, MAX(value) AS max_v, STDDEV(value) AS sd_v FROM tsdb \
+         GROUP BY timestamp, metric_name",
+        "ScanAggregatePivot",
+    ),
+];
+
+/// One run's frames: each frame's name, timestamps and cell bits.
+type Frames = Vec<(String, Vec<i64>, Vec<Vec<u64>>)>;
+
+/// Each family statement at partitions 1 and 3 on the binding (its fused
+/// operator) and on the plain-table backend (the table pivot), every frame
+/// as its name, timestamps and cell bits.
+fn family_frames(db: &Tsdb) -> Vec<Frames> {
     let mut bound = Catalog::new();
     bound.register_tsdb("tsdb", db);
     let mut plain = Catalog::new();
     plain.register("tsdb", bound.get("tsdb").expect("bound above").as_ref().clone());
-    let Ok(Statement::CreateFamily(cf)) = parse_statement(
-        "CREATE FAMILY f WITH (layout = 'long') AS \
-         SELECT timestamp, metric_name, tag, value FROM tsdb WHERE timestamp >= 600",
-    ) else {
-        panic!("parses")
+    let bits = |frames: Vec<FamilyFrame>| -> Frames {
+        let cells = |c: Vec<f64>| c.into_iter().map(f64::to_bits).collect();
+        let frame =
+            |f: FamilyFrame| (f.name, f.timestamps, f.columns.into_iter().map(cells).collect());
+        frames.into_iter().map(frame).collect()
     };
-    let plan = bound.explain_family(&cf).expect("plans");
-    assert!(plan.rows()[0][0].render().starts_with("ScanPivot"), "{:?}", plan.rows());
-    let run =
-        |c: &Catalog, p| c.execute_family(&cf, ExecOptions::with_partitions(p)).expect("runs");
-    vec![run(&bound, 1), run(&bound, 3), run(&plain, 1)]
+    let mut out = Vec::new();
+    for (sql, fused) in FAMILY_STATEMENTS {
+        let Ok(Statement::CreateFamily(cf)) = parse_statement(sql) else { panic!("parses") };
+        let plan = bound.explain_family(&cf).expect("plans");
+        let line = plan.rows()[0][0].render();
+        assert!(line.starts_with(&format!("{fused} tsdb")), "{:?}", plan.rows());
+        let run =
+            |c: &Catalog, p| c.execute_family(&cf, ExecOptions::with_partitions(p)).expect("runs");
+        out.extend([run(&bound, 1), run(&bound, 3), run(&plain, 1)].map(bits));
+    }
+    out
 }
 
 #[test]
@@ -102,8 +130,12 @@ fn family_query_bit_identical_under_every_page_budget() {
     assert!(!baseline.rows().is_empty(), "family query returns rows");
     run_all_engines(&resident, &baseline, "unbounded");
     let frames = family_frames(&resident);
-    assert_eq!((frames[0].len(), frames[0][0].width(), frames[0][0].len()), (1, 3, 110));
-    assert!(frames.iter().all(|f| f == &frames[0]), "scan pivot = table pivot, resident");
+    let shape = |run: &Frames| (run.len(), run[0].2.len(), run[0].1.len());
+    assert_eq!(shape(&frames[0]), (1, 3, 110), "the long statement");
+    assert_eq!(shape(&frames[3]), (1, 3, 120), "the wide statement");
+    for (runs, what) in frames.chunks(3).zip(["scan pivot", "scan aggregate pivot"]) {
+        assert!(runs.iter().all(|f| f == &runs[0]), "{what} = table pivot, resident");
+    }
     drop(resident);
 
     for (label, budget) in [("budget-zero", 0), ("budget-one-chunk", one_chunk)] {
@@ -113,7 +145,7 @@ fn family_query_bit_identical_under_every_page_budget() {
         let before = db.storage_stats().expect("stats");
         assert_eq!(before.resident_chunk_bytes, 0, "{label}: cold open keeps nothing resident");
         run_all_engines(&db, &baseline, label);
-        assert!(family_frames(&db).iter().all(|f| f == &frames[0]), "{label}: family frames");
+        assert_eq!(family_frames(&db), frames, "{label}: family frames");
         let after = db.storage_stats().expect("stats");
         assert!(after.page_faults > 0, "{label}: the query faulted chunks in");
         assert!(after.evictions > 0, "{label}: budget pressure forced evictions");

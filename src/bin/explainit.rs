@@ -140,7 +140,12 @@ fn print_usage() {
          \x20 expressions over metric_name / tag, nothing but pushed name/tag/time\n\
          \x20 predicates in WHERE — is the single line `ScanPivot tsdb [name=..] [tag[k]=..]\n\
          \x20 [time=[lo, hi]] layout=long ..`: series go to family matrices with no row\n\
-         \x20 in between, the fast path for the paper's stage two.\n\n\
+         \x20 in between, the fast path for the paper's stage two. A wide pivot over a\n\
+         \x20 GROUP BY timestamp[, family key] whose other outputs are bare aggregate\n\
+         \x20 calls (Appendix C's AVG / MAX / STDDEV per metric) is the single line\n\
+         \x20 `ScanAggregatePivot tsdb .. layout=wide ts=timestamp family=.. group=[..]\n\
+         \x20 items=[..]`: each family's frame is built from the aggregate's columns,\n\
+         \x20 with no row table in between.\n\n\
          FAULT KINDS: packet_drop, hypervisor, namenode, raid, disk, multi, none\n\
          SCORERS: auto, corrmean, corrmax, l2, l2p50, l2p500, lasso"
     );
