@@ -221,7 +221,7 @@ impl Engine {
             }
         };
         let workers = match self.config.workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            0 => pool::workers(),
             w => w,
         };
         let outcomes = pool::run_indexed(set.xs.len(), workers, |i| {

@@ -46,6 +46,10 @@
 //!    columns — so neither the row-at-a-time fallback nor group context can
 //!    creep back. A `lint: allow row shim` marker on the line is the escape
 //!    hatch.
+//! 6. **One worker count** — `available_parallelism` is named only in
+//!    `crates/sync/src/pool.rs`, whose `pool::workers()` asks once and
+//!    falls back to 1; every other default worker count comes from there,
+//!    so no two layers can disagree on what "all cores" means.
 //!
 //! The binary prints one `file:line: message` per finding and exits
 //! non-zero when any rule fires. It also prints, gating nothing, the two
@@ -69,6 +73,7 @@ fn main() -> ExitCode {
     lint_forbid_unsafe(&root, &mut findings);
     lint_raw_locks(&root, &mut findings);
     lint_row_shim(&root, &mut findings);
+    lint_worker_count(&root, &mut findings);
 
     let (total, query) = line_counts(&root);
     println!(
@@ -303,6 +308,30 @@ fn lint_row_shim(root: &Path, findings: &mut Vec<String>) {
     }
 }
 
+/// Rule 6: the machine's parallelism is read in the pool alone. Whole
+/// files under `crates/`, `src/`, `tests/` and `examples/` (test modules
+/// included), comments and strings aside.
+fn lint_worker_count(root: &Path, findings: &mut Vec<String>) {
+    let pool = root.join("crates/sync/src/pool.rs");
+    let trees = ["crates", "src", "tests", "examples"].map(|d| root.join(d));
+    for path in trees.iter().flat_map(|d| rust_files_under(d)) {
+        if path == pool {
+            continue;
+        }
+        let source = read(&path);
+        let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+        for (i, code) in strip_comments_and_strings(&source).iter().enumerate() {
+            if has_word(code, "available_parallelism") {
+                findings.push(format!(
+                    "{rel}:{}: `available_parallelism` outside the pool \
+                     (use `explainit_sync::pool::workers()`)",
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
 /// The line counts the ROADMAP tracks: every line of Rust under `crates/`,
 /// `src/` and `tests/`, and the library region of every file under
 /// `crates/query/src`.
@@ -460,6 +489,7 @@ mod tests {
         lint_forbid_unsafe(&root, &mut findings);
         lint_raw_locks(&root, &mut findings);
         lint_row_shim(&root, &mut findings);
+        lint_worker_count(&root, &mut findings);
         assert!(findings.is_empty(), "lint findings:\n{}", findings.join("\n"));
         // Clean because it was looked at: every tree rule 2 names — the
         // numerical crates since PR 21; `src/`, workloads and sync since

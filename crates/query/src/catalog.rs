@@ -289,19 +289,22 @@ impl Catalog {
     }
 
     /// Executes a `CREATE FAMILY` statement — stage one and the pivot, one
-    /// plan — to its family frames in registration order. A long pivot
-    /// straight over a TSDB scan runs on the scan-pivot operator (series
-    /// to matrices, no rows); every other shape executes its stage-one
-    /// query to a [`Table`] and pivots that. The plan's shape alone
-    /// decides; [`Catalog::explain_family`] shows which. Statement-level
-    /// failures (an unknown option or layout, no rows, too few columns)
-    /// are [`crate::QueryError::Statement`]s.
+    /// plan — to its family frames in registration order. Two shapes fuse
+    /// and build frames without a row table: a long pivot straight over a
+    /// TSDB scan (`ScanPivot`: series to matrices) and a wide pivot over a
+    /// scan aggregate grouped by `timestamp` and the family column
+    /// (`ScanAggregatePivot`: groups to frames, class by class). Every
+    /// other shape executes its stage-one query to a [`Table`] and pivots
+    /// that. The plan's shape alone decides; [`Catalog::explain_family`]
+    /// shows which. Statement-level failures (an unknown option or layout,
+    /// no rows, too few columns) are [`crate::QueryError::Statement`]s.
     pub fn execute_family(&self, cf: &CreateFamily, opts: ExecOptions) -> Result<Vec<FamilyFrame>> {
         crate::exec::execute_family(self, cf, opts)
     }
 
     /// `EXPLAIN CREATE FAMILY ...`: the statement's optimized plan as a
-    /// one-column table, the `Pivot` / `ScanPivot` line on top.
+    /// one-column table, the `Pivot`, `ScanPivot` or `ScanAggregatePivot`
+    /// line on top.
     pub fn explain_family(&self, cf: &CreateFamily) -> Result<Table> {
         crate::exec::explain_family(self, cf)
     }

@@ -397,8 +397,7 @@ fn morsel_columns<'t>(
 /// Resolves the morsel count for `len` rows under the options.
 fn effective_partitions(opts: &ExecOptions, len: usize) -> usize {
     let requested = if opts.partitions == 0 {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        cores.min(len.div_ceil(MIN_PARTITION_ROWS).max(1))
+        pool::workers().min(len.div_ceil(MIN_PARTITION_ROWS).max(1))
     } else {
         opts.partitions
     };
@@ -473,8 +472,7 @@ fn run_partitioned<T: Send>(
     morsels: usize,
     f: impl Fn(usize) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    pool::run_indexed(morsels, workers, f).into_iter().collect()
+    pool::run_indexed(morsels, pool::workers(), f).into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 //! whose big levels run on scoped threads), and the rows are gathered in
 //! morsels on the shared pool.
 
+use explainit_sync::pool;
 use explainit_tsdb::SeriesSlice;
 
 use super::{effective_partitions, morsel_ranges, run_partitioned, scan_hits, shared_grid};
@@ -64,7 +65,7 @@ pub(super) fn run_tsdb_scan(
     // auto mode (`partitions: 1` forces the serial cascade — output is
     // identical either way).
     let workers = match opts.partitions {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        0 => pool::workers(),
         p => p,
     };
     let order = merge_gather_order(&hits, total, workers);

@@ -4,12 +4,15 @@
 //! ([`crate::veval`]) decides which kernel a predicate or operator lowers
 //! to and hands it slices.
 //!
-//! A *minicolumn* is a typed slice (`&[i64]` / `&[f64]`) plus an optional
-//! **validity bitmap** (one bit per row, set = non-NULL). A *selection
-//! vector* is a `Vec<u32>` of surviving row ids in ascending order. Every
-//! kernel here either **refines** a selection in place (comparison,
-//! BETWEEN, IS NULL — SQL `is_true` semantics: NULL and false drop the
-//! row) or **maps** slices to a new typed vector (arithmetic).
+//! A *minicolumn* is a typed slice (`&[i64]` / `&[f64]`). The kernels
+//! take it dense: the executor's typed columns hold no NULLs. Only a
+//! [`Mini`] extracted from boxed values carries an optional **validity
+//! bitmap** (one bit per row, set = non-NULL), which the table
+//! aggregate's typed pushes read. A *selection vector* is a `Vec<u32>` of
+//! surviving row ids in ascending order. Every kernel here either
+//! **refines** a selection in place (comparison, BETWEEN, IS NULL — SQL
+//! `is_true` semantics: unknown and false drop the row) or **maps** slices
+//! to a new typed vector (arithmetic).
 //!
 //! The refinement loops use the branch-free selection-append idiom
 //! (unconditionally store the row id, advance the cursor by the predicate
@@ -116,51 +119,34 @@ pub fn mini_from_values(vs: &[Value]) -> Option<Mini> {
 // ---------------------------------------------------------------------------
 
 /// Branch-free in-place refinement: keeps `sel[j]` iff `test(row)` (rows
-/// failing the predicate — or invalid rows — drop, which is exactly SQL
-/// `is_true` over the three-valued comparison result).
+/// failing the predicate drop, which is exactly SQL `is_true` over the
+/// three-valued comparison result).
 #[inline]
-fn refine_by(sel: &mut Vec<u32>, validity: Option<&[u64]>, test: impl Fn(usize) -> bool) {
+fn refine_by(sel: &mut Vec<u32>, test: impl Fn(usize) -> bool) {
     let mut n = 0usize;
-    match validity {
-        None => {
-            for j in 0..sel.len() {
-                let i = sel[j];
-                sel[n] = i;
-                n += usize::from(test(i as usize));
-            }
-        }
-        Some(bits) => {
-            for j in 0..sel.len() {
-                let i = sel[j];
-                sel[n] = i;
-                n += usize::from(is_valid(Some(bits), i as usize) && test(i as usize));
-            }
-        }
+    for j in 0..sel.len() {
+        let i = sel[j];
+        sel[n] = i;
+        n += usize::from(test(i as usize));
     }
     sel.truncate(n);
 }
 
 /// `vals[i] <op> k` over `f64`. NaN on either side is SQL-unknown and
 /// drops the row for every operator (including `Ne`).
-pub fn refine_f64_cmp(
-    op: CmpOp,
-    vals: &[f64],
-    validity: Option<&[u64]>,
-    k: f64,
-    sel: &mut Vec<u32>,
-) {
+pub fn refine_f64_cmp(op: CmpOp, vals: &[f64], k: f64, sel: &mut Vec<u32>) {
     if k.is_nan() {
         sel.clear();
         return;
     }
     match op {
-        CmpOp::Eq => refine_by(sel, validity, |i| vals[i] == k),
+        CmpOp::Eq => refine_by(sel, |i| vals[i] == k),
         // `x != x` is the NaN test: unknown, not true.
-        CmpOp::Ne => refine_by(sel, validity, |i| vals[i] != k && !vals[i].is_nan()),
-        CmpOp::Lt => refine_by(sel, validity, |i| vals[i] < k),
-        CmpOp::Le => refine_by(sel, validity, |i| vals[i] <= k),
-        CmpOp::Gt => refine_by(sel, validity, |i| vals[i] > k),
-        CmpOp::Ge => refine_by(sel, validity, |i| vals[i] >= k),
+        CmpOp::Ne => refine_by(sel, |i| vals[i] != k && !vals[i].is_nan()),
+        CmpOp::Lt => refine_by(sel, |i| vals[i] < k),
+        CmpOp::Le => refine_by(sel, |i| vals[i] <= k),
+        CmpOp::Gt => refine_by(sel, |i| vals[i] > k),
+        CmpOp::Ge => refine_by(sel, |i| vals[i] >= k),
     }
 }
 
@@ -267,20 +253,16 @@ pub fn compile_i64_cmp(op: CmpOp, k: f64) -> I64Test {
 }
 
 /// Refines a selection by a compiled `i64` test.
-pub fn refine_i64_test(test: I64Test, vals: &[i64], validity: Option<&[u64]>, sel: &mut Vec<u32>) {
+pub fn refine_i64_test(test: I64Test, vals: &[i64], sel: &mut Vec<u32>) {
     match test {
         I64Test::Never => sel.clear(),
-        I64Test::Always => {
-            if let Some(bits) = validity {
-                refine_by(sel, Some(bits), |_| true);
-            }
-        }
-        I64Test::Lt(t) => refine_by(sel, validity, |i| vals[i] < t),
-        I64Test::Le(t) => refine_by(sel, validity, |i| vals[i] <= t),
-        I64Test::Gt(t) => refine_by(sel, validity, |i| vals[i] > t),
-        I64Test::Ge(t) => refine_by(sel, validity, |i| vals[i] >= t),
-        I64Test::Eq(t) => refine_by(sel, validity, |i| vals[i] == t),
-        I64Test::Ne(t) => refine_by(sel, validity, |i| vals[i] != t),
+        I64Test::Always => {}
+        I64Test::Lt(t) => refine_by(sel, |i| vals[i] < t),
+        I64Test::Le(t) => refine_by(sel, |i| vals[i] <= t),
+        I64Test::Gt(t) => refine_by(sel, |i| vals[i] > t),
+        I64Test::Ge(t) => refine_by(sel, |i| vals[i] >= t),
+        I64Test::Eq(t) => refine_by(sel, |i| vals[i] == t),
+        I64Test::Ne(t) => refine_by(sel, |i| vals[i] != t),
     }
 }
 
@@ -292,14 +274,7 @@ pub fn refine_i64_test(test: I64Test, vals: &[i64], validity: Option<&[u64]>, se
 /// mixed-type bounds: each bound is compiled with [`compile_i64_cmp`] /
 /// [`compile_i64_cmp_int`] so Float bounds never round the column. A NaN
 /// bound makes the whole predicate unknown (row drops, negated or not).
-pub fn refine_i64_between(
-    vals: &[i64],
-    validity: Option<&[u64]>,
-    lo: &Value,
-    hi: &Value,
-    negated: bool,
-    sel: &mut Vec<u32>,
-) {
+pub fn refine_i64_between(vals: &[i64], lo: &Value, hi: &Value, negated: bool, sel: &mut Vec<u32>) {
     let compile = |op: CmpOp, bound: &Value| match bound {
         Value::Int(b) => Some(compile_i64_cmp_int(op, *b)),
         Value::Float(b) if !b.is_nan() => Some(compile_i64_cmp(op, *b)),
@@ -309,47 +284,26 @@ pub fn refine_i64_between(
         sel.clear(); // NaN bound: comparison unknown for every row
         return;
     };
-    refine_by(sel, validity, |i| (ge_lo.matches(vals[i]) && le_hi.matches(vals[i])) != negated);
+    refine_by(sel, |i| (ge_lo.matches(vals[i]) && le_hi.matches(vals[i])) != negated);
 }
 
 /// `vals[i] BETWEEN lo AND hi` (optionally negated) over `f64`. A NaN
 /// element or bound is unknown and drops the row either way.
-pub fn refine_f64_between(
-    vals: &[f64],
-    validity: Option<&[u64]>,
-    lo: f64,
-    hi: f64,
-    negated: bool,
-    sel: &mut Vec<u32>,
-) {
+pub fn refine_f64_between(vals: &[f64], lo: f64, hi: f64, negated: bool, sel: &mut Vec<u32>) {
     if lo.is_nan() || hi.is_nan() {
         sel.clear();
         return;
     }
-    refine_by(sel, validity, |i| {
+    refine_by(sel, |i| {
         let x = vals[i];
         !x.is_nan() && ((x >= lo && x <= hi) != negated)
     });
 }
 
-/// `IS [NOT] NULL` over a minicolumn: validity *is* the answer.
-pub fn refine_is_null(validity: Option<&[u64]>, negated: bool, sel: &mut Vec<u32>) {
-    match validity {
-        // Typed columns without a bitmap never contain NULLs.
-        None => {
-            if !negated {
-                sel.clear();
-            }
-        }
-        Some(bits) => {
-            let mut n = 0usize;
-            for j in 0..sel.len() {
-                let i = sel[j];
-                sel[n] = i;
-                n += usize::from(is_valid(Some(bits), i as usize) == negated);
-            }
-            sel.truncate(n);
-        }
+/// `IS [NOT] NULL` over a dense typed column, which holds no NULLs.
+pub fn refine_is_null(negated: bool, sel: &mut Vec<u32>) {
+    if !negated {
+        sel.clear();
     }
 }
 
@@ -556,7 +510,7 @@ mod tests {
                         },
                     };
                     let mut s = vec![0u32];
-                    refine_i64_test(test, &[x], None, &mut s);
+                    refine_i64_test(test, &[x], &mut s);
                     assert_eq!(!s.is_empty(), want, "x={x} {op:?} k={k} compiled={test:?}");
                 }
             }
@@ -568,28 +522,23 @@ mod tests {
         let vals = [1.0, f64::NAN, 3.0];
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             let mut s = sel(3);
-            refine_f64_cmp(op, &vals, None, 2.0, &mut s);
+            refine_f64_cmp(op, &vals, 2.0, &mut s);
             assert!(!s.contains(&1), "NaN row survived {op:?}");
         }
         // NaN constant: unknown for every row.
         let mut s = sel(3);
-        refine_f64_cmp(CmpOp::Ne, &vals, None, f64::NAN, &mut s);
+        refine_f64_cmp(CmpOp::Ne, &vals, f64::NAN, &mut s);
         assert!(s.is_empty());
     }
 
     #[test]
-    fn validity_drops_null_rows() {
-        let vals = [5i64, 6, 7, 8];
-        let bits = vec![0b1010u64]; // rows 1 and 3 valid
+    fn dense_columns_hold_no_nulls() {
         let mut s = sel(4);
-        refine_i64_test(I64Test::Ge(0), &vals, Some(&bits), &mut s);
-        assert_eq!(s, vec![1, 3]);
+        refine_is_null(false, &mut s);
+        assert!(s.is_empty());
         let mut s = sel(4);
-        refine_is_null(Some(&bits), false, &mut s);
-        assert_eq!(s, vec![0, 2]);
-        let mut s = sel(4);
-        refine_is_null(Some(&bits), true, &mut s);
-        assert_eq!(s, vec![1, 3]);
+        refine_is_null(true, &mut s);
+        assert_eq!(s, sel(4));
     }
 
     #[test]
@@ -600,7 +549,6 @@ mod tests {
         let mut s = sel(3);
         refine_i64_between(
             &vals,
-            None,
             &Value::Int(1 << 53),
             &Value::Float(((1i64 << 53) + 2) as f64),
             false,
@@ -610,7 +558,6 @@ mod tests {
         let mut s = sel(3);
         refine_i64_between(
             &vals,
-            None,
             &Value::Int((1 << 53) + 1),
             &Value::Int((1 << 53) + 1),
             false,
@@ -619,7 +566,7 @@ mod tests {
         assert_eq!(s, vec![1]);
         // NaN bound: unknown, drops everything even when negated.
         let mut s = sel(3);
-        refine_i64_between(&vals, None, &Value::Float(f64::NAN), &Value::Int(9), true, &mut s);
+        refine_i64_between(&vals, &Value::Float(f64::NAN), &Value::Int(9), true, &mut s);
         assert!(s.is_empty());
     }
 

@@ -817,8 +817,8 @@ pub(crate) fn refine(
             let col = cols[schema.resolve(col)?];
             match cmp_plan(col, op, lit) {
                 Cmp::Unknown => sel.clear(),
-                Cmp::Int(vs, test) => kernel::refine_i64_test(test, vs, None, sel),
-                Cmp::Float(vs, k) => kernel::refine_f64_cmp(cmp_op_of(op), vs, None, k, sel),
+                Cmp::Int(vs, test) => kernel::refine_i64_test(test, vs, sel),
+                Cmp::Float(vs, k) => kernel::refine_f64_cmp(cmp_op_of(op), vs, k, sel),
                 Cmp::FloatBigInt(vs, ki) => sel
                     .retain(|&i| holds(op, cmp_i64_f64(ki, vs[i as usize]).map(Ordering::reverse))),
                 Cmp::Str(vs, k) => sel.retain(|&i| cmp_matches(op, vs[i as usize].as_str().cmp(k))),
@@ -842,10 +842,10 @@ pub(crate) fn refine(
                 Value::Int(_) | Value::Float(_),
                 Value::Int(_) | Value::Float(_),
             ) => {
-                kernel::refine_i64_between(vs, None, lo, hi, negated, sel);
+                kernel::refine_i64_between(vs, lo, hi, negated, sel);
             }
             (ColView::Float(vs), Value::Float(lo), Value::Float(hi)) => {
-                kernel::refine_f64_between(vs, None, *lo, *hi, negated, sel);
+                kernel::refine_f64_between(vs, *lo, *hi, negated, sel);
             }
             // Exact generic BETWEEN (unknown drops, negated or not).
             (col, _, _) => sel.retain(|&i| {
@@ -866,8 +866,7 @@ pub(crate) fn refine(
                 let per: Vec<bool> = values.iter().map(|x| x.is_null() != negated).collect();
                 sel.retain(|&i| per[codes[i as usize] as usize]);
             }
-            // The dense typed columns never contain NULLs.
-            _ => kernel::refine_is_null(None, negated, sel),
+            _ => kernel::refine_is_null(negated, sel),
         },
         // The evaluator's three-valued IN: a hit keeps (unless negated); a
         // NULL anywhere makes a miss unknown, and unknown drops either way.

@@ -10,7 +10,7 @@
 use explainit_query::kernel::{
     compile_i64_cmp, compile_i64_cmp_int, f64_arith_cols, f64_arith_const, i64_arith_cols,
     i64_arith_const, mini_from_values, refine_f64_between, refine_f64_cmp, refine_i64_between,
-    refine_i64_test, refine_is_null, ArithOp, CmpOp, IntArith, Mini,
+    refine_i64_test, ArithOp, CmpOp, IntArith, Mini,
 };
 use explainit_query::{AggAcc, Value};
 use proptest::prelude::*;
@@ -76,44 +76,27 @@ fn i64_case(code: usize, mag: i64) -> i64 {
     }
 }
 
-/// Builds the kernel inputs from a generated row list: raw slice, validity
-/// bitmap (None when null-free), boxed `Value`s, and a selection subset.
-fn build_f64(
-    rows: &[(usize, f64, bool)],
-    sel_bits: &[bool],
-) -> (Vec<f64>, Option<Vec<u64>>, Vec<Value>, Vec<u32>) {
-    let floats: Vec<f64> = rows.iter().map(|&(c, m, _)| f64_case(c, m)).collect();
-    let boxed: Vec<Value> = rows
-        .iter()
-        .zip(&floats)
-        .map(|(&(_, _, null), &f)| if null { Value::Null } else { Value::Float(f) })
-        .collect();
-    let any_null = rows.iter().any(|&(_, _, null)| null);
-    let validity = any_null.then(|| {
-        let mut bits = vec![0u64; rows.len().div_ceil(64)];
-        for (i, &(_, _, null)) in rows.iter().enumerate() {
-            if !null {
-                bits[i >> 6] |= 1 << (i & 63);
-            }
-        }
-        bits
-    });
+/// Builds the kernel inputs from a generated row list: the dense slice,
+/// the same values boxed, and a selection subset.
+fn build_f64(rows: &[(usize, f64)], sel_bits: &[bool]) -> (Vec<f64>, Vec<Value>, Vec<u32>) {
+    let floats: Vec<f64> = rows.iter().map(|&(c, m)| f64_case(c, m)).collect();
+    let boxed: Vec<Value> = floats.iter().map(|&f| Value::Float(f)).collect();
     let sel: Vec<u32> = (0..rows.len())
         .filter(|&i| sel_bits.get(i).copied().unwrap_or(true))
         .map(|i| i as u32)
         .collect();
-    (floats, validity, boxed, sel)
+    (floats, boxed, sel)
 }
 
 proptest! {
     // The default config: 96 cases, or `PROPTEST_CASES`.
 
     /// `refine_f64_cmp` == filtering the selection by scalar `sql_cmp`
-    /// over boxed values, across NaN/±inf/-0.0 data, NULL runs, NaN and
-    /// infinite constants, and arbitrary (including empty) selections.
+    /// over boxed values, across NaN/±inf/-0.0 data, NaN and infinite
+    /// constants, and arbitrary (including empty) selections.
     #[test]
     fn f64_cmp_kernel_matches_scalar_reference(
-        rows in proptest::collection::vec((0usize..8, -1e3f64..1e3, any::<bool>()), 0..80),
+        rows in proptest::collection::vec((0usize..8, -1e3f64..1e3), 0..80),
         sel_bits in proptest::collection::vec(any::<bool>(), 0..80),
         k_code in 0usize..8,
         k_mag in -1e3f64..1e3,
@@ -121,14 +104,14 @@ proptest! {
     ) {
         let op = CMP_OPS[op_idx];
         let k = f64_case(k_code, k_mag);
-        let (floats, validity, boxed, sel) = build_f64(&rows, &sel_bits);
+        let (floats, boxed, sel) = build_f64(&rows, &sel_bits);
         let expected: Vec<u32> = sel
             .iter()
             .copied()
             .filter(|&i| cmp_keeps(op, boxed[i as usize].sql_cmp(&Value::Float(k))))
             .collect();
         let mut got = sel;
-        refine_f64_cmp(op, &floats, validity.as_deref(), k, &mut got);
+        refine_f64_cmp(op, &floats, k, &mut got);
         prop_assert_eq!(got, expected, "op {:?} k {}", op, k);
     }
 
@@ -161,7 +144,7 @@ proptest! {
             .filter(|&i| cmp_keeps(op, Value::Int(ints[i as usize]).sql_cmp(&Value::Float(k))))
             .collect();
         let mut got = sel;
-        refine_i64_test(compile_i64_cmp(op, k), &ints, None, &mut got);
+        refine_i64_test(compile_i64_cmp(op, k), &ints, &mut got);
         prop_assert_eq!(got, expected, "op {:?} k {}", op, k);
     }
 
@@ -183,7 +166,7 @@ proptest! {
             .filter(|&i| cmp_keeps(op, Value::Int(ints[i as usize]).sql_cmp(&Value::Int(k))))
             .collect();
         let mut got = sel;
-        refine_i64_test(compile_i64_cmp_int(op, k), &ints, None, &mut got);
+        refine_i64_test(compile_i64_cmp_int(op, k), &ints, &mut got);
         prop_assert_eq!(got, expected, "op {:?} k {}", op, k);
     }
 
@@ -193,7 +176,7 @@ proptest! {
     #[test]
     fn between_kernels_match_scalar_reference(
         int_rows in proptest::collection::vec((0usize..8, -1_000_000i64..1_000_000), 0..60),
-        f_rows in proptest::collection::vec((0usize..8, -1e3f64..1e3, any::<bool>()), 0..60),
+        f_rows in proptest::collection::vec((0usize..8, -1e3f64..1e3), 0..60),
         lo_is_int in any::<bool>(),
         hi_is_int in any::<bool>(),
         lo_code in 0usize..8,
@@ -226,40 +209,20 @@ proptest! {
             .filter(|&i| scalar(&Value::Int(ints[i as usize]), &lo, &hi))
             .collect();
         let mut got: Vec<u32> = (0..ints.len() as u32).collect();
-        refine_i64_between(&ints, None, &lo, &hi, negated, &mut got);
+        refine_i64_between(&ints, &lo, &hi, negated, &mut got);
         prop_assert_eq!(got, expected, "int between {:?}..{:?} not={}", lo, hi, negated);
 
-        // Float column, Float bounds (the kernel-eligible shape), with
-        // NULL runs carried in the validity bitmap.
+        // Float column, Float bounds (the kernel-eligible shape).
         let (lo_f, hi_f) = (f64_case(lo_code, lo_mag), f64_case(hi_code, hi_mag));
-        let (floats, validity, boxed, sel) =
-            build_f64(&f_rows, &[]);
+        let (floats, boxed, sel) = build_f64(&f_rows, &[]);
         let expected: Vec<u32> = sel
             .iter()
             .copied()
             .filter(|&i| scalar(&boxed[i as usize], &Value::Float(lo_f), &Value::Float(hi_f)))
             .collect();
         let mut got = sel;
-        refine_f64_between(&floats, validity.as_deref(), lo_f, hi_f, negated, &mut got);
+        refine_f64_between(&floats, lo_f, hi_f, negated, &mut got);
         prop_assert_eq!(got, expected, "float between {}..{} not={}", lo_f, hi_f, negated);
-    }
-
-    /// IS [NOT] NULL over a validity bitmap == the boxed `is_null` test.
-    #[test]
-    fn is_null_kernel_matches_scalar_reference(
-        rows in proptest::collection::vec((0usize..8, -1e3f64..1e3, any::<bool>()), 0..80),
-        sel_bits in proptest::collection::vec(any::<bool>(), 0..80),
-        negated in any::<bool>(),
-    ) {
-        let (_, validity, boxed, sel) = build_f64(&rows, &sel_bits);
-        let expected: Vec<u32> = sel
-            .iter()
-            .copied()
-            .filter(|&i| boxed[i as usize].is_null() != negated)
-            .collect();
-        let mut got = sel;
-        refine_is_null(validity.as_deref(), negated, &mut got);
-        prop_assert_eq!(got, expected, "negated={}", negated);
     }
 
     /// Int arithmetic kernels == the exact scalar rule: compute in i128,

@@ -2,12 +2,21 @@
 //! the engine's hypotheses both run through [`run_indexed`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::{LockClass, Mutex};
 
 /// Per-call result collection: a leaf push after each job completes, so
 /// nothing ever nests inside it.
 static POOL_RESULTS: LockClass = LockClass::new("sync.pool.results", 90);
+
+/// The machine's available parallelism, asked once per process; 1 when it
+/// cannot be determined. Every worker count that is not set explicitly
+/// starts here.
+pub fn workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Runs `f(i)` for every `i` in `0..jobs` on at most `workers` scoped
 /// threads that share one atomic cursor, and returns the results in index

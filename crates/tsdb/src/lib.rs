@@ -29,12 +29,16 @@
 //! immutable compressed segment files) and recovers whatever is there —
 //! including after a crash: torn WAL tails truncate to the last committed
 //! record, in-flight segment writes are discarded, and half-finished
-//! compactions roll forward. That directory is the store's only on-disk
+//! compactions roll forward. A checksummed WAL record that does not
+//! decode is no crash but foreign bytes: the open fails with
+//! [`StorageError::Corrupt`] and the log is left as it was. That directory is the store's only on-disk
 //! form: whatever reads a store back from disk goes through `Tsdb::open*`.
 //!
-//! * **Ingest** (`insert`, `try_insert_batch`, `insert_series`) appends
-//!   WAL records and updates the in-memory index. Records are buffered;
-//!   they survive a crash only after the next `sync()` or `flush()`.
+//! * **Ingest** (`insert`, `try_insert`, `try_insert_batch`) appends one
+//!   WAL batch record per call and updates the in-memory index through
+//!   the [`Series::push`] insert contract — an in-memory store is filled
+//!   the same way, minus the log. Records are buffered; they survive a
+//!   crash only after the next `sync()` or `flush()`.
 //! * **[`Tsdb::flush`]** is the durability point: it fsyncs the WAL,
 //!   seals in-memory heads into delta-of-delta + XOR compressed chunks
 //!   inside a new segment file, truncates the WAL, and auto-compacts when

@@ -124,9 +124,10 @@ impl fmt::Display for SeriesKey {
 ///
 /// # Insert contract (out-of-order and duplicate timestamps)
 ///
-/// [`Series::push`] pins the store's ingest semantics, and the WAL replay
-/// path in `Tsdb::open` routes through this exact method, so a recovered
-/// store is point-for-point identical to the store that wrote the log:
+/// [`Series::push`] pins the store's ingest semantics. A batch
+/// (`Tsdb::try_insert_batch`, and each WAL record replayed by `Tsdb::open`)
+/// is pushed point by point in arrival order, so a recovered store is
+/// point-for-point identical to the store that wrote the log:
 ///
 /// * **In-order** arrivals (`ts` greater than every stored timestamp)
 ///   append in O(1).
@@ -169,19 +170,6 @@ impl Series {
     /// Creates an empty series.
     pub fn new(key: SeriesKey) -> Self {
         Series { key, sealed: Vec::new(), timestamps: Vec::new(), values: Vec::new() }
-    }
-
-    /// Creates a series from parallel timestamp/value vectors.
-    ///
-    /// # Panics
-    /// Panics if lengths differ or timestamps are not strictly increasing.
-    pub fn from_points(key: SeriesKey, timestamps: Vec<i64>, values: Vec<f64>) -> Self {
-        assert_eq!(timestamps.len(), values.len(), "timestamp/value length mismatch");
-        assert!(
-            timestamps.windows(2).all(|w| w[0] < w[1]),
-            "timestamps must be strictly increasing"
-        );
-        Series { key, sealed: Vec::new(), timestamps, values }
     }
 
     /// Rebuilds a series from recovered segment chunks (ascending,
@@ -236,6 +224,24 @@ impl Series {
             },
         }
         Ok(())
+    }
+
+    /// [`Series::push`] of each point in arrival order, with the room the
+    /// batch needs reserved once, so a fresh head filled in order ends at
+    /// exactly its length. A batch strictly increasing past every stored
+    /// timestamp is appended in one pass, which is what those pushes do.
+    pub(crate) fn push_batch(&mut self, points: &[(i64, f64)]) -> Result<(), StorageError> {
+        self.timestamps.reserve(points.len());
+        self.values.reserve(points.len());
+        let last = self.timestamps.last().or(self.sealed.last().map(|c| &c.meta.max_ts));
+        let appends = points.first().is_some_and(|&(first, _)| last.is_none_or(|&l| l < first))
+            && points.windows(2).all(|w| w[0].0 < w[1].0);
+        if appends {
+            self.timestamps.extend(points.iter().map(|&(ts, _)| ts));
+            self.values.extend(points.iter().map(|&(_, value)| value));
+            return Ok(());
+        }
+        points.iter().try_for_each(|&(ts, value)| self.push(ts, value))
     }
 
     /// Makes `ts` writable: when it lands at or before the last sealed
@@ -410,6 +416,25 @@ mod tests {
     }
 
     #[test]
+    fn push_batch_is_a_push_per_point() {
+        let batches: [&[(i64, f64)]; 6] = [
+            &[(10, 1.0), (20, 2.0)],
+            &[(30, 3.0), (40, 4.0)],
+            &[(40, 9.0), (50, 5.0)],
+            &[(70, 7.0), (60, 6.0)],
+            &[(80, 8.0), (80, 8.5)],
+            &[],
+        ];
+        let (mut batched, mut pushed) =
+            (Series::new(SeriesKey::new("m")), Series::new(SeriesKey::new("m")));
+        for batch in batches {
+            batched.push_batch(batch).expect("push_batch");
+            batch.iter().for_each(|&(ts, value)| pushed.push(ts, value).expect("push"));
+            assert_eq!(batched, pushed);
+        }
+    }
+
+    #[test]
     fn time_span_saturates_at_i64_max() {
         let mut s = Series::new(SeriesKey::new("m"));
         s.push(0, 1.0).expect("push");
@@ -418,14 +443,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn from_points_rejects_unsorted() {
-        Series::from_points(SeriesKey::new("m"), vec![10, 5], vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn time_span() {
-        let s = Series::from_points(SeriesKey::new("m"), vec![5, 9], vec![0.0, 0.0]);
+        let mut s = Series::new(SeriesKey::new("m"));
+        s.push_batch(&[(5, 0.0), (9, 0.0)]).expect("push_batch");
         assert_eq!(s.time_span(), Some(TimeRange::new(5, 10)));
         assert_eq!(Series::new(SeriesKey::new("e")).time_span(), None);
     }

@@ -125,11 +125,6 @@ impl SharedTsdb {
         self.ingest(|db| db.insert(key, ts, value));
     }
 
-    /// Replaces the whole store contents, advancing the generation.
-    pub fn replace(&self, db: Tsdb) {
-        self.ingest(|slot| *slot = db);
-    }
-
     /// A point-in-time copy of the store with the generation it was taken
     /// at. The clone happens under the shared lock, so the pair is
     /// consistent: re-checking [`SharedTsdb::generation`] against the
@@ -176,17 +171,5 @@ mod tests {
         shared.insert(&SeriesKey::new("m"), 60, 2.0);
         assert_eq!(snap.point_count(), 1); // unaffected by the later write
         assert!(shared.generation() > gen_then);
-    }
-
-    #[test]
-    fn replace_swaps_contents() {
-        let shared = SharedTsdb::default();
-        shared.insert(&SeriesKey::new("old"), 0, 1.0);
-        let mut next = Tsdb::new();
-        next.insert(&SeriesKey::new("new"), 0, 2.0);
-        let before = shared.generation();
-        shared.replace(next);
-        assert!(shared.generation() > before);
-        assert_eq!(shared.with(|db| db.metric_names().join(",")), "new");
     }
 }

@@ -30,20 +30,6 @@ pub fn merge_segments(
     if storage.segments.len() <= 1 {
         return Ok(());
     }
-    rewrite(storage, series)
-}
-
-/// Rewrites the whole sealed view into one segment superseding *every*
-/// live segment — even a single one. Used after a series replacement: the
-/// in-memory view is authoritative and stale per-series chunks in old
-/// segments must not survive to the next recovery.
-pub fn rewrite(
-    storage: &mut Storage,
-    series: &[(SeriesKey, Vec<EncodedChunk>)],
-) -> Result<(), StorageError> {
-    if storage.segments.is_empty() && series.iter().all(|(_, c)| c.is_empty()) {
-        return Ok(());
-    }
     let old_ids: Vec<u64> = storage.segments.iter().map(|s| s.id).collect();
     let new_id = storage.take_segment_id();
     let handle = write_segment(&storage.dir, new_id, &old_ids, series)?;
@@ -105,7 +91,6 @@ mod tests {
             next_segment_id: r.next_segment_id,
             freelist: r.freelist,
             sticky_error: None,
-            needs_rewrite: false,
             pending: Vec::new(),
             options: StorageOptions::default(),
         }

@@ -4,8 +4,10 @@
 //!
 //! ```text
 //! <dir>/wal                 append-only ingest log (length-prefixed,
-//!                           CRC-checksummed records; truncated tail
-//!                           recovered on open)
+//!                           CRC-checksummed point-batch records, one
+//!                           kind; a torn tail is truncated on open, a
+//!                           checksummed record that does not decode
+//!                           fails the open)
 //! <dir>/seg-NNNNNNNN.seg    immutable time-partitioned segments holding
 //!                           per-series compressed chunks (delta-of-delta
 //!                           timestamps + XOR values); `EXPLSEG2`: a
@@ -191,11 +193,6 @@ pub struct Storage {
     /// infallible `Tsdb::insert` signature cannot return it at the call
     /// site.
     pub sticky_error: Option<StorageError>,
-    /// Set when a series was wholesale-replaced (`Tsdb::insert_series` or
-    /// a WAL `Replace` replay): stale chunks for that key may live in old
-    /// segments, so the next flush must rewrite every segment from the
-    /// in-memory view instead of appending an incremental one.
-    pub needs_rewrite: bool,
     /// Chunks sealed by a flush whose segment write then failed: they are
     /// resident in memory but have no durable home yet, so the next flush
     /// must retry writing them (their WAL records are retained too — the

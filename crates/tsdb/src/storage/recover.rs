@@ -172,14 +172,7 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
             .filter(|(s, _)| !superseded.contains(&s.id))
             .filter_map(|(s, _)| s.max_ts)
             .max();
-        let wal_max = wal_records
-            .iter()
-            .flat_map(|r| match r {
-                WalRecord::Batch { points, .. } | WalRecord::Replace { points, .. } => {
-                    points.iter().map(|&(t, _)| t)
-                }
-            })
-            .max();
+        let wal_max = wal_records.iter().flat_map(|r| r.points.iter().map(|&(t, _)| t)).max();
         let global_max = match (seg_max, wal_max) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),

@@ -10,15 +10,19 @@
 //!            point_count: u32, { ts: i64, value: f64 }*
 //! ```
 //!
-//! `kind` 1 is a point batch replayed through [`crate::Series::push`]
-//! (identical out-of-order / duplicate-timestamp semantics to the live
-//! insert path — the contract `model.rs` pins); `kind` 2 is a whole-series
-//! replacement (the durable form of [`crate::Tsdb::insert_series`]).
+//! `kind` is always 1: a point batch replayed through
+//! [`crate::Series::push`] (identical out-of-order / duplicate-timestamp
+//! semantics to the live insert path — the contract `model.rs` pins).
 //!
 //! Recovery reads records until the file ends or a record fails its
 //! length or checksum — a torn tail from a crash mid-append — and
 //! truncates the file back to the last fully-committed record, so the
-//! store reopens with exactly the committed prefix.
+//! store reopens with exactly the committed prefix. A record whose
+//! checksum holds but whose payload does not decode (another kind, too
+//! few bytes, bytes left over) was written whole by something other than
+//! this writer: replay fails with [`StorageError::Corrupt`] and the file
+//! stays as it is, since truncating there would drop every committed
+//! record after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -32,25 +36,14 @@ use crate::model::SeriesKey;
 const MAX_PAYLOAD: u32 = 1 << 28;
 
 const KIND_BATCH: u8 = 1;
-const KIND_REPLACE: u8 = 2;
 
-/// One committed WAL record.
+/// One committed WAL record: points appended through the insert path.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// Points appended through the normal insert path.
-    Batch {
-        /// Target series.
-        key: SeriesKey,
-        /// Observations in arrival order.
-        points: Vec<(i64, f64)>,
-    },
-    /// A whole-series replacement (points sorted, strictly increasing).
-    Replace {
-        /// Target series.
-        key: SeriesKey,
-        /// The full replacement contents.
-        points: Vec<(i64, f64)>,
-    },
+pub struct WalRecord {
+    /// Target series.
+    pub key: SeriesKey,
+    /// Observations in arrival order.
+    pub points: Vec<(i64, f64)>,
 }
 
 /// The open WAL appender: a buffered writer plus the committed length.
@@ -133,9 +126,11 @@ impl Wal {
 }
 
 /// Reads every fully-committed record from a WAL file, returning them with
-/// the committed byte length. A missing file is an empty log. A torn or
-/// corrupt tail ends the scan at the last good record — the caller
-/// truncates there via [`Wal::open`].
+/// the committed byte length. A missing file is an empty log. A torn tail
+/// (a bad length or checksum) ends the scan at the last good record — the
+/// caller truncates there via [`Wal::open`]. A checksummed record that
+/// does not decode is [`StorageError::Corrupt`], naming the file and the
+/// record's byte offset.
 pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
     let path = Wal::path_in(dir);
     let bytes = match std::fs::read(&path) {
@@ -152,25 +147,24 @@ pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
             break; // torn tail: incomplete record
         }
         let payload = &bytes[at + 8..at + 8 + len];
-        if crc32(payload) != sum {
+        // An empty frame is no record this writer makes but what a tail
+        // zero-filled by a crash looks like (its CRC is 0 too): torn.
+        if len == 0 || crc32(payload) != sum {
             break; // torn tail: half-written payload
         }
-        match decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => break, // checksum passed but structure is short: treat as tail
-        }
+        let record = decode_payload(payload).map_err(|detail| {
+            StorageError::corrupt(format!("{} record at byte {at}", path.display()), detail)
+        })?;
+        records.push(record);
         at += 8 + len;
     }
     Ok((records, at as u64))
 }
 
 fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let (kind, key, points) = match record {
-        WalRecord::Batch { key, points } => (KIND_BATCH, key, points),
-        WalRecord::Replace { key, points } => (KIND_REPLACE, key, points),
-    };
+    let WalRecord { key, points } = record;
     let mut out = Vec::with_capacity(32 + points.len() * 16);
-    out.push(kind);
+    out.push(KIND_BATCH);
     write_str(&mut out, &key.name);
     out.extend_from_slice(&(key.tags.len() as u32).to_le_bytes());
     for (k, v) in &key.tags {
@@ -185,34 +179,40 @@ fn encode_payload(record: &WalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut at = 0usize;
-    let kind = *payload.first()?;
-    at += 1;
-    let name = read_str(payload, &mut at)?;
-    let n_tags = read_u32(payload, &mut at)? as usize;
+/// Decodes one checksummed payload; the error says what did not fit.
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
+    const SHORT: &str = "record payload is short";
+    match payload.first() {
+        Some(&KIND_BATCH) => {}
+        Some(&kind) => return Err(format!("unknown record kind {kind}")),
+        None => return Err(SHORT.into()),
+    }
+    let mut at = 1usize;
+    let name = read_str(payload, &mut at).ok_or(SHORT)?;
+    let n_tags = read_u32(payload, &mut at).ok_or(SHORT)?;
     let mut key = SeriesKey::new(name);
     for _ in 0..n_tags {
-        let k = read_str(payload, &mut at)?;
-        let v = read_str(payload, &mut at)?;
+        let k = read_str(payload, &mut at).ok_or(SHORT)?;
+        let v = read_str(payload, &mut at).ok_or(SHORT)?;
         key.tags.insert(k, v);
     }
-    let n_points = read_u32(payload, &mut at)? as usize;
-    if payload.len().checked_sub(at)? < n_points.checked_mul(16)? {
-        return None;
+    let n_points = read_u32(payload, &mut at).ok_or(SHORT)? as usize;
+    let body = payload.get(at..).ok_or(SHORT)?;
+    match body.len().checked_sub(n_points.saturating_mul(16)) {
+        None => return Err(SHORT.into()),
+        Some(0) => {}
+        Some(extra) => return Err(format!("trailing bytes after the record: {extra}")),
     }
-    let mut points = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        let ts = i64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
-        let v = f64::from_le_bytes(payload.get(at + 8..at + 16)?.try_into().ok()?);
-        points.push((ts, v));
-        at += 16;
-    }
-    match kind {
-        KIND_BATCH => Some(WalRecord::Batch { key, points }),
-        KIND_REPLACE => Some(WalRecord::Replace { key, points }),
-        _ => None,
-    }
+    let points = body
+        .as_chunks::<16>()
+        .0
+        .iter()
+        .map(|p| {
+            let ts = i64::from_le_bytes(std::array::from_fn(|i| p[i]));
+            (ts, f64::from_le_bytes(std::array::from_fn(|i| p[8 + i])))
+        })
+        .collect();
+    Ok(WalRecord { key, points })
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
@@ -247,9 +247,9 @@ mod tests {
     fn sample_records() -> Vec<WalRecord> {
         let key = SeriesKey::new("disk").with_tag("host", "h1");
         vec![
-            WalRecord::Batch { key: key.clone(), points: vec![(0, 1.0), (60, 2.5)] },
-            WalRecord::Batch { key: SeriesKey::new("mem"), points: vec![(120, f64::NAN)] },
-            WalRecord::Replace { key, points: vec![(0, 9.0), (60, 8.0), (180, 7.0)] },
+            WalRecord { key: key.clone(), points: vec![(0, 1.0), (60, 2.5)] },
+            WalRecord { key: SeriesKey::new("mem"), points: vec![(120, f64::NAN)] },
+            WalRecord { key, points: vec![(0, 9.0), (60, 8.0), (180, 7.0)] },
         ]
     }
 
@@ -265,13 +265,10 @@ mod tests {
         assert_eq!(len, wal.len());
         assert_eq!(records.len(), 3);
         // NaN makes PartialEq false on the second record; compare bits.
-        match (&records[1], &sample_records()[1]) {
-            (WalRecord::Batch { points: a, .. }, WalRecord::Batch { points: b, .. }) => {
-                assert_eq!(a[0].0, b[0].0);
-                assert_eq!(a[0].1.to_bits(), b[0].1.to_bits());
-            }
-            _ => panic!("record kind changed"),
-        }
+        let (a, b) = (&records[1], &sample_records()[1]);
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.points[0].0, b.points[0].0);
+        assert_eq!(a.points[0].1.to_bits(), b.points[0].1.to_bits());
         assert_eq!(records[0], sample_records()[0]);
         assert_eq!(records[2], sample_records()[2]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -327,6 +324,41 @@ mod tests {
         let (records, good) = replay(&dir).expect("replay");
         assert_eq!(records.len(), 2);
         assert!(good < first_len || records.len() == 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checksummed_record_that_does_not_decode_is_corrupt() {
+        let dir = tmp_dir("undecodable");
+        let frame =
+            |p: &[u8]| [&(p.len() as u32).to_le_bytes(), &crc32(p).to_le_bytes(), p].concat();
+        let payload = encode_payload(&sample_records()[0]);
+        let good = frame(&payload);
+        let mut replace = payload.clone();
+        replace[0] = 2; // the whole-series replacement kind of older builds
+        let cases = [
+            (replace, "unknown record kind 2"),
+            (payload[..payload.len() - 1].to_vec(), "record payload is short"),
+            ([&payload[..], &[0]].concat(), "trailing bytes after the record: 1"),
+        ];
+        for (bad, detail) in cases {
+            std::fs::write(Wal::path_in(&dir), [&good[..], &frame(&bad)].concat()).expect("write");
+            match replay(&dir) {
+                Err(StorageError::Corrupt { what, detail: got }) => {
+                    assert!(
+                        what.ends_with(&format!("wal record at byte {}", good.len())),
+                        "{what}"
+                    );
+                    assert_eq!(got, detail);
+                }
+                other => panic!("{detail}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // A zero-filled tail is torn, not corrupt, though its empty frame
+        // checksums.
+        std::fs::write(Wal::path_in(&dir), [&good[..], &[0; 16]].concat()).expect("write");
+        let (records, committed) = replay(&dir).expect("replay");
+        assert_eq!((records.len(), committed as usize), (1, good.len()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -261,24 +261,9 @@ impl Tsdb {
             let id = db.series_id(&key);
             db.series[id.index()] = Series::from_storage(key, chunks, &db.pager);
         }
-        // A Replace record in the WAL means the crash hit before the
-        // replacement was flushed: stale chunks for that key are still in
-        // segments, so the next flush must rewrite them away.
-        let needs_rewrite =
-            recovered.wal_records.iter().any(|r| matches!(r, WalRecord::Replace { .. }));
-        for record in recovered.wal_records {
-            match record {
-                WalRecord::Batch { key, points } => {
-                    let id = db.series_id(&key);
-                    for (ts, value) in points {
-                        db.series[id.index()].push(ts, value)?;
-                    }
-                }
-                WalRecord::Replace { key, points } => {
-                    let (ts, vs) = points.into_iter().unzip();
-                    db.replace_series_in_memory(Series::from_points(key, ts, vs));
-                }
-            }
+        for WalRecord { key, points } in recovered.wal_records {
+            let id = db.series_id(&key);
+            db.series[id.index()].push_batch(&points)?;
         }
         let wal = if read_only { None } else { Some(Wal::open(dir, recovered.wal_committed)?) };
         db.storage = Some(Storage {
@@ -289,7 +274,6 @@ impl Tsdb {
             next_segment_id: recovered.next_segment_id,
             freelist: recovered.freelist,
             sticky_error: None,
-            needs_rewrite,
             pending: Vec::new(),
             options,
         });
@@ -361,9 +345,8 @@ impl Tsdb {
 
     /// The durability point: fsyncs the WAL, seals every non-empty head
     /// into compressed chunks written as a new segment, truncates the WAL,
-    /// and merges segments when [`AUTO_COMPACT_SEGMENTS`] have piled up
-    /// (or when a series replacement requires a full rewrite). Surfaces
-    /// any sticky error a previous infallible `insert` recorded.
+    /// and merges segments when [`AUTO_COMPACT_SEGMENTS`] have piled up.
+    /// Surfaces any sticky error a previous infallible `insert` recorded.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
@@ -391,15 +374,7 @@ impl Tsdb {
                 new_chunks.push((self.series[i].key.clone(), chunks));
             }
         }
-        if storage.needs_rewrite {
-            // The rewrite serializes the full sealed view, which includes
-            // every pending chunk (they live on the series' sealed tiers),
-            // so `pending` needs no refill on failure: `needs_rewrite`
-            // stays set and the WAL survives until a rewrite succeeds.
-            let view = sealed_view(&self.series, &order)?;
-            compact::rewrite(storage, &view)?;
-            storage.needs_rewrite = false;
-        } else if !new_chunks.is_empty() {
+        if !new_chunks.is_empty() {
             let id = storage.take_segment_id();
             match segment::write_segment(&storage.dir, id, &[], &new_chunks) {
                 Ok(handle) => storage.segments.push(handle),
@@ -592,10 +567,7 @@ impl Tsdb {
         self.make_writable(key, first)?;
         self.wal_append(key, points)?;
         let id = self.series_id(key);
-        for &(ts, value) in points {
-            self.series[id.index()].push(ts, value)?;
-        }
-        Ok(())
+        self.series[id.index()].push_batch(points)
     }
 
     /// Unseals `key`'s series when `ts` lands in its sealed range, so the
@@ -611,9 +583,7 @@ impl Tsdb {
     fn wal_append(&mut self, key: &SeriesKey, points: &[(i64, f64)]) -> Result<(), StorageError> {
         match self.storage.as_mut() {
             Some(storage) => match storage.wal.as_mut() {
-                Some(wal) => {
-                    wal.append(&WalRecord::Batch { key: key.clone(), points: points.to_vec() })
-                }
+                Some(wal) => wal.append(&WalRecord { key: key.clone(), points: points.to_vec() }),
                 None => Err(StorageError::ReadOnly),
             },
             None => Ok(()),
@@ -626,34 +596,6 @@ impl Tsdb {
                 storage.sticky_error = Some(err);
             }
         }
-    }
-
-    /// Bulk-inserts a fully formed series (replacing any same-key series).
-    ///
-    /// On a durable store this logs a WAL `Replace` record and schedules a
-    /// full segment rewrite at the next flush — stale chunks for the key
-    /// in older segments must not outlive the replacement.
-    pub fn insert_series(&mut self, series: Series) {
-        if let Some(storage) = self.storage.as_mut() {
-            match storage.wal.as_mut() {
-                Some(wal) => {
-                    let points = series.points().map(|p| (p.ts, p.value)).collect();
-                    let record = WalRecord::Replace { key: series.key.clone(), points };
-                    let result = wal.append(&record);
-                    storage.needs_rewrite = true;
-                    if let Err(err) = result {
-                        self.record_sticky(err);
-                    }
-                }
-                None => self.record_sticky(StorageError::ReadOnly),
-            }
-        }
-        self.replace_series_in_memory(series);
-    }
-
-    fn replace_series_in_memory(&mut self, series: Series) {
-        let id = self.series_id(&series.key);
-        self.series[id.index()] = series;
     }
 
     /// Borrows a series by id.
@@ -784,7 +726,7 @@ impl Tsdb {
             .collect();
         let points: usize = pending.iter().map(|c| c.meta.count as usize).sum();
         if points >= PARALLEL_DECODE_MIN_POINTS {
-            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let workers = explainit_sync::pool::workers();
             if workers > 1 {
                 chunk::decode_on_pool(&pending, workers, &self.pager)?;
             }
@@ -861,10 +803,10 @@ impl Tsdb {
 }
 
 /// The sealed in-memory view in the given canonical-order permutation:
-/// what segment rewrites and compaction serialize. Chunk payloads are
-/// shared (`Arc` page slots), so this never decodes or copies point data
-/// — but cold chunks do page their compressed bytes in (and may evict
-/// again right after under a tight budget), which is why it is fallible.
+/// what compaction serializes. Chunk payloads are shared (`Arc` page
+/// slots), so this never decodes or copies point data — but cold chunks
+/// do page their compressed bytes in (and may evict again right after
+/// under a tight budget), which is why it is fallible.
 fn sealed_view(
     series: &[Series],
     order: &[usize],
@@ -1029,16 +971,5 @@ mod tests {
         let db = sample_db();
         assert_eq!(db.time_span(), Some(TimeRange::new(0, 541)));
         assert_eq!(Tsdb::new().time_span(), None);
-    }
-
-    #[test]
-    fn insert_series_replaces() {
-        let mut db = Tsdb::new();
-        let key = SeriesKey::new("m");
-        db.insert(&key, 0, 1.0);
-        let replacement = Series::from_points(key.clone(), vec![0, 60], vec![5.0, 6.0]);
-        db.insert_series(replacement);
-        assert_eq!(db.get(&key).unwrap().values(), &[5.0, 6.0]);
-        assert_eq!(db.series_count(), 1);
     }
 }

@@ -252,7 +252,7 @@ fn format_pins() -> Vec<(&'static str, usize, u32)> {
     let dir = tmp_dir("wal");
     let mut wal = Wal::open(&dir, 0).expect("open wal");
     let key = SeriesKey::new("disk").with_tag("host", "h1");
-    wal.append(&WalRecord::Batch { key, points: vec![(0, 1.0), (60, 2.5)] }).expect("append");
+    wal.append(&WalRecord { key, points: vec![(0, 1.0), (60, 2.5)] }).expect("append");
     wal.sync().expect("sync");
     pins.push(pin("wal batch frame", &std::fs::read(Wal::path_in(&dir)).expect("read wal")));
     let _ = std::fs::remove_dir_all(&dir);
@@ -298,7 +298,11 @@ fn every_bit_flip_and_truncation_of_a_chunk_decodes_or_is_corrupt() {
 /// Every point of the store in `dir`, opened read-only: `(series, ts,
 /// value bits)` in scan order.
 fn open_and_scan(dir: &std::path::Path) -> Result<Vec<(String, i64, u64)>, StorageError> {
-    let db = Tsdb::open_read_only(dir)?;
+    scan_all(&Tsdb::open_read_only(dir)?)
+}
+
+/// Every point of `db`: `(series, ts, value bits)` in scan order.
+fn scan_all(db: &Tsdb) -> Result<Vec<(String, i64, u64)>, StorageError> {
     let parts = db.scan_parts_between(&MetricFilter::all(), i64::MIN, i64::MAX)?;
     Ok(parts
         .iter()
@@ -392,4 +396,62 @@ fn compaction_rewrites_a_v1_store_as_v2() {
     expect.push(("net".to_string(), 5, 0.5f64.to_bits()));
     assert_eq!(open_and_scan(&dir).expect("scan"), expect);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small WAL record: one of three names, with or without a tag, and one
+/// to three points of any timestamp and value bits (NaN payloads, ±0 and
+/// duplicate timestamps included).
+fn wal_record() -> impl Strategy<Value = WalRecord> {
+    let points = proptest::collection::vec((any::<i64>(), any::<u64>()), 1..4);
+    (0usize..3, any::<bool>(), points).prop_map(|(name, tagged, points)| {
+        let mut key = SeriesKey::new(["cpu", "disk", "mem"][name]);
+        if tagged {
+            key = key.with_tag("host", "h1");
+        }
+        WalRecord { key, points: points.into_iter().map(|(t, v)| (t, f64::from_bits(v))).collect() }
+    })
+}
+
+proptest! {
+    /// Every single-byte flip and every cut of a three-record WAL opens to
+    /// the store of a prefix of the written records, or fails `Corrupt`:
+    /// never a panic, another error, or a point no record wrote.
+    #[test]
+    fn a_flipped_or_cut_wal_opens_to_a_prefix_or_is_corrupt(
+        records in proptest::collection::vec(wal_record(), 3),
+        mask in 1u8..=255,
+    ) {
+        let dir = tmp_dir("wal-hostile");
+        let mut wal = Wal::open(&dir, 0).expect("open wal");
+        for record in &records {
+            wal.append(record).expect("append");
+        }
+        wal.sync().expect("sync");
+        drop(wal);
+        let path = Wal::path_in(&dir);
+        let clean = std::fs::read(&path).expect("read wal");
+        let mut db = Tsdb::new();
+        let mut prefixes = vec![scan_all(&db).expect("scan")];
+        for record in &records {
+            db.try_insert_batch(&record.key, &record.points).expect("insert");
+            prefixes.push(scan_all(&db).expect("scan"));
+        }
+        prop_assert_eq!(open_and_scan(&dir).expect("the clean log opens"), prefixes[3].clone());
+        let variants = (0..clean.len())
+            .map(|at| {
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                (format!("byte {at} ^ {mask:#04x}"), bytes)
+            })
+            .chain((0..clean.len()).map(|len| (format!("cut to {len}"), clean[..len].to_vec())));
+        for (what, bytes) in variants {
+            std::fs::write(&path, &bytes).expect("write wal");
+            match open_and_scan(&dir) {
+                Ok(points) => prop_assert!(prefixes.contains(&points), "{}: not a prefix", what),
+                Err(StorageError::Corrupt { .. }) => {}
+                Err(other) => prop_assert!(false, "{}: {}", what, other),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

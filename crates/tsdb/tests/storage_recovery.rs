@@ -1,11 +1,13 @@
 //! Crash-recovery and durability tests against the public `Tsdb` API:
 //! reopen round trips, torn-WAL-tail truncation at every byte boundary,
-//! insert-contract equivalence between the live path and WAL replay,
-//! series replacement rewrites, auto-compaction, and lazy decode proofs.
+//! insert-contract equivalence between the live path and WAL replay, a
+//! checksummed WAL record that does not decode, auto-compaction, and lazy
+//! decode proofs.
 
 use std::path::{Path, PathBuf};
 
-use explainit_tsdb::{MetricFilter, Series, SeriesKey, StorageError, TimeRange, Tsdb};
+use explainit_tsdb::storage::crc32;
+use explainit_tsdb::{MetricFilter, SeriesKey, StorageError, TimeRange, Tsdb};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("explainit-tsdb-it-{tag}-{}", std::process::id()));
@@ -287,36 +289,39 @@ fn a_write_into_an_unreadable_sealed_chunk_fails_and_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A frame whose checksum holds but whose payload is no record this
+/// writer makes was written whole, so it is not a torn tail: open fails
+/// with `Corrupt` naming the WAL and the frame's offset, writable or not,
+/// and the log keeps every byte (truncating there would drop the committed
+/// batch after it).
 #[test]
-fn insert_series_replacement_discards_stale_chunks_across_reopen() {
-    let dir = tmp_dir("replace");
-    let key = SeriesKey::new("m").with_tag("host", "a");
+fn a_checksummed_wal_record_that_does_not_decode_fails_open_and_keeps_the_log() {
+    let dir = tmp_dir("undecodable");
     {
         let mut db = Tsdb::open(&dir).expect("open");
-        for t in 0..10i64 {
-            db.insert(&key, t * 60, t as f64);
-        }
-        db.flush().expect("flush old contents into a segment");
-        db.insert_series(Series::from_points(key.clone(), vec![0, 60], vec![7.0, 8.0]));
+        db.try_insert_batch(&SeriesKey::new("a"), &[(0, 1.0), (60, 2.0)]).expect("batch");
+        db.try_insert_batch(&SeriesKey::new("b"), &[(0, 3.0)]).expect("batch");
         db.sync().expect("sync");
-        // Crash before flush: the replacement lives only in the WAL while
-        // the segment still holds ten stale points.
     }
-    {
-        let db = Tsdb::open(&dir).expect("reopen replays the Replace record");
-        assert_eq!(db.get(&key).expect("series").timestamps(), &[0, 60]);
-        assert_eq!(db.get(&key).expect("series").values(), &[7.0, 8.0]);
-        drop(db);
+    let wal_path = dir.join("wal");
+    let two = std::fs::read(&wal_path).expect("read wal");
+    let second = wal_record_offsets(&two)[1];
+    let mut payload = two[8..second].to_vec();
+    payload[0] = 3; // a record kind no build writes
+    let (len, sum) = ((payload.len() as u32).to_le_bytes(), crc32(&payload).to_le_bytes());
+    let bytes = [&two[..second], &len, &sum, &payload, &two[second..]].concat();
+    std::fs::write(&wal_path, &bytes).expect("write wal");
+    for read_only in [false, true] {
+        let opened = if read_only { Tsdb::open_read_only(&dir) } else { Tsdb::open(&dir) };
+        match opened {
+            Err(StorageError::Corrupt { what, detail }) => {
+                assert_eq!(what, format!("{} record at byte {second}", wal_path.display()));
+                assert_eq!(detail, "unknown record kind 3");
+            }
+            other => panic!("read_only={read_only}: expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&wal_path).expect("read wal"), bytes, "read_only={read_only}");
     }
-    {
-        // Open + flush: the rewrite drops stale chunks from disk for good.
-        let mut db = Tsdb::open(&dir).expect("reopen");
-        db.flush().expect("flush triggers the rewrite");
-    }
-    let db = Tsdb::open(&dir).expect("final reopen");
-    assert_eq!(db.get(&key).expect("series").timestamps(), &[0, 60]);
-    assert_eq!(db.get(&key).expect("series").values(), &[7.0, 8.0]);
-    assert_eq!(db.point_count(), 2, "stale points gone from segments too");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

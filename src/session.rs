@@ -19,8 +19,9 @@
 //!
 //! * `CREATE FAMILY` is one plan in the query crate — the stage-one
 //!   query under a pivot root ([`Catalog::execute_family`]; a long pivot
-//!   straight over a TSDB scan goes from series to family matrices
-//!   without a row in between) — whose frames are registered with the
+//!   straight over a TSDB scan goes from series to family matrices, and a
+//!   wide pivot over a scan aggregate from groups to frames, without a
+//!   row in between) — whose frames are registered with the
 //!   engine here; `EXPLAIN CREATE FAMILY ...` shows that plan and
 //!   registers nothing;
 //! * `EXPLAIN FOR` runs Algorithm 1 and returns the ranking as an
