@@ -146,33 +146,6 @@ impl FeatureFamily {
         }
         out
     }
-
-    /// Merges several families into one wider family (same grid required),
-    /// prefixing feature names with the source family name. Used when the
-    /// user re-groups semantically similar families (§5.1's takeaway).
-    ///
-    /// # Panics
-    /// Panics if grids differ.
-    pub fn merge(name: impl Into<String>, parts: &[&FeatureFamily]) -> FeatureFamily {
-        assert!(!parts.is_empty(), "merge needs at least one family");
-        let ts = parts[0].timestamps.clone();
-        for p in parts {
-            assert_eq!(p.timestamps, ts, "merge requires identical time grids");
-        }
-        let mut feature_names = Vec::new();
-        let mut data = parts[0].data.clone();
-        for f in &parts[0].feature_names {
-            feature_names.push(format!("{}::{}", parts[0].name, f));
-        }
-        for p in &parts[1..] {
-            // invariant: identical grids were asserted above, so rows agree.
-            data = data.hcat(&p.data).expect("same row count");
-            for f in &p.feature_names {
-                feature_names.push(format!("{}::{}", p.name, f));
-            }
-        }
-        FeatureFamily::new(name, ts, feature_names, data)
-    }
 }
 
 #[cfg(test)]
@@ -212,24 +185,6 @@ mod tests {
         let f = fam("m", vec![0, 60, 120]);
         assert_eq!(f.shared_timestamps(&[60, 90, 120, 240]), vec![60, 120]);
         assert!(f.shared_timestamps(&[7, 8]).is_empty());
-    }
-
-    #[test]
-    fn merge_concatenates_features() {
-        let a = fam("a", vec![0, 60]);
-        let b = fam("b", vec![0, 60]);
-        let m = FeatureFamily::merge("ab", &[&a, &b]);
-        assert_eq!(m.width(), 2);
-        assert_eq!(m.feature_names, vec!["a::a", "b::b"]);
-        assert_eq!(m.name, "ab");
-    }
-
-    #[test]
-    #[should_panic(expected = "identical time grids")]
-    fn merge_rejects_mismatched_grids() {
-        let a = fam("a", vec![0, 60]);
-        let b = fam("b", vec![0, 120]);
-        FeatureFamily::merge("ab", &[&a, &b]);
     }
 
     #[test]

@@ -533,21 +533,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Vertically concatenates `self` and `rhs` (same column count).
-    pub fn vcat(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vcat",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity(self.data.len() + rhs.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&rhs.data);
-        Ok(Matrix { rows: self.rows + rhs.rows, cols: self.cols, data })
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -962,15 +947,12 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat() {
+    fn hcat_joins_columns() {
         let a = Matrix::from_rows(&[[1.0], [2.0]]);
         let b = Matrix::from_rows(&[[3.0], [4.0]]);
         let h = a.hcat(&b).unwrap();
         assert_eq!(h.shape(), (2, 2));
         assert!(approx(h[(1, 1)], 4.0));
-        let v = a.vcat(&b).unwrap();
-        assert_eq!(v.shape(), (4, 1));
-        assert!(approx(v[(3, 0)], 4.0));
     }
 
     #[test]

@@ -1,23 +1,14 @@
 //! The table catalog: named tables plus TSDB virtual table bindings.
 //!
-//! A TSDB registered via [`Catalog::register_tsdb`] stays a *live store
-//! handle* (snapshotted at bind time): the optimizer pushes `metric_name`,
-//! `tag['k']` and `timestamp` predicates down into its inverted tag index
-//! instead of materializing the whole store as rows. Row materialization
-//! only happens for queries that genuinely read everything (and for the
-//! naive reference executor), and is cached.
+//! A TSDB registered via [`Catalog::register_tsdb`] is a **snapshot**: the
+//! store is cloned at bind time and the binding never changes (re-bind to
+//! see later ingests). It stays a store, not rows: the optimizer pushes
+//! `metric_name`, `tag['k']` and `timestamp` predicates down into its
+//! inverted tag index instead of materializing the whole store as rows.
+//! Row materialization only happens for queries that genuinely read
+//! everything (and for the naive reference executor), and is cached.
 //!
-//! Bindings come in two flavours:
-//!
-//! * [`Catalog::register_tsdb`] — **fixed**: the store is cloned at bind
-//!   time and never changes (the original snapshot contract);
-//! * [`Catalog::register_tsdb_shared`] — **live**: the binding holds a
-//!   [`SharedTsdb`] handle and re-snapshots itself whenever the handle's
-//!   generation counter has advanced, so a long-lived session sees fresh
-//!   ingests without re-binding. Two names bound to the same handle share
-//!   one snapshot (and therefore one dictionary set) per generation.
-//!
-//! Each snapshot carries lazily built **scan dictionaries** ([`TsdbDicts`]):
+//! Each binding carries lazily built **scan dictionaries** ([`TsdbDicts`]):
 //! the distinct metric names and tag maps of the store, each behind a
 //! shared `Arc`, plus a per-series code. Scans emit their
 //! `metric_name`/`tag` columns as [`crate::column::Column::Dict`] code
@@ -27,17 +18,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use explainit_sync::{LockClass, Mutex, OnceLock};
+use explainit_sync::{LockClass, OnceLock};
 
-use explainit_tsdb::{SharedTsdb, Tsdb};
+use explainit_tsdb::{MetricFilter, StorageError, Tsdb};
 
-/// The published-snapshot slot of one TSDB registration. Held only to
-/// clone or swap an `Arc` — never while snapshotting (which takes the
-/// `tsdb.shared` lock, rank 10, and so must happen outside this one).
-static CATALOG_BINDING: LockClass = LockClass::new("query.catalog.binding", 20);
-
-/// A binding's materialized relational view; init scans the snapshot,
-/// which decodes chunks and may fault pages — everything above rank 30.
+/// A binding's materialized relational view; set once the snapshot's
+/// scan, which decodes chunks and may fault pages, has succeeded.
 static BINDING_CACHE: LockClass = LockClass::new("query.binding.cache", 30);
 
 /// A binding's scan dictionaries; init walks the snapshot like the view.
@@ -50,7 +36,7 @@ use crate::pivot::FamilyFrame;
 use crate::plan::TSDB_COLUMNS;
 use crate::table::{Schema, Table};
 use crate::value::Value;
-use crate::Result;
+use crate::{QueryError, Result};
 
 /// Shared dictionaries for one TSDB binding's scan columns.
 #[derive(Debug)]
@@ -89,32 +75,16 @@ impl TsdbDicts {
     }
 }
 
-/// One generation's snapshot of a bound store, with its lazily built
-/// materialized view and scan dictionaries. Cheap to share: bindings of
-/// the same [`SharedTsdb`] at the same generation hold the same `Arc`.
+/// The snapshot of a bound store, with its lazily built materialized
+/// view and scan dictionaries.
 #[derive(Debug)]
 pub(crate) struct TsdbBinding {
     db: Tsdb,
-    generation: u64,
     cache: OnceLock<Arc<Table>>,
     dicts: OnceLock<TsdbDicts>,
 }
 
 impl TsdbBinding {
-    fn at(db: Tsdb, generation: u64) -> Arc<TsdbBinding> {
-        Arc::new(TsdbBinding {
-            db,
-            generation,
-            cache: OnceLock::new(&BINDING_CACHE),
-            dicts: OnceLock::new(&BINDING_DICTS),
-        })
-    }
-
-    fn snapshot(handle: &SharedTsdb) -> Arc<TsdbBinding> {
-        let (generation, db) = handle.snapshot();
-        TsdbBinding::at(db, generation)
-    }
-
     /// The bound store snapshot.
     pub(crate) fn db(&self) -> &Tsdb {
         &self.db
@@ -126,24 +96,25 @@ impl TsdbBinding {
     }
 
     /// The materialized relational view (built on first use) — the
-    /// pushdown path in the executor avoids this entirely.
-    pub(crate) fn table(&self) -> Arc<Table> {
-        self.cache.get_or_init(|| Arc::new(table_from_tsdb(&self.db))).clone()
+    /// pushdown path in the executor avoids this entirely. A chunk that
+    /// cannot be read is the view's error, and nothing is cached then.
+    fn table(&self, name: &str) -> Result<Arc<Table>> {
+        if let Some(table) = self.cache.get() {
+            return Ok(table.clone());
+        }
+        let table = Arc::new(
+            table_from_tsdb(&self.db)
+                .map_err(|e| QueryError::Storage(format!("scanning {name}: {e}")))?,
+        );
+        Ok(self.cache.get_or_init(|| table).clone())
     }
 }
 
-/// One registered table: plain rows, or a bound TSDB. Live TSDB bindings
-/// keep the shared handle and swap in a fresh snapshot when its
-/// generation moves.
+/// One registered table: plain rows, or a bound TSDB snapshot.
 #[derive(Debug)]
 enum Source {
     Mem(Arc<Table>),
-    Tsdb {
-        /// `Some` for live bindings; `None` for fixed snapshot binds.
-        shared: Option<SharedTsdb>,
-        /// The current snapshot (refreshed on access for live bindings).
-        bound: Mutex<Arc<TsdbBinding>>,
-    },
+    Tsdb(Arc<TsdbBinding>),
 }
 
 /// A catalog of named tables that SQL queries run against.
@@ -172,84 +143,41 @@ impl Catalog {
     /// paper's observation schema: `timestamp, metric_name, tag, value`.
     ///
     /// The store is snapshotted at bind time (re-bind after ingesting more
-    /// data, or use [`Catalog::register_tsdb_shared`] for a live binding)
-    /// but *not* materialized: filtered queries scan through the tag index
-    /// via predicate pushdown.
+    /// data) but *not* materialized: filtered queries scan through the tag
+    /// index via predicate pushdown.
     pub fn register_tsdb(&mut self, name: &str, db: &Tsdb) {
-        self.tables.insert(
-            name.to_lowercase(),
-            Source::Tsdb {
-                shared: None,
-                bound: Mutex::new(&CATALOG_BINDING, TsdbBinding::at(db.clone(), 0)),
-            },
-        );
-    }
-
-    /// Binds a [`SharedTsdb`] as a live relational table: queries always
-    /// run against the handle's current generation, re-snapshotting (and
-    /// rebuilding dictionaries) only when an ingest actually happened.
-    pub fn register_tsdb_shared(&mut self, name: &str, handle: &SharedTsdb) {
-        let bound =
-            self.current_binding_of(handle).unwrap_or_else(|| TsdbBinding::snapshot(handle));
-        self.tables.insert(
-            name.to_lowercase(),
-            Source::Tsdb {
-                shared: Some(handle.clone()),
-                bound: Mutex::new(&CATALOG_BINDING, bound),
-            },
-        );
-    }
-
-    /// An up-to-date binding some *other* registration already holds for
-    /// the same store, so same-store bindings share snapshots and
-    /// dictionaries instead of cloning per name.
-    fn current_binding_of(&self, handle: &SharedTsdb) -> Option<Arc<TsdbBinding>> {
-        let generation = handle.generation();
-        self.tables.values().find_map(|source| match source {
-            Source::Tsdb { shared: Some(peer), bound } if peer.same_store(handle) => {
-                // try_lock: a peer mid-refresh on another thread is simply
-                // skipped; we fall back to snapshotting ourselves.
-                let peer_bound = bound.try_lock()?;
-                (peer_bound.generation == generation).then(|| peer_bound.clone())
-            }
-            _ => None,
-        })
-    }
-
-    /// The current snapshot behind a TSDB binding, refreshed first if the
-    /// shared handle has advanced.
-    pub(crate) fn tsdb_binding(&self, name: &str) -> Option<Arc<TsdbBinding>> {
-        let Source::Tsdb { shared, bound } = self.tables.get(&name.to_lowercase())? else {
-            return None;
+        let binding = TsdbBinding {
+            db: db.clone(),
+            cache: OnceLock::new(&BINDING_CACHE),
+            dicts: OnceLock::new(&BINDING_DICTS),
         };
-        let current = bound.lock().clone();
-        let Some(handle) = shared else {
-            return Some(current);
-        };
-        if current.generation == handle.generation() {
-            return Some(current);
+        self.tables.insert(name.to_lowercase(), Source::Tsdb(Arc::new(binding)));
+    }
+
+    /// The snapshot behind a TSDB binding; any other name is
+    /// [`QueryError::UnknownTable`].
+    pub(crate) fn tsdb_binding(&self, name: &str) -> Result<&TsdbBinding> {
+        match self.tables.get(&name.to_lowercase()) {
+            Some(Source::Tsdb(binding)) => Ok(binding),
+            _ => Err(QueryError::UnknownTable(name.to_string())),
         }
-        // Stale: reuse a same-store peer's fresh snapshot if one exists,
-        // else take our own, then publish it (last writer wins — the
-        // refresh is idempotent for one generation).
-        let fresh =
-            self.current_binding_of(handle).unwrap_or_else(|| TsdbBinding::snapshot(handle));
-        *bound.lock() = fresh.clone();
-        Some(fresh)
     }
 
-    /// True when `name` is a TSDB binding (fixed or live).
+    /// True when `name` is a TSDB binding.
     pub fn is_tsdb(&self, name: &str) -> bool {
-        matches!(self.tables.get(&name.to_lowercase()), Some(Source::Tsdb { .. }))
+        matches!(self.tables.get(&name.to_lowercase()), Some(Source::Tsdb(_)))
     }
 
-    /// Looks a table up (case-insensitive). For a TSDB binding this
-    /// materializes (and caches, per generation) the full relational view —
-    /// the pushdown path in the executor avoids this entirely.
-    pub fn get(&self, name: &str) -> Option<Arc<Table>> {
-        match self.tables.get(&name.to_lowercase())? {
-            Source::Mem(t) => Some(t.clone()),
-            Source::Tsdb { .. } => Some(self.tsdb_binding(name)?.table()),
+    /// Looks a table up (case-insensitive); an unregistered name is
+    /// [`QueryError::UnknownTable`]. For a TSDB binding this materializes
+    /// (and caches) the full relational view — the pushdown path in the
+    /// executor avoids this entirely — and a chunk that cannot be read is
+    /// [`QueryError::Storage`].
+    pub fn get(&self, name: &str) -> Result<Arc<Table>> {
+        match self.tables.get(&name.to_lowercase()) {
+            Some(Source::Mem(t)) => Ok(t.clone()),
+            Some(Source::Tsdb(binding)) => binding.table(name),
+            None => Err(QueryError::UnknownTable(name.to_string())),
         }
     }
 
@@ -257,7 +185,7 @@ impl Catalog {
     pub fn schema_of(&self, name: &str) -> Option<Schema> {
         match self.tables.get(&name.to_lowercase())? {
             Source::Mem(t) => Some(t.schema().clone()),
-            Source::Tsdb { .. } => {
+            Source::Tsdb(_) => {
                 Some(Schema::new(TSDB_COLUMNS.iter().map(|s| s.to_string()).collect()))
             }
         }
@@ -322,26 +250,26 @@ impl Catalog {
 /// Converts a TSDB to the relational observation table.
 ///
 /// Rows are ordered by `(timestamp, series key)` for deterministic output.
-pub fn table_from_tsdb(db: &Tsdb) -> Table {
+/// A chunk that cannot be read fails the whole conversion.
+pub fn table_from_tsdb(db: &Tsdb) -> std::result::Result<Table, StorageError> {
     let mut rows: Vec<(i64, String, Vec<Value>)> = Vec::with_capacity(db.point_count());
-    for (_, series) in db.iter() {
-        let canonical = series.key.canonical();
-        let tag_map: std::collections::BTreeMap<String, String> = series.key.tags.clone();
-        for p in series.points() {
+    for part in db.scan_parts_between(&MetricFilter::all(), i64::MIN, i64::MAX)? {
+        let canonical = part.key.canonical();
+        for (&ts, &value) in part.timestamps.iter().zip(part.values) {
             rows.push((
-                p.ts,
+                ts,
                 canonical.clone(),
                 vec![
-                    Value::Int(p.ts),
-                    Value::Str(series.key.name.clone()),
-                    Value::Map(tag_map.clone()),
-                    Value::Float(p.value),
+                    Value::Int(ts),
+                    Value::Str(part.key.name.clone()),
+                    Value::Map(part.key.tags.clone()),
+                    Value::Float(value),
                 ],
             ));
         }
     }
     rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    Table::from_rows(&TSDB_COLUMNS, rows.into_iter().map(|(_, _, r)| r).collect())
+    Ok(Table::from_rows(&TSDB_COLUMNS, rows.into_iter().map(|(_, _, r)| r).collect()))
 }
 
 #[cfg(test)]
@@ -417,7 +345,7 @@ mod tests {
     fn case_insensitive_names() {
         let mut c = Catalog::new();
         c.register("MyTable", Table::empty(&["x"]));
-        assert!(c.get("mytable").is_some());
+        assert!(c.get("mytable").is_ok());
         assert!(c.execute("SELECT * FROM MYTABLE").is_ok());
     }
 
@@ -426,12 +354,12 @@ mod tests {
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &db());
         assert!(c.is_tsdb("tsdb"));
-        assert!(c.tsdb_binding("tsdb").is_some());
+        assert!(c.tsdb_binding("tsdb").is_ok());
         assert!(!c.is_tsdb("nope"));
-        assert!(c.tsdb_binding("nope").is_none());
+        assert_eq!(c.tsdb_binding("nope").unwrap_err(), QueryError::UnknownTable("nope".into()));
         c.register("plain", Table::empty(&["x"]));
         assert!(!c.is_tsdb("plain"));
-        assert!(c.tsdb_binding("plain").is_none());
+        assert!(c.tsdb_binding("plain").is_err());
     }
 
     #[test]
@@ -440,7 +368,7 @@ mod tests {
         c.register("t", Table::empty(&["x"]));
         assert!(c.deregister("T"));
         assert!(!c.deregister("t"));
-        assert!(c.get("t").is_none());
+        assert_eq!(c.get("t").unwrap_err(), QueryError::UnknownTable("t".into()));
     }
 
     #[test]
@@ -452,58 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn fixed_binding_stays_a_snapshot() {
-        let mut live = db();
+    fn binding_stays_a_snapshot() {
+        let mut store = db();
         let mut c = Catalog::new();
-        c.register_tsdb("tsdb", &live);
-        live.insert(&SeriesKey::new("cpu").with_tag("host", "web-3"), 0, 7.0);
-        let t = c.execute("SELECT COUNT(*) FROM tsdb").unwrap();
-        assert_eq!(t.rows()[0][0], Value::Int(9)); // the late insert is invisible
-    }
-
-    #[test]
-    fn shared_binding_sees_fresh_ingests() {
-        let shared = SharedTsdb::new(db());
-        let mut c = Catalog::new();
-        c.register_tsdb_shared("tsdb", &shared);
+        c.register_tsdb("tsdb", &store);
+        store.insert(&SeriesKey::new("cpu").with_tag("host", "web-3"), 0, 7.0);
         let count =
             |c: &Catalog| c.execute("SELECT COUNT(*) FROM tsdb").unwrap().rows()[0][0].clone();
-        assert_eq!(count(&c), Value::Int(9));
-        shared.insert(&SeriesKey::new("cpu").with_tag("host", "web-3"), 0, 7.0);
-        assert_eq!(count(&c), Value::Int(10)); // no re-bind needed
-                                               // The new series also reaches the dictionary-encoded pushdown path.
-        let t = c.execute("SELECT value FROM tsdb WHERE tag['host'] = 'web-3'").unwrap();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.rows()[0][0], Value::Float(7.0));
-    }
-
-    #[test]
-    fn shared_binding_refreshes_only_on_generation_change() {
-        let shared = SharedTsdb::new(db());
-        let mut c = Catalog::new();
-        c.register_tsdb_shared("tsdb", &shared);
-        let first = c.tsdb_binding("tsdb").unwrap();
-        let again = c.tsdb_binding("tsdb").unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "no ingest, same snapshot");
-        shared.insert(&SeriesKey::new("cpu").with_tag("host", "web-9"), 0, 1.0);
-        let refreshed = c.tsdb_binding("tsdb").unwrap();
-        assert!(!Arc::ptr_eq(&first, &refreshed), "ingest forces a new snapshot");
-    }
-
-    #[test]
-    fn same_store_bindings_share_one_snapshot() {
-        let shared = SharedTsdb::new(db());
-        let mut c = Catalog::new();
-        c.register_tsdb_shared("tsdb", &shared);
-        c.register_tsdb_shared("mirror", &shared);
-        let a = c.tsdb_binding("tsdb").unwrap();
-        let b = c.tsdb_binding("mirror").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same handle, same generation, one snapshot");
-        shared.insert(&SeriesKey::new("cpu").with_tag("host", "web-9"), 0, 1.0);
-        let a2 = c.tsdb_binding("tsdb").unwrap();
-        let b2 = c.tsdb_binding("mirror").unwrap();
-        assert!(Arc::ptr_eq(&a2, &b2), "refresh is shared too");
-        assert!(!Arc::ptr_eq(&a, &a2));
+        assert_eq!(count(&c), Value::Int(9)); // the late insert is invisible
+        c.register_tsdb("tsdb", &store);
+        assert_eq!(count(&c), Value::Int(10)); // until the store is bound again
     }
 
     #[test]

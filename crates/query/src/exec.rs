@@ -74,19 +74,13 @@ mod scan_gather;
 mod scan_pivot;
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::Arc;
 
-use explainit_sync::{pool, LockClass, Mutex};
+use explainit_sync::pool;
 
 use explainit_tsdb::{MetricFilter, SeriesKey, SeriesSlice, Tsdb};
 
-/// Per-execution pin map: held only to clone or insert an `Arc`; the
-/// catalog's binding lock is always taken *before* (never under) it.
-static EXEC_PINNED: LockClass = LockClass::new("query.exec.pinned", 25);
-
 use crate::ast::{CreateFamily, Expr, Query};
-use crate::catalog::{Catalog, TsdbBinding};
+use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::eval::map_grouped;
 use crate::functions::is_aggregate;
@@ -127,34 +121,6 @@ impl ExecOptions {
 /// never dominates small queries.
 const MIN_PARTITION_ROWS: usize = 4096;
 
-/// One query execution's view of the catalog. Live TSDB bindings are
-/// **pinned on first touch**: every scan node of one statement reads the
-/// same store generation, even while ingesters advance a
-/// [`explainit_tsdb::SharedTsdb`] mid-query — a self-join or UNION never
-/// straddles two snapshots.
-struct ExecCtx<'a> {
-    catalog: &'a Catalog,
-    pinned: Mutex<HashMap<String, Arc<TsdbBinding>>>,
-}
-
-impl<'a> ExecCtx<'a> {
-    fn new(catalog: &'a Catalog) -> ExecCtx<'a> {
-        ExecCtx { catalog, pinned: Mutex::new(&EXEC_PINNED, HashMap::new()) }
-    }
-
-    /// The pinned binding for a TSDB table (resolved once per execution).
-    fn binding(&self, name: &str) -> Result<Arc<TsdbBinding>> {
-        let key = name.to_lowercase();
-        if let Some(b) = self.pinned.lock().get(&key) {
-            return Ok(b.clone());
-        }
-        let unknown = || QueryError::UnknownTable(name.to_string());
-        let binding = self.catalog.tsdb_binding(name).ok_or_else(unknown)?;
-        self.pinned.lock().entry(key).or_insert(binding.clone());
-        Ok(binding)
-    }
-}
-
 /// Executes a parsed query against a catalog through the
 /// plan → optimize → columnar-execute pipeline with default options.
 pub fn execute(catalog: &Catalog, query: &Query) -> Result<Table> {
@@ -173,7 +139,7 @@ pub fn execute_with(catalog: &Catalog, query: &Query, opts: ExecOptions) -> Resu
     if query.explain {
         return Ok(plan_table(&plan, catalog));
     }
-    run_plan(&ExecCtx::new(catalog), &plan, &opts)
+    run_plan(catalog, &plan, &opts)
 }
 
 /// The `EXPLAIN` relation: the rendered plan, one node per row.
@@ -204,19 +170,18 @@ pub fn execute_family(
     cf: &CreateFamily,
     opts: ExecOptions,
 ) -> Result<Vec<FamilyFrame>> {
-    let ctx = ExecCtx::new(catalog);
     // Stage-one rows (or points) read, and the frames they pivot into.
     let (rows, frames) = match plan_family(catalog, cf)? {
         LogicalPlan::Pivot { input, spec } => {
-            let table = run_plan(&ctx, &input, &opts)?;
+            let table = run_plan(catalog, &input, &opts)?;
             // An empty result reports as such before any role is resolved.
             let frames = if table.is_empty() { Vec::new() } else { spec.frames(&table)? };
             (table.len(), frames)
         }
         LogicalPlan::ScanAggregatePivot { aggregate, spec } => {
-            scan_aggregate::frames(&ctx, &aggregate, &spec, &opts)?
+            scan_aggregate::frames(catalog, &aggregate, &spec, &opts)?
         }
-        fused => scan_pivot::run(&ctx, &fused, &opts)?,
+        fused => scan_pivot::run(catalog, &fused, &opts)?,
     };
     let fail =
         |what: &str| Err(QueryError::Statement(format!("CREATE FAMILY {}: {what}", cf.name)));
@@ -235,19 +200,15 @@ pub fn execute_family(
 /// columns; the enclosing Sort (always directly above, by construction)
 /// consumes and drops them, and the planner emits hidden keys only when a
 /// Sort exists.
-fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
+fn run_plan(catalog: &Catalog, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
     match plan {
         // Always a registered table: rule 2 turns every `Scan` of a TSDB
         // binding into `TsdbScan`.
-        LogicalPlan::Scan { table } => {
-            let t =
-                ctx.catalog.get(table).ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
-            Ok(t.as_ref().clone())
-        }
+        LogicalPlan::Scan { table } => Ok(catalog.get(table)?.as_ref().clone()),
 
-        LogicalPlan::TsdbScan { scan, columns } => run_tsdb_scan(ctx, scan, columns, opts),
+        LogicalPlan::TsdbScan { scan, columns } => run_tsdb_scan(catalog, scan, columns, opts),
 
-        LogicalPlan::ScanAggregate { .. } => scan_aggregate::run(ctx, plan, opts),
+        LogicalPlan::ScanAggregate { .. } => scan_aggregate::run(catalog, plan, opts),
 
         LogicalPlan::Unit => Ok(Table::unit(1)),
 
@@ -258,7 +219,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
         )),
 
         LogicalPlan::Alias { input, alias } => {
-            let t = run_plan(ctx, input, opts)?;
+            let t = run_plan(catalog, input, opts)?;
             let schema = t.schema().qualified(alias);
             Ok(t.with_schema(schema))
         }
@@ -268,7 +229,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             // fuses into one selection vector over the source columns,
             // innermost first; the survivors gather once at the end.
             let (filters, source) = peel_filter_chain(plan);
-            let t = run_plan(ctx, source, opts)?;
+            let t = run_plan(catalog, source, opts)?;
             let kept = match morsel_columns(&t, &filters, 0, t.len())? {
                 (Cow::Owned(cols), len) => Some((cols, len)),
                 _ => None, // nothing dropped
@@ -281,24 +242,24 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
 
         LogicalPlan::Project { input, items, hidden } => {
             let (filters, source) = peel_filter_chain(input);
-            let src = run_plan(ctx, source, opts)?;
+            let src = run_plan(catalog, source, opts)?;
             run_project(&src, &filters, items, hidden, opts)
         }
 
         LogicalPlan::Aggregate { input, group_by, items, hidden } => {
             let (filters, source) = peel_filter_chain(input);
-            let src = run_plan(ctx, source, opts)?;
+            let src = run_plan(catalog, source, opts)?;
             run_aggregate(&src, &filters, group_by, items, hidden, opts)
         }
 
         LogicalPlan::Join { left, right, kind, on } => {
-            let l = run_plan(ctx, left, opts)?;
-            let r = run_plan(ctx, right, opts)?;
+            let l = run_plan(catalog, left, opts)?;
+            let r = run_plan(catalog, right, opts)?;
             run_join(l, r, *kind, on)
         }
 
         LogicalPlan::Sort { input, keys, output_width } => {
-            let t = run_plan(ctx, input, opts)?;
+            let t = run_plan(catalog, input, opts)?;
             // Materialize key values once: Column::get clones (allocating
             // for strings), which must not happen per comparison.
             let key_vals: Vec<(Vec<Value>, bool)> = keys
@@ -327,7 +288,7 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
         }
 
         LogicalPlan::Limit { input, n } => {
-            let t = run_plan(ctx, input, opts)?;
+            let t = run_plan(catalog, input, opts)?;
             Ok(t.truncated(*n))
         }
 
@@ -338,10 +299,10 @@ fn run_plan(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Tab
             // output and later branches match by position. Arity mismatch
             // errors name both schemas; Int/Float mixes coerce to Float.
             let mut parts = inputs.iter();
-            let first = run_plan(ctx, parts.next().expect("union has inputs"), opts)?; // invariant: the planner and verifier keep Union non-empty
+            let first = run_plan(catalog, parts.next().expect("union has inputs"), opts)?; // invariant: the planner and verifier keep Union non-empty
             let (schema, mut cols, mut len) = first.into_columnar_parts();
             for p in parts {
-                let part = run_plan(ctx, p, opts)?;
+                let part = run_plan(catalog, p, opts)?;
                 if part.schema().len() != schema.len() {
                     return Err(QueryError::Plan(format!(
                         "UNION arity mismatch: [{}] has {} columns, [{}] has {}",
@@ -666,27 +627,6 @@ mod tests {
     fn run(sql: &str) -> Table {
         let c = catalog();
         execute(&c, &parse_query(sql).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn exec_ctx_pins_live_bindings_for_one_execution() {
-        use explainit_tsdb::{SeriesKey, SharedTsdb, Tsdb};
-        let mut db = Tsdb::new();
-        db.insert(&SeriesKey::new("m").with_tag("host", "a"), 0, 1.0);
-        let shared = SharedTsdb::new(db);
-        let mut c = Catalog::new();
-        c.register_tsdb_shared("tsdb", &shared);
-        let ctx = ExecCtx::new(&c);
-        let first = ctx.binding("tsdb").unwrap();
-        // An ingest mid-execution must not change what this execution sees:
-        // a self-join's second scan reads the same pinned snapshot.
-        shared.insert(&SeriesKey::new("m").with_tag("host", "b"), 0, 2.0);
-        let second = ctx.binding("tsdb").unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "binding pinned per execution");
-        // A *new* execution picks up the fresh generation.
-        let fresh = ExecCtx::new(&c).binding("tsdb").unwrap();
-        assert!(!Arc::ptr_eq(&first, &fresh));
-        assert_eq!(fresh.db().series_count(), 2);
     }
 
     /// Runs with forced multi-partition execution.

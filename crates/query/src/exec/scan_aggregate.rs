@@ -91,8 +91,9 @@ use explainit_tsdb::SeriesSlice;
 use super::point_balanced_spans;
 use super::{agg_slots, effective_partitions, family_morsels, morsel_ranges, AggSpec};
 use super::{finish_outputs, project_names, run_partitioned, scan_hits, series_const};
-use super::{span_grid, substitute_series_consts, ExecCtx, ExecOptions};
+use super::{span_grid, substitute_series_consts, ExecOptions};
 use crate::ast::Expr;
+use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::functions::AggColumn;
 use crate::optimize::{is_tsdb_col, tsdb_schema};
@@ -381,14 +382,14 @@ struct Groups {
 
 /// The front: folds the scan's points into the groups of `calls`.
 fn front(
-    ctx: &ExecCtx,
+    catalog: &Catalog,
     scan: &ScanSpec,
     filters: &[Expr],
     group_by: &[Expr],
     calls: &[AggSpec],
     opts: &ExecOptions,
 ) -> Result<Groups> {
-    let binding = ctx.binding(&scan.table)?;
+    let binding = catalog.tsdb_binding(&scan.table)?;
     let obs = tsdb_schema();
     let is_column = |e: &Expr, i: usize| is_tsdb_col(e, &obs, i);
     let reads = |e: &Expr, among: [usize; 2]| {
@@ -495,14 +496,15 @@ fn front(
 }
 
 /// Runs a [`LogicalPlan::ScanAggregate`]: the groups as rows.
-pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
+pub(super) fn run(catalog: &Catalog, plan: &LogicalPlan, opts: &ExecOptions) -> Result<Table> {
     let LogicalPlan::ScanAggregate { scan, filters, group_by, items, hidden } = plan else {
         return Err(QueryError::Plan("not a scan aggregate".into()));
     };
     // Outputs: expressions over the key columns and the finished aggregate
     // calls.
     let (outputs, calls, columns) = agg_slots(group_by, items, hidden)?;
-    let Groups { keys, series_of, classes } = front(ctx, scan, filters, group_by, &calls, opts)?;
+    let Groups { keys, series_of, classes } =
+        front(catalog, scan, filters, group_by, &calls, opts)?;
 
     // Serial first-seen group order: each group's earliest `(timestamp,
     // rank)`. A class's groups arrive in it already, so the stable sort
@@ -540,7 +542,7 @@ pub(super) fn run(ctx: &ExecCtx, plan: &LogicalPlan, opts: &ExecOptions) -> Resu
 /// first-appearance order — class by class, with no row order, no row
 /// table and no table pivot in between.
 pub(super) fn frames(
-    ctx: &ExecCtx,
+    catalog: &Catalog,
     aggregate: &LogicalPlan,
     spec: &PivotSpec,
     opts: &ExecOptions,
@@ -564,7 +566,8 @@ pub(super) fn frames(
         features.push(call.ok_or_else(|| QueryError::Plan(format!("{name} is not a call")))?);
         feature_names.push(name.clone());
     }
-    let Groups { keys, series_of, classes } = front(ctx, scan, filters, group_by, &calls, opts)?;
+    let Groups { keys, series_of, classes } =
+        front(catalog, scan, filters, group_by, &calls, opts)?;
 
     // Each group's family is its first contributor's rendered class key,
     // as for the table pivot's label column (or the statement's one family

@@ -8,8 +8,9 @@
 use explainit_sync::pool;
 use explainit_tsdb::SeriesSlice;
 
+use super::ExecOptions;
 use super::{effective_partitions, morsel_ranges, run_partitioned, scan_hits, shared_grid};
-use super::{ExecCtx, ExecOptions};
+use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::plan::{tsdb_scan_columns, ScanSpec, TSDB_COLUMNS};
 use crate::table::{Schema, Table};
@@ -18,12 +19,12 @@ use crate::{QueryError, Result};
 /// The plain scan: the spec's hits gathered into the (pruned) observation
 /// columns, one row per point, in `(timestamp, canonical key)` order.
 pub(super) fn run_tsdb_scan(
-    ctx: &ExecCtx,
+    catalog: &Catalog,
     scan: &ScanSpec,
     columns: &Option<Vec<usize>>,
     opts: &ExecOptions,
 ) -> Result<Table> {
-    let binding = ctx.binding(&scan.table)?;
+    let binding = catalog.tsdb_binding(&scan.table)?;
     // Per-snapshot dictionaries, built once: metric_name and tag columns are
     // emitted as code vectors over shared Arc dictionaries instead of
     // cloning a String / tag map per row.

@@ -35,8 +35,9 @@ use std::borrow::Cow;
 use explainit_tsdb::SeriesSlice;
 
 use super::{family_morsels, run_partitioned};
-use super::{scan_hits, series_const, span_grid, ExecCtx, ExecOptions};
+use super::{scan_hits, series_const, span_grid, ExecOptions};
 use crate::ast::Expr;
+use crate::catalog::Catalog;
 use crate::optimize::tsdb_schema;
 use crate::pivot::{render_family, FamilyFrame, FrameBuilder, Interner};
 use crate::plan::LogicalPlan;
@@ -59,14 +60,14 @@ struct Family<'a> {
 /// Runs a [`LogicalPlan::ScanPivot`], returning the points read and the
 /// frames in family first-appearance order.
 pub(super) fn run(
-    ctx: &ExecCtx,
+    catalog: &Catalog,
     plan: &LogicalPlan,
     opts: &ExecOptions,
 ) -> Result<(usize, Vec<FamilyFrame>)> {
     let LogicalPlan::ScanPivot { scan, family, feature } = plan else {
         return Err(QueryError::Plan("a family plan has a pivot root".into()));
     };
-    let binding = ctx.binding(&scan.table)?;
+    let binding = catalog.tsdb_binding(&scan.table)?;
     let hits = scan_hits(binding.db(), scan)?;
 
     // Series pass: labels, columns and first appearances. Spans of one

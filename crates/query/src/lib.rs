@@ -184,7 +184,7 @@
 //! `Pivot` over `ScanAggregate`.
 //!
 //! The pre-pipeline tree-walking interpreter is retained verbatim in
-//! [`reference`] as a differential-testing oracle (see
+//! [`reference`](mod@reference) as a differential-testing oracle (see
 //! `tests/differential.rs`).
 //!
 //! Supported SQL surface:
@@ -232,10 +232,8 @@
 //! registers them with the ranking engine is the facade crate's `Session`.
 //!
 //! The query entry point is [`Catalog`]: register tables (or bind a
-//! [`explainit_tsdb::Tsdb`] as the `tsdb` virtual table — or a
-//! [`explainit_tsdb::SharedTsdb`] via [`Catalog::register_tsdb_shared`]
-//! for a live binding that tracks ingests through its generation counter)
-//! and call [`Catalog::execute`].
+//! snapshot of an [`explainit_tsdb::Tsdb`] as the `tsdb` virtual table
+//! with [`Catalog::register_tsdb`]) and call [`Catalog::execute`].
 //!
 //! ```
 //! use explainit_query::{Catalog, Table, Value};

@@ -272,7 +272,7 @@ fn order_key_value(
 fn resolve_table_ref(catalog: &Catalog, tref: &TableRef) -> Result<(Schema, Vec<Vec<Value>>)> {
     match tref {
         TableRef::Named { name, .. } => {
-            let t = catalog.get(name).ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
+            let t = catalog.get(name)?;
             Ok((t.schema().clone(), t.rows()))
         }
         TableRef::Subquery { query, .. } => {

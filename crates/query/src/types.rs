@@ -261,7 +261,7 @@ pub(crate) fn base_table_types(catalog: &Catalog, name: &str) -> Result<TypedSch
         return Ok(TypedSchema::new(schema, cols));
     }
     // Mem tables are cheap Arc clones; only TSDB `get` would materialize.
-    let table = catalog.get(name).ok_or_else(|| QueryError::UnknownTable(name.to_string()))?;
+    let table = catalog.get(name)?;
     let cols = table.columns().iter().map(column_type).collect();
     Ok(TypedSchema::new(schema, cols))
 }

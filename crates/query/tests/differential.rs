@@ -7,7 +7,7 @@
 //! partition counts 1 (one morsel — serial execution) and 3 (a forced
 //! multi-morsel split, so partial-aggregate merging is exercised even on
 //! small inputs and single-core machines), and every query over the store
-//! runs against two backends — the live TSDB binding (pushdown scan,
+//! runs against two backends — the TSDB binding (pushdown scan,
 //! merge gather, **scan-aggregate** operator) and the same observations
 //! registered as a plain table (the ordinary filter/aggregate pipeline on
 //! observation-shaped data). All of them must agree with the reference
@@ -18,7 +18,7 @@
 //! rank) contribution, so this is an equality check, not an epsilon one.
 //!
 //! `CREATE FAMILY` rides on the same generators: over the store, the
-//! statement entry point (`Catalog::execute_family` — on the live binding
+//! statement entry point (`Catalog::execute_family` — on the TSDB binding
 //! the scan pivot for a long statement over a bare scan, the scan aggregate
 //! pivot for a wide one over a `GROUP BY`; the table pivot on the
 //! plain-table backend) must equal the table pivot (`PivotSpec::frames`)
@@ -82,7 +82,7 @@ fn table_catalog(t: &[(i64, usize, f64)], u: &[(i64, f64)]) -> [Catalog; 1] {
     [catalog]
 }
 
-/// The two backends of one store under the name `tsdb`: the live binding,
+/// The two backends of one store under the name `tsdb`: the TSDB binding,
 /// and the sort-built observation table behind its `Catalog::get`
 /// registered as a plain table — identical rows in identical order,
 /// reached without any pushdown.
@@ -395,7 +395,7 @@ fn cell_bits(frames: &[FamilyFrame]) -> Vec<Vec<Vec<u64>>> {
 /// `execute_family(sql)` on every backend at partitions 1 and 3 against
 /// the oracle: the table pivot (`PivotSpec::frames`) over the stage-one
 /// query executed on the plain-table backend (no scan operator anywhere
-/// near it). The live binding must have planned the statement as `fused`,
+/// near it). The TSDB binding must have planned the statement as `fused`,
 /// the first word of its one plan line.
 fn assert_family_same(backends: &[Catalog; 2], sql: &str, fused: &str) {
     let Ok(Statement::CreateFamily(cf)) = parse_statement(sql) else {
@@ -408,7 +408,7 @@ fn assert_family_same(backends: &[Catalog; 2], sql: &str, fused: &str) {
     assert_frames_same(backends, &cf, sql);
 }
 
-/// The comparison of [`assert_family_same`], whichever way the live binding
+/// The comparison of [`assert_family_same`], whichever way the TSDB binding
 /// planned the statement.
 fn assert_frames_same(backends: &[Catalog; 2], cf: &CreateFamily, sql: &str) {
     let table = backends[1].execute_query(&cf.query).expect("stage one runs");
@@ -513,7 +513,7 @@ proptest! {
         );
         let backends = tsdb_backends(&points);
         assert_same_at(&backends, &sql, &[1, 2, 3])?;
-        // The live binding finishes these in the scan wherever the rule
+        // The TSDB binding finishes these in the scan wherever the rule
         // allows: no output reads a non-key column, `MIN`/`MAX(value)` only
         // under a timestamp key, no window call in the filter.
         let plan = backends[0].execute(&format!("EXPLAIN {sql}")).expect("explains");
@@ -1120,7 +1120,7 @@ fn scan_aggregate_pinned_on_both_backends() {
     assert_pinned(&backends, &query, &[1, 2, 3, 8], &naive);
 }
 
-/// `sql` plans as a scan aggregate on the live binding, and equals the
+/// `sql` plans as a scan aggregate on the TSDB binding, and equals the
 /// reference on both backends at every partition count. Returns the rows.
 fn assert_scan_aggregate_pinned(db: &Tsdb, sql: &str) -> Table {
     let backends = backends_of(db);

@@ -6,13 +6,15 @@
 //! must decode only the chunks its range overlaps. The `CREATE FAMILY`
 //! scan pivot is held to the same two: frames equal to the table pivot of
 //! the in-memory run, each overlapping chunk decoded once, pruned chunks
-//! never.
+//! never. A chunk that cannot be read fails every engine, the reference
+//! interpreter included.
 
 use std::path::PathBuf;
 
 use explainit_query::reference::execute_naive;
 use explainit_query::{
-    parse_query, parse_statement, pivot_long, Catalog, ExecOptions, FamilyFrame, Statement, Table,
+    parse_query, parse_statement, pivot_long, Catalog, ExecOptions, FamilyFrame, QueryError,
+    Statement, Table,
 };
 use explainit_tsdb::{SeriesKey, Tsdb};
 
@@ -125,6 +127,51 @@ fn family_query_bit_identical_after_torn_wal_tail() {
     let reopened = Tsdb::open(&dir).expect("reopen over the torn tail");
     let baseline = in_memory_baseline(&memory);
     assert_all_engines_match(&reopened, &baseline);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reference interpreter reads a TSDB binding through its
+/// materialized view. A chunk that cannot be read fails that view, and so
+/// the statement, exactly as it fails the executor's scan: an error, never
+/// a table with the chunk's rows missing. Nothing is cached on failure, so
+/// the same binding reads every row once the bytes are whole again.
+#[test]
+fn an_unreadable_chunk_fails_the_reference_and_the_materialized_view() {
+    let dir = tmp_dir("unreadable");
+    {
+        let mut durable = Tsdb::open(&dir).expect("open");
+        for (key, ts, v) in fleet_points() {
+            durable.insert(&key, ts, v);
+        }
+        durable.flush().expect("flush the fleet into segments");
+    }
+    let db = Tsdb::open_read_only(&dir).expect("reopen read-only");
+    let segment = std::fs::read_dir(&dir)
+        .expect("list")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|e| e == "seg"))
+        .expect("a segment");
+    // The last byte of a segment is in its last chunk's payload.
+    let whole = std::fs::read(&segment).expect("read segment");
+    let mut flipped = whole.clone();
+    *flipped.last_mut().expect("non-empty segment") ^= 0x10;
+    std::fs::write(&segment, &flipped).expect("damage segment");
+
+    let mut bound = Catalog::new();
+    bound.register_tsdb("tsdb", &db);
+    let query = parse_query("SELECT * FROM tsdb").expect("parses");
+    for attempt in 0..2 {
+        let err = execute_naive(&bound, &query).expect_err("an unreadable chunk is an error");
+        assert!(matches!(err, QueryError::Storage(_)), "attempt {attempt}: {err:?}");
+        let err = bound.get("tsdb").expect_err("the view fails too");
+        assert!(matches!(err, QueryError::Storage(_)), "attempt {attempt}: {err:?}");
+    }
+    assert!(matches!(bound.execute("SELECT * FROM tsdb"), Err(QueryError::Storage(_))));
+
+    std::fs::write(&segment, &whole).expect("repair segment");
+    let rows = execute_naive(&bound, &query).expect("whole bytes read again").len();
+    assert_eq!(rows, fleet_points().len());
+    assert_eq!(bound.get("tsdb").expect("the view builds").len(), rows);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

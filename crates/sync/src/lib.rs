@@ -3,7 +3,7 @@
 //! Every lock in `explainit-tsdb` and `explainit-query` is one of these
 //! wrappers, constructed with a static [`LockClass`] carrying a name and
 //! a rank. In debug builds (and in release under `EXPLAINIT_LOCKDEP=1`)
-//! each blocking acquisition is checked against a per-thread held-lock
+//! each acquisition is checked against a per-thread held-lock
 //! stack and a global class-order graph: taking a lower-ranked class
 //! while a higher-ranked one is held, re-acquiring a held class, or
 //! closing a cycle among equal-rank classes panics immediately with both
@@ -23,19 +23,21 @@
 //!   spotting guards held across slow work.
 //!
 //! The disarmed fast path is a single relaxed atomic load per
-//! acquisition (the same trick as the storage failpoints), gated ≤ 5%
-//! overhead by the `storage_report` bench.
+//! acquisition (the same trick as the storage failpoints). It has no gate
+//! of its own: `bench/`'s workloads run disarmed, so their `op_s_p50`
+//! bounds are the measurement of that path.
 //!
 //! # Poisoning policy
 //!
 //! The wrappers adopt **one** policy: recover the inner value
 //! (`PoisonError::into_inner`) and continue. Rationale: every guarded
-//! value in this workspace is either a rebuildable cache (pager slots,
-//! decode caches, catalog bindings) or commit-at-end versioned state
-//! (`SharedTsdb`), so observing a poisoned value is safe — the panicking
-//! thread either left the value untouched or left a cache that will be
-//! rebuilt; durable invariants are re-established by WAL recovery, not
-//! by in-memory guards. Propagating poison instead would cascade one
+//! value in this workspace is a rebuildable cache (pager slots, decode
+//! caches, a catalog binding's view and dictionaries) or bookkeeping that
+//! is written whole (a pool's result slots, the failpoint plans), so
+//! observing a poisoned value is safe — the panicking thread either left
+//! the value untouched or left a cache that will be rebuilt; durable
+//! invariants are re-established by WAL recovery, not by in-memory
+//! guards. Propagating poison instead would cascade one
 //! thread's panic into unrelated threads and, worse, into `Drop` impls
 //! during unwinding. Callers therefore get guards directly — no
 //! `.lock().unwrap()` at every site, and no ad-hoc mix of `.expect`
@@ -62,7 +64,6 @@ use lockdep::Token;
 
 // The wrappers are the one sanctioned home for the raw primitives.
 use std::sync::Mutex as StdMutex; // lint: allow raw lock
-use std::sync::RwLock as StdRwLock; // lint: allow raw lock
 
 /// A mutex with a [`LockClass`]; see the crate docs for the checking and
 /// poisoning rules.
@@ -80,26 +81,9 @@ impl<T> Mutex<T> {
 
     /// Blocking lock with full order checking. Recovers from poison.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let token = lockdep::acquire(self.class, true);
+        let token = lockdep::acquire(self.class);
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         MutexGuard { inner, _token: token }
-    }
-
-    /// Non-blocking lock: tracked on the held stack (for `check_io` and
-    /// hold stats) but exempt from order checks — an acquisition that
-    /// cannot block cannot complete a deadlock cycle on its own.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(inner) => {
-                let token = lockdep::acquire(self.class, false);
-                Some(MutexGuard { inner, _token: token })
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                let token = lockdep::acquire(self.class, false);
-                Some(MutexGuard { inner: p.into_inner(), _token: token })
-            }
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Exclusive access needs no lock and is untracked.
@@ -143,80 +127,6 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock with a [`LockClass`]. Read and write sides are
-/// one class: the order analysis cares about *which* lock, not the mode.
-pub struct RwLock<T> {
-    class: &'static LockClass,
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(class: &'static LockClass, value: T) -> Self {
-        RwLock { class, inner: StdRwLock::new(value) }
-    }
-
-    /// Blocking shared lock with full order checking; recovers poison.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let token = lockdep::acquire(self.class, true);
-        let inner = self.inner.read().unwrap_or_else(|p| p.into_inner());
-        RwLockReadGuard { inner, _token: token }
-    }
-
-    /// Blocking exclusive lock with full order checking; recovers poison.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let token = lockdep::acquire(self.class, true);
-        let inner = self.inner.write().unwrap_or_else(|p| p.into_inner());
-        RwLockWriteGuard { inner, _token: token }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|p| p.into_inner())
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock")
-            .field("class", &self.class.name())
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-pub struct RwLockReadGuard<'a, T> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    _token: Option<Token>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-pub struct RwLockWriteGuard<'a, T> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    _token: Option<Token>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// A once-cell with a [`LockClass`]. The hit path (`get`, and
 /// `get_or_init` on an initialised cell) is a raw passthrough — zero
 /// lockdep overhead. The *init* path acquires the class for the duration
@@ -243,12 +153,12 @@ impl<T> OnceLock<T> {
         if let Some(value) = self.inner.get() {
             return value;
         }
-        let _token = lockdep::acquire(self.class, true);
+        let _token = lockdep::acquire(self.class);
         self.inner.get_or_init(f)
     }
 
     pub fn set(&self, value: T) -> Result<(), T> {
-        let _token = lockdep::acquire(self.class, true);
+        let _token = lockdep::acquire(self.class);
         self.inner.set(value)
     }
 
@@ -348,19 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_is_tracked_but_exempt_from_order_checks() {
-        arm();
-        let low = Mutex::new(&LOW, ());
-        let high = Mutex::new(&HIGH, ());
-        let _gh = high.lock();
-        // Blocking would be an inversion; try_lock is allowed through…
-        let gl = low.try_lock().expect("uncontended");
-        // …but still visible to the held stack.
-        assert_eq!(held_classes(), vec!["test.high", "test.low"]);
-        drop(gl);
-    }
-
-    #[test]
     fn once_lock_hit_path_is_untracked_and_init_is_tracked() {
         arm();
         static CELL_CLASS: LockClass = LockClass::new("test.cell", 3);
@@ -387,15 +284,6 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 42, "recovered value after poisoning");
-
-        let rw = std::sync::Arc::new(RwLock::new(&HIGH, 1u32));
-        let rw2 = rw.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = rw2.write();
-            panic!("poison the rwlock");
-        })
-        .join();
-        assert_eq!(*rw.read(), 1);
     }
 
     #[test]

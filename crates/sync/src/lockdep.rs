@@ -1,7 +1,7 @@
 //! The lockdep core: a per-thread held-lock stack, a global class-order
 //! graph, and per-class hold-time statistics.
 //!
-//! Every blocking acquisition of a wrapper lock flows through [`acquire`],
+//! Every acquisition of a wrapper lock flows through [`acquire`],
 //! which (when armed) checks the new class against everything the thread
 //! already holds:
 //!
@@ -17,11 +17,6 @@
 //!    acquisition that would close a cycle panics with *both* stacks —
 //!    this thread's and the held stack recorded when the opposing edge
 //!    was first seen.
-//!
-//! Non-blocking (`try_lock`) acquisitions are pushed onto the held stack
-//! (so `check_io` and hold-time stats see them) but skip the order checks
-//! and record no edges: an acquisition that cannot block cannot complete
-//! a deadlock cycle on its own.
 //!
 //! Arming mirrors `EXPLAINIT_VERIFY_PLANS`: always on under
 //! `debug_assertions`, on in release when `EXPLAINIT_LOCKDEP=1`, and the
@@ -275,13 +270,12 @@ fn register(class: &'static LockClass) {
 }
 
 /// Checks and records an acquisition of `class`. Returns the held-stack
-/// token, or `None` when lockdep is disarmed. `blocking` acquisitions get
-/// the full order analysis; non-blocking ones are only tracked.
+/// token, or `None` when lockdep is disarmed.
 ///
 /// All violation panics include both class names; graph violations also
 /// include both held stacks (this thread's and the first witness of the
 /// opposing order).
-pub(crate) fn acquire(class: &'static LockClass, blocking: bool) -> Option<Token> {
+pub(crate) fn acquire(class: &'static LockClass) -> Option<Token> {
     if !armed() {
         return None;
     }
@@ -297,58 +291,56 @@ pub(crate) fn acquire(class: &'static LockClass, blocking: bool) -> Option<Token
             join_names(&held),
         );
     }
-    if blocking {
-        if let Some(&(_, top_name, top_rank)) = held.iter().max_by_key(|&&(_, _, r)| r) {
-            if class.rank < top_rank {
+    if let Some(&(_, top_name, top_rank)) = held.iter().max_by_key(|&&(_, _, r)| r) {
+        if class.rank < top_rank {
+            panic!(
+                "lockdep: lock order violation: acquiring class `{}` (rank {}) while \
+                 holding `{top_name}` (rank {top_rank}); ranks must be acquired in \
+                 increasing order; held stack: [{}]",
+                class.name,
+                class.rank,
+                join_names(&held),
+            );
+        }
+    }
+    with_graph(|graph| {
+        graph.names.insert(key, class.name);
+        // A path new ⇒ held in the recorded graph means some earlier
+        // acquisition ordered `class` before a class we now hold:
+        // taking it here would close a cycle.
+        for &(held_key, held_name, _) in &held {
+            if let Some(path) = find_path(graph, key, held_key) {
+                let path_names: Vec<&str> =
+                    path.iter().map(|k| graph.names.get(k).copied().unwrap_or("?")).collect();
+                let witness = path
+                    .first()
+                    .zip(path.get(1))
+                    .and_then(|(a, b)| graph.edges.get(a)?.get(b))
+                    .map(|e| e.stack.join(", "))
+                    .unwrap_or_default();
                 panic!(
-                    "lockdep: lock order violation: acquiring class `{}` (rank {}) while \
-                     holding `{top_name}` (rank {top_rank}); ranks must be acquired in \
-                     increasing order; held stack: [{}]",
+                    "lockdep: lock order cycle: acquiring class `{}` while holding \
+                     `{held_name}` closes the cycle {} -> {held_name}; this thread's \
+                     held stack: [{}]; the opposing order was first recorded with \
+                     held stack: [{witness}]",
                     class.name,
-                    class.rank,
+                    path_names.join(" -> "),
                     join_names(&held),
                 );
             }
         }
-        with_graph(|graph| {
-            graph.names.insert(key, class.name);
-            // A path new ⇒ held in the recorded graph means some earlier
-            // acquisition ordered `class` before a class we now hold:
-            // taking it here would close a cycle.
-            for &(held_key, held_name, _) in &held {
-                if let Some(path) = find_path(graph, key, held_key) {
-                    let path_names: Vec<&str> =
-                        path.iter().map(|k| graph.names.get(k).copied().unwrap_or("?")).collect();
-                    let witness = path
-                        .first()
-                        .zip(path.get(1))
-                        .and_then(|(a, b)| graph.edges.get(a)?.get(b))
-                        .map(|e| e.stack.join(", "))
-                        .unwrap_or_default();
-                    panic!(
-                        "lockdep: lock order cycle: acquiring class `{}` while holding \
-                         `{held_name}` closes the cycle {} -> {held_name}; this thread's \
-                         held stack: [{}]; the opposing order was first recorded with \
-                         held stack: [{witness}]",
-                        class.name,
-                        path_names.join(" -> "),
-                        join_names(&held),
-                    );
-                }
-            }
-            // Record held → new edges with this thread's stack as witness.
-            let mut witness: Vec<&'static str> = held.iter().map(|&(_, n, _)| n).collect();
-            witness.push(class.name);
-            for &(held_key, _, _) in &held {
-                graph
-                    .edges
-                    .entry(held_key)
-                    .or_default()
-                    .entry(key)
-                    .or_insert_with(|| Edge { stack: witness.clone() });
-            }
-        });
-    }
+        // Record held → new edges with this thread's stack as witness.
+        let mut witness: Vec<&'static str> = held.iter().map(|&(_, n, _)| n).collect();
+        witness.push(class.name);
+        for &(held_key, _, _) in &held {
+            graph
+                .edges
+                .entry(held_key)
+                .or_default()
+                .entry(key)
+                .or_insert_with(|| Edge { stack: witness.clone() });
+        }
+    });
     Some(push_entry(class))
 }
 

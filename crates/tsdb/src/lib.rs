@@ -82,10 +82,10 @@
 //! # Locking discipline
 //!
 //! Every lock in this crate is an [`explainit_sync`] wrapper carrying a
-//! static `LockClass` rank (`tsdb.shared` 10 → chunk decode caches 50 →
-//! pager clock 60 → pager slots 70 → pooled decode handoff 75), checked
-//! at runtime by the
-//! lockdep machinery rather than documented as prose: in debug builds
+//! static `LockClass` rank (chunk decode caches 50 → pager clock 60 →
+//! pager slots 70 → pooled decode handoff 75 → failpoint plans 80),
+//! checked at runtime by the lockdep machinery rather than documented as
+//! prose: in debug builds
 //! (or under `EXPLAINIT_LOCKDEP=1`) any acquisition that inverts the
 //! rank order, nests a class inside itself, or closes a cycle in the
 //! observed class-order graph panics immediately with both witness
@@ -107,13 +107,11 @@
 
 mod glob;
 mod model;
-mod shared;
 pub mod storage;
 mod store;
 
 pub use glob::{glob_literal_prefix, glob_match, is_glob, wildcard_match};
 pub use model::{DataPoint, Series, SeriesKey, TimeRange};
-pub use shared::{SharedTsdb, INITIAL_GENERATION};
 pub use storage::pager::PagerCounters;
 pub use storage::{StorageError, StorageOptions, StorageStats};
 pub use store::{MetricFilter, SeriesId, SeriesSlice, TagFilter, Tsdb};

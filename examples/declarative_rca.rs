@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --release --example declarative_rca`
 
-use explainit::tsdb::SharedTsdb;
 use explainit::workloads::{simulate, ClusterSpec, Fault};
 use explainit::Session;
 
@@ -27,11 +26,8 @@ fn main() {
     });
     println!("ground-truth causes: {:?}\n", sim.truth.cause_families);
 
-    // A live binding: later ingests would be visible to the session with
-    // no re-bind (generation-counter refresh).
-    let shared = SharedTsdb::new(sim.db.clone());
     let mut session = Session::new();
-    session.bind_shared("tsdb", &shared);
+    session.bind_tsdb("tsdb", &sim.db);
 
     // The whole case study is one script. Statement by statement:
     //  1. stage-one query + pivot into per-metric feature families;

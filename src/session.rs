@@ -31,9 +31,8 @@
 //!   state; plain queries (including `EXPLAIN <query>` plan dumps) run
 //!   unchanged.
 //!
-//! Bind stores with [`Session::bind_tsdb`] (point-in-time snapshot) or
-//! [`Session::bind_shared`] (live handle: fresh ingests are visible to
-//! the next statement without re-binding).
+//! Bind a store with [`Session::bind_tsdb`]: a point-in-time snapshot,
+//! so a statement sees later ingests only after the store is bound again.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,7 +44,7 @@ use explainit_query::{
     parse_script, parse_statement, Catalog, CreateFamily, ExecOptions, ExplainFor, QueryError,
     Statement, Table, Value, FAMILY_COLUMNS,
 };
-use explainit_tsdb::{SharedTsdb, Tsdb};
+use explainit_tsdb::Tsdb;
 
 /// The catalog table each `EXPLAIN FOR` (re)registers its result under.
 pub const RANKING_TABLE: &str = "ranking";
@@ -137,15 +136,10 @@ impl Session {
         Session { engine: Engine::new(config), ..Session::default() }
     }
 
-    /// Binds a point-in-time snapshot of a store as table `name`.
+    /// Binds a point-in-time snapshot of a store as table `name`; bind
+    /// again to see later ingests.
     pub fn bind_tsdb(&mut self, name: &str, db: &Tsdb) {
         self.catalog.register_tsdb(name, db);
-    }
-
-    /// Binds a live [`SharedTsdb`] handle as table `name`: statements
-    /// always see the handle's current generation, with no re-binding.
-    pub fn bind_shared(&mut self, name: &str, handle: &SharedTsdb) {
-        self.catalog.register_tsdb_shared(name, handle);
     }
 
     /// The session's catalog.
@@ -657,15 +651,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_binding_sees_ingests_between_statements() {
-        let shared = SharedTsdb::new(signal_db());
+    fn rebinding_sees_ingests_between_statements() {
+        let mut db = signal_db();
         let mut s = Session::new();
-        s.bind_shared("tsdb", &shared);
+        s.bind_tsdb("tsdb", &db);
         let count = |s: &mut Session| {
             s.execute("SELECT COUNT(*) AS n FROM tsdb").unwrap().table.rows()[0][0].clone()
         };
         assert_eq!(count(&mut s), Value::Int(192));
-        shared.insert(&SeriesKey::new("late").with_tag("host", "b"), 0, 1.0);
-        assert_eq!(count(&mut s), Value::Int(193), "fresh ingest, no re-bind");
+        db.insert(&SeriesKey::new("late").with_tag("host", "b"), 0, 1.0);
+        assert_eq!(count(&mut s), Value::Int(192), "the binding is a snapshot");
+        s.bind_tsdb("tsdb", &db);
+        assert_eq!(count(&mut s), Value::Int(193), "a re-bind sees the ingest");
     }
 }

@@ -4,7 +4,7 @@
 
 use explainit::core::{Engine, EngineConfig, ScorerKind};
 use explainit::query::{pivot_long, Catalog, QueryError, Value};
-use explainit::tsdb::{SeriesKey, SharedTsdb, Tsdb};
+use explainit::tsdb::{SeriesKey, Tsdb};
 use explainit::workloads::{simulate, ClusterSpec, Fault};
 use explainit::{Session, SessionError, RANKING_TABLE};
 
@@ -119,13 +119,13 @@ fn ranking_composes_with_downstream_sql() {
 }
 
 #[test]
-fn session_over_shared_store_reranks_after_ingest() {
-    // A long-lived session on a live store: ingests between scripts are
-    // visible without re-binding (the generation-counter satellite).
+fn session_reranks_after_an_ingest_and_a_rebind() {
+    // A long-lived session over a store that keeps ingesting: the binding
+    // is a snapshot, and binding the store again brings the ingest in.
     let sim = hypervisor_incident();
-    let shared = SharedTsdb::new(sim.db.clone());
+    let mut db = sim.db.clone();
     let mut session = Session::new();
-    session.bind_shared("tsdb", &shared);
+    session.bind_tsdb("tsdb", &db);
 
     let create = format!(
         "CREATE FAMILY metrics WITH (layout = 'long', family = 'metric_name') AS {STAGE_ONE}"
@@ -134,17 +134,18 @@ fn session_over_shared_store_reranks_after_ingest() {
     let families_before = session.engine().family_count();
 
     // Ingest a brand-new metric and re-run the same statement: the new
-    // family appears without any re-bind call.
+    // family appears once the store is bound again, and not before.
     let range = sim.time_range();
-    shared.ingest(|db| {
-        let key = SeriesKey::new("freshly_ingested").with_tag("host", "h0");
-        let mut t = range.start;
-        while t < range.end {
-            db.insert(&key, t, (t % 17) as f64);
-            t += 60;
-        }
-    });
-    session.execute(&create).expect("re-create");
+    let key = SeriesKey::new("freshly_ingested").with_tag("host", "h0");
+    let mut t = range.start;
+    while t < range.end {
+        db.insert(&key, t, (t % 17) as f64);
+        t += 60;
+    }
+    session.execute(&create).expect("re-create over the snapshot");
+    assert_eq!(session.engine().family_count(), families_before);
+    session.bind_tsdb("tsdb", &db);
+    session.execute(&create).expect("re-create after the re-bind");
     assert_eq!(session.engine().family_count(), families_before + 1);
     assert!(session.engine().family("freshly_ingested").is_some());
 }

@@ -1,7 +1,8 @@
-//! Deterministic interleaving coverage of the pager and the shared
-//! store: three two-thread scenarios driven through *every* permutation
-//! of their step interleavings by `explainit_sync::sched`, with lockdep
-//! force-armed so each schedule is also a lock-order witness.
+//! Deterministic interleaving coverage of the pager and of a writer
+//! shared between threads: three two-thread scenarios driven through
+//! *every* permutation of their step interleavings by
+//! `explainit_sync::sched`, with lockdep force-armed so each schedule is
+//! also a lock-order witness.
 //!
 //! Each schedule's observable outcome is rendered to a string and the
 //! schedule is run twice — the harness asserts the two runs are
@@ -14,15 +15,19 @@ use std::sync::Arc;
 
 use explainit_sync::sched::{interleavings, run_schedule};
 use explainit_sync::{LockClass, Mutex};
-use explainit_tsdb::{MetricFilter, SeriesKey, SharedTsdb, StorageOptions, Tsdb};
+use explainit_tsdb::{MetricFilter, SeriesKey, StorageOptions, Tsdb};
 
 /// Harness-shared scratch state (step logs, the reader's pinned
-/// snapshot). Outermost rank: steps hold it across store calls and even
-/// across flush I/O, so it must sit below everything — including
-/// `tsdb.shared` (10) and the I/O threshold.
+/// snapshot). Ranked below everything the steps take, the I/O threshold
+/// included.
 static SCRATCH: LockClass = LockClass::new("test.interleave.scratch", 5);
 
-/// Scenario 3's pinned-snapshot slot. Steps log to the journal while
+/// The store the two threads of scenarios 2 and 3 share. A flush does
+/// its I/O under it, so it ranks below the store's own classes and the
+/// I/O threshold.
+static STORE: LockClass = LockClass::new("test.interleave.store", 10);
+
+/// Scenario 3's pinned-clone slot. Steps log to the journal while
 /// holding it, so it ranks below [`SCRATCH`] (and lockdep would flag a
 /// same-class nesting as a self-deadlock if the two shared a class).
 static PINNED_SLOT: LockClass = LockClass::new("test.interleave.pinned", 4);
@@ -129,32 +134,29 @@ fn flush_and_read_only_open_is_deterministic_per_schedule() {
         let dir = tmp_dir("flush-open", idx);
         let run = |schedule: &[usize]| {
             let _ = std::fs::remove_dir_all(&dir);
-            let shared = SharedTsdb::open(&dir).expect("writer open");
+            let store = Arc::new(Mutex::new(&STORE, Tsdb::open(&dir).expect("writer open")));
             let journal: Log = Arc::new(Mutex::new(&SCRATCH, Vec::new()));
 
-            let ingest = |step: usize, base: i64, shared: &SharedTsdb, journal: &Log| {
-                let shared = shared.clone();
-                let journal = journal.clone();
+            let ingest = |step: usize, base: i64| {
+                let (store, journal) = (store.clone(), journal.clone());
                 Box::new(move || {
-                    shared.ingest(|db| {
-                        for t in 0..10i64 {
-                            db.insert(&SeriesKey::new("m"), (base + t) * 60, t as f64);
-                        }
-                    });
+                    let mut db = store.lock();
+                    for t in 0..10i64 {
+                        db.insert(&SeriesKey::new("m"), (base + t) * 60, t as f64);
+                    }
+                    drop(db);
                     log(&journal, format!("t0s{step} ingested"));
                 }) as Box<dyn FnOnce() + Send>
             };
-            let flush = |step: usize, shared: &SharedTsdb, journal: &Log| {
-                let shared = shared.clone();
-                let journal = journal.clone();
+            let flush = |step: usize| {
+                let (store, journal) = (store.clone(), journal.clone());
                 Box::new(move || {
-                    shared.flush().expect("flush");
+                    store.lock().flush().expect("flush");
                     log(&journal, format!("t0s{step} flushed"));
                 }) as Box<dyn FnOnce() + Send>
             };
-            let observe = |step: usize, journal: &Log| {
-                let dir = dir.clone();
-                let journal = journal.clone();
+            let observe = |step: usize| {
+                let (dir, journal) = (dir.clone(), journal.clone());
                 Box::new(move || {
                     let seen = Tsdb::open_read_only(&dir).expect("read-only open").point_count();
                     log(&journal, format!("t1s{step} saw {seen}"));
@@ -164,17 +166,13 @@ fn flush_and_read_only_open_is_deterministic_per_schedule() {
             run_schedule(
                 schedule,
                 vec![
-                    vec![
-                        ingest(0, 0, &shared, &journal),
-                        flush(1, &shared, &journal),
-                        ingest(2, 100, &shared, &journal),
-                    ],
-                    vec![observe(0, &journal), observe(1, &journal), observe(2, &journal)],
+                    vec![ingest(0, 0), flush(1), ingest(2, 100)],
+                    vec![observe(0), observe(1), observe(2)],
                 ],
             );
             // A cold reader recovers WAL'd and flushed points alike, so
             // each observation must equal the points ingested so far.
-            assert_eq!(shared.with(Tsdb::point_count), 20, "writer sees both batches");
+            assert_eq!(store.lock().point_count(), 20, "writer sees both batches");
             render(&journal)
         };
         let first = run(schedule);
@@ -184,88 +182,74 @@ fn flush_and_read_only_open_is_deterministic_per_schedule() {
     }
 }
 
-/// Scenario 3: generation bumps racing a pinned reader — the reader's
-/// snapshot must stay frozen at its pinned generation through every
-/// interleaving of later ingests, and re-pinning must observe them.
+/// Scenario 3: ingests racing a reader that pins a clone of the store —
+/// the clone must stay frozen at the moment it was taken through every
+/// interleaving of later ingests, and a fresh clone must observe them.
 #[test]
-fn generation_bump_and_pinned_reader_is_deterministic_per_schedule() {
+fn ingest_and_pinned_clone_is_deterministic_per_schedule() {
     explainit_sync::arm();
     let outcomes = exhaust(&[3, 3], |schedule| {
-        let shared = SharedTsdb::default();
-        shared.insert(&SeriesKey::new("m"), 0, 1.0);
-        let pinned: Arc<Mutex<Option<(u64, Tsdb)>>> = Arc::new(Mutex::new(&PINNED_SLOT, None));
+        let mut seed = Tsdb::new();
+        seed.insert(&SeriesKey::new("m"), 0, 1.0);
+        let store = Arc::new(Mutex::new(&STORE, seed));
+        let pinned: Arc<Mutex<Option<Tsdb>>> = Arc::new(Mutex::new(&PINNED_SLOT, None));
         let journal: Log = Arc::new(Mutex::new(&SCRATCH, Vec::new()));
 
-        let bump = |step: usize, ts: i64, shared: &SharedTsdb, journal: &Log| {
-            let shared = shared.clone();
-            let journal = journal.clone();
+        let ingest = |step: usize, ts: i64| {
+            let (store, journal) = (store.clone(), journal.clone());
             Box::new(move || {
-                shared.insert(&SeriesKey::new("m"), ts, 1.0);
-                log(&journal, format!("t0s{step} gen={}", shared.generation()));
+                let points = {
+                    let mut db = store.lock();
+                    db.insert(&SeriesKey::new("m"), ts, 1.0);
+                    db.point_count()
+                };
+                log(&journal, format!("t0s{step} points={points}"));
             }) as Box<dyn FnOnce() + Send>
         };
         let pin = {
-            let shared = shared.clone();
-            let pinned = pinned.clone();
-            let journal = journal.clone();
+            let (store, pinned, journal) = (store.clone(), pinned.clone(), journal.clone());
             Box::new(move || {
-                let snap = shared.snapshot();
-                log(
-                    &journal,
-                    format!("t1s0 pinned gen={} points={}", snap.0, snap.1.point_count()),
-                );
+                let snap = store.lock().clone();
+                log(&journal, format!("t1s0 pinned points={}", snap.point_count()));
                 *pinned.lock() = Some(snap);
             }) as Box<dyn FnOnce() + Send>
         };
         let read_pinned = {
-            let pinned = pinned.clone();
-            let journal = journal.clone();
+            let (pinned, journal) = (pinned.clone(), journal.clone());
             Box::new(move || {
                 let guard = pinned.lock();
-                let (generation, snap) = guard.as_ref().expect("pinned in step 0");
-                log(
-                    &journal,
-                    format!("t1s1 pinned gen={generation} points={}", snap.point_count()),
-                );
+                let snap = guard.as_ref().expect("pinned in step 0");
+                log(&journal, format!("t1s1 pinned points={}", snap.point_count()));
             }) as Box<dyn FnOnce() + Send>
         };
         let repin = {
-            let shared = shared.clone();
-            let pinned = pinned.clone();
-            let journal = journal.clone();
+            let (store, pinned, journal) = (store.clone(), pinned.clone(), journal.clone());
             Box::new(move || {
-                let before = pinned.lock().as_ref().expect("pinned").0;
-                let snap = shared.snapshot();
-                assert!(snap.0 >= before, "generations never move backwards");
-                log(
-                    &journal,
-                    format!("t1s2 repinned gen={} points={}", snap.0, snap.1.point_count()),
-                );
+                let before = pinned.lock().as_ref().expect("pinned").point_count();
+                let snap = store.lock().clone();
+                assert!(snap.point_count() >= before, "a later clone never holds less");
+                log(&journal, format!("t1s2 repinned points={}", snap.point_count()));
             }) as Box<dyn FnOnce() + Send>
         };
 
         run_schedule(
             schedule,
             vec![
-                vec![
-                    bump(0, 60, &shared, &journal),
-                    bump(1, 120, &shared, &journal),
-                    bump(2, 180, &shared, &journal),
-                ],
+                vec![ingest(0, 60), ingest(1, 120), ingest(2, 180)],
                 vec![pin, read_pinned, repin],
             ],
         );
-        // The pinned snapshot is immune to every later bump: steps 0 and
-        // 1 of the reader must agree with each other in any schedule.
+        // The pinned clone is immune to every later ingest: steps 0 and 1
+        // of the reader must agree with each other in any schedule.
         let entries = journal.lock().clone();
         let pinned_line = entries.iter().find(|e| e.starts_with("t1s0")).expect("pin ran");
         let reread_line = entries.iter().find(|e| e.starts_with("t1s1")).expect("reread ran");
         assert_eq!(
             pinned_line.trim_start_matches("t1s0 pinned"),
             reread_line.trim_start_matches("t1s1 pinned"),
-            "a pinned snapshot must not see later generation bumps"
+            "a pinned clone must not see later ingests"
         );
-        assert_eq!(shared.generation(), 4, "three bumps after the seeding insert");
+        assert_eq!(store.lock().point_count(), 4, "three ingests after the seeding insert");
         render(&journal)
     });
     assert_eq!(outcomes.len(), 20, "[3,3] has exactly 20 interleavings");
