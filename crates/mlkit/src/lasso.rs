@@ -21,7 +21,6 @@ pub struct LassoModel {
     x_standardizer: Standardizer,
     y_means: Vec<f64>,
     lambda: f64,
-    iterations: usize,
 }
 
 impl LassoModel {
@@ -57,13 +56,11 @@ impl LassoModel {
         let cols: Vec<Vec<f64>> = (0..p).map(|j| xs.column(j)).collect();
 
         let mut beta_std = Matrix::zeros(p, y.ncols());
-        let mut iterations = 0usize;
         for t in 0..y.ncols() {
             // Residual starts as centred target.
             let mut resid: Vec<f64> = (0..n).map(|i| y[(i, t)] - y_means[t]).collect();
             let mut beta = vec![0.0; p];
             for _sweep in 0..max_iter {
-                iterations += 1;
                 let mut max_delta = 0.0f64;
                 for j in 0..p {
                     if col_sq[j] <= 0.0 {
@@ -94,17 +91,12 @@ impl LassoModel {
             }
             beta_std.set_column(t, &beta);
         }
-        Ok(LassoModel { beta_std, x_standardizer, y_means, lambda, iterations })
+        Ok(LassoModel { beta_std, x_standardizer, y_means, lambda })
     }
 
     /// The penalty this model was fitted with.
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// Total coordinate-descent sweeps executed across all targets.
-    pub fn sweeps(&self) -> usize {
-        self.iterations
     }
 
     /// Coefficients in standardised design space (`p × m`).

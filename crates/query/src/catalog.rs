@@ -134,11 +134,6 @@ impl Catalog {
         self.tables.insert(name.to_lowercase(), Source::Mem(Arc::new(table)));
     }
 
-    /// Removes a registered table or binding. Returns true if it existed.
-    pub fn deregister(&mut self, name: &str) -> bool {
-        self.tables.remove(&name.to_lowercase()).is_some()
-    }
-
     /// Binds a TSDB as a relational table (default name `tsdb`) with the
     /// paper's observation schema: `timestamp, metric_name, tag, value`.
     ///
@@ -282,12 +277,12 @@ mod tests {
         for (host, base) in [("web-1", 1.0), ("web-2", 2.0)] {
             let key = SeriesKey::new("cpu").with_tag("host", host);
             for t in 0..3 {
-                db.insert(&key, t * 60, base + t as f64);
+                db.try_insert(&key, t * 60, base + t as f64).expect("insert");
             }
         }
         let key = SeriesKey::new("pipeline_runtime").with_tag("pipeline_name", "p1");
         for t in 0..3 {
-            db.insert(&key, t * 60, 10.0 * t as f64);
+            db.try_insert(&key, t * 60, 10.0 * t as f64).expect("insert");
         }
         db
     }
@@ -363,15 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn deregister_removes_tables() {
-        let mut c = Catalog::new();
-        c.register("t", Table::empty(&["x"]));
-        assert!(c.deregister("T"));
-        assert!(!c.deregister("t"));
-        assert_eq!(c.get("t").unwrap_err(), QueryError::UnknownTable("t".into()));
-    }
-
-    #[test]
     fn schema_of_does_not_materialize() {
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &db());
@@ -384,7 +370,7 @@ mod tests {
         let mut store = db();
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &store);
-        store.insert(&SeriesKey::new("cpu").with_tag("host", "web-3"), 0, 7.0);
+        store.try_insert(&SeriesKey::new("cpu").with_tag("host", "web-3"), 0, 7.0).expect("insert");
         let count =
             |c: &Catalog| c.execute("SELECT COUNT(*) FROM tsdb").unwrap().rows()[0][0].clone();
         assert_eq!(count(&c), Value::Int(9)); // the late insert is invisible

@@ -955,11 +955,11 @@ mod tests {
         for (host, off) in [("b-host", 0i64), ("a-host", 1), ("c-host", 2)] {
             let key = SeriesKey::new("cpu").with_tag("host", host);
             for t in 0..40 {
-                db.insert(&key, t * 3 + off % 2, (t + off) as f64);
+                db.try_insert(&key, t * 3 + off % 2, (t + off) as f64).expect("insert");
             }
         }
-        db.insert(&SeriesKey::new("edge"), i64::MAX, 42.0);
-        db.insert(&SeriesKey::new("edge"), i64::MIN, -42.0);
+        db.try_insert(&SeriesKey::new("edge"), i64::MAX, 42.0).expect("insert");
+        db.try_insert(&SeriesKey::new("edge"), i64::MIN, -42.0).expect("insert");
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &db);
         c

@@ -631,10 +631,11 @@ mod tests {
     fn with_fold<T>(test: impl FnOnce(&Fold) -> T) -> T {
         let mut db = Tsdb::new();
         for t in 0..6 {
-            db.insert(&SeriesKey::new("m").with_tag("host", "a"), t * 10, 1.0);
+            db.try_insert(&SeriesKey::new("m").with_tag("host", "a"), t * 10, 1.0).expect("insert");
         }
         for t in [1, 3, 5] {
-            db.insert(&SeriesKey::new("m").with_tag("host", "b"), t * 10, 100.0);
+            db.try_insert(&SeriesKey::new("m").with_tag("host", "b"), t * 10, 100.0)
+                .expect("insert");
         }
         let hits =
             db.scan_parts_ordered_between(&MetricFilter::all(), i64::MIN, i64::MAX).expect("scan");

@@ -927,8 +927,8 @@ mod tests {
     fn tsdb_catalog() -> Catalog {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("cpu").with_tag("host", "web-1");
-        db.insert(&key, 0, 1.0);
-        db.insert(&key, 60, 2.0);
+        db.try_insert(&key, 0, 1.0).expect("insert");
+        db.try_insert(&key, 60, 2.0).expect("insert");
         let mut c = Catalog::new();
         c.register_tsdb("tsdb", &db);
         c.register("plain", Table::from_rows(&["x"], vec![vec![Value::Int(1)]]));

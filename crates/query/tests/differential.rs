@@ -109,14 +109,15 @@ fn aligned_tsdb_backends(points: &[(usize, usize, i64, f64)], aligned: u32) -> [
     let mut db = Tsdb::new();
     for (m, h) in (0..METRICS.len()).flat_map(|m| (0..HOSTS.len()).map(move |h| (m, h))) {
         for slot in (0..8).filter(|_| snapped(m, h)) {
-            db.insert(&key(m, h), slot * 50, (m + h) as f64 - slot as f64);
+            db.try_insert(&key(m, h), slot * 50, (m + h) as f64 - slot as f64).expect("insert");
         }
     }
     for &(m, h, ts, v) in points {
-        db.insert(&key(m, h), if snapped(m, h) { ts / 50 * 50 } else { ts }, v);
+        db.try_insert(&key(m, h), if snapped(m, h) { ts / 50 * 50 } else { ts }, v)
+            .expect("insert");
     }
     // One tag-free series so `tag['host'] IS NULL` has hits.
-    db.insert(&SeriesKey::new("untagged"), 0, 1.0);
+    db.try_insert(&SeriesKey::new("untagged"), 0, 1.0).expect("insert");
     backends_of(&db)
 }
 
@@ -769,21 +770,21 @@ proptest! {
         // and points at the i64 extremes.
         let mut db = Tsdb::new();
         for &(m, h, ts, v) in &points {
-            db.insert(&SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]), ts, v);
+            db.try_insert(&SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]), ts, v).expect("insert");
         }
         for &(h, ts) in &dup_ts {
             // The same few timestamps in many series: cross-series ties.
-            db.insert(&SeriesKey::new("dup").with_tag("host", HOSTS[h]), ts, h as f64);
+            db.try_insert(&SeriesKey::new("dup").with_tag("host", HOSTS[h]), ts, h as f64).expect("insert");
         }
         if with_extremes {
-            db.insert(&SeriesKey::new("edge"), i64::MIN, -1.0);
-            db.insert(&SeriesKey::new("edge"), i64::MAX, 1.0);
+            db.try_insert(&SeriesKey::new("edge"), i64::MIN, -1.0).expect("insert");
+            db.try_insert(&SeriesKey::new("edge"), i64::MAX, 1.0).expect("insert");
         }
         if with_empty_in_range {
             // All points far outside every generated time window.
-            db.insert(&SeriesKey::new("cpu").with_tag("host", "off-range"), 900_000, 0.0);
+            db.try_insert(&SeriesKey::new("cpu").with_tag("host", "off-range"), 900_000, 0.0).expect("insert");
         }
-        db.insert(&SeriesKey::new("solo"), 3, 7.0);
+        db.try_insert(&SeriesKey::new("solo"), 3, 7.0).expect("insert");
         let backends = backends_of(&db);
 
         let hi = lo + span;
@@ -816,7 +817,7 @@ proptest! {
         // Store-level property for the prefix range scan itself.
         let mut db = Tsdb::new();
         for &(m, h, ts, v) in &points {
-            db.insert(&SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]), ts, v);
+            db.try_insert(&SeriesKey::new(METRICS[m]).with_tag("host", HOSTS[h]), ts, v).expect("insert");
         }
         let pattern = ["cpu*", "disk*", "disk_r?ad", "pipeline*e", "*untime", "c*p*u"][pat];
         let fast = db.find(&MetricFilter::name(pattern));
@@ -841,7 +842,7 @@ fn family_statement_hostile_shapes_pinned() {
     let mut put = |name: &str, host: &str, points: &[(i64, f64)]| {
         let key = SeriesKey::new(name).with_tag("host", host).with_tag("dc", "x");
         for &(ts, v) in points {
-            db.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
         }
     };
     // `aaa` ranks first but appears last; `zzz` the other way around.
@@ -913,7 +914,7 @@ fn wide_family_statement_hostile_shapes_pinned() {
             key = key.with_tag("host", host);
         }
         for &(ts, v) in points {
-            db.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
         }
     };
     put("cpu", Some("web-1"), &[(0, 1.0), (60, 2.0), (120, f64::NAN)]);
@@ -978,7 +979,7 @@ fn metric_name_literals_are_never_read_as_patterns() {
     {
         for (host, t0) in [("h1", 0), ("h2", 30)] {
             let key = SeriesKey::new(name).with_tag("host", host);
-            (0..3).for_each(|t| db.insert(&key, t0 + t * 60, base + t as f64));
+            (0..3).for_each(|t| db.try_insert(&key, t0 + t * 60, base + t as f64).expect("insert"));
         }
     }
     let backends = backends_of(&db);
@@ -1104,10 +1105,10 @@ fn scan_aggregate_pinned_on_both_backends() {
     for (host, base) in [("web-1", 1.0), ("web-2", 2.0), ("db-1", 10.0)] {
         let key = SeriesKey::new("cpu").with_tag("host", host);
         for t in 0..7 {
-            db.insert(&key, t * 60, base + t as f64 * 0.25);
+            db.try_insert(&key, t * 60, base + t as f64 * 0.25).expect("insert");
         }
     }
-    db.insert(&SeriesKey::new("untagged"), 0, 5.0);
+    db.try_insert(&SeriesKey::new("untagged"), 0, 5.0).expect("insert");
     let backends = backends_of(&db);
     let query = parse_query(
         "SELECT timestamp, tag['host'] AS h, AVG(value) AS m, SUM(value) AS s, \
@@ -1144,8 +1145,10 @@ fn assert_scan_aggregate_pinned(db: &Tsdb, sql: &str) -> Table {
 fn scan_aggregate_class_key_errors_stay_lazy() {
     let mut db = Tsdb::new();
     for t in 0..6 {
-        db.insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64);
-        db.insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64);
+        db.try_insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64)
+            .expect("insert");
+        db.try_insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64)
+            .expect("insert");
     }
     let sql = |above: f64| {
         format!(
@@ -1177,8 +1180,10 @@ fn scan_aggregate_class_key_errors_stay_lazy() {
 fn grouped_outputs_short_circuit_per_group_on_every_engine() {
     let mut db = Tsdb::new();
     for t in 0..6 {
-        db.insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64);
-        db.insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64);
+        db.try_insert(&SeriesKey::new("cpu.user").with_tag("sep", "."), t * 60, 10.0 + t as f64)
+            .expect("insert");
+        db.try_insert(&SeriesKey::new("cpu.sys").with_tag("sep", ""), t * 60, t as f64)
+            .expect("insert");
     }
     let stem = "SPLIT(metric_name, MIN(tag['sep']))[0]";
     let sql = |n: usize| {
@@ -1219,7 +1224,7 @@ fn grouped_outputs_short_circuit_per_group_on_every_engine() {
 fn scan_aggregate_dense_shapes_pinned() {
     let put = |db: &mut Tsdb, name: &str, host: &str, points: &[(i64, f64)]| {
         let key = SeriesKey::new(name).with_tag("host", host);
-        points.iter().for_each(|&(ts, v)| db.insert(&key, ts, v));
+        points.iter().for_each(|&(ts, v)| db.try_insert(&key, ts, v).expect("insert"));
     };
     let on_grid = |vs: [f64; 5]| -> Vec<(i64, f64)> { (0..).step_by(60).zip(vs).collect() };
 
@@ -1283,7 +1288,7 @@ fn scan_aggregate_dense_shapes_pinned() {
 fn scan_aggregate_spill_shapes_pinned() {
     let mut db = Tsdb::new();
     let mut put = |name: &str, host: &str, ts: i64, v: f64| {
-        db.insert(&SeriesKey::new(name).with_tag("host", host), ts, v);
+        db.try_insert(&SeriesKey::new(name).with_tag("host", host), ts, v).expect("insert");
     };
     for ts in [0, 60] {
         // Hosts rank in name order: `a` first.
@@ -1383,14 +1388,14 @@ fn skewed_hot_series_fleet_agrees_at_every_partition_count() {
     let mut db = Tsdb::new();
     let hot = SeriesKey::new("disk").with_tag("host", "host-hot").with_tag("grp", "g0");
     for t in 0..2000i64 {
-        db.insert(&hot, t, (t % 997) as f64 * 0.1);
+        db.try_insert(&hot, t, (t % 997) as f64 * 0.1).expect("insert");
     }
     for s in 0..7 {
         let key = SeriesKey::new("disk")
             .with_tag("host", format!("host-{s}"))
             .with_tag("grp", format!("g{}", s % 3));
         for t in 0..8i64 {
-            db.insert(&key, t * 60, t as f64);
+            db.try_insert(&key, t * 60, t as f64).expect("insert");
         }
     }
     let backends = backends_of(&db);
@@ -1418,11 +1423,12 @@ fn lopsided_joins_agree_whichever_side_is_smaller() {
     for host in 0..40 {
         let key = SeriesKey::new("cpu").with_tag("host", format!("h{host}"));
         for t in 0..12i64 {
-            db.insert(&key, t * 60, (host * 12) as f64 + t as f64 * 0.25);
+            db.try_insert(&key, t * 60, (host * 12) as f64 + t as f64 * 0.25).expect("insert");
         }
     }
     for t in 0..12i64 {
-        db.insert(&SeriesKey::new("pipeline_runtime"), t * 60, 100.0 - t as f64);
+        db.try_insert(&SeriesKey::new("pipeline_runtime"), t * 60, 100.0 - t as f64)
+            .expect("insert");
     }
     let backends = backends_of(&db);
     let grouped = "(SELECT timestamp AS t, tag['host'] AS h, AVG(value) AS mean FROM tsdb \
@@ -1453,7 +1459,7 @@ fn scan_aggregate_int_typing_and_overflow_promotion() {
     let mut db = Tsdb::new();
     let key = SeriesKey::new("m").with_tag("host", "a");
     for t in [1i64, 2, 3] {
-        db.insert(&key, t, 1.0);
+        db.try_insert(&key, t, 1.0).expect("insert");
     }
     let query = parse_query("SELECT SUM(timestamp) AS s FROM tsdb").unwrap();
     for (backend, catalog) in backends_of(&db).iter().enumerate() {
@@ -1465,8 +1471,8 @@ fn scan_aggregate_int_typing_and_overflow_promotion() {
     // promotes to the error-free float sum in every engine.
     let mut db = Tsdb::new();
     let big = i64::MAX - 10;
-    db.insert(&SeriesKey::new("m").with_tag("host", "a"), big, 1.0);
-    db.insert(&SeriesKey::new("m").with_tag("host", "b"), big - 1, 2.0);
+    db.try_insert(&SeriesKey::new("m").with_tag("host", "a"), big, 1.0).expect("insert");
+    db.try_insert(&SeriesKey::new("m").with_tag("host", "b"), big - 1, 2.0).expect("insert");
     let backends = backends_of(&db);
     let naive = execute_naive(&backends[0], &query).unwrap();
     let expect = &naive.rows()[0][0];
@@ -1563,8 +1569,9 @@ fn group_by_timestamp_is_exact_at_the_i64_extremes() {
     for (i, &ts) in stamps.iter().enumerate() {
         // Neighbouring timestamps sit in different series, and every
         // timestamp is hit twice, so groups merge across series.
-        db.insert(&SeriesKey::new("m").with_tag("host", ["a", "b"][i % 2]), ts, 1.0);
-        db.insert(&SeriesKey::new("m").with_tag("host", "c"), ts, 2.0);
+        db.try_insert(&SeriesKey::new("m").with_tag("host", ["a", "b"][i % 2]), ts, 1.0)
+            .expect("insert");
+        db.try_insert(&SeriesKey::new("m").with_tag("host", "c"), ts, 2.0).expect("insert");
     }
     let query = parse_query(
         "SELECT timestamp, SUM(value) AS s, COUNT(*) AS n FROM tsdb GROUP BY timestamp",
@@ -1629,8 +1636,8 @@ fn minmax_with_nan_agrees_across_engines() {
     // order: host=a scans first but its point is *later*, so a
     // series-major MIN fold would see 5.0 before the NaN that serial row
     // order sees first.
-    db.insert(&SeriesKey::new("m").with_tag("host", "a"), 100, 5.0);
-    db.insert(&SeriesKey::new("m").with_tag("host", "b"), 0, f64::NAN);
+    db.try_insert(&SeriesKey::new("m").with_tag("host", "a"), 100, 5.0).expect("insert");
+    db.try_insert(&SeriesKey::new("m").with_tag("host", "b"), 0, f64::NAN).expect("insert");
     let backends = backends_of(&db);
     for sql in [
         "SELECT MIN(value) AS lo FROM tsdb",

@@ -11,10 +11,10 @@ fn catalog() -> Catalog {
     for host in ["web-1", "web-2"] {
         let key = SeriesKey::new("cpu").with_tag("host", host).with_tag("grp", "g0");
         for t in 0..5 {
-            db.insert(&key, t * 60, t as f64);
+            db.try_insert(&key, t * 60, t as f64).expect("insert");
         }
     }
-    db.insert(&SeriesKey::new("disk").with_tag("host", "web-1"), 0, 1.0);
+    db.try_insert(&SeriesKey::new("disk").with_tag("host", "web-1"), 0, 1.0).expect("insert");
     let mut c = Catalog::new();
     c.register_tsdb("tsdb", &db);
     c.register(

@@ -237,7 +237,7 @@ proptest! {
         // evaluated per entry; the store keeps the last write too).
         let mut db = Tsdb::new();
         for &(ts, feat, v) in &cells {
-            db.insert(&SeriesKey::new("fam").with_tag("f", format!("f{feat}")), ts, v);
+            db.try_insert(&SeriesKey::new("fam").with_tag("f", format!("f{feat}")), ts, v).expect("insert");
         }
         let mut catalog = Catalog::new();
         catalog.register_tsdb("tsdb", &db);

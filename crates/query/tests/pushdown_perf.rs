@@ -14,13 +14,13 @@ fn build_db() -> Tsdb {
     for s in 0..300usize {
         let key = SeriesKey::new(format!("noise_{}", s % 40)).with_tag("host", format!("host-{s}"));
         for t in 0..200i64 {
-            db.insert(&key, t * 60, (s as f64) + (t as f64) * 0.01);
+            db.try_insert(&key, t * 60, (s as f64) + (t as f64) * 0.01).expect("insert");
         }
     }
     for p in ["p1", "p2"] {
         let key = SeriesKey::new("pipeline_runtime").with_tag("pipeline_name", p);
         for t in 0..200i64 {
-            db.insert(&key, t * 60, 100.0 + t as f64);
+            db.try_insert(&key, t * 60, 100.0 + t as f64).expect("insert");
         }
     }
     db

@@ -55,7 +55,7 @@ fn catalog() -> Catalog {
         for (h, host) in HOSTS.iter().enumerate() {
             let key = SeriesKey::new(*metric).with_tag("host", *host);
             for ts in 0..5i64 {
-                db.insert(&key, ts * 100, (m + h) as f64 + ts as f64 * 0.5);
+                db.try_insert(&key, ts * 100, (m + h) as f64 + ts as f64 * 0.5).expect("insert");
             }
         }
     }

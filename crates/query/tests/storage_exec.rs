@@ -80,8 +80,8 @@ fn family_query_bit_identical_after_reopen() {
     {
         let mut durable = Tsdb::open(&dir).expect("open");
         for (key, ts, v) in fleet_points() {
-            memory.insert(&key, ts, v);
-            durable.insert(&key, ts, v);
+            memory.try_insert(&key, ts, v).expect("insert");
+            durable.try_insert(&key, ts, v).expect("insert");
         }
         durable.flush().expect("flush");
     }
@@ -99,15 +99,15 @@ fn family_query_bit_identical_after_torn_wal_tail() {
     {
         let mut durable = Tsdb::open(&dir).expect("open");
         for (key, ts, v) in fleet_points() {
-            memory.insert(&key, ts, v);
-            durable.insert(&key, ts, v);
+            memory.try_insert(&key, ts, v).expect("insert");
+            durable.try_insert(&key, ts, v).expect("insert");
         }
         durable.flush().expect("flush the fleet into segments");
         // Post-flush inserts: one WAL record each. The last one will be
         // torn; all but the last belong in the recovered store.
         let late = SeriesKey::new("cpu").with_tag("host", "web-1");
         durable.try_insert(&late, 5000 * 60, 42.0).expect("committed insert");
-        memory.insert(&late, 5000 * 60, 42.0);
+        memory.try_insert(&late, 5000 * 60, 42.0).expect("insert");
         durable.try_insert(&late, 5001 * 60, 43.0).expect("to-be-torn insert");
         durable.sync().expect("sync");
     }
@@ -141,7 +141,7 @@ fn an_unreadable_chunk_fails_the_reference_and_the_materialized_view() {
     {
         let mut durable = Tsdb::open(&dir).expect("open");
         for (key, ts, v) in fleet_points() {
-            durable.insert(&key, ts, v);
+            durable.try_insert(&key, ts, v).expect("insert");
         }
         durable.flush().expect("flush the fleet into segments");
     }
@@ -186,14 +186,14 @@ fn time_filtered_scan_aggregate_decodes_only_overlapping_chunks() {
         for host in hosts {
             let key = SeriesKey::new("cpu").with_tag("host", host);
             for t in 0..30i64 {
-                db.insert(&key, t * 60, t as f64);
+                db.try_insert(&key, t * 60, t as f64).expect("insert");
             }
         }
         db.flush().expect("flush window 1");
         for host in hosts {
             let key = SeriesKey::new("cpu").with_tag("host", host);
             for t in 1000..1030i64 {
-                db.insert(&key, t * 60, t as f64);
+                db.try_insert(&key, t * 60, t as f64).expect("insert");
             }
         }
         db.flush().expect("flush window 2");
@@ -247,8 +247,8 @@ fn scan_pivot_over_a_reopened_store_equals_the_table_pivot_and_decodes_each_chun
                 let key = SeriesKey::new("cpu").with_tag("host", *host);
                 for t in window..window + 30 {
                     let v = 10.0 * i as f64 + (t as f64 * 0.37).sin();
-                    memory.insert(&key, t * 60, v);
-                    durable.insert(&key, t * 60, v);
+                    memory.try_insert(&key, t * 60, v).expect("insert");
+                    durable.try_insert(&key, t * 60, v).expect("insert");
                 }
             }
             durable.flush().expect("flush window");

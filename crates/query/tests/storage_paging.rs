@@ -34,7 +34,7 @@ fn build_store(dir: &std::path::Path) -> Tsdb {
             for t in 0..30i64 {
                 let ts = (round * 500 + t) * 60;
                 let v = 10.0 * (i as f64 + 1.0) + ((round * 30 + t) as f64 * 0.37).sin();
-                db.insert(&key, ts, v);
+                db.try_insert(&key, ts, v).expect("insert");
             }
         }
         db.flush().expect("flush round");

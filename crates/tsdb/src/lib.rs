@@ -16,10 +16,11 @@
 //!
 //! let mut db = Tsdb::new();
 //! let key = SeriesKey::new("disk").with_tag("host", "datanode-1").with_tag("type", "read_latency");
-//! db.insert(&key, 0, 1.2);
-//! db.insert(&key, 60, 1.4);
+//! db.try_insert(&key, 0, 1.2)?;
+//! db.try_insert(&key, 60, 1.4)?;
 //! let hits = db.find(&MetricFilter::name("disk"));
 //! assert_eq!(hits.len(), 1);
+//! # Ok::<(), explainit_tsdb::StorageError>(())
 //! ```
 //!
 //! # The open/flush lifecycle
@@ -34,11 +35,12 @@
 //! [`StorageError::Corrupt`] and the log is left as it was. That directory is the store's only on-disk
 //! form: whatever reads a store back from disk goes through `Tsdb::open*`.
 //!
-//! * **Ingest** (`insert`, `try_insert`, `try_insert_batch`) appends one
-//!   WAL batch record per call and updates the in-memory index through
-//!   the [`Series::push`] insert contract — an in-memory store is filled
-//!   the same way, minus the log. Records are buffered; they survive a
-//!   crash only after the next `sync()` or `flush()`.
+//! * **Ingest** (`try_insert`, `try_insert_batch`) appends one WAL batch
+//!   record per call and updates the in-memory index through the
+//!   [`Series::push`] insert contract — an in-memory store is filled the
+//!   same way, minus the log. A write that fails is that call's error and
+//!   is applied nowhere. Records are buffered; they survive a crash only
+//!   after the next `sync()` or `flush()`.
 //! * **[`Tsdb::flush`]** is the durability point: it fsyncs the WAL,
 //!   seals in-memory heads into delta-of-delta + XOR compressed chunks
 //!   inside a new segment file, truncates the WAL, and auto-compacts when

@@ -90,7 +90,6 @@ mod tests {
             segments: r.segments,
             next_segment_id: r.next_segment_id,
             freelist: r.freelist,
-            sticky_error: None,
             pending: Vec::new(),
             options: StorageOptions::default(),
         }

@@ -12,8 +12,7 @@
 //!                           per-series compressed chunks (delta-of-delta
 //!                           timestamps + XOR values); `EXPLSEG2`: a
 //!                           directory with its own CRC and a CRC per
-//!                           chunk (`EXPLSEG1`, one whole-file CRC, is
-//!                           read but no longer written)
+//!                           chunk
 //! <dir>/seg-NNNNNNNN.tmp    in-flight segment write (ignored + removed
 //!                           on open)
 //! ```
@@ -188,11 +187,6 @@ pub struct Storage {
     pub next_segment_id: u64,
     /// Ids whose files were reclaimed (superseded by compaction).
     pub freelist: Vec<u64>,
-    /// First WAL-append failure, or unseal that could not read a sealed
-    /// chunk, since the last flush, surfaced by the next `flush()` — the
-    /// infallible `Tsdb::insert` signature cannot return it at the call
-    /// site.
-    pub sticky_error: Option<StorageError>,
     /// Chunks sealed by a flush whose segment write then failed: they are
     /// resident in memory but have no durable home yet, so the next flush
     /// must retry writing them (their WAL records are retained too — the

@@ -60,8 +60,7 @@ pub struct ColdRef {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// CRC-32 of the payload: from the segment directory (`EXPLSEG2`), or
-    /// computed at open from the checksummed file (`EXPLSEG1`).
+    /// CRC-32 of the payload, from the segment directory.
     pub crc: u32,
 }
 

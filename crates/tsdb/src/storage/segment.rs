@@ -1,7 +1,7 @@
 //! Immutable segment files: the sealed, compressed on-disk form of the
 //! store.
 //!
-//! The writer emits version 2 (little-endian):
+//! A segment file is version 2 (little-endian):
 //!
 //! ```text
 //! magic: b"EXPLSEG2"
@@ -29,13 +29,7 @@
 //! data byte is corrupt at the first read that touches it. Open is
 //! O(directory), not O(data).
 //!
-//! Version 1 (`EXPLSEG1`) is still read, never written: the same header
-//! and directory with no `dir_len`, each chunk entry `min_ts: i64, max_ts:
-//! i64, count: u32, offset: u64, len: u64` (offsets into the data region),
-//! the data region, then one `crc32: u32` over every preceding byte. Its
-//! open reads and checks the whole file and computes each chunk's CRC from
-//! the verified bytes, so its later faults are checked the same way.
-//! Compaction rewrites a v1 store's segments as v2.
+//! A file with any other magic is corrupt.
 //!
 //! Segments are written to `seg-NNNNNNNN.tmp`, fsynced, renamed into
 //! place, and the directory fsynced — a crash mid-write leaves only a
@@ -51,16 +45,20 @@ use super::pager::read_exact_at;
 use super::{crc32, sync_dir, SegmentHandle, StorageError};
 use crate::model::SeriesKey;
 
-const MAGIC_V1: &[u8; 8] = b"EXPLSEG1";
 const MAGIC_V2: &[u8; 8] = b"EXPLSEG2";
 
 /// Bytes of the v2 fixed header: magic, id, `dir_len`.
 const HEADER_V2: usize = 8 + 8 + 4;
 
-/// Defensive cap on v1 directory counts so a corrupt file cannot drive
-/// huge allocations before the CRC check would have caught it (a v2
-/// directory is checked before it is parsed).
-const MAX_COUNT: u32 = 1 << 24;
+/// Fewest directory bytes each entry kind takes: a superseded id; a series
+/// (name length, tag count, chunk count); a tag (key and value lengths); a
+/// chunk (`min_ts`, `max_ts`, count, len, crc). A count is refused when
+/// the bytes left cannot hold that many entries, so a directory whose CRC
+/// holds cannot reserve more than its own size suggests.
+const MIN_SUPERSEDES: usize = 8;
+const MIN_SERIES: usize = 12;
+const MIN_TAG: usize = 8;
+const MIN_CHUNK: usize = 28;
 
 /// One chunk's directory entry with its payload location resolved to an
 /// absolute file offset — everything a cold chunk keeps resident.
@@ -210,64 +208,68 @@ pub fn write_segment(
 }
 
 /// A parsed directory: the supersedes list and each series' chunks, with
-/// offsets relative to the data region.
+/// offsets relative to the data region, and the payload bytes in all.
 struct Directory {
     supersedes: Vec<u64>,
     series: Vec<(SeriesKey, Vec<MappedChunk>)>,
+    data_len: u64,
 }
 
-/// Parses the directory shared by both versions; `read_location` reads
-/// one chunk entry's version-specific tail (after `min_ts, max_ts,
-/// count`) into `(offset, len, crc)`.
+/// Parses a v2 directory (after the fixed header); the chunk offsets are
+/// the running sum of the payload lengths before each one.
 fn parse_directory(
     bytes: &[u8],
     at: &mut usize,
     corrupt: &dyn Fn(&str) -> StorageError,
-    mut read_location: impl FnMut(&[u8], &mut usize) -> Option<(u64, u64, u32)>,
 ) -> Result<Directory, StorageError> {
-    let n_supersedes = read_count(bytes, at).ok_or_else(|| corrupt("bad supersedes count"))?;
+    let n_supersedes =
+        read_count(bytes, at, MIN_SUPERSEDES).ok_or_else(|| corrupt("bad supersedes count"))?;
     let mut supersedes = Vec::with_capacity(n_supersedes);
     for _ in 0..n_supersedes {
         supersedes.push(read_u64(bytes, at).ok_or_else(|| corrupt("truncated supersedes"))?);
     }
-    let n_series = read_count(bytes, at).ok_or_else(|| corrupt("bad series count"))?;
+    let n_series = read_count(bytes, at, MIN_SERIES).ok_or_else(|| corrupt("bad series count"))?;
     let mut series: Vec<(SeriesKey, Vec<MappedChunk>)> = Vec::with_capacity(n_series);
+    let mut next = 0u64;
     for _ in 0..n_series {
         let name = read_str(bytes, at).ok_or_else(|| corrupt("truncated series name"))?;
-        let n_tags = read_count(bytes, at).ok_or_else(|| corrupt("bad tag count"))?;
+        let n_tags = read_count(bytes, at, MIN_TAG).ok_or_else(|| corrupt("bad tag count"))?;
         let mut key = SeriesKey::new(name);
         for _ in 0..n_tags {
             let k = read_str(bytes, at).ok_or_else(|| corrupt("truncated tag key"))?;
             let v = read_str(bytes, at).ok_or_else(|| corrupt("truncated tag value"))?;
             key.tags.insert(k, v);
         }
-        let n_chunks = read_count(bytes, at).ok_or_else(|| corrupt("bad chunk count"))?;
+        let n_chunks =
+            read_count(bytes, at, MIN_CHUNK).ok_or_else(|| corrupt("bad chunk count"))?;
         let mut chunks = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
             let truncated = || corrupt("truncated chunk meta");
             let min_ts = read_u64(bytes, at).ok_or_else(truncated)? as i64;
             let max_ts = read_u64(bytes, at).ok_or_else(truncated)? as i64;
             let count = read_u32(bytes, at).ok_or_else(truncated)?;
-            let (offset, len, crc) = read_location(bytes, at).ok_or_else(truncated)?;
+            let len = u64::from(read_u32(bytes, at).ok_or_else(truncated)?);
+            let crc = read_u32(bytes, at).ok_or_else(truncated)?;
             if count == 0 || min_ts > max_ts {
                 return Err(corrupt("empty or inverted chunk meta"));
             }
             chunks.push(MappedChunk {
                 meta: ChunkMeta { min_ts, max_ts, count },
-                offset,
+                offset: next,
                 len,
                 crc,
             });
+            next += len;
         }
         series.push((key, chunks));
     }
-    Ok(Directory { supersedes, series })
+    Ok(Directory { supersedes, series, data_len: next })
 }
 
 /// Maps a segment for demand paging: reads and verifies the header and
-/// the directory (v2) — or the whole file (v1) — and keeps the chunk
-/// directory, with offsets resolved to absolute file positions, and an
-/// open read handle: the resident footprint of a fully cold segment.
+/// the directory and keeps the chunk directory, with offsets resolved to
+/// absolute file positions, and an open read handle: the resident
+/// footprint of a fully cold segment.
 pub fn map_segment(path: &Path) -> Result<MappedSegment, StorageError> {
     let file = std::fs::File::open(path)
         .map_err(|e| StorageError::io(format!("opening {}", path.display()), e))?;
@@ -280,55 +282,36 @@ pub fn map_segment(path: &Path) -> Result<MappedSegment, StorageError> {
         .metadata()
         .map_err(|e| StorageError::io(format!("reading the length of {}", path.display()), e))?
         .len();
-    let mut magic = [0u8; 8];
-    if file_len < magic.len() as u64 {
+    if file_len < HEADER_V2 as u64 + 4 {
         return Err(corrupt("file shorter than the fixed header"));
     }
-    read(&mut magic, 0)?;
-    let (id, directory, data_start, data_len) = match &magic {
-        MAGIC_V2 => {
-            let mut header = [0u8; HEADER_V2];
-            if file_len < HEADER_V2 as u64 + 4 {
-                return Err(corrupt("file shorter than the fixed header"));
-            }
-            read(&mut header, 0)?;
-            let mut at = magic.len();
-            let id = read_u64(&header, &mut at).ok_or_else(|| corrupt("truncated id"))?;
-            let dir_len = read_u32(&header, &mut at).ok_or_else(|| corrupt("truncated header"))?;
-            let data_start = HEADER_V2 as u64 + u64::from(dir_len) + 4;
-            if data_start > file_len {
-                return Err(corrupt("directory runs past the end of the file"));
-            }
-            let mut head = vec![0u8; data_start as usize];
-            read(&mut head, 0)?;
-            let (body, stored) = head.split_at(head.len() - 4);
-            if crc32(body) != u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]) {
-                return Err(corrupt("directory checksum mismatch"));
-            }
-            let mut at = HEADER_V2;
-            let mut next = 0u64;
-            let directory = parse_directory(body, &mut at, &corrupt, |bytes, at| {
-                let len = u64::from(read_u32(bytes, at)?);
-                let crc = read_u32(bytes, at)?;
-                let offset = next;
-                next += len;
-                Some((offset, len, crc))
-            })?;
-            if at != body.len() {
-                return Err(corrupt("directory longer than its entries"));
-            }
-            if data_start + next != file_len {
-                return Err(corrupt("file length does not match its directory"));
-            }
-            (id, directory, data_start, next)
-        }
-        MAGIC_V1 => {
-            let mut bytes = vec![0u8; file_len as usize];
-            read(&mut bytes, 0)?;
-            map_v1(&bytes, &corrupt)?
-        }
-        _ => return Err(corrupt("bad magic")),
-    };
+    let mut header = [0u8; HEADER_V2];
+    read(&mut header, 0)?;
+    let magic = &header[..MAGIC_V2.len()];
+    if magic != MAGIC_V2 {
+        return Err(corrupt(&format!("bad magic \"{}\"", magic.escape_ascii())));
+    }
+    let mut at = MAGIC_V2.len();
+    let id = read_u64(&header, &mut at).ok_or_else(|| corrupt("truncated id"))?;
+    let dir_len = read_u32(&header, &mut at).ok_or_else(|| corrupt("truncated header"))?;
+    let data_start = HEADER_V2 as u64 + u64::from(dir_len) + 4;
+    if data_start > file_len {
+        return Err(corrupt("directory runs past the end of the file"));
+    }
+    let mut head = vec![0u8; data_start as usize];
+    read(&mut head, 0)?;
+    let (body, stored) = head.split_at(head.len() - 4);
+    if crc32(body) != u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]) {
+        return Err(corrupt("directory checksum mismatch"));
+    }
+    let mut at = HEADER_V2;
+    let directory = parse_directory(body, &mut at, &corrupt)?;
+    if at != body.len() {
+        return Err(corrupt("directory longer than its entries"));
+    }
+    if data_start + directory.data_len != file_len {
+        return Err(corrupt("file length does not match its directory"));
+    }
     let mut max_ts = None;
     let series = directory
         .series
@@ -348,42 +331,10 @@ pub fn map_segment(path: &Path) -> Result<MappedSegment, StorageError> {
         id,
         supersedes: directory.supersedes,
         series,
-        data_bytes: data_len,
+        data_bytes: directory.data_len,
         max_ts,
         file: Arc::new(file),
     })
-}
-
-/// Verifies a whole v1 file's checksum and parses its directory, giving
-/// every chunk the CRC of its (verified) payload. Returns the id, the
-/// directory, and the data region's start and length.
-fn map_v1(
-    bytes: &[u8],
-    corrupt: &dyn Fn(&str) -> StorageError,
-) -> Result<(u64, Directory, u64, u64), StorageError> {
-    if bytes.len() < MAGIC_V1.len() + 8 + 4 + 4 + 4 {
-        return Err(corrupt("file shorter than the fixed header"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) {
-        return Err(corrupt("whole-file checksum mismatch"));
-    }
-    let mut at = MAGIC_V1.len();
-    let id = read_u64(body, &mut at).ok_or_else(|| corrupt("truncated id"))?;
-    let mut directory = parse_directory(body, &mut at, corrupt, |bytes, at| {
-        Some((read_u64(bytes, at)?, read_u64(bytes, at)?, 0))
-    })?;
-    let data = &body[at..];
-    for (_, chunks) in &mut directory.series {
-        for c in chunks {
-            let end = c.offset.checked_add(c.len).filter(|&e| e <= data.len() as u64);
-            let Some(end) = end else {
-                return Err(corrupt("chunk payload outside data region"));
-            };
-            c.crc = crc32(&data[c.offset as usize..end as usize]);
-        }
-    }
-    Ok((id, directory, at as u64, data.len() as u64))
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
@@ -403,12 +354,11 @@ fn read_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
     Some(v)
 }
 
-fn read_count(bytes: &[u8], at: &mut usize) -> Option<usize> {
-    let v = read_u32(bytes, at)?;
-    if v > MAX_COUNT {
-        return None;
-    }
-    Some(v as usize)
+/// Reads an entry count, refusing one the `bytes` left after it cannot
+/// hold at `min_entry` bytes an entry.
+fn read_count(bytes: &[u8], at: &mut usize, min_entry: usize) -> Option<usize> {
+    let v = read_u32(bytes, at)? as usize;
+    (v <= (bytes.len() - *at) / min_entry).then_some(v)
 }
 
 fn read_str(bytes: &[u8], at: &mut usize) -> Option<String> {

@@ -107,12 +107,6 @@ impl MetricFilter {
         self
     }
 
-    /// Builder-style glob tag predicate.
-    pub fn with_tag_glob(mut self, key: impl Into<String>, pattern: impl Into<String>) -> Self {
-        self.tags.push(TagFilter::Glob(key.into(), pattern.into()));
-        self
-    }
-
     /// True when the filter accepts the key.
     pub fn matches(&self, key: &SeriesKey) -> bool {
         if let Some(name) = &self.name {
@@ -273,7 +267,6 @@ impl Tsdb {
             segments: recovered.segments,
             next_segment_id: recovered.next_segment_id,
             freelist: recovered.freelist,
-            sticky_error: None,
             pending: Vec::new(),
             options,
         });
@@ -346,16 +339,14 @@ impl Tsdb {
     /// The durability point: fsyncs the WAL, seals every non-empty head
     /// into compressed chunks written as a new segment, truncates the WAL,
     /// and merges segments when [`AUTO_COMPACT_SEGMENTS`] have piled up.
-    /// Surfaces any sticky error a previous infallible `insert` recorded.
+    /// Write errors are not carried here: each came back from the
+    /// `try_insert*` call that caused it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
         };
         if storage.is_read_only() {
             return Err(StorageError::ReadOnly);
-        }
-        if let Some(err) = storage.sticky_error.take() {
-            return Err(err);
         }
         if let Some(wal) = storage.wal.as_mut() {
             wal.sync()?;
@@ -521,31 +512,12 @@ impl Tsdb {
         id
     }
 
-    /// Inserts one observation, creating the series on first touch.
-    ///
-    /// On a durable store the point is logged to the WAL (durable after
-    /// the next [`Tsdb::sync`]/[`Tsdb::flush`]). This signature cannot
-    /// report I/O failures, so the first WAL-append error is recorded and
-    /// surfaced by the next `flush()`; callers that want the error at the
-    /// call site use [`Tsdb::try_insert`].
-    pub fn insert(&mut self, key: &SeriesKey, ts: i64, value: f64) {
-        // A write into a sealed chunk that cannot be read applies nowhere,
-        // neither in memory nor in the log, and fails the next flush.
-        if let Err(err) = self.make_writable(key, ts) {
-            self.record_sticky(err);
-            return;
-        }
-        let wal_err = self.wal_append(key, &[(ts, value)]).err();
-        let id = self.series_id(key);
-        let push_err = self.series[id.index()].push(ts, value).err();
-        if let Some(err) = wal_err.or(push_err) {
-            self.record_sticky(err);
-        }
-    }
-
-    /// [`Tsdb::insert`] that surfaces WAL-append failures at the call
-    /// site. On error the point is *not* applied in memory either, so the
-    /// in-memory and logged states never diverge.
+    /// Inserts one observation, creating the series on first touch. On a
+    /// durable store the point is logged to the WAL first (durable after
+    /// the next [`Tsdb::sync`] / [`Tsdb::flush`]). Every failure is this
+    /// call's error — a read-only store, a WAL append that fails, a sealed
+    /// chunk that cannot be read — and the point is then *not* applied in
+    /// memory either, so the in-memory and logged states never diverge.
     pub fn try_insert(&mut self, key: &SeriesKey, ts: i64, value: f64) -> Result<(), StorageError> {
         self.try_insert_batch(key, &[(ts, value)])
     }
@@ -587,14 +559,6 @@ impl Tsdb {
                 None => Err(StorageError::ReadOnly),
             },
             None => Ok(()),
-        }
-    }
-
-    fn record_sticky(&mut self, err: StorageError) {
-        if let Some(storage) = self.storage.as_mut() {
-            if storage.sticky_error.is_none() {
-                storage.sticky_error = Some(err);
-            }
         }
     }
 
@@ -836,12 +800,12 @@ mod tests {
             let key =
                 SeriesKey::new("disk").with_tag("host", host).with_tag("type", "read_latency");
             for t in 0..10 {
-                db.insert(&key, t * 60, t as f64);
+                db.try_insert(&key, t * 60, t as f64).expect("insert");
             }
         }
         let key = SeriesKey::new("runtime").with_tag("component", "pipeline-1");
         for t in 0..10 {
-            db.insert(&key, t * 60, 100.0 + t as f64);
+            db.try_insert(&key, t * 60, 100.0 + t as f64).expect("insert");
         }
         db
     }
@@ -873,7 +837,8 @@ mod tests {
         let mut db = Tsdb::new();
         for name in ["disk_read", "disk_write", "diskette", "disco", "net_in", "runtime"] {
             for host in ["a", "b"] {
-                db.insert(&SeriesKey::new(name).with_tag("host", host), 0, 1.0);
+                db.try_insert(&SeriesKey::new(name).with_tag("host", host), 0, 1.0)
+                    .expect("insert");
             }
         }
         for pat in ["disk*", "disk_*", "disk_rea?", "dis*o", "d*", "z*", "*isk*", "disk_read"] {
@@ -914,8 +879,8 @@ mod tests {
     fn scan_parts_between_includes_i64_max_points() {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("edge");
-        db.insert(&key, 0, 1.0);
-        db.insert(&key, i64::MAX, 2.0);
+        db.try_insert(&key, 0, 1.0).expect("insert");
+        db.try_insert(&key, i64::MAX, 2.0).expect("insert");
         let parts =
             db.scan_parts_between(&MetricFilter::name("edge"), i64::MIN, i64::MAX).expect("scan");
         assert_eq!(parts[0].timestamps, &[0, i64::MAX]);
@@ -933,7 +898,10 @@ mod tests {
         let db = sample_db();
         let f = MetricFilter::all().with_tag("host", "datanode-1");
         assert_eq!(db.find(&f).len(), 1);
-        let f = MetricFilter::all().with_tag_glob("host", "datanode*");
+        let f = MetricFilter {
+            name: None,
+            tags: vec![TagFilter::Glob("host".into(), "datanode*".into())],
+        };
         assert_eq!(db.find(&f).len(), 2);
         let f = MetricFilter { name: None, tags: vec![TagFilter::Absent("host".into())] };
         assert_eq!(db.find(&f).len(), 1); // runtime has no host tag
@@ -954,8 +922,8 @@ mod tests {
     fn duplicate_insert_same_key_reuses_series() {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("m").with_tag("a", "b");
-        db.insert(&key, 0, 1.0);
-        db.insert(&key, 60, 2.0);
+        db.try_insert(&key, 0, 1.0).expect("insert");
+        db.try_insert(&key, 60, 2.0).expect("insert");
         assert_eq!(db.series_count(), 1);
         assert_eq!(db.get(&key).unwrap().len(), 2);
     }

@@ -192,10 +192,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// `write_segment(dir, 7, &[3, 5], &sample_series())` as written by the
-/// last `EXPLSEG1` writer.
-const V1_SEGMENT: &[u8] = include_bytes!("fixtures/v1-seg-00000007.seg");
-
 /// `segment.rs`'s `sample_series`: two series, NaN / -0.0 / ±inf values
 /// and i64-extreme timestamps.
 fn sample_series() -> Vec<(SeriesKey, Vec<EncodedChunk>)> {
@@ -238,11 +234,8 @@ fn format_pins() -> Vec<(&'static str, usize, u32)> {
         pin("random walk", &encode(&walk_ts, &walk_vals)),
     ];
 
-    // The segment file over `segment.rs`'s `sample_series`: the v1 bytes
-    // the format's last writer produced (a checked-in fixture, which
-    // `v1_fixture_reads_back_the_sample_points` reads), and what the writer
-    // emits now.
-    pins.push(pin("segment file", V1_SEGMENT));
+    // The segment file the writer emits over `segment.rs`'s
+    // `sample_series`.
     let dir = tmp_dir("segment");
     let handle = write_segment(&dir, 7, &[3, 5], &sample_series()).expect("write segment");
     pins.push(pin("segment file v2", &std::fs::read(&handle.path).expect("read segment")));
@@ -267,13 +260,12 @@ fn encoder_bytes_are_the_parent_format() {
     // Every row but "segment file v2" is the format of the commit before
     // the word-at-a-time kernels; that row pins the `EXPLSEG2` writer from
     // its first version on.
-    const PARENT_FORMAT: [(&str, usize, u32); 8] = [
+    const PARENT_FORMAT: [(&str, usize, u32); 7] = [
         ("aligned grid", 1062, 0x892B_37B0),
         ("irregular deltas", 83, 0x9060_D4DE),
         ("i64 extremes", 52, 0xAF13_B800),
         ("nan payloads and signed zero", 68, 0x6D9A_E2F0),
         ("random walk", 16499, 0x900D_40DC),
-        ("segment file", 213, 0x2144_DF1C),
         ("segment file v2", 201, 0xAD3C_E901),
         ("wal batch frame", 71, 0x1135_17E0),
     ];
@@ -328,14 +320,6 @@ fn sample_points() -> Vec<(String, i64, u64)> {
         .collect()
 }
 
-#[test]
-fn v1_fixture_reads_back_the_sample_points() {
-    let dir = tmp_dir("v1-fixture");
-    std::fs::write(dir.join("seg-00000007.seg"), V1_SEGMENT).expect("write fixture");
-    assert_eq!(open_and_scan(&dir).expect("a v1 store opens and scans"), sample_points());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Every byte flip, every truncation and an appended byte of a whole
 /// segment file end in `Corrupt` or `Io` — at open, or at the first scan
 /// that reads the byte — never in a panic and never in other points.
@@ -372,29 +356,47 @@ fn every_byte_flip_and_truncation_of_a_segment_file_is_an_error() {
     let v2 = std::fs::read(&handle.path).expect("read segment");
     let _ = std::fs::remove_dir_all(&dir);
     assert_every_mutation_is_an_error("v2-hostile", &v2);
-    assert_every_mutation_is_an_error("v1-hostile", V1_SEGMENT);
 }
 
+/// A segment of the retired `EXPLSEG1` format is foreign bytes: writer and
+/// reader opens both fail with `Corrupt`, naming the file and the magic,
+/// and leave the file as it was.
 #[test]
-fn compaction_rewrites_a_v1_store_as_v2() {
-    let dir = tmp_dir("v1-compact");
-    std::fs::write(dir.join("seg-00000007.seg"), V1_SEGMENT).expect("write fixture");
-    {
-        let mut db = Tsdb::open(&dir).expect("open a v1 store for writing");
-        db.insert(&SeriesKey::new("net"), 5, 0.5);
-        db.compact().expect("compact");
+fn a_segment_with_the_v1_magic_fails_every_open() {
+    let dir = tmp_dir("v1-magic");
+    let path = dir.join("seg-00000007.seg");
+    let bytes = [b"EXPLSEG1".as_slice(), &7u64.to_le_bytes(), &[0; 16]].concat();
+    std::fs::write(&path, &bytes).expect("write");
+    for read_only in [false, true] {
+        let opened = if read_only { Tsdb::open_read_only(&dir) } else { Tsdb::open(&dir) };
+        match opened.map(|_| ()).expect_err("a v1 segment is refused") {
+            StorageError::Corrupt { what, detail } => {
+                assert!(what.ends_with("seg-00000007.seg"), "read_only={read_only}: {what}");
+                assert_eq!(detail, "bad magic \"EXPLSEG1\"", "read_only={read_only}");
+            }
+            other => panic!("read_only={read_only}: expected Corrupt, got {other:?}"),
+        }
     }
-    let segments: Vec<Vec<u8>> = std::fs::read_dir(&dir)
-        .expect("list")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
-        .map(|p| std::fs::read(p).expect("read"))
-        .collect();
-    assert_eq!(segments.len(), 1, "one compacted segment");
-    assert_eq!(&segments[0][..8], b"EXPLSEG2");
-    let mut expect = sample_points();
-    expect.push(("net".to_string(), 5, 0.5f64.to_bits()));
-    assert_eq!(open_and_scan(&dir).expect("scan"), expect);
+    assert_eq!(std::fs::read(&path).expect("read"), bytes, "the file is untouched");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory's CRC proves integrity, not a sane size: a 32-byte segment
+/// whose checksummed directory claims 2^24 series is refused on its count
+/// before anything is reserved for them.
+#[test]
+fn a_directory_count_its_bytes_cannot_hold_is_corrupt() {
+    let dir = tmp_dir("huge-count");
+    let mut bytes = [b"EXPLSEG2".as_slice(), &0u64.to_le_bytes(), &8u32.to_le_bytes()].concat();
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // supersedes
+    bytes.extend_from_slice(&(1u32 << 24).to_le_bytes()); // series
+    bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+    assert_eq!(bytes.len(), 32);
+    std::fs::write(dir.join("seg-00000000.seg"), &bytes).expect("write");
+    match open_and_scan(&dir).expect_err("the count is refused") {
+        StorageError::Corrupt { detail, .. } => assert_eq!(detail, "bad series count"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

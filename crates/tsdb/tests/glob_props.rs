@@ -26,7 +26,7 @@ fn build_db(names: &[Vec<usize>]) -> Tsdb {
     let mut db = Tsdb::new();
     for (i, picks) in names.iter().enumerate() {
         let key = SeriesKey::new(name_from(picks)).with_tag("host", format!("h{}", i % 3));
-        db.insert(&key, i as i64, 1.0);
+        db.try_insert(&key, i as i64, 1.0).expect("insert");
     }
     db
 }
@@ -158,7 +158,7 @@ proptest! {
 fn find_edge_cases_pinned() {
     let mut db = Tsdb::new();
     for name in ["alpha", "beta", "betamax", "omega"] {
-        db.insert(&SeriesKey::new(name), 0, 1.0);
+        db.try_insert(&SeriesKey::new(name), 0, 1.0).expect("insert");
     }
     // Empty pattern: non-glob, matches nothing stored.
     assert!(db.find(&MetricFilter::name("")).is_empty());

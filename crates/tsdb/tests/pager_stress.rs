@@ -90,7 +90,9 @@ fn readers_of_a_snapshot_fault_while_the_writer_flushes_and_compacts() {
                 for series in 0..8i64 {
                     let key = SeriesKey::new("cpu").with_tag("host", format!("h{series}"));
                     for t in 0..50i64 {
-                        writer.insert(&key, (10_000 + round * 100 + t) * 60, t as f64);
+                        writer
+                            .try_insert(&key, (10_000 + round * 100 + t) * 60, t as f64)
+                            .expect("insert");
                     }
                 }
                 writer.flush().expect("flush under contention");

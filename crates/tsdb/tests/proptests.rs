@@ -23,7 +23,7 @@ proptest! {
     fn insert_then_find_by_exact_name(key in key_strategy(), pts in points_strategy()) {
         let mut db = Tsdb::new();
         for &(ts, v) in &pts {
-            db.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
         }
         if pts.is_empty() {
             return Ok(());
@@ -40,8 +40,8 @@ proptest! {
     fn duplicate_timestamps_last_writer_wins(ts in 0i64..1000, a in -10.0f64..10.0, b in -10.0f64..10.0) {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("m");
-        db.insert(&key, ts, a);
-        db.insert(&key, ts, b);
+        db.try_insert(&key, ts, a).expect("insert");
+        db.try_insert(&key, ts, b).expect("insert");
         prop_assert_eq!(db.get(&key).expect("series").values(), vec![b]);
         prop_assert_eq!(db.point_count(), 1);
     }
@@ -52,7 +52,7 @@ proptest! {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("m");
         for &(ts, v) in &pts {
-            db.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
         }
         pts.reverse();
         pts.dedup_by_key(|p| p.0);
@@ -84,13 +84,13 @@ proptest! {
         let mut db = Tsdb::new();
         let key = SeriesKey::new("m");
         for &(ts, v) in &pts {
-            db.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
         }
         if with_min {
-            db.insert(&key, i64::MIN, -1.0);
+            db.try_insert(&key, i64::MIN, -1.0).expect("insert");
         }
         if with_max {
-            db.insert(&key, i64::MAX, 1.0);
+            db.try_insert(&key, i64::MAX, 1.0).expect("insert");
         }
         let series = match db.get(&key) {
             Some(s) => s,
@@ -116,8 +116,8 @@ proptest! {
     #[test]
     fn filter_matches_iff_scan_finds(key in key_strategy(), other in key_strategy()) {
         let mut db = Tsdb::new();
-        db.insert(&key, 0, 1.0);
-        db.insert(&other, 0, 2.0);
+        db.try_insert(&key, 0, 1.0).expect("insert");
+        db.try_insert(&other, 0, 2.0).expect("insert");
         // Exact filter on the first key's name + all its tags.
         let mut filter = MetricFilter::name(key.name.clone());
         for (k, v) in &key.tags {

@@ -58,7 +58,7 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     let mut memory = Tsdb::new();
     let mut db = Tsdb::open(&dir).expect("open");
     for (key, ts, v) in fleet() {
-        memory.insert(&key, ts, v);
+        memory.try_insert(&key, ts, v).expect("insert");
         db.try_insert(&key, ts, v).expect("insert");
     }
     db.sync().expect("sync");
@@ -124,14 +124,14 @@ fn crash_mid_compaction_does_not_double_count_points() {
     let mut db = Tsdb::open(&dir).expect("open");
     // Two flushes -> two segments, so compaction has real inputs.
     for (key, ts, v) in fleet() {
-        memory.insert(&key, ts, v);
+        memory.try_insert(&key, ts, v).expect("insert");
         db.try_insert(&key, ts, v).expect("insert");
     }
     db.flush().expect("flush window 1");
     for host in ["a", "b", "c"] {
         let key = SeriesKey::new("cpu").with_tag("host", host);
         for t in 1000..1050i64 {
-            memory.insert(&key, t * 60, t as f64);
+            memory.try_insert(&key, t * 60, t as f64).expect("insert");
             db.try_insert(&key, t * 60, t as f64).expect("insert");
         }
     }

@@ -299,12 +299,17 @@ fn read_only_handles_coexist_and_never_touch_the_store() {
         assert_eq!(rows, expected, "read-only view serves the flushed fleet");
     }
 
-    // Every mutating surface refuses.
+    // Every mutating surface refuses, and a refused point reaches neither
+    // the log nor the in-memory view: a scan returns what the open found.
+    let opened = contents(&ro1);
     let err = ro1.try_insert(&SeriesKey::new("x"), 0, 1.0).expect_err("insert refused");
+    assert!(matches!(err, StorageError::ReadOnly), "{err}");
+    let err = ro1.try_insert(&SeriesKey::new("late"), 120, 3.0).expect_err("insert refused");
     assert!(matches!(err, StorageError::ReadOnly), "{err}");
     assert!(matches!(ro1.sync().expect_err("sync refused"), StorageError::ReadOnly));
     assert!(matches!(ro1.flush().expect_err("flush refused"), StorageError::ReadOnly));
     assert!(matches!(ro1.compact().expect_err("compact refused"), StorageError::ReadOnly));
+    assert_eq!(contents(&ro1), opened, "the refused points are nowhere");
 
     // And the log's bytes never moved.
     let wal_after = std::fs::read(dir.join("wal")).expect("read wal after");

@@ -58,15 +58,15 @@ fn flush_reopen_round_trip_is_bit_identical() {
         for (i, key) in keys.iter().enumerate() {
             for t in 0..50i64 {
                 let v = (t as f64) * 0.1 + i as f64;
-                db.insert(key, t * 60, v);
-                reference.insert(key, t * 60, v);
+                db.try_insert(key, t * 60, v).expect("insert");
+                reference.try_insert(key, t * 60, v).expect("insert");
             }
         }
         // Special values must survive the XOR codec bit-exactly.
         let special = SeriesKey::new("special");
         for (t, v) in [(0, f64::NAN), (60, -0.0), (120, f64::INFINITY), (180, f64::NEG_INFINITY)] {
-            db.insert(&special, t, v);
-            reference.insert(&special, t, v);
+            db.try_insert(&special, t, v).expect("insert");
+            reference.try_insert(&special, t, v).expect("insert");
         }
         db.flush().expect("flush");
         assert!(db.is_durable());
@@ -202,8 +202,8 @@ fn replay_matches_live_insert_contract_for_out_of_order_and_duplicates() {
     {
         let mut db = Tsdb::open(&dir).expect("open");
         for &(ts, v) in &arrivals {
-            db.insert(&key, ts, v);
-            reference.insert(&key, ts, v);
+            db.try_insert(&key, ts, v).expect("insert");
+            reference.try_insert(&key, ts, v).expect("insert");
         }
         db.sync().expect("sync");
         // No flush: everything must come back through WAL replay alone.
@@ -229,12 +229,12 @@ fn out_of_order_write_into_sealed_range_survives_reopen() {
     {
         let mut db = Tsdb::open(&dir).expect("open");
         for t in [0i64, 60, 120] {
-            db.insert(&key, t, t as f64);
+            db.try_insert(&key, t, t as f64).expect("insert");
         }
         db.flush().expect("first flush");
         // These land inside the sealed range: overwrite ts 60, insert ts 90.
-        db.insert(&key, 60, -60.0);
-        db.insert(&key, 90, 90.0);
+        db.try_insert(&key, 60, -60.0).expect("insert");
+        db.try_insert(&key, 90, 90.0).expect("insert");
         db.flush().expect("second flush");
         assert!(db.storage_stats().expect("stats").segments >= 2, "overlapping segments");
     }
@@ -270,17 +270,14 @@ fn a_write_into_an_unreadable_sealed_chunk_fails_and_loses_nothing() {
 
     let err = db.try_insert_batch(&key, &[(90, 9.0)]).expect_err("unseal reads the chunk");
     assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
-    db.insert(&key, 90, 9.0);
-    let err = db.compact().expect_err("the refused insert fails the next flush");
-    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
     let err = db.compact().expect_err("compaction cannot copy the chunk either");
     assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
     assert_eq!(db.point_count(), 100, "the sealed tier is intact");
     drop(db);
     assert_eq!(std::fs::read(&segment).expect("still on disk"), bad, "segment untouched");
 
-    // Repaired, the store holds what was flushed and none of the refused
-    // writes (neither reached the log).
+    // Repaired, the store holds what was flushed and not the refused
+    // write (it never reached the log).
     std::fs::write(&segment, &good).expect("repair");
     let db = Tsdb::open(&dir).expect("reopen");
     let s = db.get(&key).expect("series");
@@ -335,7 +332,7 @@ fn repeated_flushes_auto_compact_and_keep_everything() {
         for c in 0..cycles {
             for t in 0..16i64 {
                 let ts = (c * 16 + t) * 60;
-                db.insert(&key, ts, ts as f64 * 0.5);
+                db.try_insert(&key, ts, ts as f64 * 0.5).expect("insert");
             }
             db.flush().expect("flush");
         }
@@ -362,7 +359,7 @@ fn explicit_compact_folds_to_one_segment() {
     let mut db = Tsdb::open(&dir).expect("open");
     for c in 0..3i64 {
         for t in 0..8i64 {
-            db.insert(&key, (c * 8 + t) * 60, 1.0);
+            db.try_insert(&key, (c * 8 + t) * 60, 1.0).expect("insert");
         }
         db.flush().expect("flush");
     }
@@ -386,13 +383,13 @@ fn scans_decode_only_overlapping_chunks() {
         // Two flushes at disjoint time windows: two chunks per series.
         for key in &keys {
             for t in 0..20i64 {
-                db.insert(key, t * 60, t as f64);
+                db.try_insert(key, t * 60, t as f64).expect("insert");
             }
         }
         db.flush().expect("flush window 1");
         for key in &keys {
             for t in 100..120i64 {
-                db.insert(key, t * 60, t as f64);
+                db.try_insert(key, t * 60, t as f64).expect("insert");
             }
         }
         db.flush().expect("flush window 2");
@@ -424,15 +421,15 @@ fn multi_slice_parts_concatenate_to_the_series() {
     {
         let mut db = Tsdb::open(&dir).expect("open");
         for t in 0..10i64 {
-            db.insert(&key, t * 60, t as f64);
+            db.try_insert(&key, t * 60, t as f64).expect("insert");
         }
         db.flush().expect("flush");
         for t in 10..15i64 {
-            db.insert(&key, t * 60, t as f64); // head points on top of sealed
+            db.try_insert(&key, t * 60, t as f64).expect("insert"); // head points on top of sealed
         }
         db.flush().expect("flush 2");
         for t in 15..18i64 {
-            db.insert(&key, t * 60, t as f64); // live head
+            db.try_insert(&key, t * 60, t as f64).expect("insert"); // live head
         }
         db.sync().expect("sync");
     }
@@ -455,7 +452,7 @@ fn clones_detach_from_the_directory() {
     let dir = tmp_dir("clone");
     let key = SeriesKey::new("m");
     let mut db = Tsdb::open(&dir).expect("open");
-    db.insert(&key, 0, 1.0);
+    db.try_insert(&key, 0, 1.0).expect("insert");
     db.flush().expect("flush");
     let mut snapshot = db.clone();
     assert!(!snapshot.is_durable(), "clones are in-memory snapshot views");
@@ -463,7 +460,7 @@ fn clones_detach_from_the_directory() {
     assert!(matches!(snapshot.flush(), Err(StorageError::NotDurable)));
     assert!(matches!(snapshot.sync(), Err(StorageError::NotDurable)));
     // Writes to the clone never reach the directory.
-    snapshot.insert(&key, 60, 2.0);
+    snapshot.try_insert(&key, 60, 2.0).expect("insert");
     drop(db);
     let reopened = Tsdb::open(&dir).expect("reopen");
     assert_eq!(reopened.point_count(), 1);
@@ -473,7 +470,7 @@ fn clones_detach_from_the_directory() {
 #[test]
 fn in_memory_store_rejects_durable_calls() {
     let mut db = Tsdb::new();
-    db.insert(&SeriesKey::new("m"), 0, 1.0);
+    db.try_insert(&SeriesKey::new("m"), 0, 1.0).expect("insert");
     assert!(!db.is_durable());
     assert!(matches!(db.flush(), Err(StorageError::NotDurable)));
     assert!(matches!(db.sync(), Err(StorageError::NotDurable)));

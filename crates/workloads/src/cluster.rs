@@ -72,18 +72,6 @@ impl ClusterSpec {
         self.minutes = minutes;
         self
     }
-
-    /// Approximate number of univariate metrics this spec will emit.
-    pub fn approx_metric_count(&self) -> usize {
-        let hosts = self.datanodes + self.service_hosts + 1; // + namenode
-                                                             // Per-host infra metrics (see sim.rs emitters).
-        let per_host = 8;
-        let pipeline_metrics = self.pipelines * 4;
-        let namenode_metrics = 4;
-        let noise =
-            self.noise_services * self.metrics_per_noise_service * self.service_hosts.max(1);
-        hosts * per_host + pipeline_metrics + namenode_metrics + noise
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +83,6 @@ mod tests {
         let s = ClusterSpec::default();
         assert!(s.minutes >= 1440);
         assert!(s.datanodes > 0 && s.pipelines > 0);
-        assert!(s.approx_metric_count() > 100);
     }
 
     #[test]
@@ -107,12 +94,5 @@ mod tests {
         assert_eq!(s.seed, 7);
         assert_eq!(s.minutes, 2880);
         assert_eq!(s.faults.len(), 1);
-    }
-
-    #[test]
-    fn metric_count_scales_with_noise_services() {
-        let small = ClusterSpec { noise_services: 5, ..ClusterSpec::default() };
-        let big = ClusterSpec { noise_services: 500, ..ClusterSpec::default() };
-        assert!(big.approx_metric_count() > 10 * small.approx_metric_count() / 2);
     }
 }

@@ -401,13 +401,16 @@ mod tests {
             let ts = t * 60;
             let cause = ((t * 37 + 11) % 23) as f64 - 11.0;
             let noise = ((t * 13 + 5) % 7) as f64;
-            db.insert(&SeriesKey::new("cause").with_tag("host", "a"), ts, cause);
-            db.insert(&SeriesKey::new("noise").with_tag("host", "a"), ts, noise);
-            db.insert(
+            db.try_insert(&SeriesKey::new("cause").with_tag("host", "a"), ts, cause)
+                .expect("insert");
+            db.try_insert(&SeriesKey::new("noise").with_tag("host", "a"), ts, noise)
+                .expect("insert");
+            db.try_insert(
                 &SeriesKey::new("runtime").with_tag("pipeline_name", "p"),
                 ts,
                 3.0 * cause + 0.25,
-            );
+            )
+            .expect("insert");
         }
         db
     }
@@ -659,7 +662,7 @@ mod tests {
             s.execute("SELECT COUNT(*) AS n FROM tsdb").unwrap().table.rows()[0][0].clone()
         };
         assert_eq!(count(&mut s), Value::Int(192));
-        db.insert(&SeriesKey::new("late").with_tag("host", "b"), 0, 1.0);
+        db.try_insert(&SeriesKey::new("late").with_tag("host", "b"), 0, 1.0).expect("insert");
         assert_eq!(count(&mut s), Value::Int(192), "the binding is a snapshot");
         s.bind_tsdb("tsdb", &db);
         assert_eq!(count(&mut s), Value::Int(193), "a re-bind sees the ingest");

@@ -139,7 +139,7 @@ fn session_reranks_after_an_ingest_and_a_rebind() {
     let key = SeriesKey::new("freshly_ingested").with_tag("host", "h0");
     let mut t = range.start;
     while t < range.end {
-        db.insert(&key, t, (t % 17) as f64);
+        db.try_insert(&key, t, (t % 17) as f64).expect("insert");
         t += 60;
     }
     session.execute(&create).expect("re-create over the snapshot");

@@ -142,7 +142,8 @@ fn flush_and_read_only_open_is_deterministic_per_schedule() {
                 Box::new(move || {
                     let mut db = store.lock();
                     for t in 0..10i64 {
-                        db.insert(&SeriesKey::new("m"), (base + t) * 60, t as f64);
+                        db.try_insert(&SeriesKey::new("m"), (base + t) * 60, t as f64)
+                            .expect("insert");
                     }
                     drop(db);
                     log(&journal, format!("t0s{step} ingested"));
@@ -190,7 +191,7 @@ fn ingest_and_pinned_clone_is_deterministic_per_schedule() {
     explainit_sync::arm();
     let outcomes = exhaust(&[3, 3], |schedule| {
         let mut seed = Tsdb::new();
-        seed.insert(&SeriesKey::new("m"), 0, 1.0);
+        seed.try_insert(&SeriesKey::new("m"), 0, 1.0).expect("insert");
         let store = Arc::new(Mutex::new(&STORE, seed));
         let pinned: Arc<Mutex<Option<Tsdb>>> = Arc::new(Mutex::new(&PINNED_SLOT, None));
         let journal: Log = Arc::new(Mutex::new(&SCRATCH, Vec::new()));
@@ -200,7 +201,7 @@ fn ingest_and_pinned_clone_is_deterministic_per_schedule() {
             Box::new(move || {
                 let points = {
                     let mut db = store.lock();
-                    db.insert(&SeriesKey::new("m"), ts, 1.0);
+                    db.try_insert(&SeriesKey::new("m"), ts, 1.0).expect("insert");
                     db.point_count()
                 };
                 log(&journal, format!("t0s{step} points={points}"));

@@ -15,8 +15,9 @@ fn build_catalog() -> Catalog {
         let input = SeriesKey::new("pipeline_input_rate").with_tag("pipeline_name", p);
         for t in 0..30 {
             let ts = t * 60;
-            db.insert(&runtime, ts, 10.0 + t as f64 + if p == "p2" { 5.0 } else { 0.0 });
-            db.insert(&input, ts, 1000.0 + 10.0 * t as f64);
+            db.try_insert(&runtime, ts, 10.0 + t as f64 + if p == "p2" { 5.0 } else { 0.0 })
+                .expect("insert");
+            db.try_insert(&input, ts, 1000.0 + 10.0 * t as f64).expect("insert");
         }
     }
     let mut catalog = Catalog::new();
