@@ -250,7 +250,7 @@ pub fn table_from_tsdb(db: &Tsdb) -> std::result::Result<Table, StorageError> {
     let mut rows: Vec<(i64, String, Vec<Value>)> = Vec::with_capacity(db.point_count());
     for part in db.scan_parts_between(&MetricFilter::all(), i64::MIN, i64::MAX)? {
         let canonical = part.key.canonical();
-        for (&ts, &value) in part.timestamps.iter().zip(part.values) {
+        for (&ts, &value) in part.timestamps.iter().zip(part.values.iter()) {
             rows.push((
                 ts,
                 canonical.clone(),

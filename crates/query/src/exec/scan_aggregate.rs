@@ -455,7 +455,7 @@ fn front(
         }
     }
     let grids = has_ts.then(|| {
-        let grid = |of_class: &Vec<usize>| span_grid(of_class.iter().map(|&h| hits[h].timestamps));
+        let grid = |class: &Vec<usize>| span_grid(class.iter().map(|&h| &*hits[h].timestamps));
         hits_of.iter().map(grid).collect()
     });
     let points = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);

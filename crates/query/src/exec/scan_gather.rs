@@ -45,7 +45,7 @@ pub(super) fn run_tsdb_scan(
     let ts_concat: Option<Vec<i64>> = wanted.contains(&0).then(|| {
         let mut v = Vec::with_capacity(total);
         for part in &hits {
-            v.extend_from_slice(part.timestamps);
+            v.extend_from_slice(&part.timestamps);
         }
         v
     });
@@ -80,7 +80,7 @@ pub(super) fn run_tsdb_scan(
     let vals_concat: Option<Vec<f64>> = wanted.contains(&3).then(|| {
         let mut v = Vec::with_capacity(total);
         for part in &hits {
-            v.extend_from_slice(part.values);
+            v.extend_from_slice(&part.values);
         }
         v
     });
@@ -187,7 +187,7 @@ fn merge_gather_order(hits: &[SeriesSlice<'_>], total: usize, workers: usize) ->
     for part in hits {
         let n = part.timestamps.len();
         if n > 0 {
-            run_meta.push((offset, part.timestamps));
+            run_meta.push((offset, &part.timestamps));
         }
         offset += n as u32;
     }

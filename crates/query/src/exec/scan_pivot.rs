@@ -125,7 +125,7 @@ pub(super) fn run(
 /// One family's frame: grid, columns in first-appearance order, spans
 /// written in rank order, gaps filled.
 fn frame(name: &str, family: &Family, hits: &[SeriesSlice]) -> FamilyFrame {
-    let grid = span_grid(family.runs.iter().map(|&(h, _)| hits[h].timestamps)).into_owned();
+    let grid = span_grid(family.runs.iter().map(|&(h, _)| &*hits[h].timestamps)).into_owned();
     // Column of the series pass → column of the frame.
     let mut by_first: Vec<usize> = (0..family.feature_first.len()).collect();
     by_first.sort_by_key(|&c| family.feature_first[c]);
@@ -136,7 +136,7 @@ fn frame(name: &str, family: &Family, hits: &[SeriesSlice]) -> FamilyFrame {
     let feature_names = by_first.iter().map(|&c| family.features.names[c].clone()).collect();
     let mut builder = FrameBuilder::new(name.to_string(), grid, feature_names);
     for &(h, column) in &family.runs {
-        builder.write_run(position[column], hits[h].timestamps, hits[h].values);
+        builder.write_run(position[column], &hits[h].timestamps, &hits[h].values);
     }
     builder.finish()
 }

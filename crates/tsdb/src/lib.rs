@@ -60,22 +60,23 @@
 //! on disk until a scan touches them; the first touch faults them in with
 //! one positioned read checked against the chunk's CRC (**Paged**, counted
 //! as a page fault), and decoding on top of that yields the **Decoded**
-//! per-chunk cache. A scan whose chunks are many faults and decodes them
-//! on the worker pool; one that cannot read a chunk fails. Those three states are all
-//! there is: a whole-series read ([`Series::points`]) walks the same
-//! per-chunk caches a scan hands out, and one object — the pager — counts
-//! the faults, the evictions and the decodes.
+//! block; all three are the state of one object, the chunk's page slot,
+//! which every clone of the store shares. A scan whose chunks are many
+//! faults and decodes them on the worker pool; one that cannot read a
+//! chunk fails. A whole-series read ([`Series::points`]) walks the same
+//! blocks a scan hands out, and one object — the pager — counts the
+//! faults, the evictions and the decodes.
 //!
-//! [`StorageOptions::page_budget_bytes`] bounds this: a clock (second
-//! chance) sweep evicts paged compressed bytes back to Cold whenever a
-//! fault pushes the resident total over budget, and every decoded cache
-//! is accounted too — [`Tsdb::evict_to_budget`] (run automatically at
-//! each flush) sheds them once the total overshoots. All of it is
-//! observable via [`Tsdb::storage_stats`]: `resident_bytes`,
+//! [`StorageOptions::page_budget_bytes`] bounds pages plus blocks: when a
+//! fault, a decode or a chunk sealed by a flush pushes them over budget,
+//! a clock (second chance) sweep evicts slots' blocks, and their pages
+//! back to Cold where a segment holds them, behind `&self` on any handle.
+//! Scan slices hold their blocks, so they stay valid through eviction.
+//! All of it is observable via [`Tsdb::storage_stats`]: `resident_bytes`,
 //! `resident_chunk_bytes`, `peak_resident_chunk_bytes`, `page_faults`,
-//! `evictions`. Chunks sealed in this process stay pinned resident until
-//! they reach a segment file and the store reopens; with no budget (the
-//! default) nothing ever evicts, preserving the historical behaviour.
+//! `evictions`. Chunks sealed in this process keep their pages pinned
+//! until they reach a segment file and the store reopens; with no budget
+//! (the default) nothing ever evicts, preserving the historical behaviour.
 //!
 //! [`StorageOptions::retention`] drops whole segments — file and all —
 //! whose newest point fell behind the retention window, by directory
@@ -84,8 +85,8 @@
 //! # Locking discipline
 //!
 //! Every lock in this crate is an [`explainit_sync`] wrapper carrying a
-//! static `LockClass` rank (chunk decode caches 50 → pager clock 60 →
-//! pager slots 70 → pooled decode handoff 75 → failpoint plans 80),
+//! static `LockClass` rank (pager clock 60 → pager slots 70 → pooled
+//! decode handoff 75 → failpoint plans 80),
 //! checked at runtime by the lockdep machinery rather than documented as
 //! prose: in debug builds
 //! (or under `EXPLAINIT_LOCKDEP=1`) any acquisition that inverts the
@@ -114,6 +115,5 @@ mod store;
 
 pub use glob::{glob_literal_prefix, glob_match, is_glob, wildcard_match};
 pub use model::{DataPoint, Series, SeriesKey, TimeRange};
-pub use storage::pager::PagerCounters;
 pub use storage::{StorageError, StorageOptions, StorageStats};
-pub use store::{MetricFilter, SeriesId, SeriesSlice, TagFilter, Tsdb};
+pub use store::{MetricFilter, SeriesId, SeriesSlice, SliceColumn, TagFilter, Tsdb};

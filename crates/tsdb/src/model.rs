@@ -117,10 +117,10 @@ impl fmt::Display for SeriesKey {
 ///
 /// All read accessors present the *logical* series — the sealed tier is a
 /// representation detail. There is one read path: [`Series::points`] walks
-/// the sealed chunks through their per-chunk decode caches and then the
-/// head, exactly what `Tsdb::scan_parts*` hands out slice by slice (and
-/// prunes by time range), so a whole-series read is charged to the pager
-/// and shed by `Tsdb::evict_to_budget` like any scan.
+/// the sealed chunks' decoded blocks and then the head, exactly what
+/// `Tsdb::scan_parts*` hands out slice by slice (and prunes by time
+/// range), so a whole-series read is charged to the pager, and its blocks
+/// evicted by the pager's clock, like any scan.
 ///
 /// # Insert contract (out-of-order and duplicate timestamps)
 ///
@@ -185,9 +185,9 @@ impl Series {
             .into_iter()
             .map(|c| match c.data {
                 ChunkData::Resident(bytes) => {
-                    SealedChunk::new(EncodedChunk { meta: c.meta, bytes }, Arc::clone(pager))
+                    SealedChunk::new(EncodedChunk { meta: c.meta, bytes }, pager)
                 }
-                ChunkData::Cold(cold) => SealedChunk::cold(c.meta, cold, Arc::clone(pager)),
+                ChunkData::Cold(cold) => SealedChunk::cold(c.meta, cold, pager),
             })
             .collect();
         Series { key, sealed, timestamps: Vec::new(), values: Vec::new() }
@@ -256,9 +256,9 @@ impl Series {
         let mut timestamps = Vec::with_capacity(self.len());
         let mut values = Vec::with_capacity(self.len());
         for chunk in &self.sealed {
-            let (ts, vs) = chunk.decoded()?;
-            timestamps.extend_from_slice(ts);
-            values.extend_from_slice(vs);
+            let block = chunk.decoded()?;
+            timestamps.extend_from_slice(&block.timestamps);
+            values.extend_from_slice(&block.values);
         }
         timestamps.extend_from_slice(&self.timestamps);
         values.extend_from_slice(&self.values);
@@ -269,27 +269,20 @@ impl Series {
 
     /// Encodes the head into chunks, moves them onto the sealed tier, and
     /// returns the encoded form for segment writing. `None` when the head
-    /// is empty. Decode caches are *not* pre-populated: sealing trades the
-    /// raw head vectors for compressed bytes, and later scans re-decode
-    /// lazily only what they touch.
+    /// is empty. No block is kept: sealing trades the raw head vectors for
+    /// compressed bytes, and later scans re-decode lazily only what they
+    /// touch.
     pub(crate) fn seal_head(&mut self, pager: &Arc<Pager>) -> Option<Vec<EncodedChunk>> {
         if self.timestamps.is_empty() {
             return None;
         }
         let chunks = encode_run(&self.timestamps, &self.values);
         for chunk in &chunks {
-            self.sealed.push(SealedChunk::new(chunk.clone(), Arc::clone(pager)));
+            self.sealed.push(SealedChunk::new(chunk.clone(), pager));
         }
         self.timestamps = Vec::new();
         self.values = Vec::new();
         Some(chunks)
-    }
-
-    /// Drops this series' chunk decode caches, returning how many were
-    /// populated. Chunk *bytes* are untouched — the pager's clock governs
-    /// those — so the next read simply re-decodes.
-    pub(crate) fn shed_caches(&mut self) -> u64 {
-        self.sealed.iter_mut().map(|chunk| u64::from(chunk.clear_decoded())).sum()
     }
 
     /// Drops sealed chunks belonging to retention-expired segments:
@@ -346,18 +339,18 @@ impl Series {
     }
 
     /// Iterates observations as [`DataPoint`]s: every sealed chunk in
-    /// order, read through its decode cache, then the head. A sealed chunk
+    /// order, read through its decoded block, then the head. A sealed chunk
     /// that cannot be read contributes no points here; the scans
     /// (`Tsdb::scan_parts_between`) and the write path ([`Series::push`])
     /// report it as an error.
     pub fn points(&self) -> impl Iterator<Item = DataPoint> + '_ {
-        let sealed = self.sealed.iter().flat_map(|chunk| {
-            let (ts, vs) = chunk.decoded().map_or((&[][..], &[][..]), |(t, v)| (&t[..], &v[..]));
-            ts.iter().zip(vs)
-        });
-        sealed
-            .chain(self.timestamps.iter().zip(&self.values))
-            .map(|(&ts, &value)| DataPoint { ts, value })
+        let sealed =
+            self.sealed.iter().filter_map(|chunk| chunk.decoded().ok()).flat_map(|block| {
+                (0..block.timestamps.len())
+                    .map(move |i| DataPoint { ts: block.timestamps[i], value: block.values[i] })
+            });
+        let head = self.timestamps.iter().zip(&self.values);
+        sealed.chain(head.map(|(&ts, &value)| DataPoint { ts, value }))
     }
 
     /// First and last timestamp, if non-empty (metadata only — sealed

@@ -29,15 +29,10 @@
 
 use std::sync::Arc;
 
-use explainit_sync::{pool, LockClass, Mutex, OnceLock};
+use explainit_sync::{pool, LockClass, Mutex};
 
 use super::pager::{ColdRef, PageSlot, Pager, Reservation};
 use super::StorageError;
-
-/// The per-chunk decode cache. Its init only wraps points decoded
-/// beforehand, so nothing waits on I/O inside it; the rank sits below
-/// [`explainit_sync::IO_LOCK_RANK_THRESHOLD`] all the same.
-static CHUNK_DECODED: LockClass = LockClass::new("tsdb.chunk.decoded", 50);
 
 /// One pooled decode job's buffers, taken out by the worker that runs it
 /// and let go at once (no lock is taken, and no I/O done, while it is
@@ -70,82 +65,53 @@ pub struct EncodedChunk {
     pub bytes: Arc<Vec<u8>>,
 }
 
-/// A chunk's decoded points, whose memory is accounted against the store's
-/// page budget for as long as any `Arc` keeps it alive. Clones of a series
-/// share one block; the accounting releases exactly once, when the last
-/// reference drops.
+/// A chunk's decoded points. The chunk's [`PageSlot`] holds one behind an
+/// `Arc`, charged to the page budget for as long as the slot holds it;
+/// every reader holds its own `Arc`, so the clock may evict the block from
+/// the slot while scans still read it.
 #[derive(Debug)]
 pub struct DecodedBlock {
-    points: (Vec<i64>, Vec<f64>),
-    pager: Arc<Pager>,
-    cost: u64,
+    /// The timestamps, ascending.
+    pub(crate) timestamps: Vec<i64>,
+    /// The values, parallel to `timestamps` (only a decode makes a block,
+    /// so the two are always the same length).
+    pub(crate) values: Vec<f64>,
 }
 
 impl DecodedBlock {
-    /// Wraps decoded points, charging their footprint to `pager` until the
-    /// last reference drops.
-    fn new(points: (Vec<i64>, Vec<f64>), pager: Arc<Pager>) -> Arc<Self> {
-        // 16 bytes per point: one i64 timestamp + one f64 value.
-        let cost = points.0.len() as u64 * 16;
-        pager.cache_added(cost);
-        Arc::new(DecodedBlock { points, pager, cost })
-    }
-
-    /// The decoded parallel timestamp/value vectors.
-    pub fn points(&self) -> &(Vec<i64>, Vec<f64>) {
-        &self.points
+    /// What the block charges the budget while a slot holds it: 16 bytes
+    /// per point, one `i64` timestamp and one `f64` value.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.timestamps.len() as u64 * 16
     }
 }
 
-impl Drop for DecodedBlock {
-    fn drop(&mut self) {
-        self.pager.cache_removed(self.cost);
-    }
-}
-
-/// A compressed chunk held by a sealed series, with a write-once decode
-/// cache. The cache gives decoded slices a stable address behind `&self`,
-/// which is what lets `Tsdb::scan_parts*` hand borrowed [`crate::SeriesSlice`]
-/// partition handles straight out of compressed storage.
-///
-/// The compressed bytes themselves live in a [`PageSlot`]: resident and
+/// A compressed chunk held by a sealed series: its pruning metadata and
+/// its [`PageSlot`], which every clone of the series shares. The slot is
+/// the chunk's one residency state — the compressed bytes, resident and
 /// pinned for chunks sealed in this process, demand-paged (Cold → Paged,
 /// with clock eviction back to Cold) for chunks recovered from segment
-/// files.
+/// files, and the decoded block on top, which the clock evicts for either.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
     /// Pruning metadata (also used to maintain the sealed-tier ordering
     /// invariant without touching the payload).
     pub meta: ChunkMeta,
     slot: Arc<PageSlot>,
-    /// Behind an `Arc` so series clones share one decode (and its budget
-    /// accounting).
-    decoded: OnceLock<Arc<DecodedBlock>>,
-    pager: Arc<Pager>,
 }
 
 impl SealedChunk {
     /// Wraps a freshly encoded chunk whose bytes have no on-disk home yet:
-    /// the slot is pinned resident until the chunk reaches a segment file
-    /// and the store reopens.
-    pub fn new(chunk: EncodedChunk, pager: Arc<Pager>) -> Self {
-        SealedChunk {
-            meta: chunk.meta,
-            slot: pager.slot_resident(chunk.bytes),
-            decoded: OnceLock::new(&CHUNK_DECODED),
-            pager,
-        }
+    /// the slot's page is pinned resident until the chunk reaches a
+    /// segment file and the store reopens.
+    pub fn new(chunk: EncodedChunk, pager: &Arc<Pager>) -> Self {
+        SealedChunk { meta: chunk.meta, slot: pager.slot_resident(chunk.bytes) }
     }
 
     /// A chunk recovered from a segment file, starting Cold: only `meta`
     /// is resident; the compressed bytes fault in on first touch.
-    pub fn cold(meta: ChunkMeta, cold: ColdRef, pager: Arc<Pager>) -> Self {
-        SealedChunk {
-            meta,
-            slot: pager.slot_cold(cold),
-            decoded: OnceLock::new(&CHUNK_DECODED),
-            pager,
-        }
+    pub fn cold(meta: ChunkMeta, cold: ColdRef, pager: &Arc<Pager>) -> Self {
+        SealedChunk { meta, slot: pager.slot_cold(cold) }
     }
 
     /// True when the chunk's time span intersects the inclusive `[lo, hi]`
@@ -154,35 +120,24 @@ impl SealedChunk {
         self.meta.max_ts >= lo && self.meta.min_ts <= hi
     }
 
-    /// The decoded points, faulting in (and verifying) the compressed
-    /// bytes and decoding — counting the decode — on first access. A chunk
-    /// that cannot be paged in, fails its checksum or does not decode is
-    /// an error, and stays undecoded.
-    pub fn decoded(&self) -> Result<&(Vec<i64>, Vec<f64>), StorageError> {
-        if let Some(block) = self.decoded.get() {
-            return Ok(block.points());
+    /// The decoded block: the slot's, or else faulted in (and verified)
+    /// and decoded outside the slot lock, then kept in the slot — counting
+    /// the decode — unless a racer's landed first. The `Arc` stays valid
+    /// however soon the clock evicts the block. A chunk that cannot be
+    /// paged in, fails its checksum or does not decode is an error, and
+    /// stays undecoded.
+    pub fn decoded(&self) -> Result<Arc<DecodedBlock>, StorageError> {
+        if let Some(block) = self.slot.block() {
+            return Ok(block);
         }
         let bytes = self.slot.bytes()?;
-        let count = self.meta.count as usize;
-        let mut points = (Vec::with_capacity(count), Vec::with_capacity(count));
-        decode_into(&bytes, count, &mut points)?;
-        Ok(self.keep(points))
+        let (timestamps, values) = decode(&bytes, self.meta.count as usize)?;
+        Ok(self.slot.keep(DecodedBlock { timestamps, values }))
     }
 
-    /// True once the decode cache holds the points.
-    pub fn is_decoded(&self) -> bool {
-        self.decoded.get().is_some()
-    }
-
-    /// Makes `points` the decode cache unless a racer's decode landed
-    /// first, counting the decode that lands.
-    fn keep(&self, points: (Vec<i64>, Vec<f64>)) -> &(Vec<i64>, Vec<f64>) {
-        self.decoded
-            .get_or_init(|| {
-                self.pager.note_decode();
-                DecodedBlock::new(points, Arc::clone(&self.pager))
-            })
-            .points()
+    /// The decoded block if the slot holds one, without decoding.
+    pub(crate) fn cached(&self) -> Option<Arc<DecodedBlock>> {
+        self.slot.block()
     }
 
     /// The segment id a Cold-capable chunk pages from, if any (pinned
@@ -194,15 +149,6 @@ impl SealedChunk {
     /// The chunk in segment-writer form, paging the bytes in if cold.
     pub fn encoded(&self) -> Result<EncodedChunk, StorageError> {
         Ok(EncodedChunk { meta: self.meta, bytes: self.slot.bytes()? })
-    }
-
-    /// Drops the decode cache (this handle's reference to it), returning
-    /// whether one was populated. Used by `Tsdb::evict_to_budget` to shed
-    /// accounted caches at mutation points.
-    pub fn clear_decoded(&mut self) -> bool {
-        let had = self.decoded.get().is_some();
-        self.decoded = OnceLock::new(&CHUNK_DECODED);
-        had
     }
 }
 
@@ -216,9 +162,9 @@ enum Page {
 
 /// One chunk's fault, check and decode on the pool. The caller allocates
 /// every buffer that outlives the job — the page the slot keeps and the
-/// vectors the decode cache keeps — and the worker only fills them:
-/// memory a worker thread allocates lands in its own allocator arena and
-/// would stay there, growing the process, after the job is gone.
+/// vectors of the decoded block — and the worker only fills them: memory
+/// a worker thread allocates lands in its own allocator arena and would
+/// stay there, growing the process, after the job is gone.
 struct DecodeJob<'a> {
     chunk: &'a SealedChunk,
     page: Page,
@@ -256,33 +202,37 @@ impl<'a> DecodeJob<'a> {
 
     /// The caller's half: the page leaves the wave's reservation and, if
     /// it was read, becomes resident (a counted fault, with the clock
-    /// enforcing the budget); the points become the decode cache.
-    fn finish(self, held: &mut Reservation<'_>) {
+    /// enforcing the budget); the points become the slot's block, which
+    /// is returned.
+    fn finish(self, held: &mut Reservation<'_>) -> Arc<DecodedBlock> {
         held.release(self.chunk.slot.page_len());
         if let Page::Cold(buf) = self.page {
             self.chunk.slot.install(buf);
         }
-        self.chunk.keep(self.points);
+        let (timestamps, values) = self.points;
+        self.chunk.slot.keep(DecodedBlock { timestamps, values })
     }
 }
 
 /// Faults, verifies and decodes `chunks` on `workers` threads of the
 /// worker pool, exactly as [`SealedChunk::decoded`] would one by one: the
-/// same bytes, the same counts, the first error in chunk order.
+/// same bytes, the same counts, the first error in chunk order. Returns
+/// each chunk's block, in chunk order.
 ///
 /// Chunks go in waves of at most one page budget of compressed bytes (one
 /// wave when unbounded; a chunk larger than the budget goes alone). A
 /// wave's pages are charged to the pager from before their buffers exist
 /// until each is installed, and the clock first evicts to make room for
 /// them, so resident pages and pages in flight together stay within the
-/// budget as on the serial path. Each wave's pages become resident in
-/// chunk order on the calling thread.
+/// budget as on the serial path. Each wave's pages and blocks go to their
+/// slots in chunk order on the calling thread.
 pub(crate) fn decode_on_pool(
     chunks: &[&SealedChunk],
     workers: usize,
     pager: &Pager,
-) -> Result<(), StorageError> {
+) -> Result<Vec<Arc<DecodedBlock>>, StorageError> {
     let wave_bytes = pager.budget().unwrap_or(u64::MAX);
+    let mut blocks = Vec::with_capacity(chunks.len());
     let mut rest = chunks;
     while !rest.is_empty() {
         let mut bytes = 0u64;
@@ -310,11 +260,11 @@ pub(crate) fn decode_on_pool(
             job.ok_or_else(|| StorageError::corrupt("chunk", "decode job taken twice"))?.run()
         });
         for job in done {
-            job?.finish(&mut held);
+            blocks.push(job?.finish(&mut held));
         }
         rest = tail;
     }
-    Ok(())
+    Ok(blocks)
 }
 
 /// Splits one sorted point run into encoded chunks of at most
@@ -787,7 +737,7 @@ mod tests {
             .map(|(meta, offset, len)| {
                 let crc = crate::storage::crc32(&file[offset as usize..(offset + len) as usize]);
                 let cold = ColdRef { file: Arc::clone(&handle), segment_id: 0, offset, len, crc };
-                SealedChunk::cold(meta, cold, Arc::clone(&pager))
+                SealedChunk::cold(meta, cold, &pager)
             })
             .collect();
         (dir, pager, chunks, expected, largest)
@@ -800,20 +750,25 @@ mod tests {
         for budget_chunks in [None, Some(4)] {
             let (dir, pager, chunks, expected, largest) = cold_chunks("pooled", 24, budget_chunks);
             let refs: Vec<&SealedChunk> = chunks.iter().collect();
-            decode_on_pool(&refs, 2, &pager).expect("decode");
-            for (chunk, points) in chunks.iter().zip(&expected) {
-                assert!(chunk.is_decoded(), "{budget_chunks:?}");
-                assert_eq!(chunk.decoded().expect("cached"), points, "{budget_chunks:?}");
+            let blocks = decode_on_pool(&refs, 2, &pager).expect("decode");
+            assert_eq!(blocks.len(), 24, "{budget_chunks:?}: a block per chunk");
+            for (block, (ts, vs)) in blocks.iter().zip(&expected) {
+                assert_eq!((&block.timestamps, &block.values), (ts, vs), "{budget_chunks:?}");
             }
             let c = pager.counters();
             assert_eq!(c.page_faults, 24, "{budget_chunks:?}: one fault per chunk");
             assert_eq!(pager.decode_count(), 24, "{budget_chunks:?}: one decode per chunk");
-            if let Some(budget) = pager.budget() {
-                assert!(c.evictions > 0, "{c:?}");
-                // A wave is charged while in flight, after room was made
-                // for it: a full-budget wave beside a full budget of
-                // resident pages would show as twice the budget.
-                assert!(c.peak_resident_chunk_bytes <= budget + largest, "{c:?}");
+            match pager.budget() {
+                // Unbounded, every slot keeps its block.
+                None => assert!(chunks.iter().all(|c| c.cached().is_some())),
+                Some(budget) => {
+                    assert!(c.evictions > 0, "{c:?}");
+                    // A wave is charged while in flight, after room was
+                    // made for it: a full-budget wave beside a full budget
+                    // of resident pages would show as twice the budget.
+                    assert!(c.peak_resident_chunk_bytes <= budget + largest, "{c:?}");
+                    assert!(c.resident_bytes <= budget, "blocks count too: {c:?}");
+                }
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -838,8 +793,11 @@ mod tests {
                 format!("corrupt segment 0 chunk at offset {offset}: chunk checksum mismatch"),
                 "{budget_chunks:?}"
             );
-            assert!(chunks[..5].iter().all(SealedChunk::is_decoded), "{budget_chunks:?}");
-            assert!(!chunks[5].is_decoded(), "{budget_chunks:?}");
+            assert_eq!(pager.decode_count(), 5, "{budget_chunks:?}: the chunks before it");
+            if budget_chunks.is_none() {
+                assert!(chunks[..5].iter().all(|c| c.cached().is_some()));
+            }
+            assert!(chunks[5..].iter().all(|c| c.cached().is_none()), "{budget_chunks:?}");
             assert_eq!(pager.counters().resident_chunk_bytes, pager_resident(&chunks));
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -855,9 +813,9 @@ mod tests {
     fn decode_counter_counts_once_per_chunk() {
         let pager = Pager::unbounded();
         let chunks = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
-        let sealed = SealedChunk::new(chunks[0].clone(), Arc::clone(&pager));
-        assert_eq!(sealed.decoded().expect("decode").0, vec![0, 60, 120]);
-        assert_eq!(sealed.decoded().expect("cached").1, vec![1.0, 2.0, 3.0]);
+        let sealed = SealedChunk::new(chunks[0].clone(), &pager);
+        assert_eq!(sealed.decoded().expect("decode").timestamps, [0, 60, 120]);
+        assert_eq!(sealed.decoded().expect("cached").values, [1.0, 2.0, 3.0]);
         assert_eq!(pager.decode_count(), 1, "second access hits the cache");
     }
 }

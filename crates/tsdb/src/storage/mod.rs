@@ -40,7 +40,7 @@ pub mod wal;
 use std::path::{Path, PathBuf};
 
 pub use chunk::{ChunkMeta, SealedChunk, CHUNK_MAX_POINTS};
-pub use pager::{Pager, PagerCounters};
+pub use pager::Pager;
 
 /// Number of sealed segments that triggers an automatic small-segment
 /// merge at the end of [`crate::Tsdb::flush`].
@@ -123,7 +123,7 @@ pub struct StorageOptions {
 }
 
 /// Counters a durable store exposes for reports and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Live segment files.
     pub segments: usize,
@@ -138,17 +138,20 @@ pub struct StorageStats {
     /// (ids stay monotone so `supersedes` references are unambiguous
     /// across crashes).
     pub freelist: Vec<u64>,
-    /// All accounted resident bytes: compressed chunk bytes plus decoded
-    /// caches (the per-chunk decode caches).
+    /// What the page budget covers: compressed chunk bytes plus the
+    /// decoded blocks the chunks' page slots hold. A block a scan still
+    /// reads after the clock evicted it from its slot is not counted.
     pub resident_bytes: u64,
-    /// Compressed chunk bytes currently resident (pinned + paged-in).
+    /// Compressed chunk bytes currently resident (pinned + paged-in, and
+    /// the pages a pooled decode holds in flight).
     pub resident_chunk_bytes: u64,
     /// High-water mark of `resident_chunk_bytes` since open — the number
     /// the paging gate checks against `1.25 × page_budget_bytes`.
     pub peak_resident_chunk_bytes: u64,
     /// Cold chunk loads since open (one positioned read each).
     pub page_faults: u64,
-    /// Pages and caches dropped to stay under the budget.
+    /// Slots whose block and pageable page the clock dropped to stay
+    /// under the budget.
     pub evictions: u64,
 }
 

@@ -1,30 +1,28 @@
-//! The chunk pager: a memory budget over compressed chunk bytes with a
-//! clock (second-chance) eviction policy, plus the accounting for decode
-//! caches and the count of decodes — the store's one accounting object.
+//! The chunk pager: a memory budget over a store's chunks — compressed
+//! pages and decoded blocks alike — with a clock (second-chance) eviction
+//! policy, plus the count of decodes: the store's one accounting object.
 //!
-//! Every sealed chunk owns a [`PageSlot`]. A slot is either **pinned**
-//! (its compressed bytes were produced in this process — sealed from the
-//! head or re-encoded during recovery — and have no on-disk home to
-//! reload from, so they stay resident) or **pageable** (the bytes live in
-//! a segment file; the slot holds a [`ColdRef`] and loads them with a
-//! single positioned read on first touch — a *page fault*, checked against
-//! the chunk's CRC — after which the clock may evict them again).
-//!
-//! Residency states of a sealed chunk, as the lifecycle docs put it:
+//! Every sealed chunk owns a [`PageSlot`], which every clone of its series
+//! shares. A slot is either **pinned** (its compressed bytes were produced
+//! in this process — sealed from the head or re-encoded during recovery —
+//! and have no on-disk home to reload from, so they stay resident) or
+//! **pageable** (the bytes live in a segment file; the slot holds a
+//! [`ColdRef`] and loads them with a single positioned read on first touch
+//! — a *page fault*, checked against the chunk's CRC). Either kind keeps
+//! the chunk's decoded block next to its page once a reader decoded it:
 //!
 //! ```text
 //! Cold   -- fault (pread) -->   Paged   -- decode -->   Decoded
-//!   ^                             |
-//!   +--------- eviction ----------+
+//!   ^                                                      |
+//!   +---------- eviction (a pinned slot stays Paged) ------+
 //! ```
 //!
-//! The pager tracks two gauges. `chunk_resident` counts compressed chunk
-//! bytes currently in memory (pinned + paged) — this is what the clock
-//! enforces the budget over, online, behind `&self`. `cache_resident`
-//! counts the per-chunk decode caches; those hand out borrows with stable
-//! addresses, so they cannot be dropped mid-scan —
-//! [`crate::Tsdb::evict_to_budget`] sheds them at mutation points instead.
-//! `resident_bytes` in [`super::StorageStats`] is the sum of both.
+//! The budget covers the compressed pages (`resident_chunk_bytes`, pages a
+//! pooled decode holds in flight included) plus the blocks slots hold, and
+//! after every page or block a slot takes in (a fault, a decode, a chunk
+//! sealed from the head) the clock sweeps, behind `&self`, until both fit. Readers hold their own `Arc`s, so an eviction
+//! never pulls memory from under a scan: the budget stops counting it, and
+//! it goes with the last reader.
 
 use std::fs::File;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,14 +30,15 @@ use std::sync::{Arc, Weak};
 
 use explainit_sync::{check_io, LockClass, Mutex};
 
-use super::{crc32, StorageError};
+use super::chunk::DecodedBlock;
+use super::{crc32, StorageError, StorageStats};
 
-/// The clock ring: taken by `enforce` before any per-slot lock. Rank
+/// The clock ring: taken by the sweep before any per-slot lock. Rank
 /// `IO_LOCK_RANK_THRESHOLD` — never held across a fault read.
 static PAGER_CLOCK: LockClass =
     LockClass::new("tsdb.pager.clock", explainit_sync::IO_LOCK_RANK_THRESHOLD);
 
-/// Per-slot resident bytes: innermost lock of the whole workspace order.
+/// Per-slot page and block: innermost lock of the whole workspace order.
 /// One class for every slot — holding two slots at once is a bug.
 static PAGER_SLOT: LockClass = LockClass::new("tsdb.pager.slot", 70);
 
@@ -103,26 +102,36 @@ pub(super) fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io
     f.read_exact(buf)
 }
 
-/// One chunk's residency slot: the compressed bytes when resident, and
-/// the cold location to reload them from when pageable.
+/// What a slot holds in memory: the compressed page and the decoded block.
+#[derive(Debug, Default)]
+struct Resident {
+    page: Option<Arc<Vec<u8>>>,
+    block: Option<Arc<DecodedBlock>>,
+}
+
+/// One chunk's residency slot: the compressed bytes and the decoded block
+/// when resident, and the cold location to reload the bytes from when
+/// pageable.
 #[derive(Debug)]
 pub struct PageSlot {
     pager: Arc<Pager>,
-    /// Compressed payload length (what residency accounting charges).
+    /// Compressed payload length (what page residency charges).
     len: u64,
     /// `None` for pinned slots (bytes have no on-disk home yet).
     cold: Option<ColdRef>,
-    bytes: Mutex<Option<Arc<Vec<u8>>>>,
+    resident: Mutex<Resident>,
     /// Clock second-chance bit: set on every access, cleared by a sweep.
     referenced: AtomicBool,
-    /// Whether the slot is already in the clock ring.
+    /// Whether the slot is in the clock ring, which under a budget is
+    /// exactly while it holds something the clock may evict. Changed only
+    /// under the slot lock.
     enrolled: AtomicBool,
 }
 
 impl PageSlot {
-    /// True when the slot holds no bytes (it never does for pinned slots).
+    /// True when the slot holds no page (it always holds one when pinned).
     pub fn is_empty(&self) -> bool {
-        self.bytes.lock().is_none()
+        self.resident.lock().page.is_none()
     }
 
     /// Compressed payload length in bytes, resident or not.
@@ -141,7 +150,7 @@ impl PageSlot {
             return Ok(resident);
         }
         // invariant: a slot with no resident bytes is always pageable —
-        // pinned slots are constructed resident and never evicted.
+        // pinned slots are constructed resident and keep their page.
         let cold = self.cold().ok_or_else(|| {
             StorageError::corrupt("chunk", "pinned chunk lost its resident bytes")
         })?;
@@ -154,7 +163,13 @@ impl PageSlot {
     /// The resident bytes, if any, marking the slot referenced.
     pub fn resident(&self) -> Option<Arc<Vec<u8>>> {
         self.referenced.store(true, Ordering::Relaxed);
-        self.bytes.lock().as_ref().map(Arc::clone)
+        self.resident.lock().page.as_ref().map(Arc::clone)
+    }
+
+    /// The decoded block, if the slot holds one, marking it referenced.
+    pub(crate) fn block(&self) -> Option<Arc<DecodedBlock>> {
+        self.referenced.store(true, Ordering::Relaxed);
+        self.resident.lock().block.as_ref().map(Arc::clone)
     }
 
     /// Where a pageable slot's bytes live on disk (`None` when pinned).
@@ -163,45 +178,60 @@ impl PageSlot {
     }
 
     /// Makes `loaded` — this slot's verified page, read by whoever faulted
-    /// it — the resident copy, counts the fault and lets the clock enforce
-    /// the budget. A racer that installed first wins and its copy is
-    /// returned instead.
+    /// it — the resident copy and counts the fault; see [`PageSlot::take_in`].
     pub fn install(self: &Arc<Self>, loaded: Vec<u8>) -> Arc<Vec<u8>> {
-        let loaded = Arc::new(loaded);
-        {
-            let mut guard = self.bytes.lock();
-            if let Some(racer) = guard.as_ref() {
-                return Arc::clone(racer);
-            }
-            *guard = Some(Arc::clone(&loaded));
-        }
-        self.pager.note_fault(self.len);
-        if !self.enrolled.swap(true, Ordering::Relaxed) {
-            self.pager.clock.lock().ring.push(Arc::downgrade(self));
-        }
-        self.pager.enforce();
-        loaded
+        self.take_in(loaded, |r| &mut r.page, |pager, _| pager.note_fault(self.len))
     }
 
-    /// Drops the resident bytes of a pageable slot, returning the bytes
-    /// freed (0 when pinned or already cold).
-    fn evict(&self) -> u64 {
-        if self.cold.is_none() {
-            return 0;
-        }
-        match self.bytes.lock().take() {
-            Some(_) => self.len,
-            None => 0,
-        }
+    /// Makes `decoded` — this slot's block, decoded by whoever read it —
+    /// the slot's copy and counts the decode; see [`PageSlot::take_in`].
+    pub(crate) fn keep(self: &Arc<Self>, decoded: DecodedBlock) -> Arc<DecodedBlock> {
+        self.take_in(decoded, |r| &mut r.block, |pager, block| pager.note_decode(block.bytes()))
+    }
+
+    /// Puts `new` in its place in the slot and `count`s it, unless a racer
+    /// got there first: then the racer's copy is returned, and `new` goes
+    /// after the slot lock is released. A slot that took something in
+    /// joins the ring if it was out of it, and the clock enforces the
+    /// budget.
+    fn take_in<T>(
+        self: &Arc<Self>,
+        new: T,
+        place: fn(&mut Resident) -> &mut Option<Arc<T>>,
+        count: impl FnOnce(&Pager, &T),
+    ) -> Arc<T> {
+        let new = Arc::new(new);
+        let enrol = {
+            let mut resident = self.resident.lock();
+            let held = place(&mut resident);
+            if let Some(racer) = held {
+                return Arc::clone(racer);
+            }
+            *held = Some(Arc::clone(&new));
+            count(&self.pager, &new);
+            self.referenced.store(true, Ordering::Relaxed);
+            !self.enrolled.swap(true, Ordering::Relaxed)
+        };
+        self.pager.admit(enrol.then(|| Arc::downgrade(self)));
+        new
+    }
+
+    /// Takes what the clock may: the block, and the page when pageable.
+    /// Either way the slot holds nothing evictable after it and leaves the
+    /// ring. The taken `Arc`s go back to the caller, to be dropped after
+    /// the slot lock is released.
+    fn evict(&self) -> Resident {
+        let mut resident = self.resident.lock();
+        self.enrolled.store(false, Ordering::Relaxed);
+        let block = resident.block.take();
+        let page = if self.cold.is_some() { resident.page.take() } else { None };
+        Resident { page, block }
     }
 }
 
 impl Drop for PageSlot {
     fn drop(&mut self) {
-        let resident = self.bytes.get_mut().is_some();
-        if resident {
-            self.pager.release_resident(self.len);
-        }
+        self.pager.release(self.len, self.resident.get_mut());
     }
 }
 
@@ -211,32 +241,17 @@ struct Clock {
     hand: usize,
 }
 
-/// Counter snapshot surfaced through [`super::StorageStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PagerCounters {
-    /// All accounted resident bytes: compressed chunks + decoded caches.
-    pub resident_bytes: u64,
-    /// Compressed chunk bytes currently resident (pinned + paged, and the
-    /// pages a pooled decode holds in flight).
-    pub resident_chunk_bytes: u64,
-    /// High-water mark of `resident_chunk_bytes` since open.
-    pub peak_resident_chunk_bytes: u64,
-    /// Cold chunk loads (one positioned read each).
-    pub page_faults: u64,
-    /// Pages and caches dropped to stay under budget.
-    pub evictions: u64,
-}
-
 /// The per-store pager, shared by the durable handle and every clone, so
 /// faults and decodes from snapshot views count against one budget.
 #[derive(Debug)]
 pub struct Pager {
-    /// Budget in bytes over compressed chunk residency; `u64::MAX` means
-    /// unbounded (the default for in-memory stores and plain `open`).
+    /// Budget in bytes over compressed pages plus decoded blocks;
+    /// `u64::MAX` means unbounded (the default for in-memory stores and
+    /// plain `open`).
     budget: u64,
     chunk_resident: AtomicU64,
     peak_chunk_resident: AtomicU64,
-    cache_resident: AtomicU64,
+    block_resident: AtomicU64,
     faults: AtomicU64,
     evictions: AtomicU64,
     decodes: AtomicU64,
@@ -250,14 +265,13 @@ impl Pager {
         Pager::with_budget(None)
     }
 
-    /// A pager enforcing `budget` bytes of compressed chunk residency
-    /// (`None` = unbounded).
+    /// A pager enforcing `budget` bytes of residency (`None` = unbounded).
     pub fn with_budget(budget: Option<u64>) -> Arc<Pager> {
         Arc::new(Pager {
             budget: budget.unwrap_or(u64::MAX),
             chunk_resident: AtomicU64::new(0),
             peak_chunk_resident: AtomicU64::new(0),
-            cache_resident: AtomicU64::new(0),
+            block_resident: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             decodes: AtomicU64::new(0),
@@ -276,15 +290,17 @@ impl Pager {
 
     /// A pinned slot whose bytes are already in memory and have no
     /// on-disk home to reload from (freshly sealed or recovery-merged
-    /// chunks). Never evicted; accounted until dropped.
+    /// chunks). Its page is never evicted and accounted until dropped;
+    /// the clock makes room for it as for a fault.
     pub fn slot_resident(self: &Arc<Self>, bytes: Arc<Vec<u8>>) -> Arc<PageSlot> {
         let len = bytes.len() as u64;
-        self.add_resident(len);
+        self.add_page(len);
+        self.evict_down_to(self.budget);
         Arc::new(PageSlot {
             pager: Arc::clone(self),
             len,
             cold: None,
-            bytes: Mutex::new(&PAGER_SLOT, Some(bytes)),
+            resident: Mutex::new(&PAGER_SLOT, Resident { page: Some(bytes), block: None }),
             referenced: AtomicBool::new(true),
             enrolled: AtomicBool::new(false),
         })
@@ -297,29 +313,42 @@ impl Pager {
             pager: Arc::clone(self),
             len: cold.len,
             cold: Some(cold),
-            bytes: Mutex::new(&PAGER_SLOT, None),
+            resident: Mutex::new(&PAGER_SLOT, Resident::default()),
             referenced: AtomicBool::new(false),
             enrolled: AtomicBool::new(false),
         })
     }
 
-    fn add_resident(&self, n: u64) {
+    fn add_page(&self, n: u64) {
         let now = self.chunk_resident.fetch_add(n, Ordering::Relaxed) + n;
         self.peak_chunk_resident.fetch_max(now, Ordering::Relaxed);
     }
 
-    fn release_resident(&self, n: u64) {
+    fn release_page(&self, n: u64) {
         self.chunk_resident.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Stops charging for what a slot with pages of `len` bytes held,
+    /// returning whether it held anything.
+    fn release(&self, len: u64, held: &Resident) -> bool {
+        if held.page.is_some() {
+            self.release_page(len);
+        }
+        if let Some(block) = &held.block {
+            self.block_resident.fetch_sub(block.bytes(), Ordering::Relaxed);
+        }
+        held.page.is_some() || held.block.is_some()
     }
 
     fn note_fault(&self, n: u64) {
         self.faults.fetch_add(1, Ordering::Relaxed);
-        self.add_resident(n);
+        self.add_page(n);
     }
 
-    /// Counts one chunk decode.
-    pub fn note_decode(&self) {
+    /// Counts one chunk decode, whose block of `n` bytes a slot now holds.
+    fn note_decode(&self, n: u64) {
         self.decodes.fetch_add(1, Ordering::Relaxed);
+        self.block_resident.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Chunk decodes since the pager was created.
@@ -327,47 +356,33 @@ impl Pager {
         self.decodes.load(Ordering::Relaxed)
     }
 
-    /// Accounts a chunk's decode cache coming into existence.
-    pub fn cache_added(&self, n: u64) {
-        self.cache_resident.fetch_add(n, Ordering::Relaxed);
+    /// What the budget covers: compressed pages plus held blocks.
+    fn resident(&self) -> u64 {
+        self.chunk_resident.load(Ordering::Relaxed) + self.block_resident.load(Ordering::Relaxed)
     }
 
-    /// Accounts a decoded cache being dropped.
-    pub fn cache_removed(&self, n: u64) {
-        self.cache_resident.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Counts cache invalidations done by [`crate::Tsdb::evict_to_budget`]
-    /// so they show up in the `evictions` counter alongside page drops.
-    pub fn note_cache_evictions(&self, n: u64) {
-        self.evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// True when total accounted residency (chunks + caches) exceeds the
-    /// budget — the trigger for shedding caches at mutation points.
-    pub fn over_budget(&self) -> bool {
-        let total = self.chunk_resident.load(Ordering::Relaxed)
-            + self.cache_resident.load(Ordering::Relaxed);
-        total > self.budget
-    }
-
-    /// Counter snapshot.
-    pub fn counters(&self) -> PagerCounters {
-        let chunk = self.chunk_resident.load(Ordering::Relaxed);
-        PagerCounters {
-            resident_bytes: chunk + self.cache_resident.load(Ordering::Relaxed),
-            resident_chunk_bytes: chunk,
+    /// The paging counters, as [`StorageStats`] fields (the others zero).
+    pub fn counters(&self) -> StorageStats {
+        StorageStats {
+            resident_bytes: self.resident(),
+            resident_chunk_bytes: self.chunk_resident.load(Ordering::Relaxed),
             peak_resident_chunk_bytes: self.peak_chunk_resident.load(Ordering::Relaxed),
             page_faults: self.faults.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            ..StorageStats::default()
         }
     }
 
-    /// Clock sweep: evicts pageable slots (second-chance on the
-    /// referenced bit) until compressed residency is back under budget or
-    /// nothing evictable remains. Safe behind `&self` — compressed bytes
-    /// are never borrowed out, only decoded caches are.
-    pub fn enforce(&self) {
+    /// A slot took in a page or a block: it joins the ring when `enrolled`
+    /// says it was not in it, and the clock enforces the budget. Nothing
+    /// is ever evicted without a budget, so then nothing joins.
+    fn admit(&self, enrolled: Option<Weak<PageSlot>>) {
+        if self.budget == u64::MAX {
+            return;
+        }
+        if let Some(slot) = enrolled {
+            self.clock.lock().ring.push(slot);
+        }
         self.evict_down_to(self.budget);
     }
 
@@ -378,19 +393,24 @@ impl Pager {
     /// [`Reservation`] gives it back.
     pub(crate) fn reserve(&self, n: u64) -> Reservation<'_> {
         self.evict_down_to(self.budget.saturating_sub(n));
-        self.add_resident(n);
+        self.add_page(n);
         Reservation { pager: self, bytes: n }
     }
 
-    /// The clock sweep behind [`Pager::enforce`] and [`Pager::reserve`]:
-    /// evicts until compressed residency is at most `limit`.
+    /// The clock sweep behind [`Pager::admit`], [`Pager::reserve`] and
+    /// [`Pager::slot_resident`]:
+    /// evicts slots (second-chance on the referenced bit) until pages plus
+    /// blocks are at most `limit` or nothing evictable remains. A slot is
+    /// in the ring only while it holds something to evict, and leaves it
+    /// when evicted, so the sweep's work is paid for by the installs that
+    /// enrolled the slots and the reads that set their bits.
     fn evict_down_to(&self, limit: u64) {
-        if self.budget == u64::MAX || self.chunk_resident.load(Ordering::Relaxed) <= limit {
+        if self.budget == u64::MAX || self.resident() <= limit {
             return;
         }
         let mut clock = self.clock.lock();
         let mut without_progress = 0usize;
-        while self.chunk_resident.load(Ordering::Relaxed) > limit {
+        while self.resident() > limit {
             if clock.ring.is_empty() || without_progress > 2 * clock.ring.len() {
                 break;
             }
@@ -407,15 +427,14 @@ impl Pager {
                 without_progress += 1;
                 continue;
             }
-            let freed = slot.evict();
-            if freed > 0 {
-                self.release_resident(freed);
+            let taken = slot.evict();
+            clock.ring.swap_remove(hand);
+            if self.release(slot.len, &taken) {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 without_progress = 0;
             } else {
                 without_progress += 1;
             }
-            clock.hand += 1;
         }
     }
 }
@@ -434,13 +453,13 @@ impl Reservation<'_> {
     pub(crate) fn release(&mut self, n: u64) {
         let n = n.min(self.bytes);
         self.bytes -= n;
-        self.pager.release_resident(n);
+        self.pager.release_page(n);
     }
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.pager.release_resident(self.bytes);
+        self.pager.release_page(self.bytes);
     }
 }
 
@@ -554,29 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_slots_are_never_evicted() {
-        let dir = tmp_dir("pinned");
-        let pager = Pager::with_budget(Some(4));
-        let pinned = pager.slot_resident(Arc::new(vec![9u8; 32]));
-        let cold = pager.slot_cold(cold_ref(&dir, "seg", &[1u8; 16], 0));
-        let _ = cold.bytes().expect("fault");
-        pager.enforce();
-        assert!(!pinned.is_empty(), "pinned bytes survive pressure");
-        assert_eq!(&pinned.bytes().expect("pinned")[..], &[9u8; 32]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dropping_slots_releases_accounting() {
-        let pager = Pager::unbounded();
-        let slot = pager.slot_resident(Arc::new(vec![0u8; 100]));
-        assert_eq!(pager.counters().resident_chunk_bytes, 100);
-        drop(slot);
-        assert_eq!(pager.counters().resident_chunk_bytes, 0);
-        assert!(pager.budget().is_none());
-    }
-
-    #[test]
     #[should_panic(
         expected = "acquiring class `tsdb.pager.clock` (rank 60) while holding `tsdb.pager.slot`"
     )]
@@ -586,8 +582,8 @@ mod tests {
         let pager = Pager::with_budget(Some(1024));
         let slot = pager.slot_cold(cold_ref(&dir, "seg", b"payload", 0));
         // Deliberately invert the sanctioned clock -> slot order: hold the
-        // slot's bytes lock and then take the clock ring.
-        let _slot_guard = slot.bytes.lock();
+        // slot's lock and then take the clock ring.
+        let _slot_guard = slot.resident.lock();
         let _clock_guard = pager.clock.lock();
     }
 
@@ -604,13 +600,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_accounting_feeds_over_budget() {
+    fn the_clock_evicts_blocks_and_pinned_slots_keep_their_pages() {
+        let dir = tmp_dir("blocks");
+        let block =
+            |n: i64| DecodedBlock { timestamps: (0..n).collect(), values: vec![0.5; n as usize] };
         let pager = Pager::with_budget(Some(64));
-        assert!(!pager.over_budget());
-        pager.cache_added(100);
-        assert!(pager.over_budget());
-        assert_eq!(pager.counters().resident_bytes, 100);
-        pager.cache_removed(100);
-        assert!(!pager.over_budget());
+        let pinned = pager.slot_resident(Arc::new(vec![9u8; 16]));
+        let pageable = pager.slot_cold(cold_ref(&dir, "seg", &[1u8; 16], 0));
+        let held = pinned.keep(block(2));
+        let _ = pageable.bytes().expect("fault");
+        assert_eq!(pager.counters().resident_bytes, 16 + 32 + 16, "pages and a block fit");
+        let _ = pageable.keep(block(2));
+        let c = pager.counters();
+        assert_eq!((c.evictions, c.resident_bytes), (1, 64), "one block went: {c:?}");
+        assert!(pinned.block().is_none(), "the pinned slot lost its block");
+        assert!(!pinned.is_empty(), "but kept its page");
+        assert_eq!(held.timestamps, [0, 1], "a reader's block outlives its eviction");
+        // Room for a 64-byte wave: everything evictable goes, the pinned
+        // page stays.
+        let wave = pager.reserve(64);
+        let c = pager.counters();
+        assert!(pageable.is_empty() && pageable.block().is_none(), "page and block evicted");
+        assert_eq!(&pinned.bytes().expect("pinned")[..], &[9u8; 16], "pinned pages stay");
+        // The pinned page and the wave, and no block.
+        assert_eq!((c.evictions, c.resident_chunk_bytes, c.resident_bytes), (2, 80, 80), "{c:?}");
+        drop(wave);
+        drop((pinned, pageable));
+        assert_eq!(pager.counters().resident_bytes, 0, "dropped slots release their bytes");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,12 +2,14 @@
 //! durable storage engine in [`crate::storage`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::ops::{Deref, Range};
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
 use crate::model::{Series, SeriesKey, TimeRange};
-use crate::storage::chunk::{self, ChunkMeta, EncodedChunk};
+use crate::storage::chunk::{self, ChunkMeta, DecodedBlock, EncodedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
@@ -61,19 +63,76 @@ impl TagFilter {
     }
 }
 
-/// A borrowed partition handle over one series' in-range observations:
-/// the atom of partition-parallel scan execution. Handles are cheap to
-/// copy, so a scheduler can bucket them into morsels freely.
-#[derive(Debug, Clone, Copy)]
+/// A partition handle over one series' in-range observations: the atom of
+/// partition-parallel scan execution. A slice cut from a sealed chunk holds
+/// the chunk's decoded block, so it stays valid after the pager's clock
+/// evicts that block from its slot; a head slice borrows the store.
+#[derive(Debug, Clone)]
 pub struct SeriesSlice<'a> {
     /// Dense store-local series id (stable across scans of one instance).
     pub id: SeriesId,
     /// The series key (metric name + tags).
     pub key: &'a SeriesKey,
     /// In-range timestamps, ascending.
-    pub timestamps: &'a [i64],
+    pub timestamps: SliceColumn<'a, i64>,
     /// Values parallel to `timestamps`.
-    pub values: &'a [f64],
+    pub values: SliceColumn<'a, f64>,
+}
+
+/// One column of a [`SeriesSlice`], dereferencing to `[i64]`
+/// (timestamps) or `[f64]` (values): a range of the series head, borrowed,
+/// or of a decoded chunk block, held.
+#[derive(Clone)]
+pub struct SliceColumn<'a, T>(Run<'a, T>);
+
+#[derive(Clone)]
+enum Run<'a, T> {
+    Head(&'a [T]),
+    Block(Arc<DecodedBlock>, Range<usize>),
+}
+
+impl Deref for SliceColumn<'_, i64> {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        match &self.0 {
+            Run::Head(run) => run,
+            Run::Block(block, range) => &block.timestamps[range.clone()],
+        }
+    }
+}
+
+impl Deref for SliceColumn<'_, f64> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match &self.0 {
+            Run::Head(run) => run,
+            Run::Block(block, range) => &block.values[range.clone()],
+        }
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SliceColumn<'_, T>
+where
+    Self: Deref<Target = [T]>,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> SeriesSlice<'a> {
+    fn head(id: SeriesId, key: &'a SeriesKey, (ts, vs): (&'a [i64], &'a [f64])) -> Self {
+        let (timestamps, values) = (SliceColumn(Run::Head(ts)), SliceColumn(Run::Head(vs)));
+        SeriesSlice { id, key, timestamps, values }
+    }
+
+    fn block(id: SeriesId, key: &'a SeriesKey, block: Arc<DecodedBlock>, at: Range<usize>) -> Self {
+        let timestamps = SliceColumn(Run::Block(Arc::clone(&block), at.clone()));
+        let values = SliceColumn(Run::Block(block, at));
+        SeriesSlice { id, key, timestamps, values }
+    }
 }
 
 /// A metric selection filter: optional name pattern plus tag predicates.
@@ -144,11 +203,14 @@ impl MetricFilter {
 /// directory entry (min/max timestamp, count, offset, length) is
 /// resident. The first scan that touches one faults its compressed bytes
 /// in with a single positioned read checked against the chunk's CRC
-/// (**Paged**), and decoding on top of that yields the **Decoded** cache. A [`StorageOptions::page_budget_bytes`]
-/// budget bounds the paged tier with clock eviction (see
-/// [`crate::storage::pager`]); decoded caches are accounted too and shed
-/// at mutation points via [`Tsdb::evict_to_budget`]. With no budget
-/// (plain [`Tsdb::open`]) every touched chunk simply stays resident.
+/// (**Paged**), and decoding on top of that yields the **Decoded** block;
+/// all three are the state of the chunk's one page slot, which clones
+/// share. A [`StorageOptions::page_budget_bytes`] budget bounds pages and
+/// blocks together: the pager's clock evicts both behind `&self` after
+/// every fault, decode and chunk sealed by a flush (see
+/// [`crate::storage::pager`]), on any handle,
+/// while each scan keeps the blocks its slices read. With no budget (plain
+/// [`Tsdb::open`]) every touched chunk simply stays resident and decoded.
 #[derive(Debug)]
 pub struct Tsdb {
     series: Vec<Series>,
@@ -297,24 +359,17 @@ impl Tsdb {
 
     /// Storage counters, when durable. The paging counters come from the
     /// shared pager: `resident_bytes` covers compressed chunk bytes plus
-    /// decoded caches, `peak_resident_chunk_bytes` is the high-water mark
-    /// the out-of-core gate checks against the budget, and
+    /// the decoded blocks slots hold, `peak_resident_chunk_bytes` is the
+    /// high-water mark the out-of-core gate checks against the budget, and
     /// `page_faults`/`evictions` prove cold chunks actually paged.
     pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(|s| {
-            let pager = self.pager.counters();
-            StorageStats {
-                segments: s.segments.len(),
-                segment_bytes: s.segments.iter().map(|h| h.data_bytes).sum(),
-                chunks: self.series.iter().map(|series| series.sealed_chunks().len()).sum(),
-                wal_bytes: s.wal_len(),
-                freelist: s.freelist.clone(),
-                resident_bytes: pager.resident_bytes,
-                resident_chunk_bytes: pager.resident_chunk_bytes,
-                peak_resident_chunk_bytes: pager.peak_resident_chunk_bytes,
-                page_faults: pager.page_faults,
-                evictions: pager.evictions,
-            }
+        self.storage.as_ref().map(|s| StorageStats {
+            segments: s.segments.len(),
+            segment_bytes: s.segments.iter().map(|h| h.data_bytes).sum(),
+            chunks: self.series.iter().map(|series| series.sealed_chunks().len()).sum(),
+            wal_bytes: s.wal_len(),
+            freelist: s.freelist.clone(),
+            ..self.pager.counters()
         })
     }
 
@@ -389,7 +444,6 @@ impl Tsdb {
             let view = sealed_view(&self.series, &order)?;
             compact::merge_segments(storage, &view)?;
         }
-        self.evict_to_budget();
         Ok(())
     }
 
@@ -451,24 +505,6 @@ impl Tsdb {
             series.drop_expired_chunks(&expired, metas);
         }
         Ok(())
-    }
-
-    /// Sheds the per-chunk decode caches when total resident bytes exceed
-    /// the page budget, then lets the pager's clock evict compressed chunk
-    /// bytes down to the budget. Returns the number of caches dropped. Runs
-    /// automatically at the end of every flush; exposed so long-running
-    /// read paths can bound memory between flushes too. A no-op on an
-    /// unbounded store.
-    pub fn evict_to_budget(&mut self) -> u64 {
-        let mut dropped = 0;
-        if self.pager.over_budget() {
-            for series in &mut self.series {
-                dropped += series.shed_caches();
-            }
-            self.pager.note_cache_evictions(dropped);
-        }
-        self.pager.enforce();
-        dropped
     }
 
     /// Flushes, then folds all segments into one regardless of how few
@@ -646,6 +682,9 @@ impl Tsdb {
     /// that tiebreak equal timestamps by slice rank see the same order a
     /// single contiguous slice would give them.
     ///
+    /// A chunk slice holds its decoded block, so the slices stay valid
+    /// while the pager's clock evicts blocks behind them.
+    ///
     /// A chunk that cannot be read — an I/O error, a checksum mismatch, a
     /// bit stream that does not decode — fails the whole scan: this form
     /// then returns no slices at all, never a partial scan, and
@@ -673,64 +712,60 @@ impl Tsdb {
         self.slices_of(self.find(filter), lo, hi)
     }
 
-    /// The slices of `ids` over `[lo, hi]`. When the overlapping chunks
-    /// not yet decoded hold at least [`PARALLEL_DECODE_MIN_POINTS`], they
-    /// are faulted, verified and decoded on the worker pool first; the
-    /// slices are then cut from the decode caches either way.
+    /// The slices of `ids` over `[lo, hi]`, each chunk slice holding its
+    /// block. The blocks the slots hold are taken first; when the other
+    /// overlapping chunks hold at least [`PARALLEL_DECODE_MIN_POINTS`],
+    /// they are faulted, verified and decoded on the worker pool, and else
+    /// one by one as their slices are cut.
     fn slices_of(
         &self,
         ids: Vec<SeriesId>,
         lo: i64,
         hi: i64,
     ) -> Result<Vec<SeriesSlice<'_>>, StorageError> {
+        let overlapping = |id: &SeriesId| {
+            let chunks = self.series[id.index()].sealed_chunks();
+            chunks.iter().filter(move |c| lo <= hi && c.overlaps(lo, hi))
+        };
+        let mut blocks: Vec<_> = ids.iter().flat_map(overlapping).map(|c| c.cached()).collect();
         let pending: Vec<_> = ids
             .iter()
-            .flat_map(|id| self.series[id.index()].sealed_chunks())
-            .filter(|c| lo <= hi && c.overlaps(lo, hi) && !c.is_decoded())
+            .flat_map(overlapping)
+            .zip(&blocks)
+            .filter_map(|(c, block)| block.is_none().then_some(c))
             .collect();
         let points: usize = pending.iter().map(|c| c.meta.count as usize).sum();
-        if points >= PARALLEL_DECODE_MIN_POINTS {
-            let workers = explainit_sync::pool::workers();
-            if workers > 1 {
-                chunk::decode_on_pool(&pending, workers, &self.pager)?;
+        let workers = explainit_sync::pool::workers();
+        if points >= PARALLEL_DECODE_MIN_POINTS && workers > 1 {
+            let mut decoded = chunk::decode_on_pool(&pending, workers, &self.pager)?.into_iter();
+            for block in blocks.iter_mut().filter(|b| b.is_none()) {
+                *block = decoded.next();
             }
         }
+        let mut blocks = blocks.into_iter();
         let mut parts = Vec::new();
         for id in ids {
-            self.push_slices(&mut parts, id, lo, hi)?;
+            let s = &self.series[id.index()];
+            let before = parts.len();
+            for chunk in overlapping(&id) {
+                let block = match blocks.next().flatten() {
+                    Some(block) => block,
+                    None => chunk.decoded()?,
+                };
+                let a = block.timestamps.partition_point(|&t| t < lo);
+                let b = block.timestamps.partition_point(|&t| t <= hi);
+                if a < b {
+                    parts.push(SeriesSlice::block(id, &s.key, block, a..b));
+                }
+            }
+            let head = s.head_range_between(lo, hi);
+            if !head.0.is_empty() || parts.len() == before {
+                // The trailing head slice; also keeps the one-slice-per-
+                // matched-series shape when nothing overlapped at all.
+                parts.push(SeriesSlice::head(id, &s.key, head));
+            }
         }
         Ok(parts)
-    }
-
-    /// Appends the partition handles of one series restricted to `[lo,
-    /// hi]` — the lazy-decode core of the scan surface.
-    fn push_slices<'a>(
-        &'a self,
-        out: &mut Vec<SeriesSlice<'a>>,
-        id: SeriesId,
-        lo: i64,
-        hi: i64,
-    ) -> Result<(), StorageError> {
-        let s = &self.series[id.index()];
-        let before = out.len();
-        for chunk in s.sealed_chunks() {
-            if lo > hi || !chunk.overlaps(lo, hi) {
-                continue;
-            }
-            let (ts, vs) = chunk.decoded()?;
-            let a = ts.partition_point(|&t| t < lo);
-            let b = ts.partition_point(|&t| t <= hi);
-            if a < b {
-                out.push(SeriesSlice { id, key: &s.key, timestamps: &ts[a..b], values: &vs[a..b] });
-            }
-        }
-        let (ts, vs) = s.head_range_between(lo, hi);
-        if !ts.is_empty() || out.len() == before {
-            // The trailing head slice; also keeps the one-slice-per-matched-
-            // series shape when nothing overlapped at all.
-            out.push(SeriesSlice { id, key: &s.key, timestamps: ts, values: vs });
-        }
-        Ok(())
     }
 
     /// [`Tsdb::scan_parts_between`] in canonical series-key order.
@@ -859,7 +894,7 @@ mod tests {
         assert_eq!(parts.len(), 3);
         for p in &parts {
             assert_eq!(db.series(p.id).key, *p.key);
-            assert_eq!(p.timestamps, &[120, 180, 240]);
+            assert_eq!(*p.timestamps, [120, 180, 240]);
             assert_eq!(p.timestamps.len(), p.values.len());
         }
     }
@@ -883,11 +918,11 @@ mod tests {
         db.try_insert(&key, i64::MAX, 2.0).expect("insert");
         let parts =
             db.scan_parts_between(&MetricFilter::name("edge"), i64::MIN, i64::MAX).expect("scan");
-        assert_eq!(parts[0].timestamps, &[0, i64::MAX]);
+        assert_eq!(*parts[0].timestamps, [0, i64::MAX]);
         let parts =
             db.scan_parts_ordered_between(&MetricFilter::name("edge"), 1, i64::MAX).expect("scan");
-        assert_eq!(parts[0].timestamps, &[i64::MAX]);
-        assert_eq!(parts[0].values, &[2.0]);
+        assert_eq!(*parts[0].timestamps, [i64::MAX]);
+        assert_eq!(*parts[0].values, [2.0]);
         // Inverted bounds are an empty scan, not a panic.
         let parts = db.scan_parts_between(&MetricFilter::name("edge"), 5, 4).expect("scan");
         assert!(parts[0].timestamps.is_empty());

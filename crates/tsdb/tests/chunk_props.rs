@@ -300,7 +300,7 @@ fn scan_all(db: &Tsdb) -> Result<Vec<(String, i64, u64)>, StorageError> {
         .iter()
         .flat_map(|p| {
             let key = p.key.canonical();
-            p.timestamps.iter().zip(p.values).map(move |(&t, v)| (key.clone(), t, v.to_bits()))
+            p.timestamps.iter().zip(&*p.values).map(move |(&t, v)| (key.clone(), t, v.to_bits()))
         })
         .collect())
 }

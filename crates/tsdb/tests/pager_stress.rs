@@ -1,9 +1,10 @@
 //! Pager stress under lockdep: reader threads scan one snapshot clone of
 //! a store through a tiny page budget while the writer it was cloned from
 //! ingests, flushes and auto-compacts, with no lock between them. The
-//! clone shares the writer's pager, so the readers' faults and the
-//! writer's seals and merges contend on the same clock and slots, and the
-//! readers keep paging from segment files the compaction has deleted.
+//! clone shares the writer's pager and page slots, so the readers' faults
+//! and decodes race on the same slots' pages and blocks, contend with the
+//! writer's seals and merges on the same clock, and keep paging from
+//! segment files the compaction has deleted.
 //! Any clock/slot order violation or guard-held-across-I/O fault panics
 //! the offending thread immediately (lockdep is force-armed), so a clean
 //! run is a machine-checked witness of the locking discipline under real
@@ -56,10 +57,7 @@ fn readers_of_a_snapshot_fault_while_the_writer_flushes_and_compacts() {
     let options = StorageOptions { page_budget_bytes: Some(2 * 1024), ..Default::default() };
     let mut writer = Tsdb::open_with(&dir, options).expect("reopen under budget");
     let snapshot = writer.clone();
-    // Every pass reads through its own clone of the snapshot: a clone keeps
-    // what it decoded for as long as it lives, so passes over one clone
-    // would fault nothing after the first.
-    let scan = || scan_totals(&snapshot.clone());
+    let scan = || scan_totals(&snapshot);
     let expected = scan();
     assert_eq!(expected.0, 3 * 8 * 200);
 

@@ -32,8 +32,8 @@ fn contents(db: &Tsdb) -> Vec<(String, Vec<i64>, Vec<f64>)> {
     let mut rows: BTreeMap<String, (Vec<i64>, Vec<f64>)> = BTreeMap::new();
     for part in db.scan_parts(&MetricFilter::all(), &range) {
         let row = rows.entry(part.key.canonical()).or_default();
-        row.0.extend_from_slice(part.timestamps);
-        row.1.extend_from_slice(part.values);
+        row.0.extend_from_slice(&part.timestamps);
+        row.1.extend_from_slice(&part.values);
     }
     rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect()
 }

@@ -1,10 +1,11 @@
 //! Out-of-core behaviour of a reopened store: demand paging, the memory
-//! budget with eviction, decode-cache accounting, read-only opens, and
+//! budget with eviction of pages and decoded blocks, read-only opens, and
 //! retention.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
-use explainit_tsdb::{MetricFilter, SeriesKey, StorageError, StorageOptions, Tsdb};
+use explainit_tsdb::{MetricFilter, SeriesKey, SeriesSlice, StorageError, StorageOptions, Tsdb};
 use proptest::prelude::*;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -13,19 +14,27 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn contents(db: &Tsdb) -> Vec<(String, Vec<i64>, Vec<f64>)> {
+/// Each series' points in canonical key order.
+type Rows = Vec<(String, Vec<i64>, Vec<f64>)>;
+
+fn contents(db: &Tsdb) -> Rows {
     let Some(range) = db.time_span() else { return Vec::new() };
+    rows_of(&db.scan_parts(&MetricFilter::all(), &range))
+}
+
+/// A scan's points, series by series in canonical key order.
+fn rows_of(parts: &[SeriesSlice<'_>]) -> Rows {
     let mut rows: BTreeMap<String, (Vec<i64>, Vec<f64>)> = BTreeMap::new();
-    for part in db.scan_parts(&MetricFilter::all(), &range) {
+    for part in parts {
         let row = rows.entry(part.key.canonical()).or_default();
-        row.0.extend_from_slice(part.timestamps);
-        row.1.extend_from_slice(part.values);
+        row.0.extend_from_slice(&part.timestamps);
+        row.1.extend_from_slice(&part.values);
     }
     rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect()
 }
 
 /// Builds a flushed multi-chunk store and returns its expected contents.
-fn build_store(dir: &std::path::Path) -> Vec<(String, Vec<i64>, Vec<f64>)> {
+fn build_store(dir: &Path) -> Rows {
     let mut db = Tsdb::open(dir).expect("open");
     // Three flush rounds -> three chunks per series on disk.
     for round in 0..3i64 {
@@ -41,60 +50,10 @@ fn build_store(dir: &std::path::Path) -> Vec<(String, Vec<i64>, Vec<f64>)> {
     contents(&db)
 }
 
-#[test]
-fn cold_open_keeps_only_the_chunk_directory_resident() {
-    let dir = tmp_dir("cold-open");
-    let expected = build_store(&dir);
-    let db = Tsdb::open(&dir).expect("reopen");
-    let stats = db.storage_stats().expect("stats");
-    assert_eq!(stats.resident_chunk_bytes, 0, "no chunk bytes resident before any scan");
-    assert_eq!(stats.page_faults, 0, "recovery faults nothing in");
-    assert_eq!(db.decode_count(), 0, "recovery decodes nothing");
-    assert_eq!(stats.chunks, 9, "the chunk directory itself is fully known");
-
-    assert_eq!(contents(&db), expected, "first scan pages everything in correctly");
-    let stats = db.storage_stats().expect("stats");
-    assert_eq!(stats.page_faults, 9, "every chunk faulted in exactly once");
-    assert!(stats.resident_chunk_bytes > 0, "unbounded store keeps pages resident");
-    assert_eq!(stats.evictions, 0, "no budget, no evictions");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn scans_under_any_budget_are_bit_identical() {
-    let dir = tmp_dir("budgets");
-    let expected = build_store(&dir);
-    let resident = Tsdb::open(&dir).expect("unbounded reopen");
-    let baseline = contents(&resident);
-    assert_eq!(baseline, expected);
-    let segment_bytes = resident.storage_stats().expect("stats").segment_bytes;
-    let chunks = resident.storage_stats().expect("stats").chunks as u64;
-    drop(resident);
-
-    // Budget 0 (evict immediately) and about one chunk's worth.
-    for budget in [0, segment_bytes.div_ceil(chunks)] {
-        let options =
-            StorageOptions { page_budget_bytes: Some(budget), ..StorageOptions::default() };
-        let db = Tsdb::open_read_only_with(&dir, options).expect("paged reopen");
-        assert_eq!(contents(&db), baseline, "budget {budget} diverged");
-        let stats = db.storage_stats().expect("stats");
-        assert_eq!(stats.page_faults, 9, "budget {budget}: every chunk faulted");
-        assert!(stats.evictions > 0, "budget {budget}: pressure forced evictions");
-        // The clock can only evict between faults, so the peak overshoots
-        // by at most about one chunk (plus slack for uneven chunk sizes).
-        assert!(
-            stats.peak_resident_chunk_bytes <= budget + 2 * segment_bytes.div_ceil(chunks),
-            "budget {budget}: peak {} ran away",
-            stats.peak_resident_chunk_bytes
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A store whose full scan holds more undecoded points (48,000 in 192
 /// chunks) than the scan decodes one by one, so its chunks fault, verify
 /// and decode on the worker pool. Returns the expected contents.
-fn build_large_store(dir: &std::path::Path) -> Vec<(String, Vec<i64>, Vec<f64>)> {
+fn build_large_store(dir: &Path) -> Rows {
     let mut db = Tsdb::open(dir).expect("open");
     for round in 0..4i64 {
         for s in 0..48i64 {
@@ -109,41 +68,99 @@ fn build_large_store(dir: &std::path::Path) -> Vec<(String, Vec<i64>, Vec<f64>)>
     contents(&db)
 }
 
+/// The decoded size of a `build_large_store` chunk: 250 points of 16 bytes.
+const ONE_BLOCK: u64 = 250 * 16;
+
+/// The store's chunk count and mean compressed chunk size.
+fn chunk_sizes(dir: &Path) -> (u64, u64) {
+    let stats = Tsdb::open_read_only(dir).expect("reopen").storage_stats().expect("stats");
+    (stats.chunks as u64, stats.segment_bytes.div_ceil(stats.chunks as u64))
+}
+
+fn open_paged(dir: &Path, page_budget_bytes: Option<u64>) -> Tsdb {
+    let options = StorageOptions { page_budget_bytes, ..StorageOptions::default() };
+    Tsdb::open_read_only_with(dir, options).expect("paged reopen")
+}
+
+/// A cold open holds only the chunk directory; a scan at any budget then
+/// returns the points with one fault and one decode per chunk, and a
+/// second scan returns them again. The small store decodes on the caller,
+/// the large one on the worker pool. Unbounded, the store opens as the
+/// writer, whose recovery must fault and decode nothing either.
 #[test]
-fn pooled_decode_returns_the_points_with_one_fault_and_decode_per_chunk() {
-    let dir = tmp_dir("pooled");
-    let expected = build_large_store(&dir);
-    assert_eq!(expected.iter().map(|(_, ts, _)| ts.len()).sum::<usize>(), 48_000);
-    let unbounded = Tsdb::open_read_only(&dir).expect("reopen");
-    let stats = unbounded.storage_stats().expect("stats");
-    let (chunks, segment_bytes) = (stats.chunks as u64, stats.segment_bytes);
-    assert_eq!(chunks, 192);
-    drop(unbounded);
-    let chunk_bytes = segment_bytes.div_ceil(chunks);
-    for budget in [None, Some(segment_bytes / 8), Some(chunk_bytes)] {
-        let options = StorageOptions { page_budget_bytes: budget, ..StorageOptions::default() };
-        let db = Tsdb::open_read_only_with(&dir, options).expect("paged reopen");
-        assert_eq!(contents(&db), expected, "budget {budget:?}");
-        let stats = db.storage_stats().expect("stats");
-        assert_eq!(stats.page_faults, chunks, "budget {budget:?}: one fault per chunk");
-        assert_eq!(db.decode_count(), chunks, "budget {budget:?}: one decode per chunk");
-        if let Some(budget) = budget {
-            assert!(stats.evictions > 0, "budget {budget}: pressure forced evictions");
-            // A wave's pages are charged from before their buffers exist,
-            // after the clock made room for them: the peak overshoots by
-            // about one chunk, as on the serial path (twice the mean for
-            // uneven sizes). A wave of a full budget next to a full budget
-            // of resident pages would reach twice the 1/8 budget.
-            assert!(
-                stats.peak_resident_chunk_bytes <= budget + 2 * chunk_bytes,
-                "budget {budget}: peak {} ran away",
-                stats.peak_resident_chunk_bytes
-            );
+fn scans_under_any_budget_return_the_points_with_one_fault_and_decode_per_chunk() {
+    let stores =
+        [("serial", build_store as fn(&Path) -> Rows, 9), ("pooled", build_large_store, 192)];
+    for (tag, build, chunks) in stores {
+        let dir = tmp_dir(tag);
+        let expected = build(&dir);
+        let (counted, chunk_bytes) = chunk_sizes(&dir);
+        assert_eq!(counted, chunks, "{tag}: the chunk directory is fully known");
+        for budget in [None, Some(0), Some(chunks * chunk_bytes / 8), Some(chunk_bytes)] {
+            let db = match budget {
+                None => Tsdb::open(&dir).expect("writer reopen"),
+                Some(_) => open_paged(&dir, budget),
+            };
+            let stats = db.storage_stats().expect("stats");
+            assert_eq!((stats.resident_bytes, stats.page_faults, db.decode_count()), (0, 0, 0));
+            assert_eq!(contents(&db), expected, "{tag} {budget:?}");
+            let stats = db.storage_stats().expect("stats");
+            assert_eq!(stats.page_faults, chunks, "{tag} {budget:?}: one fault per chunk");
+            assert_eq!(db.decode_count(), chunks, "{tag} {budget:?}: one decode per chunk");
+            assert_eq!(stats.evictions > 0, budget.is_some(), "{tag} {budget:?}: {stats:?}");
+            // Pages are charged from before a pooled wave's buffers exist,
+            // after the clock made room for them, and the clock evicts
+            // right after each serial fault: the peak overshoots by about
+            // one chunk (twice the mean for uneven sizes). A wave of a full
+            // budget next to a full budget of resident pages would reach
+            // twice the 1/8 budget.
+            let peak = stats.peak_resident_chunk_bytes;
+            assert!(budget.is_none_or(|b| peak <= b + 2 * chunk_bytes), "{tag} {budget:?}: {peak}");
+            assert_eq!(contents(&db), expected, "{tag} {budget:?}: the second scan");
+            let stats = db.storage_stats().expect("stats");
+            match budget {
+                // Unbounded, pages and blocks stay: a second scan decodes nothing.
+                None => {
+                    assert_eq!(db.decode_count(), chunks, "{tag}: rescans hit the blocks");
+                    assert!(stats.resident_chunk_bytes > 0, "{tag}: pages stay resident");
+                }
+                Some(b) => {
+                    let resident = stats.resident_bytes;
+                    assert!(resident <= b + ONE_BLOCK, "{tag} {b}: {resident} bytes resident");
+                }
+            }
         }
-        // The caches hold: a second scan faults and decodes nothing more.
-        assert_eq!(contents(&db), expected);
-        assert_eq!(db.decode_count(), chunks, "budget {budget:?}: rescans hit the caches");
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn clones_taken_at_open_share_one_decode() {
+    let dir = tmp_dir("clones");
+    let expected = build_large_store(&dir);
+    let db = Tsdb::open_read_only(&dir).expect("reopen");
+    let (a, b) = (db.clone(), db.clone());
+    for (scanned, handle) in [("clone A", &a), ("clone B", &b), ("the store", &db)] {
+        assert_eq!(contents(handle), expected, "{scanned}");
+        assert_eq!(db.decode_count(), 192, "{scanned}: every chunk decoded once in all");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_scan_outlives_the_eviction_of_its_blocks() {
+    let dir = tmp_dir("outlives");
+    let expected = build_large_store(&dir);
+    let (_, one_chunk) = chunk_sizes(&dir);
+    let db = open_paged(&dir, Some(one_chunk));
+    let held = db.scan_parts_between(&MetricFilter::name("m0"), i64::MIN, i64::MAX);
+    let held = held.expect("scan m0");
+    // A full scan, pooled: every block it takes in pushes older ones out.
+    assert_eq!(contents(&db), expected);
+    let stats = db.storage_stats().expect("stats");
+    assert!(stats.resident_bytes <= one_chunk + ONE_BLOCK, "m0's blocks are gone: {stats:?}");
+    let m0: Rows = expected.into_iter().filter(|(k, _, _)| k.starts_with("m0{")).collect();
+    assert_eq!(rows_of(&held), m0, "the held slices read their evicted blocks");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -172,9 +189,9 @@ fn pooled_decode_fails_the_scan_on_a_damaged_chunk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Whole-series reads go through the per-chunk decode caches — the tier
-/// that is charged to the pager and shed by `evict_to_budget`. (A second,
-/// unaccounted whole-series copy used to leak here.)
+/// Whole-series reads go through the chunks' decoded blocks — the tier
+/// the budget covers together with the pages. (A second, unaccounted
+/// whole-series copy used to leak here.)
 #[test]
 fn decode_caches_are_accounted_and_evictable() {
     let dir = tmp_dir("decode-caches");
@@ -183,8 +200,8 @@ fn decode_caches_are_accounted_and_evictable() {
     let options = StorageOptions { page_budget_bytes: Some(budget), ..StorageOptions::default() };
     let mut db = Tsdb::open_with(&dir, options).expect("reopen");
 
-    // A whole-store scan decodes way past the budget — and the accounting
-    // must *see* that.
+    // A whole-store scan decodes way past the budget; the clock evicts
+    // blocks as it goes, with nothing called once the scan's parts drop.
     let range = db.time_span().expect("data");
     let scanned = |db: &Tsdb| -> usize {
         db.scan_parts(&MetricFilter::all(), &range).iter().map(|p| p.timestamps.len()).sum()
@@ -193,25 +210,29 @@ fn decode_caches_are_accounted_and_evictable() {
     assert_eq!(total, 360);
     assert_eq!(db.iter().map(|(_, s)| s.points().count()).sum::<usize>(), total);
     let stats = db.storage_stats().expect("stats");
+    // One decoded chunk: 40 points of 16 bytes.
     assert!(
-        stats.resident_bytes > budget,
-        "decode caches count: {} resident vs {budget} budget",
+        stats.resident_bytes <= budget + 40 * 16,
+        "resident bytes {} stay within the {budget}-byte budget and one block",
         stats.resident_bytes
     );
-
-    let dropped = db.evict_to_budget();
-    assert!(dropped > 0, "eviction shed the decoded caches");
-    let stats = db.storage_stats().expect("stats");
-    assert!(
-        stats.resident_bytes <= budget,
-        "resident bytes {} fell back under the {budget}-byte budget",
-        stats.resident_bytes
-    );
-    assert!(stats.evictions > 0, "cache drops are visible in the counters");
+    assert!(stats.resident_bytes > stats.resident_chunk_bytes, "blocks count: {stats:?}");
+    assert!(stats.evictions > 0, "block drops are visible in the counters");
 
     // The store still serves the same data afterwards (re-faulting and
     // re-decoding as needed).
     assert_eq!(scanned(&db), total);
+
+    // A flush pins the pages it seals, about 90 bytes a chunk, and the
+    // clock makes room for them at once.
+    for host in 0..8i64 {
+        let key = SeriesKey::new("mem").with_tag("host", host.to_string());
+        let points: Vec<_> = (0..40).map(|t| (t * 60, (t * t * host) as f64 + 0.25)).collect();
+        db.try_insert_batch(&key, &points).expect("insert");
+    }
+    db.flush().expect("flush");
+    let stats = db.storage_stats().expect("stats");
+    assert!(stats.resident_bytes <= budget, "the flush's pages fit: {stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

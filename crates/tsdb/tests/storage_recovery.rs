@@ -405,7 +405,7 @@ fn scans_decode_only_overlapping_chunks() {
     assert_eq!(db.decode_count(), 3, "window-1 chunks stayed compressed");
     let total: usize = parts.iter().map(|p| p.timestamps.len()).sum();
     assert_eq!(total, 60);
-    // Repeating the scan hits the decode caches.
+    // Repeating the scan hits the blocks the slots kept.
     db.scan_parts_between(&MetricFilter::name("cpu"), 100 * 60, 119 * 60).expect("rescan");
     assert_eq!(db.decode_count(), 3);
     // The full-range scan decodes the rest, once.

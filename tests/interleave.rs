@@ -99,7 +99,7 @@ fn concurrent_fault_and_evict_is_deterministic_per_schedule() {
                 let sum: f64 = db
                     .scan_parts(&MetricFilter::all().with_tag("host", host), &range)
                     .iter()
-                    .flat_map(|p| p.values)
+                    .flat_map(|p| p.values.iter())
                     .sum();
                 log(&journal, format!("t{thread}s{step} {host}={sum}"));
             }) as Box<dyn FnOnce() + Send + '_>
