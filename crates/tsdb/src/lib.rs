@@ -44,7 +44,9 @@
 //! * **[`Tsdb::flush`]** is the durability point: it fsyncs the WAL,
 //!   seals in-memory heads into delta-of-delta + XOR compressed chunks
 //!   inside a new segment file, truncates the WAL, and auto-compacts when
-//!   small segments accumulate.
+//!   small segments accumulate. Compaction ([`Tsdb::compact`] on demand)
+//!   folds every segment into one and merges each series' round-sized
+//!   chunks into chunks of up to [`storage::CHUNK_MAX_POINTS`] points.
 //! * **Scans** over a reopened store decode chunks *lazily*: `scan_parts*`
 //!   prunes on chunk `[min_ts, max_ts]` metadata and only decompresses
 //!   chunks overlapping the query's time range ([`Tsdb::decode_count`]

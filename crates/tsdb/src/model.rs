@@ -303,6 +303,16 @@ impl Series {
         before - self.sealed.len()
     }
 
+    /// Swaps the sealed tier for `sealed`, the same points in other chunks
+    /// (compaction's re-chunked tier, paged from the merged segment).
+    pub(crate) fn replace_sealed(&mut self, sealed: Vec<SealedChunk>) {
+        debug_assert_eq!(
+            sealed.iter().map(|c| c.meta.count as usize).sum::<usize>(),
+            self.sealed.iter().map(|c| c.meta.count as usize).sum::<usize>()
+        );
+        self.sealed = sealed;
+    }
+
     /// The sealed chunks (ascending, disjoint) — the lazy scan path.
     pub(crate) fn sealed_chunks(&self) -> &[SealedChunk] {
         &self.sealed

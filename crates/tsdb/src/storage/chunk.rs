@@ -378,10 +378,11 @@ pub fn decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), Storag
     Ok(points)
 }
 
-/// [`decode`] into vectors the caller allocated: it pushes `count` points
-/// onto `points` (empty, with room for `count`) and allocates nothing
-/// itself — what lets a pool worker decode into caller-owned memory.
-fn decode_into(
+/// [`decode`] into vectors the caller allocated: it appends `count` points
+/// to `points` and, given room for them, allocates nothing itself — what
+/// lets a pool worker decode into caller-owned memory, and compaction
+/// decode a run of chunks into one buffer.
+pub(crate) fn decode_into(
     bytes: &[u8],
     count: usize,
     (ts, vals): &mut (Vec<i64>, Vec<f64>),
@@ -390,7 +391,6 @@ fn decode_into(
     if count == 0 {
         return Err(StorageError::corrupt("chunk", "zero-point chunk"));
     }
-    debug_assert!(ts.is_empty() && vals.is_empty());
     let mut r = BitReader::new(bytes);
     let mut prev = r.read_bits(64).ok_or_else(corrupt)? as i64;
     ts.push(prev);

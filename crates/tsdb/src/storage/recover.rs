@@ -196,7 +196,7 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
     // segment-id order.
     let mut segments = Vec::new();
     let mut by_series: BTreeMap<SeriesKey, Vec<RecoveredChunk>> = BTreeMap::new();
-    for (seg, path) in mapped {
+    for (mut seg, path) in mapped {
         if superseded.contains(&seg.id) || expired.contains(&seg.id) {
             if !opts.read_only {
                 std::fs::remove_file(&path)
@@ -210,20 +210,13 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
             data_bytes: seg.data_bytes,
             max_ts: seg.max_ts,
         });
-        for s in seg.series {
-            let file = &seg.file;
-            by_series.entry(s.key).or_default().extend(s.chunks.into_iter().map(|c| {
-                RecoveredChunk {
+        for s in std::mem::take(&mut seg.series) {
+            by_series.entry(s.key).or_default().extend(
+                s.chunks.iter().map(|c| RecoveredChunk {
                     meta: c.meta,
-                    data: ChunkData::Cold(ColdRef {
-                        file: Arc::clone(file),
-                        segment_id: seg.id,
-                        offset: c.offset,
-                        len: c.len,
-                        crc: c.crc,
-                    }),
-                }
-            }));
+                    data: ChunkData::Cold(seg.cold_ref(c)),
+                }),
+            );
         }
     }
 

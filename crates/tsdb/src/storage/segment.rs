@@ -35,13 +35,13 @@
 //! place, and the directory fsynced — a crash mid-write leaves only a
 //! `.tmp` the next open deletes.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use super::chunk::{ChunkMeta, EncodedChunk};
 use super::failpoint::{self, Point};
-use super::pager::read_exact_at;
+use super::pager::{read_exact_at, ColdRef};
 use super::{crc32, sync_dir, SegmentHandle, StorageError};
 use crate::model::SeriesKey;
 
@@ -103,6 +103,19 @@ pub struct MappedSegment {
     pub file: Arc<std::fs::File>,
 }
 
+impl MappedSegment {
+    /// Where `chunk`, one of this segment's, pages in from.
+    pub fn cold_ref(&self, chunk: &MappedChunk) -> ColdRef {
+        ColdRef {
+            file: Arc::clone(&self.file),
+            segment_id: self.id,
+            offset: chunk.offset,
+            len: chunk.len,
+            crc: chunk.crc,
+        }
+    }
+}
+
 /// Path of segment `id` inside a store directory.
 pub fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.seg"))
@@ -124,8 +137,10 @@ pub fn is_tmp_segment(name: &str) -> bool {
 }
 
 /// Writes segment `id` atomically (tmp → fsync → rename → dir fsync) in
-/// the v2 layout and returns its live handle. Series should arrive in
-/// canonical key order; chunks per series in ascending time order.
+/// the v2 layout and returns its live handle. Only the header and the
+/// directory are built in memory; the payloads stream from `series`.
+/// Series should arrive in canonical key order; chunks per series in
+/// ascending time order.
 pub fn write_segment(
     dir: &Path,
     id: u64,
@@ -135,42 +150,40 @@ pub fn write_segment(
     let too_big = |what: &str| {
         StorageError::corrupt(segment_path(dir, id).display(), format!("{what} over 4 GiB"))
     };
-    let mut directory = Vec::new();
-    directory.extend_from_slice(&(supersedes.len() as u32).to_le_bytes());
+    // The fixed header with a `dir_len` patched in below, then the
+    // directory.
+    let mut head = Vec::new();
+    head.extend_from_slice(MAGIC_V2);
+    head.extend_from_slice(&id.to_le_bytes());
+    head.extend_from_slice(&[0; 4]);
+    head.extend_from_slice(&(supersedes.len() as u32).to_le_bytes());
     for &old in supersedes {
-        directory.extend_from_slice(&old.to_le_bytes());
+        head.extend_from_slice(&old.to_le_bytes());
     }
-    directory.extend_from_slice(&(series.len() as u32).to_le_bytes());
+    head.extend_from_slice(&(series.len() as u32).to_le_bytes());
     let mut data_bytes = 0u64;
     for (key, chunks) in series {
-        write_str(&mut directory, &key.name);
-        directory.extend_from_slice(&(key.tags.len() as u32).to_le_bytes());
+        write_str(&mut head, &key.name);
+        head.extend_from_slice(&(key.tags.len() as u32).to_le_bytes());
         for (k, v) in &key.tags {
-            write_str(&mut directory, k);
-            write_str(&mut directory, v);
+            write_str(&mut head, k);
+            write_str(&mut head, v);
         }
-        directory.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+        head.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
         for chunk in chunks {
             let len = u32::try_from(chunk.bytes.len()).map_err(|_| too_big("a chunk payload"))?;
-            directory.extend_from_slice(&chunk.meta.min_ts.to_le_bytes());
-            directory.extend_from_slice(&chunk.meta.max_ts.to_le_bytes());
-            directory.extend_from_slice(&chunk.meta.count.to_le_bytes());
-            directory.extend_from_slice(&len.to_le_bytes());
-            directory.extend_from_slice(&crc32(&chunk.bytes).to_le_bytes());
+            head.extend_from_slice(&chunk.meta.min_ts.to_le_bytes());
+            head.extend_from_slice(&chunk.meta.max_ts.to_le_bytes());
+            head.extend_from_slice(&chunk.meta.count.to_le_bytes());
+            head.extend_from_slice(&len.to_le_bytes());
+            head.extend_from_slice(&crc32(&chunk.bytes).to_le_bytes());
             data_bytes += u64::from(len);
         }
     }
-    let dir_len = u32::try_from(directory.len()).map_err(|_| too_big("the directory"))?;
-    let mut body = Vec::with_capacity(HEADER_V2 + directory.len() + 4 + data_bytes as usize);
-    body.extend_from_slice(MAGIC_V2);
-    body.extend_from_slice(&id.to_le_bytes());
-    body.extend_from_slice(&dir_len.to_le_bytes());
-    body.extend_from_slice(&directory);
-    let dir_crc = crc32(&body);
-    body.extend_from_slice(&dir_crc.to_le_bytes());
-    for chunk in series.iter().flat_map(|(_, chunks)| chunks) {
-        body.extend_from_slice(&chunk.bytes);
-    }
+    let dir_len = u32::try_from(head.len() - HEADER_V2).map_err(|_| too_big("the directory"))?;
+    head[HEADER_V2 - 4..HEADER_V2].copy_from_slice(&dir_len.to_le_bytes());
+    let dir_crc = crc32(&head);
+    head.extend_from_slice(&dir_crc.to_le_bytes());
     let max_ts = series.iter().flat_map(|(_, cs)| cs.iter().map(|c| c.meta.max_ts)).max();
 
     let path = segment_path(dir, id);
@@ -184,13 +197,19 @@ pub fn write_segment(
     }
     {
         explainit_sync::check_io("writing and fsyncing a segment file");
-        let mut f =
+        let f =
             std::fs::File::create(&tmp).map_err(|e| StorageError::io(ctx("creating", &tmp), e))?;
-        f.write_all(&body).map_err(|e| StorageError::io(ctx("writing", &tmp), e))?;
+        let mut out = BufWriter::new(f);
+        let payloads = series.iter().flat_map(|(_, chunks)| chunks);
+        std::iter::once(&head[..])
+            .chain(payloads.map(|chunk| &chunk.bytes[..]))
+            .try_for_each(|bytes| out.write_all(bytes))
+            .and_then(|()| out.flush())
+            .map_err(|e| StorageError::io(ctx("writing", &tmp), e))?;
         if let Some(e) = failpoint::trip(Point::SegmentWrite, &tmp) {
             return Err(e);
         }
-        f.sync_all().map_err(|e| StorageError::io(ctx("syncing", &tmp), e))?;
+        out.get_ref().sync_all().map_err(|e| StorageError::io(ctx("syncing", &tmp), e))?;
         if let Some(e) = failpoint::trip(Point::SegmentSync, &tmp) {
             return Err(e);
         }
@@ -372,7 +391,6 @@ fn read_str(bytes: &[u8], at: &mut usize) -> Option<String> {
 mod tests {
     use super::*;
     use crate::storage::chunk::encode_run;
-    use crate::storage::pager::ColdRef;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("explainit-seg-{tag}-{}", std::process::id()));
@@ -383,14 +401,7 @@ mod tests {
 
     /// A mapped chunk's payload, read the way `open` pages it in.
     fn payload(segment: &MappedSegment, chunk: &MappedChunk) -> Vec<u8> {
-        let cold = ColdRef {
-            file: segment.file.clone(),
-            segment_id: segment.id,
-            offset: chunk.offset,
-            len: chunk.len,
-            crc: chunk.crc,
-        };
-        cold.read().expect("positioned read")
+        segment.cold_ref(chunk).read().expect("positioned read")
     }
 
     fn sample_series() -> Vec<(SeriesKey, Vec<EncodedChunk>)> {

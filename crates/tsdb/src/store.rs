@@ -22,10 +22,13 @@ use crate::storage::{
 /// their fault, check and decode run on the worker pool rather than one by
 /// one on the caller.
 ///
-/// Measured as a cold full scan, serial against pooled, on a 2-core Xeon:
-/// with chunks of 240 or 480 points the pool wins from about 2^14 points
-/// (by 20–35% at 2^15), with 120-point chunks, whose per-chunk work on the
-/// caller weighs more, only from 2^16 (up to 12% slower in between).
+/// Measured as a cold full scan, serial against pooled, on 2 cores (AMD
+/// EPYC), over stores written in 12 rounds of 120 points and re-chunked by
+/// compaction (960 + 4 × 120 points a series, or one 1,440-point chunk):
+/// the pool wins from between 2^13 and 2^14 points, by 9–35% at 2^15, and
+/// loses 12–15% at 2^12. The caller's per-chunk work moves the
+/// crossover: a store that keeps 120-point chunks, which compaction no
+/// longer leaves behind, crossed only at 2^16.
 const PARALLEL_DECODE_MIN_POINTS: usize = 1 << 15;
 
 /// Opaque, dense identifier of a series inside one [`Tsdb`].
@@ -393,10 +396,24 @@ impl Tsdb {
 
     /// The durability point: fsyncs the WAL, seals every non-empty head
     /// into compressed chunks written as a new segment, truncates the WAL,
-    /// and merges segments when [`AUTO_COMPACT_SEGMENTS`] have piled up.
+    /// and compacts when [`AUTO_COMPACT_SEGMENTS`] have piled up.
     /// Write errors are not carried here: each came back from the
     /// `try_insert*` call that caused it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
+        self.flush_then_compact_at(AUTO_COMPACT_SEGMENTS)
+    }
+
+    /// Flushes, then folds all segments into one regardless of how few
+    /// there are, re-chunking every series (see [`crate::storage::compact`]).
+    /// A store of one segment is rewritten as well.
+    pub fn compact(&mut self) -> Result<(), StorageError> {
+        self.flush_then_compact_at(1)
+    }
+
+    /// [`Tsdb::flush`], then compaction once `segments` are live. Running
+    /// right after the flush is what makes compaction safe: the sealed
+    /// tiers then cover the full durable state.
+    fn flush_then_compact_at(&mut self, segments: usize) -> Result<(), StorageError> {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
         };
@@ -440,9 +457,8 @@ impl Tsdb {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
         };
-        if storage.segments.len() >= AUTO_COMPACT_SEGMENTS {
-            let view = sealed_view(&self.series, &order)?;
-            compact::merge_segments(storage, &view)?;
+        if storage.segments.len() >= segments {
+            compact::merge_segments(storage, &mut self.series, &self.pager)?;
         }
         Ok(())
     }
@@ -505,20 +521,6 @@ impl Tsdb {
             series.drop_expired_chunks(&expired, metas);
         }
         Ok(())
-    }
-
-    /// Flushes, then folds all segments into one regardless of how few
-    /// there are. Running right after a flush is what makes this safe: the
-    /// sealed in-memory view then covers the full durable state.
-    pub fn compact(&mut self) -> Result<(), StorageError> {
-        self.flush()?;
-        let Some(storage) = self.storage.as_mut() else {
-            return Err(StorageError::NotDurable);
-        };
-        let mut order: Vec<usize> = (0..self.series.len()).collect();
-        order.sort_by_cached_key(|&i| self.series[i].key.canonical());
-        let view = sealed_view(&self.series, &order)?;
-        compact::merge_segments(storage, &view)
     }
 
     /// Number of distinct series.
@@ -799,30 +801,6 @@ impl Tsdb {
         }
         span
     }
-}
-
-/// The sealed in-memory view in the given canonical-order permutation:
-/// what compaction serializes. Chunk payloads are shared (`Arc` page
-/// slots), so this never decodes or copies point data — but cold chunks
-/// do page their compressed bytes in (and may evict again right after
-/// under a tight budget), which is why it is fallible.
-fn sealed_view(
-    series: &[Series],
-    order: &[usize],
-) -> Result<Vec<(SeriesKey, Vec<EncodedChunk>)>, StorageError> {
-    let mut view = Vec::new();
-    for &i in order {
-        let s = &series[i];
-        if s.sealed_chunks().is_empty() {
-            continue;
-        }
-        let mut chunks = Vec::with_capacity(s.sealed_chunks().len());
-        for c in s.sealed_chunks() {
-            chunks.push(c.encoded()?);
-        }
-        view.push((s.key.clone(), chunks));
-    }
-    Ok(view)
 }
 
 #[cfg(test)]

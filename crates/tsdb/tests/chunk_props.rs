@@ -1,9 +1,13 @@
 //! Property tests pinning the chunk codec: every byte-level encoder must
 //! round-trip bit-exactly against the in-memory reference for arbitrary
 //! sorted runs — including i64-extreme timestamps and every f64 bit
-//! pattern (NaN payloads, ±0, infinities, subnormals).
+//! pattern (NaN payloads, ±0, infinities, subnormals) — and compaction's
+//! re-chunking must keep every point of such runs, bit for bit.
+
+use std::sync::Arc;
 
 use explainit_tsdb::storage::chunk::{decode, encode, encode_run, EncodedChunk, CHUNK_MAX_POINTS};
+use explainit_tsdb::storage::compact::rechunk;
 use explainit_tsdb::storage::segment::write_segment;
 use explainit_tsdb::storage::wal::{Wal, WalRecord};
 use explainit_tsdb::storage::{crc32, StorageError};
@@ -99,6 +103,87 @@ proptest! {
             prop_assert_eq!(&dts[..], &ts[at..at + dts.len()]);
             prop_assert_eq!(&dvs[..], &vals[at..at + dvs.len()]);
             at += dts.len();
+        }
+    }
+}
+
+/// `n` points whose strictly increasing timestamps start at `i64::MIN` or
+/// near zero, take raw-delta escapes and may end at `i64::MAX`, and whose
+/// values mix NaN payloads of either sign, −0.0, infinities, subnormals,
+/// repeats, random bit patterns and small steps.
+fn hostile_run(n: usize, seed: u64) -> (Vec<i64>, Vec<f64>) {
+    let mut s = seed | 1;
+    let mut t = if seed & 1 == 0 { i64::MIN } else { (seed >> 40) as i64 - (1 << 23) };
+    let mut v = 0.0f64;
+    let (mut ts, mut vals) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let r = xorshift(&mut s);
+        v = match r % 8 {
+            0 => f64::from_bits(0x7FF0_0000_0000_0000 | (r >> 12) | 1 | (r << 63)),
+            1 => -0.0,
+            2 => v,
+            3 => [f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE / 2.0][(r >> 8) as usize % 3],
+            4 => f64::from_bits(r),
+            _ => v + ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5),
+        };
+        ts.push(t);
+        vals.push(v);
+        t += match (r >> 3) % 16 {
+            0 => 1 + (r >> 24) as i64,
+            1..=3 => 1 + ((r >> 8) % 3000) as i64,
+            _ => 60,
+        };
+    }
+    if seed & 2 == 0 {
+        if let Some(last) = ts.last_mut() {
+            *last = i64::MAX;
+        }
+    }
+    (ts, vals)
+}
+
+proptest! {
+    /// Rounds of chunks, as flushes seal them, re-chunk without loss: the
+    /// output decodes to the input points bit for bit, no chunk exceeds
+    /// the split, no two adjacent chunks could have merged, and a chunk
+    /// left alone keeps its bytes.
+    #[test]
+    fn rechunk_keeps_every_point_and_packs_whole_chunks(
+        seed in any::<u64>(),
+        rounds in proptest::collection::vec((0u8..3, 1usize..700), 1..10usize),
+    ) {
+        let sizes: Vec<usize> =
+            rounds.iter().map(|&(kind, n)| if kind == 0 { n + 1900 } else { n }).collect();
+        let (ts, vals) = hostile_run(sizes.iter().sum(), seed);
+        let mut input = Vec::new();
+        let mut at = 0;
+        for n in sizes {
+            input.extend(encode_run(&ts[at..at + n], &vals[at..at + n]));
+            at += n;
+        }
+        let output = rechunk(input.clone()).expect("valid chunks re-chunk");
+        let (mut got_ts, mut got_bits) = (Vec::new(), Vec::new());
+        for chunk in &output {
+            prop_assert!(chunk.meta.count as usize <= CHUNK_MAX_POINTS);
+            let (cts, cvs) = decode(&chunk.bytes, chunk.meta.count as usize).expect("decodes");
+            prop_assert_eq!((cts[0], cts[cts.len() - 1]), (chunk.meta.min_ts, chunk.meta.max_ts));
+            got_ts.extend(cts);
+            got_bits.extend(cvs.iter().map(|v| v.to_bits()));
+        }
+        prop_assert_eq!(&got_ts, &ts);
+        prop_assert_eq!(got_bits, vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        for pair in output.windows(2) {
+            prop_assert!(
+                (pair[0].meta.count + pair[1].meta.count) as usize > CHUNK_MAX_POINTS,
+                "{} and {} points could have merged", pair[0].meta.count, pair[1].meta.count
+            );
+        }
+        // A merged chunk spans two or more inputs, so a chunk with an
+        // input's meta was left alone.
+        for chunk in &output {
+            if let Some(original) = input.iter().find(|c| c.meta == chunk.meta) {
+                prop_assert!(Arc::ptr_eq(&original.bytes, &chunk.bytes), "lone chunk re-encoded");
+            }
         }
     }
 }

@@ -13,10 +13,16 @@
 //!   segment's `supersedes` header is what recovery trusts; killing the
 //!   delete loop leaves the input files on disk and recovery must drop
 //!   them, not re-count them.
+//! * **A failed compaction loses nothing.** Compaction re-chunks: it pages
+//!   in and decodes its inputs and writes new chunks. A failure at any
+//!   segment-write step, or an input chunk that fails its checksum, is an
+//!   error that leaves the WAL, the segment list and the writer's scans as
+//!   they were, and a reopen holds the same points by bits.
 
 use std::collections::BTreeMap;
 
 use explainit_tsdb::storage::failpoint::{arm, disarm, Point};
+use explainit_tsdb::storage::StorageError;
 use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -25,17 +31,24 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+type Rows = Vec<(String, Vec<i64>, Vec<f64>)>;
+
 /// Every series' full contents, canonically ordered — the bit-identity
 /// observable for comparing a store against its expected state.
-fn contents(db: &Tsdb) -> Vec<(String, Vec<i64>, Vec<f64>)> {
-    let Some(range) = db.time_span() else { return Vec::new() };
+fn contents(db: &Tsdb) -> Rows {
+    scan(db, &MetricFilter::all()).expect("a full scan")
+}
+
+/// The contents of the series `filter` matches, or the scan's error.
+fn scan(db: &Tsdb, filter: &MetricFilter) -> Result<Rows, String> {
+    let parts = db.scan_parts_between(filter, i64::MIN, i64::MAX).map_err(|e| e.to_string())?;
     let mut rows: BTreeMap<String, (Vec<i64>, Vec<f64>)> = BTreeMap::new();
-    for part in db.scan_parts(&MetricFilter::all(), &range) {
+    for part in parts {
         let row = rows.entry(part.key.canonical()).or_default();
         row.0.extend_from_slice(&part.timestamps);
         row.1.extend_from_slice(&part.values);
     }
-    rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect()
+    Ok(rows.into_iter().map(|(key, (ts, vs))| (key, ts, vs)).collect())
 }
 
 fn fleet() -> Vec<(SeriesKey, i64, f64)> {
@@ -47,6 +60,80 @@ fn fleet() -> Vec<(SeriesKey, i64, f64)> {
         }
     }
     points
+}
+
+/// The `.seg` files of a store directory, by name, with their bytes.
+fn segment_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "seg"))
+        .map(|e| {
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).expect("read"))
+        })
+        .collect()
+}
+
+/// What a compaction commits: live segments, sealed chunks, segment bytes
+/// and the freelist.
+fn committed(db: &Tsdb) -> (usize, usize, u64, Vec<u64>) {
+    let stats = db.storage_stats().expect("stats");
+    (stats.segments, stats.chunks, stats.segment_bytes, stats.freelist)
+}
+
+/// A writer at `dir` and the in-memory model of it, holding `fleet()` in
+/// three flushed rounds: three segments, three 50-point chunks per series
+/// for compaction to re-chunk into one.
+fn written_in_rounds(dir: &std::path::Path) -> (Tsdb, Tsdb) {
+    let mut memory = Tsdb::new();
+    let mut db = Tsdb::open(dir).expect("open");
+    for round in 0..3i64 {
+        for (key, ts, v) in fleet() {
+            let ts = ts + round * 3_000;
+            memory.try_insert(&key, ts, v).expect("insert");
+            db.try_insert(&key, ts, v).expect("insert");
+        }
+        db.flush().expect("flush a round");
+    }
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks), (3, 9), "three rounds of three series");
+    (db, memory)
+}
+
+/// One compaction-failure scenario: fail a re-chunking compaction at
+/// `point` and prove the WAL, the segment list and the writer's scans are
+/// as they were and a reopen equals the model; then the disarmed retry
+/// re-chunks and a reopen still equals the model.
+fn compaction_failure_scenario(point: Point, tag: &str) {
+    let dir = tmp_dir(tag);
+    let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
+    let (mut db, memory) = written_in_rounds(&dir);
+    let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
+    let files_before = segment_files(&dir);
+    let before = committed(&db);
+
+    arm(point, &tag_str);
+    let err = db.compact().expect_err("armed compaction fails");
+    assert!(format!("{err}").contains("failpoint"), "the injected error surfaced: {err}");
+    disarm(&tag_str);
+    assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before, "{point:?}");
+    assert_eq!(committed(&db), before, "nothing committed ({point:?})");
+    let files_after = segment_files(&dir);
+    for (name, bytes) in &files_before {
+        assert_eq!(files_after.get(name), Some(bytes), "{name} kept its bytes ({point:?})");
+    }
+    assert_eq!(contents(&db), contents(&memory), "the writer's scans are unchanged");
+    let reopened = Tsdb::open_read_only(&dir).expect("reopen after failed compaction");
+    assert_eq!(contents(&reopened), contents(&memory), "reopen equals the model");
+    drop(reopened);
+
+    db.compact().expect("disarmed retry compacts");
+    assert_eq!(db.storage_stats().expect("stats").chunks, 3, "one chunk per series");
+    assert_eq!(contents(&db), contents(&memory), "the re-chunked writer serves the same points");
+    drop(db);
+    let reopened = Tsdb::open(&dir).expect("reopen after retry");
+    assert_eq!(contents(&reopened), contents(&memory), "the re-chunked store is bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One flush-failure scenario: ingest, sync, fail the flush at `point`,
@@ -117,6 +204,79 @@ fn flush_failure_after_dir_sync_keeps_wal() {
 }
 
 #[test]
+fn compaction_failure_before_segment_create_keeps_the_store() {
+    compaction_failure_scenario(Point::SegmentCreate, "compact-create");
+}
+
+#[test]
+fn compaction_failure_after_segment_write_keeps_the_store() {
+    compaction_failure_scenario(Point::SegmentWrite, "compact-write");
+}
+
+#[test]
+fn compaction_failure_after_segment_sync_keeps_the_store() {
+    compaction_failure_scenario(Point::SegmentSync, "compact-sync");
+}
+
+#[test]
+fn compaction_failure_after_segment_rename_keeps_the_store() {
+    compaction_failure_scenario(Point::SegmentRename, "compact-rename");
+}
+
+#[test]
+fn compaction_failure_after_dir_sync_keeps_the_store() {
+    compaction_failure_scenario(Point::SegmentDirSync, "compact-dirsync");
+}
+
+/// A payload byte flipped under a writer fails its compaction with
+/// `Corrupt` before anything is written: the WAL, the segment list and the
+/// files stay, and the writer's scans are what they were — the damaged
+/// chunk an error, every other series the model's points. With the byte
+/// restored the compaction goes through and loses nothing.
+#[test]
+fn a_flipped_payload_byte_fails_compaction_before_anything_is_written() {
+    let dir = tmp_dir("compact-flip");
+    let (db, memory) = written_in_rounds(&dir);
+    drop(db);
+    let mut db = Tsdb::open(&dir).expect("reopen: every chunk cold");
+    let files = segment_files(&dir);
+    let (first, clean) = files.iter().next().expect("a segment");
+    let path = dir.join(first);
+    let mut flipped = clean.clone();
+    // The last byte is the payload of the last chunk of the first round.
+    *flipped.last_mut().expect("payload") ^= 0x10;
+    std::fs::write(&path, &flipped).expect("flip a payload byte");
+    let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
+    let before = committed(&db);
+    let all = MetricFilter::all();
+    let host = |h: &str| MetricFilter::name("cpu").with_tag("host", h);
+    let scan_before = scan(&db, &all).expect_err("the damaged chunk fails a full scan");
+
+    let err = db.compact().expect_err("a damaged input fails the compaction");
+    assert!(matches!(err, StorageError::Corrupt { .. }), "typed: {err}");
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before);
+    assert_eq!(committed(&db), before, "nothing committed");
+    let mut expected_files = files.clone();
+    expected_files.insert(first.clone(), flipped);
+    assert_eq!(segment_files(&dir), expected_files, "no segment written or deleted");
+    assert_eq!(scan(&db, &all), Err(scan_before), "the writer's scans are unchanged");
+    for h in ["a", "b"] {
+        assert_eq!(scan(&db, &host(h)), scan(&memory, &host(h)), "host {h} is the model's");
+    }
+    assert!(scan(&db, &host("c")).is_err(), "host c holds the damaged chunk");
+
+    std::fs::write(&path, clean).expect("restore the byte");
+    db.compact().expect("compaction over intact inputs");
+    assert_eq!(db.storage_stats().expect("stats").chunks, 3, "one chunk per series");
+    assert_eq!(contents(&db), contents(&memory));
+    drop(db);
+    let reopened = Tsdb::open(&dir).expect("reopen after compaction");
+    assert_eq!(contents(&reopened), contents(&memory), "the re-chunked store is bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn crash_mid_compaction_does_not_double_count_points() {
     let dir = tmp_dir("compact-kill");
     let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
@@ -152,8 +312,11 @@ fn crash_mid_compaction_does_not_double_count_points() {
     assert!(leftover_segments > 1, "superseded inputs survive the simulated crash");
     disarm(&tag_str);
 
-    // The in-process handle already committed the merged view: scans keep
+    // The in-process handle already committed the merged view, its two
+    // 50-point rounds re-chunked into one chunk per series: scans keep
     // working and nothing is counted twice.
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks), (1, 3), "the merged segment committed");
     assert_eq!(db.point_count(), expected_points, "in-process view unaffected");
     assert_eq!(contents(&db), contents(&memory), "in-process contents identical");
     drop(db);

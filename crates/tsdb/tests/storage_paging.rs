@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use explainit_tsdb::storage::CHUNK_MAX_POINTS;
 use explainit_tsdb::{MetricFilter, SeriesKey, SeriesSlice, StorageError, StorageOptions, Tsdb};
 use proptest::prelude::*;
 
@@ -236,6 +237,43 @@ fn decode_caches_are_accounted_and_evictable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A writer pins the pages it seals, so under a page budget a store
+/// written in rounds outgrows it. Compaction re-chunks the rounds and
+/// pages the new tier from the merged segment, pinning nothing: the
+/// budget holds again, before and after a full scan of the same points.
+#[test]
+fn a_compaction_brings_a_writer_back_within_its_page_budget() {
+    let dir = tmp_dir("compact-budget");
+    let budget = 64 << 10;
+    let options = StorageOptions { page_budget_bytes: Some(budget), ..StorageOptions::default() };
+    let mut db = Tsdb::open_with(&dir, options).expect("open");
+    for round in 0..6i64 {
+        for s in 0..48i64 {
+            let key = SeriesKey::new(format!("m{}", s % 5)).with_tag("host", s.to_string());
+            let points: Vec<(i64, f64)> = (0..250i64)
+                .map(|t| ((round * 250 + t) * 60, ((s * 7919 + t * 31) % 1000) as f64 * 0.25))
+                .collect();
+            db.try_insert_batch(&key, &points).expect("insert");
+        }
+        db.flush().expect("flush a round");
+    }
+    let expected = contents(&db);
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!(stats.chunks, 6 * 48);
+    assert!(stats.resident_bytes > budget, "the rounds' pages are pinned: {stats:?}");
+
+    db.compact().expect("compact");
+    // One decoded chunk: at most CHUNK_MAX_POINTS points of 16 bytes.
+    let one_block = CHUNK_MAX_POINTS as u64 * 16;
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!(stats.chunks, 48, "six 250-point rounds re-chunk into one chunk a series");
+    assert!(stats.resident_bytes <= budget + one_block, "after the compaction: {stats:?}");
+    assert_eq!(contents(&db), expected, "the re-chunked writer scans the same points");
+    let stats = db.storage_stats().expect("stats");
+    assert!(stats.resident_bytes <= budget + one_block, "after a full scan: {stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -367,6 +405,38 @@ fn retention_drops_expired_segments_at_flush_without_decoding() {
     let reopened = Tsdb::open(&dir).expect("reopen");
     assert_eq!(reopened.point_count(), 50);
     assert_eq!(reopened.storage_stats().expect("stats").segments, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The chunks of a re-chunking compaction are not the chunks the writer
+/// sealed, so the writer's tier is rebuilt from the merged segment: when
+/// retention expires that segment, its chunks leave memory with its file.
+#[test]
+fn retention_after_a_rechunking_compaction_keeps_memory_and_disk_one_view() {
+    let dir = tmp_dir("retention-compact");
+    let options = StorageOptions { retention: Some(10_000), ..StorageOptions::default() };
+    let mut db = Tsdb::open_with(&dir, options).expect("open");
+    let key = SeriesKey::new("m");
+    for round in 0..3i64 {
+        for t in 0..20i64 {
+            db.try_insert(&key, (round * 20 + t) * 60, t as f64).expect("insert");
+        }
+        db.flush().expect("flush a round");
+    }
+    db.compact().expect("compact");
+    assert_eq!(db.storage_stats().expect("stats").chunks, 1, "three rounds in one chunk");
+
+    for t in 1000..1050i64 {
+        db.try_insert(&key, t * 60, t as f64).expect("insert");
+    }
+    db.flush().expect("flush past the horizon");
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks), (1, 1), "the merged segment expired");
+    assert_eq!(db.point_count(), 50, "and its points left memory");
+    let expected = contents(&db);
+    drop(db);
+    let reopened = Tsdb::open(&dir).expect("reopen");
+    assert_eq!(contents(&reopened), expected, "memory and disk are one view");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -344,9 +344,13 @@ fn repeated_flushes_auto_compact_and_keep_everything() {
         );
         assert!(!stats.freelist.is_empty(), "superseded ids recorded");
         assert_eq!(stats.wal_bytes, 0, "flush truncates the WAL");
+        // The eighth flush re-chunked its eight 16-point rounds into one
+        // chunk; the two flushes after it each sealed one more.
+        assert_eq!(stats.chunks, 3, "compaction re-chunks the rounds");
     }
     let reopened = Tsdb::open(&dir).expect("reopen");
     assert_eq!(reopened.point_count(), (cycles * 16) as usize);
+    assert_eq!(reopened.storage_stats().expect("stats").chunks, 3);
     let s = reopened.get(&key).expect("series");
     assert!(s.timestamps().windows(2).all(|w| w[0] < w[1]));
     let _ = std::fs::remove_dir_all(&dir);
@@ -368,8 +372,14 @@ fn explicit_compact_folds_to_one_segment() {
     let stats = db.storage_stats().expect("stats");
     assert_eq!(stats.segments, 1);
     assert_eq!(stats.freelist.len(), 3);
+    assert_eq!(stats.chunks, 1, "three 8-point rounds re-chunk into one chunk");
     let reopened = Tsdb::open(&dir).expect("reopen");
     assert_eq!(reopened.point_count(), 24);
+    assert_eq!(reopened.storage_stats().expect("stats").chunks, 1);
+    assert_eq!(
+        reopened.get(&key).expect("series").timestamps(),
+        (0..24).map(|t| t * 60).collect::<Vec<_>>()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
