@@ -42,11 +42,13 @@
 //!   is applied nowhere. Records are buffered; they survive a crash only
 //!   after the next `sync()` or `flush()`.
 //! * **[`Tsdb::flush`]** is the durability point: it fsyncs the WAL,
-//!   seals in-memory heads into delta-of-delta + XOR compressed chunks
-//!   inside a new segment file, truncates the WAL, and auto-compacts when
-//!   small segments accumulate. Compaction ([`Tsdb::compact`] on demand)
-//!   folds every segment into one and merges each series' round-sized
-//!   chunks into chunks of up to [`storage::CHUNK_MAX_POINTS`] points.
+//!   writes in-memory heads as delta-of-delta + XOR compressed chunks of
+//!   a new segment file, adopts them from it (a failed write changes
+//!   nothing in memory), truncates the WAL, and auto-compacts when small
+//!   segments accumulate. Compaction ([`Tsdb::compact`] on demand) folds
+//!   every segment into one, adopted the same way, and merges each series'
+//!   round-sized chunks into chunks of up to [`storage::CHUNK_MAX_POINTS`]
+//!   points.
 //! * **Scans** over a reopened store decode chunks *lazily*: `scan_parts*`
 //!   prunes on chunk `[min_ts, max_ts]` metadata and only decompresses
 //!   chunks overlapping the query's time range ([`Tsdb::decode_count`]
@@ -69,20 +71,21 @@
 //! blocks a scan hands out, and one object — the pager — counts the
 //! faults, the evictions and the decodes.
 //!
+//! Every sealed chunk is a chunk of a live segment; those a flush or a
+//! compaction just wrote start Paged, with no fault counted.
 //! [`StorageOptions::page_budget_bytes`] bounds pages plus blocks: when a
-//! fault, a decode or a chunk sealed by a flush pushes them over budget,
-//! a clock (second chance) sweep evicts slots' blocks, and their pages
-//! back to Cold where a segment holds them, behind `&self` on any handle.
-//! Scan slices hold their blocks, so they stay valid through eviction.
-//! All of it is observable via [`Tsdb::storage_stats`]: `resident_bytes`,
-//! `resident_chunk_bytes`, `peak_resident_chunk_bytes`, `page_faults`,
-//! `evictions`. Chunks sealed in this process keep their pages pinned
-//! until they reach a segment file and the store reopens; with no budget
-//! (the default) nothing ever evicts, preserving the historical behaviour.
+//! fault, a decode or a written page pushes them over budget, a clock
+//! (second chance) sweep evicts slots' blocks and pages back to Cold,
+//! behind `&self` on any handle. Scan slices hold their blocks, so they
+//! stay valid through eviction. All of it is observable via
+//! [`Tsdb::storage_stats`]: `resident_bytes`, `resident_chunk_bytes`,
+//! `peak_resident_chunk_bytes`, `page_faults`, `evictions`. Only runs
+//! recovery merged from overlapping segments are pinned; with no budget
+//! (the default) nothing ever evicts.
 //!
-//! [`StorageOptions::retention`] drops whole segments — file and all —
-//! whose newest point fell behind the retention window, by directory
-//! metadata alone, at open and after every flush.
+//! [`StorageOptions::retention`] drops whole segments — file and all, and
+//! their chunks in memory by segment id — whose newest point fell behind
+//! the retention window, by metadata alone, at open and after every flush.
 //!
 //! # Locking discipline
 //!

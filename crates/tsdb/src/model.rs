@@ -2,11 +2,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
-use crate::storage::chunk::{encode_run, EncodedChunk, SealedChunk};
-use crate::storage::pager::Pager;
-use crate::storage::recover::{ChunkData, RecoveredChunk};
+use crate::storage::chunk::{decode_into, encode_run, EncodedChunk, SealedChunk};
 use crate::storage::StorageError;
 
 /// A half-open time range `[start, end)` in the same units the database is
@@ -110,10 +107,11 @@ impl fmt::Display for SeriesKey {
 ///
 /// * The **head**: plain parallel vectors holding recent, mutable points.
 /// * The **sealed tier**: immutable compressed chunks (see
-///   [`crate::storage::chunk`]) a durable store recovered from segment
-///   files or sealed during `Tsdb::flush`. Sealed chunks are strictly
-///   ascending and time-disjoint, and every head point lies after the last
-///   sealed timestamp.
+///   [`crate::storage::chunk`]), each a chunk of a live segment: recovered
+///   from the segment files, or adopted from the segment a `Tsdb::flush`
+///   or a compaction just wrote. Sealed chunks are strictly ascending and
+///   time-disjoint, and every head point lies after the last sealed
+///   timestamp.
 ///
 /// All read accessors present the *logical* series — the sealed tier is a
 /// representation detail. There is one read path: [`Series::points`] walks
@@ -175,21 +173,8 @@ impl Series {
     /// Rebuilds a series from recovered segment chunks (ascending,
     /// disjoint) with an empty head. Cold chunks stay cold: only their
     /// directory metadata is resident until a scan touches them.
-    pub(crate) fn from_storage(
-        key: SeriesKey,
-        chunks: Vec<RecoveredChunk>,
-        pager: &Arc<Pager>,
-    ) -> Self {
-        debug_assert!(chunks.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
-        let sealed = chunks
-            .into_iter()
-            .map(|c| match c.data {
-                ChunkData::Resident(bytes) => {
-                    SealedChunk::new(EncodedChunk { meta: c.meta, bytes }, pager)
-                }
-                ChunkData::Cold(cold) => SealedChunk::cold(c.meta, cold, pager),
-            })
-            .collect();
+    pub(crate) fn from_storage(key: SeriesKey, sealed: Vec<SealedChunk>) -> Self {
+        debug_assert!(sealed.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
         Series { key, sealed, timestamps: Vec::new(), values: Vec::new() }
     }
 
@@ -267,50 +252,44 @@ impl Series {
         Ok(())
     }
 
-    /// Encodes the head into chunks, moves them onto the sealed tier, and
-    /// returns the encoded form for segment writing. `None` when the head
-    /// is empty. No block is kept: sealing trades the raw head vectors for
-    /// compressed bytes, and later scans re-decode lazily only what they
-    /// touch.
-    pub(crate) fn seal_head(&mut self, pager: &Arc<Pager>) -> Option<Vec<EncodedChunk>> {
+    /// Encodes the head into chunks for a segment write and empties it, so
+    /// a flush holds each point once; `None` when the head is empty.
+    /// [`Series::adopt`] takes the chunks in once the segment holds them,
+    /// and [`Series::restore_head`] puts the head back if it does not.
+    pub(crate) fn take_head(&mut self) -> Option<Vec<EncodedChunk>> {
         if self.timestamps.is_empty() {
             return None;
         }
         let chunks = encode_run(&self.timestamps, &self.values);
-        for chunk in &chunks {
-            self.sealed.push(SealedChunk::new(chunk.clone(), pager));
-        }
-        self.timestamps = Vec::new();
-        self.values = Vec::new();
+        (self.timestamps, self.values) = (Vec::new(), Vec::new());
         Some(chunks)
     }
 
-    /// Drops sealed chunks belonging to retention-expired segments:
-    /// demand-paged chunks match by segment id, chunks sealed by this
-    /// process (pinned, no segment id yet) match by their directory
-    /// metadata read from the expiring file. Returns how many chunks were
-    /// dropped.
-    pub(crate) fn drop_expired_chunks(
-        &mut self,
-        segment_ids: &[u64],
-        metas: &[crate::storage::chunk::ChunkMeta],
-    ) -> usize {
-        let before = self.sealed.len();
-        self.sealed.retain(|c| match c.segment_id() {
-            Some(id) => !segment_ids.contains(&id),
-            None => !metas.contains(&c.meta),
-        });
-        before - self.sealed.len()
+    /// Puts back the head [`Series::take_head`] encoded into `chunks`, bit
+    /// for bit: the codec is exact.
+    pub(crate) fn restore_head(&mut self, chunks: &[EncodedChunk]) -> Result<(), StorageError> {
+        let n = chunks.iter().map(|c| c.meta.count as usize).sum();
+        let mut head = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for chunk in chunks {
+            decode_into(&chunk.bytes, chunk.meta.count as usize, &mut head)?;
+        }
+        (self.timestamps, self.values) = head;
+        Ok(())
     }
 
-    /// Swaps the sealed tier for `sealed`, the same points in other chunks
-    /// (compaction's re-chunked tier, paged from the merged segment).
-    pub(crate) fn replace_sealed(&mut self, sealed: Vec<SealedChunk>) {
-        debug_assert_eq!(
-            sealed.iter().map(|c| c.meta.count as usize).sum::<usize>(),
-            self.sealed.iter().map(|c| c.meta.count as usize).sum::<usize>()
-        );
-        self.sealed = sealed;
+    /// Takes in `chunks`, this series' part of a segment just written that
+    /// supersedes the segments `superseded`: their chunks leave the sealed
+    /// tier and `chunks` join its end. A flush supersedes nothing (the
+    /// chunks are its taken head); a compaction supersedes every segment.
+    pub(crate) fn adopt(&mut self, superseded: &[u64], chunks: Vec<SealedChunk>) {
+        self.drop_segments(superseded);
+        self.sealed.extend(chunks);
+        debug_assert!(self.sealed.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
+    }
+
+    /// Drops the sealed chunks of the segments `ids`.
+    pub(crate) fn drop_segments(&mut self, ids: &[u64]) {
+        self.sealed.retain(|c| !ids.contains(&c.segment_id()));
     }
 
     /// The sealed chunks (ascending, disjoint) — the lazy scan path.

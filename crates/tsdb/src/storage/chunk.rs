@@ -86,32 +86,43 @@ impl DecodedBlock {
     }
 }
 
-/// A compressed chunk held by a sealed series: its pruning metadata and
-/// its [`PageSlot`], which every clone of the series shares. The slot is
-/// the chunk's one residency state — the compressed bytes, resident and
-/// pinned for chunks sealed in this process, demand-paged (Cold → Paged,
-/// with clock eviction back to Cold) for chunks recovered from segment
-/// files, and the decoded block on top, which the clock evicts for either.
+/// A compressed chunk held by a sealed series: its pruning metadata, the
+/// segment it belongs to and its [`PageSlot`], which every clone of the
+/// series shares. The slot is the chunk's one residency state: the
+/// compressed bytes, demand-paged from the segment file (Cold → Paged, with
+/// clock eviction back to Cold), and the decoded block on top, which the
+/// clock evicts too. Only a run recovery re-encoded from overlapping
+/// segments keeps its page pinned: no one file holds those bytes.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
     /// Pruning metadata (also used to maintain the sealed-tier ordering
     /// invariant without touching the payload).
     pub meta: ChunkMeta,
+    /// The segment the chunk expires with: the one it pages from, or for a
+    /// recovery-merged run the source retention expires last.
+    segment_id: u64,
     slot: Arc<PageSlot>,
 }
 
 impl SealedChunk {
-    /// Wraps a freshly encoded chunk whose bytes have no on-disk home yet:
-    /// the slot's page is pinned resident until the chunk reaches a
-    /// segment file and the store reopens.
-    pub fn new(chunk: EncodedChunk, pager: &Arc<Pager>) -> Self {
-        SealedChunk { meta: chunk.meta, slot: pager.slot_resident(chunk.bytes) }
+    /// A run recovery merged from overlapping segments: its bytes have no
+    /// on-disk home of their own, so the slot's page is pinned resident,
+    /// and it expires with `segment_id`.
+    pub(crate) fn new(chunk: EncodedChunk, segment_id: u64, pager: &Arc<Pager>) -> Self {
+        SealedChunk { meta: chunk.meta, segment_id, slot: pager.slot_resident(chunk.bytes) }
     }
 
     /// A chunk recovered from a segment file, starting Cold: only `meta`
     /// is resident; the compressed bytes fault in on first touch.
     pub fn cold(meta: ChunkMeta, cold: ColdRef, pager: &Arc<Pager>) -> Self {
-        SealedChunk { meta, slot: pager.slot_cold(cold) }
+        SealedChunk { meta, segment_id: cold.segment_id, slot: pager.slot_cold(cold) }
+    }
+
+    /// A chunk just written to the segment `cold` points into, starting
+    /// Paged with the written bytes ([`Pager::slot_paged`]).
+    pub(crate) fn paged(chunk: EncodedChunk, cold: ColdRef, pager: &Arc<Pager>) -> Self {
+        let segment_id = cold.segment_id;
+        SealedChunk { meta: chunk.meta, segment_id, slot: pager.slot_paged(cold, chunk.bytes) }
     }
 
     /// True when the chunk's time span intersects the inclusive `[lo, hi]`
@@ -140,10 +151,10 @@ impl SealedChunk {
         self.slot.block()
     }
 
-    /// The segment id a Cold-capable chunk pages from, if any (pinned
-    /// chunks have none — their bytes never came from a segment file).
-    pub fn segment_id(&self) -> Option<u64> {
-        self.slot.segment_id()
+    /// The id of the segment the chunk expires with (retention drops
+    /// chunks by it).
+    pub fn segment_id(&self) -> u64 {
+        self.segment_id
     }
 
     /// The chunk in segment-writer form, paging the bytes in if cold.
@@ -813,7 +824,7 @@ mod tests {
     fn decode_counter_counts_once_per_chunk() {
         let pager = Pager::unbounded();
         let chunks = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
-        let sealed = SealedChunk::new(chunks[0].clone(), &pager);
+        let sealed = SealedChunk::new(chunks[0].clone(), 0, &pager);
         assert_eq!(sealed.decoded().expect("decode").timestamps, [0, 60, 120]);
         assert_eq!(sealed.decoded().expect("cached").values, [1.0, 2.0, 3.0]);
         assert_eq!(pager.decode_count(), 1, "second access hits the cache");

@@ -13,23 +13,22 @@
 //! Crash safety comes from ordering. Every input chunk is paged in
 //! (checked against its CRC) and every merged run decoded *before*
 //! anything is written, so an unreadable input, or one in a merged run
-//! that does not decode, is an error that leaves the store as it was. The merged segment, whose
-//! `supersedes` header lists every input id, is durable (tmp → fsync →
-//! rename → dir fsync) and its directory read back before the in-memory
-//! state commits; only then are the inputs deleted, and recovery treats a
-//! superseded segment whose file still exists as deletable leftovers.
-//! Reclaimed ids go on the freelist and are never reused —
-//! `Storage::take_segment_id` is monotone — so `supersedes` references
-//! stay unambiguous forever.
-//!
-//! At the commit the writer's sealed tiers are rebuilt from the merged
-//! segment's directory as cold chunks, which is what `Tsdb::open` builds:
-//! no merged page is pinned, so a page budget holds after a compaction,
-//! and retention, which matches these chunks by segment id, keeps memory
-//! and disk one view.
+//! that does not decode, is an error that leaves the store as it was. The
+//! merged segment, whose `supersedes` header lists every input id, is
+//! written and adopted through [`Storage::adopt`], the step a flush takes
+//! too: durable (tmp → fsync → rename → dir fsync) and its directory read
+//! back before the in-memory state commits, and removed again if anything
+//! past the rename fails. At the commit every sealed chunk of an input
+//! segment leaves its tier, and the merged segment's chunks join it,
+//! Paged with the bytes just written, so a page budget holds after a
+//! compaction and retention drops these chunks by segment id. Only then
+//! are the inputs deleted, and recovery treats a superseded segment whose
+//! file still exists as deletable leftovers. Reclaimed ids go on the
+//! freelist and are never reused — `Storage::take_segment_id` is monotone
+//! — so `supersedes` references stay unambiguous forever.
 //!
 //! Callers must only compact when the sealed tiers cover the full durable
-//! state, i.e. immediately after `flush` seals the heads (`Tsdb::flush`
+//! state, i.e. immediately after `flush` adopts the heads (`Tsdb::flush`
 //! and `Tsdb::compact` share the one call site that does this).
 
 use std::sync::Arc;
@@ -37,12 +36,11 @@ use std::sync::Arc;
 use super::chunk::{decode_into, encode_run, EncodedChunk, SealedChunk, CHUNK_MAX_POINTS};
 use super::failpoint::{self, Point};
 use super::pager::Pager;
-use super::segment::{map_segment, write_segment};
 use super::{sync_dir, Storage, StorageError};
 use crate::model::{Series, SeriesKey};
 
 /// Merges all live segments into one, superseding and deleting them, with
-/// every sealed tier of `series` re-chunked into it and then paged from
+/// every sealed tier of `series` re-chunked into it and then adopted from
 /// it. A lone segment is rewritten too: one that an older build compacted
 /// holds round-sized chunks. A store with no segment is a no-op.
 pub(crate) fn merge_segments(
@@ -59,36 +57,23 @@ pub(crate) fn merge_segments(
     order.sort_by_cached_key(|&i| series[i].key.canonical());
     let view = view(series, &order)?;
     let old_ids: Vec<u64> = storage.segments.iter().map(|s| s.id).collect();
-    let new_id = storage.take_segment_id();
-    let handle = write_segment(&storage.dir, new_id, &old_ids, &view)?;
+    // Once adopted, the merged segment is the truth: memory already
+    // agrees with it, so a failure (or crash) anywhere in the delete loop
+    // leaves memory and disk agreeing, and recovery deletes the leftover
+    // superseded files itself without double-counting a point.
+    let old = storage.adopt(series, &order, &view, &old_ids, pager)?;
     drop(view);
-    let merged = map_segment(&handle.path)?;
-    // The merged segment is durable and its `supersedes` header names
-    // every input, so the new segment is the truth from here on. Commit
-    // the in-memory state — the segment list and the sealed tiers —
-    // *before* touching the input files: a failure (or crash) anywhere in
-    // the delete loop then leaves memory and disk agreeing on the merged
-    // segment, and recovery deletes the leftover superseded files itself
-    // without double-counting a point.
-    let old = std::mem::replace(&mut storage.segments, vec![handle]);
-    storage.freelist.extend(old_ids);
-    for (&i, mapped) in order.iter().zip(&merged.series) {
-        debug_assert_eq!(series[i].key, mapped.key);
-        let cold =
-            mapped.chunks.iter().map(|c| SealedChunk::cold(c.meta, merged.cold_ref(c), pager));
-        series[i].replace_sealed(cold.collect());
-    }
     let mut first_err = None;
-    for old in &old {
-        if let Some(e) = failpoint::trip(Point::CompactDelete, &old.path) {
+    for path in old.iter().map(|s| &s.path) {
+        if let Some(e) = failpoint::trip(Point::CompactDelete, path) {
             // Kill point: stop mid-loop, like a crash — every remaining
             // superseded file survives on disk.
             first_err = Some(e);
             break;
         }
-        if let Err(e) = std::fs::remove_file(&old.path) {
+        if let Err(e) = std::fs::remove_file(path) {
             if first_err.is_none() {
-                first_err = Some(StorageError::io(format!("removing {}", old.path.display()), e));
+                first_err = Some(StorageError::io(format!("removing {}", path.display()), e));
             }
         }
     }
@@ -165,6 +150,7 @@ mod tests {
     use super::*;
     use crate::storage::chunk::decode;
     use crate::storage::recover::{recover, RecoverOptions};
+    use crate::storage::segment::write_segment;
     use crate::storage::wal::Wal;
     use crate::storage::StorageOptions;
 
@@ -178,9 +164,8 @@ mod tests {
 
     /// The writer state and the sealed tiers `Tsdb::open` recovers.
     fn open_at(dir: &std::path::Path, pager: &Arc<Pager>) -> (Storage, Vec<Series>) {
-        let r = recover(dir, &RecoverOptions::default()).expect("recover");
-        let series =
-            r.series.into_iter().map(|(key, c)| Series::from_storage(key, c, pager)).collect();
+        let r = recover(dir, &RecoverOptions::default(), pager).expect("recover");
+        let series = r.series.into_iter().map(|(key, c)| Series::from_storage(key, c)).collect();
         let storage = Storage {
             dir: dir.to_path_buf(),
             wal: Some(Wal::open(dir, r.wal_committed).expect("wal")),
@@ -188,7 +173,6 @@ mod tests {
             segments: r.segments,
             next_segment_id: r.next_segment_id,
             freelist: r.freelist,
-            pending: Vec::new(),
             options: StorageOptions::default(),
         };
         (storage, series)
@@ -229,15 +213,15 @@ mod tests {
         // The writer's tier now pages from the merged segment.
         let sealed = series[0].sealed_chunks();
         assert_eq!(sealed.len(), 1);
-        assert_eq!(sealed[0].segment_id(), Some(2));
+        assert_eq!(sealed[0].segment_id(), 2);
 
         // Reopening sees one segment carrying everything, in one chunk.
-        let r = recover(&dir, &RecoverOptions::default()).expect("recover after merge");
+        let r = recover(&dir, &RecoverOptions::default(), &pager).expect("recover after merge");
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.series.len(), 1);
         let chunks = &r.series[0].1;
         assert_eq!(chunks.len(), 1);
-        let bytes = chunks[0].data.load().expect("load");
+        let bytes = chunks[0].encoded().expect("load").bytes;
         let (ts, vs) = decode(&bytes, chunks[0].meta.count as usize).expect("decode");
         assert_eq!((ts, vs), (vec![0, 60, 120], vec![1.0, 2.0, 3.0]));
         let _ = std::fs::remove_dir_all(&dir);

@@ -24,10 +24,11 @@
 //! worker pool when a scan has many of them. A chunk that cannot be read
 //! is an error of the scan that touched it. `try_insert` appends to the
 //! WAL and the in-memory head; [`crate::Tsdb::flush`] makes everything
-//! durable by sealing heads into a new segment and truncating the WAL
-//! (auto-compacting when small segments pile up). Crash recovery
-//! invariants live in [`recover`]; the exact byte formats in [`wal`] and
-//! [`segment`].
+//! durable by writing the heads as a new segment, adopting its chunks and
+//! truncating the WAL (auto-compacting when small segments pile up).
+//! Every sealed chunk in memory is a chunk of a live segment. Crash
+//! recovery invariants live in [`recover`]; the exact byte formats in
+//! [`wal`] and [`segment`].
 
 pub mod chunk;
 pub mod compact;
@@ -38,7 +39,10 @@ pub mod segment;
 pub mod wal;
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
+use crate::model::{Series, SeriesKey};
+use chunk::EncodedChunk;
 pub use chunk::{ChunkMeta, SealedChunk, CHUNK_MAX_POINTS};
 pub use pager::Pager;
 
@@ -170,10 +174,11 @@ pub struct SegmentHandle {
     pub max_ts: Option<i64>,
 }
 
-/// The mutable engine state a durable [`crate::Tsdb`] carries. Cloning a
-/// durable store detaches from this (clones are in-memory snapshot views
-/// sharing the compressed chunk bytes), so exactly one handle ever writes
-/// the directory.
+/// The mutable engine state a durable [`crate::Tsdb`] carries: the WAL
+/// and the live segments, which hold every sealed chunk of the in-memory
+/// series. Cloning a durable store detaches from this (clones are
+/// in-memory snapshot views sharing the compressed chunk bytes), so
+/// exactly one handle ever writes the directory.
 #[derive(Debug)]
 pub struct Storage {
     /// The store directory.
@@ -190,12 +195,6 @@ pub struct Storage {
     pub next_segment_id: u64,
     /// Ids whose files were reclaimed (superseded by compaction).
     pub freelist: Vec<u64>,
-    /// Chunks sealed by a flush whose segment write then failed: they are
-    /// resident in memory but have no durable home yet, so the next flush
-    /// must retry writing them (their WAL records are retained too — the
-    /// WAL is only truncated after the segment write succeeds, so either
-    /// path recovers them).
-    pub pending: Vec<(crate::SeriesKey, Vec<chunk::EncodedChunk>)>,
     /// The options this store was opened with (flush applies
     /// `options.retention` after each successful segment write).
     pub options: StorageOptions,
@@ -220,6 +219,80 @@ impl Storage {
             Some(w) => w.len(),
             None => self.wal_tail,
         }
+    }
+
+    /// The one way a segment joins the store, a flush's and a
+    /// compaction's alike: writes `view` (the series at `order`, with their
+    /// chunks) as a segment superseding `supersedes` and reads its
+    /// directory back. Only then do the segment list and the freelist
+    /// change, and each series adopts its chunks, Paged with the bytes just
+    /// written ([`Series::adopt`]). Returns the superseded handles. On a
+    /// failure memory is unchanged, and what the write left on disk — the
+    /// `.tmp`, or the file already renamed into place — is removed, best
+    /// effort: the WAL and the old segments are the truth.
+    pub(crate) fn adopt(
+        &mut self,
+        series: &mut [Series],
+        order: &[usize],
+        view: &[(SeriesKey, Vec<EncodedChunk>)],
+        supersedes: &[u64],
+        pager: &Arc<Pager>,
+    ) -> Result<Vec<SegmentHandle>, StorageError> {
+        let id = self.take_segment_id();
+        let written = segment::write_segment(&self.dir, id, supersedes, view)
+            .and_then(|handle| Ok((segment::map_segment(&handle.path)?, handle)));
+        let (mapped, handle) = match written {
+            Ok(written) => written,
+            Err(e) => {
+                let path = segment::segment_path(&self.dir, id);
+                let _ = std::fs::remove_file(path.with_extension("tmp"));
+                let _ = std::fs::remove_file(path);
+                return Err(e);
+            }
+        };
+        let (superseded, mut live): (Vec<_>, Vec<_>) =
+            self.segments.drain(..).partition(|s| supersedes.contains(&s.id));
+        live.push(handle);
+        self.segments = live;
+        self.freelist.extend_from_slice(supersedes);
+        for ((&i, (_, chunks)), on_disk) in order.iter().zip(view).zip(&mapped.series) {
+            debug_assert_eq!(series[i].key, on_disk.key);
+            let slots = chunks.iter().zip(&on_disk.chunks).map(|(chunk, at)| {
+                debug_assert_eq!(chunk.meta, at.meta);
+                SealedChunk::paged(chunk.clone(), mapped.cold_ref(at), pager)
+            });
+            series[i].adopt(supersedes, slots.collect());
+        }
+        Ok(superseded)
+    }
+
+    /// Drops whole segments that fell out of the retention window — by
+    /// the segment list alone, reading and decoding nothing — and their
+    /// chunks from the sealed tiers of `series`, by segment id, so memory
+    /// and disk stay one view. Called after every successful flush, when
+    /// every point lives in a segment; a no-op without a window.
+    pub(crate) fn apply_retention(&mut self, series: &mut [Series]) -> Result<(), StorageError> {
+        let Some(retention) = self.options.retention else {
+            return Ok(());
+        };
+        let Some(global_max) = self.segments.iter().filter_map(|s| s.max_ts).max() else {
+            return Ok(());
+        };
+        let cutoff = global_max.saturating_sub(retention);
+        let (expired, live): (Vec<_>, Vec<_>) =
+            self.segments.drain(..).partition(|s| s.max_ts.is_some_and(|m| m < cutoff));
+        self.segments = live;
+        if expired.is_empty() {
+            return Ok(());
+        }
+        let ids: Vec<u64> = expired.iter().map(|s| s.id).collect();
+        self.freelist.extend_from_slice(&ids);
+        series.iter_mut().for_each(|s| s.drop_segments(&ids));
+        for path in expired.iter().map(|s| &s.path) {
+            std::fs::remove_file(path)
+                .map_err(|e| StorageError::io(format!("removing {}", path.display()), e))?;
+        }
+        sync_dir(&self.dir)
     }
 }
 

@@ -3,13 +3,14 @@
 //! policy, plus the count of decodes: the store's one accounting object.
 //!
 //! Every sealed chunk owns a [`PageSlot`], which every clone of its series
-//! shares. A slot is either **pinned** (its compressed bytes were produced
-//! in this process — sealed from the head or re-encoded during recovery —
-//! and have no on-disk home to reload from, so they stay resident) or
-//! **pageable** (the bytes live in a segment file; the slot holds a
-//! [`ColdRef`] and loads them with a single positioned read on first touch
-//! — a *page fault*, checked against the chunk's CRC). Either kind keeps
-//! the chunk's decoded block next to its page once a reader decoded it:
+//! shares. A slot is **pageable**: it holds a [`ColdRef`] to its segment
+//! file and loads the bytes with a single positioned read on first touch
+//! — a *page fault*, checked against the chunk's CRC. It starts Cold when
+//! a segment is mapped, and Paged when the writer just wrote the bytes (no
+//! fault is counted). Only a run recovery re-encoded from overlapping
+//! segments is **pinned**: no file holds its bytes, so its page stays
+//! resident. Either kind keeps the chunk's decoded block next to its page
+//! once a reader decoded it:
 //!
 //! ```text
 //! Cold   -- fault (pread) -->   Paged   -- decode -->   Decoded
@@ -19,10 +20,10 @@
 //!
 //! The budget covers the compressed pages (`resident_chunk_bytes`, pages a
 //! pooled decode holds in flight included) plus the blocks slots hold, and
-//! after every page or block a slot takes in (a fault, a decode, a chunk
-//! sealed from the head) the clock sweeps, behind `&self`, until both fit. Readers hold their own `Arc`s, so an eviction
-//! never pulls memory from under a scan: the budget stops counting it, and
-//! it goes with the last reader.
+//! after every page or block a slot takes in (a fault, a decode, a written
+//! page) the clock sweeps, behind `&self`, until both fit. Readers hold
+//! their own `Arc`s, so an eviction never pulls memory from under a scan:
+//! the budget stops counting it, and it goes with the last reader.
 
 use std::fs::File;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +118,8 @@ pub struct PageSlot {
     pager: Arc<Pager>,
     /// Compressed payload length (what page residency charges).
     len: u64,
-    /// `None` for pinned slots (bytes have no on-disk home yet).
+    /// `None` for pinned slots (recovery-merged runs: no one file holds
+    /// their bytes).
     cold: Option<ColdRef>,
     resident: Mutex<Resident>,
     /// Clock second-chance bit: set on every access, cleared by a sweep.
@@ -137,11 +139,6 @@ impl PageSlot {
     /// Compressed payload length in bytes, resident or not.
     pub fn page_len(&self) -> u64 {
         self.len
-    }
-
-    /// The segment id a pageable slot reads from, if any.
-    pub fn segment_id(&self) -> Option<u64> {
-        self.cold.as_ref().map(|c| c.segment_id)
     }
 
     /// The compressed bytes, faulting them in from disk when cold.
@@ -180,12 +177,13 @@ impl PageSlot {
     /// Makes `loaded` — this slot's verified page, read by whoever faulted
     /// it — the resident copy and counts the fault; see [`PageSlot::take_in`].
     pub fn install(self: &Arc<Self>, loaded: Vec<u8>) -> Arc<Vec<u8>> {
-        self.take_in(loaded, |r| &mut r.page, |pager, _| pager.note_fault(self.len))
+        self.take_in(Arc::new(loaded), |r| &mut r.page, |pager, _| pager.note_fault(self.len))
     }
 
     /// Makes `decoded` — this slot's block, decoded by whoever read it —
     /// the slot's copy and counts the decode; see [`PageSlot::take_in`].
     pub(crate) fn keep(self: &Arc<Self>, decoded: DecodedBlock) -> Arc<DecodedBlock> {
+        let decoded = Arc::new(decoded);
         self.take_in(decoded, |r| &mut r.block, |pager, block| pager.note_decode(block.bytes()))
     }
 
@@ -196,11 +194,10 @@ impl PageSlot {
     /// budget.
     fn take_in<T>(
         self: &Arc<Self>,
-        new: T,
+        new: Arc<T>,
         place: fn(&mut Resident) -> &mut Option<Arc<T>>,
         count: impl FnOnce(&Pager, &T),
     ) -> Arc<T> {
-        let new = Arc::new(new);
         let enrol = {
             let mut resident = self.resident.lock();
             let held = place(&mut resident);
@@ -289,10 +286,10 @@ impl Pager {
     }
 
     /// A pinned slot whose bytes are already in memory and have no
-    /// on-disk home to reload from (freshly sealed or recovery-merged
-    /// chunks). Its page is never evicted and accounted until dropped;
-    /// the clock makes room for it as for a fault.
-    pub fn slot_resident(self: &Arc<Self>, bytes: Arc<Vec<u8>>) -> Arc<PageSlot> {
+    /// on-disk home to reload from (recovery-merged chunks). Its page is
+    /// never evicted and accounted until dropped; the clock makes room for
+    /// it as for a fault.
+    pub(crate) fn slot_resident(self: &Arc<Self>, bytes: Arc<Vec<u8>>) -> Arc<PageSlot> {
         let len = bytes.len() as u64;
         self.add_page(len);
         self.evict_down_to(self.budget);
@@ -317,6 +314,19 @@ impl Pager {
             referenced: AtomicBool::new(false),
             enrolled: AtomicBool::new(false),
         })
+    }
+
+    /// A pageable slot starting Paged with `bytes`, the page just written
+    /// where `cold` points: charged and in the clock like a faulted page,
+    /// but no fault is counted, as nothing was read.
+    pub(crate) fn slot_paged(
+        self: &Arc<Self>,
+        cold: ColdRef,
+        bytes: Arc<Vec<u8>>,
+    ) -> Arc<PageSlot> {
+        let slot = self.slot_cold(cold);
+        slot.take_in(bytes, |r| &mut r.page, |pager, page| pager.add_page(page.len() as u64));
+        slot
     }
 
     fn add_page(&self, n: u64) {

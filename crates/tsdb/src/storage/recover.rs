@@ -17,7 +17,9 @@
 //!    out-of-order ingest unsealed the series and a later flush
 //!    re-covered the range — the overlapping series is merged eagerly,
 //!    later segments winning (the same last-writer-wins rule as the live
-//!    insert path), and re-encoded into disjoint resident chunks.
+//!    insert path), and re-encoded into disjoint resident chunks: the
+//!    only pinned pages of a store. A merged run expires with the source
+//!    segment retention drops last, the one with the greatest `max_ts`.
 //! 4. The WAL tail is truncated to the last fully-committed record, and
 //!    the surviving records replay through the exact `Series::push`
 //!    semantics (see `model.rs`) on top of the segment state.
@@ -34,42 +36,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::chunk::{decode, encode_run, ChunkMeta};
-use super::pager::ColdRef;
+use super::chunk::{decode, encode_run, SealedChunk};
+use super::pager::Pager;
 use super::segment::{is_tmp_segment, map_segment, parse_segment_name};
 use super::wal::{self, WalRecord};
 use super::{SegmentHandle, StorageError};
 use crate::model::SeriesKey;
-
-/// Where a recovered chunk's compressed bytes are.
-#[derive(Debug, Clone)]
-pub enum ChunkData {
-    /// In memory (the chunk was re-encoded by an overlap merge and has no
-    /// on-disk home of its own yet).
-    Resident(Arc<Vec<u8>>),
-    /// On disk, to be demand-paged from a live segment file.
-    Cold(ColdRef),
-}
-
-impl ChunkData {
-    /// The compressed bytes, reading them from disk when cold (used by
-    /// the overlap merge; the index itself keeps cold chunks cold).
-    pub fn load(&self) -> Result<Arc<Vec<u8>>, StorageError> {
-        match self {
-            ChunkData::Resident(bytes) => Ok(Arc::clone(bytes)),
-            ChunkData::Cold(cold) => cold.read().map(Arc::new),
-        }
-    }
-}
-
-/// One sealed chunk as recovery hands it to the index.
-#[derive(Debug, Clone)]
-pub struct RecoveredChunk {
-    /// Pruning metadata (always resident).
-    pub meta: ChunkMeta,
-    /// The payload location.
-    pub data: ChunkData,
-}
 
 /// How to recover (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -92,7 +64,7 @@ pub struct Recovered {
     pub freelist: Vec<u64>,
     /// Per-series sealed chunks, ascending key order; within a series the
     /// chunks are strictly ascending and disjoint in time.
-    pub series: Vec<(SeriesKey, Vec<RecoveredChunk>)>,
+    pub series: Vec<(SeriesKey, Vec<SealedChunk>)>,
     /// Committed WAL records to replay on top of the sealed state.
     pub wal_records: Vec<WalRecord>,
     /// Byte offset of the last committed WAL record's end (the torn tail
@@ -103,7 +75,11 @@ pub struct Recovered {
 /// Scans a store directory and rebuilds the recovered state. Creates the
 /// directory if it does not exist (a fresh store) — unless opening
 /// read-only, where a missing directory is an error.
-pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageError> {
+pub fn recover(
+    dir: &Path,
+    opts: &RecoverOptions,
+    pager: &Arc<Pager>,
+) -> Result<Recovered, StorageError> {
     if opts.read_only {
         if !dir.is_dir() {
             return Err(StorageError::io(
@@ -195,7 +171,7 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
     // segment and the deletes) and assemble per-series chunk lists in
     // segment-id order.
     let mut segments = Vec::new();
-    let mut by_series: BTreeMap<SeriesKey, Vec<RecoveredChunk>> = BTreeMap::new();
+    let mut by_series: BTreeMap<SeriesKey, Vec<SealedChunk>> = BTreeMap::new();
     for (mut seg, path) in mapped {
         if superseded.contains(&seg.id) || expired.contains(&seg.id) {
             if !opts.read_only {
@@ -211,12 +187,8 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
             max_ts: seg.max_ts,
         });
         for s in std::mem::take(&mut seg.series) {
-            by_series.entry(s.key).or_default().extend(
-                s.chunks.iter().map(|c| RecoveredChunk {
-                    meta: c.meta,
-                    data: ChunkData::Cold(seg.cold_ref(c)),
-                }),
-            );
+            let cold = s.chunks.iter().map(|c| SealedChunk::cold(c.meta, seg.cold_ref(c), pager));
+            by_series.entry(s.key).or_default().extend(cold);
         }
     }
 
@@ -226,7 +198,8 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
     for (key, chunks) in by_series {
         let disjoint = chunks.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts)
             && chunks.iter().all(|c| c.meta.min_ts <= c.meta.max_ts);
-        let chunks = if disjoint { chunks } else { merge_overlapping(&key, chunks)? };
+        let chunks =
+            if disjoint { chunks } else { merge_overlapping(&key, chunks, &segments, pager)? };
         series.push((key, chunks));
     }
 
@@ -244,16 +217,23 @@ pub fn recover(dir: &Path, opts: &RecoverOptions) -> Result<Recovered, StorageEr
     })
 }
 
-/// Decodes overlapping chunks in arrival (segment-id) order, merges them
-/// with last-writer-wins duplicate handling, and re-encodes a disjoint
-/// resident run.
+/// Reads and decodes overlapping chunks in arrival (segment-id) order,
+/// merges them with last-writer-wins duplicate handling, and re-encodes a
+/// disjoint run of pinned chunks (the only ones a store has), which
+/// expires with the source among `segments` that has the greatest
+/// `max_ts`: retention drops no source after it.
 fn merge_overlapping(
     key: &SeriesKey,
-    chunks: Vec<RecoveredChunk>,
-) -> Result<Vec<RecoveredChunk>, StorageError> {
+    chunks: Vec<SealedChunk>,
+    segments: &[SegmentHandle],
+    pager: &Arc<Pager>,
+) -> Result<Vec<SealedChunk>, StorageError> {
+    let max_ts = |id: u64| segments.iter().find(|s| s.id == id).and_then(|s| s.max_ts);
+    let newest = chunks.iter().map(SealedChunk::segment_id).max_by_key(|&id| (max_ts(id), id));
+    let Some(segment_id) = newest else { return Ok(Vec::new()) };
     let mut merged: BTreeMap<i64, f64> = BTreeMap::new();
     for chunk in &chunks {
-        let bytes = chunk.data.load()?;
+        let bytes = chunk.encoded()?.bytes;
         let (ts, vs) = decode(&bytes, chunk.meta.count as usize).map_err(|e| {
             StorageError::corrupt(
                 format!("series {key}"),
@@ -266,10 +246,7 @@ fn merge_overlapping(
     }
     let ts: Vec<i64> = merged.keys().copied().collect();
     let vs: Vec<f64> = merged.values().copied().collect();
-    Ok(encode_run(&ts, &vs)
-        .into_iter()
-        .map(|c| RecoveredChunk { meta: c.meta, data: ChunkData::Resident(c.bytes) })
-        .collect())
+    Ok(encode_run(&ts, &vs).into_iter().map(|c| SealedChunk::new(c, segment_id, pager)).collect())
 }
 
 #[cfg(test)]
@@ -292,7 +269,7 @@ mod tests {
     #[test]
     fn fresh_directory_recovers_empty() {
         let dir = tmp_dir("fresh");
-        let r = recover(&dir, &writer()).expect("recover");
+        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("recover");
         assert!(r.segments.is_empty() && r.series.is_empty() && r.wal_records.is_empty());
         assert_eq!(r.next_segment_id, 0);
         assert!(dir.is_dir(), "directory created");
@@ -302,8 +279,12 @@ mod tests {
     #[test]
     fn read_only_open_requires_an_existing_directory() {
         let dir = tmp_dir("ro-missing");
-        let err = recover(&dir, &RecoverOptions { read_only: true, ..Default::default() })
-            .expect_err("missing directory");
+        let err = recover(
+            &dir,
+            &RecoverOptions { read_only: true, ..Default::default() },
+            &Pager::unbounded(),
+        )
+        .expect_err("missing directory");
         assert!(matches!(err, StorageError::Io { .. }), "{err}");
         assert!(!dir.exists(), "read-only recovery must not create the directory");
     }
@@ -313,7 +294,7 @@ mod tests {
         let dir = tmp_dir("tmp");
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join("seg-00000003.tmp"), b"half a segment").expect("write");
-        let r = recover(&dir, &writer()).expect("recover");
+        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("recover");
         assert!(r.segments.is_empty());
         assert!(!dir.join("seg-00000003.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
@@ -329,14 +310,18 @@ mod tests {
         write_segment(&dir, 1, &[0], &[(key.clone(), encode_run(&[0, 60], &[1.0, 2.0]))])
             .expect("seg 1 supersedes 0");
         std::fs::write(dir.join("seg-00000002.tmp"), b"in flight").expect("tmp");
-        let r = recover(&dir, &RecoverOptions { read_only: true, ..Default::default() })
-            .expect("recover");
+        let r = recover(
+            &dir,
+            &RecoverOptions { read_only: true, ..Default::default() },
+            &Pager::unbounded(),
+        )
+        .expect("recover");
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.segments[0].id, 1);
         assert!(segment_path(&dir, 0).exists(), "superseded file preserved");
         assert!(dir.join("seg-00000002.tmp").exists(), "tmp file preserved");
         // A writer open afterwards cleans both up.
-        let r = recover(&dir, &writer()).expect("writer recover");
+        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("writer recover");
         assert_eq!(r.segments.len(), 1);
         assert!(!segment_path(&dir, 0).exists());
         assert!(!dir.join("seg-00000002.tmp").exists());
@@ -360,7 +345,7 @@ mod tests {
             &[(key.clone(), encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]))],
         )
         .expect("seg 2");
-        let r = recover(&dir, &writer()).expect("recover");
+        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("recover");
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.segments[0].id, 2);
         assert_eq!(r.freelist, vec![0, 1]);
@@ -399,20 +384,39 @@ mod tests {
             ],
         )
         .expect("seg 1");
-        let r = recover(&dir, &writer()).expect("recover");
+        let pager = Pager::unbounded();
+        let r = recover(&dir, &writer(), &pager).expect("recover");
         let by_key: BTreeMap<_, _> = r.series.into_iter().collect();
-        // `lazy` keeps its two original chunks untouched — and cold.
-        assert_eq!(by_key[&lazy].len(), 2);
-        assert!(by_key[&lazy].iter().all(|c| matches!(c.data, ChunkData::Cold(_))));
         // `hot` merged: 4 distinct timestamps, later value for ts 60 wins.
         let merged = &by_key[&hot];
         let total: u32 = merged.iter().map(|c| c.meta.count).sum();
         assert_eq!(total, 4);
-        assert!(matches!(merged[0].data, ChunkData::Resident(_)), "merged chunks are resident");
-        let bytes = merged[0].data.load().expect("load");
+        assert_eq!(merged[0].segment_id(), 1, "expires with segment 1, the greater max_ts");
+        let bytes = merged[0].encoded().expect("pinned").bytes;
+        // `lazy` keeps its two original chunks untouched — and cold: the
+        // merged run's pinned page is all that is resident, and the merge
+        // read `hot`'s two chunks.
+        assert_eq!(by_key[&lazy].len(), 2);
+        let c = pager.counters();
+        assert_eq!((c.resident_chunk_bytes, c.page_faults), (bytes.len() as u64, 2), "{c:?}");
         let (ts, vs) = decode(&bytes, merged[0].meta.count as usize).expect("decode merged");
         assert_eq!(ts, vec![0, 60, 120, 180]);
         assert_eq!(vs, vec![1.0, 9.0, 3.0, 4.0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_merged_run_expires_with_the_source_of_the_greatest_max_ts() {
+        let dir = tmp_dir("merge-expiry");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let key = SeriesKey::new("m");
+        write_segment(&dir, 0, &[], &[(key.clone(), encode_run(&[0, 60, 9_000], &[1.0; 3]))])
+            .expect("seg 0");
+        write_segment(&dir, 1, &[], &[(key.clone(), encode_run(&[60], &[2.0]))]).expect("seg 1");
+        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("recover");
+        let chunks = &r.series[0].1;
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].segment_id(), 0, "segment 0 ends last, though segment 1 is newer");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -426,8 +430,12 @@ mod tests {
         write_segment(&dir, 1, &[], &[(key.clone(), encode_run(&[10_000], &[3.0]))])
             .expect("new window");
         // Cutoff = 10_000 - 1000 = 9000: segment 0 (max_ts 60) expires.
-        let r = recover(&dir, &RecoverOptions { retention: Some(1000), ..Default::default() })
-            .expect("recover");
+        let r = recover(
+            &dir,
+            &RecoverOptions { retention: Some(1000), ..Default::default() },
+            &Pager::unbounded(),
+        )
+        .expect("recover");
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.segments[0].id, 1);
         assert_eq!(r.freelist, vec![0]);
@@ -441,8 +449,12 @@ mod tests {
             .expect("old window");
         write_segment(&dir2, 1, &[], &[(key.clone(), encode_run(&[10_000], &[3.0]))])
             .expect("new window");
-        let r = recover(&dir2, &RecoverOptions { retention: Some(20_000), ..Default::default() })
-            .expect("recover");
+        let r = recover(
+            &dir2,
+            &RecoverOptions { retention: Some(20_000), ..Default::default() },
+            &Pager::unbounded(),
+        )
+        .expect("recover");
         assert_eq!(r.segments.len(), 2);
         assert!(r.freelist.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
@@ -456,8 +468,12 @@ mod tests {
         let key = SeriesKey::new("m");
         write_segment(&dir, 0, &[], &[(key.clone(), encode_run(&[0], &[1.0]))]).expect("old");
         write_segment(&dir, 1, &[], &[(key.clone(), encode_run(&[10_000], &[3.0]))]).expect("new");
-        let r = recover(&dir, &RecoverOptions { read_only: true, retention: Some(1000) })
-            .expect("recover");
+        let r = recover(
+            &dir,
+            &RecoverOptions { read_only: true, retention: Some(1000) },
+            &Pager::unbounded(),
+        )
+        .expect("recover");
         assert_eq!(r.segments.len(), 1);
         assert!(segment_path(&dir, 0).exists(), "read-only never deletes");
         let _ = std::fs::remove_dir_all(&dir);
@@ -471,7 +487,7 @@ mod tests {
             write_segment(&dir, 4, &[], &[(SeriesKey::new("m"), encode_run(&[0], &[1.0]))])
                 .expect("write");
         std::fs::rename(&handle.path, segment_path(&dir, 9)).expect("rename");
-        let err = recover(&dir, &writer()).expect_err("must fail");
+        let err = recover(&dir, &writer(), &Pager::unbounded()).expect_err("must fail");
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

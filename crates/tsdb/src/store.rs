@@ -9,13 +9,12 @@ use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
 use crate::model::{Series, SeriesKey, TimeRange};
-use crate::storage::chunk::{self, ChunkMeta, DecodedBlock, EncodedChunk};
+use crate::storage::chunk::{self, DecodedBlock};
 use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
 use crate::storage::{
-    compact, recover, segment, Storage, StorageError, StorageOptions, StorageStats,
-    AUTO_COMPACT_SEGMENTS,
+    compact, recover, Storage, StorageError, StorageOptions, StorageStats, AUTO_COMPACT_SEGMENTS,
 };
 
 /// Fewest points in a scan's overlapping, not yet decoded chunks for which
@@ -194,26 +193,30 @@ impl MetricFilter {
 ///
 /// [`Tsdb::open`] recovers a directory (segments + WAL replay, see
 /// [`crate::storage::recover`]); inserts append to the WAL; [`Tsdb::flush`]
-/// is the durability point — it fsyncs the WAL, seals in-memory heads into
-/// a new compressed segment, truncates the WAL, and auto-compacts when
-/// small segments pile up. Cloning a durable store yields an *in-memory
-/// snapshot view* that shares the compressed chunk bytes but detaches from
-/// the directory, so exactly one handle ever writes it.
+/// is the durability point — it fsyncs the WAL, writes the in-memory heads
+/// as a new compressed segment and adopts its chunks, truncates the WAL,
+/// and auto-compacts when small segments pile up. Cloning a durable store
+/// yields an *in-memory snapshot view* that shares the compressed chunk
+/// bytes but detaches from the directory, so exactly one handle ever
+/// writes it.
 ///
 /// # Residency lifecycle
 ///
-/// Chunks recovered from segment files start **Cold**: only their
-/// directory entry (min/max timestamp, count, offset, length) is
-/// resident. The first scan that touches one faults its compressed bytes
-/// in with a single positioned read checked against the chunk's CRC
-/// (**Paged**), and decoding on top of that yields the **Decoded** block;
-/// all three are the state of the chunk's one page slot, which clones
-/// share. A [`StorageOptions::page_budget_bytes`] budget bounds pages and
-/// blocks together: the pager's clock evicts both behind `&self` after
-/// every fault, decode and chunk sealed by a flush (see
-/// [`crate::storage::pager`]), on any handle,
-/// while each scan keeps the blocks its slices read. With no budget (plain
-/// [`Tsdb::open`]) every touched chunk simply stays resident and decoded.
+/// Every sealed chunk is a chunk of a live segment. Chunks recovered from
+/// segment files start **Cold**: only their directory entry (min/max
+/// timestamp, count, offset, length) is resident. The first scan that
+/// touches one faults its compressed bytes in with a single positioned
+/// read checked against the chunk's CRC (**Paged**), and decoding on top
+/// of that yields the **Decoded** block; all three are the state of the
+/// chunk's one page slot, which clones share. Chunks a flush or a
+/// compaction just wrote start Paged, with no fault counted. A
+/// [`StorageOptions::page_budget_bytes`] budget bounds pages and blocks
+/// together: the pager's clock evicts both behind `&self` after every
+/// fault, decode and page written (see [`crate::storage::pager`]), on any
+/// handle, while each scan keeps the blocks its slices read; only runs
+/// recovery merged from overlapping segments keep their pages pinned.
+/// With no budget (plain [`Tsdb::open`]) every touched chunk simply stays
+/// resident and decoded.
 #[derive(Debug)]
 pub struct Tsdb {
     series: Vec<Series>,
@@ -312,13 +315,16 @@ impl Tsdb {
         options: StorageOptions,
         read_only: bool,
     ) -> Result<Tsdb, StorageError> {
-        let recovered =
-            recover::recover(dir, &RecoverOptions { read_only, retention: options.retention })?;
-        let mut db = Tsdb::new();
-        db.pager = Pager::with_budget(options.page_budget_bytes);
+        let pager = Pager::with_budget(options.page_budget_bytes);
+        let recovered = recover::recover(
+            dir,
+            &RecoverOptions { read_only, retention: options.retention },
+            &pager,
+        )?;
+        let mut db = Tsdb { pager, ..Tsdb::new() };
         for (key, chunks) in recovered.series {
             let id = db.series_id(&key);
-            db.series[id.index()] = Series::from_storage(key, chunks, &db.pager);
+            db.series[id.index()] = Series::from_storage(key, chunks);
         }
         for WalRecord { key, points } in recovered.wal_records {
             let id = db.series_id(&key);
@@ -332,7 +338,6 @@ impl Tsdb {
             segments: recovered.segments,
             next_segment_id: recovered.next_segment_id,
             freelist: recovered.freelist,
-            pending: Vec::new(),
             options,
         });
         Ok(db)
@@ -394,11 +399,15 @@ impl Tsdb {
         }
     }
 
-    /// The durability point: fsyncs the WAL, seals every non-empty head
-    /// into compressed chunks written as a new segment, truncates the WAL,
-    /// and compacts when [`AUTO_COMPACT_SEGMENTS`] have piled up.
-    /// Write errors are not carried here: each came back from the
-    /// `try_insert*` call that caused it.
+    /// The durability point: fsyncs the WAL, encodes every non-empty head
+    /// and writes the chunks as a new segment, adopts them from it
+    /// ([`Storage::adopt`]: they join the sealed tiers as Paged slots of
+    /// the segment), truncates the WAL, and compacts when
+    /// [`AUTO_COMPACT_SEGMENTS`] have piled up. A failed write or
+    /// read-back changes nothing in memory: the heads, which the flush
+    /// holds only encoded, decode back bit for bit, the WAL stays, and a
+    /// retry encodes again. Write errors are not carried here: each came
+    /// back from the `try_insert*` call that caused it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.flush_then_compact_at(AUTO_COMPACT_SEGMENTS)
     }
@@ -417,108 +426,32 @@ impl Tsdb {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
         };
-        if storage.is_read_only() {
+        let Some(wal) = storage.wal.as_mut() else {
             return Err(StorageError::ReadOnly);
-        }
-        if let Some(wal) = storage.wal.as_mut() {
-            wal.sync()?;
-        }
-        // Seal heads in canonical key order so segment directories are
-        // deterministic for a given logical store. Chunks a previous flush
-        // sealed but failed to write (`pending`) lead the batch: their WAL
-        // records are still intact, and either path — segment retry here
-        // or WAL replay after a crash — recovers them exactly once.
+        };
+        wal.sync()?;
+        // Heads in canonical key order, so segment directories are
+        // deterministic for a given logical store.
         let mut order: Vec<usize> = (0..self.series.len()).collect();
         order.sort_by_cached_key(|&i| self.series[i].key.canonical());
-        let mut new_chunks: Vec<(SeriesKey, Vec<EncodedChunk>)> =
-            std::mem::take(&mut storage.pending);
-        for &i in &order {
-            if let Some(chunks) = self.series[i].seal_head(&self.pager) {
-                new_chunks.push((self.series[i].key.clone(), chunks));
-            }
-        }
-        if !new_chunks.is_empty() {
-            let id = storage.take_segment_id();
-            match segment::write_segment(&storage.dir, id, &[], &new_chunks) {
-                Ok(handle) => storage.segments.push(handle),
-                Err(err) => {
-                    // The sealed chunks have no durable home yet: park them
-                    // for the next flush and keep the WAL — truncating it
-                    // here would drop the only durable copy of these points.
-                    storage.pending = new_chunks;
-                    return Err(err);
+        let (order, view): (Vec<usize>, Vec<_>) = order
+            .into_iter()
+            .filter_map(|i| Some((i, (self.series[i].key.clone(), self.series[i].take_head()?))))
+            .unzip();
+        if !view.is_empty() {
+            if let Err(e) = storage.adopt(&mut self.series, &order, &view, &[], &self.pager) {
+                for (&i, (_, chunks)) in order.iter().zip(&view) {
+                    self.series[i].restore_head(chunks)?;
                 }
+                return Err(e);
             }
         }
         if let Some(wal) = storage.wal.as_mut() {
             wal.truncate()?;
         }
-        self.apply_retention()?;
-        let Some(storage) = self.storage.as_mut() else {
-            return Err(StorageError::NotDurable);
-        };
+        storage.apply_retention(&mut self.series)?;
         if storage.segments.len() >= segments {
             compact::merge_segments(storage, &mut self.series, &self.pager)?;
-        }
-        Ok(())
-    }
-
-    /// Drops whole segments that fell out of the retention window — by
-    /// directory metadata alone, without decoding a chunk — and removes
-    /// their chunks from the in-memory sealed tiers so memory and disk
-    /// stay one view. Called after every successful flush; a no-op
-    /// without a configured window.
-    fn apply_retention(&mut self) -> Result<(), StorageError> {
-        let Some(storage) = self.storage.as_mut() else {
-            return Ok(());
-        };
-        let Some(retention) = storage.options.retention else {
-            return Ok(());
-        };
-        // After a flush every point lives in a segment, so the segment
-        // directory alone yields the store's global maximum timestamp.
-        let Some(global_max) = storage.segments.iter().filter_map(|s| s.max_ts).max() else {
-            return Ok(());
-        };
-        let cutoff = global_max.saturating_sub(retention);
-        let expired: Vec<u64> = storage
-            .segments
-            .iter()
-            .filter(|s| s.max_ts.is_some_and(|m| m < cutoff))
-            .map(|s| s.id)
-            .collect();
-        if expired.is_empty() {
-            return Ok(());
-        }
-        let mut dropped = Vec::new();
-        storage.segments.retain(|s| {
-            if expired.contains(&s.id) {
-                dropped.push(s.path.clone());
-                false
-            } else {
-                true
-            }
-        });
-        // Chunks sealed by this process carry no segment id yet, so read
-        // the expiring segments' directories (metadata only — payloads
-        // stay untouched) to know which in-memory chunks go with them.
-        let mut expired_metas: HashMap<SeriesKey, Vec<ChunkMeta>> = HashMap::new();
-        for path in &dropped {
-            let mapped = segment::map_segment(path)?;
-            for s in mapped.series {
-                expired_metas.entry(s.key).or_default().extend(s.chunks.iter().map(|c| c.meta));
-            }
-        }
-        storage.freelist.extend(expired.iter().copied());
-        for path in &dropped {
-            std::fs::remove_file(path)
-                .map_err(|e| StorageError::io(format!("removing {}", path.display()), e))?;
-        }
-        crate::storage::sync_dir(&storage.dir)?;
-        static NO_METAS: &[ChunkMeta] = &[];
-        for series in &mut self.series {
-            let metas = expired_metas.get(&series.key).map_or(NO_METAS, Vec::as_slice);
-            series.drop_expired_chunks(&expired, metas);
         }
         Ok(())
     }

@@ -2,13 +2,16 @@
 //!
 //! Two bug classes these pin down:
 //!
-//! * **Flush failure must not truncate the WAL.** A segment write that
-//!   fails *after* the WAL fsync used to leave the sealed chunks with no
-//!   durable home if anything had truncated the log; every injection
-//!   point below proves the WAL bytes survive the failed flush untouched
-//!   and a reopen replays them bit-identically. The in-process handle
-//!   recovers too: the sealed-but-unwritten chunks are parked and the
-//!   next (disarmed) flush writes them.
+//! * **A failed flush changes nothing.** A segment write that fails
+//!   *after* the WAL fsync used to leave the sealed chunks with no durable
+//!   home if anything had truncated the log; every injection point below
+//!   proves the WAL bytes survive the failed flush untouched, a reopen
+//!   replays them bit-identically, and no segment file is left behind.
+//!   The in-process handle is as it was too — its chunks join the sealed
+//!   tiers only once the segment is durable and read back, and the heads
+//!   the flush encoded decode back otherwise — so a write into the failed
+//!   flush's range and the next (disarmed) flush go through like any
+//!   other.
 //! * **A crash mid-compaction must not double-count points.** The merged
 //!   segment's `supersedes` header is what recovery trusts; killing the
 //!   delete loop leaves the input files on disk and recovery must drop
@@ -74,8 +77,21 @@ fn segment_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// What a compaction commits: live segments, sealed chunks, segment bytes
-/// and the freelist.
+/// The names of a store directory's segment files, `.seg` and in-flight
+/// `.tmp` alike, sorted.
+fn segment_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("seg-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// What a flush or a compaction commits: live segments, sealed chunks,
+/// segment bytes and the freelist.
 fn committed(db: &Tsdb) -> (usize, usize, u64, Vec<u64>) {
     let stats = db.storage_stats().expect("stats");
     (stats.segments, stats.chunks, stats.segment_bytes, stats.freelist)
@@ -101,9 +117,10 @@ fn written_in_rounds(dir: &std::path::Path) -> (Tsdb, Tsdb) {
 }
 
 /// One compaction-failure scenario: fail a re-chunking compaction at
-/// `point` and prove the WAL, the segment list and the writer's scans are
-/// as they were and a reopen equals the model; then the disarmed retry
-/// re-chunks and a reopen still equals the model.
+/// `point` and prove the WAL, the segment list, the segment files and the
+/// writer's scans are as they were and a reopen equals the model; then the
+/// disarmed retry re-chunks and a reopen still equals the model, over as
+/// many segments as the writer holds.
 fn compaction_failure_scenario(point: Point, tag: &str) {
     let dir = tmp_dir(tag);
     let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
@@ -118,10 +135,9 @@ fn compaction_failure_scenario(point: Point, tag: &str) {
     disarm(&tag_str);
     assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before, "{point:?}");
     assert_eq!(committed(&db), before, "nothing committed ({point:?})");
-    let files_after = segment_files(&dir);
-    for (name, bytes) in &files_before {
-        assert_eq!(files_after.get(name), Some(bytes), "{name} kept its bytes ({point:?})");
-    }
+    let names_before: Vec<String> = files_before.keys().cloned().collect();
+    assert_eq!(segment_names(&dir), names_before, "no segment file added ({point:?})");
+    assert_eq!(segment_files(&dir), files_before, "no segment file changed ({point:?})");
     assert_eq!(contents(&db), contents(&memory), "the writer's scans are unchanged");
     let reopened = Tsdb::open_read_only(&dir).expect("reopen after failed compaction");
     assert_eq!(contents(&reopened), contents(&memory), "reopen equals the model");
@@ -130,15 +146,20 @@ fn compaction_failure_scenario(point: Point, tag: &str) {
     db.compact().expect("disarmed retry compacts");
     assert_eq!(db.storage_stats().expect("stats").chunks, 3, "one chunk per series");
     assert_eq!(contents(&db), contents(&memory), "the re-chunked writer serves the same points");
+    let segments = db.storage_stats().expect("stats").segments;
     drop(db);
     let reopened = Tsdb::open(&dir).expect("reopen after retry");
     assert_eq!(contents(&reopened), contents(&memory), "the re-chunked store is bit-identical");
+    let reopened_segments = reopened.storage_stats().expect("stats").segments;
+    assert_eq!(reopened_segments, segments, "no orphan segment ({point:?})");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One flush-failure scenario: ingest, sync, fail the flush at `point`,
-/// prove the WAL survived byte-for-byte, then prove both recovery paths
-/// (reopen-after-crash and in-process retry) land on the same contents.
+/// prove the WAL survived byte-for-byte and the writer's committed state,
+/// scans and segment files are as they were, then prove both recovery
+/// paths (reopen-after-crash, and an in-process overwrite inside the
+/// failed flush's range followed by a retry) land on the model.
 fn flush_failure_scenario(point: Point, tag: &str) {
     let dir = tmp_dir(tag);
     let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
@@ -151,6 +172,8 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     db.sync().expect("sync");
     let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
     assert!(!wal_before.is_empty(), "committed records are in the log");
+    let names_before = segment_names(&dir);
+    let before = committed(&db);
 
     arm(point, &tag_str);
     let err = db.flush().expect_err("armed flush fails");
@@ -159,6 +182,9 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     // leave it exactly as the last sync wrote it.
     let wal_after = std::fs::read(dir.join("wal")).expect("read wal after failure");
     assert_eq!(wal_before, wal_after, "failed flush must not touch the WAL ({point:?})");
+    assert_eq!(committed(&db), before, "nothing committed ({point:?})");
+    assert_eq!(contents(&db), contents(&memory), "the writer's scans are unchanged ({point:?})");
+    assert_eq!(segment_names(&dir), names_before, "no segment file left behind ({point:?})");
 
     // Crash model: a fresh process recovers the directory as-is.
     let reopened = Tsdb::open(&dir).expect("reopen after failed flush");
@@ -166,15 +192,22 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     drop(reopened);
     disarm(&tag_str);
 
-    // In-process model: the handle that saw the failure retries — the
-    // sealed chunks it parked get a durable home and the WAL truncates.
+    // In-process model: the handle that saw the failure overwrites a point
+    // inside the failed flush's range and retries — its heads get a
+    // durable home, each key once, and the WAL truncates.
+    let key = SeriesKey::new("cpu").with_tag("host", "b");
+    memory.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
+    db.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
     db.flush().expect("disarmed retry flush succeeds");
-    assert_eq!(contents(&db), contents(&memory), "retrying handle serves the same contents");
+    assert_eq!(contents(&db), contents(&memory), "retrying handle serves the model");
     let wal_final = std::fs::read(dir.join("wal")).expect("read wal after retry");
     assert!(wal_final.is_empty(), "successful flush truncates the WAL");
+    let segments = db.storage_stats().expect("stats").segments;
     drop(db);
     let final_open = Tsdb::open(&dir).expect("reopen after retry");
     assert_eq!(contents(&final_open), contents(&memory), "post-retry store is bit-identical");
+    let reopened_segments = final_open.storage_stats().expect("stats").segments;
+    assert_eq!(reopened_segments, segments, "no orphan segment ({point:?})");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

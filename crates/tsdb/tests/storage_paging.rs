@@ -224,8 +224,8 @@ fn decode_caches_are_accounted_and_evictable() {
     // re-decoding as needed).
     assert_eq!(scanned(&db), total);
 
-    // A flush pins the pages it seals, about 90 bytes a chunk, and the
-    // clock makes room for them at once.
+    // A flush's chunks start Paged in the segment it wrote, about 90
+    // bytes a chunk, and the clock makes room for them at once.
     for host in 0..8i64 {
         let key = SeriesKey::new("mem").with_tag("host", host.to_string());
         let points: Vec<_> = (0..40).map(|t| (t * 60, (t * t * host) as f64 + 0.25)).collect();
@@ -237,12 +237,13 @@ fn decode_caches_are_accounted_and_evictable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A writer pins the pages it seals, so under a page budget a store
-/// written in rounds outgrows it. Compaction re-chunks the rounds and
-/// pages the new tier from the merged segment, pinning nothing: the
-/// budget holds again, before and after a full scan of the same points.
+/// A writer's flushed chunks are pages of the segment it wrote, which the
+/// clock evicts like any other, so under a page budget a store written in
+/// rounds stays within it after every flush. Compaction re-chunks the
+/// rounds into the merged segment's pages: the budget holds after it too,
+/// before and after a full scan of the same points.
 #[test]
-fn a_compaction_brings_a_writer_back_within_its_page_budget() {
+fn a_writer_stays_within_its_page_budget_through_flushes_and_compaction() {
     let dir = tmp_dir("compact-budget");
     let budget = 64 << 10;
     let options = StorageOptions { page_budget_bytes: Some(budget), ..StorageOptions::default() };
@@ -256,11 +257,12 @@ fn a_compaction_brings_a_writer_back_within_its_page_budget() {
             db.try_insert_batch(&key, &points).expect("insert");
         }
         db.flush().expect("flush a round");
+        let stats = db.storage_stats().expect("stats");
+        assert!(stats.resident_bytes <= budget, "after round {round}'s flush: {stats:?}");
     }
     let expected = contents(&db);
     let stats = db.storage_stats().expect("stats");
     assert_eq!(stats.chunks, 6 * 48);
-    assert!(stats.resident_bytes > budget, "the rounds' pages are pinned: {stats:?}");
 
     db.compact().expect("compact");
     // One decoded chunk: at most CHUNK_MAX_POINTS points of 16 bytes.
@@ -436,6 +438,51 @@ fn retention_after_a_rechunking_compaction_keeps_memory_and_disk_one_view() {
     let expected = contents(&db);
     drop(db);
     let reopened = Tsdb::open(&dir).expect("reopen");
+    assert_eq!(contents(&reopened), expected, "memory and disk are one view");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run recovery merged from overlapping segments holds the points of
+/// both, in memory only: when retention expires its sources, it leaves
+/// memory with them, matched by the segment id it was tagged with, and
+/// nothing is read or decoded to find it.
+#[test]
+fn retention_drops_a_recovered_merge_with_its_sources() {
+    let dir = tmp_dir("retention-merge");
+    let key = SeriesKey::new("m");
+    {
+        let mut db = Tsdb::open(&dir).expect("open");
+        for t in 0..50i64 {
+            db.try_insert(&key, t * 60, t as f64).expect("insert");
+        }
+        db.flush().expect("flush a window");
+        // An overwrite inside the window unseals it, and the next flush
+        // writes the whole window again: two overlapping segments.
+        db.try_insert(&key, 20 * 60, -1.0).expect("overwrite");
+        db.flush().expect("flush the overwritten window");
+        assert_eq!(db.storage_stats().expect("stats").segments, 2);
+    }
+    let options = StorageOptions { retention: Some(10_000), ..StorageOptions::default() };
+    let mut db = Tsdb::open_with(&dir, options.clone()).expect("reopen with retention");
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks), (2, 1), "one merged run over two segments");
+    assert!(stats.resident_chunk_bytes > 0, "the merged run is pinned: {stats:?}");
+    assert_eq!(db.point_count(), 50);
+
+    for t in 1000..1050i64 {
+        db.try_insert(&key, t * 60, t as f64).expect("insert");
+    }
+    let decodes = db.decode_count();
+    db.flush().expect("flush past the horizon");
+    assert_eq!(db.decode_count(), decodes, "retention decoded nothing");
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks), (1, 1), "both sources expired");
+    assert_eq!(db.point_count(), 50, "and the merged run left memory with them");
+    let expected = contents(&db);
+    assert_eq!(expected[0].1.first(), Some(&60_000), "only the new window remains");
+    drop(db);
+    let reopened = Tsdb::open_with(&dir, options).expect("reopen");
+    assert_eq!(reopened.point_count(), 50);
     assert_eq!(contents(&reopened), expected, "memory and disk are one view");
     let _ = std::fs::remove_dir_all(&dir);
 }
