@@ -37,7 +37,8 @@
 //! call reads across rows, so it forces one morsel), the aggregate folds
 //! each morsel into *partial aggregate states* — an accumulator column
 //! ([`AggColumn`](crate::functions::AggColumn)) per aggregate call over the
-//! morsel's groups — and merges them in morsel order; the scan-level
+//! morsel's groups, one per argument for the calls that fold from its
+//! moments — and merges them in morsel order; the scan-level
 //! aggregate ([`scan_aggregate`]) folds point-balanced morsels of series
 //! spans into the same columns addressed by grid slot and merges those slot
 //! by slot, in morsel order too. Both end in one finishing step over their

@@ -1,7 +1,8 @@
 //! The `Aggregate` operator (the table aggregate): per row morsel, the
 //! peeled filter chain, rows bucketed by group key and every aggregate call
-//! folded into an [`AggColumn`] over the morsel's groups; morsels merge in
-//! order through global group ids, and `super::finish_outputs` finishes.
+//! folded into an [`AggColumn`] over the morsel's groups — one per argument
+//! for the calls that fold from its moments; morsels merge in order through
+//! global group ids, and `super::finish_outputs` finishes.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -10,7 +11,7 @@ use super::{agg_slots, effective_partitions, finish_outputs, morsel_columns, mor
 use super::{project_names, run_partitioned, AggSpec, ExecOptions};
 use crate::ast::Expr;
 use crate::column::Column;
-use crate::functions::AggColumn;
+use crate::functions::{agg_column_calls, in_call_order, AggColumn};
 use crate::kernel;
 use crate::table::{Schema, Table};
 use crate::value::Value;
@@ -48,7 +49,7 @@ struct MorselGroups {
     keys: Vec<Column>,
     /// Each group's first input row; kept only when an output reads it.
     first_row: Vec<Column>,
-    /// One accumulator column per aggregate spec.
+    /// One accumulator column per column of calls.
     aggs: Vec<AggColumn>,
 }
 
@@ -73,26 +74,34 @@ pub(super) fn run_aggregate(
     if keep_first {
         names.extend_from_slice(src.schema().columns());
     }
+    // Calls over one single argument that fold from its moments share a
+    // column.
+    let call_names: Vec<&str> = specs.iter().map(|&(name, _)| name).collect();
+    let columns =
+        agg_column_calls(&call_names, |i, j| specs[i].1.len() == 1 && specs[i].1 == specs[j].1);
     let len = src.len();
     // No rows, no morsels: nothing is evaluated over an empty input.
     let ranges = morsel_ranges(len, effective_partitions(opts, len));
     let partials = run_partitioned(ranges.len(), |m| {
         let (a, b) = ranges[m];
         let (cols, mlen) = morsel_columns(src, filters, a, b)?;
-        aggregate_morsel(src.schema(), &cols, mlen, group_by, &specs, keep_first)
+        aggregate_morsel(src.schema(), &cols, mlen, group_by, &specs, &columns, keep_first)
     })?;
-    finish_groups(partials, &outputs, &Schema::new(names), project_names(items, hidden.len()))
+    let out_schema = project_names(items, hidden.len());
+    finish_groups(partials, &columns, &outputs, &Schema::new(names), out_schema)
 }
 
 /// Partial aggregation of one morsel's `len` filtered rows: groups keyed
 /// for the cross-morsel merge by their rendered key string, in first-seen
-/// order.
+/// order, and an accumulator column per entry of `columns`, the calls of
+/// `specs` it folds.
 fn aggregate_morsel(
     schema: &Schema,
     cols: &[Column],
     len: usize,
     group_by: &[Expr],
     specs: &[AggSpec],
+    columns: &[Vec<usize>],
     keep_first: bool,
 ) -> Result<MorselGroups> {
     if len == 0 {
@@ -137,9 +146,12 @@ fn aggregate_morsel(
     // Every (group, row) pair, group by group.
     let group_rows =
         || row_groups.iter().enumerate().flat_map(|(g, rows)| rows.iter().map(move |&r| (g, r)));
-    let mut aggs = Vec::with_capacity(specs.len());
+    let mut aggs = Vec::with_capacity(columns.len());
     let mut row: Vec<Value> = Vec::new();
-    for (name, args) in specs {
+    for calls in columns {
+        // The calls of a column share their arguments.
+        let args = specs[calls[0]].1;
+        let names: Vec<&str> = calls.iter().map(|&c| specs[c].0).collect();
         let arg_cols: Vec<Column> = args.iter().map(eval_col).collect::<Result<_>>()?;
         // A single Float/Int-shaped argument feeds its values unboxed — a
         // Float one into dense slots — and skips its NULLs, which change no
@@ -150,7 +162,7 @@ fn aggregate_morsel(
             _ => None,
         };
         let dense = matches!(fast, Some(FastArg::F64(..)));
-        let mut column = AggColumn::new(name, row_groups.len(), dense)?;
+        let mut column = AggColumn::new(&names, row_groups.len(), dense)?;
         match &fast {
             Some(FastArg::F64(vs, validity)) => {
                 let valid = group_rows().filter(|&(_, r)| kernel::is_valid(validity.as_deref(), r));
@@ -176,12 +188,14 @@ fn aggregate_morsel(
 /// The table aggregate's merge step. Groups are numbered as they are met:
 /// morsels arrive in row order, each with its groups in first-seen order,
 /// so that is the serial first-seen order and a group's first morsel holds
-/// its first row. Each spec's morsel columns merge into one over all groups
-/// through that numbering, in morsel order (exactly fold-equivalent to one
-/// pass over all rows); keys, finished values and first rows are the
-/// columns of `schema` for [`finish_outputs`].
+/// its first row. Each accumulator column's morsel columns merge into one
+/// over all groups through that numbering, in morsel order (exactly
+/// fold-equivalent to one pass over all rows); keys, the calls' finished
+/// values (`columns` says which column finishes which) and first rows are
+/// the columns of `schema` for [`finish_outputs`].
 fn finish_groups(
     mut morsels: Vec<MorselGroups>,
+    columns: &[Vec<usize>],
     outputs: &[Expr],
     schema: &Schema,
     out_schema: Schema,
@@ -220,7 +234,7 @@ fn finish_groups(
             merged.absorb(|g| ids[g], column)?;
         }
     }
-    let aggs = aggs.into_iter().map(|c| c.finish(0..rows));
-    let cols = keys.into_iter().map(Ok).chain(aggs).chain(first_row.into_iter().map(Ok));
-    finish_outputs(outputs, schema, cols.collect::<Result<_>>()?, rows, out_schema)
+    let aggs = aggs.into_iter().map(|c| c.finish(0..rows)).collect::<Result<_>>()?;
+    let cols = keys.into_iter().chain(in_call_order(columns, aggs)).chain(first_row);
+    finish_outputs(outputs, schema, cols.collect(), rows, out_schema)
 }

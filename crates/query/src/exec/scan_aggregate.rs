@@ -20,17 +20,18 @@
 //!   slot when `timestamp` is not a key;
 //! * **per morsel** (point-balanced spans, so a hot series is split): for
 //!   each class its spans touch one [`Block`]: a first-contributor column
-//!   and one accumulator column per aggregate call, over the slots the
-//!   spans reach. The worker finds each kept point's slot — the one slot
-//!   when `timestamp` is not a key, the point's own index when the span is
-//!   as long as the grid, `seek`'s moving cursor otherwise — notes the
+//!   and one accumulator column per aggregate call — the `COUNT` / `SUM` /
+//!   `AVG` / `VARIANCE` / `STDDEV` calls on `value` share one — over the
+//!   slots the spans reach. The worker finds each kept point's slot — the
+//!   one slot when `timestamp` is not a key, the point's own index when the
+//!   span is as long as the grid, `seek`'s moving cursor otherwise — notes the
 //!   slot's first contributor in `(timestamp, rank)` order and folds the
 //!   span into each column in turn — an [`AggColumn`], the table
 //!   aggregate's accumulator column too. The plan's argument shape decides
 //!   how it holds its slots: `AGG(value)` for `COUNT` / `SUM` / `AVG` /
 //!   `VARIANCE` / `STDDEV` / `MIN` / `MAX` dense (counts, inline exact-sum
 //!   expansions, running bests: a handful of `Vec`s per block), anything
-//!   else boxed, an `AggAcc` per touched slot;
+//!   else boxed, an `AggAcc` per call and touched slot;
 //! * **per group**: one entry in each of its block's columns. A slot's
 //!   first contributor is at once the group's existence flag, its place in
 //!   the output order and the pointer to its first-seen key values; an
@@ -95,7 +96,7 @@ use super::{span_grid, substitute_series_consts, ExecOptions};
 use crate::ast::Expr;
 use crate::catalog::Catalog;
 use crate::column::Column;
-use crate::functions::AggColumn;
+use crate::functions::{agg_column_calls, in_call_order, AggColumn};
 use crate::optimize::{is_tsdb_col, tsdb_schema};
 use crate::pivot::{into_grid, numbers, render_family, seek};
 use crate::pivot::{FamilyFrame, FrameBuilder, Interner, PivotSpec};
@@ -117,6 +118,7 @@ const NO_FIRST: First = (i64::MAX, u32::MAX);
 
 /// How one aggregate call reads its arguments — and so whether its
 /// accumulator column is dense.
+#[derive(Clone, Copy)]
 enum Args {
     /// `AGG(value)`: the raw f64 point, into dense slots where the aggregate
     /// has a column form.
@@ -149,7 +151,7 @@ struct SeriesPlan<'p> {
 }
 
 /// One morsel's accumulators for the slots `lo..lo + first.len()` of one
-/// class's grid: a column per aggregate call.
+/// class's grid: an accumulator column per column of calls.
 struct Block {
     class: usize,
     lo: usize,
@@ -188,11 +190,13 @@ struct Fold<'a, 'p> {
     grids: Option<Vec<Cow<'a, [i64]>>>,
     /// Residual filters at the head of every series' expressions.
     filters: usize,
+    /// The calls each accumulator column finishes ([`agg_column_calls`]).
+    columns: Vec<Vec<usize>>,
+    /// How each column's calls read their argument.
     args: Vec<Args>,
     /// Some argument expression reads `timestamp` or `value`.
     point_args: bool,
-    /// Each call's accumulator column over no slots: a block's are fresh
-    /// copies.
+    /// Each column over no slots: a block's are fresh copies.
     accs: Vec<AggColumn>,
     /// `(timestamp, value)`: what filters and arguments are evaluated over.
     points: Schema,
@@ -313,7 +317,7 @@ impl Fold<'_, '_> {
     }
 
     /// Merges one class's blocks in morsel order and finishes its groups:
-    /// each group's first contributor, and per spec the groups' values as
+    /// each group's first contributor, and per call the groups' values as
     /// the column [`Column::from_values`] builds from them.
     fn finish(&self, mut blocks: Vec<Block>) -> Result<(Vec<First>, Vec<Column>)> {
         let lo = blocks.iter().map(|b| b.lo).min().unwrap_or(0);
@@ -329,7 +333,8 @@ impl Fold<'_, '_> {
         let columns = (merged.specs.into_iter())
             .map(|column| column.finish(groups.iter().copied()))
             .collect::<Result<_>>()?;
-        Ok((groups.iter().map(|&s| merged.first[s]).collect(), columns))
+        let firsts = groups.iter().map(|&s| merged.first[s]).collect();
+        Ok((firsts, in_call_order(&self.columns, columns)))
     }
 }
 
@@ -414,8 +419,16 @@ fn front(
             }
         })
         .collect();
-    let accs: Vec<AggColumn> = (calls.iter().zip(&args))
-        .map(|(&(name, _), args)| AggColumn::new(name, 0, matches!(args, Args::Val)))
+    // `AGG(value)` calls over the argument's moments share one column.
+    let names: Vec<&str> = calls.iter().map(|&(name, _)| name).collect();
+    let columns =
+        agg_column_calls(&names, |i, j| matches!((args[i], args[j]), (Args::Val, Args::Val)));
+    let args: Vec<Args> = columns.iter().map(|calls| args[calls[0]]).collect();
+    let accs: Vec<AggColumn> = (columns.iter().zip(&args))
+        .map(|(calls, args)| {
+            let names: Vec<&str> = calls.iter().map(|&c| names[c]).collect();
+            AggColumn::new(&names, 0, matches!(args, Args::Val))
+        })
         .collect::<Result<_>>()?;
     let point_args = templates[filters.len()..].iter().any(|e| reads(e, [0, 3]));
     let templates: Vec<(&Expr, bool)> =
@@ -460,8 +473,18 @@ fn front(
     });
     let points = Schema::new(vec!["timestamp".to_string(), "value".to_string()]);
     let filters = filters.len();
-    let fold =
-        Fold { hits: &hits, series_of, series, grids, filters, args, point_args, accs, points };
+    let fold = Fold {
+        hits: &hits,
+        series_of,
+        series,
+        grids,
+        filters,
+        columns,
+        args,
+        point_args,
+        accs,
+        points,
+    };
 
     // Morsels cut the rank-ordered *point* sequence — not the series list —
     // into contiguous equal-point spans, splitting a series across workers
@@ -646,11 +669,12 @@ mod tests {
             series: vec![plan(), plan()],
             grids: Some(vec![Cow::Owned((0..6).map(|t| t * 10).collect())]),
             filters: 0,
+            columns: vec![vec![0], vec![1]],
             args: vec![Args::Val, Args::Ts],
             point_args: false,
             accs: vec![
-                AggColumn::new("SUM", 0, true).unwrap(),
-                AggColumn::new("SUM", 0, false).unwrap(),
+                AggColumn::new(&["SUM"], 0, true).unwrap(),
+                AggColumn::new(&["SUM"], 0, false).unwrap(),
             ],
             points: Schema::new(vec!["timestamp".to_string(), "value".to_string()]),
         })
@@ -665,8 +689,9 @@ mod tests {
                 let block = blocks.remove(0);
                 let (lo, len) = (block.lo, block.first.len());
                 for column in block.specs {
-                    let covered = column.finish(0..len).unwrap().len();
-                    assert_eq!(covered, len, "every column covers the block's slots");
+                    for finished in column.finish(0..len).unwrap() {
+                        assert_eq!(finished.len(), len, "every column covers the block's slots");
+                    }
                 }
                 (lo, len)
             };

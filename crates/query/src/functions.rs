@@ -10,10 +10,11 @@
 //! therefore *independent of partitioning*: serial, parallel and reference
 //! results are bit-identical by construction, not by luck.
 //!
-//! Both aggregate operators hold their accumulators in [`AggColumn`]s, one
-//! per aggregate call over a run of groups: the same states laid out a
-//! column per field when the inputs are `f64`s and the aggregate is one of
-//! the seven with a column form, an `AggAcc` per group otherwise. `AggAcc`
+//! Both aggregate operators hold their accumulators in [`AggColumn`]s over a
+//! run of groups, one per aggregate call except that the calls that fold
+//! from one argument's moments share one: the same states laid out a column
+//! per field when the inputs are `f64`s and the aggregate is one of the
+//! seven with a column form, an `AggAcc` per call and group otherwise. `AggAcc`
 //! stays their definition (a slot that cannot stay dense becomes one) and
 //! their oracle.
 
@@ -251,20 +252,28 @@ impl ExactSum {
 /// with each partial in ascending order, compacting the non-zero low parts
 /// to the front. Returns how many low parts were kept and the new top
 /// partial; the expansion is then `partials[..kept] ++ [top]`.
+///
+/// The step is Knuth's branch-free TwoSum, and the compaction stores every
+/// low part but moves past only a non-zero one. Where nothing overflows,
+/// TwoSum's low part is the exact rounding error, which the ordered step
+/// (larger magnitude first, then subtract) gives too; where an intermediate
+/// overflows it is not finite, and the ordered step is taken instead. So
+/// the partials are the ordered step's, bit for bit, which the tests hold
+/// the walk to.
 #[inline]
 fn grow_expansion(partials: &mut [f64], mut x: f64) -> (usize, f64) {
     let mut kept = 0;
     for j in 0..partials.len() {
-        let mut y = partials[j];
-        if x.abs() < y.abs() {
-            std::mem::swap(&mut x, &mut y);
-        }
+        let y = partials[j];
         let hi = x + y;
-        let lo = y - (hi - x);
-        if lo != 0.0 {
-            partials[kept] = lo;
-            kept += 1;
+        let yy = hi - x;
+        let mut lo = (x - (hi - yy)) + (y - yy);
+        if !lo.is_finite() {
+            let (big, small) = if x.abs() < y.abs() { (y, x) } else { (x, y) };
+            lo = small - (hi - big);
         }
+        partials[kept] = lo;
+        kept += usize::from(lo != 0.0);
         x = hi;
     }
     (kept, x)
@@ -646,29 +655,26 @@ fn finish_var(sum: (&[f64], f64), sumsq: (&[f64], f64), n: usize, stddev: bool) 
 
 /// Partials a slot's expansion holds inline. A full slot spills before its
 /// next finite add, which could need one more: on the benchmark's
-/// `AVG` / `MAX` / `STDDEV` family statement (≈ 600k expansions) that is
-/// ≈ 870 slots a run, where three inline would spill ≈ 107k.
+/// `AVG` / `MAX` / `STDDEV` family statement (≈ 400k expansions, Σv and Σv²
+/// of the one moments column) that is ≈ 805 slots a run, where three
+/// inline would spill ≈ 40k.
 const INLINE_PARTIALS: usize = 4;
 
 /// The flag on [`AggColumn`]'s count of a spilled slot: the rest of the
-/// word is the slot's index among the spilled accumulators.
+/// word is the slot's index among the spilled slots.
 const SPILLED: u64 = 1 << 63;
 
-/// How an [`AggColumn`] holds its slots: one of the seven aggregates with a
-/// column form, dense, or boxed.
-#[derive(Debug, Clone)]
+/// How an [`AggColumn`] holds its slots.
+#[derive(Debug, Clone, Copy)]
 enum Kind {
-    Count,
-    Sum,
-    Avg,
-    Var {
-        stddev: bool,
-    },
-    MinMax {
-        want_min: bool,
-    },
-    /// Every slot an `AggAcc` from its first push on; this one is fresh.
-    Boxed(AggAcc),
+    /// `COUNT` / `SUM` / `AVG` / `VARIANCE` / `STDDEV` calls over one
+    /// argument, dense: a count, Σv when a call reads it and Σv² when a
+    /// `VARIANCE` or `STDDEV` does.
+    Moments { sum: bool, sumsq: bool },
+    /// One `MIN` / `MAX` call, dense: a running best.
+    MinMax { want_min: bool },
+    /// Every slot an `AggAcc` per call from its first push on.
+    Boxed,
 }
 
 /// One [`ExactSum`] per slot, struct-of-arrays: up to
@@ -731,28 +737,35 @@ impl Expansions {
     }
 }
 
-/// One aggregate's accumulators over a run of slots — a table-aggregate
-/// morsel's groups, a scan-aggregate block's grid slots — one column per
-/// field instead of an [`AggAcc`] per slot: a count, inline [`ExactSum`]
-/// expansions for `SUM` / `AVG` / `VARIANCE` / `STDDEV`, a plain running
-/// best for `MIN` / `MAX`, fed non-null `f64`s by [`AggColumn::fold`]. Any
-/// other aggregate, or a column asked to be boxed because its inputs are
-/// not `f64`s, keeps an `AggAcc` per touched slot instead.
+/// Accumulators over a run of slots — a table-aggregate morsel's groups, a
+/// scan-aggregate block's grid slots — for one or more aggregate calls over
+/// one argument ([`agg_column_calls`] says which), a column per field
+/// instead of an [`AggAcc`] per slot and call: a count, inline
+/// [`ExactSum`] expansions of Σv and Σv² as far as the calls read them, a
+/// plain running best for `MIN` / `MAX`, fed non-null `f64`s by
+/// [`AggColumn::fold`]. Any other aggregate, or a column asked to be boxed
+/// because its inputs are not `f64`s, keeps an `AggAcc` per call and
+/// touched slot instead.
 ///
-/// Every slot is in exactly the state the `AggAcc` would be in after the
-/// same pushes and merges, so it finishes to the same value by its bits: the
-/// expansions run [`ExactSum::add`]'s own walk, MIN / MAX keep the first
-/// seen of equals. A slot that cannot stay dense — an expansion about to
-/// outgrow the inline capacity, a NaN reaching MIN / MAX (its own
-/// comparability class), an input that is not an `f64` — spills: it becomes
-/// that `AggAcc`, partials moved over, and continues there. A boxed column's
-/// slots spill at their first push. The count carries the spill flag, so a
-/// dense slot pays nothing for it.
+/// Every slot stands for the `AggAcc` each of its calls would be after the
+/// same pushes and merges, and finishes to that one's value by its bits:
+/// the expansions run [`ExactSum::add`]'s own walk (the sums are exact, so
+/// `AVG` finishes from Σv to the same bits whether or not a `STDDEV` shares
+/// it), MIN / MAX keep the first seen of equals. A slot that cannot stay
+/// dense — an expansion about to outgrow the inline capacity, a NaN
+/// reaching MIN / MAX (its own comparability class), an input that is not
+/// an `f64` — spills: it becomes those `AggAcc`s, partials moved over, and
+/// continues there. A boxed column's slots spill at their first push. The
+/// count carries the spill flag, so a dense slot pays nothing for it.
 #[derive(Debug)]
 pub struct AggColumn {
     kind: Kind,
-    /// Inputs per slot (zero: untouched), or [`SPILLED`] and an index into
-    /// `spilled`.
+    /// A fresh accumulator per call, in the order the calls were given:
+    /// what an untouched slot stands for, and whose rule each call
+    /// finishes by.
+    calls: Vec<AggAcc>,
+    /// Inputs per slot (zero: untouched), or [`SPILLED`] and the slot's
+    /// index among the spilled slots.
     n: Vec<u64>,
     /// Σv (`SUM`, `AVG`, `VARIANCE`, `STDDEV`).
     sum: Expansions,
@@ -760,59 +773,68 @@ pub struct AggColumn {
     sumsq: Expansions,
     /// The best input so far (`MIN`, `MAX`).
     best: Vec<f64>,
+    /// The spilled slots' accumulators, `calls.len()` per slot.
     spilled: Vec<AggAcc>,
 }
 
 impl AggColumn {
-    /// The (uppercase) aggregate over `slots` untouched slots: dense when
-    /// `dense` is asked for and the aggregate has a column form, boxed
+    /// The (uppercase) aggregates `names` over one argument and `slots`
+    /// untouched slots: dense when `dense` is asked for and the calls have
+    /// a column form — moments only, or one `MIN` / `MAX` — boxed
     /// otherwise.
-    pub fn new(name: &str, slots: usize, dense: bool) -> Result<AggColumn> {
-        let kind = match name {
-            "COUNT" if dense => Kind::Count,
-            "SUM" if dense => Kind::Sum,
-            "AVG" if dense => Kind::Avg,
-            "VARIANCE" if dense => Kind::Var { stddev: false },
-            "STDDEV" if dense => Kind::Var { stddev: true },
-            "MIN" if dense => Kind::MinMax { want_min: true },
-            "MAX" if dense => Kind::MinMax { want_min: false },
-            _ => Kind::Boxed(
+    pub fn new(names: &[&str], slots: usize, dense: bool) -> Result<AggColumn> {
+        let calls = (names.iter())
+            .map(|&name| {
                 AggAcc::new(name)
-                    .ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))?,
-            ),
+                    .ok_or_else(|| QueryError::BadFunction(format!("unknown aggregate {name}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let kind = match calls.as_slice() {
+            _ if !dense => Kind::Boxed,
+            &[AggAcc::MinMax { want_min, .. }] => Kind::MinMax { want_min },
+            calls if calls.iter().all(is_moment) => Kind::Moments {
+                sum: calls.iter().any(|c| !matches!(c, AggAcc::Count { .. })),
+                sumsq: calls.iter().any(|c| matches!(c, AggAcc::Var { .. })),
+            },
+            _ => Kind::Boxed,
         };
-        Ok(AggColumn::of(kind, slots))
+        Ok(AggColumn::of(kind, calls, slots))
     }
 
-    fn of(kind: Kind, slots: usize) -> AggColumn {
+    fn of(kind: Kind, calls: Vec<AggAcc>, slots: usize) -> AggColumn {
         let sized = |yes: bool| if yes { Expansions::new(slots) } else { Expansions::default() };
+        let (sum, sumsq) = match kind {
+            Kind::Moments { sum, sumsq } => (sum, sumsq),
+            _ => (false, false),
+        };
         AggColumn {
             n: vec![0; slots],
-            sum: sized(matches!(kind, Kind::Sum | Kind::Avg | Kind::Var { .. })),
-            sumsq: sized(matches!(kind, Kind::Var { .. })),
+            sum: sized(sum),
+            sumsq: sized(sumsq),
             best: vec![0.0; if matches!(kind, Kind::MinMax { .. }) { slots } else { 0 }],
             spilled: Vec::new(),
             kind,
+            calls,
         }
     }
 
-    /// The same aggregate, held the same way, over `slots` untouched slots.
+    /// The same calls, held the same way, over `slots` untouched slots.
     pub fn fresh(&self, slots: usize) -> AggColumn {
-        AggColumn::of(self.kind.clone(), slots)
+        AggColumn::of(self.kind, self.calls.clone(), slots)
     }
 
     /// Feeds each `(slot, value)` in turn: `AggAcc::push` of `Float(value)`
-    /// on the slot's accumulator.
+    /// on each of the slot's accumulators.
     pub fn fold(&mut self, points: impl IntoIterator<Item = (usize, f64)>) {
         match self.kind {
-            Kind::Count => self.fold_by(points, |_, _, _, _| true),
-            Kind::Sum | Kind::Avg => self.fold_by(points, |c, s, _, v| {
+            Kind::Moments { sum: false, .. } => self.fold_by(points, |_, _, _, _| true),
+            Kind::Moments { sumsq: false, .. } => self.fold_by(points, |c, s, _, v| {
                 c.sum.fits(s, v) && {
                     c.sum.add(s, v);
                     true
                 }
             }),
-            Kind::Var { .. } => self.fold_by(points, |c, s, _, v| {
+            Kind::Moments { .. } => self.fold_by(points, |c, s, _, v| {
                 let q = v * v;
                 c.sum.fits(s, v) && c.sumsq.fits(s, q) && {
                     c.sum.add(s, v);
@@ -828,7 +850,7 @@ impl AggColumn {
                 }
                 !v.is_nan()
             }),
-            Kind::Boxed(_) => self.fold_by(points, |_, _, _, _| false),
+            Kind::Boxed => self.fold_by(points, |_, _, _, _| false),
         }
     }
 
@@ -844,71 +866,78 @@ impl AggColumn {
             if n & SPILLED == 0 && step(self, s, n, v) {
                 self.n[s] = n + 1;
             } else {
-                let at = self.spill(s);
-                self.spilled[at].push_f64(v);
+                self.spill(s).iter_mut().for_each(|acc| acc.push_f64(v));
             }
         }
     }
 
-    /// `AggAcc::push` of `Int(v)` on slot `s`'s accumulator.
+    /// `AggAcc::push` of `Int(v)` on each of slot `s`'s accumulators.
     pub fn push_i64(&mut self, s: usize, v: i64) {
-        let at = self.spill(s);
-        self.spilled[at].push_i64(v);
+        self.spill(s).iter_mut().for_each(|acc| acc.push_i64(v));
     }
 
-    /// `AggAcc::push` of one row's arguments on slot `s`'s accumulator.
+    /// `AggAcc::push` of one row's arguments on each of slot `s`'s
+    /// accumulators.
     pub fn push(&mut self, s: usize, args: &[Value]) -> Result<()> {
-        let at = self.spill(s);
-        self.spilled[at].push(args)
+        self.spill(s).iter_mut().try_for_each(|acc| acc.push(args))
     }
 
-    /// Slot `s` as an `AggAcc` from now on; returns its index in `spilled`.
-    fn spill(&mut self, s: usize) -> usize {
-        if self.n[s] & SPILLED != 0 {
-            return (self.n[s] & !SPILLED) as usize;
+    /// Slot `s` as `AggAcc`s from now on: its accumulators, one per call.
+    fn spill(&mut self, s: usize) -> &mut [AggAcc] {
+        let k = self.calls.len();
+        if self.n[s] & SPILLED == 0 {
+            let at = self.spilled.len() / k;
+            for call in 0..k {
+                let acc = self.to_acc(s, call);
+                self.spilled.push(acc);
+            }
+            self.n[s] = SPILLED | at as u64;
         }
-        let acc = self.to_acc(s);
-        self.spilled.push(acc);
-        self.n[s] = SPILLED | (self.spilled.len() - 1) as u64;
-        self.spilled.len() - 1
+        let at = (self.n[s] & !SPILLED) as usize;
+        &mut self.spilled[at * k..][..k]
     }
 
-    /// The `AggAcc` untouched or dense slot `s` stands for.
-    fn to_acc(&self, s: usize) -> AggAcc {
+    /// The `AggAcc` of call `call` that untouched or dense slot `s` stands
+    /// for.
+    fn to_acc(&self, s: usize, call: usize) -> AggAcc {
         let n = self.n[s] as usize;
-        match &self.kind {
-            Kind::Count => AggAcc::Count { n: n as i64 },
-            Kind::Sum => AggAcc::Sum { int: 0, float: self.sum.exact(s), saw_float: n > 0, n },
-            Kind::Avg => AggAcc::Avg { sum: self.sum.exact(s), n },
-            &Kind::Var { stddev } => {
+        match &self.calls[call] {
+            fresh if n == 0 => fresh.clone(),
+            AggAcc::Count { .. } => AggAcc::Count { n: n as i64 },
+            AggAcc::Sum { .. } => {
+                AggAcc::Sum { int: 0, float: self.sum.exact(s), saw_float: true, n }
+            }
+            AggAcc::Avg { .. } => AggAcc::Avg { sum: self.sum.exact(s), n },
+            &AggAcc::Var { stddev, .. } => {
                 AggAcc::Var { sum: self.sum.exact(s), sumsq: self.sumsq.exact(s), n, stddev }
             }
-            &Kind::MinMax { want_min } => {
-                let candidates = if n > 0 { vec![Value::Float(self.best[s])] } else { Vec::new() };
-                AggAcc::MinMax { candidates, want_min }
+            &AggAcc::MinMax { want_min, .. } => {
+                AggAcc::MinMax { candidates: vec![Value::Float(self.best[s])], want_min }
             }
-            Kind::Boxed(fresh) => fresh.clone(),
+            AggAcc::Percentile { .. } => unreachable!("a percentile's slots are never dense"),
         }
     }
 
-    /// Slot `s`'s accumulator, taken out of a column that is being consumed.
-    fn take_acc(&mut self, s: usize) -> AggAcc {
+    /// Call `call`'s accumulator of slot `s`, taken out of a column that is
+    /// being consumed.
+    fn take_acc(&mut self, s: usize, call: usize) -> AggAcc {
         match self.n[s] & SPILLED {
-            0 => self.to_acc(s),
+            0 => self.to_acc(s, call),
             _ => {
-                let at = (self.n[s] & !SPILLED) as usize;
+                let at = (self.n[s] & !SPILLED) as usize * self.calls.len() + call;
                 std::mem::replace(&mut self.spilled[at], AggAcc::Count { n: 0 })
             }
         }
     }
 
-    /// Merges a later column of the same aggregate in, its slot `o` into
-    /// slot `slot(o)`: equivalent to having fed its inputs after this
-    /// column's. Into an untouched slot the accumulator moves as it is; into
-    /// a touched one it merges as [`AggAcc::merge`] would. A slot that is
+    /// Merges a later column of the same calls in, its slot `o` into slot
+    /// `slot(o)`: equivalent to having fed its inputs after this column's.
+    /// Into an untouched slot the accumulators move as they are; into a
+    /// touched one they merge as [`AggAcc::merge`] would. A slot that is
     /// dense on one side only (the two columns may be held differently)
-    /// merges as the `AggAcc` it stands for.
+    /// merges as the `AggAcc`s it stands for.
     pub fn absorb(&mut self, slot: impl Fn(usize) -> usize, mut other: AggColumn) -> Result<()> {
+        let k = self.calls.len();
         for o in 0..other.n.len() {
             let (s, theirs) = (slot(o), other.n[o]);
             let mine = self.n[s];
@@ -919,13 +948,17 @@ impl AggColumn {
                 self.merge_dense(s, &other, o);
                 continue;
             }
-            let acc = other.take_acc(o);
             if mine == 0 {
-                self.spilled.push(acc);
-                self.n[s] = SPILLED | (self.spilled.len() - 1) as u64;
+                self.n[s] = SPILLED | (self.spilled.len() / k) as u64;
+                for call in 0..k {
+                    self.spilled.push(other.take_acc(o, call));
+                }
             } else {
-                let at = self.spill(s);
-                self.spilled[at].merge(acc)?;
+                self.spill(s);
+                let at = (self.n[s] & !SPILLED) as usize * k;
+                for call in 0..k {
+                    self.spilled[at + call].merge(other.take_acc(o, call))?;
+                }
             }
         }
         Ok(())
@@ -934,17 +967,15 @@ impl AggColumn {
     /// Whether dense slot `o` of `other` merges into the untouched or dense
     /// slot `s` in place.
     fn merge_fits(&self, s: usize, other: &AggColumn, o: usize) -> bool {
-        let untouched = self.n[s] == 0;
         match self.kind {
-            Kind::Sum | Kind::Avg => untouched || self.sum.merge_fits(s, &other.sum, o),
-            Kind::Var { .. } => {
-                untouched
-                    || (self.sum.merge_fits(s, &other.sum, o)
-                        && self.sumsq.merge_fits(s, &other.sumsq, o))
+            Kind::Moments { sum, sumsq } => {
+                self.n[s] == 0
+                    || ((!sum || self.sum.merge_fits(s, &other.sum, o))
+                        && (!sumsq || self.sumsq.merge_fits(s, &other.sumsq, o)))
             }
-            Kind::Count | Kind::MinMax { .. } => true,
-            // A boxed column's slot is an `AggAcc` once touched.
-            Kind::Boxed(_) => false,
+            Kind::MinMax { .. } => true,
+            // A boxed column's slot is `AggAcc`s once touched.
+            Kind::Boxed => false,
         }
     }
 
@@ -953,16 +984,16 @@ impl AggColumn {
     fn merge_dense(&mut self, s: usize, other: &AggColumn, o: usize) {
         let fresh = self.n[s] == 0;
         match self.kind {
-            Kind::Count => {}
-            Kind::Sum | Kind::Avg if fresh => self.sum.copy(s, &other.sum, o),
-            Kind::Sum | Kind::Avg => self.sum.merge(s, &other.sum, o),
-            Kind::Var { .. } if fresh => {
-                self.sum.copy(s, &other.sum, o);
-                self.sumsq.copy(s, &other.sumsq, o);
-            }
-            Kind::Var { .. } => {
-                self.sum.merge(s, &other.sum, o);
-                self.sumsq.merge(s, &other.sumsq, o);
+            Kind::Moments { sum, sumsq } => {
+                for (yes, mine, theirs) in
+                    [(sum, &mut self.sum, &other.sum), (sumsq, &mut self.sumsq, &other.sumsq)]
+                {
+                    match (yes, fresh) {
+                        (false, _) => {}
+                        (true, true) => mine.copy(s, theirs, o),
+                        (true, false) => mine.merge(s, theirs, o),
+                    }
+                }
             }
             Kind::MinMax { want_min } => {
                 let (best, v) = (&mut self.best[s], other.best[o]);
@@ -970,50 +1001,102 @@ impl AggColumn {
                     *best = v;
                 }
             }
-            Kind::Boxed(_) => unreachable!("a boxed column has no dense slot"),
+            Kind::Boxed => unreachable!("a boxed column has no dense slot"),
         }
         self.n[s] += other.n[o];
     }
 
-    /// The finished values of `slots`, in order, as the column
-    /// [`Column::from_values`] builds from them.
-    pub fn finish(mut self, slots: impl IntoIterator<Item = usize>) -> Result<Column> {
-        let mut out = match self.kind {
-            Kind::Count => Column::Int(Vec::new()),
-            _ => Column::Float(Vec::new()),
-        };
-        for s in slots {
-            out.push(match self.n[s] & SPILLED {
-                0 => self.value(s)?,
-                _ => self.take_acc(s).finish()?,
-            });
-        }
-        // The typed guess held, or the values decide.
-        Ok(match out {
-            Column::Values(values) => Column::from_values(values),
-            empty if empty.is_empty() => Column::empty(),
-            typed => typed,
-        })
+    /// Each call's finished values of `slots`, in order, as the column
+    /// [`Column::from_values`] builds from them; one column per call, in
+    /// the order the calls were given.
+    pub fn finish(
+        mut self,
+        slots: impl IntoIterator<Item = usize, IntoIter: Clone>,
+    ) -> Result<Vec<Column>> {
+        let slots = slots.into_iter();
+        (0..self.calls.len())
+            .map(|call| {
+                let mut out = match self.calls[call] {
+                    AggAcc::Count { .. } => Column::Int(Vec::new()),
+                    _ => Column::Float(Vec::new()),
+                };
+                for s in slots.clone() {
+                    out.push(match self.n[s] & SPILLED {
+                        0 => self.value(s, call)?,
+                        _ => self.take_acc(s, call).finish()?,
+                    });
+                }
+                // The typed guess held, or the values decide.
+                Ok(match out {
+                    Column::Values(values) => Column::from_values(values),
+                    empty if empty.is_empty() => Column::empty(),
+                    typed => typed,
+                })
+            })
+            .collect()
     }
 
-    /// The finished value of untouched or dense slot `s`.
-    fn value(&self, s: usize) -> Result<Value> {
+    /// Call `call`'s finished value of untouched or dense slot `s`, by the
+    /// call's own rule.
+    fn value(&self, s: usize, call: usize) -> Result<Value> {
         let n = self.n[s];
-        Ok(match &self.kind {
-            Kind::Count => Value::Int(n as i64),
-            Kind::Sum | Kind::MinMax { .. } if n == 0 => Value::Null,
-            Kind::Sum => Value::Float(expansion_value(self.sum.partials(s), self.sum.special[s])),
-            Kind::Avg => finish_avg(self.sum.partials(s), self.sum.special[s], n as usize),
-            &Kind::Var { stddev } => finish_var(
-                (self.sum.partials(s), self.sum.special[s]),
-                (self.sumsq.partials(s), self.sumsq.special[s]),
-                n as usize,
-                stddev,
-            ),
-            Kind::MinMax { .. } => Value::Float(self.best[s]),
-            Kind::Boxed(fresh) => return fresh.clone().finish(),
+        let sum = || (self.sum.partials(s), self.sum.special[s]);
+        Ok(match &self.calls[call] {
+            fresh if n == 0 => return fresh.clone().finish(),
+            AggAcc::Count { .. } => Value::Int(n as i64),
+            AggAcc::Sum { .. } => Value::Float(expansion_value(sum().0, sum().1)),
+            AggAcc::Avg { .. } => finish_avg(sum().0, sum().1, n as usize),
+            &AggAcc::Var { stddev, .. } => {
+                let sumsq = (self.sumsq.partials(s), self.sumsq.special[s]);
+                finish_var(sum(), sumsq, n as usize, stddev)
+            }
+            AggAcc::MinMax { .. } => Value::Float(self.best[s]),
+            AggAcc::Percentile { .. } => unreachable!("a percentile's slots are never dense"),
         })
     }
+}
+
+/// Whether `acc` is one of the aggregates an [`AggColumn`] folds from the
+/// moments of its argument: `COUNT`, `SUM`, `AVG`, `VARIANCE`, `STDDEV`.
+fn is_moment(acc: &AggAcc) -> bool {
+    matches!(
+        acc,
+        AggAcc::Count { .. } | AggAcc::Sum { .. } | AggAcc::Avg { .. } | AggAcc::Var { .. }
+    )
+}
+
+/// The [`AggColumn`]s a grouped statement's aggregate calls fold into, as
+/// each column's calls (indices into `names`, ascending), in the order of
+/// their first calls. A `COUNT` / `SUM` / `AVG` / `VARIANCE` / `STDDEV`
+/// call shares the column of the first such call before it that `same_arg`
+/// says reads the same single argument; every other call has a column of
+/// its own. So `AVG(value), MAX(value), STDDEV(value)` fold Σv once, not
+/// twice; the sums are exact, so every call finishes to the bits its own
+/// column would give.
+pub fn agg_column_calls(
+    names: &[&str],
+    same_arg: impl Fn(usize, usize) -> bool,
+) -> Vec<Vec<usize>> {
+    let moment = |i: usize| AggAcc::new(names[i]).is_some_and(|acc| is_moment(&acc));
+    let mut columns: Vec<Vec<usize>> = Vec::new();
+    for i in 0..names.len() {
+        let shared = (columns.iter_mut())
+            .find(|calls| moment(i) && moment(calls[0]) && same_arg(calls[0], i));
+        match shared {
+            Some(calls) => calls.push(i),
+            None => columns.push(vec![i]),
+        }
+    }
+    columns
+}
+
+/// Per-column results (in [`agg_column_calls`]'s order, each in its calls'
+/// order) back in call order.
+pub fn in_call_order<T>(columns: &[Vec<usize>], results: Vec<Vec<T>>) -> Vec<T> {
+    let mut out: Vec<(usize, T)> =
+        (columns.iter().zip(results)).flat_map(|(calls, r)| calls.iter().copied().zip(r)).collect();
+    out.sort_unstable_by_key(|&(call, _)| call);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One step of the MIN/MAX fold: replace the candidate `v` is comparable
@@ -1304,6 +1387,114 @@ mod tests {
         assert_eq!(a.value(), forward.value());
         // And the exact result is right where naive summation drifts.
         assert_eq!(forward.value(), 3.25 + 2.75 + 1e-9 + 0.1 - 0.3);
+    }
+
+    /// The walk before the branch-free step: order the pair by magnitude,
+    /// then subtract, testing every low part before storing it. The oracle
+    /// [`grow_expansion`] is held to.
+    fn ordered_grow(partials: &mut [f64], mut x: f64) -> (usize, f64) {
+        let mut kept = 0;
+        for j in 0..partials.len() {
+            let mut y = partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                partials[kept] = lo;
+                kept += 1;
+            }
+            x = hi;
+        }
+        (kept, x)
+    }
+
+    /// [`ExactSum::add`] over [`ordered_grow`].
+    fn ordered_add(sum: &mut ExactSum, x: f64) {
+        if !x.is_finite() {
+            sum.special += x;
+            return;
+        }
+        let (kept, top) = ordered_grow(&mut sum.partials, x);
+        sum.partials.truncate(kept);
+        sum.partials.push(top);
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// One finite addend (a non-finite one never reaches the walk): a
+    /// random bit pattern, a magnitude near `f64::MAX` (two of them overflow
+    /// mid-walk), a subnormal, a signed zero, a small number, or one that
+    /// cancels a partial of `sum` exactly or nearly.
+    fn addend(s: &mut u64, sum: &ExactSum) -> f64 {
+        let r = xorshift(s);
+        let sign = (r >> 63) << 63;
+        let partial = sum.partials.get((r >> 8) as usize % sum.partials.len().max(1));
+        match r % 8 {
+            // Clearing the exponent's top bit keeps a pattern finite.
+            0 => f64::from_bits(match xorshift(s) {
+                b if f64::from_bits(b).is_finite() => b,
+                b => b & !(1 << 62),
+            }),
+            1 | 2 => f64::from_bits(sign | (0x7FC + (r >> 4) % 3) << 52 | xorshift(s) >> 12),
+            3 => f64::from_bits(sign | xorshift(s) >> 12),
+            4 => f64::from_bits(sign),
+            5 => (xorshift(s) >> 11) as f64 * 2f64.powi((r >> 16) as i32 % 80 - 40),
+            _ => match partial {
+                Some(&p) if p.is_finite() => f64::from_bits((-p).to_bits() ^ ((r >> 20) % 4)),
+                _ => 1.0,
+            },
+        }
+    }
+
+    /// The branch-free walk leaves every expansion as the ordered walk does,
+    /// partial for partial by their bits, and so the same value, over
+    /// 200,000 seeded sequences of [`addend`]s — merges included.
+    #[test]
+    fn branch_free_walk_is_the_ordered_walk_by_bits() {
+        let bits = |sum: &ExactSum| -> Vec<u64> {
+            sum.partials.iter().chain([&sum.special]).map(|p| p.to_bits()).collect()
+        };
+        let mut s = 0x243F_6A88_85A3_08D3;
+        for seq in 0..200_000 {
+            let (mut got, mut want) = (ExactSum::default(), ExactSum::default());
+            for _ in 0..1 + xorshift(&mut s) % 12 {
+                let x = addend(&mut s, &want);
+                got.add(x);
+                ordered_add(&mut want, x);
+                assert_eq!(bits(&got), bits(&want), "sequence {seq}, after {x:e}");
+            }
+            let mut other = ExactSum::default();
+            (0..xorshift(&mut s) % 4).for_each(|_| other.add(addend(&mut s, &want)));
+            got.merge(&other);
+            other.partials.iter().for_each(|&p| ordered_add(&mut want, p));
+            want.special += other.special;
+            assert_eq!(bits(&got), bits(&want), "sequence {seq}, merged");
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "sequence {seq}");
+        }
+    }
+
+    /// An intermediate overflow: `f64::MAX + x` is finite, but TwoSum's
+    /// `hi - x` is not, so its low part is NaN; the walk takes the ordered
+    /// step there and keeps the exact error.
+    #[test]
+    fn an_overflowing_two_sum_takes_the_ordered_step() {
+        let (top, x) = (f64::MAX, -4.190177620931627e307);
+        let hi = top + x;
+        let two_sum = (x - (hi - (hi - x))) + (top - (hi - x));
+        assert!(two_sum.is_nan(), "plain TwoSum gives {two_sum}");
+        let mut got = ExactSum::from_parts(vec![3.6149034303988903e27, top], 0.0);
+        let mut want = got.clone();
+        got.add(x);
+        ordered_add(&mut want, x);
+        assert!(got.partials.contains(&-9.9792015476736e291), "{:?}", got.partials);
+        assert_eq!(got.partials, want.partials);
     }
 
     #[test]

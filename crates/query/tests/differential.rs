@@ -1330,6 +1330,46 @@ fn scan_aggregate_spill_shapes_pinned() {
                 assert_eq!(variant(&fast), variant(&table), "{sql} at partitions={parts}");
             }
         }
+        // All seven calls on `value` in one statement, and `AVG(value * 2)`:
+        // the five moments share one accumulator column (`value * 2` is
+        // another argument, which has its own), and every call's column is
+        // the one it has alone, on both backends at every partition count.
+        let kinds = ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"];
+        let calls: Vec<String> = kinds.iter().map(|k| format!("{k}(value) AS {k}_v")).collect();
+        let sql = format!(
+            "SELECT {keys}, {}, AVG(value * 2) AS twice FROM tsdb GROUP BY {keys}",
+            calls.join(", ")
+        );
+        let query = parse_query(&sql).unwrap();
+        let naive = execute_naive(&backends[0], &query).expect("reference runs");
+        assert_pinned(&backends, &query, &[1, 2, 3], &naive);
+        let width = keys.split(", ").count();
+        for parts in [1, 2, 3] {
+            for catalog in &backends {
+                let run = |sql: &str| {
+                    let query = parse_query(sql).unwrap();
+                    catalog.execute_query_with(&query, ExecOptions::with_partitions(parts)).unwrap()
+                };
+                let all = run(&sql);
+                let alone = |call: &str| {
+                    run(&format!("SELECT {keys}, {call} AS a FROM tsdb GROUP BY {keys}"))
+                };
+                for (c, call) in kinds.iter().map(|k| format!("{k}(value)")).enumerate() {
+                    let one = alone(&call);
+                    assert_eq!(
+                        format!("{:?}", all.columns()[width + c]),
+                        format!("{:?}", one.columns()[width]),
+                        "{call} in {sql} at partitions={parts}"
+                    );
+                }
+                let one = alone("AVG(value * 2)");
+                assert_eq!(
+                    format!("{:?}", all.columns()[width + kinds.len()]),
+                    format!("{:?}", one.columns()[width]),
+                    "AVG(value * 2) in {sql} at partitions={parts}"
+                );
+            }
+        }
     }
 }
 

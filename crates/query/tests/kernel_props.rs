@@ -12,7 +12,7 @@ use explainit_query::kernel::{
     i64_arith_const, mini_from_values, refine_f64_between, refine_f64_cmp, refine_i64_between,
     refine_i64_test, ArithOp, CmpOp, IntArith, Mini,
 };
-use explainit_query::{AggAcc, Value};
+use explainit_query::{AggAcc, Column, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -58,6 +58,92 @@ fn stream_case(code: usize, mag: f64) -> f64 {
         10 => -f64::MAX,
         11..=15 => mag * 10f64.powi(300 - 150 * (code as i32 - 11)),
         _ => f64_case(code, mag),
+    }
+}
+
+/// A column's finished values by their bits (a Float by its bit pattern).
+fn bits(c: &Column) -> Vec<String> {
+    c.iter_values()
+        .map(|v| match v {
+            Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+            v => format!("{v:?}"),
+        })
+        .collect()
+}
+
+/// The `(slot, value)` pushes of the accumulator-column properties, cut
+/// into blocks: each block over the slots its pushes reach (or all of
+/// them), each dense or boxed as bit `b` of `boxed` says (bit 7 for the
+/// merged column).
+struct AggBlocks {
+    pushes: Vec<(usize, f64)>,
+    cuts: Vec<usize>,
+    slots: usize,
+    whole_blocks: bool,
+    boxed: u8,
+}
+
+impl AggBlocks {
+    /// The stream's pushes over `slots` slots, the seven-rung ladder
+    /// spliced in whole at `ladder.1`, every number a signed zero if
+    /// `zeros`.
+    fn new(
+        stream: &[(usize, usize, f64)],
+        slots: usize,
+        cuts: Vec<usize>,
+        ladder: (usize, usize, bool),
+        whole_blocks: bool,
+        zeros: bool,
+        boxed: u8,
+    ) -> AggBlocks {
+        let (ladder_slot, ladder_at, negative) = ladder;
+        let mut pushes: Vec<(usize, f64)> =
+            stream.iter().map(|&(s, code, mag)| (s % slots, stream_case(code, mag))).collect();
+        let rung = |k: i32| {
+            let r = 10f64.powi(300 - 100 * k);
+            if negative {
+                -r
+            } else {
+                r
+            }
+        };
+        let at = ladder_at.min(pushes.len());
+        pushes.splice(at..at, (0..7).map(|k| (ladder_slot % slots, rung(k))));
+        if zeros {
+            for (_, v) in pushes.iter_mut().filter(|(_, v)| !v.is_nan()) {
+                *v = if v.is_sign_negative() { -0.0 } else { 0.0 };
+            }
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pushes.len())).collect();
+        cuts.extend([0, pushes.len()]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        AggBlocks { pushes, cuts, slots, whole_blocks, boxed }
+    }
+
+    fn blocks(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.cuts.windows(2).map(|w| &self.pushes[w[0]..w[1]])
+    }
+
+    /// The calls `names` over one argument, folded block by block into
+    /// columns merged in order; their finished columns, one per call.
+    fn fold(&self, names: &[&str]) -> Vec<Column> {
+        use explainit_query::AggColumn;
+        let dense = |bit: usize| self.boxed >> bit & 1 == 0;
+        let mut merged = AggColumn::new(names, self.slots, dense(7)).expect("known aggregates");
+        for (b, block) in self.blocks().enumerate() {
+            let (lo, hi) = match self.whole_blocks {
+                true => (0, self.slots),
+                false => {
+                    let reach = block.iter().map(|&(s, _)| s);
+                    (reach.clone().min().unwrap_or(0), reach.max().map_or(0, |s| s + 1))
+                }
+            };
+            let mut column = AggColumn::new(names, hi - lo, dense(b)).expect("known aggregates");
+            column.fold(block.iter().map(|&(s, v)| (s - lo, v)));
+            merged.absorb(|o| lo + o, column).expect("merges of these aggregates cannot fail");
+        }
+        merged.finish(0..self.slots).expect("finish")
     }
 }
 
@@ -375,42 +461,11 @@ proptest! {
         zeros in any::<bool>(),
         boxed in any::<u8>(),
     ) {
-        use explainit_query::{AggColumn, Column};
-        let (ladder_slot, ladder_at, negative) = ladder;
-        let mut pushes: Vec<(usize, f64)> =
-            stream.iter().map(|&(s, code, mag)| (s % slots, stream_case(code, mag))).collect();
-        let rung = |k: i32| if negative { -(10f64.powi(300 - 100 * k)) } else { 10f64.powi(300 - 100 * k) };
-        let at = ladder_at.min(pushes.len());
-        pushes.splice(at..at, (0..7).map(|k| (ladder_slot % slots, rung(k))));
-        if zeros {
-            for (_, v) in pushes.iter_mut().filter(|(_, v)| !v.is_nan()) {
-                *v = if v.is_sign_negative() { -0.0 } else { 0.0 };
-            }
-        }
-        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pushes.len())).collect();
-        cuts.extend([0, pushes.len()]);
-        cuts.sort_unstable();
-        cuts.dedup();
-        let blocks: Vec<&[(usize, f64)]> = cuts.windows(2).map(|w| &pushes[w[0]..w[1]]).collect();
-
+        let blocks = AggBlocks::new(&stream, slots, cuts, ladder, whole_blocks, zeros, boxed);
         for name in ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV", "MIN", "MAX"] {
             let fresh = || AggAcc::new(name).expect("known aggregate");
             let mut want: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
-            // Bit `b` boxes block `b` (at most seven), bit 7 the merged column.
-            let dense = |bit: usize| boxed >> bit & 1 == 0;
-            let mut merged = AggColumn::new(name, slots, dense(7)).expect("known aggregate");
-            for (b, block) in blocks.iter().enumerate() {
-                let (lo, hi) = match whole_blocks {
-                    true => (0, slots),
-                    false => {
-                        let reach = block.iter().map(|&(s, _)| s);
-                        (reach.clone().min().unwrap_or(0), reach.max().map_or(0, |s| s + 1))
-                    }
-                };
-                let mut column = AggColumn::new(name, hi - lo, dense(b)).expect("known aggregate");
-                column.fold(block.iter().map(|&(s, v)| (s - lo, v)));
-                merged.absorb(|o| lo + o, column).expect("merges of these aggregates cannot fail");
-
+            for block in blocks.blocks() {
                 let mut accs: Vec<Option<AggAcc>> = (0..slots).map(|_| None).collect();
                 for &(s, v) in block.iter() {
                     accs[s].get_or_insert_with(fresh).push(&[Value::Float(v)]).expect("push");
@@ -427,22 +482,51 @@ proptest! {
                 .into_iter()
                 .map(|acc| acc.unwrap_or_else(fresh).finish().expect("finish"))
                 .collect();
-            let got = merged.finish(0..slots).expect("finish");
             let want = Column::from_values(want);
+            let got = blocks.fold(&[name]).remove(0);
             prop_assert_eq!(
                 std::mem::discriminant(&got),
                 std::mem::discriminant(&want),
                 "{}: {:?} vs {:?}", name, got, want
             );
-            let bits = |c: &Column| -> Vec<String> {
-                c.iter_values()
-                    .map(|v| match v {
-                        Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
-                        v => format!("{v:?}"),
-                    })
-                    .collect()
-            };
-            prop_assert_eq!(bits(&got), bits(&want), "{} over {:?}", name, pushes);
+            prop_assert_eq!(bits(&got), bits(&want), "{} over {:?}", name, blocks.pushes);
+        }
+    }
+
+    /// One column shared by any of `COUNT`, `SUM`, `AVG`, `VARIANCE` and
+    /// `STDDEV` over one argument — the widest kind they need — finishes
+    /// every call to the bits, and the column variant, that the call's own
+    /// column gives: over the same split-and-merged blocks as above, dense
+    /// and boxed, with the expansions that outgrow the inline partials
+    /// spilling (sooner in a shared column: Σv² fills first).
+    #[test]
+    fn a_shared_moments_column_finishes_each_call_as_its_own_column(
+        stream in proptest::collection::vec((0usize..8, 0usize..16, -1e3f64..1e3), 0..80),
+        slots in 1usize..6,
+        cuts in proptest::collection::vec(0usize..90, 0..6),
+        ladder in (0usize..8, 0usize..80, any::<bool>()),
+        whole_blocks in any::<bool>(),
+        zeros in any::<bool>(),
+        boxed in any::<u8>(),
+        calls in 1u8..32,
+    ) {
+        let blocks = AggBlocks::new(&stream, slots, cuts, ladder, whole_blocks, zeros, boxed);
+        let names: Vec<&str> = ["COUNT", "SUM", "AVG", "VARIANCE", "STDDEV"]
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| calls >> i & 1 == 1)
+            .map(|(_, name)| name)
+            .collect();
+        let shared = blocks.fold(&names);
+        prop_assert_eq!(shared.len(), names.len(), "a finished column per call");
+        for (name, got) in names.iter().zip(&shared) {
+            let own = blocks.fold(&[name]).remove(0);
+            prop_assert_eq!(
+                std::mem::discriminant(got),
+                std::mem::discriminant(&own),
+                "{} among {:?}: {:?} vs {:?}", name, names, got, own
+            );
+            prop_assert_eq!(bits(got), bits(&own), "{} among {:?}", name, names);
         }
     }
 

@@ -17,6 +17,16 @@
 //! * values are encoded by their IEEE-754 bit pattern — NaN payloads,
 //!   `-0.0` and the infinities all round-trip bit-identically.
 //!
+//! The encoder writes through a 64-bit accumulator that emits whole bytes.
+//! The decoder ([`decode_into`]) reads one big-endian 8-byte word per step
+//! at a cursor that only moves forward: a run of zero delta-of-delta bits
+//! (a fixed scrape interval) is consumed with one `leading_zeros` per
+//! load, and a value's control bits come from the same load as its
+//! payload whenever both fit. Nothing past the end of the stream is
+//! refused as it is read — it reads as zero — but the cursor is checked
+//! once per point and before any other error is reported, so damaged bytes
+//! fail exactly as a reader that refused every short read would fail them.
+//!
 //! A reader decodes a chunk at exactly one site, [`SealedChunk::decoded`]
 //! — or, for a scan with many undecoded chunks, [`decode_on_pool`], which
 //! runs the same fault, check and decode on the worker pool — and every
@@ -393,73 +403,121 @@ pub fn decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), Storag
 /// to `points` and, given room for them, allocates nothing itself — what
 /// lets a pool worker decode into caller-owned memory, and compaction
 /// decode a run of chunks into one buffer.
+///
+/// The stream is read through [`Bits`], one 8-byte load at a time: a run of
+/// zero delta-of-delta bits takes one `leading_zeros` per load (up to
+/// [`WORD_BITS`] timestamps), and a value's control bits come from the same
+/// load as its reused window's payload whenever the two fit in it. A read
+/// past the end is zero padding, never refused: the cursor is checked once
+/// per point (per run, for a run of equal deltas), before any other error
+/// is reported and at the end, so a stream decodes to the points, or fails
+/// with the error, that a reader refusing every read past the end would
+/// give.
 pub(crate) fn decode_into(
     bytes: &[u8],
     count: usize,
     (ts, vals): &mut (Vec<i64>, Vec<f64>),
 ) -> Result<(), StorageError> {
-    let corrupt = || StorageError::corrupt("chunk", "bit stream shorter than its point count");
     if count == 0 {
         return Err(StorageError::corrupt("chunk", "zero-point chunk"));
     }
-    let mut r = BitReader::new(bytes);
-    let mut prev = r.read_bits(64).ok_or_else(corrupt)? as i64;
+    let mut r = Bits { bytes, pos: 0 };
+    let mut prev = r.read(64) as i64;
     ts.push(prev);
     let mut prev_delta: u64 = 0;
-    for _ in 1..count {
-        let delta = if r.read_bits(1).ok_or_else(corrupt)? == 0 {
-            prev_delta
-        } else if r.read_bits(1).ok_or_else(corrupt)? == 0 {
-            apply_dod(prev_delta, r.read_bits(7).ok_or_else(corrupt)? as i128 - 63)
-        } else if r.read_bits(1).ok_or_else(corrupt)? == 0 {
-            apply_dod(prev_delta, r.read_bits(9).ok_or_else(corrupt)? as i128 - 255)
-        } else if r.read_bits(1).ok_or_else(corrupt)? == 0 {
-            apply_dod(prev_delta, r.read_bits(12).ok_or_else(corrupt)? as i128 - 2047)
-        } else {
-            r.read_bits(64).ok_or_else(corrupt)?
-        };
-        let next = (prev as i128)
-            .checked_add(delta as i128)
-            .filter(|&t| t > prev as i128 && t <= i64::MAX as i128);
-        match next {
-            Some(t) => {
-                prev = t as i64;
-                ts.push(prev);
+    let mut left = count - 1;
+    while left > 0 {
+        r.check()?;
+        let word = r.peek();
+        // A run of zero delta-of-deltas: `run` points `prev_delta` apart.
+        let run = (word.leading_zeros() as usize).min(WORD_BITS).min(left);
+        if run > 0 {
+            let last = prev as i128 + prev_delta as i128 * run as i128;
+            if prev_delta == 0 || last > i64::MAX as i128 {
+                // The cursor just past the run's first bad point.
+                r.pos += match prev_delta {
+                    0 => 1,
+                    d => ((i64::MAX as i128 - prev as i128) / d as i128) as usize + 1,
+                };
+                return Err(r.corrupt(NON_INCREASING));
             }
-            None => return Err(StorageError::corrupt("chunk", "non-increasing timestamp")),
+            // Every point is in range, so wrapping arithmetic is exact.
+            let step = prev_delta as i64;
+            ts.extend((1..=run as i64).map(|k| prev.wrapping_add(step.wrapping_mul(k))));
+            prev = last as i64;
+            r.pos += run;
+            left -= run;
+            continue;
         }
+        // A bucket tag and its payload, or the escape and a raw delta.
+        let (delta, width) = match word >> 60 {
+            0b1000..=0b1011 => (apply_dod(prev_delta, (word >> 55 & 0x7F) as i128 - 63), 9),
+            0b1100 | 0b1101 => (apply_dod(prev_delta, (word >> 52 & 0x1FF) as i128 - 255), 12),
+            0b1110 => (apply_dod(prev_delta, (word >> 48 & 0xFFF) as i128 - 2047), 16),
+            _ => {
+                r.pos += 4;
+                (r.read(64), 0)
+            }
+        };
+        r.pos += width;
+        let next = prev as i128 + delta as i128;
+        if delta == 0 || next > i64::MAX as i128 {
+            return Err(r.corrupt(NON_INCREASING));
+        }
+        prev = next as i64;
+        ts.push(prev);
         prev_delta = delta;
+        left -= 1;
     }
-    let first = r.read_bits(64).ok_or_else(corrupt)?;
-    vals.push(f64::from_bits(first));
-    let mut prev_bits = first;
+    let mut prev_bits = r.read(64);
+    vals.push(f64::from_bits(prev_bits));
     let mut win_lead: u32 = 0;
     let mut win_len: u32 = 0;
     for _ in 1..count {
-        let bits = if r.read_bits(1).ok_or_else(corrupt)? == 0 {
-            prev_bits
-        } else if r.read_bits(1).ok_or_else(corrupt)? == 0 {
+        r.check()?;
+        let word = r.peek();
+        // The bits of `word` that are the stream's (or its padding).
+        let loaded = 64 - (r.pos % 8) as u32;
+        if word >> 63 == 0 {
+            r.pos += 1;
+        } else if word >> 62 == 0b10 {
             if win_len == 0 {
-                return Err(StorageError::corrupt("chunk", "window reuse before any window"));
+                r.pos += 2;
+                return Err(r.corrupt("window reuse before any window"));
             }
-            let payload = r.read_bits(win_len as usize).ok_or_else(corrupt)?;
-            prev_bits ^ (payload << (64 - win_lead - win_len))
+            let payload = match 2 + win_len <= loaded {
+                true => (word << 2) >> (64 - win_len),
+                false => Bits { bytes, pos: r.pos + 2 }.read(win_len),
+            };
+            r.pos += 2 + win_len as usize;
+            prev_bits ^= payload << (64 - win_lead - win_len);
         } else {
-            let lead = r.read_bits(5).ok_or_else(corrupt)? as u32;
-            let len = r.read_bits(6).ok_or_else(corrupt)? as u32 + 1;
+            let lead = (word >> 57 & 0x1F) as u32;
+            let len = (word >> 51 & 0x3F) as u32 + 1;
             if lead + len > 64 {
-                return Err(StorageError::corrupt("chunk", "xor window exceeds 64 bits"));
+                r.pos += 13;
+                return Err(r.corrupt("xor window exceeds 64 bits"));
             }
             win_lead = lead;
             win_len = len;
-            let payload = r.read_bits(len as usize).ok_or_else(corrupt)?;
-            prev_bits ^ (payload << (64 - lead - len))
-        };
-        vals.push(f64::from_bits(bits));
-        prev_bits = bits;
+            let payload = match 13 + len <= loaded {
+                true => (word << 13) >> (64 - len),
+                false => Bits { bytes, pos: r.pos + 13 }.read(len),
+            };
+            r.pos += 13 + len as usize;
+            prev_bits ^= payload << (64 - lead - len);
+        }
+        vals.push(f64::from_bits(prev_bits));
     }
-    Ok(())
+    r.check()
 }
+
+/// What a chunk whose stream ends before its last point fails with.
+const SHORT: &str = "bit stream shorter than its point count";
+
+/// What a chunk whose timestamps do not strictly ascend within `i64` fails
+/// with.
+const NON_INCREASING: &str = "non-increasing timestamp";
 
 fn apply_dod(prev_delta: u64, dod: i128) -> u64 {
     // Wrapping on purpose: a corrupt stream may push outside the valid
@@ -513,42 +571,64 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit stream reader. Each read is one big-endian 8-byte load
-/// at the byte holding the cursor (zero-padded past the end of the
-/// stream), shifted left by the cursor's bit offset, keeping the top `n`
-/// bits; a read wider than [`WORD_BITS`] takes two. `None` past the end.
-struct BitReader<'a> {
+/// An MSB-first bit stream under a cursor that only moves forward. A load
+/// is one big-endian 8-byte read at the byte holding the cursor, shifted
+/// left by the cursor's bit offset: its top `WORD_BITS + 1` bits at least
+/// are the stream's, and zero past its end. No read is refused; the cursor
+/// passes the end iff some read did not fit, which [`Bits::check`] reports.
+struct Bits<'a> {
     bytes: &'a [u8],
-    pos: usize, // bit position
+    /// The cursor, in bits from the start.
+    pos: usize,
 }
 
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
-    }
-
-    fn read_bits(&mut self, n: usize) -> Option<u64> {
-        debug_assert!(n <= 64);
-        if self.pos + n > self.bytes.len() * 8 {
-            return None;
-        }
-        if n > WORD_BITS {
-            let hi = self.read_bits(n - 32)?;
-            return Some((hi << 32) | self.read_bits(32)?);
-        }
-        let rest = &self.bytes[self.pos / 8..];
-        let word = match rest.first_chunk::<8>() {
+impl Bits<'_> {
+    /// The 64 bits from the cursor on, zero past the end.
+    #[inline(always)]
+    fn peek(&self) -> u64 {
+        let at = self.pos / 8;
+        let word = match self.bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
             Some(word) => u64::from_be_bytes(*word),
             None => {
+                let rest = self.bytes.get(at..).unwrap_or_default();
                 let mut word = [0u8; 8];
                 word[..rest.len()].copy_from_slice(rest);
                 u64::from_be_bytes(word)
             }
         };
+        word << (self.pos % 8)
+    }
+
+    /// The next `n <= 64` bits, moving the cursor past them; a read wider
+    /// than [`WORD_BITS`] takes two loads.
+    fn read(&mut self, n: u32) -> u64 {
+        if n > WORD_BITS as u32 {
+            let hi = self.read(n - 32);
+            return (hi << 32) | self.read(32);
+        }
         // `checked_shr` is `None` only for n = 0, whose value is 0.
-        let value = (word << (self.pos % 8)).checked_shr(64 - n as u32).unwrap_or(0);
-        self.pos += n;
-        Some(value)
+        let value = self.peek().checked_shr(64 - n).unwrap_or(0);
+        self.pos += n as usize;
+        value
+    }
+
+    /// Whether the cursor has passed the end: a read did not fit.
+    fn short(&self) -> bool {
+        self.pos > self.bytes.len() * 8
+    }
+
+    /// [`SHORT`] once a read has not fit.
+    fn check(&self) -> Result<(), StorageError> {
+        match self.short() {
+            true => Err(StorageError::corrupt("chunk", SHORT)),
+            false => Ok(()),
+        }
+    }
+
+    /// A corrupt chunk: `detail`, or [`SHORT`] if a read has not fit — the
+    /// failure a reader that refuses every read past the end meets first.
+    fn corrupt(&self, detail: &str) -> StorageError {
+        StorageError::corrupt("chunk", if self.short() { SHORT } else { detail })
     }
 }
 
@@ -644,9 +724,11 @@ mod tests {
         *state
     }
 
-    /// Bits `[start, start + n)` of an MSB-first stream, one bit at a time.
+    /// Bits `[start, start + n)` of an MSB-first stream, one bit at a time,
+    /// zero past its end.
     fn reference_bits(bytes: &[u8], start: usize, n: usize) -> u64 {
-        (start..start + n).fold(0, |v, i| (v << 1) | u64::from((bytes[i / 8] >> (7 - i % 8)) & 1))
+        let bit = |i: usize| bytes.get(i / 8).map_or(0, |b| u64::from(b >> (7 - i % 8) & 1));
+        (start..start + n).fold(0, |v, i| (v << 1) | bit(i))
     }
 
     #[test]
@@ -666,17 +748,23 @@ mod tests {
         let bytes = w.finish();
         let total: usize = writes.iter().map(|&(_, width)| width).sum();
         assert_eq!(bytes.len(), total.div_ceil(8));
-        let mut r = BitReader::new(&bytes);
+        let mut r = Bits { bytes: &bytes, pos: 0 };
         let mut at = 0;
         for (i, &(value, width)) in writes.iter().enumerate() {
             assert_eq!(reference_bits(&bytes, at, width), value, "write {i} on the wire");
-            assert_eq!(r.read_bits(width), Some(value), "read {i}, width {width}");
+            assert_eq!(r.read(width as u32), value, "read {i}, width {width}");
+            assert!(!r.short(), "read {i}, width {width} fits");
             at += width;
         }
-        assert_eq!(r.read_bits(bytes.len() * 8 - total), Some(0), "zero padding");
-        assert_eq!(r.read_bits(1), None);
+        assert_eq!(r.read((bytes.len() * 8 - total) as u32), 0, "zero padding");
+        assert!(r.check().is_ok(), "the last bit is in the stream");
+        assert_eq!(r.read(1), 0);
+        assert!(r.short(), "one bit past the end did not fit");
     }
 
+    /// The rule the decoder's one cursor check rests on: after any read,
+    /// the cursor is past the end iff that read or an earlier one did not
+    /// fit, and what a read returns is the stream's bits, zero past its end.
     #[test]
     fn reads_end_on_the_last_bit_and_not_one_past_it() {
         let mut s = 0x2545_F491_4F6C_DD1D;
@@ -686,30 +774,31 @@ mod tests {
                 // one that leaves a byte to spare.
                 for len in 0..=(offset + width).div_ceil(8) + 1 {
                     let bytes: Vec<u8> = (0..len).map(|_| xorshift(&mut s) as u8).collect();
-                    let mut r = BitReader::new(&bytes);
-                    if offset > len * 8 {
-                        assert_eq!(r.read_bits(offset), None);
-                        continue;
-                    }
-                    assert_eq!(r.read_bits(offset), Some(reference_bits(&bytes, 0, offset)));
-                    let end = offset + width;
                     let case = format!("offset {offset}, width {width}, {len} bytes");
+                    let mut r = Bits { bytes: &bytes, pos: 0 };
+                    assert_eq!(r.read(offset as u32), reference_bits(&bytes, 0, offset), "{case}");
+                    assert_eq!(r.short(), offset > len * 8, "{case}");
+                    let end = offset + width;
+                    let value = reference_bits(&bytes, offset, width);
+                    assert_eq!(r.read(width as u32), value, "{case}");
+                    assert_eq!(r.short(), end > len * 8, "{case}: the read did not fit");
+                    assert_eq!(r.check().is_err(), end > len * 8, "{case}");
                     if end > len * 8 {
-                        assert_eq!(r.read_bits(width), None, "{case}");
+                        match r.corrupt("another fault") {
+                            StorageError::Corrupt { detail, .. } => assert_eq!(detail, SHORT),
+                            other => panic!("{case}: {other:?}"),
+                        }
                         continue;
                     }
-                    let value = reference_bits(&bytes, offset, width);
-                    assert_eq!(r.read_bits(width), Some(value), "{case}");
                     // The rest of the stream (nothing when the read itself
                     // ended on the last bit), then one bit past it.
                     let rest = len * 8 - end;
-                    assert_eq!(
-                        r.read_bits(rest),
-                        Some(reference_bits(&bytes, end, rest)),
-                        "{case}"
-                    );
-                    assert_eq!(r.read_bits(1), None, "{case}: one bit past the end");
-                    assert_eq!(r.read_bits(0), Some(0), "{case}");
+                    assert_eq!(r.read(rest as u32), reference_bits(&bytes, end, rest), "{case}");
+                    assert!(!r.short(), "{case}: the stream's last bit fits");
+                    assert_eq!(r.read(0), 0, "{case}");
+                    assert!(!r.short(), "{case}: an empty read fits");
+                    assert_eq!(r.read(1), 0, "{case}: one bit past the end reads as padding");
+                    assert!(r.short(), "{case}: one bit past the end");
                 }
             }
         }

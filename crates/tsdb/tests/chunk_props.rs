@@ -188,6 +188,273 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The decoder against the reader it replaced
+// ---------------------------------------------------------------------------
+
+/// MSB-first bit reader that refuses every read past the end: one
+/// big-endian 8-byte load per read of up to 56 bits, two for a wider one.
+/// The store's decoder before the single-load one, kept as its oracle.
+struct ReferenceReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl ReferenceReader<'_> {
+    fn read_bits(&mut self, n: usize) -> Option<u64> {
+        if self.pos + n > self.bytes.len() * 8 {
+            return None;
+        }
+        if n > 56 {
+            let hi = self.read_bits(n - 32)?;
+            return Some((hi << 32) | self.read_bits(32)?);
+        }
+        let rest = &self.bytes[self.pos / 8..];
+        let mut word = [0u8; 8];
+        let take = rest.len().min(8);
+        word[..take].copy_from_slice(&rest[..take]);
+        let value = (u64::from_be_bytes(word) << (self.pos % 8)).checked_shr(64 - n as u32);
+        self.pos += n;
+        Some(value.unwrap_or(0))
+    }
+}
+
+/// The chunk decoder as it read the stream before the single-load decoder:
+/// every field through [`ReferenceReader`], every read checked.
+fn reference_decode(bytes: &[u8], count: usize) -> Result<(Vec<i64>, Vec<f64>), StorageError> {
+    let corrupt =
+        |detail: &str| StorageError::Corrupt { what: "chunk".into(), detail: detail.into() };
+    let short = || corrupt("bit stream shorter than its point count");
+    if count == 0 {
+        return Err(corrupt("zero-point chunk"));
+    }
+    let apply_dod = |prev_delta: u64, dod: i128| (prev_delta as i128).wrapping_add(dod) as u64;
+    let mut r = ReferenceReader { bytes, pos: 0 };
+    let (mut ts, mut vals) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    let mut prev = r.read_bits(64).ok_or_else(short)? as i64;
+    ts.push(prev);
+    let mut prev_delta: u64 = 0;
+    for _ in 1..count {
+        let delta = if r.read_bits(1).ok_or_else(short)? == 0 {
+            prev_delta
+        } else if r.read_bits(1).ok_or_else(short)? == 0 {
+            apply_dod(prev_delta, r.read_bits(7).ok_or_else(short)? as i128 - 63)
+        } else if r.read_bits(1).ok_or_else(short)? == 0 {
+            apply_dod(prev_delta, r.read_bits(9).ok_or_else(short)? as i128 - 255)
+        } else if r.read_bits(1).ok_or_else(short)? == 0 {
+            apply_dod(prev_delta, r.read_bits(12).ok_or_else(short)? as i128 - 2047)
+        } else {
+            r.read_bits(64).ok_or_else(short)?
+        };
+        let next = (prev as i128)
+            .checked_add(delta as i128)
+            .filter(|&t| t > prev as i128 && t <= i64::MAX as i128);
+        match next {
+            Some(t) => {
+                prev = t as i64;
+                ts.push(prev);
+            }
+            None => return Err(corrupt("non-increasing timestamp")),
+        }
+        prev_delta = delta;
+    }
+    let first = r.read_bits(64).ok_or_else(short)?;
+    vals.push(f64::from_bits(first));
+    let mut prev_bits = first;
+    let mut win_lead: u32 = 0;
+    let mut win_len: u32 = 0;
+    for _ in 1..count {
+        let bits = if r.read_bits(1).ok_or_else(short)? == 0 {
+            prev_bits
+        } else if r.read_bits(1).ok_or_else(short)? == 0 {
+            if win_len == 0 {
+                return Err(corrupt("window reuse before any window"));
+            }
+            let payload = r.read_bits(win_len as usize).ok_or_else(short)?;
+            prev_bits ^ (payload << (64 - win_lead - win_len))
+        } else {
+            let lead = r.read_bits(5).ok_or_else(short)? as u32;
+            let len = r.read_bits(6).ok_or_else(short)? as u32 + 1;
+            if lead + len > 64 {
+                return Err(corrupt("xor window exceeds 64 bits"));
+            }
+            win_lead = lead;
+            win_len = len;
+            let payload = r.read_bits(len as usize).ok_or_else(short)?;
+            prev_bits ^ (payload << (64 - lead - len))
+        };
+        vals.push(f64::from_bits(bits));
+        prev_bits = bits;
+    }
+    Ok((ts, vals))
+}
+
+/// A decode's outcome in a comparable form: the points by their bits, or
+/// the error's variant and message.
+fn outcome(
+    decoded: Result<(Vec<i64>, Vec<f64>), StorageError>,
+) -> Result<(Vec<i64>, Vec<u64>), String> {
+    match decoded {
+        Ok((ts, vals)) => Ok((ts, vals.iter().map(|v| v.to_bits()).collect())),
+        Err(e @ StorageError::Corrupt { .. }) => Err(format!("Corrupt: {e}")),
+        Err(e) => Err(format!("other: {e}")),
+    }
+}
+
+/// The store's decoder and [`reference_decode`] agree on `bytes`, by the
+/// bits of every point or by the error.
+fn agrees_with_reference(bytes: &[u8], count: usize) -> Result<(), String> {
+    let (got, want) = (outcome(decode(bytes, count)), outcome(reference_decode(bytes, count)));
+    match got == want {
+        true => Ok(()),
+        false => Err(format!("{count} points over {} bytes: {got:?} vs {want:?}", bytes.len())),
+    }
+}
+
+/// `n` values whose XORs mostly open or reuse windows 55 to 64 bits wide,
+/// so a reused payload does not fit beside its control bits in one load,
+/// nor does a new window's after its 13 header bits; one in eight repeats.
+fn wide_windows(n: usize, seed: u64) -> Vec<f64> {
+    let mut s = seed | 1;
+    let mut bits = xorshift(&mut s);
+    let (mut lead, mut len) = (0u32, 64u32);
+    let mut vals = vec![f64::from_bits(bits)];
+    for _ in 1..n {
+        let r = xorshift(&mut s);
+        if r.is_multiple_of(8) {
+            vals.push(f64::from_bits(bits));
+            continue;
+        }
+        if r % 8 < 4 {
+            // A new window: both of its end bits set.
+            len = 55 + (r >> 8) as u32 % 10;
+            lead = (r >> 16) as u32 % (65 - len).min(32);
+        }
+        let mask = u64::MAX >> (64 - len) << (64 - lead - len);
+        let ends = 1u64 << (63 - lead) | 1u64 << (64 - lead - len);
+        let xor = match r % 8 < 4 {
+            true => (xorshift(&mut s) & mask) | ends,
+            // Inside the last window, so the encoder reuses it.
+            false => (xorshift(&mut s) & mask).max(1u64 << (64 - lead - len)),
+        };
+        bits ^= xor;
+        vals.push(f64::from_bits(bits));
+    }
+    vals
+}
+
+/// The corpus the decoder is held to the reference on: the pinned encoder
+/// corpus (aligned grid, irregular deltas, i64 extremes, NaN payloads and
+/// ±0, the 2048-point walk with raw escapes), wide XOR windows, and
+/// hostile runs.
+fn decoder_corpus() -> Vec<(Vec<i64>, Vec<f64>)> {
+    let grid_ts: Vec<i64> = (0..500).map(|i| 1_600_000_000 + i * 60).collect();
+    let grid_vals: Vec<f64> = (0..500).map(|i| (i % 7) as f64).collect();
+    let nan_vals = vec![
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0x7ff4_dead_beef_cafe),
+        f64::from_bits(0xfff8_0000_0000_0000),
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let extreme_ts = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let mut corpus = vec![
+        (grid_ts, grid_vals),
+        (
+            vec![0, 1, 100, 101, 1_000_000, 1_000_060, i64::MAX / 2],
+            vec![1.0, -1.0, 3.5e300, -3.5e-300, 0.1, 0.1, 7.0],
+        ),
+        (extreme_ts, vec![1.5; 7]),
+        ((0..7).collect(), nan_vals),
+        random_walk(CHUNK_MAX_POINTS, 0x9E37_79B9_7F4A_7C15),
+    ];
+    for seed in 1..=2u64 {
+        let ts: Vec<i64> = (0..100).map(|i| i * 60).collect();
+        corpus.push((ts, wide_windows(100, seed)));
+        corpus.push(hostile_run(100, seed * 0x9E37_79B9));
+    }
+    corpus
+}
+
+/// Every stream the corpus encodes to decodes to the reference's points or
+/// fails with its error, read for its point count, one fewer, one more and
+/// none; so does every cut and every single bit flip of each stream but
+/// the 2048-point walk's (16 KB), whose first 200 points stand in for it.
+#[test]
+fn decoder_matches_the_reference_reader_on_the_corpus_every_flip_and_every_cut() {
+    let mut corpus = decoder_corpus();
+    corpus.push(random_walk(200, 7));
+    for (ts, vals) in corpus {
+        let bytes = encode(&ts, &vals);
+        let n = ts.len();
+        for count in [n, n - 1, n + 1, 0] {
+            agrees_with_reference(&bytes, count).unwrap_or_else(|e| panic!("intact: {e}"));
+        }
+        if n == CHUNK_MAX_POINTS {
+            continue;
+        }
+        for cut in 0..bytes.len() {
+            agrees_with_reference(&bytes[..cut], n).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            agrees_with_reference(&flipped, n).unwrap_or_else(|e| panic!("bit {bit}: {e}"));
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+        }
+    }
+}
+
+/// Wide windows decode through the two-load paths, against the reference.
+#[test]
+fn windows_of_55_to_64_bits_round_trip() {
+    for seed in 1..=16u64 {
+        let vals = wide_windows(2000, seed);
+        let ts: Vec<i64> = (0..2000).collect();
+        assert_round_trip(&ts, &vals).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        agrees_with_reference(&encode(&ts, &vals), ts.len()).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+proptest! {
+    /// Arbitrary runs, then arbitrary damage — a cut, a few flipped bits, a
+    /// wrong point count, or random bytes — decode as the reference does.
+    #[test]
+    fn decoder_matches_the_reference_reader(
+        seed in any::<u64>(),
+        n in 1usize..400,
+        wide in any::<bool>(),
+        damage in (0u8..5, any::<u64>(), proptest::collection::vec(any::<u64>(), 1..4)),
+    ) {
+        let (ts, mut vals) = hostile_run(n, seed);
+        if wide {
+            vals = wide_windows(n, seed);
+        }
+        let mut bytes = encode(&ts, &vals);
+        let mut count = n;
+        let (kind, at, bits) = damage;
+        match kind {
+            0 => bytes.truncate((at % (bytes.len() as u64 + 1)) as usize),
+            1 => {
+                for bit in &bits {
+                    let bit = (bit % (bytes.len() as u64 * 8)) as usize;
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                }
+            }
+            2 => count = (at % (2 * n as u64 + 2)) as usize,
+            3 => {
+                let random = bits.iter().flat_map(|b| b.to_be_bytes());
+                bytes = random.take(1 + (at % 32) as usize).collect();
+            }
+            _ => {}
+        }
+        let agreed = agrees_with_reference(&bytes, count);
+        prop_assert!(agreed.is_ok(), "{}", agreed.unwrap_err());
+    }
+}
+
 // Pinned corner cases the generators cannot be trusted to hit every run.
 
 #[test]
