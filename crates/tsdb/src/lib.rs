@@ -29,8 +29,8 @@
 //! directory managed by the [`storage`] engine (append-only WAL +
 //! immutable compressed segment files) and recovers whatever is there —
 //! including after a crash: torn WAL tails truncate to the last committed
-//! record, in-flight segment writes are discarded, and half-finished
-//! compactions roll forward. A checksummed WAL record that does not
+//! record, in-flight segment writes are discarded, and the files a
+//! committed segment superseded are deleted. A checksummed WAL record that does not
 //! decode is no crash but foreign bytes: the open fails with
 //! [`StorageError::Corrupt`] and the log is left as it was. That directory is the store's only on-disk
 //! form: whatever reads a store back from disk goes through `Tsdb::open*`.
@@ -43,12 +43,15 @@
 //!   after the next `sync()` or `flush()`.
 //! * **[`Tsdb::flush`]** is the durability point: it fsyncs the WAL,
 //!   writes in-memory heads as delta-of-delta + XOR compressed chunks of
-//!   a new segment file, adopts them from it (a failed write changes
-//!   nothing in memory), truncates the WAL, and auto-compacts when small
-//!   segments accumulate. Compaction ([`Tsdb::compact`] on demand) folds
-//!   every segment into one, adopted the same way, and merges each series'
-//!   round-sized chunks into chunks of up to [`storage::CHUNK_MAX_POINTS`]
-//!   points.
+//!   one new segment file, which supersedes the segments retention
+//!   expired, adopts them from it (a failed write changes nothing in
+//!   memory), truncates the WAL and deletes the superseded files. A flush
+//!   *compacts* when small segments accumulate, when a write landed in a
+//!   series' sealed range, and always under [`Tsdb::compact`]: its one
+//!   segment then holds every series, each series' round-sized chunks
+//!   merged into chunks of up to [`storage::CHUNK_MAX_POINTS`] points, and
+//!   supersedes every other segment — so no two segments ever hold
+//!   overlapping chunks, and an open that finds two is `Corrupt`.
 //! * **Scans** over a reopened store decode chunks *lazily*: `scan_parts*`
 //!   prunes on chunk `[min_ts, max_ts]` metadata and only decompresses
 //!   chunks overlapping the query's time range ([`Tsdb::decode_count`]
@@ -71,21 +74,21 @@
 //! blocks a scan hands out, and one object — the pager — counts the
 //! faults, the evictions and the decodes.
 //!
-//! Every sealed chunk is a chunk of a live segment; those a flush or a
-//! compaction just wrote start Paged, with no fault counted.
+//! Every sealed chunk is a chunk of a live segment; those a flush just
+//! wrote start Paged, with no fault counted.
 //! [`StorageOptions::page_budget_bytes`] bounds pages plus blocks: when a
 //! fault, a decode or a written page pushes them over budget, a clock
 //! (second chance) sweep evicts slots' blocks and pages back to Cold,
 //! behind `&self` on any handle. Scan slices hold their blocks, so they
 //! stay valid through eviction. All of it is observable via
 //! [`Tsdb::storage_stats`]: `resident_bytes`, `resident_chunk_bytes`,
-//! `peak_resident_chunk_bytes`, `page_faults`, `evictions`. Only runs
-//! recovery merged from overlapping segments are pinned; with no budget
-//! (the default) nothing ever evicts.
+//! `peak_resident_chunk_bytes`, `page_faults`, `evictions`. Nothing is
+//! pinned; with no budget (the default) nothing ever evicts.
 //!
 //! [`StorageOptions::retention`] drops whole segments — file and all, and
 //! their chunks in memory by segment id — whose newest point fell behind
-//! the retention window, by metadata alone, at open and after every flush.
+//! the retention window, by metadata alone: at open, and at every flush,
+//! whose segment supersedes them.
 //!
 //! # Locking discipline
 //!

@@ -109,9 +109,8 @@ impl fmt::Display for SeriesKey {
 /// * The **sealed tier**: immutable compressed chunks (see
 ///   [`crate::storage::chunk`]), each a chunk of a live segment: recovered
 ///   from the segment files, or adopted from the segment a `Tsdb::flush`
-///   or a compaction just wrote. Sealed chunks are strictly ascending and
-///   time-disjoint, and every head point lies after the last sealed
-///   timestamp.
+///   just wrote. Sealed chunks are strictly ascending and time-disjoint,
+///   and every head point lies after the last sealed timestamp.
 ///
 /// All read accessors present the *logical* series — the sealed tier is a
 /// representation detail. There is one read path: [`Series::points`] walks
@@ -134,8 +133,10 @@ impl fmt::Display for SeriesKey {
 /// * **Out-of-order** arrivals insert sorted (O(n) in the head). If the
 ///   timestamp lands at or before the last *sealed* timestamp, the series
 ///   first unseals: sealed chunks hydrate into the head and the sealed
-///   tier empties, after which the same rules apply. A later flush re-seals
-///   and supersedes the stale on-disk chunks. A sealed chunk that cannot
+///   tier empties, after which the same rules apply. The series is then
+///   *unsealed* until a flush adopts it again, and that flush rewrites
+///   every series into one segment superseding all the others, so no stale
+///   copy of the range stays on disk. A sealed chunk that cannot
 ///   be read makes the push an error and leaves the series as it was: an
 ///   unseal that skipped it would drop its points, and the next flush
 ///   would make the loss durable.
@@ -149,6 +150,10 @@ pub struct Series {
     timestamps: Vec<i64>,
     /// Head values, parallel to `timestamps`.
     values: Vec<f64>,
+    /// Set when the sealed tier moved into the head since the series last
+    /// adopted a segment's chunks: its head then overlaps what its old
+    /// segments hold.
+    unsealed: bool,
 }
 
 /// Logical equality: two series are equal when their keys and *contents*
@@ -167,7 +172,7 @@ impl PartialEq for Series {
 impl Series {
     /// Creates an empty series.
     pub fn new(key: SeriesKey) -> Self {
-        Series { key, sealed: Vec::new(), timestamps: Vec::new(), values: Vec::new() }
+        Series::from_storage(key, Vec::new())
     }
 
     /// Rebuilds a series from recovered segment chunks (ascending,
@@ -175,7 +180,7 @@ impl Series {
     /// directory metadata is resident until a scan touches them.
     pub(crate) fn from_storage(key: SeriesKey, sealed: Vec<SealedChunk>) -> Self {
         debug_assert!(sealed.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
-        Series { key, sealed, timestamps: Vec::new(), values: Vec::new() }
+        Series { key, sealed, timestamps: Vec::new(), values: Vec::new(), unsealed: false }
     }
 
     /// Appends or overwrites the observation at `ts` — see the insert
@@ -231,9 +236,10 @@ impl Series {
 
     /// Makes `ts` writable: when it lands at or before the last sealed
     /// timestamp, hydrates the sealed tier into the head and empties it,
-    /// so the series is mutable anywhere in its range again. Every sealed
-    /// chunk is read before anything changes, so a chunk that cannot be
-    /// read is the error and the series stays as it was.
+    /// so the series is mutable anywhere in its range again, and marks it
+    /// unsealed. Every sealed chunk is read before anything changes, so a
+    /// chunk that cannot be read is the error and the series stays as it
+    /// was.
     pub(crate) fn unseal_for(&mut self, ts: i64) -> Result<(), StorageError> {
         if self.sealed.last().is_none_or(|c| ts > c.meta.max_ts) {
             return Ok(());
@@ -249,7 +255,14 @@ impl Series {
         values.extend_from_slice(&self.values);
         (self.timestamps, self.values) = (timestamps, values);
         self.sealed.clear();
+        self.unsealed = true;
         Ok(())
+    }
+
+    /// Whether the series unsealed since it last adopted chunks
+    /// ([`Series::unseal_for`], [`Series::adopt`]).
+    pub(crate) fn unsealed(&self) -> bool {
+        self.unsealed
     }
 
     /// Encodes the head into chunks for a segment write and empties it, so
@@ -277,19 +290,17 @@ impl Series {
         Ok(())
     }
 
-    /// Takes in `chunks`, this series' part of a segment just written that
+    /// Takes in `chunks`, this series' part of a segment write that
     /// supersedes the segments `superseded`: their chunks leave the sealed
-    /// tier and `chunks` join its end. A flush supersedes nothing (the
-    /// chunks are its taken head); a compaction supersedes every segment.
+    /// tier, `chunks` join its end, and the series is sealed again. A
+    /// flush's chunks are its taken head, and it supersedes the expired
+    /// segments; a compacting flush's are the whole series, and it
+    /// supersedes every segment.
     pub(crate) fn adopt(&mut self, superseded: &[u64], chunks: Vec<SealedChunk>) {
-        self.drop_segments(superseded);
+        self.sealed.retain(|c| !superseded.contains(&c.segment_id()));
         self.sealed.extend(chunks);
+        self.unsealed = false;
         debug_assert!(self.sealed.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts));
-    }
-
-    /// Drops the sealed chunks of the segments `ids`.
-    pub(crate) fn drop_segments(&mut self, ids: &[u64]) {
-        self.sealed.retain(|c| !ids.contains(&c.segment_id()));
     }
 
     /// The sealed chunks (ascending, disjoint) — the lazy scan path.

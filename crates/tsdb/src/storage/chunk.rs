@@ -96,43 +96,31 @@ impl DecodedBlock {
     }
 }
 
-/// A compressed chunk held by a sealed series: its pruning metadata, the
-/// segment it belongs to and its [`PageSlot`], which every clone of the
-/// series shares. The slot is the chunk's one residency state: the
-/// compressed bytes, demand-paged from the segment file (Cold → Paged, with
-/// clock eviction back to Cold), and the decoded block on top, which the
-/// clock evicts too. Only a run recovery re-encoded from overlapping
-/// segments keeps its page pinned: no one file holds those bytes.
+/// A compressed chunk held by a sealed series: its pruning metadata and
+/// its [`PageSlot`], which every clone of the series shares. The slot is
+/// the chunk's one residency state: the compressed bytes, demand-paged
+/// from the segment file that holds them (Cold → Paged, with clock
+/// eviction back to Cold), and the decoded block on top, which the clock
+/// evicts too.
 #[derive(Debug, Clone)]
 pub struct SealedChunk {
     /// Pruning metadata (also used to maintain the sealed-tier ordering
     /// invariant without touching the payload).
     pub meta: ChunkMeta,
-    /// The segment the chunk expires with: the one it pages from, or for a
-    /// recovery-merged run the source retention expires last.
-    segment_id: u64,
     slot: Arc<PageSlot>,
 }
 
 impl SealedChunk {
-    /// A run recovery merged from overlapping segments: its bytes have no
-    /// on-disk home of their own, so the slot's page is pinned resident,
-    /// and it expires with `segment_id`.
-    pub(crate) fn new(chunk: EncodedChunk, segment_id: u64, pager: &Arc<Pager>) -> Self {
-        SealedChunk { meta: chunk.meta, segment_id, slot: pager.slot_resident(chunk.bytes) }
-    }
-
     /// A chunk recovered from a segment file, starting Cold: only `meta`
     /// is resident; the compressed bytes fault in on first touch.
     pub fn cold(meta: ChunkMeta, cold: ColdRef, pager: &Arc<Pager>) -> Self {
-        SealedChunk { meta, segment_id: cold.segment_id, slot: pager.slot_cold(cold) }
+        SealedChunk { meta, slot: pager.slot_cold(cold) }
     }
 
     /// A chunk just written to the segment `cold` points into, starting
     /// Paged with the written bytes ([`Pager::slot_paged`]).
     pub(crate) fn paged(chunk: EncodedChunk, cold: ColdRef, pager: &Arc<Pager>) -> Self {
-        let segment_id = cold.segment_id;
-        SealedChunk { meta: chunk.meta, segment_id, slot: pager.slot_paged(cold, chunk.bytes) }
+        SealedChunk { meta: chunk.meta, slot: pager.slot_paged(cold, chunk.bytes) }
     }
 
     /// True when the chunk's time span intersects the inclusive `[lo, hi]`
@@ -161,10 +149,10 @@ impl SealedChunk {
         self.slot.block()
     }
 
-    /// The id of the segment the chunk expires with (retention drops
-    /// chunks by it).
+    /// The id of the segment the chunk pages from (a write that
+    /// supersedes the segment drops the chunk by it).
     pub fn segment_id(&self) -> u64 {
-        self.segment_id
+        self.slot.cold().segment_id
     }
 
     /// The chunk in segment-writer form, paging the bytes in if cold.
@@ -175,7 +163,7 @@ impl SealedChunk {
 
 /// Where a pooled decode job's compressed bytes come from.
 enum Page {
-    /// Already resident (pinned, or paged in before the scan).
+    /// Already resident (paged in before the scan).
     Resident(Arc<Vec<u8>>),
     /// Cold: the buffer the worker reads the page into.
     Cold(Vec<u8>),
@@ -210,10 +198,7 @@ impl<'a> DecodeJob<'a> {
         let bytes = match page {
             Page::Resident(bytes) => &bytes[..],
             Page::Cold(buf) => {
-                let cold = chunk.slot.cold().ok_or_else(|| {
-                    StorageError::corrupt("chunk", "pinned chunk lost its resident bytes")
-                })?;
-                cold.read_into(buf)?;
+                chunk.slot.cold().read_into(buf)?;
                 &buf[..]
             }
         };
@@ -881,13 +866,13 @@ mod tests {
             let path = dir.join("payloads");
             let mut bytes = std::fs::read(&path).expect("read");
             for damaged in [9, 5] {
-                let ColdRef { offset, .. } = chunks[damaged].slot.cold().expect("cold");
+                let ColdRef { offset, .. } = chunks[damaged].slot.cold();
                 bytes[*offset as usize] ^= 0x10;
             }
             std::fs::write(&path, &bytes).expect("flip");
             let refs: Vec<&SealedChunk> = chunks.iter().collect();
             let err = decode_on_pool(&refs, 2, &pager).expect_err("a damaged chunk is an error");
-            let offset = chunks[5].slot.cold().expect("cold").offset;
+            let offset = chunks[5].slot.cold().offset;
             assert_eq!(
                 err.to_string(),
                 format!("corrupt segment 0 chunk at offset {offset}: chunk checksum mismatch"),
@@ -911,11 +896,10 @@ mod tests {
 
     #[test]
     fn decode_counter_counts_once_per_chunk() {
-        let pager = Pager::unbounded();
-        let chunks = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
-        let sealed = SealedChunk::new(chunks[0].clone(), 0, &pager);
-        assert_eq!(sealed.decoded().expect("decode").timestamps, [0, 60, 120]);
-        assert_eq!(sealed.decoded().expect("cached").values, [1.0, 2.0, 3.0]);
+        let (dir, pager, chunks, expected, _) = cold_chunks("decode-count", 1, None);
+        assert_eq!(chunks[0].decoded().expect("decode").timestamps, expected[0].0);
+        assert_eq!(chunks[0].decoded().expect("cached").values, expected[0].1);
         assert_eq!(pager.decode_count(), 1, "second access hits the cache");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

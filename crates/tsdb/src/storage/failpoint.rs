@@ -33,8 +33,9 @@ pub enum Point {
     /// After fsyncing the directory (everything durable, flush still
     /// reports failure — the pure "crash after the work" case).
     SegmentDirSync,
-    /// Mid-compaction, before deleting the superseded segment files (the
-    /// merged segment is durable; its inputs still exist on disk).
+    /// After a segment write committed, before deleting the files of the
+    /// segments it superseded (the new segment is durable; the superseded
+    /// files still exist on disk).
     CompactDelete,
 }
 

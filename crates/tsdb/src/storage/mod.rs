@@ -24,11 +24,15 @@
 //! worker pool when a scan has many of them. A chunk that cannot be read
 //! is an error of the scan that touched it. `try_insert` appends to the
 //! WAL and the in-memory head; [`crate::Tsdb::flush`] makes everything
-//! durable by writing the heads as a new segment, adopting its chunks and
-//! truncating the WAL (auto-compacting when small segments pile up).
-//! Every sealed chunk in memory is a chunk of a live segment. Crash
-//! recovery invariants live in [`recover`]; the exact byte formats in
-//! [`wal`] and [`segment`].
+//! durable with one segment write, which says in its header what it
+//! supersedes: the heads, superseding the segments retention expired — or,
+//! when small segments pile up or a write landed in a sealed range, every
+//! series re-chunked ([`compact::rechunk`]), superseding every segment.
+//! It adopts the chunks it wrote, truncates the WAL and deletes the
+//! superseded files. Every sealed chunk in memory is a chunk of a live
+//! segment, and no two live segments hold overlapping chunks of a series.
+//! Crash recovery invariants live in [`recover`]; the exact byte formats
+//! in [`wal`] and [`segment`].
 
 pub mod chunk;
 pub mod compact;
@@ -46,8 +50,8 @@ use chunk::EncodedChunk;
 pub use chunk::{ChunkMeta, SealedChunk, CHUNK_MAX_POINTS};
 pub use pager::Pager;
 
-/// Number of sealed segments that triggers an automatic small-segment
-/// merge at the end of [`crate::Tsdb::flush`].
+/// Number of live segments a [`crate::Tsdb::flush`] would leave that makes
+/// it compact: its one write then rewrites every series instead.
 pub const AUTO_COMPACT_SEGMENTS: usize = 8;
 
 /// A typed storage failure. I/O problems keep their source error and the
@@ -137,7 +141,7 @@ pub struct StorageStats {
     pub chunks: usize,
     /// Current WAL length in bytes (committed records only).
     pub wal_bytes: u64,
-    /// Segment ids reclaimed by compaction/supersession since open — the
+    /// Segment ids reclaimed by supersession or retention since open — the
     /// freelist: their files are deleted and the ids are never reused
     /// (ids stay monotone so `supersedes` references are unambiguous
     /// across crashes).
@@ -146,8 +150,8 @@ pub struct StorageStats {
     /// decoded blocks the chunks' page slots hold. A block a scan still
     /// reads after the clock evicted it from its slot is not counted.
     pub resident_bytes: u64,
-    /// Compressed chunk bytes currently resident (pinned + paged-in, and
-    /// the pages a pooled decode holds in flight).
+    /// Compressed chunk bytes currently resident (paged in, and the pages
+    /// a pooled decode holds in flight).
     pub resident_chunk_bytes: u64,
     /// High-water mark of `resident_chunk_bytes` since open — the number
     /// the paging gate checks against `1.25 × page_budget_bytes`.
@@ -193,21 +197,14 @@ pub struct Storage {
     pub segments: Vec<SegmentHandle>,
     /// Next segment id (monotone; never reuses freed ids).
     pub next_segment_id: u64,
-    /// Ids whose files were reclaimed (superseded by compaction).
+    /// Ids whose files were reclaimed (superseded by a write, or expired).
     pub freelist: Vec<u64>,
-    /// The options this store was opened with (flush applies
-    /// `options.retention` after each successful segment write).
+    /// The options this store was opened with (each flush's write
+    /// supersedes the segments `options.retention` expired).
     pub options: StorageOptions,
 }
 
 impl Storage {
-    /// Allocates the next monotone segment id.
-    pub fn take_segment_id(&mut self) -> u64 {
-        let id = self.next_segment_id;
-        self.next_segment_id += 1;
-        id
-    }
-
     /// Whether this handle may mutate the directory.
     pub fn is_read_only(&self) -> bool {
         self.wal.is_none()
@@ -221,15 +218,18 @@ impl Storage {
         }
     }
 
-    /// The one way a segment joins the store, a flush's and a
-    /// compaction's alike: writes `view` (the series at `order`, with their
-    /// chunks) as a segment superseding `supersedes` and reads its
-    /// directory back. Only then do the segment list and the freelist
-    /// change, and each series adopts its chunks, Paged with the bytes just
-    /// written ([`Series::adopt`]). Returns the superseded handles. On a
-    /// failure memory is unchanged, and what the write left on disk — the
-    /// `.tmp`, or the file already renamed into place — is removed, best
-    /// effort: the WAL and the old segments are the truth.
+    /// The one way segments join and leave the store: writes `view` (the
+    /// series at `order`, with their chunks) as a segment superseding
+    /// `supersedes`, and reads its directory back. Only then do the segment
+    /// list, the next id and the freelist change, and every series adopts
+    /// its part ([`Series::adopt`]): the chunks of superseded segments
+    /// leave, and the new ones join, Paged with the bytes just written. An
+    /// empty `view` writes nothing. Returns the files to delete
+    /// ([`Storage::remove`]). On a failure memory is unchanged, and what
+    /// the write left on disk — the `.tmp`, or the file already renamed
+    /// into place — is removed, best effort: the WAL and the old segments
+    /// are the truth, and the retry writes under the same id, so its
+    /// rename replaces any file the failure left.
     pub(crate) fn adopt(
         &mut self,
         series: &mut [Series],
@@ -237,63 +237,79 @@ impl Storage {
         view: &[(SeriesKey, Vec<EncodedChunk>)],
         supersedes: &[u64],
         pager: &Arc<Pager>,
-    ) -> Result<Vec<SegmentHandle>, StorageError> {
-        let id = self.take_segment_id();
-        let written = segment::write_segment(&self.dir, id, supersedes, view)
-            .and_then(|handle| Ok((segment::map_segment(&handle.path)?, handle)));
-        let (mapped, handle) = match written {
-            Ok(written) => written,
-            Err(e) => {
-                let path = segment::segment_path(&self.dir, id);
-                let _ = std::fs::remove_file(path.with_extension("tmp"));
-                let _ = std::fs::remove_file(path);
-                return Err(e);
+    ) -> Result<Vec<PathBuf>, StorageError> {
+        let mut adopted = vec![Vec::new(); series.len()];
+        if !view.is_empty() {
+            let id = self.next_segment_id;
+            let written = segment::write_segment(&self.dir, id, supersedes, view)
+                .and_then(|handle| Ok((segment::map_segment(&handle.path)?, handle)));
+            let (mapped, handle) = match written {
+                Ok(written) => written,
+                Err(e) => {
+                    let path = segment::segment_path(&self.dir, id);
+                    let _ = std::fs::remove_file(path.with_extension("tmp"));
+                    let _ = std::fs::remove_file(path);
+                    return Err(e);
+                }
+            };
+            self.next_segment_id += 1;
+            for ((&i, (_, chunks)), on_disk) in order.iter().zip(view).zip(&mapped.series) {
+                debug_assert_eq!(series[i].key, on_disk.key);
+                let slots = chunks.iter().zip(&on_disk.chunks).map(|(chunk, at)| {
+                    debug_assert_eq!(chunk.meta, at.meta);
+                    SealedChunk::paged(chunk.clone(), mapped.cold_ref(at), pager)
+                });
+                adopted[i] = slots.collect();
             }
-        };
-        let (superseded, mut live): (Vec<_>, Vec<_>) =
+            self.segments.push(handle);
+        }
+        let (gone, live): (Vec<_>, Vec<_>) =
             self.segments.drain(..).partition(|s| supersedes.contains(&s.id));
-        live.push(handle);
         self.segments = live;
         self.freelist.extend_from_slice(supersedes);
-        for ((&i, (_, chunks)), on_disk) in order.iter().zip(view).zip(&mapped.series) {
-            debug_assert_eq!(series[i].key, on_disk.key);
-            let slots = chunks.iter().zip(&on_disk.chunks).map(|(chunk, at)| {
-                debug_assert_eq!(chunk.meta, at.meta);
-                SealedChunk::paged(chunk.clone(), mapped.cold_ref(at), pager)
-            });
-            series[i].adopt(supersedes, slots.collect());
+        for (s, chunks) in series.iter_mut().zip(adopted) {
+            s.adopt(supersedes, chunks);
         }
-        Ok(superseded)
+        Ok(gone.into_iter().map(|s| s.path).collect())
     }
 
-    /// Drops whole segments that fell out of the retention window — by
-    /// the segment list alone, reading and decoding nothing — and their
-    /// chunks from the sealed tiers of `series`, by segment id, so memory
-    /// and disk stay one view. Called after every successful flush, when
-    /// every point lives in a segment; a no-op without a window.
-    pub(crate) fn apply_retention(&mut self, series: &mut [Series]) -> Result<(), StorageError> {
-        let Some(retention) = self.options.retention else {
-            return Ok(());
-        };
-        let Some(global_max) = self.segments.iter().filter_map(|s| s.max_ts).max() else {
-            return Ok(());
-        };
-        let cutoff = global_max.saturating_sub(retention);
-        let (expired, live): (Vec<_>, Vec<_>) =
-            self.segments.drain(..).partition(|s| s.max_ts.is_some_and(|m| m < cutoff));
-        self.segments = live;
-        if expired.is_empty() {
+    /// Deletes `paths`, the files of the segments a committed
+    /// [`Storage::adopt`] superseded, in one loop. Whatever this leaves
+    /// behind — the loop stops at the first failure of the `CompactDelete`
+    /// failpoint, as a crash would — memory and the live segments already
+    /// agree, and the next writable open deletes a superseded file itself.
+    pub(crate) fn remove(&self, paths: &[PathBuf]) -> Result<(), StorageError> {
+        if paths.is_empty() {
             return Ok(());
         }
-        let ids: Vec<u64> = expired.iter().map(|s| s.id).collect();
-        self.freelist.extend_from_slice(&ids);
-        series.iter_mut().for_each(|s| s.drop_segments(&ids));
-        for path in expired.iter().map(|s| &s.path) {
-            std::fs::remove_file(path)
-                .map_err(|e| StorageError::io(format!("removing {}", path.display()), e))?;
+        let mut first_err = None;
+        for path in paths {
+            if let Some(e) = failpoint::trip(failpoint::Point::CompactDelete, path) {
+                first_err = Some(e);
+                break;
+            }
+            if let Err(e) = std::fs::remove_file(path) {
+                let e = StorageError::io(format!("removing {}", path.display()), e);
+                first_err = first_err.or(Some(e));
+            }
         }
-        sync_dir(&self.dir)
+        sync_dir(&self.dir)?;
+        first_err.map_or(Ok(()), Err)
     }
+}
+
+/// The retention cutoff: `retention` behind the `newest` of the store's
+/// points (the live segments' and those not yet in one). `None` without a
+/// window or a point.
+pub(crate) fn cutoff(retention: Option<i64>, newest: impl Iterator<Item = i64>) -> Option<i64> {
+    let retention = retention?;
+    Some(newest.max()?.saturating_sub(retention))
+}
+
+/// Whether a segment (or a flush's heads) whose newest point is `max_ts`
+/// has fallen behind `cutoff`: retention drops it whole.
+pub(crate) fn expired(max_ts: Option<i64>, cutoff: Option<i64>) -> bool {
+    max_ts.zip(cutoff).is_some_and(|(m, c)| m < c)
 }
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over a byte slice — the

@@ -3,19 +3,17 @@
 //! policy, plus the count of decodes: the store's one accounting object.
 //!
 //! Every sealed chunk owns a [`PageSlot`], which every clone of its series
-//! shares. A slot is **pageable**: it holds a [`ColdRef`] to its segment
-//! file and loads the bytes with a single positioned read on first touch
-//! — a *page fault*, checked against the chunk's CRC. It starts Cold when
-//! a segment is mapped, and Paged when the writer just wrote the bytes (no
-//! fault is counted). Only a run recovery re-encoded from overlapping
-//! segments is **pinned**: no file holds its bytes, so its page stays
-//! resident. Either kind keeps the chunk's decoded block next to its page
-//! once a reader decoded it:
+//! shares. A slot holds a [`ColdRef`] to its segment file and loads the
+//! bytes with a single positioned read on first touch — a *page fault*,
+//! checked against the chunk's CRC. It starts Cold when a segment is
+//! mapped, and Paged when the writer just wrote the bytes (no fault is
+//! counted). It keeps the chunk's decoded block next to its page once a
+//! reader decoded it:
 //!
 //! ```text
 //! Cold   -- fault (pread) -->   Paged   -- decode -->   Decoded
 //!   ^                                                      |
-//!   +---------- eviction (a pinned slot stays Paged) ------+
+//!   +---------------------- eviction ----------------------+
 //! ```
 //!
 //! The budget covers the compressed pages (`resident_chunk_bytes`, pages a
@@ -111,16 +109,13 @@ struct Resident {
 }
 
 /// One chunk's residency slot: the compressed bytes and the decoded block
-/// when resident, and the cold location to reload the bytes from when
-/// pageable.
+/// when resident, and the cold location to reload the bytes from.
 #[derive(Debug)]
 pub struct PageSlot {
     pager: Arc<Pager>,
     /// Compressed payload length (what page residency charges).
     len: u64,
-    /// `None` for pinned slots (recovery-merged runs: no one file holds
-    /// their bytes).
-    cold: Option<ColdRef>,
+    cold: ColdRef,
     resident: Mutex<Resident>,
     /// Clock second-chance bit: set on every access, cleared by a sweep.
     referenced: AtomicBool,
@@ -131,7 +126,7 @@ pub struct PageSlot {
 }
 
 impl PageSlot {
-    /// True when the slot holds no page (it always holds one when pinned).
+    /// True when the slot holds no page.
     pub fn is_empty(&self) -> bool {
         self.resident.lock().page.is_none()
     }
@@ -146,15 +141,10 @@ impl PageSlot {
         if let Some(resident) = self.resident() {
             return Ok(resident);
         }
-        // invariant: a slot with no resident bytes is always pageable —
-        // pinned slots are constructed resident and keep their page.
-        let cold = self.cold().ok_or_else(|| {
-            StorageError::corrupt("chunk", "pinned chunk lost its resident bytes")
-        })?;
         // Read outside the slot lock (the clock sweep takes clock -> slot,
         // per the `tsdb.pager.*` LockClass ranks, so a fault must never
         // hold slot while enrolling; `check_io` enforces the read side).
-        Ok(self.install(cold.read()?))
+        Ok(self.install(self.cold.read()?))
     }
 
     /// The resident bytes, if any, marking the slot referenced.
@@ -169,9 +159,9 @@ impl PageSlot {
         self.resident.lock().block.as_ref().map(Arc::clone)
     }
 
-    /// Where a pageable slot's bytes live on disk (`None` when pinned).
-    pub fn cold(&self) -> Option<&ColdRef> {
-        self.cold.as_ref()
+    /// Where the slot's bytes live on disk.
+    pub fn cold(&self) -> &ColdRef {
+        &self.cold
     }
 
     /// Makes `loaded` — this slot's verified page, read by whoever faulted
@@ -213,16 +203,13 @@ impl PageSlot {
         new
     }
 
-    /// Takes what the clock may: the block, and the page when pageable.
-    /// Either way the slot holds nothing evictable after it and leaves the
-    /// ring. The taken `Arc`s go back to the caller, to be dropped after
-    /// the slot lock is released.
+    /// Takes the block and the page: the slot holds nothing after it and
+    /// leaves the ring. The taken `Arc`s go back to the caller, to be
+    /// dropped after the slot lock is released.
     fn evict(&self) -> Resident {
         let mut resident = self.resident.lock();
         self.enrolled.store(false, Ordering::Relaxed);
-        let block = resident.block.take();
-        let page = if self.cold.is_some() { resident.page.take() } else { None };
-        Resident { page, block }
+        std::mem::take(&mut resident)
     }
 }
 
@@ -285,38 +272,20 @@ impl Pager {
         }
     }
 
-    /// A pinned slot whose bytes are already in memory and have no
-    /// on-disk home to reload from (recovery-merged chunks). Its page is
-    /// never evicted and accounted until dropped; the clock makes room for
-    /// it as for a fault.
-    pub(crate) fn slot_resident(self: &Arc<Self>, bytes: Arc<Vec<u8>>) -> Arc<PageSlot> {
-        let len = bytes.len() as u64;
-        self.add_page(len);
-        self.evict_down_to(self.budget);
-        Arc::new(PageSlot {
-            pager: Arc::clone(self),
-            len,
-            cold: None,
-            resident: Mutex::new(&PAGER_SLOT, Resident { page: Some(bytes), block: None }),
-            referenced: AtomicBool::new(true),
-            enrolled: AtomicBool::new(false),
-        })
-    }
-
-    /// A pageable slot starting cold: nothing resident until the first
-    /// fault loads the bytes from the segment file.
+    /// A slot starting Cold: nothing resident until the first fault loads
+    /// the bytes from the segment file.
     pub fn slot_cold(self: &Arc<Self>, cold: ColdRef) -> Arc<PageSlot> {
         Arc::new(PageSlot {
             pager: Arc::clone(self),
             len: cold.len,
-            cold: Some(cold),
+            cold,
             resident: Mutex::new(&PAGER_SLOT, Resident::default()),
             referenced: AtomicBool::new(false),
             enrolled: AtomicBool::new(false),
         })
     }
 
-    /// A pageable slot starting Paged with `bytes`, the page just written
+    /// A slot starting Paged with `bytes`, the page just written
     /// where `cold` points: charged and in the clock like a faulted page,
     /// but no fault is counted, as nothing was read.
     pub(crate) fn slot_paged(
@@ -407,8 +376,7 @@ impl Pager {
         Reservation { pager: self, bytes: n }
     }
 
-    /// The clock sweep behind [`Pager::admit`], [`Pager::reserve`] and
-    /// [`Pager::slot_resident`]:
+    /// The clock sweep behind [`Pager::admit`] and [`Pager::reserve`]:
     /// evicts slots (second-chance on the referenced bit) until pages plus
     /// blocks are at most `limit` or nothing evictable remains. A slot is
     /// in the ring only while it holds something to evict, and leaves it
@@ -604,38 +572,37 @@ mod tests {
         let dir = tmp_dir("io-under-clock");
         let pager = Pager::with_budget(Some(1024));
         let slot = pager.slot_cold(cold_ref(&dir, "seg", b"payload", 0));
-        let cold = slot.cold.clone().expect("pageable slot");
+        let cold = slot.cold.clone();
         let _clock_guard = pager.clock.lock();
         let _ = cold.read();
     }
 
     #[test]
-    fn the_clock_evicts_blocks_and_pinned_slots_keep_their_pages() {
+    fn the_clock_evicts_a_slot_page_and_block_together() {
         let dir = tmp_dir("blocks");
         let block =
             |n: i64| DecodedBlock { timestamps: (0..n).collect(), values: vec![0.5; n as usize] };
         let pager = Pager::with_budget(Some(64));
-        let pinned = pager.slot_resident(Arc::new(vec![9u8; 16]));
-        let pageable = pager.slot_cold(cold_ref(&dir, "seg", &[1u8; 16], 0));
-        let held = pinned.keep(block(2));
-        let _ = pageable.bytes().expect("fault");
+        let a = pager.slot_cold(cold_ref(&dir, "seg-a", &[9u8; 16], 0));
+        let b = pager.slot_cold(cold_ref(&dir, "seg-b", &[1u8; 16], 0));
+        let _ = a.bytes().expect("fault a");
+        let held = a.keep(block(2));
+        let _ = b.bytes().expect("fault b");
         assert_eq!(pager.counters().resident_bytes, 16 + 32 + 16, "pages and a block fit");
-        let _ = pageable.keep(block(2));
+        let _ = b.keep(block(2));
         let c = pager.counters();
-        assert_eq!((c.evictions, c.resident_bytes), (1, 64), "one block went: {c:?}");
-        assert!(pinned.block().is_none(), "the pinned slot lost its block");
-        assert!(!pinned.is_empty(), "but kept its page");
+        assert_eq!((c.evictions, c.resident_bytes), (1, 48), "one slot went: {c:?}");
+        assert!(a.is_empty() && a.block().is_none(), "it lost its page and its block");
         assert_eq!(held.timestamps, [0, 1], "a reader's block outlives its eviction");
-        // Room for a 64-byte wave: everything evictable goes, the pinned
-        // page stays.
+        // Room for a 64-byte wave: everything goes.
         let wave = pager.reserve(64);
         let c = pager.counters();
-        assert!(pageable.is_empty() && pageable.block().is_none(), "page and block evicted");
-        assert_eq!(&pinned.bytes().expect("pinned")[..], &[9u8; 16], "pinned pages stay");
-        // The pinned page and the wave, and no block.
-        assert_eq!((c.evictions, c.resident_chunk_bytes, c.resident_bytes), (2, 80, 80), "{c:?}");
+        assert!(b.is_empty() && b.block().is_none(), "page and block evicted");
+        // The wave, and no page or block.
+        assert_eq!((c.evictions, c.resident_chunk_bytes, c.resident_bytes), (2, 64, 64), "{c:?}");
         drop(wave);
-        drop((pinned, pageable));
+        assert_eq!(&a.bytes().expect("refault")[..], &[9u8; 16], "an evicted page faults back");
+        drop((a, b));
         assert_eq!(pager.counters().resident_bytes, 0, "dropped slots release their bytes");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,24 +5,25 @@
 //!
 //! 1. `seg-*.tmp` files are in-flight segment writes that never renamed
 //!    into place — deleted, never read.
-//! 2. A segment named in any live segment's `supersedes` list is stale
-//!    compaction input. Its file (if the crash happened before the
-//!    deletes) is removed and its id recorded on the freelist. Segment
-//!    ids are monotone and never reused, so a `supersedes` reference is
-//!    unambiguous across any crash point.
-//! 3. Per series, chunks are taken in ascending segment-id order. When
-//!    every chunk starts after the previous one ends the series stays
-//!    *lazy* (cold chunk directory entries are handed to the index
-//!    untouched — no payload is even read). When chunks overlap — an
-//!    out-of-order ingest unsealed the series and a later flush
-//!    re-covered the range — the overlapping series is merged eagerly,
-//!    later segments winning (the same last-writer-wins rule as the live
-//!    insert path), and re-encoded into disjoint resident chunks: the
-//!    only pinned pages of a store. A merged run expires with the source
-//!    segment retention drops last, the one with the greatest `max_ts`.
+//! 2. A segment named in any live segment's `supersedes` list is stale:
+//!    the input of a compacting flush or a segment retention expired.
+//!    Its file (if the crash happened before the deletes) is removed and
+//!    its id recorded on the freelist. Segment ids are monotone and a
+//!    committed id is never reused (only a failed write's retry takes its
+//!    id again), so a `supersedes` reference is unambiguous across any
+//!    crash point.
+//! 3. Per series, chunks are taken in ascending segment-id order, and each
+//!    starts after the previous one ends: a flush that rewrites a range
+//!    supersedes every segment holding it, so live segments never
+//!    overlap. The series stays *lazy* — cold chunk directory entries are
+//!    handed to the index untouched, no payload is even read. Chunks that
+//!    overlap are `Corrupt`, naming the series and both segments.
 //! 4. The WAL tail is truncated to the last fully-committed record, and
 //!    the surviving records replay through the exact `Series::push`
 //!    semantics (see `model.rs`) on top of the segment state.
+//!
+//! Nothing is deleted until all of this holds, so an open that fails
+//! leaves the directory as it found it.
 //!
 //! Two open modes refine this. A *read-only* open performs no directory
 //! mutation at all: tmp files are ignored (not deleted), superseded and
@@ -36,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::chunk::{decode, encode_run, SealedChunk};
+use super::chunk::SealedChunk;
 use super::pager::Pager;
 use super::segment::{is_tmp_segment, map_segment, parse_segment_name};
 use super::wal::{self, WalRecord};
@@ -92,8 +93,9 @@ pub fn recover(
             .map_err(|e| StorageError::io(format!("creating {}", dir.display()), e))?;
     }
 
-    // Pass 1: classify directory entries; drop in-flight tmp files.
+    // Pass 1: classify directory entries; in-flight tmp files are stale.
     let mut seg_ids: Vec<u64> = Vec::new();
+    let mut stale = Vec::new();
     let entries = std::fs::read_dir(dir)
         .map_err(|e| StorageError::io(format!("listing {}", dir.display()), e))?;
     for entry in entries {
@@ -101,11 +103,7 @@ pub fn recover(
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
         if is_tmp_segment(name) {
-            if !opts.read_only {
-                let p = entry.path();
-                std::fs::remove_file(&p)
-                    .map_err(|e| StorageError::io(format!("removing {}", p.display()), e))?;
-            }
+            stale.push(entry.path());
         } else if let Some(id) = parse_segment_name(name) {
             seg_ids.push(id);
         }
@@ -116,7 +114,6 @@ pub fn recover(
     // stays resident) and collect supersession edges.
     let mut mapped = Vec::with_capacity(seg_ids.len());
     let mut superseded: BTreeSet<u64> = BTreeSet::new();
-    let mut max_id_seen: Option<u64> = None;
     for id in seg_ids {
         let path = super::segment::segment_path(dir, id);
         let seg = map_segment(&path)?;
@@ -126,13 +123,11 @@ pub fn recover(
                 format!("header id {} does not match file name id {id}", seg.id),
             ));
         }
-        max_id_seen = Some(max_id_seen.map_or(id, |m: u64| m.max(id)));
-        for &old in &seg.supersedes {
-            superseded.insert(old);
-            max_id_seen = Some(max_id_seen.map_or(old, |m: u64| m.max(old)));
-        }
+        superseded.extend(&seg.supersedes);
         mapped.push((seg, path));
     }
+    let ids_seen = mapped.iter().map(|(s, _)| s.id).chain(superseded.iter().copied());
+    let next_segment_id = ids_seen.max().map_or(0, |m| m + 1);
 
     // The WAL replays in every mode (a pure read); its newest point also
     // feeds the retention cutoff, so un-flushed recent ingest keeps older
@@ -141,43 +136,20 @@ pub fn recover(
 
     // Retention: drop whole live segments entirely behind the cutoff,
     // from directory metadata alone.
-    let mut expired: BTreeSet<u64> = BTreeSet::new();
-    if let Some(retention) = opts.retention {
-        let seg_max = mapped
-            .iter()
-            .filter(|(s, _)| !superseded.contains(&s.id))
-            .filter_map(|(s, _)| s.max_ts)
-            .max();
-        let wal_max = wal_records.iter().flat_map(|r| r.points.iter().map(|&(t, _)| t)).max();
-        let global_max = match (seg_max, wal_max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(global_max) = global_max {
-            let cutoff = global_max.saturating_sub(retention);
-            for (seg, _) in &mapped {
-                if superseded.contains(&seg.id) {
-                    continue;
-                }
-                if seg.max_ts.is_some_and(|m| m < cutoff) {
-                    expired.insert(seg.id);
-                }
-            }
-        }
-    }
+    let live = || mapped.iter().map(|(s, _)| s).filter(|s| !superseded.contains(&s.id));
+    let wal_ts = wal_records.iter().flat_map(|r| r.points.iter().map(|&(t, _)| t));
+    let cutoff = super::cutoff(opts.retention, live().filter_map(|s| s.max_ts).chain(wal_ts));
+    let expired: BTreeSet<u64> =
+        live().filter(|s| super::expired(s.max_ts, cutoff)).map(|s| s.id).collect();
 
-    // Pass 3: drop superseded and expired segments (deleting files only
-    // in writer mode — the crash may have hit between writing a compacted
-    // segment and the deletes) and assemble per-series chunk lists in
-    // segment-id order.
+    // Pass 3: drop superseded and expired segments (the crash may have hit
+    // between writing a segment and deleting what it superseded) and
+    // assemble per-series chunk lists in segment-id order.
     let mut segments = Vec::new();
     let mut by_series: BTreeMap<SeriesKey, Vec<SealedChunk>> = BTreeMap::new();
     for (mut seg, path) in mapped {
         if superseded.contains(&seg.id) || expired.contains(&seg.id) {
-            if !opts.read_only {
-                std::fs::remove_file(&path)
-                    .map_err(|e| StorageError::io(format!("removing {}", path.display()), e))?;
-            }
+            stale.push(path);
             continue;
         }
         segments.push(SegmentHandle {
@@ -192,61 +164,30 @@ pub fn recover(
         }
     }
 
-    // Pass 4: per series, keep disjoint ascending chunk runs cold and
-    // eagerly merge anything overlapping.
-    let mut series = Vec::with_capacity(by_series.len());
-    for (key, chunks) in by_series {
-        let disjoint = chunks.windows(2).all(|w| w[0].meta.max_ts < w[1].meta.min_ts)
-            && chunks.iter().all(|c| c.meta.min_ts <= c.meta.max_ts);
-        let chunks =
-            if disjoint { chunks } else { merge_overlapping(&key, chunks, &segments, pager)? };
-        series.push((key, chunks));
+    // Pass 4: every series' chunks ascend across its live segments.
+    for (key, chunks) in &by_series {
+        if let Some(w) = chunks.windows(2).find(|w| w[0].meta.max_ts >= w[1].meta.min_ts) {
+            let (a, b) = (w[0].segment_id(), w[1].segment_id());
+            let detail = format!("chunks of segments {a} and {b} overlap");
+            return Err(StorageError::corrupt(format!("series {key}"), detail));
+        }
+    }
+    // A writer deletes what is stale only once the store recovered.
+    if !opts.read_only {
+        for path in &stale {
+            std::fs::remove_file(path)
+                .map_err(|e| StorageError::io(format!("removing {}", path.display()), e))?;
+        }
     }
 
-    let freelist: Vec<u64> = superseded.iter().chain(expired.iter()).copied().collect();
-    let mut freelist = freelist;
-    freelist.sort_unstable();
-    freelist.dedup();
     Ok(Recovered {
         segments,
-        next_segment_id: max_id_seen.map_or(0, |m| m + 1),
-        freelist,
-        series,
+        next_segment_id,
+        freelist: superseded.union(&expired).copied().collect(),
+        series: by_series.into_iter().collect(),
         wal_records,
         wal_committed,
     })
-}
-
-/// Reads and decodes overlapping chunks in arrival (segment-id) order,
-/// merges them with last-writer-wins duplicate handling, and re-encodes a
-/// disjoint run of pinned chunks (the only ones a store has), which
-/// expires with the source among `segments` that has the greatest
-/// `max_ts`: retention drops no source after it.
-fn merge_overlapping(
-    key: &SeriesKey,
-    chunks: Vec<SealedChunk>,
-    segments: &[SegmentHandle],
-    pager: &Arc<Pager>,
-) -> Result<Vec<SealedChunk>, StorageError> {
-    let max_ts = |id: u64| segments.iter().find(|s| s.id == id).and_then(|s| s.max_ts);
-    let newest = chunks.iter().map(SealedChunk::segment_id).max_by_key(|&id| (max_ts(id), id));
-    let Some(segment_id) = newest else { return Ok(Vec::new()) };
-    let mut merged: BTreeMap<i64, f64> = BTreeMap::new();
-    for chunk in &chunks {
-        let bytes = chunk.encoded()?.bytes;
-        let (ts, vs) = decode(&bytes, chunk.meta.count as usize).map_err(|e| {
-            StorageError::corrupt(
-                format!("series {key}"),
-                format!("overlapping chunk failed to decode during merge: {e}"),
-            )
-        })?;
-        for (t, v) in ts.into_iter().zip(vs) {
-            merged.insert(t, v); // later chunks overwrite: last-writer-wins
-        }
-    }
-    let ts: Vec<i64> = merged.keys().copied().collect();
-    let vs: Vec<f64> = merged.values().copied().collect();
-    Ok(encode_run(&ts, &vs).into_iter().map(|c| SealedChunk::new(c, segment_id, pager)).collect())
 }
 
 #[cfg(test)]
@@ -357,66 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_chunks_stay_encoded_overlapping_chunks_merge() {
-        let dir = tmp_dir("merge");
+    fn disjoint_chunks_stay_cold() {
+        let dir = tmp_dir("disjoint");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let lazy = SeriesKey::new("lazy");
-        let hot = SeriesKey::new("hot");
-        write_segment(
-            &dir,
-            0,
-            &[],
-            &[
-                (hot.clone(), encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0])),
-                (lazy.clone(), encode_run(&[0, 60], &[1.0, 2.0])),
-            ],
-        )
-        .expect("seg 0");
-        // Segment 1 overlaps `hot` (ts 60 rewritten) but extends `lazy`
-        // disjointly.
-        write_segment(
-            &dir,
-            1,
-            &[],
-            &[
-                (hot.clone(), encode_run(&[60, 180], &[9.0, 4.0])),
-                (lazy.clone(), encode_run(&[120], &[3.0])),
-            ],
-        )
-        .expect("seg 1");
+        let key = SeriesKey::new("lazy");
+        write_segment(&dir, 0, &[], &[(key.clone(), encode_run(&[0, 60], &[1.0, 2.0]))])
+            .expect("seg 0");
+        // Segment 1 extends the series disjointly.
+        write_segment(&dir, 1, &[], &[(key.clone(), encode_run(&[120], &[3.0]))]).expect("seg 1");
         let pager = Pager::unbounded();
         let r = recover(&dir, &writer(), &pager).expect("recover");
-        let by_key: BTreeMap<_, _> = r.series.into_iter().collect();
-        // `hot` merged: 4 distinct timestamps, later value for ts 60 wins.
-        let merged = &by_key[&hot];
-        let total: u32 = merged.iter().map(|c| c.meta.count).sum();
-        assert_eq!(total, 4);
-        assert_eq!(merged[0].segment_id(), 1, "expires with segment 1, the greater max_ts");
-        let bytes = merged[0].encoded().expect("pinned").bytes;
-        // `lazy` keeps its two original chunks untouched — and cold: the
-        // merged run's pinned page is all that is resident, and the merge
-        // read `hot`'s two chunks.
-        assert_eq!(by_key[&lazy].len(), 2);
-        let c = pager.counters();
-        assert_eq!((c.resident_chunk_bytes, c.page_faults), (bytes.len() as u64, 2), "{c:?}");
-        let (ts, vs) = decode(&bytes, merged[0].meta.count as usize).expect("decode merged");
-        assert_eq!(ts, vec![0, 60, 120, 180]);
-        assert_eq!(vs, vec![1.0, 9.0, 3.0, 4.0]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_merged_run_expires_with_the_source_of_the_greatest_max_ts() {
-        let dir = tmp_dir("merge-expiry");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let key = SeriesKey::new("m");
-        write_segment(&dir, 0, &[], &[(key.clone(), encode_run(&[0, 60, 9_000], &[1.0; 3]))])
-            .expect("seg 0");
-        write_segment(&dir, 1, &[], &[(key.clone(), encode_run(&[60], &[2.0]))]).expect("seg 1");
-        let r = recover(&dir, &writer(), &Pager::unbounded()).expect("recover");
         let chunks = &r.series[0].1;
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].segment_id(), 0, "segment 0 ends last, though segment 1 is newer");
+        let ids: Vec<u64> = chunks.iter().map(SealedChunk::segment_id).collect();
+        assert_eq!(ids, [0, 1], "both chunks, as the segments hold them");
+        let c = pager.counters();
+        assert_eq!((c.resident_chunk_bytes, c.page_faults), (0, 0), "nothing read: {c:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

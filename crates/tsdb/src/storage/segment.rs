@@ -90,7 +90,8 @@ pub struct MappedSeries {
 pub struct MappedSegment {
     /// The segment id from the header (must match the file name).
     pub id: u64,
-    /// Ids of segments this one replaced (compaction output).
+    /// Ids of segments this one replaced: the inputs of a compacting
+    /// flush and expired segments.
     pub supersedes: Vec<u64>,
     /// The per-series chunk directory.
     pub series: Vec<MappedSeries>,

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
 use crate::model::{Series, SeriesKey, TimeRange};
-use crate::storage::chunk::{self, DecodedBlock};
+use crate::storage::chunk::{self, DecodedBlock, EncodedChunk, SealedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
@@ -194,8 +194,9 @@ impl MetricFilter {
 /// [`Tsdb::open`] recovers a directory (segments + WAL replay, see
 /// [`crate::storage::recover`]); inserts append to the WAL; [`Tsdb::flush`]
 /// is the durability point — it fsyncs the WAL, writes the in-memory heads
-/// as a new compressed segment and adopts its chunks, truncates the WAL,
-/// and auto-compacts when small segments pile up. Cloning a durable store
+/// as one new compressed segment superseding what it replaces and adopts
+/// its chunks, and truncates the WAL; it compacts instead when small
+/// segments pile up or a write landed in a sealed range. Cloning a durable store
 /// yields an *in-memory snapshot view* that shares the compressed chunk
 /// bytes but detaches from the directory, so exactly one handle ever
 /// writes it.
@@ -208,14 +209,13 @@ impl MetricFilter {
 /// touches one faults its compressed bytes in with a single positioned
 /// read checked against the chunk's CRC (**Paged**), and decoding on top
 /// of that yields the **Decoded** block; all three are the state of the
-/// chunk's one page slot, which clones share. Chunks a flush or a
-/// compaction just wrote start Paged, with no fault counted. A
+/// chunk's one page slot, which clones share. Chunks a flush just wrote
+/// start Paged, with no fault counted. A
 /// [`StorageOptions::page_budget_bytes`] budget bounds pages and blocks
 /// together: the pager's clock evicts both behind `&self` after every
 /// fault, decode and page written (see [`crate::storage::pager`]), on any
-/// handle, while each scan keeps the blocks its slices read; only runs
-/// recovery merged from overlapping segments keep their pages pinned.
-/// With no budget (plain [`Tsdb::open`]) every touched chunk simply stays
+/// handle, while each scan keeps the blocks its slices read; no page is
+/// pinned. With no budget (plain [`Tsdb::open`]) every touched chunk simply stays
 /// resident and decoded.
 #[derive(Debug)]
 pub struct Tsdb {
@@ -283,7 +283,7 @@ impl Tsdb {
     /// [`Tsdb::open`] with explicit [`StorageOptions`]: a page budget
     /// bounds resident compressed chunk bytes (cold chunks demand-page in
     /// and evict under clock pressure), and a retention window drops whole
-    /// expired segments — at open and after every flush — without decoding
+    /// expired segments — at open and at every flush — without decoding
     /// them.
     pub fn open_with(dir: impl AsRef<Path>, options: StorageOptions) -> Result<Tsdb, StorageError> {
         Tsdb::open_impl(dir.as_ref(), options, false)
@@ -399,29 +399,38 @@ impl Tsdb {
         }
     }
 
-    /// The durability point: fsyncs the WAL, encodes every non-empty head
-    /// and writes the chunks as a new segment, adopts them from it
-    /// ([`Storage::adopt`]: they join the sealed tiers as Paged slots of
-    /// the segment), truncates the WAL, and compacts when
-    /// [`AUTO_COMPACT_SEGMENTS`] have piled up. A failed write or
-    /// read-back changes nothing in memory: the heads, which the flush
-    /// holds only encoded, decode back bit for bit, the WAL stays, and a
-    /// retry encodes again. Write errors are not carried here: each came
-    /// back from the `try_insert*` call that caused it.
+    /// The durability point: fsyncs the WAL, writes one segment and adopts
+    /// its chunks ([`Storage::adopt`]: they join the sealed tiers as Paged
+    /// slots of the segment), truncates the WAL and deletes the files the
+    /// segment superseded. The segment holds every non-empty head and
+    /// supersedes the segments the retention window expired. The flush
+    /// *compacts* when it would leave [`AUTO_COMPACT_SEGMENTS`] segments,
+    /// or when a write landed in a series' sealed range since its last
+    /// flush: the one segment then holds every series re-chunked (see
+    /// [`crate::storage::compact`]) and supersedes every segment, so no two
+    /// segments ever hold overlapping chunks. A failed write or read-back
+    /// changes nothing in memory: the heads, which the flush holds only
+    /// encoded, decode back bit for bit, the WAL stays, and a retry encodes
+    /// again under the same segment id. A sealed chunk that cannot be read
+    /// fails a compacting flush; unless a series is unsealed (its head
+    /// then overlaps what the old segments hold), the heads are first made
+    /// durable in a segment of their own, so later flushes go on. Write
+    /// errors are not carried here: each came back from the `try_insert*`
+    /// call that caused it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.flush_then_compact_at(AUTO_COMPACT_SEGMENTS)
     }
 
-    /// Flushes, then folds all segments into one regardless of how few
-    /// there are, re-chunking every series (see [`crate::storage::compact`]).
-    /// A store of one segment is rewritten as well.
+    /// A flush that compacts however few segments there are, re-chunking
+    /// every series (see [`crate::storage::compact`]). A store of one
+    /// segment is rewritten as well.
     pub fn compact(&mut self) -> Result<(), StorageError> {
         self.flush_then_compact_at(1)
     }
 
-    /// [`Tsdb::flush`], then compaction once `segments` are live. Running
-    /// right after the flush is what makes compaction safe: the sealed
-    /// tiers then cover the full durable state.
+    /// [`Tsdb::flush`], compacting when it would leave `segments` live
+    /// segments: one segment write, whose `supersedes` names every segment
+    /// it replaces, and one delete loop after it.
     fn flush_then_compact_at(&mut self, segments: usize) -> Result<(), StorageError> {
         let Some(storage) = self.storage.as_mut() else {
             return Err(StorageError::NotDurable);
@@ -430,30 +439,60 @@ impl Tsdb {
             return Err(StorageError::ReadOnly);
         };
         wal.sync()?;
-        // Heads in canonical key order, so segment directories are
-        // deterministic for a given logical store.
-        let mut order: Vec<usize> = (0..self.series.len()).collect();
-        order.sort_by_cached_key(|&i| self.series[i].key.canonical());
-        let (order, view): (Vec<usize>, Vec<_>) = order
-            .into_iter()
-            .filter_map(|i| Some((i, (self.series[i].key.clone(), self.series[i].take_head()?))))
-            .unzip();
-        if !view.is_empty() {
-            if let Err(e) = storage.adopt(&mut self.series, &order, &view, &[], &self.pager) {
-                for (&i, (_, chunks)) in order.iter().zip(&view) {
-                    self.series[i].restore_head(chunks)?;
+        let heads: Vec<_> = self.series.iter_mut().map(Series::take_head).collect();
+        let heads_max =
+            heads.iter().flatten().filter_map(|h| h.last()).map(|c| c.meta.max_ts).max();
+        let newest = storage.segments.iter().filter_map(|s| s.max_ts).chain(heads_max);
+        let cutoff = crate::storage::cutoff(storage.options.retention, newest);
+        let expired = |max_ts: Option<i64>| crate::storage::expired(max_ts, cutoff);
+        let expired_ids: Vec<u64> =
+            storage.segments.iter().filter(|s| expired(s.max_ts)).map(|s| s.id).collect();
+        let heads_live = !expired(heads_max);
+        let unsealed = self.series.iter().any(Series::unsealed);
+        let left = storage.segments.len() - expired_ids.len()
+            + usize::from(heads_max.is_some() && heads_live);
+        let compacting = left >= segments || unsealed;
+        // Heads behind the window are dropped, as retention would drop their
+        // segment; an unsealed series' head is not, as it holds the sealed
+        // tier of segments this write supersedes.
+        let series = &self.series;
+        let head = |i: usize| {
+            let kept = heads_live || series[i].unsealed();
+            heads[i].iter().filter(move |_| kept).flatten().cloned()
+        };
+        let supersedes: Vec<u64> = if compacting {
+            storage.segments.iter().map(|s| s.id).collect()
+        } else {
+            expired_ids.clone()
+        };
+        let mut unread = None;
+        let planned = match segment_view(series, head, compacting.then_some(&expired_ids[..])) {
+            Ok(view) => Ok((view, supersedes)),
+            Err(e) if !unsealed => {
+                unread = Some(e);
+                segment_view(series, head, None).map(|view| (view, expired_ids))
+            }
+            Err(e) => Err(e),
+        };
+        let adopted = planned.and_then(|((order, view), supersedes)| {
+            storage.adopt(&mut self.series, &order, &view, &supersedes, &self.pager)
+        });
+        let superseded = match adopted {
+            Ok(superseded) => superseded,
+            Err(e) => {
+                for (series, head) in self.series.iter_mut().zip(&heads) {
+                    if let Some(chunks) = head {
+                        series.restore_head(chunks)?;
+                    }
                 }
                 return Err(e);
             }
-        }
+        };
         if let Some(wal) = storage.wal.as_mut() {
             wal.truncate()?;
         }
-        storage.apply_retention(&mut self.series)?;
-        if storage.segments.len() >= segments {
-            compact::merge_segments(storage, &mut self.series, &self.pager)?;
-        }
-        Ok(())
+        storage.remove(&superseded)?;
+        unread.map_or(Ok(()), Err)
     }
 
     /// Number of distinct series.
@@ -734,6 +773,42 @@ impl Tsdb {
         }
         span
     }
+}
+
+/// A segment's series with their chunks, as [`Storage::adopt`] writes them.
+type SegmentView = Vec<(SeriesKey, Vec<EncodedChunk>)>;
+
+/// What one flush writes: the series (indices in canonical key order, so
+/// segment directories are deterministic for a given logical store) and
+/// their chunks. Each series writes `head(i)`, its taken head; when
+/// `compacting` names the expired segments, it writes its whole sealed
+/// tier but their chunks, paged in, followed by the head, re-chunked.
+/// Series with nothing to write are left out.
+fn segment_view<I: Iterator<Item = EncodedChunk>>(
+    series: &[Series],
+    head: impl Fn(usize) -> I,
+    compacting: Option<&[u64]>,
+) -> Result<(Vec<usize>, SegmentView), StorageError> {
+    let mut order: Vec<usize> = (0..series.len()).collect();
+    order.sort_by_cached_key(|&i| series[i].key.canonical());
+    let (mut written, mut view) = (Vec::new(), Vec::new());
+    for i in order {
+        let chunks = match compacting {
+            None => head(i).collect(),
+            Some(expired) => {
+                let sealed = series[i].sealed_chunks().iter();
+                let live = sealed.filter(|c| !expired.contains(&c.segment_id()));
+                let mut chunks = live.map(SealedChunk::encoded).collect::<Result<Vec<_>, _>>()?;
+                chunks.extend(head(i));
+                compact::rechunk(chunks)?
+            }
+        };
+        if !chunks.is_empty() {
+            written.push(i);
+            view.push((series[i].key.clone(), chunks));
+        }
+    }
+    Ok((written, view))
 }
 
 #[cfg(test)]

@@ -20,11 +20,16 @@
 //!   in and decodes its inputs and writes new chunks. A failure at any
 //!   segment-write step, or an input chunk that fails its checksum, is an
 //!   error that leaves the WAL, the segment list and the writer's scans as
-//!   they were, and a reopen holds the same points by bits.
+//!   they were, and a reopen holds the same points by bits. A flush that a
+//!   write into a sealed range made compacting fails the same way.
+//! * **A failed write leaves no orphan.** Its retry takes the same id, so
+//!   the retry's rename replaces any file the failure left.
 
 use std::collections::BTreeMap;
 
+use explainit_tsdb::storage::chunk::encode_run;
 use explainit_tsdb::storage::failpoint::{arm, disarm, Point};
+use explainit_tsdb::storage::segment::{map_segment, segment_path, write_segment};
 use explainit_tsdb::storage::StorageError;
 use explainit_tsdb::{MetricFilter, SeriesKey, Tsdb};
 
@@ -97,6 +102,14 @@ fn committed(db: &Tsdb) -> (usize, usize, u64, Vec<u64>) {
     (stats.segments, stats.chunks, stats.segment_bytes, stats.freelist)
 }
 
+/// Writes round `round` of `fleet()` into `db` and `memory`.
+fn write_round(db: &mut Tsdb, memory: &mut Tsdb, round: i64) {
+    for (key, ts, v) in fleet() {
+        memory.try_insert(&key, ts + round * 3_000, v).expect("insert");
+        db.try_insert(&key, ts + round * 3_000, v).expect("insert");
+    }
+}
+
 /// A writer at `dir` and the in-memory model of it, holding `fleet()` in
 /// three flushed rounds: three segments, three 50-point chunks per series
 /// for compaction to re-chunk into one.
@@ -104,11 +117,7 @@ fn written_in_rounds(dir: &std::path::Path) -> (Tsdb, Tsdb) {
     let mut memory = Tsdb::new();
     let mut db = Tsdb::open(dir).expect("open");
     for round in 0..3i64 {
-        for (key, ts, v) in fleet() {
-            let ts = ts + round * 3_000;
-            memory.try_insert(&key, ts, v).expect("insert");
-            db.try_insert(&key, ts, v).expect("insert");
-        }
+        write_round(&mut db, &mut memory, round);
         db.flush().expect("flush a round");
     }
     let stats = db.storage_stats().expect("stats");
@@ -120,17 +129,25 @@ fn written_in_rounds(dir: &std::path::Path) -> (Tsdb, Tsdb) {
 /// `point` and prove the WAL, the segment list, the segment files and the
 /// writer's scans are as they were and a reopen equals the model; then the
 /// disarmed retry re-chunks and a reopen still equals the model, over as
-/// many segments as the writer holds.
-fn compaction_failure_scenario(point: Point, tag: &str) {
+/// many segments as the writer holds. With `late`, the compaction is a
+/// plain flush that an overwrite inside the first round made compacting.
+fn compaction_failure_scenario(point: Point, tag: &str, late: bool) {
     let dir = tmp_dir(tag);
     let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
-    let (mut db, memory) = written_in_rounds(&dir);
+    let (mut db, mut memory) = written_in_rounds(&dir);
+    if late {
+        let key = SeriesKey::new("cpu").with_tag("host", "b");
+        memory.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
+        db.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
+        db.sync().expect("sync");
+    }
+    let compact = |db: &mut Tsdb| if late { db.flush() } else { db.compact() };
     let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
     let files_before = segment_files(&dir);
     let before = committed(&db);
 
     arm(point, &tag_str);
-    let err = db.compact().expect_err("armed compaction fails");
+    let err = compact(&mut db).expect_err("armed compaction fails");
     assert!(format!("{err}").contains("failpoint"), "the injected error surfaced: {err}");
     disarm(&tag_str);
     assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before, "{point:?}");
@@ -143,7 +160,7 @@ fn compaction_failure_scenario(point: Point, tag: &str) {
     assert_eq!(contents(&reopened), contents(&memory), "reopen equals the model");
     drop(reopened);
 
-    db.compact().expect("disarmed retry compacts");
+    compact(&mut db).expect("disarmed retry compacts");
     assert_eq!(db.storage_stats().expect("stats").chunks, 3, "one chunk per series");
     assert_eq!(contents(&db), contents(&memory), "the re-chunked writer serves the same points");
     let segments = db.storage_stats().expect("stats").segments;
@@ -159,12 +176,24 @@ fn compaction_failure_scenario(point: Point, tag: &str) {
 /// prove the WAL survived byte-for-byte and the writer's committed state,
 /// scans and segment files are as they were, then prove both recovery
 /// paths (reopen-after-crash, and an in-process overwrite inside the
-/// failed flush's range followed by a retry) land on the model.
-fn flush_failure_scenario(point: Point, tag: &str) {
+/// failed flush's range followed by a retry) land on the model. The retry
+/// takes the failed attempt's id, so its rename replaces any file the
+/// failure left (the removal after a failure is best effort; one is
+/// planted here, with values the store never held). With `late`, the
+/// ingest rewrites a flushed round, so every series unseals and the flush
+/// compacts.
+fn flush_failure_scenario(point: Point, tag: &str, late: bool) {
     let dir = tmp_dir(tag);
     let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
     let mut memory = Tsdb::new();
     let mut db = Tsdb::open(&dir).expect("open");
+    if late {
+        for (key, ts, v) in fleet() {
+            memory.try_insert(&key, ts, -v).expect("insert");
+            db.try_insert(&key, ts, -v).expect("insert");
+        }
+        db.flush().expect("flush the round the ingest rewrites");
+    }
     for (key, ts, v) in fleet() {
         memory.try_insert(&key, ts, v).expect("insert");
         db.try_insert(&key, ts, v).expect("insert");
@@ -191,6 +220,8 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     assert_eq!(contents(&reopened), contents(&memory), "reopen replays bit-identically");
     drop(reopened);
     disarm(&tag_str);
+    let planted = [(SeriesKey::new("cpu").with_tag("host", "a"), encode_run(&[0], &[-7.0]))];
+    write_segment(&dir, u64::from(late), &[], &planted).expect("plant");
 
     // In-process model: the handle that saw the failure overwrites a point
     // inside the failed flush's range and retries — its heads get a
@@ -203,6 +234,10 @@ fn flush_failure_scenario(point: Point, tag: &str) {
     let wal_final = std::fs::read(dir.join("wal")).expect("read wal after retry");
     assert!(wal_final.is_empty(), "successful flush truncates the WAL");
     let segments = db.storage_stats().expect("stats").segments;
+    assert_eq!(segments, 1, "one segment holds the store ({point:?})");
+    let retry = map_segment(&segment_path(&dir, u64::from(late))).expect("the failed id");
+    let shape = (retry.series.len(), retry.supersedes.len());
+    assert_eq!(shape, (3, usize::from(late)), "the retry replaced the planted file ({point:?})");
     drop(db);
     let final_open = Tsdb::open(&dir).expect("reopen after retry");
     assert_eq!(contents(&final_open), contents(&memory), "post-retry store is bit-identical");
@@ -213,76 +248,104 @@ fn flush_failure_scenario(point: Point, tag: &str) {
 
 #[test]
 fn flush_failure_before_segment_create_keeps_wal() {
-    flush_failure_scenario(Point::SegmentCreate, "seg-create");
+    flush_failure_scenario(Point::SegmentCreate, "seg-create", false);
+    flush_failure_scenario(Point::SegmentCreate, "late-seg-create", true);
 }
 
 #[test]
 fn flush_failure_after_segment_write_keeps_wal() {
-    flush_failure_scenario(Point::SegmentWrite, "seg-write");
+    flush_failure_scenario(Point::SegmentWrite, "seg-write", false);
+    flush_failure_scenario(Point::SegmentWrite, "late-seg-write", true);
 }
 
 #[test]
 fn flush_failure_after_segment_sync_keeps_wal() {
-    flush_failure_scenario(Point::SegmentSync, "seg-sync");
+    flush_failure_scenario(Point::SegmentSync, "seg-sync", false);
+    flush_failure_scenario(Point::SegmentSync, "late-seg-sync", true);
 }
 
 #[test]
 fn flush_failure_after_segment_rename_keeps_wal() {
-    flush_failure_scenario(Point::SegmentRename, "seg-rename");
+    flush_failure_scenario(Point::SegmentRename, "seg-rename", false);
+    flush_failure_scenario(Point::SegmentRename, "late-seg-rename", true);
 }
 
 #[test]
 fn flush_failure_after_dir_sync_keeps_wal() {
-    flush_failure_scenario(Point::SegmentDirSync, "seg-dirsync");
+    flush_failure_scenario(Point::SegmentDirSync, "seg-dirsync", false);
+    flush_failure_scenario(Point::SegmentDirSync, "late-seg-dirsync", true);
 }
 
 #[test]
 fn compaction_failure_before_segment_create_keeps_the_store() {
-    compaction_failure_scenario(Point::SegmentCreate, "compact-create");
+    compaction_failure_scenario(Point::SegmentCreate, "compact-create", false);
+    compaction_failure_scenario(Point::SegmentCreate, "late-compact-create", true);
 }
 
 #[test]
 fn compaction_failure_after_segment_write_keeps_the_store() {
-    compaction_failure_scenario(Point::SegmentWrite, "compact-write");
+    compaction_failure_scenario(Point::SegmentWrite, "compact-write", false);
+    compaction_failure_scenario(Point::SegmentWrite, "late-compact-write", true);
 }
 
 #[test]
 fn compaction_failure_after_segment_sync_keeps_the_store() {
-    compaction_failure_scenario(Point::SegmentSync, "compact-sync");
+    compaction_failure_scenario(Point::SegmentSync, "compact-sync", false);
+    compaction_failure_scenario(Point::SegmentSync, "late-compact-sync", true);
 }
 
 #[test]
 fn compaction_failure_after_segment_rename_keeps_the_store() {
-    compaction_failure_scenario(Point::SegmentRename, "compact-rename");
+    compaction_failure_scenario(Point::SegmentRename, "compact-rename", false);
+    compaction_failure_scenario(Point::SegmentRename, "late-compact-rename", true);
 }
 
 #[test]
 fn compaction_failure_after_dir_sync_keeps_the_store() {
-    compaction_failure_scenario(Point::SegmentDirSync, "compact-dirsync");
+    compaction_failure_scenario(Point::SegmentDirSync, "compact-dirsync", false);
+    compaction_failure_scenario(Point::SegmentDirSync, "late-compact-dirsync", true);
+}
+
+/// Flips the last byte of the first segment of `dir` — the payload of host
+/// c's chunk of the first round — and returns the file and its clean bytes.
+fn flip_first_round(dir: &std::path::Path) -> (std::path::PathBuf, Vec<u8>) {
+    let files = segment_files(dir);
+    let (first, clean) = files.into_iter().next().expect("a segment");
+    let path = dir.join(first);
+    let mut flipped = clean.clone();
+    *flipped.last_mut().expect("payload") ^= 0x10;
+    std::fs::write(&path, &flipped).expect("flip a payload byte");
+    (path, clean)
 }
 
 /// A payload byte flipped under a writer fails its compaction with
 /// `Corrupt` before anything is written: the WAL, the segment list and the
 /// files stay, and the writer's scans are what they were — the damaged
-/// chunk an error, every other series the model's points. With the byte
-/// restored the compaction goes through and loses nothing.
+/// chunk an error, every other series the model's points. A compaction
+/// with heads to write fails too, but they come after every sealed range,
+/// so they first make a segment of their own: the WAL truncates and later
+/// flushes go on. A late write's head overlaps the segments it came from
+/// and only a compacting write can hold it, so every flush then fails and
+/// changes nothing until the chunk reads again (or retention expires its
+/// segment: a flush reads no expired chunk). With the byte restored the
+/// compaction goes through and loses nothing.
 #[test]
 fn a_flipped_payload_byte_fails_compaction_before_anything_is_written() {
     let dir = tmp_dir("compact-flip");
-    let (db, memory) = written_in_rounds(&dir);
+    let (db, mut memory) = written_in_rounds(&dir);
     drop(db);
     let mut db = Tsdb::open(&dir).expect("reopen: every chunk cold");
+    let (path, clean) = flip_first_round(&dir);
     let files = segment_files(&dir);
-    let (first, clean) = files.iter().next().expect("a segment");
-    let path = dir.join(first);
-    let mut flipped = clean.clone();
-    // The last byte is the payload of the last chunk of the first round.
-    *flipped.last_mut().expect("payload") ^= 0x10;
-    std::fs::write(&path, &flipped).expect("flip a payload byte");
     let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
     let before = committed(&db);
     let all = MetricFilter::all();
     let host = |h: &str| MetricFilter::name("cpu").with_tag("host", h);
+    let intact = |db: &Tsdb, memory: &Tsdb| {
+        for h in ["a", "b"] {
+            assert_eq!(scan(db, &host(h)), scan(memory, &host(h)), "host {h} is the model's");
+        }
+    };
     let scan_before = scan(&db, &all).expect_err("the damaged chunk fails a full scan");
 
     let err = db.compact().expect_err("a damaged input fails the compaction");
@@ -290,14 +353,32 @@ fn a_flipped_payload_byte_fails_compaction_before_anything_is_written() {
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
     assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before);
     assert_eq!(committed(&db), before, "nothing committed");
-    let mut expected_files = files.clone();
-    expected_files.insert(first.clone(), flipped);
-    assert_eq!(segment_files(&dir), expected_files, "no segment written or deleted");
+    assert_eq!(segment_files(&dir), files, "no segment written or deleted");
     assert_eq!(scan(&db, &all), Err(scan_before), "the writer's scans are unchanged");
-    for h in ["a", "b"] {
-        assert_eq!(scan(&db, &host(h)), scan(&memory, &host(h)), "host {h} is the model's");
-    }
+    intact(&db, &memory);
     assert!(scan(&db, &host("c")).is_err(), "host c holds the damaged chunk");
+
+    write_round(&mut db, &mut memory, 3);
+    let err = db.compact().expect_err("a compaction with heads fails too");
+    assert!(matches!(err, StorageError::Corrupt { .. }), "typed: {err}");
+    assert!(std::fs::read(dir.join("wal")).expect("read wal").is_empty(), "the heads are durable");
+    assert_eq!(db.storage_stats().expect("stats").segments, 4, "in a segment of their own");
+    intact(&Tsdb::open_read_only(&dir).expect("read-only reopen"), &memory);
+    write_round(&mut db, &mut memory, 4);
+    db.flush().expect("a flush below the threshold goes on");
+    let key = SeriesKey::new("cpu").with_tag("host", "b");
+    memory.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
+    db.try_insert(&key, 20 * 60, -1.5).expect("overwrite");
+    db.sync().expect("sync");
+    let wal_before = std::fs::read(dir.join("wal")).expect("read wal");
+    let (files, before) = (segment_files(&dir), committed(&db));
+    for attempt in 0..2 {
+        let err = db.flush().expect_err("a late write's flush cannot read its input");
+        assert!(matches!(err, StorageError::Corrupt { .. }), "attempt {attempt}: {err}");
+        assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal_before);
+        assert_eq!((committed(&db), segment_files(&dir)), (before.clone(), files.clone()));
+        intact(&db, &memory);
+    }
 
     std::fs::write(&path, clean).expect("restore the byte");
     db.compact().expect("compaction over intact inputs");

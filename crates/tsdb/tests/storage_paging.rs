@@ -442,13 +442,14 @@ fn retention_after_a_rechunking_compaction_keeps_memory_and_disk_one_view() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A run recovery merged from overlapping segments holds the points of
-/// both, in memory only: when retention expires its sources, it leaves
-/// memory with them, matched by the segment id it was tagged with, and
-/// nothing is read or decoded to find it.
+/// An overwrite inside a flushed window unseals it, and the next flush
+/// compacts: one segment holds the rewritten window and supersedes the one
+/// it rewrote. When retention expires that segment, its chunk leaves
+/// memory with its file, matched by segment id, and nothing is read or
+/// decoded to find it.
 #[test]
-fn retention_drops_a_recovered_merge_with_its_sources() {
-    let dir = tmp_dir("retention-merge");
+fn retention_drops_the_segment_an_unsealed_flush_compacted() {
+    let dir = tmp_dir("retention-unsealed");
     let key = SeriesKey::new("m");
     {
         let mut db = Tsdb::open(&dir).expect("open");
@@ -456,17 +457,16 @@ fn retention_drops_a_recovered_merge_with_its_sources() {
             db.try_insert(&key, t * 60, t as f64).expect("insert");
         }
         db.flush().expect("flush a window");
-        // An overwrite inside the window unseals it, and the next flush
-        // writes the whole window again: two overlapping segments.
         db.try_insert(&key, 20 * 60, -1.0).expect("overwrite");
         db.flush().expect("flush the overwritten window");
-        assert_eq!(db.storage_stats().expect("stats").segments, 2);
+        let stats = db.storage_stats().expect("stats");
+        assert_eq!((stats.segments, stats.freelist), (1, vec![0]), "the window superseded");
     }
     let options = StorageOptions { retention: Some(10_000), ..StorageOptions::default() };
     let mut db = Tsdb::open_with(&dir, options.clone()).expect("reopen with retention");
     let stats = db.storage_stats().expect("stats");
-    assert_eq!((stats.segments, stats.chunks), (2, 1), "one merged run over two segments");
-    assert!(stats.resident_chunk_bytes > 0, "the merged run is pinned: {stats:?}");
+    assert_eq!((stats.segments, stats.chunks), (1, 1), "one chunk of one segment");
+    assert_eq!(stats.resident_chunk_bytes, 0, "nothing is resident: {stats:?}");
     assert_eq!(db.point_count(), 50);
 
     for t in 1000..1050i64 {
@@ -476,14 +476,69 @@ fn retention_drops_a_recovered_merge_with_its_sources() {
     db.flush().expect("flush past the horizon");
     assert_eq!(db.decode_count(), decodes, "retention decoded nothing");
     let stats = db.storage_stats().expect("stats");
-    assert_eq!((stats.segments, stats.chunks), (1, 1), "both sources expired");
-    assert_eq!(db.point_count(), 50, "and the merged run left memory with them");
+    assert_eq!((stats.segments, stats.chunks), (1, 1), "the compacted segment expired");
+    assert_eq!(db.point_count(), 50, "and its chunk left memory with it");
     let expected = contents(&db);
     assert_eq!(expected[0].1.first(), Some(&60_000), "only the new window remains");
     drop(db);
     let reopened = Tsdb::open_with(&dir, options).expect("reopen");
     assert_eq!(reopened.point_count(), 50);
     assert_eq!(contents(&reopened), expected, "memory and disk are one view");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retention cannot bring back a value a later write replaced: the flush
+/// that rewrote the range superseded the segment holding the old value.
+/// Here a series holds the first segment's newest point far past the
+/// overwritten one, so a flush past the retention window keeps that
+/// segment; the writer, a read-only reopen and a reopen after `compact()`
+/// all read the overwrite. Nor does it drop a series a late write
+/// unsealed when every head of the flush is behind the window: that head
+/// holds the series' sealed tier, from a segment the window keeps.
+#[test]
+fn retention_never_brings_back_an_overwritten_value() {
+    let dir = tmp_dir("retention-overwrite");
+    let (m, n) = (SeriesKey::new("m"), SeriesKey::new("n"));
+    {
+        let mut db = Tsdb::open(&dir).expect("open");
+        let window: Vec<(i64, f64)> = (0..50i64).map(|t| (t * 60, t as f64)).collect();
+        db.try_insert_batch(&m, &window).expect("insert");
+        db.try_insert(&n, 50_000, 1.0).expect("insert");
+        db.flush().expect("flush");
+        db.try_insert(&m, 1200, -1.0).expect("overwrite");
+        db.flush().expect("flush the overwrite");
+    }
+    let at = |db: &Tsdb, ts: i64| {
+        let points = db.get(&m).expect("series m").points();
+        points.filter(|p| p.ts == ts).map(|p| p.value).collect::<Vec<_>>()
+    };
+    let at_1200 = |db: &Tsdb| at(db, 1200);
+    let options = StorageOptions { retention: Some(48_000), ..StorageOptions::default() };
+    let mut db = Tsdb::open_with(&dir, options.clone()).expect("reopen with retention");
+    db.try_insert(&n, 51_000, 2.0).expect("insert");
+    db.flush().expect("flush past the window");
+    assert_eq!(at_1200(&db), [-1.0], "the writer");
+    let reopened = Tsdb::open_read_only(&dir).expect("read-only reopen");
+    assert_eq!(at_1200(&reopened), [-1.0], "a read-only reopen");
+    drop(reopened);
+    db.compact().expect("compact");
+    drop(db);
+    let compacted = Tsdb::open(&dir).expect("reopen after compact");
+    assert_eq!(at_1200(&compacted), [-1.0], "a reopen after compact()");
+    drop(compacted);
+
+    // m (0..2940) now lies wholly behind the 3,000 cutoff, in a live segment.
+    let mut db = Tsdb::open_with(&dir, options).expect("reopen with retention");
+    db.try_insert(&m, 600, -2.0).expect("overwrite behind the cutoff");
+    db.flush().expect("flush a head behind the window");
+    let whole = |db: &Tsdb| (db.get(&m).expect("series m").len(), at(db, 600), at_1200(db));
+    assert_eq!(whole(&db), (50, vec![-2.0], vec![-1.0]), "the writer keeps m");
+    drop(db);
+    let reopened = Tsdb::open_read_only(&dir).expect("read-only reopen");
+    assert_eq!(whole(&reopened), (50, vec![-2.0], vec![-1.0]), "a read-only reopen keeps m");
+    drop(reopened);
+    let reopened = Tsdb::open(&dir).expect("reopen");
+    assert_eq!(whole(&reopened), (50, vec![-2.0], vec![-1.0]), "a reopen keeps m");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,7 +6,9 @@
 
 use std::path::{Path, PathBuf};
 
+use explainit_tsdb::storage::chunk::encode_run;
 use explainit_tsdb::storage::crc32;
+use explainit_tsdb::storage::segment::write_segment;
 use explainit_tsdb::{MetricFilter, SeriesKey, StorageError, TimeRange, Tsdb};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -28,6 +30,15 @@ fn wal_record_offsets(wal: &[u8]) -> Vec<usize> {
     }
     assert_eq!(at, wal.len(), "test harness parsed the WAL cleanly");
     offsets
+}
+
+/// The `seg-*` file names of a store directory, sorted.
+fn segment_names(dir: &Path) -> Vec<String> {
+    let names = std::fs::read_dir(dir).expect("read dir").map(|e| e.expect("entry").file_name());
+    let mut names: Vec<String> = names.filter_map(|n| n.into_string().ok()).collect();
+    names.retain(|n| n.starts_with("seg-"));
+    names.sort();
+    names
 }
 
 /// Asserts two stores hold identical logical contents (keys, timestamps,
@@ -220,8 +231,8 @@ fn replay_matches_live_insert_contract_for_out_of_order_and_duplicates() {
 }
 
 /// Out-of-order writes that land inside already-sealed history unseal the
-/// series; the next flush writes overlapping segments that recovery must
-/// merge with last-writer-wins.
+/// series, last writer winning; the next flush compacts, so one segment
+/// holds the rewritten range and supersedes the one it rewrote.
 #[test]
 fn out_of_order_write_into_sealed_range_survives_reopen() {
     let dir = tmp_dir("unseal");
@@ -236,12 +247,47 @@ fn out_of_order_write_into_sealed_range_survives_reopen() {
         db.try_insert(&key, 60, -60.0).expect("insert");
         db.try_insert(&key, 90, 90.0).expect("insert");
         db.flush().expect("second flush");
-        assert!(db.storage_stats().expect("stats").segments >= 2, "overlapping segments");
+        assert_eq!(db.storage_stats().expect("stats").segments, 1, "no overlapping segments");
     }
     let reopened = Tsdb::open(&dir).expect("reopen");
     let s = reopened.get(&key).expect("series");
     assert_eq!(s.timestamps(), &[0, 60, 90, 120]);
     assert_eq!(s.values(), &[0.0, -60.0, 90.0, 120.0], "later flush wins on ts 60");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Live segments never overlap: a flush that rewrites a range supersedes
+/// every segment holding it. Two that do fail every open as `Corrupt`,
+/// naming the series and both segments, and the open changes no file —
+/// not even the in-flight `.tmp` a writable open would otherwise delete.
+#[test]
+fn overlapping_live_segments_fail_every_open_and_change_nothing() {
+    let dir = tmp_dir("overlap");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let key = SeriesKey::new("m").with_tag("host", "a");
+    let first = encode_run(&[0, 60, 120], &[1.0, 2.0, 3.0]);
+    write_segment(&dir, 0, &[], &[(key.clone(), first)]).expect("seg 0");
+    // Segment 1 rewrites ts 60 without superseding segment 0.
+    write_segment(&dir, 1, &[], &[(key, encode_run(&[60, 180], &[9.0, 4.0]))]).expect("seg 1");
+    std::fs::write(dir.join("seg-00000002.tmp"), b"in flight").expect("tmp");
+    let files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        let entries = std::fs::read_dir(dir).expect("read dir");
+        let mut paths: Vec<PathBuf> = entries.map(|e| e.expect("entry").path()).collect();
+        paths.sort();
+        paths.into_iter().map(|p| (p.clone(), std::fs::read(p).expect("read"))).collect()
+    };
+    let before = files(&dir);
+    for read_only in [false, true] {
+        let opened = if read_only { Tsdb::open_read_only(&dir) } else { Tsdb::open(&dir) };
+        match opened {
+            Err(StorageError::Corrupt { what, detail }) => {
+                assert_eq!(what, "series m{host=a}");
+                assert_eq!(detail, "chunks of segments 0 and 1 overlap");
+            }
+            other => panic!("read_only={read_only}: expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(files(&dir), before, "read_only={read_only}: every file as it was");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -368,19 +414,45 @@ fn explicit_compact_folds_to_one_segment() {
         db.flush().expect("flush");
     }
     assert_eq!(db.storage_stats().expect("stats").segments, 3);
+    // A head as well: the one segment the compaction writes holds it too.
+    db.try_insert(&key, 24 * 60, 1.0).expect("insert");
     db.compact().expect("compact");
+    assert_eq!(segment_names(&dir), ["seg-00000003.seg"], "one write, its inputs deleted");
     let stats = db.storage_stats().expect("stats");
-    assert_eq!(stats.segments, 1);
-    assert_eq!(stats.freelist.len(), 3);
-    assert_eq!(stats.chunks, 1, "three 8-point rounds re-chunk into one chunk");
+    assert_eq!((stats.segments, stats.freelist), (1, vec![0, 1, 2]));
+    assert_eq!(stats.chunks, 1, "three 8-point rounds and the head re-chunk into one chunk");
     let reopened = Tsdb::open(&dir).expect("reopen");
-    assert_eq!(reopened.point_count(), 24);
-    assert_eq!(reopened.storage_stats().expect("stats").chunks, 1);
+    assert_eq!(reopened.point_count(), 25);
+    let stats = reopened.storage_stats().expect("stats");
+    assert_eq!((stats.chunks, stats.freelist), (1, vec![0, 1, 2]));
     assert_eq!(
         reopened.get(&key).expect("series").timestamps(),
-        (0..24).map(|t| t * 60).collect::<Vec<_>>()
+        (0..25).map(|t| t * 60).collect::<Vec<_>>()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `compact()` rewrites a lone segment too — how a store compacted before
+/// re-chunking gets its round-sized chunks merged — and writes nothing
+/// for a store that holds nothing.
+#[test]
+fn a_single_segment_is_rewritten_and_no_segment_is_a_no_op() {
+    let dir = tmp_dir("compact-single");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut chunks = encode_run(&[0], &[1.0]);
+    chunks.extend(encode_run(&[60], &[2.0]));
+    write_segment(&dir, 0, &[], &[(SeriesKey::new("m"), chunks)]).expect("seg 0");
+    let mut db = Tsdb::open(&dir).expect("open");
+    db.compact().expect("compact");
+    assert_eq!(segment_names(&dir), ["seg-00000001.seg"], "rewritten");
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!((stats.segments, stats.chunks, stats.freelist), (1, 1, vec![0]), "re-chunked");
+
+    let empty = tmp_dir("compact-empty");
+    Tsdb::open(&empty).expect("open").compact().expect("compact");
+    assert!(segment_names(&empty).is_empty(), "nothing written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&empty);
 }
 
 #[test]
