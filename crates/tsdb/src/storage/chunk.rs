@@ -17,7 +17,11 @@
 //! * values are encoded by their IEEE-754 bit pattern — NaN payloads,
 //!   `-0.0` and the infinities all round-trip bit-identically.
 //!
-//! The encoder writes through a 64-bit accumulator that emits whole bytes.
+//! The encoder ([`encode`]) writes each point's fields through a 64-bit
+//! accumulator that leaves as whole 8-byte words, a field and its tag or
+//! control bits in one write wherever they fit in 64 bits, into a
+//! per-thread buffer sized for the worst case, then copies the stream out
+//! at its length.
 //! The decoder ([`decode_into`]) reads one big-endian 8-byte word per step
 //! at a cursor that only moves forward: a run of zero delta-of-delta bits
 //! (a fixed scrape interval) is consumed with one `leading_zeros` per
@@ -37,6 +41,7 @@
 //! fails its checksum or fails to decode is an error at that site, never
 //! fewer points.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use explainit_sync::{pool, LockClass, Mutex};
@@ -299,77 +304,96 @@ pub fn encode_run(ts: &[i64], vals: &[f64]) -> Vec<EncodedChunk> {
 // Bit-level codec
 // ---------------------------------------------------------------------------
 
-/// Delta-of-delta bucket tags, from most to least common:
-/// `0` (dod = 0), `10` + 7 bits, `110` + 9 bits, `1110` + 12 bits,
-/// `1111` + the raw 64-bit *delta* (not dod — the escape must cover a
-/// delta-of-delta range wider than 64 bits, since deltas span `1..=2^64-1`).
-const DOD_BUCKETS: [(i128, i128, u64, u32); 3] =
-    [(-63, 64, 0b10, 2), (-255, 256, 0b110, 3), (-2047, 2048, 0b1110, 4)];
-
 /// Encodes one sorted run into the chunk bit stream.
+///
+/// Delta-of-delta bucket tags, from most to least common: `0` (dod = 0),
+/// `10` + 7 bits, `110` + 9 bits, `1110` + 12 bits, `1111` + the raw 64-bit
+/// *delta* (not dod — the escape must cover a delta-of-delta range wider
+/// than 64 bits, since deltas span `1..=2^64-1`). A value is `0` (repeat),
+/// `10` + the payload in the previous XOR window, or `11` + 5-bit leading
+/// zeros + 6-bit `len - 1` + a new window's `len` bits.
+///
+/// Every field goes to a [`WordWriter`] as one write — a bucket's tag with
+/// its payload, a value's control bits with its header and payload —
+/// whenever it fits in 64 bits: all but the raw-delta escape, a reused
+/// window over 62 bits and a new one over 51. The stream is written into
+/// the thread's [`ENCODE_SCRATCH`] and returned in a buffer of exactly its
+/// length, which a page slot may keep for as long as the chunk lives.
 pub fn encode(ts: &[i64], vals: &[f64]) -> Vec<u8> {
-    let mut w = BitWriter::new();
+    ENCODE_SCRATCH
+        .with_borrow_mut(|scratch| write_run(WordWriter::new(scratch, ts.len()), ts, vals))
+}
+
+thread_local! {
+    /// The buffer a thread's [`encode`] calls write into, kept at the
+    /// largest chunk's worst case (37 KiB at 2048 points). A worst-case
+    /// buffer allocated per chunk, then trimmed or copied out and freed,
+    /// left holes that raised `incident_cold`'s `peak_rss_mb` by about
+    /// 1 MiB.
+    static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`encode`]'s stream, written through `w`.
+fn write_run(mut w: WordWriter<'_>, ts: &[i64], vals: &[f64]) -> Vec<u8> {
     // Timestamps: raw first value, then bucketed delta-of-delta with the
     // previous delta starting at zero (so the first delta itself goes
     // through the buckets — small scrape intervals stay cheap).
-    w.write_bits(ts[0] as u64, 64);
+    w.put(ts[0] as u64, 64);
     let mut prev_delta: u64 = 0;
     for pair in ts.windows(2) {
         // Strictly increasing timestamps: the difference is 1..=2^64-1 and
         // fits u64 exactly even across the full i64 domain.
-        let delta = (pair[1] as i128 - pair[0] as i128) as u64;
+        let delta = pair[1].wrapping_sub(pair[0]) as u64;
         let dod = delta as i128 - prev_delta as i128;
-        if dod == 0 {
-            w.write_bits(0, 1);
-        } else {
-            let mut written = false;
-            for &(lo, hi, tag, tag_bits) in &DOD_BUCKETS {
-                if dod >= lo && dod <= hi {
-                    let payload_bits = match tag_bits {
-                        2 => 7,
-                        3 => 9,
-                        _ => 12,
-                    };
-                    w.write_bits(tag, tag_bits as usize);
-                    w.write_bits((dod - lo) as u64, payload_bits);
-                    written = true;
-                    break;
-                }
-            }
-            if !written {
-                w.write_bits(0b1111, 4);
-                w.write_bits(delta, 64);
+        match dod {
+            0 => w.put(0, 1),
+            -63..=64 => w.put(0b10 << 7 | (dod + 63) as u64, 9),
+            -255..=256 => w.put(0b110 << 9 | (dod + 255) as u64, 12),
+            -2047..=2048 => w.put(0b1110 << 12 | (dod + 2047) as u64, 16),
+            _ => {
+                w.put(0b1111, 4);
+                w.put(delta, 64);
             }
         }
         prev_delta = delta;
     }
     // Values: raw first bit pattern, then Gorilla XOR with a sticky
-    // leading/length window.
-    w.write_bits(vals[0].to_bits(), 64);
+    // leading/length window. No window yet is `win_len = 0`, which no XOR
+    // fits.
+    w.put(vals[0].to_bits(), 64);
     let mut prev_bits = vals[0].to_bits();
-    let mut win_lead: u32 = u32::MAX; // no window yet
-    let mut win_len: u32 = 0;
+    let (mut win_lead, mut win_len) = (0u32, 0u32);
     for &v in &vals[1..] {
         let bits = v.to_bits();
         let xor = bits ^ prev_bits;
         prev_bits = bits;
         if xor == 0 {
-            w.write_bits(0, 1);
+            w.put(0, 1);
             continue;
         }
         let lead = xor.leading_zeros().min(31); // 5-bit field
         let trail = xor.trailing_zeros();
-        let len = 64 - lead - trail; // >= 1 because xor != 0
-        if win_lead != u32::MAX && lead >= win_lead && 64 - trail <= win_lead + win_len {
+        if lead >= win_lead && 64 - trail <= win_lead + win_len {
             // Fits the previous meaningful window: control '10' + bits.
-            w.write_bits(0b10, 2);
-            w.write_bits(xor >> (64 - win_lead - win_len), win_len as usize);
+            let payload = xor >> (64 - win_lead - win_len);
+            match win_len <= 62 {
+                true => w.put(0b10 << win_len | payload, 2 + win_len),
+                false => {
+                    w.put(0b10, 2);
+                    w.put(payload, win_len);
+                }
+            }
         } else {
             // New window: control '11' + 5-bit leading + 6-bit (len - 1).
-            w.write_bits(0b11, 2);
-            w.write_bits(lead as u64, 5);
-            w.write_bits((len - 1) as u64, 6);
-            w.write_bits(xor >> trail, len as usize);
+            let len = 64 - lead - trail; // >= 1 because xor != 0
+            let head = 0b11 << 11 | u64::from(lead) << 6 | u64::from(len - 1);
+            match len <= 51 {
+                true => w.put(head << len | xor >> trail, 13 + len),
+                false => {
+                    w.put(head, 13);
+                    w.put(xor >> trail, len);
+                }
+            }
             win_lead = lead;
             win_len = len;
         }
@@ -510,49 +534,61 @@ fn apply_dod(prev_delta: u64, dod: i128) -> u64 {
     (prev_delta as i128).wrapping_add(dod) as u64
 }
 
-/// Widest read or write done in one step: after a shift of up to 7 bits to
-/// the stream's bit offset, a 64-bit word still holds 57 whole bits.
+/// Widest read done in one load: after a shift of up to 7 bits to the
+/// stream's bit offset, a 64-bit word still holds 57 whole bits.
 const WORD_BITS: usize = 56;
 
-/// MSB-first bit stream writer. Bits gather in a 64-bit accumulator and
-/// leave it as whole bytes; [`BitWriter::finish`] zero-pads the last
-/// partial byte.
-struct BitWriter {
-    out: Vec<u8>,
-    /// Pending bits in the low `pending` bits (higher bits are already
-    /// emitted and ignored).
+/// Most bits one point can take: a raw-delta escape (68 bits) and a new
+/// 64-bit XOR window (77 bits). The first point's 128 raw bits fit too.
+const MAX_POINT_BITS: usize = 145;
+
+/// MSB-first bit stream writer. Bits gather at the top of a 64-bit
+/// accumulator, which leaves as one big-endian word whenever it fills;
+/// [`WordWriter::finish`] writes the last partial word's whole bytes,
+/// zero-padding the last of them.
+struct WordWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Pending bits in the top `pending` bits; the bits below are zero.
     acc: u64,
-    /// Always below 8 between calls.
-    pending: usize,
+    /// Always below 64 between calls.
+    pending: u32,
 }
 
-impl BitWriter {
-    fn new() -> Self {
-        BitWriter { out: Vec::new(), acc: 0, pending: 0 }
+impl<'a> WordWriter<'a> {
+    /// A writer over `out`, emptied and given room for `points` points at
+    /// the most bits each, so no write reallocates.
+    fn new(out: &'a mut Vec<u8>, points: usize) -> Self {
+        out.clear();
+        out.reserve((points * MAX_POINT_BITS).div_ceil(64) * 8);
+        WordWriter { out, acc: 0, pending: 0 }
     }
 
-    fn write_bits(&mut self, value: u64, n: usize) {
-        debug_assert!(n <= 64);
-        debug_assert!(n == 64 || value < (1u64 << n));
-        if n > WORD_BITS {
-            self.write_bits(value >> 32, n - 32);
-            self.write_bits(value & 0xFFFF_FFFF, 32);
+    /// Appends the low `n` bits of `value`, `1 <= n <= 64`, whose bits
+    /// above them are zero.
+    #[inline(always)]
+    fn put(&mut self, value: u64, n: u32) {
+        debug_assert!((1..=64).contains(&n));
+        debug_assert!(n == 64 || value >> n == 0);
+        let filled = self.pending + n;
+        if filled < 64 {
+            self.acc |= value << (64 - filled);
+            self.pending = filled;
             return;
         }
-        // pending < 8 and n <= 56: every pending bit survives the shift.
-        self.acc = (self.acc << n) | value;
-        self.pending += n;
-        while self.pending >= 8 {
-            self.pending -= 8;
-            self.out.push((self.acc >> self.pending) as u8);
-        }
+        // The word fills: its free low bits take the top of `value`, and
+        // the `spill` bits left over start the next word.
+        let spill = filled - 64;
+        self.acc |= value >> spill;
+        self.out.extend_from_slice(&self.acc.to_be_bytes());
+        self.acc = value.checked_shl(64 - spill).unwrap_or(0);
+        self.pending = spill;
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        if self.pending > 0 {
-            self.out.push((self.acc << (8 - self.pending)) as u8);
-        }
-        self.out
+    /// The stream, copied into a buffer of exactly its length.
+    fn finish(self) -> Vec<u8> {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_be_bytes()[..tail]);
+        self.out.to_vec()
     }
 }
 
@@ -721,14 +757,15 @@ mod tests {
         let mut s = 0x9E37_79B9_7F4A_7C15;
         let writes: Vec<(u64, usize)> = (0..10_000)
             .map(|_| {
-                let width = (xorshift(&mut s) % 65) as usize;
+                let width = 1 + (xorshift(&mut s) % 64) as usize;
                 let value = xorshift(&mut s).checked_shr(64 - width as u32).unwrap_or(0);
                 (value, width)
             })
             .collect();
-        let mut w = BitWriter::new();
+        let mut buf = Vec::new();
+        let mut w = WordWriter::new(&mut buf, 0);
         for &(value, width) in &writes {
-            w.write_bits(value, width);
+            w.put(value, width as u32);
         }
         let bytes = w.finish();
         let total: usize = writes.iter().map(|&(_, width)| width).sum();

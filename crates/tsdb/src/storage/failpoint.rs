@@ -37,6 +37,9 @@ pub enum Point {
     /// segments it superseded (the new segment is durable; the superseded
     /// files still exist on disk).
     CompactDelete,
+    /// A WAL write that lands half its bytes and then fails (a full disk
+    /// mid-write); unlike the other points, the step itself fails.
+    WalWrite,
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use super::chunk::{ChunkMeta, EncodedChunk};
 use super::failpoint::{self, Point};
 use super::pager::{read_exact_at, ColdRef};
-use super::{crc32, sync_dir, SegmentHandle, StorageError};
+use super::{crc32, sync_dir, SegmentHandle, StorageError, WRITE_BUFFER};
 use crate::model::SeriesKey;
 
 const MAGIC_V2: &[u8; 8] = b"EXPLSEG2";
@@ -139,7 +139,8 @@ pub fn is_tmp_segment(name: &str) -> bool {
 
 /// Writes segment `id` atomically (tmp → fsync → rename → dir fsync) in
 /// the v2 layout and returns its live handle. Only the header and the
-/// directory are built in memory; the payloads stream from `series`.
+/// directory are built in memory; the payloads stream from `series`
+/// through a [`WRITE_BUFFER`] (64 KiB) buffer.
 /// Series should arrive in canonical key order; chunks per series in
 /// ascending time order.
 pub fn write_segment(
@@ -200,7 +201,7 @@ pub fn write_segment(
         explainit_sync::check_io("writing and fsyncing a segment file");
         let f =
             std::fs::File::create(&tmp).map_err(|e| StorageError::io(ctx("creating", &tmp), e))?;
-        let mut out = BufWriter::new(f);
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER, f);
         let payloads = series.iter().flat_map(|(_, chunks)| chunks);
         std::iter::once(&head[..])
             .chain(payloads.map(|chunk| &chunk.bytes[..]))

@@ -14,6 +14,16 @@
 //! [`crate::Series::push`] (identical out-of-order / duplicate-timestamp
 //! semantics to the live insert path — the contract `model.rs` pins).
 //!
+//! The appender encodes each record's frame once, in place, into a buffer
+//! it owns and checksums it there; the buffer goes to the file in one
+//! write once it holds [`WRITE_BUFFER`] (64 KiB) of frames, and at every
+//! [`Wal::sync`]. The file grows by whole frames only: each write starts
+//! at the end of the last whole frame, and a write that fails part-way
+//! (a full disk, an I/O error) is cut back there before the error returns.
+//! The failing append's record is refused; the frames buffered before it
+//! stay for the next write. A torn frame left in the file would end
+//! replay before every record appended after it, synced or not.
+//!
 //! Recovery reads records until the file ends or a record fails its
 //! length or checksum — a torn tail from a crash mid-append — and
 //! truncates the file back to the last fully-committed record, so the
@@ -25,10 +35,11 @@
 //! record after it.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use super::{crc32, StorageError};
+use super::failpoint::{self, Point};
+use super::{crc32, StorageError, WRITE_BUFFER};
 use crate::model::SeriesKey;
 
 /// Largest accepted payload: a defensive cap so a corrupt length prefix
@@ -36,6 +47,10 @@ use crate::model::SeriesKey;
 const MAX_PAYLOAD: u32 = 1 << 28;
 
 const KIND_BATCH: u8 = 1;
+
+/// Room the frame buffer keeps: a write's [`WRITE_BUFFER`] bytes and the
+/// frame that crossed that line, unless one frame alone is larger.
+const FRAMES_CAPACITY: usize = 2 * WRITE_BUFFER;
 
 /// One committed WAL record: points appended through the insert path.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +61,17 @@ pub struct WalRecord {
     pub points: Vec<(i64, f64)>,
 }
 
-/// The open WAL appender: a buffered writer plus the committed length.
+/// The open WAL appender: the file, which holds whole frames only, and the
+/// frames appended since they were last written out.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    writer: BufWriter<File>,
-    /// Bytes of committed records (the offset replay validated up to, plus
-    /// everything appended since).
-    len: u64,
+    file: File,
+    /// Length of the file: the end of its last whole frame, where the next
+    /// write starts.
+    written: u64,
+    /// Whole frames not yet written.
+    frames: Vec<u8>,
 }
 
 impl Wal {
@@ -74,54 +92,87 @@ impl Wal {
             .open(&path)
             .map_err(|e| StorageError::io(ctx("opening"), e))?;
         file.set_len(committed).map_err(|e| StorageError::io(ctx("truncating"), e))?;
-        let mut file = file;
-        file.seek(SeekFrom::Start(committed)).map_err(|e| StorageError::io(ctx("seeking"), e))?;
-        Ok(Wal { path, writer: BufWriter::new(file), len: committed })
+        let frames = Vec::with_capacity(FRAMES_CAPACITY);
+        Ok(Wal { path, file, written: committed, frames })
     }
 
     /// Committed WAL length in bytes.
     pub fn len(&self) -> u64 {
-        self.len
+        self.written + self.frames.len() as u64
     }
 
     /// True when no records are committed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Appends one record (buffered; durable after [`Wal::sync`]).
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        let payload = encode_payload(record);
+    /// Appends one record of `points` for `key` (buffered; durable after
+    /// [`Wal::sync`]). An append that fills the buffer writes it out; if
+    /// that write fails, the record is refused.
+    pub fn append(&mut self, key: &SeriesKey, points: &[(i64, f64)]) -> Result<(), StorageError> {
+        let start = self.frames.len();
+        encode_frame(&mut self.frames, key, points);
+        if self.frames.len() < WRITE_BUFFER {
+            return Ok(());
+        }
+        self.write_out().inspect_err(|_| self.frames.truncate(start))
+    }
+
+    /// Writes the buffered frames at the end of the last whole frame, and
+    /// cuts the file back there if the write fails.
+    fn write_out(&mut self) -> Result<(), StorageError> {
+        if self.frames.is_empty() {
+            return Ok(());
+        }
         let ctx = || format!("appending to {}", self.path.display());
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.writer.write_all(&frame).map_err(|e| StorageError::io(ctx(), e))?;
-        self.len += frame.len() as u64;
+        let end = self.written;
+        // The failpoint tears the write: half the bytes land, then it fails.
+        let torn = failpoint::trip(Point::WalWrite, &self.path);
+        let bytes = match torn {
+            Some(_) => &self.frames[..self.frames.len() / 2],
+            None => &self.frames[..],
+        };
+        let mut file = &self.file;
+        let wrote = file.seek(SeekFrom::Start(end)).and_then(|_| file.write_all(bytes));
+        if let Some(e) = wrote.err().map(|e| StorageError::io(ctx(), e)).or(torn) {
+            return Err(match self.file.set_len(end) {
+                Ok(()) => e,
+                Err(cut) => StorageError::io(format!("{e}; then cutting it back"), cut),
+            });
+        }
+        self.written += self.frames.len() as u64;
+        self.frames.clear();
+        self.frames.shrink_to(FRAMES_CAPACITY);
         Ok(())
     }
 
-    /// Flushes buffered records to the OS and fsyncs — the durability
-    /// point for everything appended so far.
+    /// Writes the buffered frames out and fsyncs — the durability point
+    /// for everything appended so far.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         explainit_sync::check_io("fsyncing the WAL");
+        self.write_out()?;
         let ctx = || format!("syncing {}", self.path.display());
-        self.writer.flush().map_err(|e| StorageError::io(ctx(), e))?;
-        self.writer.get_ref().sync_all().map_err(|e| StorageError::io(ctx(), e))
+        self.file.sync_all().map_err(|e| StorageError::io(ctx(), e))
     }
 
     /// Empties the log (after its contents were sealed into a segment).
     pub fn truncate(&mut self) -> Result<(), StorageError> {
         explainit_sync::check_io("truncating and fsyncing the WAL");
         let ctx = || format!("truncating {}", self.path.display());
-        self.writer.flush().map_err(|e| StorageError::io(ctx(), e))?;
-        let file = self.writer.get_mut();
-        file.set_len(0).map_err(|e| StorageError::io(ctx(), e))?;
-        file.seek(SeekFrom::Start(0)).map_err(|e| StorageError::io(ctx(), e))?;
-        file.sync_all().map_err(|e| StorageError::io(ctx(), e))?;
-        self.len = 0;
-        Ok(())
+        self.frames.clear();
+        self.file.set_len(0).map_err(|e| StorageError::io(ctx(), e))?;
+        self.written = 0;
+        self.file.sync_all().map_err(|e| StorageError::io(ctx(), e))
+    }
+}
+
+impl Drop for Wal {
+    /// Writes the buffered frames out, best effort and without a sync: a
+    /// handle dropped without [`Wal::sync`] leaves its records to the
+    /// operating system, as a process that exits does, not lost with its
+    /// memory.
+    fn drop(&mut self) {
+        let _ = self.write_out();
     }
 }
 
@@ -161,22 +212,28 @@ pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
     Ok((records, at as u64))
 }
 
-fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let WalRecord { key, points } = record;
-    let mut out = Vec::with_capacity(32 + points.len() * 16);
+/// Appends one batch record's frame to `out`: the payload written in
+/// place after room for its length and CRC, which are filled in last.
+fn encode_frame(out: &mut Vec<u8>, key: &SeriesKey, points: &[(i64, f64)]) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
     out.push(KIND_BATCH);
-    write_str(&mut out, &key.name);
+    write_str(out, &key.name);
     out.extend_from_slice(&(key.tags.len() as u32).to_le_bytes());
     for (k, v) in &key.tags {
-        write_str(&mut out, k);
-        write_str(&mut out, v);
+        write_str(out, k);
+        write_str(out, v);
     }
     out.extend_from_slice(&(points.len() as u32).to_le_bytes());
-    for &(ts, v) in points {
-        out.extend_from_slice(&ts.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
+    let body = out.len();
+    out.resize(body + points.len() * 16, 0);
+    for (slot, &(ts, v)) in out[body..].as_chunks_mut::<16>().0.iter_mut().zip(points) {
+        slot[..8].copy_from_slice(&ts.to_le_bytes());
+        slot[8..].copy_from_slice(&v.to_le_bytes());
     }
-    out
+    let (head, payload) = out[start..].split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Decodes one checksummed payload; the error says what did not fit.
@@ -258,7 +315,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut wal = Wal::open(&dir, 0).expect("open");
         for rec in sample_records() {
-            wal.append(&rec).expect("append");
+            wal.append(&rec.key, &rec.points).expect("append");
         }
         wal.sync().expect("sync");
         let (records, len) = replay(&dir).expect("replay");
@@ -281,7 +338,7 @@ mod tests {
         let records = sample_records();
         let mut commit_offsets = vec![0u64];
         for rec in &records {
-            wal.append(rec).expect("append");
+            wal.append(&rec.key, &rec.points).expect("append");
             commit_offsets.push(wal.len());
         }
         wal.sync().expect("sync");
@@ -309,7 +366,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let mut wal = Wal::open(&dir, 0).expect("open");
         for rec in sample_records() {
-            wal.append(&rec).expect("append");
+            wal.append(&rec.key, &rec.points).expect("append");
         }
         wal.sync().expect("sync");
         let first_len = {
@@ -332,8 +389,9 @@ mod tests {
         let dir = tmp_dir("undecodable");
         let frame =
             |p: &[u8]| [&(p.len() as u32).to_le_bytes(), &crc32(p).to_le_bytes(), p].concat();
-        let payload = encode_payload(&sample_records()[0]);
-        let good = frame(&payload);
+        let (record, mut good) = (&sample_records()[0], Vec::new());
+        encode_frame(&mut good, &record.key, &record.points);
+        let payload = good[8..].to_vec();
         let mut replace = payload.clone();
         replace[0] = 2; // the whole-series replacement kind of older builds
         let cases = [
@@ -375,7 +433,8 @@ mod tests {
     fn reopen_appends_after_committed_prefix() {
         let dir = tmp_dir("reopen");
         let mut wal = Wal::open(&dir, 0).expect("open");
-        wal.append(&sample_records()[0]).expect("append");
+        let rec = &sample_records()[0];
+        wal.append(&rec.key, &rec.points).expect("append");
         wal.sync().expect("sync");
         let committed = wal.len();
         drop(wal);
@@ -387,7 +446,8 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(good, committed);
         let mut wal = Wal::open(&dir, good).expect("reopen");
-        wal.append(&sample_records()[1]).expect("append");
+        let rec = &sample_records()[1];
+        wal.append(&rec.key, &rec.points).expect("append");
         wal.sync().expect("sync");
         let (records, _) = replay(&dir).expect("replay");
         assert_eq!(records.len(), 2, "tail truncated, new record appended cleanly");

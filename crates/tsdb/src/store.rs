@@ -565,7 +565,7 @@ impl Tsdb {
     fn wal_append(&mut self, key: &SeriesKey, points: &[(i64, f64)]) -> Result<(), StorageError> {
         match self.storage.as_mut() {
             Some(storage) => match storage.wal.as_mut() {
-                Some(wal) => wal.append(&WalRecord { key: key.clone(), points: points.to_vec() }),
+                Some(wal) => wal.append(key, points),
                 None => Err(StorageError::ReadOnly),
             },
             None => Ok(()),

@@ -455,6 +455,238 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The encoder against the writer it replaced
+// ---------------------------------------------------------------------------
+
+/// Delta-of-delta buckets of [`reference_encode`]: `(lo, hi, tag, tag bits)`.
+const REFERENCE_DOD_BUCKETS: [(i128, i128, u64, u32); 3] =
+    [(-63, 64, 0b10, 2), (-255, 256, 0b110, 3), (-2047, 2048, 0b1110, 4)];
+
+/// MSB-first bit writer whose 64-bit accumulator leaves a byte at a time:
+/// the store's writer before the word-at-a-time one, kept as its oracle.
+struct ReferenceWriter {
+    out: Vec<u8>,
+    acc: u64,
+    pending: usize,
+}
+
+impl ReferenceWriter {
+    fn write_bits(&mut self, value: u64, n: usize) {
+        if n > 56 {
+            self.write_bits(value >> 32, n - 32);
+            self.write_bits(value & 0xFFFF_FFFF, 32);
+            return;
+        }
+        self.acc = (self.acc << n) | value;
+        self.pending += n;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.out.push((self.acc >> self.pending) as u8);
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        if self.pending > 0 {
+            self.out.push((self.acc << (8 - self.pending)) as u8);
+        }
+        self.out
+    }
+}
+
+/// The chunk encoder as it wrote the stream before the word-at-a-time
+/// writer: every tag and payload a write of its own, the buckets a loop.
+fn reference_encode(ts: &[i64], vals: &[f64]) -> Vec<u8> {
+    let mut w = ReferenceWriter { out: Vec::new(), acc: 0, pending: 0 };
+    w.write_bits(ts[0] as u64, 64);
+    let mut prev_delta: u64 = 0;
+    for pair in ts.windows(2) {
+        let delta = (pair[1] as i128 - pair[0] as i128) as u64;
+        let dod = delta as i128 - prev_delta as i128;
+        if dod == 0 {
+            w.write_bits(0, 1);
+        } else {
+            let mut written = false;
+            for &(lo, hi, tag, tag_bits) in &REFERENCE_DOD_BUCKETS {
+                if dod >= lo && dod <= hi {
+                    let payload_bits = match tag_bits {
+                        2 => 7,
+                        3 => 9,
+                        _ => 12,
+                    };
+                    w.write_bits(tag, tag_bits as usize);
+                    w.write_bits((dod - lo) as u64, payload_bits);
+                    written = true;
+                    break;
+                }
+            }
+            if !written {
+                w.write_bits(0b1111, 4);
+                w.write_bits(delta, 64);
+            }
+        }
+        prev_delta = delta;
+    }
+    w.write_bits(vals[0].to_bits(), 64);
+    let mut prev_bits = vals[0].to_bits();
+    let mut win_lead: u32 = u32::MAX;
+    let mut win_len: u32 = 0;
+    for &v in &vals[1..] {
+        let bits = v.to_bits();
+        let xor = bits ^ prev_bits;
+        prev_bits = bits;
+        if xor == 0 {
+            w.write_bits(0, 1);
+            continue;
+        }
+        let lead = xor.leading_zeros().min(31);
+        let trail = xor.trailing_zeros();
+        let len = 64 - lead - trail;
+        if win_lead != u32::MAX && lead >= win_lead && 64 - trail <= win_lead + win_len {
+            w.write_bits(0b10, 2);
+            w.write_bits(xor >> (64 - win_lead - win_len), win_len as usize);
+        } else {
+            w.write_bits(0b11, 2);
+            w.write_bits(lead as u64, 5);
+            w.write_bits((len - 1) as u64, 6);
+            w.write_bits(xor >> trail, len as usize);
+            win_lead = lead;
+            win_len = len;
+        }
+    }
+    w.finish()
+}
+
+/// Runs at the encoder's edges: every delta-of-delta bucket's bounds and
+/// one past each, both signs; i64-extreme timestamps and raw-delta
+/// escapes; NaN payloads and -0.0; new and reused XOR windows of 45 to 64
+/// bits at both ends of the word, across the widths where a field and its
+/// control bits stop fitting one 64-bit write; and chunks of 1, 2 and 2048
+/// points.
+fn encoder_edges() -> Vec<(Vec<i64>, Vec<f64>)> {
+    let mut runs = Vec::new();
+    // Deltas of `base` and `base + d` alternate, so the dods are d and -d.
+    let dods = [1i64, 62, 63, 64, 65, 254, 255, 256, 257, 2046, 2047, 2048, 2049, 1 << 40];
+    for base in [10_000i64, 1 << 41] {
+        let mut ts = vec![0i64];
+        for d in dods {
+            for delta in [base + d, base] {
+                ts.push(ts[ts.len() - 1] + delta);
+            }
+        }
+        let vals = (0..ts.len()).map(|i| i as f64).collect();
+        runs.push((ts, vals));
+    }
+    // A first delta in each bucket and one past it.
+    for first in [1i64, 64, 65, 256, 257, 2048, 2049] {
+        runs.push((vec![7, 7 + first, 7 + 2 * first], vec![0.5; 3]));
+    }
+    for ts in [
+        vec![i64::MIN, i64::MAX],
+        vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX],
+        vec![i64::MIN, 0, i64::MAX],
+        vec![i64::MAX - 2, i64::MAX - 1, i64::MAX],
+    ] {
+        let vals = [f64::NAN, -0.0, f64::from_bits(0xfff0_0000_dead_beef), 0.0];
+        let vals = (0..ts.len()).map(|i| vals[i % 4]).collect();
+        runs.push((ts, vals));
+    }
+    // A new window of `len` bits at `lead`, both ends set; a reuse of it;
+    // a repeat; a reuse of a narrower part of it.
+    for len in 45..=64u32 {
+        for lead in [0, (64 - len).min(31)] {
+            let mask = u64::MAX >> (64 - len) << (64 - lead - len);
+            let ends = 1u64 << (63 - lead) | 1u64 << (64 - lead - len);
+            let inner = 0x5A5A_5A5A_5A5A_5A5Au64 & mask | 1u64 << (64 - lead - len);
+            let bits = [0, ends | (mask & 0x0F0F_0F0F_0F0F_0F0F), 0, 0, 0];
+            let bits = [bits[0], bits[1], bits[1] ^ inner, bits[1] ^ inner, bits[1] ^ ends];
+            runs.push(((0..5).collect(), bits.iter().map(|&b| f64::from_bits(b)).collect()));
+        }
+    }
+    for (n, seed) in [(1, 3), (2, 5), (2, 6), (CHUNK_MAX_POINTS, 9), (CHUNK_MAX_POINTS, 10)] {
+        runs.push(hostile_run(n, seed));
+    }
+    runs
+}
+
+/// The encoder writes the reference's bytes over the decoder's corpus and
+/// the encoder's edges.
+#[test]
+fn encoder_matches_the_reference_writer() {
+    for (i, (ts, vals)) in decoder_corpus().into_iter().chain(encoder_edges()).enumerate() {
+        assert_eq!(encode(&ts, &vals), reference_encode(&ts, &vals), "run {i}: {ts:?}");
+    }
+}
+
+proptest! {
+    /// Hostile runs of up to a full chunk, with wide XOR windows or not,
+    /// encode to the reference's bytes.
+    #[test]
+    fn encoder_matches_the_reference_writer_on_hostile_runs(
+        seed in any::<u64>(),
+        n in 1usize..=CHUNK_MAX_POINTS,
+        wide in any::<bool>(),
+    ) {
+        let (ts, mut vals) = hostile_run(n, seed);
+        if wide {
+            vals = wide_windows(n, seed);
+        }
+        prop_assert_eq!(encode(&ts, &vals), reference_encode(&ts, &vals));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The CRC against its definition
+// ---------------------------------------------------------------------------
+
+/// CRC-32/IEEE from its definition: a bit at a time, no tables.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+/// `n` bytes of a seeded xorshift stream.
+fn random_bytes(n: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed | 1;
+    (0..n).map(|_| (xorshift(&mut s) >> 32) as u8).collect()
+}
+
+/// The IEEE check value, and every length up to 512 bytes from each of
+/// eight byte offsets: every split into whole braided blocks, combining
+/// words and a bytewise tail.
+#[test]
+fn crc32_matches_the_bitwise_reference_at_every_short_length_and_offset() {
+    assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    let buffer = random_bytes(512 + 8, 0x853C_49E6_748F_EA9B);
+    for offset in 0..8 {
+        for len in 0..=512 {
+            let bytes = &buffer[offset..offset + len];
+            assert_eq!(crc32(bytes), reference_crc32(bytes), "offset {offset}, {len} bytes");
+        }
+    }
+}
+
+proptest! {
+    /// Random bytes of any length up to 64 KiB, from any offset.
+    #[test]
+    fn crc32_matches_the_bitwise_reference(
+        seed in any::<u64>(),
+        len in 0usize..=1 << 16,
+        offset in 0usize..8,
+    ) {
+        let buffer = random_bytes(offset + len, seed);
+        let bytes = &buffer[offset..];
+        prop_assert_eq!(crc32(bytes), reference_crc32(bytes));
+    }
+}
+
 // Pinned corner cases the generators cannot be trusted to hit every run.
 
 #[test]
@@ -597,7 +829,7 @@ fn format_pins() -> Vec<(&'static str, usize, u32)> {
     let dir = tmp_dir("wal");
     let mut wal = Wal::open(&dir, 0).expect("open wal");
     let key = SeriesKey::new("disk").with_tag("host", "h1");
-    wal.append(&WalRecord { key, points: vec![(0, 1.0), (60, 2.5)] }).expect("append");
+    wal.append(&key, &[(0, 1.0), (60, 2.5)]).expect("append");
     wal.sync().expect("sync");
     pins.push(pin("wal batch frame", &std::fs::read(Wal::path_in(&dir)).expect("read wal")));
     let _ = std::fs::remove_dir_all(&dir);
@@ -778,7 +1010,7 @@ proptest! {
         let dir = tmp_dir("wal-hostile");
         let mut wal = Wal::open(&dir, 0).expect("open wal");
         for record in &records {
-            wal.append(record).expect("append");
+            wal.append(&record.key, &record.points).expect("append");
         }
         wal.sync().expect("sync");
         drop(wal);

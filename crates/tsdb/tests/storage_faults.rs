@@ -449,3 +449,52 @@ fn crash_mid_compaction_does_not_double_count_points() {
     assert_eq!(remaining, 1, "recovery cleaned the superseded leftovers");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A WAL write that fails part-way — a full disk mid-write — refuses its
+/// batch and leaves no torn frame: the file is cut back to its last whole
+/// frame, and the frames before the refused one stay buffered. A batch
+/// larger than the WAL's write buffer is written as it is appended, so its
+/// frame is the one the failure tears. Were the torn bytes left, replay
+/// would stop at them and drop every record synced after them.
+#[test]
+fn a_failed_wal_write_hides_no_later_record() {
+    let dir = tmp_dir("wal-torn");
+    let tag_str = dir.file_name().and_then(|n| n.to_str()).map(str::to_string).unwrap_or_default();
+    let wal_len = || std::fs::metadata(dir.join("wal")).expect("stat wal").len();
+    let batch = |n: i64, sign: f64| (0..n).map(|t| (t * 60, sign * t as f64)).collect::<Vec<_>>();
+    let key = |host: &str| SeriesKey::new("cpu").with_tag("host", host);
+    let mut memory = Tsdb::new();
+    let mut db = Tsdb::open(&dir).expect("open");
+    let insert = |db: &mut Tsdb, memory: &mut Tsdb, host: &str, points: &[(i64, f64)]| {
+        memory.try_insert_batch(&key(host), points).expect("insert");
+        db.try_insert_batch(&key(host), points)
+    };
+    insert(&mut db, &mut memory, "a", &batch(50, 1.0)).expect("append A");
+    db.sync().expect("sync A");
+    let synced = wal_len();
+    insert(&mut db, &mut memory, "a2", &batch(20, 2.0)).expect("append A2, buffered");
+    let committed = db.storage_stats().expect("stats").wal_bytes;
+
+    arm(Point::WalWrite, &tag_str);
+    let big = batch(8192, -1.0);
+    let err = db.try_insert_batch(&key("b"), &big).expect_err("the torn write refuses B");
+    disarm(&tag_str);
+    assert!(format!("{err}").contains("failpoint"), "the injected error surfaced: {err}");
+    assert_eq!(wal_len(), synced, "the torn bytes are cut back to the last whole frame");
+    assert_eq!(db.storage_stats().expect("stats").wal_bytes, committed, "A2 stays committed");
+    assert_eq!(contents(&db), contents(&memory), "B is not applied");
+
+    insert(&mut db, &mut memory, "c", &batch(30, 3.0)).expect("append C");
+    db.sync().expect("sync C");
+    let stats = db.storage_stats().expect("stats");
+    assert_eq!(wal_len(), stats.wal_bytes, "the log holds whole frames only");
+    let expected = contents(&memory);
+    assert_eq!(expected.len(), 3, "A, A2 and C");
+    let reader = Tsdb::open_read_only(&dir).expect("read-only open");
+    assert_eq!(contents(&reader), expected, "a reader replays A, A2 and C");
+    drop((reader, db));
+    let reopened = Tsdb::open(&dir).expect("writable reopen");
+    assert_eq!(contents(&reopened), expected, "a writer replays A, A2 and C");
+    assert_eq!(wal_len(), stats.wal_bytes, "the reopen truncated nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
