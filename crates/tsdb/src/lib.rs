@@ -85,10 +85,12 @@
 //! `peak_resident_chunk_bytes`, `page_faults`, `evictions`. Nothing is
 //! pinned; with no budget (the default) nothing ever evicts.
 //!
-//! [`StorageOptions::retention`] drops whole segments — file and all, and
-//! their chunks in memory by segment id — whose newest point fell behind
-//! the retention window, by metadata alone: at open, and at every flush,
-//! whose segment supersedes them.
+//! [`StorageOptions::retention`] expires every chunk whose newest point
+//! fell behind the retention window, by metadata alone. Whole segments of
+//! them go — file and all, and their chunks in memory by segment id — at
+//! open, and at every flush, whose segment supersedes them; and a flush
+//! writes, and its writer adopts, only the chunks the window keeps, so a
+//! compaction drops the expired chunks of the segments it rewrites.
 //!
 //! # Locking discipline
 //!

@@ -131,15 +131,14 @@ impl fmt::Display for SeriesKey {
 /// * **Duplicate** timestamps overwrite the stored value —
 ///   *last-writer-wins*, in arrival order.
 /// * **Out-of-order** arrivals insert sorted (O(n) in the head). If the
-///   timestamp lands at or before the last *sealed* timestamp, the series
-///   first unseals: sealed chunks hydrate into the head and the sealed
-///   tier empties, after which the same rules apply. The series is then
-///   *unsealed* until a flush adopts it again, and that flush rewrites
-///   every series into one segment superseding all the others, so no stale
-///   copy of the range stays on disk. A sealed chunk that cannot
-///   be read makes the push an error and leaves the series as it was: an
-///   unseal that skipped it would drop its points, and the next flush
-///   would make the loss durable.
+///   timestamp lands at or before the last *sealed* timestamp, the sealed
+///   chunks it reaches (from the first whose newest point is not before
+///   it) first hydrate into the head and leave the sealed tier, the earlier
+///   ones unread, and the series is *unsealed*: the next flush compacts,
+///   so no stale copy of the range stays on disk. A chunk it reaches that
+///   cannot be read makes the push an error and leaves the series as it
+///   was (an unseal that skipped it would drop its points, and the next
+///   flush would make the loss durable); an earlier one fails that flush.
 #[derive(Debug, Clone)]
 pub struct Series {
     /// Identity of the series.
@@ -150,9 +149,8 @@ pub struct Series {
     timestamps: Vec<i64>,
     /// Head values, parallel to `timestamps`.
     values: Vec<f64>,
-    /// Set when the sealed tier moved into the head since the series last
-    /// adopted a segment's chunks: its head then overlaps what its old
-    /// segments hold.
+    /// Set when sealed chunks moved into the head since the series last
+    /// adopted chunks: its head then overlaps what its old segments hold.
     unsealed: bool,
 }
 
@@ -235,26 +233,27 @@ impl Series {
     }
 
     /// Makes `ts` writable: when it lands at or before the last sealed
-    /// timestamp, hydrates the sealed tier into the head and empties it,
-    /// so the series is mutable anywhere in its range again, and marks it
-    /// unsealed. Every sealed chunk is read before anything changes, so a
-    /// chunk that cannot be read is the error and the series stays as it
-    /// was.
+    /// timestamp, hydrates the sealed chunks it reaches into the head, cuts
+    /// the sealed tier before them and marks the series unsealed. Each is
+    /// read before anything changes, so one that cannot be read is the
+    /// error and the series stays as it was.
     pub(crate) fn unseal_for(&mut self, ts: i64) -> Result<(), StorageError> {
-        if self.sealed.last().is_none_or(|c| ts > c.meta.max_ts) {
+        let from = self.sealed.partition_point(|c| c.meta.max_ts < ts);
+        if from == self.sealed.len() {
             return Ok(());
         }
-        let mut timestamps = Vec::with_capacity(self.len());
-        let mut values = Vec::with_capacity(self.len());
-        for chunk in &self.sealed {
+        let tail = &self.sealed[from..];
+        let n = tail.iter().map(|c| c.meta.count as usize).sum::<usize>() + self.timestamps.len();
+        let mut head = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for chunk in tail {
             let block = chunk.decoded()?;
-            timestamps.extend_from_slice(&block.timestamps);
-            values.extend_from_slice(&block.values);
+            head.0.extend_from_slice(&block.timestamps);
+            head.1.extend_from_slice(&block.values);
         }
-        timestamps.extend_from_slice(&self.timestamps);
-        values.extend_from_slice(&self.values);
-        (self.timestamps, self.values) = (timestamps, values);
-        self.sealed.clear();
+        head.0.extend_from_slice(&self.timestamps);
+        head.1.extend_from_slice(&self.values);
+        (self.timestamps, self.values) = head;
+        self.sealed.truncate(from);
         self.unsealed = true;
         Ok(())
     }
@@ -295,7 +294,7 @@ impl Series {
     /// tier, `chunks` join its end, and the series is sealed again. A
     /// flush's chunks are its taken head, and it supersedes the expired
     /// segments; a compacting flush's are the whole series, and it
-    /// supersedes every segment.
+    /// supersedes every segment; both less what retention expired.
     pub(crate) fn adopt(&mut self, superseded: &[u64], chunks: Vec<SealedChunk>) {
         self.sealed.retain(|c| !superseded.contains(&c.segment_id()));
         self.sealed.extend(chunks);

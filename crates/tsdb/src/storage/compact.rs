@@ -4,14 +4,17 @@
 //! A store written in rounds seals one short chunk per series per flush.
 //! When a flush compacts (`Tsdb::flush` once small segments pile up or a
 //! write landed in a sealed range, and `Tsdb::compact` always), its one
-//! segment write holds every series — its sealed tier, minus expired
-//! chunks, followed by its head — and supersedes every live segment.
-//! [`rechunk`] merges each series' adjacent chunks greedily, whole chunks
-//! only, into runs of at most [`CHUNK_MAX_POINTS`] points: a run of two or
-//! more is decoded, concatenated and encoded once; a chunk with no merge
-//! partner keeps its bytes, and a full chunk never has one. The points and
-//! their order do not change, nor does the segment format, so a compacted
-//! store scans bit for bit as before, over fewer and larger chunks.
+//! segment write holds every series — its sealed tier followed by its
+//! head, less the chunks whose newest point is behind the retention
+//! window — and supersedes every live segment. [`rechunk`] merges each
+//! series' adjacent chunks greedily, whole chunks only, into runs of at
+//! most [`CHUNK_MAX_POINTS`] points: a run of two or more is decoded,
+//! concatenated and encoded once; a chunk with no merge partner keeps its
+//! bytes, and a full chunk never has one. The points and their order do
+//! not change, nor does the segment format, so a compacted store scans bit
+//! for bit as before, over fewer and larger chunks. A plain flush runs its
+//! heads through [`rechunk`] too, and they come out as they went in: a
+//! taken head is full chunks and at most one short one after them.
 //!
 //! Every input chunk is paged in (checked against its CRC) and every
 //! merged run decoded *before* anything is written, so an unreadable input,

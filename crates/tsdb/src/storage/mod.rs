@@ -27,7 +27,8 @@
 //! durable with one segment write, which says in its header what it
 //! supersedes: the heads, superseding the segments retention expired — or,
 //! when small segments pile up or a write landed in a sealed range, every
-//! series re-chunked ([`compact::rechunk`]), superseding every segment.
+//! series re-chunked ([`compact::rechunk`]), superseding every segment —
+//! and holds only the chunks retention keeps.
 //! It adopts the chunks it wrote, truncates the WAL and deletes the
 //! superseded files. Every sealed chunk in memory is a chunk of a live
 //! segment, and no two live segments hold overlapping chunks of a series.
@@ -83,6 +84,15 @@ pub enum StorageError {
     /// A mutating operation was called on a read-only handle
     /// ([`crate::Tsdb::open_read_only`]).
     ReadOnly,
+    /// A batch whose WAL record would be longer than the log accepts:
+    /// refused before anything is logged or applied, since replay would
+    /// read so long a record as a torn tail. Split the batch.
+    RecordTooLarge {
+        /// The record's payload length in bytes (saturating).
+        bytes: u64,
+        /// The longest payload the WAL accepts.
+        limit: u32,
+    },
 }
 
 impl StorageError {
@@ -106,6 +116,9 @@ impl std::fmt::Display for StorageError {
             StorageError::ReadOnly => {
                 write!(f, "store was opened read-only (writes require Tsdb::open)")
             }
+            StorageError::RecordTooLarge { bytes, limit } => {
+                write!(f, "a WAL record of {bytes} bytes exceeds the {limit}-byte limit")
+            }
         }
     }
 }
@@ -127,10 +140,14 @@ pub struct StorageOptions {
     /// `None` (the default) is unbounded: every chunk stays resident once
     /// touched, matching the pre-paging behaviour of plain `open`.
     pub page_budget_bytes: Option<u64>,
-    /// Retention window in timestamp units. Whole segments whose `max_ts`
-    /// falls more than `retention` behind the store's global maximum
-    /// timestamp are dropped — file and all — without decoding a single
-    /// chunk. `None` keeps everything.
+    /// Retention window in timestamp units: a chunk whose newest point
+    /// falls more than `retention` behind the store's newest point has
+    /// expired. A segment holding only expired chunks is dropped — file
+    /// and all — at open and at every flush, and a flush writes only the
+    /// chunks the window keeps: of the heads, and when it compacts, of
+    /// every series. A store that compacts so holds at most the window,
+    /// one chunk's span and the flushes since its last compaction. Nothing
+    /// is decoded to expire it. `None` keeps everything.
     pub retention: Option<i64>,
 }
 
@@ -310,8 +327,8 @@ pub(crate) fn cutoff(retention: Option<i64>, newest: impl Iterator<Item = i64>) 
     Some(newest.max()?.saturating_sub(retention))
 }
 
-/// Whether a segment (or a flush's heads) whose newest point is `max_ts`
-/// has fallen behind `cutoff`: retention drops it whole.
+/// Whether a segment or a chunk whose newest point is `max_ts` has fallen
+/// behind `cutoff`: retention drops it whole.
 pub(crate) fn expired(max_ts: Option<i64>, cutoff: Option<i64>) -> bool {
     max_ts.zip(cutoff).is_some_and(|(m, c)| m < c)
 }

@@ -43,7 +43,8 @@ use super::{crc32, StorageError, WRITE_BUFFER};
 use crate::model::SeriesKey;
 
 /// Largest accepted payload: a defensive cap so a corrupt length prefix
-/// cannot drive a giant allocation during replay.
+/// cannot drive a giant allocation during replay. Replay reads a longer
+/// frame as a torn tail, so [`Wal::append`] refuses a record past it.
 const MAX_PAYLOAD: u32 = 1 << 28;
 
 const KIND_BATCH: u8 = 1;
@@ -107,11 +108,12 @@ impl Wal {
     }
 
     /// Appends one record of `points` for `key` (buffered; durable after
-    /// [`Wal::sync`]). An append that fills the buffer writes it out; if
-    /// that write fails, the record is refused.
+    /// [`Wal::sync`]). A record whose payload would pass [`MAX_PAYLOAD`]
+    /// is refused before anything is encoded. An append that fills the
+    /// buffer writes it out; if that write fails, the record is refused.
     pub fn append(&mut self, key: &SeriesKey, points: &[(i64, f64)]) -> Result<(), StorageError> {
         let start = self.frames.len();
-        encode_frame(&mut self.frames, key, points);
+        encode_frame(&mut self.frames, key, points)?;
         if self.frames.len() < WRITE_BUFFER {
             return Ok(());
         }
@@ -212,19 +214,40 @@ pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64), StorageError> {
     Ok((records, at as u64))
 }
 
-/// Appends one batch record's frame to `out`: the payload written in
-/// place after room for its length and CRC, which are filled in last.
-fn encode_frame(out: &mut Vec<u8>, key: &SeriesKey, points: &[(i64, f64)]) {
+/// The payload length of a batch record of `points` points for `key`,
+/// from the lengths alone: [`StorageError::RecordTooLarge`] past
+/// [`MAX_PAYLOAD`].
+fn payload_len(key: &SeriesKey, points: usize) -> Result<u32, StorageError> {
+    let strs = std::iter::once(&key.name).chain(key.tags.iter().flat_map(|(k, v)| [k, v]));
+    // The kind, the tag and point counts, and 16 bytes a point.
+    let fixed = (points as u64).saturating_mul(16).saturating_add(1 + 4 + 4);
+    let bytes = strs.map(|s| 4 + s.len() as u64).fold(fixed, u64::saturating_add);
+    match u32::try_from(bytes) {
+        Ok(len) if len <= MAX_PAYLOAD => Ok(len),
+        _ => Err(StorageError::RecordTooLarge { bytes, limit: MAX_PAYLOAD }),
+    }
+}
+
+/// Appends one batch record's frame to `out`: its length, computed and
+/// checked against [`MAX_PAYLOAD`] before anything is written, then the
+/// payload in place after room for its CRC, which is filled in last.
+fn encode_frame(
+    out: &mut Vec<u8>,
+    key: &SeriesKey,
+    points: &[(i64, f64)],
+) -> Result<(), StorageError> {
+    let len = payload_len(key, points.len())?;
     let start = out.len();
-    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
     out.push(KIND_BATCH);
     write_str(out, &key.name);
-    out.extend_from_slice(&(key.tags.len() as u32).to_le_bytes());
+    out.extend_from_slice(&le_u32(key.tags.len()));
     for (k, v) in &key.tags {
         write_str(out, k);
         write_str(out, v);
     }
-    out.extend_from_slice(&(points.len() as u32).to_le_bytes());
+    out.extend_from_slice(&le_u32(points.len()));
     let body = out.len();
     out.resize(body + points.len() * 16, 0);
     for (slot, &(ts, v)) in out[body..].as_chunks_mut::<16>().0.iter_mut().zip(points) {
@@ -232,8 +255,16 @@ fn encode_frame(out: &mut Vec<u8>, key: &SeriesKey, points: &[(i64, f64)]) {
         slot[8..].copy_from_slice(&v.to_le_bytes());
     }
     let (head, payload) = out[start..].split_at_mut(8);
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    debug_assert_eq!(payload.len(), len as usize);
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+/// A count or length of a frame as its little-endian `u32` field.
+fn le_u32(n: usize) -> [u8; 4] {
+    // invariant: every count and length in a frame is at most its payload
+    // length, which `payload_len` bounded by MAX_PAYLOAD.
+    u32::try_from(n).expect("a frame field within MAX_PAYLOAD").to_le_bytes()
 }
 
 /// Decodes one checksummed payload; the error says what did not fit.
@@ -273,7 +304,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(&le_u32(s.len()));
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -390,7 +421,7 @@ mod tests {
         let frame =
             |p: &[u8]| [&(p.len() as u32).to_le_bytes(), &crc32(p).to_le_bytes(), p].concat();
         let (record, mut good) = (&sample_records()[0], Vec::new());
-        encode_frame(&mut good, &record.key, &record.points);
+        encode_frame(&mut good, &record.key, &record.points).expect("encode");
         let payload = good[8..].to_vec();
         let mut replace = payload.clone();
         replace[0] = 2; // the whole-series replacement kind of older builds
@@ -418,6 +449,31 @@ mod tests {
         let (records, committed) = replay(&dir).expect("replay");
         assert_eq!((records.len(), committed as usize), (1, good.len()));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_len_is_the_encoded_length_and_refuses_past_the_cap() {
+        for record in sample_records() {
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, &record.key, &record.points).expect("encode");
+            let len = payload_len(&record.key, record.points.len()).expect("within the cap");
+            assert_eq!(len as usize, frame.len() - 8);
+        }
+        // A three-byte name makes the fixed part 16 bytes, so 2^24 - 1
+        // points fill MAX_PAYLOAD exactly; a four-byte name is one past.
+        let points = (1 << 24) - 1;
+        assert_eq!(payload_len(&SeriesKey::new("abc"), points).expect("at the cap"), MAX_PAYLOAD);
+        match payload_len(&SeriesKey::new("abcd"), points) {
+            Err(StorageError::RecordTooLarge { bytes, limit }) => {
+                assert_eq!((bytes, limit), (u64::from(MAX_PAYLOAD) + 1, MAX_PAYLOAD));
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        let err = payload_len(&SeriesKey::new("m"), usize::MAX).expect_err("saturates");
+        assert_eq!(
+            err.to_string(),
+            format!("a WAL record of {} bytes exceeds the 268435456-byte limit", u64::MAX)
+        );
     }
 
     #[test]

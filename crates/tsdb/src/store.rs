@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use crate::glob::{glob_literal_prefix, glob_match, is_glob};
 use crate::model::{Series, SeriesKey, TimeRange};
-use crate::storage::chunk::{self, DecodedBlock, EncodedChunk, SealedChunk};
+use crate::storage::chunk::{self, ChunkMeta, DecodedBlock, EncodedChunk, SealedChunk};
 use crate::storage::pager::Pager;
 use crate::storage::recover::RecoverOptions;
 use crate::storage::wal::{Wal, WalRecord};
@@ -282,9 +282,10 @@ impl Tsdb {
 
     /// [`Tsdb::open`] with explicit [`StorageOptions`]: a page budget
     /// bounds resident compressed chunk bytes (cold chunks demand-page in
-    /// and evict under clock pressure), and a retention window drops whole
-    /// expired segments — at open and at every flush — without decoding
-    /// them.
+    /// and evict under clock pressure), and a retention window expires the
+    /// chunks behind it without decoding them: whole segments of them at
+    /// open and at every flush, which writes only the chunks it keeps (see
+    /// [`StorageOptions::retention`]).
     pub fn open_with(dir: impl AsRef<Path>, options: StorageOptions) -> Result<Tsdb, StorageError> {
         Tsdb::open_impl(dir.as_ref(), options, false)
     }
@@ -402,13 +403,15 @@ impl Tsdb {
     /// The durability point: fsyncs the WAL, writes one segment and adopts
     /// its chunks ([`Storage::adopt`]: they join the sealed tiers as Paged
     /// slots of the segment), truncates the WAL and deletes the files the
-    /// segment superseded. The segment holds every non-empty head and
-    /// supersedes the segments the retention window expired. The flush
-    /// *compacts* when it would leave [`AUTO_COMPACT_SEGMENTS`] segments,
-    /// or when a write landed in a series' sealed range since its last
-    /// flush: the one segment then holds every series re-chunked (see
+    /// segment superseded. The segment holds the heads and supersedes the
+    /// segments the retention window expired. The flush *compacts* when it
+    /// would leave [`AUTO_COMPACT_SEGMENTS`] segments, or when a write
+    /// landed in a series' sealed range since its last flush: the one
+    /// segment then holds every series re-chunked (see
     /// [`crate::storage::compact`]) and supersedes every segment, so no two
-    /// segments ever hold overlapping chunks. A failed write or read-back
+    /// segments ever hold overlapping chunks. Either way it holds only the
+    /// chunks retention keeps: one whose newest point is behind the window
+    /// is written nowhere and leaves memory. A failed write or read-back
     /// changes nothing in memory: the heads, which the flush holds only
     /// encoded, decode back bit for bit, the WAL stays, and a retry encodes
     /// again under the same segment id. A sealed chunk that cannot be read
@@ -447,30 +450,21 @@ impl Tsdb {
         let expired = |max_ts: Option<i64>| crate::storage::expired(max_ts, cutoff);
         let expired_ids: Vec<u64> =
             storage.segments.iter().filter(|s| expired(s.max_ts)).map(|s| s.id).collect();
-        let heads_live = !expired(heads_max);
         let unsealed = self.series.iter().any(Series::unsealed);
         let left = storage.segments.len() - expired_ids.len()
-            + usize::from(heads_max.is_some() && heads_live);
+            + usize::from(heads_max.is_some() && !expired(heads_max));
         let compacting = left >= segments || unsealed;
-        // Heads behind the window are dropped, as retention would drop their
-        // segment; an unsealed series' head is not, as it holds the sealed
-        // tier of segments this write supersedes.
-        let series = &self.series;
-        let head = |i: usize| {
-            let kept = heads_live || series[i].unsealed();
-            heads[i].iter().filter(move |_| kept).flatten().cloned()
-        };
         let supersedes: Vec<u64> = if compacting {
             storage.segments.iter().map(|s| s.id).collect()
         } else {
             expired_ids.clone()
         };
         let mut unread = None;
-        let planned = match segment_view(series, head, compacting.then_some(&expired_ids[..])) {
+        let planned = match segment_view(&self.series, &heads, compacting, cutoff) {
             Ok(view) => Ok((view, supersedes)),
             Err(e) if !unsealed => {
                 unread = Some(e);
-                segment_view(series, head, None).map(|view| (view, expired_ids))
+                segment_view(&self.series, &heads, false, cutoff).map(|view| (view, expired_ids))
             }
             Err(e) => Err(e),
         };
@@ -780,29 +774,25 @@ type SegmentView = Vec<(SeriesKey, Vec<EncodedChunk>)>;
 
 /// What one flush writes: the series (indices in canonical key order, so
 /// segment directories are deterministic for a given logical store) and
-/// their chunks. Each series writes `head(i)`, its taken head; when
-/// `compacting` names the expired segments, it writes its whole sealed
-/// tier but their chunks, paged in, followed by the head, re-chunked.
-/// Series with nothing to write are left out.
-fn segment_view<I: Iterator<Item = EncodedChunk>>(
+/// their chunks. Each series writes its sealed tier when `compacting`,
+/// paged in, then its taken head, keeping the chunks retention keeps (those
+/// not behind `cutoff`), re-chunked. Series with nothing to write are left
+/// out.
+fn segment_view(
     series: &[Series],
-    head: impl Fn(usize) -> I,
-    compacting: Option<&[u64]>,
+    heads: &[Option<Vec<EncodedChunk>>],
+    compacting: bool,
+    cutoff: Option<i64>,
 ) -> Result<(Vec<usize>, SegmentView), StorageError> {
+    let kept = |meta: &ChunkMeta| !crate::storage::expired(Some(meta.max_ts), cutoff);
     let mut order: Vec<usize> = (0..series.len()).collect();
     order.sort_by_cached_key(|&i| series[i].key.canonical());
     let (mut written, mut view) = (Vec::new(), Vec::new());
     for i in order {
-        let chunks = match compacting {
-            None => head(i).collect(),
-            Some(expired) => {
-                let sealed = series[i].sealed_chunks().iter();
-                let live = sealed.filter(|c| !expired.contains(&c.segment_id()));
-                let mut chunks = live.map(SealedChunk::encoded).collect::<Result<Vec<_>, _>>()?;
-                chunks.extend(head(i));
-                compact::rechunk(chunks)?
-            }
-        };
+        let sealed = series[i].sealed_chunks().iter().filter(|c| compacting && kept(&c.meta));
+        let mut chunks = sealed.map(SealedChunk::encoded).collect::<Result<Vec<_>, _>>()?;
+        chunks.extend(heads[i].iter().flatten().filter(|c| kept(&c.meta)).cloned());
+        let chunks = compact::rechunk(chunks)?;
         if !chunks.is_empty() {
             written.push(i);
             view.push((series[i].key.clone(), chunks));

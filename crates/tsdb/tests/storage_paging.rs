@@ -5,8 +5,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use explainit_tsdb::storage::CHUNK_MAX_POINTS;
-use explainit_tsdb::{MetricFilter, SeriesKey, SeriesSlice, StorageError, StorageOptions, Tsdb};
+use explainit_tsdb::storage::{AUTO_COMPACT_SEGMENTS, CHUNK_MAX_POINTS};
+use explainit_tsdb::{
+    MetricFilter, Series, SeriesKey, SeriesSlice, StorageError, StorageOptions, Tsdb,
+};
 use proptest::prelude::*;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -491,10 +493,11 @@ fn retention_drops_the_segment_an_unsealed_flush_compacted() {
 /// that rewrote the range superseded the segment holding the old value.
 /// Here a series holds the first segment's newest point far past the
 /// overwritten one, so a flush past the retention window keeps that
-/// segment; the writer, a read-only reopen and a reopen after `compact()`
-/// all read the overwrite. Nor does it drop a series a late write
-/// unsealed when every head of the flush is behind the window: that head
-/// holds the series' sealed tier, from a segment the window keeps.
+/// segment; the writer and a read-only reopen read the overwrite.
+/// Retention keeps chunks, not segments: `compact()` rewrites every series
+/// with only the chunks the window keeps, so m, wholly behind it, expires
+/// in the writer and on disk alike. And a later write behind the cutoff is
+/// written nowhere: the writer, a read-only reopen and a reopen agree.
 #[test]
 fn retention_never_brings_back_an_overwritten_value() {
     let dir = tmp_dir("retention-overwrite");
@@ -509,7 +512,7 @@ fn retention_never_brings_back_an_overwritten_value() {
         db.flush().expect("flush the overwrite");
     }
     let at = |db: &Tsdb, ts: i64| {
-        let points = db.get(&m).expect("series m").points();
+        let points = db.get(&m).into_iter().flat_map(Series::points);
         points.filter(|p| p.ts == ts).map(|p| p.value).collect::<Vec<_>>()
     };
     let at_1200 = |db: &Tsdb| at(db, 1200);
@@ -521,24 +524,65 @@ fn retention_never_brings_back_an_overwritten_value() {
     let reopened = Tsdb::open_read_only(&dir).expect("read-only reopen");
     assert_eq!(at_1200(&reopened), [-1.0], "a read-only reopen");
     drop(reopened);
+
+    // m (0..2940) lies wholly behind the 3,000 cutoff: compacting expires it.
+    let len = |db: &Tsdb, key: &SeriesKey| db.get(key).map_or(0, Series::len);
     db.compact().expect("compact");
+    assert_eq!((len(&db, &m), len(&db, &n)), (0, 2), "the writer keeps only n");
     drop(db);
     let compacted = Tsdb::open(&dir).expect("reopen after compact");
-    assert_eq!(at_1200(&compacted), [-1.0], "a reopen after compact()");
+    assert_eq!((len(&compacted, &m), len(&compacted, &n)), (0, 2), "a reopen after compact()");
     drop(compacted);
 
-    // m (0..2940) now lies wholly behind the 3,000 cutoff, in a live segment.
     let mut db = Tsdb::open_with(&dir, options).expect("reopen with retention");
-    db.try_insert(&m, 600, -2.0).expect("overwrite behind the cutoff");
+    db.try_insert(&m, 600, -2.0).expect("a write behind the cutoff");
+    assert_eq!(at(&db, 600), [-2.0], "held until the flush");
     db.flush().expect("flush a head behind the window");
-    let whole = |db: &Tsdb| (db.get(&m).expect("series m").len(), at(db, 600), at_1200(db));
-    assert_eq!(whole(&db), (50, vec![-2.0], vec![-1.0]), "the writer keeps m");
+    let views = |db: &Tsdb| (len(db, &m), at(db, 600), at_1200(db), len(db, &n));
+    assert_eq!(views(&db), (0, vec![], vec![], 2), "the writer holds no m");
+    assert!(std::fs::read(dir.join("wal")).expect("read wal").is_empty(), "nor does the log");
     drop(db);
     let reopened = Tsdb::open_read_only(&dir).expect("read-only reopen");
-    assert_eq!(whole(&reopened), (50, vec![-2.0], vec![-1.0]), "a read-only reopen keeps m");
+    assert_eq!(views(&reopened), (0, vec![], vec![], 2), "a read-only reopen holds no m");
     drop(reopened);
     let reopened = Tsdb::open(&dir).expect("reopen");
-    assert_eq!(whole(&reopened), (50, vec![-2.0], vec![-1.0]), "a reopen keeps m");
+    assert_eq!(views(&reopened), (0, vec![], vec![], 2), "a reopen holds no m");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Retention holds on a store that compacts on its own: 200 hourly rounds
+/// of one series under a 24-hour window. Each compaction rewrites the
+/// series with only the chunks the window keeps, so the oldest point held,
+/// by the writer and by a reopen alike, lies at most the window, one
+/// chunk's span and the flushes since the last compaction behind the
+/// newest.
+#[test]
+fn retention_holds_on_a_compacting_store() {
+    let dir = tmp_dir("retention-rounds");
+    let (minute, hour) = (60i64, 3_600i64);
+    let window = 24 * hour;
+    let options = StorageOptions { retention: Some(window), ..StorageOptions::default() };
+    let mut db = Tsdb::open_with(&dir, options.clone()).expect("open");
+    let key = SeriesKey::new("m");
+    for round in 0..200i64 {
+        let points: Vec<_> = (0..60).map(|t| (round * hour + t * minute, t as f64)).collect();
+        db.try_insert_batch(&key, &points).expect("insert");
+        db.flush().expect("flush a round");
+    }
+    let newest = 199 * hour + 59 * minute;
+    let chunk_span = CHUNK_MAX_POINTS as i64 * minute;
+    let since_compaction = (AUTO_COMPACT_SEGMENTS as i64 - 1) * hour;
+    let oldest_allowed = newest - window - chunk_span - since_compaction;
+    let span = |db: &Tsdb| db.get(&key).and_then(Series::time_span).expect("points");
+    let held = span(&db);
+    assert_eq!(held.end, newest + 1, "the newest round is held");
+    assert!(held.start >= oldest_allowed, "the writer holds {held:?}, from {oldest_allowed}");
+    drop(db);
+    let reopened = Tsdb::open_read_only_with(&dir, options.clone()).expect("read-only reopen");
+    assert_eq!(span(&reopened), held, "a read-only reopen holds what the writer held");
+    drop(reopened);
+    let reopened = Tsdb::open_with(&dir, options).expect("reopen");
+    assert_eq!(span(&reopened), held, "a reopen holds what the writer held");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

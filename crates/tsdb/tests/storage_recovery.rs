@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 use explainit_tsdb::storage::chunk::encode_run;
 use explainit_tsdb::storage::crc32;
 use explainit_tsdb::storage::segment::write_segment;
+use explainit_tsdb::storage::CHUNK_MAX_POINTS;
 use explainit_tsdb::{MetricFilter, SeriesKey, StorageError, TimeRange, Tsdb};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -291,9 +292,10 @@ fn overlapping_live_segments_fail_every_open_and_change_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A write into the sealed range unseals the series, which reads every
-/// sealed chunk. One that cannot be read must fail the write, not drop its
-/// points from memory for a flush or compaction to make the loss durable.
+/// A write into the sealed range unseals the series from the chunk it
+/// reaches, which it reads. One that cannot be read must fail the write,
+/// not drop its points from memory for a flush or compaction to make the
+/// loss durable.
 #[test]
 fn a_write_into_an_unreadable_sealed_chunk_fails_and_loses_nothing() {
     let dir = tmp_dir("unseal-damaged");
@@ -329,6 +331,59 @@ fn a_write_into_an_unreadable_sealed_chunk_fails_and_loses_nothing() {
     let s = db.get(&key).expect("series");
     assert_eq!(s.timestamps(), points.iter().map(|p| p.0).collect::<Vec<_>>());
     assert_eq!(s.values(), points.iter().map(|p| p.1).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A late write opens only the chunks it reaches: into the last of three
+/// full chunks of a cold series, it decodes that one chunk and leaves the
+/// two before it sealed and unread — so an unreadable earlier chunk no
+/// longer fails the write. The compacting flush the write makes must copy
+/// that chunk, so it is the flush that fails, changing nothing, as it does
+/// for any unreadable chunk while a series is unsealed; with the chunk
+/// readable again it goes through and loses nothing.
+#[test]
+fn a_late_write_decodes_only_the_chunks_it_reaches() {
+    let dir = tmp_dir("late-reach");
+    let key = SeriesKey::new("m");
+    let full = CHUNK_MAX_POINTS as i64;
+    let points: Vec<(i64, f64)> = (0..3 * full).map(|t| (t * 60, t as f64 * 0.5)).collect();
+    {
+        // The first chunk in a segment of its own, so it can be damaged alone.
+        let mut db = Tsdb::open(&dir).expect("open");
+        db.try_insert_batch(&key, &points[..full as usize]).expect("insert");
+        db.flush().expect("flush the first chunk");
+        db.try_insert_batch(&key, &points[full as usize..]).expect("insert");
+        db.flush().expect("flush two more");
+        assert_eq!(db.storage_stats().expect("stats").chunks, 3, "three full chunks");
+    }
+    let first = dir.join("seg-00000000.seg");
+    let good = std::fs::read(&first).expect("read");
+    let mut bad = good.clone();
+    *bad.last_mut().expect("payload") ^= 0x01;
+    std::fs::write(&first, &bad).expect("flip the first chunk's last byte");
+
+    let mut db = Tsdb::open(&dir).expect("writer reopen: every chunk cold");
+    let late = 2 * full as usize + 100;
+    db.try_insert(&key, points[late].0, -1.0).expect("a write into the last chunk reads only it");
+    assert_eq!(db.decode_count(), 1, "one chunk decoded, not three");
+    assert_eq!(db.point_count(), points.len());
+    db.sync().expect("sync");
+    let wal = std::fs::read(dir.join("wal")).expect("read wal");
+    let err = db.flush().expect_err("the compacting flush must copy the damaged chunk");
+    assert!(err.to_string().contains("chunk checksum mismatch"), "{err}");
+    assert_eq!(std::fs::read(dir.join("wal")).expect("read wal"), wal, "the WAL stays");
+    assert_eq!(segment_names(&dir), ["seg-00000000.seg", "seg-00000001.seg"]);
+    assert_eq!(std::fs::read(&first).expect("still on disk"), bad, "segment untouched");
+
+    std::fs::write(&first, &good).expect("repair");
+    db.flush().expect("the flush goes through over intact chunks");
+    let mut expected = points.clone();
+    expected[late].1 = -1.0;
+    drop(db);
+    let db = Tsdb::open(&dir).expect("reopen");
+    let s = db.get(&key).expect("series");
+    assert_eq!(s.timestamps(), expected.iter().map(|p| p.0).collect::<Vec<_>>());
+    assert_eq!(s.values(), expected.iter().map(|p| p.1).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
